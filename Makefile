@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race race-quick bench bench-micro bench-check bench-quick examples tools check verify clean
+.PHONY: all build vet fmt-check test test-short race race-quick bench bench-micro bench-check bench-quick evaluation golden golden-check examples tools check verify clean
 
 all: check
 
@@ -35,7 +35,8 @@ race:
 # balloon/resize/registry lifecycle tests that hammer the reservation paths
 # from concurrent VMs.
 race-quick:
-	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers' ./internal/experiments
+	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect' ./internal/experiments
+	$(GO) test -race ./cmd/siloz
 	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize' ./internal/core
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate
@@ -54,24 +55,38 @@ BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 # Full benchmark sweep: every table/figure plus per-substrate microbenches,
 # captured into a dated JSON baseline (min ns/op across -count runs).
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=3 ./... | $(GO) run ./cmd/siloz-perf -o BENCH_$(BENCH_DATE).json
+	$(GO) test -run '^$$' -bench=. -benchmem -count=3 ./... | $(GO) run ./cmd/siloz perf -o BENCH_$(BENCH_DATE).json
 
 # Microbench-only capture: the substrate hot paths, quick enough to run on
 # every perf-relevant change.
 bench-micro:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=3 $(BENCH_PKGS) | $(GO) run ./cmd/siloz-perf -o BENCH_$(BENCH_DATE).json
+	$(GO) test -run '^$$' -bench=. -benchmem -count=3 $(BENCH_PKGS) | $(GO) run ./cmd/siloz perf -o BENCH_$(BENCH_DATE).json
 
 # Regression gate: rerun the microbenches and fail on >20% ns/op slowdown
 # against the newest committed BENCH_*.json.
 bench-check:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=2 $(BENCH_PKGS) | $(GO) run ./cmd/siloz-perf -check $(BENCH_BASELINE) -tolerance 20
+	$(GO) test -run '^$$' -bench=. -benchmem -count=2 $(BENCH_PKGS) | $(GO) run ./cmd/siloz perf -check $(BENCH_BASELINE) -tolerance 20
 
 bench-quick:
-	$(GO) run ./cmd/siloz-bench -quick
+	$(GO) run ./cmd/siloz bench -quick
 
-# Regenerate the paper's evaluation at full scale (minutes).
+# Regenerate the paper's evaluation at full scale (minutes). stdout is the
+# diffable record; progress and timing go to stderr.
 evaluation:
-	$(GO) run ./cmd/siloz-bench -exp all
+	$(GO) run ./cmd/siloz bench -exp all > evaluation_output.txt
+
+# The equivalence oracle: every experiment at -quick scale, as JSON. The
+# fixed-seed output is byte-identical at any -parallel width, so one committed
+# golden (captured on amd64) pins the whole registry's behaviour; a refactor
+# that changes a single byte of any experiment fails golden-check. After an
+# intended output change, regenerate with `make golden` and explain the diff.
+GOLDEN := testdata/bench-quick-all.golden.json
+
+golden:
+	$(GO) run ./cmd/siloz bench -quick -exp all -json > $(GOLDEN)
+
+golden-check:
+	$(GO) run ./cmd/siloz bench -quick -exp all -json | cmp - $(GOLDEN)
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -83,21 +98,16 @@ examples:
 	$(GO) run ./examples/lifecycleattack
 
 tools:
-	$(GO) run ./cmd/siloz-topology
-	$(GO) run ./cmd/siloz-blacksmith -patterns 20
-	$(GO) run ./cmd/siloz-infer -true-size 1024
-	$(GO) run ./cmd/siloz-sim
+	$(GO) run ./cmd/siloz topology
+	$(GO) run ./cmd/siloz blacksmith -patterns 20
+	$(GO) run ./cmd/siloz infer -true-size 1024
+	$(GO) run ./cmd/siloz sim
 
 check: build vet fmt-check test
 
-# Pre-commit gate: everything `check` runs, plus quick fleet-churn,
-# lifecycle-attack, mitigation-matrix and serving-slo end-to-end smokes
-# through the real CLIs.
-verify: build vet fmt-check test
-	$(GO) run ./cmd/siloz-fleet -quick >/dev/null
-	$(GO) run ./cmd/siloz-bench -exp lifecycle-attack -quick >/dev/null
-	$(GO) run ./cmd/siloz-bench -exp mitigation-matrix -quick >/dev/null
-	$(GO) run ./cmd/siloz-serve -quick >/dev/null
+# Pre-commit gate: everything `check` runs, plus the golden smoke — all 24
+# experiments end to end through the real CLI, compared byte for byte.
+verify: build vet fmt-check test golden-check
 
 clean:
 	$(GO) clean ./...

@@ -2,8 +2,8 @@
 // dispatches one experiment from the registry end to end and reports the
 // headline quantity from the structured Result's scalars, so
 // `go test -bench=. -benchmem` reproduces the whole evaluation. Scaled-down
-// parameters keep a full sweep tractable; use cmd/siloz-bench for
-// paper-scale runs.
+// parameters keep a full sweep tractable; use `siloz bench` for paper-scale
+// runs.
 package repro_test
 
 import (
@@ -14,10 +14,20 @@ import (
 	"repro/internal/geometry"
 )
 
+// params resolves a registered experiment's -quick parameters.
+func params[P any](b *testing.B, name string) P {
+	b.Helper()
+	e, ok := experiments.Get(name)
+	if !ok {
+		b.Fatalf("experiment %q not registered", name)
+	}
+	return e.Resolve(experiments.Flags{Quick: true}).(P)
+}
+
 // benchSecurity uses a reduced geometry so each b.N iteration is cheap
 // while keeping the full six-DIMM sweep.
-func benchSecurity() experiments.SecurityConfig {
-	cfg := experiments.DefaultSecurityConfig()
+func benchSecurity(b *testing.B) experiments.SecurityConfig {
+	cfg := params[experiments.SecurityConfig](b, "table3")
 	cfg.Geometry = geometry.Geometry{
 		Sockets: 2, CoresPerSocket: 8, DIMMsPerSocket: 2, RanksPerDIMM: 2,
 		BanksPerRank: 4, RowsPerBank: 4096, RowBytes: 8 * geometry.KiB,
@@ -27,37 +37,32 @@ func benchSecurity() experiments.SecurityConfig {
 	return cfg
 }
 
-func benchPerf() experiments.PerfConfig {
-	cfg := experiments.QuickPerfConfig()
+func benchPerf(b *testing.B) experiments.PerfConfig {
+	cfg := params[experiments.PerfConfig](b, "fig4")
 	cfg.Ops = 20_000
 	cfg.Reps = 3
 	return cfg
 }
 
-func benchConfig() experiments.Config {
-	return experiments.Config{
-		Perf:     benchPerf(),
-		Security: benchSecurity(),
-	}
-}
-
-// runExp dispatches one registered experiment, failing the benchmark if it
-// errors or any of its self-checks fail.
-func runExp(b *testing.B, name string, cfg experiments.Config) *experiments.Result {
+// runExp dispatches one registered experiment with the given parameters
+// (nil = its own -quick set), failing the benchmark if it errors or any of
+// its self-checks fail.
+func runExp(b *testing.B, name string, p any) *experiments.Result {
 	b.Helper()
 	e, ok := experiments.Get(name)
 	if !ok {
 		b.Fatalf("experiment %q not registered", name)
 	}
-	r, err := e.Run(context.Background(), cfg)
+	if p == nil {
+		p = e.Resolve(experiments.Flags{Quick: true})
+	}
+	r, err := e.Run(context.Background(), nil, p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !r.Passed() {
-		for _, c := range r.Checks {
-			if !c.Pass {
-				b.Fatalf("%s: check %s failed: %s", name, c.Name, c.Detail)
-			}
+	for _, c := range r.Checks {
+		if !c.Pass {
+			b.Fatalf("%s: check %s failed: %s", name, c.Name, c.Detail)
 		}
 	}
 	return r
@@ -76,10 +81,10 @@ func scalar(b *testing.B, r *experiments.Result, name string) float64 {
 // BenchmarkTable3Containment regenerates Table 3: Blacksmith pinned to a
 // subarray group on DIMMs A-F; flips inside vs outside the group.
 func BenchmarkTable3Containment(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchSecurity(b)
 	var inside, outside float64
 	for i := 0; i < b.N; i++ {
-		cfg.Security.Seed = int64(i) + 7
+		cfg.Seed = int64(i) + 7
 		r := runExp(b, "table3", cfg)
 		inside = scalar(b, r, "flips_inside")
 		outside = scalar(b, r, "flips_outside")
@@ -90,7 +95,7 @@ func BenchmarkTable3Containment(b *testing.B) {
 
 // BenchmarkEPTProtection regenerates the §7.1 EPT experiment.
 func BenchmarkEPTProtection(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchSecurity(b)
 	var prot, unprot float64
 	for i := 0; i < b.N; i++ {
 		r := runExp(b, "ept", cfg)
@@ -103,10 +108,10 @@ func BenchmarkEPTProtection(b *testing.B) {
 
 // BenchmarkFig4ExecutionTime regenerates Figure 4.
 func BenchmarkFig4ExecutionTime(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchPerf(b)
 	var geomean float64
 	for i := 0; i < b.N; i++ {
-		cfg.Perf.Seed = int64(i) + 1
+		cfg.Seed = int64(i) + 1
 		geomean = scalar(b, runExp(b, "fig4", cfg), "geomean_overhead_pct")
 	}
 	b.ReportMetric(geomean, "geomean-overhead-%")
@@ -114,10 +119,10 @@ func BenchmarkFig4ExecutionTime(b *testing.B) {
 
 // BenchmarkFig5Throughput regenerates Figure 5.
 func BenchmarkFig5Throughput(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchPerf(b)
 	var geomean float64
 	for i := 0; i < b.N; i++ {
-		cfg.Perf.Seed = int64(i) + 1
+		cfg.Seed = int64(i) + 1
 		geomean = scalar(b, runExp(b, "fig5", cfg), "geomean_overhead_pct")
 	}
 	b.ReportMetric(geomean, "geomean-overhead-%")
@@ -126,10 +131,10 @@ func BenchmarkFig5Throughput(b *testing.B) {
 // BenchmarkFig67SizeSensitivity regenerates Figures 6 and 7 (execution time
 // and throughput for Siloz-512/-2048 vs Siloz-1024).
 func BenchmarkFig67SizeSensitivity(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchPerf(b)
 	var t512, t2048, p512, p2048 float64
 	for i := 0; i < b.N; i++ {
-		cfg.Perf.Seed = int64(i) + 1
+		cfg.Seed = int64(i) + 1
 		r := runExp(b, "fig67", cfg)
 		t512 = scalar(b, r, "fig6-siloz512_geomean_pct")
 		t2048 = scalar(b, r, "fig6-siloz2048_geomean_pct")
@@ -144,7 +149,7 @@ func BenchmarkFig67SizeSensitivity(b *testing.B) {
 
 // BenchmarkBankLevelParallelism regenerates the §4.1 ablation.
 func BenchmarkBankLevelParallelism(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchPerf(b)
 	var speedup float64
 	for i := 0; i < b.N; i++ {
 		speedup = scalar(b, runExp(b, "blp", cfg), "blp_benefit_pct")
@@ -154,7 +159,7 @@ func BenchmarkBankLevelParallelism(b *testing.B) {
 
 // BenchmarkGuardRowOverhead regenerates the §3/§5.4 reservation accounting.
 func BenchmarkGuardRowOverhead(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchPerf(b)
 	var siloz float64
 	for i := 0; i < b.N; i++ {
 		siloz = scalar(b, runExp(b, "overhead", cfg), "siloz_ept_reserved_pct")
@@ -164,10 +169,9 @@ func BenchmarkGuardRowOverhead(b *testing.B) {
 
 // BenchmarkSoftwareRefresh regenerates the §8.3 deadline experiment.
 func BenchmarkSoftwareRefresh(b *testing.B) {
-	cfg := benchConfig()
 	var taskMiss, tickMiss float64
 	for i := 0; i < b.N; i++ {
-		r := runExp(b, "softrefresh", cfg)
+		r := runExp(b, "softrefresh", nil)
 		taskMiss = scalar(b, r, "task_miss_rate")
 		tickMiss = scalar(b, r, "tick_miss_rate")
 	}
@@ -177,18 +181,16 @@ func BenchmarkSoftwareRefresh(b *testing.B) {
 
 // BenchmarkRemapHandling regenerates the §6 sweep.
 func BenchmarkRemapHandling(b *testing.B) {
-	cfg := benchConfig()
 	var maxReserved float64
 	for i := 0; i < b.N; i++ {
-		maxReserved = scalar(b, runExp(b, "remaps", cfg), "max_reserved_pct")
+		maxReserved = scalar(b, runExp(b, "remaps", nil), "max_reserved_pct")
 	}
 	b.ReportMetric(maxReserved, "max-reserved-%")
 }
 
 // BenchmarkGiBPages regenerates the §4.2 1 GiB page analysis.
 func BenchmarkGiBPages(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Perf.Geometry = geometry.Default()
+	cfg := benchPerf(b)
 	var frac float64
 	for i := 0; i < b.N; i++ {
 		frac = scalar(b, runExp(b, "gbpages", cfg), "single_set_fraction")
@@ -198,10 +200,9 @@ func BenchmarkGiBPages(b *testing.B) {
 
 // BenchmarkECCStudy regenerates the §2.5/§3 ECC analysis.
 func BenchmarkECCStudy(b *testing.B) {
-	cfg := benchConfig()
 	var corrected, uncorrectable float64
 	for i := 0; i < b.N; i++ {
-		r := runExp(b, "ecc", cfg)
+		r := runExp(b, "ecc", nil)
 		corrected = scalar(b, r, "words_corrected")
 		uncorrectable = scalar(b, r, "words_uncorrectable")
 	}
@@ -211,30 +212,27 @@ func BenchmarkECCStudy(b *testing.B) {
 
 // BenchmarkFragmentation regenerates the §8.1 provisioning-waste study.
 func BenchmarkFragmentation(b *testing.B) {
-	cfg := benchConfig()
 	var worst float64
 	for i := 0; i < b.N; i++ {
-		worst = scalar(b, runExp(b, "fragmentation", cfg), "worst_waste_pct")
+		worst = scalar(b, runExp(b, "fragmentation", nil), "worst_waste_pct")
 	}
 	b.ReportMetric(worst, "worst-waste-%")
 }
 
 // BenchmarkDDR5Comparison regenerates the §8.2 DDR4-vs-DDR5 sweep.
 func BenchmarkDDR5Comparison(b *testing.B) {
-	cfg := benchConfig()
 	var ddr4Max float64
 	for i := 0; i < b.N; i++ {
-		ddr4Max = scalar(b, runExp(b, "ddr5", cfg), "ddr4_max_reserved_pct")
+		ddr4Max = scalar(b, runExp(b, "ddr5", nil), "ddr4_max_reserved_pct")
 	}
 	b.ReportMetric(ddr4Max, "ddr4-max-reserved-%")
 }
 
 // BenchmarkDRAMAStudy regenerates the §8.4 timing-side-channel study.
 func BenchmarkDRAMAStudy(b *testing.B) {
-	cfg := benchConfig()
 	var sharedSignal, partSignal float64
 	for i := 0; i < b.N; i++ {
-		r := runExp(b, "drama", cfg)
+		r := runExp(b, "drama", nil)
 		sharedSignal = scalar(b, r, "shared_signal_pct")
 		partSignal = scalar(b, r, "partitioned_signal_pct")
 	}
@@ -244,11 +242,9 @@ func BenchmarkDRAMAStudy(b *testing.B) {
 
 // BenchmarkActivationRates regenerates the §1 activation-rate study.
 func BenchmarkActivationRates(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Perf = experiments.QuickPerfConfig()
 	var hammerPeak float64
 	for i := 0; i < b.N; i++ {
-		hammerPeak = scalar(b, runExp(b, "actrates", cfg), "hammer_peak_acts")
+		hammerPeak = scalar(b, runExp(b, "actrates", nil), "hammer_peak_acts")
 	}
 	b.ReportMetric(hammerPeak, "hammer-peak-acts")
 }
@@ -256,10 +252,9 @@ func BenchmarkActivationRates(b *testing.B) {
 // BenchmarkZebRAMComparison regenerates the §3 executable guard-row
 // comparison.
 func BenchmarkZebRAMComparison(b *testing.B) {
-	cfg := benchConfig()
 	var silozOverhead float64
 	for i := 0; i < b.N; i++ {
-		silozOverhead = scalar(b, runExp(b, "zebram", cfg), "siloz_overhead_pct")
+		silozOverhead = scalar(b, runExp(b, "zebram", nil), "siloz_overhead_pct")
 	}
 	b.ReportMetric(silozOverhead, "siloz-overhead-%")
 }
@@ -269,13 +264,13 @@ func BenchmarkZebRAMComparison(b *testing.B) {
 // iteration. This is the registry-level trajectory number the sharded
 // campaign driver and the memctrl/addr hot-path rewrites are measured by.
 func BenchmarkSecuritySweep(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchSecurity(b)
 	var outside float64
 	for i := 0; i < b.N; i++ {
-		cfg.Security.Seed = int64(i) + 7
+		cfg.Seed = int64(i) + 7
 		outside = scalar(b, runExp(b, "table3", cfg), "flips_outside")
 		runExp(b, "ept", cfg)
-		runExp(b, "actrates", cfg)
+		runExp(b, "actrates", nil)
 	}
 	b.ReportMetric(outside, "flips-outside")
 }

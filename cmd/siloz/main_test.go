@@ -1,0 +1,226 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/mitigation"
+)
+
+// siloz runs one invocation in-process and returns its exit status and
+// streams.
+func siloz(stdin string, args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, strings.NewReader(stdin), &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestDispatch pins the front door: a missing or unknown subcommand prints
+// usage on stderr and exits 2 with nothing on stdout; help exits 0.
+func TestDispatch(t *testing.T) {
+	for _, args := range [][]string{{}, {"nope"}, {"siloz-bench"}} {
+		code, out, errs := siloz("", args...)
+		if code != 2 || out != "" || !strings.Contains(errs, "usage: siloz <command>") {
+			t.Errorf("siloz %v: exit %d, stdout %q, stderr %q; want usage on stderr and exit 2", args, code, out, errs)
+		}
+	}
+	if code, _, errs := siloz("", "nope"); code != 2 || !strings.Contains(errs, `unknown command "nope"`) {
+		t.Errorf("unknown command not named: exit %d, stderr %q", code, errs)
+	}
+	if code, _, errs := siloz("", "help"); code != 0 || !strings.Contains(errs, "blacksmith") {
+		t.Errorf("siloz help: exit %d, stderr %q", code, errs)
+	}
+	// A flag a subcommand does not take is a usage error, reported by name.
+	if code, out, errs := siloz("", "topology", "-seed", "3"); code != 2 || out != "" || !strings.Contains(errs, "-seed") {
+		t.Errorf("topology -seed: exit %d, stdout %q, stderr %q", code, out, errs)
+	}
+}
+
+// TestBenchList pins `siloz bench -list`: the 24 registry names, one per
+// line, in canonical order.
+func TestBenchList(t *testing.T) {
+	code, out, _ := siloz("", "bench", "-list")
+	if code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	got := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(got) != 24 || !reflect.DeepEqual(got, experiments.Names()) {
+		t.Errorf("bench -list printed %d names %v, want the registry's 24 in order", len(got), got)
+	}
+	if got[0] != "table3" || got[23] != "serving-slo" {
+		t.Errorf("canonical order broken: first %q, last %q", got[0], got[23])
+	}
+}
+
+// TestBenchUnknownExperiment: one bad name in -exp fails the invocation
+// before any experiment has started — nothing rendered, no progress line.
+func TestBenchUnknownExperiment(t *testing.T) {
+	code, out, errs := siloz("", "bench", "-quick", "-exp", "overhead,nope")
+	if code != 1 || out != "" {
+		t.Errorf("exit %d, stdout %q; want exit 1 and no output", code, out)
+	}
+	if !strings.Contains(errs, `unknown experiment "nope"`) || !strings.Contains(errs, "-list") || strings.Contains(errs, "==>") {
+		t.Errorf("stderr %q; want the bad name, a pointer to -list, and no progress", errs)
+	}
+}
+
+// plan runs one of the registry-backed subcommands' flag→jobs planners.
+func plan(t *testing.T, planner func(*invocation, []string) ([]experiments.Job, error), args ...string) any {
+	t.Helper()
+	jobs, err := planner(newInvocation("test", nil, io.Discard, io.Discard), args)
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("planning %v: %d jobs, %v", args, len(jobs), err)
+	}
+	return jobs[0].Params
+}
+
+// TestFleetServeResolveLikeBench: with no overrides of their own, `siloz
+// fleet` and `siloz serve` resolve to exactly the parameters `siloz bench
+// -exp fleet-churn|serving-slo` resolves to, whatever the shared flags — so
+// the front ends cannot drift from the registry again.
+func TestFleetServeResolveLikeBench(t *testing.T) {
+	for _, shared := range [][]string{
+		nil,
+		{"-quick"},
+		{"-seed", "1"},
+		{"-quick", "-seed", "5", "-reps", "2", "-ops", "900", "-parallel", "3"},
+	} {
+		for _, fe := range []struct {
+			exp     string
+			planner func(*invocation, []string) ([]experiments.Job, error)
+		}{{"fleet-churn", fleetJobs}, {"serving-slo", serveJobs}} {
+			want := plan(t, benchJobs, append([]string{"-exp", fe.exp}, shared...)...)
+			got := plan(t, fe.planner, shared...)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %v:\n front end %+v\n bench     %+v", fe.exp, shared, got, want)
+			}
+		}
+	}
+	// -reps reaches serving-slo through either door.
+	if sc := plan(t, benchJobs, "-exp", "serving-slo", "-reps", "2").(experiments.ServingSLOConfig); sc.Reps != 2 {
+		t.Errorf("bench -exp serving-slo -reps 2 resolved Reps = %d", sc.Reps)
+	}
+}
+
+// TestFleetServeOverrides pins the flag→parameter mappings themselves.
+func TestFleetServeOverrides(t *testing.T) {
+	fc := plan(t, fleetJobs, "-quick", "-hosts", "2", "-rounds", "4", "-arrivals", "6", "-policy", "best-fit, siloz-aware").(experiments.FleetConfig)
+	if fc.Hosts != 2 || fc.Rounds != 4 || fc.ArrivalsPerRound != 6 || !reflect.DeepEqual(fc.Policies, []string{"best-fit", "siloz-aware"}) {
+		t.Errorf("fleet overrides resolved to %+v", fc)
+	}
+	sc := plan(t, serveJobs, "-qps", "5e4", "-slo-us", "500", "-duration-ms", "2", "-defense", "siloz,para", "-scenario", "quiet").(experiments.ServingSLOConfig)
+	if sc.QPS != 5e4 || sc.SLOUs != 500 || sc.DurationMs != 2 ||
+		!reflect.DeepEqual(sc.Kinds, []mitigation.Kind{mitigation.KindSiloz, mitigation.KindPARA}) ||
+		!reflect.DeepEqual(sc.Scenarios, []string{"quiet"}) {
+		t.Errorf("serve overrides resolved to %+v", sc)
+	}
+	for _, bad := range [][]string{
+		{"fleet", "-policy", "round-robin"},
+		{"serve", "-defense", "prayer"},
+		{"serve", "-scenario", "loud"},
+	} {
+		if code, out, _ := siloz("", bad...); code != 1 || out != "" {
+			t.Errorf("siloz %v: exit %d, stdout %q; want rejection before any work", bad, code, out)
+		}
+	}
+}
+
+// TestBenchRendering drives two cheap experiments through the real driver:
+// JSON is one document per experiment, text separates experiments with a
+// blank line, and stdout is byte-identical at any -parallel width.
+func TestBenchRendering(t *testing.T) {
+	code, js, errs := siloz("", "bench", "-quick", "-exp", "overhead,zebram", "-json", "-parallel", "1")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errs)
+	}
+	dec := json.NewDecoder(strings.NewReader(js))
+	for _, want := range []string{"overhead", "zebram"} {
+		var r experiments.Result
+		if err := dec.Decode(&r); err != nil || r.Name != want {
+			t.Fatalf("JSON document: name %q, err %v; want %q", r.Name, err, want)
+		}
+	}
+	if !strings.Contains(errs, "==> zebram") || !strings.Contains(errs, "done: 2 experiments") {
+		t.Errorf("progress missing from stderr: %q", errs)
+	}
+	if _, js8, _ := siloz("", "bench", "-quick", "-exp", "overhead,zebram", "-json", "-parallel", "8"); js8 != js {
+		t.Error("JSON differs between -parallel 1 and -parallel 8")
+	}
+	_, text, _ := siloz("", "bench", "-quick", "-exp", "overhead,zebram")
+	if !strings.HasSuffix(text, "PASS (subarray groups contain all flips at ~0% cost)\n\n") || strings.Count(text, "\n\n") != 2 {
+		t.Errorf("text rendering lost its blank-line separators:\n%s", text)
+	}
+}
+
+// TestFailingCheckFailsTheRun: the shared job runner renders a result whose
+// check fails and then fails the invocation — for every registry-backed
+// subcommand alike.
+func TestFailingCheckFailsTheRun(t *testing.T) {
+	failing := experiments.Experiment{
+		Name: "doomed",
+		Run: func(context.Context, *experiments.Pool, any) (*experiments.Result, error) {
+			return &experiments.Result{Name: "doomed", Title: "Doomed",
+				Checks: []experiments.Check{{Name: "holds", Pass: false}}}, nil
+		},
+	}
+	var out bytes.Buffer
+	inv := newInvocation("test", nil, &out, io.Discard)
+	err := inv.runJobs([]experiments.Job{{Experiment: failing}}, false)
+	if err == nil || !strings.Contains(err.Error(), "failing checks") {
+		t.Errorf("err = %v, want a failing-checks error", err)
+	}
+	if !strings.Contains(out.String(), "check holds: FAIL") {
+		t.Errorf("result not rendered before failing:\n%s", out.String())
+	}
+}
+
+// TestTimeout: -timeout aborts the run with the context's error.
+func TestTimeout(t *testing.T) {
+	code, out, errs := siloz("", "bench", "-quick", "-exp", "blp", "-timeout", "1ns")
+	if code != 1 || out != "" || !strings.Contains(errs, "context deadline exceeded") {
+		t.Errorf("exit %d, stdout %q, stderr %q", code, out, errs)
+	}
+}
+
+const benchOutput = `pkg: repro/internal/addr
+BenchmarkDecode-8   	 1000000	       10.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkDecode-8   	 1000000	        9.0 ns/op	       0 B/op	       0 allocs/op
+pkg: repro/internal/dram
+BenchmarkActivate-8 	  500000	       40.0 ns/op
+`
+
+// TestPerf pins capture (minimum ns/op across -count runs, sorted) and the
+// regression gate's exit status.
+func TestPerf(t *testing.T) {
+	code, out, errs := siloz(benchOutput, "perf")
+	if code != 0 {
+		t.Fatalf("capture: exit %d: %s", code, errs)
+	}
+	var doc baseline
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 2 || doc.Benchmarks[0].Name != "Decode" || doc.Benchmarks[0].NsPerOp != 9 || doc.Benchmarks[0].Runs != 2 {
+		t.Errorf("captured %+v", doc.Benchmarks)
+	}
+	base := t.TempDir() + "/base.json"
+	if code, _, errs := siloz(benchOutput, "perf", "-o", base); code != 0 {
+		t.Fatalf("capture to file: exit %d: %s", code, errs)
+	}
+	if code, out, _ := siloz(benchOutput, "perf", "-check", base); code != 0 || !strings.Contains(out, "no regression") {
+		t.Errorf("self-check: exit %d, stdout %q", code, out)
+	}
+	slower := strings.ReplaceAll(benchOutput, "40.0 ns/op", "90.0 ns/op")
+	if code, out, errs := siloz(slower, "perf", "-check", base, "-tolerance", "20"); code != 1 || !strings.Contains(out, "REGRESSED") || !strings.Contains(errs, "regressed") {
+		t.Errorf("regression gate: exit %d, stdout %q, stderr %q", code, out, errs)
+	}
+	if code, _, _ := siloz("no benchmarks here\n", "perf"); code != 1 {
+		t.Errorf("empty input: exit %d, want 1", code)
+	}
+}

@@ -1,26 +1,9 @@
-// Command siloz-perf turns `go test -bench` output into a stable JSON
-// baseline and gates regressions against one.
-//
-// Capture mode (default) parses benchmark lines from stdin, keeps the
-// minimum ns/op across repeated -count runs of the same benchmark (the
-// minimum is the least noisy estimator of the true cost on a shared
-// machine), and writes a sorted JSON document:
-//
-//	go test -bench=. -benchmem -count=3 ./... | siloz-perf -o BENCH_2026-08-08.json
-//
-// Check mode compares fresh output against a committed baseline and exits
-// non-zero if any benchmark regressed beyond the tolerance:
-//
-//	go test -bench=. -benchmem -count=2 ./... | siloz-perf -check BENCH_2026-08-08.json -tolerance 20
-//
-// Benchmarks present on only one side are reported but never fail the
-// gate: the suite is expected to grow.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -31,8 +14,8 @@ import (
 	"time"
 )
 
-// Result is one benchmark's aggregated numbers.
-type Result struct {
+// benchResult is one benchmark's aggregated numbers.
+type benchResult struct {
 	// Pkg is the Go package the benchmark lives in.
 	Pkg string `json:"pkg"`
 	// Name is the benchmark name without the Benchmark prefix or the
@@ -47,59 +30,75 @@ type Result struct {
 	Runs int `json:"runs"`
 }
 
-// Baseline is the JSON document siloz-perf reads and writes.
-type Baseline struct {
-	Schema     string   `json:"schema"`
-	Date       string   `json:"date"`
-	GoVersion  string   `json:"go_version"`
-	Benchmarks []Result `json:"benchmarks"`
+// baseline is the JSON document siloz perf reads and writes.
+type baseline struct {
+	Schema     string        `json:"schema"`
+	Date       string        `json:"date"`
+	GoVersion  string        `json:"go_version"`
+	Benchmarks []benchResult `json:"benchmarks"`
 }
 
-func main() {
-	out := flag.String("o", "", "write the JSON baseline to this file (default stdout)")
-	check := flag.String("check", "", "baseline JSON to compare against instead of capturing")
-	tolerance := flag.Float64("tolerance", 20, "max allowed ns/op regression in percent (check mode)")
-	flag.Parse()
+// perfCmd turns `go test -bench` output into a stable JSON baseline and
+// gates regressions against one.
+//
+// Capture mode (default) parses benchmark lines from stdin, keeps the
+// minimum ns/op across repeated -count runs of the same benchmark (the
+// minimum is the least noisy estimator of the true cost on a shared
+// machine), and writes a sorted JSON document:
+//
+//	go test -bench=. -benchmem -count=3 ./... | siloz perf -o BENCH_2026-08-08.json
+//
+// Check mode compares fresh output against a committed baseline and fails
+// if any benchmark regressed beyond the tolerance:
+//
+//	go test -bench=. -benchmem -count=2 ./... | siloz perf -check BENCH_2026-08-08.json -tolerance 20
+//
+// Benchmarks present on only one side are reported but never fail the
+// gate: the suite is expected to grow.
+func perfCmd(inv *invocation, args []string) error {
+	out := inv.fs.String("o", "", "write the JSON baseline to this file (default stdout)")
+	check := inv.fs.String("check", "", "baseline JSON to compare against instead of capturing")
+	tolerance := inv.fs.Float64("tolerance", 20, "max allowed ns/op regression in percent (check mode)")
+	if err := inv.parse(args); err != nil {
+		return err
+	}
 
-	results, err := parse(os.Stdin)
+	results, err := parseBench(inv.stdin)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(results) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found on stdin"))
+		return errors.New("no benchmark lines found on stdin")
 	}
-
 	if *check != "" {
-		if err := runCheck(*check, results, *tolerance); err != nil {
-			fatal(err)
-		}
-		return
+		return runCheck(inv.stdout, *check, results, *tolerance)
 	}
 
-	doc := Baseline{
+	enc, err := json.MarshalIndent(baseline{
 		Schema:     "siloz-bench/1",
 		Date:       time.Now().Format("2006-01-02"),
 		GoVersion:  runtime.Version(),
 		Benchmarks: results,
-	}
-	enc, err := json.MarshalIndent(doc, "", "  ")
+	}, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	enc = append(enc, '\n')
 	if *out == "" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fatal(err)
-	} else {
-		fmt.Fprintf(os.Stderr, "siloz-perf: %d benchmarks -> %s\n", len(results), *out)
+		_, err = inv.stdout.Write(enc)
+		return err
 	}
+	if err := os.WriteFile(*out, enc, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(inv.stderr, "siloz perf: %d benchmarks -> %s\n", len(results), *out)
+	return nil
 }
 
-// parse reads `go test -bench` output and aggregates repeated runs of the
+// parseBench reads `go test -bench` output and aggregates repeated runs of the
 // same benchmark, keyed by (pkg, name).
-func parse(r io.Reader) ([]Result, error) {
-	byKey := map[string]*Result{}
+func parseBench(r io.Reader) ([]benchResult, error) {
+	byKey := map[string]*benchResult{}
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -114,7 +113,7 @@ func parse(r io.Reader) ([]Result, error) {
 		}
 		fields := strings.Fields(line)
 		// BenchmarkName[-P] N x ns/op [y B/op z allocs/op [metrics...]]
-		if len(fields) < 4 || !hasUnit(fields, "ns/op") {
+		if len(fields) < 4 {
 			continue
 		}
 		name := strings.TrimPrefix(fields[0], "Benchmark")
@@ -123,7 +122,7 @@ func parse(r io.Reader) ([]Result, error) {
 				name = name[:i]
 			}
 		}
-		res := Result{Pkg: pkg, Name: name, BytesPerOp: -1, AllocsPerOp: -1, Runs: 1}
+		res := benchResult{Pkg: pkg, Name: name, BytesPerOp: -1, AllocsPerOp: -1, Runs: 1}
 		found := false
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -164,7 +163,7 @@ func parse(r io.Reader) ([]Result, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, len(byKey))
+	out := make([]benchResult, 0, len(byKey))
 	for _, r := range byKey {
 		out = append(out, *r)
 	}
@@ -177,29 +176,18 @@ func parse(r io.Reader) ([]Result, error) {
 	return out, nil
 }
 
-// hasUnit reports whether any field equals the unit (layout tolerance for
-// benchmarks that report custom metrics first).
-func hasUnit(fields []string, unit string) bool {
-	for _, f := range fields {
-		if f == unit {
-			return true
-		}
-	}
-	return false
-}
-
 // runCheck compares current results against the baseline file and fails on
 // any ns/op regression beyond tolerance percent.
-func runCheck(path string, current []Result, tolerance float64) error {
+func runCheck(w io.Writer, path string, current []benchResult, tolerance float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var base Baseline
+	var base baseline
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parse %s: %w", path, err)
 	}
-	baseBy := map[string]Result{}
+	baseBy := map[string]benchResult{}
 	for _, r := range base.Benchmarks {
 		baseBy[r.Pkg+"."+r.Name] = r
 	}
@@ -210,7 +198,7 @@ func runCheck(path string, current []Result, tolerance float64) error {
 		curBy[key] = true
 		old, ok := baseBy[key]
 		if !ok {
-			fmt.Printf("NEW       %-60s %10.1f ns/op\n", key, cur.NsPerOp)
+			fmt.Fprintf(w, "NEW       %-60s %10.1f ns/op\n", key, cur.NsPerOp)
 			continue
 		}
 		delta := 100 * (cur.NsPerOp - old.NsPerOp) / old.NsPerOp
@@ -219,23 +207,18 @@ func runCheck(path string, current []Result, tolerance float64) error {
 			status = "REGRESSED"
 			regressions++
 		}
-		fmt.Printf("%-9s %-60s %10.1f -> %10.1f ns/op (%+.1f%%)\n",
+		fmt.Fprintf(w, "%-9s %-60s %10.1f -> %10.1f ns/op (%+.1f%%)\n",
 			status, key, old.NsPerOp, cur.NsPerOp, delta)
 	}
 	for key := range baseBy {
 		if !curBy[key] {
-			fmt.Printf("MISSING   %-60s (in baseline, not in run)\n", key)
+			fmt.Fprintf(w, "MISSING   %-60s (in baseline, not in run)\n", key)
 		}
 	}
 	if regressions > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%% vs %s", regressions, tolerance, path)
 	}
-	fmt.Printf("siloz-perf: no regression beyond %.0f%% vs %s (%d benchmarks)\n",
+	fmt.Fprintf(w, "siloz perf: no regression beyond %.0f%% vs %s (%d benchmarks)\n",
 		tolerance, path, len(current))
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "siloz-perf:", err)
-	os.Exit(1)
 }

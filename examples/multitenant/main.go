@@ -79,17 +79,11 @@ func runScenario(mode core.Mode) (outcome, error) {
 	if _, err := fz.Run(&attack.VMTarget{VM: vms["mallory"]}); err != nil {
 		return out, err
 	}
-	for _, f := range hv.Memory().Flips() {
-		pa, err := hv.Memory().FlipPhys(f)
-		if err != nil {
-			return out, err
-		}
-		if vms["mallory"].OwnsHPA(pa) || vms["mallory"].InDomain(pa) {
-			out.flipsIn++
-		} else {
-			out.flipsOut++
-		}
+	flips, err := attack.AttributeFlips(hv, vms["mallory"])
+	if err != nil {
+		return out, err
 	}
+	out.flipsIn, out.flipsOut = flips.AttackerFlips, flips.Outside()
 	return out, nil
 }
 

@@ -52,7 +52,7 @@ type refMapper interface {
 // equivalenceMappers builds one mapper per geometry in use across the repo:
 // the evaluation server, the DDR5 and HBM2 variants (§8.2), a sub-NUMA
 // cluster split (§8.1), the reduced geometries the registry benchmarks and
-// cmd/siloz-infer run on, and partitioned mappers at several splits.
+// `siloz infer` run on, and partitioned mappers at several splits.
 func equivalenceMappers(t testing.TB) []refMapper {
 	t.Helper()
 	benchG := geometry.Geometry{
@@ -116,6 +116,13 @@ func checkFastPathAt(t *testing.T, m refMapper, pa uint64) {
 	back, err := m.Encode(fast)
 	if err != nil || back != pa {
 		t.Fatalf("%T round trip %#x -> %v -> %#x (%v)", m, pa, fast, back, err)
+	}
+	if e, ok := m.(interface {
+		encodeRef(geometry.MediaAddr) (uint64, error)
+	}); ok {
+		if ref, err := e.encodeRef(fast); err != nil || ref != pa {
+			t.Fatalf("%T Encode(%v): fast %#x, ref %#x (%v)", m, fast, back, ref, err)
+		}
 	}
 	bank, row, socket, err := m.(BankDecoder).DecodeBank(pa)
 	if err != nil {

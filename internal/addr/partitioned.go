@@ -19,7 +19,8 @@ import (
 // trade-off.
 //
 // Like SkylakeMapper, the hot path runs on fastDiv dividers and an
-// interleave LUT built at construction, with decodeRef as the fuzz oracle.
+// interleave LUT built at construction, with decodeRef (ref_test.go) as the
+// fuzz oracle.
 type PartitionedMapper struct {
 	g          geometry.Geometry
 	partitions int
@@ -137,31 +138,6 @@ func (m *PartitionedMapper) Encode(addr geometry.MediaAddr) (uint64, error) {
 	inPart := int64(addr.Row)*m.rowGroupBytes + line<<lineShift + inLine
 	off := int64(part)*m.partBytes + inPart
 	return uint64(int64(addr.Bank.Socket)*m.socketBytes + off), nil
-}
-
-// decodeRef is the original divide/modulo implementation of Decode, kept as
-// the oracle for the fuzz equivalence tests.
-func (m *PartitionedMapper) decodeRef(pa uint64) (geometry.MediaAddr, error) {
-	if err := rangeCheck(m.g, pa); err != nil {
-		return geometry.MediaAddr{}, err
-	}
-	socket := int(pa / uint64(m.socketBytes))
-	off := int64(pa % uint64(m.socketBytes))
-	part := int(off / m.partBytes)
-	inPart := off % m.partBytes
-
-	rowGroup := inPart / m.rowGroupBytes
-	inGroup := inPart % m.rowGroupBytes
-	line := inGroup / geometry.CacheLineSize
-	inLine := int(inGroup % geometry.CacheLineSize)
-	bankIdx := part*m.banksPer + int(line%int64(m.banksPer))
-	lineInBank := line / int64(m.banksPer)
-
-	return geometry.MediaAddr{
-		Bank: geometry.BankFromSocketFlat(m.g, socket, bankIdx),
-		Row:  int(rowGroup),
-		Col:  int(lineInBank)*geometry.CacheLineSize + inLine,
-	}, nil
 }
 
 // Ensure interface conformance.

@@ -121,6 +121,23 @@ type CampaignResult struct {
 	AdjacencyConfirmed int
 }
 
+// Add accumulates o's counters into r, for scorecards aggregated across
+// repetitions or campaigns.
+func (r *CampaignResult) Add(o *CampaignResult) {
+	r.Rounds += o.Rounds
+	r.HammerBursts += o.HammerBursts
+	r.AttackerFlips += o.AttackerFlips
+	r.CrossDomainFlips += o.CrossDomainFlips
+	r.Denied += o.Denied
+	r.WindowViolations += o.WindowViolations
+	r.ScrubLeaks += o.ScrubLeaks
+	r.VictimCorruptions += o.VictimCorruptions
+	r.AuditsPassed += o.AuditsPassed
+	r.AuditFailures += o.AuditFailures
+	r.AdjacencyProbed += o.AdjacencyProbed
+	r.AdjacencyConfirmed += o.AdjacencyConfirmed
+}
+
 // RunCampaign executes one named campaign and returns its scorecard.
 func RunCampaign(name string, cfg CampaignConfig) (*CampaignResult, error) {
 	cfg.normalize()

@@ -89,16 +89,9 @@ type MitigationTrialResult struct {
 	// HammerBursts counts edge and churn bursts landed.
 	HammerBursts int
 
-	// AttackerFlips landed in the attacker's own memory — self-damage the
-	// threat model tolerates. GuardFlips landed in memory the defense
-	// deliberately sacrificed (CATT guard bands, Siloz/EPT guard rows,
-	// offlined pages) — absorbed by design. VictimFlips landed in the
-	// victim's memory and StrayFlips anywhere else (free pool, host
-	// structures); both are containment failures.
-	AttackerFlips int
-	GuardFlips    int
-	VictimFlips   int
-	StrayFlips    int
+	// FlipLedger attributes every flip of the trial; protection failed
+	// iff Escapes() > 0.
+	FlipLedger
 	// VictimCorruptions counts stamped victim bytes that diverged.
 	VictimCorruptions int
 	// Denied counts attacker operations the machine refused.
@@ -115,11 +108,6 @@ type MitigationTrialResult struct {
 	Health string
 }
 
-// Escapes counts flips outside both the attacker's memory and the
-// defense's sacrificial guard capacity — the corruption a deployed
-// mitigation exists to prevent.
-func (r *MitigationTrialResult) Escapes() int { return r.VictimFlips + r.StrayFlips }
-
 // RunMitigationTrial boots the defended machine, runs the three campaign
 // phases, and attributes every flip.
 func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, error) {
@@ -129,27 +117,17 @@ func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, erro
 		return nil, err
 	}
 	defer h.Shutdown()
-	attacker, err := h.CreateVM(campaignProc(), core.VMSpec{
-		Name: "attacker", Socket: 0, MemoryBytes: cfg.VMBytes,
-	})
+	d, err := newDuel(h, cfg.VMBytes)
 	if err != nil {
 		return nil, err
 	}
-	victim, err := h.CreateVM(campaignProc(), core.VMSpec{
-		Name: "victim", Socket: 0, MemoryBytes: cfg.VMBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
+	attacker, victim := d.attacker, d.victim
 	res := &MitigationTrialResult{Kind: cfg.Core.Mitigation.Name()}
 	// Every phase drives the machine through a chunking wrapper: a
 	// Go-level Hammer call is a modelling convenience, but the memory
 	// controller observes individual ACT commands, so a defense must get
 	// to react within a long burst — not only after it has fully landed.
-	target := &chunkedTarget{
-		Target:  &VMTarget{VM: attacker},
-		quantum: cfg.BurstActs,
-	}
+	target := Chunked(&VMTarget{VM: attacker}, cfg.BurstActs)
 
 	// Victim working set: stamped pages that must survive the campaign.
 	// Only the low half is stamped — the churn phase balloons the top half
@@ -207,45 +185,6 @@ func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, erro
 		hammerEdges()
 	}
 
-	// Attribution: every flip of the whole campaign, classified against
-	// the machine's final ownership map.
-	guard := map[uint64]bool{}
-	for _, vm := range []*core.VM{attacker, victim} {
-		for _, pa := range vm.GuardPages() {
-			guard[pa] = true
-		}
-	}
-	offlined := h.OfflinedRanges()
-	mem := h.Memory()
-	for _, f := range mem.Flips() {
-		pa, err := mem.FlipPhys(f)
-		if err != nil {
-			continue
-		}
-		page := pa &^ uint64(geometry.PageSize2M-1)
-		switch {
-		case attacker.OwnsHPA(pa) || attacker.InDomain(pa):
-			res.AttackerFlips++
-		case victim.OwnsHPA(pa) || victim.InDomain(pa):
-			res.VictimFlips++
-		case guard[page]:
-			res.GuardFlips++
-		default:
-			contained := false
-			for _, r := range offlined {
-				if r.Contains(pa) {
-					contained = true
-					break
-				}
-			}
-			if contained {
-				res.GuardFlips++
-			} else {
-				res.StrayFlips++
-			}
-		}
-	}
-
 	// Victim integrity on the stamped pages.
 	got := make([]byte, 8*geometry.KiB)
 	for gpa, want := range mirror {
@@ -259,16 +198,166 @@ func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, erro
 		}
 	}
 
-	// Overhead ledger.
+	if err := d.settle(res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// duel is the machine every head-to-head trial runs on: one hypervisor with
+// an attacker VM and a victim VM of equal size on socket 0.
+type duel struct {
+	h                *core.Hypervisor
+	attacker, victim *core.VM
+}
+
+// newDuel admits the two tenants onto a freshly booted machine.
+func newDuel(h *core.Hypervisor, vmBytes uint64) (*duel, error) {
+	admit := func(name string) (*core.VM, error) {
+		return h.CreateVM(campaignProc(), core.VMSpec{Name: name, Socket: 0, MemoryBytes: vmBytes})
+	}
+	attacker, err := admit("attacker")
+	if err != nil {
+		return nil, err
+	}
+	victim, err := admit("victim")
+	if err != nil {
+		return nil, err
+	}
+	return &duel{h: h, attacker: attacker, victim: victim}, nil
+}
+
+// settle closes a trial's books: every flip of the whole campaign is
+// attributed against the machine's final ownership map, and the defense's
+// overhead ledger is read off the same machine.
+func (d *duel) settle(res *MitigationTrialResult) error {
+	var err error
+	if res.FlipLedger, err = AttributeFlips(d.h, d.attacker, d.victim); err != nil {
+		return err
+	}
+	mem := d.h.Memory()
 	ov := mem.DefenseOverhead()
 	res.Refreshes = ov.NeighborRefreshes
 	res.Exhaustions = ov.Exhaustions
-	res.BlockedBytes = h.MitigationBlockedBytes() + ov.BlockedBytes
+	res.BlockedBytes = d.h.MitigationBlockedBytes() + ov.BlockedBytes
 	res.Activations = mem.TotalActivations()
 	if err := mem.DefenseHealth(); err != nil {
 		res.Health = err.Error()
 	}
-	return res, nil
+	return nil
+}
+
+// FlipLedger attributes every flip a machine has recorded to the memory it
+// corrupted. AttackerFlips landed in the attacker's own memory — self-damage
+// the threat model tolerates. GuardFlips landed in memory a defense
+// deliberately sacrificed (CATT guard bands, Siloz/EPT guard rows, offlined
+// pages) — absorbed by design. VictimFlips landed in another tenant's memory
+// and StrayFlips anywhere else (free pool, host structures); both are
+// containment failures.
+type FlipLedger struct {
+	AttackerFlips, GuardFlips, VictimFlips, StrayFlips int
+}
+
+// Escapes counts flips outside both the attacker's memory and the defense's
+// sacrificial guard capacity — the corruption a deployed mitigation exists
+// to prevent.
+func (l FlipLedger) Escapes() int { return l.VictimFlips + l.StrayFlips }
+
+// Outside counts every flip that left the attacker's own memory.
+func (l FlipLedger) Outside() int { return l.GuardFlips + l.VictimFlips + l.StrayFlips }
+
+// AttributeFlips classifies every flip h's memory has recorded against the
+// machine's current ownership map. It is the one flip-attribution routine:
+// trials, campaigns and the CLIs all account containment through it.
+func AttributeFlips(h *core.Hypervisor, attacker *core.VM, victims ...*core.VM) (FlipLedger, error) {
+	var l FlipLedger
+	guard := map[uint64]bool{}
+	for _, vm := range append([]*core.VM{attacker}, victims...) {
+		for _, pa := range vm.GuardPages() {
+			guard[pa] = true
+		}
+	}
+	owns := func(vm *core.VM, pa uint64) bool { return vm.OwnsHPA(pa) || vm.InDomain(pa) }
+	offlined := h.OfflinedRanges()
+	mem := h.Memory()
+flips:
+	for _, f := range mem.Flips() {
+		pa, err := mem.FlipPhys(f)
+		if err != nil {
+			return l, err
+		}
+		if owns(attacker, pa) {
+			l.AttackerFlips++
+			continue
+		}
+		for _, v := range victims {
+			if owns(v, pa) {
+				l.VictimFlips++
+				continue flips
+			}
+		}
+		if guard[pa&^uint64(geometry.PageSize2M-1)] {
+			l.GuardFlips++
+			continue
+		}
+		for _, r := range offlined {
+			if r.Contains(pa) {
+				l.GuardFlips++
+				continue flips
+			}
+		}
+		l.StrayFlips++
+	}
+	return l, nil
+}
+
+// BlacksmithTrialConfig parameterizes RunBlacksmithTrial.
+type BlacksmithTrialConfig struct {
+	// Core is the machine; Core.Mitigation, when set, is the deployed
+	// defense.
+	Core core.Config
+	// Mode is the hypervisor mode the machine boots in.
+	Mode core.Mode
+	// VMBytes sizes the attacker and victim VMs.
+	VMBytes uint64
+	// Fuzzer is the campaign the attacker VM runs.
+	Fuzzer FuzzerConfig
+}
+
+// RunBlacksmithTrial boots a fresh machine, runs one Blacksmith fuzzing
+// campaign from inside the attacker VM, and returns both the omniscient
+// ground truth (every flip attributed, the defense's overhead ledger) and
+// the attacker's own view of the campaign. Trials share no state, so
+// repetitions may fan out in parallel.
+func RunBlacksmithTrial(cfg BlacksmithTrialConfig) (*MitigationTrialResult, Report, error) {
+	h, err := core.Boot(cfg.Core, cfg.Mode)
+	if err != nil {
+		return nil, Report{}, err
+	}
+	defer h.Shutdown()
+	d, err := newDuel(h, cfg.VMBytes)
+	if err != nil {
+		return nil, Report{}, err
+	}
+	target := Target(&VMTarget{VM: d.attacker})
+	if cfg.Core.Mitigation.HasRowDefense() {
+		// Defended controllers observe individual ACT commands; chunk the
+		// fuzzer's bursts so the defense gets its real reaction window.
+		target = Chunked(target, 1000)
+	}
+	rep, err := NewFuzzer(cfg.Fuzzer).Run(target)
+	if err != nil {
+		return nil, rep, err
+	}
+	res := &MitigationTrialResult{
+		Kind:              cfg.Core.Mitigation.Name(),
+		PatternsTried:     rep.PatternsTried,
+		EffectivePatterns: rep.EffectivePatterns,
+	}
+	if err := d.settle(res); err != nil {
+		return nil, rep, err
+	}
+	return res, rep, nil
 }
 
 // chunkedTarget splits every Hammer call into quantum-sized slices. The
@@ -285,7 +374,7 @@ type chunkedTarget struct {
 
 // Chunked wraps t so every Hammer call splits into quantum-sized slices —
 // the command-granularity observation the trial uses, exported for drivers
-// (siloz-blacksmith) attacking machines with activation-plane defenses.
+// attacking machines with activation-plane defenses.
 func Chunked(t Target, quantum int) Target {
 	return &chunkedTarget{Target: t, quantum: quantum}
 }

@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
@@ -88,10 +87,9 @@ type MigrateReport struct {
 	PagesCopied int    // total page copies across all rounds + stop-and-copy
 	BytesCopied uint64 // total bytes moved
 
-	DowntimePages int           // pages copied with the guest paused
-	DowntimeBytes uint64        // bytes moved with the guest paused
-	Downtime      time.Duration // wall-clock pause (simulator time, not modeled DRAM time)
-	Converged     bool          // dirty set shrank below StopPages
+	DowntimePages int    // pages copied with the guest paused
+	DowntimeBytes uint64 // bytes moved with the guest paused
+	Converged     bool   // dirty set shrank below StopPages
 
 	// EPTRelocatedPages counts table pages rebuilt on the destination
 	// socket's EPT pool (zero for same-socket migrations); the matching
@@ -278,7 +276,6 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	// The guest is paused: stores block on the vCPU gate, so the residual
 	// dirty set is final.
 	vm.Pause()
-	start := time.Now()
 	residual, err := vm.TakeDirty()
 	if err != nil {
 		vm.Resume()
@@ -424,7 +421,6 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	rep.BytesCopied += dtBytes
 	rep.DowntimePages = len(finalPages)
 	rep.DowntimeBytes = dtBytes
-	rep.Downtime = time.Since(start)
 
 	// Step 4: still paused, vacate the source — scrub data-bearing source
 	// frames, free them, and shrink the domain. Only after the vacated

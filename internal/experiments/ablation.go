@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -63,16 +64,9 @@ func BankLevelParallelism(ctx context.Context, g geometry.Geometry, ops int) (BL
 }
 
 // blpExp is the "blp" experiment: the §4.1 bank-level parallelism ablation.
-type blpExp struct{}
-
-func (blpExp) Name() string { return "blp" }
-
-func (blpExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	var res BLPResult
-	err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		res, err = BankLevelParallelism(ctx, cfg.Perf.Geometry, 200_000)
-		return err
+func blpExp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
+	res, err := onPool(ctx, pool, func() (BLPResult, error) {
+		return BankLevelParallelism(ctx, cfg.Geometry, 200_000)
 	})
 	if err != nil {
 		return nil, err
@@ -110,11 +104,7 @@ func OverheadComparison(g geometry.Geometry) []OverheadRow {
 }
 
 // overheadExp is the "overhead" experiment: DRAM reserved for protection.
-type overheadExp struct{}
-
-func (overheadExp) Name() string { return "overhead" }
-
-func (overheadExp) Run(ctx context.Context, cfg Config) (*Result, error) {
+func overheadExp(ctx context.Context, _ *Pool, cfg PerfConfig) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -124,8 +114,8 @@ func (overheadExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 		Columns: []string{"reserved", "scope"},
 		Units:   []string{"%", ""},
 	}
-	for _, row := range OverheadComparison(cfg.Perf.Geometry) {
-		r.Rows = append(r.Rows, Row{Label: row.Scheme, Cells: []any{row.ReservedPct, row.Scope}})
+	for _, row := range OverheadComparison(cfg.Geometry) {
+		r.row(row.Scheme, row.ReservedPct, row.Scope)
 		if row.Scheme == "Siloz EPT block (b=32)" {
 			r.scalar("siloz_ept_reserved_pct", row.ReservedPct)
 		}
@@ -142,13 +132,9 @@ func SoftRefreshComparison() (task, tick ept.SoftRefreshReport) {
 }
 
 // softRefreshExp is the "softrefresh" experiment: §8.3 refresh deadlines.
-type softRefreshExp struct{}
-
-func (softRefreshExp) Name() string { return "softrefresh" }
-
-func (softRefreshExp) Run(ctx context.Context, cfg Config) (*Result, error) {
+func softRefreshExp(ctx context.Context, pool *Pool) (*Result, error) {
 	var task, tick ept.SoftRefreshReport
-	err := cfg.Pool.Run(ctx, func() error {
+	err := pool.Run(ctx, func() error {
 		task, tick = SoftRefreshComparison()
 		return nil
 	})
@@ -189,24 +175,13 @@ type RemapRow struct {
 // sizes need nothing; others form artificial groups with guard rows.
 func RemapHandling(ctx context.Context) ([]RemapRow, error) {
 	var out []RemapRow
-	for _, rows := range []int{512, 640, 768, 1024, 1280, 2048} {
+	for _, rows := range subarraySweepSizes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		g := geometry.Geometry{
-			Sockets: 1, CoresPerSocket: 4, DIMMsPerSocket: 1, RanksPerDIMM: 2,
-			BanksPerRank: 8, RowBytes: 8 * geometry.KiB,
-			RowsPerSubarray: rows,
-		}
-		// Bank must be a multiple of both the size and its round-up.
-		lcm := rows * nextPow2(rows) / gcd(rows, nextPow2(rows))
-		g.RowsPerBank = lcm
-		for g.RowsPerBank < 4*nextPow2(rows) {
-			g.RowsPerBank += lcm
-		}
-		mapper, err := addr.NewMapper(g, addr.KindSkylake)
+		g, mapper, err := subarraySweepBox(rows)
 		if err != nil {
-			return nil, fmt.Errorf("size %d: %w", rows, err)
+			return nil, err
 		}
 		layout, err := subarray.NewLayout(g, mapper)
 		if err != nil {
@@ -224,17 +199,8 @@ func RemapHandling(ctx context.Context) ([]RemapRow, error) {
 }
 
 // remapsExp is the "remaps" experiment: §6 media-to-internal remap handling.
-type remapsExp struct{}
-
-func (remapsExp) Name() string { return "remaps" }
-
-func (remapsExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	var rows []RemapRow
-	err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		rows, err = RemapHandling(ctx)
-		return err
-	})
+func remapsExp(ctx context.Context, pool *Pool) (*Result, error) {
+	rows, err := onPool(ctx, pool, func() ([]RemapRow, error) { return RemapHandling(ctx) })
 	if err != nil {
 		return nil, err
 	}
@@ -246,10 +212,7 @@ func (remapsExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	maxReserved := 0.0
 	for _, row := range rows {
-		r.Rows = append(r.Rows, Row{
-			Label: fmt.Sprintf("%d-row subarrays", row.SubarrayRows),
-			Cells: []any{row.Artificial, row.ManagedRows, row.ReservedPct},
-		})
+		r.row(fmt.Sprintf("%d-row subarrays", row.SubarrayRows), row.Artificial, row.ManagedRows, row.ReservedPct)
 		if row.ReservedPct > maxReserved {
 			maxReserved = row.ReservedPct
 		}
@@ -258,13 +221,32 @@ func (remapsExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	return r, nil
 }
 
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
+// subarraySweepSizes are the subarray sizes the §6 and §8.2 sweeps cover:
+// the commodity powers of two and the non-power-of-two sizes between them.
+var subarraySweepSizes = []int{512, 640, 768, 1024, 1280, 2048}
+
+// subarraySweepBox builds a single-socket geometry with the given true
+// subarray size, and its mapper. The bank must be a multiple of both the
+// size and its power-of-two round-up, and hold at least four managed groups.
+func subarraySweepBox(rows int) (geometry.Geometry, addr.Mapper, error) {
+	g := geometry.Geometry{
+		Sockets: 1, CoresPerSocket: 4, DIMMsPerSocket: 1, RanksPerDIMM: 2,
+		BanksPerRank: 8, RowBytes: 8 * geometry.KiB,
+		RowsPerSubarray: rows,
 	}
-	return p
+	lcm := rows * nextPow2(rows) / gcd(rows, nextPow2(rows))
+	g.RowsPerBank = lcm
+	for g.RowsPerBank < 4*nextPow2(rows) {
+		g.RowsPerBank += lcm
+	}
+	mapper, err := addr.NewMapper(g, addr.KindSkylake)
+	if err != nil {
+		return g, nil, fmt.Errorf("size %d: %w", rows, err)
+	}
+	return g, mapper, nil
 }
+
+func nextPow2(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 func gcd(a, b int) int {
 	for b != 0 {
@@ -324,17 +306,8 @@ func GiBPages(ctx context.Context, g geometry.Geometry) (GiBPageResult, error) {
 }
 
 // gbPagesExp is the "gbpages" experiment: the §4.2 1 GiB page analysis.
-type gbPagesExp struct{}
-
-func (gbPagesExp) Name() string { return "gbpages" }
-
-func (gbPagesExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	var res GiBPageResult
-	err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		res, err = GiBPages(ctx, cfg.Perf.Geometry)
-		return err
-	})
+func gbPagesExp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
+	res, err := onPool(ctx, pool, func() (GiBPageResult, error) { return GiBPages(ctx, cfg.Geometry) })
 	if err != nil {
 		return nil, err
 	}

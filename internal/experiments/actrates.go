@@ -25,24 +25,20 @@ type ActRateRow struct {
 	Exceeds []string
 }
 
-// actRatesExp is the "actrates" experiment: peak per-row activation rates.
-type actRatesExp struct{}
-
-func (actRatesExp) Name() string { return "actrates" }
-
-func (actRatesExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	// The hammer stream needs enough ops to reach real thresholds within
-	// one refresh window; bump small CLI/quick op counts.
-	pcfg := cfg.Perf
-	if pcfg.Ops < 250_000 {
-		pcfg.Ops = 250_000
+// actRatesConfig resolves the activation-rate study's parameters: the
+// performance set, with the op count floored at what the hammer stream
+// needs to reach real thresholds within one refresh window.
+func actRatesConfig(f Flags) PerfConfig {
+	cfg := perfConfig(f)
+	if cfg.Ops < 250_000 {
+		cfg.Ops = 250_000
 	}
-	var rows []ActRateRow
-	err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		rows, err = ActivationRates(ctx, pcfg)
-		return err
-	})
+	return cfg
+}
+
+// actRatesExp is the "actrates" experiment: peak per-row activation rates.
+func actRatesExp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
+	rows, err := onPool(ctx, pool, func() ([]ActRateRow, error) { return ActivationRates(ctx, cfg) })
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +53,7 @@ func (actRatesExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 		if ex == "" {
 			ex = "-"
 		}
-		r.Rows = append(r.Rows, Row{Label: row.Workload, Cells: []any{row.PeakACTs, ex}})
+		r.row(row.Workload, row.PeakACTs, ex)
 		if row.Workload == "hammer-pair" {
 			hammerPeak = float64(row.PeakACTs)
 			r.scalar("hammer_peak_acts", hammerPeak)
@@ -77,7 +73,7 @@ func (actRatesExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 // ActivationRates measures the peak per-row activation rate of commodity
 // workloads and of a dedicated hammering stream, on the evaluation server.
 func ActivationRates(ctx context.Context, cfg PerfConfig) ([]ActRateRow, error) {
-	h, vm, err := bootWithVM(cfg, core.ModeSiloz, 0)
+	vm, err := bootBenchVM(cfg, core.ModeSiloz, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +88,7 @@ func ActivationRates(ctx context.Context, cfg PerfConfig) ([]ActRateRow, error) 
 	}
 	run := func(w workload.Workload, ops int) (ActRateRow, error) {
 		ctrl, err := memctrl.New(memctrl.Config{
-			Mapper:           h.Memory().Mapper(),
+			Mapper:           vm.Hypervisor().Memory().Mapper(),
 			Timing:           memctrl.DDR4_2933(),
 			MLPWindow:        cfg.MLPWindow,
 			TrackActivations: true,

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
 	"repro/internal/guest"
@@ -19,9 +18,6 @@ import (
 // the balloon target and of how much of the surrendered memory the guest
 // had actually dirtied.
 type BalloonConfig struct {
-	// Geometry of the simulated server; zero value = the migration lab's
-	// two-socket box (64 MiB subarray groups, 3 guest nodes per socket).
-	Geometry geometry.Geometry
 	// VMBytes is the ballooned VM's RAM; the default fills every guest
 	// node of its home socket so any admission requires reclaim.
 	VMBytes uint64
@@ -40,24 +36,21 @@ type BalloonConfig struct {
 	Seed int64
 }
 
-// DefaultBalloonConfig sweeps one- and two-node balloons across lightly and
-// fully dirtied guests.
-func DefaultBalloonConfig() BalloonConfig {
-	return BalloonConfig{
+// balloonConfig resolves the sweep: one- and two-node balloons across
+// lightly and fully dirtied guests, trimmed under -quick.
+func balloonConfig(f Flags) BalloonConfig {
+	cfg := BalloonConfig{
 		VMBytes:          192 * geometry.MiB,
 		MinBytes:         64 * geometry.MiB,
 		Targets:          []uint64{64 * geometry.MiB, 128 * geometry.MiB},
 		TouchedFractions: []float64{0.25, 1},
 		ScrubGiBps:       12,
-		Seed:             13,
+		Seed:             f.seed(13),
 	}
-}
-
-// QuickBalloonConfig trims the sweep for smoke runs.
-func QuickBalloonConfig() BalloonConfig {
-	cfg := DefaultBalloonConfig()
-	cfg.Targets = []uint64{64 * geometry.MiB}
-	cfg.TouchedFractions = []float64{1}
+	if f.Quick {
+		cfg.Targets = []uint64{64 * geometry.MiB}
+		cfg.TouchedFractions = []float64{1}
+	}
 	return cfg
 }
 
@@ -89,19 +82,11 @@ type balloonRowResult struct {
 // inflate, tenant admission onto the released nodes, deflate — and verifies
 // the reservation-release invariants at each step.
 func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResult, error) {
-	g := cfg.Geometry
-	if g.Sockets == 0 {
-		g = migrationLabGeometry()
-	}
-	h, err := core.Boot(core.Config{
-		Geometry:      g,
-		Profiles:      []dram.Profile{migrationLabProfile()},
-		EPTProtection: ept.GuardRows,
-	}, core.ModeSiloz)
+	h, err := bootLab(migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
 	if err != nil {
 		return nil, err
 	}
-	vm, err := h.CreateVM(core.Process{CGroup: "kvm", KVMPrivileged: true}, core.VMSpec{
+	vm, err := h.CreateVM(kvmProc, core.VMSpec{
 		Name: "bal", Socket: 0, MemoryBytes: cfg.VMBytes, MinMemoryBytes: cfg.MinBytes,
 	})
 	if err != nil {
@@ -110,10 +95,7 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 	k := guest.NewKernel(vm)
 
 	// Deterministic payload below the balloon: must survive the cycle.
-	payload := make([]byte, 4*geometry.KiB)
-	for i := range payload {
-		payload[i] = byte(i*7) | 1
-	}
+	payload := stampPayload(7)
 	if err := vm.WriteGuest(512, payload); err != nil {
 		return nil, err
 	}
@@ -129,24 +111,17 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 		}
 	}
 
-	before := map[int]bool{}
-	for _, n := range vm.Nodes() {
-		before[n.ID] = true
-	}
+	before := append([]*numa.Node(nil), vm.Nodes()...)
 	if err := k.Balloon().SetTarget(run.target); err != nil {
 		return nil, fmt.Errorf("inflate to %d: %w", run.target, err)
 	}
-	after := map[int]bool{}
+	kept := map[int]bool{}
 	for _, n := range vm.Nodes() {
-		after[n.ID] = true
+		kept[n.ID] = true
 	}
 	var released []*numa.Node
-	for id := range before {
-		if !after[id] {
-			n, err := h.Topology().Node(id)
-			if err != nil {
-				return nil, err
-			}
+	for _, n := range before {
+		if !kept[n.ID] {
 			released = append(released, n)
 		}
 	}
@@ -159,12 +134,8 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 		releasedZero:  true,
 	}
 	res.reclaimMs = float64(res.scrubBytes) / (cfg.ScrubGiBps * float64(geometry.GiB)) * 1e3
-	if len(released) > 0 {
-		a, err := h.Allocator(released[0].ID)
-		if err != nil {
-			return nil, err
-		}
-		res.nodeBytes = a.TotalBytes()
+	if _, res.nodeBytes, err = guestNodeCapacity(h, 0); err != nil {
+		return nil, err
 	}
 
 	// Every released node must read all-zero before a tenant lands on it.
@@ -175,50 +146,26 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 				if err := h.Memory().ReadPhys(pa, probe); err != nil {
 					return nil, err
 				}
-				for _, b := range probe {
-					if b != 0 {
-						res.releasedZero = false
-					}
-				}
+				res.releasedZero = res.releasedZero && allZero(probe)
 			}
 		}
 	}
 
 	// The reclaimed capacity admits a tenant the full socket refused.
-	tenant := core.VMSpec{Name: "tenant", Socket: 0, MemoryBytes: uint64(len(released)) * res.nodeBytes}
 	if len(released) > 0 {
-		if _, err := h.CreateVM(core.Process{CGroup: "kvm", KVMPrivileged: true}, tenant); err == nil {
-			res.admitted = true
-			if err := h.DestroyVM("tenant"); err != nil {
-				return nil, err
-			}
-		}
+		res.admitted = admits(h, core.VMSpec{
+			Name: "tenant", Socket: 0, MemoryBytes: uint64(len(released)) * res.nodeBytes,
+		})
 	}
 
 	// Deflate: re-adopt the capacity, then prove restored memory is zeroed
 	// and writable and the pre-balloon payload survived.
 	if err := k.Balloon().SetTarget(0); err == nil {
-		res.deflated = true
-		if err := vm.ReadGuest(surrStart, probe); err != nil {
-			res.deflated = false
-		}
-		for _, b := range probe {
-			if b != 0 {
-				res.deflated = false
-			}
-		}
-		if err := vm.WriteGuest(surrStart, payload); err != nil {
-			res.deflated = false
-		}
+		res.deflated = vm.ReadGuest(surrStart, probe) == nil && allZero(probe) &&
+			vm.WriteGuest(surrStart, payload) == nil
 	}
-	got := make([]byte, len(payload))
-	if err := vm.ReadGuest(512, got); err != nil {
+	if res.dataIntact, err = guestHolds(vm, 512, payload); err != nil {
 		return nil, err
-	}
-	for i := range got {
-		if got[i] != payload[i] {
-			res.dataIntact = false
-		}
 	}
 	return res, nil
 }
@@ -226,29 +173,15 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 // ballooningExp is the "ballooning" experiment: partial reservation release
 // via the guest balloon driver — nodes reclaimed, scrub cost, and admission
 // of a new tenant onto the released subarray groups.
-type ballooningExp struct{}
-
-func (ballooningExp) Name() string { return "ballooning" }
-
-func (ballooningExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	bc := cfg.Balloon
-	if len(bc.Targets) == 0 || len(bc.TouchedFractions) == 0 {
-		bc = DefaultBalloonConfig()
-	}
-	if bc.ScrubGiBps <= 0 {
-		bc.ScrubGiBps = DefaultBalloonConfig().ScrubGiBps
-	}
+func ballooningExp(ctx context.Context, pool *Pool, bc BalloonConfig) (*Result, error) {
 	var runs []balloonRun
 	for _, target := range bc.Targets {
 		for _, f := range bc.TouchedFractions {
 			runs = append(runs, balloonRun{target: target, fraction: f})
 		}
 	}
-	results := make([]*balloonRowResult, len(runs))
-	err := cfg.Pool.Map(ctx, len(runs), func(i int) error {
-		var err error
-		results[i], err = runBalloon(bc, runs[i], repSeed(bc.Seed, i))
-		return err
+	results, err := mapCells(ctx, pool, runs, func(i int, run balloonRun) (*balloonRowResult, error) {
+		return runBalloon(bc, run, RepSeed(bc.Seed, i))
 	})
 	if err != nil {
 		return nil, err
@@ -269,11 +202,8 @@ func (ballooningExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	var maxReclaim float64
 	for _, res := range results {
 		reclaimed := uint64(res.nodesReleased) * res.nodeBytes
-		r.Rows = append(r.Rows, Row{
-			Label: res.run.label(),
-			Cells: []any{res.nodesReleased, reclaimed / geometry.MiB, res.scrubBytes / geometry.MiB,
-				res.reclaimMs, res.admitted, res.deflated},
-		})
+		r.row(res.run.label(), res.nodesReleased, reclaimed/geometry.MiB, res.scrubBytes/geometry.MiB,
+			res.reclaimMs, res.admitted, res.deflated)
 		// A whole-socket VM's surrendered range is node-aligned, so every
 		// ballooned node must drain completely.
 		if reclaimed != res.run.target {

@@ -8,8 +8,7 @@ import (
 // TestBallooningExperiment runs the quick sweep and requires every
 // reservation-release check to pass.
 func TestBallooningExperiment(t *testing.T) {
-	cfg := Config{Balloon: QuickBalloonConfig()}
-	r, err := ballooningExp{}.Run(context.Background(), cfg)
+	r, err := ballooningExp(context.Background(), nil, balloonConfig(Flags{Quick: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

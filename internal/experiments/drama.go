@@ -25,17 +25,8 @@ type DRAMARow struct {
 func (r DRAMARow) Leaks() bool { return r.SignalPct > 2 }
 
 // dramaExp is the "drama" experiment: the §8.4 timing side channel.
-type dramaExp struct{}
-
-func (dramaExp) Name() string { return "drama" }
-
-func (dramaExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	var rows []DRAMARow
-	err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		rows, err = DRAMAStudy()
-		return err
-	})
+func dramaExp(ctx context.Context, pool *Pool) (*Result, error) {
+	rows, err := onPool(ctx, pool, DRAMAStudy)
 	if err != nil {
 		return nil, err
 	}
@@ -46,8 +37,7 @@ func (dramaExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 		Units:   []string{"ns", "ns", "%", ""},
 	}
 	for _, row := range rows {
-		r.Rows = append(r.Rows, Row{Label: row.Mapping,
-			Cells: []any{row.IdleNs, row.BusyNs, row.SignalPct, row.Leaks()}})
+		r.row(row.Mapping, row.IdleNs, row.BusyNs, row.SignalPct, row.Leaks())
 		switch row.Mapping {
 		case "interleaved (Siloz/baseline)":
 			r.scalar("shared_signal_pct", row.SignalPct)

@@ -34,17 +34,8 @@ type ECCStudyResult struct {
 }
 
 // eccExp is the "ecc" experiment: ECC under Rowhammer.
-type eccExp struct{}
-
-func (eccExp) Name() string { return "ecc" }
-
-func (eccExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	var res ECCStudyResult
-	err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		res, err = ECCStudy()
-		return err
-	})
+func eccExp(ctx context.Context, pool *Pool) (*Result, error) {
+	res, err := onPool(ctx, pool, ECCStudy)
 	if err != nil {
 		return nil, err
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/addr"
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
 	"repro/internal/migrate"
@@ -19,9 +17,6 @@ import (
 // back, and does the relocated block still resist the §7.1 in-block hammering
 // attack?
 type EPTRelocConfig struct {
-	// Geometry of the simulated server; zero value = the two-socket lab box
-	// the migration studies use.
-	Geometry geometry.Geometry
 	// Moves are the cross-socket migration counts swept. Odd counts leave
 	// the VM (and its tables) on socket 1, even counts ping-pong it home.
 	Moves []int
@@ -33,34 +28,18 @@ type EPTRelocConfig struct {
 	Seed int64
 }
 
-// DefaultEPTRelocConfig sweeps one to three migrations under both protection
-// modes.
-func DefaultEPTRelocConfig() EPTRelocConfig {
-	return EPTRelocConfig{
+// eptRelocConfig resolves the sweep: one to three migrations under both
+// protection modes, a single move under -quick.
+func eptRelocConfig(f Flags) EPTRelocConfig {
+	cfg := EPTRelocConfig{
 		Moves: []int{1, 2, 3},
 		Modes: []ept.IntegrityMode{ept.GuardRows, ept.SecureEPT},
-		Seed:  23,
+		Seed:  f.seed(23),
 	}
-}
-
-// QuickEPTRelocConfig trims the sweep for smoke runs.
-func QuickEPTRelocConfig() EPTRelocConfig {
-	cfg := DefaultEPTRelocConfig()
-	cfg.Moves = []int{1}
+	if f.Quick {
+		cfg.Moves = []int{1}
+	}
 	return cfg
-}
-
-// eptRelocProfile is the lab DIMM for the relocation study: transforms
-// stripped so subarray groups form without padding, every row fully
-// vulnerable and dense with weak cells so the hammering phase is
-// deterministic rather than probabilistic.
-func eptRelocProfile() dram.Profile {
-	p := dram.ProfileF()
-	p.Transforms = addr.TransformConfig{}
-	p.VulnerableRowFraction = 1
-	p.WeakCellsPerRow = 600
-	p.HammerThreshold = 5000
-	return p
 }
 
 // eptRelocRun is one cell of the sweep.
@@ -111,28 +90,6 @@ type eptRelocRowResult struct {
 	silentCorrupt   int
 }
 
-// eptRelocDest picks enough unowned guest nodes on the target socket to
-// hold the VM.
-func eptRelocDest(h *core.Hypervisor, socket int, bytes uint64) ([]int, error) {
-	var ids []int
-	var capacity uint64
-	for _, n := range h.Topology().NodesOnSocket(socket, numa.GuestReserved) {
-		if _, owned := h.Registry().OwnerOf(n.ID); owned {
-			continue
-		}
-		a, err := h.Allocator(n.ID)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, n.ID)
-		capacity += a.FreeBytes()
-		if capacity >= bytes {
-			return ids, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: socket %d cannot host %d bytes", socket, bytes)
-}
-
 // eptPoolFree snapshots each socket's EPT-pool free bytes (the EPT node
 // under guard rows; relocation accounting under SecureEPT is validated
 // through the migration reports instead, since tables then share the
@@ -151,17 +108,9 @@ func eptPoolFree(h *core.Hypervisor) (map[int]uint64, error) {
 
 // runEPTReloc executes one cell: boot, migrate cross-socket `moves` times,
 // then re-run the §7.1 hammering attack against the relocated tables.
-func runEPTReloc(cfg EPTRelocConfig, run eptRelocRun, seed int64) (eptRelocRowResult, error) {
+func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowResult, error) {
 	res := eptRelocRowResult{run: run}
-	g := cfg.Geometry
-	if g.Sockets == 0 {
-		g = migrationLabGeometry()
-	}
-	h, err := core.Boot(core.Config{
-		Geometry:      g,
-		Profiles:      []dram.Profile{eptRelocProfile()},
-		EPTProtection: run.mode,
-	}, core.ModeSiloz)
+	h, err := bootLab(eptRelocProfile(), run.mode, core.ModeSiloz)
 	if err != nil {
 		return res, err
 	}
@@ -169,14 +118,14 @@ func runEPTReloc(cfg EPTRelocConfig, run eptRelocRun, seed int64) (eptRelocRowRe
 	if err != nil {
 		return res, err
 	}
-	vm, err := h.CreateVM(core.Process{KVMPrivileged: true}, core.VMSpec{
+	vm, err := h.CreateVM(kvmProc, core.VMSpec{
 		Name: "reloc", Socket: 0, MemoryBytes: 64 * geometry.MiB,
 	})
 	if err != nil {
 		return res, err
 	}
-	payload := byte(seed)
-	if err := vm.WriteGuest(4321, []byte{payload}); err != nil {
+	payload := []byte{byte(seed)}
+	if err := vm.WriteGuest(4321, payload); err != nil {
 		return res, err
 	}
 
@@ -184,11 +133,11 @@ func runEPTReloc(cfg EPTRelocConfig, run eptRelocRun, seed int64) (eptRelocRowRe
 	res.auditOK = true
 	for m := 0; m < run.moves; m++ {
 		target := 1 - vm.EPTSocket()
-		dests, err := eptRelocDest(h, target, vm.Spec().MemoryBytes)
+		dests, err := destNodes(h, target, vm.Spec().MemoryBytes)
 		if err != nil {
 			return res, err
 		}
-		rep, err := h.MigrateVM(context.Background(), "reloc", dests, core.MigrateOptions{
+		rep, err := h.MigrateVM(ctx, "reloc", dests, core.MigrateOptions{
 			MaxRounds: 8,
 			StopPages: 8,
 			GuestStep: func(round int) error {
@@ -222,53 +171,23 @@ func runEPTReloc(cfg EPTRelocConfig, run eptRelocRun, seed int64) (eptRelocRowRe
 			}
 		}
 	}
-	buf := make([]byte, 1)
-	if err := vm.ReadGuest(4321, buf); err == nil && buf[0] == payload {
+	if ok, err := guestHolds(vm, 4321, payload); err == nil && ok {
 		res.memoryIntact = true
 	}
 
 	// §7.1 re-run against the block the tables now live in.
-	before := make(map[uint64]uint64)
-	for gpa := uint64(0); gpa < vm.Spec().MemoryBytes; gpa += geometry.PageSize2M {
-		hpa, err := vm.TranslateUncached(gpa)
-		if err != nil {
-			return res, err
-		}
-		before[gpa] = hpa
+	before, err := translations(vm)
+	if err != nil {
+		return res, err
 	}
 	mem := h.Memory()
 	acts := int(eptRelocProfile().HammerThreshold) * 4
 	switch run.mode {
 	case ept.GuardRows:
-		// Hammer the closest allocatable rows around the destination
-		// socket's 32-row EPT block, plus an unprotected control row in
-		// the same bank so a flip-free result is non-vacuous.
-		eptNode, err := h.EPTNode(final)
-		if err != nil {
+		// The attack lands on the destination socket's block.
+		if err := hammerEPTBlock(h, final, 40, acts); err != nil {
 			return res, err
 		}
-		ma, err := mem.Mapper().Decode(eptNode.Ranges[0].Start)
-		if err != nil {
-			return res, err
-		}
-		for _, row := range []int{core.EPTBlockRowGroups, core.EPTBlockRowGroups + 1} {
-			pa, err := mem.Mapper().Encode(geometry.MediaAddr{Bank: ma.Bank, Row: row, Col: 0})
-			if err != nil {
-				return res, err
-			}
-			if err := mem.ActivatePhys(pa, acts, 0); err != nil {
-				return res, err
-			}
-		}
-		mem.Refresh()
-		ctrlPA, err := mem.Mapper().Encode(geometry.MediaAddr{Bank: ma.Bank, Row: 40, Col: 0})
-		if err != nil {
-			return res, err
-		}
-		if err := mem.ActivatePhys(ctrlPA, acts, 0); err != nil {
-			return res, err
-		}
-		mem.Refresh()
 		for _, f := range mem.Flips() {
 			if f.Bank.Socket != final {
 				continue
@@ -280,14 +199,8 @@ func runEPTReloc(cfg EPTRelocConfig, run eptRelocRun, seed int64) (eptRelocRowRe
 				res.controlFlips++
 			}
 		}
-		res.translationsOK = true
-		for gpa, want := range before {
-			hpa, err := vm.TranslateUncached(gpa)
-			if err != nil || hpa != want {
-				res.translationsOK = false
-				break
-			}
-		}
+		faults, moved := retranslate(vm, before)
+		res.translationsOK = faults+moved == 0
 	case ept.SecureEPT:
 		// The relocated tables live in ordinary host rows; hammer the
 		// relocated PD's neighbours and require every corrupted walk to
@@ -297,64 +210,33 @@ func runEPTReloc(cfg EPTRelocConfig, run eptRelocRun, seed int64) (eptRelocRowRe
 		if err != nil {
 			return res, err
 		}
+		var rows []int
 		for _, row := range []int{ma.Row - 1, ma.Row + 1} {
-			if row < 0 || row >= g.RowsPerBank {
-				continue
-			}
-			pa, err := mem.Mapper().Encode(geometry.MediaAddr{Bank: ma.Bank, Row: row, Col: 0})
-			if err != nil {
-				return res, err
-			}
-			if err := mem.ActivatePhys(pa, acts, 0); err != nil {
-				return res, err
+			if row >= 0 && row < migrationLabGeometry().RowsPerBank {
+				rows = append(rows, row)
 			}
 		}
-		mem.Refresh()
+		if err := hammerRows(mem, ma.Bank, rows, acts); err != nil {
+			return res, err
+		}
 		res.translationsOK = true
-		for gpa, want := range before {
-			hpa, err := vm.TranslateUncached(gpa)
-			switch {
-			case err != nil:
-				res.integrityFaults++
-			case hpa != want:
-				res.silentCorrupt++
-			}
-		}
+		res.integrityFaults, res.silentCorrupt = retranslate(vm, before)
 	}
 	return res, nil
 }
 
 // eptRelocExp is the "ept-relocation" experiment.
-type eptRelocExp struct{}
-
-func (eptRelocExp) Name() string { return "ept-relocation" }
-
-func (eptRelocExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	rc := cfg.EPTReloc
-	if len(rc.Moves) == 0 || len(rc.Modes) == 0 {
-		def := DefaultEPTRelocConfig()
-		if len(rc.Moves) == 0 {
-			rc.Moves = def.Moves
-		}
-		if len(rc.Modes) == 0 {
-			rc.Modes = def.Modes
-		}
-		if rc.Seed == 0 {
-			rc.Seed = def.Seed
-		}
-	}
+func eptRelocExp(ctx context.Context, pool *Pool, rc EPTRelocConfig) (*Result, error) {
 	var runs []eptRelocRun
 	for _, mode := range rc.Modes {
 		for _, moves := range rc.Moves {
 			runs = append(runs, eptRelocRun{mode: mode, moves: moves})
 		}
 	}
-	results := make([]eptRelocRowResult, len(runs))
-	if err := cfg.Pool.Map(ctx, len(runs), func(i int) error {
-		var err error
-		results[i], err = runEPTReloc(rc, runs[i], repSeed(rc.Seed, i))
-		return err
-	}); err != nil {
+	results, err := mapCells(ctx, pool, runs, func(i int, run eptRelocRun) (eptRelocRowResult, error) {
+		return runEPTReloc(ctx, run, RepSeed(rc.Seed, i))
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -374,11 +256,9 @@ func (eptRelocExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	var totalBytes uint64
 	var totalNewFlips, totalFaults int
 	for _, res := range results {
-		r.Rows = append(r.Rows, Row{Label: res.run.label(), Cells: []any{
-			res.run.moves, res.relocatedPages, res.reclaimedBytes / geometry.KiB,
+		r.row(res.run.label(), res.run.moves, res.relocatedPages, res.reclaimedBytes/geometry.KiB,
 			res.newBlockFlips, res.controlFlips, res.integrityFaults,
-			res.memoryIntact && res.translationsOK,
-		}})
+			res.memoryIntact && res.translationsOK)
 		totalPages += res.relocatedPages
 		totalBytes += res.reclaimedBytes
 		totalNewFlips += res.newBlockFlips

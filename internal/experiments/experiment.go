@@ -5,56 +5,94 @@ import (
 	"fmt"
 )
 
-// Experiment is one table, figure or study of the paper's evaluation. Run
-// computes the result; it performs no I/O and renders nothing — rendering
-// is the job of RenderText / RenderJSON / RenderCSV, so the same run can
-// feed the terminal, machine-readable trajectory files, and future tooling.
+// Experiment is one table, figure or study of the paper's evaluation: a
+// registry entry that owns its parameters. Resolve is the only place that
+// knows the experiment's default parameter set, its -quick set, and which of
+// the shared -seed/-ops/-reps/-patterns flags apply to it; Run computes the
+// result from the parameters Resolve returned (callers may override fields
+// first). Run performs no I/O and renders nothing — rendering is the job of
+// RenderText / RenderJSON / RenderCSV, so the same run can feed the
+// terminal, machine-readable trajectory files, and future tooling.
 //
-// Run must be deterministic in cfg (all randomness derives from the seeds
-// in cfg), must honor ctx cancellation promptly, and must perform parallel
-// work only through cfg.Pool so the scheduler's -parallel bound holds.
-type Experiment interface {
+// Run must be deterministic in its parameters (all randomness derives from
+// the seeds in them), must honor ctx cancellation promptly, and must perform
+// parallel work only through pool so the scheduler's -parallel bound holds.
+// It never substitutes a default for a zero-valued parameter.
+type Experiment struct {
 	// Name is the registry key (e.g. "fig4"), also used as -exp value.
-	Name() string
-	// Run executes the experiment and returns its structured result.
-	Run(ctx context.Context, cfg Config) (*Result, error)
+	Name string
+	// Resolve turns the shared flags into the experiment's parameter
+	// struct (nil for an experiment that has no parameters).
+	Resolve func(Flags) any
+	// Run executes the experiment on pool — a nil pool runs everything
+	// inline on the calling goroutine, with bit-for-bit identical results —
+	// with parameters of the type Resolve returns.
+	Run func(ctx context.Context, pool *Pool, params any) (*Result, error)
 }
 
-// Config carries everything an experiment may need. Each experiment reads
-// the part relevant to it and ignores the rest.
-type Config struct {
-	// Perf parameterizes the performance experiments (Figs. 4-7, actrates).
-	Perf PerfConfig
-	// Security parameterizes the §7.1 experiments (table3, ept).
-	Security SecurityConfig
-	// Migration parameterizes the live pre-copy migration experiment.
-	// A zero value falls back to DefaultMigrationConfig.
-	Migration MigrationConfig
-	// Balloon parameterizes the memory-ballooning experiment. A zero
-	// value falls back to DefaultBalloonConfig.
-	Balloon BalloonConfig
-	// Hotplug parameterizes the memory-hotplug experiment. A zero value
-	// falls back to DefaultHotplugConfig.
-	Hotplug HotplugConfig
-	// EPTReloc parameterizes the EPT-table relocation experiment. A zero
-	// value falls back to DefaultEPTRelocConfig.
-	EPTReloc EPTRelocConfig
-	// Fleet parameterizes the fleet-churn experiment. A zero value falls
-	// back to DefaultFleetConfig.
-	Fleet FleetConfig
-	// Lifecycle parameterizes the lifecycle-attack experiment. A zero value
-	// falls back to DefaultLifecycleAttackConfig.
-	Lifecycle LifecycleAttackConfig
-	// Matrix parameterizes the mitigation-matrix experiment. A zero value
-	// falls back to DefaultMitigationMatrixConfig.
-	Matrix MitigationMatrixConfig
-	// ServingSLO parameterizes the serving-slo experiment. A zero value
-	// falls back to DefaultServingSLOConfig.
-	ServingSLO ServingSLOConfig
-	// Pool bounds parallel work. A nil Pool runs everything inline on the
-	// calling goroutine (bit-for-bit identical results either way; results
-	// are always collected by index, never by arrival order).
-	Pool *Pool
+// Flags are the shared command-line knobs, as parsed. An experiment keeps
+// its built-in value wherever a flag is unset.
+type Flags struct {
+	// Quick selects each experiment's scaled-down parameter set.
+	Quick bool
+	// Seed replaces the experiment's built-in seed, but only when SeedSet:
+	// default outputs never depend on the flag's own default.
+	Seed    int64
+	SeedSet bool
+	// Ops, Reps and Patterns override the like-named parameter of every
+	// experiment that has one; 0 keeps the built-in value.
+	Ops, Reps, Patterns int
+}
+
+// seed resolves -seed against an experiment's built-in seed.
+func (f Flags) seed(builtin int64) int64 {
+	if f.SeedSet {
+		return f.Seed
+	}
+	return builtin
+}
+
+// override resolves a 0-means-unset integer flag against a built-in value.
+func override(flag, builtin int) int {
+	if flag > 0 {
+		return flag
+	}
+	return builtin
+}
+
+// define builds the registry entry of an experiment whose parameters are a
+// P: the typed resolver and body are adapted to the untyped Experiment
+// fields here, once, so experiment bodies never type-assert.
+func define[P any](name string, resolve func(Flags) P,
+	run func(context.Context, *Pool, P) (*Result, error)) Experiment {
+	return Experiment{
+		Name:    name,
+		Resolve: func(f Flags) any { return resolve(f) },
+		Run: func(ctx context.Context, pool *Pool, params any) (*Result, error) {
+			p, ok := params.(P)
+			if !ok {
+				return nil, fmt.Errorf("experiments: %s takes %T parameters, got %T", name, p, params)
+			}
+			return run(ctx, pool, p)
+		},
+	}
+}
+
+// fixed builds the registry entry of an experiment with no parameters.
+func fixed(name string, run func(context.Context, *Pool) (*Result, error)) Experiment {
+	return Experiment{
+		Name:    name,
+		Resolve: func(Flags) any { return nil },
+		Run: func(ctx context.Context, pool *Pool, _ any) (*Result, error) {
+			return run(ctx, pool)
+		},
+	}
+}
+
+// Job is one experiment bound to the parameters it will run with.
+type Job struct {
+	Experiment
+	Params any
 }
 
 // Result is the structured outcome of one experiment: tabular rows, figure
@@ -134,6 +172,11 @@ func (r *Result) Scalar(name string) (float64, error) {
 		return 0, fmt.Errorf("experiments: result %q has no scalar %q", r.Name, name)
 	}
 	return v, nil
+}
+
+// row appends a table row.
+func (r *Result) row(label string, cells ...any) {
+	r.Rows = append(r.Rows, Row{Label: label, Cells: cells})
 }
 
 // check appends a pass/fail assertion.

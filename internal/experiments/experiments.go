@@ -1,9 +1,9 @@
 // Package experiments reruns the paper's evaluation (§7): every table and
-// figure is an Experiment — Name() plus Run(ctx, cfg) (*Result, error) —
-// registered in the package registry. The cmd/siloz-bench binary and the
-// repository's benchmark suite dispatch from the registry and render the
-// structured Results with RenderText / RenderJSON / RenderCSV; experiment
-// bodies compute, they never print.
+// figure is an Experiment — a name, a parameter resolver and a body —
+// registered in the package registry. `siloz bench` and the repository's
+// benchmark suite dispatch from the registry and render the structured
+// Results with RenderText / RenderJSON / RenderCSV; experiment bodies
+// compute, they never print.
 //
 // RunAll schedules experiments onto a bounded worker Pool, fanning out
 // both across experiments and across each experiment's repetitions.
@@ -28,7 +28,7 @@ import (
 
 // PerfConfig parameterizes the performance experiments (Figs. 4-7).
 type PerfConfig struct {
-	// Geometry of the simulated server; zero value = the paper's server.
+	// Geometry of the simulated server.
 	Geometry geometry.Geometry
 	// VMMemory is the benchmark VM's RAM (paper: 160 GiB).
 	VMMemory uint64
@@ -39,7 +39,7 @@ type PerfConfig struct {
 	// MLPWindow is the simulated core's memory-level parallelism.
 	MLPWindow int
 	// Seed bases all per-rep seeds; rep i draws from
-	// rand.NewSource(Seed + i*repSeedSalt) (see repSeed), so reps are
+	// rand.NewSource(Seed + i*repSeedSalt) (see RepSeed), so reps are
 	// independent streams no matter which pool worker runs them.
 	Seed int64
 	// JitterSalt decorrelates timing noise between system configurations
@@ -47,10 +47,11 @@ type PerfConfig struct {
 	JitterSalt int64
 }
 
-// DefaultPerfConfig mirrors the paper's setup: the dual-socket Skylake
-// server with a 160 GiB, 40-vCPU VM on socket 0.
-func DefaultPerfConfig() PerfConfig {
-	return PerfConfig{
+// perfConfig resolves the performance parameters. The default set mirrors
+// the paper's setup — the dual-socket Skylake server with a 160 GiB, 40-vCPU
+// VM on socket 0; -quick shrinks the VM and the run for tests.
+func perfConfig(f Flags) PerfConfig {
+	cfg := PerfConfig{
 		Geometry:  geometry.Default(),
 		VMMemory:  160 * geometry.GiB,
 		Ops:       120_000,
@@ -58,52 +59,40 @@ func DefaultPerfConfig() PerfConfig {
 		MLPWindow: 10,
 		Seed:      1,
 	}
-}
-
-// QuickPerfConfig is a scaled-down configuration for tests.
-func QuickPerfConfig() PerfConfig {
-	cfg := DefaultPerfConfig()
-	cfg.VMMemory = 6 * geometry.GiB
-	cfg.Ops = 15_000
-	cfg.Reps = 3
+	if f.Quick {
+		cfg.VMMemory = 6 * geometry.GiB
+		cfg.Ops = 15_000
+		cfg.Reps = 3
+	}
+	cfg.Seed, cfg.Ops, cfg.Reps = f.seed(cfg.Seed), override(f.Ops, cfg.Ops), override(f.Reps, cfg.Reps)
 	return cfg
 }
 
-// perfProfile: performance experiments need no bit flips; use the no-TRR
-// profile with transforms intact.
-func perfProfile() dram.Profile { return dram.ProfileF() }
-
-// bootWithVM boots a hypervisor and creates the benchmark VM.
-func bootWithVM(cfg PerfConfig, mode core.Mode, subarrayRows int) (*core.Hypervisor, *core.VM, error) {
+// bootBenchVM boots a hypervisor and creates the benchmark VM on socket 0.
+func bootBenchVM(cfg PerfConfig, mode core.Mode, subarrayRows int) (*core.VM, error) {
 	h, err := core.Boot(core.Config{
-		Geometry:      cfg.Geometry,
-		Profiles:      []dram.Profile{perfProfile()},
+		Geometry: cfg.Geometry,
+		// Performance experiments need no bit flips: the no-TRR profile,
+		// transforms intact.
+		Profiles:      []dram.Profile{dram.ProfileF()},
 		SubarrayRows:  subarrayRows,
 		EPTProtection: ept.GuardRows,
 	}, mode)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	vm, err := h.CreateVM(core.Process{KVMPrivileged: true}, core.VMSpec{
+	return h.CreateVM(kvmProc, core.VMSpec{
 		Name:   "bench",
 		Socket: 0,
 		// 4 GiB per logical core in the paper; here simply cfg.VMMemory.
 		MemoryBytes: cfg.VMMemory,
 		VCPUs:       cfg.Geometry.CoresPerSocket,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, vm, nil
 }
 
 // llcBytes is the modelled last-level cache capacity (the Xeon Gold 6230
 // has 27.5 MiB of L3; we round to 32 MiB).
 const llcBytes = 32 * geometry.MiB
-
-// workloadSeed is rep's access-stream seed: the workload's RNG is
-// rand.New(rand.NewSource(workloadSeed(cfg, rep))).
-func workloadSeed(cfg PerfConfig, rep int) int64 { return repSeed(cfg.Seed, rep) }
 
 // jitterSeed seeds rep's memory-controller timing noise; the jitter salt
 // decorrelates system configurations, nameSalt decorrelates workloads.
@@ -114,17 +103,15 @@ func jitterSeed(cfg PerfConfig, name string, rep int) int64 {
 // measure runs a workload Reps times on a fresh controller each time,
 // returning a sample of the chosen metric. Reps fan out onto the pool;
 // each writes its own index of the sample, so the sample's value order is
-// scheduling-independent. Workloads run behind a last-level cache model
-// unless they declare themselves cache-bypassing (Intel MLC).
-func measure(ctx context.Context, pool *Pool, cfg PerfConfig, vm *core.VM, w workload.Workload, metric func(memctrl.Result) float64) (stats.Sample, error) {
-	return measureDefended(ctx, pool, cfg, vm, w, metric, nil)
-}
-
-// measureDefended is measure with an activation-plane defense on the
+// scheduling-independent. Rep i's access stream draws from
+// rand.NewSource(RepSeed(cfg.Seed, i)). Workloads run behind a last-level
+// cache model unless they declare themselves cache-bypassing (Intel MLC).
+//
+// defense, when non-nil, puts an activation-plane defense on the
 // controller: defense(rep) builds the rep's instance (fresh per rep — a
 // mitigation is scoped to one controller run). A nil defense, or one
 // returning nil, measures undefended.
-func measureDefended(ctx context.Context, pool *Pool, cfg PerfConfig, vm *core.VM, w workload.Workload, metric func(memctrl.Result) float64, defense func(rep int) mitigation.Mitigation) (stats.Sample, error) {
+func measure(ctx context.Context, pool *Pool, cfg PerfConfig, vm *core.VM, w workload.Workload, metric func(memctrl.Result) float64, defense func(rep int) mitigation.Mitigation) (stats.Sample, error) {
 	s := stats.Sample{Name: w.Name(), Values: make([]float64, cfg.Reps)}
 	bypass := false
 	if b, ok := w.(interface{ BypassesCache() bool }); ok {
@@ -152,7 +139,7 @@ func measureDefended(ctx context.Context, pool *Pool, cfg PerfConfig, vm *core.V
 				return err
 			}
 		}
-		res, err := workload.RunOnVM(vm, ctrl, cache, w, cfg.Ops, workloadSeed(cfg, rep))
+		res, err := workload.RunOnVM(vm, ctrl, cache, w, cfg.Ops, RepSeed(cfg.Seed, rep))
 		if err != nil {
 			return err
 		}

@@ -10,7 +10,7 @@ import (
 
 // quickSecurity shrinks the campaign for unit testing.
 func quickSecurity() SecurityConfig {
-	cfg := DefaultSecurityConfig()
+	cfg := securityConfig(Flags{})
 	cfg.Geometry = geometry.Geometry{
 		Sockets: 2, CoresPerSocket: 4, DIMMsPerSocket: 2, RanksPerDIMM: 2,
 		BanksPerRank: 4, RowsPerBank: 2048, RowBytes: 8 * geometry.KiB,
@@ -39,7 +39,7 @@ func TestTable3ContainmentQuick(t *testing.T) {
 	if !res.Contained() {
 		t.Error("containment violated")
 	}
-	r, err := (table3Exp{}).Run(context.Background(), Config{Security: quickSecurity()})
+	r, err := table3Exp(context.Background(), nil, quickSecurity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestEPTProtectionQuick(t *testing.T) {
 	if !res.TranslationsIntact {
 		t.Error("EPT translations corrupted despite guard rows")
 	}
-	r, err := (eptExp{}).Run(context.Background(), Config{Security: cfg})
+	r, err := eptExp(context.Background(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEPTProtectionQuick(t *testing.T) {
 
 // quickPerf shrinks the performance experiments for unit testing.
 func quickPerf() PerfConfig {
-	cfg := QuickPerfConfig()
+	cfg := perfConfig(Flags{Quick: true})
 	cfg.Ops = 4000
 	cfg.Reps = 2
 	return cfg
@@ -126,7 +126,10 @@ func TestSizeSensitivityQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fig := range []Figure{res.Time512, res.Time2048, res.Tput512, res.Tput2048} {
+	if len(res) != 4 {
+		t.Fatalf("sweep produced %d figures, want 4 (two metrics x two sizes)", len(res))
+	}
+	for _, fig := range res {
 		if len(fig.Bars) == 0 {
 			t.Fatalf("figure %q empty", fig.Title)
 		}
@@ -167,7 +170,7 @@ func TestOverheadComparison(t *testing.T) {
 	if zebram80 != 80 {
 		t.Errorf("ZebRAM modern = %v, want 80", zebram80)
 	}
-	r, err := (overheadExp{}).Run(context.Background(), Config{Perf: QuickPerfConfig()})
+	r, err := overheadExp(context.Background(), nil, quickPerf())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +214,7 @@ func TestRemapHandling(t *testing.T) {
 			t.Errorf("size %d reserves %.2f%%, far beyond the paper's band", np2, r.ReservedPct)
 		}
 	}
-	rr, err := (remapsExp{}).Run(context.Background(), Config{Perf: QuickPerfConfig()})
+	rr, err := remapsExp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestECCStudy(t *testing.T) {
 	if res.CorrectionEventsA == res.CorrectionEventsB {
 		t.Error("leak flag inconsistent with counts")
 	}
-	r, err := (eccExp{}).Run(context.Background(), Config{})
+	r, err := eccExp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFragmentationStudy(t *testing.T) {
 	if byConfig["SNC-1, 2048-row subarrays"].WastePct <= byConfig["SNC-1, 512-row subarrays"].WastePct {
 		t.Error("waste should grow with group size")
 	}
-	r, err := (fragmentationExp{}).Run(context.Background(), Config{})
+	r, err := fragmentationExp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDDR5Comparison(t *testing.T) {
 			t.Errorf("size %d: DDR5 should form exact groups with no guards, got %+v", r.SubarrayRows, r)
 		}
 	}
-	r, err := (ddr5Exp{}).Run(context.Background(), Config{})
+	r, err := ddr5Exp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +152,7 @@ func TestActivationRates(t *testing.T) {
 	// modern Rowhammer thresholds, so thresholds cannot be outrun —
 	// isolation is required. Rates are DRAM-visible activations (the
 	// coherence-induced and cache-evading traffic [98] measures).
-	cfg := QuickPerfConfig()
-	cfg.Ops = 250_000
+	cfg := actRatesConfig(Flags{Quick: true})
 	rows, err := ActivationRates(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +202,7 @@ func TestZebRAMComparison(t *testing.T) {
 	if siloz.OverheadPct > 1 {
 		t.Error("Siloz overhead should be ~0")
 	}
-	r, err := (zebramExp{}).Run(context.Background(), Config{})
+	r, err := zebramExp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

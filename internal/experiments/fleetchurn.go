@@ -22,118 +22,70 @@ func round2(v float64) float64 { return math.Round(v*100) / 100 }
 // and departures — once per placement policy, reporting capacity,
 // migration-downtime, and stranded-capacity metrics at fleet scale.
 type FleetConfig struct {
-	// Hosts is the simulated machine count.
+	// Hosts is the simulated machine count, each a fleet lab box.
 	Hosts int
-	// Geometry of each host; zero value = the fleet lab box (8 subarray
-	// groups of 64 MiB per socket: 14 guest nodes, 896 MiB per host).
-	Geometry geometry.Geometry
-	// Policies are the placement policies compared; empty = all built-ins.
+	// Policies are the placement policies compared.
 	Policies []string
-	// Rounds / ArrivalsPerRound shape the trace.
-	Rounds           int
-	ArrivalsPerRound int
-	// VMSizes are the guest RAM sizes drawn uniformly.
-	VMSizes []uint64
-	// MinLifetime/MaxLifetime bound VM stays, in rounds.
-	MinLifetime, MaxLifetime int
-	// ResizeProb is the chance of one mid-life resize.
-	ResizeProb float64
+	// TraceConfig shapes the churn trace; its Seed also drives the
+	// rebalancing scheduler and every injected guest write.
+	fleet.TraceConfig
 	// TouchPages is how many 2 MiB pages each VM stamps at admission
 	// (the data migrations must carry).
 	TouchPages int
 	// CopyGiBps converts downtime bytes to modeled milliseconds.
 	CopyGiBps float64
-	// Seed drives the trace and every injected guest write.
-	Seed int64
 }
 
 // fleetLabGeometry is the per-host box: 8 subarray groups of 64 MiB per
-// socket so each socket carves into 1 host + 1 EPT + 7 guest nodes.
+// socket so each socket carves into 1 host + 1 EPT + 7 guest nodes (14
+// guest nodes, 896 MiB per host).
 func fleetLabGeometry() geometry.Geometry {
 	g := migrationLabGeometry()
 	g.RowsPerBank = 4096
 	return g
 }
 
-// DefaultFleetConfig runs ≥1000 arrivals across 8 hosts (7 GiB of guest
-// capacity fleet-wide) with the trace sized to oversubscribe it, so every
-// policy takes real rejections and the scheduler has hot hosts to drain.
-func DefaultFleetConfig() FleetConfig {
-	return FleetConfig{
-		Hosts:            8,
-		Rounds:           42,
-		ArrivalsPerRound: 24,
-		VMSizes: []uint64{
-			64 * geometry.MiB, 96 * geometry.MiB,
-			128 * geometry.MiB, 192 * geometry.MiB,
+// fleetConfig resolves the churn study. The default runs ≥1000 arrivals
+// across 8 hosts (7 GiB of guest capacity fleet-wide) under every built-in
+// policy, with the trace sized to oversubscribe it, so every policy takes
+// real rejections and the scheduler has hot hosts to drain; -quick trims
+// hosts, trace and policies.
+func fleetConfig(f Flags) FleetConfig {
+	cfg := FleetConfig{
+		Hosts: 8,
+		TraceConfig: fleet.TraceConfig{
+			Seed:             f.seed(29),
+			Rounds:           42,
+			ArrivalsPerRound: 24,
+			VMSizes: []uint64{
+				64 * geometry.MiB, 96 * geometry.MiB,
+				128 * geometry.MiB, 192 * geometry.MiB,
+			},
+			MinLifetime: 1,
+			MaxLifetime: 3,
+			ResizeProb:  0.25,
 		},
-		MinLifetime: 1,
-		MaxLifetime: 3,
-		ResizeProb:  0.25,
-		TouchPages:  2,
-		CopyGiBps:   12,
-		Seed:        29,
+		TouchPages: 2,
+		CopyGiBps:  12,
 	}
-}
-
-// QuickFleetConfig trims hosts and trace for smoke runs.
-func QuickFleetConfig() FleetConfig {
-	cfg := DefaultFleetConfig()
-	cfg.Hosts = 3
-	cfg.Rounds = 5
-	cfg.ArrivalsPerRound = 8
-	cfg.Policies = []string{"first-fit", "siloz-aware"}
+	for _, p := range fleet.Policies() {
+		cfg.Policies = append(cfg.Policies, p.Name())
+	}
+	if f.Quick {
+		cfg.Hosts = 3
+		cfg.Rounds = 5
+		cfg.ArrivalsPerRound = 8
+		cfg.Policies = []string{"first-fit", "siloz-aware"}
+	}
 	return cfg
-}
-
-func (cfg *FleetConfig) normalize() {
-	def := DefaultFleetConfig()
-	if cfg.Hosts == 0 {
-		cfg.Hosts = def.Hosts
-	}
-	if cfg.Geometry == (geometry.Geometry{}) {
-		cfg.Geometry = fleetLabGeometry()
-	}
-	if len(cfg.Policies) == 0 {
-		for _, p := range fleet.Policies() {
-			cfg.Policies = append(cfg.Policies, p.Name())
-		}
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = def.Rounds
-	}
-	if cfg.ArrivalsPerRound == 0 {
-		cfg.ArrivalsPerRound = def.ArrivalsPerRound
-	}
-	if len(cfg.VMSizes) == 0 {
-		cfg.VMSizes = def.VMSizes
-	}
-	if cfg.MinLifetime == 0 {
-		cfg.MinLifetime = def.MinLifetime
-	}
-	if cfg.MaxLifetime == 0 {
-		cfg.MaxLifetime = def.MaxLifetime
-	}
-	if cfg.TouchPages == 0 {
-		cfg.TouchPages = def.TouchPages
-	}
-	if cfg.CopyGiBps == 0 {
-		cfg.CopyGiBps = def.CopyGiBps
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
-	}
 }
 
 // fleetPolicyResult is one policy's complete churn run, index-addressed
 // for the pool.
 type fleetPolicyResult struct {
 	policy        string
-	arrivals      int
 	admitted      int
 	rejected      int
-	resizeOK      int
-	resizeDenied  int
 	untypedReject int // rejections NOT matching fleet.ErrNoPlacement
 	peakUtil      float64
 	peakStranded  float64 // fraction of guest capacity
@@ -147,32 +99,15 @@ type fleetPolicyResult struct {
 	leftoverNodes int // owned guest nodes after the final drain
 }
 
-type fleetChurnExp struct{}
+func fleetChurnExp(ctx context.Context, pool *Pool, fc FleetConfig) (*Result, error) {
+	trace := fleet.GenerateTrace(fc.TraceConfig)
 
-func (fleetChurnExp) Name() string { return "fleet-churn" }
-
-func (fleetChurnExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	fc := cfg.Fleet
-	fc.normalize()
-
-	trace := fleet.GenerateTrace(fleet.TraceConfig{
-		Seed:             fc.Seed,
-		Rounds:           fc.Rounds,
-		ArrivalsPerRound: fc.ArrivalsPerRound,
-		VMSizes:          fc.VMSizes,
-		MinLifetime:      fc.MinLifetime,
-		MaxLifetime:      fc.MaxLifetime,
-		ResizeProb:       fc.ResizeProb,
-	})
-
-	results := make([]*fleetPolicyResult, len(fc.Policies))
-	err := cfg.Pool.Map(ctx, len(fc.Policies), func(i int) error {
-		r, err := runFleetPolicy(ctx, fc, fc.Policies[i], trace)
+	results, err := mapCells(ctx, pool, fc.Policies, func(_ int, policy string) (*fleetPolicyResult, error) {
+		r, err := runFleetPolicy(ctx, fc, policy, trace)
 		if err != nil {
-			return fmt.Errorf("policy %s: %w", fc.Policies[i], err)
+			return nil, fmt.Errorf("policy %s: %w", policy, err)
 		}
-		results[i] = r
-		return nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err
@@ -191,7 +126,7 @@ func (fleetChurnExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 		Metadata: map[string]string{
 			"hosts":    fmt.Sprintf("%d", fc.Hosts),
 			"arrivals": fmt.Sprintf("%d", len(trace)),
-			"geometry": fc.Geometry.String(),
+			"geometry": fleetLabGeometry().String(),
 			"seed":     fmt.Sprintf("%d", fc.Seed),
 		},
 	}
@@ -199,13 +134,11 @@ func (fleetChurnExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	auditsOK, traceOK, typedOK, conservedOK := true, true, true, true
 	admittedTotal := 0
 	for _, r := range results {
-		res.Rows = append(res.Rows, Row{Label: r.policy, Cells: []any{
-			r.policy, r.admitted, r.rejected,
-			round2(r.peakUtil * 100), round2(r.peakStranded * 100),
-			round2(r.finalStranded * 100),
+		res.row(r.policy, r.policy, r.admitted, r.rejected,
+			round2(r.peakUtil*100), round2(r.peakStranded*100),
+			round2(r.finalStranded*100),
 			r.crossMoves, r.defragMoves, round2(r.migratedMiB), round2(r.downtimeMs),
-			r.auditRounds,
-		}})
+			r.auditRounds)
 		res.scalar("fleet_admitted_"+r.policy, float64(r.admitted))
 		res.scalar("fleet_rejected_"+r.policy, float64(r.rejected))
 		res.scalar("fleet_peak_util_pct_"+r.policy, round2(r.peakUtil*100))
@@ -217,7 +150,7 @@ func (fleetChurnExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 			auditsOK = false
 			res.Notes = append(res.Notes, fmt.Sprintf("%s audit failure: %v", r.policy, r.auditErr))
 		}
-		if r.admitted+r.rejected != r.arrivals {
+		if r.admitted+r.rejected != len(trace) {
 			traceOK = false
 		}
 		if r.untypedReject > 0 {
@@ -263,8 +196,8 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 	cluster, err := fleet.New(fleet.Config{
 		Hosts: fc.Hosts,
 		Core: core.Config{
-			Geometry: fc.Geometry,
-			Profiles: []dram.Profile{fleetLabProfile()},
+			Geometry: fleetLabGeometry(),
+			Profiles: []dram.Profile{migrationLabProfile()},
 		},
 		Policy:    policy,
 		CopyGiBps: fc.CopyGiBps,
@@ -274,9 +207,8 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 	}
 	defer cluster.Close()
 	sched := fleet.NewScheduler(cluster, fleet.SchedulerConfig{Seed: fc.Seed})
-	proc := core.Process{CGroup: "kvm", KVMPrivileged: true}
 
-	res := &fleetPolicyResult{policy: policyName, arrivals: len(trace)}
+	res := &fleetPolicyResult{policy: policyName}
 	arrivalsAt := map[int][]fleet.Arrival{}
 	for _, a := range trace {
 		arrivalsAt[a.Round] = append(arrivalsAt[a.Round], a)
@@ -291,27 +223,14 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Phase 1: departures scheduled for this round, submitted async.
-		var departOps []*fleet.Op
-		for _, name := range departAt[round] {
-			op, err := cluster.SubmitDepart(name)
-			if err != nil {
-				return nil, fmt.Errorf("round %d depart %s: %w", round, name, err)
-			}
-			departOps = append(departOps, op)
-		}
-		if err := cluster.Quiesce(ctx); err != nil {
-			return nil, err
-		}
-		for _, op := range departOps {
-			if err := op.Err(); err != nil {
-				return nil, fmt.Errorf("round %d depart: %w", round, err)
-			}
+		// Phase 1: departures scheduled for this round.
+		if err := departAll(ctx, cluster, departAt[round]); err != nil {
+			return nil, fmt.Errorf("round %d: %w", round, err)
 		}
 
 		// Phase 2: arrivals, synchronous in trace order.
 		for _, a := range arrivalsAt[round] {
-			hostName, err := cluster.Admit(ctx, proc, core.VMSpec{
+			hostName, err := cluster.Admit(ctx, kvmProc, core.VMSpec{
 				Name:           a.Name,
 				MemoryBytes:    a.Bytes,
 				MinMemoryBytes: a.MinBytes,
@@ -348,24 +267,13 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 		// Phase 3: scheduled resizes, async then quiesced. A denied
 		// resize (no adoptable capacity) is a legitimate outcome under
 		// load, not an experiment failure.
-		var resizeOps []*fleet.Op
 		for _, a := range resizeAt[round] {
-			op, err := cluster.SubmitResize(a.Name, a.ResizeBytes)
-			if err != nil {
-				res.resizeDenied++
-				continue
-			}
-			resizeOps = append(resizeOps, op)
+			// Neither the submission's nor the op's error is consulted:
+			// denial changes what later rounds see, which is the result.
+			_, _ = cluster.SubmitResize(a.Name, a.ResizeBytes)
 		}
 		if err := cluster.Quiesce(ctx); err != nil {
 			return nil, err
-		}
-		for _, op := range resizeOps {
-			if op.Err() != nil {
-				res.resizeDenied++
-			} else {
-				res.resizeOK++
-			}
 		}
 
 		// Phase 4: the migration scheduler's rebalancing round.
@@ -396,21 +304,8 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 	}
 
 	// Final drain: every surviving VM departs; capacity must return.
-	var drainOps []*fleet.Op
-	for _, name := range cluster.VMs() {
-		op, err := cluster.SubmitDepart(name)
-		if err != nil {
-			return nil, err
-		}
-		drainOps = append(drainOps, op)
-	}
-	if err := cluster.Quiesce(ctx); err != nil {
-		return nil, err
-	}
-	for _, op := range drainOps {
-		if err := op.Err(); err != nil {
-			return nil, fmt.Errorf("final drain: %w", err)
-		}
+	if err := departAll(ctx, cluster, cluster.VMs()); err != nil {
+		return nil, fmt.Errorf("final drain: %w", err)
 	}
 	if err := cluster.AuditIsolation(); err != nil {
 		res.auditErr = fmt.Errorf("final drain: %w", err)
@@ -428,6 +323,24 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 	return res, nil
 }
 
-// fleetLabProfile strips DRAM transforms (grouping without padding), same
-// as the migration lab.
-func fleetLabProfile() dram.Profile { return migrationLabProfile() }
+// departAll submits a departure for every named VM asynchronously, waits
+// for the cluster to quiesce, and reports the first departure that failed.
+func departAll(ctx context.Context, cluster *fleet.Cluster, names []string) error {
+	ops := make([]*fleet.Op, len(names))
+	for i, name := range names {
+		op, err := cluster.SubmitDepart(name)
+		if err != nil {
+			return fmt.Errorf("depart %s: %w", name, err)
+		}
+		ops[i] = op
+	}
+	if err := cluster.Quiesce(ctx); err != nil {
+		return err
+	}
+	for i, op := range ops {
+		if err := op.Err(); err != nil {
+			return fmt.Errorf("depart %s: %w", names[i], err)
+		}
+	}
+	return nil
+}

@@ -12,12 +12,12 @@ import (
 // identical JSON bytes at parallelism 1 and 4, per the experiment's
 // contract that the pool only fans across policies.
 func TestFleetChurnExperiment(t *testing.T) {
-	cfg := Config{Fleet: QuickFleetConfig()}
-	r, err := (fleetChurnExp{}).Run(context.Background(), cfg)
+	cfg := fleetConfig(Flags{Quick: true})
+	r, err := fleetChurnExp(context.Background(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(r.Rows), len(QuickFleetConfig().Policies); got != want {
+	if got, want := len(r.Rows), len(cfg.Policies); got != want {
 		t.Fatalf("quick run produced %d rows, want %d (one per policy)", got, want)
 	}
 	for _, c := range r.Checks {
@@ -36,8 +36,7 @@ func TestFleetChurnExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(4)
-	r2, err := (fleetChurnExp{}).Run(context.Background(), Config{Fleet: QuickFleetConfig(), Pool: pool})
+	r2, err := fleetChurnExp(context.Background(), NewPool(4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestFleetChurnExperiment(t *testing.T) {
 // TestDefaultFleetConfigScale pins the acceptance floor: at least 1000
 // arrivals across at least 8 hosts.
 func TestDefaultFleetConfigScale(t *testing.T) {
-	fc := DefaultFleetConfig()
+	fc := fleetConfig(Flags{})
 	if fc.Hosts < 8 {
 		t.Errorf("default fleet has %d hosts, want >= 8", fc.Hosts)
 	}

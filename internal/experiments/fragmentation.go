@@ -7,11 +7,9 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
 	"repro/internal/migrate"
-	"repro/internal/numa"
 	"repro/internal/subarray"
 
 	"repro/internal/addr"
@@ -87,10 +85,7 @@ type DefragRecovery struct {
 func socketFreeState(h *core.Hypervisor, socket int) (int, string, error) {
 	largest := -1
 	var counts [alloc.MaxOrder + 1]uint64
-	for _, n := range h.Topology().NodesOnSocket(socket, numa.GuestReserved) {
-		if _, owned := h.Registry().OwnerOf(n.ID); owned {
-			continue
-		}
+	for _, n := range unownedNodes(h, socket) {
 		a, err := h.Allocator(n.ID)
 		if err != nil {
 			return 0, "", err
@@ -119,17 +114,12 @@ func socketFreeState(h *core.Hypervisor, socket int) (int, string, error) {
 // guest nodes, and shows the pending reservation flip from refused to
 // admitted after the planner's moves execute.
 func DefragRecoveryStudy(ctx context.Context) (*DefragRecovery, error) {
-	h, err := core.Boot(core.Config{
-		Geometry:      migrationLabGeometry(),
-		Profiles:      []dram.Profile{migrationLabProfile()},
-		EPTProtection: ept.GuardRows,
-	}, core.ModeSiloz)
+	h, err := bootLab(migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
 	if err != nil {
 		return nil, err
 	}
-	proc := core.Process{CGroup: "kvm", KVMPrivileged: true}
 	for _, name := range []string{"t0", "t1", "t2"} {
-		if _, err := h.CreateVM(proc, core.VMSpec{Name: name, Socket: 0, MemoryBytes: 64 * geometry.MiB}); err != nil {
+		if _, err := h.CreateVM(kvmProc, core.VMSpec{Name: name, Socket: 0, MemoryBytes: 64 * geometry.MiB}); err != nil {
 			return nil, err
 		}
 	}
@@ -138,7 +128,7 @@ func DefragRecoveryStudy(ctx context.Context) (*DefragRecovery, error) {
 	if out.OrderBefore, _, err = socketFreeState(h, pending.Socket); err != nil {
 		return nil, err
 	}
-	if _, err := h.CreateVM(proc, pending); err == nil {
+	if _, err := h.CreateVM(kvmProc, pending); err == nil {
 		out.BeforeAdmitted = true // scenario broken; surfaces as a failed check
 	}
 	plan, err := migrate.NewPlanner(h).PlanAdmission(pending)
@@ -153,7 +143,7 @@ func DefragRecoveryStudy(ctx context.Context) (*DefragRecovery, error) {
 	if out.OrderAfter, out.Histogram, err = socketFreeState(h, pending.Socket); err != nil {
 		return nil, err
 	}
-	if _, err := h.CreateVM(proc, pending); err == nil {
+	if _, err := h.CreateVM(kvmProc, pending); err == nil {
 		out.AfterAdmitted = true
 	}
 	return out, nil
@@ -161,11 +151,7 @@ func DefragRecoveryStudy(ctx context.Context) (*DefragRecovery, error) {
 
 // fragmentationExp is the "fragmentation" experiment: §8.1 provisioning
 // waste, plus the live defrag-recovery scenario the migration engine fixes.
-type fragmentationExp struct{}
-
-func (fragmentationExp) Name() string { return "fragmentation" }
-
-func (fragmentationExp) Run(ctx context.Context, cfg Config) (*Result, error) {
+func fragmentationExp(ctx context.Context, pool *Pool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -173,12 +159,8 @@ func (fragmentationExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rec *DefragRecovery
-	if err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		rec, err = DefragRecoveryStudy(ctx)
-		return err
-	}); err != nil {
+	rec, err := onPool(ctx, pool, func() (*DefragRecovery, error) { return DefragRecoveryStudy(ctx) })
+	if err != nil {
 		return nil, err
 	}
 	r := &Result{
@@ -189,7 +171,7 @@ func (fragmentationExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	worst := 0.0
 	for _, row := range rows {
-		r.Rows = append(r.Rows, Row{Label: row.Config, Cells: []any{row.GroupGiB, row.WastePct, "", "", ""}})
+		r.row(row.Config, row.GroupGiB, row.WastePct, "", "", "")
 		if row.WastePct > worst {
 			worst = row.WastePct
 		}
@@ -225,18 +207,8 @@ func DDR5Comparison() ([]DDR5Row, error) {
 	ddr4 := addr.AllTransforms()
 	ddr5 := addr.TransformConfig{Scrambling: true} // vendor scrambling may remain
 	var out []DDR5Row
-	for _, rows := range []int{512, 640, 768, 1024, 1280, 2048} {
-		g := geometry.Geometry{
-			Sockets: 1, CoresPerSocket: 4, DIMMsPerSocket: 1, RanksPerDIMM: 2,
-			BanksPerRank: 8, RowBytes: 8 * geometry.KiB,
-			RowsPerSubarray: rows,
-		}
-		lcm := rows * nextPow2(rows) / gcd(rows, nextPow2(rows))
-		g.RowsPerBank = lcm
-		for g.RowsPerBank < 4*nextPow2(rows) {
-			g.RowsPerBank += lcm
-		}
-		mapper, err := addr.NewMapper(g, addr.KindSkylake)
+	for _, rows := range subarraySweepSizes {
+		g, mapper, err := subarraySweepBox(rows)
 		if err != nil {
 			return nil, err
 		}
@@ -260,17 +232,8 @@ func DDR5Comparison() ([]DDR5Row, error) {
 }
 
 // ddr5Exp is the "ddr5" experiment: §8.2 DDR4-vs-DDR5 group formation.
-type ddr5Exp struct{}
-
-func (ddr5Exp) Name() string { return "ddr5" }
-
-func (ddr5Exp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	var rows []DDR5Row
-	err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		rows, err = DDR5Comparison()
-		return err
-	})
+func ddr5Exp(ctx context.Context, pool *Pool) (*Result, error) {
+	rows, err := onPool(ctx, pool, DDR5Comparison)
 	if err != nil {
 		return nil, err
 	}
@@ -283,10 +246,7 @@ func (ddr5Exp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	ddr5Clean := true
 	ddr4Max := 0.0
 	for _, row := range rows {
-		r.Rows = append(r.Rows, Row{
-			Label: fmt.Sprintf("%d-row subarrays", row.SubarrayRows),
-			Cells: []any{row.DDR4Reserved, row.DDR4Artifical, row.DDR5Reserved, row.DDR5Artifical},
-		})
+		r.row(fmt.Sprintf("%d-row subarrays", row.SubarrayRows), row.DDR4Reserved, row.DDR4Artifical, row.DDR5Reserved, row.DDR5Artifical)
 		if row.DDR5Reserved != 0 || row.DDR5Artifical {
 			ddr5Clean = false
 		}

@@ -7,11 +7,9 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
 	"repro/internal/guest"
-	"repro/internal/numa"
 )
 
 // HotplugConfig parameterizes the "hotplug" experiment: growing a running
@@ -19,9 +17,6 @@ import (
 // subarray-group nodes, swept across growth targets and socket pressure
 // (how many of the home socket's guest nodes neighbor tenants already own).
 type HotplugConfig struct {
-	// Geometry of the simulated server; zero value = the migration lab's
-	// two-socket box (64 MiB subarray groups, 3 guest nodes per socket).
-	Geometry geometry.Geometry
 	// VMBytes is the grown VM's boot-time RAM; the default fills exactly
 	// one guest node, so any growth must adopt.
 	VMBytes uint64
@@ -41,23 +36,20 @@ type HotplugConfig struct {
 	Seed int64
 }
 
-// DefaultHotplugConfig sweeps one- and two-node growths against an idle and
-// a contended home socket.
-func DefaultHotplugConfig() HotplugConfig {
-	return HotplugConfig{
+// hotplugConfig resolves the sweep: one- and two-node growths against an
+// idle and a contended home socket, trimmed under -quick.
+func hotplugConfig(f Flags) HotplugConfig {
+	cfg := HotplugConfig{
 		VMBytes:       64 * geometry.MiB,
 		GrowTargets:   []uint64{128 * geometry.MiB, 192 * geometry.MiB},
 		PressureNodes: []int{0, 1},
 		ScrubGiBps:    12,
-		Seed:          29,
+		Seed:          f.seed(29),
 	}
-}
-
-// QuickHotplugConfig trims the sweep for smoke runs.
-func QuickHotplugConfig() HotplugConfig {
-	cfg := DefaultHotplugConfig()
-	cfg.GrowTargets = []uint64{128 * geometry.MiB}
-	cfg.PressureNodes = []int{0}
+	if f.Quick {
+		cfg.GrowTargets = []uint64{128 * geometry.MiB}
+		cfg.PressureNodes = []int{0}
+	}
 	return cfg
 }
 
@@ -94,42 +86,24 @@ type hotplugRowResult struct {
 // grow end to end — preview, ResizeVM dispatch to hotplug, kernel onlining
 // the bank — verifying isolation, scrubbing, and rollback at each step.
 func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResult, error) {
-	g := cfg.Geometry
-	if g.Sockets == 0 {
-		g = migrationLabGeometry()
-	}
-	h, err := core.Boot(core.Config{
-		Geometry:      g,
-		Profiles:      []dram.Profile{migrationLabProfile()},
-		EPTProtection: ept.GuardRows,
-	}, core.ModeSiloz)
+	h, err := bootLab(migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
 	if err != nil {
 		return nil, err
 	}
-	kvm := core.Process{CGroup: "kvm", KVMPrivileged: true}
-
-	// Count one guest node's capacity so pressure and feasibility are
-	// expressed in whole subarray groups.
-	guestNodes := 0
-	var nodeBytes uint64
-	for _, o := range h.Topology().NodesOnSocket(0, numa.GuestReserved) {
-		a, aerr := h.Allocator(o.ID)
-		if aerr != nil {
-			return nil, aerr
-		}
-		nodeBytes = a.TotalBytes()
-		guestNodes++
+	guestNodes, nodeBytes, err := guestNodeCapacity(h, 0)
+	if err != nil {
+		return nil, err
 	}
 
 	// Socket pressure: neighbor tenants each own one home-socket node.
 	for i := 0; i < run.pressure; i++ {
 		spec := core.VMSpec{Name: fmt.Sprintf("nbr%d", i), Socket: 0, MemoryBytes: nodeBytes}
-		if _, err := h.CreateVM(kvm, spec); err != nil {
+		if _, err := h.CreateVM(kvmProc, spec); err != nil {
 			return nil, fmt.Errorf("pressure VM %d: %w", i, err)
 		}
 	}
 
-	vm, err := h.CreateVM(kvm, core.VMSpec{Name: "plug", Socket: 0, MemoryBytes: cfg.VMBytes})
+	vm, err := h.CreateVM(kvmProc, core.VMSpec{Name: "plug", Socket: 0, MemoryBytes: cfg.VMBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -138,12 +112,9 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 	// A departed tenant dirties the adoptable nodes first: hot-added frames
 	// must still reach the guest all-zero whatever they held before.
 	freeNodes := guestNodes - run.pressure - int((cfg.VMBytes+nodeBytes-1)/nodeBytes)
-	payload := make([]byte, 4*geometry.KiB)
-	for i := range payload {
-		payload[i] = byte(i*11) | 1
-	}
+	payload := stampPayload(11)
 	if freeNodes > 0 {
-		prev, err := h.CreateVM(kvm, core.VMSpec{Name: "departed", Socket: 0, MemoryBytes: uint64(freeNodes) * nodeBytes})
+		prev, err := h.CreateVM(kvmProc, core.VMSpec{Name: "departed", Socket: 0, MemoryBytes: uint64(freeNodes) * nodeBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -176,13 +147,7 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 	res.feasible = needNodes <= freeNodes
 
 	probe := core.VMSpec{Name: "probe", Socket: 0, MemoryBytes: nodeBytes}
-	admit := func() bool {
-		if _, err := h.CreateVM(kvm, probe); err != nil {
-			return false
-		}
-		return h.DestroyVM("probe") == nil
-	}
-	res.probeBefore = admit()
+	res.probeBefore = admits(h, probe)
 
 	if plan, err := h.PreviewResize("plug", run.target); err == nil {
 		res.previewAdopt = len(plan.AdoptedNodes)
@@ -204,18 +169,10 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 			if err := vm.ReadGuest(bank.Start+off, buf); err != nil {
 				return nil, err
 			}
-			for _, b := range buf {
-				if b != 0 {
-					res.bankZero = false
-				}
-			}
+			res.bankZero = res.bankZero && allZero(buf)
 		}
-		res.guestExtends = res.guestExtends && proc.Map(probeGVA, bank.Start) == nil
-		if res.guestExtends {
-			if err := proc.Write(probeGVA, payload); err != nil {
-				res.guestExtends = false
-			}
-		}
+		res.guestExtends = res.guestExtends && proc.Map(probeGVA, bank.Start) == nil &&
+			proc.Write(probeGVA, payload) == nil
 	case errors.Is(err, core.ErrCapacityExhausted):
 		res.refusedCap = true
 		res.stateRestored = len(vm.Nodes()) == nodesBefore &&
@@ -223,16 +180,10 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 	default:
 		return nil, fmt.Errorf("grow to %d: %w", run.target, err)
 	}
-	res.probeAfter = admit()
+	res.probeAfter = admits(h, probe)
 
-	got := make([]byte, len(payload))
-	if err := vm.ReadGuest(512, got); err != nil {
+	if res.dataIntact, err = guestHolds(vm, 512, payload); err != nil {
 		return nil, err
-	}
-	for i := range got {
-		if got[i] != payload[i] {
-			res.dataIntact = false
-		}
 	}
 	return res, nil
 }
@@ -240,29 +191,15 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 // hotplugExp is the "hotplug" experiment: guest-visible memory hot-add via
 // the resize facade — nodes adopted beyond the boot reservation, scrub
 // cost, and the admission pool's capacity before and after.
-type hotplugExp struct{}
-
-func (hotplugExp) Name() string { return "hotplug" }
-
-func (hotplugExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	hc := cfg.Hotplug
-	if len(hc.GrowTargets) == 0 || len(hc.PressureNodes) == 0 {
-		hc = DefaultHotplugConfig()
-	}
-	if hc.ScrubGiBps <= 0 {
-		hc.ScrubGiBps = DefaultHotplugConfig().ScrubGiBps
-	}
+func hotplugExp(ctx context.Context, pool *Pool, hc HotplugConfig) (*Result, error) {
 	var runs []hotplugRun
 	for _, target := range hc.GrowTargets {
 		for _, p := range hc.PressureNodes {
 			runs = append(runs, hotplugRun{target: target, pressure: p})
 		}
 	}
-	results := make([]*hotplugRowResult, len(runs))
-	err := cfg.Pool.Map(ctx, len(runs), func(i int) error {
-		var err error
-		results[i], err = runHotplug(hc, runs[i], repSeed(hc.Seed, i))
-		return err
+	results, err := mapCells(ctx, pool, runs, func(i int, run hotplugRun) (*hotplugRowResult, error) {
+		return runHotplug(hc, run, RepSeed(hc.Seed, i))
 	})
 	if err != nil {
 		return nil, err
@@ -282,11 +219,8 @@ func (hotplugExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	var totalAdopted, refused int
 	var maxAdopt float64
 	for _, res := range results {
-		r.Rows = append(r.Rows, Row{
-			Label: res.run.label(),
-			Cells: []any{res.adopted, res.scrubBytes / geometry.MiB, res.adoptMs,
-				res.refusedCap, res.probeBefore, res.probeAfter},
-		})
+		r.row(res.run.label(), res.adopted, res.scrubBytes/geometry.MiB, res.adoptMs,
+			res.refusedCap, res.probeBefore, res.probeAfter)
 		if res.feasible {
 			growOK = growOK && res.grew
 			zeroOK = zeroOK && res.bankZero

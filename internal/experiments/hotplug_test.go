@@ -8,8 +8,7 @@ import (
 // TestHotplugExperimentQuick runs the quick sweep (one feasible one-node
 // grow on an idle socket) and requires every hot-add check to pass.
 func TestHotplugExperimentQuick(t *testing.T) {
-	cfg := Config{Hotplug: QuickHotplugConfig()}
-	r, err := hotplugExp{}.Run(context.Background(), cfg)
+	r, err := hotplugExp(context.Background(), nil, hotplugConfig(Flags{Quick: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestHotplugExperimentQuick(t *testing.T) {
 // TestHotplugExperimentDefault runs the full sweep, which includes a
 // contended cell whose growth must be refused and rolled back.
 func TestHotplugExperimentDefault(t *testing.T) {
-	r, err := hotplugExp{}.Run(context.Background(), Config{Pool: NewPool(2)})
+	r, err := hotplugExp(context.Background(), NewPool(2), hotplugConfig(Flags{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/core"
-	"repro/internal/dram"
-	"repro/internal/ept"
 )
 
 // LifecycleAttackConfig parameterizes the "lifecycle-attack" experiment:
@@ -17,9 +14,6 @@ import (
 // preceded by the attacker's own mapping inference. The experiment asserts
 // the containment invariant campaign by campaign.
 type LifecycleAttackConfig struct {
-	// Campaigns selects the lifecycle windows attacked; empty = all four
-	// (attack.Campaigns order).
-	Campaigns []string
 	// Reps repeats each campaign with salt-spaced seeds.
 	Reps int
 	// Rounds is the lifecycle iterations per campaign run.
@@ -28,77 +22,34 @@ type LifecycleAttackConfig struct {
 	Seed int64
 }
 
-// DefaultLifecycleAttackConfig runs all four campaigns twice.
-func DefaultLifecycleAttackConfig() LifecycleAttackConfig {
-	return LifecycleAttackConfig{Reps: 2, Rounds: 2, Seed: 41}
-}
-
-// QuickLifecycleAttackConfig trims to one rep and one round per campaign —
-// still all four campaign classes.
-func QuickLifecycleAttackConfig() LifecycleAttackConfig {
-	cfg := DefaultLifecycleAttackConfig()
-	cfg.Reps = 1
-	cfg.Rounds = 1
+// lifecycleAttackConfig resolves the study: all four campaign classes
+// (attack.Campaigns order), two reps of two rounds each — one of one under
+// -quick.
+func lifecycleAttackConfig(f Flags) LifecycleAttackConfig {
+	cfg := LifecycleAttackConfig{Reps: 2, Rounds: 2, Seed: f.seed(41)}
+	if f.Quick {
+		cfg.Reps, cfg.Rounds = 1, 1
+	}
+	cfg.Reps = override(f.Reps, cfg.Reps)
 	return cfg
 }
 
-func (cfg *LifecycleAttackConfig) normalize() {
-	def := DefaultLifecycleAttackConfig()
-	if len(cfg.Campaigns) == 0 {
-		cfg.Campaigns = attack.Campaigns()
-	}
-	if cfg.Reps == 0 {
-		cfg.Reps = def.Reps
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = def.Rounds
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
-	}
-}
-
-// lifecycleLabConfig is the campaign box: the migration lab geometry (3
-// guest nodes of 64 MiB per socket) with the deterministic-flip profile, so
-// hammering bites and every flip is attributable.
-func lifecycleLabConfig() core.Config {
-	return core.Config{
-		Geometry:      migrationLabGeometry(),
-		Profiles:      []dram.Profile{eptRelocProfile()},
-		EPTProtection: ept.GuardRows,
-	}
-}
-
-type lifecycleAttackExp struct{}
-
-func (lifecycleAttackExp) Name() string { return "lifecycle-attack" }
-
-func (lifecycleAttackExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	lc := cfg.Lifecycle
-	lc.normalize()
-
-	type cell struct {
-		campaign string
-		rep      int
-	}
-	var cells []cell
-	for _, c := range lc.Campaigns {
-		for r := 0; r < lc.Reps; r++ {
-			cells = append(cells, cell{c, r})
-		}
-	}
-	results := make([]*attack.CampaignResult, len(cells))
-	err := cfg.Pool.Map(ctx, len(cells), func(i int) error {
-		cl := cells[i]
-		r, err := attack.RunCampaign(cl.campaign, attack.CampaignConfig{
+func lifecycleAttackExp(ctx context.Context, pool *Pool, lc LifecycleAttackConfig) (*Result, error) {
+	campaigns := attack.Campaigns()
+	// Cells are campaign-major, Reps per campaign; each cell's seed derives
+	// from its index alone.
+	results := make([]*attack.CampaignResult, len(campaigns)*lc.Reps)
+	err := pool.Map(ctx, len(results), func(i int) error {
+		campaign := campaigns[i/lc.Reps]
+		var err error
+		results[i], err = attack.RunCampaign(campaign, attack.CampaignConfig{
 			Core:   lifecycleLabConfig(),
-			Seed:   repSeed(lc.Seed, i),
+			Seed:   RepSeed(lc.Seed, i),
 			Rounds: lc.Rounds,
 		})
 		if err != nil {
-			return fmt.Errorf("campaign %s rep %d: %w", cl.campaign, cl.rep, err)
+			return fmt.Errorf("campaign %s rep %d: %w", campaign, i%lc.Reps, err)
 		}
-		results[i] = r
 		return nil
 	})
 	if err != nil {
@@ -123,43 +74,19 @@ func (lifecycleAttackExp) Run(ctx context.Context, cfg Config) (*Result, error) 
 		},
 	}
 
-	// Aggregate per campaign, in the configured order.
-	type aggT struct {
-		reps int
-		sum  attack.CampaignResult
-	}
-	agg := map[string]*aggT{}
+	// Aggregate per campaign.
+	sums := make([]attack.CampaignResult, len(campaigns))
 	for i, r := range results {
-		a := agg[cells[i].campaign]
-		if a == nil {
-			a = &aggT{}
-			agg[cells[i].campaign] = a
-		}
-		a.reps++
-		a.sum.Rounds += r.Rounds
-		a.sum.HammerBursts += r.HammerBursts
-		a.sum.AttackerFlips += r.AttackerFlips
-		a.sum.CrossDomainFlips += r.CrossDomainFlips
-		a.sum.Denied += r.Denied
-		a.sum.WindowViolations += r.WindowViolations
-		a.sum.ScrubLeaks += r.ScrubLeaks
-		a.sum.VictimCorruptions += r.VictimCorruptions
-		a.sum.AuditsPassed += r.AuditsPassed
-		a.sum.AuditFailures += r.AuditFailures
-		a.sum.AdjacencyProbed += r.AdjacencyProbed
-		a.sum.AdjacencyConfirmed += r.AdjacencyConfirmed
+		sums[i/lc.Reps].Add(r)
 	}
 
 	var total attack.CampaignResult
 	inferredAll, burstsAll := true, true
-	for _, name := range lc.Campaigns {
-		a := agg[name]
-		s := a.sum
-		res.Rows = append(res.Rows, Row{Label: name, Cells: []any{
-			name, a.reps, s.Rounds, s.HammerBursts, s.AttackerFlips, s.CrossDomainFlips,
+	for ci, name := range campaigns {
+		s := sums[ci]
+		res.row(name, name, lc.Reps, s.Rounds, s.HammerBursts, s.AttackerFlips, s.CrossDomainFlips,
 			s.Denied, s.WindowViolations, s.ScrubLeaks, s.VictimCorruptions,
-			s.AuditsPassed, s.AdjacencyConfirmed,
-		}})
+			s.AuditsPassed, s.AdjacencyConfirmed)
 		res.scalar("lifecycle_attacker_flips_"+name, float64(s.AttackerFlips))
 		res.scalar("lifecycle_cross_domain_flips_"+name, float64(s.CrossDomainFlips))
 		res.scalar("lifecycle_denied_"+name, float64(s.Denied))
@@ -169,15 +96,7 @@ func (lifecycleAttackExp) Run(ctx context.Context, cfg Config) (*Result, error) 
 		if s.HammerBursts == 0 || s.AttackerFlips == 0 {
 			burstsAll = false
 		}
-		total.HammerBursts += s.HammerBursts
-		total.AttackerFlips += s.AttackerFlips
-		total.CrossDomainFlips += s.CrossDomainFlips
-		total.Denied += s.Denied
-		total.WindowViolations += s.WindowViolations
-		total.ScrubLeaks += s.ScrubLeaks
-		total.VictimCorruptions += s.VictimCorruptions
-		total.AuditsPassed += s.AuditsPassed
-		total.AuditFailures += s.AuditFailures
+		total.Add(&s)
 	}
 	res.scalar("lifecycle_attacker_flips", float64(total.AttackerFlips))
 	res.scalar("lifecycle_cross_domain_flips", float64(total.CrossDomainFlips))
@@ -203,6 +122,6 @@ func (lifecycleAttackExp) Run(ctx context.Context, cfg Config) (*Result, error) 
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"%d hammer bursts across %d campaign cells produced %d flips, all inside attacker domains; "+
 			"every cross-domain probe was denied (%d) and every audit held",
-		total.HammerBursts, len(cells), total.AttackerFlips, total.Denied))
+		total.HammerBursts, len(results), total.AttackerFlips, total.Denied))
 	return res, nil
 }

@@ -14,8 +14,8 @@ import (
 // and the JSON render is byte-identical at parallelism 1 and 8 — the
 // interleaving is hook-driven per cell, so the pool only fans across cells.
 func TestLifecycleAttackExperiment(t *testing.T) {
-	cfg := Config{Lifecycle: QuickLifecycleAttackConfig()}
-	r, err := (lifecycleAttackExp{}).Run(context.Background(), cfg)
+	cfg := lifecycleAttackConfig(Flags{Quick: true})
+	r, err := lifecycleAttackExp(context.Background(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +39,7 @@ func TestLifecycleAttackExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPool(8)
-	r2, err := (lifecycleAttackExp{}).Run(context.Background(),
-		Config{Lifecycle: QuickLifecycleAttackConfig(), Pool: pool})
+	r2, err := lifecycleAttackExp(context.Background(), NewPool(8), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

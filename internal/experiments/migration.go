@@ -5,23 +5,17 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/addr"
 	"repro/internal/core"
-	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
 	"repro/internal/migrate"
-	"repro/internal/numa"
 )
 
 // MigrationConfig parameterizes the "migration" experiment: live pre-copy
 // cost (rounds, pages copied, stop-and-copy downtime) as a function of VM
-// size and guest write rate, under Siloz domains and under the baseline.
+// size and guest write rate, under Siloz domains and under the baseline, on
+// the lab box.
 type MigrationConfig struct {
-	// Geometry of the simulated server; zero value = a small two-socket
-	// lab box (64 MiB subarray groups) so each migration runs in
-	// milliseconds.
-	Geometry geometry.Geometry
 	// VMSizes are the guest RAM sizes swept.
 	VMSizes []uint64
 	// WriteRates are guest write intensities: 2 MiB pages dirtied per
@@ -36,46 +30,19 @@ type MigrationConfig struct {
 	Seed int64
 }
 
-// migrationLabGeometry is the small two-socket box the migration and
-// defrag studies run on: 4 subarray groups of 64 MiB per socket, so under
-// Siloz each socket carves into 1 host + 1 EPT + 3 guest nodes.
-func migrationLabGeometry() geometry.Geometry {
-	return geometry.Geometry{
-		Sockets:         2,
-		CoresPerSocket:  4,
-		DIMMsPerSocket:  1,
-		RanksPerDIMM:    2,
-		BanksPerRank:    8,
-		RowsPerBank:     2048,
-		RowBytes:        8 * geometry.KiB,
-		RowsPerSubarray: 512,
-	}
-}
-
-// migrationLabProfile strips the DRAM transforms so subarray groups form
-// without artificial padding; rowhammer susceptibility is irrelevant here.
-func migrationLabProfile() dram.Profile {
-	p := dram.ProfileF()
-	p.Transforms = addr.TransformConfig{}
-	return p
-}
-
-// DefaultMigrationConfig sweeps one- and two-node VMs across idle,
-// moderate, and write-heavy guests.
-func DefaultMigrationConfig() MigrationConfig {
-	return MigrationConfig{
+// migrationConfig resolves the sweep: one- and two-node VMs across idle,
+// moderate, and write-heavy guests, trimmed under -quick.
+func migrationConfig(f Flags) MigrationConfig {
+	cfg := MigrationConfig{
 		VMSizes:    []uint64{64 * geometry.MiB, 128 * geometry.MiB},
 		WriteRates: []int{0, 4, 12},
 		CopyGiBps:  12,
-		Seed:       11,
+		Seed:       f.seed(11),
 	}
-}
-
-// QuickMigrationConfig trims the sweep for smoke runs.
-func QuickMigrationConfig() MigrationConfig {
-	cfg := DefaultMigrationConfig()
-	cfg.VMSizes = []uint64{64 * geometry.MiB}
-	cfg.WriteRates = []int{0, 4}
+	if f.Quick {
+		cfg.VMSizes = []uint64{64 * geometry.MiB}
+		cfg.WriteRates = []int{0, 4}
+	}
 	return cfg
 }
 
@@ -104,51 +71,15 @@ func (r migrationRun) label() string {
 	return fmt.Sprintf("%s %dMiB rate=%d", mode, r.vmBytes/geometry.MiB, r.rate)
 }
 
-// migrationDestNodes picks enough free destination nodes on the far socket
-// to hold the VM: guest-reserved and unowned under Siloz, host memory under
-// the baseline.
-func migrationDestNodes(h *core.Hypervisor, vmBytes uint64) ([]int, error) {
-	kind := numa.HostReserved
-	if h.Mode() == core.ModeSiloz {
-		kind = numa.GuestReserved
-	}
-	var ids []int
-	var capacity uint64
-	for _, n := range h.Topology().NodesOnSocket(1, kind) {
-		if _, owned := h.Registry().OwnerOf(n.ID); owned {
-			continue
-		}
-		a, err := h.Allocator(n.ID)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, n.ID)
-		capacity += a.FreeBytes()
-		if capacity >= vmBytes {
-			return ids, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: no destination capacity for %d bytes on socket 1", vmBytes)
-}
-
 // runMigration boots a fresh system, fills a VM with a deterministic
 // pattern, migrates it cross-socket while the guest dirties `rate` pages
 // per round, and verifies byte identity afterwards.
 func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, seed int64) (*migrationRowResult, error) {
-	g := cfg.Geometry
-	if g.Sockets == 0 {
-		g = migrationLabGeometry()
-	}
-	h, err := core.Boot(core.Config{
-		Geometry:      g,
-		Profiles:      []dram.Profile{migrationLabProfile()},
-		EPTProtection: ept.GuardRows,
-	}, run.mode)
+	h, err := bootLab(migrationLabProfile(), ept.GuardRows, run.mode)
 	if err != nil {
 		return nil, err
 	}
-	vm, err := h.CreateVM(core.Process{CGroup: "kvm", KVMPrivileged: true},
-		core.VMSpec{Name: "mig", Socket: 0, MemoryBytes: run.vmBytes})
+	vm, err := h.CreateVM(kvmProc, core.VMSpec{Name: "mig", Socket: 0, MemoryBytes: run.vmBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +108,7 @@ func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, se
 		}
 	}
 
-	dests, err := migrationDestNodes(h, run.vmBytes)
+	dests, err := destNodes(h, 1, run.vmBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -200,21 +131,14 @@ func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, se
 
 	res := &migrationRowResult{run: run, rep: rep, ramPages: pages, intact: true}
 	res.downtimeM = float64(rep.DowntimeBytes) / (cfg.CopyGiBps * float64(geometry.GiB)) * 1e3
-	probe := make([]byte, chunk)
-	for p := 0; p < pages; p++ {
-		if err := vm.ReadGuest(uint64(p)*geometry.PageSize2M, probe); err != nil {
-			return nil, err
-		}
+	zero := make([]byte, chunk)
+	for p := 0; p < pages && res.intact; p++ {
 		want := mirror[p]
-		for i := range probe {
-			w := byte(0)
-			if want != nil {
-				w = want[i]
-			}
-			if probe[i] != w {
-				res.intact = false
-				break
-			}
+		if want == nil {
+			want = zero
+		}
+		if res.intact, err = guestHolds(vm, uint64(p)*geometry.PageSize2M, want); err != nil {
+			return nil, err
 		}
 	}
 	if run.mode == core.ModeSiloz {
@@ -225,18 +149,7 @@ func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, se
 
 // migrationExp is the "migration" experiment: live pre-copy cost vs. VM
 // size and guest write rate, Siloz vs. baseline.
-type migrationExp struct{}
-
-func (migrationExp) Name() string { return "migration" }
-
-func (migrationExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	mc := cfg.Migration
-	if len(mc.VMSizes) == 0 || len(mc.WriteRates) == 0 {
-		mc = DefaultMigrationConfig()
-	}
-	if mc.CopyGiBps <= 0 {
-		mc.CopyGiBps = DefaultMigrationConfig().CopyGiBps
-	}
+func migrationExp(ctx context.Context, pool *Pool, mc MigrationConfig) (*Result, error) {
 	var runs []migrationRun
 	for _, mode := range []core.Mode{core.ModeSiloz, core.ModeBaseline} {
 		for _, size := range mc.VMSizes {
@@ -245,11 +158,8 @@ func (migrationExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	results := make([]*migrationRowResult, len(runs))
-	err := cfg.Pool.Map(ctx, len(runs), func(i int) error {
-		var err error
-		results[i], err = runMigration(ctx, mc, runs[i], repSeed(mc.Seed, i))
-		return err
+	results, err := mapCells(ctx, pool, runs, func(i int, run migrationRun) (*migrationRowResult, error) {
+		return runMigration(ctx, mc, run, RepSeed(mc.Seed, i))
 	})
 	if err != nil {
 		return nil, err
@@ -269,10 +179,7 @@ func (migrationExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	for _, res := range results {
 		rep := res.rep
 		amp := float64(rep.PagesCopied) / float64(res.ramPages)
-		r.Rows = append(r.Rows, Row{
-			Label: res.run.label(),
-			Cells: []any{len(rep.Rounds), rep.PagesCopied, amp, rep.DowntimePages, res.downtimeM, rep.Converged},
-		})
+		r.row(res.run.label(), len(rep.Rounds), rep.PagesCopied, amp, rep.DowntimePages, res.downtimeM, rep.Converged)
 		intact = intact && res.intact
 		auditsOK = auditsOK && res.auditErr == nil
 		if res.run.rate == 0 && (!rep.Converged || rep.DowntimePages != 0) {

@@ -9,8 +9,8 @@ import (
 // every check passes (byte identity, idle zero-downtime, bounded
 // stop-and-copy, isolation audits) and two runs render identical bytes.
 func TestMigrationExperiment(t *testing.T) {
-	cfg := Config{Migration: QuickMigrationConfig()}
-	r, err := (migrationExp{}).Run(context.Background(), cfg)
+	cfg := migrationConfig(Flags{Quick: true})
+	r, err := migrationExp(context.Background(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestMigrationExperiment(t *testing.T) {
 			t.Errorf("check %s failed: %s", c.Name, c.Detail)
 		}
 	}
-	r2, err := (migrationExp{}).Run(context.Background(), cfg)
+	r2, err := migrationExp(context.Background(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,6 @@ import (
 // protection (flips contained) against overhead (refresh energy, blocked
 // capacity, workload slowdown), with Siloz as one row among equals.
 type MitigationMatrixConfig struct {
-	// Kinds selects the defense rows; empty = every mitigation kind in
-	// canonical order (none, para, silver-bullet, catt, siloz).
-	Kinds []string
 	// Reps repeats each kind's attack trial with salt-spaced seeds.
 	Reps int
 	// FuzzPatterns and ChurnRounds shape each trial's Blacksmith and
@@ -39,56 +36,27 @@ type MitigationMatrixConfig struct {
 	Seed int64
 }
 
-// DefaultMitigationMatrixConfig runs the full matrix: every kind, two
-// attack trials each, the full three-phase campaign.
-func DefaultMitigationMatrixConfig() MitigationMatrixConfig {
-	return MitigationMatrixConfig{
+// mitigationMatrixConfig resolves the matrix: two attack trials per defense
+// row and the full three-phase campaign; -quick trims to one trial and a
+// shorter campaign.
+func mitigationMatrixConfig(f Flags) MitigationMatrixConfig {
+	cfg := MitigationMatrixConfig{
 		Reps:         2,
 		FuzzPatterns: 6,
 		ChurnRounds:  2,
 		Ops:          30_000,
 		WorkloadReps: 3,
-		Seed:         53,
+		Seed:         f.seed(53),
 	}
-}
-
-// QuickMitigationMatrixConfig trims to one trial per kind and a shorter
-// campaign — still every defense row.
-func QuickMitigationMatrixConfig() MitigationMatrixConfig {
-	cfg := DefaultMitigationMatrixConfig()
-	cfg.Reps = 1
-	cfg.FuzzPatterns = 3
-	cfg.ChurnRounds = 1
-	cfg.Ops = 8_000
-	cfg.WorkloadReps = 2
+	if f.Quick {
+		cfg.Reps = 1
+		cfg.FuzzPatterns = 3
+		cfg.ChurnRounds = 1
+		cfg.Ops = 8_000
+		cfg.WorkloadReps = 2
+	}
+	cfg.Reps, cfg.Ops = override(f.Reps, cfg.Reps), override(f.Ops, cfg.Ops)
 	return cfg
-}
-
-func (cfg *MitigationMatrixConfig) normalize() {
-	def := DefaultMitigationMatrixConfig()
-	if len(cfg.Kinds) == 0 {
-		for _, k := range mitigation.Kinds() {
-			cfg.Kinds = append(cfg.Kinds, k.String())
-		}
-	}
-	if cfg.Reps == 0 {
-		cfg.Reps = def.Reps
-	}
-	if cfg.FuzzPatterns == 0 {
-		cfg.FuzzPatterns = def.FuzzPatterns
-	}
-	if cfg.ChurnRounds == 0 {
-		cfg.ChurnRounds = def.ChurnRounds
-	}
-	if cfg.Ops == 0 {
-		cfg.Ops = def.Ops
-	}
-	if cfg.WorkloadReps == 0 {
-		cfg.WorkloadReps = def.WorkloadReps
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
-	}
 }
 
 // matrixWorkloads is the slowdown suite: a random-access key-value server
@@ -98,40 +66,27 @@ func matrixWorkloads() []workload.Workload {
 	return []workload.Workload{workload.Memcached{}, workload.Sysbench{}}
 }
 
-type mitigationMatrixExp struct{}
-
-func (mitigationMatrixExp) Name() string { return "mitigation-matrix" }
-
-func (mitigationMatrixExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	mm := cfg.Matrix
-	mm.normalize()
-
-	kinds := make([]mitigation.Kind, len(mm.Kinds))
-	for i, s := range mm.Kinds {
-		k, err := mitigation.ParseKind(s)
-		if err != nil {
-			return nil, err
-		}
-		kinds[i] = k
-	}
-
+func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixConfig) (*Result, error) {
+	// One row per mitigation kind (none, para, silver-bullet, catt, siloz).
+	// Kinds() lists them in value order, so a Kind indexes its own row.
+	kinds := mitigation.Kinds()
 	// Phase 1: attack trials — kind x rep cells fan out on the pool; each
 	// cell's seed derives from its index alone, so parallel and serial
 	// schedules produce identical matrices.
 	type trialAgg struct {
-		trials                                 int
-		escapes, attackerFlips, guardFlips     int
-		victimFlips, strayFlips, corruptions   int
-		bursts, denied, refreshes, exhaustions int
-		blockedBytes                           uint64
-		activations                            int64
-		health                                 map[string]bool
+		trials                             int
+		escapes, attackerFlips, guardFlips int
+		victimFlips, strayFlips, bursts    int
+		refreshes                          int
+		blockedBytes                       uint64
+		activations                        int64
+		health                             map[string]bool
 	}
 	cells := len(kinds) * mm.Reps
 	trials := make([]*attack.MitigationTrialResult, cells)
-	err := cfg.Pool.Map(ctx, cells, func(i int) error {
+	err := pool.Map(ctx, cells, func(i int) error {
 		k := kinds[i/mm.Reps]
-		seed := repSeed(mm.Seed, i)
+		seed := RepSeed(mm.Seed, i)
 		lab := lifecycleLabConfig()
 		lab.Mitigation = mitigation.Spec{Kind: k, Seed: seed}
 		r, err := attack.RunMitigationTrial(attack.MitigationTrialConfig{
@@ -158,11 +113,8 @@ func (mitigationMatrixExp) Run(ctx context.Context, cfg Config) (*Result, error)
 		a.guardFlips += r.GuardFlips
 		a.victimFlips += r.VictimFlips
 		a.strayFlips += r.StrayFlips
-		a.corruptions += r.VictimCorruptions
 		a.bursts += r.HammerBursts
-		a.denied += r.Denied
 		a.refreshes += r.Refreshes
-		a.exhaustions += r.Exhaustions
 		a.blockedBytes += r.BlockedBytes
 		a.activations += r.Activations
 		if r.Health != "" {
@@ -175,10 +127,9 @@ func (mitigationMatrixExp) Run(ctx context.Context, cfg Config) (*Result, error)
 
 	// Phase 2: workload slowdown. Every kind's suite runs on a machine
 	// deploying that defense, with the controller carrying the same
-	// activation-plane instance the machine would; the undefended baseline
-	// is always measured (even when the none row is not selected) so
-	// slowdown is a ratio to it. Identical jitter streams across kinds
-	// make the ratio isolate the defense's own bank occupancy.
+	// activation-plane instance the machine would; slowdown is a ratio to
+	// the undefended row. Identical jitter streams across kinds make the
+	// ratio isolate the defense's own bank occupancy.
 	perf := PerfConfig{
 		Geometry:  migrationLabGeometry(),
 		VMMemory:  64 * geometry.MiB,
@@ -197,26 +148,19 @@ func (mitigationMatrixExp) Run(ctx context.Context, cfg Config) (*Result, error)
 			return nil, err
 		}
 		defer h.Shutdown()
-		vm, err := h.CreateVM(core.Process{KVMPrivileged: true}, core.VMSpec{
+		vm, err := h.CreateVM(kvmProc, core.VMSpec{
 			Name: "bench", Socket: 0, MemoryBytes: perf.VMMemory,
 			VCPUs: perf.Geometry.CoresPerSocket,
 		})
 		if err != nil {
 			return nil, err
 		}
-		var defense func(rep int) mitigation.Mitigation
-		if spec.HasRowDefense() {
-			defense = func(rep int) mitigation.Mitigation {
-				d, derr := spec.RowDefense(banks, mitigation.ScopeSeed(repSeed(spec.Seed, rep), banks))
-				if derr != nil {
-					return nil // unreachable post-Validate
-				}
-				return d
-			}
+		defense := func(rep int) mitigation.Mitigation {
+			return rowDefense(spec, banks, mitigation.ScopeSeed(RepSeed(spec.Seed, rep), banks))
 		}
 		out := make([]float64, len(wls))
 		for i, w := range wls {
-			s, err := measureDefended(ctx, cfg.Pool, perf, vm, w, execTime, defense)
+			s, err := measure(ctx, pool, perf, vm, w, execTime, defense)
 			if err != nil {
 				return nil, err
 			}
@@ -224,17 +168,15 @@ func (mitigationMatrixExp) Run(ctx context.Context, cfg Config) (*Result, error)
 		}
 		return out, nil
 	}
-	baseNs, err := suiteNs(mitigation.Spec{Kind: mitigation.KindNone, Seed: mm.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("baseline suite: %w", err)
-	}
+	var baseNs []float64
 	slowdown := make([]float64, len(kinds))
 	for ki, k := range kinds {
-		ns := baseNs
-		if k != mitigation.KindNone {
-			if ns, err = suiteNs(mitigation.Spec{Kind: k, Seed: mm.Seed}); err != nil {
-				return nil, fmt.Errorf("%v suite: %w", k, err)
-			}
+		ns, err := suiteNs(mitigation.Spec{Kind: k, Seed: mm.Seed})
+		if err != nil {
+			return nil, fmt.Errorf("%v suite: %w", k, err)
+		}
+		if k == mitigation.KindNone {
+			baseNs = ns
 		}
 		prod := 1.0
 		for i := range ns {
@@ -262,6 +204,10 @@ func (mitigationMatrixExp) Run(ctx context.Context, cfg Config) (*Result, error)
 		},
 	}
 
+	// blockedMiB is the mean capacity one trial's machine had blocked.
+	blockedMiB := func(a *trialAgg) float64 {
+		return float64(a.blockedBytes) / float64(a.trials) / float64(geometry.MiB)
+	}
 	protection := Series{Name: "escapes", Unit: "flips"}
 	capacity := Series{Name: "blocked-capacity", Unit: "MiB"}
 	slowSeries := Series{Name: "workload-slowdown", Unit: "x"}
@@ -281,34 +227,25 @@ func (mitigationMatrixExp) Run(ctx context.Context, cfg Config) (*Result, error)
 		if a.activations > 0 {
 			refRate = 1000 * float64(a.refreshes) / float64(a.activations)
 		}
-		blockedMiB := float64(a.blockedBytes) / float64(a.trials) / float64(geometry.MiB)
 		name := kinds[ki].String()
-		res.Rows = append(res.Rows, Row{Label: name, Cells: []any{
-			name, a.trials, a.escapes, a.attackerFlips, a.guardFlips,
-			a.refreshes, round3(refRate), round3(blockedMiB), round3(slowdown[ki]), health,
-		}})
+		res.row(name, name, a.trials, a.escapes, a.attackerFlips, a.guardFlips,
+			a.refreshes, round3(refRate), round3(blockedMiB(a)), round3(slowdown[ki]), health)
 		res.scalar(keyed("escapes", ki), float64(a.escapes))
 		res.scalar(keyed("refreshes", ki), float64(a.refreshes))
-		res.scalar(keyed("blocked_mib", ki), round3(blockedMiB))
+		res.scalar(keyed("blocked_mib", ki), round3(blockedMiB(a)))
 		res.scalar(keyed("slowdown_x", ki), round3(slowdown[ki]))
 		protection.Points = append(protection.Points, Point{Label: name, Value: float64(a.escapes)})
-		capacity.Points = append(capacity.Points, Point{Label: name, Value: round3(blockedMiB)})
+		capacity.Points = append(capacity.Points, Point{Label: name, Value: round3(blockedMiB(a))})
 		slowSeries.Points = append(slowSeries.Points, Point{Label: name, Value: round3(slowdown[ki])})
 	}
 	res.Series = append(res.Series, protection, capacity, slowSeries)
 
 	// Checks: the matrix must have a vulnerable baseline, containing
 	// defenses, and costs paid in each defense's own currency.
-	idx := map[mitigation.Kind]int{}
-	for ki, k := range kinds {
-		idx[k] = ki
-	}
-	if ni, ok := idx[mitigation.KindNone]; ok {
-		a := &aggs[ni]
-		res.check("baseline_vulnerable", a.escapes > 0 && a.refreshes == 0,
-			fmt.Sprintf("undefended machine: %d flips escaped the attacker (victim %d, stray %d), zero refreshes",
-				a.escapes, a.victimFlips, a.strayFlips))
-	}
+	none := &aggs[mitigation.KindNone]
+	res.check("baseline_vulnerable", none.escapes > 0 && none.refreshes == 0,
+		fmt.Sprintf("undefended machine: %d flips escaped the attacker (victim %d, stray %d), zero refreshes",
+			none.escapes, none.victimFlips, none.strayFlips))
 	contained, nonvacuous := true, true
 	var worst string
 	for ki, k := range kinds {
@@ -329,28 +266,19 @@ func (mitigationMatrixExp) Run(ctx context.Context, cfg Config) (*Result, error)
 	res.check("attack_nonvacuous", nonvacuous,
 		"every trial landed hammer bursts against extent-edge rows")
 	for _, k := range []mitigation.Kind{mitigation.KindPARA, mitigation.KindSilverBullet} {
-		if ki, ok := idx[k]; ok {
-			a := &aggs[ki]
-			res.check(k.String()+"_pays_in_energy", a.refreshes > 0 && a.blockedBytes == 0,
-				fmt.Sprintf("%d proactive refreshes, no capacity blocked", a.refreshes))
-		}
+		a := &aggs[k]
+		res.check(k.String()+"_pays_in_energy", a.refreshes > 0 && a.blockedBytes == 0,
+			fmt.Sprintf("%d proactive refreshes, no capacity blocked", a.refreshes))
 	}
 	for _, k := range []mitigation.Kind{mitigation.KindCATT, mitigation.KindSiloz} {
-		if ki, ok := idx[k]; ok {
-			a := &aggs[ki]
-			res.check(k.String()+"_pays_in_capacity", a.blockedBytes > 0 && a.refreshes == 0,
-				fmt.Sprintf("%.1f MiB blocked, no injected refreshes", float64(a.blockedBytes)/float64(a.trials)/float64(geometry.MiB)))
-		}
+		a := &aggs[k]
+		res.check(k.String()+"_pays_in_capacity", a.blockedBytes > 0 && a.refreshes == 0,
+			fmt.Sprintf("%.1f MiB blocked, no injected refreshes", blockedMiB(a)))
 	}
-	if ci, ok := idx[mitigation.KindCATT]; ok {
-		if si, ok := idx[mitigation.KindSiloz]; ok {
-			res.check("siloz_blocks_less_than_catt",
-				aggs[si].blockedBytes < aggs[ci].blockedBytes,
-				fmt.Sprintf("siloz blocks %.1f MiB vs catt's %.1f MiB: row-space guard bands cost pages at every extent edge, subarray-group alignment only at group boundaries",
-					float64(aggs[si].blockedBytes)/float64(aggs[si].trials)/float64(geometry.MiB),
-					float64(aggs[ci].blockedBytes)/float64(aggs[ci].trials)/float64(geometry.MiB)))
-		}
-	}
+	catt, siloz := &aggs[mitigation.KindCATT], &aggs[mitigation.KindSiloz]
+	res.check("siloz_blocks_less_than_catt", siloz.blockedBytes < catt.blockedBytes,
+		fmt.Sprintf("siloz blocks %.1f MiB vs catt's %.1f MiB: row-space guard bands cost pages at every extent edge, subarray-group alignment only at group boundaries",
+			blockedMiB(siloz), blockedMiB(catt)))
 
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"%d attack trials across %d defenses; every defense contained the campaign the undefended "+

@@ -6,15 +6,11 @@ import (
 	"testing"
 )
 
-func quickMatrixConfig() Config {
-	return Config{Matrix: QuickMitigationMatrixConfig()}
-}
-
 // TestMitigationMatrixRows: the matrix must carry one row per defense kind
 // with a vulnerable baseline and containing defenses — the head-to-head
 // comparison the framework exists to produce.
 func TestMitigationMatrixRows(t *testing.T) {
-	r, err := mitigationMatrixExp{}.Run(context.Background(), quickMatrixConfig())
+	r, err := mitigationMatrixExp(context.Background(), nil, mitigationMatrixConfig(Flags{Quick: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +44,9 @@ func TestMitigationMatrixRows(t *testing.T) {
 // text and JSON on a width-1 and a width-8 pool — the guarantee that lets
 // its kind x rep cells fan out.
 func TestMitigationMatrixParallelDeterminism(t *testing.T) {
-	cfg := quickMatrixConfig()
-	names := []string{"mitigation-matrix"}
-	text1, js1 := renderRun(t, names, cfg, 1)
-	text8, js8 := renderRun(t, names, cfg, 8)
+	jobs := quickJobs(t, "mitigation-matrix")
+	text1, js1 := renderRun(t, jobs, 1)
+	text8, js8 := renderRun(t, jobs, 8)
 	if text1 != text8 {
 		t.Errorf("text output differs between -parallel 1 and -parallel 8:\n--- width 1 ---\n%s\n--- width 8 ---\n%s", text1, text8)
 	}

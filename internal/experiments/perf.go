@@ -47,16 +47,14 @@ func comparePerf(ctx context.Context, pool *Pool, cfg PerfConfig, title string,
 	refCfg.JitterSalt = 1 + 3*int64(refMode) + 17*int64(refRows)
 	varCfg.JitterSalt = 2 + 5*int64(varMode) + 23*int64(varRows)
 
-	refH, refVM, err := bootWithVM(cfg, refMode, refRows)
+	refVM, err := bootBenchVM(cfg, refMode, refRows)
 	if err != nil {
 		return Figure{}, fmt.Errorf("booting reference: %w", err)
 	}
-	varH, varVM, err := bootWithVM(cfg, varMode, varRows)
+	varVM, err := bootBenchVM(cfg, varMode, varRows)
 	if err != nil {
 		return Figure{}, fmt.Errorf("booting variant: %w", err)
 	}
-	_ = refH
-	_ = varH
 
 	fig := Figure{Title: title}
 	addBar := func(name string, ref, vr stats.Sample) {
@@ -68,11 +66,11 @@ func comparePerf(ctx context.Context, pool *Pool, cfg PerfConfig, title string,
 		if err := ctx.Err(); err != nil {
 			return fig, err
 		}
-		ref, err := measure(ctx, pool, refCfg, refVM, w, metric)
+		ref, err := measure(ctx, pool, refCfg, refVM, w, metric, nil)
 		if err != nil {
 			return fig, err
 		}
-		vr, err := measure(ctx, pool, varCfg, varVM, w, metric)
+		vr, err := measure(ctx, pool, varCfg, varVM, w, metric, nil)
 		if err != nil {
 			return fig, err
 		}
@@ -87,15 +85,15 @@ func comparePerf(ctx context.Context, pool *Pool, cfg PerfConfig, title string,
 		err := pool.Map(ctx, cfg.Reps, func(rep int) error {
 			repRef, repVar := refCfg, varCfg
 			repRef.Reps, repVar.Reps = 1, 1
-			repRef.Seed = repSeed(cfg.Seed, rep)
+			repRef.Seed = RepSeed(cfg.Seed, rep)
 			repVar.Seed = repRef.Seed
 			var refVals, varVals []float64
 			for _, w := range s.members {
-				ref, err := measure(ctx, nil, repRef, refVM, w, metric)
+				ref, err := measure(ctx, nil, repRef, refVM, w, metric, nil)
 				if err != nil {
 					return err
 				}
-				vr, err := measure(ctx, nil, repVar, varVM, w, metric)
+				vr, err := measure(ctx, nil, repVar, varVM, w, metric, nil)
 				if err != nil {
 					return err
 				}
@@ -130,36 +128,39 @@ func Fig5Throughput(ctx context.Context, pool *Pool, cfg PerfConfig) (Figure, er
 		core.ModeBaseline, core.ModeSiloz, 0, 0, fig5Workloads(), nil, throughput)
 }
 
-// SizeSensitivity reproduces Figures 6 and 7: Siloz-512 and Siloz-2048
-// normalized to Siloz-1024 (§7.4), for both metrics.
-type SizeSensitivity struct {
-	Time512, Time2048 Figure
-	Tput512, Tput2048 Figure
+// SizedFigure is one bar chart of the §7.4 sweep, keyed the way the fig67
+// experiment names its series (e.g. "fig6-siloz512").
+type SizedFigure struct {
+	Key string
+	Figure
 }
 
-// Fig6And7SizeSensitivity runs the §7.4 sweep.
-func Fig6And7SizeSensitivity(ctx context.Context, pool *Pool, cfg PerfConfig) (SizeSensitivity, error) {
-	var out SizeSensitivity
+// Fig6And7SizeSensitivity reproduces Figures 6 and 7: Siloz-512 and
+// Siloz-2048 normalized to Siloz-1024 (§7.4), execution time (Fig. 6) then
+// throughput (Fig. 7).
+func Fig6And7SizeSensitivity(ctx context.Context, pool *Pool, cfg PerfConfig) ([]SizedFigure, error) {
 	singles, suites := fig4Workloads()
-	var err error
-	out.Time512, err = comparePerf(ctx, pool, cfg, "Figure 6 (Siloz-512 vs Siloz-1024): execution time",
-		core.ModeSiloz, core.ModeSiloz, 1024, 512, singles, suites, execTime)
-	if err != nil {
-		return out, err
+	var out []SizedFigure
+	for _, m := range []struct {
+		fig, name string
+		singles   []workload.Workload
+		suites    []suite
+		metric    func(memctrl.Result) float64
+	}{
+		{"6", "execution time", singles, suites, execTime},
+		{"7", "throughput", fig5Workloads(), nil, throughput},
+	} {
+		for _, rows := range []int{512, 2048} {
+			fig, err := comparePerf(ctx, pool, cfg,
+				fmt.Sprintf("Figure %s (Siloz-%d vs Siloz-1024): %s", m.fig, rows, m.name),
+				core.ModeSiloz, core.ModeSiloz, 1024, rows, m.singles, m.suites, m.metric)
+			if err != nil {
+				return out, err
+			}
+			out = append(out, SizedFigure{Key: fmt.Sprintf("fig%s-siloz%d", m.fig, rows), Figure: fig})
+		}
 	}
-	out.Time2048, err = comparePerf(ctx, pool, cfg, "Figure 6 (Siloz-2048 vs Siloz-1024): execution time",
-		core.ModeSiloz, core.ModeSiloz, 1024, 2048, singles, suites, execTime)
-	if err != nil {
-		return out, err
-	}
-	out.Tput512, err = comparePerf(ctx, pool, cfg, "Figure 7 (Siloz-512 vs Siloz-1024): throughput",
-		core.ModeSiloz, core.ModeSiloz, 1024, 512, fig5Workloads(), nil, throughput)
-	if err != nil {
-		return out, err
-	}
-	out.Tput2048, err = comparePerf(ctx, pool, cfg, "Figure 7 (Siloz-2048 vs Siloz-1024): throughput",
-		core.ModeSiloz, core.ModeSiloz, 1024, 2048, fig5Workloads(), nil, throughput)
-	return out, err
+	return out, nil
 }
 
 // figureResult wraps a single computed figure as a structured Result.
@@ -172,12 +173,8 @@ func figureResult(name string, fig Figure) *Result {
 }
 
 // fig4Exp is the "fig4" experiment: Figure 4, execution time.
-type fig4Exp struct{}
-
-func (fig4Exp) Name() string { return "fig4" }
-
-func (fig4Exp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	fig, err := Fig4ExecutionTime(ctx, cfg.Pool, cfg.Perf)
+func fig4Exp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
+	fig, err := Fig4ExecutionTime(ctx, pool, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -185,12 +182,8 @@ func (fig4Exp) Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // fig5Exp is the "fig5" experiment: Figure 5, throughput.
-type fig5Exp struct{}
-
-func (fig5Exp) Name() string { return "fig5" }
-
-func (fig5Exp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	fig, err := Fig5Throughput(ctx, cfg.Pool, cfg.Perf)
+func fig5Exp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
+	fig, err := Fig5Throughput(ctx, pool, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -198,29 +191,17 @@ func (fig5Exp) Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // fig67Exp is the "fig67" experiment: the §7.4 subarray-size sweep.
-type fig67Exp struct{}
-
-func (fig67Exp) Name() string { return "fig67" }
-
-func (fig67Exp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	res, err := Fig6And7SizeSensitivity(ctx, cfg.Pool, cfg.Perf)
+func fig67Exp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
+	res, err := Fig6And7SizeSensitivity(ctx, pool, cfg)
 	if err != nil {
 		return nil, err
 	}
 	r := &Result{Name: "fig67", Title: "Figures 6+7: subarray size sensitivity (§7.4)"}
-	for _, f := range []struct {
-		key string
-		fig Figure
-	}{
-		{"fig6-siloz512", res.Time512},
-		{"fig6-siloz2048", res.Time2048},
-		{"fig7-siloz512", res.Tput512},
-		{"fig7-siloz2048", res.Tput2048},
-	} {
-		r.Series = append(r.Series, f.fig.series(f.key))
-		r.scalar(f.key+"_geomean_pct", f.fig.GeomeanPct)
-		r.check(f.key+"_within_half_percent", f.fig.WithinHalfPercent(),
-			fmt.Sprintf("geomean %+.2f%%", f.fig.GeomeanPct))
+	for _, f := range res {
+		r.Series = append(r.Series, f.series(f.Key))
+		r.scalar(f.Key+"_geomean_pct", f.GeomeanPct)
+		r.check(f.Key+"_within_half_percent", f.WithinHalfPercent(),
+			fmt.Sprintf("geomean %+.2f%%", f.GeomeanPct))
 	}
 	return r, nil
 }

@@ -15,7 +15,7 @@ import (
 //
 // Determinism does not depend on scheduling: every task writes only into
 // its own index-addressed slot, and all per-task RNG seeds derive from the
-// task index (see repSeed), so a width-1 pool, a width-N pool, and a nil
+// task index (see RepSeed), so a width-1 pool, a width-N pool, and a nil
 // pool (inline execution) produce bit-for-bit identical results.
 //
 // To stay deadlock-free, Pool methods must not be nested: code running
@@ -57,17 +57,7 @@ func (p *Pool) release() { <-p.sem }
 // Monolithic experiments wrap their whole body in Run so a width-1 pool
 // serializes them against other experiments' work.
 func (p *Pool) Run(ctx context.Context, fn func() error) error {
-	if p == nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return fn()
-	}
-	if err := p.acquire(ctx); err != nil {
-		return err
-	}
-	defer p.release()
-	return fn()
+	return p.Map(ctx, 1, func(int) error { return fn() })
 }
 
 // Map runs fn(0)..fn(n-1), each under a worker slot, and returns the
@@ -120,53 +110,50 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(i int) error) error {
 // or in what order.
 const repSeedSalt = 7919
 
-// repSeed derives repetition i's RNG seed from an experiment's base seed.
-func repSeed(base int64, rep int) int64 { return base + int64(rep)*repSeedSalt }
+// RepSeed derives repetition i's RNG seed from a base seed. It is exported
+// for the commands that fan their own repetitions (siloz sim, siloz
+// blacksmith) and must match the scheduler's scheme.
+func RepSeed(base int64, rep int) int64 { return base + int64(rep)*repSeedSalt }
 
-// RepSeed is the exported form of the per-rep seed derivation, for commands
-// that fan their own repetitions (siloz-sim, siloz-blacksmith) and must
-// match the scheduler's scheme.
-func RepSeed(base int64, rep int) int64 { return repSeed(base, rep) }
-
-// RunAll executes the experiments on cfg.Pool (allocating a GOMAXPROCS
-// pool if cfg.Pool is nil), fanning out across experiments and, inside
-// each, across repetitions. Results are collected by registry index; if
-// onDone is non-nil it is called in input order — result i is delivered
-// only after results 0..i-1 — with the experiment's wall time, so callers
-// can stream output whose bytes do not depend on scheduling.
+// RunAll executes the jobs on pool (allocating a GOMAXPROCS pool if it is
+// nil), fanning out across experiments and, inside each, across
+// repetitions. Results are collected by input index; if onDone is non-nil
+// it is called in input order — result i is delivered only after results
+// 0..i-1 — with the experiment's wall time, so callers can stream output
+// whose bytes do not depend on scheduling.
 //
 // The first failure (by input order) cancels the remaining work and is
 // returned; results completed before the failure are still returned.
-func RunAll(ctx context.Context, exps []Experiment, cfg Config, onDone func(r *Result, elapsed time.Duration)) ([]*Result, error) {
+func RunAll(ctx context.Context, jobs []Job, pool *Pool, onDone func(r *Result, elapsed time.Duration)) ([]*Result, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if cfg.Pool == nil {
-		cfg.Pool = NewPool(0)
+	if pool == nil {
+		pool = NewPool(0)
 	}
-	results := make([]*Result, len(exps))
-	errs := make([]error, len(exps))
-	elapsed := make([]time.Duration, len(exps))
-	done := make([]chan struct{}, len(exps))
+	results := make([]*Result, len(jobs))
+	errs := make([]error, len(jobs))
+	elapsed := make([]time.Duration, len(jobs))
+	done := make([]chan struct{}, len(jobs))
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	for i, e := range exps {
-		go func(i int, e Experiment) {
+	for i, j := range jobs {
+		go func(i int, j Job) {
 			defer close(done[i])
 			start := time.Now()
-			results[i], errs[i] = e.Run(ctx, cfg)
+			results[i], errs[i] = j.Run(ctx, pool, j.Params)
 			elapsed[i] = time.Since(start)
 			if errs[i] != nil {
 				cancel() // abort the rest; first in-order error wins below
 			}
-		}(i, e)
+		}(i, j)
 	}
 	var firstErr error
-	for i := range exps {
+	for i := range jobs {
 		<-done[i]
 		if errs[i] != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", exps[i].Name(), errs[i])
+				firstErr = fmt.Errorf("%s: %w", jobs[i].Name, errs[i])
 			}
 			continue
 		}

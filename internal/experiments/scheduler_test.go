@@ -10,23 +10,23 @@ import (
 	"time"
 )
 
-// renderRun executes the named experiments through RunAll on a pool of the
-// given width and returns the concatenated text and JSON renderings, in
-// delivery order.
-func renderRun(t *testing.T, names []string, cfg Config, width int) (string, []byte) {
+// quickJobs binds the named experiments to their -quick parameters.
+func quickJobs(t *testing.T, names string) []Job {
 	t.Helper()
-	var exps []Experiment
-	for _, n := range names {
-		e, ok := Get(n)
-		if !ok {
-			t.Fatalf("experiment %q not registered", n)
-		}
-		exps = append(exps, e)
+	jobs, err := Select(names, Flags{Quick: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg.Pool = NewPool(width)
+	return jobs
+}
+
+// renderRun executes the jobs through RunAll on a pool of the given width
+// and returns the concatenated text and JSON renderings, in delivery order.
+func renderRun(t *testing.T, jobs []Job, width int) (string, []byte) {
+	t.Helper()
 	var text strings.Builder
 	var js bytes.Buffer
-	_, err := RunAll(context.Background(), exps, cfg, func(r *Result, _ time.Duration) {
+	_, err := RunAll(context.Background(), jobs, NewPool(width), func(r *Result, _ time.Duration) {
 		text.WriteString(RenderText(r))
 		out, err := RenderJSON(r)
 		if err != nil {
@@ -45,13 +45,12 @@ func renderRun(t *testing.T, names []string, cfg Config, width int) (string, []b
 // mix of rep-fanned (fig5), DIMM-fanned (table3) and monolithic (overhead,
 // zebram) experiments.
 func TestParallelDeterminism(t *testing.T) {
-	cfg := Config{Perf: QuickPerfConfig(), Security: quickSecurity()}
-	cfg.Perf.Ops = 4000
-	cfg.Perf.Reps = 2
-	names := []string{"table3", "fig5", "overhead", "zebram"}
+	jobs := quickJobs(t, "table3,fig5,overhead,zebram")
+	jobs[0].Params = quickSecurity()
+	jobs[1].Params = quickPerf()
 
-	text1, js1 := renderRun(t, names, cfg, 1)
-	text8, js8 := renderRun(t, names, cfg, 8)
+	text1, js1 := renderRun(t, jobs, 1)
+	text8, js8 := renderRun(t, jobs, 8)
 	if text1 != text8 {
 		t.Errorf("text output differs between -parallel 1 and -parallel 8:\n--- width 1 ---\n%s\n--- width 8 ---\n%s", text1, text8)
 	}
@@ -59,14 +58,9 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Errorf("JSON output differs between -parallel 1 and -parallel 8")
 	}
 	// And a nil pool (pure inline execution) matches too.
-	var exps []Experiment
-	for _, n := range names {
-		e, _ := Get(n)
-		exps = append(exps, e)
-	}
 	var inline strings.Builder
-	for _, e := range exps {
-		r, err := e.Run(context.Background(), Config{Perf: cfg.Perf, Security: cfg.Security})
+	for _, j := range jobs {
+		r, err := j.Run(context.Background(), nil, j.Params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,16 +75,8 @@ func TestParallelDeterminism(t *testing.T) {
 // completion order, regardless of experiment cost imbalance.
 func TestRunAllStreamsInOrder(t *testing.T) {
 	names := []string{"overhead", "softrefresh", "fragmentation", "ddr5"}
-	var exps []Experiment
-	for _, n := range names {
-		e, ok := Get(n)
-		if !ok {
-			t.Fatalf("experiment %q not registered", n)
-		}
-		exps = append(exps, e)
-	}
 	var got []string
-	results, err := RunAll(context.Background(), exps, Config{Perf: QuickPerfConfig(), Pool: NewPool(4)},
+	results, err := RunAll(context.Background(), quickJobs(t, strings.Join(names, ",")), NewPool(4),
 		func(r *Result, _ time.Duration) { got = append(got, r.Name) })
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +98,13 @@ func TestRunAllStreamsInOrder(t *testing.T) {
 // wrapped with the experiment name, and cancels the remaining work.
 func TestRunAllFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
-	exps := []Experiment{
-		fakeExp{name: "ok"},
-		fakeExp{name: "bad", err: boom},
-		fakeExp{name: "after"},
+	jobs := []Job{
+		{Experiment: fakeExp("ok", nil)},
+		{Experiment: fakeExp("bad", boom)},
+		{Experiment: fakeExp("after", nil)},
 	}
 	var delivered []string
-	_, err := RunAll(context.Background(), exps, Config{Pool: NewPool(2)},
+	_, err := RunAll(context.Background(), jobs, NewPool(2),
 		func(r *Result, _ time.Duration) { delivered = append(delivered, r.Name) })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
@@ -134,27 +120,22 @@ func TestRunAllFirstErrorWins(t *testing.T) {
 	}
 }
 
-// fakeExp is a trivial experiment for scheduler-level tests.
-type fakeExp struct {
-	name string
-	err  error
-}
-
-func (f fakeExp) Name() string { return f.name }
-
-func (f fakeExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	return &Result{Name: f.name, Title: f.name}, nil
+// fakeExp is a trivial parameterless experiment for scheduler-level tests.
+func fakeExp(name string, err error) Experiment {
+	return fixed(name, func(context.Context, *Pool) (*Result, error) {
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Name: name, Title: name}, nil
+	})
 }
 
 // TestCancellationPropagates verifies a long experiment returns promptly —
 // with a context error — once the caller cancels.
 func TestCancellationPropagates(t *testing.T) {
-	cfg := Config{Perf: DefaultPerfConfig(), Security: DefaultSecurityConfig(), Pool: NewPool(2)}
-	cfg.Perf.Ops = 500_000 // far more work than the deadline allows
-	cfg.Perf.Reps = 8
+	cfg := perfConfig(Flags{})
+	cfg.Ops = 500_000 // far more work than the deadline allows
+	cfg.Reps = 8
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(50*time.Millisecond, cancel)
 	e, ok := Get("fig4")
@@ -162,7 +143,7 @@ func TestCancellationPropagates(t *testing.T) {
 		t.Fatal("fig4 not registered")
 	}
 	start := time.Now()
-	_, err := e.Run(ctx, cfg)
+	_, err := e.Run(ctx, NewPool(2), cfg)
 	if err == nil {
 		t.Fatal("Run completed despite cancellation")
 	}
@@ -199,16 +180,13 @@ func TestPoolMapErrors(t *testing.T) {
 }
 
 // TestRepSeedScheme pins the per-rep seed derivation: rep i draws from
-// base + i*7919, and the exported form matches.
+// base + i*7919.
 func TestRepSeedScheme(t *testing.T) {
-	if got := repSeed(1, 0); got != 1 {
-		t.Errorf("repSeed(1,0) = %d", got)
+	if got := RepSeed(1, 0); got != 1 {
+		t.Errorf("RepSeed(1,0) = %d", got)
 	}
-	if got := repSeed(1, 3); got != 1+3*7919 {
-		t.Errorf("repSeed(1,3) = %d", got)
-	}
-	if RepSeed(42, 5) != repSeed(42, 5) {
-		t.Error("RepSeed diverges from repSeed")
+	if got := RepSeed(1, 3); got != 1+3*7919 {
+		t.Errorf("RepSeed(1,3) = %d", got)
 	}
 }
 
@@ -225,7 +203,7 @@ func TestRegistry(t *testing.T) {
 		}
 		seen[n] = true
 		e, ok := Get(n)
-		if !ok || e.Name() != n {
+		if !ok || e.Name != n {
 			t.Fatalf("Get(%q) inconsistent", n)
 		}
 	}

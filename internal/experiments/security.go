@@ -14,7 +14,7 @@ import (
 
 // SecurityConfig parameterizes the §7.1 experiments.
 type SecurityConfig struct {
-	// Geometry of the simulated server; zero value = the paper's server.
+	// Geometry of the simulated server.
 	Geometry geometry.Geometry
 	// Patterns per DIMM for the fuzzing campaign.
 	Patterns int
@@ -24,10 +24,15 @@ type SecurityConfig struct {
 	Seed int64
 }
 
-// DefaultSecurityConfig sizes the campaign like one unit of the paper's
-// 24-hour run.
-func DefaultSecurityConfig() SecurityConfig {
-	return SecurityConfig{Geometry: geometry.Default(), Patterns: 40, Windows: 2, Seed: 7}
+// securityConfig resolves the §7.1 parameters: the campaign is sized like
+// one unit of the paper's 24-hour run, on the paper's server at any scale.
+func securityConfig(f Flags) SecurityConfig {
+	return SecurityConfig{
+		Geometry: geometry.Default(),
+		Patterns: override(f.Patterns, 40),
+		Windows:  2,
+		Seed:     f.seed(7),
+	}
 }
 
 // DIMMContainment is one row of Table 3.
@@ -185,12 +190,8 @@ func Table3Containment(ctx context.Context, pool *Pool, cfg SecurityConfig) (Tab
 }
 
 // table3Exp is the "table3" experiment: per-DIMM bit-flip containment.
-type table3Exp struct{}
-
-func (table3Exp) Name() string { return "table3" }
-
-func (table3Exp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	res, err := Table3Containment(ctx, cfg.Pool, cfg.Security)
+func table3Exp(ctx context.Context, pool *Pool, cfg SecurityConfig) (*Result, error) {
+	res, err := Table3Containment(ctx, pool, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -201,10 +202,8 @@ func (table3Exp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	var inside, outside int
 	for _, row := range res.Rows {
-		r.Rows = append(r.Rows, Row{Label: row.DIMM, Cells: []any{
-			row.FlipsInside, row.FlipsOutside, row.AttackerObserved,
-			row.RanksWithFlips, row.BanksWithFlips,
-		}})
+		r.row(row.DIMM, row.FlipsInside, row.FlipsOutside, row.AttackerObserved,
+			row.RanksWithFlips, row.BanksWithFlips)
 		inside += row.FlipsInside
 		outside += row.FlipsOutside
 	}
@@ -239,56 +238,24 @@ func EPTProtection(cfg SecurityConfig) (EPTProtectionResult, error) {
 	if err != nil {
 		return out, err
 	}
-	vm, err := h.CreateVM(core.Process{KVMPrivileged: true}, core.VMSpec{
+	vm, err := h.CreateVM(kvmProc, core.VMSpec{
 		Name: "probe", Socket: 0,
 		MemoryBytes: uint64(h.Layout().GroupBytes()),
 	})
 	if err != nil {
 		return out, err
 	}
-	before := make(map[uint64]uint64)
-	for gpa := uint64(0); gpa < vm.Spec().MemoryBytes; gpa += geometry.PageSize2M {
-		hpa, err := vm.TranslateUncached(gpa)
-		if err != nil {
-			return out, err
-		}
-		before[gpa] = hpa
-	}
-
-	mem := h.Memory()
-
-	eptNode, err := h.EPTNode(0)
+	before, err := translations(vm)
 	if err != nil {
 		return out, err
 	}
-	ma, err := mem.Mapper().Decode(eptNode.Ranges[0].Start)
-	if err != nil {
-		return out, err
-	}
-	// Protected block: hammer the closest allocatable rows around the
-	// 32-row EPT block (rows just above it).
-	for _, row := range []int{core.EPTBlockRowGroups, core.EPTBlockRowGroups + 1} {
-		pa, err := mem.Mapper().Encode(geometry.MediaAddr{Bank: ma.Bank, Row: row, Col: 0})
-		if err != nil {
-			return out, err
-		}
-		if err := mem.ActivatePhys(pa, int(prof.HammerThreshold)*4, 0); err != nil {
-			return out, err
-		}
-	}
-	mem.Refresh()
-	// Unprotected control rows in the same subarray group: hammer row
-	// 100 (host group interior).
-	ctrlPA, err := mem.Mapper().Encode(geometry.MediaAddr{Bank: ma.Bank, Row: 100, Col: 0})
-	if err != nil {
-		return out, err
-	}
-	if err := mem.ActivatePhys(ctrlPA, int(prof.HammerThreshold)*4, 0); err != nil {
-		return out, err
-	}
-	mem.Refresh()
 
-	for _, f := range mem.Flips() {
+	// The control row, 100, is host-group interior in the same subarray
+	// group as the block.
+	if err := hammerEPTBlock(h, 0, 100, int(prof.HammerThreshold)*4); err != nil {
+		return out, err
+	}
+	for _, f := range h.Memory().Flips() {
 		if f.MediaRow < core.EPTBlockRowGroups {
 			if f.MediaRow == core.EPTRowGroupOffset {
 				out.ProtectedFlips++
@@ -298,29 +265,14 @@ func EPTProtection(cfg SecurityConfig) (EPTProtectionResult, error) {
 		}
 		out.UnprotectedFlips++
 	}
-	out.TranslationsIntact = true
-	for gpa, want := range before {
-		hpa, err := vm.TranslateUncached(gpa)
-		if err != nil || hpa != want {
-			out.TranslationsIntact = false
-			break
-		}
-	}
+	faults, moved := retranslate(vm, before)
+	out.TranslationsIntact = faults+moved == 0
 	return out, nil
 }
 
 // eptExp is the "ept" experiment: EPT bit-flip prevention.
-type eptExp struct{}
-
-func (eptExp) Name() string { return "ept" }
-
-func (eptExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	var res EPTProtectionResult
-	err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		res, err = EPTProtection(cfg.Security)
-		return err
-	})
+func eptExp(ctx context.Context, pool *Pool, cfg SecurityConfig) (*Result, error) {
+	res, err := onPool(ctx, pool, func() (EPTProtectionResult, error) { return EPTProtection(cfg) })
 	if err != nil {
 		return nil, err
 	}

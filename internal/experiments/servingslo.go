@@ -20,10 +20,9 @@ import (
 // asked the way a service owner asks it: not "how much bandwidth", but
 // "what happens to my p99 while the control plane churns".
 type ServingSLOConfig struct {
-	// Kinds selects defense rows; empty = every mitigation kind in
-	// canonical order (none, para, silver-bullet, catt, siloz).
-	Kinds []string
-	// Scenarios selects columns; empty = quiet then churn.
+	// Kinds selects defense rows, in canonical order.
+	Kinds []mitigation.Kind
+	// Scenarios selects columns from "quiet" and "churn".
 	Scenarios []string
 	// Reps repeats each cell with salt-spaced seeds; histograms merge.
 	Reps int
@@ -39,55 +38,26 @@ type ServingSLOConfig struct {
 	Seed int64
 }
 
-// DefaultServingSLOConfig serves 10 ms per rep at 150k QPS per tenant
-// under a 100 µs SLO, two reps per cell.
-func DefaultServingSLOConfig() ServingSLOConfig {
-	return ServingSLOConfig{
+// servingSLOConfig resolves the serving grid: every mitigation kind, quiet
+// then churn, serving 10 ms per rep at 150k QPS per tenant under a 100 µs
+// SLO, two reps per cell; -quick trims to one rep and a 4 ms horizon.
+func servingSLOConfig(f Flags) ServingSLOConfig {
+	cfg := ServingSLOConfig{
+		Kinds:      mitigation.Kinds(),
+		Scenarios:  []string{"quiet", "churn"},
 		Reps:       2,
 		DurationMs: 10,
 		QPS:        150_000,
 		SLOUs:      100,
 		ValueBytes: 1024,
-		Seed:       61,
+		Seed:       f.seed(61),
 	}
-}
-
-// QuickServingSLOConfig trims to one rep and a 4 ms horizon.
-func QuickServingSLOConfig() ServingSLOConfig {
-	cfg := DefaultServingSLOConfig()
-	cfg.Reps = 1
-	cfg.DurationMs = 4
+	if f.Quick {
+		cfg.Reps = 1
+		cfg.DurationMs = 4
+	}
+	cfg.Reps = override(f.Reps, cfg.Reps)
 	return cfg
-}
-
-func (cfg *ServingSLOConfig) normalize() {
-	def := DefaultServingSLOConfig()
-	if len(cfg.Kinds) == 0 {
-		for _, k := range mitigation.Kinds() {
-			cfg.Kinds = append(cfg.Kinds, k.String())
-		}
-	}
-	if len(cfg.Scenarios) == 0 {
-		cfg.Scenarios = []string{"quiet", "churn"}
-	}
-	if cfg.Reps == 0 {
-		cfg.Reps = def.Reps
-	}
-	if cfg.DurationMs == 0 {
-		cfg.DurationMs = def.DurationMs
-	}
-	if cfg.QPS == 0 {
-		cfg.QPS = def.QPS
-	}
-	if cfg.SLOUs == 0 {
-		cfg.SLOUs = def.SLOUs
-	}
-	if cfg.ValueBytes == 0 {
-		cfg.ValueBytes = def.ValueBytes
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
-	}
 }
 
 // servingChurnSchedule is the control-plane schedule every churn cell
@@ -103,15 +73,6 @@ func servingChurnSchedule(durationNs float64) []serve.Event {
 	}
 }
 
-// servingCell is one rep's outcome, aggregated across reps in index order.
-type servingCell struct {
-	rep *serve.Report
-}
-
-type servingSLOExp struct{}
-
-func (servingSLOExp) Name() string { return "serving-slo" }
-
 // runServingRep boots a host deploying one defense, creates the two
 // tenants, and serves one rep.
 func runServingRep(ctx context.Context, cfg ServingSLOConfig, kind mitigation.Kind, churn bool, seed int64) (*serve.Report, error) {
@@ -123,7 +84,7 @@ func runServingRep(ctx context.Context, cfg ServingSLOConfig, kind mitigation.Ki
 	}
 	defer h.Shutdown()
 	for i, socket := range []int{0, 1} {
-		_, err := h.CreateVM(core.Process{CGroup: "kvm", KVMPrivileged: true}, core.VMSpec{
+		_, err := h.CreateVM(kvmProc, core.VMSpec{
 			Name: fmt.Sprintf("t%d", i), Socket: socket, MemoryBytes: 64 * geometry.MiB,
 		})
 		if err != nil {
@@ -145,11 +106,7 @@ func runServingRep(ctx context.Context, cfg ServingSLOConfig, kind mitigation.Ki
 	if spec.HasRowDefense() {
 		banks := lab.Geometry.TotalBanks()
 		scfg.Mitigation = func(_ string, socket int) mitigation.Mitigation {
-			d, derr := spec.RowDefense(banks, mitigation.ScopeSeed(seed, socket))
-			if derr != nil {
-				return nil // unreachable post-Validate
-			}
-			return d
+			return rowDefense(spec, banks, mitigation.ScopeSeed(seed, socket))
 		}
 	}
 	if churn {
@@ -162,35 +119,21 @@ func runServingRep(ctx context.Context, cfg ServingSLOConfig, kind mitigation.Ki
 	return l.Run(ctx)
 }
 
-func (servingSLOExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	sc := cfg.ServingSLO
-	sc.normalize()
-
-	kinds := make([]mitigation.Kind, len(sc.Kinds))
-	for i, s := range sc.Kinds {
-		k, err := mitigation.ParseKind(s)
-		if err != nil {
-			return nil, err
-		}
-		kinds[i] = k
-	}
-
+func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Result, error) {
+	kinds := sc.Kinds
 	// Cells fan out on the pool; each cell's seed derives from its index
 	// alone, so parallel and serial schedules emit identical tables.
-	type cellKey struct {
-		ki, si int
-	}
 	cells := len(kinds) * len(sc.Scenarios) * sc.Reps
-	reps := make([]servingCell, cells)
-	err := cfg.Pool.Map(ctx, cells, func(i int) error {
+	reps := make([]*serve.Report, cells)
+	err := pool.Map(ctx, cells, func(i int) error {
 		ki := i / (len(sc.Scenarios) * sc.Reps)
 		si := i / sc.Reps % len(sc.Scenarios)
 		churn := sc.Scenarios[si] == "churn"
-		rep, err := runServingRep(ctx, sc, kinds[ki], churn, repSeed(sc.Seed, i))
+		rep, err := runServingRep(ctx, sc, kinds[ki], churn, RepSeed(sc.Seed, i))
 		if err != nil {
 			return fmt.Errorf("%v/%s rep %d: %w", kinds[ki], sc.Scenarios[si], i%sc.Reps, err)
 		}
-		reps[i].rep = rep
+		reps[i] = rep
 		return nil
 	})
 	if err != nil {
@@ -205,19 +148,16 @@ func (servingSLOExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 		reps                         int
 		worstWindow                  string
 		worstP99                     float64
-		defragErrs, migrateErrs      int
-		windows, windowsWithTraffic  int
+		defragErrs                   int
 	}
-	aggs := map[cellKey]*agg{}
-	for i := range reps {
-		ki := i / (len(sc.Scenarios) * sc.Reps)
-		si := i / sc.Reps % len(sc.Scenarios)
-		a := aggs[cellKey{ki, si}]
-		if a == nil {
-			a = &agg{hist: stats.NewHistogram()}
-			aggs[cellKey{ki, si}] = a
-		}
-		r := reps[i].rep
+	// Reps of one (kind, scenario) cell are contiguous in index order.
+	aggs := make([]agg, len(kinds)*len(sc.Scenarios))
+	for i := range aggs {
+		aggs[i].hist = stats.NewHistogram()
+	}
+	cellOf := func(ki, si int) *agg { return &aggs[ki*len(sc.Scenarios)+si] }
+	for i, r := range reps {
+		a := &aggs[i/sc.Reps]
 		a.hist.Merge(r.Total)
 		a.requests += r.Requests
 		a.errors += r.Errors
@@ -225,20 +165,15 @@ func (servingSLOExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 		a.qpsSum += r.AchievedQPS()
 		a.reps++
 		for _, w := range r.Windows {
-			a.windows++
 			if w.Err != "" {
-				switch w.Kind {
-				case serve.EventDefrag:
+				if w.Kind == serve.EventDefrag {
 					a.defragErrs++
-				case serve.EventMigrate:
-					a.migrateErrs++
 				}
 				continue
 			}
 			if w.Hist.Count() == 0 {
 				continue
 			}
-			a.windowsWithTraffic++
 			if p := w.Hist.P99(); p > a.worstP99 {
 				a.worstP99 = p
 				a.worstWindow = w.Label
@@ -276,7 +211,7 @@ func (servingSLOExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	for ki, k := range kinds {
 		for si, scenario := range sc.Scenarios {
-			a := aggs[cellKey{ki, si}]
+			a := cellOf(ki, si)
 			achieved := a.qpsSum / float64(a.reps)
 			missPct := 0.0
 			if ok := a.requests - a.errors; ok > 0 {
@@ -286,11 +221,9 @@ func (servingSLOExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 			if a.worstWindow != "" {
 				worst = fmt.Sprintf("%s p99 %.0fus", a.worstWindow, a.worstP99/1e3)
 			}
-			res.Rows = append(res.Rows, Row{Label: k.String() + "/" + scenario, Cells: []any{
-				k.String(), scenario, a.requests, round3(achieved),
-				round3(a.hist.P50() / 1e3), round3(a.hist.P99() / 1e3),
-				round3(a.hist.P999() / 1e3), round3(missPct), worst,
-			}})
+			res.row(k.String()+"/"+scenario, k.String(), scenario, a.requests, round3(achieved),
+				round3(a.hist.P50()/1e3), round3(a.hist.P99()/1e3),
+				round3(a.hist.P999()/1e3), round3(missPct), worst)
 			res.scalar(slug(k, scenario, "p99_us"), round3(a.hist.P99()/1e3))
 			res.scalar(slug(k, scenario, "p999_us"), round3(a.hist.P999()/1e3))
 			res.scalar(slug(k, scenario, "miss_pct"), round3(missPct))
@@ -315,7 +248,7 @@ func (servingSLOExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if qi, ok := idx["quiet"]; ok {
 		allMeet, errFree := true, true
 		for ki := range kinds {
-			a := aggs[cellKey{ki, qi}]
+			a := cellOf(ki, qi)
 			if a.violations > 0 {
 				allMeet = false
 			}
@@ -328,8 +261,8 @@ func (servingSLOExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 		res.check("quiet_error_free", errFree, "no request failed on a quiet host")
 		if ni, ok := kidx[mitigation.KindNone]; ok {
 			if si, ok := kidx[mitigation.KindSiloz]; ok {
-				base := aggs[cellKey{ni, qi}].hist.P99()
-				siloz := aggs[cellKey{si, qi}].hist.P99()
+				base := cellOf(ni, qi).hist.P99()
+				siloz := cellOf(si, qi).hist.P99()
 				rel := siloz/base - 1
 				res.check("siloz_tail_comparable", rel < 0.10 && rel > -0.10,
 					fmt.Sprintf("siloz quiet p99 within ±10%% of baseline (%.2fus vs %.2fus): placement moves pages, not the tail",
@@ -340,9 +273,9 @@ func (servingSLOExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	if ci, ok := idx["churn"]; ok {
 		spikes, misses := true, true
 		for ki := range kinds {
-			a := aggs[cellKey{ki, ci}]
+			a := cellOf(ki, ci)
 			if qi, ok := idx["quiet"]; ok {
-				if a.hist.P999() <= aggs[cellKey{ki, qi}].hist.P999() {
+				if a.hist.P999() <= cellOf(ki, qi).hist.P999() {
 					spikes = false
 				}
 			}
@@ -356,7 +289,7 @@ func (servingSLOExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 			"every defense misses the SLO during churn windows — lifecycle events are where the SLO budget goes")
 		defragOK := true
 		for ki, k := range kinds {
-			a := aggs[cellKey{ki, ci}]
+			a := cellOf(ki, ci)
 			wantErrs := a.reps // one defrag event per rep
 			if k == mitigation.KindSiloz {
 				wantErrs = 0

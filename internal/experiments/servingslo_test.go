@@ -6,15 +6,11 @@ import (
 	"testing"
 )
 
-func quickServingConfig() Config {
-	return Config{ServingSLO: QuickServingSLOConfig()}
-}
-
 // TestServingSLORows: one row per (defense, scenario) cell, every check
 // green, and the headline contrast present — quiet p99 well under the SLO
 // for both baseline and Siloz, churn p99.9 above quiet for both.
 func TestServingSLORows(t *testing.T) {
-	r, err := servingSLOExp{}.Run(context.Background(), quickServingConfig())
+	r, err := servingSLOExp(context.Background(), nil, servingSLOConfig(Flags{Quick: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +55,9 @@ func TestServingSLORows(t *testing.T) {
 // text and JSON on a width-1 and a width-8 pool — the acceptance criterion
 // that lets its defense x scenario x rep cells fan out.
 func TestServingSLOParallelDeterminism(t *testing.T) {
-	cfg := quickServingConfig()
-	names := []string{"serving-slo"}
-	text1, js1 := renderRun(t, names, cfg, 1)
-	text8, js8 := renderRun(t, names, cfg, 8)
+	jobs := quickJobs(t, "serving-slo")
+	text1, js1 := renderRun(t, jobs, 1)
+	text8, js8 := renderRun(t, jobs, 8)
 	if text1 != text8 {
 		t.Errorf("text output differs between -parallel 1 and -parallel 8:\n--- width 1 ---\n%s\n--- width 8 ---\n%s", text1, text8)
 	}

@@ -28,17 +28,8 @@ type ZebRAMRow struct {
 }
 
 // zebramExp is the "zebram" experiment: guard rows vs subarray groups.
-type zebramExp struct{}
-
-func (zebramExp) Name() string { return "zebram" }
-
-func (zebramExp) Run(ctx context.Context, cfg Config) (*Result, error) {
-	var rows []ZebRAMRow
-	err := cfg.Pool.Run(ctx, func() error {
-		var err error
-		rows, err = ZebRAMComparison()
-		return err
-	})
+func zebramExp(ctx context.Context, pool *Pool) (*Result, error) {
+	rows, err := onPool(ctx, pool, ZebRAMComparison)
 	if err != nil {
 		return nil, err
 	}
@@ -50,8 +41,7 @@ func (zebramExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	oneGuardLeaks, silozSafe := false, false
 	for _, row := range rows {
-		r.Rows = append(r.Rows, Row{Label: row.Scheme,
-			Cells: []any{row.OverheadPct, row.CrossDomainFlips, row.Safe}})
+		r.row(row.Scheme, row.OverheadPct, row.CrossDomainFlips, row.Safe)
 		switch row.Scheme {
 		case "ZebRAM, 1 guard/row (50%)":
 			oneGuardLeaks = !row.Safe
@@ -67,54 +57,63 @@ func (zebramExp) Run(ctx context.Context, cfg Config) (*Result, error) {
 	return r, nil
 }
 
-// zebramProbe lays two domains' rows into one bank under a guard-row
-// scheme with the given stride (domain rows at multiples of stride, guards
-// between; stride 1 = adjacent domains, no guards), hammers every row
-// domain A owns, and counts flips landing in domain B's rows.
-func zebramProbe(stride int) (int, error) {
+// zebramRowsPerSubarray is the subarray size of the comparison's bank.
+const zebramRowsPerSubarray = 512
+
+// zebramBank builds a fresh single-socket module of a fully-vulnerable
+// blast-radius-2 DIMM and names the bank both probes hammer.
+func zebramBank() (*dram.Module, geometry.BankID, dram.Profile, error) {
 	g := geometry.Geometry{
 		Sockets: 1, CoresPerSocket: 4, DIMMsPerSocket: 1, RanksPerDIMM: 2,
 		BanksPerRank: 8, RowsPerBank: 2048, RowBytes: 8 * geometry.KiB,
-		RowsPerSubarray: 512,
+		RowsPerSubarray: zebramRowsPerSubarray,
 	}
 	prof := dram.ProfileF() // blast radius 2
 	prof.VulnerableRowFraction = 1
 	prof.Transforms = addr.TransformConfig{}
 	mod, err := dram.NewModule(g, prof, 0, 0, nil)
+	return mod, geometry.BankID{}, prof, err
+}
+
+// hammerOwned hammers each listed row hard, one refresh window apiece (a
+// fresh activation budget per aggressor), and counts the resulting flips
+// that land in rows for which victim reports true.
+func hammerOwned(rows []int, victim func(row int) bool) (int, error) {
+	mod, bank, prof, err := zebramBank()
 	if err != nil {
 		return 0, err
 	}
-	bank := geometry.BankID{Socket: 0, DIMM: 0, Rank: 0, Bank: 0}
-
-	// Alternate domain ownership of the usable rows: A, B, A, B...
-	owner := map[int]byte{}
-	usable := 0
-	for r := 0; r < g.RowsPerSubarray; r += stride {
-		if usable%2 == 0 {
-			owner[r] = 'A'
-		} else {
-			owner[r] = 'B'
-		}
-		usable++
-	}
-	// Domain A hammers every row it owns, hard. Rows are visited in
-	// ascending order (never map order) so the flip set is reproducible.
-	for r := 0; r < g.RowsPerSubarray; r += stride {
-		if owner[r] != 'A' {
-			continue
-		}
+	for _, r := range rows {
 		if err := mod.ActivateRow(bank, r, int(prof.HammerThreshold)*5, 0); err != nil {
 			return 0, err
 		}
-		mod.Refresh() // fresh activation budget per aggressor
+		mod.Refresh()
 	}
 	cross := 0
 	for _, f := range mod.Flips() {
-		if owner[f.MediaRow] == 'B' {
+		if victim(f.MediaRow) {
 			cross++
 		}
 	}
 	return cross, nil
+}
+
+// zebramProbe lays two domains' rows into one subarray under a guard-row
+// scheme with the given stride (domain rows at multiples of stride, guards
+// between; stride 1 = adjacent domains, no guards), alternating ownership
+// A, B, A, B... Domain A hammers every row it owns, in ascending order so
+// the flip set is reproducible; flips landing in domain B's rows count.
+func zebramProbe(stride int) (int, error) {
+	var aRows []int
+	bRows := map[int]bool{}
+	for r, usable := 0, 0; r < zebramRowsPerSubarray; r, usable = r+stride, usable+1 {
+		if usable%2 == 0 {
+			aRows = append(aRows, r)
+		} else {
+			bRows[r] = true
+		}
+	}
+	return hammerOwned(aRows, func(row int) bool { return bRows[row] })
 }
 
 // ZebRAMComparison runs the guard-row schemes and the Siloz equivalent.
@@ -158,34 +157,9 @@ func ZebRAMComparison() ([]ZebRAMRow, error) {
 }
 
 // silozProbe gives domain A one whole subarray and B the next, A hammering
-// everything it owns including the boundary rows.
+// its boundary-most rows plus a spread.
 func silozProbe() (int, error) {
-	g := geometry.Geometry{
-		Sockets: 1, CoresPerSocket: 4, DIMMsPerSocket: 1, RanksPerDIMM: 2,
-		BanksPerRank: 8, RowsPerBank: 2048, RowBytes: 8 * geometry.KiB,
-		RowsPerSubarray: 512,
-	}
-	prof := dram.ProfileF()
-	prof.VulnerableRowFraction = 1
-	prof.Transforms = addr.TransformConfig{}
-	mod, err := dram.NewModule(g, prof, 0, 0, nil)
-	if err != nil {
-		return 0, err
-	}
-	bank := geometry.BankID{Socket: 0, DIMM: 0, Rank: 0, Bank: 0}
-	// A = subarray 0 rows, B = subarray 1 rows. Hammer A's boundary-most
-	// rows plus a spread.
-	for _, r := range []int{509, 510, 511, 100, 200, 300} {
-		if err := mod.ActivateRow(bank, r, int(prof.HammerThreshold)*5, 0); err != nil {
-			return 0, err
-		}
-		mod.Refresh()
-	}
-	cross := 0
-	for _, f := range mod.Flips() {
-		if f.MediaRow >= 512 && f.MediaRow < 1024 {
-			cross++
-		}
-	}
-	return cross, nil
+	return hammerOwned([]int{509, 510, 511, 100, 200, 300}, func(row int) bool {
+		return row >= zebramRowsPerSubarray && row < 2*zebramRowsPerSubarray
+	})
 }

@@ -4,92 +4,17 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/ept"
-	"repro/internal/numa"
 )
 
-// AuditIsolation verifies the hard safety invariants of Siloz's domain model
-// at one instant — the Engine runs it between every pre-copy round, so a
-// migration can never pass through a state where they are violated:
-//
-//   - every VM's guest nodes are guest-reserved and exclusively owned by
-//     that VM's control group;
-//   - every RAM page lies inside its VM's domain;
-//   - no guest node appears in two VMs' domains (no cross-tenant InDomain
-//     overlap);
-//   - no host frame backs two VMs' RAM at once (frame-level double
-//     ownership — a strictly finer check than node exclusivity, catching a
-//     frame handed out twice within one node or leaked across a lifecycle
-//     operation);
-//   - EPT table pages live in the pool of the VM's *current* EPT socket —
-//     the guard-protected EPT row-group block under guard-rows protection,
-//     that socket's host-reserved memory otherwise (§5.4). Relocation keeps
-//     EPTSocket() tracking cross-socket migrations, so a VM whose tables
-//     were left behind on the source socket fails this check;
-//   - mediated pages stay host-reserved, outside every guest domain.
-//
-// Under the baseline there are no domains and the audit trivially passes.
+// AuditIsolation reports the first violation of the hypervisor's isolation
+// invariant set (core.Hypervisor.AuditIsolation — domain exclusivity, no
+// doubly-owned frame, table pages in the current EPT socket's pool,
+// mediated pages host-reserved) as an error. The Engine runs it between
+// every pre-copy round, so a migration can never pass through a state where
+// the invariants are violated.
 func AuditIsolation(h *core.Hypervisor) error {
-	if h.Mode() != core.ModeSiloz {
-		return nil
-	}
-	reg := h.Registry()
-	topo := h.Topology()
-	nodeOwner := map[int]string{}
-	frameOwner := map[uint64]string{}
-	for _, vm := range h.VMs() {
-		want := "vm:" + vm.Name()
-		nodes := vm.Nodes()
-		if len(nodes) == 0 {
-			return fmt.Errorf("migrate: VM %q owns no guest nodes", vm.Name())
-		}
-		for _, n := range nodes {
-			if n.Kind != numa.GuestReserved {
-				return fmt.Errorf("migrate: VM %q domain includes %s-reserved node %d", vm.Name(), n.Kind, n.ID)
-			}
-			if owner, ok := reg.OwnerOf(n.ID); !ok || owner != want {
-				return fmt.Errorf("migrate: node %d in VM %q's domain but owned by %q", n.ID, vm.Name(), owner)
-			}
-			if prev, dup := nodeOwner[n.ID]; dup {
-				return fmt.Errorf("migrate: node %d in the domains of both %q and %q", n.ID, prev, vm.Name())
-			}
-			nodeOwner[n.ID] = vm.Name()
-		}
-		for _, hpa := range vm.RAMPages() {
-			if !vm.InDomain(hpa) {
-				return fmt.Errorf("migrate: VM %q RAM page %#x outside its domain", vm.Name(), hpa)
-			}
-			if prev, dup := frameOwner[hpa]; dup {
-				return fmt.Errorf("migrate: frame %#x backs RAM of both %q and %q", hpa, prev, vm.Name())
-			}
-			frameOwner[hpa] = vm.Name()
-		}
-		if vm.Tables().Mode() == ept.GuardRows {
-			eptNode, err := h.EPTNode(vm.EPTSocket())
-			if err != nil {
-				return fmt.Errorf("migrate: VM %q: %v", vm.Name(), err)
-			}
-			for _, pa := range vm.Tables().Pages() {
-				if !eptNode.Contains(pa) {
-					return fmt.Errorf("migrate: VM %q EPT page %#x outside socket %d's guard-protected EPT block",
-						vm.Name(), pa, vm.EPTSocket())
-				}
-			}
-		} else {
-			for _, pa := range vm.Tables().Pages() {
-				n, ok := topo.NodeOf(pa)
-				if !ok || n.Kind != numa.HostReserved || n.Socket != vm.EPTSocket() {
-					return fmt.Errorf("migrate: VM %q EPT page %#x not in socket %d's host-reserved memory",
-						vm.Name(), pa, vm.EPTSocket())
-				}
-			}
-		}
-		for _, pa := range vm.MediatedPages() {
-			n, ok := topo.NodeOf(pa)
-			if !ok || n.Kind != numa.HostReserved {
-				return fmt.Errorf("migrate: VM %q mediated page %#x not host-reserved", vm.Name(), pa)
-			}
-		}
+	if bad := h.AuditIsolation(); len(bad) > 0 {
+		return fmt.Errorf("migrate: %s", bad[0])
 	}
 	return nil
 }

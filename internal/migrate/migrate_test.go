@@ -244,6 +244,24 @@ func TestAuditCleanSystem(t *testing.T) {
 	}
 }
 
+// TestAuditReportsFirstViolation: AuditIsolation is the hypervisor's
+// isolation invariant set with the first violation surfaced as an error.
+func TestAuditReportsFirstViolation(t *testing.T) {
+	h := bootSiloz(t)
+	vm := mustCreate(t, h, "a", 0, 64*geometry.MiB)
+	if err := h.Registry().Shrink("vm:a", []int{vm.Nodes()[0].ID}); err != nil {
+		t.Fatal(err)
+	}
+	bad := h.AuditIsolation()
+	err := AuditIsolation(h)
+	if err == nil || len(bad) == 0 {
+		t.Fatalf("registry drift undetected: err=%v, violations=%v", err, bad)
+	}
+	if want := "migrate: " + bad[0]; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
+}
+
 // TestPlanPrefersShrinkOverMigration: a home-socket VM that opted into
 // ballooning (MinMemoryBytes > 0) is shrunk in place instead of any VM
 // being migrated — no pages cross the machine.
