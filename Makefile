@@ -33,11 +33,12 @@ race:
 # Quick suite under the race detector: the scheduler, determinism and
 # cancellation tests that exercise every parallel path, plus the
 # balloon/resize/registry lifecycle tests that hammer the reservation paths
-# from concurrent VMs.
+# from concurrent VMs, and the live-writer migrations that race the bulk data
+# path's row locks from both sockets.
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
-	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize' ./internal/core
+	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations' ./internal/core
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate
 	$(GO) test -race -run 'TestConcurrentFleetChurn' ./internal/fleet

@@ -32,8 +32,28 @@ type Mapper interface {
 	Decode(pa uint64) (geometry.MediaAddr, error)
 	// Encode is the inverse of Decode.
 	Encode(m geometry.MediaAddr) (uint64, error)
+	// Stripe returns the stripe containing pa: the unit bulk accesses
+	// decode at, instead of once per cache line.
+	Stripe(pa uint64) (Stripe, error)
 	// Geometry returns the geometry the mapper was built for.
 	Geometry() geometry.Geometry
+}
+
+// Stripe is a physically contiguous span [pa-Off, pa-Off+Len) that lands in
+// one media row index of Banks consecutive banks of one socket: cache line l
+// of the span (l = byte offset / 64) lives in the bank with dense
+// within-socket index Bank0 + l%Banks (BankID.SocketFlat), at row Row,
+// column (l/Banks)*64. Len is Banks rows' worth of bytes, so stripes tile
+// the address space exactly and every row of a stripe is covered by it
+// alone. It is the §4.2 row group (Skylake), the partition-local row group
+// (partitioned), or a single row (linear).
+type Stripe struct {
+	Socket int
+	Bank0  int   // dense within-socket index of the first bank
+	Banks  int   // interleave width
+	Row    int   // media row index, the same in every bank
+	Off    int64 // pa's byte offset within the stripe
+	Len    int64 // stripe length in bytes: Banks * RowBytes
 }
 
 // BankDecoder is an optional fast-path capability a Mapper may implement

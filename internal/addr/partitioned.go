@@ -124,6 +124,21 @@ func (m *PartitionedMapper) DecodeBank(pa uint64) (bank, row, socket int, err er
 	return bank, int(rowGroup), int(skt), nil
 }
 
+// Stripe returns pa's partition-local row group: one row index of the
+// partition's banks, contiguous in the partition's physical slice.
+func (m *PartitionedMapper) Stripe(pa uint64) (Stripe, error) {
+	if pa >= uint64(m.totalBytes) {
+		return Stripe{}, rangeCheck(m.g, pa)
+	}
+	socket, off := m.divSocket.divmod(int64(pa))
+	part, inPart := m.divPart.divmod(off)
+	rowGroup, inGroup := m.divRowGroup.divmod(inPart)
+	return Stripe{
+		Socket: int(socket), Bank0: int(part) * m.banksPer, Banks: m.banksPer,
+		Row: int(rowGroup), Off: inGroup, Len: m.rowGroupBytes,
+	}, nil
+}
+
 // Encode is the inverse of Decode.
 func (m *PartitionedMapper) Encode(addr geometry.MediaAddr) (uint64, error) {
 	if !m.bnd.valid(addr) {

@@ -74,10 +74,85 @@ func TestConcurrentVMLifecycle(t *testing.T) {
 	}
 }
 
+// hotWriter is a live guest: a goroutine that stamps the first hotChunk
+// bytes of each of the first hotPages pages, over and over, with a byte
+// that changes every pass and is never zero (a zero stamp would be
+// indistinguishable from a lost write).
+type hotWriter struct {
+	vm        *VM
+	stop      chan struct{}
+	firstPass chan struct{} // closed once every hot page has been stamped
+	done      chan error
+}
+
+const (
+	hotPages = 4
+	hotChunk = 8 * geometry.KiB
+)
+
+func startHotWriter(vm *VM) *hotWriter {
+	w := &hotWriter{vm: vm, stop: make(chan struct{}), firstPass: make(chan struct{}), done: make(chan error, 1)}
+	go func() {
+		buf := make([]byte, hotChunk)
+		for pass := 0; ; pass++ {
+			select {
+			case <-w.stop:
+				w.done <- nil
+				return
+			default:
+			}
+			for p := 0; p < hotPages; p++ {
+				stamp := byte((pass+p)%255) + 1
+				for i := range buf {
+					buf[i] = stamp
+				}
+				if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, buf); err != nil {
+					w.done <- err
+					return
+				}
+			}
+			if pass == 0 {
+				close(w.firstPass)
+			}
+		}
+	}()
+	return w
+}
+
+// finish stops the writer, waits for it, and checks what it left behind:
+// each hot page holds exactly one complete write — uniform, nonzero
+// content — and the rest of the page is still zero.
+func (w *hotWriter) finish(t *testing.T) {
+	t.Helper()
+	close(w.stop)
+	if err := <-w.done; err != nil {
+		t.Fatalf("writer of %q failed: %v", w.vm.Name(), err)
+	}
+	page := make([]byte, geometry.PageSize2M)
+	for p := 0; p < hotPages; p++ {
+		if err := w.vm.ReadGuest(uint64(p)*geometry.PageSize2M, page); err != nil {
+			t.Fatal(err)
+		}
+		v := page[0]
+		if v == 0 {
+			t.Errorf("%q hot page %d lost its data", w.vm.Name(), p)
+		}
+		for i := 1; i < hotChunk; i++ {
+			if page[i] != v {
+				t.Fatalf("%q hot page %d torn at byte %d: %#x vs %#x", w.vm.Name(), p, i, page[i], v)
+			}
+		}
+		if !allZero(page[hotChunk:]) {
+			t.Errorf("%q hot page %d has stray bytes past the written chunk", w.vm.Name(), p)
+		}
+	}
+}
+
 // TestConcurrentWriterDuringMigration races a real writer goroutine against
 // the pre-copy engine (no GuestStep determinism): the final memory image
 // must reflect complete writes only, whichever side of the stop-and-copy
-// each landed on.
+// each landed on. The migration starts only once the writer has stamped
+// every hot page, however short a migration is.
 func TestConcurrentWriterDuringMigration(t *testing.T) {
 	h := bootSiloz(t)
 	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "live", Socket: 0, MemoryBytes: 64 * geometry.MiB})
@@ -86,63 +161,17 @@ func TestConcurrentWriterDuringMigration(t *testing.T) {
 	}
 	dest := freeGuestNode(t, h, 0)
 
-	const hotPages = 4
-	const chunk = 8 * geometry.KiB
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		buf := make([]byte, chunk)
-		for ver := byte(1); ; ver++ {
-			select {
-			case <-stop:
-				done <- nil
-				return
-			default:
-			}
-			for p := 0; p < hotPages; p++ {
-				for i := range buf {
-					buf[i] = ver ^ byte(p)
-				}
-				if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, buf); err != nil {
-					done <- err
-					return
-				}
-			}
-		}
-	}()
-
+	w := startHotWriter(vm)
+	<-w.firstPass
 	rep, err := h.MigrateVM(context.Background(), "live", []int{dest.ID}, MigrateOptions{
 		StopPages: 1, MaxRounds: 8,
 	})
-	close(stop)
-	if werr := <-done; werr != nil {
-		t.Fatalf("writer failed: %v", werr)
-	}
+	w.finish(t)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.PagesTotal != 32 {
 		t.Errorf("pages total = %d", rep.PagesTotal)
-	}
-	// Each hot page holds exactly one complete write — uniform, nonzero
-	// content — and the rest of the page is still zero.
-	page := make([]byte, geometry.PageSize2M)
-	for p := 0; p < hotPages; p++ {
-		if err := vm.ReadGuest(uint64(p)*geometry.PageSize2M, page); err != nil {
-			t.Fatal(err)
-		}
-		v := page[0]
-		if v == 0 {
-			t.Errorf("hot page %d lost its data", p)
-		}
-		for i := 1; i < chunk; i++ {
-			if page[i] != v {
-				t.Fatalf("hot page %d torn at byte %d: %#x vs %#x", p, i, page[i], v)
-			}
-		}
-		if !allZero(page[chunk:]) {
-			t.Errorf("hot page %d has stray bytes past the written chunk", p)
-		}
 	}
 	// The guest is on the destination node and still writable.
 	if len(vm.Nodes()) != 1 || vm.Nodes()[0].ID != dest.ID {
@@ -150,5 +179,59 @@ func TestConcurrentWriterDuringMigration(t *testing.T) {
 	}
 	if err := vm.WriteGuest(10*geometry.PageSize2M, []byte("after")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentOppositeMigrations crosses two live migrations: one guest
+// moves socket 0 -> 1 while another moves 1 -> 0, each with a writer
+// running. The two engines read and write both sockets' DIMMs at once, in
+// opposite directions — the arrangement that would deadlock if the bulk
+// data path ever held row locks of two sockets, or took a socket's DIMMs in
+// an order that depends on the direction of travel.
+func TestConcurrentOppositeMigrations(t *testing.T) {
+	h := bootSiloz(t)
+	type guest struct {
+		name      string
+		from, to  int
+		vm        *VM
+		dest      int
+		w         *hotWriter
+		migrateEr error
+	}
+	guests := []*guest{{name: "east", from: 0, to: 1}, {name: "west", from: 1, to: 0}}
+	for _, g := range guests {
+		vm, err := h.CreateVM(kvmProc(), VMSpec{Name: g.name, Socket: g.from, MemoryBytes: 64 * geometry.MiB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.vm = vm
+	}
+	for _, g := range guests {
+		g.dest = freeGuestNode(t, h, g.to).ID
+		g.w = startHotWriter(g.vm)
+	}
+	var wg sync.WaitGroup
+	for _, g := range guests {
+		<-g.w.firstPass
+		wg.Add(1)
+		go func(g *guest) {
+			defer wg.Done()
+			_, g.migrateEr = h.MigrateVM(context.Background(), g.name, []int{g.dest}, MigrateOptions{
+				StopPages: 1, MaxRounds: 8,
+			})
+		}(g)
+	}
+	wg.Wait()
+	for _, g := range guests {
+		g.w.finish(t)
+		if g.migrateEr != nil {
+			t.Fatalf("migrating %q: %v", g.name, g.migrateEr)
+		}
+		if nodes := g.vm.Nodes(); len(nodes) != 1 || nodes[0].ID != g.dest || nodes[0].Socket != g.to {
+			t.Errorf("%q post-migration nodes = %v, want node %d on socket %d", g.name, nodes, g.dest, g.to)
+		}
+	}
+	for _, f := range h.Audit() {
+		t.Errorf("audit: %s", f)
 	}
 }

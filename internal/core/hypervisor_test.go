@@ -66,6 +66,9 @@ func bootBaseline(t *testing.T) *Hypervisor {
 
 func kvmProc() Process { return Process{CGroup: "kvm", KVMPrivileged: true} }
 
+// allZero reports whether a probe buffer read back as scrubbed.
+func allZero(b []byte) bool { return len(bytes.TrimLeft(b, "\x00")) == 0 }
+
 func TestBootSilozTopology(t *testing.T) {
 	h := bootSiloz(t)
 	g := testGeometry()

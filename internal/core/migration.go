@@ -188,17 +188,10 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	written := make([]bool, ramPages) // dst frames the engine has written
 	buf := make([]byte, geometry.PageSize2M)
 	copyPage := func(p int) (uint64, error) {
-		if err := h.mem.ReadPhys(srcRAM[p], buf); err != nil {
-			return 0, err
-		}
-		// A page that is still all-zero was never materialized at the
-		// source; its fresh destination frame is already zero, so nothing
-		// needs to move. Once the engine has written a frame it always
-		// rewrites it (the guest may have re-zeroed a page).
-		if !written[p] && allZero(buf) {
-			return 0, nil
-		}
-		if err := h.mem.WritePhys(dstRAM[p], buf); err != nil {
+		// Once the engine has written a frame it always rewrites it (the
+		// guest may have re-zeroed a page).
+		moved, err := h.copyFrame(srcRAM[p], dstRAM[p], buf, written[p])
+		if !moved {
 			return 0, err
 		}
 		written[p] = true
@@ -308,13 +301,7 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	rbuf := buf[:geometry.PageSize4K]
 	for _, mr := range dstRegions {
 		for i, src := range vm.regions[mr.idx].pages {
-			if err := h.mem.ReadPhys(src, rbuf); err == nil && !allZero(rbuf) {
-				if werr := h.mem.WritePhys(mr.pages[i], rbuf); werr != nil {
-					vm.Resume()
-					rollback(true)
-					return nil, werr
-				}
-			} else if err != nil {
+			if _, err := h.copyFrame(src, mr.pages[i], rbuf, false); err != nil {
 				vm.Resume()
 				rollback(true)
 				return nil, err
@@ -648,12 +635,31 @@ func (h *Hypervisor) rollbackMigration(vm *VM, destIDs []int, dstRAM []uint64, d
 	}
 }
 
-// allZero reports whether a buffer is entirely zero bytes.
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
+// copyFrame copies len(buf) bytes from frame src to frame dst through buf
+// and reports whether it moved them. Unless always is set, a source that
+// reads as zero is skipped: it was never materialized (or was scrubbed),
+// and a freshly allocated destination frame is zero already, so nothing
+// needs to move — which is what keeps a migration's cost proportional to
+// the data a guest holds, not to its address space.
+//
+// The zero test comes before the read, not after it. The order is safe for
+// the reason the old read-then-scan order was: the answer is only ever a
+// snapshot, and every guest or DMA store that lands after it is in the
+// dirty log (so a later round or the paused residual copy looks at the
+// page again) or, once logging has stopped, in the touched ledger (so the
+// source frame is at least scrubbed before it is freed).
+func (h *Hypervisor) copyFrame(src, dst uint64, buf []byte, always bool) (moved bool, err error) {
+	if !always {
+		zero, err := h.mem.IsZeroPhys(src, len(buf))
+		if err != nil || zero {
+			return false, err
 		}
 	}
-	return true
+	if err := h.mem.ReadPhys(src, buf); err != nil {
+		return false, err
+	}
+	if err := h.mem.WritePhys(dst, buf); err != nil {
+		return false, err
+	}
+	return true, nil
 }

@@ -1,7 +1,9 @@
 package dram
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/addr"
 	"repro/internal/geometry"
@@ -15,7 +17,15 @@ type Memory struct {
 	g       geometry.Geometry
 	mapper  addr.Mapper
 	modules [][]*Module // [socket][dimm]
+	// bankRefs resolves a dense within-socket bank index (BankID.SocketFlat)
+	// to its DIMM and the bank's rowStore index on it, so the bulk walker
+	// divides nothing per bank.
+	bankRefs []bankRef
 }
+
+// bankRef locates one of a socket's banks: which DIMM, and which of that
+// DIMM's banks (rowStore.bankIndex).
+type bankRef struct{ dimm, idx int32 }
 
 // NewMemory builds server memory. profiles are assigned to DIMM slots
 // round-robin within each socket (pass six profiles to model the paper's
@@ -28,7 +38,16 @@ func NewMemory(g geometry.Geometry, mapper addr.Mapper, profiles []Profile, repa
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("dram: at least one profile required")
 	}
-	mem := &Memory{g: g, mapper: mapper, modules: make([][]*Module, g.Sockets)}
+	if g.RowGroupBytes()>>lineShift > math.MaxUint32 {
+		return nil, fmt.Errorf("dram: a %d-byte row group has too many cache lines to index", g.RowGroupBytes())
+	}
+	mem := &Memory{
+		g: g, mapper: mapper, modules: make([][]*Module, g.Sockets),
+		bankRefs: make([]bankRef, g.BanksPerSocket()),
+	}
+	for i := range mem.bankRefs {
+		mem.bankRefs[i] = bankRef{dimm: int32(i / g.BanksPerDIMM()), idx: int32(i % g.BanksPerDIMM())}
+	}
 	for s := 0; s < g.Sockets; s++ {
 		mem.modules[s] = make([]*Module, g.DIMMsPerSocket)
 		for d := 0; d < g.DIMMsPerSocket; d++ {
@@ -62,52 +81,223 @@ func (m *Memory) moduleFor(b geometry.BankID) (*Module, error) {
 // WritePhys stores bytes at a host physical address, spanning rows and
 // banks as the mapping dictates.
 func (m *Memory) WritePhys(pa uint64, data []byte) error {
-	return m.iter(pa, len(data), func(mod *Module, ma geometry.MediaAddr, off, n int) error {
-		return mod.WriteRow(ma.Bank, ma.Row, ma.Col, data[off:off+n])
-	})
+	_, err := m.walk(opWrite, pa, data, len(data))
+	return err
 }
 
 // ReadPhys reads len(buf) bytes at a host physical address.
 func (m *Memory) ReadPhys(pa uint64, buf []byte) error {
-	return m.iter(pa, len(buf), func(mod *Module, ma geometry.MediaAddr, off, n int) error {
-		return mod.ReadRow(ma.Bank, ma.Row, ma.Col, buf[off:off+n])
-	})
-}
-
-// iter walks a physical range in cache-line pieces (the mapping
-// granularity), invoking fn with the owning module and media location.
-func (m *Memory) iter(pa uint64, n int, fn func(mod *Module, ma geometry.MediaAddr, off, n int) error) error {
-	off := 0
-	for off < n {
-		cur := pa + uint64(off)
-		chunk := geometry.CacheLineSize - int(cur%geometry.CacheLineSize)
-		if chunk > n-off {
-			chunk = n - off
-		}
-		ma, err := m.mapper.Decode(cur)
-		if err != nil {
-			return err
-		}
-		mod, err := m.moduleFor(ma.Bank)
-		if err != nil {
-			return err
-		}
-		if err := fn(mod, ma, off, chunk); err != nil {
-			return err
-		}
-		off += chunk
-	}
-	return nil
+	_, err := m.walk(opRead, pa, buf, len(buf))
+	return err
 }
 
 // ScrubPhys zeroes n bytes at a host physical address. Untouched rows stay
-// unmaterialized, so scrubbing terabytes of never-written guest RAM costs
-// almost nothing — the sparse analogue of the kernel's free-page
-// sanitization.
+// unmaterialized, and a scrub that covers a whole stripe hands its rows
+// back to the row store, so scrubbing terabytes of never-written guest RAM
+// costs almost nothing and a destroyed guest's rows are reused by the next
+// one — the sparse analogue of the kernel's free-page sanitization.
 func (m *Memory) ScrubPhys(pa uint64, n int) error {
-	return m.iter(pa, n, func(mod *Module, ma geometry.MediaAddr, off, n int) error {
-		return mod.ScrubRow(ma.Bank, ma.Row, ma.Col, n)
-	})
+	_, err := m.walk(opScrub, pa, nil, n)
+	return err
+}
+
+// IsZeroPhys reports whether n bytes at a host physical address read as
+// zero, without reading them out: rows that were never materialized are
+// zero by construction, and only the rows that exist are scanned, up to
+// the first nonzero byte. The answer is a snapshot; a caller that acts on
+// it must have another way to learn of later stores (migration has its
+// dirty log and touched ledger).
+func (m *Memory) IsZeroPhys(pa uint64, n int) (bool, error) {
+	return m.walk(opIsZero, pa, nil, n)
+}
+
+// bulkOp is what the stripe walker does to the bytes it visits.
+type bulkOp uint8
+
+const (
+	opRead bulkOp = iota
+	opWrite
+	opScrub
+	opIsZero
+)
+
+const lineShift = 6 // log2(geometry.CacheLineSize)
+
+// walk is the one data path under ReadPhys, WritePhys, ScrubPhys and
+// IsZeroPhys. Its unit is the mapper's stripe, not the cache line: it
+// decodes once per stripe, checks the stripe against the geometry once,
+// and hands the part of [pa, pa+n) that falls inside to stripeOp. buf is
+// the caller's data (nil for scrub and zero test). zero is meaningful for
+// opIsZero only. A range that runs off the end of memory is processed up
+// to the end and then fails with the mapper's ErrOutOfRange, as the
+// per-line walk did. walk takes no callback and keeps everything it
+// needs in locals, so a call allocates nothing.
+func (m *Memory) walk(op bulkOp, pa uint64, buf []byte, n int) (zero bool, err error) {
+	for done := 0; done < n; {
+		st, err := m.mapper.Stripe(pa + uint64(done))
+		if err != nil {
+			return false, err
+		}
+		if !m.checkStripe(&st) {
+			return false, m.stripeError(st)
+		}
+		seg := n - done
+		if rest := st.Len - st.Off; int64(seg) > rest {
+			seg = int(rest)
+		}
+		var data []byte
+		if buf != nil {
+			data = buf[done : done+seg]
+		}
+		if !m.stripeOp(op, &st, int(st.Off), seg, data) {
+			return false, nil
+		}
+		done += seg
+	}
+	return true, nil
+}
+
+// checkStripe makes, once per stripe, the checks the per-line path made on
+// every line: the banks exist on this server (moduleFor, Module.owns), the
+// row is inside the bank, and no column runs past the end of a row. The
+// test is small enough to inline; the error is built out of line.
+func (m *Memory) checkStripe(st *addr.Stripe) bool {
+	return uint(st.Socket) < uint(len(m.modules)) &&
+		st.Bank0 >= 0 && st.Banks > 0 && st.Bank0+st.Banks <= len(m.bankRefs) &&
+		uint(st.Row) < uint(m.g.RowsPerBank) &&
+		st.Len == int64(st.Banks)*int64(m.g.RowBytes) && uint64(st.Off) < uint64(st.Len)
+}
+
+func (m *Memory) stripeError(st addr.Stripe) error {
+	return fmt.Errorf("dram: stripe %+v outside the geometry (%d banks/socket, %d rows/bank, %d-byte rows)",
+		st, len(m.bankRefs), m.g.RowsPerBank, m.g.RowBytes)
+}
+
+// stripeOp applies op to bytes [off, off+n) of one stripe (n > 0).
+//
+// Locking. The banks the segment touches sit on one socket; stripeOp takes
+// the rowsMu of every DIMM among them in ascending DIMM order, does all
+// its work, and releases them. It never holds locks of two sockets, never
+// takes actMu, and calls nothing that locks — so with commitFlips (actMu,
+// then one rowsMu) the order is actMu < rowsMu(dimm 0) < rowsMu(dimm 1) < …
+// within a socket and there is no cycle. Every line moves under the lock
+// of the module that stores it, so a concurrent reader never sees a torn
+// cache line; in fact it sees the whole segment as of one instant.
+//
+// Sparsity. An absent row reads as zero (rowStore). A read clears the
+// caller's buffer in one sweep when any of the rows is absent and copies
+// only from rows that exist; scrub and the zero test skip absent rows; a
+// scrub of the entire stripe releases its rows instead of zeroing them in
+// place, since each of them is covered in full. Only a write materializes.
+//
+// It reports false only for opIsZero, on the first nonzero byte.
+func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, off, n int, buf []byte) bool {
+	// Cache line l of the stripe is in bank Bank0 + l%Banks at column
+	// (l/Banks)*64. The segment's lines are l0..l1; they touch nb banks,
+	// the k-th of which (k = 0..nb-1, starting at bank r0 and wrapping)
+	// holds lines l0+k, l0+k+Banks, … at consecutive columns from q*64.
+	l0, l1 := off>>lineShift, (off+n-1)>>lineShift
+	nb := min(l1-l0+1, st.Banks)
+	// A 32-bit divide (NewMemory bounds a stripe's lines): the 64-bit one
+	// is a measurable share of a single-line access.
+	q0, r0 := int(uint32(l0)/uint32(st.Banks)), int(uint32(l0)%uint32(st.Banks))
+
+	mods := m.modules[st.Socket]
+	refs := m.bankRefs[st.Bank0 : st.Bank0+st.Banks]
+	first, last := refs[r0].dimm, refs[r0].dimm
+	if r0+nb > st.Banks { // wraps: the touched banks include both ends
+		first, last = refs[0].dimm, refs[st.Banks-1].dimm
+	} else if nb > 1 {
+		last = refs[r0+nb-1].dimm
+	}
+	for d := first; d <= last; d++ {
+		mods[d].rowsMu.Lock()
+	}
+
+	whole := op == opScrub && off == 0 && int64(n) == st.Len
+	if op == opRead && nb > 1 {
+		// Census: with any row absent, one sweep of the buffer replaces
+		// thousands of 64-byte clears, and the loop below copies only
+		// from the rows that exist.
+		live := 0
+		for k, r := 0, r0; k < nb; k++ {
+			if mods[refs[r].dimm].rows.row(int(refs[r].idx), st.Row) != nil {
+				live++
+			}
+			if r++; r == st.Banks {
+				r = 0
+			}
+		}
+		if live < nb {
+			clear(buf)
+		}
+	}
+	zero := true
+	stride := st.Banks << lineShift
+banks:
+	for k, q, r := 0, q0, r0; k < nb; k++ {
+		rows, idx := mods[refs[r].dimm].rows, int(refs[r].idx)
+		var row []byte
+		switch {
+		case op == opWrite:
+			row = rows.rowAlloc(idx, st.Row)
+		case whole:
+			rows.release(idx, st.Row)
+		default:
+			row = rows.row(idx, st.Row)
+			if row == nil && nb == 1 {
+				clear(buf) // a lone bank is not worth a census; buf is nil unless reading
+			}
+		}
+		// b is where the bank's first line starts in the segment; it is
+		// negative only for k == 0 of a segment that starts mid-line.
+		for b, col := (l0+k)<<lineShift-off, q<<lineShift; row != nil && b < n; b, col = b+stride, col+geometry.CacheLineSize {
+			lo, hi, c := b, b+geometry.CacheLineSize, col
+			if lo < 0 {
+				c -= lo
+				lo = 0
+			}
+			if hi > n {
+				hi = n
+			}
+			switch op {
+			case opRead:
+				copy(buf[lo:hi], row[c:])
+			case opWrite:
+				copy(row[c:], buf[lo:hi])
+			case opScrub:
+				clear(row[c : c+hi-lo])
+			case opIsZero:
+				if !allZero(row[c : c+hi-lo]) {
+					zero = false
+					break banks
+				}
+			}
+		}
+		if r++; r == st.Banks {
+			r, q = 0, q+1
+		}
+	}
+
+	for d := first; d <= last; d++ {
+		mods[d].rowsMu.Unlock()
+	}
+	return zero
+}
+
+// allZero scans a word at a time.
+func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ActivatePhys issues count activations of the row backing a physical

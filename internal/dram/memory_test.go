@@ -3,6 +3,7 @@ package dram
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -246,5 +247,73 @@ func TestScrubPhysZeroesWithoutMaterializing(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("untouched byte %d = %#x, want 0", i, b)
 		}
+	}
+}
+
+// TestScrubPhysReleasesWholeStripes pins the release rule: a page-granular
+// scrub under an interleaved mapping hands the rows it covered back to the
+// row store (the per-line path zeroed them and kept them for ever, because
+// no single line is a whole row), and a scrub of part of a stripe zeroes in
+// place and releases nothing.
+func TestScrubPhysReleasesWholeStripes(t *testing.T) {
+	g := smallServer()
+	mapper, err := addr.NewSkylakeMapper(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := NewMemory(g, mapper, []Profile{testProfile()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveRows := func() (rows []int) {
+		for s := 0; s < g.Sockets; s++ {
+			for d := 0; d < g.DIMMsPerSocket; d++ {
+				rows = append(rows, mem.Module(s, d).rows.len())
+			}
+		}
+		return rows
+	}
+	// A resident neighbour, so "back to the start" is not "back to empty".
+	if err := mem.WritePhys(0, []byte("neighbour")); err != nil {
+		t.Fatal(err)
+	}
+	start := liveRows()
+
+	const pa = 4 * geometry.PageSize2M
+	page := bytes.Repeat([]byte{0xA5}, geometry.PageSize2M)
+	if err := mem.WritePhys(pa, page); err != nil {
+		t.Fatal(err)
+	}
+	written := liveRows()
+	if want := geometry.PageSize2M / g.RowBytes / g.DIMMsPerSocket; written[0] != start[0]+want || written[1] != start[1]+want {
+		t.Fatalf("a 2 MiB page materialized %v rows per module from %v, want +%d on each socket-0 DIMM", written, start, want)
+	}
+
+	// Half a stripe: zeroed where it was, nothing released.
+	half := int(g.RowGroupBytes() / 2)
+	if err := mem.ScrubPhys(pa, half); err != nil {
+		t.Fatal(err)
+	}
+	if got := liveRows(); !slices.Equal(got, written) {
+		t.Errorf("partial-stripe scrub changed materialized rows %v -> %v", written, got)
+	}
+	if err := mem.ReadPhys(pa, page); err != nil {
+		t.Fatal(err)
+	}
+	if !allZero(page[:half]) || bytes.Count(page[half:], []byte{0xA5}) != len(page)-half {
+		t.Error("partial-stripe scrub did not zero exactly its range")
+	}
+
+	if err := mem.ScrubPhys(pa, geometry.PageSize2M); err != nil {
+		t.Fatal(err)
+	}
+	if got := liveRows(); !slices.Equal(got, start) {
+		t.Errorf("after scrubbing the page, materialized rows per module = %v, want the starting %v", got, start)
+	}
+	if zero, err := mem.IsZeroPhys(pa, geometry.PageSize2M); err != nil || !zero {
+		t.Errorf("scrubbed page: IsZeroPhys = %v, %v", zero, err)
+	}
+	if err := mem.ReadPhys(0, page[:9]); err != nil || string(page[:9]) != "neighbour" {
+		t.Errorf("neighbour row damaged by the scrub: %q, %v", page[:9], err)
 	}
 }

@@ -505,10 +505,11 @@ func (m *Module) ReadRow(b geometry.BankID, mediaRow, col int, buf []byte) error
 }
 
 // ScrubRow zeroes a row segment without materializing untouched storage: a
-// row that was never written already reads as zeros, and a fully-scrubbed
-// row's backing is released. It is the hypervisor's page-sanitization
-// primitive — memory returned to a free pool must not leak the previous
-// tenant's bytes.
+// row that was never written already reads as zeros. The backing is
+// released only when the one call covers the whole row (col 0, RowBytes
+// long); a shorter segment is zeroed in place. Page sanitization goes
+// through Memory.ScrubPhys, which makes the release decision per stripe —
+// under an interleaved mapping no page is a whole row of any one bank.
 func (m *Module) ScrubRow(b geometry.BankID, mediaRow, col, n int) error {
 	if !m.owns(b) || mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
 		return fmt.Errorf("dram: scrub target %v row %d invalid", b, mediaRow)

@@ -1,0 +1,294 @@
+package dram
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"repro/internal/addr"
+	"repro/internal/geometry"
+)
+
+// iterRef is the per-cache-line walk Memory ran before the stripe walker
+// replaced it, kept verbatim as the oracle: one Decode, one moduleFor and
+// one locked Module row call per 64-byte piece.
+func (m *Memory) iterRef(pa uint64, n int, fn func(mod *Module, ma geometry.MediaAddr, off, n int) error) error {
+	off := 0
+	for off < n {
+		cur := pa + uint64(off)
+		chunk := geometry.CacheLineSize - int(cur%geometry.CacheLineSize)
+		if chunk > n-off {
+			chunk = n - off
+		}
+		ma, err := m.mapper.Decode(cur)
+		if err != nil {
+			return err
+		}
+		mod, err := m.moduleFor(ma.Bank)
+		if err != nil {
+			return err
+		}
+		if err := fn(mod, ma, off, chunk); err != nil {
+			return err
+		}
+		off += chunk
+	}
+	return nil
+}
+
+func (m *Memory) writeRef(pa uint64, data []byte) error {
+	return m.iterRef(pa, len(data), func(mod *Module, ma geometry.MediaAddr, off, n int) error {
+		return mod.WriteRow(ma.Bank, ma.Row, ma.Col, data[off:off+n])
+	})
+}
+
+func (m *Memory) readRef(pa uint64, buf []byte) error {
+	return m.iterRef(pa, len(buf), func(mod *Module, ma geometry.MediaAddr, off, n int) error {
+		return mod.ReadRow(ma.Bank, ma.Row, ma.Col, buf[off:off+n])
+	})
+}
+
+func (m *Memory) scrubRef(pa uint64, n int) error {
+	return m.iterRef(pa, n, func(mod *Module, ma geometry.MediaAddr, off, n int) error {
+		return mod.ScrubRow(ma.Bank, ma.Row, ma.Col, n)
+	})
+}
+
+// isZeroRef looks at every byte, a cache line at a time, in address order,
+// and like IsZeroPhys stops at the first that is not zero — so a range that
+// runs off the end of memory is an error only if it is zero up to there.
+func (m *Memory) isZeroRef(pa uint64, n int) (bool, error) {
+	errData := errors.New("nonzero")
+	var line [geometry.CacheLineSize]byte
+	err := m.iterRef(pa, n, func(mod *Module, ma geometry.MediaAddr, off, n int) error {
+		if err := mod.ReadRow(ma.Bank, ma.Row, ma.Col, line[:n]); err != nil {
+			return err
+		}
+		for _, c := range line[:n] {
+			if c != 0 {
+				return errData
+			}
+		}
+		return nil
+	})
+	if err == errData {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// smallServer is two sockets of two DIMMs: a 128 KiB stripe that divides a
+// 2 MiB page, and DIMM and socket boundaries to cross.
+func smallServer() geometry.Geometry {
+	return geometry.Geometry{
+		Sockets: 2, CoresPerSocket: 4, DIMMsPerSocket: 2, RanksPerDIMM: 2,
+		BanksPerRank: 4, RowsPerBank: 1024, RowBytes: 8 * geometry.KiB,
+		RowsPerSubarray: 512,
+	}
+}
+
+// oracleCase is one mapping the differential test runs over.
+type oracleCase struct {
+	name   string
+	g      geometry.Geometry
+	mapper func(geometry.Geometry) (addr.Mapper, error)
+}
+
+func oracleCases() []oracleCase {
+	skylake := func(g geometry.Geometry) (addr.Mapper, error) { return addr.NewMapper(g, addr.KindSkylake) }
+	linear := func(g geometry.Geometry) (addr.Mapper, error) { return addr.NewMapper(g, addr.KindLinear) }
+	partitioned := func(parts int) func(geometry.Geometry) (addr.Mapper, error) {
+		return func(g geometry.Geometry) (addr.Mapper, error) { return addr.NewPartitionedMapper(g, parts) }
+	}
+	small := smallServer()
+	// 1024 banks per socket over 16 DIMMs, 1 KiB rows: more banks than any
+	// fixed-size scratch array would have held, and many locks per stripe.
+	wide := geometry.Geometry{
+		Sockets: 2, CoresPerSocket: 4, DIMMsPerSocket: 16, RanksPerDIMM: 4,
+		BanksPerRank: 16, RowsPerBank: 1024, RowBytes: geometry.KiB,
+		RowsPerSubarray: 512,
+	}
+	return []oracleCase{
+		{"skylake-small", small, skylake},
+		{"skylake-192bank", geometry.Default(), skylake}, // 1.5 MiB stripe: does not divide 2 MiB
+		{"skylake-wide", wide, skylake},
+		{"partitioned-2", small, partitioned(2)},
+		{"partitioned-4-192bank", geometry.Default(), partitioned(4)},
+		{"linear-small", small, linear},
+		{"linear-wide", wide, linear},
+	}
+}
+
+// TestBulkPathMatchesPerLineReference drives the stripe walker and the
+// per-line reference with the same random operations on two memories and
+// demands the same bytes, the same errors and the same zero answers.
+func TestBulkPathMatchesPerLineReference(t *testing.T) {
+	for _, tc := range oracleCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Memory {
+				mapper, err := tc.mapper(tc.g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mem, err := NewMemory(tc.g, mapper, []Profile{testProfile()}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return mem
+			}
+			got, ref := build(), build()
+			total := uint64(tc.g.TotalBytes())
+			st, err := got.Mapper().Stripe(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripe := uint64(st.Len)
+
+			// Operations cluster around a few anchors so they overlap
+			// each other (and the memory they materialize stays small):
+			// the start, a stripe edge, a 2 MiB page edge, the socket
+			// boundary, and the end of memory.
+			anchors := []uint64{0, 5 * stripe, 3 * geometry.PageSize2M, uint64(tc.g.SocketBytes()), total}
+			span := max(2*stripe, geometry.PageSize2M) + 4096 // longest operation
+			rng := rand.New(rand.NewSource(17))
+			pick := func() (pa uint64, n int) {
+				a := anchors[rng.Intn(len(anchors))]
+				pa = a - min(a, span) + uint64(rng.Int63n(int64(2*span)))
+				switch rng.Intn(12) {
+				case 0:
+					n = 0
+				case 1, 2, 3, 4, 5:
+					n = 1 + rng.Intn(200) // sub-line and a few lines, unaligned
+				case 6, 7:
+					n = 64 << rng.Intn(7) // line-multiples
+					pa &^= 63
+				case 8:
+					n = geometry.PageSize2M
+					pa &^= geometry.PageSize2M - 1
+				case 9: // exactly one whole stripe
+					n = int(stripe)
+					pa -= pa % stripe
+				default:
+					n = rng.Intn(int(span)) // unaligned, stripe-crossing
+				}
+				return pa, n
+			}
+			sameErr := func(op string, pa uint64, n int, a, b error) {
+				t.Helper()
+				if (a == nil) != (b == nil) || (a != nil && a.Error() != b.Error()) {
+					t.Fatalf("%s(%#x, %d): walker err %v, reference err %v", op, pa, n, a, b)
+				}
+			}
+			bufA, bufB := make([]byte, span), make([]byte, span)
+			for i := 0; i < 240; i++ {
+				pa, n := pick()
+				switch op := rng.Intn(10); {
+				case op < 4:
+					data := bufA[:n]
+					rng.Read(data)
+					if rng.Intn(4) == 0 {
+						clear(data) // stores of zeros must not read as data
+					}
+					sameErr("write", pa, n, got.WritePhys(pa, data), ref.writeRef(pa, data))
+				case op < 6:
+					sameErr("scrub", pa, n, got.ScrubPhys(pa, n), ref.scrubRef(pa, n))
+				case op < 8:
+					a, b := bufA[:n], bufB[:n]
+					rng.Read(a) // stale contents must be overwritten, zeros included
+					sameErr("read", pa, n, got.ReadPhys(pa, a), ref.readRef(pa, b))
+					if pa+uint64(n) <= total && !bytes.Equal(a, b) {
+						t.Fatalf("read(%#x, %d): walker and reference disagree", pa, n)
+					}
+				default:
+					za, ea := got.IsZeroPhys(pa, n)
+					zb, eb := ref.isZeroRef(pa, n)
+					sameErr("iszero", pa, n, ea, eb)
+					if za != zb {
+						t.Fatalf("IsZeroPhys(%#x, %d) = %v, reference %v", pa, n, za, zb)
+					}
+				}
+			}
+			// Byte-identical: each memory, read by each path, over every
+			// window an operation could have touched.
+			for _, a := range anchors {
+				lo := a - min(a, 2*span)
+				n := int(min(4*span, total-lo))
+				if n == 0 {
+					continue
+				}
+				var views [4][]byte
+				for i, read := range []func(uint64, []byte) error{got.ReadPhys, got.readRef, ref.ReadPhys, ref.readRef} {
+					views[i] = make([]byte, n)
+					if err := read(lo, views[i]); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(views[i], views[0]) {
+						t.Fatalf("window %#x+%d: view %d differs from the walker's own read", lo, n, i)
+					}
+				}
+				za, _ := got.IsZeroPhys(lo, n)
+				if want := len(bytes.TrimLeft(views[0], "\x00")) == 0; za != want {
+					t.Fatalf("IsZeroPhys(%#x, %d) = %v over a window whose bytes say %v", lo, n, za, want)
+				}
+			}
+		})
+	}
+}
+
+// badStripeMapper answers Stripe with whatever the test planted: the
+// walker's once-per-stripe checks are the only thing between a wrong
+// mapping and an out-of-bounds row access.
+type badStripeMapper struct {
+	addr.Mapper
+	st addr.Stripe
+}
+
+func (b badStripeMapper) Stripe(uint64) (addr.Stripe, error) { return b.st, nil }
+
+func TestWalkerRejectsStripesOutsideGeometry(t *testing.T) {
+	g := tinyGeometry()
+	inner, err := addr.NewSkylakeMapper(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := inner.Stripe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(f func(*addr.Stripe)) addr.Stripe { st := good; f(&st); return st }
+	for name, st := range map[string]addr.Stripe{
+		"socket past the last":   mutate(func(s *addr.Stripe) { s.Socket = g.Sockets }),
+		"negative socket":        mutate(func(s *addr.Stripe) { s.Socket = -1 }),
+		"banks past the socket":  mutate(func(s *addr.Stripe) { s.Bank0 = 1 }),
+		"negative first bank":    mutate(func(s *addr.Stripe) { s.Bank0 = -1; s.Banks++ }),
+		"no banks":               mutate(func(s *addr.Stripe) { s.Banks = 0; s.Len = 0 }),
+		"row past the bank":      mutate(func(s *addr.Stripe) { s.Row = g.RowsPerBank }),
+		"negative row":           mutate(func(s *addr.Stripe) { s.Row = -1 }),
+		"longer than its rows":   mutate(func(s *addr.Stripe) { s.Len += geometry.CacheLineSize }),
+		"offset past the stripe": mutate(func(s *addr.Stripe) { s.Off = s.Len }),
+		"negative offset":        mutate(func(s *addr.Stripe) { s.Off = -1 }),
+	} {
+		mem, err := NewMemory(g, badStripeMapper{inner, st}, []Profile{testProfile()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 128)
+		for op, err := range map[string]error{
+			"write": mem.WritePhys(0, buf),
+			"read":  mem.ReadPhys(0, buf),
+			"scrub": mem.ScrubPhys(0, len(buf)),
+			"iszero": func() error {
+				_, err := mem.IsZeroPhys(0, len(buf))
+				return err
+			}(),
+		} {
+			if err == nil {
+				t.Errorf("%s: %s accepted stripe %+v", name, op, st)
+			}
+		}
+		if live := mem.Module(0, 0).rows.len(); live != 0 {
+			t.Errorf("%s: %d rows materialized by a rejected access", name, live)
+		}
+	}
+}

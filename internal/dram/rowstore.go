@@ -21,28 +21,29 @@ import "repro/internal/geometry"
 type rowStore struct {
 	rowBytes     int
 	banksPerRank int
-	slabRows     int       // rows per slab
+	slabShift    uint      // log2(rows per slab): slot lookup is a shift and a mask, not a divide
 	banks        [][]int32 // (rank*banksPerRank+bank) -> per-row slot+1, nil until touched
 	rowsPer      int       // rows per bank
-	slabs        [][]byte  // slab arena; slot s lives in slabs[s/slabRows]
+	slabs        [][]byte  // slab arena; slot s lives in slabs[s>>slabShift]
 	free         []int32   // released slots awaiting reuse (LIFO)
 	next         int32     // next never-used slot
 	live         int       // rows currently materialized
 }
 
-// rowStoreSlabBytes sizes slabs at ~1 MiB so churn touches few large
-// allocations; a geometry with rows larger than that gets one row per slab.
+// rowStoreSlabBytes sizes slabs at ~1 MiB (the largest power-of-two row
+// count that fits) so churn touches few large allocations; a geometry with
+// rows larger than that gets one row per slab.
 const rowStoreSlabBytes = 1 << 20
 
 func newRowStore(g geometry.Geometry) *rowStore {
-	slabRows := rowStoreSlabBytes / g.RowBytes
-	if slabRows < 1 {
-		slabRows = 1
+	var slabShift uint
+	for g.RowBytes<<(slabShift+1) <= rowStoreSlabBytes {
+		slabShift++
 	}
 	return &rowStore{
 		rowBytes:     g.RowBytes,
 		banksPerRank: g.BanksPerRank,
-		slabRows:     slabRows,
+		slabShift:    slabShift,
 		banks:        make([][]int32, g.BanksPerDIMM()),
 		rowsPer:      g.RowsPerBank,
 	}
@@ -55,8 +56,8 @@ func (s *rowStore) bankIndex(rank, bank int) int {
 
 // slot returns the backing bytes of an allocated slot.
 func (s *rowStore) slot(ref int32) []byte {
-	off := int(ref) % s.slabRows * s.rowBytes
-	return s.slabs[int(ref)/s.slabRows][off : off+s.rowBytes]
+	off := int(ref) & (1<<s.slabShift - 1) * s.rowBytes
+	return s.slabs[int(ref)>>s.slabShift][off : off+s.rowBytes]
 }
 
 // row returns the row's bytes, or nil if the row was never materialized.
@@ -91,8 +92,8 @@ func (s *rowStore) rowAlloc(bankIdx, mediaRow int) []byte {
 	} else {
 		ref = s.next
 		s.next++
-		if int(ref)/s.slabRows >= len(s.slabs) {
-			s.slabs = append(s.slabs, make([]byte, s.slabRows*s.rowBytes))
+		if int(ref)>>s.slabShift >= len(s.slabs) {
+			s.slabs = append(s.slabs, make([]byte, s.rowBytes<<s.slabShift))
 		}
 	}
 	tbl[mediaRow] = ref + 1
