@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race race-quick bench bench-micro bench-check bench-quick evaluation golden golden-check examples tools check verify clean
+.PHONY: all build vet fmt-check test test-short race race-quick bench bench-micro bench-out-is-new bench-check bench-quick evaluation golden golden-check examples tools check verify clean
 
 all: check
 
@@ -33,12 +33,15 @@ race:
 # Quick suite under the race detector: the scheduler, determinism and
 # cancellation tests that exercise every parallel path, plus the
 # balloon/resize/registry lifecycle tests that hammer the reservation paths
-# from concurrent VMs, and the live-writer migrations that race the bulk data
-# path's row locks from both sockets.
+# from concurrent VMs, the live-writer migrations that race the bulk data
+# path's row locks from both sockets, and the lock-free TLB's coherence across
+# every layout commit (-count=10: the race it pins needs a translator caught
+# mid-walk).
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
 	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations' ./internal/core
+	$(GO) test -race -count=10 -run 'TestTLBCoherentAcrossLifecycle' ./internal/core
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate
 	$(GO) test -race -run 'TestConcurrentFleetChurn' ./internal/fleet
@@ -48,20 +51,29 @@ race-quick:
 # Packages with substrate microbenchmarks (address decode, the memory
 # controller, the DRAM module) — the hot paths the BENCH_*.json baseline
 # tracks. The registry benches in the repo root ride along.
-BENCH_PKGS := ./internal/addr ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/serve
-BENCH_DATE := $(shell date +%F)
+BENCH_PKGS := ./internal/addr ./internal/core ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/serve
+# Every capture is a new point of the trajectory: bench and bench-micro refuse
+# to overwrite an existing BENCH_$(BENCH_DATE).json. For a second point on the
+# same day pass a suffix that sorts after the date, e.g. BENCH_DATE=2026-09-30b
+# (bench-check picks the newest baseline by sorted filename).
+BENCH_DATE ?= $(shell date +%F)
+BENCH_OUT := BENCH_$(BENCH_DATE).json
 # Latest committed baseline by date-sorted filename.
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
 # Full benchmark sweep: every table/figure plus per-substrate microbenches,
 # captured into a dated JSON baseline (min ns/op across -count runs).
-bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=3 ./... | $(GO) run ./cmd/siloz perf -o BENCH_$(BENCH_DATE).json
+bench: bench-out-is-new
+	$(GO) test -run '^$$' -bench=. -benchmem -count=3 ./... | $(GO) run ./cmd/siloz perf -o $(BENCH_OUT)
 
 # Microbench-only capture: the substrate hot paths, quick enough to run on
 # every perf-relevant change.
-bench-micro:
-	$(GO) test -run '^$$' -bench=. -benchmem -count=3 $(BENCH_PKGS) | $(GO) run ./cmd/siloz perf -o BENCH_$(BENCH_DATE).json
+bench-micro: bench-out-is-new
+	$(GO) test -run '^$$' -bench=. -benchmem -count=3 $(BENCH_PKGS) | $(GO) run ./cmd/siloz perf -o $(BENCH_OUT)
+
+bench-out-is-new:
+	@if [ -e $(BENCH_OUT) ]; then \
+		echo "$(BENCH_OUT) exists and baselines are never overwritten; for another point today pass BENCH_DATE=$$(date +%F)b (then c, ...)"; exit 1; fi
 
 # Regression gate: rerun the microbenches and fail on >20% ns/op slowdown
 # against the newest committed BENCH_*.json.

@@ -235,3 +235,104 @@ func TestConcurrentOppositeMigrations(t *testing.T) {
 		t.Errorf("audit: %s", f)
 	}
 }
+
+// TestTLBCoherentAcrossLifecycle spins translators over a guest's whole RAM
+// window — they are not pause-gated, like the serving loop's Runner.Issue —
+// while every operation that rewrites the RAM layout or the tables commits:
+// balloon inflate and deflate, hotplug grow, a cross-socket migration there
+// and back, and EPT relocation. A translator that walked the EPTs before a
+// commit must not be able to publish that frame after it: once each
+// operation returns, the TLB agrees with a fresh walk on every mapped RAM
+// page and no ballooned page translates.
+func TestTLBCoherentAcrossLifecycle(t *testing.T) {
+	h := bootSiloz(t)
+	const name = "tlb"
+	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: name, Socket: 0, MemoryBytes: 32 * geometry.MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sweepPages = 32 // past the hot-plugged range: unmapped GPAs are swept too
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := uint64(i); ; n += 3 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Ballooned and never-mapped pages fail by design.
+				_, _ = vm.Translate(n%sweepPages*geometry.PageSize2M + n%geometry.PageSize2M)
+			}
+		}(i)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	check := func(op string) {
+		t.Helper()
+		h.mu.Lock()
+		ram := append([]uint64(nil), vm.ram...)
+		h.mu.Unlock()
+		for p, hpa := range ram {
+			gpa := uint64(p)*geometry.PageSize2M + 0x1240
+			got, err := vm.Translate(gpa)
+			if hpa == hpaNone {
+				if err == nil {
+					t.Errorf("after %s: ballooned gpa %#x translates to %#x", op, gpa, got)
+				}
+				continue
+			}
+			want, werr := vm.TranslateUncached(gpa)
+			if err != nil || werr != nil || got != want || want != hpa+0x1240 {
+				t.Errorf("after %s: gpa %#x: Translate = %#x, %v; walk = %#x, %v; frame %#x",
+					op, gpa, got, err, want, werr, hpa)
+			}
+		}
+	}
+
+	migrate := func(socket int) error {
+		_, err := h.MigrateVM(context.Background(), name,
+			freeGuestNodes(t, h, socket, vm.Spec().MemoryBytes), MigrateOptions{})
+		return err
+	}
+	relocate := func(socket int) error {
+		_, err := h.RelocateEPT(name, socket)
+		return err
+	}
+	balloon := func(target uint64) error {
+		_, err := h.BalloonVM(name, target)
+		return err
+	}
+	steps := []struct {
+		op  string
+		run func() error
+	}{
+		{"balloon inflate", func() error { return balloon(8 * geometry.MiB) }},
+		{"balloon deflate", func() error { return balloon(0) }},
+		{"hotplug grow", func() error { _, err := h.HotplugVM(name, 16*geometry.MiB); return err }},
+		{"migration to socket 1", func() error { return migrate(1) }},
+		{"EPT relocation to socket 0", func() error { return relocate(0) }},
+		{"balloon inflate on socket 1", func() error { return balloon(16 * geometry.MiB) }},
+		{"migration back to socket 0", func() error { return migrate(0) }},
+		{"EPT relocation to socket 1", func() error { return relocate(1) }},
+		{"balloon deflate on socket 0", func() error { return balloon(0) }},
+		{"EPT relocation home", func() error { return relocate(0) }},
+	}
+	check("create")
+	for _, s := range steps {
+		if err := s.run(); err != nil {
+			t.Fatalf("%s: %v", s.op, err)
+		}
+		check(s.op)
+	}
+	for _, f := range h.Audit() {
+		t.Errorf("audit: %s", f)
+	}
+}

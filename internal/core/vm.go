@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/ept"
@@ -84,11 +85,13 @@ type VM struct {
 	// allocator it came from.
 	guards    []uint64
 	guardNode map[uint64]int
-	tlbMu     sync.Mutex // guards tlb: reps of one benchmark VM translate concurrently
-	tlb       map[uint64]uint64
-	ramNode   map[uint64]int // 2M HPA -> node ID (accounting)
-	exits     uint64         // VM exits taken for mediated accesses
-	pinned    []int          // exclusively-pinned logical cores
+	// tlb is the software TLB, never nil once CreateVM returns. Reps of one
+	// benchmark VM translate concurrently and the serving loop translates
+	// while lifecycle operations commit, so it is lock-free: see tlbTable.
+	tlb     atomic.Pointer[tlbTable]
+	ramNode map[uint64]int // 2M HPA -> node ID (accounting)
+	exits   uint64         // VM exits taken for mediated accesses
+	pinned  []int          // exclusively-pinned logical cores
 
 	// devMu guards devices: the passthrough devices whose IOMMU tables
 	// must track every RAM-layout change (migration, balloon, hotplug).
@@ -168,7 +171,7 @@ func (h *Hypervisor) CreateVM(proc Process, spec VMSpec) (*VM, error) {
 			spec.MinMemoryBytes, spec.MemoryBytes)
 	}
 
-	vm := &VM{spec: spec, hv: h, eptSocket: spec.Socket, tlb: make(map[uint64]uint64), ramNode: make(map[uint64]int)}
+	vm := &VM{spec: spec, hv: h, eptSocket: spec.Socket, ramNode: make(map[uint64]int)}
 
 	if h.mode == ModeSiloz {
 		if err := h.reserveGuestNodes(vm); err != nil {
@@ -195,6 +198,7 @@ func (h *Hypervisor) CreateVM(proc Process, spec VMSpec) (*VM, error) {
 		vm.teardown()
 		return nil, err
 	}
+	vm.InvalidateTLB() // the first table, sized to the RAM just mapped
 	if err := h.allocMediated(vm); err != nil {
 		vm.teardown()
 		return nil, err
@@ -591,6 +595,32 @@ func (vm *VM) isMediatedGPA(gpa uint64) bool { return gpa >= MediatedBase }
 // (extra regions and the mediated window use 4 KiB pages).
 func (vm *VM) isRAMGPA(gpa uint64) bool { return gpa < ROMBase }
 
+// tlbTable is one generation of a VM's software TLB: one slot per 2 MiB RAM
+// page in GPA order holding hpa|1 (0 = empty). A table is only ever filled,
+// never edited: InvalidateTLB publishes a fresh one, so a translator that
+// loaded the old table before a layout commit — and walked the pre-commit
+// EPTs — fills the table that was just discarded, never the live one.
+type tlbTable struct {
+	slots []atomic.Uint64
+	// inline backs slots for guests of up to tlbInlinePages, so header and
+	// slots are one object and an invalidation costs one allocation — what
+	// the map it replaced cost — on the control plane's common guest sizes.
+	inline [tlbInlinePages]atomic.Uint64
+}
+
+// tlbInlinePages covers 128 MiB of guest RAM.
+const tlbInlinePages = 64
+
+func newTLBTable(ramPages int) *tlbTable {
+	t := new(tlbTable)
+	if ramPages <= tlbInlinePages {
+		t.slots = t.inline[:ramPages]
+	} else {
+		t.slots = make([]atomic.Uint64, ramPages)
+	}
+	return t
+}
+
 // Translate resolves a GPA through the VM's EPTs with a software TLB; data
 // accesses use it. InvalidateTLB forces re-walks (as hardware TLB flushes
 // do), which is how EPT corruption becomes visible to translation.
@@ -598,21 +628,21 @@ func (vm *VM) Translate(gpa uint64) (uint64, error) {
 	if vm.tables == nil {
 		return 0, fmt.Errorf("core: VM %q has been destroyed", vm.spec.Name)
 	}
-	pageBase := gpa &^ uint64(geometry.PageSize2M-1)
-	vm.tlbMu.Lock()
-	hpa, ok := vm.tlb[pageBase]
-	vm.tlbMu.Unlock()
-	if ok {
-		return hpa + (gpa - pageBase), nil
+	// The table is loaded before the walk and the fill goes into that same
+	// table: see tlbTable for why a stale fill cannot outlive a commit.
+	slots := vm.tlb.Load().slots
+	page := gpa / geometry.PageSize2M
+	if page < uint64(len(slots)) {
+		if e := slots[page].Load(); e != 0 {
+			return e - 1 + gpa%geometry.PageSize2M, nil
+		}
 	}
 	hpa, err := vm.tables.Translate(gpa)
 	if err != nil {
 		return 0, err
 	}
-	if vm.isRAMGPA(gpa) {
-		vm.tlbMu.Lock()
-		vm.tlb[pageBase] = hpa &^ uint64(geometry.PageSize2M-1)
-		vm.tlbMu.Unlock()
+	if page < uint64(len(slots)) {
+		slots[page].Store(hpa&^uint64(geometry.PageSize2M-1) | 1)
 	}
 	return hpa, nil
 }
@@ -625,11 +655,13 @@ func (vm *VM) TranslateUncached(gpa uint64) (uint64, error) {
 	return vm.tables.Translate(gpa)
 }
 
-// InvalidateTLB drops all cached translations.
+// InvalidateTLB drops all cached translations by publishing an empty table
+// sized to the current RAM page count. Layout commits call it after the EPT
+// edit and before the guest resumes. The caller holds the VM's lifecycle
+// latch (CreateVM: has not published the VM yet), which is what lets it read
+// vm.ram.
 func (vm *VM) InvalidateTLB() {
-	vm.tlbMu.Lock()
-	vm.tlb = make(map[uint64]uint64)
-	vm.tlbMu.Unlock()
+	vm.tlb.Store(newTLBTable(len(vm.ram)))
 }
 
 // translateWrite resolves a GPA for a store. A write through a read-only

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dram"
 	"repro/internal/geometry"
@@ -101,8 +102,12 @@ type Tables struct {
 	mem   *dram.Memory
 	pages PageAllocator
 	mode  IntegrityMode
-	root  uint64
-	all   []uint64 // every table page, for accounting and attack targeting
+	// root is atomic because translators that are not pause-gated (the
+	// serving loop's software-TLB misses) start walks while Relocate swaps
+	// hierarchies: the new one is complete before the store, so a walk sees
+	// one hierarchy or the other — an EPTP switch.
+	root atomic.Uint64
+	all  []uint64 // every table page, for accounting and attack targeting
 
 	entryMu   sync.Mutex        // serializes entry loads/stores, macs, destroyed
 	macs      map[uint64]uint64 // entry pa -> MAC (SecureEPT only)
@@ -115,7 +120,8 @@ func New(mem *dram.Memory, pages PageAllocator, mode IntegrityMode) (*Tables, er
 	if err != nil {
 		return nil, fmt.Errorf("ept: allocating root: %w", err)
 	}
-	t := &Tables{mem: mem, pages: pages, mode: mode, root: root, all: []uint64{root}}
+	t := &Tables{mem: mem, pages: pages, mode: mode, all: []uint64{root}}
+	t.root.Store(root)
 	if mode == SecureEPT {
 		t.macs = make(map[uint64]uint64)
 	}
@@ -126,7 +132,7 @@ func New(mem *dram.Memory, pages PageAllocator, mode IntegrityMode) (*Tables, er
 }
 
 // Root returns the root table page's physical address.
-func (t *Tables) Root() uint64 { return t.root }
+func (t *Tables) Root() uint64 { return t.root.Load() }
 
 // Mode returns the integrity mode.
 func (t *Tables) Mode() IntegrityMode { return t.mode }
@@ -148,7 +154,7 @@ func (t *Tables) Destroy() {
 	}
 	t.entryMu.Lock()
 	t.all = nil
-	t.root = 0
+	t.root.Store(0)
 	t.macs = nil
 	t.destroyed = true
 	t.entryMu.Unlock()
@@ -273,7 +279,7 @@ func (t *Tables) Remap4KProt(gpa, hpa uint64, writable bool) error {
 // silently drop its mappings and orphan the table page. With remap set the
 // target must already hold a leaf of the same size.
 func (t *Tables) mapLeaf(gpa, hpa uint64, leafLevel int, writable, remap bool) error {
-	table := t.root
+	table := t.root.Load()
 	for level := 0; level < leafLevel; level++ {
 		entryPA := table + indexAt(gpa, level)*entrySize
 		v, err := t.readEntry(entryPA)
@@ -337,7 +343,7 @@ func (t *Tables) Translate(gpa uint64) (uint64, error) {
 // tables are retained for reuse, as KVM does. Unmapping an unmapped GPA
 // returns ErrNotMapped.
 func (t *Tables) Unmap(gpa uint64) error {
-	table := t.root
+	table := t.root.Load()
 	for level := 0; level < numLevels; level++ {
 		entryPA := table + indexAt(gpa, level)*entrySize
 		v, err := t.readEntry(entryPA)
@@ -362,7 +368,7 @@ func (t *Tables) Unmap(gpa uint64) error {
 // dirty and re-enables the bit. Protecting an unmapped GPA returns
 // ErrNotMapped.
 func (t *Tables) Protect(gpa uint64, writable bool) error {
-	table := t.root
+	table := t.root.Load()
 	for level := 0; level < numLevels; level++ {
 		entryPA := table + indexAt(gpa, level)*entrySize
 		v, err := t.readEntry(entryPA)
@@ -391,7 +397,7 @@ func (t *Tables) Protect(gpa uint64, writable bool) error {
 // through a read-only leaf returns ErrPermission (the EPT violation that
 // exits into the hypervisor).
 func (t *Tables) TranslateAccess(gpa uint64, write bool) (uint64, error) {
-	table := t.root
+	table := t.root.Load()
 	for level := 0; level < numLevels; level++ {
 		entryPA := table + indexAt(gpa, level)*entrySize
 		v, err := t.readEntry(entryPA)
@@ -419,8 +425,9 @@ func (t *Tables) TranslateAccess(gpa uint64, write bool) (uint64, error) {
 // frees the old pages back to the allocator that provided them, returning
 // the number of table pages moved. Cross-socket migration uses this to pull
 // a VM's tables into the destination socket's guard-protected EPT block
-// (§5.4): the guest must be paused (relocation swaps the root and every
-// intermediate pointer non-atomically), and under SecureEPT each copied
+// (§5.4): the guest must be paused (an entry edited in the old hierarchy
+// mid-copy would be lost; only the root swap itself is atomic, see
+// Tables.root), and under SecureEPT each copied
 // entry is re-MACed for its new PA simply by being written there — the MAC
 // is keyed by entry PA, so stale MACs cannot follow the move. On any
 // partial failure the pages already drawn from newAlloc are returned and
@@ -472,11 +479,12 @@ func (t *Tables) Relocate(newAlloc PageAllocator) (int, error) {
 		}
 		return np, nil
 	}
-	newRoot, err := copyTable(t.root, 0)
+	newRoot, err := copyTable(t.root.Load(), 0)
 	if err != nil {
 		return fail(err)
 	}
-	t.root, t.all, t.pages = newRoot, newPages, newAlloc
+	t.all, t.pages = newPages, newAlloc
+	t.root.Store(newRoot)
 	for _, pa := range oldPages {
 		t.dropMACs(pa)
 		oldAlloc.FreeTablePage(pa)

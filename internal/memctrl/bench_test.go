@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/addr"
@@ -27,15 +28,51 @@ func BenchmarkControllerStream(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheAccess times the LLC model on the three access shapes the
+// request path produces, on the serving loop's default 32 MiB, 16-way cache.
 func BenchmarkCacheAccess(b *testing.B) {
-	c, err := NewCache(32<<20, 16)
-	if err != nil {
-		b.Fatal(err)
+	const capacity, ways = 32 << 20, 16
+	run := func(name string, addrs []uint64) {
+		b.Run(name, func(b *testing.B) {
+			c, err := NewCache(capacity, ways)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, pa := range addrs { // warm: timed accesses see a settled cache
+				c.Access(pa)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Access(addrs[i%len(addrs)])
+			}
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i%100000) * geometry.CacheLineSize)
+
+	// One resident line per set: every access hits the most recent way.
+	mru := make([]uint64, 4096)
+	for i := range mru {
+		mru[i] = uint64(i) * geometry.CacheLineSize
 	}
+	run("hit-mru", mru)
+
+	// The serve-quiet shape: zipf 1.1 popularity over a 64 MiB region, so
+	// hits land at every recency position and a tail of accesses misses.
+	const regionLines = (64 << 20) / geometry.CacheLineSize
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, regionLines-1)
+	zs := make([]uint64, 1<<20)
+	for i := range zs {
+		// Scatter ranks over the region as a KV store's hashing does.
+		zs[i] = zipf.Uint64() * 2654435761 % regionLines * geometry.CacheLineSize
+	}
+	run("hit-zipf", zs)
+
+	// ways+1 lines cycling through one set: every access evicts the LRU way.
+	sets := uint64(capacity / geometry.CacheLineSize / ways)
+	conflict := make([]uint64, ways+1)
+	for i := range conflict {
+		conflict[i] = uint64(i) * sets * geometry.CacheLineSize
+	}
+	run("miss-conflict", conflict)
 }
 
 // BenchmarkControllerTracked exercises the miss-heavy hammering profile the

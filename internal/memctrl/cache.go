@@ -13,11 +13,15 @@ import (
 // performance unchanged (§7.2-7.3): only the DRAM-miss stream differs, and
 // its bank/row statistics are placement-invariant in aggregate.
 type Cache struct {
-	ways     int
-	sets     int
-	tags     [][]uint64 // per set, line addresses (0 = invalid)
-	lru      [][]int64  // per set, last-use stamps
-	clock    int64
+	ways int
+	sets int
+	// tags holds sets × ways line addresses, one set after another. Each
+	// set is kept in recency order: most recently used first, invalid
+	// entries (0) at the tail. A hit moves the tag to the front and a miss
+	// shifts the set down one and inserts at the front, so the tag that
+	// falls off is always the least recently used — exact LRU without a
+	// per-way stamp, and a 16-way set spans two adjacent host cache lines.
+	tags     []uint64
 	hitCount int64
 	missed   int64
 	// HitNs is the service latency of a cache hit.
@@ -34,14 +38,7 @@ func NewCache(capacityBytes int64, ways int) (*Cache, error) {
 	if sets <= 0 {
 		return nil, fmt.Errorf("memctrl: capacity %d too small for %d ways", capacityBytes, ways)
 	}
-	c := &Cache{ways: ways, sets: sets, HitNs: 20}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]int64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.lru[i] = make([]int64, ways)
-	}
-	return c, nil
+	return &Cache{ways: ways, sets: sets, tags: make([]uint64, sets*ways), HitNs: 20}, nil
 }
 
 // Access looks a physical address up, filling on miss. It returns true on
@@ -49,24 +46,23 @@ func NewCache(capacityBytes int64, ways int) (*Cache, error) {
 func (c *Cache) Access(pa uint64) bool {
 	line := pa &^ uint64(geometry.CacheLineSize-1)
 	set := int((line / geometry.CacheLineSize) % uint64(c.sets))
-	c.clock++
-	tags := c.tags[set]
+	tags := c.tags[set*c.ways : (set+1)*c.ways]
+	tag := line + 1 // +1 so 0 stays "invalid"
 	for w, t := range tags {
-		if t == line+1 { // +1 so 0 stays "invalid"
-			c.lru[set][w] = c.clock
+		if t == tag {
+			// Hot lines sit near the front, so the shift is usually
+			// zero to a few words: a loop beats a memmove call.
+			for ; w > 0; w-- {
+				tags[w] = tags[w-1]
+			}
+			tags[0] = tag
 			c.hitCount++
 			return true
 		}
 	}
-	// Miss: fill the LRU way.
-	victim := 0
-	for w := 1; w < c.ways; w++ {
-		if c.lru[set][w] < c.lru[set][victim] {
-			victim = w
-		}
-	}
-	tags[victim] = line + 1
-	c.lru[set][victim] = c.clock
+	// Miss: the tail is the LRU way (or an invalid one); drop it.
+	copy(tags[1:], tags[:c.ways-1])
+	tags[0] = tag
 	c.missed++
 	return false
 }

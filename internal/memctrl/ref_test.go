@@ -1,0 +1,181 @@
+package memctrl
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/geometry"
+)
+
+// refCache is the stamp-LRU cache Cache replaced, kept verbatim as the
+// differential oracle: per-set tag and last-use-stamp slices, victim = the
+// lowest-index way with the smallest stamp. The recency-ordered layout must
+// produce the same hit/miss answer on every access of every stream.
+type refCache struct {
+	ways     int
+	sets     int
+	tags     [][]uint64 // per set, line addresses (0 = invalid)
+	lru      [][]int64  // per set, last-use stamps
+	clock    int64
+	hitCount int64
+	missed   int64
+}
+
+func newRefCache(capacityBytes int64, ways int) *refCache {
+	lines := capacityBytes / geometry.CacheLineSize
+	sets := int(lines) / ways
+	c := &refCache{ways: ways, sets: sets}
+	c.tags = make([][]uint64, sets)
+	c.lru = make([][]int64, sets)
+	for i := range c.tags {
+		c.tags[i] = make([]uint64, ways)
+		c.lru[i] = make([]int64, ways)
+	}
+	return c
+}
+
+func (c *refCache) Access(pa uint64) bool {
+	line := pa &^ uint64(geometry.CacheLineSize-1)
+	set := int((line / geometry.CacheLineSize) % uint64(c.sets))
+	c.clock++
+	tags := c.tags[set]
+	for w, t := range tags {
+		if t == line+1 { // +1 so 0 stays "invalid"
+			c.lru[set][w] = c.clock
+			c.hitCount++
+			return true
+		}
+	}
+	// Miss: fill the LRU way.
+	victim := 0
+	for w := 1; w < c.ways; w++ {
+		if c.lru[set][w] < c.lru[set][victim] {
+			victim = w
+		}
+	}
+	tags[victim] = line + 1
+	c.lru[set][victim] = c.clock
+	c.missed++
+	return false
+}
+
+func (c *refCache) HitRate() float64 {
+	total := c.hitCount + c.missed
+	if total == 0 {
+		return 0
+	}
+	return float64(c.hitCount) / float64(total)
+}
+
+// checkAgainstReference drives one address stream through both caches.
+func checkAgainstReference(t *testing.T, capacity int64, ways int, stream []uint64) {
+	t.Helper()
+	c, err := NewCache(capacity, ways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefCache(capacity, ways)
+	if c.sets != ref.sets {
+		t.Fatalf("sets = %d, reference %d", c.sets, ref.sets)
+	}
+	for i, pa := range stream {
+		if got, want := c.Access(pa), ref.Access(pa); got != want {
+			t.Fatalf("access %d (pa %#x): hit = %v, reference %v", i, pa, got, want)
+		}
+	}
+	if c.Hits() != ref.hitCount || c.Misses() != ref.missed || c.HitRate() != ref.HitRate() {
+		t.Fatalf("hits/misses/rate = %d/%d/%v, reference %d/%d/%v",
+			c.Hits(), c.Misses(), c.HitRate(), ref.hitCount, ref.missed, ref.HitRate())
+	}
+}
+
+// refStreams builds the address streams the oracle replays for a cache of
+// the given shape: the access shapes the experiments produce plus the ones
+// that stress replacement order.
+func refStreams(sets, ways int, seed int64) map[string][]uint64 {
+	const n = 20000
+	rng := rand.New(rand.NewSource(seed))
+	lines := uint64(sets * ways)
+	streams := make(map[string][]uint64)
+
+	seq := make([]uint64, n)
+	for i := range seq { // sweeps 1.5× the capacity, so later passes evict
+		seq[i] = uint64(i) % (lines + lines/2 + 1) * geometry.CacheLineSize
+	}
+	streams["sequential"] = seq
+
+	zipf := rand.NewZipf(rng, 1.1, 1, 4*lines)
+	zs := make([]uint64, n)
+	for i := range zs {
+		zs[i] = zipf.Uint64() * geometry.CacheLineSize
+	}
+	streams["zipfian"] = zs
+
+	// Every line maps to one set; ways+2 distinct lines with a skewed
+	// reuse pattern, so hits land at every recency position.
+	conflict := make([]uint64, n)
+	for i := range conflict {
+		k := uint64(rng.Intn(ways + 2))
+		if rng.Intn(3) == 0 {
+			k = uint64(rng.Intn(2))
+		}
+		conflict[i] = (k*uint64(sets) + 3%uint64(sets)) * geometry.CacheLineSize
+	}
+	streams["single-set-conflict"] = conflict
+
+	// Byte-granular addresses over the whole 64-bit space folded onto a
+	// few lines per set, including the topmost line.
+	unaligned := make([]uint64, n)
+	for i := range unaligned {
+		switch rng.Intn(4) {
+		case 0:
+			unaligned[i] = ^uint64(0) - uint64(rng.Intn(200))
+		case 1:
+			unaligned[i] = rng.Uint64()
+		default:
+			unaligned[i] = uint64(rng.Int63n(int64(2*lines*geometry.CacheLineSize) + 1))
+		}
+	}
+	streams["unaligned"] = unaligned
+	return streams
+}
+
+func TestCacheMatchesStampLRUReference(t *testing.T) {
+	for _, ways := range []int{1, 2, 3, 16} {
+		for _, sets := range []int{1, 8, 64, 5, 48, 100} {
+			capacity := int64(sets * ways * geometry.CacheLineSize)
+			for name, stream := range refStreams(sets, ways, int64(ways*1000+sets)) {
+				t.Run(fmt.Sprintf("ways=%d/sets=%d/%s", ways, sets, name), func(t *testing.T) {
+					checkAgainstReference(t, capacity, ways, stream)
+				})
+			}
+		}
+	}
+}
+
+// FuzzCacheMatchesReference lets the fuzzer pick the cache shape and the
+// stream: data is consumed as a sequence of small line-index deltas and
+// occasional byte offsets, which keeps the stream dense enough to hit.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add(uint8(16), uint16(64), []byte{0, 1, 2, 1, 0, 200, 3, 3, 17, 0})
+	f.Add(uint8(1), uint16(1), []byte{5, 5, 6, 5})
+	f.Add(uint8(3), uint16(5), []byte{255, 254, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 0})
+	f.Fuzz(func(t *testing.T, ways uint8, sets uint16, data []byte) {
+		w, s := int(ways%16)+1, int(sets%512)+1
+		stream := make([]uint64, 0, len(data))
+		var line uint64
+		for i, b := range data {
+			switch {
+			case b >= 250: // jump to a conflicting line in the same set
+				line += uint64(s) * uint64(b-249)
+			case b >= 128: // step backwards
+				line -= uint64(b - 128)
+			default:
+				line += uint64(b)
+			}
+			stream = append(stream, line*geometry.CacheLineSize+uint64(i%geometry.CacheLineSize))
+		}
+		checkAgainstReference(t, int64(s*w*geometry.CacheLineSize), w, stream)
+	})
+}

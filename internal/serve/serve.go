@@ -16,7 +16,6 @@
 package serve
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -158,13 +157,9 @@ type reqEntry struct {
 	seq    int64
 }
 
-// reqHeap orders arrivals by (ready, tenant, client, seq) — a total order,
+// less is the strict total order (ready, tenant, client, seq) on arrivals,
 // so the event loop is deterministic even under arrival-time ties.
-type reqHeap []reqEntry
-
-func (h reqHeap) Len() int { return len(h) }
-func (h reqHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+func (a reqEntry) less(b reqEntry) bool {
 	if a.ready != b.ready {
 		return a.ready < b.ready
 	}
@@ -176,14 +171,54 @@ func (h reqHeap) Less(i, j int) bool {
 	}
 	return a.seq < b.seq
 }
-func (h reqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *reqHeap) Push(x interface{}) { *h = append(*h, x.(reqEntry)) }
-func (h *reqHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// reqHeap is a binary min-heap of arrivals under reqEntry.less. It is typed
+// rather than a container/heap adapter because that interface boxes every
+// pushed and popped entry — two allocations per request on the hot loop.
+type reqHeap []reqEntry
+
+func (h *reqHeap) push(e reqEntry) {
+	q := append(*h, e)
+	*h = q
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.less(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+}
+
+// pop removes and returns the least entry; the heap must be non-empty.
+func (h *reqHeap) pop() reqEntry {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	e := q[n]
+	q = q[:n]
+	*h = q
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && q[child+1].less(q[child]) {
+			child++
+		}
+		if !q[child].less(e) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = e
+	}
+	return top
 }
 
 // Loop is a configured serving loop. Build with New, run once with Run.
@@ -411,7 +446,7 @@ func (l *Loop) push(ready float64, tenantIdx, client int) {
 		return
 	}
 	l.seq++
-	heap.Push(&l.queue, reqEntry{ready: ready, tenant: tenantIdx, client: client, seq: l.seq})
+	l.queue.push(reqEntry{ready: ready, tenant: tenantIdx, client: client, seq: l.seq})
 }
 
 // Run drives the loop to completion and returns the report. ctx is
@@ -420,13 +455,13 @@ func (l *Loop) push(ready float64, tenantIdx, client int) {
 // defragmentation is a result, not a failure).
 func (l *Loop) Run(ctx context.Context) (*Report, error) {
 	processed := 0
-	for l.queue.Len() > 0 {
+	for len(l.queue) > 0 {
 		if processed%256 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		e := heap.Pop(&l.queue).(reqEntry)
+		e := l.queue.pop()
 		for len(l.events) > 0 && l.events[0].AtNs <= e.ready {
 			ev := l.events[0]
 			l.events = l.events[1:]
