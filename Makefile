@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race race-quick bench bench-micro bench-out-is-new bench-check bench-quick evaluation golden golden-check examples tools check verify clean
+.PHONY: all build vet fmt-check test test-short race race-quick fuzz-quick bench bench-micro bench-out-is-new bench-check bench-quick evaluation golden golden-check examples tools check verify clean
 
 all: check
 
@@ -47,6 +47,17 @@ race-quick:
 	$(GO) test -race -run 'TestConcurrentFleetChurn' ./internal/fleet
 	$(GO) test -race -run 'TestGenerateEarlyStopDeterminism' ./internal/workload
 	$(GO) test -race -run 'TestConcurrentServeResize|TestServeFleetMoveChurn' ./internal/serve
+
+# The differential fuzzers — each drives a fast path against the reference
+# implementation it replaced — for FUZZTIME apiece. `go test -fuzz` takes one
+# target and one package per run, hence one line per fuzzer. New corpus
+# entries land in the package's testdata/fuzz only on a failure.
+FUZZTIME ?= 10s
+fuzz-quick:
+	$(GO) test -run '^$$' -fuzz '^FuzzMapperFastPathEquivalence$$' -fuzztime $(FUZZTIME) ./internal/addr
+	$(GO) test -run '^$$' -fuzz '^FuzzStripeMatchesDecode$$' -fuzztime $(FUZZTIME) ./internal/addr
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/memctrl
+	$(GO) test -run '^$$' -fuzz '^FuzzAggressorTableMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mitigation
 
 # Packages with substrate microbenchmarks (address decode, the memory
 # controller, the DRAM module) — the hot paths the BENCH_*.json baseline

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -222,5 +224,74 @@ func TestPerf(t *testing.T) {
 	}
 	if code, _, _ := siloz("no benchmarks here\n", "perf"); code != 1 {
 		t.Errorf("empty input: exit %d, want 1", code)
+	}
+}
+
+// perfCheck runs `siloz perf -check` of current against a baseline captured
+// from base.
+func perfCheck(t *testing.T, base, current string) (code int, out string) {
+	t.Helper()
+	path := t.TempDir() + "/base.json"
+	if code, _, errs := siloz(base, "perf", "-o", path); code != 0 {
+		t.Fatalf("capture: exit %d: %s", code, errs)
+	}
+	code, out, _ = siloz(current, "perf", "-check", path)
+	return code, out
+}
+
+// TestPerfCheckGatesAllocs: allocs/op above the baseline by more than
+// max(1, 2 %) fails the gate at unchanged ns/op; at or under the rule, a
+// fall, and a side without -benchmem figures all pass.
+func TestPerfCheckGatesAllocs(t *testing.T) {
+	line := func(allocs string) string {
+		return "pkg: repro/internal/serve\nBenchmarkServeLoop-8 \t 100\t 5000 ns/op\t 64 B/op\t " + allocs + "\n"
+	}
+	for _, c := range []struct {
+		base, cur string
+		regressed bool
+	}{
+		{"0 allocs/op", "1 allocs/op", false}, // +1 is inside max(1, 2%)
+		{"0 allocs/op", "2 allocs/op", true},
+		{"66 allocs/op", "67 allocs/op", false},
+		{"66 allocs/op", "68 allocs/op", true},
+		{"1000 allocs/op", "1020 allocs/op", false}, // exactly 2%
+		{"1000 allocs/op", "1021 allocs/op", true},
+		{"1000 allocs/op", "3 allocs/op", false},
+	} {
+		code, out := perfCheck(t, line(c.base), line(c.cur))
+		if got := code == 1 && strings.Contains(out, "REGRESSED") && strings.Contains(out, "allocs/op"); got != c.regressed {
+			t.Errorf("%s -> %s: exit %d, regressed = %v, want %v:\n%s", c.base, c.cur, code, got, c.regressed, out)
+		}
+	}
+	// benchOutput's Activate line carries no -benchmem figures.
+	if code, out := perfCheck(t, benchOutput, benchOutput); code != 0 {
+		t.Errorf("absent allocs gated: exit %d:\n%s", code, out)
+	}
+}
+
+// TestPerfCheckMissingIsSorted: baseline entries absent from the run print
+// in key order, not map order, so two checks of the same inputs are equal
+// byte for byte.
+func TestPerfCheckMissingIsSorted(t *testing.T) {
+	var base strings.Builder
+	base.WriteString("pkg: repro/internal/addr\n")
+	var want []string
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&base, "BenchmarkGone%02d-8 \t 100\t 10.0 ns/op\n", i)
+		want = append(want, fmt.Sprintf("repro/internal/addr.Gone%02d", i))
+	}
+	base.WriteString("BenchmarkStays-8 \t 100\t 10.0 ns/op\n")
+	code, out := perfCheck(t, base.String(), "pkg: repro/internal/addr\nBenchmarkStays-8 \t 100\t 10.0 ns/op\n")
+	if code != 0 {
+		t.Fatalf("missing benchmarks failed the gate: exit %d:\n%s", code, out)
+	}
+	var got []string
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) > 1 && f[0] == "MISSING" {
+			got = append(got, f[1])
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("MISSING lines = %v, want %v", got, want)
 	}
 }

@@ -49,12 +49,14 @@ type baseline struct {
 //	go test -bench=. -benchmem -count=3 ./... | siloz perf -o BENCH_2026-08-08.json
 //
 // Check mode compares fresh output against a committed baseline and fails
-// if any benchmark regressed beyond the tolerance:
+// if any benchmark's ns/op regressed beyond the tolerance, or its allocs/op
+// rose by more than max(1, 2 %) of the baseline's (a fixed rule: allocation
+// counts repeat exactly, so they need no tunable slack):
 //
 //	go test -bench=. -benchmem -count=2 ./... | siloz perf -check BENCH_2026-08-08.json -tolerance 20
 //
-// Benchmarks present on only one side are reported but never fail the
-// gate: the suite is expected to grow.
+// Benchmarks present on only one side are reported, in sorted order, but
+// never fail the gate: the suite is expected to grow.
 func perfCmd(inv *invocation, args []string) error {
 	out := inv.fs.String("o", "", "write the JSON baseline to this file (default stdout)")
 	check := inv.fs.String("check", "", "baseline JSON to compare against instead of capturing")
@@ -176,8 +178,19 @@ func parseBench(r io.Reader) ([]benchResult, error) {
 	return out, nil
 }
 
+// allocsRegressed is the fixed allocs/op rule of check mode: more than
+// max(1, 2 %) above the baseline. A side without -benchmem figures (-1) is
+// not gated.
+func allocsRegressed(old, cur int64) bool {
+	if old < 0 || cur < 0 {
+		return false
+	}
+	return float64(cur-old) > max(1, 0.02*float64(old))
+}
+
 // runCheck compares current results against the baseline file and fails on
-// any ns/op regression beyond tolerance percent.
+// any ns/op regression beyond tolerance percent or allocs/op regression
+// beyond the fixed rule.
 func runCheck(w io.Writer, path string, current []benchResult, tolerance float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -191,32 +204,39 @@ func runCheck(w io.Writer, path string, current []benchResult, tolerance float64
 	for _, r := range base.Benchmarks {
 		baseBy[r.Pkg+"."+r.Name] = r
 	}
-	curBy := map[string]bool{}
 	regressions := 0
 	for _, cur := range current {
 		key := cur.Pkg + "." + cur.Name
-		curBy[key] = true
 		old, ok := baseBy[key]
 		if !ok {
 			fmt.Fprintf(w, "NEW       %-60s %10.1f ns/op\n", key, cur.NsPerOp)
 			continue
 		}
+		delete(baseBy, key)
 		delta := 100 * (cur.NsPerOp - old.NsPerOp) / old.NsPerOp
+		allocs := ""
+		if allocsRegressed(old.AllocsPerOp, cur.AllocsPerOp) {
+			allocs = fmt.Sprintf(", %d -> %d allocs/op", old.AllocsPerOp, cur.AllocsPerOp)
+		}
 		status := "ok"
-		if delta > tolerance {
+		if delta > tolerance || allocs != "" {
 			status = "REGRESSED"
 			regressions++
 		}
-		fmt.Fprintf(w, "%-9s %-60s %10.1f -> %10.1f ns/op (%+.1f%%)\n",
-			status, key, old.NsPerOp, cur.NsPerOp, delta)
+		fmt.Fprintf(w, "%-9s %-60s %10.1f -> %10.1f ns/op (%+.1f%%)%s\n",
+			status, key, old.NsPerOp, cur.NsPerOp, delta, allocs)
 	}
+	missing := make([]string, 0, len(baseBy))
 	for key := range baseBy {
-		if !curBy[key] {
-			fmt.Fprintf(w, "MISSING   %-60s (in baseline, not in run)\n", key)
-		}
+		missing = append(missing, key)
+	}
+	sort.Strings(missing)
+	for _, key := range missing {
+		fmt.Fprintf(w, "MISSING   %-60s (in baseline, not in run)\n", key)
 	}
 	if regressions > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%% vs %s", regressions, tolerance, path)
+		return fmt.Errorf("%d benchmark(s) regressed vs %s (ns/op by more than %.0f%%, or allocs/op by more than max(1, 2%%))",
+			regressions, path, tolerance)
 	}
 	fmt.Fprintf(w, "siloz perf: no regression beyond %.0f%% vs %s (%d benchmarks)\n",
 		tolerance, path, len(current))

@@ -412,16 +412,15 @@ func TestActivationTrackingMatchesMapReference(t *testing.T) {
 	// Final per-(bank,row) counts of the live window must agree exactly.
 	total := 0
 	for bank := range c.actTables {
-		c.actTables[bank].Range(func(row int, v int32) bool {
-			if want := refCounts[[2]int{bank, row}]; int(v) != want {
-				t.Fatalf("bank %d row %d: count %d, reference %d", bank, row, v, want)
-			}
-			total++
-			return true
-		})
+		total += c.actTables[bank].Len()
 	}
 	if total != len(refCounts) {
 		t.Fatalf("tables hold %d live rows, reference %d", total, len(refCounts))
+	}
+	for key, want := range refCounts {
+		if v, ok := c.actTables[key[0]].Get(key[1]); !ok || int(v) != want {
+			t.Fatalf("bank %d row %d: count (%d,%v), reference %d", key[0], key[1], v, ok, want)
+		}
 	}
 }
 

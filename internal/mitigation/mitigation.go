@@ -42,6 +42,13 @@ type Activation struct {
 // the charge of every row in the blast-radius neighbourhood of media row
 // row in bank bank. Callers may pass nil when they only want overhead
 // accounting (the directive is still counted by the mitigation).
+//
+// The order of directives within one OnActivate call is unspecified — a
+// table defense emits them in whatever order its table holds the rows — so
+// a sink must be order-independent: its state after a call may depend on
+// the multiset of directives only. Both sinks in this repository are:
+// dram.Module's only deletes disturbance entries, memctrl.Controller's adds
+// one constant of bank busy time per directive.
 type RefreshFn func(bank, row int)
 
 // Mitigation is the activation-plane contract. OnActivate fires on every

@@ -1,10 +1,6 @@
 package mitigation
 
-import (
-	"fmt"
-
-	"repro/internal/rowcount"
-)
+import "fmt"
 
 // SilverBullet implements counter-based victim-row refresh (Yağlıkçı et
 // al., arXiv 2106.07084): each bank keeps a bounded table of aggressor
@@ -25,27 +21,27 @@ import (
 //     the event is counted and surfaced through Health as a wrapped
 //     ErrBudgetExhausted.
 type SilverBullet struct {
-	size      int
 	threshold float64
 	budget    int // per bank per window; 0 = unlimited
 
-	tables []rowcount.Table[float64]
-	spent  []int
-	blind  []bool // bank exhausted this window
+	table aggressorTable
+	spent []int
+	blind []bool // bank exhausted this window
 
-	// Lifetime ledgers, sharded by bank like the tables so parallel
+	// Lifetime ledgers, sharded by bank like the table so parallel
 	// single-goroutine-per-bank callers never share a counter word.
 	fired     []int
 	exhausted []int
 }
 
-// NewSilverBullet builds a Silver Bullet instance for a scope of banks.
+// NewSilverBullet builds a Silver Bullet instance for a scope of banks. It
+// panics on tableSize < 1; Spec.Validate is the error-returning gate for
+// configuration that arrives from outside.
 func NewSilverBullet(banks, tableSize int, threshold float64, budget int) *SilverBullet {
 	return &SilverBullet{
-		size:      tableSize,
 		threshold: threshold,
 		budget:    budget,
-		tables:    make([]rowcount.Table[float64], banks),
+		table:     newAggressorTable(banks, tableSize),
 		spent:     make([]int, banks),
 		blind:     make([]bool, banks),
 		fired:     make([]int, banks),
@@ -78,24 +74,24 @@ func (m *SilverBullet) fire(bank, row int, refresh RefreshFn) bool {
 
 // OnActivate implements Mitigation.
 func (m *SilverBullet) OnActivate(ev Activation, refresh RefreshFn) {
-	tb := &m.tables[ev.Bank]
-	if _, tracked := tb.Get(ev.Row); !tracked && tb.Len() >= m.size {
-		// Table full: safe-evict the lowest-count entry. The min scan is
-		// slot-order Range with a total-order tie-break, so the choice is
-		// iteration-order independent.
-		minRow, minC := -1, 0.0
-		tb.Range(func(r int, rc float64) bool {
-			if minRow == -1 || rc < minC || (rc == minC && r < minRow) {
-				minRow, minC = r, rc
-			}
-			return true
-		})
-		m.fire(ev.Bank, minRow, refresh)
-		tb.Delete(minRow)
+	t := &m.table
+	c := float64(ev.Count)
+	at := t.find(ev.Bank, ev.Row)
+	switch {
+	case at >= 0:
+		t.counts[at] += c
+	case t.full(ev.Bank):
+		// Safe-evict the lowest (count, row) entry: refresh its
+		// neighbourhood (budget permitting), then hand its place over.
+		at = t.lowest(ev.Bank)
+		m.fire(ev.Bank, int(t.rows[at]), refresh)
+		t.replace(at, ev.Row, c)
+	default:
+		at = t.insert(ev.Bank, ev.Row, c)
 	}
-	if v := tb.Add(ev.Row, float64(ev.Count)); v >= m.threshold {
+	if t.counts[at] >= m.threshold {
 		m.fire(ev.Bank, ev.Row, refresh)
-		tb.Delete(ev.Row)
+		t.remove(ev.Bank, at)
 	}
 }
 
@@ -103,11 +99,9 @@ func (m *SilverBullet) OnActivate(ev Activation, refresh RefreshFn) {
 // row's charge, so counters and budgets reset. Blindness is per window,
 // but past exhaustions stay in the overhead ledger and in Health.
 func (m *SilverBullet) OnWindowEnd() {
-	for i := range m.tables {
-		m.tables[i].Reset()
-		m.spent[i] = 0
-		m.blind[i] = false
-	}
+	m.table.resetAll()
+	clear(m.spent)
+	clear(m.blind)
 }
 
 // Overhead implements Mitigation.

@@ -177,8 +177,12 @@ func (s Spec) IsolatesSubarrayGroups() bool { return s.Kind == KindSiloz }
 // seeded by seed (derive it with ScopeSeed so parallel scopes stay
 // deterministic). KindNone returns (nil, nil): nothing to attach. Pure
 // allocation-plane kinds return ErrUnsupported — they have no activation
-// hook, and asking for one is a caller bug the sentinel makes typed.
+// hook, and asking for one is a caller bug the sentinel makes typed. A spec
+// that fails Validate builds nothing.
 func (s Spec) RowDefense(banks int, seed int64) (Mitigation, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	s = s.WithDefaults()
 	if banks <= 0 {
 		return nil, fmt.Errorf("mitigation: scope must have at least one bank, got %d", banks)

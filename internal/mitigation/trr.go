@@ -11,28 +11,25 @@ package mitigation
 // The port preserves the original module logic exactly — same insertion,
 // same total-order min tie-break, same fire cadence — so fixed-seed flip
 // outputs are bit-identical to the pre-refactor implementation.
-import "repro/internal/rowcount"
-
-// TRR samples aggressors per bank and periodically refreshes them. All
-// state — tables, activation counters, the refresh ledger — is sharded by
+//
+// All state — table, activation counters, the refresh ledger — is sharded by
 // bank, matching the simulation's concurrency contract: each bank is
 // touched by one goroutine at a time, banks may be touched in parallel.
 type TRR struct {
-	size     int
 	interval int
 
-	tables []rowcount.Table[float64]
-	acts   []int
-	fired  []int // per-bank injected refreshes (lifetime ledger)
+	table aggressorTable
+	acts  []int
+	fired []int // per-bank injected refreshes (lifetime ledger)
 }
 
 // NewTRR builds a TRR sampler for a scope of banks with the given table
-// size and refresh interval (activations between refresh events).
+// size and refresh interval (activations between refresh events). It panics
+// on tableSize < 1.
 func NewTRR(banks, tableSize, interval int) *TRR {
 	return &TRR{
-		size:     tableSize,
 		interval: interval,
-		tables:   make([]rowcount.Table[float64], banks),
+		table:    newAggressorTable(banks, tableSize),
 		acts:     make([]int, banks),
 		fired:    make([]int, banks),
 	}
@@ -43,48 +40,35 @@ func (m *TRR) Name() string { return "trr" }
 
 // OnActivate implements Mitigation.
 func (m *TRR) OnActivate(ev Activation, refresh RefreshFn) {
-	tb := &m.tables[ev.Bank]
+	t := &m.table
 	c := float64(ev.Count)
-	if _, ok := tb.Get(ev.Row); ok {
-		tb.Add(ev.Row, c)
-	} else if tb.Len() < m.size {
-		tb.Add(ev.Row, c)
-	} else {
-		// Replace the lowest-count entry only if the incoming burst is
-		// larger. The min scan is slot-order Range, but the tie-break is
-		// a total order, so the result is iteration-order independent.
-		minRow, minC := -1, 0.0
-		tb.Range(func(r int, rc float64) bool {
-			if minRow == -1 || rc < minC || (rc == minC && r < minRow) {
-				minRow, minC = r, rc
-			}
-			return true
-		})
-		if c > minC {
-			tb.Delete(minRow)
-			tb.Add(ev.Row, c)
-		}
+	if at := t.find(ev.Bank, ev.Row); at >= 0 {
+		t.counts[at] += c
+	} else if !t.full(ev.Bank) {
+		t.insert(ev.Bank, ev.Row, c)
+	} else if low := t.lowest(ev.Bank); c > t.counts[low] {
+		// Replace the lowest (count, row) entry only if the incoming
+		// burst is larger.
+		t.replace(low, ev.Row, c)
 	}
 	m.acts[ev.Bank] += ev.Count
 	if m.acts[ev.Bank] >= m.interval {
-		tb.Range(func(row int, _ float64) bool {
-			m.fired[ev.Bank]++
-			if refresh != nil {
-				refresh(ev.Bank, row)
+		rows := t.bankRows(ev.Bank)
+		m.fired[ev.Bank] += len(rows)
+		if refresh != nil {
+			for _, row := range rows {
+				refresh(ev.Bank, int(row))
 			}
-			return true
-		})
-		tb.Reset()
+		}
+		t.reset(ev.Bank)
 		m.acts[ev.Bank] = 0
 	}
 }
 
 // OnWindowEnd implements Mitigation.
 func (m *TRR) OnWindowEnd() {
-	for i := range m.tables {
-		m.tables[i].Reset()
-		m.acts[i] = 0
-	}
+	m.table.resetAll()
+	clear(m.acts)
 }
 
 // Overhead implements Mitigation.

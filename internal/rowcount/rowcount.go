@@ -1,8 +1,9 @@
 // Package rowcount provides the per-bank row-accumulator table the
 // simulation hot paths share: an open-addressed hash table from a DRAM row
 // index to a numeric accumulator (activation counts for the memory
-// controller, weighted disturbance for the DRAM model), laid out as flat
-// parallel arrays and reset in O(1) by bumping a generation counter.
+// controller, weighted disturbance for the DRAM model), laid out as one flat
+// array of packed {key, tag, value} slots and reset in O(1) by bumping a
+// generation counter.
 //
 // The design mirrors how cycle-accurate simulators lay out their Rowhammer
 // counter tables (one flat table per rank*banks+bank instead of a
@@ -11,6 +12,9 @@
 // every entry at once — no per-window reallocation, no rehashing, no
 // garbage. Tables are not safe for concurrent use; the simulation shards by
 // bank, and each bank's table is touched by exactly one goroutine.
+//
+// The API is point operations only (Add, Get, Delete, Len, Reset): slot
+// order is never observable, so callers cannot come to depend on it.
 package rowcount
 
 import "math/bits"
@@ -27,9 +31,20 @@ type Value interface {
 // hammering campaigns grow the table on demand.
 const minCapacity = 64
 
-// maxGen is the largest generation before tags wrap; on wrap the tag array
-// is cleared so stale entries from 2^31 windows ago cannot resurrect.
+// maxGen is the largest generation before tags wrap; on wrap the slots are
+// cleared so stale entries from 2^31 windows ago cannot resurrect.
 const maxGen = 1<<31 - 1
+
+// slot is one table entry. Key, state tag and accumulator sit side by side
+// (12 bytes for int32 payloads, 16 for int64/float64) so a probe step costs
+// one host cache line, not one per parallel array — with 32 banks × 2 048
+// rows of tracker state the tables outgrow L2 and that miss is the cost of
+// an Add.
+type slot[V Value] struct {
+	key  int32
+	meta uint32
+	val  V
+}
 
 // Table accumulates values per row with O(1) whole-table reset.
 //
@@ -38,13 +53,11 @@ const maxGen = 1<<31 - 1
 // otherwise — so Reset invalidates every slot by incrementing gen. The
 // zero Table is empty and ready to use; it allocates on first Add.
 type Table[V Value] struct {
-	keys []int32
-	meta []uint32
-	vals []V
-	mask uint32
-	live int // entries visible to Get/Range
-	used int // live + tombstones: bounds probe length, triggers growth
-	gen  uint32
+	slots []slot[V]
+	mask  uint32
+	live  int // entries visible to Get
+	used  int // live + tombstones: bounds probe length, triggers growth
+	gen   uint32
 }
 
 // hash spreads a row index over the table's slots.
@@ -58,7 +71,7 @@ func hash(row int32) uint32 {
 // allocating.
 func (t *Table[V]) Reset() {
 	if t.gen >= maxGen {
-		clear(t.meta)
+		clear(t.slots)
 		t.gen = 0
 	}
 	t.gen++
@@ -72,9 +85,9 @@ func (t *Table[V]) Len() int { return t.live }
 // Add accumulates delta into row's entry, creating it at delta if absent,
 // and returns the new value.
 func (t *Table[V]) Add(row int, delta V) V {
-	if t.keys == nil {
+	if t.slots == nil {
 		t.init(minCapacity)
-	} else if (t.used+1)*4 > len(t.keys)*3 {
+	} else if (t.used+1)*4 > len(t.slots)*3 {
 		t.grow()
 	}
 	liveTag := t.gen<<1 | 1
@@ -82,23 +95,21 @@ func (t *Table[V]) Add(row int, delta V) V {
 	i := hash(int32(row)) & t.mask
 	firstTomb := int32(-1)
 	for {
-		switch m := t.meta[i]; {
-		case m == liveTag && t.keys[i] == int32(row):
-			t.vals[i] += delta
-			return t.vals[i]
-		case m == tombTag:
+		switch s := &t.slots[i]; {
+		case s.meta == liveTag && s.key == int32(row):
+			s.val += delta
+			return s.val
+		case s.meta == tombTag:
 			if firstTomb < 0 {
 				firstTomb = int32(i)
 			}
-		case m != liveTag: // free slot: row is absent
+		case s.meta != liveTag: // free slot: row is absent
 			if firstTomb >= 0 {
-				i = uint32(firstTomb) // reuse the tombstone; used unchanged
+				s = &t.slots[firstTomb] // reuse the tombstone; used unchanged
 			} else {
 				t.used++
 			}
-			t.keys[i] = int32(row)
-			t.meta[i] = liveTag
-			t.vals[i] = delta
+			*s = slot[V]{key: int32(row), meta: liveTag, val: delta}
 			t.live++
 			return delta
 		}
@@ -116,10 +127,10 @@ func (t *Table[V]) Get(row int) (V, bool) {
 	tombTag := t.gen << 1
 	i := hash(int32(row)) & t.mask
 	for {
-		switch m := t.meta[i]; {
-		case m == liveTag && t.keys[i] == int32(row):
-			return t.vals[i], true
-		case m != liveTag && m != tombTag: // free slot ends the probe
+		switch s := &t.slots[i]; {
+		case s.meta == liveTag && s.key == int32(row):
+			return s.val, true
+		case s.meta != liveTag && s.meta != tombTag: // free slot ends the probe
 			var zero V
 			return zero, false
 		}
@@ -136,40 +147,22 @@ func (t *Table[V]) Delete(row int) {
 	tombTag := t.gen << 1
 	i := hash(int32(row)) & t.mask
 	for {
-		switch m := t.meta[i]; {
-		case m == liveTag && t.keys[i] == int32(row):
-			t.meta[i] = tombTag
+		switch s := &t.slots[i]; {
+		case s.meta == liveTag && s.key == int32(row):
+			s.meta = tombTag
 			t.live--
 			return
-		case m != liveTag && m != tombTag:
+		case s.meta != liveTag && s.meta != tombTag:
 			return
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// Range calls fn for every live (row, value) pair in slot order until fn
-// returns false. Slot order is an implementation detail: callers must only
-// perform order-independent work (sums, min/max with total tie-breaks,
-// deletions in other tables).
-func (t *Table[V]) Range(fn func(row int, v V) bool) {
-	if t.live == 0 {
-		return
-	}
-	liveTag := t.gen<<1 | 1
-	for i, m := range t.meta {
-		if m == liveTag && !fn(int(t.keys[i]), t.vals[i]) {
-			return
-		}
-	}
-}
-
-// init allocates the backing arrays at a power-of-two capacity.
+// init allocates the slot array at a power-of-two capacity.
 func (t *Table[V]) init(capacity int) {
 	capacity = 1 << bits.Len(uint(capacity-1))
-	t.keys = make([]int32, capacity)
-	t.meta = make([]uint32, capacity)
-	t.vals = make([]V, capacity)
+	t.slots = make([]slot[V], capacity)
 	t.mask = uint32(capacity - 1)
 	if t.gen == 0 {
 		t.gen = 1 // zeroed meta must read as free
@@ -179,27 +172,24 @@ func (t *Table[V]) init(capacity int) {
 // grow rehashes live entries into a table twice the size, shedding
 // tombstones.
 func (t *Table[V]) grow() {
-	old := *t
-	newCap := len(old.keys) * 2
-	if old.live*4 <= len(old.keys) {
-		newCap = len(old.keys) // tombstone-dominated: rehash in place
+	old := t.slots
+	newCap := len(old) * 2
+	if t.live*4 <= len(old) {
+		newCap = len(old) // tombstone-dominated: rehash in place
 	}
+	liveTag := t.gen<<1 | 1
 	t.init(newCap)
 	t.live = 0
 	t.used = 0
-	liveTag := old.gen<<1 | 1
-	newLive := t.gen<<1 | 1
-	for i, m := range old.meta {
-		if m != liveTag {
+	for i := range old {
+		if old[i].meta != liveTag {
 			continue
 		}
-		j := hash(old.keys[i]) & t.mask
-		for t.meta[j] == newLive {
+		j := hash(old[i].key) & t.mask
+		for t.slots[j].meta == liveTag {
 			j = (j + 1) & t.mask
 		}
-		t.keys[j] = old.keys[i]
-		t.meta[j] = newLive
-		t.vals[j] = old.vals[i]
+		t.slots[j] = old[i]
 		t.live++
 		t.used++
 	}

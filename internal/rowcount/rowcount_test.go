@@ -1,9 +1,31 @@
 package rowcount
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// sameContents checks tab against ref over the whole key space [0, rows):
+// equal Len, and every key present in exactly one of them or unequal in
+// value is an error. With Len equal and every key of the space probed, the
+// table can hold nothing the map does not.
+func sameContents[V Value](tab *Table[V], ref map[int]V, rows int) error {
+	if tab.Len() != len(ref) {
+		return fmt.Errorf("Len = %d, map has %d", tab.Len(), len(ref))
+	}
+	for row := 0; row < rows; row++ {
+		got, ok := tab.Get(row)
+		want, wok := ref[row]
+		if ok != wok || got != want {
+			return fmt.Errorf("row %d = (%v,%v), map has (%v,%v)", row, got, ok, want, wok)
+		}
+	}
+	return nil
+}
+
+// capacity is the tests' one window onto the table's footprint.
+func (t *Table[V]) capacity() int { return len(t.slots) }
 
 // TestDifferentialAgainstMap drives a Table and a plain map through the
 // same randomized operation stream — adds, deletes, resets, lookups — and
@@ -16,20 +38,8 @@ func TestDifferentialAgainstMap(t *testing.T) {
 	ref := map[int]float64{}
 	check := func(step int) {
 		t.Helper()
-		if tab.Len() != len(ref) {
-			t.Fatalf("step %d: Len = %d, map has %d", step, tab.Len(), len(ref))
-		}
-		seen := 0
-		tab.Range(func(row int, v float64) bool {
-			want, ok := ref[row]
-			if !ok || want != v {
-				t.Fatalf("step %d: row %d = %v, map has %v (present=%v)", step, row, v, want, ok)
-			}
-			seen++
-			return true
-		})
-		if seen != len(ref) {
-			t.Fatalf("step %d: Range visited %d rows, map has %d", step, seen, len(ref))
+		if err := sameContents(&tab, ref, 3000); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 	for step := 0; step < 200_000; step++ {
@@ -69,7 +79,7 @@ func TestResetIsCheapAndComplete(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		tab.Add(i, 1)
 	}
-	capBefore := len(tab.keys)
+	capBefore := tab.capacity()
 	tab.Reset()
 	if tab.Len() != 0 {
 		t.Fatalf("Len = %d after Reset", tab.Len())
@@ -80,8 +90,8 @@ func TestResetIsCheapAndComplete(t *testing.T) {
 	if got := tab.Add(5, 3); got != 3 {
 		t.Fatalf("Add after Reset = %d, want fresh 3", got)
 	}
-	if len(tab.keys) != capBefore {
-		t.Fatalf("Reset reallocated: cap %d -> %d", capBefore, len(tab.keys))
+	if tab.capacity() != capBefore {
+		t.Fatalf("Reset reallocated: cap %d -> %d", capBefore, tab.capacity())
 	}
 }
 
@@ -100,8 +110,8 @@ func TestTombstoneReuse(t *testing.T) {
 	if tab.Len() != 48 {
 		t.Fatalf("Len = %d, want 48", tab.Len())
 	}
-	if len(tab.keys) > 1024 {
-		t.Fatalf("table grew to %d slots under churn", len(tab.keys))
+	if tab.capacity() > 1024 {
+		t.Fatalf("table grew to %d slots under churn", tab.capacity())
 	}
 }
 
@@ -121,15 +131,106 @@ func TestGenerationWrap(t *testing.T) {
 	}
 }
 
-func BenchmarkTableAdd(b *testing.B) {
-	var tab Table[float64]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.Add(i&1023, 1)
-		if i&8191 == 8191 {
-			tab.Reset()
+// TestChurnMatchesMapAcrossGrowRehashAndWrap drives the packed layout
+// through the three events that move or invalidate slots wholesale — growth
+// into a larger array, the in-place rehash of a tombstone-dominated table,
+// and the generation wrap that clears every tag — against a map, and fails
+// unless each event was actually crossed.
+func TestChurnMatchesMapAcrossGrowRehashAndWrap(t *testing.T) {
+	const rows = 1500
+	rng := rand.New(rand.NewSource(7))
+	var tab Table[int32]
+	tab.gen = maxGen - 2 // the third window of this test wraps
+	ref := map[int]int32{}
+	var grew, rehashedInPlace, wrapped bool
+	add := func(row int, delta int32) {
+		t.Helper()
+		capBefore, usedBefore := tab.capacity(), tab.used
+		ref[row] += delta
+		if got := tab.Add(row, delta); got != ref[row] {
+			t.Fatalf("Add(%d, %d) = %d, map has %d", row, delta, got, ref[row])
+		}
+		switch {
+		case capBefore > 0 && tab.capacity() > capBefore:
+			grew = true
+		case tab.capacity() == capBefore && tab.used < usedBefore:
+			rehashedInPlace = true
 		}
 	}
+	check := func(when string) {
+		t.Helper()
+		if err := sameContents(&tab, ref, rows); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	for window := 0; window < 5; window++ {
+		// Fill: 600 distinct rows force growth 64 -> 1024 slots.
+		for i := 0; i < 600; i++ {
+			add(rng.Intn(600), 1+int32(rng.Intn(3)))
+		}
+		check("after fill")
+		// Thin to under a quarter of capacity, then keep inserting fresh
+		// rows over the tombstones until used crosses the load factor:
+		// the rehash that follows must stay in place.
+		for row := 0; row < 600; row++ {
+			if row%8 != 0 {
+				tab.Delete(row)
+				delete(ref, row)
+			}
+		}
+		check("after thinning")
+		for i := 0; i < 4000; i++ {
+			row := 600 + rng.Intn(rows-600)
+			if rng.Intn(2) == 0 {
+				add(row, 1)
+			} else {
+				tab.Delete(row)
+				delete(ref, row)
+			}
+		}
+		check("after churn")
+		genBefore := tab.gen
+		tab.Reset()
+		wrapped = wrapped || tab.gen < genBefore
+		clear(ref)
+		check("after reset")
+	}
+	if !grew || !rehashedInPlace || !wrapped {
+		t.Fatalf("events crossed: grow=%v in-place rehash=%v generation wrap=%v; want all three",
+			grew, rehashedInPlace, wrapped)
+	}
+}
+
+// BenchmarkTableAdd names the two cache regimes of the tracker's hot call:
+// one table whose slots stay in L1, and the memory controller's shape — 32
+// per-bank tables of 2 048 rows each, visited bank-interleaved — where every
+// probe leaves L2 and the slot layout decides how many lines it costs.
+func BenchmarkTableAdd(b *testing.B) {
+	b.Run("fits-l1", func(b *testing.B) {
+		var tab Table[int32]
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tab.Add(i&255, 1)
+			if i&8191 == 8191 {
+				tab.Reset()
+			}
+		}
+	})
+	b.Run("32banks-x-2048rows", func(b *testing.B) {
+		const banks, rows = 32, 2048
+		tabs := make([]Table[int32], banks)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			// A stride coprime to the row count scatters successive
+			// visits to one bank across its table.
+			tabs[i&(banks-1)].Add((i>>5)*1021&(rows-1), 1)
+			if i&(1<<20-1) == 1<<20-1 {
+				for j := range tabs {
+					tabs[j].Reset()
+				}
+			}
+		}
+	})
 }
 
 func BenchmarkMapAdd(b *testing.B) {
