@@ -2,12 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race race-quick fuzz-quick bench bench-micro bench-out-is-new bench-check bench-quick evaluation golden golden-check examples tools check verify clean
+.PHONY: all build loc vet fmt-check test test-short race race-quick fuzz-quick bench bench-micro bench-out-is-new bench-check bench-quick evaluation golden golden-check examples tools check verify clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Non-test Go lines per package under internal/ and cmd/, and their total:
+# the one number a net-negative-lines claim is checked against (CI prints it).
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./internal/... ./cmd/...); do \
+		printf '%6d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $${d#$(CURDIR)/}; \
+	done | awk '{s += $$1; print} END {printf "%6d total\n", s}'
 
 # Static analysis gate.
 vet:
@@ -33,14 +40,15 @@ race:
 # Quick suite under the race detector: the scheduler, determinism and
 # cancellation tests that exercise every parallel path, plus the
 # balloon/resize/registry lifecycle tests that hammer the reservation paths
-# from concurrent VMs, the live-writer migrations that race the bulk data
-# path's row locks from both sockets, and the lock-free TLB's coherence across
-# every layout commit (-count=10: the race it pins needs a translator caught
-# mid-walk).
+# from concurrent VMs, the frame-sourcing rollback table and the grow-versus-
+# migration race over the registry and allocators, the live-writer migrations
+# that race the bulk data path's row locks from both sockets, and the lock-free
+# TLB's coherence across every layout commit (-count=10: the race it pins needs
+# a translator caught mid-walk).
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
-	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations' ./internal/core
+	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize' ./internal/core
 	$(GO) test -race -count=10 -run 'TestTLBCoherentAcrossLifecycle' ./internal/core
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate

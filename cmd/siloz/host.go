@@ -103,7 +103,7 @@ func auditCmd(inv *invocation, args []string) error {
 	if err != nil {
 		return err
 	}
-	proc := core.Process{CGroup: "kvm", KVMPrivileged: true}
+	proc := core.KVMProcess()
 	for i := 0; i < *tenants; i++ {
 		vm, err := h.CreateVM(proc, core.VMSpec{
 			Name:   fmt.Sprintf("tenant%d", i),

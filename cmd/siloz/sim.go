@@ -68,7 +68,7 @@ func simCmd(inv *invocation, args []string) error {
 	if err != nil {
 		return err
 	}
-	proc := core.Process{CGroup: "kvm", KVMPrivileged: true}
+	proc := core.KVMProcess()
 	vms := make([]*core.VM, *tenants)
 	for i := range vms {
 		vms[i], err = h.CreateVM(proc, core.VMSpec{

@@ -28,6 +28,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/fleet"
 	"repro/internal/geometry"
 	"repro/internal/migrate"
@@ -165,8 +166,6 @@ func RunCampaign(name string, cfg CampaignConfig) (*CampaignResult, error) {
 	return env.res, nil
 }
 
-func campaignProc() core.Process { return core.Process{CGroup: "kvm", KVMPrivileged: true} }
-
 // campaignEnv is the single-host campaign harness: one attacker VM with a
 // confined VMTarget, plus the bookkeeping shared by all campaigns.
 type campaignEnv struct {
@@ -183,7 +182,7 @@ func newCampaignEnv(name string, cfg CampaignConfig) (*campaignEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	attacker, err := h.CreateVM(campaignProc(), core.VMSpec{
+	attacker, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 		Name: "attacker", Socket: 0, MemoryBytes: cfg.VMBytes,
 	})
 	if err != nil {
@@ -275,37 +274,10 @@ func (e *campaignEnv) checkScrubbed(frames []uint64) {
 		if err := e.h.Memory().ReadPhys(hpa, buf); err != nil {
 			continue
 		}
-		if !zeroBytes(buf) {
+		if !dram.AllZero(buf) {
 			e.res.ScrubLeaks++
 		}
 	}
-}
-
-func zeroBytes(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// freeGuestNodeIDs collects unowned guest-reserved nodes on a socket until
-// their capacity covers bytes; nil if the socket cannot.
-func freeGuestNodeIDs(h *core.Hypervisor, socket int, bytes uint64) []int {
-	var ids []int
-	var capacity uint64
-	for _, n := range h.Topology().NodesOnSocket(socket, numa.GuestReserved) {
-		if _, owned := h.Registry().OwnerOf(n.ID); owned {
-			continue
-		}
-		ids = append(ids, n.ID)
-		capacity += n.Bytes()
-		if capacity >= bytes {
-			return ids
-		}
-	}
-	return nil
 }
 
 // campaignStamp yields a deterministic payload for victim data.
@@ -322,7 +294,7 @@ func campaignStamp(seed int64, n int) []byte {
 // data intact, the audit clean, and every flip inside the attacker domain.
 func runMigrationCampaign(e *campaignEnv) error {
 	h, cfg := e.h, e.cfg
-	victim, err := h.CreateVM(campaignProc(), core.VMSpec{
+	victim, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 		Name: "victim", Socket: 0, MemoryBytes: cfg.VMBytes,
 	})
 	if err != nil {
@@ -340,9 +312,9 @@ func runMigrationCampaign(e *campaignEnv) error {
 	}
 	for round := 0; round < cfg.Rounds; round++ {
 		srcPages := victim.RAMPages()
-		dests := freeGuestNodeIDs(h, 0, cfg.VMBytes)
-		if dests == nil {
-			return fmt.Errorf("no free destination nodes for round %d", round)
+		dests, err := h.FreeNodes(0, cfg.VMBytes)
+		if err != nil {
+			return fmt.Errorf("no free destination nodes for round %d: %w", round, err)
 		}
 		stepRNG := rngFrom(CampaignSeed(cfg.Seed, 20+round))
 		if _, err := h.MigrateVM(context.Background(), "victim", dests, core.MigrateOptions{
@@ -389,7 +361,7 @@ func runMigrationCampaign(e *campaignEnv) error {
 // arrive zero after deflate.
 func runBalloonCampaign(e *campaignEnv) error {
 	h, cfg := e.h, e.cfg
-	victim, err := h.CreateVM(campaignProc(), core.VMSpec{
+	victim, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 		Name: "victim", Socket: 0, MemoryBytes: cfg.VMBytes,
 	})
 	if err != nil {
@@ -433,7 +405,7 @@ func runBalloonCampaign(e *campaignEnv) error {
 					if err := h.Memory().ReadPhys(hpa, buf); err != nil {
 						continue
 					}
-					if !zeroBytes(buf) {
+					if !dram.AllZero(buf) {
 						e.res.ScrubLeaks++
 					}
 				}
@@ -455,7 +427,7 @@ func runBalloonCampaign(e *campaignEnv) error {
 			if err := victim.ReadGuest(uint64(p)*geometry.PageSize2M, got); err != nil {
 				return err
 			}
-			if !zeroBytes(got) {
+			if !dram.AllZero(got) {
 				e.res.ScrubLeaks++
 			}
 		}
@@ -476,7 +448,7 @@ func runHotplugCampaign(e *campaignEnv) error {
 	residue := campaignStamp(CampaignSeed(cfg.Seed, 40), 4*geometry.KiB)
 	for round := 0; round < cfg.Rounds; round++ {
 		name := fmt.Sprintf("victim-%d", round)
-		victim, err := h.CreateVM(campaignProc(), core.VMSpec{
+		victim, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 			Name: name, Socket: 0, MemoryBytes: cfg.VMBytes,
 		})
 		if err != nil {
@@ -525,7 +497,7 @@ func runHotplugCampaign(e *campaignEnv) error {
 			if err := victim.ReadGuest(gpa, got); err != nil {
 				return err
 			}
-			if !zeroBytes(got) {
+			if !dram.AllZero(got) {
 				e.res.ScrubLeaks++
 			}
 		}
@@ -559,10 +531,10 @@ func runFleetCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	spec := func(name string) core.VMSpec {
 		return core.VMSpec{Name: name, MemoryBytes: cfg.VMBytes, MinMemoryBytes: cfg.VMBytes, VCPUs: 1}
 	}
-	if _, err := c.Admit(ctx, campaignProc(), spec("victim")); err != nil {
+	if _, err := c.Admit(ctx, core.KVMProcess(), spec("victim")); err != nil {
 		return nil, err
 	}
-	attackerHost, err := c.Admit(ctx, campaignProc(), spec("attacker"))
+	attackerHost, err := c.Admit(ctx, core.KVMProcess(), spec("attacker"))
 	if err != nil {
 		return nil, err
 	}
@@ -689,7 +661,7 @@ func runFleetCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 			if err := src.Hypervisor().Memory().ReadPhys(hpa, buf); err != nil {
 				continue
 			}
-			if !zeroBytes(buf) {
+			if !dram.AllZero(buf) {
 				res.ScrubLeaks++
 			}
 		}

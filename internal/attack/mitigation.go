@@ -214,7 +214,7 @@ type duel struct {
 // newDuel admits the two tenants onto a freshly booted machine.
 func newDuel(h *core.Hypervisor, vmBytes uint64) (*duel, error) {
 	admit := func(name string) (*core.VM, error) {
-		return h.CreateVM(campaignProc(), core.VMSpec{Name: name, Socket: 0, MemoryBytes: vmBytes})
+		return h.CreateVM(core.KVMProcess(), core.VMSpec{Name: name, Socket: 0, MemoryBytes: vmBytes})
 	}
 	attacker, err := admit("attacker")
 	if err != nil {

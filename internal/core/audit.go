@@ -145,7 +145,7 @@ func (h *Hypervisor) Audit() []string {
 		}
 		for _, ri := range vm.regions {
 			if ri.Type.Unmediated() {
-				expected[ri.nodeID] += uint64(len(ri.pages)) * geometry.PageSize4K
+				expected[ri.node] += uint64(len(ri.pages)) * geometry.PageSize4K
 			}
 		}
 	}

@@ -18,11 +18,9 @@ package core
 //      domain loses only memory the guest already cannot touch, so the
 //      subarray-isolation invariant (§5.2-5.3) is preserved at every step.
 //
-// Deflation reverses the flow: re-allocate frames from the VM's remaining
-// nodes, adopting fresh unowned nodes through the registry's exclusive
-// Expand when capacity ran out, and remap the EPT leaves. The registry
-// refuses to adopt an owned node, so a deflating VM can never grow into
-// another tenant's domain.
+// Deflation reverses the flow: take frames under the VM's placement policy
+// (frames.go), adopting fresh unowned nodes when what it still owns ran
+// out, and remap the EPT leaves.
 
 import (
 	"fmt"
@@ -30,7 +28,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
-	"repro/internal/numa"
 )
 
 // BalloonReport summarizes one BalloonVM call.
@@ -65,28 +62,12 @@ func balloonFloor(spec VMSpec) uint64 {
 // guest-side driver (guest.Balloon) pins the frames before calling here.
 // The call takes the VM's lifecycle latch, so it is refused (ErrResizeBusy)
 // while the VM is live-migrating, resizing, or hot-plugging memory.
-func (h *Hypervisor) BalloonVM(name string, targetBytes uint64) (*BalloonReport, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	vm, ok := h.vms[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrVMNotFound, name)
-	}
-	if err := vm.acquireLifecycle("balloon"); err != nil {
-		return nil, err
-	}
-	defer vm.releaseLifecycle()
-	rep, err := h.balloonTo(vm, targetBytes)
-	if err != nil {
-		return nil, err
-	}
-	// A deflate that re-adopted nodes (or an inflate that dropped the last
-	// node on a socket) can leave the whole reservation on a socket other
-	// than the EPT tables' home; pull the tables after the guest.
-	if rerr := h.relocateIfStranded(vm); rerr != nil {
-		return rep, fmt.Errorf("core: balloon of VM %q left EPT tables behind: %w", name, rerr)
-	}
-	return rep, nil
+func (h *Hypervisor) BalloonVM(name string, targetBytes uint64) (rep *BalloonReport, err error) {
+	err = h.resizeOp(name, "balloon", func(vm *VM) (err error) {
+		rep, err = h.balloonTo(vm, targetBytes)
+		return err
+	})
+	return rep, err
 }
 
 // balloonTo is BalloonVM's body, shared with the resize facade. Caller holds
@@ -265,131 +246,20 @@ func (h *Hypervisor) balloonDeflate(vm *VM, n int, rep *BalloonReport) error {
 	}
 	restore = restore[:n]
 
-	frames, nodes, adopted, err := h.allocGrowFrames(vm, n)
-	if err != nil {
+	t := h.sourceFrames(vm)
+	if err := t.take(alloc.Order2M, n, false); err != nil {
 		return err
 	}
 	vm.Pause()
 	defer vm.Resume()
-	for i, p := range restore {
-		gpa := uint64(p) * geometry.PageSize2M
-		if merr := vm.tables.Map2M(gpa, frames[i]); merr != nil {
-			// Unreachable in practice: Unmap retained the intermediate
-			// tables, so the remap allocates nothing. Free what was not
-			// committed and report.
-			for j := i; j < len(frames); j++ {
-				if a, aerr := h.Allocator(nodes[j]); aerr == nil {
-					_ = a.Free(frames[j], alloc.Order2M)
-				}
-			}
-			return fmt.Errorf("core: remapping deflated gpa %#x of VM %q: %w", gpa, vm.spec.Name, merr)
-		}
-		vm.ram[p] = frames[i]
-		vm.ramNode[frames[i]] = nodes[i]
-		delete(vm.ballooned, p)
-		rep.DeflatedPages++
-	}
-	vm.InvalidateTLB()
-	if err := vm.syncDeviceTables(); err != nil {
+	// Unmap retained the intermediate tables, so the remap allocates nothing.
+	if err := vm.install(restore, &t); err != nil {
 		return err
 	}
-	rep.AdoptedNodes = adopted
+	for _, p := range restore {
+		delete(vm.ballooned, p)
+	}
+	rep.DeflatedPages = n
+	rep.AdoptedNodes = t.adopted
 	return nil
-}
-
-// allocGrowFrames obtains n huge pages for a grow (balloon deflate or
-// memory hotplug): first from the VM's current nodes, then by adopting
-// unowned guest nodes (home socket first, remote sockets if the spec
-// allows) through the registry's exclusive Expand. On failure every
-// allocation and adoption is rolled back. Caller holds h.mu.
-func (h *Hypervisor) allocGrowFrames(vm *VM, n int) (frames []uint64, nodes []int, adopted []int, err error) {
-	rollback := func() {
-		for i, hpa := range frames {
-			if a, aerr := h.Allocator(nodes[i]); aerr == nil {
-				_ = a.Free(hpa, alloc.Order2M)
-			}
-		}
-		if len(adopted) > 0 {
-			_ = h.reg.Shrink(vm.cgroup.Name, adopted)
-			vm.nodes = vm.cgroup.Nodes()
-		}
-	}
-	var sources []*numa.Node
-	if h.mode == ModeSiloz {
-		sources = append(sources, vm.nodes...)
-	} else {
-		sources = h.topo.NodesOnSocket(vm.spec.Socket, numa.HostReserved)
-	}
-	si := 0
-	for len(frames) < n {
-		for si < len(sources) {
-			a, aerr := h.Allocator(sources[si].ID)
-			if aerr != nil {
-				rollback()
-				return nil, nil, nil, aerr
-			}
-			hpa, aerr := a.Alloc(alloc.Order2M)
-			if aerr == nil {
-				frames = append(frames, hpa)
-				nodes = append(nodes, sources[si].ID)
-				break
-			}
-			si++ // node exhausted; next source
-		}
-		if len(frames) < n && si >= len(sources) {
-			// Out of owned capacity: adopt one more unowned guest node.
-			if h.mode != ModeSiloz {
-				rollback()
-				return nil, nil, nil, fmt.Errorf("%w: growing VM %q: %w", ErrCapacityExhausted, vm.spec.Name, alloc.ErrNoMemory)
-			}
-			next, ok := h.adoptableNode(vm)
-			if !ok {
-				rollback()
-				return nil, nil, nil, fmt.Errorf("%w: growing VM %q: no unowned guest node has capacity: %w",
-					ErrCapacityExhausted, vm.spec.Name, alloc.ErrNoMemory)
-			}
-			if aerr := h.reg.Expand(vm.cgroup.Name, []int{next.ID}); aerr != nil {
-				rollback()
-				return nil, nil, nil, aerr
-			}
-			adopted = append(adopted, next.ID)
-			vm.nodes = vm.cgroup.Nodes()
-			sources = append(sources, next)
-		}
-	}
-	return frames, nodes, adopted, nil
-}
-
-// adoptCandidates lists the guest-reserved nodes a growing VM may adopt,
-// in adoption-preference order: home socket first, then remote sockets if
-// the spec allows. Shared by the grow path and the resize preview so the
-// preview predicts exactly what the grow would do. Caller holds h.mu.
-func (h *Hypervisor) adoptCandidates(vm *VM) []*numa.Node {
-	candidates := h.topo.NodesOnSocket(vm.spec.Socket, numa.GuestReserved)
-	if vm.spec.AllowRemote {
-		for s := 0; s < h.cfg.Geometry.Sockets; s++ {
-			if s != vm.spec.Socket {
-				candidates = append(candidates, h.topo.NodesOnSocket(s, numa.GuestReserved)...)
-			}
-		}
-	}
-	return candidates
-}
-
-// adoptableNode finds an unowned guest-reserved node with huge-page
-// capacity, preferring the VM's home socket. Caller holds h.mu.
-func (h *Hypervisor) adoptableNode(vm *VM) (*numa.Node, bool) {
-	for _, n := range h.adoptCandidates(vm) {
-		if _, owned := h.reg.OwnerOf(n.ID); owned {
-			continue
-		}
-		a, err := h.Allocator(n.ID)
-		if err != nil {
-			continue
-		}
-		if a.FreePagesAtOrder(alloc.Order2M) > 0 {
-			return n, true
-		}
-	}
-	return nil, false
 }

@@ -146,3 +146,7 @@ type Process struct {
 	// KVMPrivileged reports whether the process holds KVM privileges.
 	KVMPrivileged bool
 }
+
+// KVMProcess is the privileged launcher — the "kvm" control group with KVM
+// privilege — that tools, attack campaigns and experiments create VMs as.
+func KVMProcess() Process { return Process{CGroup: "kvm", KVMPrivileged: true} }

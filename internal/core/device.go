@@ -104,8 +104,10 @@ func (d *Device) detachTables() {
 }
 
 // resync diffs the IOMMU mappings against the VM's current RAM layout and
-// remaps / unmaps / maps whatever changed. Caller holds the vCPU gate
-// exclusively (no DMA in flight).
+// remaps / unmaps / maps whatever changed. The view follows every entry as
+// it changes, so after a failure part-way a resync to the previous layout
+// undoes exactly what was done. Caller holds the vCPU gate exclusively (no
+// DMA in flight).
 func (d *Device) resync(ram []uint64) error {
 	if d.tables == nil {
 		return nil
@@ -115,10 +117,10 @@ func (d *Device) resync(ram []uint64) error {
 		n = len(ram)
 	}
 	for i := 0; i < n; i++ {
-		old, cur := hpaNone, hpaNone
-		if i < len(d.view) {
-			old = d.view[i]
+		if i == len(d.view) {
+			d.view = append(d.view, hpaNone) // the layout grew: a new, unmapped slot
 		}
+		old, cur := d.view[i], hpaNone
 		if i < len(ram) {
 			cur = ram[i]
 		}
@@ -140,8 +142,9 @@ func (d *Device) resync(ram []uint64) error {
 				return fmt.Errorf("core: device %q iommu remap iova %#x: %w", d.name, iova, err)
 			}
 		}
+		d.view[i] = cur
 	}
-	d.view = append(d.view[:0], ram...)
+	d.view = d.view[:len(ram)]
 	return nil
 }
 

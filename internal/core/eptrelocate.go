@@ -100,17 +100,9 @@ func (h *Hypervisor) relocateTables(vm *VM, socket int) (int, error) {
 // socket) node. Safe no-op otherwise. The caller holds the lifecycle latch
 // but not the pause gate.
 func (h *Hypervisor) relocateIfStranded(vm *VM) error {
-	if h.mode != ModeSiloz || len(vm.nodes) == 0 {
-		return nil
-	}
-	socket := vm.nodes[0].Socket
-	for _, n := range vm.nodes[1:] {
-		if n.Socket != socket {
-			return nil // VM spans sockets; no single home to follow
-		}
-	}
-	if socket == vm.eptSocket {
-		return nil
+	socket, ok := socketOfNodes(vm.nodes)
+	if h.mode != ModeSiloz || !ok || socket == vm.eptSocket {
+		return nil // in place, or the VM spans sockets: no single home to follow
 	}
 	vm.Pause()
 	defer vm.Resume()

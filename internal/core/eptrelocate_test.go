@@ -9,31 +9,17 @@ import (
 
 	"repro/internal/ept"
 	"repro/internal/geometry"
-	"repro/internal/numa"
 )
 
 // freeGuestNodes returns unowned guest-reserved nodes on a socket whose
 // combined capacity covers bytes — cross-socket migration destinations.
 func freeGuestNodes(t *testing.T, h *Hypervisor, socket int, bytes uint64) []int {
 	t.Helper()
-	var ids []int
-	var capacity uint64
-	for _, n := range h.Topology().NodesOnSocket(socket, numa.GuestReserved) {
-		if _, owned := h.Registry().OwnerOf(n.ID); owned {
-			continue
-		}
-		a, err := h.Allocator(n.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, n.ID)
-		capacity += a.FreeBytes()
-		if capacity >= bytes {
-			return ids
-		}
+	ids, err := h.FreeNodes(socket, bytes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("socket %d cannot host %d bytes", socket, bytes)
-	return nil
+	return ids
 }
 
 // eptFreeBytes reads a socket's EPT-node free capacity.

@@ -6,11 +6,8 @@ package core
 // reservation must be killed and re-admitted. HotplugVM removes that
 // rigidity while preserving the isolation invariant at every step:
 //
-//   1. Obtain 2 MiB frames for the new range — from free capacity in the
-//      VM's current nodes first, then by adopting unowned guest-reserved
-//      nodes (home socket first, remote if the spec allows) through the
-//      registry's exclusive Expand. The registry refuses owned nodes, so a
-//      growing VM can never reach into another tenant's domain.
+//   1. Obtain 2 MiB frames for the new range under the VM's placement
+//      policy (frames.go), adopting unowned guest-reserved nodes as needed.
 //   2. Scrub every frame before the guest can see it: a recycled page must
 //      never leak a previous tenant's bytes, and the hot-added range must
 //      read all-zero like real hot-added DIMM memory.
@@ -50,28 +47,12 @@ type HotplugReport struct {
 // latch (ErrResizeBusy while ballooning, resizing, or migrating) and is
 // refused while the balloon is inflated — deflate first, so the balloon
 // driver's the-balloon-is-the-top-of-RAM model stays intact.
-func (h *Hypervisor) HotplugVM(name string, addBytes uint64) (*HotplugReport, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	vm, ok := h.vms[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrVMNotFound, name)
-	}
-	if err := vm.acquireLifecycle("memory hotplug"); err != nil {
-		return nil, err
-	}
-	defer vm.releaseLifecycle()
-	rep, err := h.hotplugGrow(vm, addBytes)
-	if err != nil {
-		return nil, err
-	}
-	// Adoption prefers the home socket, but a grow of a remote-resident VM
-	// can consolidate it on one socket away from its EPT tables; pull the
-	// tables after the guest.
-	if rerr := h.relocateIfStranded(vm); rerr != nil {
-		return rep, fmt.Errorf("core: hotplug of VM %q left EPT tables behind: %w", name, rerr)
-	}
-	return rep, nil
+func (h *Hypervisor) HotplugVM(name string, addBytes uint64) (rep *HotplugReport, err error) {
+	err = h.resizeOp(name, "memory hotplug", func(vm *VM) (err error) {
+		rep, err = h.hotplugGrow(vm, addBytes)
+		return err
+	})
+	return rep, err
 }
 
 // hotplugGrow is HotplugVM's body, shared with the resize facade. Caller
@@ -93,25 +74,13 @@ func (h *Hypervisor) hotplugGrow(vm *VM, addBytes uint64) (*HotplugReport, error
 	}
 
 	n := int(addBytes / geometry.PageSize2M)
-	frames, nodes, adopted, err := h.allocGrowFrames(vm, n)
-	if err != nil {
+	t := h.sourceFrames(vm)
+	if err := t.take(alloc.Order2M, n, false); err != nil {
 		return nil, err
 	}
-	rollback := func() {
-		for i, hpa := range frames {
-			if a, aerr := h.Allocator(nodes[i]); aerr == nil {
-				_ = a.Free(hpa, alloc.Order2M)
-			}
-		}
-		if len(adopted) > 0 {
-			_ = h.reg.Shrink(vm.cgroup.Name, adopted)
-			vm.nodes = vm.cgroup.Nodes()
-		}
-	}
-
 	rep := &HotplugReport{
 		VM: name, AddedBytes: addBytes, AddedPages: n,
-		BaseGPA: vm.spec.MemoryBytes, AdoptedNodes: adopted,
+		BaseGPA: vm.spec.MemoryBytes, AdoptedNodes: t.adopted,
 	}
 	// The adoption window is open: the frames (and any adopted nodes) now
 	// belong to this VM's domain but are not yet scrubbed or mapped. An
@@ -120,9 +89,9 @@ func (h *Hypervisor) hotplugGrow(vm *VM, addBytes uint64) (*HotplugReport, error
 	h.probe(ProbeHotplugAdopted, vm)
 	// Scrub before mapping: the guest must only ever observe zeros in the
 	// hot-added range, whatever the frames held before.
-	for _, hpa := range frames {
+	for _, hpa := range t.frames {
 		if err := h.mem.ScrubPhys(hpa, geometry.PageSize2M); err != nil {
-			rollback()
+			t.rollback()
 			return nil, err
 		}
 		rep.ScrubbedBytes += geometry.PageSize2M
@@ -132,28 +101,13 @@ func (h *Hypervisor) hotplugGrow(vm *VM, addBytes uint64) (*HotplugReport, error
 	// the edit (the same stop-the-world window the balloon takes).
 	vm.Pause()
 	defer vm.Resume()
-	for i := 0; i < n; i++ {
-		gpa := rep.BaseGPA + uint64(i)*geometry.PageSize2M
-		if merr := vm.tables.Map2M(gpa, frames[i]); merr != nil {
-			for j := 0; j < i; j++ {
-				_ = vm.tables.Unmap(rep.BaseGPA + uint64(j)*geometry.PageSize2M)
-			}
-			rollback()
-			return nil, fmt.Errorf("core: mapping hot-added gpa %#x of VM %q: %w", gpa, name, merr)
-		}
+	if err := vm.install(nil, &t); err != nil {
+		return nil, err
 	}
 	// Commit: the range is fully mapped; grow the VM's recorded size.
-	for i := 0; i < n; i++ {
-		vm.ram = append(vm.ram, frames[i])
-		vm.ramNode[frames[i]] = nodes[i]
-	}
 	vm.spec.MemoryBytes += addBytes
 	rep.NewMemoryBytes = vm.spec.MemoryBytes
-	vm.InvalidateTLB()
-	if serr := vm.syncDeviceTables(); serr != nil {
-		return nil, fmt.Errorf("core: syncing device tables after hotplug of VM %q: %w", name, serr)
-	}
 	h.logf("hotplug VM %q: +%d MiB at gpa %#x (%d pages, adopted nodes %v, %d bytes scrubbed), now %d MiB",
-		name, addBytes>>20, rep.BaseGPA, n, adopted, rep.ScrubbedBytes, vm.spec.MemoryBytes>>20)
+		name, addBytes>>20, rep.BaseGPA, n, rep.AdoptedNodes, rep.ScrubbedBytes, vm.spec.MemoryBytes>>20)
 	return rep, nil
 }

@@ -48,6 +48,9 @@ type Hypervisor struct {
 	// adversarial campaigns hook it to attack an operation mid-flight
 	// without racing real goroutines against it.
 	lifecycleProbe func(event string, vm *VM)
+	// expandHook, when set, runs before every control-group Expand of the
+	// frame-sourcing path and can fail it: the tests' fault-injection seam.
+	expandHook func(nodeIDs []int) error
 }
 
 // Lifecycle-probe events, fired at the sensitive instants adversarial
@@ -408,21 +411,25 @@ func (h *Hypervisor) eptAllocatorFor(socket int) (*alloc.Allocator, error) {
 		}
 		return h.Allocator(id)
 	}
+	_, a, err := h.hostNode(socket)
+	return a, err
+}
+
+// hostNode returns socket's host-reserved node and its allocator: where
+// host software, mediated guest pages and (outside guard-rows protection)
+// EPT tables live (§5.1).
+func (h *Hypervisor) hostNode(socket int) (*numa.Node, *alloc.Allocator, error) {
 	host := h.topo.NodesOnSocket(socket, numa.HostReserved)
 	if len(host) == 0 {
-		return nil, fmt.Errorf("core: no host node on socket %d", socket)
+		return nil, nil, fmt.Errorf("core: no host node on socket %d", socket)
 	}
-	return h.Allocator(host[0].ID)
+	return host[0], h.allocators[host[0].ID], nil
 }
 
 // AllocHostPages allocates pages for host software (kernel, processes,
 // mediated VM pages) from the socket's host-reserved node (§5.1).
 func (h *Hypervisor) AllocHostPages(socket, order, n int) ([]uint64, error) {
-	host := h.topo.NodesOnSocket(socket, numa.HostReserved)
-	if len(host) == 0 {
-		return nil, fmt.Errorf("core: no host node on socket %d", socket)
-	}
-	a, err := h.Allocator(host[0].ID)
+	_, a, err := h.hostNode(socket)
 	if err != nil {
 		return nil, err
 	}
@@ -431,20 +438,11 @@ func (h *Hypervisor) AllocHostPages(socket, order, n int) ([]uint64, error) {
 
 // FreeHostPages releases host pages.
 func (h *Hypervisor) FreeHostPages(socket, order int, pages []uint64) error {
-	host := h.topo.NodesOnSocket(socket, numa.HostReserved)
-	if len(host) == 0 {
-		return fmt.Errorf("core: no host node on socket %d", socket)
-	}
-	a, err := h.Allocator(host[0].ID)
+	_, a, err := h.hostNode(socket)
 	if err != nil {
 		return err
 	}
-	for _, pa := range pages {
-		if err := a.Free(pa, order); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.FreePages(order, pages)
 }
 
 // VM returns a created VM by name.

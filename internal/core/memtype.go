@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/alloc"
 	"repro/internal/geometry"
-	"repro/internal/numa"
 )
 
 // RegionType classifies guest memory regions by their QEMU memory type,
@@ -68,9 +66,8 @@ const ROMBase = uint64(1) << 39
 // regionInfo tracks a materialized region.
 type regionInfo struct {
 	Region
-	gpa    uint64
-	pages  []uint64 // 4 KiB HPAs in GPA order
-	nodeID int      // allocator that owns the pages
+	gpa      uint64
+	frameRun // the 4 KiB HPAs in GPA order and the node that owns them
 }
 
 // allocRegions materializes spec.Regions: unmediated regions draw 4 KiB
@@ -85,28 +82,27 @@ func (h *Hypervisor) allocRegions(vm *VM) error {
 		}
 		n := int(r.Bytes / geometry.PageSize4K)
 		info := regionInfo{Region: r}
+		var placed frameTxn // stays zero for a mediated region: its rollback is a no-op
 		if r.Type.Unmediated() {
-			// Guest-placed. Under Siloz, draw from the VM's reserved
-			// nodes; the baseline has no such constraint.
-			nodeID, pages, err := h.allocGuestRegionPages(vm, n)
-			if err != nil {
+			// Guest-placed: from the VM's own domain under Siloz; the
+			// baseline has no such constraint.
+			placed = h.sourceFrames(vm)
+			if err := placed.take(0, n, true); err != nil {
 				return fmt.Errorf("core: region %q: %w", r.Name, err)
 			}
-			info.nodeID = nodeID
-			info.pages = pages
+			info.frameRun = placed.runs[0]
 			info.gpa = unmediatedGPA
 			unmediatedGPA += r.Bytes
 		} else {
-			host := h.topo.NodesOnSocket(vm.spec.Socket, numa.HostReserved)
-			if len(host) == 0 {
-				return fmt.Errorf("core: no host node on socket %d", vm.spec.Socket)
+			host, a, err := h.hostNode(vm.spec.Socket)
+			if err != nil {
+				return err
 			}
-			pages, err := h.AllocHostPages(vm.spec.Socket, 0, n)
+			pages, err := a.AllocPages(0, n)
 			if err != nil {
 				return fmt.Errorf("core: region %q: %w", r.Name, err)
 			}
-			info.nodeID = host[0].ID
-			info.pages = pages
+			info.frameRun = frameRun{node: host.ID, pages: pages}
 			info.gpa = mediatedGPA
 			mediatedGPA += r.Bytes
 		}
@@ -115,6 +111,7 @@ func (h *Hypervisor) allocRegions(vm *VM) error {
 		writable := r.Type != RegionROM
 		for i, hpa := range info.pages {
 			if err := vm.tables.Map4KProt(info.gpa+uint64(i)*geometry.PageSize4K, hpa, writable); err != nil {
+				placed.rollback()
 				return err
 			}
 		}
@@ -123,37 +120,10 @@ func (h *Hypervisor) allocRegions(vm *VM) error {
 	return nil
 }
 
-// allocGuestRegionPages takes 4 KiB pages from the first VM node with room
-// (baseline: from the socket's node).
-func (h *Hypervisor) allocGuestRegionPages(vm *VM, n int) (int, []uint64, error) {
-	var sources []*numa.Node
-	if h.mode == ModeSiloz {
-		sources = vm.nodes
-	} else {
-		sources = h.topo.NodesOnSocket(vm.spec.Socket, numa.HostReserved)
-	}
-	for _, node := range sources {
-		a, err := h.Allocator(node.ID)
-		if err != nil {
-			return 0, nil, err
-		}
-		pages, err := a.AllocPages(0, n)
-		if err == nil {
-			return node.ID, pages, nil
-		}
-	}
-	return 0, nil, alloc.ErrNoMemory
-}
-
 // freeRegions scrubs and releases all region pages.
 func (vm *VM) freeRegions() {
 	for _, info := range vm.regions {
-		if a, err := vm.hv.Allocator(info.nodeID); err == nil {
-			for _, pa := range info.pages {
-				_ = vm.hv.mem.ScrubPhys(pa, geometry.PageSize4K)
-				_ = a.Free(pa, 0)
-			}
-		}
+		vm.hv.release(info.frameRun)
 	}
 	vm.regions = nil
 }

@@ -98,11 +98,11 @@ type MigrateReport struct {
 	EPTReclaimedBytes uint64
 }
 
-// migRegion pairs a region with its freshly-allocated destination pages.
-type migRegion struct {
-	idx   int // index into vm.regions
-	pages []uint64
-	node  int
+// regionMove pairs a guest-placed region with its destination pages — until
+// the commit swaps them in, after which run names the vacated source pages.
+type regionMove struct {
+	info *regionInfo
+	run  frameRun
 }
 
 // MigrateVM live-migrates a VM's unmediated pages (RAM and guest-placed
@@ -128,16 +128,13 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		vm.releaseLifecycle()
 		h.mu.Unlock()
 	}()
-	destIDs, err := h.validateMigrationDests(vm, destNodeIDs)
+	dests, err := h.validateMigrationDests(vm, destNodeIDs)
 	if err != nil {
 		return nil, err
 	}
 
-	srcRAM := append([]uint64(nil), vm.ram...)
-	srcRamNode := make(map[uint64]int, len(vm.ramNode))
-	for pa, id := range vm.ramNode {
-		srcRamNode[pa] = id
-	}
+	srcRAM := vm.ram
+	srcRamNode := vm.ramNode
 	// Ballooned-out slots hold no frame: they are skipped by every copy,
 	// remap, and free below, and stay unmapped holes at the destination.
 	ramPages := len(srcRAM)
@@ -163,27 +160,61 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		sort.Ints(srcNodeIDs)
 	}
 
-	// Step 1: widen the domain over the destination nodes. The registry
-	// enforces that they are unowned, so exclusivity is never violated.
-	if h.mode == ModeSiloz {
-		if err := h.reg.Expand(vm.cgroup.Name, destIDs); err != nil {
-			return nil, err
-		}
-		vm.nodes = vm.cgroup.Nodes()
+	// Step 1: widen the domain over the destination nodes — the registry
+	// enforces that they are unowned, so exclusivity is never violated —
+	// and take the destination frames from them alone: RAM in 2 MiB frames
+	// spilling across the nodes in the given order, guest-placed regions in
+	// 4 KiB pages (Siloz only; under the baseline region pages are
+	// host-reserved and stay put).
+	t := frameTxn{h: h, vm: vm}
+	if err := t.adopt(dests...); err != nil {
+		return nil, err
 	}
-	dstRAM, dstNode, dstRegions, err := h.allocMigrationPages(vm, destIDs)
-	if err != nil {
-		h.rollbackMigration(vm, destIDs, nil, nil, nil, false)
+	destIDs := t.adopted
+	if err := t.take(alloc.Order2M, resident, false); err != nil {
 		return nil, fmt.Errorf("core: migrating VM %q: %w", name, err)
 	}
-	rollback := func(tracking bool) {
-		h.rollbackMigration(vm, destIDs, dstRAM, dstNode, dstRegions, tracking)
+	ramRuns := len(t.runs)
+	dstRAM := t.frames
+	if resident < ramPages {
+		// Ballooned holes get no destination frame; keep indexes aligned.
+		dstRAM = make([]uint64, ramPages)
+		for p, k := 0, 0; p < ramPages; p++ {
+			dstRAM[p] = hpaNone
+			if srcRAM[p] != hpaNone {
+				dstRAM[p] = t.frames[k]
+				k++
+			}
+		}
+	}
+	var moves []regionMove
+	for i := range vm.regions {
+		info := &vm.regions[i]
+		if h.mode != ModeSiloz || !info.Type.Unmediated() {
+			continue
+		}
+		if err := t.take(0, len(info.pages), true); err != nil {
+			return nil, fmt.Errorf("core: migrating VM %q: region %q: %w", name, info.Name, err)
+		}
+		moves = append(moves, regionMove{info: info, run: t.runs[len(t.runs)-1]})
+	}
+	// abort is the one way out before commit: the guest keeps (or resumes)
+	// running on its source frames with full write permission, destination
+	// frames are scrubbed and freed, and the domain shrinks back off the
+	// destination nodes.
+	paused := false
+	abort := func(err error) (*MigrateReport, error) {
+		if paused {
+			vm.Resume()
+		}
+		_ = vm.StopDirtyTracking()
+		t.rollback()
+		return nil, err
 	}
 
 	// Step 2: pre-copy with dirty logging.
 	if err := vm.StartDirtyTracking(); err != nil {
-		rollback(false)
-		return nil, err
+		return abort(err)
 	}
 	written := make([]bool, ramPages) // dst frames the engine has written
 	buf := make([]byte, geometry.PageSize2M)
@@ -209,28 +240,24 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	}
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
-			rollback(true)
-			return nil, fmt.Errorf("core: migration of VM %q aborted: %w", name, err)
+			return abort(fmt.Errorf("core: migration of VM %q aborted: %w", name, err))
 		}
 		var bytes uint64
 		for _, p := range pending {
 			n, err := copyPage(p)
 			if err != nil {
-				rollback(true)
-				return nil, err
+				return abort(err)
 			}
 			bytes += n
 		}
 		if opt.GuestStep != nil {
 			if err := opt.GuestStep(round); err != nil {
-				rollback(true)
-				return nil, fmt.Errorf("core: migration guest step: %w", err)
+				return abort(fmt.Errorf("core: migration guest step: %w", err))
 			}
 		}
 		dirtyGPAs, err := vm.TakeDirty()
 		if err != nil {
-			rollback(true)
-			return nil, err
+			return abort(err)
 		}
 		rr := MigrateRound{Round: round, PagesCopied: len(pending), BytesCopied: bytes, DirtyAfter: len(dirtyGPAs)}
 		rep.Rounds = append(rep.Rounds, rr)
@@ -263,17 +290,15 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	// cancellation arriving later than this check is ignored, because the
 	// remap below must run to completion either way.
 	if err := ctx.Err(); err != nil {
-		rollback(true)
-		return nil, fmt.Errorf("core: migration of VM %q aborted: %w", name, err)
+		return abort(fmt.Errorf("core: migration of VM %q aborted: %w", name, err))
 	}
 	// The guest is paused: stores block on the vCPU gate, so the residual
 	// dirty set is final.
 	vm.Pause()
+	paused = true
 	residual, err := vm.TakeDirty()
 	if err != nil {
-		vm.Resume()
-		rollback(true)
-		return nil, err
+		return abort(err)
 	}
 	finalSet := map[int]bool{}
 	for _, p := range pending {
@@ -291,20 +316,16 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	for _, p := range finalPages {
 		n, err := copyPage(p)
 		if err != nil {
-			vm.Resume()
-			rollback(true)
-			return nil, err
+			return abort(err)
 		}
 		dtBytes += n
 	}
 	// Guest-placed region pages (4 KiB): the guest is paused, one shot.
 	rbuf := buf[:geometry.PageSize4K]
-	for _, mr := range dstRegions {
-		for i, src := range vm.regions[mr.idx].pages {
-			if _, err := h.copyFrame(src, mr.pages[i], rbuf, false); err != nil {
-				vm.Resume()
-				rollback(true)
-				return nil, err
+	for _, mv := range moves {
+		for i, src := range mv.info.pages {
+			if _, err := h.copyFrame(src, mv.run.pages[i], rbuf, false); err != nil {
+				return abort(err)
 			}
 		}
 	}
@@ -322,38 +343,26 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 				}
 				_ = vm.tables.Remap2MProt(uint64(q)*geometry.PageSize2M, srcRAM[q], true)
 			}
-			vm.Resume()
-			rollback(true)
-			return nil, err
+			return abort(err)
 		}
 	}
-	type oldRegion struct {
-		pages []uint64
-		node  int
-	}
-	var oldRegions []oldRegion
-	for _, mr := range dstRegions {
-		info := &vm.regions[mr.idx]
+	for m, mv := range moves {
+		info := mv.info
 		writable := info.Type != RegionROM
-		for i, hpa := range mr.pages {
+		for i, hpa := range mv.run.pages {
 			if err := vm.tables.Remap4KProt(info.gpa+uint64(i)*geometry.PageSize4K, hpa, writable); err != nil {
-				vm.Resume()
-				rollback(true)
-				return nil, err
+				return abort(err)
 			}
 		}
-		oldRegions = append(oldRegions, oldRegion{pages: info.pages, node: info.nodeID})
-		info.pages = mr.pages
-		info.nodeID = mr.node
+		info.frameRun, moves[m].run = mv.run, info.frameRun
 	}
 	vm.ram = dstRAM
-	newRamNode := make(map[uint64]int, ramPages)
-	for p, hpa := range dstRAM {
-		if hpa != hpaNone {
-			newRamNode[hpa] = dstNode[p]
+	vm.ramNode = make(map[uint64]int, resident)
+	for _, r := range t.runs[:ramRuns] {
+		for _, hpa := range r.pages {
+			vm.ramNode[hpa] = r.node
 		}
 	}
-	vm.ramNode = newRamNode
 	vm.InvalidateTLB()
 	// The guest is paused, so the touched ledger is final for the source
 	// frames: snapshot it as the source scrub ledger before folding the
@@ -395,7 +404,7 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	// — but it is surfaced to the caller after the source nodes are released.
 	var relocErr error
 	if h.mode == ModeSiloz {
-		if dstSocket, ok := h.socketOfNodes(destIDs); ok && dstSocket != vm.eptSocket {
+		if dstSocket, ok := socketOfNodes(dests); ok && dstSocket != vm.eptSocket {
 			var moved int
 			moved, relocErr = h.relocateTables(vm, dstSocket)
 			if relocErr == nil {
@@ -433,13 +442,8 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 			_ = a.Free(hpa, alloc.Order2M)
 		}
 	}
-	for _, or := range oldRegions {
-		if a, aerr := h.Allocator(or.node); aerr == nil {
-			for _, pa := range or.pages {
-				_ = h.mem.ScrubPhys(pa, geometry.PageSize4K)
-				_ = a.Free(pa, 0)
-			}
-		}
+	for _, mv := range moves {
+		h.release(mv.run)
 	}
 	if h.mode == ModeSiloz {
 		if err := h.reg.Shrink(vm.cgroup.Name, srcNodeIDs); err != nil {
@@ -475,32 +479,25 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 // socketOfNodes resolves the single socket hosting every listed node; ok is
 // false when the nodes span sockets (or the list is empty), in which case
 // there is no one home for the EPT tables to follow.
-func (h *Hypervisor) socketOfNodes(ids []int) (int, bool) {
-	socket := -1
-	for _, id := range ids {
-		n, err := h.topo.Node(id)
-		if err != nil {
-			return 0, false
-		}
-		if socket == -1 {
-			socket = n.Socket
-		} else if n.Socket != socket {
-			return 0, false
-		}
-	}
-	if socket == -1 {
+func socketOfNodes(nodes []*numa.Node) (socket int, ok bool) {
+	if len(nodes) == 0 {
 		return 0, false
 	}
-	return socket, true
+	for _, n := range nodes[1:] {
+		if n.Socket != nodes[0].Socket {
+			return 0, false
+		}
+	}
+	return nodes[0].Socket, true
 }
 
 // validateMigrationDests checks and dedupes the destination node list.
-func (h *Hypervisor) validateMigrationDests(vm *VM, destNodeIDs []int) ([]int, error) {
+func (h *Hypervisor) validateMigrationDests(vm *VM, destNodeIDs []int) ([]*numa.Node, error) {
 	if len(destNodeIDs) == 0 {
 		return nil, fmt.Errorf("core: migration of VM %q needs at least one destination node", vm.spec.Name)
 	}
 	seen := map[int]bool{}
-	out := make([]int, 0, len(destNodeIDs))
+	out := make([]*numa.Node, 0, len(destNodeIDs))
 	for _, id := range destNodeIDs {
 		if seen[id] {
 			continue
@@ -520,119 +517,9 @@ func (h *Hypervisor) validateMigrationDests(vm *VM, destNodeIDs []int) ([]int, e
 		} else if n.Kind != numa.HostReserved {
 			return nil, fmt.Errorf("core: baseline destination node %d must be host-reserved", id)
 		}
-		out = append(out, id)
+		out = append(out, n)
 	}
 	return out, nil
-}
-
-// allocMigrationPages allocates destination frames for guest RAM (2 MiB,
-// spilling across destination nodes in the given order) and for guest-placed
-// regions (4 KiB, Siloz only — under the baseline region pages are
-// host-reserved and stay put). On failure everything allocated so far is
-// freed and an error returned.
-func (h *Hypervisor) allocMigrationPages(vm *VM, destIDs []int) (dstRAM []uint64, dstNode []int, dstRegions []migRegion, err error) {
-	cleanup := func() {
-		h.releaseMigrationPages(dstRAM, dstNode, dstRegions, false)
-	}
-	ramPages := len(vm.ram)
-	dstRAM = make([]uint64, 0, ramPages)
-	dstNode = make([]int, 0, ramPages)
-	di := 0
-	for p := 0; p < ramPages; p++ {
-		if vm.ram[p] == hpaNone {
-			// Ballooned hole: no destination frame; keep indexes aligned.
-			dstRAM = append(dstRAM, hpaNone)
-			dstNode = append(dstNode, -1)
-			continue
-		}
-		var hpa uint64
-		for {
-			if di >= len(destIDs) {
-				cleanup()
-				return nil, nil, nil, fmt.Errorf("destination nodes full at page %d/%d: %w", p, ramPages, alloc.ErrNoMemory)
-			}
-			a, aerr := h.Allocator(destIDs[di])
-			if aerr != nil {
-				cleanup()
-				return nil, nil, nil, aerr
-			}
-			hpa, err = a.Alloc(alloc.Order2M)
-			if err == nil {
-				break
-			}
-			di++ // node exhausted; move to the next destination node
-		}
-		dstRAM = append(dstRAM, hpa)
-		dstNode = append(dstNode, destIDs[di])
-	}
-	if h.mode != ModeSiloz {
-		return dstRAM, dstNode, nil, nil
-	}
-	for idx, info := range vm.regions {
-		if !info.Type.Unmediated() {
-			continue
-		}
-		var pages []uint64
-		var node int
-		for _, id := range destIDs {
-			a, aerr := h.Allocator(id)
-			if aerr != nil {
-				cleanup()
-				return nil, nil, nil, aerr
-			}
-			pages, err = a.AllocPages(0, len(info.pages))
-			if err == nil {
-				node = id
-				break
-			}
-		}
-		if err != nil {
-			cleanup()
-			return nil, nil, nil, fmt.Errorf("region %q: %w", info.Name, err)
-		}
-		dstRegions = append(dstRegions, migRegion{idx: idx, pages: pages, node: node})
-	}
-	return dstRAM, dstNode, dstRegions, nil
-}
-
-// releaseMigrationPages frees destination frames, optionally scrubbing them
-// first (they may hold pre-copied tenant data on the abort path).
-func (h *Hypervisor) releaseMigrationPages(dstRAM []uint64, dstNode []int, dstRegions []migRegion, scrub bool) {
-	for p, hpa := range dstRAM {
-		if hpa == hpaNone {
-			continue
-		}
-		if scrub {
-			_ = h.mem.ScrubPhys(hpa, geometry.PageSize2M)
-		}
-		if a, err := h.Allocator(dstNode[p]); err == nil {
-			_ = a.Free(hpa, alloc.Order2M)
-		}
-	}
-	for _, mr := range dstRegions {
-		if a, err := h.Allocator(mr.node); err == nil {
-			for _, pa := range mr.pages {
-				if scrub {
-					_ = h.mem.ScrubPhys(pa, geometry.PageSize4K)
-				}
-				_ = a.Free(pa, 0)
-			}
-		}
-	}
-}
-
-// rollbackMigration aborts cleanly before commit: the guest keeps running on
-// its source frames with full write permission, destination frames are
-// scrubbed and freed, and the domain shrinks back off the destination nodes.
-func (h *Hypervisor) rollbackMigration(vm *VM, destIDs []int, dstRAM []uint64, dstNode []int, dstRegions []migRegion, tracking bool) {
-	if tracking {
-		_ = vm.StopDirtyTracking()
-	}
-	h.releaseMigrationPages(dstRAM, dstNode, dstRegions, true)
-	if h.mode == ModeSiloz && vm.cgroup != nil {
-		_ = h.reg.Shrink(vm.cgroup.Name, destIDs)
-		vm.nodes = vm.cgroup.Nodes()
-	}
 }
 
 // copyFrame copies len(buf) bytes from frame src to frame dst through buf

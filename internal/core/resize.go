@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
-	"repro/internal/numa"
 )
 
 // ResizeAction identifies the mechanism a resize dispatches to.
@@ -90,6 +89,50 @@ func (vm *VM) usableBytes() uint64 {
 	return vm.spec.MemoryBytes - uint64(len(vm.ballooned))*geometry.PageSize2M
 }
 
+// planResize is the dispatch ResizeVM and PreviewResize share: which
+// mechanism reaches targetBytes, how many pages it moves and — from a dry
+// run of the frame-sourcing walk — which unowned nodes a grow would adopt,
+// so an infeasible grow is refused before either of its legs starts. Caller
+// holds h.mu.
+func (h *Hypervisor) planResize(vm *VM, targetBytes uint64) (ResizePlan, error) {
+	if targetBytes == 0 || targetBytes%geometry.PageSize2M != 0 {
+		return ResizePlan{}, fmt.Errorf("core: resize target %d must be a positive multiple of 2 MiB", targetBytes)
+	}
+	plan := ResizePlan{VM: vm.spec.Name, Current: vm.usableBytes(), Target: targetBytes}
+	size, balloon := vm.spec.MemoryBytes, len(vm.ballooned)
+	switch {
+	case targetBytes == plan.Current:
+		plan.Action = ResizeNone
+		return plan, nil
+
+	case targetBytes < plan.Current:
+		if floor := balloonFloor(vm.spec); targetBytes < floor {
+			return plan, fmt.Errorf("core: resize target %d below VM %q's floor %d", targetBytes, vm.spec.Name, floor)
+		}
+		plan.Action = ResizeInflate
+		plan.BalloonTarget = size - targetBytes
+		plan.Pages = int(plan.BalloonTarget/geometry.PageSize2M) - balloon
+		return plan, nil
+
+	case targetBytes <= size:
+		plan.Action = ResizeDeflate
+		plan.BalloonTarget = size - targetBytes
+		plan.Pages = balloon - int(plan.BalloonTarget/geometry.PageSize2M)
+
+	default:
+		// Hotplug extends the top of RAM and the balloon's model is that it
+		// *is* the top of RAM, so any balloon remnant deflates first.
+		plan.Action = ResizeHotplug
+		plan.HotplugBytes = targetBytes - size
+		plan.Pages = balloon + int(plan.HotplugBytes/geometry.PageSize2M)
+	}
+	t := h.sourceFrames(vm)
+	t.dry = true
+	err := t.take(alloc.Order2M, plan.Pages, false)
+	plan.AdoptedNodes = t.adopted
+	return plan, err
+}
+
 // ResizeVM resizes a running VM's usable memory to targetBytes, dispatching
 // to balloon inflate (shrink), balloon deflate (grow within the ballooned
 // holes), or memory hotplug (grow beyond the boot-time reservation; any
@@ -97,85 +140,70 @@ func (vm *VM) usableBytes() uint64 {
 // latch end to end — concurrent resize, balloon, or migration of the same
 // VM fails with ErrResizeBusy — and rolls back to the previous state on
 // partial failure.
-func (h *Hypervisor) ResizeVM(name string, targetBytes uint64) (*ResizeReport, error) {
+func (h *Hypervisor) ResizeVM(name string, targetBytes uint64) (rep *ResizeReport, err error) {
+	err = h.resizeOp(name, "resize", func(vm *VM) (err error) {
+		rep, err = h.resizeTo(vm, targetBytes)
+		return err
+	})
+	return rep, err
+}
+
+// resizeOp is the frame BalloonVM, HotplugVM and ResizeVM share: it runs
+// body on the named VM under h.mu and the VM's lifecycle latch, and then, if
+// body succeeded, pulls the EPT tables after the guest. Dropping a VM's last
+// node on a socket, or adopting only remote ones, can leave the whole
+// reservation on one socket while the tables stay on the other. A relocation
+// failure does not undo the operation: body's result stands and the error
+// is returned alongside it.
+func (h *Hypervisor) resizeOp(name, op string, body func(*VM) error) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	vm, ok := h.vms[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrVMNotFound, name)
+		return fmt.Errorf("%w: %q", ErrVMNotFound, name)
 	}
-	if err := vm.acquireLifecycle("resize"); err != nil {
-		return nil, err
+	if err := vm.acquireLifecycle(op); err != nil {
+		return err
 	}
 	defer vm.releaseLifecycle()
-	if targetBytes == 0 || targetBytes%geometry.PageSize2M != 0 {
-		return nil, fmt.Errorf("core: resize target %d must be a positive multiple of 2 MiB", targetBytes)
+	if err := body(vm); err != nil {
+		return err
 	}
+	if err := h.relocateIfStranded(vm); err != nil {
+		return fmt.Errorf("core: %s of VM %q left EPT tables behind: %w", op, name, err)
+	}
+	return nil
+}
 
-	rep := &ResizeReport{VM: name, Previous: vm.usableBytes(), Target: targetBytes}
-	switch {
-	case targetBytes == rep.Previous:
-		rep.Action = ResizeNone
+// resizeTo is ResizeVM's body: it executes planResize's plan. Caller holds
+// h.mu and the VM's lifecycle latch.
+func (h *Hypervisor) resizeTo(vm *VM, targetBytes uint64) (*ResizeReport, error) {
+	plan, err := h.planResize(vm, targetBytes)
+	if err != nil {
+		return nil, err
+	}
+	rep := &ResizeReport{VM: plan.VM, Previous: plan.Current, Target: targetBytes, Action: plan.Action}
+	if plan.Action == ResizeNone {
 		return rep, nil
-
-	case targetBytes < rep.Previous:
-		if floor := balloonFloor(vm.spec); targetBytes < floor {
-			return nil, fmt.Errorf("core: resize target %d below VM %q's floor %d", targetBytes, name, floor)
-		}
-		rep.Action = ResizeInflate
-		br, err := h.balloonTo(vm, vm.spec.MemoryBytes-targetBytes)
-		if err != nil {
+	}
+	prevBalloon := uint64(len(vm.ballooned)) * geometry.PageSize2M
+	if plan.BalloonTarget != prevBalloon {
+		if rep.Balloon, err = h.balloonTo(vm, plan.BalloonTarget); err != nil {
 			return nil, err
 		}
-		rep.Balloon = br
-		return h.finishResize(vm, rep)
-
-	case targetBytes <= vm.spec.MemoryBytes:
-		rep.Action = ResizeDeflate
-		br, err := h.balloonTo(vm, vm.spec.MemoryBytes-targetBytes)
-		if err != nil {
-			return nil, err
-		}
-		rep.Balloon = br
-		return h.finishResize(vm, rep)
-
-	default:
-		rep.Action = ResizeHotplug
-		// Deflate any balloon remnant first: hotplug extends the top of
-		// RAM, and the balloon's model is that it *is* the top of RAM.
-		prevBalloon := uint64(len(vm.ballooned)) * geometry.PageSize2M
-		if prevBalloon > 0 {
-			br, err := h.balloonTo(vm, 0)
-			if err != nil {
-				return nil, err
-			}
-			rep.Balloon = br
-		}
-		hr, err := h.hotplugGrow(vm, targetBytes-vm.spec.MemoryBytes)
-		if err != nil {
+	}
+	if plan.HotplugBytes > 0 {
+		if rep.Hotplug, err = h.hotplugGrow(vm, plan.HotplugBytes); err != nil {
+			// Roll the deflate leg back so the caller sees the pre-resize
+			// state; the re-inflate frees pages we just allocated, so it
+			// cannot fail for capacity.
 			if prevBalloon > 0 {
-				// Roll the deflate leg back so the caller sees the
-				// pre-resize state; the re-inflate frees pages we just
-				// allocated, so it cannot fail for capacity.
 				if _, rerr := h.balloonTo(vm, prevBalloon); rerr != nil {
 					return nil, fmt.Errorf("core: hotplug failed (%w) and balloon restore failed too: %v", err, rerr)
 				}
 			}
 			return nil, err
 		}
-		rep.Hotplug = hr
-		return h.finishResize(vm, rep)
-	}
-}
-
-// finishResize completes a successful resize leg. Dropping a VM's last node
-// on a socket can leave the whole reservation on the other socket while the
-// EPT tables stay behind; when that happens, pull the tables after the
-// guest. A relocation failure does not undo the resize — the report is
-// returned alongside the error. Caller holds h.mu and the lifecycle latch.
-func (h *Hypervisor) finishResize(vm *VM, rep *ResizeReport) (*ResizeReport, error) {
-	if err := h.relocateIfStranded(vm); err != nil {
-		return rep, fmt.Errorf("core: resize of VM %q left EPT tables behind: %w", vm.spec.Name, err)
 	}
 	return rep, nil
 }
@@ -192,45 +220,16 @@ func (h *Hypervisor) PreviewResize(name string, targetBytes uint64) (*ResizePlan
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrVMNotFound, name)
 	}
-	if targetBytes == 0 || targetBytes%geometry.PageSize2M != 0 {
-		return nil, fmt.Errorf("core: resize target %d must be a positive multiple of 2 MiB", targetBytes)
-	}
-	plan := &ResizePlan{VM: name, Current: vm.usableBytes(), Target: targetBytes}
-	switch {
-	case targetBytes == plan.Current:
-		plan.Action = ResizeNone
-		return plan, nil
-
-	case targetBytes < plan.Current:
-		if floor := balloonFloor(vm.spec); targetBytes < floor {
-			return nil, fmt.Errorf("core: resize target %d below VM %q's floor %d", targetBytes, name, floor)
-		}
-		plan.Action = ResizeInflate
-		plan.BalloonTarget = vm.spec.MemoryBytes - targetBytes
-		plan.Pages = int(plan.BalloonTarget/geometry.PageSize2M) - len(vm.ballooned)
-		released, err := h.previewDrain(vm, plan.Pages)
-		if err != nil {
-			return nil, err
-		}
-		plan.ReleasedNodes = released
-		return plan, nil
-
-	case targetBytes <= vm.spec.MemoryBytes:
-		plan.Action = ResizeDeflate
-		plan.BalloonTarget = vm.spec.MemoryBytes - targetBytes
-		plan.Pages = len(vm.ballooned) - int(plan.BalloonTarget/geometry.PageSize2M)
-
-	default:
-		plan.Action = ResizeHotplug
-		plan.HotplugBytes = targetBytes - vm.spec.MemoryBytes
-		plan.Pages = len(vm.ballooned) + int(plan.HotplugBytes/geometry.PageSize2M)
-	}
-	adopt, err := h.previewAdopt(vm, plan.Pages)
+	plan, err := h.planResize(vm, targetBytes)
 	if err != nil {
 		return nil, err
 	}
-	plan.AdoptedNodes = adopt
-	return plan, nil
+	if plan.Action == ResizeInflate {
+		if plan.ReleasedNodes, err = h.previewDrain(vm, plan.Pages); err != nil {
+			return nil, err
+		}
+	}
+	return &plan, nil
 }
 
 // previewDrain reports which guest nodes an inflate of n pages would drain
@@ -256,50 +255,4 @@ func (h *Hypervisor) previewDrain(vm *VM, n int) (released []int, err error) {
 	}
 	sort.Ints(released)
 	return released, nil
-}
-
-// previewAdopt reports which unowned guest nodes a grow of n huge pages
-// would adopt (in the adoption order allocGrowFrames uses), or
-// ErrCapacityExhausted when even adopting every reachable node cannot cover
-// the growth. Caller holds h.mu.
-func (h *Hypervisor) previewAdopt(vm *VM, n int) (adopt []int, err error) {
-	free := 0
-	var sources []*numa.Node
-	if h.mode == ModeSiloz {
-		sources = vm.nodes
-	} else {
-		sources = h.topo.NodesOnSocket(vm.spec.Socket, numa.HostReserved)
-	}
-	for _, node := range sources {
-		a, aerr := h.Allocator(node.ID)
-		if aerr != nil {
-			return nil, aerr
-		}
-		free += a.FreePagesAtOrder(alloc.Order2M)
-	}
-	if free >= n {
-		return nil, nil
-	}
-	if h.mode == ModeSiloz {
-		for _, cand := range h.adoptCandidates(vm) {
-			if _, owned := h.reg.OwnerOf(cand.ID); owned {
-				continue
-			}
-			a, aerr := h.Allocator(cand.ID)
-			if aerr != nil {
-				continue
-			}
-			pages := a.FreePagesAtOrder(alloc.Order2M)
-			if pages == 0 {
-				continue
-			}
-			adopt = append(adopt, cand.ID)
-			free += pages
-			if free >= n {
-				return adopt, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("%w: growing VM %q by %d pages reaches only %d",
-		ErrCapacityExhausted, vm.spec.Name, n, free)
 }

@@ -179,31 +179,7 @@ func (h *Hypervisor) CreateVM(proc Process, spec VMSpec) (*VM, error) {
 		}
 	}
 
-	// EPT hierarchy via GFP_EPT (§5.4).
-	eptA, err := h.eptAllocatorFor(spec.Socket)
-	if err != nil {
-		return nil, err
-	}
-	mode := ept.NoProtection
-	if h.mode == ModeSiloz {
-		mode = h.cfg.EPTProtection
-	}
-	vm.tables, err = ept.New(h.mem, eptAlloc{eptA}, mode)
-	if err != nil {
-		vm.releaseNodes()
-		return nil, err
-	}
-
-	if err := h.allocGuestRAM(vm); err != nil {
-		vm.teardown()
-		return nil, err
-	}
-	vm.InvalidateTLB() // the first table, sized to the RAM just mapped
-	if err := h.allocMediated(vm); err != nil {
-		vm.teardown()
-		return nil, err
-	}
-	if err := h.allocRegions(vm); err != nil {
+	if err := h.populate(vm); err != nil {
 		vm.teardown()
 		return nil, err
 	}
@@ -220,51 +196,51 @@ func (h *Hypervisor) CreateVM(proc Process, spec VMSpec) (*VM, error) {
 	return vm, nil
 }
 
-// reserveGuestNodes picks enough unowned guest-reserved nodes on the VM's
-// socket and creates its exclusive control group.
+// populate builds what the reservation is for: the EPT hierarchy via GFP_EPT
+// (§5.4), RAM, mediated pages and regions. On failure the caller tears down
+// whatever the earlier steps built, the reservation included.
+func (h *Hypervisor) populate(vm *VM) error {
+	mode := ept.NoProtection
+	if h.mode == ModeSiloz {
+		mode = h.cfg.EPTProtection
+	}
+	eptA, err := h.eptAllocatorFor(vm.spec.Socket)
+	if err != nil {
+		return err
+	}
+	if vm.tables, err = ept.New(h.mem, eptAlloc{eptA}, mode); err != nil {
+		return err
+	}
+	ram := h.sourceFrames(vm)
+	if err := ram.take(alloc.Order2M, int(vm.spec.MemoryBytes/geometry.PageSize2M), false); err != nil {
+		return err
+	}
+	if err := vm.install(nil, &ram); err != nil {
+		return err
+	}
+	if err := h.allocMediated(vm); err != nil {
+		return err
+	}
+	return h.allocRegions(vm)
+}
+
+// reserveGuestNodes creates the VM's exclusive control group over enough
+// unowned guest-reserved nodes — a dry run of the frame-sourcing walk — to
+// hold its RAM plus every unmediated region, so an over-subscribed socket
+// refuses the VM before anything is allocated.
 func (h *Hypervisor) reserveGuestNodes(vm *VM) error {
-	// RAM plus every unmediated region must fit in the reserved groups.
 	bytes := vm.spec.MemoryBytes
 	for _, r := range vm.spec.Regions {
 		if r.Type.Unmediated() {
 			bytes += r.Bytes
 		}
 	}
-	// Prefer the home socket's nodes (§5.2 locality); optionally spill to
-	// other sockets. Reserve nodes until their *actual* free capacity —
-	// which can be below the nominal group size when isolation-hazard
-	// pages were offlined at boot (§6) — covers the request.
-	candidates := h.topo.NodesOnSocket(vm.spec.Socket, numa.GuestReserved)
-	if vm.spec.AllowRemote {
-		for s := 0; s < h.cfg.Geometry.Sockets; s++ {
-			if s != vm.spec.Socket {
-				candidates = append(candidates, h.topo.NodesOnSocket(s, numa.GuestReserved)...)
-			}
-		}
+	t := h.sourceFrames(vm)
+	t.dry = true
+	if err := t.take(alloc.Order2M, int((bytes+geometry.PageSize2M-1)/geometry.PageSize2M), false); err != nil {
+		return err
 	}
-	var ids []int
-	var capacity uint64
-	for _, n := range candidates {
-		if capacity >= bytes {
-			break
-		}
-		if _, owned := h.reg.OwnerOf(n.ID); owned {
-			continue
-		}
-		a, err := h.Allocator(n.ID)
-		if err != nil {
-			return err
-		}
-		ids = append(ids, n.ID)
-		// RAM needs whole 2 MiB huge pages; offlined holes make some
-		// free bytes unusable for them.
-		capacity += uint64(a.FreePagesAtOrder(alloc.Order2M)) * geometry.PageSize2M
-	}
-	if capacity < bytes {
-		return fmt.Errorf("%w: only %d bytes of huge-page-backed guest capacity available, VM %q needs %d",
-			ErrCapacityExhausted, capacity, vm.spec.Name, bytes)
-	}
-	cg, err := h.reg.Create("vm:"+vm.spec.Name, ids)
+	cg, err := h.reg.Create("vm:"+vm.spec.Name, t.adopted)
 	if err != nil {
 		return err
 	}
@@ -273,42 +249,53 @@ func (h *Hypervisor) reserveGuestNodes(vm *VM) error {
 	return nil
 }
 
-// allocGuestRAM backs guest RAM with 2 MiB pages. Under Siloz pages come
-// from the VM's reserved nodes (the UNMEDIATED mmap path); under the
-// baseline from the socket's node.
-func (h *Hypervisor) allocGuestRAM(vm *VM) error {
-	pages := int(vm.spec.MemoryBytes / geometry.PageSize2M)
-	var sources []*numa.Node
-	if h.mode == ModeSiloz {
-		sources = vm.nodes
-	} else {
-		sources = h.topo.NodesOnSocket(vm.spec.Socket, numa.HostReserved)
-	}
-	si := 0
-	for p := 0; p < pages; p++ {
-		var hpa uint64
-		var err error
-		for {
-			if si >= len(sources) {
-				return fmt.Errorf("core: out of guest memory for VM %q at page %d/%d", vm.spec.Name, p, pages)
-			}
-			a, aerr := h.Allocator(sources[si].ID)
-			if aerr != nil {
-				return aerr
-			}
-			hpa, err = a.Alloc(alloc.Order2M)
-			if err == nil {
-				break
-			}
-			si++ // node exhausted; move to the next reserved node
+// install backs RAM page pages[i] with t.frames[i] — EPT leaf, RAM layout,
+// node ledger, device IOMMU tables — or, when pages is nil, extends the RAM
+// window by the frames. It is all or nothing: on failure the leaves are
+// unmapped again, the layout restored and t rolled back. Caller holds the
+// lifecycle latch and (once the guest runs) the vCPU gate exclusively.
+func (vm *VM) install(pages []int, t *frameTxn) error {
+	old := len(vm.ram)
+	gpa := func(i int) uint64 {
+		if pages == nil {
+			return uint64(old+i) * geometry.PageSize2M
 		}
-		gpa := uint64(p) * geometry.PageSize2M
-		if err := vm.tables.Map2M(gpa, hpa); err != nil {
-			return err
-		}
-		vm.ram = append(vm.ram, hpa)
-		vm.ramNode[hpa] = sources[si].ID
+		return uint64(pages[i]) * geometry.PageSize2M
 	}
+	undo := func(mapped int) {
+		for i := 0; i < mapped; i++ {
+			_ = vm.tables.Unmap(gpa(i))
+		}
+		vm.InvalidateTLB() // an unpaused translator may have cached a leaf
+		t.rollback()
+	}
+	for i, hpa := range t.frames {
+		if err := vm.tables.Map2M(gpa(i), hpa); err != nil {
+			undo(i)
+			return fmt.Errorf("core: mapping gpa %#x of VM %q: %w", gpa(i), vm.spec.Name, err)
+		}
+	}
+	if pages == nil {
+		vm.ram = append(vm.ram, t.frames...)
+	}
+	for i, p := range pages {
+		vm.ram[p] = t.frames[i]
+	}
+	if err := vm.syncDeviceTables(); err != nil {
+		vm.ram = vm.ram[:old]
+		for _, p := range pages {
+			vm.ram[p] = hpaNone
+		}
+		_ = vm.syncDeviceTables() // back to the old layout: unmaps only
+		undo(len(t.frames))
+		return fmt.Errorf("core: syncing device tables of VM %q: %w", vm.spec.Name, err)
+	}
+	for _, r := range t.runs {
+		for _, hpa := range r.pages {
+			vm.ramNode[hpa] = r.node
+		}
+	}
+	vm.InvalidateTLB()
 	return nil
 }
 

@@ -268,7 +268,7 @@ banks:
 			case opScrub:
 				clear(row[c : c+hi-lo])
 			case opIsZero:
-				if !allZero(row[c : c+hi-lo]) {
+				if !AllZero(row[c : c+hi-lo]) {
 					zero = false
 					break banks
 				}
@@ -285,8 +285,10 @@ banks:
 	return zero
 }
 
-// allZero scans a word at a time.
-func allZero(b []byte) bool {
+// AllZero reports whether every byte of b is zero, scanning a word at a
+// time: the walker's zero test and the scrubbed-buffer probe of the
+// lifecycle campaigns and experiments.
+func AllZero(b []byte) bool {
 	for ; len(b) >= 8; b = b[8:] {
 		if binary.LittleEndian.Uint64(b) != 0 {
 			return false

@@ -300,7 +300,7 @@ func TestScrubPhysReleasesWholeStripes(t *testing.T) {
 	if err := mem.ReadPhys(pa, page); err != nil {
 		t.Fatal(err)
 	}
-	if !allZero(page[:half]) || bytes.Count(page[half:], []byte{0xA5}) != len(page)-half {
+	if !AllZero(page[:half]) || bytes.Count(page[half:], []byte{0xA5}) != len(page)-half {
 		t.Error("partial-stripe scrub did not zero exactly its range")
 	}
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
 	"repro/internal/guest"
@@ -86,7 +87,7 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 	if err != nil {
 		return nil, err
 	}
-	vm, err := h.CreateVM(kvmProc, core.VMSpec{
+	vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 		Name: "bal", Socket: 0, MemoryBytes: cfg.VMBytes, MinMemoryBytes: cfg.MinBytes,
 	})
 	if err != nil {
@@ -146,7 +147,7 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 				if err := h.Memory().ReadPhys(pa, probe); err != nil {
 					return nil, err
 				}
-				res.releasedZero = res.releasedZero && allZero(probe)
+				res.releasedZero = res.releasedZero && dram.AllZero(probe)
 			}
 		}
 	}
@@ -161,7 +162,7 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 	// Deflate: re-adopt the capacity, then prove restored memory is zeroed
 	// and writable and the pre-balloon payload survived.
 	if err := k.Balloon().SetTarget(0); err == nil {
-		res.deflated = vm.ReadGuest(surrStart, probe) == nil && allZero(probe) &&
+		res.deflated = vm.ReadGuest(surrStart, probe) == nil && dram.AllZero(probe) &&
 			vm.WriteGuest(surrStart, payload) == nil
 	}
 	if res.dataIntact, err = guestHolds(vm, 512, payload); err != nil {

@@ -118,7 +118,7 @@ func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowR
 	if err != nil {
 		return res, err
 	}
-	vm, err := h.CreateVM(kvmProc, core.VMSpec{
+	vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 		Name: "reloc", Socket: 0, MemoryBytes: 64 * geometry.MiB,
 	})
 	if err != nil {
@@ -133,7 +133,7 @@ func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowR
 	res.auditOK = true
 	for m := 0; m < run.moves; m++ {
 		target := 1 - vm.EPTSocket()
-		dests, err := destNodes(h, target, vm.Spec().MemoryBytes)
+		dests, err := h.FreeNodes(target, vm.Spec().MemoryBytes)
 		if err != nil {
 			return res, err
 		}

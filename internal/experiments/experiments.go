@@ -81,7 +81,7 @@ func bootBenchVM(cfg PerfConfig, mode core.Mode, subarrayRows int) (*core.VM, er
 	if err != nil {
 		return nil, err
 	}
-	return h.CreateVM(kvmProc, core.VMSpec{
+	return h.CreateVM(core.KVMProcess(), core.VMSpec{
 		Name:   "bench",
 		Socket: 0,
 		// 4 GiB per logical core in the paper; here simply cfg.VMMemory.

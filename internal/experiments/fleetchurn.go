@@ -230,7 +230,7 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 
 		// Phase 2: arrivals, synchronous in trace order.
 		for _, a := range arrivalsAt[round] {
-			hostName, err := cluster.Admit(ctx, kvmProc, core.VMSpec{
+			hostName, err := cluster.Admit(ctx, core.KVMProcess(), core.VMSpec{
 				Name:           a.Name,
 				MemoryBytes:    a.Bytes,
 				MinMemoryBytes: a.MinBytes,

@@ -13,6 +13,7 @@ import (
 // contract that the pool only fans across policies.
 func TestFleetChurnExperiment(t *testing.T) {
 	cfg := fleetConfig(Flags{Quick: true})
+	cfg.Hosts = 2 // every check holds on two hosts; the -quick third is boot time only
 	r, err := fleetChurnExp(context.Background(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)

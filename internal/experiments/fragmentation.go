@@ -10,6 +10,7 @@ import (
 	"repro/internal/ept"
 	"repro/internal/geometry"
 	"repro/internal/migrate"
+	"repro/internal/numa"
 	"repro/internal/subarray"
 
 	"repro/internal/addr"
@@ -85,7 +86,10 @@ type DefragRecovery struct {
 func socketFreeState(h *core.Hypervisor, socket int) (int, string, error) {
 	largest := -1
 	var counts [alloc.MaxOrder + 1]uint64
-	for _, n := range unownedNodes(h, socket) {
+	for _, n := range h.Topology().NodesOnSocket(socket, numa.GuestReserved) {
+		if _, owned := h.Registry().OwnerOf(n.ID); owned {
+			continue
+		}
 		a, err := h.Allocator(n.ID)
 		if err != nil {
 			return 0, "", err
@@ -119,7 +123,7 @@ func DefragRecoveryStudy(ctx context.Context) (*DefragRecovery, error) {
 		return nil, err
 	}
 	for _, name := range []string{"t0", "t1", "t2"} {
-		if _, err := h.CreateVM(kvmProc, core.VMSpec{Name: name, Socket: 0, MemoryBytes: 64 * geometry.MiB}); err != nil {
+		if _, err := h.CreateVM(core.KVMProcess(), core.VMSpec{Name: name, Socket: 0, MemoryBytes: 64 * geometry.MiB}); err != nil {
 			return nil, err
 		}
 	}
@@ -128,7 +132,7 @@ func DefragRecoveryStudy(ctx context.Context) (*DefragRecovery, error) {
 	if out.OrderBefore, _, err = socketFreeState(h, pending.Socket); err != nil {
 		return nil, err
 	}
-	if _, err := h.CreateVM(kvmProc, pending); err == nil {
+	if _, err := h.CreateVM(core.KVMProcess(), pending); err == nil {
 		out.BeforeAdmitted = true // scenario broken; surfaces as a failed check
 	}
 	plan, err := migrate.NewPlanner(h).PlanAdmission(pending)
@@ -143,7 +147,7 @@ func DefragRecoveryStudy(ctx context.Context) (*DefragRecovery, error) {
 	if out.OrderAfter, out.Histogram, err = socketFreeState(h, pending.Socket); err != nil {
 		return nil, err
 	}
-	if _, err := h.CreateVM(kvmProc, pending); err == nil {
+	if _, err := h.CreateVM(core.KVMProcess(), pending); err == nil {
 		out.AfterAdmitted = true
 	}
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
 	"repro/internal/guest"
@@ -98,12 +99,12 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 	// Socket pressure: neighbor tenants each own one home-socket node.
 	for i := 0; i < run.pressure; i++ {
 		spec := core.VMSpec{Name: fmt.Sprintf("nbr%d", i), Socket: 0, MemoryBytes: nodeBytes}
-		if _, err := h.CreateVM(kvmProc, spec); err != nil {
+		if _, err := h.CreateVM(core.KVMProcess(), spec); err != nil {
 			return nil, fmt.Errorf("pressure VM %d: %w", i, err)
 		}
 	}
 
-	vm, err := h.CreateVM(kvmProc, core.VMSpec{Name: "plug", Socket: 0, MemoryBytes: cfg.VMBytes})
+	vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{Name: "plug", Socket: 0, MemoryBytes: cfg.VMBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +115,7 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 	freeNodes := guestNodes - run.pressure - int((cfg.VMBytes+nodeBytes-1)/nodeBytes)
 	payload := stampPayload(11)
 	if freeNodes > 0 {
-		prev, err := h.CreateVM(kvmProc, core.VMSpec{Name: "departed", Socket: 0, MemoryBytes: uint64(freeNodes) * nodeBytes})
+		prev, err := h.CreateVM(core.KVMProcess(), core.VMSpec{Name: "departed", Socket: 0, MemoryBytes: uint64(freeNodes) * nodeBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +170,7 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 			if err := vm.ReadGuest(bank.Start+off, buf); err != nil {
 				return nil, err
 			}
-			res.bankZero = res.bankZero && allZero(buf)
+			res.bankZero = res.bankZero && dram.AllZero(buf)
 		}
 		res.guestExtends = res.guestExtends && proc.Map(probeGVA, bank.Start) == nil &&
 			proc.Write(probeGVA, payload) == nil

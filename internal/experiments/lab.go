@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"fmt"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -15,12 +14,9 @@ import (
 )
 
 // This file holds the scaffolding the lifecycle experiments share: the lab
-// machine, guest payload stamping and verification, scrub probes, node
-// discovery, admission probes, and the cell-grid fan-out. Plain helpers —
-// each experiment still reads top to bottom as boot, act, measure, check.
-
-// kvmProc is the privileged launcher every experiment creates VMs as.
-var kvmProc = core.Process{CGroup: "kvm", KVMPrivileged: true}
+// machine, guest payload stamping and verification, node capacity and
+// admission probes, and the cell-grid fan-out. Plain helpers — each
+// experiment still reads top to bottom as boot, act, measure, check.
 
 // migrationLabGeometry is the small two-socket box the lifecycle studies
 // run on: 4 subarray groups of 64 MiB per socket, so under Siloz each
@@ -123,16 +119,6 @@ func guestHolds(vm *core.VM, gpa uint64, want []byte) (bool, error) {
 	return bytes.Equal(got, want), nil
 }
 
-// allZero reports whether a probe buffer is fully scrubbed.
-func allZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // guestNodeCapacity counts socket's guest-reserved nodes and reports one
 // node's capacity (they are uniform), so pressure and feasibility can be
 // expressed in whole subarray groups.
@@ -148,45 +134,10 @@ func guestNodeCapacity(h *core.Hypervisor, socket int) (nodes int, nodeBytes uin
 	return nodes, nodeBytes, nil
 }
 
-// unownedNodes lists socket's nodes a migration may land on, in ID order:
-// guest-reserved and unowned under Siloz, host memory under the baseline.
-func unownedNodes(h *core.Hypervisor, socket int) []*numa.Node {
-	kind := numa.HostReserved
-	if h.Mode() == core.ModeSiloz {
-		kind = numa.GuestReserved
-	}
-	var out []*numa.Node
-	for _, n := range h.Topology().NodesOnSocket(socket, kind) {
-		if _, owned := h.Registry().OwnerOf(n.ID); !owned {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// destNodes picks enough free destination nodes on socket to hold a VM of
-// the given size.
-func destNodes(h *core.Hypervisor, socket int, bytes uint64) ([]int, error) {
-	var ids []int
-	var capacity uint64
-	for _, n := range unownedNodes(h, socket) {
-		a, err := h.Allocator(n.ID)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, n.ID)
-		capacity += a.FreeBytes()
-		if capacity >= bytes {
-			return ids, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: socket %d cannot host %d bytes", socket, bytes)
-}
-
 // admits probes whether the hypervisor would admit spec right now, leaving
 // no VM behind.
 func admits(h *core.Hypervisor, spec core.VMSpec) bool {
-	if _, err := h.CreateVM(kvmProc, spec); err != nil {
+	if _, err := h.CreateVM(core.KVMProcess(), spec); err != nil {
 		return false
 	}
 	return h.DestroyVM(spec.Name) == nil

@@ -79,7 +79,7 @@ func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, se
 	if err != nil {
 		return nil, err
 	}
-	vm, err := h.CreateVM(kvmProc, core.VMSpec{Name: "mig", Socket: 0, MemoryBytes: run.vmBytes})
+	vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{Name: "mig", Socket: 0, MemoryBytes: run.vmBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, se
 		}
 	}
 
-	dests, err := destNodes(h, 1, run.vmBytes)
+	dests, err := h.FreeNodes(1, run.vmBytes)
 	if err != nil {
 		return nil, err
 	}

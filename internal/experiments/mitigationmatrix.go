@@ -148,7 +148,7 @@ func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixCon
 			return nil, err
 		}
 		defer h.Shutdown()
-		vm, err := h.CreateVM(kvmProc, core.VMSpec{
+		vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 			Name: "bench", Socket: 0, MemoryBytes: perf.VMMemory,
 			VCPUs: perf.Geometry.CoresPerSocket,
 		})

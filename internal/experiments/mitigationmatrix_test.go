@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // with a vulnerable baseline and containing defenses — the head-to-head
 // comparison the framework exists to produce.
 func TestMitigationMatrixRows(t *testing.T) {
-	r, err := mitigationMatrixExp(context.Background(), nil, mitigationMatrixConfig(Flags{Quick: true}))
+	r, err := quickMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,17 +41,28 @@ func TestMitigationMatrixRows(t *testing.T) {
 	}
 }
 
+// quickMatrix runs the -quick matrix inline (nil pool) once for the package.
+var quickMatrix = sync.OnceValues(func() (*Result, error) {
+	return mitigationMatrixExp(context.Background(), nil, mitigationMatrixConfig(Flags{Quick: true}))
+})
+
 // TestMitigationMatrixParallelDeterminism: the matrix renders byte-identical
-// text and JSON on a width-1 and a width-8 pool — the guarantee that lets
-// its kind x rep cells fan out.
+// text and JSON inline and on a width-8 pool — the guarantee that lets its
+// kind x rep cells fan out.
 func TestMitigationMatrixParallelDeterminism(t *testing.T) {
-	jobs := quickJobs(t, "mitigation-matrix")
-	text1, js1 := renderRun(t, jobs, 1)
-	text8, js8 := renderRun(t, jobs, 8)
-	if text1 != text8 {
-		t.Errorf("text output differs between -parallel 1 and -parallel 8:\n--- width 1 ---\n%s\n--- width 8 ---\n%s", text1, text8)
+	r, err := quickMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	js1, err := RenderJSON(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text8, js8 := renderRun(t, quickJobs(t, "mitigation-matrix"), 8)
+	if text1 := RenderText(r); text1 != text8 {
+		t.Errorf("text output differs between inline and -parallel 8:\n--- inline ---\n%s\n--- width 8 ---\n%s", text1, text8)
 	}
 	if !bytes.Equal(js1, js8) {
-		t.Errorf("JSON output differs between -parallel 1 and -parallel 8")
+		t.Errorf("JSON output differs between inline and -parallel 8")
 	}
 }

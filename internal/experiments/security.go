@@ -238,7 +238,7 @@ func EPTProtection(cfg SecurityConfig) (EPTProtectionResult, error) {
 	if err != nil {
 		return out, err
 	}
-	vm, err := h.CreateVM(kvmProc, core.VMSpec{
+	vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 		Name: "probe", Socket: 0,
 		MemoryBytes: uint64(h.Layout().GroupBytes()),
 	})

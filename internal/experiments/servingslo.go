@@ -84,7 +84,7 @@ func runServingRep(ctx context.Context, cfg ServingSLOConfig, kind mitigation.Ki
 	}
 	defer h.Shutdown()
 	for i, socket := range []int{0, 1} {
-		_, err := h.CreateVM(kvmProc, core.VMSpec{
+		_, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 			Name: fmt.Sprintf("t%d", i), Socket: socket, MemoryBytes: 64 * geometry.MiB,
 		})
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geometry"
 	"repro/internal/migrate"
-	"repro/internal/numa"
 	"repro/internal/stats"
 )
 
@@ -137,33 +136,6 @@ func (l *Loop) applyWindow(w *Window, bytesCopied, downtimeBytes uint64, paused 
 	}
 }
 
-// destNodesOnSocket picks unowned destination nodes with enough free
-// capacity for a migration landing on the given socket (the serve-side
-// counterpart of the migration experiment's destination picker).
-func destNodesOnSocket(h *core.Hypervisor, socket int, vmBytes uint64) ([]int, error) {
-	kind := numa.HostReserved
-	if h.Mode() == core.ModeSiloz {
-		kind = numa.GuestReserved
-	}
-	var ids []int
-	var capacity uint64
-	for _, n := range h.Topology().NodesOnSocket(socket, kind) {
-		if _, owned := h.Registry().OwnerOf(n.ID); owned {
-			continue
-		}
-		a, err := h.Allocator(n.ID)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, n.ID)
-		capacity += a.FreeBytes()
-		if capacity >= vmBytes {
-			return ids, nil
-		}
-	}
-	return nil, fmt.Errorf("serve: no destination capacity for %d bytes on socket %d", vmBytes, socket)
-}
-
 // execMigrate live-migrates the tenant to DestSocket while its guest
 // dirties DirtyPages pages per pre-copy round.
 func (l *Loop) execMigrate(ctx context.Context, ev Event, w *Window) error {
@@ -171,7 +143,7 @@ func (l *Loop) execMigrate(ctx context.Context, ev Event, w *Window) error {
 	if t == nil {
 		return fmt.Errorf("serve: no tenant %q", ev.Tenant)
 	}
-	dests, err := destNodesOnSocket(t.hv, ev.DestSocket, t.vm.Spec().MemoryBytes)
+	dests, err := t.hv.FreeNodes(ev.DestSocket, t.vm.Spec().MemoryBytes)
 	if err != nil {
 		return err
 	}
