@@ -40,15 +40,16 @@ race:
 # Quick suite under the race detector: the scheduler, determinism and
 # cancellation tests that exercise every parallel path, plus the
 # balloon/resize/registry lifecycle tests that hammer the reservation paths
-# from concurrent VMs, the frame-sourcing rollback table and the grow-versus-
-# migration race over the registry and allocators, the live-writer migrations
-# that race the bulk data path's row locks from both sockets, and the lock-free
-# TLB's coherence across every layout commit (-count=10: the race it pins needs
-# a translator caught mid-walk).
+# from concurrent VMs, the frame-sourcing and layout-commit rollback table, the
+# random-op layout-agreement check and the three commit-failure regressions,
+# the grow-versus-migration race over the registry and allocators, the
+# live-writer migrations that race the bulk data path's row locks from both
+# sockets, and the lock-free TLB's coherence across every layout commit
+# (-count=10: the race it pins needs a translator caught mid-walk).
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
-	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize' ./internal/core
+	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves' ./internal/core
 	$(GO) test -race -count=10 -run 'TestTLBCoherentAcrossLifecycle' ./internal/core
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate

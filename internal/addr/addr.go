@@ -32,6 +32,11 @@ type Mapper interface {
 	Decode(pa uint64) (geometry.MediaAddr, error)
 	// Encode is the inverse of Decode.
 	Encode(m geometry.MediaAddr) (uint64, error)
+	// DecodeBank is Decode for callers that only steer on bank, row and
+	// socket (the memory controller's per-access decode): it skips
+	// assembling the structured BankID and the column offset. bank is the
+	// dense server-wide index BankID.Flat would return.
+	DecodeBank(pa uint64) (bank, row, socket int, err error)
 	// Stripe returns the stripe containing pa: the unit bulk accesses
 	// decode at, instead of once per cache line.
 	Stripe(pa uint64) (Stripe, error)
@@ -54,18 +59,6 @@ type Stripe struct {
 	Row    int   // media row index, the same in every bank
 	Off    int64 // pa's byte offset within the stripe
 	Len    int64 // stripe length in bytes: Banks * RowBytes
-}
-
-// BankDecoder is an optional fast-path capability a Mapper may implement
-// for callers that only steer on bank, row and socket (the memory
-// controller's per-access decode): it skips assembling the structured
-// BankID and the column offset. bank is the dense server-wide index
-// BankID.Flat would return. Callers feature-detect it once with a type
-// assertion and must fall back to Decode when absent; both paths return
-// identical coordinates.
-type BankDecoder interface {
-	// DecodeBank returns pa's flat bank index, row, and socket.
-	DecodeBank(pa uint64) (bank, row, socket int, err error)
 }
 
 // Kind selects a physical-to-media mapping family.

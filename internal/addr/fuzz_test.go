@@ -124,7 +124,7 @@ func checkFastPathAt(t *testing.T, m refMapper, pa uint64) {
 			t.Fatalf("%T Encode(%v): fast %#x, ref %#x (%v)", m, fast, back, ref, err)
 		}
 	}
-	bank, row, socket, err := m.(BankDecoder).DecodeBank(pa)
+	bank, row, socket, err := m.DecodeBank(pa)
 	if err != nil {
 		t.Fatalf("%T DecodeBank(%#x): %v", m, pa, err)
 	}

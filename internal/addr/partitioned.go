@@ -111,7 +111,7 @@ func (m *PartitionedMapper) Decode(pa uint64) (geometry.MediaAddr, error) {
 	}, nil
 }
 
-// DecodeBank is the col-free fast path of Decode (BankDecoder).
+// DecodeBank is the col-free fast path of Decode.
 func (m *PartitionedMapper) DecodeBank(pa uint64) (bank, row, socket int, err error) {
 	if pa >= uint64(m.totalBytes) {
 		return 0, 0, 0, rangeCheck(m.g, pa)

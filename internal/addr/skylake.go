@@ -164,7 +164,7 @@ func (m *SkylakeMapper) Decode(pa uint64) (geometry.MediaAddr, error) {
 	}, nil
 }
 
-// DecodeBank is the col-free fast path of Decode (BankDecoder): the dense
+// DecodeBank is the col-free fast path of Decode: the dense
 // bank index the interleave LUT yields is already the within-socket flat
 // index, so no BankID is assembled at all.
 func (m *SkylakeMapper) DecodeBank(pa uint64) (bank, row, socket int, err error) {
@@ -308,7 +308,7 @@ func (m *LinearMapper) Decode(pa uint64) (geometry.MediaAddr, error) {
 	}, nil
 }
 
-// DecodeBank is the col-free fast path of Decode (BankDecoder).
+// DecodeBank is the col-free fast path of Decode.
 func (m *LinearMapper) DecodeBank(pa uint64) (bank, row, socket int, err error) {
 	if pa >= uint64(m.totalBytes) {
 		return 0, 0, 0, rangeCheck(m.g, pa)

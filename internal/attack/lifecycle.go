@@ -57,16 +57,19 @@ type CampaignConfig struct {
 	// VMBytes sizes the attacker and victim VMs (default 64 MiB — one
 	// subarray-group node in the lab geometry).
 	VMBytes uint64
-	// HammerActs is the activation count per aggressor burst (default
-	// 20000; must exceed the profile's threshold comfortably).
-	HammerActs int
-	// BurstRows is the number of aggressors hammered per lifecycle window
-	// (default 4).
-	BurstRows int
-	// InferPairs bounds the adjacency triples probed before the campaign
-	// (default 4).
-	InferPairs int
 }
+
+const (
+	// campaignHammerActs is the activation count per aggressor burst; it
+	// must exceed the profile's threshold comfortably.
+	campaignHammerActs = 20_000
+	// campaignBurstRows is the number of aggressors hammered per lifecycle
+	// window.
+	campaignBurstRows = 4
+	// campaignInferPairs bounds the adjacency triples probed before a
+	// campaign.
+	campaignInferPairs = 4
+)
 
 func (c *CampaignConfig) normalize() {
 	if c.Rounds <= 0 {
@@ -74,15 +77,6 @@ func (c *CampaignConfig) normalize() {
 	}
 	if c.VMBytes == 0 {
 		c.VMBytes = 64 * geometry.MiB
-	}
-	if c.HammerActs <= 0 {
-		c.HammerActs = 20_000
-	}
-	if c.BurstRows <= 0 {
-		c.BurstRows = 4
-	}
-	if c.InferPairs <= 0 {
-		c.InferPairs = 4
 	}
 }
 
@@ -199,7 +193,7 @@ func newCampaignEnv(name string, cfg CampaignConfig) (*campaignEnv, error) {
 	}
 	// Mapping inference first: the attacker derives (and confirms) row
 	// adjacency inside its own domain before spending hammer budget.
-	rep, err := InferAdjacency(env.target, cfg.HammerActs, cfg.InferPairs, 0xAA, CampaignSeed(cfg.Seed, 2))
+	rep, err := InferAdjacency(env.target, campaignHammerActs, campaignInferPairs, 0xAA, CampaignSeed(cfg.Seed, 2))
 	if err != nil {
 		h.Shutdown()
 		return nil, err
@@ -212,7 +206,7 @@ func newCampaignEnv(name string, cfg CampaignConfig) (*campaignEnv, error) {
 	return env, nil
 }
 
-// hammerBurst drives BurstRows seeded aggressors at full amplitude and
+// hammerBurst drives campaignBurstRows seeded aggressors at full amplitude and
 // closes the refresh window — one Blacksmith salvo inside a lifecycle
 // window.
 func (e *campaignEnv) hammerBurst() {
@@ -220,9 +214,9 @@ func (e *campaignEnv) hammerBurst() {
 	if len(rows) == 0 {
 		return
 	}
-	for k := 0; k < e.cfg.BurstRows; k++ {
+	for k := 0; k < campaignBurstRows; k++ {
 		r := rows[e.rng.Intn(len(rows))]
-		if err := e.target.Hammer(r, e.cfg.HammerActs, 0); err != nil {
+		if err := e.target.Hammer(r, campaignHammerActs, 0); err != nil {
 			e.res.Denied++
 			continue
 		}
@@ -548,7 +542,7 @@ func runFleetCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	}
 	target := &VMTarget{VM: attackerVM}
 	rng := rngFrom(CampaignSeed(cfg.Seed, 1))
-	infer, err := InferAdjacency(target, cfg.HammerActs, cfg.InferPairs, 0xAA, CampaignSeed(cfg.Seed, 2))
+	infer, err := InferAdjacency(target, campaignHammerActs, campaignInferPairs, 0xAA, CampaignSeed(cfg.Seed, 2))
 	if err != nil {
 		return nil, err
 	}
@@ -560,9 +554,9 @@ func runFleetCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		if len(rows) == 0 {
 			return
 		}
-		for k := 0; k < cfg.BurstRows; k++ {
+		for k := 0; k < campaignBurstRows; k++ {
 			r := rows[rng.Intn(len(rows))]
-			if err := target.Hammer(r, cfg.HammerActs, 0); err != nil {
+			if err := target.Hammer(r, campaignHammerActs, 0); err != nil {
 				res.Denied++
 				continue
 			}

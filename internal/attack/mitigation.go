@@ -36,18 +36,6 @@ type MitigationTrialConfig struct {
 	Core core.Config
 	// Seed drives every random choice.
 	Seed int64
-	// VMBytes sizes the attacker and victim VMs (default 64 MiB).
-	VMBytes uint64
-	// BurstActs is the per-burst activation count for edge and churn
-	// bursts. It must sit below the profile's flip threshold so defenses
-	// can react between bursts (default 1000).
-	BurstActs int
-	// EdgeBursts is how many consecutive bursts hit each edge row within
-	// one refresh window (default 24).
-	EdgeBursts int
-	// EdgeTargets caps how many boundary rows are attacked per phase
-	// (default 4: both ends of the attacker's first and last row runs).
-	EdgeTargets int
 	// FuzzPatterns is the Blacksmith patterns synthesized in phase 2
 	// (default 6).
 	FuzzPatterns int
@@ -55,19 +43,22 @@ type MitigationTrialConfig struct {
 	ChurnRounds int
 }
 
+const (
+	// trialVMBytes sizes the trial's attacker and victim VMs.
+	trialVMBytes = 64 * geometry.MiB
+	// trialBurstActs is the per-burst activation count for edge and churn
+	// bursts. It must sit below the profile's flip threshold so defenses
+	// can react between bursts.
+	trialBurstActs = 1000
+	// trialEdgeBursts is how many consecutive bursts hit each edge row
+	// within one refresh window.
+	trialEdgeBursts = 24
+	// trialEdgeTargets caps how many boundary rows are attacked per phase:
+	// both ends of the attacker's first and last row runs.
+	trialEdgeTargets = 4
+)
+
 func (c *MitigationTrialConfig) normalize() {
-	if c.VMBytes == 0 {
-		c.VMBytes = 64 * geometry.MiB
-	}
-	if c.BurstActs <= 0 {
-		c.BurstActs = 1000
-	}
-	if c.EdgeBursts <= 0 {
-		c.EdgeBursts = 24
-	}
-	if c.EdgeTargets <= 0 {
-		c.EdgeTargets = 4
-	}
 	if c.FuzzPatterns <= 0 {
 		c.FuzzPatterns = 6
 	}
@@ -117,7 +108,7 @@ func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, erro
 		return nil, err
 	}
 	defer h.Shutdown()
-	d, err := newDuel(h, cfg.VMBytes)
+	d, err := newDuel(h, trialVMBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -127,12 +118,12 @@ func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, erro
 	// Go-level Hammer call is a modelling convenience, but the memory
 	// controller observes individual ACT commands, so a defense must get
 	// to react within a long burst — not only after it has fully landed.
-	target := Chunked(&VMTarget{VM: attacker}, cfg.BurstActs)
+	target := Chunked(&VMTarget{VM: attacker}, trialBurstActs)
 
 	// Victim working set: stamped pages that must survive the campaign.
 	// Only the low half is stamped — the churn phase balloons the top half
 	// away and back, and re-admitted frames arrive scrubbed by design.
-	stampPages := int(cfg.VMBytes / geometry.PageSize2M / 4)
+	stampPages := int(trialVMBytes / geometry.PageSize2M / 4)
 	if stampPages > 4 {
 		stampPages = 4
 	}
@@ -147,16 +138,16 @@ func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, erro
 	}
 
 	// Phase 1: edge hammering.
-	edges := edgeRows(target, cfg.EdgeTargets)
+	edges := edgeRows(target, trialEdgeTargets)
 	hammerEdges := func() {
 		for _, r := range edges {
-			for b := 0; b < cfg.EdgeBursts; b++ {
-				if err := target.Hammer(r, cfg.BurstActs, 0); err != nil {
+			for b := 0; b < trialEdgeBursts; b++ {
+				if err := target.Hammer(r, trialBurstActs, 0); err != nil {
 					res.Denied++
 					break
 				}
 			}
-			res.HammerBursts += cfg.EdgeBursts
+			res.HammerBursts += trialEdgeBursts
 			target.EndWindow()
 		}
 	}
@@ -175,11 +166,11 @@ func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, erro
 
 	// Phase 3: churn — edge bursts across balloon-backed victim resizes.
 	for round := 0; round < cfg.ChurnRounds; round++ {
-		if _, err := h.ResizeVM("victim", cfg.VMBytes/2); err != nil {
+		if _, err := h.ResizeVM("victim", trialVMBytes/2); err != nil {
 			return nil, fmt.Errorf("churn round %d shrink: %w", round, err)
 		}
 		hammerEdges()
-		if _, err := h.ResizeVM("victim", cfg.VMBytes); err != nil {
+		if _, err := h.ResizeVM("victim", trialVMBytes); err != nil {
 			return nil, fmt.Errorf("churn round %d grow: %w", round, err)
 		}
 		hammerEdges()

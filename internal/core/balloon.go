@@ -6,25 +6,25 @@ package core
 // guest frames into its balloon and telling the hypervisor which GPA ranges
 // it surrendered; this file implements the host side:
 //
-//   1. Unmap the surrendered 2 MiB EPT leaves. The guest can no longer
-//      reach the ranges — any access would take an EPT violation.
-//   2. Scrub the backing host pages that ever held guest data (the
-//      touched-page ledger makes never-written pages free to release) and
-//      return them to their node's buddy allocator.
-//   3. When a whole subarray-group node drains — the allocator reports
+//   1. Commit the layout with holes at the surrendered pages (layout.go):
+//      the 2 MiB EPT leaves and IOMMU entries are unmapped. The guest can
+//      no longer reach the ranges — any access would take an EPT violation.
+//   2. Vacate the frames: scrub those that ever held guest data (the
+//      touched-page ledger makes never-written pages free to release),
+//      return them to their node's buddy allocator, and
+//   3. when a whole subarray-group node drains — the allocator reports
 //      zero used bytes — shrink the VM's control group off the node. The
 //      group returns to the admission pool for the next reservation, and
-//      the shrink is safe precisely because the node is empty: the VM's
-//      domain loses only memory the guest already cannot touch, so the
-//      subarray-isolation invariant (§5.2-5.3) is preserved at every step.
+//      the subarray-isolation invariant (§5.2-5.3) is preserved at every
+//      step.
 //
 // Deflation reverses the flow: take frames under the VM's placement policy
 // (frames.go), adopting fresh unowned nodes when what it still owns ran
-// out, and remap the EPT leaves.
+// out, and commit the layout with the holes refilled.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
@@ -88,10 +88,10 @@ func (h *Hypervisor) balloonTo(vm *VM, targetBytes uint64) (*BalloonReport, erro
 	rep := &BalloonReport{
 		VM:       name,
 		Target:   targetBytes,
-		Previous: uint64(len(vm.ballooned)) * geometry.PageSize2M,
+		Previous: uint64(vm.ballooned) * geometry.PageSize2M,
 	}
 	targetPages := int(targetBytes / geometry.PageSize2M)
-	delta := targetPages - len(vm.ballooned)
+	delta := targetPages - vm.ballooned
 	var err error
 	switch {
 	case delta > 0:
@@ -136,129 +136,54 @@ func (h *Hypervisor) balloonInflate(vm *VM, n int, rep *BalloonReport) error {
 	vm.Pause()
 	defer vm.Resume()
 
-	// Phase 1: unmap every surrendered leaf and drop the device IOMMU
-	// entries. After this the ranges are unreachable architecturally —
-	// the frames still hold guest data but only physical access remains.
-	type drainPage struct {
-		hpa         uint64
-		node        int
-		dataBearing bool
-	}
-	drains := make([]drainPage, 0, len(victims))
+	// Commit the layout with holes where the victims were. After this the
+	// ranges are unreachable architecturally — the frames still hold guest
+	// data but only physical access remains.
+	gone := vm.ramRuns(victims, vm.touchedPage)
+	ram := slices.Clone(vm.ram)
 	for _, p := range victims {
-		gpa := uint64(p) * geometry.PageSize2M
-		if err := vm.tables.Unmap(gpa); err != nil {
-			return fmt.Errorf("core: unmapping ballooned gpa %#x of VM %q: %w", gpa, vm.spec.Name, err)
-		}
-		hpa := vm.ram[p]
-		vm.dirtyMu.Lock()
-		_, dataBearing := vm.touched[p]
-		delete(vm.touched, p)
-		vm.dirtyMu.Unlock()
-		node := vm.ramNode[hpa]
-		delete(vm.ramNode, hpa)
-		drains = append(drains, drainPage{hpa: hpa, node: node, dataBearing: dataBearing})
-		vm.ram[p] = hpaNone
-		if vm.ballooned == nil {
-			vm.ballooned = make(map[int]struct{})
-		}
-		vm.ballooned[p] = struct{}{}
-		rep.InflatedPages++
+		ram[p] = hpaNone
 	}
-	vm.InvalidateTLB()
-	if err := vm.syncDeviceTables(); err != nil {
+	if err := vm.commitLayout(ram, nil, nil); err != nil {
 		return err
 	}
+	vm.ballooned += n
+	vm.dirtyMu.Lock()
+	for _, p := range victims {
+		delete(vm.touched, p)
+	}
+	vm.dirtyMu.Unlock()
+	rep.InflatedPages = n
 	h.probe(ProbeBalloonUnmapped, vm)
 
-	// Phase 2: scrub the data-bearing frames, then return them to their
-	// nodes' buddy allocators. Scrub strictly precedes free: from the
-	// instant a frame is back in the pool it may be handed to any tenant.
-	freed := make(map[int][]uint64) // node ID -> freed HPAs
-	for _, d := range drains {
-		if d.dataBearing {
-			if err := h.mem.ScrubPhys(d.hpa, geometry.PageSize2M); err != nil {
-				return err
-			}
-			rep.ScrubbedBytes += geometry.PageSize2M
-		}
-		freed[d.node] = append(freed[d.node], d.hpa)
-	}
-	for node, pages := range freed {
-		a, err := h.Allocator(node)
-		if err != nil {
-			return err
-		}
-		if err := a.FreePages(alloc.Order2M, pages); err != nil {
-			return err
-		}
-	}
-	h.probe(ProbeBalloonDrained, vm)
-
-	// Phase 3: drained whole nodes leave the control group and return to
-	// the admission pool.
-	if h.mode == ModeSiloz {
-		released, err := h.releaseDrainedNodes(vm)
-		if err != nil {
-			return err
-		}
-		rep.ReleasedNodes = released
-	}
-	return nil
-}
-
-// releaseDrainedNodes shrinks the VM's control group off every guest node
-// whose allocator holds no allocations — the partial-release step that
-// returns whole subarray groups to the admission pool. Caller holds h.mu.
-func (h *Hypervisor) releaseDrainedNodes(vm *VM) ([]int, error) {
-	var drained []int
-	for _, node := range vm.nodes {
-		a, err := h.Allocator(node.ID)
-		if err != nil {
-			return nil, err
-		}
-		if a.UsedBytes() == 0 {
-			drained = append(drained, node.ID)
-		}
-	}
-	if len(drained) == 0 {
-		return nil, nil
-	}
-	sort.Ints(drained)
-	if err := h.reg.Shrink(vm.cgroup.Name, drained); err != nil {
-		return nil, err
-	}
-	vm.nodes = vm.cgroup.Nodes()
-	return drained, nil
+	var err error
+	rep.ScrubbedBytes, rep.ReleasedNodes, err = h.vacate(vm, gone, vm.nodeIDs(), ProbeBalloonDrained)
+	return err
 }
 
 // balloonDeflate restores n ballooned pages, adopting additional guest
 // nodes when the VM's remaining reservation lacks capacity. Caller holds
 // h.mu.
 func (h *Hypervisor) balloonDeflate(vm *VM, n int, rep *BalloonReport) error {
-	restore := make([]int, 0, len(vm.ballooned))
-	for p := range vm.ballooned {
-		restore = append(restore, p)
-	}
-	sort.Ints(restore)
-	if n > len(restore) {
-		n = len(restore)
-	}
-	restore = restore[:n]
-
+	n = min(n, vm.ballooned)
 	t := h.sourceFrames(vm)
 	if err := t.take(alloc.Order2M, n, false); err != nil {
 		return err
 	}
+	ram, k := slices.Clone(vm.ram), 0
+	for p, hpa := range ram {
+		if hpa == hpaNone && k < n {
+			ram[p] = t.frames[k] // the lowest holes refill first
+			k++
+		}
+	}
 	vm.Pause()
 	defer vm.Resume()
-	// Unmap retained the intermediate tables, so the remap allocates nothing.
-	if err := vm.install(restore, &t); err != nil {
+	if err := vm.commitLayout(ram, t.runs, nil); err != nil {
+		t.rollback()
 		return err
 	}
-	for _, p := range restore {
-		delete(vm.ballooned, p)
-	}
+	vm.ballooned -= n
 	rep.DeflatedPages = n
 	rep.AdoptedNodes = t.adopted
 	return nil

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/addr"
@@ -70,10 +69,6 @@ type Config struct {
 	// Repairs optionally models repaired rows (§6); Siloz offlines pages
 	// of inter-subarray repairs.
 	Repairs *addr.RepairTable
-	// HostGroupsPerSocket is how many subarray groups each socket's
-	// host-reserved node owns; all remaining groups become guest-reserved
-	// nodes ("all but one logical node per socket", §5.2). 0 means 1.
-	HostGroupsPerSocket int
 	// CachedLayout optionally supplies subarray group address ranges
 	// computed on a previous boot (§5.3: the mapping is BIOS-fixed, so
 	// firmware can cache it). A stale or mismatched cache falls back to
@@ -120,12 +115,6 @@ func (c *Config) normalize() error {
 			return err
 		}
 		c.Mapper = m
-	}
-	if c.HostGroupsPerSocket == 0 {
-		c.HostGroupsPerSocket = 1
-	}
-	if c.HostGroupsPerSocket < 0 {
-		return fmt.Errorf("core: HostGroupsPerSocket must be positive")
 	}
 	if c.MediatedAccessLimit == 0 {
 		c.MediatedAccessLimit = DefaultMediatedAccessLimit

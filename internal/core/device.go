@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ept"
 	"repro/internal/geometry"
@@ -15,9 +16,9 @@ import (
 // the device DMA (and hammer) outside the guest's subarray groups.
 //
 // The IOMMU mappings are live state, not a snapshot: every RAM-layout
-// change (live migration, balloon inflate/deflate, memory hotplug) re-syncs
-// them through VM.syncDeviceTables, and VM teardown tears them down before
-// the frames return to the free pools. DMA writes participate in the
+// change (live migration, balloon inflate/deflate, memory hotplug) syncs
+// them inside VM.commitLayout, and VM teardown tears them down before the
+// frames return to the free pools. DMA writes participate in the
 // touched-page ledger and the dirty-page log (IOMMU dirty-bit harvesting),
 // so scrub-before-free and pre-copy both see device stores.
 //
@@ -28,8 +29,8 @@ type Device struct {
 	name   string
 	vm     *VM
 	tables *ept.Tables // IOMMU page tables (IOVA -> HPA)
-	// view is the RAM layout the tables were last synced to (HPA per 2 MiB
-	// page index, hpaNone for unmapped slots); resync diffs against it.
+	// view is the RAM layout the tables' leaves currently hold (HPA per 2 MiB
+	// page index, hpaNone for unmapped slots); syncLeaves diffs against it.
 	view []uint64
 }
 
@@ -55,21 +56,15 @@ func (h *Hypervisor) AttachDevice(vm *VM, name string) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{name: name, vm: vm, tables: tables}
-	for i, hpa := range vm.ram {
-		if hpa == hpaNone {
-			d.view = append(d.view, hpaNone)
-			continue
-		}
-		iova := uint64(i) * geometry.PageSize2M
-		if err := tables.Map2M(iova, hpa); err != nil {
-			tables.Destroy()
-			return nil, err
-		}
-		d.view = append(d.view, hpa)
-	}
 	vm.devMu.Lock()
 	vm.devices = append(vm.devices, d)
 	vm.devMu.Unlock()
+	// The new device's view is empty, so committing the layout the VM
+	// already has maps all of it into the device and touches nothing else.
+	if err := vm.commitLayout(vm.ram, nil, nil); err != nil {
+		d.Detach()
+		return nil, err
+	}
 	return d, nil
 }
 
@@ -83,12 +78,7 @@ func (d *Device) Tables() *ept.Tables { return d.tables }
 func (d *Device) Detach() {
 	vm := d.vm
 	vm.devMu.Lock()
-	for i, o := range vm.devices {
-		if o == d {
-			vm.devices = append(vm.devices[:i], vm.devices[i+1:]...)
-			break
-		}
-	}
+	vm.devices = slices.DeleteFunc(vm.devices, func(o *Device) bool { return o == d })
 	vm.devMu.Unlock()
 	d.detachTables()
 }
@@ -101,51 +91,6 @@ func (d *Device) detachTables() {
 		d.tables = nil
 	}
 	d.view = nil
-}
-
-// resync diffs the IOMMU mappings against the VM's current RAM layout and
-// remaps / unmaps / maps whatever changed. The view follows every entry as
-// it changes, so after a failure part-way a resync to the previous layout
-// undoes exactly what was done. Caller holds the vCPU gate exclusively (no
-// DMA in flight).
-func (d *Device) resync(ram []uint64) error {
-	if d.tables == nil {
-		return nil
-	}
-	n := len(d.view)
-	if len(ram) > n {
-		n = len(ram)
-	}
-	for i := 0; i < n; i++ {
-		if i == len(d.view) {
-			d.view = append(d.view, hpaNone) // the layout grew: a new, unmapped slot
-		}
-		old, cur := d.view[i], hpaNone
-		if i < len(ram) {
-			cur = ram[i]
-		}
-		if old == cur {
-			continue
-		}
-		iova := uint64(i) * geometry.PageSize2M
-		switch {
-		case cur == hpaNone:
-			if err := d.tables.Unmap(iova); err != nil {
-				return fmt.Errorf("core: device %q iommu unmap iova %#x: %w", d.name, iova, err)
-			}
-		case old == hpaNone:
-			if err := d.tables.Map2M(iova, cur); err != nil {
-				return fmt.Errorf("core: device %q iommu map iova %#x: %w", d.name, iova, err)
-			}
-		default:
-			if err := d.tables.Remap2M(iova, cur); err != nil {
-				return fmt.Errorf("core: device %q iommu remap iova %#x: %w", d.name, iova, err)
-			}
-		}
-		d.view[i] = cur
-	}
-	d.view = d.view[:len(ram)]
-	return nil
 }
 
 // translate resolves an IOVA through the IOMMU.

@@ -31,6 +31,7 @@ type frameRun struct {
 	node  int
 	order int
 	pages []uint64
+	clean bool // never written: vacate need not scrub. Unset is the safe default.
 }
 
 // frameTxn is one frame-sourcing transaction. It lives on its caller's
@@ -183,30 +184,15 @@ func (t *frameTxn) adopt(nodes ...*numa.Node) error {
 	return nil
 }
 
-// release scrubs a run's pages — they may hold tenant data: a region's, or
-// what an aborted migration copied in — and returns them to their node.
-func (h *Hypervisor) release(r frameRun) {
-	a := h.allocators[r.node]
-	for _, pa := range r.pages {
-		_ = h.mem.ScrubPhys(pa, int(alloc.OrderBytes(r.order)))
-		_ = a.Free(pa, r.order)
-	}
-}
-
-// rollback returns everything the transaction took: the frames are
-// released, the control group shrinks back off the adopted nodes and
-// vm.nodes is resynced.
+// rollback returns everything the transaction took through vacate: the runs
+// are scrubbed — they may hold tenant data: a region's, or what an aborted
+// migration copied in — and freed, after which the VM holds nothing on the
+// adopted nodes and they leave the control group.
 func (t *frameTxn) rollback() {
 	if t.dry {
 		return
 	}
-	for _, r := range t.runs {
-		t.h.release(r)
-	}
-	if len(t.adopted) > 0 && t.h.mode == ModeSiloz {
-		_ = t.h.reg.Shrink(t.vm.cgroup.Name, t.adopted)
-		t.vm.nodes = t.vm.cgroup.Nodes()
-	}
+	_, _, _ = t.h.vacate(t.vm, t.runs, t.adopted, "") // already failing: the caller reports that error
 	t.frames, t.runs, t.adopted = nil, nil, nil
 }
 

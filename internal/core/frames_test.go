@@ -19,17 +19,32 @@ import (
 
 // hostState is everything a failed lifecycle operation must leave as it
 // found it: every allocator's free capacity (bytes and whole huge pages),
-// who owns each guest node, and each VM's size, balloon, node set and RAM
-// layout.
+// who owns each guest node, each VM's size, balloon, node set and RAM
+// layout, and what its EPT and its devices' IOMMU tables actually map.
 type hostState struct {
 	FreeBytes map[int]uint64
 	Free2M    map[int]int
 	Owner     map[int]string
 	VMs       map[string]string
+	Walks     map[string]string
+}
+
+// walkLayout translates every RAM page through one hierarchy; an unmapped
+// page reads as hpaNone, like a hole in vm.ram.
+func walkLayout(pages int, translate func(gpa uint64) (uint64, error)) []uint64 {
+	out := make([]uint64, pages)
+	for p := range out {
+		hpa, err := translate(uint64(p) * geometry.PageSize2M)
+		if err != nil {
+			hpa = hpaNone
+		}
+		out[p] = hpa
+	}
+	return out
 }
 
 func snapshotHost(h *Hypervisor) hostState {
-	s := hostState{map[int]uint64{}, map[int]int{}, map[int]string{}, map[string]string{}}
+	s := hostState{map[int]uint64{}, map[int]int{}, map[int]string{}, map[string]string{}, map[string]string{}}
 	for _, n := range h.Topology().Nodes() {
 		a := h.allocators[n.ID]
 		s.FreeBytes[n.ID] = a.FreeBytes()
@@ -45,6 +60,17 @@ func snapshotHost(h *Hypervisor) hostState {
 		}
 		s.VMs[vm.Name()] = fmt.Sprintf("mem=%d ballooned=%d nodes=%v ram=%x",
 			vm.Spec().MemoryBytes, vm.BalloonedBytes(), nodes, vm.ram)
+		walks := fmt.Sprintf("ept=%x", walkLayout(len(vm.ram), vm.TranslateUncached))
+		for _, ri := range vm.regions {
+			for i := range ri.pages {
+				hpa, _ := vm.TranslateUncached(ri.gpa + uint64(i)*geometry.PageSize4K)
+				walks += fmt.Sprintf(" %s[%d]=%x", ri.Name, i, hpa)
+			}
+		}
+		for _, d := range vm.devices {
+			walks += fmt.Sprintf(" %s=%x", d.name, walkLayout(len(vm.ram), d.translate))
+		}
+		s.Walks[vm.Name()] = walks
 	}
 	return s
 }
@@ -86,7 +112,7 @@ type lifecycleCase struct {
 	spreadExpands bool
 }
 
-var errInjected = errors.New("injected Expand failure")
+var errInjected = errors.New("injected failure")
 
 func lifecycleCases() []lifecycleCase {
 	guest := func(h *Hypervisor) []int { return append(guestNodeIDs(h, 0), guestNodeIDs(h, 1)...) }
@@ -121,6 +147,14 @@ func lifecycleCases() []lifecycleCase {
 		steps:         6,
 		run:           func(h *Hypervisor) error { _, err := h.BalloonVM("v", 0); return err },
 		spreadExpands: true,
+	}, {
+		// Takes no frames: only the commit loop below reaches it.
+		name: "balloon-inflate",
+		setup: func(t *testing.T, h *Hypervisor) []int {
+			create(t, h, VMSpec{Socket: 0, MemoryBytes: 64 * geometry.MiB})
+			return guest(h)
+		},
+		run: func(h *Hypervisor) error { _, err := h.BalloonVM("v", 12*geometry.MiB); return err },
 	}, {
 		name: "hotplug",
 		setup: func(t *testing.T, h *Hypervisor) []int {
@@ -158,12 +192,15 @@ func lifecycleCases() []lifecycleCase {
 	}}
 }
 
-// TestFrameSourcingRollsBackAtEveryStep fails every frame-consuming
+// TestFrameSourcingRollsBackAtEveryStep fails every layout-changing
 // lifecycle operation at every point of its frame sourcing — the k-th frame
 // (allocators pre-drained so it does not exist) and the k-th control-group
-// Expand (the expandHook seam) — and requires the host to be exactly as it
-// was: no frame leaked, no node left adopted, vm.nodes in step with the
-// registry, isolation audit clean.
+// Expand (the expandHook seam) — and, past the sourcing stage, at every leaf
+// edit of its layout commit (the leafHook seam: a migration's region leaves,
+// then the EPT's RAM leaves, then an attached passthrough device's IOMMU
+// leaves). It requires the host to be exactly as it was: no frame leaked, no
+// node left adopted, vm.nodes in step with the registry, EPT and IOMMU walks
+// and vm.ram unchanged and in agreement, isolation audit clean.
 func TestFrameSourcingRollsBackAtEveryStep(t *testing.T) {
 	check := func(t *testing.T, h *Hypervisor, c lifecycleCase, before hostState) {
 		t.Helper()
@@ -218,6 +255,42 @@ func TestFrameSourcingRollsBackAtEveryStep(t *testing.T) {
 				h.expandHook = nil
 				if after := snapshotHost(h); !reflect.DeepEqual(before, after) {
 					t.Errorf("state changed across failed Expand:\nbefore %+v\nafter  %+v", before, after)
+				}
+				if bad := h.AuditIsolation(); len(bad) != 0 {
+					t.Errorf("isolation audit: %v", bad)
+				}
+			})
+		}
+		for k := 1; ; k++ {
+			h := bootSiloz(t)
+			c.setup(t, h)
+			if vm, ok := h.VM("v"); ok {
+				if _, err := h.AttachDevice(vm, "vf0"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			calls := 0
+			h.leafHook = func() error {
+				if calls++; calls == k {
+					return errInjected
+				}
+				return nil
+			}
+			before := snapshotHost(h)
+			if err := c.run(h); !errors.Is(err, errInjected) {
+				// Fewer than k leaf edits: the operation must have gone through.
+				if err != nil || calls != k-1 {
+					t.Errorf("%s with leaf edit %d failing: err = %v after %d edits", c.name, k, err, calls)
+				}
+				if k < 4 {
+					t.Errorf("%s made %d leaf edits; every case moves at least 3 pages", c.name, k-1)
+				}
+				break
+			}
+			t.Run(fmt.Sprintf("%s/commit-%d", c.name, k), func(t *testing.T) {
+				h.leafHook = nil
+				if after := snapshotHost(h); !reflect.DeepEqual(before, after) {
+					t.Errorf("state changed across failed commit:\nbefore %+v\nafter  %+v", before, after)
 				}
 				if bad := h.AuditIsolation(); len(bad) != 0 {
 					t.Errorf("isolation audit: %v", bad)

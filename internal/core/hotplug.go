@@ -11,9 +11,9 @@ package core
 //   2. Scrub every frame before the guest can see it: a recycled page must
 //      never leak a previous tenant's bytes, and the hot-added range must
 //      read all-zero like real hot-added DIMM memory.
-//   3. Pause the guest and extend the EPTs with new 2 MiB leaves at the top
-//      of guest RAM, then grow the VM's recorded size. The pause gate means
-//      no guest access can observe a half-built range.
+//   3. Pause the guest and commit the extended layout (layout.go): new 2 MiB
+//      leaves at the top of guest RAM, then grow the VM's recorded size.
+//      The pause gate means no guest access can observe a half-built range.
 //
 // On any partial failure the adoption, allocations, and mappings are rolled
 // back completely: the VM keeps exactly its previous size and node set.
@@ -62,9 +62,9 @@ func (h *Hypervisor) hotplugGrow(vm *VM, addBytes uint64) (*HotplugReport, error
 	if addBytes == 0 || addBytes%geometry.PageSize2M != 0 {
 		return nil, fmt.Errorf("core: hotplug size %d must be a positive multiple of 2 MiB", addBytes)
 	}
-	if len(vm.ballooned) > 0 {
+	if vm.ballooned > 0 {
 		return nil, fmt.Errorf("core: VM %q has %d pages ballooned out; deflate before hot-plugging",
-			name, len(vm.ballooned))
+			name, vm.ballooned)
 	}
 	if vm.DirtyTracking() {
 		return nil, fmt.Errorf("core: VM %q has dirty logging armed; hotplug would lose protection state", name)
@@ -101,7 +101,8 @@ func (h *Hypervisor) hotplugGrow(vm *VM, addBytes uint64) (*HotplugReport, error
 	// the edit (the same stop-the-world window the balloon takes).
 	vm.Pause()
 	defer vm.Resume()
-	if err := vm.install(nil, &t); err != nil {
+	if err := vm.commitLayout(append(vm.ram, t.frames...), t.runs, nil); err != nil {
+		t.rollback()
 		return nil, err
 	}
 	// Commit: the range is fully mapped; grow the VM's recorded size.

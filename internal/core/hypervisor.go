@@ -51,6 +51,10 @@ type Hypervisor struct {
 	// expandHook, when set, runs before every control-group Expand of the
 	// frame-sourcing path and can fail it: the tests' fault-injection seam.
 	expandHook func(nodeIDs []int) error
+	// leafHook, when set, runs before every table-leaf edit of a layout
+	// commit (and of its sync-back) and can fail it: the same seam for the
+	// commit path.
+	leafHook func() error
 }
 
 // Lifecycle-probe events, fired at the sensitive instants adversarial
@@ -87,6 +91,15 @@ func (h *Hypervisor) probe(event string, vm *VM) {
 	if h.lifecycleProbe != nil {
 		h.lifecycleProbe(event, vm)
 	}
+}
+
+// injectedLeafFault is the error the leaf-edit seam wants the next edit to
+// fail with, if any.
+func (h *Hypervisor) injectedLeafFault() error {
+	if h.leafHook != nil {
+		return h.leafHook()
+	}
+	return nil
 }
 
 // Boot initializes a hypervisor in the given mode. It performs Siloz's
@@ -215,11 +228,15 @@ func (h *Hypervisor) bootSiloz() error {
 	return nil
 }
 
+// hostGroups is how many subarray groups each socket's host-reserved node
+// owns; all remaining groups become guest-reserved nodes ("all but one
+// logical node per socket", §5.2).
+const hostGroups = 1
+
 // provisionSocket creates the socket's host node (with the EPT block carved
 // out of its first group), EPT node, and guest-reserved nodes.
 func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error {
 	g := h.cfg.Geometry
-	hostGroups := h.cfg.HostGroupsPerSocket
 	if hostGroups >= h.layout.GroupsPerSocket() {
 		return fmt.Errorf("core: host groups (%d) must leave at least one guest group of %d",
 			hostGroups, h.layout.GroupsPerSocket())
@@ -254,7 +271,7 @@ func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error
 		cores[i] = socket*g.CoresPerSocket + i
 	}
 
-	// Host-reserved node: the first HostGroupsPerSocket groups minus the
+	// Host-reserved node: the first hostGroups groups minus the
 	// EPT block and any offlined isolation hazards — nodes never own
 	// offlined memory.
 	var hostRanges []subarray.Range

@@ -1,0 +1,222 @@
+package core
+
+// Layout commit and vacate: the two ownership transfers every lifecycle
+// operation is made of. Siloz's guarantee (§5.2-5.4) holds only if a frame
+// becomes guest-reachable after it is inside the VM's domain, and leaves the
+// domain after it is unreachable, scrubbed and freed. frames.go decides where
+// frames come from; this file is the one place they become visible
+// (commitLayout) and the one place they leave (vacate).
+//
+// A layout is the HPA of each 2 MiB RAM page in GPA order, hpaNone for a
+// ballooned hole. Every hierarchy that maps it — the EPT, each passthrough
+// device's IOMMU table — keeps a view: the layout its leaves currently hold.
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"repro/internal/alloc"
+	"repro/internal/ept"
+	"repro/internal/geometry"
+)
+
+// syncLeaves brings one hierarchy's 2 MiB RAM leaves from the layout *view
+// records to ram, editing exactly the slots that differ. It is the only code
+// that edits RAM leaves, the EPT's and the IOMMU's alike. The view follows
+// every entry as it changes, so after a failure part-way a sync to the
+// previous layout undoes exactly what was done.
+func (vm *VM) syncLeaves(t *ept.Tables, view *[]uint64, ram []uint64) error {
+	v := slices.Grow(*view, max(len(ram)-len(*view), 0))
+	for len(v) < len(ram) {
+		v = append(v, hpaNone) // the layout grew: new slots start unmapped
+	}
+	*view = v
+	for i, old := range v {
+		cur := hpaNone
+		if i < len(ram) {
+			cur = ram[i]
+		}
+		if old == cur {
+			continue
+		}
+		gpa := uint64(i) * geometry.PageSize2M
+		err := vm.hv.injectedLeafFault()
+		switch {
+		case err != nil:
+		case cur == hpaNone:
+			err = t.Unmap(gpa)
+		case old == hpaNone:
+			err = t.Map2M(gpa, cur) // an unmap kept the intermediate tables: a refill allocates nothing
+		default:
+			err = t.Remap2M(gpa, cur) // writable: a migration's remap also disarms the leaf's dirty logging
+		}
+		if err != nil {
+			return fmt.Errorf("2 MiB leaf at %#x: %w", gpa, err)
+		}
+		v[i] = cur
+	}
+	*view = v[:len(ram)]
+	return nil
+}
+
+// syncTables syncs the EPT and then every attached device's IOMMU table to
+// ram, stopping at the first failure.
+func (vm *VM) syncTables(ram []uint64) error {
+	if err := vm.syncLeaves(vm.tables, &vm.leaves, ram); err != nil {
+		return fmt.Errorf("core: VM %q EPT %w", vm.spec.Name, err)
+	}
+	vm.devMu.Lock()
+	devices := append([]*Device(nil), vm.devices...)
+	vm.devMu.Unlock()
+	for _, d := range devices {
+		if d.tables == nil {
+			continue // detached since the snapshot
+		}
+		if err := vm.syncLeaves(d.tables, &d.view, ram); err != nil {
+			return fmt.Errorf("core: device %q of VM %q IOMMU %w", d.name, vm.spec.Name, err)
+		}
+	}
+	return nil
+}
+
+// regionMove pairs a guest-placed region with the pages it is moving to —
+// until the commit swaps them in, after which run names the pages it left.
+type regionMove struct {
+	info *regionInfo
+	run  frameRun
+}
+
+// remapRegions points every moved region's 4 KiB leaves at its move's run
+// and swaps the two runs, so a second call moves the regions back. It is all
+// or nothing: on failure the leaves already rewritten are restored.
+func (vm *VM) remapRegions(moves []regionMove) error {
+	for m := range moves {
+		mv := &moves[m]
+		writable := mv.info.Type != RegionROM
+		for i, hpa := range mv.run.pages {
+			gpa := mv.info.gpa + uint64(i)*geometry.PageSize4K
+			err := vm.hv.injectedLeafFault()
+			if err == nil {
+				err = vm.tables.Remap4KProt(gpa, hpa, writable)
+			}
+			if err != nil {
+				for j, back := range mv.info.pages[:i] {
+					_ = vm.tables.Remap4KProt(mv.info.gpa+uint64(j)*geometry.PageSize4K, back, writable)
+				}
+				_ = vm.remapRegions(moves[:m])
+				return fmt.Errorf("core: VM %q region %q: %w", vm.spec.Name, mv.info.Name, err)
+			}
+		}
+		mv.info.frameRun, mv.run = mv.run, mv.info.frameRun
+	}
+	return nil
+}
+
+// commitLayout makes ram the VM's RAM layout, in the one order every
+// lifecycle operation uses: EPT leaves (a migration's region leaves, then the
+// RAM leaves), then every device's IOMMU table, then vm.ram and the node
+// ledger are published, then the TLB is flushed. in lists the frames entering
+// the layout with the nodes that supplied them. On any failure every
+// hierarchy is synced back to the old layout and the caller is where it
+// began (and still owns in). Caller holds the lifecycle latch and, once the
+// guest runs, the vCPU gate exclusively — which also excludes DMA.
+func (vm *VM) commitLayout(ram []uint64, in []frameRun, moves []regionMove) error {
+	old := vm.ram
+	if err := vm.remapRegions(moves); err != nil {
+		return err
+	}
+	if err := vm.syncTables(ram); err != nil {
+		_ = vm.syncTables(old)
+		_ = vm.remapRegions(moves)
+		vm.InvalidateTLB() // an unpaused translator may have cached a leaf
+		return err
+	}
+	// The ledger is edited in place under h.mu — except when no slot keeps
+	// its frame (create, a migration): a migration commits without h.mu while
+	// readers under it (PreviewResize, Audit) may be walking the old map, so
+	// it publishes a fresh one.
+	ledger, kept := vm.ramNode, false
+	for i, hpa := range old {
+		kept = kept || (hpa != hpaNone && i < len(ram) && ram[i] == hpa)
+	}
+	if !kept {
+		ledger = make(map[uint64]int, len(ram))
+	}
+	for i, hpa := range old {
+		if hpa != hpaNone && (i >= len(ram) || ram[i] != hpa) {
+			delete(ledger, hpa)
+		}
+	}
+	for _, r := range in {
+		for _, hpa := range r.pages {
+			ledger[hpa] = r.node
+		}
+	}
+	vm.ram, vm.ramNode = ram, ledger
+	vm.InvalidateTLB()
+	return nil
+}
+
+// ramRuns lists the frames behind the given resident RAM pages as one-frame
+// runs for vacate, marking clean those dataBearing says were never written.
+// The runs alias the current layout's array, which a commit never edits.
+func (vm *VM) ramRuns(pages []int, dataBearing func(p int) bool) []frameRun {
+	runs := make([]frameRun, len(pages))
+	for i, p := range pages {
+		hpa := vm.ram[p : p+1]
+		runs[i] = frameRun{node: vm.ramNode[hpa[0]], order: alloc.Order2M, pages: hpa, clean: !dataBearing(p)}
+	}
+	return runs
+}
+
+// vacate is the one way frames leave a VM. They have already left the layout
+// (commitLayout) or never entered it (a rollback), so nothing translates to
+// them: each is scrubbed unless its run is clean, then freed to its node —
+// scrub strictly first: a frame back in the pool may be handed to any tenant.
+// Then the one shrink rule applies to nodes, the nodes whose reservation the
+// operation may end (an inflate: all the VM's; a migration: its sources; a
+// rollback: the ones it adopted): a node leaves the control group iff the VM
+// holds no frame on it — on a node only its owner allocates from, iff the
+// allocator shows zero used bytes — so the domain loses only memory the guest
+// cannot touch. nodes is consumed: the released ones come back in its
+// storage. drained, if set, is the lifecycle probe to fire between free and
+// shrink. Errors do not stop the walk; they are joined.
+func (h *Hypervisor) vacate(vm *VM, runs []frameRun, nodes []int, drained string) (scrubbed uint64, released []int, err error) {
+	for _, r := range runs {
+		a, bytes := h.allocators[r.node], alloc.OrderBytes(r.order)
+		for _, pa := range r.pages {
+			if !r.clean {
+				err = errors.Join(err, h.mem.ScrubPhys(pa, int(bytes)))
+				scrubbed += bytes
+			}
+			err = errors.Join(err, a.Free(pa, r.order))
+		}
+	}
+	if drained != "" {
+		h.probe(drained, vm)
+	}
+	released = nodes[:0]
+	for _, id := range nodes {
+		if h.mode == ModeSiloz && !vm.holds(id) {
+			released = append(released, id)
+		}
+	}
+	if len(released) == 0 {
+		return scrubbed, nil, err
+	}
+	err = errors.Join(err, h.reg.Shrink(vm.cgroup.Name, released))
+	vm.nodes = vm.cgroup.Nodes()
+	return scrubbed, released, err
+}
+
+// holds reports whether any RAM frame or region page of the VM's published
+// state lives on the node.
+func (vm *VM) holds(node int) bool {
+	for _, n := range vm.ramNode {
+		if n == node {
+			return true
+		}
+	}
+	return slices.ContainsFunc(vm.regions, func(ri regionInfo) bool { return ri.node == node })
+}

@@ -1,0 +1,267 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/ept"
+	"repro/internal/geometry"
+)
+
+// TestLayoutViewsAgree drives a random sequence of layout-changing
+// operations on a VM with a passthrough device and, after every step,
+// requires the three views of the RAM layout to agree page by page: what the
+// EPT translates, what the device's IOMMU translates, and vm.ram — a
+// ballooned hole faulting in both hierarchies.
+func TestLayoutViewsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261002))
+	done := map[string]int{} // operations that went through, by kind
+	for round := 0; round < 6; round++ {
+		h := bootSiloz(t)
+		vm, err := h.CreateVM(kvmProc(), VMSpec{
+			Name: "v", Socket: 0, AllowRemote: true, MemoryBytes: 32 * geometry.MiB,
+			Regions: []Region{{Name: "bios", Type: RegionROM, Bytes: 16 * geometry.KiB}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev, err := h.AttachDevice(vm, "vf0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 40; step++ {
+			var op string
+			switch rng.Intn(4) {
+			case 0:
+				op = "balloon"
+				room := vm.Spec().MemoryBytes/geometry.PageSize2M - 1
+				_, err = h.BalloonVM("v", uint64(rng.Intn(int(room)+1))*geometry.PageSize2M)
+			case 1:
+				op = "resize"
+				_, err = h.ResizeVM("v", uint64(1+rng.Intn(48))*geometry.PageSize2M)
+			case 2:
+				op = "migrate"
+				var dests []int
+				if dests, err = h.FreeNodes(rng.Intn(2), vm.Spec().MemoryBytes); err == nil {
+					_, err = h.MigrateVM(context.Background(), "v", dests, MigrateOptions{})
+				}
+			case 3:
+				op = "write"
+				// Data-bearing pages make the next vacate scrub.
+				err = dev.DMAWrite(uint64(rng.Intn(len(vm.ram)))*geometry.PageSize2M, []byte{1})
+				if err != nil && vm.ram[0] != hpaNone {
+					err = vm.WriteGuest(0, []byte{2})
+				}
+			}
+			if err != nil && !errors.Is(err, ErrCapacityExhausted) {
+				t.Fatalf("round %d step %d: %s: %v", round, step, op, err)
+			}
+			if err == nil {
+				done[op]++
+			}
+			eptWalk := walkLayout(len(vm.ram), vm.TranslateUncached)
+			iommuWalk := walkLayout(len(vm.ram), dev.translate)
+			if !reflect.DeepEqual(eptWalk, vm.ram) || !reflect.DeepEqual(iommuWalk, vm.ram) {
+				t.Fatalf("round %d step %d after %s: views disagree:\nvm.ram %x\nEPT    %x\nIOMMU  %x",
+					round, step, op, vm.ram, eptWalk, iommuWalk)
+			}
+			if !reflect.DeepEqual(vm.leaves, vm.ram) || !reflect.DeepEqual(dev.view, vm.ram) {
+				t.Fatalf("round %d step %d after %s: recorded views drifted:\nvm.ram %x\nEPT    %x\nIOMMU  %x",
+					round, step, op, vm.ram, vm.leaves, dev.view)
+			}
+			if past, err := dev.translate(uint64(len(vm.ram)) * geometry.PageSize2M); err == nil {
+				t.Fatalf("round %d step %d after %s: device maps %#x past the end of RAM", round, step, op, past)
+			}
+		}
+		if bad := h.Audit(); len(bad) != 0 {
+			t.Fatalf("round %d: audit: %v", round, bad)
+		}
+	}
+	for _, op := range []string{"balloon", "resize", "migrate", "write"} {
+		if done[op] < 10 {
+			t.Errorf("only %d %s operations went through: %v", done[op], op, done)
+		}
+	}
+}
+
+// bootSecure boots Siloz with SecureEPT, where a corrupted table entry is an
+// integrity fault on the next walk or edit that reads it.
+func bootSecure(t *testing.T) *Hypervisor {
+	t.Helper()
+	cfg := testConfig()
+	cfg.EPTProtection = ept.SecureEPT
+	h, err := Boot(cfg, ModeSiloz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// corruptLeaf flips a bit of the table entry of tables that maps hpa — what
+// a Rowhammer flip in the table's row does — and returns a function that
+// repairs it.
+func corruptLeaf(t *testing.T, h *Hypervisor, tables *ept.Tables, hpa uint64) (repair func()) {
+	t.Helper()
+	page := make([]byte, geometry.PageSize4K)
+	for _, pa := range tables.Pages() {
+		if err := h.mem.ReadPhys(pa, page); err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(page); off += 8 {
+			entry := binary.LittleEndian.Uint64(page[off:])
+			if entry&1 == 0 || entry&0x000F_FFFF_FFFF_F000 != hpa {
+				continue
+			}
+			entryPA := pa + uint64(off)
+			good := bytes.Clone(page[off : off+8])
+			bad := bytes.Clone(good)
+			bad[4] ^= 1
+			if err := h.mem.WritePhys(entryPA, bad); err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				if err := h.mem.WritePhys(entryPA, good); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	t.Fatalf("no table entry maps %#x", hpa)
+	return nil
+}
+
+// fillPattern writes a distinct byte to the start of every resident RAM page.
+func fillPattern(t *testing.T, vm *VM) {
+	t.Helper()
+	for p, hpa := range vm.ram {
+		if hpa != hpaNone {
+			if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, []byte{byte(0x40 + p)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// checkIntact requires the host to be as it was at before, the isolation
+// audit clean, and the guest to read back fillPattern's bytes.
+func checkIntact(t *testing.T, h *Hypervisor, vm *VM, before hostState) {
+	t.Helper()
+	if after := snapshotHost(h); !reflect.DeepEqual(before, after) {
+		t.Errorf("state changed across the failed operation:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if bad := h.AuditIsolation(); len(bad) != 0 {
+		t.Errorf("isolation audit: %v", bad)
+	}
+	for p, hpa := range vm.ram {
+		var got [1]byte
+		if hpa == hpaNone {
+			continue
+		}
+		if err := vm.ReadGuest(uint64(p)*geometry.PageSize2M, got[:]); err != nil || got[0] != byte(0x40+p) {
+			t.Errorf("page %d reads %#x (err %v), want %#x: the guest lost its data", p, got[0], err, 0x40+p)
+		}
+	}
+}
+
+// migrateWithFault runs a cross-socket migration of "v" during which, once
+// dirty logging is armed and the first round has copied, the table entry of
+// tables mapping hpa is corrupted. It repairs the entry afterwards.
+func migrateWithFault(t *testing.T, h *Hypervisor, tables *ept.Tables, hpa uint64) error {
+	t.Helper()
+	var repair func()
+	_, err := h.MigrateVM(context.Background(), "v", freeGuestNodes(t, h, 1, 16*geometry.MiB), MigrateOptions{
+		GuestStep: func(round int) error {
+			if round == 0 {
+				repair = corruptLeaf(t, h, tables, hpa)
+			}
+			return nil
+		},
+	})
+	repair()
+	return err
+}
+
+// TestMigrateRegionLegFaultKeepsSourceFrames: an integrity fault on a moved
+// region's 4 KiB leaf fails the commit's region leg. (The parent had by then
+// remapped every RAM leaf to its destination frame, and its abort scrubbed
+// and freed those frames under the running guest.)
+func TestMigrateRegionLegFaultKeepsSourceFrames(t *testing.T) {
+	for _, page := range []int{0, 2} {
+		h := bootSecure(t)
+		vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "v", Socket: 0, MemoryBytes: 16 * geometry.MiB,
+			Regions: []Region{{Name: "bios", Type: RegionROM, Bytes: 16 * geometry.KiB}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPattern(t, vm)
+		before := snapshotHost(h)
+		if err := migrateWithFault(t, h, vm.tables, vm.regions[0].pages[page]); !errors.Is(err, ept.ErrIntegrity) {
+			t.Fatalf("region page %d corrupted: migration err = %v, want an integrity fault", page, err)
+		}
+		checkIntact(t, h, vm, before)
+	}
+}
+
+// TestMigrateDeviceSyncFaultRollsBack: an integrity fault in a passthrough
+// device's IOMMU table fails the commit after every EPT leaf has moved. (The
+// parent returned the error with the guest on its destination frames, the
+// source frames never scrubbed or freed and the domain still widened.)
+func TestMigrateDeviceSyncFaultRollsBack(t *testing.T) {
+	for _, page := range []int{0, 3} {
+		h := bootSecure(t)
+		vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "v", Socket: 0, MemoryBytes: 16 * geometry.MiB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev, err := h.AttachDevice(vm, "vf0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPattern(t, vm)
+		before := snapshotHost(h)
+		if err := migrateWithFault(t, h, dev.tables, vm.ram[page]); !errors.Is(err, ept.ErrIntegrity) {
+			t.Fatalf("IOMMU leaf %d corrupted: migration err = %v, want an integrity fault", page, err)
+		}
+		checkIntact(t, h, vm, before)
+		// The source frames are still the guest's: a retry succeeds.
+		if _, err := h.MigrateVM(context.Background(), "v", freeGuestNodes(t, h, 1, 16*geometry.MiB), MigrateOptions{}); err != nil {
+			t.Fatalf("retry after the repaired fault: %v", err)
+		}
+		if bad := h.Audit(); len(bad) != 0 {
+			t.Fatalf("audit after retry: %v", bad)
+		}
+	}
+}
+
+// TestInflateUnmapFaultRestoresLeaves: an integrity fault on the k-th
+// surrendered leaf fails a balloon inflate with k leaves already unmapped.
+// (The parent returned there: those leaves gone, vm.ram and the balloon set
+// half-updated, the TLB and the device not resynced, the frames neither
+// restored nor freed.)
+func TestInflateUnmapFaultRestoresLeaves(t *testing.T) {
+	for _, k := range []int{0, 2} {
+		h := bootSecure(t)
+		vm, _ := attachTestDevice(t, h)
+		fillPattern(t, vm)
+		victims := inflateVictims(vm, 4)
+		before := snapshotHost(h)
+		repair := corruptLeaf(t, h, vm.tables, vm.ram[victims[k]])
+		_, err := h.BalloonVM(vm.Name(), 4*geometry.PageSize2M)
+		repair()
+		if !errors.Is(err, ept.ErrIntegrity) {
+			t.Fatalf("victim %d corrupted: inflate err = %v, want an integrity fault", k, err)
+		}
+		checkIntact(t, h, vm, before) // the device's IOMMU walk included
+		if _, err := h.BalloonVM(vm.Name(), 4*geometry.PageSize2M); err != nil {
+			t.Fatalf("retry after the repaired fault: %v", err)
+		}
+		if bad := h.Audit(); len(bad) != 0 {
+			t.Fatalf("audit after retry: %v", bad)
+		}
+	}
+}

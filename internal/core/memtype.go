@@ -120,14 +120,6 @@ func (h *Hypervisor) allocRegions(vm *VM) error {
 	return nil
 }
 
-// freeRegions scrubs and releases all region pages.
-func (vm *VM) freeRegions() {
-	for _, info := range vm.regions {
-		vm.hv.release(info.frameRun)
-	}
-	vm.regions = nil
-}
-
 // Regions returns the VM's materialized extra regions.
 func (vm *VM) Regions() []Region {
 	out := make([]Region, len(vm.regions))

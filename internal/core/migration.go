@@ -15,15 +15,18 @@ package core
 //   2. Arm EPT write-protection dirty logging and copy all pages while the
 //      guest keeps running; re-copy dirtied pages each round until the
 //      dirty set converges (or a round/shrink budget expires).
-//   3. Pause the guest, copy the residual dirty set, remap every EPT leaf
-//      to its destination frame, flush the TLB — the measured downtime.
+//   3. Pause the guest, copy the residual dirty set and commit the
+//      destination layout (layout.go): every EPT leaf and IOMMU entry
+//      remapped to its destination frame, the TLB flushed — the measured
+//      downtime. The commit is all or nothing; until it succeeds every
+//      failure aborts back onto the source frames.
 //   4. Still paused: relocate the EPT tables into the destination socket's
 //      guard-protected EPT block when the migration crossed sockets (§5.4
 //      demands the tables live on the socket whose block protects them),
-//      then scrub and free the source pages and shrink the control group
-//      off the source nodes. When the guest resumes it can only touch
-//      destination frames, and the vacated groups — including the source
-//      EPT row group's pages — are free for the next reservation.
+//      then vacate the source pages — scrub, free, and shrink the control
+//      group off the drained source nodes. When the guest resumes it can
+//      only touch destination frames, and the vacated groups — including
+//      the source EPT row group's pages — are free for the next reservation.
 //
 // Mediated pages are host-reserved and never move.
 
@@ -44,10 +47,6 @@ type MigrateOptions struct {
 	// StopPages: when a round ends with at most this many dirty pages, the
 	// engine proceeds to stop-and-copy.
 	StopPages int
-	// MinShrinkRatio: if a round leaves at least this fraction of the
-	// previous round's dirty set dirty again, pre-copy is not converging
-	// and the engine stops early.
-	MinShrinkRatio float64
 	// GuestStep, if set, runs after each round's copy and before the dirty
 	// log is drained — deterministic tests and experiments drive guest
 	// writes here instead of racing real goroutines against the engine.
@@ -56,15 +55,17 @@ type MigrateOptions struct {
 	OnRound func(MigrateRound)
 }
 
+// minShrinkRatio: if a round leaves at least this fraction of the previous
+// round's dirty set dirty again, pre-copy is not converging and the engine
+// stops early.
+const minShrinkRatio = 0.9
+
 func (o *MigrateOptions) normalize() {
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 16
 	}
 	if o.StopPages <= 0 {
 		o.StopPages = 8
-	}
-	if o.MinShrinkRatio <= 0 {
-		o.MinShrinkRatio = 0.9
 	}
 }
 
@@ -98,13 +99,6 @@ type MigrateReport struct {
 	EPTReclaimedBytes uint64
 }
 
-// regionMove pairs a guest-placed region with its destination pages — until
-// the commit swaps them in, after which run names the vacated source pages.
-type regionMove struct {
-	info *regionInfo
-	run  frameRun
-}
-
 // MigrateVM live-migrates a VM's unmediated pages (RAM and guest-placed
 // regions) onto the given destination nodes using iterative pre-copy. On
 // error or context cancellation before the final stop-and-copy the VM is
@@ -134,24 +128,20 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	}
 
 	srcRAM := vm.ram
-	srcRamNode := vm.ramNode
 	// Ballooned-out slots hold no frame: they are skipped by every copy,
 	// remap, and free below, and stay unmapped holes at the destination.
 	ramPages := len(srcRAM)
-	resident := 0
-	for _, hpa := range srcRAM {
+	residents := make([]int, 0, ramPages)
+	for p, hpa := range srcRAM {
 		if hpa != hpaNone {
-			resident++
+			residents = append(residents, p)
 		}
 	}
-	var srcNodeIDs []int
-	if h.mode == ModeSiloz {
-		for _, n := range vm.nodes {
-			srcNodeIDs = append(srcNodeIDs, n.ID)
-		}
-	} else {
+	resident := len(residents)
+	srcNodeIDs := vm.nodeIDs()
+	if h.mode != ModeSiloz {
 		seen := map[int]bool{}
-		for _, id := range srcRamNode {
+		for _, id := range vm.ramNode {
 			if !seen[id] {
 				seen[id] = true
 				srcNodeIDs = append(srcNodeIDs, id)
@@ -179,12 +169,11 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	if resident < ramPages {
 		// Ballooned holes get no destination frame; keep indexes aligned.
 		dstRAM = make([]uint64, ramPages)
-		for p, k := 0, 0; p < ramPages; p++ {
+		for p := range dstRAM {
 			dstRAM[p] = hpaNone
-			if srcRAM[p] != hpaNone {
-				dstRAM[p] = t.frames[k]
-				k++
-			}
+		}
+		for k, p := range residents {
+			dstRAM[p] = t.frames[k]
 		}
 	}
 	var moves []regionMove
@@ -232,12 +221,7 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	rep := &MigrateReport{
 		VM: name, SourceNodes: srcNodeIDs, DestNodes: destIDs, PagesTotal: resident,
 	}
-	pending := make([]int, 0, resident)
-	for p, hpa := range srcRAM {
-		if hpa != hpaNone {
-			pending = append(pending, p)
-		}
-	}
+	pending := residents // round 0 copies every resident page
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
 			return abort(fmt.Errorf("core: migration of VM %q aborted: %w", name, err))
@@ -279,7 +263,7 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 			pending = next // round budget exhausted
 			break
 		}
-		if float64(len(next)) >= opt.MinShrinkRatio*float64(len(pending)) {
+		if float64(len(next)) >= minShrinkRatio*float64(len(pending)) {
 			pending = next // dirty set not shrinking; more rounds are wasted work
 			break
 		}
@@ -330,55 +314,27 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		}
 	}
 
-	// Commit: remap every leaf to its destination frame. Remapping RAM
-	// leaves writable also disarms the per-leaf write protection.
-	for p := 0; p < ramPages; p++ {
-		if srcRAM[p] == hpaNone {
-			continue // ballooned hole: stays unmapped at the destination
-		}
-		if err := vm.tables.Remap2MProt(uint64(p)*geometry.PageSize2M, dstRAM[p], true); err != nil {
-			for q := 0; q < p; q++ { // restore already-moved leaves
-				if srcRAM[q] == hpaNone {
-					continue
-				}
-				_ = vm.tables.Remap2MProt(uint64(q)*geometry.PageSize2M, srcRAM[q], true)
-			}
-			return abort(err)
-		}
+	// Commit the destination layout; remapping RAM leaves writable also
+	// disarms the per-leaf write protection. The guest is paused, so the
+	// touched ledger is final for the source frames, and a source frame is
+	// data-bearing when the engine copied data off it (written) OR the ledger
+	// says the guest ever stored to it. The union matters: the engine's
+	// zero-page heuristic skips pages it read as zero, yet an attacker-timed
+	// store (or device DMA) landing between the final TakeDirty round and the
+	// paused residual copy can leave bytes the heuristic never saw — freeing
+	// such a frame unscrubbed would hand the next tenant the attacker's data.
+	gone := vm.ramRuns(residents, func(p int) bool { return written[p] || vm.touchedPage(p) })
+	if err := vm.commitLayout(dstRAM, t.runs[:ramRuns], moves); err != nil {
+		return abort(fmt.Errorf("core: migrating VM %q: %w", name, err))
 	}
-	for m, mv := range moves {
-		info := mv.info
-		writable := info.Type != RegionROM
-		for i, hpa := range mv.run.pages {
-			if err := vm.tables.Remap4KProt(info.gpa+uint64(i)*geometry.PageSize4K, hpa, writable); err != nil {
-				return abort(err)
-			}
-		}
-		info.frameRun, moves[m].run = mv.run, info.frameRun
+	for _, mv := range moves {
+		gone = append(gone, mv.run) // now the region's source pages
 	}
-	vm.ram = dstRAM
-	vm.ramNode = make(map[uint64]int, resident)
-	for _, r := range t.runs[:ramRuns] {
-		for _, hpa := range r.pages {
-			vm.ramNode[hpa] = r.node
-		}
-	}
-	vm.InvalidateTLB()
-	// The guest is paused, so the touched ledger is final for the source
-	// frames: snapshot it as the source scrub ledger before folding the
-	// engine's own writes in. A page the guest (or a device DMA) dirtied
-	// between the final TakeDirty round and stop-and-copy is in this
-	// ledger even when the engine's zero-page heuristic never wrote the
-	// destination frame — step 4 must scrub its source frame regardless.
-	srcTouched := make(map[int]struct{})
 	vm.dirtyMu.Lock()
 	vm.tracking = false
 	vm.dirty = nil
 	if vm.touched == nil {
 		vm.touched = make(map[int]struct{})
-	}
-	for p := range vm.touched {
-		srcTouched[p] = struct{}{}
 	}
 	for p, w := range written {
 		if w {
@@ -388,13 +344,6 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		}
 	}
 	vm.dirtyMu.Unlock()
-	// Re-sync passthrough-device IOMMU tables onto the destination frames
-	// before the source frames are freed: a stale IOMMU entry would keep
-	// routing the device's DMAs into frames the next tenant may own.
-	if err := vm.syncDeviceTables(); err != nil {
-		vm.Resume()
-		return nil, fmt.Errorf("core: migrating VM %q: %w", name, err)
-	}
 
 	// Still paused: pull the EPT tables onto the destination socket when the
 	// migration crossed sockets, so the guard-block placement argument (§5.4)
@@ -418,52 +367,23 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	rep.DowntimePages = len(finalPages)
 	rep.DowntimeBytes = dtBytes
 
-	// Step 4: still paused, vacate the source — scrub data-bearing source
-	// frames, free them, and shrink the domain. Only after the vacated
-	// groups have left the VM's control group does the guest resume, so at
-	// no instant can a tenant access memory outside its domain.
-	//
-	// A source frame is data-bearing when the engine copied data off it
-	// (written) OR the touched ledger says the guest ever stored to it
-	// (srcTouched). The union matters: the engine's zero-page heuristic
-	// skips pages whose content it read as zero, yet an attacker-timed
-	// store landing between the final TakeDirty round and the paused
-	// residual copy can leave bytes the heuristic never saw — freeing such
-	// a frame unscrubbed would hand the next tenant the attacker's data.
-	for p, hpa := range srcRAM {
-		if hpa == hpaNone {
-			continue
+	// Step 4: still paused, vacate the source. Only after the vacated groups
+	// have left the VM's control group does the guest resume, so at no
+	// instant can a tenant access memory outside its domain.
+	if _, _, err := h.vacate(vm, gone, srcNodeIDs, ""); err != nil {
+		// The guest already runs entirely on destination frames, so whatever
+		// was not freed or released is over-reservation, not an isolation
+		// breach — still, log it and re-audit the whole system before
+		// resuming, so the drift is on record rather than silent.
+		vm.Resume()
+		h.logf("migration of VM %q: failed to release source nodes %v; domain remains widened: %v",
+			name, srcNodeIDs, err)
+		findings := h.Audit()
+		h.logf("post-failure audit of VM %q migration: %d findings", name, len(findings))
+		for _, f := range findings {
+			h.logf("post-failure audit: %s", f)
 		}
-		_, touched := srcTouched[p]
-		if written[p] || touched {
-			_ = h.mem.ScrubPhys(hpa, geometry.PageSize2M)
-		}
-		if a, aerr := h.Allocator(srcRamNode[hpa]); aerr == nil {
-			_ = a.Free(hpa, alloc.Order2M)
-		}
-	}
-	for _, mv := range moves {
-		h.release(mv.run)
-	}
-	if h.mode == ModeSiloz {
-		if err := h.reg.Shrink(vm.cgroup.Name, srcNodeIDs); err != nil {
-			// The guest already runs entirely on destination frames, but the
-			// domain is still widened over the drained source nodes. That is
-			// over-reservation, not an isolation breach — still, log it and
-			// re-audit the whole system before resuming, so the drift is on
-			// record rather than silent.
-			vm.nodes = vm.cgroup.Nodes()
-			vm.Resume()
-			h.logf("migration of VM %q: failed to release source nodes %v; domain remains widened: %v",
-				name, srcNodeIDs, err)
-			findings := h.Audit()
-			h.logf("post-failure audit of VM %q migration: %d findings", name, len(findings))
-			for _, f := range findings {
-				h.logf("post-failure audit: %s", f)
-			}
-			return rep, fmt.Errorf("core: releasing source nodes of VM %q: %w", name, err)
-		}
-		vm.nodes = vm.cgroup.Nodes()
+		return rep, fmt.Errorf("core: releasing source nodes of VM %q: %w", name, err)
 	}
 	vm.Resume()
 	if relocErr != nil {

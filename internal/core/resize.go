@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
@@ -86,7 +85,7 @@ type ResizeReport struct {
 // usableBytes is the guest RAM the VM can touch: recorded size minus the
 // ballooned-out pages. Caller holds h.mu.
 func (vm *VM) usableBytes() uint64 {
-	return vm.spec.MemoryBytes - uint64(len(vm.ballooned))*geometry.PageSize2M
+	return vm.spec.MemoryBytes - uint64(vm.ballooned)*geometry.PageSize2M
 }
 
 // planResize is the dispatch ResizeVM and PreviewResize share: which
@@ -99,7 +98,7 @@ func (h *Hypervisor) planResize(vm *VM, targetBytes uint64) (ResizePlan, error) 
 		return ResizePlan{}, fmt.Errorf("core: resize target %d must be a positive multiple of 2 MiB", targetBytes)
 	}
 	plan := ResizePlan{VM: vm.spec.Name, Current: vm.usableBytes(), Target: targetBytes}
-	size, balloon := vm.spec.MemoryBytes, len(vm.ballooned)
+	size, balloon := vm.spec.MemoryBytes, vm.ballooned
 	switch {
 	case targetBytes == plan.Current:
 		plan.Action = ResizeNone
@@ -186,7 +185,7 @@ func (h *Hypervisor) resizeTo(vm *VM, targetBytes uint64) (*ResizeReport, error)
 	if plan.Action == ResizeNone {
 		return rep, nil
 	}
-	prevBalloon := uint64(len(vm.ballooned)) * geometry.PageSize2M
+	prevBalloon := uint64(vm.ballooned) * geometry.PageSize2M
 	if plan.BalloonTarget != prevBalloon {
 		if rep.Balloon, err = h.balloonTo(vm, plan.BalloonTarget); err != nil {
 			return nil, err
@@ -225,34 +224,30 @@ func (h *Hypervisor) PreviewResize(name string, targetBytes uint64) (*ResizePlan
 		return nil, err
 	}
 	if plan.Action == ResizeInflate {
-		if plan.ReleasedNodes, err = h.previewDrain(vm, plan.Pages); err != nil {
-			return nil, err
-		}
+		plan.ReleasedNodes = vm.previewDrain(plan.Pages)
 	}
 	return &plan, nil
 }
 
-// previewDrain reports which guest nodes an inflate of n pages would drain
-// and release, in node-ID order. Caller holds h.mu.
-func (h *Hypervisor) previewDrain(vm *VM, n int) (released []int, err error) {
-	if h.mode != ModeSiloz || n <= 0 {
-		return nil, nil
+// previewDrain reports which guest nodes an inflate of n pages would release,
+// in node-ID order: by vacate's rule, those on which the VM would hold no
+// frame once the victims are gone (the baseline has no such nodes). Caller
+// holds h.mu.
+func (vm *VM) previewDrain(n int) (released []int) {
+	left := make(map[int]int) // node ID -> pages the VM would still hold there
+	for _, node := range vm.ramNode {
+		left[node]++
 	}
-	freed := make(map[int]uint64) // node ID -> bytes this inflate would free
+	for _, ri := range vm.regions {
+		left[ri.node]++
+	}
 	for _, p := range inflateVictims(vm, n) {
-		freed[vm.ramNode[vm.ram[p]]] += geometry.PageSize2M
+		left[vm.ramNode[vm.ram[p]]]--
 	}
 	for _, node := range vm.nodes {
-		a, aerr := h.Allocator(node.ID)
-		if aerr != nil {
-			return nil, aerr
-		}
-		// The node drains iff everything still allocated on it is exactly
-		// the set of pages this inflate frees.
-		if b := freed[node.ID]; b > 0 && a.UsedBytes() == b {
+		if left[node.ID] == 0 {
 			released = append(released, node.ID)
 		}
 	}
-	sort.Ints(released)
-	return released, nil
+	return released
 }

@@ -70,8 +70,11 @@ type VM struct {
 	eptSocket int
 	// ram holds the HPA of each 2 MiB RAM page in GPA order; slots the
 	// balloon surrendered hold hpaNone until a deflate restores them.
-	ram       []uint64
-	ballooned map[int]struct{} // RAM page indexes currently in the balloon
+	ram []uint64
+	// leaves is the layout the EPT's 2 MiB RAM leaves currently hold: equal
+	// to ram except inside a commit (layout.go).
+	leaves    []uint64
+	ballooned int // RAM pages currently in the balloon: the holes in ram
 	// lifecycle is the per-VM lifecycle latch (under h.mu): the name of the
 	// exclusive operation in flight ("live migration", "balloon", "resize",
 	// "memory hotplug"), or "" when idle. Balloon, migration, resize, and
@@ -171,7 +174,7 @@ func (h *Hypervisor) CreateVM(proc Process, spec VMSpec) (*VM, error) {
 			spec.MinMemoryBytes, spec.MemoryBytes)
 	}
 
-	vm := &VM{spec: spec, hv: h, eptSocket: spec.Socket, ramNode: make(map[uint64]int)}
+	vm := &VM{spec: spec, hv: h, eptSocket: spec.Socket}
 
 	if h.mode == ModeSiloz {
 		if err := h.reserveGuestNodes(vm); err != nil {
@@ -187,12 +190,8 @@ func (h *Hypervisor) CreateVM(proc Process, spec VMSpec) (*VM, error) {
 		h.reserveDomainGuards(vm)
 	}
 	h.vms[spec.Name] = vm
-	nodeIDs := make([]int, len(vm.nodes))
-	for i, n := range vm.nodes {
-		nodeIDs[i] = n.ID
-	}
 	h.logf("created VM %q: %d MiB RAM on nodes %v, %d EPT pages, %d mediated pages",
-		spec.Name, spec.MemoryBytes>>20, nodeIDs, len(vm.tables.Pages()), len(vm.mediated))
+		spec.Name, spec.MemoryBytes>>20, vm.nodeIDs(), len(vm.tables.Pages()), len(vm.mediated))
 	return vm, nil
 }
 
@@ -215,7 +214,9 @@ func (h *Hypervisor) populate(vm *VM) error {
 	if err := ram.take(alloc.Order2M, int(vm.spec.MemoryBytes/geometry.PageSize2M), false); err != nil {
 		return err
 	}
-	if err := vm.install(nil, &ram); err != nil {
+	// The transaction's frame list becomes the layout: nothing else keeps it.
+	if err := vm.commitLayout(ram.frames, ram.runs, nil); err != nil {
+		ram.rollback()
 		return err
 	}
 	if err := h.allocMediated(vm); err != nil {
@@ -246,56 +247,6 @@ func (h *Hypervisor) reserveGuestNodes(vm *VM) error {
 	}
 	vm.cgroup = cg
 	vm.nodes = cg.Nodes()
-	return nil
-}
-
-// install backs RAM page pages[i] with t.frames[i] — EPT leaf, RAM layout,
-// node ledger, device IOMMU tables — or, when pages is nil, extends the RAM
-// window by the frames. It is all or nothing: on failure the leaves are
-// unmapped again, the layout restored and t rolled back. Caller holds the
-// lifecycle latch and (once the guest runs) the vCPU gate exclusively.
-func (vm *VM) install(pages []int, t *frameTxn) error {
-	old := len(vm.ram)
-	gpa := func(i int) uint64 {
-		if pages == nil {
-			return uint64(old+i) * geometry.PageSize2M
-		}
-		return uint64(pages[i]) * geometry.PageSize2M
-	}
-	undo := func(mapped int) {
-		for i := 0; i < mapped; i++ {
-			_ = vm.tables.Unmap(gpa(i))
-		}
-		vm.InvalidateTLB() // an unpaused translator may have cached a leaf
-		t.rollback()
-	}
-	for i, hpa := range t.frames {
-		if err := vm.tables.Map2M(gpa(i), hpa); err != nil {
-			undo(i)
-			return fmt.Errorf("core: mapping gpa %#x of VM %q: %w", gpa(i), vm.spec.Name, err)
-		}
-	}
-	if pages == nil {
-		vm.ram = append(vm.ram, t.frames...)
-	}
-	for i, p := range pages {
-		vm.ram[p] = t.frames[i]
-	}
-	if err := vm.syncDeviceTables(); err != nil {
-		vm.ram = vm.ram[:old]
-		for _, p := range pages {
-			vm.ram[p] = hpaNone
-		}
-		_ = vm.syncDeviceTables() // back to the old layout: unmaps only
-		undo(len(t.frames))
-		return fmt.Errorf("core: syncing device tables of VM %q: %w", vm.spec.Name, err)
-	}
-	for _, r := range t.runs {
-		for _, hpa := range r.pages {
-			vm.ramNode[hpa] = r.node
-		}
-	}
-	vm.InvalidateTLB()
 	return nil
 }
 
@@ -434,11 +385,12 @@ func (h *Hypervisor) DestroyVM(name string) error {
 	return nil
 }
 
-// teardown releases everything the VM holds. Guest RAM and region pages are
-// scrubbed (zeroed) before they return to the free pools, so a page recycled
-// to the next tenant can never leak the previous tenant's bytes. RAM scrubbing
-// consults the touched-page ledger: never-written pages hold no data and are
-// skipped, keeping teardown of large sparse guests cheap. Caller holds h.mu.
+// teardown releases everything the VM holds. Guest RAM, region, mediated and
+// guard-band pages leave through vacate: scrubbed (zeroed) before they return
+// to the free pools, so a page recycled to the next tenant can never leak the
+// previous tenant's bytes. RAM scrubbing consults the touched-page ledger:
+// never-written pages hold no data and are skipped, keeping teardown of
+// large sparse guests cheap. Caller holds h.mu.
 func (vm *VM) teardown() {
 	h := vm.hv
 	// Detach passthrough devices first: once the RAM frames return to the
@@ -452,64 +404,38 @@ func (vm *VM) teardown() {
 	for _, d := range devices {
 		d.detachTables()
 	}
-	vm.scrubRAM()
-	for _, hpa := range vm.ram {
-		if hpa == hpaNone {
-			continue // ballooned out; the host already owns the frame
-		}
-		if a, err := h.Allocator(vm.ramNode[hpa]); err == nil {
-			_ = a.Free(hpa, alloc.Order2M)
-		}
+	gone := vm.ramRuns(inflateVictims(vm, len(vm.ram)), vm.touchedPage)
+	for _, info := range vm.regions {
+		gone = append(gone, info.frameRun)
 	}
-	vm.ram = nil
-	vm.ballooned = nil
-	for _, pa := range vm.guards {
-		if a, err := h.Allocator(vm.guardNode[pa]); err == nil {
-			if a.Free(pa, alloc.Order2M) == nil {
-				h.guardBytes -= geometry.PageSize2M
-			}
-		}
+	if host, _, err := h.hostNode(vm.spec.Socket); err == nil && len(vm.mediated) > 0 {
+		gone = append(gone, frameRun{node: host.ID, pages: vm.mediated})
 	}
-	vm.guards = nil
-	vm.guardNode = nil
-	if len(vm.mediated) > 0 {
-		for _, hpa := range vm.mediated {
-			_ = h.mem.ScrubPhys(hpa, geometry.PageSize4K)
-		}
-		_ = h.FreeHostPages(vm.spec.Socket, 0, vm.mediated)
-		vm.mediated = nil
+	for i, pa := range vm.guards { // never mapped, never written
+		gone = append(gone, frameRun{node: vm.guardNode[pa], order: alloc.Order2M, pages: vm.guards[i : i+1], clean: true})
 	}
-	vm.freeRegions()
+	h.guardBytes -= uint64(len(vm.guards)) * geometry.PageSize2M
+	_, _, _ = h.vacate(vm, gone, nil, "") // a destroy has no one to report a scrub or free failure to
+	vm.ram, vm.leaves, vm.ramNode, vm.ballooned = nil, nil, nil, 0
+	vm.regions, vm.mediated, vm.guards, vm.guardNode = nil, nil, nil, nil
 	if vm.tables != nil {
 		vm.tables.Destroy()
 		vm.tables = nil
 	}
 	vm.releaseCores()
-	vm.releaseNodes()
-}
-
-// scrubRAM zeroes every RAM page the guest (or the migration engine, on its
-// behalf) ever wrote.
-func (vm *VM) scrubRAM() {
-	vm.dirtyMu.Lock()
-	idxs := make([]int, 0, len(vm.touched))
-	for p := range vm.touched {
-		idxs = append(idxs, p)
-	}
-	vm.dirtyMu.Unlock()
-	for _, p := range idxs {
-		if p >= 0 && p < len(vm.ram) && vm.ram[p] != hpaNone {
-			_ = vm.hv.mem.ScrubPhys(vm.ram[p], geometry.PageSize2M)
-		}
-	}
-}
-
-func (vm *VM) releaseNodes() {
 	if vm.cgroup != nil {
-		_ = vm.hv.reg.Destroy(vm.cgroup.Name)
-		vm.cgroup = nil
-		vm.nodes = nil
+		_ = h.reg.Destroy(vm.cgroup.Name)
+		vm.cgroup, vm.nodes = nil, nil
 	}
+}
+
+// touchedPage reports whether RAM page p was ever written (by the guest, a
+// device, or the migration engine on the guest's behalf).
+func (vm *VM) touchedPage(p int) bool {
+	vm.dirtyMu.Lock()
+	defer vm.dirtyMu.Unlock()
+	_, ok := vm.touched[p]
+	return ok
 }
 
 // Spec returns the VM's creation spec.
@@ -523,6 +449,15 @@ func (vm *VM) Name() string { return vm.spec.Name }
 
 // Nodes returns the guest-reserved nodes backing the VM (Siloz mode).
 func (vm *VM) Nodes() []*numa.Node { return vm.nodes }
+
+// nodeIDs lists the IDs of the VM's guest-reserved nodes, in ID order.
+func (vm *VM) nodeIDs() []int {
+	ids := make([]int, len(vm.nodes))
+	for i, n := range vm.nodes {
+		ids[i] = n.ID
+	}
+	return ids
+}
 
 // Tables returns the VM's extended page tables.
 func (vm *VM) Tables() *ept.Tables { return vm.tables }
@@ -565,7 +500,7 @@ func (vm *VM) TouchedPages() []int {
 func (vm *VM) BalloonedBytes() uint64 {
 	vm.hv.mu.Lock()
 	defer vm.hv.mu.Unlock()
-	return uint64(len(vm.ballooned)) * geometry.PageSize2M
+	return uint64(vm.ballooned) * geometry.PageSize2M
 }
 
 // MediatedPages returns the HPAs of the VM's mediated 4 KiB pages.
@@ -643,8 +578,8 @@ func (vm *VM) TranslateUncached(gpa uint64) (uint64, error) {
 }
 
 // InvalidateTLB drops all cached translations by publishing an empty table
-// sized to the current RAM page count. Layout commits call it after the EPT
-// edit and before the guest resumes. The caller holds the VM's lifecycle
+// sized to the current RAM page count. commitLayout calls it after the table
+// edits and the publish, before the guest resumes. The caller holds the VM's lifecycle
 // latch (CreateVM: has not published the VM yet), which is what lets it read
 // vm.ram.
 func (vm *VM) InvalidateTLB() {
@@ -927,25 +862,6 @@ func (vm *VM) InDomain(pa uint64) bool {
 		}
 	}
 	return false
-}
-
-// syncDeviceTables re-syncs every attached passthrough device's IOMMU
-// mappings to the VM's current RAM layout. Every RAM-layout mutation
-// (migration commit, balloon inflate/deflate, memory hotplug) must call it
-// before the old frames become reachable by anyone else: a stale IOMMU
-// entry would keep translating the device's DMAs to frames the VM no
-// longer owns. Callers hold the vCPU gate exclusively (Pause), which also
-// excludes in-flight DMA — DMAs hold the gate shared.
-func (vm *VM) syncDeviceTables() error {
-	vm.devMu.Lock()
-	devices := append([]*Device(nil), vm.devices...)
-	vm.devMu.Unlock()
-	for _, d := range devices {
-		if err := d.resync(vm.ram); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // noteDMAWrite folds one device store into the VM's write-tracking state,

@@ -228,28 +228,21 @@ func indexAt(gpa uint64, level int) uint64 {
 
 // Map2M installs a writable 2 MiB leaf mapping gpa → hpa (both 2 MiB
 // aligned). The GPA must be unmapped; replacing a live leaf is Remap2M's job.
-func (t *Tables) Map2M(gpa, hpa uint64) error { return t.Map2MProt(gpa, hpa, true) }
-
-// Map2MProt installs a 2 MiB leaf with explicit write permission.
-func (t *Tables) Map2MProt(gpa, hpa uint64, writable bool) error {
+func (t *Tables) Map2M(gpa, hpa uint64) error {
 	if gpa%geometry.PageSize2M != 0 || hpa%geometry.PageSize2M != 0 {
 		return fmt.Errorf("ept: Map2M needs 2 MiB alignment (gpa=%#x hpa=%#x)", gpa, hpa)
 	}
-	return t.mapLeaf(gpa, hpa, 2, writable, false)
+	return t.mapLeaf(gpa, hpa, 2, true, false)
 }
 
 // Remap2M rewrites the present 2 MiB leaf at gpa to a new writable frame —
 // live migration's commit step. Remapping an unmapped GPA or a GPA whose PD
 // entry points at a 4 KiB page table fails.
-func (t *Tables) Remap2M(gpa, hpa uint64) error { return t.Remap2MProt(gpa, hpa, true) }
-
-// Remap2MProt rewrites the present 2 MiB leaf at gpa with explicit write
-// permission.
-func (t *Tables) Remap2MProt(gpa, hpa uint64, writable bool) error {
+func (t *Tables) Remap2M(gpa, hpa uint64) error {
 	if gpa%geometry.PageSize2M != 0 || hpa%geometry.PageSize2M != 0 {
 		return fmt.Errorf("ept: Remap2M needs 2 MiB alignment (gpa=%#x hpa=%#x)", gpa, hpa)
 	}
-	return t.mapLeaf(gpa, hpa, 2, writable, true)
+	return t.mapLeaf(gpa, hpa, 2, true, true)
 }
 
 // Map4K installs a writable 4 KiB leaf mapping gpa → hpa (both page

@@ -17,8 +17,6 @@ import (
 type Config struct {
 	// Hosts is the number of simulated machines.
 	Hosts int
-	// HostPrefix names hosts "<prefix>-<i>"; default "host".
-	HostPrefix string
 	// Core is the per-host boot configuration. Every host boots the same
 	// box; the first host's computed subarray layout is cached and reused
 	// for the rest, so an N-host cluster pays one grouping pass.
@@ -28,15 +26,14 @@ type Config struct {
 	// Workers is each host's event-loop worker count; <= 0 means 1
 	// (serial dispatch, the deterministic configuration).
 	Workers int
-	// MigrateOpt tunes every host's migration engine.
-	MigrateOpt core.MigrateOptions
 	// CopyGiBps is the modeled cross-host page-copy bandwidth; downtime
 	// is reported as bytes/bandwidth, never wall clock. Default 10.
 	CopyGiBps float64
-	// AdmitRetries bounds re-placement attempts when a host rejects an
-	// admission the stale fleet view predicted would fit. Default 3.
-	AdmitRetries int
 }
+
+// admitRetries bounds re-placement attempts when a host rejects an
+// admission the stale fleet view predicted would fit.
+const admitRetries = 3
 
 // Stats is a snapshot of the cluster's lifetime counters.
 type Stats struct {
@@ -112,17 +109,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Hosts <= 0 {
 		return nil, fmt.Errorf("fleet: need at least 1 host, got %d", cfg.Hosts)
 	}
-	if cfg.HostPrefix == "" {
-		cfg.HostPrefix = "host"
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = SilozAware{}
 	}
 	if cfg.CopyGiBps <= 0 {
 		cfg.CopyGiBps = 10
-	}
-	if cfg.AdmitRetries <= 0 {
-		cfg.AdmitRetries = 3
 	}
 	c := &Cluster{
 		cfg:    cfg,
@@ -132,14 +123,13 @@ func New(cfg Config) (*Cluster, error) {
 		procs:  make(map[string]core.Process),
 		moving: make(map[string]moveWindow),
 	}
-	opt := HostOptions{Workers: cfg.Workers, MigrateOpt: cfg.MigrateOpt}
 	var layout bytes.Buffer
 	for i := 0; i < cfg.Hosts; i++ {
 		hcfg := cfg.Core
 		if layout.Len() > 0 {
 			hcfg.CachedLayout = bytes.NewReader(layout.Bytes())
 		}
-		h, err := NewHost(fmt.Sprintf("%s-%d", cfg.HostPrefix, i), hcfg, core.ModeSiloz, opt)
+		h, err := NewHost(fmt.Sprintf("host-%d", i), hcfg, core.ModeSiloz, cfg.Workers)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -244,7 +234,7 @@ func (c *Cluster) Views() ([]HostView, error) {
 // Admit places and creates a VM, synchronously: the placement decision and
 // the creation op both complete before it returns. On a capacity race (the
 // view went stale between Place and the create op) it excludes nothing and
-// simply re-places against a fresh view, bounded by AdmitRetries. A
+// simply re-places against a fresh view, bounded by admitRetries. A
 // placement failure returns an error wrapping ErrNoPlacement; the caller
 // distinguishes rejection (errors.Is) from infrastructure failure.
 func (c *Cluster) Admit(ctx context.Context, proc core.Process, spec core.VMSpec) (string, error) {
@@ -261,7 +251,7 @@ func (c *Cluster) Admit(ctx context.Context, proc core.Process, spec core.VMSpec
 
 	req := Request{Name: spec.Name, GuestBytes: migrate.GuestBytes(spec)}
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.AdmitRetries; attempt++ {
+	for attempt := 0; attempt < admitRetries; attempt++ {
 		views, err := c.Views()
 		if err != nil {
 			return "", err
@@ -308,7 +298,7 @@ func (c *Cluster) Admit(ctx context.Context, proc core.Process, spec core.VMSpec
 	c.stats.Rejected++
 	c.mu.Unlock()
 	return "", fmt.Errorf("fleet: admit %q after %d attempts (%v): %w",
-		spec.Name, c.cfg.AdmitRetries, lastErr, ErrNoPlacement)
+		spec.Name, admitRetries, lastErr, ErrNoPlacement)
 }
 
 // SubmitDepart enqueues a VM's teardown on its host and returns the op; the

@@ -74,17 +74,9 @@ type Host struct {
 	wg       sync.WaitGroup
 }
 
-// HostOptions tunes one host.
-type HostOptions struct {
-	// Workers is the event-loop worker count; <= 0 means 1 (serial,
-	// deterministic dispatch).
-	Workers int
-	// MigrateOpt tunes the migrate engine's pre-copy loops.
-	MigrateOpt core.MigrateOptions
-}
-
-// NewHost boots a hypervisor and starts its event loop.
-func NewHost(name string, cfg core.Config, mode core.Mode, opt HostOptions) (*Host, error) {
+// NewHost boots a hypervisor and starts its event loop with the given
+// worker count; <= 0 means 1 (serial, deterministic dispatch).
+func NewHost(name string, cfg core.Config, mode core.Mode, workers int) (*Host, error) {
 	hv, err := core.Boot(cfg, mode)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: boot host %q: %w", name, err)
@@ -97,9 +89,7 @@ func NewHost(name string, cfg core.Config, mode core.Mode, opt HostOptions) (*Ho
 		queues:  make(map[string][]*Op),
 		running: make(map[string]bool),
 	}
-	h.engine.Opt = opt.MigrateOpt
 	h.cond = sync.NewCond(&h.mu)
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = 1
 	}

@@ -12,18 +12,8 @@ import (
 
 // SchedulerConfig tunes the rebalancing scheduler.
 type SchedulerConfig struct {
-	// HighWatermark is the owned-node fraction above which a host is hot
-	// and sheds VMs. Default 0.75.
-	HighWatermark float64
-	// LowWatermark is the fraction below which a host is a preferred
-	// eviction destination. Default 0.40. (Informational; the placement
-	// policy makes the actual choice among non-hot hosts.)
-	LowWatermark float64
 	// MaxCrossMoves bounds cross-host migrations per round. Default 4.
 	MaxCrossMoves int
-	// MaxDefragMoves bounds each host's intra-host defragmentation moves
-	// per round. Default 2.
-	MaxDefragMoves int
 	// DirtyPages is the modeled guest write activity injected during each
 	// cross-host move's pre-copy (makes stop-and-copy non-empty).
 	// Default 8.
@@ -32,18 +22,18 @@ type SchedulerConfig struct {
 	Seed int64
 }
 
+const (
+	// highWatermark is the owned-node fraction above which a host is hot
+	// and sheds VMs.
+	highWatermark = 0.75
+	// maxDefragMoves bounds each host's intra-host defragmentation moves
+	// per round.
+	maxDefragMoves = 2
+)
+
 func (cfg *SchedulerConfig) normalize() {
-	if cfg.HighWatermark <= 0 {
-		cfg.HighWatermark = 0.75
-	}
-	if cfg.LowWatermark <= 0 {
-		cfg.LowWatermark = 0.40
-	}
 	if cfg.MaxCrossMoves <= 0 {
 		cfg.MaxCrossMoves = 4
-	}
-	if cfg.MaxDefragMoves <= 0 {
-		cfg.MaxDefragMoves = 2
 	}
 	if cfg.DirtyPages < 0 {
 		cfg.DirtyPages = 0
@@ -108,7 +98,7 @@ func (s *Scheduler) Round(ctx context.Context) (*RebalanceReport, error) {
 	for _, hm := range m.Hosts {
 		owned[hm.Host] = hm.OwnedNodes
 		total[hm.Host] = hm.GuestNodes
-		if hm.Utilization() > s.cfg.HighWatermark {
+		if hm.Utilization() > highWatermark {
 			hot[hm.Host] = true
 			rep.HotHosts++
 		}
@@ -129,7 +119,7 @@ func (s *Scheduler) Round(ctx context.Context) (*RebalanceReport, error) {
 					break
 				}
 				util := float64(owned[h.Name()]) / float64(total[h.Name()])
-				if util <= s.cfg.HighWatermark {
+				if util <= highWatermark {
 					break // shed enough
 				}
 				if !cand.movable {
@@ -165,7 +155,7 @@ func (s *Scheduler) Round(ctx context.Context) (*RebalanceReport, error) {
 	// a time so planner decisions see settled state.
 	for _, h := range s.c.hosts {
 		var reps []*core.MigrateReport
-		op, err := h.SubmitDefragment(ctx, s.cfg.MaxDefragMoves, func(r []*core.MigrateReport) {
+		op, err := h.SubmitDefragment(ctx, maxDefragMoves, func(r []*core.MigrateReport) {
 			reps = r
 		})
 		if err != nil {

@@ -186,13 +186,7 @@ type Controller struct {
 	rng      *rand.Rand
 	runScale float64 // per-run latency scale (thermal/frequency noise)
 
-	// Per-access decode: the mapper's col-free fast path when it has one
-	// (feature-detected once at Reset), else an adapter over Decode.
-	bankDec addr.BankDecoder
-
-	// Cached geometry dimensions for BankID flattening.
-	dimms, ranks, banksPerRank int
-	homeSocket                 int
+	homeSocket int
 
 	// Cached timing sums (same addition order as Timing.hitLatency and
 	// Timing.missLatency, so results are bit-identical to per-call sums).
@@ -263,15 +257,7 @@ func (c *Controller) Reset() {
 	c.last = 0
 	c.res = Result{}
 
-	c.dimms = g.DIMMsPerSocket
-	c.ranks = g.RanksPerDIMM
-	c.banksPerRank = g.BanksPerRank
 	c.homeSocket = c.cfg.HomeSocket
-	if bd, ok := c.cfg.Mapper.(addr.BankDecoder); ok {
-		c.bankDec = bd
-	} else {
-		c.bankDec = bankAdapter{m: c.cfg.Mapper, dimms: c.dimms, ranks: c.ranks, banksPerRank: c.banksPerRank}
-	}
 	tm := c.cfg.Timing
 	c.hitLat = tm.hitLatency()
 	c.missLat = tm.missLatency()
@@ -330,7 +316,7 @@ func (c *Controller) Do(a Access) (float64, error) {
 // was ready to issue. The observable latency includes bank queueing delay —
 // the contention signal DRAM timing side channels measure (§8.4).
 func (c *Controller) DoTimed(a Access) (done, observed float64, err error) {
-	bank, row, socket, err := c.bankDec.DecodeBank(a.PA)
+	bank, row, socket, err := c.cfg.Mapper.DecodeBank(a.PA)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -483,21 +469,4 @@ func (c *Controller) Result() Result {
 	r.PeakRowACTs = c.peakActs
 	r.MitigationRefreshes = c.mitRefreshes
 	return r
-}
-
-// bankAdapter derives DecodeBank from a plain Mapper for mappers without
-// the fast path.
-type bankAdapter struct {
-	m                          addr.Mapper
-	dimms, ranks, banksPerRank int
-}
-
-func (a bankAdapter) DecodeBank(pa uint64) (bank, row, socket int, err error) {
-	ma, err := a.m.Decode(pa)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	b := ma.Bank
-	bank = ((b.Socket*a.dimms+b.DIMM)*a.ranks+b.Rank)*a.banksPerRank + b.Bank
-	return bank, ma.Row, b.Socket, nil
 }

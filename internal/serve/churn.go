@@ -122,7 +122,7 @@ func (l *Loop) tenantByName(name string) *tenant {
 // applyWindow sizes the window from the mechanism's byte counts at the
 // modeled copy bandwidth and imposes the blackout on the paused tenants.
 func (l *Loop) applyWindow(w *Window, bytesCopied, downtimeBytes uint64, paused ...*tenant) {
-	perByte := 1e9 / (l.cfg.CopyGiBps * float64(geometry.GiB))
+	perByte := 1e9 / (copyGiBps * float64(geometry.GiB))
 	copyNs := float64(bytesCopied) * perByte
 	downNs := float64(downtimeBytes) * perByte
 	w.EndNs = w.StartNs + copyNs

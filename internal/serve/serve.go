@@ -75,19 +75,12 @@ type Config struct {
 	SLONs float64
 	// Seed drives all client randomness (key popularity, think gaps).
 	Seed int64
-	// JitterSeed adds per-station DRAM service-time noise; 0 keeps the
-	// timing model deterministic.
-	JitterSeed int64
 
-	// MLPWindow is the per-station memory-level parallelism (default 10).
-	MLPWindow int
 	// CacheBytes sizes the per-station LLC model (default 32 MiB;
 	// negative disables the cache).
 	CacheBytes int64
 	// CacheWays is the LLC associativity (default 16).
 	CacheWays int
-	// Timing are the DRAM timing parameters (zero value = DDR4-2933).
-	Timing memctrl.Timing
 	// Mitigation, when set, builds the activation-plane defense instance
 	// attached to each station's controller (PARA, Silver Bullet) —
 	// injected neighbour refreshes occupy banks and surface as serving
@@ -96,10 +89,14 @@ type Config struct {
 
 	// Churn are control-plane events to replay, in AtNs order.
 	Churn []Event
-	// CopyGiBps is the modeled copy bandwidth behind churn windows
-	// (default 12 GiB/s).
-	CopyGiBps float64
 }
+
+const (
+	// mlpWindow is the per-station memory-level parallelism.
+	mlpWindow = 10
+	// copyGiBps is the modeled copy bandwidth behind churn windows.
+	copyGiBps = 12
+)
 
 // stationKey identifies a shared serving station: one memory controller
 // and LLC per (host, socket), shared by every tenant living there.
@@ -226,7 +223,6 @@ type Loop struct {
 	cfg      Config
 	tenants  []*tenant
 	stations map[stationKey]*station
-	nextJit  int64 // per-station jitter-seed counter
 	events   []Event
 	windows  []*Window
 	queue    reqHeap
@@ -270,20 +266,11 @@ func New(cfg Config) (*Loop, error) {
 	if cfg.DurationNs <= 0 {
 		return nil, fmt.Errorf("serve: DurationNs must be positive")
 	}
-	if cfg.MLPWindow == 0 {
-		cfg.MLPWindow = 10
-	}
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 32 * geometry.MiB
 	}
 	if cfg.CacheWays == 0 {
 		cfg.CacheWays = 16
-	}
-	if cfg.Timing == (memctrl.Timing{}) {
-		cfg.Timing = memctrl.DDR4_2933()
-	}
-	if cfg.CopyGiBps <= 0 {
-		cfg.CopyGiBps = 12
 	}
 	for i := 1; i < len(cfg.Churn); i++ {
 		if cfg.Churn[i].AtNs < cfg.Churn[i-1].AtNs {
@@ -389,21 +376,15 @@ func (l *Loop) station(host string, socket int, hv *core.Hypervisor) *station {
 	if st, ok := l.stations[key]; ok {
 		return st
 	}
-	var jit int64
-	if l.cfg.JitterSeed != 0 {
-		l.nextJit++
-		jit = l.cfg.JitterSeed + 7919*l.nextJit
-	}
 	var mit mitigation.Mitigation
 	if l.cfg.Mitigation != nil {
 		mit = l.cfg.Mitigation(host, socket)
 	}
 	ctrl, err := memctrl.New(memctrl.Config{
 		Mapper:     hv.Memory().Mapper(),
-		Timing:     l.cfg.Timing,
-		MLPWindow:  l.cfg.MLPWindow,
+		Timing:     memctrl.DDR4_2933(),
+		MLPWindow:  mlpWindow,
 		HomeSocket: socket,
-		JitterSeed: jit,
 		Mitigation: mit,
 	})
 	if err != nil {
