@@ -44,16 +44,19 @@ race:
 # random-op layout-agreement check and the three commit-failure regressions,
 # the grow-versus-migration race over the registry and allocators, the
 # live-writer migrations that race the bulk data path's row locks from both
-# sockets, and the lock-free TLB's coherence across every layout commit
+# sockets, the row-to-row copy under a line-flipping writer and under two
+# cross-host moves in opposite directions (with the two cost-follows-data
+# tests), and the lock-free TLB's coherence across every layout commit
 # (-count=10: the race it pins needs a translator caught mid-walk).
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
-	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves' ./internal/core
+	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld' ./internal/core
 	$(GO) test -race -count=10 -run 'TestTLBCoherentAcrossLifecycle' ./internal/core
+	$(GO) test -race -run 'TestCopyNeverTearsALine' ./internal/dram
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate
-	$(GO) test -race -run 'TestConcurrentFleetChurn' ./internal/fleet
+	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock' ./internal/fleet
 	$(GO) test -race -run 'TestGenerateEarlyStopDeterminism' ./internal/workload
 	$(GO) test -race -run 'TestConcurrentServeResize|TestServeFleetMoveChurn' ./internal/serve
 
@@ -65,6 +68,7 @@ FUZZTIME ?= 10s
 fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzMapperFastPathEquivalence$$' -fuzztime $(FUZZTIME) ./internal/addr
 	$(GO) test -run '^$$' -fuzz '^FuzzStripeMatchesDecode$$' -fuzztime $(FUZZTIME) ./internal/addr
+	$(GO) test -run '^$$' -fuzz '^FuzzCopyMatchesReadThenWrite$$' -fuzztime $(FUZZTIME) ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/memctrl
 	$(GO) test -run '^$$' -fuzz '^FuzzAggressorTableMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mitigation
 

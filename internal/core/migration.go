@@ -73,7 +73,7 @@ func (o *MigrateOptions) normalize() {
 type MigrateRound struct {
 	Round       int
 	PagesCopied int    // pages processed this round
-	BytesCopied uint64 // bytes actually moved (zero pages transfer nothing)
+	BytesCopied uint64 // modelled transfer: 2 MiB per page holding data (zero pages transfer nothing)
 	DirtyAfter  int    // pages the guest dirtied while the round ran
 }
 
@@ -206,16 +206,18 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		return abort(err)
 	}
 	written := make([]bool, ramPages) // dst frames the engine has written
-	buf := make([]byte, geometry.PageSize2M)
+	scratch := make([]byte, h.mem.Geometry().RowBytes)
+	// copyPage returns the modelled bytes the copy transfers: a whole page
+	// when the source holds data or the engine has written the frame before
+	// (the guest may have re-zeroed the page, and the destination must
+	// follow), nothing for a page that is and always was zero.
 	copyPage := func(p int) (uint64, error) {
-		// Once the engine has written a frame it always rewrites it (the
-		// guest may have re-zeroed a page).
-		moved, err := h.copyFrame(srcRAM[p], dstRAM[p], buf, written[p])
-		if !moved {
+		nonzero, err := h.copyFrame(srcRAM[p], dstRAM[p], geometry.PageSize2M, scratch)
+		if err != nil || !(nonzero || written[p]) {
 			return 0, err
 		}
 		written[p] = true
-		return uint64(len(buf)), nil
+		return geometry.PageSize2M, nil
 	}
 
 	rep := &MigrateReport{
@@ -305,10 +307,9 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		dtBytes += n
 	}
 	// Guest-placed region pages (4 KiB): the guest is paused, one shot.
-	rbuf := buf[:geometry.PageSize4K]
 	for _, mv := range moves {
 		for i, src := range mv.info.pages {
-			if _, err := h.copyFrame(src, mv.run.pages[i], rbuf, false); err != nil {
+			if _, err := h.copyFrame(src, mv.run.pages[i], geometry.PageSize4K, scratch); err != nil {
 				return abort(err)
 			}
 		}
@@ -318,10 +319,10 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	// disarms the per-leaf write protection. The guest is paused, so the
 	// touched ledger is final for the source frames, and a source frame is
 	// data-bearing when the engine copied data off it (written) OR the ledger
-	// says the guest ever stored to it. The union matters: the engine's
-	// zero-page heuristic skips pages it read as zero, yet an attacker-timed
-	// store (or device DMA) landing between the final TakeDirty round and the
-	// paused residual copy can leave bytes the heuristic never saw — freeing
+	// says the guest ever stored to it. The union matters: a page the copy
+	// saw as zero is not marked written, yet an attacker-timed store (or
+	// device DMA) landing between the final TakeDirty round and the paused
+	// residual copy can leave bytes the copy never saw — freeing
 	// such a frame unscrubbed would hand the next tenant the attacker's data.
 	gone := vm.ramRuns(residents, func(p int) bool { return written[p] || vm.touchedPage(p) })
 	if err := vm.commitLayout(dstRAM, t.runs[:ramRuns], moves); err != nil {
@@ -442,31 +443,18 @@ func (h *Hypervisor) validateMigrationDests(vm *VM, destNodeIDs []int) ([]*numa.
 	return out, nil
 }
 
-// copyFrame copies len(buf) bytes from frame src to frame dst through buf
-// and reports whether it moved them. Unless always is set, a source that
-// reads as zero is skipped: it was never materialized (or was scrubbed),
-// and a freshly allocated destination frame is zero already, so nothing
-// needs to move — which is what keeps a migration's cost proportional to
-// the data a guest holds, not to its address space.
+// copyFrame makes the n bytes of frame dst equal those of frame src, row to
+// row through scratch (dram.Memory.CopyPhys), and reports whether the source
+// held a nonzero byte. Rows the source never materialized (or that were
+// scrubbed) are not moved and materialize nothing at the destination — which
+// is what keeps a migration's cost proportional to the data a guest holds,
+// not to its address space.
 //
-// The zero test comes before the read, not after it. The order is safe for
-// the reason the old read-then-scan order was: the answer is only ever a
-// snapshot, and every guest or DMA store that lands after it is in the
-// dirty log (so a later round or the paused residual copy looks at the
-// page again) or, once logging has stopped, in the touched ledger (so the
-// source frame is at least scrubbed before it is freed).
-func (h *Hypervisor) copyFrame(src, dst uint64, buf []byte, always bool) (moved bool, err error) {
-	if !always {
-		zero, err := h.mem.IsZeroPhys(src, len(buf))
-		if err != nil || zero {
-			return false, err
-		}
-	}
-	if err := h.mem.ReadPhys(src, buf); err != nil {
-		return false, err
-	}
-	if err := h.mem.WritePhys(dst, buf); err != nil {
-		return false, err
-	}
-	return true, nil
+// What it saw is only ever a snapshot. That is safe because every guest or
+// DMA store that lands after it is in the dirty log (so a later round or the
+// paused residual copy looks at the page again) or, once logging has stopped,
+// in the touched ledger (so the source frame is at least scrubbed before it
+// is freed).
+func (h *Hypervisor) copyFrame(src, dst uint64, n int, scratch []byte) (nonzero bool, err error) {
+	return h.mem.CopyPhys(dst, h.mem, src, n, scratch)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/geometry"
@@ -405,5 +406,78 @@ func TestMigrateVMMovesGuestPlacedRegions(t *testing.T) {
 	}
 	if vm.Exits() == before {
 		t.Error("post-migration ROM write took no exit — write protection lost")
+	}
+}
+
+// TestMigrationCostFollowsDataHeld: a 128 MiB guest that holds two stamped
+// pages migrates across sockets for what two pages cost. The host allocates
+// no page-sized buffer and no row-store slab (one round trip first, so both
+// sockets' arenas and table rows exist), the destination materializes exactly
+// the rows the source held — the 62 pages of empty address space bring none
+// to life — and the guest's bytes arrive.
+func TestMigrationCostFollowsDataHeld(t *testing.T) {
+	h := bootSiloz(t)
+	const size = 128 * geometry.MiB
+	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "sparse", Socket: 0, MemoryBytes: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := h.Memory().LiveRows()
+	stamps := map[uint64][]byte{
+		3*geometry.PageSize2M + 4096: bytes.Repeat([]byte{0xc3}, 128),
+		40*geometry.PageSize2M + 512: bytes.Repeat([]byte{0x3c}, 128),
+	}
+	for gpa, data := range stamps {
+		if err := vm.WriteGuest(gpa, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := h.Memory().LiveRows() - empty
+	if held < 2 || held > 4 {
+		t.Fatalf("two 128-byte stamps materialized %d rows", held)
+	}
+	migrate := func(socket int) *MigrateReport {
+		t.Helper()
+		rep, err := h.MigrateVM(context.Background(), "sparse", freeGuestNodes(t, h, socket, size), MigrateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	migrate(1)
+	migrate(0)
+
+	before := h.Memory().LiveRows()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rep := migrate(1)
+	runtime.ReadMemStats(&m1)
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 256*geometry.KiB {
+		t.Errorf("migrating two stamped pages allocated %d bytes on the host, want under 256 KiB", grew)
+	}
+	if after := h.Memory().LiveRows(); after != before {
+		t.Errorf("live rows %d -> %d across the migration: the destination must hold the %d rows the source held", before, after, held)
+	}
+	// The modelled transfer stays page-granular: two data pages.
+	if rep.BytesCopied != 2*geometry.PageSize2M || rep.EPTRelocatedPages == 0 {
+		t.Errorf("report %+v: want two pages' bytes copied and the tables relocated", rep)
+	}
+	for _, n := range vm.Nodes() {
+		if n.Socket != 1 {
+			t.Errorf("node %d still on socket %d", n.ID, n.Socket)
+		}
+	}
+	for gpa, want := range stamps {
+		got := make([]byte, len(want))
+		if err := vm.ReadGuest(gpa, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("stamp at gpa %#x lost in migration", gpa)
+		}
+	}
+	probe := make([]byte, geometry.PageSize2M)
+	if err := vm.ReadGuest(17*geometry.PageSize2M, probe); err != nil || !allZero(probe) {
+		t.Errorf("an untouched page does not read as zero after migration (err %v)", err)
 	}
 }

@@ -757,6 +757,39 @@ func (vm *VM) ReadGuest(gpa uint64, buf []byte) error {
 	})
 }
 
+// CopyGuest makes n bytes of this VM's RAM at gpa equal the same range of
+// src — a VM of this or another host — without reading them out: each page
+// is translated on both sides and copied frame to frame, row to row through
+// scratch (dram.Memory.CopyPhys), so the copy costs what the source page
+// holds. It reports whether the source held a nonzero byte. For this VM it
+// is a store like WriteGuest — every page enters the touched ledger and,
+// while tracking is armed, the dirty log — and for src a load; it holds both
+// vCPU gates shared, the source's first.
+func (vm *VM) CopyGuest(src *VM, gpa uint64, n int, scratch []byte) (nonzero bool, err error) {
+	if src == vm {
+		return false, fmt.Errorf("core: VM %q copying from itself", vm.spec.Name)
+	}
+	if end := gpa + uint64(n); !vm.isRAMGPA(gpa) || end < gpa || end > ROMBase {
+		return false, fmt.Errorf("core: copy of guest range [%#x, %#x) is not confined to RAM", gpa, end)
+	}
+	src.pauseMu.RLock()
+	defer src.pauseMu.RUnlock()
+	vm.pauseMu.RLock()
+	defer vm.pauseMu.RUnlock()
+	// RAM pages are 2 MiB on both sides, so a piece that fits one of this
+	// VM's pages fits one of the source's.
+	err = vm.guestIter(gpa, n, vm.translateWrite, func(hpa uint64, off, chunk int) error {
+		from, err := src.Translate(gpa + uint64(off))
+		if err != nil {
+			return err
+		}
+		moved, err := vm.hv.mem.CopyPhys(hpa, src.hv.mem, from, chunk, scratch)
+		nonzero = nonzero || moved
+		return err
+	})
+	return nonzero, err
+}
+
 // guestIter walks a guest range in page-bounded pieces.
 func (vm *VM) guestIter(gpa uint64, n int, translate func(uint64) (uint64, error), fn func(hpa uint64, off, n int) error) error {
 	pageSize := uint64(geometry.PageSize2M)

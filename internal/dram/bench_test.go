@@ -65,26 +65,40 @@ const (
 	benchRegion = benchPages * geometry.PageSize2M
 )
 
-// benchPage runs op over 2 MiB pages that are fully written (dense) or
-// never written (untouched) — the two extremes migration, cross-host moves
-// and teardown see: a guest's few stamped pages and the empty address space
-// around them.
-func benchPage(b *testing.B, dense bool, op func(mem *Memory, pa uint64, buf []byte) error) {
+// What the pages of a page benchmark hold: every byte written, one 128-byte
+// stamp (what fleet-churn leaves on a guest page), or nothing — the extremes
+// migration, cross-host moves and teardown see: a guest's few stamped pages
+// and the empty address space around them.
+const (
+	pagesDense = iota
+	pagesStamped
+	pagesUntouched
+)
+
+// benchPage runs op over 2 MiB pages in the given state.
+func benchPage(b *testing.B, state int, op func(mem *Memory, pa uint64, buf []byte) error) {
 	mem := benchMemory(b)
 	buf := make([]byte, geometry.PageSize2M)
 	for i := range buf {
 		buf[i] = byte(i) | 1
 	}
-	// Untouched pages are written and scrubbed once, so their rows are
-	// absent again but the arena they came from has already grown.
+	// Sparse pages are written and scrubbed once, so their rows are absent
+	// again but the arena they came from has already grown.
 	for p := 0; p < benchPages; p++ {
 		if err := mem.WritePhys(uint64(p)*geometry.PageSize2M, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if !dense {
+	if state != pagesDense {
 		if err := mem.ScrubPhys(0, benchRegion); err != nil {
 			b.Fatal(err)
+		}
+	}
+	if state == pagesStamped {
+		for p := 0; p < benchPages; p++ {
+			if err := mem.WritePhys(uint64(p)*geometry.PageSize2M+4096, buf[:128]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.SetBytes(geometry.PageSize2M)
@@ -99,8 +113,8 @@ func benchPage(b *testing.B, dense bool, op func(mem *Memory, pa uint64, buf []b
 
 func BenchmarkMemoryPageRead(b *testing.B) {
 	read := func(mem *Memory, pa uint64, buf []byte) error { return mem.ReadPhys(pa, buf) }
-	b.Run("dense", func(b *testing.B) { benchPage(b, true, read) })
-	b.Run("untouched", func(b *testing.B) { benchPage(b, false, read) })
+	b.Run("dense", func(b *testing.B) { benchPage(b, pagesDense, read) })
+	b.Run("untouched", func(b *testing.B) { benchPage(b, pagesUntouched, read) })
 }
 
 // BenchmarkMemoryPageWrite/untouched pays for materializing the rows from
@@ -108,10 +122,10 @@ func BenchmarkMemoryPageRead(b *testing.B) {
 // again off the clock after every page.
 func BenchmarkMemoryPageWrite(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
-		benchPage(b, true, func(mem *Memory, pa uint64, buf []byte) error { return mem.WritePhys(pa, buf) })
+		benchPage(b, pagesDense, func(mem *Memory, pa uint64, buf []byte) error { return mem.WritePhys(pa, buf) })
 	})
 	b.Run("untouched", func(b *testing.B) {
-		benchPage(b, false, func(mem *Memory, pa uint64, buf []byte) error {
+		benchPage(b, pagesUntouched, func(mem *Memory, pa uint64, buf []byte) error {
 			err := mem.WritePhys(pa, buf)
 			b.StopTimer()
 			if serr := mem.ScrubPhys(0, benchRegion); err == nil {
@@ -127,7 +141,7 @@ func BenchmarkMemoryPageWrite(b *testing.B) {
 // timed scrub meets materialized rows.
 func BenchmarkMemoryPageScrub(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
-		benchPage(b, true, func(mem *Memory, pa uint64, buf []byte) error {
+		benchPage(b, pagesDense, func(mem *Memory, pa uint64, buf []byte) error {
 			err := mem.ScrubPhys(pa, len(buf))
 			b.StopTimer()
 			if werr := mem.WritePhys(pa, buf); err == nil {
@@ -138,41 +152,33 @@ func BenchmarkMemoryPageScrub(b *testing.B) {
 		})
 	})
 	b.Run("untouched", func(b *testing.B) {
-		benchPage(b, false, func(mem *Memory, pa uint64, buf []byte) error { return mem.ScrubPhys(pa, len(buf)) })
+		benchPage(b, pagesUntouched, func(mem *Memory, pa uint64, buf []byte) error { return mem.ScrubPhys(pa, len(buf)) })
 	})
 }
 
-// BenchmarkMemoryPageIsZero/dense holds one stamped cache line at the end
-// of an otherwise materialized-and-zero page — the worst case, every row
-// scanned — not a page of data, which answers at the first word.
-func BenchmarkMemoryPageIsZero(b *testing.B) {
-	b.Run("dense", func(b *testing.B) {
-		mem := benchMemory(b)
-		zeros := make([]byte, geometry.PageSize2M)
-		zeros[len(zeros)-1] = 1
-		for p := 0; p < benchPages; p++ {
-			if err := mem.WritePhys(uint64(p)*geometry.PageSize2M, zeros); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(geometry.PageSize2M)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if zero, err := mem.IsZeroPhys(uint64(i%benchPages)*geometry.PageSize2M, geometry.PageSize2M); err != nil || zero {
-				b.Fatal(zero, err)
-			}
-		}
-	})
-	b.Run("untouched", func(b *testing.B) {
-		benchPage(b, false, func(mem *Memory, pa uint64, buf []byte) error {
-			zero, err := mem.IsZeroPhys(pa, len(buf))
-			if err == nil && !zero {
-				b.Fatal("untouched page not zero")
-			}
-			return err
+// BenchmarkMemoryPageCopy moves each page to a frame on the other socket
+// that sits at another stripe offset (0.5 MiB against 0), as a migration's
+// destination frames generally do. After the first lap the destination holds
+// what the source holds, so dense overwrites rows in place and stamped and
+// untouched find nothing stale to clear.
+func BenchmarkMemoryPageCopy(b *testing.B) {
+	g := geometry.Default()
+	dstBase := uint64(g.SocketBytes()) + geometry.PageSize2M
+	scratch := make([]byte, g.RowBytes)
+	for _, bc := range []struct {
+		name  string
+		state int
+	}{{"dense", pagesDense}, {"stamped", pagesStamped}, {"untouched", pagesUntouched}} {
+		b.Run(bc.name, func(b *testing.B) {
+			benchPage(b, bc.state, func(mem *Memory, pa uint64, buf []byte) error {
+				nonzero, err := mem.CopyPhys(dstBase+pa, mem, pa, len(buf), scratch)
+				if err == nil && nonzero != (bc.state != pagesUntouched) {
+					b.Fatalf("copy of a %s page reported nonzero = %v", bc.name, nonzero)
+				}
+				return err
+			})
 		})
-	})
+	}
 }
 
 // BenchmarkMemoryLineReadWrite is the single-line shape: attack.FillRow and

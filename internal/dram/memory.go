@@ -81,14 +81,12 @@ func (m *Memory) moduleFor(b geometry.BankID) (*Module, error) {
 // WritePhys stores bytes at a host physical address, spanning rows and
 // banks as the mapping dictates.
 func (m *Memory) WritePhys(pa uint64, data []byte) error {
-	_, err := m.walk(opWrite, pa, data, len(data))
-	return err
+	return m.walk(opWrite, pa, data, len(data))
 }
 
 // ReadPhys reads len(buf) bytes at a host physical address.
 func (m *Memory) ReadPhys(pa uint64, buf []byte) error {
-	_, err := m.walk(opRead, pa, buf, len(buf))
-	return err
+	return m.walk(opRead, pa, buf, len(buf))
 }
 
 // ScrubPhys zeroes n bytes at a host physical address. Untouched rows stay
@@ -97,18 +95,7 @@ func (m *Memory) ReadPhys(pa uint64, buf []byte) error {
 // costs almost nothing and a destroyed guest's rows are reused by the next
 // one — the sparse analogue of the kernel's free-page sanitization.
 func (m *Memory) ScrubPhys(pa uint64, n int) error {
-	_, err := m.walk(opScrub, pa, nil, n)
-	return err
-}
-
-// IsZeroPhys reports whether n bytes at a host physical address read as
-// zero, without reading them out: rows that were never materialized are
-// zero by construction, and only the rows that exist are scanned, up to
-// the first nonzero byte. The answer is a snapshot; a caller that acts on
-// it must have another way to learn of later stores (migration has its
-// dirty log and touched ledger).
-func (m *Memory) IsZeroPhys(pa uint64, n int) (bool, error) {
-	return m.walk(opIsZero, pa, nil, n)
+	return m.walk(opScrub, pa, nil, n)
 }
 
 // bulkOp is what the stripe walker does to the bytes it visits.
@@ -118,28 +105,26 @@ const (
 	opRead bulkOp = iota
 	opWrite
 	opScrub
-	opIsZero
 )
 
 const lineShift = 6 // log2(geometry.CacheLineSize)
 
-// walk is the one data path under ReadPhys, WritePhys, ScrubPhys and
-// IsZeroPhys. Its unit is the mapper's stripe, not the cache line: it
-// decodes once per stripe, checks the stripe against the geometry once,
-// and hands the part of [pa, pa+n) that falls inside to stripeOp. buf is
-// the caller's data (nil for scrub and zero test). zero is meaningful for
-// opIsZero only. A range that runs off the end of memory is processed up
-// to the end and then fails with the mapper's ErrOutOfRange, as the
-// per-line walk did. walk takes no callback and keeps everything it
-// needs in locals, so a call allocates nothing.
-func (m *Memory) walk(op bulkOp, pa uint64, buf []byte, n int) (zero bool, err error) {
+// walk is the one data path under ReadPhys, WritePhys and ScrubPhys (a copy
+// between two ranges is CopyPhys). Its unit is the mapper's stripe, not the
+// cache line: it decodes once per stripe, checks the stripe against the
+// geometry once, and hands the part of [pa, pa+n) that falls inside to
+// stripeOp. buf is the caller's data (nil for scrub). A range that runs off
+// the end of memory is processed up to the end and then fails with the
+// mapper's ErrOutOfRange, as the per-line walk did. walk takes no callback
+// and keeps everything it needs in locals, so a call allocates nothing.
+func (m *Memory) walk(op bulkOp, pa uint64, buf []byte, n int) error {
 	for done := 0; done < n; {
 		st, err := m.mapper.Stripe(pa + uint64(done))
 		if err != nil {
-			return false, err
+			return err
 		}
 		if !m.checkStripe(&st) {
-			return false, m.stripeError(st)
+			return m.stripeError(st)
 		}
 		seg := n - done
 		if rest := st.Len - st.Off; int64(seg) > rest {
@@ -149,12 +134,10 @@ func (m *Memory) walk(op bulkOp, pa uint64, buf []byte, n int) (zero bool, err e
 		if buf != nil {
 			data = buf[done : done+seg]
 		}
-		if !m.stripeOp(op, &st, int(st.Off), seg, data) {
-			return false, nil
-		}
+		m.stripeOp(op, &st, int(st.Off), seg, data)
 		done += seg
 	}
-	return true, nil
+	return nil
 }
 
 // checkStripe makes, once per stripe, the checks the per-line path made on
@@ -186,12 +169,10 @@ func (m *Memory) stripeError(st addr.Stripe) error {
 //
 // Sparsity. An absent row reads as zero (rowStore). A read clears the
 // caller's buffer in one sweep when any of the rows is absent and copies
-// only from rows that exist; scrub and the zero test skip absent rows; a
-// scrub of the entire stripe releases its rows instead of zeroing them in
-// place, since each of them is covered in full. Only a write materializes.
-//
-// It reports false only for opIsZero, on the first nonzero byte.
-func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, off, n int, buf []byte) bool {
+// only from rows that exist; scrub skips absent rows; a scrub of the entire
+// stripe releases its rows instead of zeroing them in place, since each of
+// them is covered in full. Only a write materializes.
+func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, off, n int, buf []byte) {
 	// Cache line l of the stripe is in bank Bank0 + l%Banks at column
 	// (l/Banks)*64. The segment's lines are l0..l1; they touch nb banks,
 	// the k-th of which (k = 0..nb-1, starting at bank r0 and wrapping)
@@ -232,9 +213,7 @@ func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, off, n int, buf []byte) bo
 			clear(buf)
 		}
 	}
-	zero := true
 	stride := st.Banks << lineShift
-banks:
 	for k, q, r := 0, q0, r0; k < nb; k++ {
 		rows, idx := mods[refs[r].dimm].rows, int(refs[r].idx)
 		var row []byte
@@ -267,11 +246,6 @@ banks:
 				copy(row[c:], buf[lo:hi])
 			case opScrub:
 				clear(row[c : c+hi-lo])
-			case opIsZero:
-				if !AllZero(row[c : c+hi-lo]) {
-					zero = false
-					break banks
-				}
 			}
 		}
 		if r++; r == st.Banks {
@@ -282,11 +256,10 @@ banks:
 	for d := first; d <= last; d++ {
 		mods[d].rowsMu.Unlock()
 	}
-	return zero
 }
 
 // AllZero reports whether every byte of b is zero, scanning a word at a
-// time: the walker's zero test and the scrubbed-buffer probe of the
+// time: the copy's source-row test and the scrubbed-buffer probe of the
 // lifecycle campaigns and experiments.
 func AllZero(b []byte) bool {
 	for ; len(b) >= 8; b = b[8:] {
@@ -359,6 +332,21 @@ func (m *Memory) TotalActivations() int64 {
 	for _, socket := range m.modules {
 		for _, mod := range socket {
 			n += mod.TotalActivations()
+		}
+	}
+	return n
+}
+
+// LiveRows counts the rows currently materialized across all modules — the
+// row store's footprint, which the sparse bulk paths keep proportional to
+// the data held.
+func (m *Memory) LiveRows() int {
+	var n int
+	for _, socket := range m.modules {
+		for _, mod := range socket {
+			mod.rowsMu.Lock()
+			n += mod.rows.len()
+			mod.rowsMu.Unlock()
 		}
 	}
 	return n

@@ -127,16 +127,15 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 			return err
 		}
 		defer srcVM.StopDirtyTracking()
-		buf := make([]byte, geometry.PageSize2M)
+		scratch := make([]byte, src.Hypervisor().Memory().Geometry().RowBytes)
+		// The modelled transfer is page-granular whatever the page holds:
+		// every touched or dirtied page counts 2 MiB.
 		copyPage := func(gpa uint64) error {
 			if int(gpa/geometry.PageSize2M) >= usablePages {
 				return fmt.Errorf("fleet: move %q: resident page at gpa %#x beyond usable prefix (%d pages)",
 					name, gpa, usablePages)
 			}
-			if err := srcVM.ReadGuest(gpa, buf); err != nil {
-				return err
-			}
-			if err := destVM.WriteGuest(gpa, buf); err != nil {
+			if _, err := destVM.CopyGuest(srcVM, gpa, geometry.PageSize2M, scratch); err != nil {
 				return err
 			}
 			rep.PagesCopied++
