@@ -71,11 +71,12 @@ fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyMatchesReadThenWrite$$' -fuzztime $(FUZZTIME) ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/memctrl
 	$(GO) test -run '^$$' -fuzz '^FuzzAggressorTableMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mitigation
+	$(GO) test -run '^$$' -fuzz '^FuzzRunMatchesPerLine$$' -fuzztime $(FUZZTIME) ./internal/workload
 
 # Packages with substrate microbenchmarks (address decode, the memory
 # controller, the DRAM module) — the hot paths the BENCH_*.json baseline
 # tracks. The registry benches in the repo root ride along.
-BENCH_PKGS := ./internal/addr ./internal/core ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/serve
+BENCH_PKGS := ./internal/addr ./internal/core ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve
 # Every capture is a new point of the trajectory: bench and bench-micro refuse
 # to overwrite an existing BENCH_$(BENCH_DATE).json. For a second point on the
 # same day pass a suffix that sorts after the date, e.g. BENCH_DATE=2026-09-30b
@@ -99,8 +100,10 @@ bench-out-is-new:
 	@if [ -e $(BENCH_OUT) ]; then \
 		echo "$(BENCH_OUT) exists and baselines are never overwritten; for another point today pass BENCH_DATE=$$(date +%F)b (then c, ...)"; exit 1; fi
 
-# Regression gate: rerun the microbenches and fail on >20% ns/op slowdown
-# against the newest committed BENCH_*.json.
+# Regression gate: rerun the microbenches against the newest committed
+# BENCH_*.json. An allocs/op rise beyond max(1, 2%) fails; a >20% ns/op
+# slowdown is printed as a warning only (single captures on a shared machine
+# swing further than that on untouched code).
 bench-check:
 	$(GO) test -run '^$$' -bench=. -benchmem -count=2 $(BENCH_PKGS) | $(GO) run ./cmd/siloz perf -check $(BENCH_BASELINE) -tolerance 20
 

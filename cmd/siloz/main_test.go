@@ -198,7 +198,8 @@ BenchmarkActivate-8 	  500000	       40.0 ns/op
 `
 
 // TestPerf pins capture (minimum ns/op across -count runs, sorted) and the
-// regression gate's exit status.
+// check's two outcomes: a ns/op regression beyond the tolerance is a warning
+// on an exit status of 0, an allocs/op regression fails.
 func TestPerf(t *testing.T) {
 	code, out, errs := siloz(benchOutput, "perf")
 	if code != 0 {
@@ -215,12 +216,21 @@ func TestPerf(t *testing.T) {
 	if code, _, errs := siloz(benchOutput, "perf", "-o", base); code != 0 {
 		t.Fatalf("capture to file: exit %d: %s", code, errs)
 	}
-	if code, out, _ := siloz(benchOutput, "perf", "-check", base); code != 0 || !strings.Contains(out, "no regression") {
+	if code, out, _ := siloz(benchOutput, "perf", "-check", base); code != 0 || !strings.Contains(out, "no allocs/op regression") {
 		t.Errorf("self-check: exit %d, stdout %q", code, out)
 	}
 	slower := strings.ReplaceAll(benchOutput, "40.0 ns/op", "90.0 ns/op")
-	if code, out, errs := siloz(slower, "perf", "-check", base, "-tolerance", "20"); code != 1 || !strings.Contains(out, "REGRESSED") || !strings.Contains(errs, "regressed") {
-		t.Errorf("regression gate: exit %d, stdout %q, stderr %q", code, out, errs)
+	if code, out, errs := siloz(slower, "perf", "-check", base, "-tolerance", "20"); code != 0 || errs != "" ||
+		!strings.Contains(out, "SLOWER") || !strings.Contains(out, "warning: 1 benchmark(s) slower") || strings.Contains(out, "REGRESSED") {
+		t.Errorf("ns/op beyond the tolerance must warn and pass: exit %d, stdout %q, stderr %q", code, out, errs)
+	}
+	if code, out, _ := siloz(slower, "perf", "-check", base, "-tolerance", "200"); code != 0 || strings.Contains(out, "SLOWER") || strings.Contains(out, "warning") {
+		t.Errorf("ns/op inside the tolerance warned: exit %d, stdout %q", code, out)
+	}
+	leaky := strings.ReplaceAll(slower, "0 allocs/op", "2 allocs/op")
+	if code, out, errs := siloz(leaky, "perf", "-check", base, "-tolerance", "20"); code != 1 ||
+		!strings.Contains(out, "REGRESSED") || !strings.Contains(out, "SLOWER") || !strings.Contains(errs, "regressed") {
+		t.Errorf("allocs/op regression beside a slower benchmark must fail: exit %d, stdout %q, stderr %q", code, out, errs)
 	}
 	if code, _, _ := siloz("no benchmarks here\n", "perf"); code != 1 {
 		t.Errorf("empty input: exit %d, want 1", code)

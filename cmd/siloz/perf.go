@@ -48,10 +48,13 @@ type baseline struct {
 //
 //	go test -bench=. -benchmem -count=3 ./... | siloz perf -o BENCH_2026-08-08.json
 //
-// Check mode compares fresh output against a committed baseline and fails
-// if any benchmark's ns/op regressed beyond the tolerance, or its allocs/op
-// rose by more than max(1, 2 %) of the baseline's (a fixed rule: allocation
-// counts repeat exactly, so they need no tunable slack):
+// Check mode compares fresh output against a committed baseline. It fails
+// if any benchmark's allocs/op rose by more than max(1, 2 %) of the
+// baseline's (a fixed rule: allocation counts repeat exactly, so they need no
+// tunable slack). A ns/op regression beyond the tolerance is reported as a
+// warning and does not fail: single-capture microbench timings on a shared
+// machine swing by more than any tolerance worth setting, so a timing claim
+// is carried by the repository benchmark's alternating pairs, not by this gate:
 //
 //	go test -bench=. -benchmem -count=2 ./... | siloz perf -check BENCH_2026-08-08.json -tolerance 20
 //
@@ -60,7 +63,7 @@ type baseline struct {
 func perfCmd(inv *invocation, args []string) error {
 	out := inv.fs.String("o", "", "write the JSON baseline to this file (default stdout)")
 	check := inv.fs.String("check", "", "baseline JSON to compare against instead of capturing")
-	tolerance := inv.fs.Float64("tolerance", 20, "max allowed ns/op regression in percent (check mode)")
+	tolerance := inv.fs.Float64("tolerance", 20, "ns/op regression in percent beyond which check mode warns")
 	if err := inv.parse(args); err != nil {
 		return err
 	}
@@ -188,9 +191,9 @@ func allocsRegressed(old, cur int64) bool {
 	return float64(cur-old) > max(1, 0.02*float64(old))
 }
 
-// runCheck compares current results against the baseline file and fails on
-// any ns/op regression beyond tolerance percent or allocs/op regression
-// beyond the fixed rule.
+// runCheck compares current results against the baseline file: it warns on
+// any ns/op regression beyond tolerance percent and fails on any allocs/op
+// regression beyond the fixed rule.
 func runCheck(w io.Writer, path string, current []benchResult, tolerance float64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -204,7 +207,7 @@ func runCheck(w io.Writer, path string, current []benchResult, tolerance float64
 	for _, r := range base.Benchmarks {
 		baseBy[r.Pkg+"."+r.Name] = r
 	}
-	regressions := 0
+	regressions, slower := 0, 0
 	for _, cur := range current {
 		key := cur.Pkg + "." + cur.Name
 		old, ok := baseBy[key]
@@ -219,9 +222,13 @@ func runCheck(w io.Writer, path string, current []benchResult, tolerance float64
 			allocs = fmt.Sprintf(", %d -> %d allocs/op", old.AllocsPerOp, cur.AllocsPerOp)
 		}
 		status := "ok"
-		if delta > tolerance || allocs != "" {
+		switch {
+		case allocs != "":
 			status = "REGRESSED"
 			regressions++
+		case delta > tolerance:
+			status = "SLOWER"
+			slower++
 		}
 		fmt.Fprintf(w, "%-9s %-60s %10.1f -> %10.1f ns/op (%+.1f%%)%s\n",
 			status, key, old.NsPerOp, cur.NsPerOp, delta, allocs)
@@ -234,11 +241,13 @@ func runCheck(w io.Writer, path string, current []benchResult, tolerance float64
 	for _, key := range missing {
 		fmt.Fprintf(w, "MISSING   %-60s (in baseline, not in run)\n", key)
 	}
-	if regressions > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed vs %s (ns/op by more than %.0f%%, or allocs/op by more than max(1, 2%%))",
-			regressions, path, tolerance)
+	if slower > 0 {
+		fmt.Fprintf(w, "siloz perf: warning: %d benchmark(s) slower than %s by more than %.0f%% ns/op (advisory: not a failure)\n",
+			slower, path, tolerance)
 	}
-	fmt.Fprintf(w, "siloz perf: no regression beyond %.0f%% vs %s (%d benchmarks)\n",
-		tolerance, path, len(current))
+	if regressions > 0 {
+		return fmt.Errorf("%d benchmark(s) regressed vs %s (allocs/op by more than max(1, 2%%))", regressions, path)
+	}
+	fmt.Fprintf(w, "siloz perf: no allocs/op regression vs %s (%d benchmarks)\n", path, len(current))
 	return nil
 }

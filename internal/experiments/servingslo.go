@@ -142,13 +142,15 @@ func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Resul
 
 	// Aggregate reps per (kind, scenario) in index order.
 	type agg struct {
-		hist                         *stats.Histogram
-		requests, errors, violations int64
-		qpsSum                       float64
-		reps                         int
-		worstWindow                  string
-		worstP99                     float64
-		defragErrs                   int
+		hist *stats.Histogram
+		// sum carries the cell's request, error and violation counts, so
+		// its SLO-miss share is serve's own rule over the summed counts.
+		sum         serve.Report
+		qpsSum      float64
+		reps        int
+		worstWindow string
+		worstP99    float64
+		defragErrs  int
 	}
 	// Reps of one (kind, scenario) cell are contiguous in index order.
 	aggs := make([]agg, len(kinds)*len(sc.Scenarios))
@@ -159,9 +161,9 @@ func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Resul
 	for i, r := range reps {
 		a := &aggs[i/sc.Reps]
 		a.hist.Merge(r.Total)
-		a.requests += r.Requests
-		a.errors += r.Errors
-		a.violations += r.Violations
+		a.sum.Requests += r.Requests
+		a.sum.Errors += r.Errors
+		a.sum.Violations += r.Violations
 		a.qpsSum += r.AchievedQPS()
 		a.reps++
 		for _, w := range r.Windows {
@@ -213,15 +215,12 @@ func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Resul
 		for si, scenario := range sc.Scenarios {
 			a := cellOf(ki, si)
 			achieved := a.qpsSum / float64(a.reps)
-			missPct := 0.0
-			if ok := a.requests - a.errors; ok > 0 {
-				missPct = 100 * float64(a.violations) / float64(ok)
-			}
+			missPct := 100 * a.sum.ViolationFrac()
 			worst := "-"
 			if a.worstWindow != "" {
 				worst = fmt.Sprintf("%s p99 %.0fus", a.worstWindow, a.worstP99/1e3)
 			}
-			res.row(k.String()+"/"+scenario, k.String(), scenario, a.requests, round3(achieved),
+			res.row(k.String()+"/"+scenario, k.String(), scenario, a.sum.Requests, round3(achieved),
 				round3(a.hist.P50()/1e3), round3(a.hist.P99()/1e3),
 				round3(a.hist.P999()/1e3), round3(missPct), worst)
 			res.scalar(slug(k, scenario, "p99_us"), round3(a.hist.P99()/1e3))
@@ -249,10 +248,10 @@ func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Resul
 		allMeet, errFree := true, true
 		for ki := range kinds {
 			a := cellOf(ki, qi)
-			if a.violations > 0 {
+			if a.sum.Violations > 0 {
 				allMeet = false
 			}
-			if a.errors > 0 {
+			if a.sum.Errors > 0 {
 				errFree = false
 			}
 		}
@@ -279,7 +278,7 @@ func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Resul
 					spikes = false
 				}
 			}
-			if a.violations == 0 {
+			if a.sum.Violations == 0 {
 				misses = false
 			}
 		}

@@ -95,3 +95,31 @@ func TestControllerIdleAndStrings(t *testing.T) {
 		t.Error("empty Result string")
 	}
 }
+
+// TestAccessRunRejectsBadRuns: a run wider than the 64-bit miss mask, of
+// negative length, or past the top of the address space panics; the widest
+// legal ones do not.
+func TestAccessRunRejectsBadRuns(t *testing.T) {
+	c, err := NewCache(1<<20, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := ^uint64(0) &^ uint64(geometry.CacheLineSize-1) // the last line
+	for _, tc := range []struct {
+		pa     uint64
+		n      int
+		panics bool
+	}{
+		{0, 0, false}, {0, 64, false}, {top, 1, false}, {top - 63*geometry.CacheLineSize, 64, false},
+		{0, -1, true}, {0, 65, true}, {top, 2, true},
+	} {
+		func() {
+			defer func() {
+				if got := recover() != nil; got != tc.panics {
+					t.Errorf("AccessRun(%#x, %d): panicked = %v, want %v", tc.pa, tc.n, got, tc.panics)
+				}
+			}()
+			c.AccessRun(tc.pa, tc.n)
+		}()
+	}
+}

@@ -320,10 +320,23 @@ func (c *Controller) DoTimed(a Access) (done, observed float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	done, observed = c.DoDecoded(bank, row, socket, a.Write, a.ThinkNs)
+	return done, observed, nil
+}
 
+// Mapper returns the physical-to-media decode the controller applies: what a
+// caller that decodes for itself, ahead of DoDecoded, must decode with.
+func (c *Controller) Mapper() addr.Mapper { return c.cfg.Mapper }
+
+// DoDecoded is DoTimed past its decode: it issues one access to coordinates
+// the caller already holds — (bank, row, socket) as Mapper().DecodeBank
+// returns them, or stepped from one Mapper().Stripe decode along a run of
+// consecutive lines. thinkNs is the core compute time since the previous
+// access's issue.
+func (c *Controller) DoDecoded(bank, row, socket int, write bool, thinkNs float64) (done, observed float64) {
 	// Core-side issue: think time plus the MLP window constraint (the
 	// oldest outstanding request must have completed).
-	c.now += a.ThinkNs * c.runScale
+	c.now += thinkNs * c.runScale
 	if oldest := c.ring[c.ringPos]; oldest > c.now {
 		c.now = oldest
 	}
@@ -390,13 +403,13 @@ func (c *Controller) DoTimed(a Access) (done, observed float64, err error) {
 	}
 
 	c.res.Accesses++
-	if a.Write {
+	if write {
 		c.res.Writes++
 	} else {
 		c.res.Reads++
 	}
 	c.res.Bytes += geometry.CacheLineSize
-	return done, done - ready, nil
+	return done, done - ready
 }
 
 // trackActivation counts one row activation toward the current refresh

@@ -68,8 +68,42 @@ func (c *refCache) HitRate() float64 {
 	return float64(c.hitCount) / float64(total)
 }
 
+// runLines returns how many lines the i-th lookup of a stream covers when the
+// stream is replayed as runs: lens[i%len(lens)] of them, cut short of the top
+// of the address space, and one when lens is empty.
+func runLines(lens []byte, i int, pa uint64) int {
+	if len(lens) == 0 {
+		return 1
+	}
+	n := int(lens[i%len(lens)]) % 65
+	if room := (^uint64(0)-pa)/geometry.CacheLineSize + 1; uint64(n) > room {
+		n = int(room)
+	}
+	return n
+}
+
+// diffAgainstReference drives one address stream through a cache under test
+// and the reference: stream[i] opens a run of runLines(lens, i, ·) lines,
+// looked up in one call (through Access when lens is empty) and line by line
+// in the reference. It reports the first lookup whose hit/miss answer differs.
+func diffAgainstReference(run func(pa uint64, n int) uint64, ref *refCache, stream []uint64, lens []byte) error {
+	for i, pa := range stream {
+		n := runLines(lens, i, pa)
+		missed := run(pa, n)
+		for l := 0; l < n; l++ {
+			if got, want := missed>>l&1 == 0, ref.Access(pa+uint64(l)*geometry.CacheLineSize); got != want {
+				return fmt.Errorf("lookup %d (pa %#x, line %d of %d): hit = %v, reference %v", i, pa, l, n, got, want)
+			}
+		}
+		if missed>>n != 0 {
+			return fmt.Errorf("lookup %d (pa %#x): miss mask %#x has bits past its %d lines", i, pa, missed, n)
+		}
+	}
+	return nil
+}
+
 // checkAgainstReference drives one address stream through both caches.
-func checkAgainstReference(t *testing.T, capacity int64, ways int, stream []uint64) {
+func checkAgainstReference(t *testing.T, capacity int64, ways int, stream []uint64, lens []byte) {
 	t.Helper()
 	c, err := NewCache(capacity, ways)
 	if err != nil {
@@ -79,10 +113,17 @@ func checkAgainstReference(t *testing.T, capacity int64, ways int, stream []uint
 	if c.sets != ref.sets {
 		t.Fatalf("sets = %d, reference %d", c.sets, ref.sets)
 	}
-	for i, pa := range stream {
-		if got, want := c.Access(pa), ref.Access(pa); got != want {
-			t.Fatalf("access %d (pa %#x): hit = %v, reference %v", i, pa, got, want)
+	run := c.AccessRun
+	if len(lens) == 0 {
+		run = func(pa uint64, _ int) uint64 {
+			if c.Access(pa) {
+				return 0
+			}
+			return 1
 		}
+	}
+	if err := diffAgainstReference(run, ref, stream, lens); err != nil {
+		t.Fatal(err)
 	}
 	if c.Hits() != ref.hitCount || c.Misses() != ref.missed || c.HitRate() != ref.HitRate() {
 		t.Fatalf("hits/misses/rate = %d/%d/%v, reference %d/%d/%v",
@@ -141,27 +182,40 @@ func refStreams(sets, ways int, seed int64) map[string][]uint64 {
 	return streams
 }
 
+// runLens is a fixed cycle of run lengths covering 0, 1, the mask width and
+// its neighbours; its length is odd so it drifts against the streams' periods.
+var runLens = []byte{1, 16, 0, 64, 3, 63, 2, 40, 1, 1, 64, 7, 33}
+
 func TestCacheMatchesStampLRUReference(t *testing.T) {
 	for _, ways := range []int{1, 2, 3, 16} {
 		for _, sets := range []int{1, 8, 64, 5, 48, 100} {
 			capacity := int64(sets * ways * geometry.CacheLineSize)
 			for name, stream := range refStreams(sets, ways, int64(ways*1000+sets)) {
 				t.Run(fmt.Sprintf("ways=%d/sets=%d/%s", ways, sets, name), func(t *testing.T) {
-					checkAgainstReference(t, capacity, ways, stream)
+					checkAgainstReference(t, capacity, ways, stream, nil)
+				})
+				// The same stream with each address opening a run: zero to
+				// 64 lines, so runs overlap, wrap the set index and evict
+				// their own head.
+				t.Run(fmt.Sprintf("ways=%d/sets=%d/%s/runs", ways, sets, name), func(t *testing.T) {
+					checkAgainstReference(t, capacity, ways, stream[:len(stream)/8], runLens)
 				})
 			}
 		}
 	}
 }
 
-// FuzzCacheMatchesReference lets the fuzzer pick the cache shape and the
-// stream: data is consumed as a sequence of small line-index deltas and
-// occasional byte offsets, which keeps the stream dense enough to hit.
+// FuzzCacheMatchesReference lets the fuzzer pick the cache shape, the stream
+// and the run lengths: data is consumed as a sequence of small line-index
+// deltas and occasional byte offsets, which keeps the stream dense enough to
+// hit; lens cycles over the stream as each lookup's line count (mod 65), and
+// an empty lens drives single-line Access.
 func FuzzCacheMatchesReference(f *testing.F) {
-	f.Add(uint8(16), uint16(64), []byte{0, 1, 2, 1, 0, 200, 3, 3, 17, 0})
-	f.Add(uint8(1), uint16(1), []byte{5, 5, 6, 5})
-	f.Add(uint8(3), uint16(5), []byte{255, 254, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 0})
-	f.Fuzz(func(t *testing.T, ways uint8, sets uint16, data []byte) {
+	f.Add(uint8(16), uint16(64), []byte{0, 1, 2, 1, 0, 200, 3, 3, 17, 0}, []byte{})
+	f.Add(uint8(1), uint16(1), []byte{5, 5, 6, 5}, []byte{2, 1})
+	f.Add(uint8(3), uint16(5), []byte{255, 254, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 0}, []byte{64, 0, 7})
+	f.Add(uint8(16), uint16(64), []byte{0, 1, 2, 1, 0, 200, 3, 3, 17, 0}, []byte{16, 64, 1, 3})
+	f.Fuzz(func(t *testing.T, ways uint8, sets uint16, data, lens []byte) {
 		w, s := int(ways%16)+1, int(sets%512)+1
 		stream := make([]uint64, 0, len(data))
 		var line uint64
@@ -176,6 +230,56 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			}
 			stream = append(stream, line*geometry.CacheLineSize+uint64(i%geometry.CacheLineSize))
 		}
-		checkAgainstReference(t, int64(s*w*geometry.CacheLineSize), w, stream)
+		checkAgainstReference(t, int64(s*w*geometry.CacheLineSize), w, stream, lens)
 	})
+}
+
+// shortCarryCache is Cache with the single pass stopped one slot early: the
+// carry never reaches a set's last way, so that way keeps a stale tag and the
+// true LRU line is not the one a miss drops.
+type shortCarryCache struct{ *Cache }
+
+func (c shortCarryCache) AccessRun(pa uint64, n int) (missed uint64) {
+	for i := 0; i < n; i++ {
+		line := (pa + uint64(i)*geometry.CacheLineSize) &^ uint64(geometry.CacheLineSize-1)
+		set := int((line / geometry.CacheLineSize) % uint64(c.sets))
+		tags := c.tags[set*c.ways : (set+1)*c.ways]
+		tag, carry, hit := line+1, line+1, false
+		for w, t := range tags[:len(tags)-1] {
+			tags[w] = carry
+			if t == tag {
+				hit = true
+				break
+			}
+			carry = t
+		}
+		if !hit && tags[len(tags)-1] != tag {
+			missed |= 1 << i
+		}
+	}
+	return missed
+}
+
+// TestDifferentialCatchesShortCarry shows the harness has teeth: a single pass
+// that stops carrying one slot early is reported on both stream shapes that
+// re-reference lines at depth (a cyclic sweep past capacity misses on every
+// lookup either way, and the unaligned stream never fills a set), as single
+// lookups and as runs.
+func TestDifferentialCatchesShortCarry(t *testing.T) {
+	const sets, ways = 64, 16
+	capacity := int64(sets * ways * geometry.CacheLineSize)
+	streams := refStreams(sets, ways, 1)
+	for _, name := range []string{"zipfian", "single-set-conflict"} {
+		stream := streams[name]
+		for _, lens := range [][]byte{nil, runLens} {
+			c, err := NewCache(capacity, ways)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutant := shortCarryCache{c}
+			if err := diffAgainstReference(mutant.AccessRun, newRefCache(capacity, ways), stream, lens); err == nil {
+				t.Errorf("%s (runs: %v): a carry stopped one slot early went unnoticed over %d lookups", name, lens != nil, len(stream))
+			}
+		}
+	}
 }

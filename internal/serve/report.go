@@ -75,13 +75,14 @@ func (r *Report) AchievedQPS() float64 {
 	return float64(r.Requests-r.Errors) / (horizon / 1e9)
 }
 
-// ViolationFrac is the fraction of successful requests that missed the SLO.
+// ViolationFrac is the fraction of requests that missed the SLO. A request
+// that died mid-issue never answered, so it counts as a miss: a run in which
+// every request errors misses on all of them, not on none.
 func (r *Report) ViolationFrac() float64 {
-	ok := r.Requests - r.Errors
-	if ok <= 0 {
+	if r.Requests <= 0 {
 		return 0
 	}
-	return float64(r.Violations) / float64(ok)
+	return float64(r.Violations+r.Errors) / float64(r.Requests)
 }
 
 // WorstWindow returns the churn window with the highest p99 among those

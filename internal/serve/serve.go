@@ -479,8 +479,8 @@ func (l *Loop) serveOne(t *tenant, ready float64) float64 {
 	}
 	t.st.ctrl.AdvanceTo(start)
 	var issueErr error
-	for _, a := range t.gen.Next() {
-		if err := t.run.Issue(a); err != nil {
+	for _, run := range t.gen.NextRuns() {
+		if err := t.run.IssueRun(run); err != nil {
 			issueErr = err
 			break
 		}

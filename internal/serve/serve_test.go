@@ -251,6 +251,47 @@ func TestServeSLOViolationAccounting(t *testing.T) {
 	}
 }
 
+// TestViolationFracCountsErrors: a request that died mid-issue missed its
+// SLO. A tenant whose VM is destroyed under the loop errors on every request;
+// the run must report all of them missed — the old rule divided violations
+// by the successful requests and printed 0.000%.
+func TestViolationFracCountsErrors(t *testing.T) {
+	h := bootHost(t, core.ModeSiloz)
+	createTenantVM(t, h, "t0", 0)
+	l, err := New(Config{
+		Hypervisor: h,
+		Tenants:    []TenantSpec{{VM: "t0", Clients: 2, ThinkNs: 20000}},
+		DurationNs: 1e6,
+		Seed:       3,
+		SLONs:      1e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.DestroyVM("t0"); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := l.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests == 0 || rep.Errors != rep.Requests || rep.Violations != 0 {
+		t.Fatalf("requests %d, errors %d, violations %d: want every request to error", rep.Requests, rep.Errors, rep.Violations)
+	}
+	if got := rep.ViolationFrac(); got != 1 {
+		t.Errorf("every request errored: violation frac %v, want 1", got)
+	}
+	if s := rep.String(); !strings.Contains(s, "slo-miss 100.000%") {
+		t.Errorf("report does not show the errored run as all missed:\n%s", s)
+	}
+	if got := (&Report{Requests: 10, Errors: 2, Violations: 3}).ViolationFrac(); got != 0.5 {
+		t.Errorf("2 errors + 3 violations of 10 requests: violation frac %v, want 0.5", got)
+	}
+	if got := (&Report{}).ViolationFrac(); got != 0 {
+		t.Errorf("no requests: violation frac %v, want 0", got)
+	}
+}
+
 func hasProbe(probes []string, want string) bool {
 	for _, p := range probes {
 		if strings.HasPrefix(p, want) {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/addr"
@@ -30,7 +32,7 @@ func runnerProfile() dram.Profile {
 	return p
 }
 
-func bootVM(t *testing.T, mode core.Mode) (*core.Hypervisor, *core.VM) {
+func bootVM(t testing.TB, mode core.Mode) (*core.Hypervisor, *core.VM) {
 	t.Helper()
 	h, err := core.Boot(core.Config{
 		Geometry:      runnerGeometry(),
@@ -234,5 +236,95 @@ func TestRunOnVMSurfacesTranslationErrors(t *testing.T) {
 	}
 	if _, err := RunOnVM(vm, ctrl, nil, bad, 10, 1); err == nil {
 		t.Error("expected an error running on a destroyed VM")
+	}
+}
+
+// TestIssueRunEdges tables the places a run is cut — 2 MiB page boundaries of
+// a guest whose pages are not physically contiguous, the region's end, the 64
+// lines a miss mask holds — a line-unaligned base, and the two errors a line
+// can die of, each of which must surface at the line index, with the message
+// and after the DRAM accesses, of the per-line path.
+func TestIssueRunEdges(t *testing.T) {
+	h, vm := bootScattered(t)
+	region := vm.Spec().MemoryBytes
+	const page = geometry.PageSize2M
+
+	// A mapper over less memory than the host has, ending 1 MiB into the
+	// guest's page 3: lines past that decode out of range.
+	hpa3, err := vm.Translate(3 * page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := runnerGeometry()
+	bankRowBytes := uint64(small.TotalBytes()) / uint64(small.RowsPerBank)
+	small.RowsPerBank = int((hpa3 + page/2) / bankRowBytes)
+	small.RowsPerSubarray = small.RowsPerBank
+	short, err := addr.NewMapper(small, addr.KindLinear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := uint64(small.TotalBytes()); end != hpa3+page/2 {
+		t.Fatalf("short mapper ends at %#x, want %#x", end, hpa3+page/2)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		cfg      diffConfig
+		run      Run
+		accesses int    // DRAM accesses with no cache
+		errWants string // prefix of the error, "" for none
+	}{
+		{name: "empty", run: Run{Offset: 640}},
+		{name: "one line", run: Run{Offset: 640, Lines: 1, ThinkNs: 50}, accesses: 1},
+		{name: "inside a page", run: Run{Offset: page + 4096, Lines: 64, Write: true}, accesses: 64},
+		{name: "across a page boundary", run: Run{Offset: 2*page - 5*line, Lines: 12, ThinkNs: 10}, accesses: 12},
+		{name: "across three pages", run: Run{Offset: 5*page - 3*line, Lines: 2*int(page/line) + 9}, accesses: 2*int(page/line) + 9},
+		{name: "region wrap", run: Run{Offset: region - 3*line, Lines: 8, Write: true}, accesses: 8},
+		{name: "offset past the region", run: Run{Offset: 3*region + 7*line, Lines: 4}, accesses: 4},
+		{name: "wider than a mask", run: Run{Offset: page, Lines: 200, ThinkNs: 5}, accesses: 200},
+		{name: "mask width exactly", run: Run{Offset: page + 64*line, Lines: 64}, accesses: 64},
+		{name: "unaligned base", run: Run{Offset: 4*page - 2*line - 17, Lines: 6, Write: true}, accesses: 6},
+		{name: "unaligned region wrap", run: Run{Offset: region - line - 1, Lines: 5}, accesses: 5},
+		{
+			name: "translation dies mid-run", cfg: diffConfig{overhang: page},
+			run: Run{Offset: region - 7*line, Lines: 20}, accesses: 7,
+			errWants: fmt.Sprintf("translating %#x: ", region),
+		},
+		{
+			name: "decode out of range mid-run", cfg: diffConfig{mapper: short},
+			run: Run{Offset: 3*page + page/2 - 4*line, Lines: 10}, accesses: 4,
+			errWants: fmt.Sprintf("access %#x: ", hpa3+page/2),
+		},
+		{
+			name: "decode out of range at an unaligned base", cfg: diffConfig{mapper: short},
+			run: Run{Offset: 3*page + page/2 - 2*line - 9, Lines: 10}, accesses: 3,
+			errWants: fmt.Sprintf("access %#x: ", hpa3+page/2+line-9),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := newDiffRunner(h, vm, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = r.IssueRun(tc.run)
+			switch {
+			case tc.errWants == "" && err != nil:
+				t.Fatal(err)
+			case tc.errWants != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.errWants)):
+				t.Fatalf("error %v, want prefix %q", err, tc.errWants)
+			}
+			if got := r.ctrl.Result().Accesses; got != tc.accesses {
+				t.Fatalf("%d DRAM accesses, want %d", got, tc.accesses)
+			}
+			// The same run, twice so the second pass meets its own lines
+			// in the cache, on every stack against the per-line path.
+			ops := []diffOp{{run: tc.run}, {run: tc.run, finish: true}}
+			for name, cfg := range diffConfigs() {
+				cfg.overhang, cfg.mapper = tc.cfg.overhang, tc.cfg.mapper
+				if err := diffRun(h, vm, cfg, (*Runner).IssueRun, ops); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+		})
 	}
 }
