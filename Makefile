@@ -46,12 +46,14 @@ race:
 # live-writer migrations that race the bulk data path's row locks from both
 # sockets, the row-to-row copy under a line-flipping writer and under two
 # cross-host moves in opposite directions (with the two cost-follows-data
-# tests), and the lock-free TLB's coherence across every layout commit
-# (-count=10: the race it pins needs a translator caught mid-walk).
+# tests), the lock-free TLB's coherence across every layout commit
+# (-count=10: the race it pins needs a translator caught mid-walk), and one
+# tenant's window ends beside another's mediated accesses (the refresh-window
+# index is read under the lock Refresh advances it under).
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
-	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld' ./internal/core
+	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld|TestWindowEndRacesMediatedAccess' ./internal/core
 	$(GO) test -race -count=10 -run 'TestTLBCoherentAcrossLifecycle' ./internal/core
 	$(GO) test -race -run 'TestCopyNeverTearsALine' ./internal/dram
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
@@ -69,14 +71,16 @@ fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzMapperFastPathEquivalence$$' -fuzztime $(FUZZTIME) ./internal/addr
 	$(GO) test -run '^$$' -fuzz '^FuzzStripeMatchesDecode$$' -fuzztime $(FUZZTIME) ./internal/addr
 	$(GO) test -run '^$$' -fuzz '^FuzzCopyMatchesReadThenWrite$$' -fuzztime $(FUZZTIME) ./internal/dram
+	$(GO) test -run '^$$' -fuzz '^FuzzDisturbanceMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/memctrl
 	$(GO) test -run '^$$' -fuzz '^FuzzAggressorTableMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mitigation
 	$(GO) test -run '^$$' -fuzz '^FuzzRunMatchesPerLine$$' -fuzztime $(FUZZTIME) ./internal/workload
 
 # Packages with substrate microbenchmarks (address decode, the memory
-# controller, the DRAM module) — the hot paths the BENCH_*.json baseline
-# tracks. The registry benches in the repo root ride along.
-BENCH_PKGS := ./internal/addr ./internal/core ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve
+# controller, the DRAM module, the attack plane) — the hot paths the
+# BENCH_*.json baseline tracks. The registry benches in the repo root ride
+# along.
+BENCH_PKGS := ./internal/addr ./internal/core ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve ./internal/attack
 # Every capture is a new point of the trajectory: bench and bench-micro refuse
 # to overwrite an existing BENCH_$(BENCH_DATE).json. For a second point on the
 # same day pass a suffix that sorts after the date, e.g. BENCH_DATE=2026-09-30b

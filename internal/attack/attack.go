@@ -11,7 +11,7 @@
 package attack
 
 import (
-	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"sort"
 
@@ -54,17 +54,49 @@ type Target interface {
 	EndWindow()
 }
 
-// rowLines yields the attacker-visible addresses of one row's cache lines:
-// within a row group, a bank's lines repeat every BanksPerSocket lines.
-func rowLines(g geometry.Geometry, r RowRef, visit func(addr uint64) error) error {
-	stride := uint64(g.BanksPerSocket()) * geometry.CacheLineSize
-	lines := g.RowBytes / geometry.CacheLineSize
-	for j := 0; j < lines; j++ {
-		if err := visit(r.Addr + uint64(j)*stride); err != nil {
-			return err
+// rowChunk is the stack buffer a row moves through; every geometry in use
+// has rows of at most 8 KiB.
+const rowChunk = 8 * geometry.KiB
+
+// rowBuf returns n bytes to hold a row in: the caller's stack chunk, or for a
+// row longer than it a buffer of the row's own.
+func rowBuf(chunk *[rowChunk]byte, n int) []byte {
+	if n <= len(chunk) {
+		return chunk[:n]
+	}
+	return make([]byte, n)
+}
+
+// patternRow returns an n-byte row of pat.
+func patternRow(chunk *[rowChunk]byte, n int, pat byte) []byte {
+	row := rowBuf(chunk, n)
+	row[0] = pat
+	for filled := 1; filled < n; filled *= 2 {
+		copy(row[filled:], row[:filled])
+	}
+	return row
+}
+
+// mismatches returns every byte of a row read back that is not pat, in
+// address order. The row's first line is at addr and its lines are stride
+// apart (the mapping interleaves consecutive lines over banks). It compares a
+// word at a time — a row is a multiple of the 64-byte line — and looks at
+// bytes only inside a word that differs.
+func mismatches(row []byte, pat byte, addr, stride uint64) []Corruption {
+	var out []Corruption
+	want := uint64(pat) * 0x0101010101010101
+	for w := 0; w < len(row); w += 8 {
+		if binary.LittleEndian.Uint64(row[w:]) == want {
+			continue
+		}
+		for i := w; i < w+8; i++ {
+			if row[i] != pat {
+				line, off := uint64(i/geometry.CacheLineSize), uint64(i%geometry.CacheLineSize)
+				out = append(out, Corruption{Addr: addr + line*stride + off, Got: row[i]})
+			}
 		}
 	}
-	return nil
+	return out
 }
 
 // runs splits sorted rows into maximal runs of consecutive row numbers in
@@ -155,30 +187,19 @@ func (t *VMTarget) Hammer(r RowRef, count int, openNs int64) error {
 
 // FillRow implements Target.
 func (t *VMTarget) FillRow(r RowRef, pat byte) error {
-	g := t.VM.Hypervisor().Memory().Geometry()
-	lineBuf := bytes.Repeat([]byte{pat}, geometry.CacheLineSize)
-	return rowLines(g, r, func(addr uint64) error {
-		return t.VM.WriteGuest(addr, lineBuf)
-	})
+	var chunk [rowChunk]byte
+	return t.VM.WriteGuestRow(r.Addr, patternRow(&chunk, t.VM.Hypervisor().Memory().Geometry().RowBytes, pat))
 }
 
 // CheckRow implements Target.
 func (t *VMTarget) CheckRow(r RowRef, pat byte) ([]Corruption, error) {
-	g := t.VM.Hypervisor().Memory().Geometry()
-	var out []Corruption
-	buf := make([]byte, geometry.CacheLineSize)
-	err := rowLines(g, r, func(addr uint64) error {
-		if err := t.VM.ReadGuest(addr, buf); err != nil {
-			return err
-		}
-		for i, b := range buf {
-			if b != pat {
-				out = append(out, Corruption{Addr: addr + uint64(i), Got: b})
-			}
-		}
-		return nil
-	})
-	return out, err
+	var chunk [rowChunk]byte
+	row := rowBuf(&chunk, t.VM.Hypervisor().Memory().Geometry().RowBytes)
+	stride, err := t.VM.ReadGuestRow(r.Addr, row)
+	if err != nil {
+		return nil, err
+	}
+	return mismatches(row, pat, r.Addr, stride), nil
 }
 
 // EndWindow implements Target.
@@ -234,28 +255,19 @@ func (t *PhysTarget) Hammer(r RowRef, count int, openNs int64) error {
 
 // FillRow implements Target.
 func (t *PhysTarget) FillRow(r RowRef, pat byte) error {
-	lineBuf := bytes.Repeat([]byte{pat}, geometry.CacheLineSize)
-	return rowLines(t.Mem.Geometry(), r, func(addr uint64) error {
-		return t.Mem.WritePhys(addr, lineBuf)
-	})
+	var chunk [rowChunk]byte
+	return t.Mem.WriteRowPhys(r.Addr, patternRow(&chunk, t.Mem.Geometry().RowBytes, pat))
 }
 
 // CheckRow implements Target.
 func (t *PhysTarget) CheckRow(r RowRef, pat byte) ([]Corruption, error) {
-	var out []Corruption
-	buf := make([]byte, geometry.CacheLineSize)
-	err := rowLines(t.Mem.Geometry(), r, func(addr uint64) error {
-		if err := t.Mem.ReadPhys(addr, buf); err != nil {
-			return err
-		}
-		for i, b := range buf {
-			if b != pat {
-				out = append(out, Corruption{Addr: addr + uint64(i), Got: b})
-			}
-		}
-		return nil
-	})
-	return out, err
+	var chunk [rowChunk]byte
+	row := rowBuf(&chunk, t.Mem.Geometry().RowBytes)
+	stride, err := t.Mem.ReadRowPhys(r.Addr, row)
+	if err != nil {
+		return nil, err
+	}
+	return mismatches(row, pat, r.Addr, stride), nil
 }
 
 // EndWindow implements Target.

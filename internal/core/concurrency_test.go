@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -334,5 +335,39 @@ func TestTLBCoherentAcrossLifecycle(t *testing.T) {
 	}
 	for _, f := range h.Audit() {
 		t.Errorf("audit: %s", f)
+	}
+}
+
+// TestWindowEndRacesMediatedAccess: one tenant ends refresh windows (an
+// attacker's EndWindow) while another takes mediated accesses, each of which
+// reads the window index to scope its rate limit. The index is read under
+// the lock Refresh advances it under; under -race this pins that.
+func TestWindowEndRacesMediatedAccess(t *testing.T) {
+	h := bootSiloz(t)
+	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "io", Socket: 0, MemoryBytes: geometry.PageSize2M, MediatedBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const windows = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < windows; i++ {
+			h.Memory().Refresh()
+		}
+	}()
+	buf := make([]byte, 8)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := vm.ReadGuest(MediatedBase+64, buf); err != nil && !errors.Is(err, ErrThrottled) {
+			t.Fatal(err)
+		}
+	}
+	if w := h.Memory().Window(); w != windows {
+		t.Errorf("window %d after %d refreshes", w, windows)
 	}
 }

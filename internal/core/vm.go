@@ -790,6 +790,68 @@ func (vm *VM) CopyGuest(src *VM, gpa uint64, n int, scratch []byte) (nonzero boo
 	return nonzero, err
 }
 
+// WriteGuestRow stores data into the one DRAM bank row behind gpa, from gpa's
+// cache line on: the mapping interleaves consecutive lines over banks, so the
+// row's lines sit a fixed stride apart in the address space
+// (dram.Memory.RowStride) and line j of data is the guest's line at
+// gpa + j*stride. It is WriteGuest for that strided set of lines — the same
+// bytes land in DRAM and the same pages enter the touched ledger and the
+// dirty log — at one translation per 2 MiB page and one row-store access per
+// page the row's lines fall in (one, unless a row group straddles two
+// pages). gpa must be line-aligned RAM and data must end inside the row.
+func (vm *VM) WriteGuestRow(gpa uint64, data []byte) error {
+	_, err := vm.guestRow(gpa, data, true)
+	return err
+}
+
+// ReadGuestRow is the load WriteGuestRow is the store of. It returns the
+// stride, which tells the caller where each line of buf lives.
+func (vm *VM) ReadGuestRow(gpa uint64, buf []byte) (stride uint64, err error) {
+	return vm.guestRow(gpa, buf, false)
+}
+
+// guestRow branches on write at each call instead of picking the translator
+// and the accessor once as function values: through a function value buf
+// would escape, and callers keep it on their stack.
+func (vm *VM) guestRow(gpa uint64, buf []byte, write bool) (stride uint64, err error) {
+	vm.pauseMu.RLock()
+	defer vm.pauseMu.RUnlock()
+	mem := vm.hv.mem
+	for done := 0; done < len(buf); {
+		cur := gpa + uint64(done/geometry.CacheLineSize)*stride
+		if !vm.isRAMGPA(cur) {
+			return stride, fmt.Errorf("core: row access at gpa %#x is not confined to RAM", cur)
+		}
+		var hpa uint64
+		if write {
+			hpa, err = vm.translateWrite(cur)
+		} else {
+			hpa, err = vm.Translate(cur)
+		}
+		if err != nil {
+			return stride, err
+		}
+		if stride == 0 {
+			if stride, err = mem.RowStride(hpa); err != nil {
+				return stride, err
+			}
+		}
+		// The row has one line every stride bytes up to the end of the page.
+		room := geometry.PageSize2M - cur%geometry.PageSize2M
+		seg := min(len(buf)-done, int((room+stride-1)/stride)*geometry.CacheLineSize)
+		if write {
+			err = mem.WriteRowPhys(hpa, buf[done:done+seg])
+		} else {
+			_, err = mem.ReadRowPhys(hpa, buf[done:done+seg])
+		}
+		if err != nil {
+			return stride, err
+		}
+		done += seg
+	}
+	return stride, nil
+}
+
 // guestIter walks a guest range in page-bounded pieces.
 func (vm *VM) guestIter(gpa uint64, n int, translate func(uint64) (uint64, error), fn func(hpa uint64, off, n int) error) error {
 	pageSize := uint64(geometry.PageSize2M)

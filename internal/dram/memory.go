@@ -258,6 +258,64 @@ func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, off, n int, buf []byte) {
 	}
 }
 
+// RowStride returns how far apart, in the physical address space, the cache
+// lines of the bank row holding pa sit: the mapper interleaves consecutive
+// lines over the banks of pa's stripe, so one bank's lines recur every
+// Banks lines — and are consecutive columns of the row the bank stores.
+func (m *Memory) RowStride(pa uint64) (uint64, error) {
+	st, err := m.stripeAt(pa)
+	return uint64(st.Banks) << lineShift, err
+}
+
+// WriteRowPhys stores data into the one bank row that holds pa, from pa's
+// cache line on: line j of data is the line at pa + j*RowStride(pa). pa must
+// be line-aligned and data must end inside the row.
+func (m *Memory) WriteRowPhys(pa uint64, data []byte) error {
+	_, err := m.rowOp(true, pa, data)
+	return err
+}
+
+// ReadRowPhys is the load WriteRowPhys is the store of: it fills buf from the
+// bank row that holds pa, from pa's cache line on, and returns RowStride(pa),
+// which tells the caller where each line of buf lives.
+func (m *Memory) ReadRowPhys(pa uint64, buf []byte) (stride uint64, err error) {
+	return m.rowOp(false, pa, buf)
+}
+
+// rowOp is the strided sibling of walk: where walk moves a contiguous range
+// through every bank of a stripe, rowOp moves one bank's share of it — lines
+// a stride apart in the address space, which the row store holds as one
+// contiguous run of columns — with one decode, the walker's once-per-stripe
+// checks, and one copy under the rowsMu of the module that stores the row
+// (stripeOp's rule with a single bank: nothing is taken under it). An absent
+// row reads as zero and only a write materializes it.
+func (m *Memory) rowOp(write bool, pa uint64, buf []byte) (stride uint64, err error) {
+	st, err := m.stripeAt(pa)
+	if err != nil {
+		return 0, err
+	}
+	if st.Off&(geometry.CacheLineSize-1) != 0 {
+		return 0, fmt.Errorf("dram: row access at %#x is not cache-line aligned", pa)
+	}
+	l := uint32(st.Off >> lineShift) // NewMemory bounds a stripe's lines
+	col := int(l/uint32(st.Banks)) << lineShift
+	if col+len(buf) > m.g.RowBytes {
+		return 0, fmt.Errorf("dram: row access at %#x: columns [%d,%d) run past the %d-byte row", pa, col, col+len(buf), m.g.RowBytes)
+	}
+	ref := m.bankRefs[st.Bank0+int(l%uint32(st.Banks))]
+	mod := m.modules[st.Socket][ref.dimm]
+	mod.rowsMu.Lock()
+	if write {
+		copy(mod.rows.rowAlloc(int(ref.idx), st.Row)[col:], buf)
+	} else if row := mod.rows.row(int(ref.idx), st.Row); row != nil {
+		copy(buf, row[col:])
+	} else {
+		clear(buf)
+	}
+	mod.rowsMu.Unlock()
+	return uint64(st.Banks) << lineShift, nil
+}
+
 // AllZero reports whether every byte of b is zero, scanning a word at a
 // time: the copy's source-row test and the scrubbed-buffer probe of the
 // lifecycle campaigns and experiments.

@@ -2,13 +2,13 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/addr"
 	"repro/internal/geometry"
 	"repro/internal/mitigation"
-	"repro/internal/rowcount"
 )
 
 // Flip records one committed Rowhammer bit flip.
@@ -49,18 +49,14 @@ type spare struct {
 	anchor int // physical position it is adjacent to
 }
 
-// bankState is the per-bank disturbance bookkeeping. Disturbance
-// accumulators are flat generation-reset row tables (rowcount.Table), not
-// maps: a refresh window ends with an O(1) invalidation per table instead
-// of reallocating, and the per-activation accrue path runs on open
-// addressing instead of map buckets.
+// bankState is the per-bank disturbance bookkeeping.
 type bankState struct {
 	id  geometry.BankID
 	idx int // dense index rank*BanksPerRank+bank (mitigation scope)
 
 	// disturb[side] accumulates weighted aggressor activations per
 	// victim internal (virtual) row index within the current window.
-	disturb [2]rowcount.Table[float64]
+	disturb [2]disturbTable
 	// acts is the bank's activation count this window (budget check).
 	acts int
 	// totalActs tallies the bank's lifetime activations, defenses or not.
@@ -76,8 +72,15 @@ type bankState struct {
 	sparesAtAnchor map[int][]*spare
 }
 
-func newBankState(id geometry.BankID, idx int) *bankState {
-	return &bankState{id: id, idx: idx}
+// newBankState builds the bookkeeping of a bank of rows rows. Both sides'
+// chunk indexes come from one allocation.
+func newBankState(id geometry.BankID, idx, rows int) *bankState {
+	bs := &bankState{id: id, idx: idx}
+	n := disturbIndexLen(rows)
+	index := make([]uint16, 2*n)
+	bs.disturb[0] = disturbTable{index: index[:n:n], rows: rows}
+	bs.disturb[1] = disturbTable{index: index[n:], rows: rows}
+	return bs
 }
 
 // Module models one DIMM: data storage plus the disturbance state of its
@@ -118,6 +121,9 @@ func NewModule(g geometry.Geometry, prof Profile, socket, dimm int, repairs *add
 	}
 	if err := prof.Validate(); err != nil {
 		return nil, err
+	}
+	if disturbIndexLen(g.RowsPerBank) > math.MaxUint16 {
+		return nil, fmt.Errorf("dram: a bank of %d rows has more %d-row chunks than the disturbance index can number", g.RowsPerBank, disturbChunkRows)
 	}
 	m := &Module{
 		g:       g,
@@ -182,8 +188,14 @@ func (m *Module) Profile() Profile { return m.prof }
 // translation drivers use it when classifying isolation-violating rows (§6).
 func (m *Module) InternalMapper() *addr.InternalMapper { return m.im }
 
-// Window returns the current refresh-window index.
-func (m *Module) Window() int { return m.window }
+// Window returns the current refresh-window index. Refresh advances it under
+// actMu, and one tenant's window end runs beside another's mediated access
+// (which reads it to scope its rate limit), so the read takes the lock too.
+func (m *Module) Window() int {
+	m.actMu.Lock()
+	defer m.actMu.Unlock()
+	return m.window
+}
 
 // owns reports whether the bank belongs to this module.
 func (m *Module) owns(b geometry.BankID) bool {
@@ -194,7 +206,7 @@ func (m *Module) bank(b geometry.BankID) *bankState {
 	idx := b.Rank*m.g.BanksPerRank + b.Bank
 	bs := m.banks[idx]
 	if bs == nil {
-		bs = newBankState(b, idx)
+		bs = newBankState(b, idx, m.g.RowsPerBank)
 		m.loadRepairs(bs)
 		m.banks[idx] = bs
 	}
@@ -216,6 +228,9 @@ func (m *Module) loadRepairs(bs *bankState) {
 	}
 	sort.Ints(sources)
 	bs.hasSpares = len(sources) > 0
+	for side := range bs.disturb {
+		bs.disturb[side].spares = make([]float64, len(sources))
+	}
 	for i, src := range sources {
 		sp, _ := m.repairs.Lookup(bs.id, src)
 		s := &spare{virt: m.g.RowsPerBank + i, source: src, anchor: sp.Anchor}
@@ -291,7 +306,7 @@ func (m *Module) ActivateRow(b geometry.BankID, mediaRow, count int, openNs int6
 	for _, side := range [...]addr.Side{addr.SideA, addr.SideB} {
 		virt, anchor := m.internalTarget(bs, mediaRow, side)
 		// Activation refreshes the aggressor row's own charge.
-		bs.disturb[side].Delete(virt)
+		bs.disturb[side].zero(virt)
 		m.disturbNeighbours(bs, side, virt, anchor, eff, mediaRow)
 	}
 
@@ -299,18 +314,27 @@ func (m *Module) ActivateRow(b geometry.BankID, mediaRow, count int, openNs int6
 	return nil
 }
 
+// blastSpan returns the rows within the blast radius of the row at anchor,
+// clamped to its subarray: rows of other subarrays are electrically isolated
+// (§2.5), and a subarray never runs past the bank (RowsPerBank is a multiple
+// of RowsPerSubarray). The one divide of a neighbourhood walk is here.
+func (m *Module) blastSpan(anchor int) (lo, hi int) {
+	first := anchor - anchor%m.g.RowsPerSubarray
+	return max(anchor-m.prof.BlastRadius, first), min(anchor+m.prof.BlastRadius, first+m.g.RowsPerSubarray-1)
+}
+
 // disturbNeighbours adds disturbance around an aggressor at `anchor` (the
-// aggressor itself is the virtual row aggVirt and is skipped as a victim).
+// aggressor itself is the virtual row aggVirt and is skipped as a victim),
+// in ascending row order.
 func (m *Module) disturbNeighbours(bs *bankState, side addr.Side, aggVirt, anchor int, eff float64, aggMediaRow int) {
-	sub := m.g.RowsPerSubarray
-	blast := m.prof.BlastRadius
-	aggSub := anchor / sub
-	for off := -blast; off <= blast; off++ {
-		pos := anchor + off
-		if pos < 0 || pos >= m.g.RowsPerBank || pos/sub != aggSub {
-			continue // outside bank or electrically isolated (§2.5)
+	t := &bs.disturb[side]
+	lo, hi := m.blastSpan(anchor)
+	var vals *[disturbChunkRows]float64 // the chunk pos lies in
+	for pos := lo; pos <= hi; pos++ {
+		if vals == nil || pos&(disturbChunkRows-1) == 0 {
+			vals = t.chunk(pos)
 		}
-		d := off
+		d := pos - anchor
 		if d < 0 {
 			d = -d
 		}
@@ -322,29 +346,30 @@ func (m *Module) disturbNeighbours(bs *bankState, side addr.Side, aggVirt, ancho
 			// Normal row victim at pos (skip the aggressor itself,
 			// unless the aggressor is a spare overlaying pos).
 			if pos != aggVirt {
-				m.accrue(bs, side, pos, w*eff, aggMediaRow)
+				m.accrue(bs, side, &vals[pos&(disturbChunkRows-1)], pos, w*eff, aggMediaRow)
 			}
 		}
 		// Spare victims anchored here.
 		if bs.hasSpares {
 			for _, sp := range bs.sparesAtAnchor[pos] {
 				if sp.virt != aggVirt {
-					m.accrue(bs, side, sp.virt, w*eff, aggMediaRow)
+					m.accrue(bs, side, &t.spares[sp.virt-t.rows], sp.virt, w*eff, aggMediaRow)
 				}
 			}
 		}
 	}
 }
 
-// accrue adds disturbance to a victim and commits flips on threshold.
-func (m *Module) accrue(bs *bankState, side addr.Side, virt int, amount float64, aggMediaRow int) {
-	d := bs.disturb[side].Add(virt, amount)
-	if d < m.prof.HammerThreshold {
+// accrue adds disturbance to a victim's accumulator d and commits flips on
+// threshold.
+func (m *Module) accrue(bs *bankState, side addr.Side, d *float64, virt int, amount float64, aggMediaRow int) {
+	*d += amount
+	if *d < m.prof.HammerThreshold {
 		return
 	}
 	// Threshold exceeded: the victim's weak cells discharge. Reset the
 	// accumulation; committing is idempotent for already-failed cells.
-	bs.disturb[side].Delete(virt)
+	*d = 0
 	m.commitFlips(bs, side, virt, aggMediaRow)
 }
 
@@ -405,20 +430,14 @@ func (m *Module) refreshNeighbourhood(bankIdx, mediaRow int) {
 	if bs == nil || mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
 		return
 	}
-	blast := m.prof.BlastRadius
-	sub := m.g.RowsPerSubarray
 	for _, side := range [...]addr.Side{addr.SideA, addr.SideB} {
 		_, anchor := m.internalTarget(bs, mediaRow, side)
-		aggSub := anchor / sub
-		for off := -blast; off <= blast; off++ {
-			pos := anchor + off
-			if pos < 0 || pos >= m.g.RowsPerBank || pos/sub != aggSub {
-				continue
-			}
-			bs.disturb[side].Delete(pos)
+		lo, hi := m.blastSpan(anchor)
+		for pos := lo; pos <= hi; pos++ {
+			bs.disturb[side].zero(pos)
 			if bs.hasSpares {
 				for _, sp := range bs.sparesAtAnchor[pos] {
-					bs.disturb[side].Delete(sp.virt)
+					bs.disturb[side].zero(sp.virt)
 				}
 			}
 		}
@@ -436,8 +455,8 @@ func (m *Module) Refresh() {
 		if bs == nil {
 			continue
 		}
-		bs.disturb[0].Reset()
-		bs.disturb[1].Reset()
+		bs.disturb[0].reset()
+		bs.disturb[1].reset()
 		bs.acts = 0
 	}
 	m.defenses.OnWindowEnd()

@@ -3,6 +3,7 @@ package dram
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -263,6 +264,128 @@ func TestBulkPathMatchesPerLineReference(t *testing.T) {
 	}
 }
 
+// TestRowAccessMatchesPerLineReference holds the strided row accessor to the
+// per-line reference on every mapping of the bulk-path oracle. The stride it
+// reports is checked against Decode — the next line up that lands in the
+// same bank — and a row write or read against one reference call per line at
+// that stride: the same bytes (a stale buffer over an absent row comes back
+// zero), the same rows materialized, and an error exactly when the address is
+// not line-aligned or the run leaves the row.
+func TestRowAccessMatchesPerLineReference(t *testing.T) {
+	for _, tc := range oracleCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Memory {
+				mapper, err := tc.mapper(tc.g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mem, err := NewMemory(tc.g, mapper, []Profile{testProfile()}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return mem
+			}
+			got, ref := build(), build()
+			total := uint64(tc.g.TotalBytes())
+			st, err := got.Mapper().Stripe(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stripe := uint64(st.Len)
+			anchors := []uint64{0, 5 * stripe, 3 * geometry.PageSize2M, uint64(tc.g.SocketBytes()), total - stripe}
+			rng := rand.New(rand.NewSource(23))
+			bufA, bufB := make([]byte, 2*tc.g.RowBytes), make([]byte, 2*tc.g.RowBytes)
+			for i := 0; i < 300; i++ {
+				pa := anchors[rng.Intn(len(anchors))] + uint64(rng.Int63n(int64(stripe)))
+				if rng.Intn(8) != 0 {
+					pa &^= geometry.CacheLineSize - 1
+				}
+				n := 1 + rng.Intn(tc.g.RowBytes)
+				switch rng.Intn(4) {
+				case 0:
+					n = tc.g.RowBytes // a whole row, when pa is its first line
+				case 1:
+					n = (n + 63) &^ 63
+				}
+				if rng.Intn(3) == 0 {
+					pa -= pa % stripe // the first line of bank 0's row
+					pa += uint64(rng.Intn(st.Banks)) * geometry.CacheLineSize
+				}
+				ma, err := got.Mapper().Decode(pa)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantErr := pa%geometry.CacheLineSize != 0 || ma.Col+n > tc.g.RowBytes
+				stride, err := got.RowStride(pa)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base := pa &^ (geometry.CacheLineSize - 1); ma.Col+geometry.CacheLineSize < tc.g.RowBytes {
+					for next := base + geometry.CacheLineSize; next <= base+stride; next += geometry.CacheLineSize {
+						nb, err := got.Mapper().Decode(next)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if (nb.Bank == ma.Bank) != (next == base+stride) {
+							t.Fatalf("RowStride(%#x) = %d, Decode puts the line %d up in bank %v of %v", pa, stride, next-base, nb.Bank, ma.Bank)
+						}
+						if next == base+stride && (nb.Row != ma.Row || nb.Col/geometry.CacheLineSize != ma.Col/geometry.CacheLineSize+1) {
+							t.Fatalf("RowStride(%#x) = %d leads from row %d column %d to row %d column %d", pa, stride, ma.Row, ma.Col, nb.Row, nb.Col)
+						}
+					}
+				}
+				perLine := func(buf []byte, op func(pa uint64, b []byte) error) {
+					for off := 0; off < len(buf); off += geometry.CacheLineSize {
+						if err := op(pa+uint64(off/geometry.CacheLineSize)*stride, buf[off:min(off+geometry.CacheLineSize, len(buf))]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if rng.Intn(2) == 0 {
+					data := bufA[:n]
+					rng.Read(data)
+					err := got.WriteRowPhys(pa, data)
+					if (err != nil) != wantErr {
+						t.Fatalf("WriteRowPhys(%#x, %d) at column %d: err %v", pa, n, ma.Col, err)
+					}
+					if err == nil {
+						perLine(data, ref.writeRef)
+					}
+				} else {
+					a, b := bufA[:n], bufB[:n]
+					rng.Read(a) // stale contents must be overwritten, zeros included
+					gotStride, err := got.ReadRowPhys(pa, a)
+					if (err != nil) != wantErr {
+						t.Fatalf("ReadRowPhys(%#x, %d) at column %d: err %v", pa, n, ma.Col, err)
+					}
+					if err == nil {
+						perLine(b, ref.readRef)
+						if !bytes.Equal(a, b) || gotStride != stride {
+							t.Fatalf("ReadRowPhys(%#x, %d): bytes or stride %d differ from the per-line reads at stride %d", pa, n, gotStride, stride)
+						}
+					}
+				}
+				if l, rl := got.LiveRows(), ref.LiveRows(); l != rl {
+					t.Fatalf("after op %d at %#x: %d live rows, the reference has %d", i, pa, l, rl)
+				}
+			}
+			for _, a := range anchors {
+				n := int(min(2*stripe, total-a))
+				va, vb := make([]byte, n), make([]byte, n)
+				if err := got.ReadPhys(a, va); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.readRef(a, vb); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(va, vb) {
+					t.Fatalf("window %#x+%d differs from the reference", a, n)
+				}
+			}
+		})
+	}
+}
+
 // badStripeMapper answers Stripe with whatever the test planted: the
 // walker's once-per-stripe checks are the only thing between a wrong
 // mapping and an out-of-bounds row access.
@@ -330,4 +453,170 @@ func TestWalkerRejectsStripesOutsideGeometry(t *testing.T) {
 			t.Errorf("%s: %d rows materialized by a rejected access", name, live)
 		}
 	}
+}
+
+// What follows is the disturbance path Module ran before the chunked dense
+// accumulators replaced it — ActivateRow's accounting, disturbNeighbours,
+// accrue, refreshNeighbourhood and Refresh — kept verbatim as the oracle of
+// TestDisturbanceMatchesReference and FuzzDisturbanceMatchesReference: a
+// subarray divide per neighbour, a table probe per accrual. The one
+// substitution is the table itself: rowcount.Value lost float64 with this,
+// its last non-test caller, so the bodies run over refTable, a map with the
+// three methods they used. Everything the two paths share — internalTarget,
+// commitFlips, observe, the defense chain — is the module's own.
+
+// refTable is the map-backed stand-in for rowcount.Table[float64].
+type refTable struct{ m map[int]float64 }
+
+func (t *refTable) Delete(row int) { delete(t.m, row) }
+func (t *refTable) Reset()         { clear(t.m) }
+
+func (t *refTable) Add(row int, delta float64) float64 {
+	if t.m == nil {
+		t.m = map[int]float64{}
+	}
+	t.m[row] += delta
+	return t.m[row]
+}
+
+// refDisturb is what bankState.disturb held, for every bank of one module,
+// keyed by the bank's dense index.
+type refDisturb map[int]*[2]refTable
+
+func (rd refDisturb) of(bs *bankState) *[2]refTable {
+	if rd[bs.idx] == nil {
+		rd[bs.idx] = new([2]refTable)
+	}
+	return rd[bs.idx]
+}
+
+// newRefModule builds a module whose defense chain refreshes through the
+// retired refreshNeighbourhood.
+func newRefModule(g geometry.Geometry, prof Profile, repairs *addr.RepairTable) (*Module, refDisturb, error) {
+	m, err := NewModule(g, prof, 0, 0, repairs)
+	if err != nil {
+		return nil, nil, err
+	}
+	rd := refDisturb{}
+	m.refreshFn = func(bankIdx, mediaRow int) { m.refRefreshNeighbourhood(rd, bankIdx, mediaRow) }
+	return m, rd, nil
+}
+
+func (m *Module) refActivateRow(rd refDisturb, b geometry.BankID, mediaRow, count int, openNs int64) error {
+	if !m.owns(b) {
+		return fmt.Errorf("dram: bank %v not on module s%d.d%d", b, m.socket, m.dimm)
+	}
+	if mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
+		return fmt.Errorf("dram: row %d out of range", mediaRow)
+	}
+	if count <= 0 {
+		return fmt.Errorf("dram: activation count must be positive, got %d", count)
+	}
+	m.actMu.Lock()
+	defer m.actMu.Unlock()
+	bs := m.bank(b)
+	if bs.acts+count > m.prof.MaxActsPerWindow {
+		return fmt.Errorf("dram: bank %v over activation budget (%d+%d > %d per window)",
+			b, bs.acts, count, m.prof.MaxActsPerWindow)
+	}
+	bs.acts += count
+
+	// Weighted disturbance per activation, including RowPress dwell.
+	eff := float64(count) * (1 + m.prof.RowPressFactor*float64(openNs)/1000.0)
+
+	for _, side := range [...]addr.Side{addr.SideA, addr.SideB} {
+		virt, anchor := m.internalTarget(bs, mediaRow, side)
+		// Activation refreshes the aggressor row's own charge.
+		rd.of(bs)[side].Delete(virt)
+		m.refDisturbNeighbours(rd, bs, side, virt, anchor, eff, mediaRow)
+	}
+
+	m.observe(bs, mediaRow, count, openNs)
+	return nil
+}
+
+func (m *Module) refDisturbNeighbours(rd refDisturb, bs *bankState, side addr.Side, aggVirt, anchor int, eff float64, aggMediaRow int) {
+	sub := m.g.RowsPerSubarray
+	blast := m.prof.BlastRadius
+	aggSub := anchor / sub
+	for off := -blast; off <= blast; off++ {
+		pos := anchor + off
+		if pos < 0 || pos >= m.g.RowsPerBank || pos/sub != aggSub {
+			continue // outside bank or electrically isolated (§2.5)
+		}
+		d := off
+		if d < 0 {
+			d = -d
+		}
+		if d == 0 {
+			d = 1 // a spare sits adjacent to its anchor position
+		}
+		w := m.prof.DistanceWeights[d-1]
+		if pos != anchor || aggVirt >= m.g.RowsPerBank {
+			// Normal row victim at pos (skip the aggressor itself,
+			// unless the aggressor is a spare overlaying pos).
+			if pos != aggVirt {
+				m.refAccrue(rd, bs, side, pos, w*eff, aggMediaRow)
+			}
+		}
+		// Spare victims anchored here.
+		if bs.hasSpares {
+			for _, sp := range bs.sparesAtAnchor[pos] {
+				if sp.virt != aggVirt {
+					m.refAccrue(rd, bs, side, sp.virt, w*eff, aggMediaRow)
+				}
+			}
+		}
+	}
+}
+
+func (m *Module) refAccrue(rd refDisturb, bs *bankState, side addr.Side, virt int, amount float64, aggMediaRow int) {
+	d := rd.of(bs)[side].Add(virt, amount)
+	if d < m.prof.HammerThreshold {
+		return
+	}
+	// Threshold exceeded: the victim's weak cells discharge. Reset the
+	// accumulation; committing is idempotent for already-failed cells.
+	rd.of(bs)[side].Delete(virt)
+	m.commitFlips(bs, side, virt, aggMediaRow)
+}
+
+func (m *Module) refRefreshNeighbourhood(rd refDisturb, bankIdx, mediaRow int) {
+	bs := m.banks[bankIdx]
+	if bs == nil || mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
+		return
+	}
+	blast := m.prof.BlastRadius
+	sub := m.g.RowsPerSubarray
+	for _, side := range [...]addr.Side{addr.SideA, addr.SideB} {
+		_, anchor := m.internalTarget(bs, mediaRow, side)
+		aggSub := anchor / sub
+		for off := -blast; off <= blast; off++ {
+			pos := anchor + off
+			if pos < 0 || pos >= m.g.RowsPerBank || pos/sub != aggSub {
+				continue
+			}
+			rd.of(bs)[side].Delete(pos)
+			if bs.hasSpares {
+				for _, sp := range bs.sparesAtAnchor[pos] {
+					rd.of(bs)[side].Delete(sp.virt)
+				}
+			}
+		}
+	}
+}
+
+func (m *Module) refRefresh(rd refDisturb) {
+	m.actMu.Lock()
+	defer m.actMu.Unlock()
+	for _, bs := range m.banks {
+		if bs == nil {
+			continue
+		}
+		rd.of(bs)[0].Reset()
+		rd.of(bs)[1].Reset()
+		bs.acts = 0
+	}
+	m.defenses.OnWindowEnd()
+	m.window++
 }

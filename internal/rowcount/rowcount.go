@@ -1,9 +1,8 @@
 // Package rowcount provides the per-bank row-accumulator table the
-// simulation hot paths share: an open-addressed hash table from a DRAM row
-// index to a numeric accumulator (activation counts for the memory
-// controller, weighted disturbance for the DRAM model), laid out as one flat
-// array of packed {key, tag, value} slots and reset in O(1) by bumping a
-// generation counter.
+// memory controller counts activations in: an open-addressed hash table from
+// a DRAM row index to an integer accumulator, laid out as one flat array of
+// packed {key, tag, value} slots and reset in O(1) by bumping a generation
+// counter.
 //
 // The design mirrors how cycle-accurate simulators lay out their Rowhammer
 // counter tables (one flat table per rank*banks+bank instead of a
@@ -19,11 +18,10 @@ package rowcount
 
 import "math/bits"
 
-// Value is the accumulator payload a Table can carry. int32 covers
-// activation counts (bounded by per-window activation budgets); float64
-// covers weighted disturbance accumulation.
+// Value is the accumulator payload a Table can carry: int32 covers
+// activation counts (bounded by per-window activation budgets).
 type Value interface {
-	~int32 | ~int64 | ~float64
+	~int32
 }
 
 // minCapacity is the initial slot count of a table's first allocation.
@@ -36,10 +34,9 @@ const minCapacity = 64
 const maxGen = 1<<31 - 1
 
 // slot is one table entry. Key, state tag and accumulator sit side by side
-// (12 bytes for int32 payloads, 16 for int64/float64) so a probe step costs
-// one host cache line, not one per parallel array — with 32 banks × 2 048
-// rows of tracker state the tables outgrow L2 and that miss is the cost of
-// an Add.
+// (12 bytes) so a probe step costs one host cache line, not one per parallel
+// array — with 32 banks × 2 048 rows of tracker state the tables outgrow L2
+// and that miss is the cost of an Add.
 type slot[V Value] struct {
 	key  int32
 	meta uint32

@@ -34,8 +34,8 @@ func (t *Table[V]) capacity() int { return len(t.slots) }
 // identical to the (bank,row)-keyed maps it replaced.
 func TestDifferentialAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var tab Table[float64]
-	ref := map[int]float64{}
+	var tab Table[int32]
+	ref := map[int]int32{}
 	check := func(step int) {
 		t.Helper()
 		if err := sameContents(&tab, ref, 3000); err != nil {
@@ -46,7 +46,7 @@ func TestDifferentialAgainstMap(t *testing.T) {
 		row := rng.Intn(3000)
 		switch op := rng.Intn(100); {
 		case op < 55: // accumulate
-			delta := rng.Float64()
+			delta := rng.Int31n(1000)
 			got := tab.Add(row, delta)
 			ref[row] += delta
 			if got != ref[row] {
@@ -63,7 +63,7 @@ func TestDifferentialAgainstMap(t *testing.T) {
 			delete(ref, row)
 		default: // end of refresh window
 			tab.Reset()
-			ref = map[int]float64{}
+			ref = map[int]int32{}
 		}
 		if step%4096 == 0 {
 			check(step)
