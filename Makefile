@@ -46,19 +46,21 @@ race:
 # live-writer migrations that race the bulk data path's row locks from both
 # sockets, the row-to-row copy under a line-flipping writer and under two
 # cross-host moves in opposite directions (with the two cost-follows-data
-# tests), the lock-free TLB's coherence across every layout commit
+# tests), the cross-host move under a live writer, against direct layout
+# operations on its source and failed at every step (fleet's unwind, core's
+# MoveOut), the lock-free TLB's coherence across every layout commit
 # (-count=10: the race it pins needs a translator caught mid-walk), and one
 # tenant's window ends beside another's mediated accesses (the refresh-window
 # index is read under the lock Refresh advances it under).
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
-	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld|TestWindowEndRacesMediatedAccess' ./internal/core
+	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld|TestWindowEndRacesMediatedAccess|TestMoveOutFailsCleanlyAtEveryStep' ./internal/core
 	$(GO) test -race -count=10 -run 'TestTLBCoherentAcrossLifecycle' ./internal/core
 	$(GO) test -race -run 'TestCopyNeverTearsALine' ./internal/dram
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate
-	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock' ./internal/fleet
+	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock|TestConcurrentWriterDuringCrossHostMove|TestCrossHostMoveHoldsTheLatch|TestMoveUnwindsAtEveryStep' ./internal/fleet
 	$(GO) test -race -run 'TestGenerateEarlyStopDeterminism' ./internal/workload
 	$(GO) test -race -run 'TestConcurrentServeResize|TestServeFleetMoveChurn' ./internal/serve
 

@@ -65,13 +65,19 @@ func equivalenceMappers(t testing.TB) []refMapper {
 		BanksPerRank: 8, RowsPerBank: 8192, RowBytes: 8 * geometry.KiB,
 		RowsPerSubarray: 1024,
 	}
+	// HBM2-like stacks (§8.2): eight single-rank pseudo-channels of 32 banks.
+	hbmG := geometry.Geometry{
+		Sockets: 2, CoresPerSocket: 40, DIMMsPerSocket: 8, RanksPerDIMM: 1,
+		BanksPerRank: 32, RowsPerBank: 64 * 1024, RowBytes: 8 * geometry.KiB,
+		RowsPerSubarray: 1024,
+	}
 	snc, err := geometry.Default().WithSNC(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ms []refMapper
 	for _, g := range []geometry.Geometry{
-		geometry.Default(), geometry.DDR5Server(), geometry.HBM2Server(),
+		geometry.Default(), geometry.DDR5Server(), hbmG,
 		snc, benchG, inferG,
 	} {
 		sky, err := NewSkylakeMapper(g)

@@ -79,9 +79,6 @@ func NewPartitionedMapper(g geometry.Geometry, partitions int) (*PartitionedMapp
 // Geometry returns the geometry the mapper serves.
 func (m *PartitionedMapper) Geometry() geometry.Geometry { return m.g }
 
-// Partitions returns the partition count.
-func (m *PartitionedMapper) Partitions() int { return m.partitions }
-
 // PartitionOf returns the bank-partition index owning a physical address.
 func (m *PartitionedMapper) PartitionOf(pa uint64) (socket, partition int, err error) {
 	if pa >= uint64(m.totalBytes) {

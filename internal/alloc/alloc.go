@@ -1,16 +1,13 @@
 // Package alloc implements a per-node physical page allocator: a binary
 // buddy system over the physical address ranges a logical NUMA node owns,
 // supporting 4 KiB base pages through 1 GiB blocks, boot-time page
-// offlining (guard rows, repaired rows, §5.4/§6), and the reserved
-// huge-page pools cloud deployments back guests with (§5, "Deployment
-// Environment").
+// offlining (guard rows, repaired rows, §5.4/§6).
 package alloc
 
 import (
 	"fmt"
 	"sync"
 
-	"repro/internal/geometry"
 	"repro/internal/subarray"
 )
 
@@ -27,16 +24,6 @@ const (
 
 // OrderBytes returns the size of an order-o block.
 func OrderBytes(o int) uint64 { return 1 << (BasePageShift + o) }
-
-// OrderFor returns the smallest order whose block covers n bytes.
-func OrderFor(n uint64) int {
-	for o := 0; o <= MaxOrder; o++ {
-		if OrderBytes(o) >= n {
-			return o
-		}
-	}
-	return MaxOrder
-}
 
 // ErrNoMemory is returned when the allocator cannot satisfy a request.
 var ErrNoMemory = fmt.Errorf("alloc: out of memory")
@@ -323,19 +310,6 @@ func (a *Allocator) FreePagesAtOrder(order int) int {
 	return total
 }
 
-// FreeBlocks returns the number of free blocks at each order — the free-
-// block histogram fragmentation analysis reads (mirroring
-// /proc/buddyinfo).
-func (a *Allocator) FreeBlocks() [MaxOrder + 1]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out [MaxOrder + 1]int
-	for o := range a.free {
-		out[o] = a.free[o].len()
-	}
-	return out
-}
-
 // FreeBytesByOrder returns the free capacity held at each block order. The
 // distribution is the fragmentation signature: the same FreeBytes spread
 // across low orders cannot back huge pages.
@@ -379,53 +353,4 @@ func (a *Allocator) AllocPages(order, n int) ([]uint64, error) {
 		pages = append(pages, pa)
 	}
 	return pages, nil
-}
-
-// HugePool is a reserved pool of fixed-order huge pages, modelling the
-// statically-allocated, pinned, non-overcommitted guest backing memory the
-// paper's deployment environment prescribes (§5).
-type HugePool struct {
-	order int
-	pages []uint64
-}
-
-// NewHugePool reserves n huge pages of the given order from a.
-func NewHugePool(a *Allocator, order, n int) (*HugePool, error) {
-	pages, err := a.AllocPages(order, n)
-	if err != nil {
-		return nil, err
-	}
-	return &HugePool{order: order, pages: pages}, nil
-}
-
-// Order returns the pool's page order.
-func (p *HugePool) Order() int { return p.order }
-
-// Remaining returns how many pages are still reservable.
-func (p *HugePool) Remaining() int { return len(p.pages) }
-
-// Take removes one page from the pool.
-func (p *HugePool) Take() (uint64, error) {
-	if len(p.pages) == 0 {
-		return 0, ErrNoMemory
-	}
-	pa := p.pages[len(p.pages)-1]
-	p.pages = p.pages[:len(p.pages)-1]
-	return pa, nil
-}
-
-// Put returns a page to the pool.
-func (p *HugePool) Put(pa uint64) { p.pages = append(p.pages, pa) }
-
-// PageSizeName formats an order as a human-readable page size.
-func PageSizeName(order int) string {
-	b := OrderBytes(order)
-	switch {
-	case b >= geometry.GiB:
-		return fmt.Sprintf("%dG", b/geometry.GiB)
-	case b >= geometry.MiB:
-		return fmt.Sprintf("%dM", b/geometry.MiB)
-	default:
-		return fmt.Sprintf("%dK", b/geometry.KiB)
-	}
 }

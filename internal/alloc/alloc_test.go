@@ -23,9 +23,6 @@ func TestOrderHelpers(t *testing.T) {
 	if OrderBytes(Order1G) != 1<<30 {
 		t.Errorf("OrderBytes(Order1G) = %d", OrderBytes(Order1G))
 	}
-	if OrderFor(4096) != 0 || OrderFor(4097) != 1 || OrderFor(2<<20) != Order2M {
-		t.Error("OrderFor wrong")
-	}
 }
 
 func TestAllocFreeRoundTrip(t *testing.T) {
@@ -77,14 +74,14 @@ func TestCoalescingRestoresMaximalBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blocks := a.FreeBlocks()
+	free := a.FreeBytesByOrder()
 	for o := 0; o < 10; o++ {
-		if blocks[o] != 0 {
-			t.Errorf("order %d has %d blocks after full free; coalescing failed", o, blocks[o])
+		if free[o] != 0 {
+			t.Errorf("order %d holds %d bytes after full free; coalescing failed", o, free[o])
 		}
 	}
-	if blocks[10] != 1 { // 4 MiB = one order-10 block
-		t.Errorf("order 10 has %d blocks, want 1", blocks[10])
+	if free[10] != OrderBytes(10) { // 4 MiB = one order-10 block
+		t.Errorf("order 10 holds %d bytes, want one block", free[10])
 	}
 }
 
@@ -251,52 +248,6 @@ func TestBuddyInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestHugePool(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 16<<20)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewHugePool(a, Order2M, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Remaining() != 4 || pool.Order() != Order2M {
-		t.Fatalf("pool state wrong: %d remaining", pool.Remaining())
-	}
-	pa, err := pool.Take()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Remaining() != 3 {
-		t.Error("Take did not decrement")
-	}
-	pool.Put(pa)
-	if pool.Remaining() != 4 {
-		t.Error("Put did not increment")
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := pool.Take(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := pool.Take(); err != ErrNoMemory {
-		t.Errorf("empty pool Take = %v, want ErrNoMemory", err)
-	}
-	// Pool reservation is reflected in the allocator.
-	if a.UsedBytes() != 8<<20 {
-		t.Errorf("UsedBytes = %d, want 8 MiB", a.UsedBytes())
-	}
-	if _, err := NewHugePool(a, Order2M, 1000); err == nil {
-		t.Error("oversized pool accepted")
-	}
-}
-
-func TestPageSizeName(t *testing.T) {
-	if PageSizeName(0) != "4K" || PageSizeName(Order2M) != "2M" || PageSizeName(Order1G) != "1G" {
-		t.Errorf("PageSizeName wrong: %s %s %s", PageSizeName(0), PageSizeName(Order2M), PageSizeName(Order1G))
-	}
-}
-
 func TestAllocationsAscend(t *testing.T) {
 	// §5.4 deployment environment: guests get ascending contiguous
 	// physical regions; the allocator hands out lowest addresses first.
@@ -340,14 +291,11 @@ func TestFragmentationIntrospection(t *testing.T) {
 	if got := a.LargestFreeOrder(); got != 11 {
 		t.Fatalf("LargestFreeOrder after split = %d, want 11", got)
 	}
-	blocks := a.FreeBlocks()
-	for o := 0; o <= 11; o++ {
-		if blocks[o] != 1 {
-			t.Errorf("FreeBlocks[%d] = %d, want 1", o, blocks[o])
-		}
-	}
 	var free uint64
-	for _, b := range a.FreeBytesByOrder() {
+	for o, b := range a.FreeBytesByOrder() {
+		if want := OrderBytes(o); o <= 11 && b != want {
+			t.Errorf("FreeBytesByOrder[%d] = %d, want one block (%d)", o, b, want)
+		}
 		free += b
 	}
 	if free != a.FreeBytes() {

@@ -34,22 +34,11 @@ type EPTRelocationReport struct {
 // machinery automatically; this entry point serves standalone rebalancing.
 func (h *Hypervisor) RelocateEPT(name string, socket int) (EPTRelocationReport, error) {
 	var rep EPTRelocationReport
-	h.mu.Lock()
-	vm, ok := h.vms[name]
-	if !ok {
-		h.mu.Unlock()
-		return rep, fmt.Errorf("%w: %q", ErrVMNotFound, name)
-	}
-	if err := vm.acquireLifecycle("ept relocation"); err != nil {
-		h.mu.Unlock()
+	vm, err := h.latch(name, "ept relocation")
+	if err != nil {
 		return rep, err
 	}
-	h.mu.Unlock()
-	defer func() {
-		h.mu.Lock()
-		vm.releaseLifecycle()
-		h.mu.Unlock()
-	}()
+	defer h.unlatch(vm)
 
 	rep.VM = name
 	rep.FromSocket = vm.eptSocket

@@ -453,15 +453,6 @@ func (h *Hypervisor) AllocHostPages(socket, order, n int) ([]uint64, error) {
 	return a.AllocPages(order, n)
 }
 
-// FreeHostPages releases host pages.
-func (h *Hypervisor) FreeHostPages(socket, order int, pages []uint64) error {
-	_, a, err := h.hostNode(socket)
-	if err != nil {
-		return err
-	}
-	return a.FreePages(order, pages)
-}
-
 // VM returns a created VM by name.
 func (h *Hypervisor) VM(name string) (*VM, bool) {
 	h.mu.Lock()

@@ -33,6 +33,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/alloc"
@@ -99,29 +100,134 @@ type MigrateReport struct {
 	EPTReclaimedBytes uint64
 }
 
+// latch is acquire for the operations that run without h.mu: the latch alone
+// keeps every other layout operation — and a destroy — off the VM meanwhile.
+func (h *Hypervisor) latch(name, op string) (*VM, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.acquire(name, op)
+}
+
+// unlatch drops the latch a latch call took.
+func (h *Hypervisor) unlatch(vm *VM) {
+	h.mu.Lock()
+	vm.releaseLifecycle()
+	h.mu.Unlock()
+}
+
+// precopy is the one pre-copy engine: steps 2 and 3 of the header up to the
+// commit. Same-host migration and the source side of a cross-host move differ
+// only in which pages the first round covers (first, ascending) and in where
+// copyPage puts page p (it returns the modelled bytes transferred). On success
+// the guest is PAUSED with logging still armed and rep holds the rounds and
+// totals; on failure it runs on its source frames with logging disarmed.
+// Caller holds the lifecycle latch.
+func (vm *VM) precopy(ctx context.Context, opt MigrateOptions, rep *MigrateReport, first []int, copyPage func(p int) (uint64, error)) (err error) {
+	opt.normalize()
+	if err := vm.StartDirtyTracking(); err != nil {
+		return err
+	}
+	paused := false
+	defer func() {
+		if err != nil {
+			if paused {
+				vm.Resume()
+			}
+			_ = vm.StopDirtyTracking()
+		}
+	}()
+	copyAll := func(pages []int) (bytes uint64, err error) {
+		for _, p := range pages {
+			n, err := copyPage(p)
+			if err != nil {
+				return bytes, err
+			}
+			bytes += n
+		}
+		return bytes, nil
+	}
+
+	pending, last := first, false
+	for round := 0; ; round++ {
+		// Checked before every round and once more before the pause, which is
+		// the commitment point: a cancellation arriving later is ignored,
+		// because the caller's commit must run to completion either way.
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: migration of VM %q aborted: %w", vm.spec.Name, err)
+		}
+		if last {
+			break
+		}
+		bytes, err := copyAll(pending)
+		if err != nil {
+			return err
+		}
+		if opt.GuestStep != nil {
+			if err := opt.GuestStep(round); err != nil {
+				return fmt.Errorf("core: migration guest step: %w", err)
+			}
+		}
+		dirtyGPAs, err := vm.TakeDirty()
+		if err != nil {
+			return err
+		}
+		rr := MigrateRound{Round: round, PagesCopied: len(pending), BytesCopied: bytes, DirtyAfter: len(dirtyGPAs)}
+		rep.Rounds = append(rep.Rounds, rr)
+		rep.PagesCopied += rr.PagesCopied
+		rep.BytesCopied += bytes
+		if opt.OnRound != nil {
+			opt.OnRound(rr)
+		}
+		pending = pagesOf(dirtyGPAs, nil)
+		// Stop when the dirty set is small enough, when the round budget is
+		// spent, or when it is not shrinking and more rounds are wasted work.
+		rep.Converged = len(pending) <= opt.StopPages
+		last = rep.Converged || round+1 >= opt.MaxRounds ||
+			float64(len(pending)) >= minShrinkRatio*float64(rr.PagesCopied)
+	}
+
+	// The guest is paused: stores block on the vCPU gate, so the residual
+	// dirty set is final. It is almost always empty.
+	vm.Pause()
+	paused = true
+	residual, err := vm.TakeDirty()
+	if err != nil {
+		return err
+	}
+	if len(residual) > 0 { // merge into pending in place, ascending
+		pending = pagesOf(residual, pending)
+		slices.Sort(pending)
+		pending = slices.Compact(pending)
+	}
+	if rep.DowntimeBytes, err = copyAll(pending); err != nil {
+		return err
+	}
+	rep.DowntimePages = len(pending)
+	rep.PagesCopied += len(pending)
+	rep.BytesCopied += rep.DowntimeBytes
+	return nil
+}
+
+// pagesOf appends the 2 MiB page index of each GPA to pages.
+func pagesOf(gpas []uint64, pages []int) []int {
+	pages = slices.Grow(pages, len(gpas))
+	for _, gpa := range gpas {
+		pages = append(pages, int(gpa/geometry.PageSize2M))
+	}
+	return pages
+}
+
 // MigrateVM live-migrates a VM's unmediated pages (RAM and guest-placed
 // regions) onto the given destination nodes using iterative pre-copy. On
 // error or context cancellation before the final stop-and-copy the VM is
-// rolled back intact on its source nodes. The VM must not be destroyed
-// concurrently with its migration.
+// rolled back intact on its source nodes. The latch refuses a destroy (or any
+// other layout operation) for as long as the migration runs.
 func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []int, opt MigrateOptions) (*MigrateReport, error) {
-	opt.normalize()
-	h.mu.Lock()
-	vm, ok := h.vms[name]
-	if !ok {
-		h.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrVMNotFound, name)
-	}
-	if err := vm.acquireLifecycle("live migration"); err != nil {
-		h.mu.Unlock()
+	vm, err := h.latch(name, "live migration")
+	if err != nil {
 		return nil, err
 	}
-	h.mu.Unlock()
-	defer func() {
-		h.mu.Lock()
-		vm.releaseLifecycle()
-		h.mu.Unlock()
-	}()
+	defer h.unlatch(vm)
 	dests, err := h.validateMigrationDests(vm, destNodeIDs)
 	if err != nil {
 		return nil, err
@@ -187,126 +293,40 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		}
 		moves = append(moves, regionMove{info: info, run: t.runs[len(t.runs)-1]})
 	}
-	// abort is the one way out before commit: the guest keeps (or resumes)
-	// running on its source frames with full write permission, destination
-	// frames are scrubbed and freed, and the domain shrinks back off the
-	// destination nodes.
-	paused := false
-	abort := func(err error) (*MigrateReport, error) {
-		if paused {
-			vm.Resume()
-		}
-		_ = vm.StopDirtyTracking()
-		t.rollback()
-		return nil, err
-	}
 
-	// Step 2: pre-copy with dirty logging.
-	if err := vm.StartDirtyTracking(); err != nil {
-		return abort(err)
-	}
+	// Steps 2 and 3, up to the commit: round 0 copies every resident page.
 	written := make([]bool, ramPages) // dst frames the engine has written
 	scratch := make([]byte, h.mem.Geometry().RowBytes)
-	// copyPage returns the modelled bytes the copy transfers: a whole page
-	// when the source holds data or the engine has written the frame before
-	// (the guest may have re-zeroed the page, and the destination must
-	// follow), nothing for a page that is and always was zero.
-	copyPage := func(p int) (uint64, error) {
+	rep := &MigrateReport{
+		VM: name, SourceNodes: srcNodeIDs, DestNodes: destIDs, PagesTotal: resident,
+	}
+	// A copy transfers a whole page when the source holds data or the engine
+	// has written the frame before (the guest may have re-zeroed the page, and
+	// the destination must follow), nothing for a page that is and always was
+	// zero.
+	err = vm.precopy(ctx, opt, rep, residents, func(p int) (uint64, error) {
 		nonzero, err := h.copyFrame(srcRAM[p], dstRAM[p], geometry.PageSize2M, scratch)
 		if err != nil || !(nonzero || written[p]) {
 			return 0, err
 		}
 		written[p] = true
 		return geometry.PageSize2M, nil
-	}
-
-	rep := &MigrateReport{
-		VM: name, SourceNodes: srcNodeIDs, DestNodes: destIDs, PagesTotal: resident,
-	}
-	pending := residents // round 0 copies every resident page
-	for round := 0; ; round++ {
-		if err := ctx.Err(); err != nil {
-			return abort(fmt.Errorf("core: migration of VM %q aborted: %w", name, err))
-		}
-		var bytes uint64
-		for _, p := range pending {
-			n, err := copyPage(p)
-			if err != nil {
-				return abort(err)
-			}
-			bytes += n
-		}
-		if opt.GuestStep != nil {
-			if err := opt.GuestStep(round); err != nil {
-				return abort(fmt.Errorf("core: migration guest step: %w", err))
-			}
-		}
-		dirtyGPAs, err := vm.TakeDirty()
-		if err != nil {
-			return abort(err)
-		}
-		rr := MigrateRound{Round: round, PagesCopied: len(pending), BytesCopied: bytes, DirtyAfter: len(dirtyGPAs)}
-		rep.Rounds = append(rep.Rounds, rr)
-		rep.PagesCopied += len(pending)
-		rep.BytesCopied += bytes
-		if opt.OnRound != nil {
-			opt.OnRound(rr)
-		}
-		next := make([]int, len(dirtyGPAs))
-		for i, gpa := range dirtyGPAs {
-			next[i] = int(gpa / geometry.PageSize2M)
-		}
-		if len(next) <= opt.StopPages {
-			rep.Converged = true
-			pending = next
-			break
-		}
-		if round+1 >= opt.MaxRounds {
-			pending = next // round budget exhausted
-			break
-		}
-		if float64(len(next)) >= minShrinkRatio*float64(len(pending)) {
-			pending = next // dirty set not shrinking; more rounds are wasted work
-			break
-		}
-		pending = next
-	}
-
-	// Step 3: stop-and-copy. The pause is the commitment point: a
-	// cancellation arriving later than this check is ignored, because the
-	// remap below must run to completion either way.
-	if err := ctx.Err(); err != nil {
-		return abort(fmt.Errorf("core: migration of VM %q aborted: %w", name, err))
-	}
-	// The guest is paused: stores block on the vCPU gate, so the residual
-	// dirty set is final.
-	vm.Pause()
-	paused = true
-	residual, err := vm.TakeDirty()
+	})
 	if err != nil {
-		return abort(err)
+		t.rollback()
+		return nil, err
 	}
-	finalSet := map[int]bool{}
-	for _, p := range pending {
-		finalSet[p] = true
+	// The guest is paused. abort is the one way out before commit: it resumes
+	// on its source frames with full write permission, destination frames are
+	// scrubbed and freed, and the domain shrinks back off the destination
+	// nodes.
+	abort := func(err error) (*MigrateReport, error) {
+		vm.Resume()
+		_ = vm.StopDirtyTracking()
+		t.rollback()
+		return nil, err
 	}
-	for _, gpa := range residual {
-		finalSet[int(gpa/geometry.PageSize2M)] = true
-	}
-	finalPages := make([]int, 0, len(finalSet))
-	for p := range finalSet {
-		finalPages = append(finalPages, p)
-	}
-	sort.Ints(finalPages)
-	var dtBytes uint64
-	for _, p := range finalPages {
-		n, err := copyPage(p)
-		if err != nil {
-			return abort(err)
-		}
-		dtBytes += n
-	}
-	// Guest-placed region pages (4 KiB): the guest is paused, one shot.
+	// Guest-placed region pages (4 KiB): one shot.
 	for _, mv := range moves {
 		for i, src := range mv.info.pages {
 			if _, err := h.copyFrame(src, mv.run.pages[i], geometry.PageSize4K, scratch); err != nil {
@@ -363,10 +383,6 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 			}
 		}
 	}
-	rep.PagesCopied += len(finalPages)
-	rep.BytesCopied += dtBytes
-	rep.DowntimePages = len(finalPages)
-	rep.DowntimeBytes = dtBytes
 
 	// Step 4: still paused, vacate the source. Only after the vacated groups
 	// have left the VM's control group does the guest resume, so at no
@@ -395,6 +411,67 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	h.logf("migrated VM %q: nodes %v -> %v, %d rounds, %d/%d pages copied, downtime %d pages, %d EPT pages relocated",
 		name, srcNodeIDs, destIDs, len(rep.Rounds), rep.PagesCopied, resident, rep.DowntimePages, rep.EPTRelocatedPages)
 	return rep, nil
+}
+
+// MoveOut is the source side of a cross-host move: it copies the named VM
+// into dest — its twin, on any host, with at least the same resident GPA
+// prefix — through the pre-copy engine, then destroys it here. Round 0 covers
+// the pages the guest ever wrote (the rest read as zero on any host); a copy
+// goes frame to frame and is charged as a whole page whatever it holds.
+// commit runs once the copy is complete, without h.mu but with the guest
+// still paused and latched — the caller points the world at the twin there,
+// and must not touch this VM's guest memory — and the source is torn down,
+// scrubbed, before the gate reopens: a store blocked on it fails, so none is
+// ever acknowledged by a copy about to be destroyed. On error the VM runs on
+// here untouched and dest is the caller's to discard.
+func (h *Hypervisor) MoveOut(ctx context.Context, name string, dest *VM, opt MigrateOptions, commit func(*MigrateReport)) error {
+	vm, err := h.latch(name, "cross-host move")
+	if err != nil {
+		return err
+	}
+	defer h.unlatch(vm)
+	if dest == vm {
+		return fmt.Errorf("core: VM %q moving onto itself", name)
+	}
+	dest.hv.mu.Lock()
+	usable := len(dest.ram) - dest.ballooned // balloons hold the top of the GPA space
+	dest.hv.mu.Unlock()
+	scratch := make([]byte, h.mem.Geometry().RowBytes)
+	rep := &MigrateReport{VM: name, PagesTotal: len(vm.ram) - vm.ballooned}
+	err = vm.precopy(ctx, opt, rep, vm.TouchedPages(), func(p int) (uint64, error) {
+		gpa := uint64(p) * geometry.PageSize2M
+		if p >= usable {
+			return 0, fmt.Errorf("core: moving VM %q: resident page at gpa %#x beyond the twin's usable prefix (%d pages)",
+				name, gpa, usable)
+		}
+		// The latch keeps this VM's layout still and, in the residue, its gate
+		// is already held exclusively: only the twin's is taken, shared — for
+		// the twin this is a guest store, ledger entry included.
+		from, err := vm.Translate(gpa)
+		if err != nil {
+			return 0, err
+		}
+		dest.pauseMu.RLock()
+		defer dest.pauseMu.RUnlock()
+		to, err := dest.translateWrite(gpa)
+		if err != nil {
+			return 0, err
+		}
+		_, err = dest.hv.mem.CopyPhys(to, h.mem, from, geometry.PageSize2M, scratch)
+		return geometry.PageSize2M, err
+	})
+	if err != nil {
+		return err
+	}
+	commit(rep)
+	h.mu.Lock()
+	vm.teardown()
+	delete(h.vms, name)
+	h.mu.Unlock()
+	vm.Resume()
+	h.logf("moved VM %q out: %d pages copied, downtime %d pages (memory scrubbed and returned to node free pools)",
+		name, rep.PagesCopied, rep.DowntimePages)
+	return nil
 }
 
 // socketOfNodes resolves the single socket hosting every listed node; ok is

@@ -157,11 +157,8 @@ func (h *Hypervisor) ResizeVM(name string, targetBytes uint64) (rep *ResizeRepor
 func (h *Hypervisor) resizeOp(name, op string, body func(*VM) error) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	vm, ok := h.vms[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrVMNotFound, name)
-	}
-	if err := vm.acquireLifecycle(op); err != nil {
+	vm, err := h.acquire(name, op)
+	if err != nil {
 		return err
 	}
 	defer vm.releaseLifecycle()

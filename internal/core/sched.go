@@ -46,13 +46,6 @@ func (h *Hypervisor) PinVCPUs(vm *VM) ([]int, error) {
 	return vm.pinned, nil
 }
 
-// PinnedCores returns the VM's pinned cores (nil if not pinned).
-func (vm *VM) PinnedCores() []int {
-	out := make([]int, len(vm.pinned))
-	copy(out, vm.pinned)
-	return out
-}
-
 // releaseCores frees a VM's core pinning. Caller holds h.mu.
 func (vm *VM) releaseCores() {
 	if vm.pinned == nil {
@@ -62,12 +55,4 @@ func (vm *VM) releaseCores() {
 		delete(vm.hv.coreOwner, c)
 	}
 	vm.pinned = nil
-}
-
-// CoreOwner reports which VM (if any) a logical core is pinned to.
-func (h *Hypervisor) CoreOwner(core int) (string, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	name, ok := h.coreOwner[core]
-	return name, ok
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -125,16 +126,21 @@ var ErrThrottled = errors.New("core: mediated access rate limit exceeded")
 // GPA range is unmapped in the EPTs and owns no host frame.
 const hpaNone = ^uint64(0)
 
-// acquireLifecycle takes the VM's lifecycle latch for the named operation,
-// failing with ErrResizeBusy if another lifecycle operation is in flight.
-// Caller holds h.mu.
-func (vm *VM) acquireLifecycle(op string) error {
+// acquire finds the named VM and takes its lifecycle latch for op, failing
+// with ErrResizeBusy if another lifecycle operation holds it. Caller holds
+// h.mu, and drops the latch under it with releaseLifecycle (a destroy never
+// does).
+func (h *Hypervisor) acquire(name, op string) (*VM, error) {
+	vm, ok := h.vms[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrVMNotFound, name)
+	}
 	if vm.lifecycle != "" {
-		return fmt.Errorf("%w: VM %q has a %s in flight; retry %s after it completes",
-			ErrResizeBusy, vm.spec.Name, vm.lifecycle, op)
+		return nil, fmt.Errorf("%w: VM %q has a %s in flight; retry %s after it completes",
+			ErrResizeBusy, name, vm.lifecycle, op)
 	}
 	vm.lifecycle = op
-	return nil
+	return vm, nil
 }
 
 // releaseLifecycle drops the lifecycle latch. Caller holds h.mu.
@@ -372,11 +378,8 @@ func (h *Hypervisor) allocMediated(vm *VM) error {
 func (h *Hypervisor) DestroyVM(name string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	vm, ok := h.vms[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrVMNotFound, name)
-	}
-	if err := vm.acquireLifecycle("destroy"); err != nil {
+	vm, err := h.acquire(name, "destroy")
+	if err != nil {
 		return err
 	}
 	vm.teardown()
@@ -695,7 +698,7 @@ func (vm *VM) TakeDirty() ([]uint64, error) {
 	for gpa := range vm.dirty {
 		gpas = append(gpas, gpa)
 	}
-	sort.Slice(gpas, func(i, j int) bool { return gpas[i] < gpas[j] })
+	slices.Sort(gpas)
 	for _, gpa := range gpas {
 		if err := vm.tables.Protect(gpa, false); err != nil {
 			return nil, err
@@ -755,39 +758,6 @@ func (vm *VM) ReadGuest(gpa uint64, buf []byte) error {
 	return vm.guestIter(gpa, len(buf), vm.Translate, func(hpa uint64, off, n int) error {
 		return vm.hv.mem.ReadPhys(hpa, buf[off:off+n])
 	})
-}
-
-// CopyGuest makes n bytes of this VM's RAM at gpa equal the same range of
-// src — a VM of this or another host — without reading them out: each page
-// is translated on both sides and copied frame to frame, row to row through
-// scratch (dram.Memory.CopyPhys), so the copy costs what the source page
-// holds. It reports whether the source held a nonzero byte. For this VM it
-// is a store like WriteGuest — every page enters the touched ledger and,
-// while tracking is armed, the dirty log — and for src a load; it holds both
-// vCPU gates shared, the source's first.
-func (vm *VM) CopyGuest(src *VM, gpa uint64, n int, scratch []byte) (nonzero bool, err error) {
-	if src == vm {
-		return false, fmt.Errorf("core: VM %q copying from itself", vm.spec.Name)
-	}
-	if end := gpa + uint64(n); !vm.isRAMGPA(gpa) || end < gpa || end > ROMBase {
-		return false, fmt.Errorf("core: copy of guest range [%#x, %#x) is not confined to RAM", gpa, end)
-	}
-	src.pauseMu.RLock()
-	defer src.pauseMu.RUnlock()
-	vm.pauseMu.RLock()
-	defer vm.pauseMu.RUnlock()
-	// RAM pages are 2 MiB on both sides, so a piece that fits one of this
-	// VM's pages fits one of the source's.
-	err = vm.guestIter(gpa, n, vm.translateWrite, func(hpa uint64, off, chunk int) error {
-		from, err := src.Translate(gpa + uint64(off))
-		if err != nil {
-			return err
-		}
-		moved, err := vm.hv.mem.CopyPhys(hpa, src.hv.mem, from, chunk, scratch)
-		nonzero = nonzero || moved
-		return err
-	})
-	return nonzero, err
 }
 
 // WriteGuestRow stores data into the one DRAM bank row behind gpa, from gpa's

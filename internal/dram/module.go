@@ -265,19 +265,6 @@ func (m *Module) mediaRowOf(bs *bankState, virt int, side addr.Side) int {
 	return m.im.MediaRow(bs.id, virt, side)
 }
 
-// anchorOf returns the physical position of an internal (virtual) row.
-func (m *Module) anchorOf(bs *bankState, virt int) int {
-	if virt >= m.g.RowsPerBank {
-		for _, sp := range bs.spareBySource {
-			if sp.virt == virt {
-				return sp.anchor
-			}
-		}
-		panic("dram: unknown spare virtual index")
-	}
-	return virt
-}
-
 // ActivateRow issues count activations of a media row, each holding the row
 // open for openNs nanoseconds (RowPress exposure). Disturbance accrues to
 // neighbouring rows within the aggressor's subarray on both internal sides.

@@ -131,9 +131,6 @@ func New(mem *dram.Memory, pages PageAllocator, mode IntegrityMode) (*Tables, er
 	return t, nil
 }
 
-// Root returns the root table page's physical address.
-func (t *Tables) Root() uint64 { return t.root.Load() }
-
 // Mode returns the integrity mode.
 func (t *Tables) Mode() IntegrityMode { return t.mode }
 

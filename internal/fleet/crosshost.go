@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -25,16 +24,25 @@ type CrossHostReport struct {
 	DowntimeBytes uint64
 }
 
-// MoveVM migrates a VM to another host: create an equally-sized guest on
-// the destination, pre-copy the source's touched pages under dirty
-// tracking, stop-and-copy the residue, then destroy the source. The whole
-// source side runs as ONE op on the VM's queue — the queue is the lifecycle
-// latch, so no resize/destroy can interleave with the copy.
+// moveRounds is the move's pre-copy budget: one round over the touched pages,
+// and what the guest dirtied meanwhile is the paused residue. A constant, not
+// an option: raising it changes every modelled move.
+const moveRounds = 1
+
+// MoveVM migrates a VM to another host. The fleet's part is the twin — an
+// equally sized guest created (and, for a ballooned source, shrunk) through
+// the destination's queue — the routing flip and the counters. The copy, the
+// pause and the source's teardown are core's (Hypervisor.MoveOut), queued as
+// ONE op on the source so it takes its turn behind what was submitted for the
+// VM before. The queue orders; what excludes is the VM's lifecycle latch,
+// held from the first copy to the teardown: a resize, migration or destroy
+// issued straight on the source hypervisor is refused (core.ErrResizeBusy).
 //
-// dirtyPages > 0 injects that many seeded guest writes between pre-copy
-// rounds, modeling a guest that keeps running during the move (and making
-// the stop-and-copy round non-empty); dirtySeed makes the injection
-// reproducible.
+// dirtyPages > 0 injects that many seeded guest writes after the pre-copy
+// round, modeling a guest that keeps running during the move (and making
+// the stop-and-copy residue non-empty); dirtySeed makes the injection
+// reproducible. A move cancelled or refused before the pause leaves the VM
+// where it was.
 //
 // Limitations (callers skip such VMs): a VM with extra Regions is not
 // movable cross-host, and the source's resident pages must form a GPA
@@ -43,42 +51,55 @@ type CrossHostReport struct {
 func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket int, dirtyPages int, dirtySeed int64) (*CrossHostReport, error) {
 	c.mu.Lock()
 	srcName, ok := c.vmHost[name]
-	if !ok {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("move %q: %w", name, ErrUnknownVM)
+	dst, known := c.byName[destHost]
+	_, inFlight := c.moving[name]
+	var err error
+	switch {
+	case !ok:
+		err = fmt.Errorf("move %q: %w", name, ErrUnknownVM)
+	case inFlight:
+		err = fmt.Errorf("move %q: %w", name, ErrVMMigrating)
+	case srcName == destHost:
+		err = fmt.Errorf("fleet: move %q: already on %s", name, destHost)
+	case !known:
+		err = fmt.Errorf("move %q to %q: %w", name, destHost, ErrUnknownHost)
 	}
-	if _, inFlight := c.moving[name]; inFlight {
+	if err != nil {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("move %q: %w", name, ErrVMMigrating)
-	}
-	if srcName == destHost {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("fleet: move %q: already on %s", name, destHost)
-	}
-	dst, ok := c.byName[destHost]
-	if !ok {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("move %q to %q: %w", name, destHost, ErrUnknownHost)
+		return nil, err
 	}
 	proc := c.procs[name]
 	c.moving[name] = moveWindow{Src: srcName, Dst: destHost}
 	c.mu.Unlock()
 
-	src := c.byName[srcName]
-	unmove := func() {
+	// The one unwind, for every way out. A cancelled Wait abandons the wait,
+	// not the work, so the destination op last waited on is waited out before
+	// looking at what exists; a move that did not commit then takes its twin
+	// back, and the move window closes last — the cross-host audit tolerates
+	// the name on exactly {source, destination} only while it is open.
+	var created, last *Op
+	committed := false
+	defer func() {
+		if last != nil {
+			<-last.done
+		}
+		if !committed && created != nil && created.Err() == nil {
+			if op, err := dst.SubmitDestroy(name); err == nil {
+				<-op.done
+			}
+		}
 		c.mu.Lock()
 		delete(c.moving, name)
 		c.mu.Unlock()
-	}
+	}()
 
+	src := c.byName[srcName]
 	srcVM, ok := src.Hypervisor().VM(name)
 	if !ok {
-		unmove()
 		return nil, fmt.Errorf("move %q: vanished from %s: %w", name, srcName, ErrUnknownVM)
 	}
 	spec := srcVM.Spec()
 	if len(spec.Regions) > 0 {
-		unmove()
 		return nil, fmt.Errorf("fleet: move %q: VMs with extra regions are not movable cross-host", name)
 	}
 
@@ -87,71 +108,33 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 	// (both balloons hold the same top-of-GPA suffix afterwards).
 	destSpec := spec
 	destSpec.Socket = destSocket
-	op, err := dst.SubmitCreate(proc, destSpec)
-	if err != nil {
-		unmove()
+	if created, err = dst.SubmitCreate(proc, destSpec); err != nil {
 		return nil, err
 	}
-	if err := op.Wait(ctx); err != nil {
-		unmove()
+	last = created
+	if err := last.Wait(ctx); err != nil {
 		return nil, fmt.Errorf("fleet: move %q: create on %s: %w", name, destHost, err)
-	}
-	destroyDest := func() {
-		if op, err := dst.SubmitDestroy(name); err == nil {
-			_ = op.Wait(context.Background())
-		}
 	}
 	usable := spec.MemoryBytes - srcVM.BalloonedBytes()
 	if usable < spec.MemoryBytes {
-		op, err := dst.SubmitResize(name, usable)
-		if err == nil {
-			err = op.Wait(ctx)
+		if last, err = dst.SubmitResize(name, usable); err == nil {
+			err = last.Wait(ctx)
 		}
 		if err != nil {
-			destroyDest()
-			unmove()
 			return nil, fmt.Errorf("fleet: move %q: shrink dest to %d: %w", name, usable, err)
 		}
 	}
 	destVM, ok := dst.Hypervisor().VM(name)
 	if !ok {
-		unmove()
 		return nil, fmt.Errorf("move %q: dest twin vanished: %w", name, ErrUnknownVM)
 	}
 
-	// Source side, as one queued op.
-	rep := &CrossHostReport{VM: name, Source: srcName, Dest: destHost, DestSocket: destSocket}
-	usablePages := int(usable / geometry.PageSize2M)
-	srcOp, err := src.Submit(name, "move", func() error {
-		if err := srcVM.StartDirtyTracking(); err != nil {
-			return err
-		}
-		defer srcVM.StopDirtyTracking()
-		scratch := make([]byte, src.Hypervisor().Memory().Geometry().RowBytes)
-		// The modelled transfer is page-granular whatever the page holds:
-		// every touched or dirtied page counts 2 MiB.
-		copyPage := func(gpa uint64) error {
-			if int(gpa/geometry.PageSize2M) >= usablePages {
-				return fmt.Errorf("fleet: move %q: resident page at gpa %#x beyond usable prefix (%d pages)",
-					name, gpa, usablePages)
-			}
-			if _, err := destVM.CopyGuest(srcVM, gpa, geometry.PageSize2M, scratch); err != nil {
-				return err
-			}
-			rep.PagesCopied++
-			rep.BytesCopied += geometry.PageSize2M
-			return nil
-		}
-		// Round 1: every page the guest ever wrote. Untouched pages read
-		// as zeros on any host and need no copy.
-		for _, p := range srcVM.TouchedPages() {
-			if err := copyPage(uint64(p) * geometry.PageSize2M); err != nil {
-				return err
-			}
-		}
-		// Modeled guest activity between rounds: seeded stores dirty a
-		// few pages, so the stop-and-copy round below is non-empty.
-		if dirtyPages > 0 && usablePages > 0 {
+	// Source side, as one queued op. It takes ctx itself, so it is waited for
+	// unconditionally: once it has paused the guest it runs to the end.
+	opt := core.MigrateOptions{MaxRounds: moveRounds}
+	if usablePages := int(usable / geometry.PageSize2M); dirtyPages > 0 && usablePages > 0 {
+		// Modeled guest activity: seeded stores dirty a few pages.
+		opt.GuestStep = func(int) error {
 			rng := rand.New(rand.NewSource(dirtySeed))
 			stamp := make([]byte, 64)
 			for i := 0; i < dirtyPages; i++ {
@@ -161,56 +144,31 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 					return err
 				}
 			}
+			return nil
 		}
-		// Stop-and-copy: drain the dirty log with the guest notionally
-		// paused; these bytes are the downtime.
-		dirty, err := srcVM.TakeDirty()
-		if err != nil {
-			return err
-		}
-		for _, gpa := range dirty {
-			if err := copyPage(gpa); err != nil {
-				return err
-			}
-			rep.DowntimeBytes += geometry.PageSize2M
-		}
-		return nil
+	}
+	rep := &CrossHostReport{VM: name, Source: srcName, Dest: destHost, DestSocket: destSocket}
+	srcOp, err := src.Submit(name, "move", func() error {
+		return src.Hypervisor().MoveOut(ctx, name, destVM, opt, func(m *core.MigrateReport) {
+			rep.PagesCopied, rep.BytesCopied, rep.DowntimeBytes = m.PagesCopied, m.BytesCopied, m.DowntimeBytes
+			c.probeMove("copied", name)
+			// Commit: route to the destination; MoveOut tears the source down next.
+			c.mu.Lock()
+			c.vmHost[name] = destHost
+			c.stats.CrossMoves++
+			c.stats.MigratedBytes += rep.BytesCopied
+			c.stats.DowntimeBytes += rep.DowntimeBytes
+			c.mu.Unlock()
+			committed = true
+			c.probeMove("committed", name)
+		})
 	})
 	if err != nil {
-		destroyDest()
-		unmove()
 		return nil, err
 	}
-	if err := srcOp.Wait(ctx); err != nil {
-		destroyDest()
-		unmove()
+	<-srcOp.done
+	if err := srcOp.Err(); err != nil {
 		return nil, fmt.Errorf("fleet: move %q: source copy: %w", name, err)
-	}
-	c.probeMove("copied", name)
-
-	// Commit: route to the destination, then tear the source down (its
-	// pages scrub and its nodes release under the source's own queue).
-	// The VM stays marked moving until the source copy is gone — the
-	// cross-host audit tolerates the name on exactly {source, destination}
-	// only then.
-	c.mu.Lock()
-	c.vmHost[name] = destHost
-	c.stats.CrossMoves++
-	c.stats.MigratedBytes += rep.BytesCopied
-	c.stats.DowntimeBytes += rep.DowntimeBytes
-	c.mu.Unlock()
-	c.probeMove("committed", name)
-	dropOp, err := src.Submit(name, "destroy", func() error {
-		return src.Hypervisor().DestroyVM(name)
-	})
-	if err != nil {
-		unmove()
-		return rep, err
-	}
-	err = dropOp.Wait(ctx)
-	unmove()
-	if err != nil && !errors.Is(err, core.ErrVMNotFound) {
-		return rep, fmt.Errorf("fleet: move %q: destroy source copy: %w", name, err)
 	}
 	return rep, nil
 }

@@ -2,7 +2,8 @@
 // multi-host simulator where VMs arrive, resize, and depart under traced
 // churn. Each simulated host shards its own numa.Registry and hypervisor
 // state behind a Host handle whose event loop (per-VM operation queues)
-// replaces the per-VM lifecycle latch as the serialization point; an
+// orders and dispatches lifecycle operations — exclusion stays with core's
+// per-VM lifecycle latch, which a queued op takes like any other caller; an
 // admission/placement service bin-packs subarray-group nodes across sockets
 // and hosts behind a Policy interface; and a Scheduler drains hot hosts and
 // defragments cold ones through the existing migrate.Planner/Engine.
@@ -24,8 +25,9 @@ var (
 	ErrUnknownHost = errors.New("fleet: unknown host")
 	// ErrUnknownVM names a VM the cluster has no placement record for.
 	ErrUnknownVM = errors.New("fleet: unknown vm")
-	// ErrVMMigrating rejects operations on a VM while a cross-host move
-	// is in flight (its domain momentarily spans two hosts).
+	// ErrVMMigrating rejects cluster operations on a VM while a cross-host
+	// move is in flight (its domain momentarily spans two hosts); straight on
+	// the source hypervisor the latch refuses them, with core.ErrResizeBusy.
 	ErrVMMigrating = errors.New("fleet: vm is migrating between hosts")
 	// ErrClosed rejects operations on a closed host or cluster.
 	ErrClosed = errors.New("fleet: closed")

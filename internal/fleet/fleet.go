@@ -79,7 +79,7 @@ type Cluster struct {
 }
 
 // moveWindow records the two hosts a mid-move VM may legitimately span: the
-// source (whose copy still exists until the post-commit destroy) and the
+// source (whose copy exists until the move's own teardown) and the
 // destination (whose twin exists from the moment it boots). The audit uses
 // it to bound double-ownership to exactly this pair — a mid-move VM
 // observed anywhere else is a containment failure, not a transient.
@@ -89,11 +89,15 @@ type moveWindow struct {
 }
 
 // SetMoveProbe installs a hook invoked synchronously at named points inside
-// MoveVM: "copied" after the source pre-copy completes (routing still
-// points at the source), and "committed" after the routing table flips to
-// the destination but before the source copy is destroyed — the
-// double-ownership window. The probe runs on the caller's goroutine with no
-// cluster locks held, so it may submit ops and audit freely.
+// MoveVM: "copied" after the source's copy completes (routing still points
+// at the source), and "committed" after the routing table flips to the
+// destination but before the source copy is destroyed — the double-ownership
+// window. The probe runs on the source host's worker, inside the move's op,
+// with no cluster or hypervisor lock held but with the source paused and
+// latched: it may audit, hammer from other VMs and submit ops, but it must
+// not access the moving VM's guest memory (the gate is closed; the access
+// would wait for the goroutine it runs on) nor wait for an op on the source
+// host's queue (with one worker, the one it occupies).
 func (c *Cluster) SetMoveProbe(p func(stage, vm string)) { c.moveProbe = p }
 
 func (c *Cluster) probeMove(stage, vm string) {

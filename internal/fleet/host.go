@@ -10,9 +10,11 @@ import (
 )
 
 // Op is one queued lifecycle operation on a host. Ops on the same VM run
-// strictly in submission order, one at a time — the queue is the lifecycle
-// latch. Ops on different VMs may interleave when the host runs more than
-// one worker.
+// strictly in submission order, one at a time; ops on different VMs may
+// interleave when the host runs more than one worker. The queue orders and
+// dispatches; it excludes nothing: internal/serve, experiments and tests call
+// a host's hypervisor directly, and what keeps two layout operations off one
+// VM — for them and for queued ops alike — is core's lifecycle latch.
 type Op struct {
 	seq  uint64
 	key  string // VM name (or a reserved key for host-wide work)

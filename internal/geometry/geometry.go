@@ -80,22 +80,6 @@ func DDR5Server() Geometry {
 	return g
 }
 
-// HBM2Server returns a server with HBM2-like stacks (§8.2): many more
-// banks per "socket" (one stack of 8 channels x 32 banks here), pushing
-// group sizes up further; §8.1's techniques offset the coarser granularity.
-func HBM2Server() Geometry {
-	return Geometry{
-		Sockets:         2,
-		CoresPerSocket:  40,
-		DIMMsPerSocket:  8, // pseudo-channels
-		RanksPerDIMM:    1,
-		BanksPerRank:    32,
-		RowsPerBank:     64 * 1024,
-		RowBytes:        8 * KiB,
-		RowsPerSubarray: 1024,
-	}
-}
-
 // WithSubarraySize returns a copy of g using rows rows per subarray. It is
 // how the Siloz-512 and Siloz-2048 sensitivity variants (§7.4) are built.
 func (g Geometry) WithSubarraySize(rows int) Geometry {
@@ -185,9 +169,6 @@ func (g Geometry) SubarrayGroupsPerSocket() int { return g.SubarraysPerBank() }
 func (g Geometry) RowGroupBytes() int64 {
 	return int64(g.BanksPerSocket()) * int64(g.RowBytes)
 }
-
-// TotalCores returns the number of logical cores in the server.
-func (g Geometry) TotalCores() int { return g.Sockets * g.CoresPerSocket }
 
 // String summarizes the geometry, e.g. for cmd/siloz-topology output.
 func (g Geometry) String() string {

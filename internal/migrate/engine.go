@@ -120,7 +120,7 @@ func (e *Engine) AdmitWithRebalance(ctx context.Context, proc core.Process, spec
 // Each cross-socket move also relocates the victim's EPT tables (see
 // core.MigrateVM), so defragmentation drains the overloaded socket's
 // guard-protected EPT block alongside its guest nodes — EPTOccupancy shows
-// the per-socket pools, EPTReclaimed totals what a run gave back.
+// the per-socket pools.
 func (e *Engine) Defragment(ctx context.Context, maxMoves int) ([]*core.MigrateReport, error) {
 	if e.h.Mode() != core.ModeSiloz {
 		return nil, fmt.Errorf("migrate: defragmentation applies to Siloz exclusive reservations")
@@ -167,20 +167,6 @@ func (e *Engine) Defragment(ctx context.Context, maxMoves int) ([]*core.MigrateR
 		}
 	}
 	return reps, nil
-}
-
-// EPTReclaimed totals the EPT-table relocation work across a batch of
-// migration reports: table pages rebuilt on destination sockets and the
-// bytes their source EPT pools got back.
-func EPTReclaimed(reps []*core.MigrateReport) (pages int, bytes uint64) {
-	for _, rep := range reps {
-		if rep == nil {
-			continue
-		}
-		pages += rep.EPTRelocatedPages
-		bytes += rep.EPTReclaimedBytes
-	}
-	return pages, bytes
 }
 
 // pickDefragMove selects the smallest VM wholly resident on the overloaded

@@ -85,21 +85,6 @@ func (r *Report) ViolationFrac() float64 {
 	return float64(r.Violations+r.Errors) / float64(r.Requests)
 }
 
-// WorstWindow returns the churn window with the highest p99 among those
-// that served traffic; nil when no window did.
-func (r *Report) WorstWindow() *Window {
-	var worst *Window
-	for _, w := range r.Windows {
-		if w.Hist.Count() == 0 {
-			continue
-		}
-		if worst == nil || w.Hist.P99() > worst.Hist.P99() {
-			worst = w
-		}
-	}
-	return worst
-}
-
 // String renders a compact human-readable report.
 func (r *Report) String() string {
 	var b strings.Builder

@@ -186,9 +186,6 @@ func TestServeChurnWindows(t *testing.T) {
 	if defrag.Err != "" {
 		t.Fatalf("defrag on a Siloz host failed: %s", defrag.Err)
 	}
-	if rep.WorstWindow() == nil {
-		t.Fatal("no worst window despite traffic in windows")
-	}
 	// The migrated tenant must still be serving from its new socket.
 	vm, ok := h.VM("t0")
 	if !ok {

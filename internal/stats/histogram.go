@@ -144,9 +144,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// P50, P90, P99 and P999 are the quantiles the SLO tables report.
+// P50, P99 and P999 are the quantiles the SLO tables report.
 func (h *Histogram) P50() float64  { return h.Quantile(0.50) }
-func (h *Histogram) P90() float64  { return h.Quantile(0.90) }
 func (h *Histogram) P99() float64  { return h.Quantile(0.99) }
 func (h *Histogram) P999() float64 { return h.Quantile(0.999) }
 

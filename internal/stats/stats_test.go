@@ -83,18 +83,6 @@ func TestGeoMeanBetweenMinAndMax(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if !almost(Median([]float64{3, 1, 2}), 2) {
-		t.Error("odd median wrong")
-	}
-	if !almost(Median([]float64{4, 1, 3, 2}), 2.5) {
-		t.Error("even median wrong")
-	}
-	if Median(nil) != 0 {
-		t.Error("Median(nil) != 0")
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	base := Sample{Name: "base", Values: []float64{100, 100, 100}}
 	fast := Sample{Name: "fast", Values: []float64{99, 99, 99}}
