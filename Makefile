@@ -49,15 +49,18 @@ race:
 # tests), the cross-host move under a live writer, against direct layout
 # operations on its source and failed at every step (fleet's unwind, core's
 # MoveOut), the lock-free TLB's coherence across every layout commit
-# (-count=10: the race it pins needs a translator caught mid-walk), and one
+# (-count=10: the race it pins needs a translator caught mid-walk), one
 # tenant's window ends beside another's mediated accesses (the refresh-window
-# index is read under the lock Refresh advances it under).
+# index is read under the lock Refresh advances it under), and EPT walkers
+# beside run edits of the leaves they walk (a span is one hold of the entry
+# lock) with the relocation unwind table and the mid-run leaf-fault table.
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
-	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld|TestWindowEndRacesMediatedAccess|TestMoveOutFailsCleanlyAtEveryStep' ./internal/core
+	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld|TestWindowEndRacesMediatedAccess|TestMoveOutFailsCleanlyAtEveryStep|TestSyncLeavesFaultMidRun' ./internal/core
 	$(GO) test -race -count=10 -run 'TestTLBCoherentAcrossLifecycle' ./internal/core
 	$(GO) test -race -run 'TestCopyNeverTearsALine' ./internal/dram
+	$(GO) test -race -run 'TestWalkersSeeWholeEntriesDuringRunEdits|TestRelocateUnwindsAtEveryStep|TestRelocateSeesDestroyAtEveryStep' ./internal/ept
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate
 	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock|TestConcurrentWriterDuringCrossHostMove|TestCrossHostMoveHoldsTheLatch|TestMoveUnwindsAtEveryStep' ./internal/fleet
@@ -77,12 +80,13 @@ fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/memctrl
 	$(GO) test -run '^$$' -fuzz '^FuzzAggressorTableMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mitigation
 	$(GO) test -run '^$$' -fuzz '^FuzzRunMatchesPerLine$$' -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzTableEditsMatchPerEntry$$' -fuzztime $(FUZZTIME) ./internal/ept
 
 # Packages with substrate microbenchmarks (address decode, the memory
-# controller, the DRAM module, the attack plane) — the hot paths the
+# controller, the DRAM module, the attack plane, the EPT) — the hot paths the
 # BENCH_*.json baseline tracks. The registry benches in the repo root ride
 # along.
-BENCH_PKGS := ./internal/addr ./internal/core ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve ./internal/attack
+BENCH_PKGS := ./internal/addr ./internal/core ./internal/ept ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve ./internal/attack
 # Every capture is a new point of the trajectory: bench and bench-micro refuse
 # to overwrite an existing BENCH_$(BENCH_DATE).json. For a second point on the
 # same day pass a suffix that sorts after the date, e.g. BENCH_DATE=2026-09-30b

@@ -40,9 +40,16 @@ func (h *Hypervisor) AuditIsolation() []string {
 		bad = append(bad, fmt.Sprintf(format, args...))
 	}
 	siloz := h.mode == ModeSiloz
-	seenPages := make(map[uint64]string)
-	seenNodes := make(map[int]string)
-	for _, vm := range h.VMs() {
+	vms := h.VMs()
+	pages, nodes := 0, 0
+	for _, vm := range vms {
+		pages += len(vm.ram)
+		nodes += len(vm.Nodes())
+	}
+	// Sized up front: growing them from empty was most of the audit's map time.
+	seenPages := make(map[uint64]string, pages)
+	seenNodes := make(map[int]string, nodes)
+	for _, vm := range vms {
 		// 1: node kind, registry ownership and exclusivity.
 		cgroup := "vm:" + vm.Name()
 		if siloz && len(vm.Nodes()) == 0 {

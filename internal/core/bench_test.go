@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/ept"
 	"repro/internal/geometry"
 )
 
@@ -64,6 +66,74 @@ func BenchmarkVMTranslate(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			vm.InvalidateTLB()
 			warm(b)
+		}
+	})
+}
+
+// benchGuest boots a host with one 128 MiB guest: 64 RAM leaves.
+func benchGuest(b *testing.B) (*Hypervisor, *VM) {
+	b.Helper()
+	h, err := Boot(testConfig(), ModeSiloz)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "bench", Socket: 0, AllowRemote: true, MemoryBytes: 128 * geometry.MiB})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return h, vm
+}
+
+// BenchmarkSyncLeaves times the leaf edits of a layout commit on a second
+// hierarchy over the guest's frames (what a device attach builds): create
+// maps all 64 leaves onto empty tables and unmaps them again, commit remaps
+// all 64 to other frames, as a migration's commit does.
+func BenchmarkSyncLeaves(b *testing.B) {
+	h, vm := benchGuest(b)
+	a, err := h.eptAllocatorFor(vm.eptSocket)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tables, err := ept.New(h.mem, eptAlloc{a}, h.cfg.EPTProtection)
+	if err != nil {
+		b.Fatal(err)
+	}
+	layouts := [2][]uint64{slices.Clone(vm.ram), slices.Clone(vm.ram)}
+	slices.Reverse(layouts[1])
+	var view []uint64
+	sync := func(b *testing.B, ram []uint64) {
+		if err := vm.syncLeaves(tables, &view, ram); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("create-64leaves", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sync(b, layouts[0])
+			sync(b, nil)
+		}
+	})
+	b.Run("commit-64leaves", func(b *testing.B) {
+		sync(b, layouts[0])
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sync(b, layouts[(i+1)%2])
+		}
+	})
+}
+
+// BenchmarkDirtyArm times arming and disarming dirty logging over the 64
+// leaves of a 128 MiB guest: what every pre-copy migration starts with and an
+// aborted one ends with.
+func BenchmarkDirtyArm(b *testing.B) {
+	_, vm := benchGuest(b)
+	b.Run("64leaves", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := vm.StartDirtyTracking(); err != nil {
+				b.Fatal(err)
+			}
+			if err := vm.StopDirtyTracking(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -93,13 +93,16 @@ func (h *Hypervisor) probe(event string, vm *VM) {
 	}
 }
 
-// injectedLeafFault is the error the leaf-edit seam wants the next edit to
-// fail with, if any.
-func (h *Hypervisor) injectedLeafFault() error {
-	if h.leafHook != nil {
-		return h.leafHook()
+// injectedLeafFault consults the leaf-edit seam once per leaf of a run of n,
+// in order, and returns how many leaves precede the first it wants to fail,
+// with that leaf's error: a run of edits ends before the faulting leaf.
+func (h *Hypervisor) injectedLeafFault(n int) (int, error) {
+	for i := 0; h.leafHook != nil && i < n; i++ {
+		if err := h.leafHook(); err != nil {
+			return i, err
+		}
 	}
-	return nil
+	return n, nil
 }
 
 // Boot initializes a hypervisor in the given mode. It performs Siloz's

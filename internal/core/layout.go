@@ -22,39 +22,55 @@ import (
 )
 
 // syncLeaves brings one hierarchy's 2 MiB RAM leaves from the layout *view
-// records to ram, editing exactly the slots that differ. It is the only code
-// that edits RAM leaves, the EPT's and the IOMMU's alike. The view follows
-// every entry as it changes, so after a failure part-way a sync to the
-// previous layout undoes exactly what was done.
+// records to ram, editing exactly the slots that differ: consecutive slots
+// needing the same edit (unmap, map, remap) go to the tables as one run. It is
+// the only code that edits RAM leaves, the EPT's and the IOMMU's alike. The
+// fault seam is consulted once per leaf and a run ends before a leaf it fails;
+// the view advances by the leaves the tables report stored, so after a failure
+// part-way a sync to the previous layout undoes exactly what was done.
 func (vm *VM) syncLeaves(t *ept.Tables, view *[]uint64, ram []uint64) error {
 	v := slices.Grow(*view, max(len(ram)-len(*view), 0))
 	for len(v) < len(ram) {
 		v = append(v, hpaNone) // the layout grew: new slots start unmapped
 	}
 	*view = v
-	for i, old := range v {
-		cur := hpaNone
+	want := func(i int) uint64 {
 		if i < len(ram) {
-			cur = ram[i]
+			return ram[i]
 		}
+		return hpaNone
+	}
+	for i := 0; i < len(v); {
+		old, cur := v[i], want(i)
 		if old == cur {
+			i++
 			continue
 		}
+		end := i + 1
+		for end < len(v) && v[end] != want(end) &&
+			(v[end] == hpaNone) == (old == hpaNone) && (want(end) == hpaNone) == (cur == hpaNone) {
+			end++
+		}
+		n, fault := vm.hv.injectedLeafFault(end - i)
 		gpa := uint64(i) * geometry.PageSize2M
-		err := vm.hv.injectedLeafFault()
+		var err error
 		switch {
-		case err != nil:
 		case cur == hpaNone:
-			err = t.Unmap(gpa)
+			n, err = t.UnmapRun(gpa, n, geometry.PageSize2M)
 		case old == hpaNone:
-			err = t.Map2M(gpa, cur) // an unmap kept the intermediate tables: a refill allocates nothing
+			n, err = t.MapRun(gpa, ram[i:i+n], geometry.PageSize2M, true) // an unmap kept the intermediate tables: a refill allocates nothing
 		default:
-			err = t.Remap2M(gpa, cur) // writable: a migration's remap also disarms the leaf's dirty logging
+			n, err = t.RemapRun(gpa, ram[i:i+n], geometry.PageSize2M, true) // writable: a migration's remap also disarms the leaf's dirty logging
+		}
+		for ; n > 0; i, n = i+1, n-1 {
+			v[i] = want(i)
+		}
+		if err == nil {
+			err = fault
 		}
 		if err != nil {
-			return fmt.Errorf("2 MiB leaf at %#x: %w", gpa, err)
+			return fmt.Errorf("2 MiB leaf at %#x: %w", uint64(i)*geometry.PageSize2M, err)
 		}
-		v[i] = cur
 	}
 	*view = v[:len(ram)]
 	return nil
@@ -94,19 +110,15 @@ func (vm *VM) remapRegions(moves []regionMove) error {
 	for m := range moves {
 		mv := &moves[m]
 		writable := mv.info.Type != RegionROM
-		for i, hpa := range mv.run.pages {
-			gpa := mv.info.gpa + uint64(i)*geometry.PageSize4K
-			err := vm.hv.injectedLeafFault()
-			if err == nil {
-				err = vm.tables.Remap4KProt(gpa, hpa, writable)
-			}
-			if err != nil {
-				for j, back := range mv.info.pages[:i] {
-					_ = vm.tables.Remap4KProt(mv.info.gpa+uint64(j)*geometry.PageSize4K, back, writable)
-				}
-				_ = vm.remapRegions(moves[:m])
-				return fmt.Errorf("core: VM %q region %q: %w", vm.spec.Name, mv.info.Name, err)
-			}
+		n, fault := vm.hv.injectedLeafFault(len(mv.run.pages))
+		n, err := vm.tables.RemapRun(mv.info.gpa, mv.run.pages[:n], geometry.PageSize4K, writable)
+		if err == nil {
+			err = fault
+		}
+		if err != nil {
+			_, _ = vm.tables.RemapRun(mv.info.gpa, mv.info.pages[:n], geometry.PageSize4K, writable)
+			_ = vm.remapRegions(moves[:m])
+			return fmt.Errorf("core: VM %q region %q: %w", vm.spec.Name, mv.info.Name, err)
 		}
 		mv.info.frameRun, mv.run = mv.run, mv.info.frameRun
 	}

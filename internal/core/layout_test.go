@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ept"
@@ -264,4 +266,121 @@ func TestInflateUnmapFaultRestoresLeaves(t *testing.T) {
 			t.Fatalf("audit after retry: %v", bad)
 		}
 	}
+}
+
+// TestSyncLeavesFaultMidRun fails the leaf-edit seam at every leaf of three
+// syncs now issued as runs — a 64-leaf create (all maps, onto an empty
+// hierarchy), a remap-heavy commit (every frame moves, two holes fill, two
+// open) and an inflate (two stretches of unmaps) — and checks, at the moment
+// of the failure, that the view records exactly the entries the tables hold
+// in DRAM: a run ends before the faulting leaf and the view advances by what
+// was stored, no more. Syncing back to the old layout then restores it, and
+// the isolation audit is clean.
+func TestSyncLeavesFaultMidRun(t *testing.T) {
+	h := bootSiloz(t)
+	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "v", Socket: 0, AllowRemote: true, MemoryBytes: 128 * geometry.MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := slices.Clone(vm.ram)
+	if len(frames) != 64 {
+		t.Fatalf("the guest has %d RAM leaves, want 64", len(frames))
+	}
+	moved := slices.Clone(frames)
+	slices.Reverse(moved)
+	moved[10], moved[11], moved[40], moved[41] = hpaNone, hpaNone, hpaNone, hpaNone
+	holed := slices.Clone(frames)
+	holed[20], holed[21] = hpaNone, hpaNone // filled by the commit
+	inflated := slices.Clone(frames)
+	for _, p := range []int{3, 4, 5, 6, 7, 30, 31, 32, 63} {
+		inflated[p] = hpaNone
+	}
+	a, err := h.eptAllocatorFor(vm.eptSocket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		from, to []uint64
+		edits    int
+	}{
+		{"create-64", nil, frames, 64},
+		{"commit-remap", holed, moved, 64}, // 58 remaps, 2 maps, 4 unmaps
+		{"inflate", frames, inflated, 9},
+	}
+	// agrees requires view and tables to describe one layout, leaf by leaf.
+	agrees := func(t *testing.T, tables *ept.Tables, view []uint64, slots int) {
+		t.Helper()
+		for p := 0; p < slots; p++ {
+			want := hpaNone
+			if p < len(view) {
+				want = view[p]
+			}
+			hpa, err := tables.Translate(uint64(p) * geometry.PageSize2M)
+			switch {
+			case want == hpaNone && !errors.Is(err, ept.ErrNotMapped):
+				t.Fatalf("leaf %d: the view records a hole, the tables translate to %#x, %v", p, hpa, err)
+			case want != hpaNone && (err != nil || hpa != want):
+				t.Fatalf("leaf %d: the view records %#x, the tables translate to %#x, %v", p, want, hpa, err)
+			}
+		}
+	}
+	for _, c := range cases {
+		for k := 1; k <= c.edits+1; k++ {
+			t.Run(fmt.Sprintf("%s/leaf-%d", c.name, k), func(t *testing.T) {
+				tables, err := ept.New(h.mem, eptAlloc{a}, h.cfg.EPTProtection)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tables.Destroy()
+				var view []uint64
+				if err := vm.syncLeaves(tables, &view, c.from); err != nil {
+					t.Fatal(err)
+				}
+				calls := 0
+				h.leafHook = func() error {
+					if calls++; calls == k {
+						return errInjected
+					}
+					return nil
+				}
+				defer func() { h.leafHook = nil }()
+				err = vm.syncLeaves(tables, &view, c.to)
+				if k > c.edits {
+					if err != nil || calls != c.edits {
+						t.Fatalf("unfaulted sync: err = %v after %d leaf edits, want %d", err, calls, c.edits)
+					}
+					agrees(t, tables, c.to, 64)
+					return
+				}
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("err = %v, want the injected fault", err)
+				}
+				if calls != k {
+					t.Errorf("the seam was consulted %d times before the fault at leaf %d", calls, k)
+				}
+				agrees(t, tables, view, 64)
+				edited := 0
+				for p := range view {
+					if p < len(c.to) && view[p] == c.to[p] && (p >= len(c.from) || c.from[p] != c.to[p]) {
+						edited++
+					}
+				}
+				if edited != k-1 {
+					t.Errorf("%d leaves reached the new layout before the fault at leaf %d, want %d", edited, k, k-1)
+				}
+				if err := vm.syncLeaves(tables, &view, c.from); err != nil {
+					t.Fatalf("rollback: %v", err)
+				}
+				agrees(t, tables, c.from, 64)
+				if !slices.Equal(view, c.from) {
+					t.Errorf("view after rollback %x, want %x", view, c.from)
+				}
+			})
+		}
+	}
+	if bad := h.AuditIsolation(); len(bad) != 0 {
+		t.Errorf("isolation audit: %v", bad)
+	}
+	agrees(t, vm.tables, vm.leaves, 64)
 }

@@ -108,12 +108,9 @@ func (h *Hypervisor) allocRegions(vm *VM) error {
 		}
 		// ROM is mapped read-only: guest writes raise EPT violations and
 		// are emulated by the hypervisor (§5.1).
-		writable := r.Type != RegionROM
-		for i, hpa := range info.pages {
-			if err := vm.tables.Map4KProt(info.gpa+uint64(i)*geometry.PageSize4K, hpa, writable); err != nil {
-				placed.rollback()
-				return err
-			}
+		if _, err := vm.tables.MapRun(info.gpa, info.pages, geometry.PageSize4K, r.Type != RegionROM); err != nil {
+			placed.rollback()
+			return err
 		}
 		vm.regions = append(vm.regions, info)
 	}

@@ -362,11 +362,8 @@ func (h *Hypervisor) allocMediated(vm *VM) error {
 	if err != nil {
 		return err
 	}
-	for i, hpa := range hpas {
-		gpa := MediatedBase + uint64(i)*geometry.PageSize4K
-		if err := vm.tables.Map4K(gpa, hpa); err != nil {
-			return err
-		}
+	if _, err := vm.tables.MapRun(MediatedBase, hpas, geometry.PageSize4K, true); err != nil {
+		return err
 	}
 	vm.mediated = hpas
 	return nil
@@ -649,6 +646,27 @@ func (vm *VM) Pause() { vm.pauseMu.Lock() }
 // Resume restarts a paused guest.
 func (vm *VM) Resume() { vm.pauseMu.Unlock() }
 
+// protectRAM sets the write permission of the resident RAM leaves among the
+// first upto slots, a run of consecutive resident slots at a time. It returns
+// the slots it got through, so a second call over that prefix undoes it.
+func (vm *VM) protectRAM(upto int, writable bool) (int, error) {
+	for p := 0; p < upto; {
+		if vm.ram[p] == hpaNone {
+			p++
+			continue
+		}
+		end := p + 1
+		for end < upto && vm.ram[end] != hpaNone {
+			end++
+		}
+		n, err := vm.tables.ProtectRun(uint64(p)*geometry.PageSize2M, end-p, geometry.PageSize2M, writable)
+		if p += n; err != nil {
+			return p, err
+		}
+	}
+	return upto, nil
+}
+
 // StartDirtyTracking arms write-protection dirty logging over guest RAM
 // (KVM's KVM_MEM_LOG_DIRTY_PAGES): every 2 MiB leaf is write-protected, so
 // the guest's first store to each page takes an EPT-violation exit that logs
@@ -667,18 +685,9 @@ func (vm *VM) StartDirtyTracking() error {
 	if vm.tracking {
 		return fmt.Errorf("core: VM %q is already dirty-tracking (migration in progress?)", vm.spec.Name)
 	}
-	for p, hpa := range vm.ram {
-		if hpa == hpaNone {
-			continue // ballooned out; no leaf to protect
-		}
-		if err := vm.tables.Protect(uint64(p)*geometry.PageSize2M, false); err != nil {
-			for q := 0; q < p; q++ {
-				if vm.ram[q] != hpaNone {
-					_ = vm.tables.Protect(uint64(q)*geometry.PageSize2M, true)
-				}
-			}
-			return err
-		}
+	if n, err := vm.protectRAM(len(vm.ram), false); err != nil {
+		_, _ = vm.protectRAM(n, true)
+		return err
 	}
 	vm.dirty = make(map[uint64]bool)
 	vm.tracking = true
@@ -699,10 +708,15 @@ func (vm *VM) TakeDirty() ([]uint64, error) {
 		gpas = append(gpas, gpa)
 	}
 	slices.Sort(gpas)
-	for _, gpa := range gpas {
-		if err := vm.tables.Protect(gpa, false); err != nil {
+	for i := 0; i < len(gpas); {
+		n := 1
+		for i+n < len(gpas) && gpas[i+n] == gpas[i]+uint64(n)*geometry.PageSize2M {
+			n++
+		}
+		if _, err := vm.tables.ProtectRun(gpas[i], n, geometry.PageSize2M, false); err != nil {
 			return nil, err
 		}
+		i += n
 	}
 	vm.dirty = make(map[uint64]bool)
 	return gpas, nil
@@ -720,13 +734,8 @@ func (vm *VM) StopDirtyTracking() error {
 		return nil
 	}
 	if vm.tables != nil {
-		for p, hpa := range vm.ram {
-			if hpa == hpaNone {
-				continue
-			}
-			if err := vm.tables.Protect(uint64(p)*geometry.PageSize2M, true); err != nil {
-				return err
-			}
+		if _, err := vm.protectRAM(len(vm.ram), true); err != nil {
+			return err
 		}
 	}
 	vm.tracking = false

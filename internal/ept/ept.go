@@ -126,6 +126,7 @@ func New(mem *dram.Memory, pages PageAllocator, mode IntegrityMode) (*Tables, er
 		t.macs = make(map[uint64]uint64)
 	}
 	if err := t.zeroPage(root); err != nil {
+		pages.FreeTablePage(root)
 		return nil, err
 	}
 	return t, nil
@@ -157,15 +158,44 @@ func (t *Tables) Destroy() {
 	t.entryMu.Unlock()
 }
 
+// zeroPage clears a fresh table page: one DRAM write, which materialises the
+// page's rows.
 func (t *Tables) zeroPage(pa uint64) error {
+	var zeros [tableBytes]byte
 	t.entryMu.Lock()
 	defer t.entryMu.Unlock()
-	if err := t.mem.WritePhys(pa, make([]byte, tableBytes)); err != nil {
+	return t.storeEntries(pa, zeros[:])
+}
+
+// loadEntries loads the consecutive entries at entryPA into buf with one DRAM
+// read; verify checks them. Caller holds entryMu, as for the two below.
+func (t *Tables) loadEntries(entryPA uint64, buf []byte) error {
+	if t.destroyed {
+		return fmt.Errorf("%w: load of entry %#x", ErrDestroyed, entryPA)
+	}
+	return t.mem.ReadPhys(entryPA, buf)
+}
+
+// storeEntries stores buf over the consecutive entries at entryPA with one
+// DRAM write and mints each stored entry's MAC.
+func (t *Tables) storeEntries(entryPA uint64, buf []byte) error {
+	if t.destroyed {
+		return fmt.Errorf("%w: store to entry %#x", ErrDestroyed, entryPA)
+	}
+	if err := t.mem.WritePhys(entryPA, buf); err != nil {
 		return err
 	}
+	for off := uint64(0); off < uint64(len(buf)) && t.mode == SecureEPT; off += entrySize {
+		t.macs[entryPA+off] = mac(entryPA+off, binary.LittleEndian.Uint64(buf[off:]))
+	}
+	return nil
+}
+
+// verify checks a loaded entry against its MAC in SecureEPT mode.
+func (t *Tables) verify(entryPA, v uint64) error {
 	if t.mode == SecureEPT {
-		for off := uint64(0); off < tableBytes; off += entrySize {
-			t.macs[pa+off] = mac(pa+off, 0)
+		if want, ok := t.macs[entryPA]; !ok || want != mac(entryPA, v) {
+			return fmt.Errorf("%w: entry %#x", ErrIntegrity, entryPA)
 		}
 	}
 	return nil
@@ -183,38 +213,21 @@ func mac(entryPA, value uint64) uint64 {
 func (t *Tables) readEntry(entryPA uint64) (uint64, error) {
 	t.entryMu.Lock()
 	defer t.entryMu.Unlock()
-	if t.destroyed {
-		return 0, fmt.Errorf("%w: load of entry %#x", ErrDestroyed, entryPA)
-	}
 	var buf [entrySize]byte
-	if err := t.mem.ReadPhys(entryPA, buf[:]); err != nil {
+	if err := t.loadEntries(entryPA, buf[:]); err != nil {
 		return 0, err
 	}
 	v := binary.LittleEndian.Uint64(buf[:])
-	if t.mode == SecureEPT {
-		if want, ok := t.macs[entryPA]; !ok || want != mac(entryPA, v) {
-			return 0, fmt.Errorf("%w: entry %#x", ErrIntegrity, entryPA)
-		}
-	}
-	return v, nil
+	return v, t.verify(entryPA, v)
 }
 
 // writeEntry stores one entry as a legitimate hypervisor update.
 func (t *Tables) writeEntry(entryPA, v uint64) error {
 	t.entryMu.Lock()
 	defer t.entryMu.Unlock()
-	if t.destroyed {
-		return fmt.Errorf("%w: store to entry %#x", ErrDestroyed, entryPA)
-	}
 	var buf [entrySize]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
-	if err := t.mem.WritePhys(entryPA, buf[:]); err != nil {
-		return err
-	}
-	if t.mode == SecureEPT {
-		t.macs[entryPA] = mac(entryPA, v)
-	}
-	return nil
+	return t.storeEntries(entryPA, buf[:])
 }
 
 // indexAt extracts the table index for a level (level 0 = root/PML4).
@@ -223,23 +236,24 @@ func indexAt(gpa uint64, level int) uint64 {
 	return (gpa >> shift) & levelMask
 }
 
+// pageBytesAt returns how much guest memory one entry of a level covers.
+func pageBytesAt(level int) uint64 {
+	return 1 << (pageShift + levelBits*(numLevels-1-level))
+}
+
 // Map2M installs a writable 2 MiB leaf mapping gpa → hpa (both 2 MiB
 // aligned). The GPA must be unmapped; replacing a live leaf is Remap2M's job.
 func (t *Tables) Map2M(gpa, hpa uint64) error {
-	if gpa%geometry.PageSize2M != 0 || hpa%geometry.PageSize2M != 0 {
-		return fmt.Errorf("ept: Map2M needs 2 MiB alignment (gpa=%#x hpa=%#x)", gpa, hpa)
-	}
-	return t.mapLeaf(gpa, hpa, 2, true, false)
+	_, err := t.MapRun(gpa, []uint64{hpa}, geometry.PageSize2M, true)
+	return err
 }
 
 // Remap2M rewrites the present 2 MiB leaf at gpa to a new writable frame —
 // live migration's commit step. Remapping an unmapped GPA or a GPA whose PD
 // entry points at a 4 KiB page table fails.
 func (t *Tables) Remap2M(gpa, hpa uint64) error {
-	if gpa%geometry.PageSize2M != 0 || hpa%geometry.PageSize2M != 0 {
-		return fmt.Errorf("ept: Remap2M needs 2 MiB alignment (gpa=%#x hpa=%#x)", gpa, hpa)
-	}
-	return t.mapLeaf(gpa, hpa, 2, true, true)
+	_, err := t.RemapRun(gpa, []uint64{hpa}, geometry.PageSize2M, true)
+	return err
 }
 
 // Map4K installs a writable 4 KiB leaf mapping gpa → hpa (both page
@@ -248,78 +262,219 @@ func (t *Tables) Map4K(gpa, hpa uint64) error { return t.Map4KProt(gpa, hpa, tru
 
 // Map4KProt installs a 4 KiB leaf with explicit write permission.
 func (t *Tables) Map4KProt(gpa, hpa uint64, writable bool) error {
-	if gpa%geometry.PageSize4K != 0 || hpa%geometry.PageSize4K != 0 {
-		return fmt.Errorf("ept: Map4K needs 4 KiB alignment (gpa=%#x hpa=%#x)", gpa, hpa)
-	}
-	return t.mapLeaf(gpa, hpa, 3, writable, false)
+	_, err := t.MapRun(gpa, []uint64{hpa}, geometry.PageSize4K, writable)
+	return err
 }
 
 // Remap4KProt rewrites the present 4 KiB leaf at gpa with explicit write
 // permission — the region leg of live migration's commit step.
 func (t *Tables) Remap4KProt(gpa, hpa uint64, writable bool) error {
-	if gpa%geometry.PageSize4K != 0 || hpa%geometry.PageSize4K != 0 {
-		return fmt.Errorf("ept: Remap4K needs 4 KiB alignment (gpa=%#x hpa=%#x)", gpa, hpa)
-	}
-	return t.mapLeaf(gpa, hpa, 3, writable, true)
+	_, err := t.RemapRun(gpa, []uint64{hpa}, geometry.PageSize4K, writable)
+	return err
 }
 
-// mapLeaf walks to leafLevel, allocating intermediate tables, and installs
-// the leaf entry. With remap unset the target entry must be non-present —
-// overwriting a PD entry that points at a live 4 KiB page table would
-// silently drop its mappings and orphan the table page. With remap set the
-// target must already hold a leaf of the same size.
-func (t *Tables) mapLeaf(gpa, hpa uint64, leafLevel int, writable, remap bool) error {
-	table := t.root.Load()
-	for level := 0; level < leafLevel; level++ {
+// Unmap clears the leaf entry mapping gpa (2 MiB or 4 KiB). Intermediate
+// tables are retained for reuse, as KVM does. Unmapping an unmapped GPA
+// returns ErrNotMapped.
+func (t *Tables) Unmap(gpa uint64) error {
+	_, err := t.UnmapRun(gpa, 1, geometry.PageSize4K)
+	return err
+}
+
+// Protect rewrites the leaf entry mapping gpa (2 MiB or 4 KiB) with the
+// given write permission, leaving the frame intact. Clearing the write bit
+// is how KVM's dirty logging arms a page during live migration (§2.1): the
+// next guest store raises an EPT violation, the hypervisor logs the page
+// dirty and re-enables the bit. An entry whose bit is already right is not
+// stored again. Protecting an unmapped GPA returns ErrNotMapped.
+func (t *Tables) Protect(gpa uint64, writable bool) error {
+	_, err := t.ProtectRun(gpa, 1, geometry.PageSize4K, writable)
+	return err
+}
+
+// MapRun installs leaves of pageBytes (2 MiB or 4 KiB) over consecutive
+// unmapped pages from gpa: page i maps to hpas[i]. Like every run mutator it
+// returns how many pages it edited before it stopped; see editRun.
+func (t *Tables) MapRun(gpa uint64, hpas []uint64, pageBytes uint64, writable bool) (int, error) {
+	return t.editRun(editMap, gpa, len(hpas), pageBytes, hpas, writable)
+}
+
+// RemapRun rewrites the present leaves of pageBytes over consecutive pages
+// from gpa to the frames hpas.
+func (t *Tables) RemapRun(gpa uint64, hpas []uint64, pageBytes uint64, writable bool) (int, error) {
+	return t.editRun(editRemap, gpa, len(hpas), pageBytes, hpas, writable)
+}
+
+// UnmapRun clears the leaves mapping n consecutive pages of pageBytes from gpa.
+func (t *Tables) UnmapRun(gpa uint64, n int, pageBytes uint64) (int, error) {
+	return t.editRun(editUnmap, gpa, n, pageBytes, nil, false)
+}
+
+// ProtectRun sets the write permission of the leaves mapping n consecutive
+// pages of pageBytes from gpa.
+func (t *Tables) ProtectRun(gpa uint64, n int, pageBytes uint64, writable bool) (int, error) {
+	return t.editRun(editProtect, gpa, n, pageBytes, nil, writable)
+}
+
+// editKind is what an edit does to each leaf entry it covers.
+type editKind uint8
+
+const (
+	editMap     editKind = iota // install a leaf over a non-present entry
+	editRemap                   // replace a present leaf of the same size
+	editUnmap                   // clear a present leaf
+	editProtect                 // rewrite a present leaf's write permission
+)
+
+// editRun is the one body under every mutator: it applies kind to n
+// consecutive pages of pageBytes from gpa, one span at a time. A span is the
+// stretch of the run whose leaf entries lie side by side in one table page —
+// the whole run, unless it crosses into the next table or meets a leaf of
+// another size. Each span is all or nothing (editSpan); the run stops at the
+// first span that fails, and the count returned is the pages edited by the
+// spans before it, so a caller can tell exactly which entries DRAM holds.
+func (t *Tables) editRun(kind editKind, gpa uint64, n int, pageBytes uint64, hpas []uint64, writable bool) (int, error) {
+	leafLevel := numLevels - 1 // unmap, protect: wherever the walk meets the leaf
+	if kind <= editRemap && pageBytes == geometry.PageSize2M {
+		leafLevel--
+	}
+	for _, hpa := range hpas {
+		if pageBytes != pageBytesAt(leafLevel) || (gpa|hpa)%pageBytes != 0 {
+			return 0, fmt.Errorf("ept: a leaf maps 2 MiB or 4 KiB and is aligned to it (%d bytes, gpa=%#x hpa=%#x)", pageBytes, gpa, hpa)
+		}
+	}
+	// A span's entries are edited in a buffer on this frame. A short run —
+	// every single-entry edit — does not pay for clearing a page-sized one.
+	var short [8 * entrySize]byte
+	buf := short[:]
+	if n*entrySize > len(short) {
+		var page [tableBytes]byte
+		buf = page[:]
+	}
+	for done := 0; done < n; {
+		g := gpa + uint64(done)*pageBytes
+		table, level, err := t.leafTable(g, kind, leafLevel)
+		if err != nil {
+			return done, err
+		}
+		span := 1
+		if pageBytesAt(level) == pageBytes {
+			span = min(n-done, int(levelMask+1-indexAt(g, level)))
+		}
+		if span, err = t.editSpan(kind, table, level, g, buf[:span*entrySize], hpas[min(done, len(hpas)):], writable); err != nil {
+			return done, err
+		}
+		done += span
+	}
+	return n, nil
+}
+
+// leafTable is the edit walk: from the root to the table page holding gpa's
+// entry at leafLevel. A map allocates (zeroes and links) the intermediate
+// tables it finds missing; an unmap or protect stops early at the level where
+// it meets a leaf or a hole, which editSpan then edits or reports.
+func (t *Tables) leafTable(gpa uint64, kind editKind, leafLevel int) (table uint64, level int, err error) {
+	table = t.root.Load()
+	for ; level < leafLevel; level++ {
 		entryPA := table + indexAt(gpa, level)*entrySize
 		v, err := t.readEntry(entryPA)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
-		if v&entryPresent == 0 {
-			if remap {
-				return fmt.Errorf("%w: gpa %#x (remap target, level %d)", ErrNotMapped, gpa, level)
-			}
+		switch {
+		case v&entryPresent == 0 && kind == editMap:
 			next, err := t.pages.AllocTablePage()
 			if err != nil {
-				return fmt.Errorf("ept: allocating level-%d table: %w", level+1, err)
+				return 0, 0, fmt.Errorf("ept: allocating level-%d table: %w", level+1, err)
 			}
 			t.all = append(t.all, next)
 			if err := t.zeroPage(next); err != nil {
-				return err
+				return 0, 0, err
 			}
 			v = (next & frameMask) | entryPresent | entryWrite
 			if err := t.writeEntry(entryPA, v); err != nil {
-				return err
+				return 0, 0, err
 			}
-		} else if v&entryLeaf != 0 {
-			return fmt.Errorf("%w: gpa %#x covered by a larger page", ErrAlreadyMapped, gpa)
+		case v&entryPresent == 0 && kind == editRemap:
+			return 0, 0, fmt.Errorf("%w: gpa %#x (remap target, level %d)", ErrNotMapped, gpa, level)
+		case v&entryLeaf != 0 && kind <= editRemap:
+			return 0, 0, fmt.Errorf("%w: gpa %#x covered by a larger page", ErrAlreadyMapped, gpa)
+		case v&entryPresent == 0 || v&entryLeaf != 0:
+			return table, level, nil
 		}
 		table = v & frameMask
 	}
-	entryPA := table + indexAt(gpa, leafLevel)*entrySize
-	cur, err := t.readEntry(entryPA)
-	if err != nil {
-		return err
+	return table, level, nil
+}
+
+// editSpan edits up to len(buf)/8 consecutive entries of one table page, from
+// gpa's entry at level, in buf and under one hold of entryMu: one DRAM read,
+// every entry checked as a single-entry edit checks it (MAC, present, leaf,
+// already mapped), and only then one DRAM write per maximal sub-run of entries
+// that change, each stored entry minting its MAC. A failed check stores
+// nothing. An entry a protect finds already right is not stored, so a flip
+// that landed in it stays. An unmap or protect ends its span before an entry
+// that points at a lower table — that page's leaf is down there — and returns
+// the shorter length. frames is the run's frames from this span on (map,
+// remap).
+func (t *Tables) editSpan(kind editKind, table uint64, level int, gpa uint64, buf []byte, frames []uint64, writable bool) (int, error) {
+	base, span := table+indexAt(gpa, level)*entrySize, len(buf)/entrySize
+	t.entryMu.Lock()
+	defer t.entryMu.Unlock()
+	if err := t.loadEntries(base, buf); err != nil {
+		return 0, err
 	}
-	if remap {
-		if cur&entryPresent == 0 {
-			return fmt.Errorf("%w: gpa %#x (remap target)", ErrNotMapped, gpa)
+	for i := 0; i < span; i++ {
+		v := binary.LittleEndian.Uint64(buf[i*entrySize:])
+		if err := t.verify(base+uint64(i)*entrySize, v); err != nil {
+			return 0, err
 		}
-		if leafLevel < numLevels-1 && cur&entryLeaf == 0 {
-			return fmt.Errorf("%w: gpa %#x: entry holds a page-table pointer, not a leaf", ErrAlreadyMapped, gpa)
+		g := gpa + uint64(i)*pageBytesAt(level)
+		present, leaf := v&entryPresent != 0, v&entryLeaf != 0 || level == numLevels-1
+		switch {
+		case kind == editMap && present:
+			return 0, fmt.Errorf("%w: gpa %#x", ErrAlreadyMapped, g)
+		case kind == editMap:
+		case !present:
+			return 0, fmt.Errorf("%w: gpa %#x (level %d)", ErrNotMapped, g, level)
+		case !leaf && kind == editRemap:
+			return 0, fmt.Errorf("%w: gpa %#x: entry holds a page-table pointer, not a leaf", ErrAlreadyMapped, g)
+		case !leaf:
+			span = i // never the first entry: leafTable walked past it
 		}
-	} else if cur&entryPresent != 0 {
-		return fmt.Errorf("%w: gpa %#x", ErrAlreadyMapped, gpa)
 	}
-	leaf := (hpa & frameMask) | entryPresent
+	var write, leafBit uint64 // what a new leaf carries besides its frame
 	if writable {
-		leaf |= entryWrite
+		write = entryWrite
 	}
-	if leafLevel < numLevels-1 {
-		leaf |= entryLeaf
+	if level < numLevels-1 {
+		leafBit = entryLeaf
 	}
-	return t.writeEntry(entryPA, leaf)
+	pending := -1 // first entry of the sub-run being gathered, if any
+	for i := 0; i <= span; i++ {
+		changed := false
+		if i < span {
+			v, nv := binary.LittleEndian.Uint64(buf[i*entrySize:]), uint64(0)
+			switch kind {
+			case editProtect:
+				nv = v&^entryWrite | write
+			case editMap, editRemap:
+				nv = frames[i]&frameMask | entryPresent | write | leafBit
+			}
+			changed = kind != editProtect || nv != v
+			binary.LittleEndian.PutUint64(buf[i*entrySize:], nv)
+		}
+		switch {
+		case changed && pending < 0:
+			pending = i
+		case !changed && pending >= 0:
+			if err := t.storeEntries(base+uint64(pending)*entrySize, buf[pending*entrySize:i*entrySize]); err != nil {
+				return 0, err
+			}
+			pending = -1
+		}
+	}
+	return span, nil
 }
 
 // Translate walks the tables for gpa, returning the backing HPA. The walk
@@ -327,60 +482,6 @@ func (t *Tables) mapLeaf(gpa, hpa uint64, leafLevel int, writable, remap bool) e
 // SecureEPT detects them (ErrIntegrity).
 func (t *Tables) Translate(gpa uint64) (uint64, error) {
 	return t.TranslateAccess(gpa, false)
-}
-
-// Unmap clears the leaf entry mapping gpa (2 MiB or 4 KiB). Intermediate
-// tables are retained for reuse, as KVM does. Unmapping an unmapped GPA
-// returns ErrNotMapped.
-func (t *Tables) Unmap(gpa uint64) error {
-	table := t.root.Load()
-	for level := 0; level < numLevels; level++ {
-		entryPA := table + indexAt(gpa, level)*entrySize
-		v, err := t.readEntry(entryPA)
-		if err != nil {
-			return err
-		}
-		if v&entryPresent == 0 {
-			return fmt.Errorf("%w: gpa %#x (level %d)", ErrNotMapped, gpa, level)
-		}
-		if v&entryLeaf != 0 || level == numLevels-1 {
-			return t.writeEntry(entryPA, 0)
-		}
-		table = v & frameMask
-	}
-	panic("unreachable")
-}
-
-// Protect rewrites the leaf entry mapping gpa (2 MiB or 4 KiB) with the
-// given write permission, leaving the frame intact. Clearing the write bit
-// is how KVM's dirty logging arms a page during live migration (§2.1): the
-// next guest store raises an EPT violation, the hypervisor logs the page
-// dirty and re-enables the bit. Protecting an unmapped GPA returns
-// ErrNotMapped.
-func (t *Tables) Protect(gpa uint64, writable bool) error {
-	table := t.root.Load()
-	for level := 0; level < numLevels; level++ {
-		entryPA := table + indexAt(gpa, level)*entrySize
-		v, err := t.readEntry(entryPA)
-		if err != nil {
-			return err
-		}
-		if v&entryPresent == 0 {
-			return fmt.Errorf("%w: gpa %#x (level %d)", ErrNotMapped, gpa, level)
-		}
-		if v&entryLeaf != 0 || level == numLevels-1 {
-			nv := v &^ uint64(entryWrite)
-			if writable {
-				nv |= entryWrite
-			}
-			if nv == v {
-				return nil
-			}
-			return t.writeEntry(entryPA, nv)
-		}
-		table = v & frameMask
-	}
-	panic("unreachable")
 }
 
 // TranslateAccess walks the tables for an access of the given kind; a write
@@ -417,15 +518,14 @@ func (t *Tables) TranslateAccess(gpa uint64, write bool) (uint64, error) {
 // a VM's tables into the destination socket's guard-protected EPT block
 // (§5.4): the guest must be paused (an entry edited in the old hierarchy
 // mid-copy would be lost; only the root swap itself is atomic, see
-// Tables.root), and under SecureEPT each copied
-// entry is re-MACed for its new PA simply by being written there — the MAC
-// is keyed by entry PA, so stale MACs cannot follow the move. On any
-// partial failure the pages already drawn from newAlloc are returned and
-// the old hierarchy stays live: the caller can resume the guest unharmed.
+// Tables.root). Tables move a page at a time: one DRAM read of the source
+// page, child pointers rewritten in the image, one DRAM write of the
+// destination — which under SecureEPT re-MACs every entry for its new PA
+// simply by storing it there: the MAC is keyed by entry PA, so stale MACs
+// cannot follow the move. On any partial failure the pages already drawn
+// from newAlloc are returned and the old hierarchy stays live: the caller
+// can resume the guest unharmed.
 func (t *Tables) Relocate(newAlloc PageAllocator) (int, error) {
-	if t.destroyed {
-		return 0, fmt.Errorf("%w: relocate", ErrDestroyed)
-	}
 	oldPages, oldAlloc := t.all, t.pages
 	var newPages []uint64
 	fail := func(err error) (int, error) {
@@ -436,8 +536,11 @@ func (t *Tables) Relocate(newAlloc PageAllocator) (int, error) {
 		return 0, err
 	}
 	// copyTable deep-copies the table at pa (and, recursively, every table
-	// it points to) onto a fresh page, returning the new page's PA. Reads
-	// verify the old MACs; writes mint MACs keyed by the new PAs.
+	// it points to) onto a fresh page, returning the new page's PA: one load,
+	// the old MACs verified entry by entry — each before what it points to is
+	// copied, so the first fault met is the one a walk would meet — and one
+	// store, which mints MACs keyed by the new PAs. entryMu is held except
+	// around the descent.
 	var copyTable func(pa uint64, level int) (uint64, error)
 	copyTable = func(pa uint64, level int) (uint64, error) {
 		np, err := newAlloc.AllocTablePage()
@@ -445,29 +548,25 @@ func (t *Tables) Relocate(newAlloc PageAllocator) (int, error) {
 			return 0, fmt.Errorf("ept: relocating level-%d table: %w", level, err)
 		}
 		newPages = append(newPages, np)
-		if err := t.zeroPage(np); err != nil {
-			return 0, err
-		}
-		for off := uint64(0); off < tableBytes; off += entrySize {
-			v, err := t.readEntry(pa + off)
-			if err != nil {
-				return 0, err
-			}
-			if v == 0 {
-				continue
-			}
-			if v&entryPresent != 0 && v&entryLeaf == 0 && level < numLevels-1 {
-				child, err := copyTable(v&frameMask, level+1)
-				if err != nil {
-					return 0, err
-				}
-				v = (v &^ uint64(frameMask)) | (child & frameMask)
-			}
-			if err := t.writeEntry(np+off, v); err != nil {
-				return 0, err
+		var img [tableBytes]byte
+		t.entryMu.Lock()
+		defer t.entryMu.Unlock()
+		err = t.loadEntries(pa, img[:])
+		for off := 0; err == nil && off < tableBytes; off += entrySize {
+			v := binary.LittleEndian.Uint64(img[off:])
+			err = t.verify(pa+uint64(off), v)
+			if err == nil && v&entryPresent != 0 && v&entryLeaf == 0 && level < numLevels-1 {
+				t.entryMu.Unlock()
+				var child uint64
+				child, err = copyTable(v&frameMask, level+1)
+				t.entryMu.Lock()
+				binary.LittleEndian.PutUint64(img[off:], (v&^uint64(frameMask))|(child&frameMask))
 			}
 		}
-		return np, nil
+		if err == nil {
+			err = t.storeEntries(np, img[:])
+		}
+		return np, err
 	}
 	newRoot, err := copyTable(t.root.Load(), 0)
 	if err != nil {

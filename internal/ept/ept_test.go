@@ -2,6 +2,8 @@ package ept
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -353,5 +355,73 @@ func TestProtectUnmappedFails(t *testing.T) {
 	_, tables, _ := testEnv(t, NoProtection)
 	if err := tables.Protect(1<<33, false); !errors.Is(err, ErrNotMapped) {
 		t.Fatalf("Protect of unmapped gpa: err = %v, want ErrNotMapped", err)
+	}
+}
+
+// TestWalkersSeeWholeEntriesDuringRunEdits: translators walk on several
+// goroutines while the hypervisor's goroutine write-protects, reopens and
+// remaps runs over the very leaves they walk (dirty-log arming and a layout
+// commit, without the pause). A span is read, checked and stored under one
+// hold of the entry lock a walker takes per entry, so every walk sees whole
+// entries: the old frame, the new frame or a permission fault — never a torn
+// entry, a hole or an integrity failure.
+func TestWalkersSeeWholeEntriesDuringRunEdits(t *testing.T) {
+	const leaves = 24
+	base := uint64(500) * geometry.PageSize2M // the run crosses a page-directory boundary
+	for _, mode := range []IntegrityMode{NoProtection, SecureEPT} {
+		t.Run(mode.String(), func(t *testing.T) {
+			_, tables, _ := testEnv(t, mode)
+			var frames [2][]uint64
+			for i := uint64(0); i < leaves; i++ {
+				frames[0] = append(frames[0], (i+1)*geometry.PageSize2M)
+				frames[1] = append(frames[1], (i+1+leaves)*geometry.PageSize2M)
+			}
+			if _, err := tables.MapRun(base, frames[0], geometry.PageSize2M, true); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			var walks atomic.Int64
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for n := w; ; n++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						walks.Add(1)
+						i, off := uint64(n%leaves), uint64(n*64%geometry.PageSize2M)
+						hpa, err := tables.TranslateAccess(base+i*geometry.PageSize2M+off, n%2 == 0)
+						switch {
+						case err == nil && (hpa == frames[0][i]+off || hpa == frames[1][i]+off):
+						case errors.Is(err, ErrPermission) && n%2 == 0:
+						default:
+							t.Errorf("walker %d: leaf %d translated to %#x, %v; want %#x, %#x or a write fault",
+								w, i, hpa, err, frames[0][i]+off, frames[1][i]+off)
+							return
+						}
+					}
+				}(w)
+			}
+			for round := 0; (round < 300 || walks.Load() < 4000) && !t.Failed(); round++ {
+				from, n := round%7, leaves-round%11
+				n = min(n, leaves-from)
+				gpa := base + uint64(from)*geometry.PageSize2M
+				if _, err := tables.ProtectRun(gpa, n, geometry.PageSize2M, false); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tables.RemapRun(gpa, frames[(round+1)%2][from:from+n], geometry.PageSize2M, round%3 != 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tables.ProtectRun(base, leaves, geometry.PageSize2M, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
 	}
 }

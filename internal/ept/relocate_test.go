@@ -2,8 +2,12 @@ package ept
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"reflect"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/geometry"
 	"repro/internal/subarray"
 
@@ -255,5 +259,219 @@ func TestRelocateRollsBackOnAllocFailure(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scriptAlloc draws table pages from inner, counts every page out and back,
+// and lets a test take over the k-th draw: fail it, hand out a page beyond
+// the end of memory (so the store to it fails), or run something mid-draw.
+type scriptAlloc struct {
+	inner PageAllocator
+	draws int
+	at    func(draw int) (pa uint64, override bool, err error)
+	out   map[uint64]int // page -> times drawn minus times returned
+	freed int
+}
+
+const beyondMemory = uint64(1) << 40
+
+func (s *scriptAlloc) AllocTablePage() (pa uint64, err error) {
+	s.draws++
+	override := false
+	if s.at != nil {
+		pa, override, err = s.at(s.draws)
+	}
+	if !override {
+		pa, err = s.inner.AllocTablePage()
+	}
+	if err == nil {
+		if s.out == nil {
+			s.out = make(map[uint64]int)
+		}
+		s.out[pa]++
+	}
+	return pa, err
+}
+
+func (s *scriptAlloc) FreeTablePage(pa uint64) {
+	s.freed++
+	if s.out[pa]--; s.out[pa] == 0 {
+		delete(s.out, pa)
+	}
+	if pa != beyondMemory {
+		s.inner.FreeTablePage(pa)
+	}
+}
+
+// TestNewFreesRootWhenZeroingFails: a root page the zeroing store cannot
+// reach goes back to the allocator instead of leaking.
+func TestNewFreesRootWhenZeroingFails(t *testing.T) {
+	mem, _, _ := testEnv(t, NoProtection)
+	a := &scriptAlloc{at: func(int) (uint64, bool, error) { return beyondMemory, true, nil }}
+	if tables, err := New(mem, a, SecureEPT); err == nil {
+		t.Fatalf("New on a root beyond the end of memory succeeded: %v", tables.Pages())
+	}
+	if a.freed != 1 || len(a.out) != 0 {
+		t.Errorf("root page freed %d times, %d pages still out; want 1 and 0", a.freed, len(a.out))
+	}
+}
+
+// relocationFixture maps 2 MiB leaves in two page directories and a 4 KiB
+// table, one leaf write-protected: five table pages, every entry shape.
+func relocationFixture(t *testing.T, tables *Tables) (gpas []uint64) {
+	t.Helper()
+	for _, slot := range []uint64{510, 511, 512, 513} {
+		gpa := slot * geometry.PageSize2M
+		if err := tables.Map2M(gpa, (slot-500)*geometry.PageSize2M); err != nil {
+			t.Fatal(err)
+		}
+		gpas = append(gpas, gpa)
+	}
+	g4 := 514 * uint64(geometry.PageSize2M)
+	if err := tables.Map4KProt(g4, 0x5000, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := tables.Protect(gpas[1], false); err != nil {
+		t.Fatal(err)
+	}
+	return append(gpas, g4)
+}
+
+// destinationPool is a second table-page pool, clear of testEnv's.
+func destinationPool(t *testing.T) *allocpkg.Allocator {
+	t.Helper()
+	a, err := allocpkg.New([]subarray.Range{{Start: 32 << 20, End: 48 << 20}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// hierarchyState is everything a failed relocation must leave as it was.
+type hierarchyState struct {
+	pages []uint64
+	bytes [][]byte
+	macs  map[uint64]uint64
+	hpas  []uint64
+}
+
+func captureHierarchy(t *testing.T, mem *dram.Memory, tables *Tables, gpas []uint64) hierarchyState {
+	t.Helper()
+	s := hierarchyState{pages: tables.Pages(), macs: maps.Clone(tables.macs)}
+	for _, pa := range s.pages {
+		img := make([]byte, tableBytes)
+		if err := mem.ReadPhys(pa, img); err != nil {
+			t.Fatal(err)
+		}
+		s.bytes = append(s.bytes, img)
+	}
+	for _, gpa := range gpas {
+		hpa, err := tables.Translate(gpa)
+		if err != nil {
+			t.Fatalf("translate %#x: %v", gpa, err)
+		}
+		s.hpas = append(s.hpas, hpa)
+	}
+	return s
+}
+
+// TestRelocateUnwindsAtEveryStep fails a relocation at every page it draws —
+// the allocator exhausted at the k-th draw, then the k-th page one the store
+// cannot reach — and checks the unwind: the old hierarchy byte-identical and
+// live, every drawn page returned exactly once, no MAC left behind for a
+// returned page, and a retry that goes through.
+func TestRelocateUnwindsAtEveryStep(t *testing.T) {
+	errExhausted := errors.New("out of table pages")
+	faults := map[string]func() (uint64, bool, error){
+		"exhausted":   func() (uint64, bool, error) { return 0, true, errExhausted },
+		"store-fails": func() (uint64, bool, error) { return beyondMemory, true, nil },
+	}
+	for _, mode := range []IntegrityMode{NoProtection, SecureEPT, GuardRows} {
+		for name, fault := range faults {
+			for k := 1; ; k++ {
+				mem, tables, src := testEnv(t, mode)
+				gpas := relocationFixture(t, tables)
+				before := captureHierarchy(t, mem, tables, gpas)
+				if k > len(before.pages) {
+					break
+				}
+				t.Run(fmt.Sprintf("%s/%s-%d", mode, name, k), func(t *testing.T) {
+					dstInner := destinationPool(t)
+					dst := &scriptAlloc{inner: allocAdapter{dstInner}}
+					dst.at = func(draw int) (uint64, bool, error) {
+						if draw == k {
+							return fault()
+						}
+						return 0, false, nil
+					}
+					srcUsed := src.UsedBytes()
+					if _, err := tables.Relocate(dst); err == nil {
+						t.Fatal("relocation went through; the injected failure was never reached")
+					} else if name == "exhausted" && !errors.Is(err, errExhausted) {
+						t.Errorf("err = %v, want the allocator's error wrapped", err)
+					}
+					if len(dst.out) != 0 || dstInner.UsedBytes() != 0 {
+						t.Errorf("pages not returned exactly once: %v still out, destination holds %d bytes", dst.out, dstInner.UsedBytes())
+					}
+					if src.UsedBytes() != srcUsed {
+						t.Errorf("source allocator UsedBytes %d -> %d", srcUsed, src.UsedBytes())
+					}
+					if after := captureHierarchy(t, mem, tables, gpas); !reflect.DeepEqual(before, after) {
+						t.Errorf("old hierarchy changed across the failed relocation:\nbefore %+v\nafter  %+v", before, after)
+					}
+					if _, err := tables.TranslateAccess(gpas[1], true); !errors.Is(err, ErrPermission) {
+						t.Errorf("write protection lost: %v", err)
+					}
+					dst.at = nil
+					moved, err := tables.Relocate(dst)
+					if err != nil || moved != len(before.pages) {
+						t.Fatalf("retry moved %d pages, %v; want %d", moved, err, len(before.pages))
+					}
+					if src.UsedBytes() != 0 || len(dst.out) != moved {
+						t.Errorf("after the retry the source holds %d bytes and %d pages are out of the destination", src.UsedBytes(), len(dst.out))
+					}
+					if mode == SecureEPT && len(tables.macs) != moved*tableBytes/entrySize {
+						t.Errorf("%d MACs for %d live pages", len(tables.macs), moved)
+					}
+					for i, gpa := range gpas {
+						if hpa, err := tables.Translate(gpa); err != nil || hpa != before.hpas[i] {
+							t.Errorf("translate %#x after the retry = %#x, %v; want %#x", gpa, hpa, err, before.hpas[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRelocateSeesDestroyAtEveryStep destroys the hierarchy from inside the
+// k-th page draw of its relocation — after any check made on entry. The
+// relocation must fail with ErrDestroyed and return what it drew: the check
+// is part of every locked page load and store, not a read made once, outside
+// the lock, at the top.
+func TestRelocateSeesDestroyAtEveryStep(t *testing.T) {
+	for _, mode := range []IntegrityMode{NoProtection, SecureEPT} {
+		for k := 1; k <= 5; k++ {
+			t.Run(fmt.Sprintf("%s/draw-%d", mode, k), func(t *testing.T) {
+				_, tables, src := testEnv(t, mode)
+				relocationFixture(t, tables)
+				dst := &scriptAlloc{inner: allocAdapter{destinationPool(t)}}
+				dst.at = func(draw int) (uint64, bool, error) {
+					if draw == k {
+						tables.Destroy()
+					}
+					return 0, false, nil
+				}
+				if _, err := tables.Relocate(dst); !errors.Is(err, ErrDestroyed) {
+					t.Errorf("err = %v, want ErrDestroyed", err)
+				}
+				if len(dst.out) != 0 || src.UsedBytes() != 0 {
+					t.Errorf("%d destination pages still out, source holds %d bytes", len(dst.out), src.UsedBytes())
+				}
+				if len(tables.macs) != 0 {
+					t.Errorf("%d MACs outlive the hierarchy", len(tables.macs))
+				}
+			})
+		}
 	}
 }
