@@ -72,6 +72,22 @@ func TestBenchUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestAuditIsDeterministic: `siloz audit` prints the hypervisor's event log,
+// which stamps a per-boot sequence number and never a clock reading, so two
+// runs emit the same bytes like every other subcommand.
+func TestAuditIsDeterministic(t *testing.T) {
+	code1, out1, errs := siloz("", "audit")
+	if code1 != 0 || !strings.Contains(out1, "audit: all invariants hold") {
+		t.Fatalf("audit: exit %d, stderr %q, stdout:\n%s", code1, errs, out1)
+	}
+	if !strings.HasPrefix(out1, "[     1] siloz: booting siloz") || !strings.Contains(out1, "\n[     2] siloz: boot complete") {
+		t.Errorf("event log does not open with sequence-stamped boot events:\n%s", out1)
+	}
+	if _, out2, _ := siloz("", "audit"); out2 != out1 {
+		t.Errorf("two audit runs differ:\n--- first ---\n%s\n--- second ---\n%s", out1, out2)
+	}
+}
+
 // plan runs one of the registry-backed subcommands' flag→jobs planners.
 func plan(t *testing.T, planner func(*invocation, []string) ([]experiments.Job, error), args ...string) any {
 	t.Helper()

@@ -16,6 +16,7 @@ import (
 	"log"
 
 	"repro/internal/addr"
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/ept"
@@ -83,6 +84,7 @@ func attackEPT(mode core.Mode, protection ept.IntegrityMode) (string, error) {
 	if protection == ept.GuardRows {
 		rows = []int{core.EPTBlockRowGroups, core.EPTBlockRowGroups + 1}
 	}
+	attacker := &attack.PhysTarget{Mem: mem}
 	for _, row := range rows {
 		if row < 0 {
 			continue
@@ -91,7 +93,7 @@ func attackEPT(mode core.Mode, protection ept.IntegrityMode) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if err := mem.ActivatePhys(pa, 40_000, 0); err != nil {
+		if err := attacker.Hammer(attack.RowRef{Addr: pa, Bank: ma.Bank, Row: row}, 40_000, 0); err != nil {
 			return "", err
 		}
 	}

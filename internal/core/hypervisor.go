@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/addr"
 	"repro/internal/alloc"
@@ -33,7 +32,7 @@ type Hypervisor struct {
 	stats      *statCache
 	log        io.Writer
 	logMu      sync.Mutex
-	bootTime   time.Time
+	logSeq     uint64         // events logged since boot (under logMu)
 	coreOwner  map[int]string // logical core -> pinned VM
 
 	// mu serializes VM lifecycle (create/destroy/pin) and guards the vms
@@ -142,9 +141,7 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 		allocators: make(map[int]*alloc.Allocator),
 		eptNodes:   make(map[int]int),
 		vms:        make(map[string]*VM),
-	}
-	if cfg.Log != nil {
-		h.setLog(cfg.Log)
+		log:        cfg.Log,
 	}
 	h.logf("booting %s on %s", mode, cfg.Geometry)
 	var layout *subarray.Layout

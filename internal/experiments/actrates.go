@@ -11,20 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ActRateRow reports one workload's peak per-row activation rate within a
-// 64 ms refresh window — the quantity Rowhammer thresholds are defined over.
-// The paper's motivation (§1, citing [98]) is that both malicious and
-// commodity access streams can exceed modern thresholds, so thresholds
-// cannot be outrun: isolation is required.
-type ActRateRow struct {
-	// Workload names the access stream.
-	Workload string
-	// PeakACTs is the maximum activations one row received in a window.
-	PeakACTs int
-	// Exceeds lists the evaluation DIMMs whose thresholds the peak beats.
-	Exceeds []string
-}
-
 // actRatesConfig resolves the activation-rate study's parameters: the
 // performance set, with the op count floored at what the hammer stream
 // needs to reach real thresholds within one refresh window.
@@ -36,98 +22,87 @@ func actRatesConfig(f Flags) PerfConfig {
 	return cfg
 }
 
-// actRatesExp is the "actrates" experiment: peak per-row activation rates.
+// actRatesExp is the "actrates" experiment: each workload's peak per-row
+// activation rate within a 64 ms refresh window — the quantity Rowhammer
+// thresholds are defined over — for commodity workloads and for a dedicated
+// hammering stream, on the evaluation server, beside the evaluation DIMMs
+// whose thresholds the peak beats. The paper's motivation (§1, citing [98])
+// is that both malicious and commodity access streams can exceed modern
+// thresholds, so thresholds cannot be outrun: isolation is required.
 func actRatesExp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
-	rows, err := onPool(ctx, pool, func() ([]ActRateRow, error) { return ActivationRates(ctx, cfg) })
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{
-		Name:    "actrates",
-		Title:   "Peak per-row activations per 64 ms window (§1, §2.5)",
-		Columns: []string{"peak ACTs", "exceeds DIMMs"},
-	}
-	var hammerPeak float64
-	for _, row := range rows {
-		ex := strings.Join(row.Exceeds, ",")
-		if ex == "" {
-			ex = "-"
+	return onPool(ctx, pool, func() (*Result, error) {
+		vm, err := bootBenchVM(cfg, core.ModeSiloz, 0)
+		if err != nil {
+			return nil, err
 		}
-		r.row(row.Workload, row.PeakACTs, ex)
-		if row.Workload == "hammer-pair" {
-			hammerPeak = float64(row.PeakACTs)
-			r.scalar("hammer_peak_acts", hammerPeak)
-			r.check("hammer_exceeds_all_dimms",
-				len(row.Exceeds) == len(dram.EvaluationProfiles()),
-				fmt.Sprintf("hammer-pair peaks at %d ACTs/window", row.PeakACTs))
+		r := &Result{
+			Name:    "actrates",
+			Title:   "Peak per-row activations per 64 ms window (§1, §2.5)",
+			Columns: []string{"peak ACTs", "exceeds DIMMs"},
 		}
-	}
-	var th []string
-	for _, p := range dram.EvaluationProfiles() {
-		th = append(th, fmt.Sprintf("%s=%0.f", p.Name, p.HammerThreshold))
-	}
-	r.Notes = append(r.Notes, "thresholds: "+strings.Join(th, " "))
-	return r, nil
-}
+		exceeds := func(peak int) []string {
+			var out []string
+			for _, p := range dram.EvaluationProfiles() {
+				if float64(peak) >= p.HammerThreshold {
+					out = append(out, p.Name)
+				}
+			}
+			return out
+		}
+		// run measures one stream, records its row and returns its peak.
+		run := func(w workload.Workload) (int, error) {
+			ctrl, err := memctrl.New(memctrl.Config{
+				Mapper:           vm.Hypervisor().Memory().Mapper(),
+				Timing:           memctrl.DDR4_2933(),
+				MLPWindow:        cfg.MLPWindow,
+				TrackActivations: true,
+			})
+			if err != nil {
+				return 0, err
+			}
+			res, err := workload.RunOnVM(vm, ctrl, nil, w, cfg.Ops, cfg.Seed)
+			if err != nil {
+				return 0, err
+			}
+			ex := strings.Join(exceeds(res.PeakRowACTs), ",")
+			if ex == "" {
+				ex = "-"
+			}
+			r.row(w.Name(), res.PeakRowACTs, ex)
+			return res.PeakRowACTs, nil
+		}
 
-// ActivationRates measures the peak per-row activation rate of commodity
-// workloads and of a dedicated hammering stream, on the evaluation server.
-func ActivationRates(ctx context.Context, cfg PerfConfig) ([]ActRateRow, error) {
-	vm, err := bootBenchVM(cfg, core.ModeSiloz, 0)
-	if err != nil {
-		return nil, err
-	}
-	exceeds := func(peak int) []string {
-		var out []string
-		for _, p := range dram.EvaluationProfiles() {
-			if float64(peak) >= p.HammerThreshold {
-				out = append(out, p.Name)
+		commodity := []workload.Workload{
+			workload.YCSB{Letter: 'a'},
+			workload.Memcached{},
+			workload.MLC{Mode: "stream"},
+			workload.Terasort{},
+		}
+		for _, w := range commodity {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if _, err := run(w); err != nil {
+				return nil, err
 			}
 		}
-		return out
-	}
-	run := func(w workload.Workload, ops int) (ActRateRow, error) {
-		ctrl, err := memctrl.New(memctrl.Config{
-			Mapper:           vm.Hypervisor().Memory().Mapper(),
-			Timing:           memctrl.DDR4_2933(),
-			MLPWindow:        cfg.MLPWindow,
-			TrackActivations: true,
-		})
-		if err != nil {
-			return ActRateRow{}, err
-		}
-		res, err := workload.RunOnVM(vm, ctrl, nil, w, ops, cfg.Seed)
-		if err != nil {
-			return ActRateRow{}, err
-		}
-		return ActRateRow{Workload: w.Name(), PeakACTs: res.PeakRowACTs, Exceeds: exceeds(res.PeakRowACTs)}, nil
-	}
-
-	var rows []ActRateRow
-	commodity := []workload.Workload{
-		workload.YCSB{Letter: 'a'},
-		workload.Memcached{},
-		workload.MLC{Mode: "stream"},
-		workload.Terasort{},
-	}
-	for _, w := range commodity {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r, err := run(w, cfg.Ops)
+		// A deliberate hammering stream: alternate two rows of one bank as
+		// fast as the DRAM allows (no cache, single victim pair).
+		peak, err := run(hammerStream{})
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, r)
-	}
-	// A deliberate hammering stream: alternate two rows of one bank as
-	// fast as the DRAM allows (no cache, single victim pair).
-	r, err := run(hammerStream{}, cfg.Ops)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, r)
-	return rows, nil
+		r.scalar("hammer_peak_acts", float64(peak))
+		r.check("hammer_exceeds_all_dimms",
+			len(exceeds(peak)) == len(dram.EvaluationProfiles()),
+			fmt.Sprintf("hammer-pair peaks at %d ACTs/window", peak))
+		var th []string
+		for _, p := range dram.EvaluationProfiles() {
+			th = append(th, fmt.Sprintf("%s=%0.f", p.Name, p.HammerThreshold))
+		}
+		r.Notes = append(r.Notes, "thresholds: "+strings.Join(th, " "))
+		return r, nil
+	})
 }
 
 // hammerStream is the malicious reference stream: a two-row bank ping-pong.

@@ -78,12 +78,15 @@ type balloonRowResult struct {
 	deflated      bool    // deflate re-adopted and restored pages are usable
 }
 
+// reclaimed is the capacity the released nodes returned to the pool.
+func (r *balloonRowResult) reclaimed() uint64 { return uint64(r.nodesReleased) * r.nodeBytes }
+
 // runBalloon boots a fresh Siloz system, fills a socket with one
 // over-provisioned VM, drives the guest balloon driver end to end —
 // inflate, tenant admission onto the released nodes, deflate — and verifies
 // the reservation-release invariants at each step.
 func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResult, error) {
-	h, err := bootLab(migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
+	h, err := bootLab(migrationLabGeometry(), migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +137,7 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 		dataIntact:    true,
 		releasedZero:  true,
 	}
-	res.reclaimMs = float64(res.scrubBytes) / (cfg.ScrubGiBps * float64(geometry.GiB)) * 1e3
+	res.reclaimMs = modeledMs(res.scrubBytes, cfg.ScrubGiBps)
 	if _, res.nodeBytes, err = guestNodeCapacity(h, 0); err != nil {
 		return nil, err
 	}
@@ -175,14 +178,11 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 // via the guest balloon driver — nodes reclaimed, scrub cost, and admission
 // of a new tenant onto the released subarray groups.
 func ballooningExp(ctx context.Context, pool *Pool, bc BalloonConfig) (*Result, error) {
-	var runs []balloonRun
-	for _, target := range bc.Targets {
-		for _, f := range bc.TouchedFractions {
-			runs = append(runs, balloonRun{target: target, fraction: f})
-		}
-	}
-	results, err := mapCells(ctx, pool, runs, func(i int, run balloonRun) (*balloonRowResult, error) {
-		return runBalloon(bc, run, RepSeed(bc.Seed, i))
+	runs := grid(bc.Targets, bc.TouchedFractions, func(target uint64, f float64) balloonRun {
+		return balloonRun{target: target, fraction: f}
+	})
+	results, err := mapCells(ctx, pool, bc.Seed, runs, func(run balloonRun, seed int64) (*balloonRowResult, error) {
+		return runBalloon(bc, run, seed)
 	})
 	if err != nil {
 		return nil, err
@@ -198,38 +198,27 @@ func ballooningExp(ctx context.Context, pool *Pool, bc BalloonConfig) (*Result, 
 			"vm":            fmt.Sprintf("%d MiB, floor %d MiB", bc.VMBytes/geometry.MiB, bc.MinBytes/geometry.MiB),
 		},
 	}
-	releaseOK, admitOK, zeroOK, intactOK, deflateOK := true, true, true, true, true
 	var totalReleased int
 	var maxReclaim float64
 	for _, res := range results {
-		reclaimed := uint64(res.nodesReleased) * res.nodeBytes
-		r.row(res.run.label(), res.nodesReleased, reclaimed/geometry.MiB, res.scrubBytes/geometry.MiB,
+		r.row(res.run.label(), res.nodesReleased, res.reclaimed()/geometry.MiB, res.scrubBytes/geometry.MiB,
 			res.reclaimMs, res.admitted, res.deflated)
-		// A whole-socket VM's surrendered range is node-aligned, so every
-		// ballooned node must drain completely.
-		if reclaimed != res.run.target {
-			releaseOK = false
-		}
-		admitOK = admitOK && res.admitted
-		zeroOK = zeroOK && res.releasedZero
-		intactOK = intactOK && res.dataIntact
-		deflateOK = deflateOK && res.deflated
 		totalReleased += res.nodesReleased
-		if res.reclaimMs > maxReclaim {
-			maxReclaim = res.reclaimMs
-		}
+		maxReclaim = max(maxReclaim, res.reclaimMs)
 	}
 	r.scalar("total_nodes_released", float64(totalReleased))
 	r.scalar("max_reclaim_ms", maxReclaim)
-	r.check("whole_nodes_released", releaseOK,
+	// A whole-socket VM's surrendered range is node-aligned, so every
+	// ballooned node must drain completely.
+	r.check("whole_nodes_released", allCells(results, func(c *balloonRowResult) bool { return c.reclaimed() == c.run.target }),
 		"every surrendered subarray-group node drains and leaves the VM's domain")
-	r.check("released_nodes_zeroed", zeroOK,
+	r.check("released_nodes_zeroed", allCells(results, func(c *balloonRowResult) bool { return c.releasedZero }),
 		"released nodes read all-zero before any tenant is admitted onto them")
-	r.check("tenant_admitted", admitOK,
+	r.check("tenant_admitted", allCells(results, func(c *balloonRowResult) bool { return c.admitted }),
 		"a tenant sized to the reclaimed nodes is admitted on the previously-full socket")
-	r.check("guest_data_intact", intactOK,
+	r.check("guest_data_intact", allCells(results, func(c *balloonRowResult) bool { return c.dataIntact }),
 		"guest memory below the balloon survives the inflate/deflate cycle")
-	r.check("deflate_restores", deflateOK,
+	r.check("deflate_restores", allCells(results, func(c *balloonRowResult) bool { return c.deflated }),
 		"deflation re-adopts capacity and restored pages are zeroed and writable")
 	r.Notes = append(r.Notes,
 		"scrub cost scales with the touched-page ledger, not the balloon size: untouched pages skip scrubbing",

@@ -8,51 +8,67 @@ import (
 	"repro/internal/memctrl"
 )
 
-// DRAMARow is one configuration of the §8.4 timing-side-channel study: an
+// dramaExp is the "drama" experiment: the §8.4 timing-side-channel study. An
 // attacker times accesses to its own rows while a co-located victim is idle
 // or active; a bank-conflict latency difference is a DRAMA-style channel.
-type DRAMARow struct {
-	// Mapping names the address-mapping configuration.
-	Mapping string
-	// IdleNs and BusyNs are the attacker's mean probe latencies with the
-	// victim idle vs active.
-	IdleNs, BusyNs float64
-	// SignalPct is the relative latency increase the attacker observes.
-	SignalPct float64
-}
-
-// Leaks reports whether the attacker can distinguish victim activity.
-func (r DRAMARow) Leaks() bool { return r.SignalPct > 2 }
-
-// dramaExp is the "drama" experiment: the §8.4 timing side channel.
+// The probe runs under the default interleaved mapping (shared banks — used
+// by both Siloz and the baseline) and under a bank-partitioned mapping where
+// attacker and victim own disjoint banks; each row reports the attacker's
+// mean probe latencies and the relative increase it observes.
 func dramaExp(ctx context.Context, pool *Pool) (*Result, error) {
-	rows, err := onPool(ctx, pool, DRAMAStudy)
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{
-		Name:    "drama",
-		Title:   "DRAM timing side channel (DRAMA, §8.4)",
-		Columns: []string{"idle", "busy", "signal", "leaks"},
-		Units:   []string{"ns", "ns", "%", ""},
-	}
-	for _, row := range rows {
-		r.row(row.Mapping, row.IdleNs, row.BusyNs, row.SignalPct, row.Leaks())
-		switch row.Mapping {
-		case "interleaved (Siloz/baseline)":
-			r.scalar("shared_signal_pct", row.SignalPct)
-			r.check("shared_banks_leak", row.Leaks(),
-				"bank sharing preserves the DRAMA channel under Siloz")
-		case "bank-partitioned (future)":
-			r.scalar("partitioned_signal_pct", row.SignalPct)
-			r.check("partitioned_banks_silent", !row.Leaks(),
-				"bank-partitioned addressing closes the channel")
+	return onPool(ctx, pool, func() (*Result, error) {
+		g := geometry.Default()
+		shared, err := addr.NewMapper(g, addr.KindSkylake)
+		if err != nil {
+			return nil, err
 		}
-	}
-	r.Notes = append(r.Notes,
-		"Siloz's subarray groups stop Rowhammer but share banks, so the timing channel persists;",
-		"bank-partitioned addressing (§8.4 future work) closes it.")
-	return r, nil
+		part, err := addr.NewPartitionedMapper(g, 2)
+		if err != nil {
+			return nil, err
+		}
+		r := &Result{
+			Name:    "drama",
+			Title:   "DRAM timing side channel (DRAMA, §8.4)",
+			Columns: []string{"idle", "busy", "signal", "leaks"},
+			Units:   []string{"ns", "ns", "%", ""},
+		}
+		for _, c := range []struct {
+			name                     string
+			mapper                   addr.Mapper
+			attackerBase, victimBase uint64
+			scalar, check            string
+			wantLeak                 bool
+			detail                   string
+		}{
+			// Shared banks: attacker in one subarray group, victim in
+			// another — Rowhammer-isolated but bank-sharing.
+			{"interleaved (Siloz/baseline)", shared, 0, 3 * geometry.GiB,
+				"shared_signal_pct", "shared_banks_leak", true,
+				"bank sharing preserves the DRAMA channel under Siloz"},
+			// Partitioned: attacker in partition 0, victim in partition 1.
+			{"bank-partitioned (future)", part, 0, uint64(g.SocketBytes() / 2),
+				"partitioned_signal_pct", "partitioned_banks_silent", false,
+				"bank-partitioned addressing closes the channel"},
+		} {
+			idle, err := dramaProbe(c.mapper, c.attackerBase, c.victimBase, false)
+			if err != nil {
+				return nil, err
+			}
+			busy, err := dramaProbe(c.mapper, c.attackerBase, c.victimBase, true)
+			if err != nil {
+				return nil, err
+			}
+			signalPct := 100 * (busy/idle - 1)
+			leaks := signalPct > 2 // enough for the attacker to distinguish victim activity
+			r.row(c.name, idle, busy, signalPct, leaks)
+			r.scalar(c.scalar, signalPct)
+			r.check(c.check, leaks == c.wantLeak, c.detail)
+		}
+		r.Notes = append(r.Notes,
+			"Siloz's subarray groups stop Rowhammer but share banks, so the timing channel persists;",
+			"bank-partitioned addressing (§8.4 future work) closes it.")
+		return r, nil
+	})
 }
 
 // dramaProbe measures the attacker's mean probe latency. The attacker
@@ -101,49 +117,4 @@ func dramaProbe(mapper addr.Mapper, attackerBase, victimBase uint64, victimActiv
 		}
 	}
 	return attackerTotal / probes, nil
-}
-
-// DRAMAStudy runs the probe under the default interleaved mapping (shared
-// banks — used by both Siloz and the baseline) and under a bank-partitioned
-// mapping where attacker and victim own disjoint banks.
-func DRAMAStudy() ([]DRAMARow, error) {
-	g := geometry.Default()
-	var out []DRAMARow
-
-	shared, err := addr.NewMapper(g, addr.KindSkylake)
-	if err != nil {
-		return nil, err
-	}
-	part, err := addr.NewPartitionedMapper(g, 2)
-	if err != nil {
-		return nil, err
-	}
-	cases := []struct {
-		name                     string
-		mapper                   addr.Mapper
-		attackerBase, victimBase uint64
-	}{
-		// Shared banks: attacker in one subarray group, victim in
-		// another — Rowhammer-isolated but bank-sharing.
-		{"interleaved (Siloz/baseline)", shared, 0, 3 * geometry.GiB},
-		// Partitioned: attacker in partition 0, victim in partition 1.
-		{"bank-partitioned (future)", part, 0, uint64(g.SocketBytes() / 2)},
-	}
-	for _, c := range cases {
-		idle, err := dramaProbe(c.mapper, c.attackerBase, c.victimBase, false)
-		if err != nil {
-			return nil, err
-		}
-		busy, err := dramaProbe(c.mapper, c.attackerBase, c.victimBase, true)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, DRAMARow{
-			Mapping:   c.name,
-			IdleNs:    idle,
-			BusyNs:    busy,
-			SignalPct: 100 * (busy/idle - 1),
-		})
-	}
-	return out, nil
 }

@@ -106,11 +106,17 @@ func eptPoolFree(h *core.Hypervisor) (map[int]uint64, error) {
 	return out, nil
 }
 
+// eptRelocPayload is the guest payload a cell stamps before its migrations
+// and reads back after them. It comes from stampPayload, so no seed — not
+// even one that is 0 mod 256 — yields bytes a scrubbed or lost page would
+// also read as.
+func eptRelocPayload(seed int64) []byte { return stampPayload(int(seed)) }
+
 // runEPTReloc executes one cell: boot, migrate cross-socket `moves` times,
 // then re-run the §7.1 hammering attack against the relocated tables.
 func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowResult, error) {
 	res := eptRelocRowResult{run: run}
-	h, err := bootLab(eptRelocProfile(), run.mode, core.ModeSiloz)
+	h, err := bootLab(migrationLabGeometry(), eptRelocProfile(), run.mode, core.ModeSiloz)
 	if err != nil {
 		return res, err
 	}
@@ -124,7 +130,7 @@ func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowR
 	if err != nil {
 		return res, err
 	}
-	payload := []byte{byte(seed)}
+	payload := eptRelocPayload(seed)
 	if err := vm.WriteGuest(4321, payload); err != nil {
 		return res, err
 	}
@@ -227,14 +233,11 @@ func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowR
 
 // eptRelocExp is the "ept-relocation" experiment.
 func eptRelocExp(ctx context.Context, pool *Pool, rc EPTRelocConfig) (*Result, error) {
-	var runs []eptRelocRun
-	for _, mode := range rc.Modes {
-		for _, moves := range rc.Moves {
-			runs = append(runs, eptRelocRun{mode: mode, moves: moves})
-		}
-	}
-	results, err := mapCells(ctx, pool, runs, func(i int, run eptRelocRun) (eptRelocRowResult, error) {
-		return runEPTReloc(ctx, run, RepSeed(rc.Seed, i))
+	runs := grid(rc.Modes, rc.Moves, func(mode ept.IntegrityMode, moves int) eptRelocRun {
+		return eptRelocRun{mode: mode, moves: moves}
+	})
+	results, err := mapCells(ctx, pool, rc.Seed, runs, func(run eptRelocRun, seed int64) (eptRelocRowResult, error) {
+		return runEPTReloc(ctx, run, seed)
 	})
 	if err != nil {
 		return nil, err
@@ -250,8 +253,8 @@ func eptRelocExp(ctx context.Context, pool *Pool, rc EPTRelocConfig) (*Result, e
 		Units:    []string{"", "", "KiB", "", "", "", ""},
 		Metadata: map[string]string{"profile": eptRelocProfile().Name, "vm": "64 MiB"},
 	}
-	allRelocated, allReclaimed, allAudited, allIntact := true, true, true, true
-	guardFlipFree, guardControl, secureDetected := true, false, true
+	// The hammering phase's checks are per protection mode.
+	var guard, secure []eptRelocRowResult
 	var totalPages int
 	var totalBytes uint64
 	var totalNewFlips, totalFaults int
@@ -263,35 +266,30 @@ func eptRelocExp(ctx context.Context, pool *Pool, rc EPTRelocConfig) (*Result, e
 		totalBytes += res.reclaimedBytes
 		totalNewFlips += res.newBlockFlips
 		totalFaults += res.integrityFaults
-		allRelocated = allRelocated && res.relocatedEveryMove
-		allReclaimed = allReclaimed && res.sourceReclaimed
-		allAudited = allAudited && res.auditOK
-		allIntact = allIntact && res.memoryIntact
 		switch res.run.mode {
 		case ept.GuardRows:
-			guardFlipFree = guardFlipFree && res.newBlockFlips == 0 && res.translationsOK
-			guardControl = guardControl || res.controlFlips > 0
+			guard = append(guard, res)
 		case ept.SecureEPT:
-			secureDetected = secureDetected && res.integrityFaults > 0 && res.silentCorrupt == 0
+			secure = append(secure, res)
 		}
 	}
 	r.scalar("relocated_pages", float64(totalPages))
 	r.scalar("reclaimed_bytes", float64(totalBytes))
 	r.scalar("new_block_flips", float64(totalNewFlips))
 	r.scalar("integrity_faults", float64(totalFaults))
-	r.check("relocated_every_move", allRelocated,
+	r.check("relocated_every_move", allCells(results, func(c eptRelocRowResult) bool { return c.relocatedEveryMove }),
 		"every cross-socket migration rebuilt the full table hierarchy")
-	r.check("source_ept_reclaimed", allReclaimed,
+	r.check("source_ept_reclaimed", allCells(results, func(c eptRelocRowResult) bool { return c.sourceReclaimed }),
 		"vacated sockets' EPT pools returned to their boot free-byte count")
-	r.check("isolation_audited", allAudited,
+	r.check("isolation_audited", allCells(results, func(c eptRelocRowResult) bool { return c.auditOK }),
 		"migrate.AuditIsolation passed after every move")
-	r.check("memory_intact", allIntact,
+	r.check("memory_intact", allCells(results, func(c eptRelocRowResult) bool { return c.memoryIntact }),
 		"guest payload survived every migration sequence")
-	r.check("new_block_flip_free", guardFlipFree,
+	r.check("new_block_flip_free", allCells(guard, func(c eptRelocRowResult) bool { return c.newBlockFlips == 0 && c.translationsOK }),
 		fmt.Sprintf("%d flips reached relocated guard-protected blocks; translations intact", totalNewFlips))
-	r.check("control_rows_flipped", guardControl,
+	r.check("control_rows_flipped", anyCell(guard, func(c eptRelocRowResult) bool { return c.controlFlips > 0 }),
 		"unprotected control rows flipped (hammering phase non-vacuous)")
-	r.check("corruption_detected_not_silent", secureDetected,
+	r.check("corruption_detected_not_silent", allCells(secure, func(c eptRelocRowResult) bool { return c.integrityFaults > 0 && c.silentCorrupt == 0 }),
 		fmt.Sprintf("%d integrity faults on relocated SecureEPT tables, none silent", totalFaults))
 	return r, nil
 }

@@ -69,15 +69,15 @@ func perfConfig(f Flags) PerfConfig {
 }
 
 // bootBenchVM boots a hypervisor and creates the benchmark VM on socket 0.
+// A non-zero subarrayRows overrides the geometry's rows per subarray.
 func bootBenchVM(cfg PerfConfig, mode core.Mode, subarrayRows int) (*core.VM, error) {
-	h, err := core.Boot(core.Config{
-		Geometry: cfg.Geometry,
-		// Performance experiments need no bit flips: the no-TRR profile,
-		// transforms intact.
-		Profiles:      []dram.Profile{dram.ProfileF()},
-		SubarrayRows:  subarrayRows,
-		EPTProtection: ept.GuardRows,
-	}, mode)
+	g := cfg.Geometry
+	if subarrayRows != 0 {
+		g = g.WithSubarraySize(subarrayRows)
+	}
+	// Performance experiments need no bit flips: the no-TRR profile,
+	// transforms intact.
+	h, err := bootLab(g, dram.ProfileF(), ept.GuardRows, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -165,37 +165,24 @@ func execTime(r memctrl.Result) float64 { return r.TotalNs }
 // overhead, so we invert to keep "positive = worse".
 func throughput(r memctrl.Result) float64 { return 1 / r.ThroughputGBs() }
 
-// Figure is one computed bar chart: baseline-normalized overheads.
-type Figure struct {
-	// Title names the figure (e.g. "Figure 4").
-	Title string
-	// Bars are per-workload overheads with confidence intervals.
-	Bars []stats.Normalized
-	// GeomeanPct is the geometric-mean overhead across bars.
-	GeomeanPct float64
+// withinHalfPercent reports whether a figure's geometric-mean overhead
+// reproduces the paper's headline claim: within ±0.5%.
+func withinHalfPercent(geomeanPct float64) bool {
+	return geomeanPct < 0.5 && geomeanPct > -0.5
 }
 
-// geomeanPct computes the geometric mean of the bars' ratios as a percent.
-func geomeanPct(bars []stats.Normalized) float64 {
-	ratios := make([]float64, len(bars))
-	for i, b := range bars {
-		ratios[i] = 1 + b.OverheadPct/100
-	}
-	return 100 * (stats.GeoMean(ratios) - 1)
-}
-
-// WithinHalfPercent reports whether the figure reproduces the paper's
-// headline claim: geometric-mean overhead within ±0.5%.
-func (f Figure) WithinHalfPercent() bool {
-	return f.GeomeanPct < 0.5 && f.GeomeanPct > -0.5
-}
-
-// series converts the figure's bars into a renderable Series.
-func (f Figure) series(name string) Series {
+// figure records one computed bar chart — baseline-normalized overheads
+// with confidence intervals, closed by the geometric mean of their ratios —
+// as the series name, and returns that geomean overhead in percent.
+func (r *Result) figure(name string, bars []stats.Normalized) float64 {
 	s := Series{Name: name, Unit: "%"}
-	for _, bar := range f.Bars {
+	ratios := make([]float64, len(bars))
+	for i, bar := range bars {
 		s.Points = append(s.Points, Point{Label: bar.Name, Value: bar.OverheadPct, CI: bar.CIPct})
+		ratios[i] = 1 + bar.OverheadPct/100
 	}
-	s.Points = append(s.Points, Point{Label: "geomean", Value: f.GeomeanPct})
-	return s
+	geomean := 100 * (stats.GeoMean(ratios) - 1)
+	s.Points = append(s.Points, Point{Label: "geomean", Value: geomean})
+	r.Series = append(r.Series, s)
+	return geomean
 }

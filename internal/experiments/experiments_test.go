@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -51,24 +52,53 @@ func TestTable3ContainmentQuick(t *testing.T) {
 	}
 }
 
-func TestEPTProtectionQuick(t *testing.T) {
-	cfg := quickSecurity()
-	res, err := EPTProtection(cfg)
+// rowOf returns the result's row with the given label.
+func rowOf(t *testing.T, r *Result, label string) Row {
+	t.Helper()
+	for _, row := range r.Rows {
+		if row.Label == label {
+			return row
+		}
+	}
+	t.Fatalf("%s: no row %q", r.Name, label)
+	return Row{}
+}
+
+// passed reports whether the result's named check passed.
+func passed(t *testing.T, r *Result, name string) bool {
+	t.Helper()
+	for _, c := range r.Checks {
+		if c.Name == name {
+			return c.Pass
+		}
+	}
+	t.Fatalf("%s: no check %q", r.Name, name)
+	return false
+}
+
+// scalarOf returns the result's named scalar.
+func scalarOf(t *testing.T, r *Result, name string) float64 {
+	t.Helper()
+	v, err := r.Scalar(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProtectedFlips != 0 {
-		t.Errorf("protected rows flipped %d times", res.ProtectedFlips)
+	return v
+}
+
+func TestEPTProtectionQuick(t *testing.T) {
+	r, err := eptExp(context.Background(), nil, quickSecurity())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.UnprotectedFlips == 0 {
+	if n := scalarOf(t, r, "protected_flips"); n != 0 {
+		t.Errorf("protected rows flipped %v times", n)
+	}
+	if scalarOf(t, r, "unprotected_flips") == 0 {
 		t.Error("unprotected control rows did not flip; experiment vacuous")
 	}
-	if !res.TranslationsIntact {
+	if !passed(t, r, "translations_intact") {
 		t.Error("EPT translations corrupted despite guard rows")
-	}
-	r, err := eptExp(context.Background(), nil, cfg)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !r.Passed() {
 		t.Errorf("ept checks failed: %+v", r.Checks)
@@ -86,85 +116,91 @@ func quickPerf() PerfConfig {
 	return cfg
 }
 
+// bars returns a figure series' per-workload points, without the closing
+// geomean point.
+func bars(t *testing.T, s Series) []Point {
+	t.Helper()
+	last := len(s.Points) - 1
+	if last < 0 || s.Points[last].Label != "geomean" {
+		t.Fatalf("series %s does not close with its geomean: %+v", s.Name, s.Points)
+	}
+	return s.Points[:last]
+}
+
 func TestFig4Quick(t *testing.T) {
-	fig, err := Fig4ExecutionTime(context.Background(), nil, quickPerf())
+	r, err := fig4Exp(context.Background(), nil, quickPerf())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// redis a-f, terasort, spec, parsec = 9 bars.
-	if len(fig.Bars) != 9 {
-		t.Fatalf("bars = %d, want 9", len(fig.Bars))
+	if len(r.Series) != 1 || len(bars(t, r.Series[0])) != 9 {
+		t.Fatalf("series = %+v, want one of 9 bars", r.Series)
 	}
-	if !fig.WithinHalfPercent() {
-		t.Errorf("geomean overhead %.2f%% outside ±0.5%% (paper's headline claim)", fig.GeomeanPct)
+	if !passed(t, r, "within_half_percent") {
+		t.Errorf("geomean overhead %.2f%% outside ±0.5%% (paper's headline claim)", scalarOf(t, r, "geomean_overhead_pct"))
 	}
-	for _, b := range fig.Bars {
-		if b.OverheadPct > 3 || b.OverheadPct < -3 {
-			t.Errorf("bar %s overhead %.2f%% implausibly large", b.Name, b.OverheadPct)
+	for _, b := range bars(t, r.Series[0]) {
+		if b.Value > 3 || b.Value < -3 {
+			t.Errorf("bar %s overhead %.2f%% implausibly large", b.Label, b.Value)
 		}
 	}
-	if !strings.Contains(RenderText(figureResult("fig4", fig)), "geomean") {
+	if !strings.Contains(RenderText(r), "geomean") {
 		t.Error("render malformed")
 	}
 }
 
 func TestFig5Quick(t *testing.T) {
-	fig, err := Fig5Throughput(context.Background(), nil, quickPerf())
+	r, err := fig5Exp(context.Background(), nil, quickPerf())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// memcached, mysql, 5 MLC modes = 7 bars.
-	if len(fig.Bars) != 7 {
-		t.Fatalf("bars = %d, want 7", len(fig.Bars))
+	if len(r.Series) != 1 || len(bars(t, r.Series[0])) != 7 {
+		t.Fatalf("series = %+v, want one of 7 bars", r.Series)
 	}
-	if !fig.WithinHalfPercent() {
-		t.Errorf("geomean overhead %.2f%% outside ±0.5%%", fig.GeomeanPct)
+	if !passed(t, r, "within_half_percent") {
+		t.Errorf("geomean overhead %.2f%% outside ±0.5%%", scalarOf(t, r, "geomean_overhead_pct"))
 	}
 }
 
 func TestSizeSensitivityQuick(t *testing.T) {
-	cfg := quickPerf()
-	res, err := Fig6And7SizeSensitivity(context.Background(), nil, cfg)
+	r, err := fig67Exp(context.Background(), nil, quickPerf())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 4 {
-		t.Fatalf("sweep produced %d figures, want 4 (two metrics x two sizes)", len(res))
+	if len(r.Series) != 4 {
+		t.Fatalf("sweep produced %d figures, want 4 (two metrics x two sizes)", len(r.Series))
 	}
-	for _, fig := range res {
-		if len(fig.Bars) == 0 {
-			t.Fatalf("figure %q empty", fig.Title)
+	for _, s := range r.Series {
+		if len(bars(t, s)) == 0 {
+			t.Fatalf("figure %q empty", s.Name)
 		}
-		if !fig.WithinHalfPercent() {
-			t.Errorf("%s geomean %.2f%% outside ±0.5%% (§7.4: no trend with subarray size)", fig.Title, fig.GeomeanPct)
+		if !passed(t, r, s.Name+"_within_half_percent") {
+			t.Errorf("%s geomean %.2f%% outside ±0.5%% (§7.4: no trend with subarray size)", s.Name, scalarOf(t, r, s.Name+"_geomean_pct"))
 		}
 	}
 }
 
 func TestBankLevelParallelism(t *testing.T) {
-	res, err := BankLevelParallelism(context.Background(), geometry.Default(), 40000)
+	r, err := blpExp(context.Background(), nil, quickPerf())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SpeedupPct < 18 {
-		t.Errorf("BLP benefit %.1f%%, paper cites >18%%", res.SpeedupPct)
+	if pct := scalarOf(t, r, "blp_benefit_pct"); pct < 18 {
+		t.Errorf("BLP benefit %.1f%%, paper cites >18%%", pct)
 	}
 }
 
 func TestOverheadComparison(t *testing.T) {
-	rows := OverheadComparison(geometry.Default())
-	if len(rows) < 5 {
+	r, err := overheadExp(context.Background(), nil, quickPerf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) < 5 {
 		t.Fatal("too few schemes")
 	}
-	var siloz, zebram80 float64
-	for _, r := range rows {
-		switch r.Scheme {
-		case "Siloz EPT block (b=32)":
-			siloz = r.ReservedPct
-		case "ZebRAM (4 guards/row, modern)":
-			zebram80 = r.ReservedPct
-		}
-	}
+	siloz := rowOf(t, r, "Siloz EPT block (b=32)").Cells[0].(float64)
+	zebram80 := rowOf(t, r, "ZebRAM (4 guards/row, modern)").Cells[0].(float64)
 	// §5.4: ~0.024% of each bank.
 	if siloz < 0.02 || siloz > 0.03 {
 		t.Errorf("Siloz EPT reservation %.4f%%, want ~0.024%%", siloz)
@@ -172,68 +208,61 @@ func TestOverheadComparison(t *testing.T) {
 	if zebram80 != 80 {
 		t.Errorf("ZebRAM modern = %v, want 80", zebram80)
 	}
-	r, err := overheadExp(context.Background(), nil, quickPerf())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !strings.Contains(RenderText(r), "ZebRAM") {
 		t.Error("render malformed")
 	}
 }
 
 func TestSoftRefreshComparison(t *testing.T) {
-	task, tick := SoftRefreshComparison()
-	if task.MissedDeadlines == 0 || tick.MissedDeadlines == 0 {
+	r, err := softRefreshExp(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !passed(t, r, "deadlines_missed") {
 		t.Error("§8.3: both models must miss deadlines")
 	}
-	if task.MissRate() <= tick.MissRate() {
+	if scalarOf(t, r, "task_miss_rate") <= scalarOf(t, r, "tick_miss_rate") {
 		t.Error("task model should miss more than tick model")
 	}
 }
 
 func TestRemapHandling(t *testing.T) {
-	rows, err := RemapHandling(context.Background())
+	r, err := remapsExp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byRows := make(map[int]RemapRow)
-	for _, r := range rows {
-		byRows[r.SubarrayRows] = r
-	}
+	// Cells: artificial, managed rows, reserved %.
 	for _, p2 := range []int{512, 1024, 2048} {
-		r := byRows[p2]
-		if r.Artificial || r.ReservedPct != 0 {
-			t.Errorf("power-of-2 size %d should need nothing: %+v", p2, r)
+		c := rowOf(t, r, fmt.Sprintf("%d-row subarrays", p2)).Cells
+		if c[0].(bool) || c[2].(float64) != 0 {
+			t.Errorf("power-of-2 size %d should need nothing: %+v", p2, c)
 		}
 	}
 	for _, np2 := range []int{640, 768, 1280} {
-		r := byRows[np2]
-		if !r.Artificial || r.ReservedPct <= 0 {
-			t.Errorf("size %d should form artificial groups with guards: %+v", np2, r)
+		c := rowOf(t, r, fmt.Sprintf("%d-row subarrays", np2)).Cells
+		if !c[0].(bool) || c[2].(float64) <= 0 {
+			t.Errorf("size %d should form artificial groups with guards: %+v", np2, c)
 		}
 		// §6 band (with safe over-approximation): between ~0.39% and ~2%.
-		if r.ReservedPct > 2.5 {
-			t.Errorf("size %d reserves %.2f%%, far beyond the paper's band", np2, r.ReservedPct)
+		if c[2].(float64) > 2.5 {
+			t.Errorf("size %d reserves %.2f%%, far beyond the paper's band", np2, c[2])
 		}
 	}
-	rr, err := remapsExp(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(RenderText(rr), "artificial") {
+	if !strings.Contains(RenderText(r), "artificial") {
 		t.Error("render malformed")
 	}
 }
 
 func TestGiBPages(t *testing.T) {
-	res, err := GiBPages(context.Background(), geometry.Default())
+	r, err := gbPagesExp(context.Background(), nil, quickPerf())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SingleSetFraction < 1.0/3 {
-		t.Errorf("single-set fraction %.2f below the paper's 1/3 floor", res.SingleSetFraction)
+	fraction := scalarOf(t, r, "single_set_fraction")
+	if fraction < 1.0/3 {
+		t.Errorf("single-set fraction %.2f below the paper's 1/3 floor", fraction)
 	}
-	if res.SingleSetFraction > 0.99 {
+	if fraction > 0.99 {
 		t.Error("mapping jump should split some 1 GiB pages")
 	}
 }

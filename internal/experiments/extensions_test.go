@@ -3,31 +3,28 @@ package experiments
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/geometry"
 )
 
 func TestECCStudy(t *testing.T) {
-	res, err := ECCStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WordsCorrected == 0 {
-		t.Error("no corrected words; study vacuous")
-	}
-	if res.WordsUncorrectable == 0 {
-		t.Error("§2.5: dense flips should produce uncorrectable words (machine checks)")
-	}
-	if !res.Leak {
-		t.Error("§3: correction-event counts should depend on stored data (side channel)")
-	}
-	if res.CorrectionEventsA == res.CorrectionEventsB {
-		t.Error("leak flag inconsistent with counts")
-	}
 	r, err := eccExp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if scalarOf(t, r, "words_corrected") == 0 {
+		t.Error("no corrected words; study vacuous")
+	}
+	if scalarOf(t, r, "words_uncorrectable") == 0 {
+		t.Error("§2.5: dense flips should produce uncorrectable words (machine checks)")
+	}
+	if !passed(t, r, "correction_side_channel") {
+		t.Error("§3: correction-event counts should depend on stored data (side channel)")
+	}
+	if scalarOf(t, r, "correction_events_secret_a") == scalarOf(t, r, "correction_events_secret_b") {
+		t.Error("leak flag inconsistent with counts")
 	}
 	if !r.Passed() {
 		t.Errorf("ecc checks failed: %+v", r.Checks)
@@ -37,34 +34,40 @@ func TestECCStudy(t *testing.T) {
 	}
 }
 
+// quickFragmentation runs the fragmentation experiment inline once for the
+// waste-table test and the defrag-recovery test.
+var quickFragmentation = sync.OnceValues(func() (*Result, error) {
+	return fragmentationExp(context.Background(), nil)
+})
+
 func TestFragmentationStudy(t *testing.T) {
-	rows, err := FragmentationStudy()
+	r, err := quickFragmentation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6 (3 sizes x SNC-1/2)", len(rows))
+	// Cells: group GiB, waste %, then the defrag-recovery columns.
+	var waste []Row
+	for _, row := range r.Rows {
+		if strings.HasPrefix(row.Label, "SNC-") {
+			waste = append(waste, row)
+		}
 	}
-	byConfig := map[string]FragmentationRow{}
-	for _, r := range rows {
-		byConfig[r.Config] = r
+	if len(waste) != 6 {
+		t.Fatalf("rows = %d, want 6 (3 sizes x SNC-1/2)", len(waste))
 	}
-	snc1 := byConfig["SNC-1, 1024-row subarrays"]
-	snc2 := byConfig["SNC-2, 1024-row subarrays"]
+	group := func(label string) float64 { return rowOf(t, r, label).Cells[0].(float64) }
+	wastePct := func(label string) float64 { return rowOf(t, r, label).Cells[1].(float64) }
+	snc1, snc2 := "SNC-1, 1024-row subarrays", "SNC-2, 1024-row subarrays"
 	// §8.1: SNC halves the group size and reduces waste.
-	if snc2.GroupGiB*2 != snc1.GroupGiB {
-		t.Errorf("SNC-2 group %.2f GiB, want half of %.2f", snc2.GroupGiB, snc1.GroupGiB)
+	if group(snc2)*2 != group(snc1) {
+		t.Errorf("SNC-2 group %.2f GiB, want half of %.2f", group(snc2), group(snc1))
 	}
-	if snc2.WastePct >= snc1.WastePct {
-		t.Errorf("SNC-2 waste %.1f%% not below SNC-1 %.1f%%", snc2.WastePct, snc1.WastePct)
+	if wastePct(snc2) >= wastePct(snc1) {
+		t.Errorf("SNC-2 waste %.1f%% not below SNC-1 %.1f%%", wastePct(snc2), wastePct(snc1))
 	}
 	// Larger groups waste more.
-	if byConfig["SNC-1, 2048-row subarrays"].WastePct <= byConfig["SNC-1, 512-row subarrays"].WastePct {
+	if wastePct("SNC-1, 2048-row subarrays") <= wastePct("SNC-1, 512-row subarrays") {
 		t.Error("waste should grow with group size")
-	}
-	r, err := fragmentationExp(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !strings.Contains(RenderText(r), "SNC-2") {
 		t.Error("render malformed")
@@ -72,29 +75,32 @@ func TestFragmentationStudy(t *testing.T) {
 }
 
 func TestDDR5Comparison(t *testing.T) {
-	rows, err := DDR5Comparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		pow2 := r.SubarrayRows&(r.SubarrayRows-1) == 0
-		if pow2 {
-			if r.DDR4Artifical || r.DDR4Reserved != 0 {
-				t.Errorf("size %d: DDR4 should need nothing for power-of-2", r.SubarrayRows)
-			}
-		} else {
-			if !r.DDR4Artifical || r.DDR4Reserved == 0 {
-				t.Errorf("size %d: DDR4 should need artificial groups + guards", r.SubarrayRows)
-			}
-		}
-		// §8.2: DDR5 never needs artificial groups.
-		if r.DDR5Artifical || r.DDR5Reserved != 0 {
-			t.Errorf("size %d: DDR5 should form exact groups with no guards, got %+v", r.SubarrayRows, r)
-		}
-	}
 	r, err := ddr5Exp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(r.Rows) != len(subarraySweepSizes) {
+		t.Fatalf("rows = %d, want one per swept size", len(r.Rows))
+	}
+	for i, rows := range subarraySweepSizes {
+		// Cells: DDR4 reserved %, DDR4 artificial, DDR5 reserved %, DDR5 artificial.
+		c := r.Rows[i].Cells
+		ddr4Reserved, ddr4Artificial := c[0].(float64), c[1].(bool)
+		ddr5Reserved, ddr5Artificial := c[2].(float64), c[3].(bool)
+		pow2 := rows&(rows-1) == 0
+		if pow2 {
+			if ddr4Artificial || ddr4Reserved != 0 {
+				t.Errorf("size %d: DDR4 should need nothing for power-of-2", rows)
+			}
+		} else {
+			if !ddr4Artificial || ddr4Reserved == 0 {
+				t.Errorf("size %d: DDR4 should need artificial groups + guards", rows)
+			}
+		}
+		// §8.2: DDR5 never needs artificial groups.
+		if ddr5Artificial || ddr5Reserved != 0 {
+			t.Errorf("size %d: DDR5 should form exact groups with no guards, got %+v", rows, c)
+		}
 	}
 	if !r.Passed() {
 		t.Errorf("ddr5 checks failed: %+v", r.Checks)
@@ -128,22 +134,23 @@ func TestSNCGeometry(t *testing.T) {
 }
 
 func TestDRAMAStudy(t *testing.T) {
-	rows, err := DRAMAStudy()
+	r, err := dramaExp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(r.Rows) != 2 {
+		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	shared, part := rows[0], rows[1]
+	// Cells: idle ns, busy ns, signal %, leaks.
+	shared, part := r.Rows[0].Cells, r.Rows[1].Cells
 	// §8.4: subarray groups share banks, so the DRAMA timing channel
 	// persists under Siloz's default mapping...
-	if !shared.Leaks() {
-		t.Errorf("shared-bank mapping shows no timing signal (%.1f%%)", shared.SignalPct)
+	if !shared[3].(bool) {
+		t.Errorf("shared-bank mapping shows no timing signal (%.1f%%)", shared[2])
 	}
 	// ...while disjoint bank partitions close it.
-	if part.Leaks() {
-		t.Errorf("bank-partitioned mapping leaks (%.1f%%)", part.SignalPct)
+	if part[3].(bool) {
+		t.Errorf("bank-partitioned mapping leaks (%.1f%%)", part[2])
 	}
 }
 
@@ -152,59 +159,54 @@ func TestActivationRates(t *testing.T) {
 	// modern Rowhammer thresholds, so thresholds cannot be outrun —
 	// isolation is required. Rates are DRAM-visible activations (the
 	// coherence-induced and cache-evading traffic [98] measures).
-	cfg := actRatesConfig(Flags{Quick: true})
-	rows, err := ActivationRates(context.Background(), cfg)
+	r, err := actRatesExp(context.Background(), nil, actRatesConfig(Flags{Quick: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]ActRateRow{}
-	for _, r := range rows {
-		byName[r.Workload] = r
+	// Cells: peak ACTs, the exceeded DIMMs comma-joined ("-" for none).
+	exceeds := func(workload string) []string {
+		if ex := rowOf(t, r, workload).Cells[1].(string); ex != "-" {
+			return strings.Split(ex, ",")
+		}
+		return nil
 	}
-	if got := byName["hammer-pair"]; len(got.Exceeds) != 6 {
-		t.Errorf("hammer-pair exceeds only %v", got.Exceeds)
+	if got := exceeds("hammer-pair"); len(got) != 6 {
+		t.Errorf("hammer-pair exceeds only %v", got)
 	}
-	if got := byName["redis-a"]; len(got.Exceeds) == 0 {
-		t.Errorf("hot-key commodity workload exceeds no thresholds (peak %d)", got.PeakACTs)
+	if got := exceeds("redis-a"); len(got) == 0 {
+		t.Errorf("hot-key commodity workload exceeds no thresholds (peak %d)", rowOf(t, r, "redis-a").Cells[0])
 	}
-	if got := byName["mlc-stream"]; len(got.Exceeds) != 0 {
-		t.Errorf("sequential stream should not exceed thresholds: %+v", got)
+	if got := exceeds("mlc-stream"); len(got) != 0 {
+		t.Errorf("sequential stream should not exceed thresholds: %+v", rowOf(t, r, "mlc-stream"))
 	}
 }
 
 func TestZebRAMComparison(t *testing.T) {
-	rows, err := ZebRAMComparison()
+	r, err := zebramExp(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byScheme := map[string]ZebRAMRow{}
-	for _, r := range rows {
-		byScheme[r.Scheme] = r
-	}
+	// Cells: overhead %, cross-domain flips, safe.
+	safe := func(scheme string) bool { return rowOf(t, r, scheme).Cells[2].(bool) }
 	// §3's executable argument:
-	if byScheme["no guards (baseline placement)"].Safe {
+	if safe("no guards (baseline placement)") {
 		t.Error("no-guard placement should leak")
 	}
 	// Original ZebRAM's 50% is insufficient against blast radius 2.
-	if byScheme["ZebRAM, 1 guard/row (50%)"].Safe {
+	if safe("ZebRAM, 1 guard/row (50%)") {
 		t.Error("1 guard/row should leak at blast radius 2 (Half-Double)")
 	}
 	// 2 guards/row stops distance-2 disturbance; 4 is the paper's safe
 	// figure for modern parts.
-	if !byScheme["ZebRAM, 4 guards/row (80%)"].Safe {
+	if !safe("ZebRAM, 4 guards/row (80%)") {
 		t.Error("4 guards/row should be safe")
 	}
 	// Siloz: safe at ~zero overhead.
-	siloz := byScheme["Siloz subarray groups (~0%)"]
-	if !siloz.Safe {
+	if !safe("Siloz subarray groups (~0%)") {
 		t.Error("subarray groups leaked")
 	}
-	if siloz.OverheadPct > 1 {
+	if rowOf(t, r, "Siloz subarray groups (~0%)").Cells[0].(float64) > 1 {
 		t.Error("Siloz overhead should be ~0")
-	}
-	r, err := zebramExp(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !r.Passed() {
 		t.Errorf("zebram checks failed: %+v", r.Checks)

@@ -102,7 +102,8 @@ type fleetPolicyResult struct {
 func fleetChurnExp(ctx context.Context, pool *Pool, fc FleetConfig) (*Result, error) {
 	trace := fleet.GenerateTrace(fc.TraceConfig)
 
-	results, err := mapCells(ctx, pool, fc.Policies, func(_ int, policy string) (*fleetPolicyResult, error) {
+	// Every policy replays the same trace under fc.Seed: no per-cell seed.
+	results, err := mapCells(ctx, pool, fc.Seed, fc.Policies, func(policy string, _ int64) (*fleetPolicyResult, error) {
 		r, err := runFleetPolicy(ctx, fc, policy, trace)
 		if err != nil {
 			return nil, fmt.Errorf("policy %s: %w", policy, err)
@@ -131,7 +132,6 @@ func fleetChurnExp(ctx context.Context, pool *Pool, fc FleetConfig) (*Result, er
 		},
 	}
 
-	auditsOK, traceOK, typedOK, conservedOK := true, true, true, true
 	admittedTotal := 0
 	for _, r := range results {
 		res.row(r.policy, r.policy, r.admitted, r.rejected,
@@ -145,30 +145,19 @@ func fleetChurnExp(ctx context.Context, pool *Pool, fc FleetConfig) (*Result, er
 		res.scalar("fleet_peak_stranded_pct_"+r.policy, round2(r.peakStranded*100))
 		res.scalar("fleet_cross_moves_"+r.policy, float64(r.crossMoves))
 		res.scalar("fleet_downtime_ms_"+r.policy, round2(r.downtimeMs))
-
 		if r.auditErr != nil {
-			auditsOK = false
 			res.Notes = append(res.Notes, fmt.Sprintf("%s audit failure: %v", r.policy, r.auditErr))
-		}
-		if r.admitted+r.rejected != len(trace) {
-			traceOK = false
-		}
-		if r.untypedReject > 0 {
-			typedOK = false
-		}
-		if r.leftoverNodes != 0 {
-			conservedOK = false
 		}
 		admittedTotal += r.admitted
 	}
-	res.check("audits_passed", auditsOK,
+	res.check("audits_passed", allCells(results, func(c *fleetPolicyResult) bool { return c.auditErr == nil }),
 		fmt.Sprintf("fleet-wide isolation audit after every churn round (%d rounds x %d policies)",
 			results[0].auditRounds, len(results)))
-	res.check("trace_complete", traceOK,
+	res.check("trace_complete", allCells(results, func(c *fleetPolicyResult) bool { return c.admitted+c.rejected == len(trace) }),
 		fmt.Sprintf("every traced arrival admitted or rejected (%d arrivals per policy)", len(trace)))
-	res.check("typed_rejections", typedOK,
+	res.check("typed_rejections", allCells(results, func(c *fleetPolicyResult) bool { return c.untypedReject == 0 }),
 		"every admission rejection matches fleet.ErrNoPlacement via errors.Is")
-	res.check("capacity_conserved", conservedOK,
+	res.check("capacity_conserved", allCells(results, func(c *fleetPolicyResult) bool { return c.leftoverNodes == 0 }),
 		"all guest nodes return to the free pool after the final drain")
 	res.check("churn_nonvacuous", admittedTotal > 0 && len(trace) >= fc.Rounds*fc.ArrivalsPerRound,
 		fmt.Sprintf("%d VMs admitted across %d policies", admittedTotal, len(results)))

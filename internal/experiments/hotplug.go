@@ -87,7 +87,7 @@ type hotplugRowResult struct {
 // grow end to end — preview, ResizeVM dispatch to hotplug, kernel onlining
 // the bank — verifying isolation, scrubbing, and rollback at each step.
 func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResult, error) {
-	h, err := bootLab(migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
+	h, err := bootLab(migrationLabGeometry(), migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 		res.grew = true
 		res.adopted = len(vm.Nodes()) - nodesBefore
 		res.scrubBytes = addBytes
-		res.adoptMs = float64(res.scrubBytes) / (cfg.ScrubGiBps * float64(geometry.GiB)) * 1e3
+		res.adoptMs = modeledMs(res.scrubBytes, cfg.ScrubGiBps)
 
 		// The hot-added bank must read all-zero and be guest-usable.
 		buf := make([]byte, geometry.PageSize4K)
@@ -193,14 +193,11 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 // the resize facade — nodes adopted beyond the boot reservation, scrub
 // cost, and the admission pool's capacity before and after.
 func hotplugExp(ctx context.Context, pool *Pool, hc HotplugConfig) (*Result, error) {
-	var runs []hotplugRun
-	for _, target := range hc.GrowTargets {
-		for _, p := range hc.PressureNodes {
-			runs = append(runs, hotplugRun{target: target, pressure: p})
-		}
-	}
-	results, err := mapCells(ctx, pool, runs, func(i int, run hotplugRun) (*hotplugRowResult, error) {
-		return runHotplug(hc, run, RepSeed(hc.Seed, i))
+	runs := grid(hc.GrowTargets, hc.PressureNodes, func(target uint64, p int) hotplugRun {
+		return hotplugRun{target: target, pressure: p}
+	})
+	results, err := mapCells(ctx, pool, hc.Seed, runs, func(run hotplugRun, seed int64) (*hotplugRowResult, error) {
+		return runHotplug(hc, run, seed)
 	})
 	if err != nil {
 		return nil, err
@@ -216,41 +213,35 @@ func hotplugExp(ctx context.Context, pool *Pool, hc HotplugConfig) (*Result, err
 			"vm":          fmt.Sprintf("%d MiB at boot", hc.VMBytes/geometry.MiB),
 		},
 	}
-	growOK, zeroOK, extendOK, intactOK, refuseOK, previewOK := true, true, true, true, true, true
-	var totalAdopted, refused int
+	// Cells split by whether the admission pool can cover the growth.
+	var feasible, infeasible []*hotplugRowResult
+	var totalAdopted int
 	var maxAdopt float64
 	for _, res := range results {
 		r.row(res.run.label(), res.adopted, res.scrubBytes/geometry.MiB, res.adoptMs,
 			res.refusedCap, res.probeBefore, res.probeAfter)
 		if res.feasible {
-			growOK = growOK && res.grew
-			zeroOK = zeroOK && res.bankZero
-			extendOK = extendOK && res.guestExtends
-			previewOK = previewOK && res.adopted == res.previewAdopt
+			feasible = append(feasible, res)
 		} else {
-			refuseOK = refuseOK && res.refusedCap && res.stateRestored
-			refused++
+			infeasible = append(infeasible, res)
 		}
-		intactOK = intactOK && res.dataIntact
 		totalAdopted += res.adopted
-		if res.adoptMs > maxAdopt {
-			maxAdopt = res.adoptMs
-		}
+		maxAdopt = max(maxAdopt, res.adoptMs)
 	}
 	r.scalar("total_nodes_adopted", float64(totalAdopted))
 	r.scalar("max_adopt_ms", maxAdopt)
-	r.scalar("refusal_rate", float64(refused)/float64(len(results)))
-	r.check("feasible_grows_adopt", growOK,
+	r.scalar("refusal_rate", float64(len(infeasible))/float64(len(results)))
+	r.check("feasible_grows_adopt", allCells(feasible, func(c *hotplugRowResult) bool { return c.grew }),
 		"every growth the admission pool can cover adopts nodes and commits")
-	r.check("grow_matches_preview", previewOK,
+	r.check("grow_matches_preview", allCells(feasible, func(c *hotplugRowResult) bool { return c.adopted == c.previewAdopt }),
 		"PreviewResize predicts exactly the nodes each successful grow adopts")
-	r.check("hot_added_zeroed", zeroOK,
+	r.check("hot_added_zeroed", allCells(feasible, func(c *hotplugRowResult) bool { return c.bankZero }),
 		"the hot-added range reads all-zero even though a departed tenant dirtied the adopted nodes")
-	r.check("guest_visible", extendOK,
+	r.check("guest_visible", allCells(feasible, func(c *hotplugRowResult) bool { return c.guestExtends }),
 		"Process.Map refuses GPAs beyond the boot reservation before the grow and accepts them after")
-	r.check("guest_data_intact", intactOK,
+	r.check("guest_data_intact", allCells(results, func(c *hotplugRowResult) bool { return c.dataIntact }),
 		"pre-grow guest memory survives the hotplug")
-	r.check("infeasible_grows_roll_back", refuseOK,
+	r.check("infeasible_grows_roll_back", allCells(infeasible, func(c *hotplugRowResult) bool { return c.refusedCap && c.stateRestored }),
 		"over-capacity growths fail with ErrCapacityExhausted and leave size, node set, and kernel limit unchanged")
 	r.Notes = append(r.Notes,
 		"hotplug is the balloon's dual: adoption consumes the admission pool, so probe admissions flip from accepted to refused as growth lands",

@@ -5,6 +5,7 @@ import (
 	"context"
 
 	"repro/internal/addr"
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/ept"
@@ -13,10 +14,11 @@ import (
 	"repro/internal/numa"
 )
 
-// This file holds the scaffolding the lifecycle experiments share: the lab
-// machine, guest payload stamping and verification, node capacity and
-// admission probes, and the cell-grid fan-out. Plain helpers — each
-// experiment still reads top to bottom as boot, act, measure, check.
+// This file holds the scaffolding the experiments share: the lab machine,
+// guest payload stamping and verification, node capacity and admission
+// probes, and the sweep helpers — grid, per-cell seeds, fan-out and check
+// folds. Plain helpers — each experiment still reads top to bottom as boot,
+// act, measure, check.
 
 // migrationLabGeometry is the small two-socket box the lifecycle studies
 // run on: 4 subarray groups of 64 MiB per socket, so under Siloz each
@@ -66,20 +68,28 @@ func lifecycleLabConfig() core.Config {
 	}
 }
 
-// bootLab boots the lab box populated with one DIMM profile.
-func bootLab(prof dram.Profile, prot ept.IntegrityMode, mode core.Mode) (*core.Hypervisor, error) {
+// bootLab boots a machine of geometry g populated with one DIMM profile.
+func bootLab(g geometry.Geometry, prof dram.Profile, prot ept.IntegrityMode, mode core.Mode) (*core.Hypervisor, error) {
 	return core.Boot(core.Config{
-		Geometry:      migrationLabGeometry(),
+		Geometry:      g,
 		Profiles:      []dram.Profile{prof},
 		EPTProtection: prot,
 	}, mode)
 }
 
+// modeledMs is the latency every lifecycle study reports for moving or
+// scrubbing n bytes at a fixed bandwidth — a pure function of the byte
+// count, never a wall-clock measurement, so identical runs emit identical
+// results.
+func modeledMs(n uint64, gibps float64) float64 {
+	return float64(n) / (gibps * float64(geometry.GiB)) * 1e3
+}
+
 // onPool runs a monolithic study under one worker slot, so a width-1 pool
 // serializes it against other experiments' work.
-func onPool[T any](ctx context.Context, pool *Pool, study func() (T, error)) (T, error) {
-	var out T
-	err := pool.Run(ctx, func() error {
+func onPool(ctx context.Context, pool *Pool, study func() (*Result, error)) (*Result, error) {
+	var out *Result
+	err := pool.Map(ctx, 1, func(int) error {
 		var err error
 		out, err = study()
 		return err
@@ -87,17 +97,61 @@ func onPool[T any](ctx context.Context, pool *Pool, study func() (T, error)) (T,
 	return out, err
 }
 
+// grid returns the row-major cross product of two sweep axes, one cell per
+// pair. A third axis nests: grid(as, grid(bs, cs, ...), ...).
+func grid[A, B, C any](as []A, bs []B, cell func(A, B) C) []C {
+	out := make([]C, 0, len(as)*len(bs))
+	for _, a := range as {
+		for _, b := range bs {
+			out = append(out, cell(a, b))
+		}
+	}
+	return out
+}
+
 // mapCells runs one task per cell of an experiment's sweep grid on the pool
 // and returns the results by cell index — the collection order that makes
-// every sweep byte-identical at any pool width.
-func mapCells[C, R any](ctx context.Context, pool *Pool, cells []C, task func(i int, c C) (R, error)) ([]R, error) {
+// every sweep byte-identical at any pool width. Cell i's task is handed
+// RepSeed(seed, i): a cell's randomness derives from its index alone.
+func mapCells[C, R any](ctx context.Context, pool *Pool, seed int64, cells []C, task func(c C, seed int64) (R, error)) ([]R, error) {
 	out := make([]R, len(cells))
 	err := pool.Map(ctx, len(cells), func(i int) error {
 		var err error
-		out[i], err = task(i, cells[i])
+		out[i], err = task(cells[i], RepSeed(seed, i))
 		return err
 	})
 	return out, err
+}
+
+// mapReps is mapCells over a grid that repeats every group reps times with
+// salt-spaced seeds, group-major: cell i is rep i%reps of group i/reps, and
+// out[g] holds group g's reps in order.
+func mapReps[G, R any](ctx context.Context, pool *Pool, seed int64, groups []G, reps int, task func(g G, seed int64) (R, error)) ([][]R, error) {
+	out := make([][]R, len(groups))
+	for g := range out {
+		out[g] = make([]R, reps)
+	}
+	err := pool.Map(ctx, len(groups)*reps, func(i int) error {
+		var err error
+		out[i/reps][i%reps], err = task(groups[i/reps], RepSeed(seed, i))
+		return err
+	})
+	return out, err
+}
+
+// allCells folds an every-cell check: ok must hold for each cell's result.
+func allCells[R any](cells []R, ok func(R) bool) bool {
+	for _, c := range cells {
+		if !ok(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// anyCell folds a some-cell check: ok must hold for at least one result.
+func anyCell[R any](cells []R, ok func(R) bool) bool {
+	return !allCells(cells, func(c R) bool { return !ok(c) })
 }
 
 // stampPayload returns the deterministic 4 KiB guest payload byte(i*mult)|1.
@@ -208,15 +262,16 @@ func hammerEPTBlock(h *core.Hypervisor, socket, controlRow, acts int) error {
 // hammerRows activates each listed row of bank acts times, then closes the
 // refresh window so the next aggressor set starts with a fresh budget.
 func hammerRows(mem *dram.Memory, bank geometry.BankID, rows []int, acts int) error {
+	t := &attack.PhysTarget{Mem: mem}
 	for _, row := range rows {
 		pa, err := mem.Mapper().Encode(geometry.MediaAddr{Bank: bank, Row: row})
 		if err != nil {
 			return err
 		}
-		if err := mem.ActivatePhys(pa, acts, 0); err != nil {
+		if err := t.Hammer(attack.RowRef{Addr: pa, Bank: bank, Row: row}, acts, 0); err != nil {
 			return err
 		}
 	}
-	mem.Refresh()
+	t.EndWindow()
 	return nil
 }

@@ -36,21 +36,17 @@ func lifecycleAttackConfig(f Flags) LifecycleAttackConfig {
 
 func lifecycleAttackExp(ctx context.Context, pool *Pool, lc LifecycleAttackConfig) (*Result, error) {
 	campaigns := attack.Campaigns()
-	// Cells are campaign-major, Reps per campaign; each cell's seed derives
-	// from its index alone.
-	results := make([]*attack.CampaignResult, len(campaigns)*lc.Reps)
-	err := pool.Map(ctx, len(results), func(i int) error {
-		campaign := campaigns[i/lc.Reps]
-		var err error
-		results[i], err = attack.RunCampaign(campaign, attack.CampaignConfig{
+	// Cells are campaign-major, Reps per campaign.
+	results, err := mapReps(ctx, pool, lc.Seed, campaigns, lc.Reps, func(campaign string, seed int64) (*attack.CampaignResult, error) {
+		r, err := attack.RunCampaign(campaign, attack.CampaignConfig{
 			Core:   lifecycleLabConfig(),
-			Seed:   RepSeed(lc.Seed, i),
+			Seed:   seed,
 			Rounds: lc.Rounds,
 		})
 		if err != nil {
-			return fmt.Errorf("campaign %s rep %d: %w", campaign, i%lc.Reps, err)
+			return nil, fmt.Errorf("campaign %s seed %d: %w", campaign, seed, err)
 		}
-		return nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err
@@ -76,27 +72,19 @@ func lifecycleAttackExp(ctx context.Context, pool *Pool, lc LifecycleAttackConfi
 
 	// Aggregate per campaign.
 	sums := make([]attack.CampaignResult, len(campaigns))
-	for i, r := range results {
-		sums[i/lc.Reps].Add(r)
-	}
-
 	var total attack.CampaignResult
-	inferredAll, burstsAll := true, true
 	for ci, name := range campaigns {
-		s := sums[ci]
+		s := &sums[ci]
+		for _, r := range results[ci] {
+			s.Add(r)
+		}
 		res.row(name, name, lc.Reps, s.Rounds, s.HammerBursts, s.AttackerFlips, s.CrossDomainFlips,
 			s.Denied, s.WindowViolations, s.ScrubLeaks, s.VictimCorruptions,
 			s.AuditsPassed, s.AdjacencyConfirmed)
 		res.scalar("lifecycle_attacker_flips_"+name, float64(s.AttackerFlips))
 		res.scalar("lifecycle_cross_domain_flips_"+name, float64(s.CrossDomainFlips))
 		res.scalar("lifecycle_denied_"+name, float64(s.Denied))
-		if s.AdjacencyConfirmed == 0 {
-			inferredAll = false
-		}
-		if s.HammerBursts == 0 || s.AttackerFlips == 0 {
-			burstsAll = false
-		}
-		total.Add(&s)
+		total.Add(s)
 	}
 	res.scalar("lifecycle_attacker_flips", float64(total.AttackerFlips))
 	res.scalar("lifecycle_cross_domain_flips", float64(total.CrossDomainFlips))
@@ -113,15 +101,15 @@ func lifecycleAttackExp(ctx context.Context, pool *Pool, lc LifecycleAttackConfi
 	res.check("audits_clean", total.AuditFailures == 0 && total.AuditsPassed > 0,
 		fmt.Sprintf("%d isolation audits passed, including inside the cross-host double-ownership window",
 			total.AuditsPassed))
-	res.check("attack_nonvacuous", burstsAll && total.Denied > 0,
+	res.check("attack_nonvacuous", total.Denied > 0 && allCells(sums, func(s attack.CampaignResult) bool { return s.HammerBursts > 0 && s.AttackerFlips > 0 }),
 		fmt.Sprintf("every campaign landed bursts and flipped attacker-domain bits (%d bursts total)",
 			total.HammerBursts))
-	res.check("mapping_inferred", inferredAll,
+	res.check("mapping_inferred", allCells(sums, func(s attack.CampaignResult) bool { return s.AdjacencyConfirmed > 0 }),
 		"each campaign's attacker confirmed row adjacency from inside its own domain first")
 
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"%d hammer bursts across %d campaign cells produced %d flips, all inside attacker domains; "+
 			"every cross-domain probe was denied (%d) and every audit held",
-		total.HammerBursts, len(results), total.AttackerFlips, total.Denied))
+		total.HammerBursts, len(campaigns)*lc.Reps, total.AttackerFlips, total.Denied))
 	return res, nil
 }

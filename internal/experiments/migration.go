@@ -75,7 +75,7 @@ func (r migrationRun) label() string {
 // pattern, migrates it cross-socket while the guest dirties `rate` pages
 // per round, and verifies byte identity afterwards.
 func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, seed int64) (*migrationRowResult, error) {
-	h, err := bootLab(migrationLabProfile(), ept.GuardRows, run.mode)
+	h, err := bootLab(migrationLabGeometry(), migrationLabProfile(), ept.GuardRows, run.mode)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, se
 	}
 
 	res := &migrationRowResult{run: run, rep: rep, ramPages: pages, intact: true}
-	res.downtimeM = float64(rep.DowntimeBytes) / (cfg.CopyGiBps * float64(geometry.GiB)) * 1e3
+	res.downtimeM = modeledMs(rep.DowntimeBytes, cfg.CopyGiBps)
 	zero := make([]byte, chunk)
 	for p := 0; p < pages && res.intact; p++ {
 		want := mirror[p]
@@ -150,16 +150,15 @@ func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, se
 // migrationExp is the "migration" experiment: live pre-copy cost vs. VM
 // size and guest write rate, Siloz vs. baseline.
 func migrationExp(ctx context.Context, pool *Pool, mc MigrationConfig) (*Result, error) {
-	var runs []migrationRun
-	for _, mode := range []core.Mode{core.ModeSiloz, core.ModeBaseline} {
-		for _, size := range mc.VMSizes {
-			for _, rate := range mc.WriteRates {
-				runs = append(runs, migrationRun{mode: mode, vmBytes: size, rate: rate})
-			}
-		}
-	}
-	results, err := mapCells(ctx, pool, runs, func(i int, run migrationRun) (*migrationRowResult, error) {
-		return runMigration(ctx, mc, run, RepSeed(mc.Seed, i))
+	sizeRates := grid(mc.VMSizes, mc.WriteRates, func(size uint64, rate int) migrationRun {
+		return migrationRun{vmBytes: size, rate: rate}
+	})
+	runs := grid([]core.Mode{core.ModeSiloz, core.ModeBaseline}, sizeRates, func(mode core.Mode, run migrationRun) migrationRun {
+		run.mode = mode
+		return run
+	})
+	results, err := mapCells(ctx, pool, mc.Seed, runs, func(run migrationRun, seed int64) (*migrationRowResult, error) {
+		return runMigration(ctx, mc, run, seed)
 	})
 	if err != nil {
 		return nil, err
@@ -174,36 +173,28 @@ func migrationExp(ctx context.Context, pool *Pool, mc MigrationConfig) (*Result,
 			"downtime_model": fmt.Sprintf("stop-and-copy bytes / %.0f GiB/s", mc.CopyGiBps),
 		},
 	}
-	intact, idleClean, boundOK, auditsOK := true, true, true, true
 	maxDowntime, totalCopied := 0, 0
 	for _, res := range results {
 		rep := res.rep
 		amp := float64(rep.PagesCopied) / float64(res.ramPages)
 		r.row(res.run.label(), len(rep.Rounds), rep.PagesCopied, amp, rep.DowntimePages, res.downtimeM, rep.Converged)
-		intact = intact && res.intact
-		auditsOK = auditsOK && res.auditErr == nil
-		if res.run.rate == 0 && (!rep.Converged || rep.DowntimePages != 0) {
-			idleClean = false
-		}
-		// Pre-copy bounds residual downtime by the last round's write
-		// set, not the VM size.
-		if rep.DowntimePages > 2*res.run.rate+8 {
-			boundOK = false
-		}
-		if rep.DowntimePages > maxDowntime {
-			maxDowntime = rep.DowntimePages
-		}
+		maxDowntime = max(maxDowntime, rep.DowntimePages)
 		totalCopied += rep.PagesCopied
 	}
 	r.scalar("max_downtime_pages", float64(maxDowntime))
 	r.scalar("total_pages_copied", float64(totalCopied))
-	r.check("memory_intact", intact,
+	r.check("memory_intact", allCells(results, func(c *migrationRowResult) bool { return c.intact }),
 		"guest bytes identical across migration, including writes made mid-flight")
-	r.check("idle_zero_downtime", idleClean,
+	idleClean := func(c *migrationRowResult) bool {
+		return c.run.rate != 0 || c.rep.Converged && c.rep.DowntimePages == 0
+	}
+	r.check("idle_zero_downtime", allCells(results, idleClean),
 		"an idle guest converges with an empty stop-and-copy set")
-	r.check("downtime_tracks_write_rate", boundOK,
+	// Pre-copy bounds residual downtime by the last round's write set, not
+	// the VM size.
+	r.check("downtime_tracks_write_rate", allCells(results, func(c *migrationRowResult) bool { return c.rep.DowntimePages <= 2*c.run.rate+8 }),
 		"stop-and-copy set bounded by the final round's dirty pages, not VM size")
-	r.check("isolation_held", auditsOK,
+	r.check("isolation_held", allCells(results, func(c *migrationRowResult) bool { return c.auditErr == nil }),
 		"Siloz domain exclusivity audited after every move")
 	r.Notes = append(r.Notes,
 		"downtime is modeled from copied bytes at fixed bandwidth, so identical runs emit identical results")

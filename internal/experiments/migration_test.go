@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -35,26 +36,39 @@ func TestMigrationExperiment(t *testing.T) {
 // on the fragmented socket, recovers after exactly the planned moves, and
 // the buddy introspection sees the vacated node.
 func TestDefragRecoveryStudy(t *testing.T) {
-	rec, err := DefragRecoveryStudy(context.Background())
+	r, err := quickFragmentation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.BeforeAdmitted {
+	// Cells 2-4: admitted, moves, largest free order.
+	before := rowOf(t, r, "defrag recovery: before rebalance").Cells
+	after := rowOf(t, r, "defrag recovery: after rebalance").Cells
+	if before[2].(bool) {
 		t.Error("pending VM admitted before rebalancing — scenario broken")
 	}
-	if !rec.AfterAdmitted {
+	if !after[2].(bool) {
 		t.Error("pending VM still refused after rebalancing")
 	}
-	if rec.Moves < 1 {
-		t.Errorf("recovery took %d moves, want >= 1", rec.Moves)
+	if moves := after[3].(int); moves < 1 || float64(moves) != scalarOf(t, r, "defrag_moves") {
+		t.Errorf("recovery took %d moves (scalar %v), want >= 1", moves, scalarOf(t, r, "defrag_moves"))
 	}
-	if rec.OrderBefore != -1 {
-		t.Errorf("fragmented socket reports largest free order %d, want -1", rec.OrderBefore)
+	if before[4].(int) != -1 {
+		t.Errorf("fragmented socket reports largest free order %d, want -1", before[4])
 	}
-	if rec.OrderAfter <= rec.OrderBefore {
-		t.Errorf("rebalancing did not raise the largest free order: %d -> %d", rec.OrderBefore, rec.OrderAfter)
+	if after[4].(int) <= before[4].(int) {
+		t.Errorf("rebalancing did not raise the largest free order: %d -> %d", before[4], after[4])
 	}
-	if rec.Histogram == "" || rec.Histogram == "none" {
-		t.Errorf("post-rebalance histogram %q shows no free blocks", rec.Histogram)
+	const prefix = "post-rebalance free blocks on the home socket: "
+	histogram, found := "", false
+	for _, note := range r.Notes {
+		if strings.HasPrefix(note, prefix) {
+			histogram, found = strings.TrimPrefix(note, prefix), true
+		}
+	}
+	if !found || histogram == "" || histogram == "none" {
+		t.Errorf("post-rebalance histogram %q shows no free blocks", histogram)
+	}
+	if !passed(t, r, "defrag_recovers_admission") {
+		t.Error("defrag_recovers_admission failed")
 	}
 }

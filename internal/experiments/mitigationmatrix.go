@@ -82,11 +82,7 @@ func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixCon
 		activations                        int64
 		health                             map[string]bool
 	}
-	cells := len(kinds) * mm.Reps
-	trials := make([]*attack.MitigationTrialResult, cells)
-	err := pool.Map(ctx, cells, func(i int) error {
-		k := kinds[i/mm.Reps]
-		seed := RepSeed(mm.Seed, i)
+	trials, err := mapReps(ctx, pool, mm.Seed, kinds, mm.Reps, func(k mitigation.Kind, seed int64) (*attack.MitigationTrialResult, error) {
 		lab := lifecycleLabConfig()
 		lab.Mitigation = mitigation.Spec{Kind: k, Seed: seed}
 		r, err := attack.RunMitigationTrial(attack.MitigationTrialConfig{
@@ -96,32 +92,33 @@ func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixCon
 			ChurnRounds:  mm.ChurnRounds,
 		})
 		if err != nil {
-			return fmt.Errorf("trial %v rep %d: %w", k, i%mm.Reps, err)
+			return nil, fmt.Errorf("trial %v seed %d: %w", k, seed, err)
 		}
-		trials[i] = r
-		return nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	aggs := make([]trialAgg, len(kinds))
-	for i, r := range trials {
-		a := &aggs[i/mm.Reps]
-		a.trials++
-		a.escapes += r.Escapes()
-		a.attackerFlips += r.AttackerFlips
-		a.guardFlips += r.GuardFlips
-		a.victimFlips += r.VictimFlips
-		a.strayFlips += r.StrayFlips
-		a.bursts += r.HammerBursts
-		a.refreshes += r.Refreshes
-		a.blockedBytes += r.BlockedBytes
-		a.activations += r.Activations
-		if r.Health != "" {
-			if a.health == nil {
-				a.health = map[string]bool{}
+	for ki := range kinds {
+		a := &aggs[ki]
+		for _, r := range trials[ki] {
+			a.trials++
+			a.escapes += r.Escapes()
+			a.attackerFlips += r.AttackerFlips
+			a.guardFlips += r.GuardFlips
+			a.victimFlips += r.VictimFlips
+			a.strayFlips += r.StrayFlips
+			a.bursts += r.HammerBursts
+			a.refreshes += r.Refreshes
+			a.blockedBytes += r.BlockedBytes
+			a.activations += r.Activations
+			if r.Health != "" {
+				if a.health == nil {
+					a.health = map[string]bool{}
+				}
+				a.health[r.Health] = true
 			}
-			a.health[r.Health] = true
 		}
 	}
 
@@ -246,24 +243,17 @@ func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixCon
 	res.check("baseline_vulnerable", none.escapes > 0 && none.refreshes == 0,
 		fmt.Sprintf("undefended machine: %d flips escaped the attacker (victim %d, stray %d), zero refreshes",
 			none.escapes, none.victimFlips, none.strayFlips))
-	contained, nonvacuous := true, true
+	contained := true
 	var worst string
 	for ki, k := range kinds {
-		a := &aggs[ki]
-		if a.bursts == 0 {
-			nonvacuous = false
-		}
-		if k == mitigation.KindNone {
-			continue
-		}
-		if a.escapes > 0 {
+		if a := &aggs[ki]; k != mitigation.KindNone && a.escapes > 0 {
 			contained = false
 			worst = fmt.Sprintf("%s let %d flips escape", k, a.escapes)
 		}
 	}
 	res.check("defenses_contain", contained,
 		map[bool]string{true: "every deployed defense kept victim and stray flips at zero", false: worst}[contained])
-	res.check("attack_nonvacuous", nonvacuous,
+	res.check("attack_nonvacuous", allCells(aggs, func(a trialAgg) bool { return a.bursts > 0 }),
 		"every trial landed hammer bursts against extent-edge rows")
 	for _, k := range []mitigation.Kind{mitigation.KindPARA, mitigation.KindSilverBullet} {
 		a := &aggs[k]
@@ -283,7 +273,7 @@ func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixCon
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"%d attack trials across %d defenses; every defense contained the campaign the undefended "+
 			"machine failed, each paying in its own currency (refresh energy, blocked capacity, or slowdown)",
-		cells, len(kinds)))
+		len(kinds)*mm.Reps, len(kinds)))
 	return res, nil
 }
 

@@ -38,10 +38,10 @@ func fig5Workloads() []workload.Workload {
 // order; within each, reps fan out onto the pool (suite reps fan out as
 // whole units, each running its members serially), so bar order — and
 // every bar's value — is independent of scheduling.
-func comparePerf(ctx context.Context, pool *Pool, cfg PerfConfig, title string,
+func comparePerf(ctx context.Context, pool *Pool, cfg PerfConfig,
 	refMode, varMode core.Mode, refRows, varRows int,
 	singles []workload.Workload, suites []suite,
-	metric func(memctrl.Result) float64) (Figure, error) {
+	metric func(memctrl.Result) float64) ([]stats.Normalized, error) {
 
 	refCfg, varCfg := cfg, cfg
 	refCfg.JitterSalt = 1 + 3*int64(refMode) + 17*int64(refRows)
@@ -49,30 +49,30 @@ func comparePerf(ctx context.Context, pool *Pool, cfg PerfConfig, title string,
 
 	refVM, err := bootBenchVM(cfg, refMode, refRows)
 	if err != nil {
-		return Figure{}, fmt.Errorf("booting reference: %w", err)
+		return nil, fmt.Errorf("booting reference: %w", err)
 	}
 	varVM, err := bootBenchVM(cfg, varMode, varRows)
 	if err != nil {
-		return Figure{}, fmt.Errorf("booting variant: %w", err)
+		return nil, fmt.Errorf("booting variant: %w", err)
 	}
 
-	fig := Figure{Title: title}
+	var bars []stats.Normalized
 	addBar := func(name string, ref, vr stats.Sample) {
 		n := stats.Normalize(vr, ref)
 		n.Name = name
-		fig.Bars = append(fig.Bars, n)
+		bars = append(bars, n)
 	}
 	for _, w := range singles {
 		if err := ctx.Err(); err != nil {
-			return fig, err
+			return nil, err
 		}
 		ref, err := measure(ctx, pool, refCfg, refVM, w, metric, nil)
 		if err != nil {
-			return fig, err
+			return nil, err
 		}
 		vr, err := measure(ctx, pool, varCfg, varVM, w, metric, nil)
 		if err != nil {
-			return fig, err
+			return nil, err
 		}
 		addBar(w.Name(), ref, vr)
 	}
@@ -105,103 +105,71 @@ func comparePerf(ctx context.Context, pool *Pool, cfg PerfConfig, title string,
 			return nil
 		})
 		if err != nil {
-			return fig, err
+			return nil, err
 		}
 		addBar(s.name, stats.Concat(s.name, refParts...), stats.Concat(s.name, varParts...))
 	}
-	fig.GeomeanPct = geomeanPct(fig.Bars)
-	return fig, nil
+	return bars, nil
 }
 
-// Fig4ExecutionTime reproduces Figure 4: baseline-normalized execution time
-// for Siloz across redis+YCSB, terasort, SPEC and PARSEC.
-func Fig4ExecutionTime(ctx context.Context, pool *Pool, cfg PerfConfig) (Figure, error) {
+// figureExp is the body of the single-figure experiments: every workload
+// under Siloz normalized to the baseline hypervisor.
+func figureExp(ctx context.Context, pool *Pool, cfg PerfConfig, name, title string,
+	singles []workload.Workload, suites []suite, metric func(memctrl.Result) float64) (*Result, error) {
+	bars, err := comparePerf(ctx, pool, cfg, core.ModeBaseline, core.ModeSiloz, 0, 0, singles, suites, metric)
+	if err != nil {
+		return nil, err
+	}
+	r := &Result{Name: name, Title: title}
+	geomean := r.figure("overhead", bars)
+	r.scalar("geomean_overhead_pct", geomean)
+	r.check("within_half_percent", withinHalfPercent(geomean),
+		fmt.Sprintf("geomean %+.2f%%, paper claims within ±0.5%%", geomean))
+	return r, nil
+}
+
+// fig4Exp is the "fig4" experiment, Figure 4: baseline-normalized execution
+// time for Siloz across redis+YCSB, terasort, SPEC and PARSEC.
+func fig4Exp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
 	singles, suites := fig4Workloads()
-	return comparePerf(ctx, pool, cfg, "Figure 4: baseline-normalized execution time overhead (Siloz)",
-		core.ModeBaseline, core.ModeSiloz, 0, 0, singles, suites, execTime)
+	return figureExp(ctx, pool, cfg, "fig4", "Figure 4: baseline-normalized execution time overhead (Siloz)",
+		singles, suites, execTime)
 }
 
-// Fig5Throughput reproduces Figure 5: baseline-normalized throughput
+// fig5Exp is the "fig5" experiment, Figure 5: baseline-normalized throughput
 // overhead for Siloz across memcached, mySQL and Intel MLC modes.
-func Fig5Throughput(ctx context.Context, pool *Pool, cfg PerfConfig) (Figure, error) {
-	return comparePerf(ctx, pool, cfg, "Figure 5: baseline-normalized throughput overhead (Siloz)",
-		core.ModeBaseline, core.ModeSiloz, 0, 0, fig5Workloads(), nil, throughput)
+func fig5Exp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
+	return figureExp(ctx, pool, cfg, "fig5", "Figure 5: baseline-normalized throughput overhead (Siloz)",
+		fig5Workloads(), nil, throughput)
 }
 
-// SizedFigure is one bar chart of the §7.4 sweep, keyed the way the fig67
-// experiment names its series (e.g. "fig6-siloz512").
-type SizedFigure struct {
-	Key string
-	Figure
-}
-
-// Fig6And7SizeSensitivity reproduces Figures 6 and 7: Siloz-512 and
-// Siloz-2048 normalized to Siloz-1024 (§7.4), execution time (Fig. 6) then
-// throughput (Fig. 7).
-func Fig6And7SizeSensitivity(ctx context.Context, pool *Pool, cfg PerfConfig) ([]SizedFigure, error) {
+// fig67Exp is the "fig67" experiment, Figures 6 and 7: the §7.4 sweep of
+// Siloz-512 and Siloz-2048 normalized to Siloz-1024, execution time (Fig. 6)
+// then throughput (Fig. 7), one series per figure and size (e.g.
+// "fig6-siloz512").
+func fig67Exp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
 	singles, suites := fig4Workloads()
-	var out []SizedFigure
+	r := &Result{Name: "fig67", Title: "Figures 6+7: subarray size sensitivity (§7.4)"}
 	for _, m := range []struct {
-		fig, name string
-		singles   []workload.Workload
-		suites    []suite
-		metric    func(memctrl.Result) float64
+		fig     string
+		singles []workload.Workload
+		suites  []suite
+		metric  func(memctrl.Result) float64
 	}{
-		{"6", "execution time", singles, suites, execTime},
-		{"7", "throughput", fig5Workloads(), nil, throughput},
+		{"6", singles, suites, execTime},
+		{"7", fig5Workloads(), nil, throughput},
 	} {
 		for _, rows := range []int{512, 2048} {
-			fig, err := comparePerf(ctx, pool, cfg,
-				fmt.Sprintf("Figure %s (Siloz-%d vs Siloz-1024): %s", m.fig, rows, m.name),
-				core.ModeSiloz, core.ModeSiloz, 1024, rows, m.singles, m.suites, m.metric)
+			bars, err := comparePerf(ctx, pool, cfg, core.ModeSiloz, core.ModeSiloz, 1024, rows, m.singles, m.suites, m.metric)
 			if err != nil {
-				return out, err
+				return nil, err
 			}
-			out = append(out, SizedFigure{Key: fmt.Sprintf("fig%s-siloz%d", m.fig, rows), Figure: fig})
+			key := fmt.Sprintf("fig%s-siloz%d", m.fig, rows)
+			geomean := r.figure(key, bars)
+			r.scalar(key+"_geomean_pct", geomean)
+			r.check(key+"_within_half_percent", withinHalfPercent(geomean),
+				fmt.Sprintf("geomean %+.2f%%", geomean))
 		}
-	}
-	return out, nil
-}
-
-// figureResult wraps a single computed figure as a structured Result.
-func figureResult(name string, fig Figure) *Result {
-	r := &Result{Name: name, Title: fig.Title, Series: []Series{fig.series("overhead")}}
-	r.scalar("geomean_overhead_pct", fig.GeomeanPct)
-	r.check("within_half_percent", fig.WithinHalfPercent(),
-		fmt.Sprintf("geomean %+.2f%%, paper claims within ±0.5%%", fig.GeomeanPct))
-	return r
-}
-
-// fig4Exp is the "fig4" experiment: Figure 4, execution time.
-func fig4Exp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
-	fig, err := Fig4ExecutionTime(ctx, pool, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return figureResult("fig4", fig), nil
-}
-
-// fig5Exp is the "fig5" experiment: Figure 5, throughput.
-func fig5Exp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
-	fig, err := Fig5Throughput(ctx, pool, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return figureResult("fig5", fig), nil
-}
-
-// fig67Exp is the "fig67" experiment: the §7.4 subarray-size sweep.
-func fig67Exp(ctx context.Context, pool *Pool, cfg PerfConfig) (*Result, error) {
-	res, err := Fig6And7SizeSensitivity(ctx, pool, cfg)
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{Name: "fig67", Title: "Figures 6+7: subarray size sensitivity (§7.4)"}
-	for _, f := range res {
-		r.Series = append(r.Series, f.series(f.Key))
-		r.scalar(f.Key+"_geomean_pct", f.GeomeanPct)
-		r.check(f.Key+"_within_half_percent", f.WithinHalfPercent(),
-			fmt.Sprintf("geomean %+.2f%%", f.GeomeanPct))
 	}
 	return r, nil
 }

@@ -19,7 +19,7 @@ import (
 // pool (inline execution) produce bit-for-bit identical results.
 //
 // To stay deadlock-free, Pool methods must not be nested: code running
-// under Run or inside a Map task must not call back into the pool.
+// inside a Map task must not call back into the pool.
 // Orchestration code (booting hypervisors, aggregating samples) runs
 // outside the pool; only leaf measurement work occupies slots.
 type Pool struct {
@@ -52,13 +52,6 @@ func (p *Pool) acquire(ctx context.Context) error {
 }
 
 func (p *Pool) release() { <-p.sem }
-
-// Run executes one leaf task under a worker slot (inline for a nil pool).
-// Monolithic experiments wrap their whole body in Run so a width-1 pool
-// serializes them against other experiments' work.
-func (p *Pool) Run(ctx context.Context, fn func() error) error {
-	return p.Map(ctx, 1, func(int) error { return fn() })
-}
 
 // Map runs fn(0)..fn(n-1), each under a worker slot, and returns the
 // lowest-index error. fn must write results only into slot i of a

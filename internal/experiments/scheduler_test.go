@@ -223,6 +223,45 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestEveryQuickResultIsNamedAndJudged runs the whole registry at -quick scale
+// and holds every Result to the contract renderers and trajectory tooling
+// rely on, so a new experiment is covered the day it is registered: the
+// Result carries its registry name and a title, says something checkable (at
+// least one check or scalar), keeps row cells parallel to its columns, and
+// passes its own checks.
+func TestEveryQuickResultIsNamedAndJudged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all 24 experiments at -quick scale (~10 s)")
+	}
+	jobs := quickJobs(t, "all")
+	results, err := RunAll(context.Background(), jobs, NewPool(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		name := jobs[i].Name
+		if r.Name != name {
+			t.Errorf("%s: Result is named %q", name, r.Name)
+		}
+		if r.Title == "" {
+			t.Errorf("%s: no title", name)
+		}
+		if len(r.Checks)+len(r.Scalars) == 0 {
+			t.Errorf("%s: neither a check nor a scalar", name)
+		}
+		for _, row := range r.Rows {
+			if len(row.Cells) != len(r.Columns) {
+				t.Errorf("%s: row %q has %d cells under %d columns", name, row.Label, len(row.Cells), len(r.Columns))
+			}
+		}
+		for _, c := range r.Checks {
+			if !c.Pass {
+				t.Errorf("%s: check %s failed: %s", name, c.Name, c.Detail)
+			}
+		}
+	}
+}
+
 // TestRenderers pins the render formats on a synthetic result.
 func TestRenderers(t *testing.T) {
 	r := &Result{

@@ -35,36 +35,6 @@ func securityConfig(f Flags) SecurityConfig {
 	}
 }
 
-// DIMMContainment is one row of Table 3.
-type DIMMContainment struct {
-	// DIMM names the module (A-F).
-	DIMM string
-	// FlipsInside counts bit flips inside the fuzzer's subarray group.
-	FlipsInside int
-	// FlipsOutside counts bit flips outside it (must be 0 under Siloz).
-	FlipsOutside int
-	// AttackerObserved counts corruptions the attacker itself saw.
-	AttackerObserved int
-	// RanksWithFlips and BanksWithFlips count distinct ranks/banks that
-	// flipped (§7.1 reports flips "across ranks and banks").
-	RanksWithFlips, BanksWithFlips int
-}
-
-// Table3Result reproduces Table 3: per-DIMM bit-flip containment.
-type Table3Result struct {
-	Rows []DIMMContainment
-}
-
-// Contained reports whether no flip escaped on any DIMM.
-func (t Table3Result) Contained() bool {
-	for _, r := range t.Rows {
-		if r.FlipsOutside != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // table3ShardsPerDIMM is how many bank campaigns Table 3 runs per DIMM
 // profile: banks on both ranks of the DIMM under test (§7.1 observes flips
 // "across ranks and banks in the DIMMs").
@@ -84,10 +54,12 @@ func table3BankIndex(g geometry.Geometry, dimmIdx, bi int) int {
 	}
 }
 
-// Table3Containment runs the §7.1 hammering-containment experiment: on each
-// of the six DIMM profiles, a Blacksmith campaign is pinned to one Siloz
-// subarray group; every resulting flip is classified as inside or outside
-// the group.
+// table3Exp is the "table3" experiment, Table 3: the §7.1
+// hammering-containment run. On each of the six DIMM profiles a Blacksmith
+// campaign is pinned to one Siloz subarray group; every resulting flip is
+// classified as inside or outside the group (outside must be 0 under Siloz),
+// beside the corruptions the attacker itself saw and the distinct ranks and
+// banks that flipped (§7.1 reports flips "across ranks and banks").
 //
 // The campaign is sharded per (DIMM, bank) — DIMMs × table3ShardsPerDIMM
 // independent units on one pool.Map — rather than per DIMM, so a wide pool
@@ -98,7 +70,7 @@ func table3BankIndex(g geometry.Geometry, dimmIdx, bi int) int {
 // shared image, and the fixed-order merge below reassembles per-DIMM rows
 // byte-identically at any pool width (seeds are cfg.Seed + dimmIdx*17 + bi,
 // unchanged from the per-DIMM formulation).
-func Table3Containment(ctx context.Context, pool *Pool, cfg SecurityConfig) (Table3Result, error) {
+func table3Exp(ctx context.Context, pool *Pool, cfg SecurityConfig) (*Result, error) {
 	profiles := dram.EvaluationProfiles()
 	g := cfg.Geometry
 
@@ -124,11 +96,7 @@ func Table3Containment(ctx context.Context, pool *Pool, cfg SecurityConfig) (Tab
 
 	newTarget := func(i int, s attack.BankShard) (attack.Target, error) {
 		dimmIdx := i / table3ShardsPerDIMM
-		h, err := core.Boot(core.Config{
-			Geometry:      g,
-			Profiles:      []dram.Profile{profiles[dimmIdx]},
-			EPTProtection: ept.GuardRows,
-		}, core.ModeSiloz)
+		h, err := bootLab(g, profiles[dimmIdx], ept.GuardRows, core.ModeSiloz)
 		if err != nil {
 			return nil, err
 		}
@@ -154,135 +122,100 @@ func Table3Containment(ctx context.Context, pool *Pool, cfg SecurityConfig) (Tab
 	}
 	reports, err := attack.RunSharded(ctx, campaign, shards, newTarget, pool.Map)
 	if err != nil {
-		return Table3Result{}, err
-	}
-
-	// Fixed-order merge: shard order is (dimm, bank) lexicographic, so the
-	// per-DIMM rows come out identical regardless of scheduling.
-	rows := make([]DIMMContainment, len(profiles))
-	for dimmIdx, prof := range profiles {
-		row := DIMMContainment{DIMM: prof.Name}
-		ranksHit := map[int]bool{}
-		banksHit := map[geometry.BankID]bool{}
-		for bi := 0; bi < table3ShardsPerDIMM; bi++ {
-			i := dimmIdx*table3ShardsPerDIMM + bi
-			row.AttackerObserved += len(reports[i].Report.Corruptions)
-			m := machines[i]
-			for _, f := range m.mem.Flips() {
-				pa, err := m.mem.FlipPhys(f)
-				if err != nil {
-					return Table3Result{}, err
-				}
-				if m.grp.Contains(pa) {
-					row.FlipsInside++
-					ranksHit[f.Bank.Rank] = true
-					banksHit[f.Bank] = true
-				} else {
-					row.FlipsOutside++
-				}
-			}
-		}
-		row.RanksWithFlips = len(ranksHit)
-		row.BanksWithFlips = len(banksHit)
-		rows[dimmIdx] = row
-	}
-	return Table3Result{Rows: rows}, nil
-}
-
-// table3Exp is the "table3" experiment: per-DIMM bit-flip containment.
-func table3Exp(ctx context.Context, pool *Pool, cfg SecurityConfig) (*Result, error) {
-	res, err := Table3Containment(ctx, pool, cfg)
-	if err != nil {
 		return nil, err
 	}
+
 	r := &Result{
 		Name:    "table3",
 		Title:   "Table 3: observed bit flips vs. the hammering domain's subarray group (§7.1)",
 		Columns: []string{"inside group", "outside group", "attacker observed", "ranks w/ flips", "banks w/ flips"},
 	}
+	// Fixed-order merge: shard order is (dimm, bank) lexicographic, so the
+	// per-DIMM rows come out identical regardless of scheduling.
 	var inside, outside int
-	for _, row := range res.Rows {
-		r.row(row.DIMM, row.FlipsInside, row.FlipsOutside, row.AttackerObserved,
-			row.RanksWithFlips, row.BanksWithFlips)
-		inside += row.FlipsInside
-		outside += row.FlipsOutside
+	for dimmIdx, prof := range profiles {
+		var flipsInside, flipsOutside, observed int
+		ranksHit := map[int]bool{}
+		banksHit := map[geometry.BankID]bool{}
+		for bi := 0; bi < table3ShardsPerDIMM; bi++ {
+			i := dimmIdx*table3ShardsPerDIMM + bi
+			observed += len(reports[i].Report.Corruptions)
+			m := machines[i]
+			for _, f := range m.mem.Flips() {
+				pa, err := m.mem.FlipPhys(f)
+				if err != nil {
+					return nil, err
+				}
+				if m.grp.Contains(pa) {
+					flipsInside++
+					ranksHit[f.Bank.Rank] = true
+					banksHit[f.Bank] = true
+				} else {
+					flipsOutside++
+				}
+			}
+		}
+		r.row(prof.Name, flipsInside, flipsOutside, observed, len(ranksHit), len(banksHit))
+		inside += flipsInside
+		outside += flipsOutside
 	}
 	r.scalar("flips_inside", float64(inside))
 	r.scalar("flips_outside", float64(outside))
-	r.check("contained", res.Contained(), "no flip escaped any subarray group")
+	r.check("contained", outside == 0, "no flip escaped any subarray group")
 	return r, nil
 }
 
-// EPTProtectionResult reproduces the §7.1 EPT experiment: hammering groups
-// of 32 consecutive rows protected per Siloz's mitigation vs. unprotected
-// row groups in the same subarray group.
-type EPTProtectionResult struct {
-	// ProtectedFlips counts flips landing in the protected row (must be 0).
-	ProtectedFlips int
-	// UnprotectedFlips counts flips in the unprotected control rows.
-	UnprotectedFlips int
-	// TranslationsIntact reports whether the VM's EPT mappings survived.
-	TranslationsIntact bool
-}
-
-// EPTProtection runs the experiment on the default evaluation server.
-func EPTProtection(cfg SecurityConfig) (EPTProtectionResult, error) {
-	var out EPTProtectionResult
-	prof := dram.ProfileD() // most susceptible part
-	prof.VulnerableRowFraction = 1
-	h, err := core.Boot(core.Config{
-		Geometry:      cfg.Geometry,
-		Profiles:      []dram.Profile{prof},
-		EPTProtection: ept.GuardRows,
-	}, core.ModeSiloz)
-	if err != nil {
-		return out, err
-	}
-	vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
-		Name: "probe", Socket: 0,
-		MemoryBytes: uint64(h.Layout().GroupBytes()),
-	})
-	if err != nil {
-		return out, err
-	}
-	before, err := translations(vm)
-	if err != nil {
-		return out, err
-	}
-
-	// The control row, 100, is host-group interior in the same subarray
-	// group as the block.
-	if err := hammerEPTBlock(h, 0, 100, int(prof.HammerThreshold)*4); err != nil {
-		return out, err
-	}
-	for _, f := range h.Memory().Flips() {
-		if f.MediaRow < core.EPTBlockRowGroups {
-			if f.MediaRow == core.EPTRowGroupOffset {
-				out.ProtectedFlips++
-			}
-			// Flips in offlined guard rows are harmless by design.
-			continue
-		}
-		out.UnprotectedFlips++
-	}
-	faults, moved := retranslate(vm, before)
-	out.TranslationsIntact = faults+moved == 0
-	return out, nil
-}
-
-// eptExp is the "ept" experiment: EPT bit-flip prevention.
+// eptExp is the "ept" experiment, the §7.1 EPT bit-flip prevention run on the
+// default evaluation server: hammering groups of 32 consecutive rows
+// protected per Siloz's mitigation vs. unprotected row groups in the same
+// subarray group. Flips landing in the protected row must be 0, the
+// unprotected control rows must flip, and the VM's EPT mappings must survive.
 func eptExp(ctx context.Context, pool *Pool, cfg SecurityConfig) (*Result, error) {
-	res, err := onPool(ctx, pool, func() (EPTProtectionResult, error) { return EPTProtection(cfg) })
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{Name: "ept", Title: "EPT bit-flip prevention (§7.1)"}
-	r.scalar("protected_flips", float64(res.ProtectedFlips))
-	r.scalar("unprotected_flips", float64(res.UnprotectedFlips))
-	r.check("protected_rows_flip_free", res.ProtectedFlips == 0,
-		fmt.Sprintf("%d flips in protected 32-row blocks", res.ProtectedFlips))
-	r.check("translations_intact", res.TranslationsIntact, "EPT mappings survived hammering")
-	r.check("control_rows_flipped", res.UnprotectedFlips > 0,
-		fmt.Sprintf("%d flips in unprotected control rows (experiment non-vacuous)", res.UnprotectedFlips))
-	return r, nil
+	return onPool(ctx, pool, func() (*Result, error) {
+		prof := dram.ProfileD() // most susceptible part
+		prof.VulnerableRowFraction = 1
+		h, err := bootLab(cfg.Geometry, prof, ept.GuardRows, core.ModeSiloz)
+		if err != nil {
+			return nil, err
+		}
+		vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
+			Name: "probe", Socket: 0,
+			MemoryBytes: uint64(h.Layout().GroupBytes()),
+		})
+		if err != nil {
+			return nil, err
+		}
+		before, err := translations(vm)
+		if err != nil {
+			return nil, err
+		}
+
+		// The control row, 100, is host-group interior in the same subarray
+		// group as the block.
+		if err := hammerEPTBlock(h, 0, 100, int(prof.HammerThreshold)*4); err != nil {
+			return nil, err
+		}
+		var protected, unprotected int
+		for _, f := range h.Memory().Flips() {
+			if f.MediaRow < core.EPTBlockRowGroups {
+				if f.MediaRow == core.EPTRowGroupOffset {
+					protected++
+				}
+				// Flips in offlined guard rows are harmless by design.
+				continue
+			}
+			unprotected++
+		}
+		faults, moved := retranslate(vm, before)
+
+		r := &Result{Name: "ept", Title: "EPT bit-flip prevention (§7.1)"}
+		r.scalar("protected_flips", float64(protected))
+		r.scalar("unprotected_flips", float64(unprotected))
+		r.check("protected_rows_flip_free", protected == 0,
+			fmt.Sprintf("%d flips in protected 32-row blocks", protected))
+		r.check("translations_intact", faults+moved == 0, "EPT mappings survived hammering")
+		r.check("control_rows_flipped", unprotected > 0,
+			fmt.Sprintf("%d flips in unprotected control rows (experiment non-vacuous)", unprotected))
+		return r, nil
+	})
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/geometry"
@@ -121,20 +122,18 @@ func runServingRep(ctx context.Context, cfg ServingSLOConfig, kind mitigation.Ki
 
 func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Result, error) {
 	kinds := sc.Kinds
-	// Cells fan out on the pool; each cell's seed derives from its index
-	// alone, so parallel and serial schedules emit identical tables.
-	cells := len(kinds) * len(sc.Scenarios) * sc.Reps
-	reps := make([]*serve.Report, cells)
-	err := pool.Map(ctx, cells, func(i int) error {
-		ki := i / (len(sc.Scenarios) * sc.Reps)
-		si := i / sc.Reps % len(sc.Scenarios)
-		churn := sc.Scenarios[si] == "churn"
-		rep, err := runServingRep(ctx, sc, kinds[ki], churn, RepSeed(sc.Seed, i))
+	// Cells are kind-major, then scenario, Reps per cell.
+	type sloCell struct {
+		kind     mitigation.Kind
+		scenario string
+	}
+	cells := grid(kinds, sc.Scenarios, func(k mitigation.Kind, scenario string) sloCell { return sloCell{k, scenario} })
+	reps, err := mapReps(ctx, pool, sc.Seed, cells, sc.Reps, func(c sloCell, seed int64) (*serve.Report, error) {
+		rep, err := runServingRep(ctx, sc, c.kind, c.scenario == "churn", seed)
 		if err != nil {
-			return fmt.Errorf("%v/%s rep %d: %w", kinds[ki], sc.Scenarios[si], i%sc.Reps, err)
+			return nil, fmt.Errorf("%v/%s seed %d: %w", c.kind, c.scenario, seed, err)
 		}
-		reps[i] = rep
-		return nil
+		return rep, nil
 	})
 	if err != nil {
 		return nil, err
@@ -152,33 +151,34 @@ func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Resul
 		worstP99    float64
 		defragErrs  int
 	}
-	// Reps of one (kind, scenario) cell are contiguous in index order.
-	aggs := make([]agg, len(kinds)*len(sc.Scenarios))
-	for i := range aggs {
-		aggs[i].hist = stats.NewHistogram()
-	}
-	cellOf := func(ki, si int) *agg { return &aggs[ki*len(sc.Scenarios)+si] }
-	for i, r := range reps {
-		a := &aggs[i/sc.Reps]
-		a.hist.Merge(r.Total)
-		a.sum.Requests += r.Requests
-		a.sum.Errors += r.Errors
-		a.sum.Violations += r.Violations
-		a.qpsSum += r.AchievedQPS()
-		a.reps++
-		for _, w := range r.Windows {
-			if w.Err != "" {
-				if w.Kind == serve.EventDefrag {
-					a.defragErrs++
+	// aggs[si][ki] is scenario si under defense ki: a scenario's column of
+	// the grid, in kinds order.
+	aggs := make([][]*agg, len(sc.Scenarios))
+	for ci := range cells {
+		a := &agg{hist: stats.NewHistogram()}
+		si := ci % len(sc.Scenarios)
+		aggs[si] = append(aggs[si], a)
+		for _, r := range reps[ci] {
+			a.hist.Merge(r.Total)
+			a.sum.Requests += r.Requests
+			a.sum.Errors += r.Errors
+			a.sum.Violations += r.Violations
+			a.qpsSum += r.AchievedQPS()
+			a.reps++
+			for _, w := range r.Windows {
+				if w.Err != "" {
+					if w.Kind == serve.EventDefrag {
+						a.defragErrs++
+					}
+					continue
 				}
-				continue
-			}
-			if w.Hist.Count() == 0 {
-				continue
-			}
-			if p := w.Hist.P99(); p > a.worstP99 {
-				a.worstP99 = p
-				a.worstWindow = w.Label
+				if w.Hist.Count() == 0 {
+					continue
+				}
+				if p := w.Hist.P99(); p > a.worstP99 {
+					a.worstP99 = p
+					a.worstWindow = w.Label
+				}
 			}
 		}
 	}
@@ -204,16 +204,16 @@ func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Resul
 		},
 	}
 
-	p99Series := map[string]*Series{}
-	for _, s := range sc.Scenarios {
-		p99Series[s] = &Series{Name: "p99-" + s, Unit: "us"}
+	p99Series := make([]Series, len(sc.Scenarios))
+	for si, s := range sc.Scenarios {
+		p99Series[si] = Series{Name: "p99-" + s, Unit: "us"}
 	}
 	slug := func(k mitigation.Kind, scenario, name string) string {
 		return "sslo_" + name + "_" + k.String() + "_" + scenario
 	}
 	for ki, k := range kinds {
 		for si, scenario := range sc.Scenarios {
-			a := cellOf(ki, si)
+			a := aggs[si][ki]
 			achieved := a.qpsSum / float64(a.reps)
 			missPct := 100 * a.sum.ViolationFrac()
 			worst := "-"
@@ -227,68 +227,46 @@ func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Resul
 			res.scalar(slug(k, scenario, "p999_us"), round3(a.hist.P999()/1e3))
 			res.scalar(slug(k, scenario, "miss_pct"), round3(missPct))
 			res.scalar(slug(k, scenario, "qps"), round3(achieved))
-			p99Series[scenario].Points = append(p99Series[scenario].Points,
+			p99Series[si].Points = append(p99Series[si].Points,
 				Point{Label: k.String(), Value: round3(a.hist.P99() / 1e3)})
 		}
 	}
-	for _, s := range sc.Scenarios {
-		res.Series = append(res.Series, *p99Series[s])
-	}
+	res.Series = append(res.Series, p99Series...)
 
-	// Checks.
-	idx := map[string]int{}
-	for si, s := range sc.Scenarios {
-		idx[s] = si
-	}
-	kidx := map[mitigation.Kind]int{}
-	for ki, k := range kinds {
-		kidx[k] = ki
-	}
-	if qi, ok := idx["quiet"]; ok {
-		allMeet, errFree := true, true
-		for ki := range kinds {
-			a := cellOf(ki, qi)
-			if a.sum.Violations > 0 {
-				allMeet = false
-			}
-			if a.sum.Errors > 0 {
-				errFree = false
-			}
-		}
-		res.check("quiet_meets_slo", allMeet,
+	// Checks, for the scenarios and defenses this run selected.
+	qi, ci := slices.Index(sc.Scenarios, "quiet"), slices.Index(sc.Scenarios, "churn")
+	if qi >= 0 {
+		quiet := aggs[qi]
+		res.check("quiet_meets_slo", allCells(quiet, func(a *agg) bool { return a.sum.Violations == 0 }),
 			fmt.Sprintf("every defense serves %.0f us p99 SLO with zero misses when the control plane is quiet", sc.SLOUs))
-		res.check("quiet_error_free", errFree, "no request failed on a quiet host")
-		if ni, ok := kidx[mitigation.KindNone]; ok {
-			if si, ok := kidx[mitigation.KindSiloz]; ok {
-				base := cellOf(ni, qi).hist.P99()
-				siloz := cellOf(si, qi).hist.P99()
-				rel := siloz/base - 1
-				res.check("siloz_tail_comparable", rel < 0.10 && rel > -0.10,
-					fmt.Sprintf("siloz quiet p99 within ±10%% of baseline (%.2fus vs %.2fus): placement moves pages, not the tail",
-						siloz/1e3, base/1e3))
-			}
+		res.check("quiet_error_free", allCells(quiet, func(a *agg) bool { return a.sum.Errors == 0 }),
+			"no request failed on a quiet host")
+		ni, si := slices.Index(kinds, mitigation.KindNone), slices.Index(kinds, mitigation.KindSiloz)
+		if ni >= 0 && si >= 0 {
+			base := quiet[ni].hist.P99()
+			siloz := quiet[si].hist.P99()
+			rel := siloz/base - 1
+			res.check("siloz_tail_comparable", rel < 0.10 && rel > -0.10,
+				fmt.Sprintf("siloz quiet p99 within ±10%% of baseline (%.2fus vs %.2fus): placement moves pages, not the tail",
+					siloz/1e3, base/1e3))
 		}
 	}
-	if ci, ok := idx["churn"]; ok {
-		spikes, misses := true, true
-		for ki := range kinds {
-			a := cellOf(ki, ci)
-			if qi, ok := idx["quiet"]; ok {
-				if a.hist.P999() <= cellOf(ki, qi).hist.P999() {
+	if ci >= 0 {
+		spikes := true
+		if qi >= 0 {
+			for ki := range kinds {
+				if aggs[ci][ki].hist.P999() <= aggs[qi][ki].hist.P999() {
 					spikes = false
 				}
-			}
-			if a.sum.Violations == 0 {
-				misses = false
 			}
 		}
 		res.check("churn_spikes_tail", spikes,
 			"churn p99.9 exceeds quiet p99.9 for every defense: blackout windows land in the tail")
-		res.check("churn_causes_slo_misses", misses,
+		res.check("churn_causes_slo_misses", allCells(aggs[ci], func(a *agg) bool { return a.sum.Violations > 0 }),
 			"every defense misses the SLO during churn windows — lifecycle events are where the SLO budget goes")
 		defragOK := true
 		for ki, k := range kinds {
-			a := cellOf(ki, ci)
+			a := aggs[ci][ki]
 			wantErrs := a.reps // one defrag event per rep
 			if k == mitigation.KindSiloz {
 				wantErrs = 0
@@ -305,6 +283,6 @@ func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Resul
 		"%d serving reps: two open-loop tenants at %.0f qps each on a two-socket host, %s-scenario churn "+
 			"replaying resize→migrate→defrag mid-serving; downtime is modeled from copied bytes, so identical "+
 			"configs emit identical tables at any parallelism",
-		cells, sc.QPS, sc.Scenarios[len(sc.Scenarios)-1]))
+		len(cells)*sc.Reps, sc.QPS, sc.Scenarios[len(sc.Scenarios)-1]))
 	return res, nil
 }

@@ -15,46 +15,50 @@ import (
 // leaks; safety requires 4 guards per normal row (80%). Siloz's subarray
 // groups get the same containment from the silicon itself at ~0% cost.
 
-// ZebRAMRow is one configuration of the comparison.
-type ZebRAMRow struct {
-	// Scheme names the configuration.
-	Scheme string
-	// OverheadPct is the DRAM share reserved as guards.
-	OverheadPct float64
-	// CrossDomainFlips counts flips landing in the other domain's rows.
-	CrossDomainFlips int
-	// Safe reports whether isolation held.
-	Safe bool
-}
-
-// zebramExp is the "zebram" experiment: guard rows vs subarray groups.
+// zebramExp is the "zebram" experiment: the guard-row schemes and the Siloz
+// equivalent, one row per configuration — the DRAM share reserved as guards,
+// the flips landing in the other domain's rows, and whether isolation held.
 func zebramExp(ctx context.Context, pool *Pool) (*Result, error) {
-	rows, err := onPool(ctx, pool, ZebRAMComparison)
-	if err != nil {
-		return nil, err
-	}
-	r := &Result{
-		Name:    "zebram",
-		Title:   "Guard-row schemes vs subarray groups under a blast-radius-2 DIMM (§3)",
-		Columns: []string{"overhead", "cross flips", "safe"},
-		Units:   []string{"%", "", ""},
-	}
-	oneGuardLeaks, silozSafe := false, false
-	for _, row := range rows {
-		r.row(row.Scheme, row.OverheadPct, row.CrossDomainFlips, row.Safe)
-		switch row.Scheme {
-		case "ZebRAM, 1 guard/row (50%)":
-			oneGuardLeaks = !row.Safe
-		case "Siloz subarray groups (~0%)":
-			silozSafe = row.Safe
-			r.scalar("siloz_cross_flips", float64(row.CrossDomainFlips))
-			r.scalar("siloz_overhead_pct", row.OverheadPct)
+	return onPool(ctx, pool, func() (*Result, error) {
+		r := &Result{
+			Name:    "zebram",
+			Title:   "Guard-row schemes vs subarray groups under a blast-radius-2 DIMM (§3)",
+			Columns: []string{"overhead", "cross flips", "safe"},
+			Units:   []string{"%", "", ""},
 		}
-	}
-	r.check("one_guard_leaks_half_double", oneGuardLeaks,
-		"1 guard/row still leaks under blast radius 2 (Half-Double)")
-	r.check("siloz_contains", silozSafe, "subarray groups contain all flips at ~0% cost")
-	return r, nil
+		for _, c := range []struct {
+			scheme   string
+			stride   int
+			overhead float64
+		}{
+			{"no guards (baseline placement)", 1, 0},
+			{"ZebRAM, 1 guard/row (50%)", 2, 50},
+			{"ZebRAM, 2 guards/row (66%)", 3, 100.0 * 2 / 3},
+			{"ZebRAM, 4 guards/row (80%)", 5, 80},
+		} {
+			cross, err := zebramProbe(c.stride)
+			if err != nil {
+				return nil, err
+			}
+			r.row(c.scheme, c.overhead, cross, cross == 0)
+			if c.stride == 2 { // the original ZebRAM layout
+				r.check("one_guard_leaks_half_double", cross != 0,
+					"1 guard/row still leaks under blast radius 2 (Half-Double)")
+			}
+		}
+		// Siloz: the two domains are separate subarray groups; hammering all
+		// of A's rows cannot reach B's subarray at any cost.
+		cross, err := silozProbe()
+		if err != nil {
+			return nil, err
+		}
+		const silozOverheadPct = 0.024 // the EPT block, §5.4
+		r.row("Siloz subarray groups (~0%)", silozOverheadPct, cross, cross == 0)
+		r.scalar("siloz_cross_flips", float64(cross))
+		r.scalar("siloz_overhead_pct", silozOverheadPct)
+		r.check("siloz_contains", cross == 0, "subarray groups contain all flips at ~0% cost")
+		return r, nil
+	})
 }
 
 // zebramRowsPerSubarray is the subarray size of the comparison's bank.
@@ -114,46 +118,6 @@ func zebramProbe(stride int) (int, error) {
 		}
 	}
 	return hammerOwned(aRows, func(row int) bool { return bRows[row] })
-}
-
-// ZebRAMComparison runs the guard-row schemes and the Siloz equivalent.
-func ZebRAMComparison() ([]ZebRAMRow, error) {
-	var out []ZebRAMRow
-	cases := []struct {
-		scheme   string
-		stride   int
-		overhead float64
-	}{
-		{"no guards (baseline placement)", 1, 0},
-		{"ZebRAM, 1 guard/row (50%)", 2, 50},
-		{"ZebRAM, 2 guards/row (66%)", 3, 100.0 * 2 / 3},
-		{"ZebRAM, 4 guards/row (80%)", 5, 80},
-	}
-	for _, c := range cases {
-		cross, err := zebramProbe(c.stride)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ZebRAMRow{
-			Scheme:           c.scheme,
-			OverheadPct:      c.overhead,
-			CrossDomainFlips: cross,
-			Safe:             cross == 0,
-		})
-	}
-	// Siloz: the two domains are separate subarray groups; hammering all
-	// of A's rows cannot reach B's subarray at any cost.
-	cross, err := silozProbe()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ZebRAMRow{
-		Scheme:           "Siloz subarray groups (~0%)",
-		OverheadPct:      0.024, // the EPT block, §5.4
-		CrossDomainFlips: cross,
-		Safe:             cross == 0,
-	})
-	return out, nil
 }
 
 // silozProbe gives domain A one whole subarray and B the next, A hammering
