@@ -56,7 +56,8 @@ race:
 # tenant's window ends beside another's mediated accesses (the refresh-window
 # index is read under the lock Refresh advances it under), and EPT walkers
 # beside run edits of the leaves they walk (a span is one hold of the entry
-# lock) with the relocation unwind table and the mid-run leaf-fault table.
+# lock) with the relocation unwind table and the mid-run leaf-fault table,
+# and the lifecycle campaigns, whose fleet window probe runs on a host worker.
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect|TestSweepHelpers' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
@@ -69,6 +70,7 @@ race-quick:
 	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock|TestConcurrentWriterDuringCrossHostMove|TestCrossHostMoveHoldsTheLatch|TestMoveUnwindsAtEveryStep' ./internal/fleet
 	$(GO) test -race -run 'TestGenerateEarlyStopDeterminism' ./internal/workload
 	$(GO) test -race -run 'TestConcurrentServeResize|TestServeFleetMoveChurn' ./internal/serve
+	$(GO) test -race -run 'TestRunCampaignContainment|TestRunCampaignDeterministic' ./internal/attack
 
 # The differential fuzzers — each drives a fast path against the reference
 # implementation it replaced — for FUZZTIME apiece. `go test -fuzz` takes one
@@ -164,10 +166,10 @@ tools:
 
 check: build vet fmt-check test
 
-# Pre-commit gate: everything `check` runs, plus the two oracles — all 24
-# experiments end to end through the real CLI at -quick scale (JSON) and at
-# paper scale (text), each compared byte for byte.
-verify: build vet fmt-check test golden-check evaluation-check
+# Pre-commit gate: everything `check` runs, the seven examples, plus the two
+# oracles — all 24 experiments end to end through the real CLI at -quick
+# scale (JSON) and at paper scale (text), each compared byte for byte.
+verify: build vet fmt-check test examples golden-check evaluation-check
 
 clean:
 	$(GO) clean ./...

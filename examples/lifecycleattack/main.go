@@ -58,8 +58,8 @@ func main() {
 		fmt.Printf("%-9s adjacency %d/%d confirmed; %d bursts, %d attacker flips, "+
 			"%d cross-domain, %d denied, %d audits clean\n",
 			name, res.AdjacencyConfirmed, res.AdjacencyProbed, res.HammerBursts,
-			res.AttackerFlips, res.CrossDomainFlips, res.Denied, res.AuditsPassed)
-		if res.CrossDomainFlips != 0 || res.WindowViolations != 0 ||
+			res.AttackerFlips, res.Outside(), res.Denied, res.AuditsPassed)
+		if res.Outside() != 0 || res.WindowViolations != 0 ||
 			res.ScrubLeaks != 0 || res.VictimCorruptions != 0 || res.AuditFailures != 0 {
 			log.Fatalf("containment broken in campaign %s: %+v", name, res)
 		}

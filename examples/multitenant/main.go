@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"repro/internal/attack"
 	"repro/internal/core"
@@ -106,7 +107,12 @@ func main() {
 	if b.flipsOut > 0 && s.flipsOut == 0 {
 		fmt.Println("=> baseline leaked inter-VM bit flips; Siloz contained every flip")
 	}
+	names := make([]string, 0, len(b.tenantPerf))
 	for name := range b.tenantPerf {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		delta := 100 * (s.tenantPerf[name]/b.tenantPerf[name] - 1)
 		fmt.Printf("=> %s performance under Siloz: %+.2f%% vs baseline\n", name, delta)
 	}

@@ -19,13 +19,13 @@ package attack
 //     MoveVM's window where routing is committed to the destination but
 //     the source copy still exists.
 //
-// Campaigns are deterministic: every interleaving runs through lifecycle
-// hooks on one goroutine, and all randomness flows from the seeded RNG.
+// Campaigns are deterministic: every interleaving runs through the lifecycle
+// probe, synchronously with the campaign, and all randomness flows from the
+// seeded RNG.
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -81,31 +81,24 @@ func (c *CampaignConfig) normalize() {
 }
 
 // CampaignResult is one campaign's containment scorecard. A post-fix run
-// must show CrossDomainFlips == WindowViolations == ScrubLeaks ==
-// VictimCorruptions == AuditFailures == 0 while AttackerFlips and Denied
-// stay non-zero (the attack ran and the isolation machinery pushed back).
+// must show Outside() == WindowViolations == ScrubLeaks == VictimCorruptions
+// == AuditFailures == 0 while AttackerFlips and Denied stay non-zero (the
+// attack ran and the isolation machinery pushed back).
 type CampaignResult struct {
 	Name   string
 	Rounds int
-	// HammerBursts counts aggressor bursts landed inside lifecycle
-	// windows; AttackerFlips counts the resulting flips inside the
-	// attacker's own domain (expected: the attack is real).
-	HammerBursts  int
-	AttackerFlips int
-	// CrossDomainFlips counts flips observed outside the attacker's
-	// domain — the inter-VM escape Siloz exists to prevent.
-	CrossDomainFlips int
-	// Denied counts probes the isolation machinery refused (unmapped
-	// translations, stale DMA, operations rejected mid-move).
-	Denied int
+	// The scorecard counts aggressor bursts landed inside lifecycle windows
+	// and attributes every flip: Outside() counts the inter-VM escapes Siloz
+	// exists to prevent. Denied counts probes the isolation machinery
+	// refused (unmapped translations, stale DMA, operations rejected
+	// mid-move); VictimCorruptions counts victim bytes that diverged across
+	// a lifecycle operation.
+	scorecard
 	// WindowViolations counts probes that reached state they must not
 	// (e.g. a translation that still resolved mid-drain).
 	WindowViolations int
 	// ScrubLeaks counts freed or re-admitted frames observed non-zero.
 	ScrubLeaks int
-	// VictimCorruptions counts victim data words that diverged across a
-	// lifecycle operation.
-	VictimCorruptions int
 	// AuditsPassed / AuditFailures tally isolation audits run after (and,
 	// for the fleet campaign, inside) each window.
 	AuditsPassed  int
@@ -120,192 +113,153 @@ type CampaignResult struct {
 // repetitions or campaigns.
 func (r *CampaignResult) Add(o *CampaignResult) {
 	r.Rounds += o.Rounds
-	r.HammerBursts += o.HammerBursts
-	r.AttackerFlips += o.AttackerFlips
-	r.CrossDomainFlips += o.CrossDomainFlips
-	r.Denied += o.Denied
+	r.scorecard.add(o.scorecard)
 	r.WindowViolations += o.WindowViolations
 	r.ScrubLeaks += o.ScrubLeaks
-	r.VictimCorruptions += o.VictimCorruptions
 	r.AuditsPassed += o.AuditsPassed
 	r.AuditFailures += o.AuditFailures
 	r.AdjacencyProbed += o.AdjacencyProbed
 	r.AdjacencyConfirmed += o.AdjacencyConfirmed
 }
 
+// refused scores one probe of a window that must stay shut: an error is a
+// denial, a success a violation.
+func (r *CampaignResult) refused(err error) {
+	if err != nil {
+		r.Denied++
+	} else {
+		r.WindowViolations++
+	}
+}
+
+// audited tallies one isolation audit's outcome.
+func (r *CampaignResult) audited(err error) {
+	if err != nil {
+		r.AuditFailures++
+	} else {
+		r.AuditsPassed++
+	}
+}
+
 // RunCampaign executes one named campaign and returns its scorecard.
 func RunCampaign(name string, cfg CampaignConfig) (*CampaignResult, error) {
 	cfg.normalize()
-	if name == "fleet" {
-		return runFleetCampaign(cfg)
-	}
-	env, err := newCampaignEnv(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer env.h.Shutdown()
+	res := &CampaignResult{Name: name}
+	var err error
 	switch name {
 	case "migration":
-		err = runMigrationCampaign(env)
+		err = res.onHost(cfg, (*campaign).migration)
 	case "balloon":
-		err = runBalloonCampaign(env)
+		err = res.onHost(cfg, (*campaign).balloon)
 	case "hotplug":
-		err = runHotplugCampaign(env)
+		err = res.onHost(cfg, (*campaign).hotplug)
+	case "fleet":
+		err = res.fleet(cfg)
 	default:
 		return nil, fmt.Errorf("attack: unknown campaign %q (have %v)", name, Campaigns())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("attack: campaign %s: %w", name, err)
 	}
-	return env.res, nil
+	return res, nil
 }
 
-// campaignEnv is the single-host campaign harness: one attacker VM with a
-// confined VMTarget, plus the bookkeeping shared by all campaigns.
-type campaignEnv struct {
-	cfg      CampaignConfig
-	h        *core.Hypervisor
-	attacker *core.VM
-	target   *VMTarget
-	rng      *rand.Rand
-	res      *CampaignResult
+// campaign is one lifecycle campaign under way: the harness around the
+// attacker, and the scorecard it fills.
+type campaign struct {
+	*machine
+	cfg CampaignConfig
+	res *CampaignResult
 }
 
-func newCampaignEnv(name string, cfg CampaignConfig) (*campaignEnv, error) {
+// start opens a campaign on m: the attacker's mapping inference first, then
+// the seeded burst stream.
+func (r *CampaignResult) start(m *machine, cfg CampaignConfig) (*campaign, error) {
+	rep, err := m.infer(cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	r.AdjacencyProbed, r.AdjacencyConfirmed = rep.Probed, rep.Confirmed
+	m.rng = rngFrom(CampaignSeed(cfg.Seed, 1))
+	return &campaign{machine: m, cfg: cfg, res: r}, nil
+}
+
+// onHost runs a single-host campaign on a freshly booted Siloz box.
+func (r *CampaignResult) onHost(cfg CampaignConfig, run func(*campaign) error) error {
 	h, err := core.Boot(cfg.Core, core.ModeSiloz)
-	if err != nil {
-		return nil, err
-	}
-	attacker, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
-		Name: "attacker", Socket: 0, MemoryBytes: cfg.VMBytes,
-	})
-	if err != nil {
-		h.Shutdown()
-		return nil, err
-	}
-	env := &campaignEnv{
-		cfg:      cfg,
-		h:        h,
-		attacker: attacker,
-		target:   &VMTarget{VM: attacker},
-		rng:      rngFrom(CampaignSeed(cfg.Seed, 1)),
-		res:      &CampaignResult{Name: name},
-	}
-	// Mapping inference first: the attacker derives (and confirms) row
-	// adjacency inside its own domain before spending hammer budget.
-	rep, err := InferAdjacency(env.target, campaignHammerActs, campaignInferPairs, 0xAA, CampaignSeed(cfg.Seed, 2))
-	if err != nil {
-		h.Shutdown()
-		return nil, err
-	}
-	env.res.AdjacencyProbed = rep.Probed
-	env.res.AdjacencyConfirmed = rep.Confirmed
-	// Inference flips are the attacker's own; start containment
-	// accounting from a clean slate.
-	h.Memory().ResetFlips()
-	return env, nil
-}
-
-// hammerBurst drives campaignBurstRows seeded aggressors at full amplitude and
-// closes the refresh window — one Blacksmith salvo inside a lifecycle
-// window.
-func (e *campaignEnv) hammerBurst() {
-	rows := e.target.Rows()
-	if len(rows) == 0 {
-		return
-	}
-	for k := 0; k < campaignBurstRows; k++ {
-		r := rows[e.rng.Intn(len(rows))]
-		if err := e.target.Hammer(r, campaignHammerActs, 0); err != nil {
-			e.res.Denied++
-			continue
-		}
-	}
-	// Every salvo also probes one activation beyond the attacker's RAM —
-	// the EPT walk must refuse it in every lifecycle phase.
-	if err := e.attacker.Hammer(e.cfg.VMBytes+geometry.PageSize2M, 1, 0); err != nil {
-		e.res.Denied++
-	} else {
-		e.res.WindowViolations++
-	}
-	e.res.HammerBursts++
-	e.target.EndWindow()
-}
-
-// audit runs the single-host isolation audit and tallies the outcome.
-func (e *campaignEnv) audit() {
-	if err := migrate.AuditIsolation(e.h); err != nil {
-		e.res.AuditFailures++
-	} else {
-		e.res.AuditsPassed++
-	}
-}
-
-// classifyFlips attributes every accumulated flip: inside the attacker's
-// domain (expected) or outside it (the escape Siloz prevents), then resets
-// the accumulator so each round scores separately.
-func (e *campaignEnv) classifyFlips() {
-	mem := e.h.Memory()
-	for _, f := range mem.Flips() {
-		pa, err := mem.FlipPhys(f)
-		if err != nil {
-			continue
-		}
-		if e.attacker.InDomain(pa) {
-			e.res.AttackerFlips++
-		} else {
-			e.res.CrossDomainFlips++
-		}
-	}
-	mem.ResetFlips()
-}
-
-// checkScrubbed reads the head of each listed frame and counts non-zero
-// frames as scrub leaks.
-func (e *campaignEnv) checkScrubbed(frames []uint64) {
-	buf := make([]byte, 4*geometry.KiB)
-	for _, hpa := range frames {
-		if err := e.h.Memory().ReadPhys(hpa, buf); err != nil {
-			continue
-		}
-		if !dram.AllZero(buf) {
-			e.res.ScrubLeaks++
-		}
-	}
-}
-
-// campaignStamp yields a deterministic payload for victim data.
-func campaignStamp(seed int64, n int) []byte {
-	b := make([]byte, n)
-	rngFrom(seed).Read(b)
-	return b
-}
-
-// runMigrationCampaign hammers inside every pre-copy round of a live
-// migration — OnRound fires after each round's dirty drain, so the final
-// burst lands exactly in the window between the last TakeDirty and
-// stop-and-copy. After each move: source frames must be scrubbed, victim
-// data intact, the audit clean, and every flip inside the attacker domain.
-func runMigrationCampaign(e *campaignEnv) error {
-	h, cfg := e.h, e.cfg
-	victim, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
-		Name: "victim", Socket: 0, MemoryBytes: cfg.VMBytes,
-	})
 	if err != nil {
 		return err
 	}
-	// Victim working set: four patterned pages that must survive every
-	// move byte-for-byte.
-	mirror := map[int][]byte{}
-	for p := 0; p < 4; p++ {
-		data := campaignStamp(CampaignSeed(cfg.Seed, 10+p), 8*geometry.KiB)
-		if err := victim.WriteGuest(uint64(p)*geometry.PageSize2M, data); err != nil {
+	defer h.Shutdown()
+	m, err := newMachine(h, cfg.VMBytes, &r.scorecard)
+	if err != nil {
+		return err
+	}
+	c, err := r.start(m, cfg)
+	if err != nil {
+		return err
+	}
+	return run(c)
+}
+
+// salvo is a burst that also probes one activation beyond the attacker's
+// RAM: the EPT walk must refuse it in every lifecycle phase.
+func (c *campaign) salvo() {
+	c.res.refused(c.attacker.Hammer(c.cfg.VMBytes+geometry.PageSize2M, 1, 0))
+	c.burst()
+}
+
+// checkScrubbed reads the head of each page at addrs through read (a
+// physical or a guest read) and counts the non-zero ones as scrub leaks: a
+// frame freed or adopted must arrive scrubbed.
+func (c *campaign) checkScrubbed(read func(addr uint64, buf []byte) error, addrs []uint64) error {
+	buf := make([]byte, 4*geometry.KiB)
+	for _, a := range addrs {
+		if err := read(a, buf); err != nil {
 			return err
 		}
-		mirror[p] = data
+		if !dram.AllZero(buf) {
+			c.res.ScrubLeaks++
+		}
+	}
+	return nil
+}
+
+// endRound closes one lifecycle round on the box: the isolation audit, then
+// every flip attributed.
+func (c *campaign) endRound() error {
+	c.res.Rounds++
+	c.res.audited(migrate.AuditIsolation(c.h))
+	return c.settle()
+}
+
+// pagesIn lists the 2 MiB page addresses in [lo, hi).
+func pagesIn(lo, hi uint64) []uint64 {
+	var out []uint64
+	for a := lo; a < hi; a += geometry.PageSize2M {
+		out = append(out, a)
+	}
+	return out
+}
+
+// migration hammers inside every pre-copy round of a live migration —
+// OnRound fires after each round's dirty drain, so the final burst lands
+// exactly in the window between the last TakeDirty and stop-and-copy. After
+// each move: source frames must be scrubbed, victim data intact, the audit
+// clean, and every flip inside the attacker domain.
+func (c *campaign) migration() error {
+	h, cfg := c.h, c.cfg
+	var err error
+	if c.victim, err = c.admit("victim"); err != nil {
+		return err
+	}
+	// The victim's working set must survive every move byte-for-byte.
+	stamps, err := c.stampVictim(cfg.Seed)
+	if err != nil {
+		return err
 	}
 	for round := 0; round < cfg.Rounds; round++ {
-		srcPages := victim.RAMPages()
+		srcPages := c.victim.RAMPages()
 		dests, err := h.FreeNodes(0, cfg.VMBytes)
 		if err != nil {
 			return fmt.Errorf("no free destination nodes for round %d: %w", round, err)
@@ -322,130 +276,105 @@ func runMigrationCampaign(e *campaignEnv) error {
 				stamp := make([]byte, 64)
 				stepRNG.Read(stamp)
 				gpa := uint64(4+stepRNG.Intn(4)) * geometry.PageSize2M
-				return victim.WriteGuest(gpa, stamp)
+				return c.victim.WriteGuest(gpa, stamp)
 			},
-			OnRound: func(core.MigrateRound) { e.hammerBurst() },
+			OnRound: func(core.MigrateRound) { c.salvo() },
 		}); err != nil {
 			return err
 		}
-		e.res.Rounds++
-		e.checkScrubbed(srcPages)
-		got := make([]byte, 8*geometry.KiB)
-		for p, want := range mirror {
-			if err := victim.ReadGuest(uint64(p)*geometry.PageSize2M, got); err != nil {
-				return err
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					e.res.VictimCorruptions++
-				}
-			}
+		if err := c.checkScrubbed(h.Memory().ReadPhys, srcPages); err != nil {
+			return err
 		}
-		e.audit()
-		e.classifyFlips()
+		if err := c.res.checkStamps(c.victim, stamps); err != nil {
+			return err
+		}
+		if err := c.endRound(); err != nil {
+			return err
+		}
 	}
 	return h.DestroyVM("victim")
 }
 
-// runBalloonCampaign races the drain-back window: the balloon's
-// stop-the-world probe points expose (a) the instant surrendered frames are
-// unmapped but not yet scrubbed and (b) the instant they re-enter the free
-// pool. The attacker hammers in both; the campaign asserts the surrendered
-// range is unreachable in (a) and zero in (b), and that re-admitted frames
-// arrive zero after deflate.
-func runBalloonCampaign(e *campaignEnv) error {
-	h, cfg := e.h, e.cfg
-	victim, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
-		Name: "victim", Socket: 0, MemoryBytes: cfg.VMBytes,
-	})
-	if err != nil {
+// balloon races the drain-back window: the balloon's stop-the-world probe
+// points expose (a) the instant surrendered frames are unmapped but not yet
+// scrubbed and (b) the instant they re-enter the free pool. The attacker
+// hammers in both; the campaign asserts the surrendered range is
+// unreachable in (a) and zero in (b), and that re-admitted frames arrive
+// zero after deflate.
+func (c *campaign) balloon() error {
+	h, cfg := c.h, c.cfg
+	var err error
+	if c.victim, err = c.admit("victim"); err != nil {
 		return err
 	}
-	pages := int(cfg.VMBytes / geometry.PageSize2M)
-	half := pages / 2
+	// The balloon takes the top half of the victim's pages, [top, VMBytes).
+	top := cfg.VMBytes - cfg.VMBytes/geometry.PageSize2M/2*geometry.PageSize2M
 	secret := campaignStamp(CampaignSeed(cfg.Seed, 30), 4*geometry.KiB)
 	for round := 0; round < cfg.Rounds; round++ {
 		// The victim's secret lives in the pages the balloon will take.
-		topHPAs := make([]uint64, 0, half)
-		for p := pages - half; p < pages; p++ {
-			gpa := uint64(p) * geometry.PageSize2M
-			if err := victim.WriteGuest(gpa, secret); err != nil {
+		var topHPAs []uint64
+		for _, gpa := range pagesIn(top, cfg.VMBytes) {
+			if err := c.victim.WriteGuest(gpa, secret); err != nil {
 				return err
 			}
-			hpa, err := victim.Translate(gpa)
+			hpa, err := c.victim.Translate(gpa)
 			if err != nil {
 				return err
 			}
 			topHPAs = append(topHPAs, hpa)
 		}
-		probeGPA := uint64(pages-1) * geometry.PageSize2M
+		var drainErr error
 		h.SetLifecycleProbe(func(event string, vm *core.VM) {
 			switch event {
 			case core.ProbeBalloonUnmapped:
 				// Frames hold the secret but every translation path must
 				// already be gone (EPT and IOMMU alike).
-				e.hammerBurst()
-				if _, err := vm.TranslateUncached(probeGPA); err != nil {
-					e.res.Denied++
-				} else {
-					e.res.WindowViolations++
-				}
+				c.salvo()
+				_, err := vm.TranslateUncached(cfg.VMBytes - geometry.PageSize2M)
+				c.res.refused(err)
 			case core.ProbeBalloonDrained:
 				// Frames are back in the pool: scrub-before-free means
 				// they must be zero from this instant on.
-				e.hammerBurst()
-				for _, hpa := range topHPAs {
-					buf := make([]byte, 4*geometry.KiB)
-					if err := h.Memory().ReadPhys(hpa, buf); err != nil {
-						continue
-					}
-					if !dram.AllZero(buf) {
-						e.res.ScrubLeaks++
-					}
-				}
+				c.salvo()
+				drainErr = c.checkScrubbed(h.Memory().ReadPhys, topHPAs)
 			}
 		})
-		_, err := h.BalloonVM("victim", uint64(half)*geometry.PageSize2M)
+		_, err := h.BalloonVM("victim", cfg.VMBytes-top)
 		h.SetLifecycleProbe(nil)
 		if err != nil {
 			return err
 		}
-		e.res.Rounds++
+		if drainErr != nil {
+			return drainErr
+		}
 		// Deflate: the re-admitted range must arrive zero, never a stale
 		// frame with the old secret (or another tenant's bytes).
 		if _, err := h.BalloonVM("victim", 0); err != nil {
 			return err
 		}
-		got := make([]byte, 4*geometry.KiB)
-		for p := pages - half; p < pages; p++ {
-			if err := victim.ReadGuest(uint64(p)*geometry.PageSize2M, got); err != nil {
-				return err
-			}
-			if !dram.AllZero(got) {
-				e.res.ScrubLeaks++
-			}
+		if err := c.checkScrubbed(c.victim.ReadGuest, pagesIn(top, cfg.VMBytes)); err != nil {
+			return err
 		}
-		e.audit()
-		e.classifyFlips()
+		if err := c.endRound(); err != nil {
+			return err
+		}
 	}
 	return h.DestroyVM("victim")
 }
 
-// runHotplugCampaign targets the adoption window: an unowned guest node is
-// pre-loaded with residue (modeling a prior tenant's frames the pool has
-// not recycled), then a victim hot-plugs into it. The probe fires between
-// the registry's exclusive Expand and scrub-before-map: the attacker
-// hammers, and the campaign asserts the adopted range is not yet reachable
-// and arrives fully zeroed once mapped.
-func runHotplugCampaign(e *campaignEnv) error {
-	h, cfg := e.h, e.cfg
+// hotplug targets the adoption window: an unowned guest node is pre-loaded
+// with residue (modeling a prior tenant's frames the pool has not
+// recycled), then a victim hot-plugs into it. The probe fires between the
+// registry's exclusive Expand and scrub-before-map: the attacker hammers,
+// and the campaign asserts the adopted range is not yet reachable and
+// arrives fully zeroed once mapped.
+func (c *campaign) hotplug() error {
+	h, cfg := c.h, c.cfg
 	residue := campaignStamp(CampaignSeed(cfg.Seed, 40), 4*geometry.KiB)
 	for round := 0; round < cfg.Rounds; round++ {
 		name := fmt.Sprintf("victim-%d", round)
-		victim, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
-			Name: name, Socket: 0, MemoryBytes: cfg.VMBytes,
-		})
-		if err != nil {
+		var err error
+		if c.victim, err = c.admit(name); err != nil {
 			return err
 		}
 		// Residue in the node the grow will adopt.
@@ -459,21 +388,18 @@ func runHotplugCampaign(e *campaignEnv) error {
 				}
 			}
 		}
-		oldTop := victim.Spec().MemoryBytes
+		oldTop := c.victim.Spec().MemoryBytes
 		adopted := false
 		h.SetLifecycleProbe(func(event string, vm *core.VM) {
 			if event != core.ProbeHotplugAdopted {
 				return
 			}
 			adopted = true
-			e.hammerBurst()
+			c.salvo()
 			// The adopted frames belong to the victim's control group now
 			// but must not be guest-visible until scrubbed and mapped.
-			if _, err := vm.TranslateUncached(oldTop); err != nil {
-				e.res.Denied++
-			} else {
-				e.res.WindowViolations++
-			}
+			_, err := vm.TranslateUncached(oldTop)
+			c.res.refused(err)
 		})
 		_, err = h.HotplugVM(name, cfg.VMBytes)
 		h.SetLifecycleProbe(nil)
@@ -483,20 +409,14 @@ func runHotplugCampaign(e *campaignEnv) error {
 		if !adopted {
 			return fmt.Errorf("round %d: hotplug adopted no node; campaign vacuous", round)
 		}
-		e.res.Rounds++
 		// Scrub-before-map: the hot-added range reads zero despite the
 		// residue.
-		got := make([]byte, 4*geometry.KiB)
-		for gpa := oldTop; gpa < oldTop+cfg.VMBytes; gpa += geometry.PageSize2M {
-			if err := victim.ReadGuest(gpa, got); err != nil {
-				return err
-			}
-			if !dram.AllZero(got) {
-				e.res.ScrubLeaks++
-			}
+		if err := c.checkScrubbed(c.victim.ReadGuest, pagesIn(oldTop, oldTop+cfg.VMBytes)); err != nil {
+			return err
 		}
-		e.audit()
-		e.classifyFlips()
+		if err := c.endRound(); err != nil {
+			return err
+		}
 		if err := h.DestroyVM(name); err != nil {
 			return err
 		}
@@ -504,184 +424,116 @@ func runHotplugCampaign(e *campaignEnv) error {
 	return nil
 }
 
-// runFleetCampaign mounts CATTmew-style double-ownership probes through
-// cross-host MoveVM: inside the window where routing is committed to the
-// destination but the source copy still exists, the attacker hammers,
-// audits, and pokes the control plane; around it, a passthrough device's
-// pre-move DMA must follow the VM (dirty-log visibility) and its stale
-// post-move translations must be dead.
-func runFleetCampaign(cfg CampaignConfig) (*CampaignResult, error) {
-	res := &CampaignResult{Name: "fleet"}
-	c, err := fleet.New(fleet.Config{
+// fleet mounts CATTmew-style double-ownership probes through cross-host
+// MoveVM: inside the window where routing is committed to the destination
+// but the source copy still exists, the attacker hammers, audits, and pokes
+// the control plane; around it, a passthrough device's pre-move DMA must
+// follow the VM (dirty-log visibility) and its stale post-move translations
+// must be dead.
+func (r *CampaignResult) fleet(cfg CampaignConfig) error {
+	cl, err := fleet.New(fleet.Config{
 		Hosts:  2,
 		Core:   cfg.Core,
 		Policy: fleet.FirstFit{},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer c.Close()
+	defer cl.Close()
 	ctx := context.Background()
 	spec := func(name string) core.VMSpec {
 		return core.VMSpec{Name: name, MemoryBytes: cfg.VMBytes, MinMemoryBytes: cfg.VMBytes, VCPUs: 1}
 	}
-	if _, err := c.Admit(ctx, core.KVMProcess(), spec("victim")); err != nil {
-		return nil, err
+	if _, err := cl.Admit(ctx, core.KVMProcess(), spec("victim")); err != nil {
+		return err
 	}
-	attackerHost, err := c.Admit(ctx, core.KVMProcess(), spec("attacker"))
+	attackerHost, err := cl.Admit(ctx, core.KVMProcess(), spec("attacker"))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ah, err := c.Host(attackerHost)
+	ah, err := cl.Host(attackerHost)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	attackerVM, ok := ah.Hypervisor().VM("attacker")
+	attacker, ok := ah.Hypervisor().VM("attacker")
 	if !ok {
-		return nil, fmt.Errorf("attacker VM vanished")
+		return fmt.Errorf("attacker VM vanished")
 	}
-	target := &VMTarget{VM: attackerVM}
-	rng := rngFrom(CampaignSeed(cfg.Seed, 1))
-	infer, err := InferAdjacency(target, campaignHammerActs, campaignInferPairs, 0xAA, CampaignSeed(cfg.Seed, 2))
+	c, err := r.start(&machine{h: ah.Hypervisor(), attacker: attacker, target: &VMTarget{VM: attacker}, card: &r.scorecard}, cfg)
 	if err != nil {
-		return nil, err
-	}
-	res.AdjacencyProbed, res.AdjacencyConfirmed = infer.Probed, infer.Confirmed
-	ah.Hypervisor().Memory().ResetFlips()
-
-	burst := func() {
-		rows := target.Rows()
-		if len(rows) == 0 {
-			return
-		}
-		for k := 0; k < campaignBurstRows; k++ {
-			r := rows[rng.Intn(len(rows))]
-			if err := target.Hammer(r, campaignHammerActs, 0); err != nil {
-				res.Denied++
-				continue
-			}
-		}
-		res.HammerBursts++
-		target.EndWindow()
-	}
-	classify := func() {
-		for _, host := range c.Hosts() {
-			mem := host.Hypervisor().Memory()
-			for _, f := range mem.Flips() {
-				pa, err := mem.FlipPhys(f)
-				if err != nil {
-					continue
-				}
-				if host.Name() == attackerHost && attackerVM.InDomain(pa) {
-					res.AttackerFlips++
-				} else {
-					res.CrossDomainFlips++
-				}
-			}
-			mem.ResetFlips()
-		}
-	}
-	clusterAudit := func() {
-		if err := c.AuditIsolation(); err != nil {
-			res.AuditFailures++
-		} else {
-			res.AuditsPassed++
-		}
+		return err
 	}
 
 	poison := campaignStamp(CampaignSeed(cfg.Seed, 50), 2*geometry.KiB)
 	const poisonGPA = 3 * geometry.PageSize2M
+	hosts := cl.Hosts()
 	for round := 0; round < cfg.Rounds; round++ {
-		srcName, err := c.HostOf("victim")
-		if err != nil {
-			return nil, err
-		}
-		src, err := c.Host(srcName)
-		if err != nil {
-			return nil, err
-		}
-		dstName := "host-0"
-		if srcName == "host-0" {
-			dstName = "host-1"
-		}
-		victimVM, ok := src.Hypervisor().VM("victim")
+		// FirstFit admitted the victim to host-0; every round moves it across.
+		src, dst := hosts[round%2], hosts[1-round%2]
+		victim, ok := src.Hypervisor().VM("victim")
 		if !ok {
-			return nil, fmt.Errorf("victim VM vanished from %s", srcName)
+			return fmt.Errorf("victim VM not on %s", src.Name())
 		}
 		// Pre-move device DMA: the only record of these bytes is the
 		// dirty/touched ledgers — if either misses device stores, the
 		// destination loses them and the source leaks them.
-		dev, err := src.Hypervisor().AttachDevice(victimVM, "vf0")
+		dev, err := src.Hypervisor().AttachDevice(victim, "vf0")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := dev.DMAWrite(poisonGPA, poison); err != nil {
-			return nil, err
+			return err
 		}
-		srcPages := victimVM.RAMPages()
+		srcPages := victim.RAMPages()
 
-		c.SetMoveProbe(func(stage, vm string) {
-			if stage != "committed" {
+		src.Hypervisor().SetLifecycleProbe(func(event string, _ *core.VM) {
+			if event != core.ProbeMoveCommitted {
 				return
 			}
 			// Double-ownership window: routing says destination, the
 			// source copy still exists. Audit must hold, mutations must
 			// be refused, hammering must stay contained.
-			clusterAudit()
-			if _, err := c.SubmitResize("victim", cfg.VMBytes/2); err != nil {
-				res.Denied++
-			} else {
-				res.WindowViolations++
-			}
-			burst()
+			r.audited(cl.AuditIsolation())
+			_, err := cl.SubmitResize("victim", cfg.VMBytes/2)
+			r.refused(err)
+			c.burst()
 		})
-		_, err = c.MoveVM(ctx, "victim", dstName, victimVM.Spec().Socket, 4, CampaignSeed(cfg.Seed, 60+round))
-		c.SetMoveProbe(nil)
+		_, err = cl.MoveVM(ctx, "victim", dst.Name(), victim.Spec().Socket, 4, CampaignSeed(cfg.Seed, 60+round))
+		src.Hypervisor().SetLifecycleProbe(nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Rounds++
+		r.Rounds++
 
 		// The stale device belonged to the destroyed source copy: its
 		// translations must be dead, or DMA would land in freed frames.
-		if err := dev.DMAWrite(0, []byte{1}); err != nil {
-			res.Denied++
-		} else {
-			res.WindowViolations++
-		}
+		r.refused(dev.DMAWrite(0, []byte{1}))
 		// Source frames scrubbed before their nodes went back to the pool.
-		buf := make([]byte, 4*geometry.KiB)
-		for _, hpa := range srcPages {
-			if err := src.Hypervisor().Memory().ReadPhys(hpa, buf); err != nil {
-				continue
-			}
-			if !dram.AllZero(buf) {
-				res.ScrubLeaks++
-			}
+		if err := c.checkScrubbed(src.Hypervisor().Memory().ReadPhys, srcPages); err != nil {
+			return err
 		}
 		// The destination copy carries the device's bytes.
-		dst, err := c.Host(dstName)
-		if err != nil {
-			return nil, err
-		}
-		destVM, ok := dst.Hypervisor().VM("victim")
+		moved, ok := dst.Hypervisor().VM("victim")
 		if !ok {
-			return nil, fmt.Errorf("victim VM missing on %s after move", dstName)
+			return fmt.Errorf("victim VM missing on %s after move", dst.Name())
 		}
-		got := make([]byte, len(poison))
-		if err := destVM.ReadGuest(poisonGPA, got); err != nil {
-			return nil, err
+		if err := r.checkStamps(moved, map[uint64][]byte{poisonGPA: poison}); err != nil {
+			return err
 		}
-		for i := range got {
-			if got[i] != poison[i] {
-				res.VictimCorruptions++
+		if err := cl.Quiesce(ctx); err != nil {
+			return err
+		}
+		r.audited(cl.AuditIsolation())
+		// Every host's flips, against that host's tenants: on the host
+		// without the attacker, every flip is outside.
+		for _, host := range hosts {
+			hv := host.Hypervisor()
+			a, _ := hv.VM("attacker")
+			v, _ := hv.VM("victim")
+			if err := r.tally(hv, a, v); err != nil {
+				return err
 			}
 		}
-		if err := c.Quiesce(ctx); err != nil {
-			return nil, err
-		}
-		clusterAudit()
-		classify()
 	}
-	return res, nil
+	return nil
 }

@@ -24,6 +24,8 @@ package attack
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/geometry"
@@ -77,16 +79,9 @@ type MitigationTrialResult struct {
 	// from the attacker's view.
 	PatternsTried     int
 	EffectivePatterns int
-	// HammerBursts counts edge and churn bursts landed.
-	HammerBursts int
-
-	// FlipLedger attributes every flip of the trial; protection failed
-	// iff Escapes() > 0.
-	FlipLedger
-	// VictimCorruptions counts stamped victim bytes that diverged.
-	VictimCorruptions int
-	// Denied counts attacker operations the machine refused.
-	Denied int
+	// The scorecard counts edge and churn bursts, attributes every flip,
+	// and counts refused operations and diverged victim bytes.
+	scorecard
 
 	// Overhead ledger: proactive neighbourhood refreshes injected, budget
 	// exhaustions suffered, bytes of capacity the defense blocked, and
@@ -95,211 +90,124 @@ type MitigationTrialResult struct {
 	Exhaustions  int
 	BlockedBytes uint64
 	Activations  int64
-	// Health is the defense's degradation report, empty when intact.
+	// Health is the defense's degradation report, empty when intact; summed
+	// trials join their distinct reports, sorted.
 	Health string
+}
+
+// Add accumulates o into r, for a defense's trials aggregated across
+// repetitions.
+func (r *MitigationTrialResult) Add(o *MitigationTrialResult) {
+	r.PatternsTried += o.PatternsTried
+	r.EffectivePatterns += o.EffectivePatterns
+	r.scorecard.add(o.scorecard)
+	r.Refreshes += o.Refreshes
+	r.Exhaustions += o.Exhaustions
+	r.BlockedBytes += o.BlockedBytes
+	r.Activations += o.Activations
+	if r.Health == "" {
+		r.Health = o.Health
+	} else if hs := strings.Split(r.Health, "; "); o.Health != "" && !slices.Contains(hs, o.Health) {
+		hs = append(hs, o.Health)
+		slices.Sort(hs)
+		r.Health = strings.Join(hs, "; ")
+	}
 }
 
 // RunMitigationTrial boots the defended machine, runs the three campaign
 // phases, and attributes every flip.
 func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, error) {
 	cfg.normalize()
-	h, err := core.BootMitigated(cfg.Core)
+	return trial(core.BootMitigated, cfg.Core, trialVMBytes, func(m *machine, res *MitigationTrialResult) error {
+		// Every phase drives the machine through a chunking wrapper: a
+		// Go-level Hammer call is a modelling convenience, but the memory
+		// controller observes individual ACT commands, so a defense must get
+		// to react within a long burst — not only after it has fully landed.
+		target := Chunked(m.target, trialBurstActs)
+
+		// Victim working set: stamped pages that must survive the campaign.
+		// They sit in the low half — the churn phase balloons the top half
+		// away and back, and re-admitted frames arrive scrubbed by design.
+		stamps, err := m.stampVictim(cfg.Seed)
+		if err != nil {
+			return err
+		}
+
+		// Phase 1: edge hammering.
+		edges := edgeRows(target, trialEdgeTargets)
+		hammerEdges := func() {
+			for _, r := range edges {
+				for b := 0; b < trialEdgeBursts; b++ {
+					if err := target.Hammer(r, trialBurstActs, 0); err != nil {
+						res.Denied++
+						break
+					}
+				}
+				res.HammerBursts += trialEdgeBursts
+				target.EndWindow()
+			}
+		}
+		hammerEdges()
+
+		// Phase 2: Blacksmith fuzzing inside the attacker's rows.
+		fz := DefaultFuzzerConfig()
+		fz.Patterns = cfg.FuzzPatterns
+		fz.Seed = CampaignSeed(cfg.Seed, 1)
+		rep, err := NewFuzzer(fz).Run(target)
+		if err != nil {
+			return err
+		}
+		res.PatternsTried, res.EffectivePatterns = rep.PatternsTried, rep.EffectivePatterns
+
+		// Phase 3: churn — edge bursts across balloon-backed victim resizes.
+		for round := 0; round < cfg.ChurnRounds; round++ {
+			if _, err := m.h.ResizeVM("victim", trialVMBytes/2); err != nil {
+				return fmt.Errorf("churn round %d shrink: %w", round, err)
+			}
+			hammerEdges()
+			if _, err := m.h.ResizeVM("victim", trialVMBytes); err != nil {
+				return fmt.Errorf("churn round %d grow: %w", round, err)
+			}
+			hammerEdges()
+		}
+		return res.checkStamps(m.victim, stamps)
+	})
+}
+
+// trial is every head-to-head trial: boot brings the machine up from cfg,
+// attacker and victim tenants of vmBytes each are admitted, body runs, and
+// the books close — every flip attributed against the machine's final
+// ownership map, the defense's overhead ledger read off the same machine.
+func trial(boot func(core.Config) (*core.Hypervisor, error), cfg core.Config, vmBytes uint64,
+	body func(*machine, *MitigationTrialResult) error) (*MitigationTrialResult, error) {
+	h, err := boot(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer h.Shutdown()
-	d, err := newDuel(h, trialVMBytes)
+	res := &MitigationTrialResult{Kind: cfg.Mitigation.Name()}
+	m, err := newMachine(h, vmBytes, &res.scorecard)
 	if err != nil {
 		return nil, err
 	}
-	attacker, victim := d.attacker, d.victim
-	res := &MitigationTrialResult{Kind: cfg.Core.Mitigation.Name()}
-	// Every phase drives the machine through a chunking wrapper: a
-	// Go-level Hammer call is a modelling convenience, but the memory
-	// controller observes individual ACT commands, so a defense must get
-	// to react within a long burst — not only after it has fully landed.
-	target := Chunked(&VMTarget{VM: attacker}, trialBurstActs)
-
-	// Victim working set: stamped pages that must survive the campaign.
-	// Only the low half is stamped — the churn phase balloons the top half
-	// away and back, and re-admitted frames arrive scrubbed by design.
-	stampPages := int(trialVMBytes / geometry.PageSize2M / 4)
-	if stampPages > 4 {
-		stampPages = 4
-	}
-	mirror := map[uint64][]byte{}
-	for p := 0; p < stampPages; p++ {
-		gpa := uint64(p) * geometry.PageSize2M
-		data := campaignStamp(CampaignSeed(cfg.Seed, 10+p), 8*geometry.KiB)
-		if err := victim.WriteGuest(gpa, data); err != nil {
-			return nil, err
-		}
-		mirror[gpa] = data
-	}
-
-	// Phase 1: edge hammering.
-	edges := edgeRows(target, trialEdgeTargets)
-	hammerEdges := func() {
-		for _, r := range edges {
-			for b := 0; b < trialEdgeBursts; b++ {
-				if err := target.Hammer(r, trialBurstActs, 0); err != nil {
-					res.Denied++
-					break
-				}
-			}
-			res.HammerBursts += trialEdgeBursts
-			target.EndWindow()
-		}
-	}
-	hammerEdges()
-
-	// Phase 2: Blacksmith fuzzing inside the attacker's rows.
-	fz := DefaultFuzzerConfig()
-	fz.Patterns = cfg.FuzzPatterns
-	fz.Seed = CampaignSeed(cfg.Seed, 1)
-	rep, err := NewFuzzer(fz).Run(target)
-	if err != nil {
+	if m.victim, err = m.admit("victim"); err != nil {
 		return nil, err
 	}
-	res.PatternsTried = rep.PatternsTried
-	res.EffectivePatterns = rep.EffectivePatterns
-
-	// Phase 3: churn — edge bursts across balloon-backed victim resizes.
-	for round := 0; round < cfg.ChurnRounds; round++ {
-		if _, err := h.ResizeVM("victim", trialVMBytes/2); err != nil {
-			return nil, fmt.Errorf("churn round %d shrink: %w", round, err)
-		}
-		hammerEdges()
-		if _, err := h.ResizeVM("victim", trialVMBytes); err != nil {
-			return nil, fmt.Errorf("churn round %d grow: %w", round, err)
-		}
-		hammerEdges()
-	}
-
-	// Victim integrity on the stamped pages.
-	got := make([]byte, 8*geometry.KiB)
-	for gpa, want := range mirror {
-		if err := victim.ReadGuest(gpa, got); err != nil {
-			return nil, err
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				res.VictimCorruptions++
-			}
-		}
-	}
-
-	if err := d.settle(res); err != nil {
+	if err := body(m, res); err != nil {
 		return nil, err
 	}
-	return res, nil
-}
-
-// duel is the machine every head-to-head trial runs on: one hypervisor with
-// an attacker VM and a victim VM of equal size on socket 0.
-type duel struct {
-	h                *core.Hypervisor
-	attacker, victim *core.VM
-}
-
-// newDuel admits the two tenants onto a freshly booted machine.
-func newDuel(h *core.Hypervisor, vmBytes uint64) (*duel, error) {
-	admit := func(name string) (*core.VM, error) {
-		return h.CreateVM(core.KVMProcess(), core.VMSpec{Name: name, Socket: 0, MemoryBytes: vmBytes})
-	}
-	attacker, err := admit("attacker")
-	if err != nil {
+	if err := m.settle(); err != nil {
 		return nil, err
 	}
-	victim, err := admit("victim")
-	if err != nil {
-		return nil, err
-	}
-	return &duel{h: h, attacker: attacker, victim: victim}, nil
-}
-
-// settle closes a trial's books: every flip of the whole campaign is
-// attributed against the machine's final ownership map, and the defense's
-// overhead ledger is read off the same machine.
-func (d *duel) settle(res *MitigationTrialResult) error {
-	var err error
-	if res.FlipLedger, err = AttributeFlips(d.h, d.attacker, d.victim); err != nil {
-		return err
-	}
-	mem := d.h.Memory()
+	mem := h.Memory()
 	ov := mem.DefenseOverhead()
-	res.Refreshes = ov.NeighborRefreshes
-	res.Exhaustions = ov.Exhaustions
-	res.BlockedBytes = d.h.MitigationBlockedBytes() + ov.BlockedBytes
+	res.Refreshes, res.Exhaustions = ov.NeighborRefreshes, ov.Exhaustions
+	res.BlockedBytes = h.MitigationBlockedBytes() + ov.BlockedBytes
 	res.Activations = mem.TotalActivations()
 	if err := mem.DefenseHealth(); err != nil {
 		res.Health = err.Error()
 	}
-	return nil
-}
-
-// FlipLedger attributes every flip a machine has recorded to the memory it
-// corrupted. AttackerFlips landed in the attacker's own memory — self-damage
-// the threat model tolerates. GuardFlips landed in memory a defense
-// deliberately sacrificed (CATT guard bands, Siloz/EPT guard rows, offlined
-// pages) — absorbed by design. VictimFlips landed in another tenant's memory
-// and StrayFlips anywhere else (free pool, host structures); both are
-// containment failures.
-type FlipLedger struct {
-	AttackerFlips, GuardFlips, VictimFlips, StrayFlips int
-}
-
-// Escapes counts flips outside both the attacker's memory and the defense's
-// sacrificial guard capacity — the corruption a deployed mitigation exists
-// to prevent.
-func (l FlipLedger) Escapes() int { return l.VictimFlips + l.StrayFlips }
-
-// Outside counts every flip that left the attacker's own memory.
-func (l FlipLedger) Outside() int { return l.GuardFlips + l.VictimFlips + l.StrayFlips }
-
-// AttributeFlips classifies every flip h's memory has recorded against the
-// machine's current ownership map. It is the one flip-attribution routine:
-// trials, campaigns and the CLIs all account containment through it.
-func AttributeFlips(h *core.Hypervisor, attacker *core.VM, victims ...*core.VM) (FlipLedger, error) {
-	var l FlipLedger
-	guard := map[uint64]bool{}
-	for _, vm := range append([]*core.VM{attacker}, victims...) {
-		for _, pa := range vm.GuardPages() {
-			guard[pa] = true
-		}
-	}
-	owns := func(vm *core.VM, pa uint64) bool { return vm.OwnsHPA(pa) || vm.InDomain(pa) }
-	offlined := h.OfflinedRanges()
-	mem := h.Memory()
-flips:
-	for _, f := range mem.Flips() {
-		pa, err := mem.FlipPhys(f)
-		if err != nil {
-			return l, err
-		}
-		if owns(attacker, pa) {
-			l.AttackerFlips++
-			continue
-		}
-		for _, v := range victims {
-			if owns(v, pa) {
-				l.VictimFlips++
-				continue flips
-			}
-		}
-		if guard[pa&^uint64(geometry.PageSize2M-1)] {
-			l.GuardFlips++
-			continue
-		}
-		for _, r := range offlined {
-			if r.Contains(pa) {
-				l.GuardFlips++
-				continue flips
-			}
-		}
-		l.StrayFlips++
-	}
-	return l, nil
+	return res, nil
 }
 
 // BlacksmithTrialConfig parameterizes RunBlacksmithTrial.
@@ -321,34 +229,21 @@ type BlacksmithTrialConfig struct {
 // the attacker's own view of the campaign. Trials share no state, so
 // repetitions may fan out in parallel.
 func RunBlacksmithTrial(cfg BlacksmithTrialConfig) (*MitigationTrialResult, Report, error) {
-	h, err := core.Boot(cfg.Core, cfg.Mode)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	defer h.Shutdown()
-	d, err := newDuel(h, cfg.VMBytes)
-	if err != nil {
-		return nil, Report{}, err
-	}
-	target := Target(&VMTarget{VM: d.attacker})
-	if cfg.Core.Mitigation.HasRowDefense() {
-		// Defended controllers observe individual ACT commands; chunk the
-		// fuzzer's bursts so the defense gets its real reaction window.
-		target = Chunked(target, 1000)
-	}
-	rep, err := NewFuzzer(cfg.Fuzzer).Run(target)
-	if err != nil {
-		return nil, rep, err
-	}
-	res := &MitigationTrialResult{
-		Kind:              cfg.Core.Mitigation.Name(),
-		PatternsTried:     rep.PatternsTried,
-		EffectivePatterns: rep.EffectivePatterns,
-	}
-	if err := d.settle(res); err != nil {
-		return nil, rep, err
-	}
-	return res, rep, nil
+	var rep Report
+	boot := func(c core.Config) (*core.Hypervisor, error) { return core.Boot(c, cfg.Mode) }
+	res, err := trial(boot, cfg.Core, cfg.VMBytes, func(m *machine, res *MitigationTrialResult) error {
+		target := m.target
+		if cfg.Core.Mitigation.HasRowDefense() {
+			// Defended controllers observe individual ACT commands; chunk the
+			// fuzzer's bursts so the defense gets its real reaction window.
+			target = Chunked(target, 1000)
+		}
+		var err error
+		rep, err = NewFuzzer(cfg.Fuzzer).Run(target)
+		res.PatternsTried, res.EffectivePatterns = rep.PatternsTried, rep.EffectivePatterns
+		return err
+	})
+	return res, rep, err
 }
 
 // chunkedTarget splits every Hammer call into quantum-sized slices. The

@@ -58,26 +58,36 @@ type Hypervisor struct {
 
 // Lifecycle-probe events, fired at the sensitive instants adversarial
 // campaigns target. Probes run on the lifecycle operation's own goroutine
-// — often with h.mu and/or the vCPU gate held exclusively — so they must
-// restrict themselves to non-blocking introspection (TranslateUncached,
-// Memory() reads/activations) or hand work to other goroutines without
-// waiting on them.
+// — the balloon and hotplug events with h.mu held, the move events without
+// it but with the guest paused — so they must restrict themselves to
+// non-blocking introspection (TranslateUncached, Memory() reads/activations)
+// or hand work to other goroutines without waiting on them.
 const (
 	// ProbeBalloonUnmapped fires during a balloon inflate after the
 	// surrendered EPT leaves are unmapped (and device IOMMU entries
 	// dropped) but before the backing frames are scrubbed and freed. The
 	// guest is paused; the frames still hold its data but are only
-	// reachable physically.
+	// reachable physically. h.mu is held.
 	ProbeBalloonUnmapped = "balloon.unmapped"
 	// ProbeBalloonDrained fires after the surrendered frames have been
 	// scrubbed and returned to their node's allocator, before drained
-	// nodes leave the VM's control group.
+	// nodes leave the VM's control group. h.mu is held.
 	ProbeBalloonDrained = "balloon.drained"
 	// ProbeHotplugAdopted fires during a memory hotplug after destination
 	// frames are allocated (possibly from freshly-adopted subarray-group
 	// nodes) but before the scrub-before-map pass. The guest is running
-	// but the new range is not yet mapped.
+	// but the new range is not yet mapped. h.mu is held.
 	ProbeHotplugAdopted = "hotplug.adopted"
+	// ProbeMoveCopied fires inside MoveOut once the copy into the twin is
+	// complete, immediately before the caller's commit. h.mu is not held;
+	// the guest is paused and latched, so the probe must not touch its guest
+	// memory. It runs on MoveOut's caller — for a fleet move the source
+	// host's worker, whose queue it must not wait on.
+	ProbeMoveCopied = "move.copied"
+	// ProbeMoveCommitted fires immediately after the caller's commit, before
+	// the source copy is torn down: the double-ownership window, both copies
+	// live. h.mu is not held; the rest is as for ProbeMoveCopied.
+	ProbeMoveCommitted = "move.committed"
 )
 
 // SetLifecycleProbe installs (or clears, with nil) the lifecycle probe.

@@ -418,8 +418,9 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 // prefix — through the pre-copy engine, then destroys it here. Round 0 covers
 // the pages the guest ever wrote (the rest read as zero on any host); a copy
 // goes frame to frame and is charged as a whole page whatever it holds.
-// commit runs once the copy is complete, without h.mu but with the guest
-// still paused and latched — the caller points the world at the twin there,
+// commit runs once the copy is complete, between the ProbeMoveCopied and
+// ProbeMoveCommitted probes, without h.mu but with the guest still paused
+// and latched — the caller points the world at the twin there,
 // and must not touch this VM's guest memory — and the source is torn down,
 // scrubbed, before the gate reopens: a store blocked on it fails, so none is
 // ever acknowledged by a copy about to be destroyed. On error the VM runs on
@@ -463,7 +464,9 @@ func (h *Hypervisor) MoveOut(ctx context.Context, name string, dest *VM, opt Mig
 	if err != nil {
 		return err
 	}
+	h.probe(ProbeMoveCopied, vm)
 	commit(rep)
+	h.probe(ProbeMoveCommitted, vm)
 	h.mu.Lock()
 	vm.teardown()
 	delete(h.vms, name)

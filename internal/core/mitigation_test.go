@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/geometry"
 	"repro/internal/mitigation"
 )
@@ -80,23 +81,32 @@ func TestBootAttachesRowDefense(t *testing.T) {
 			t.Errorf("%v: overhead not reproducible across identical boots: %+v vs %+v", k, second, first)
 		}
 	}
-	// The undefended control must observe activations but never refresh.
-	h, err := BootMitigated(mitigatedConfig(mitigation.KindNone))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "rd", Socket: 0, MemoryBytes: 32 * geometry.MiB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.Hammer(0, 2000, 0); err != nil {
-		t.Fatal(err)
-	}
-	if ov := h.Memory().DefenseOverhead(); ov.NeighborRefreshes != 0 {
-		t.Errorf("undefended boot recorded %d refreshes", ov.NeighborRefreshes)
-	}
-	if got := h.Memory().TotalActivations(); got < 2000 {
-		t.Errorf("undefended boot TotalActivations = %d, want >= 2000", got)
+	// The undefended control must observe activations but never refresh — on
+	// a DIMM with its own TRR too, which samples and refreshes every 1000
+	// activations here: in-DRAM TRR is part of the part, not a deployed
+	// defense, so the overhead ledger does not bill it.
+	trr := testProfile()
+	trr.TRRTableSize, trr.TRRInterval = 4, 1000
+	for _, prof := range []dram.Profile{testProfile(), trr} {
+		cfg := mitigatedConfig(mitigation.KindNone)
+		cfg.Profiles = []dram.Profile{prof}
+		h, err := BootMitigated(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "rd", Socket: 0, MemoryBytes: 32 * geometry.MiB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Hammer(0, 2000, 0); err != nil {
+			t.Fatal(err)
+		}
+		if ov := h.Memory().DefenseOverhead(); ov.NeighborRefreshes != 0 {
+			t.Errorf("undefended boot (TRR table %d) recorded %d refreshes", prof.TRRTableSize, ov.NeighborRefreshes)
+		}
+		if got := h.Memory().TotalActivations(); got < 2000 {
+			t.Errorf("undefended boot (TRR table %d) TotalActivations = %d, want >= 2000", prof.TRRTableSize, got)
+		}
 	}
 }
 

@@ -152,18 +152,29 @@ func (m *Module) AttachDefense(d mitigation.Mitigation) {
 	}
 }
 
-// DefenseOverhead sums the overhead of every attached defense.
+// attached is the defense chain past the profile's in-DRAM TRR: the
+// defenses AttachDefense deployed, which the overhead ledger bills.
+func (m *Module) attached() mitigation.Chain {
+	if m.prof.TRRTableSize > 0 {
+		return m.defenses[1:]
+	}
+	return m.defenses
+}
+
+// DefenseOverhead sums the overhead of every attached defense; the DIMM's
+// own TRR is part of the part, not a deployed defense, and is not billed.
 func (m *Module) DefenseOverhead() mitigation.Overhead {
 	m.actMu.Lock()
 	defer m.actMu.Unlock()
-	return m.defenses.Overhead()
+	return m.attached().Overhead()
 }
 
-// DefenseHealth reports the first degraded defense, nil when all intact.
+// DefenseHealth reports the first degraded attached defense, nil when all
+// are intact.
 func (m *Module) DefenseHealth() error {
 	m.actMu.Lock()
 	defer m.actMu.Unlock()
-	return m.defenses.Health()
+	return m.attached().Health()
 }
 
 // TotalActivations returns the count of activations observed over the

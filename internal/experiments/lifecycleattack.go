@@ -78,21 +78,21 @@ func lifecycleAttackExp(ctx context.Context, pool *Pool, lc LifecycleAttackConfi
 		for _, r := range results[ci] {
 			s.Add(r)
 		}
-		res.row(name, name, lc.Reps, s.Rounds, s.HammerBursts, s.AttackerFlips, s.CrossDomainFlips,
+		res.row(name, name, lc.Reps, s.Rounds, s.HammerBursts, s.AttackerFlips, s.Outside(),
 			s.Denied, s.WindowViolations, s.ScrubLeaks, s.VictimCorruptions,
 			s.AuditsPassed, s.AdjacencyConfirmed)
 		res.scalar("lifecycle_attacker_flips_"+name, float64(s.AttackerFlips))
-		res.scalar("lifecycle_cross_domain_flips_"+name, float64(s.CrossDomainFlips))
+		res.scalar("lifecycle_cross_domain_flips_"+name, float64(s.Outside()))
 		res.scalar("lifecycle_denied_"+name, float64(s.Denied))
 		total.Add(s)
 	}
 	res.scalar("lifecycle_attacker_flips", float64(total.AttackerFlips))
-	res.scalar("lifecycle_cross_domain_flips", float64(total.CrossDomainFlips))
+	res.scalar("lifecycle_cross_domain_flips", float64(total.Outside()))
 	res.scalar("lifecycle_denied_probes", float64(total.Denied))
 	res.scalar("lifecycle_scrub_leaks", float64(total.ScrubLeaks))
 	res.scalar("lifecycle_audits_passed", float64(total.AuditsPassed))
 
-	res.check("cross_domain_flip_free", total.CrossDomainFlips == 0,
+	res.check("cross_domain_flip_free", total.Outside() == 0,
 		fmt.Sprintf("%d attacker-domain flips, 0 outside any attacker domain", total.AttackerFlips))
 	res.check("windows_sealed", total.WindowViolations == 0,
 		fmt.Sprintf("%d probes denied across every ownership-transfer window", total.Denied))

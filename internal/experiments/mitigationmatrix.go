@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/attack"
@@ -73,15 +72,6 @@ func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixCon
 	// Phase 1: attack trials — kind x rep cells fan out on the pool; each
 	// cell's seed derives from its index alone, so parallel and serial
 	// schedules produce identical matrices.
-	type trialAgg struct {
-		trials                             int
-		escapes, attackerFlips, guardFlips int
-		victimFlips, strayFlips, bursts    int
-		refreshes                          int
-		blockedBytes                       uint64
-		activations                        int64
-		health                             map[string]bool
-	}
 	trials, err := mapReps(ctx, pool, mm.Seed, kinds, mm.Reps, func(k mitigation.Kind, seed int64) (*attack.MitigationTrialResult, error) {
 		lab := lifecycleLabConfig()
 		lab.Mitigation = mitigation.Spec{Kind: k, Seed: seed}
@@ -99,26 +89,10 @@ func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixCon
 	if err != nil {
 		return nil, err
 	}
-	aggs := make([]trialAgg, len(kinds))
+	sums := make([]attack.MitigationTrialResult, len(kinds))
 	for ki := range kinds {
-		a := &aggs[ki]
 		for _, r := range trials[ki] {
-			a.trials++
-			a.escapes += r.Escapes()
-			a.attackerFlips += r.AttackerFlips
-			a.guardFlips += r.GuardFlips
-			a.victimFlips += r.VictimFlips
-			a.strayFlips += r.StrayFlips
-			a.bursts += r.HammerBursts
-			a.refreshes += r.Refreshes
-			a.blockedBytes += r.BlockedBytes
-			a.activations += r.Activations
-			if r.Health != "" {
-				if a.health == nil {
-					a.health = map[string]bool{}
-				}
-				a.health[r.Health] = true
-			}
+			sums[ki].Add(r)
 		}
 	}
 
@@ -202,36 +176,31 @@ func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixCon
 	}
 
 	// blockedMiB is the mean capacity one trial's machine had blocked.
-	blockedMiB := func(a *trialAgg) float64 {
-		return float64(a.blockedBytes) / float64(a.trials) / float64(geometry.MiB)
+	blockedMiB := func(a *attack.MitigationTrialResult) float64 {
+		return float64(a.BlockedBytes) / float64(mm.Reps) / float64(geometry.MiB)
 	}
 	protection := Series{Name: "escapes", Unit: "flips"}
 	capacity := Series{Name: "blocked-capacity", Unit: "MiB"}
 	slowSeries := Series{Name: "workload-slowdown", Unit: "x"}
 	var keyed = func(name string, ki int) string { return "matrix_" + name + "_" + kinds[ki].String() }
 	for ki := range kinds {
-		a := &aggs[ki]
-		health := "intact"
-		if len(a.health) > 0 {
-			var hs []string
-			for h := range a.health {
-				hs = append(hs, h)
-			}
-			sort.Strings(hs)
-			health = strings.Join(hs, "; ")
+		a := &sums[ki]
+		health := a.Health
+		if health == "" {
+			health = "intact"
 		}
 		refRate := 0.0
-		if a.activations > 0 {
-			refRate = 1000 * float64(a.refreshes) / float64(a.activations)
+		if a.Activations > 0 {
+			refRate = 1000 * float64(a.Refreshes) / float64(a.Activations)
 		}
 		name := kinds[ki].String()
-		res.row(name, name, a.trials, a.escapes, a.attackerFlips, a.guardFlips,
-			a.refreshes, round3(refRate), round3(blockedMiB(a)), round3(slowdown[ki]), health)
-		res.scalar(keyed("escapes", ki), float64(a.escapes))
-		res.scalar(keyed("refreshes", ki), float64(a.refreshes))
+		res.row(name, name, mm.Reps, a.Escapes(), a.AttackerFlips, a.GuardFlips,
+			a.Refreshes, round3(refRate), round3(blockedMiB(a)), round3(slowdown[ki]), health)
+		res.scalar(keyed("escapes", ki), float64(a.Escapes()))
+		res.scalar(keyed("refreshes", ki), float64(a.Refreshes))
 		res.scalar(keyed("blocked_mib", ki), round3(blockedMiB(a)))
 		res.scalar(keyed("slowdown_x", ki), round3(slowdown[ki]))
-		protection.Points = append(protection.Points, Point{Label: name, Value: float64(a.escapes)})
+		protection.Points = append(protection.Points, Point{Label: name, Value: float64(a.Escapes())})
 		capacity.Points = append(capacity.Points, Point{Label: name, Value: round3(blockedMiB(a))})
 		slowSeries.Points = append(slowSeries.Points, Point{Label: name, Value: round3(slowdown[ki])})
 	}
@@ -239,34 +208,34 @@ func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixCon
 
 	// Checks: the matrix must have a vulnerable baseline, containing
 	// defenses, and costs paid in each defense's own currency.
-	none := &aggs[mitigation.KindNone]
-	res.check("baseline_vulnerable", none.escapes > 0 && none.refreshes == 0,
+	none := &sums[mitigation.KindNone]
+	res.check("baseline_vulnerable", none.Escapes() > 0 && none.Refreshes == 0,
 		fmt.Sprintf("undefended machine: %d flips escaped the attacker (victim %d, stray %d), zero refreshes",
-			none.escapes, none.victimFlips, none.strayFlips))
+			none.Escapes(), none.VictimFlips, none.StrayFlips))
 	contained := true
 	var worst string
 	for ki, k := range kinds {
-		if a := &aggs[ki]; k != mitigation.KindNone && a.escapes > 0 {
+		if a := &sums[ki]; k != mitigation.KindNone && a.Escapes() > 0 {
 			contained = false
-			worst = fmt.Sprintf("%s let %d flips escape", k, a.escapes)
+			worst = fmt.Sprintf("%s let %d flips escape", k, a.Escapes())
 		}
 	}
 	res.check("defenses_contain", contained,
 		map[bool]string{true: "every deployed defense kept victim and stray flips at zero", false: worst}[contained])
-	res.check("attack_nonvacuous", allCells(aggs, func(a trialAgg) bool { return a.bursts > 0 }),
+	res.check("attack_nonvacuous", allCells(sums, func(a attack.MitigationTrialResult) bool { return a.HammerBursts > 0 }),
 		"every trial landed hammer bursts against extent-edge rows")
 	for _, k := range []mitigation.Kind{mitigation.KindPARA, mitigation.KindSilverBullet} {
-		a := &aggs[k]
-		res.check(k.String()+"_pays_in_energy", a.refreshes > 0 && a.blockedBytes == 0,
-			fmt.Sprintf("%d proactive refreshes, no capacity blocked", a.refreshes))
+		a := &sums[k]
+		res.check(k.String()+"_pays_in_energy", a.Refreshes > 0 && a.BlockedBytes == 0,
+			fmt.Sprintf("%d proactive refreshes, no capacity blocked", a.Refreshes))
 	}
 	for _, k := range []mitigation.Kind{mitigation.KindCATT, mitigation.KindSiloz} {
-		a := &aggs[k]
-		res.check(k.String()+"_pays_in_capacity", a.blockedBytes > 0 && a.refreshes == 0,
+		a := &sums[k]
+		res.check(k.String()+"_pays_in_capacity", a.BlockedBytes > 0 && a.Refreshes == 0,
 			fmt.Sprintf("%.1f MiB blocked, no injected refreshes", blockedMiB(a)))
 	}
-	catt, siloz := &aggs[mitigation.KindCATT], &aggs[mitigation.KindSiloz]
-	res.check("siloz_blocks_less_than_catt", siloz.blockedBytes < catt.blockedBytes,
+	catt, siloz := &sums[mitigation.KindCATT], &sums[mitigation.KindSiloz]
+	res.check("siloz_blocks_less_than_catt", siloz.BlockedBytes < catt.BlockedBytes,
 		fmt.Sprintf("siloz blocks %.1f MiB vs catt's %.1f MiB: row-space guard bands cost pages at every extent edge, subarray-group alignment only at group boundaries",
 			blockedMiB(siloz), blockedMiB(catt)))
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Tests for the move-window audit: a cross-host move legitimately holds one
@@ -22,18 +24,18 @@ func TestAuditPassesInsideMoveWindow(t *testing.T) {
 	ctx := context.Background()
 
 	probed := map[string]bool{}
-	c.SetMoveProbe(func(stage, vm string) {
-		probed[stage] = true
+	c.Hosts()[0].Hypervisor().SetLifecycleProbe(func(event string, _ *core.VM) {
+		probed[event] = true
 		// Both copies are live right now ("committed": routing already
 		// points at the destination, source not yet destroyed).
 		if err := c.AuditIsolation(); err != nil {
-			t.Errorf("audit inside %q window: %v", stage, err)
+			t.Errorf("audit inside %q window: %v", event, err)
 		}
 	})
 	if _, err := c.MoveVM(ctx, "w0", "host-1", 1, 2, 11); err != nil {
 		t.Fatal(err)
 	}
-	if !probed["copied"] || !probed["committed"] {
+	if !probed[core.ProbeMoveCopied] || !probed[core.ProbeMoveCommitted] {
 		t.Fatalf("move probes fired = %v, want copied and committed", probed)
 	}
 	if err := c.Quiesce(ctx); err != nil {

@@ -44,6 +44,13 @@ const moveRounds = 1
 // reproducible. A move cancelled or refused before the pause leaves the VM
 // where it was.
 //
+// The source hypervisor's lifecycle probe sees the commit from the source
+// host's worker: core.ProbeMoveCopied with routing still at the source, then
+// core.ProbeMoveCommitted with routing at the destination and the source copy
+// not yet destroyed — the double-ownership window. A probe there may audit,
+// hammer from other VMs and submit ops, but must neither touch the moving
+// VM's guest memory nor wait for an op on the source host's queue.
+//
 // Limitations (callers skip such VMs): a VM with extra Regions is not
 // movable cross-host, and the source's resident pages must form a GPA
 // prefix (always true for balloons inflated through core's policy, which
@@ -151,7 +158,6 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 	srcOp, err := src.Submit(name, "move", func() error {
 		return src.Hypervisor().MoveOut(ctx, name, destVM, opt, func(m *core.MigrateReport) {
 			rep.PagesCopied, rep.BytesCopied, rep.DowntimeBytes = m.PagesCopied, m.BytesCopied, m.DowntimeBytes
-			c.probeMove("copied", name)
 			// Commit: route to the destination; MoveOut tears the source down next.
 			c.mu.Lock()
 			c.vmHost[name] = destHost
@@ -160,7 +166,6 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 			c.stats.DowntimeBytes += rep.DowntimeBytes
 			c.mu.Unlock()
 			committed = true
-			c.probeMove("committed", name)
 		})
 	})
 	if err != nil {

@@ -54,8 +54,8 @@ func TestCrossHostMoveCostFollowsDataHeld(t *testing.T) {
 	// its ledger and its rows — is what was copied.
 	var copied []int
 	before := [2]int{0, mem[1].LiveRows()}
-	c.SetMoveProbe(func(stage, _ string) {
-		if stage == "copied" {
+	c.Hosts()[0].Hypervisor().SetLifecycleProbe(func(event string, _ *core.VM) {
+		if event == core.ProbeMoveCopied {
 			copied = vmOn(0).TouchedPages()
 			before[0] = mem[0].LiveRows()
 		}

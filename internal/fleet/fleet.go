@@ -72,10 +72,6 @@ type Cluster struct {
 	moving map[string]moveWindow   // vm -> open cross-host move window
 	stats  Stats
 	closed bool
-
-	// moveProbe, when set, is invoked at named points inside MoveVM (see
-	// SetMoveProbe). Test/experiment hook; nil in production.
-	moveProbe func(stage, vm string)
 }
 
 // moveWindow records the two hosts a mid-move VM may legitimately span: the
@@ -86,24 +82,6 @@ type Cluster struct {
 type moveWindow struct {
 	Src string
 	Dst string
-}
-
-// SetMoveProbe installs a hook invoked synchronously at named points inside
-// MoveVM: "copied" after the source's copy completes (routing still points
-// at the source), and "committed" after the routing table flips to the
-// destination but before the source copy is destroyed — the double-ownership
-// window. The probe runs on the source host's worker, inside the move's op,
-// with no cluster or hypervisor lock held but with the source paused and
-// latched: it may audit, hammer from other VMs and submit ops, but it must
-// not access the moving VM's guest memory (the gate is closed; the access
-// would wait for the goroutine it runs on) nor wait for an op on the source
-// host's queue (with one worker, the one it occupies).
-func (c *Cluster) SetMoveProbe(p func(stage, vm string)) { c.moveProbe = p }
-
-func (c *Cluster) probeMove(stage, vm string) {
-	if c.moveProbe != nil {
-		c.moveProbe(stage, vm)
-	}
 }
 
 // New boots cfg.Hosts identical hosts and starts their event loops. Only

@@ -208,7 +208,6 @@ func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocke
 		unmove()
 		return nil, fmt.Errorf("fleet: move %q: source copy: %w", name, err)
 	}
-	c.probeMove("copied", name)
 
 	// Commit: route to the destination, then tear the source down (its
 	// pages scrub and its nodes release under the source's own queue).
@@ -221,7 +220,6 @@ func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocke
 	c.stats.MigratedBytes += rep.BytesCopied
 	c.stats.DowntimeBytes += rep.DowntimeBytes
 	c.mu.Unlock()
-	c.probeMove("committed", name)
 	dropOp, err := src.Submit(name, "destroy", func() error {
 		return src.Hypervisor().DestroyVM(name)
 	})

@@ -343,8 +343,8 @@ func TestCrossHostMoveHoldsTheLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	probed := false
-	c.SetMoveProbe(func(stage, _ string) {
-		if stage != "copied" {
+	hv.SetLifecycleProbe(func(event string, _ *core.VM) {
+		if event != core.ProbeMoveCopied {
 			return
 		}
 		probed = true

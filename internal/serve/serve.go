@@ -403,22 +403,21 @@ func (l *Loop) station(host string, socket int, hv *core.Hypervisor) *station {
 	return st
 }
 
-// installProbes hooks lifecycle and move probes so churn windows record
-// which mechanism stages fired inside them.
+// installProbes hooks every hypervisor's lifecycle probe so churn windows
+// record which mechanism stages fired inside them.
 func (l *Loop) installProbes() {
-	hook := func(event string, vm *core.VM) {
-		l.recordProbe(fmt.Sprintf("%s@%s", event, vm.Spec().Name))
-	}
+	hvs := []*core.Hypervisor{l.cfg.Hypervisor}
 	if l.cfg.Cluster != nil {
+		hvs = hvs[:0]
 		for _, h := range l.cfg.Cluster.Hosts() {
-			h.Hypervisor().SetLifecycleProbe(hook)
+			hvs = append(hvs, h.Hypervisor())
 		}
-		l.cfg.Cluster.SetMoveProbe(func(stage, vm string) {
-			l.recordProbe(fmt.Sprintf("move.%s@%s", stage, vm))
-		})
-		return
 	}
-	l.cfg.Hypervisor.SetLifecycleProbe(hook)
+	for _, hv := range hvs {
+		hv.SetLifecycleProbe(func(event string, vm *core.VM) {
+			l.recordProbe(fmt.Sprintf("%s@%s", event, vm.Spec().Name))
+		})
+	}
 }
 
 // push schedules an arrival if it falls inside the horizon.
