@@ -100,19 +100,16 @@ func mismatches(row []byte, pat byte, addr, stride uint64) []Corruption {
 }
 
 // runs splits sorted rows into maximal runs of consecutive row numbers in
-// the same bank; patterns are built within a run.
+// the same bank; patterns are built within a run. Each run is a capped
+// subslice of rows, so it shares rows' backing and an append to it copies.
 func runs(rows []RowRef) [][]RowRef {
 	var out [][]RowRef
-	var cur []RowRef
-	for _, r := range rows {
-		if len(cur) > 0 && (r.Bank != cur[len(cur)-1].Bank || r.Row != cur[len(cur)-1].Row+1) {
-			out = append(out, cur)
-			cur = nil
+	start := 0
+	for i := 1; i <= len(rows); i++ {
+		if i == len(rows) || rows[i].Bank != rows[i-1].Bank || rows[i].Row != rows[i-1].Row+1 {
+			out = append(out, rows[start:i:i])
+			start = i
 		}
-		cur = append(cur, r)
-	}
-	if len(cur) > 0 {
-		out = append(out, cur)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -311,11 +312,8 @@ func (h *Hypervisor) reserveDomainGuards(vm *VM) {
 	for k := range owned {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].socket != keys[j].socket {
-			return keys[i].socket < keys[j].socket
-		}
-		return keys[i].row < keys[j].row
+	slices.SortFunc(keys, func(a, b socketRow) int {
+		return cmp.Or(cmp.Compare(a.socket, b.socket), cmp.Compare(a.row, b.row))
 	})
 	for _, k := range keys {
 		for d := 1; d <= band; d++ {

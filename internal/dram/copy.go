@@ -165,7 +165,7 @@ func (m *Memory) anyRow(st *addr.Stripe, r, nb int) bool {
 		mod := mods[dimm]
 		mod.rowsMu.Lock()
 		for ; k < nb && refs[r].dimm == dimm; k++ {
-			if mod.rows.row(int(refs[r].idx), st.Row) != nil {
+			if mod.rows.has(int(refs[r].idx), st.Row) {
 				mod.rowsMu.Unlock()
 				return true
 			}

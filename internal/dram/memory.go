@@ -18,13 +18,13 @@ type Memory struct {
 	mapper  addr.Mapper
 	modules [][]*Module // [socket][dimm]
 	// bankRefs resolves a dense within-socket bank index (BankID.SocketFlat)
-	// to its DIMM and the bank's rowStore index on it, so the bulk walker
+	// to its DIMM and the bank's number on that DIMM, so the bulk walker
 	// divides nothing per bank.
 	bankRefs []bankRef
 }
 
 // bankRef locates one of a socket's banks: which DIMM, and which of that
-// DIMM's banks (rowStore.bankIndex).
+// DIMM's banks (rowIndex.bankIndex).
 type bankRef struct{ dimm, idx int32 }
 
 // NewMemory builds server memory. profiles are assigned to DIMM slots
@@ -48,10 +48,11 @@ func NewMemory(g geometry.Geometry, mapper addr.Mapper, profiles []Profile, repa
 	for i := range mem.bankRefs {
 		mem.bankRefs[i] = bankRef{dimm: int32(i / g.BanksPerDIMM()), idx: int32(i % g.BanksPerDIMM())}
 	}
+	arena := newRowArena(g)
 	for s := 0; s < g.Sockets; s++ {
 		mem.modules[s] = make([]*Module, g.DIMMsPerSocket)
 		for d := 0; d < g.DIMMsPerSocket; d++ {
-			mod, err := NewModule(g, profiles[d%len(profiles)], s, d, repairs)
+			mod, err := newModule(g, profiles[d%len(profiles)], s, d, repairs, arena)
 			if err != nil {
 				return nil, err
 			}
@@ -167,7 +168,7 @@ func (m *Memory) stripeError(st addr.Stripe) error {
 // of the module that stores it, so a concurrent reader never sees a torn
 // cache line; in fact it sees the whole segment as of one instant.
 //
-// Sparsity. An absent row reads as zero (rowStore). A read clears the
+// Sparsity. An absent row reads as zero (rowIndex). A read clears the
 // caller's buffer in one sweep when any of the rows is absent and copies
 // only from rows that exist; scrub skips absent rows; a scrub of the entire
 // stripe releases its rows instead of zeroing them in place, since each of
@@ -202,7 +203,7 @@ func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, off, n int, buf []byte) {
 		// from the rows that exist.
 		live := 0
 		for k, r := 0, r0; k < nb; k++ {
-			if mods[refs[r].dimm].rows.row(int(refs[r].idx), st.Row) != nil {
+			if mods[refs[r].dimm].rows.has(int(refs[r].idx), st.Row) {
 				live++
 			}
 			if r++; r == st.Banks {

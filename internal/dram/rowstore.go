@@ -1,125 +1,192 @@
 package dram
 
-import "repro/internal/geometry"
+import (
+	"sync"
+	"sync/atomic"
 
-// rowStore backs media-row data with a slab arena of fixed-size row slots
-// instead of a per-row map allocation. The DRAM model materializes a row's
-// storage on first write and drops it again on a full-row scrub, so under a
-// churning fleet (VM create → write → scrub → destroy, thousands of times)
-// the old map implementation allocated and garbage-collected an 8 KiB slice
-// per row touched. The arena recycles released slots through a free list:
-// steady-state churn performs zero allocations, and row data stays packed in
-// large slabs instead of scattered heap objects.
+	"repro/internal/geometry"
+)
+
+// Row storage comes in two parts, so that it costs what the rows held cost
+// and not what the geometry could hold.
 //
-// Indexing is flat: a (rank, bank) pair selects a lazily-allocated per-bank
-// table of int32 slot references (slot+1; 0 = row absent), so the hot lookup
-// is two array indexes — no hashing, no map buckets. Only banks that were
-// ever written pay for their table.
+// rowArena owns the bytes: fixed-size row slots cut from ~1 MiB slabs, one
+// arena per Memory shared by every module on it. A slot a scrub releases goes
+// on a free list and is handed to whichever module next materializes a row,
+// on any DIMM or socket, so a host's row memory follows the rows live across
+// the whole server instead of pinning a slab per DIMM that ever held one.
+// Steady-state churn (VM create → write → scrub → destroy) allocates nothing.
 //
-// rowStore is not safe for concurrent use; Module guards it with rowsMu
-// exactly as it guarded the map.
-type rowStore struct {
-	rowBytes     int
-	banksPerRank int
-	slabShift    uint      // log2(rows per slab): slot lookup is a shift and a mask, not a divide
-	banks        [][]int32 // (rank*banksPerRank+bank) -> per-row slot+1, nil until touched
-	rowsPer      int       // rows per bank
-	slabs        [][]byte  // slab arena; slot s lives in slabs[s>>slabShift]
-	free         []int32   // released slots awaiting reuse (LIFO)
-	next         int32     // next never-used slot
-	live         int       // rows currently materialized
-}
+// rowIndex is one module's map from (bank, row) to slot: a sparse two-level
+// table per bank whose 64-row leaves are allocated on first touch. A bank
+// that was never written costs one nil entry; a touched bank costs one
+// table of RowsPerBank/64 leaf pointers plus 256 bytes per leaf touched.
+//
+// Locking. A module's index, and the bytes of the slots it holds, are
+// guarded by the module's rowsMu. The arena's mu is a leaf under every
+// rowsMu, taken only to hand out or take back a slot; nothing is called under
+// it. A lookup takes no lock: the slot table it reads is published with an
+// atomic store whenever a slab is added, and the slot a lookup finds was
+// handed out before the index entry naming it was written under rowsMu.
+
+// rowLeafShift sizes index leaves at 64 rows (256 bytes of slot references).
+const (
+	rowLeafShift = 6
+	rowLeafRows  = 1 << rowLeafShift
+)
+
+// rowLeaf holds slot+1 for 64 consecutive rows of a bank; 0 = row absent.
+type rowLeaf [rowLeafRows]int32
 
 // rowStoreSlabBytes sizes slabs at ~1 MiB (the largest power-of-two row
 // count that fits) so churn touches few large allocations; a geometry with
 // rows larger than that gets one row per slab.
 const rowStoreSlabBytes = 1 << 20
 
-func newRowStore(g geometry.Geometry) *rowStore {
+// rowArena is the slab allocator of row slots shared by a Memory's modules.
+type rowArena struct {
+	rowBytes  int
+	slabShift uint                     // log2(rows per slab): slot lookup is a shift and a mask, not a divide
+	slabs     atomic.Pointer[[][]byte] // slot s lives in (*slabs)[s>>slabShift]; replaced, never edited below its length
+
+	mu   sync.Mutex // leaf lock: guards free, next and slab growth
+	free []int32    // released slots awaiting reuse (LIFO)
+	next int32      // next never-used slot
+}
+
+func newRowArena(g geometry.Geometry) *rowArena {
 	var slabShift uint
 	for g.RowBytes<<(slabShift+1) <= rowStoreSlabBytes {
 		slabShift++
 	}
-	return &rowStore{
-		rowBytes:     g.RowBytes,
+	a := &rowArena{rowBytes: g.RowBytes, slabShift: slabShift}
+	a.slabs.Store(new([][]byte))
+	return a
+}
+
+// slot returns the backing bytes of a slot handed out by alloc.
+func (a *rowArena) slot(ref int32) []byte {
+	off := int(ref) & (1<<a.slabShift - 1) * a.rowBytes
+	return (*a.slabs.Load())[int(ref)>>a.slabShift][off : off+a.rowBytes]
+}
+
+// alloc hands out a zeroed slot: a released one when there is one, else the
+// next never-used one, growing the arena by a slab when it runs out. A grown
+// table is published whole; a reader holding the old one never indexes the
+// element the append writes.
+func (a *rowArena) alloc() int32 {
+	a.mu.Lock()
+	if n := len(a.free); n > 0 {
+		ref := a.free[n-1]
+		a.free = a.free[:n-1]
+		a.mu.Unlock()
+		return ref
+	}
+	ref := a.next
+	a.next++
+	if slabs := *a.slabs.Load(); int(ref)>>a.slabShift >= len(slabs) {
+		grown := append(slabs, make([]byte, a.rowBytes<<a.slabShift))
+		a.slabs.Store(&grown)
+	}
+	a.mu.Unlock()
+	return ref
+}
+
+// put takes back a slot its holder has already zeroed.
+func (a *rowArena) put(ref int32) {
+	a.mu.Lock()
+	a.free = append(a.free, ref)
+	a.mu.Unlock()
+}
+
+// rowIndex is one module's sparse (bank, row) → slot index over an arena. It
+// is not safe for concurrent use; Module guards it with rowsMu.
+type rowIndex struct {
+	arena        *rowArena
+	banksPerRank int
+	leaves       int          // leaf pointers per bank: RowsPerBank/64, rounded up
+	banks        [][]*rowLeaf // (rank*banksPerRank+bank) -> leaf table, nil until touched
+	live         int          // rows currently materialized
+}
+
+func newRowIndex(g geometry.Geometry, arena *rowArena) *rowIndex {
+	return &rowIndex{
+		arena:        arena,
 		banksPerRank: g.BanksPerRank,
-		slabShift:    slabShift,
-		banks:        make([][]int32, g.BanksPerDIMM()),
-		rowsPer:      g.RowsPerBank,
+		leaves:       (g.RowsPerBank + rowLeafRows - 1) >> rowLeafShift,
+		banks:        make([][]*rowLeaf, g.BanksPerDIMM()),
 	}
 }
 
 // bankIndex flattens a (rank, bank) pair; callers pass validated IDs.
-func (s *rowStore) bankIndex(rank, bank int) int {
+func (s *rowIndex) bankIndex(rank, bank int) int {
 	return rank*s.banksPerRank + bank
 }
 
-// slot returns the backing bytes of an allocated slot.
-func (s *rowStore) slot(ref int32) []byte {
-	off := int(ref) & (1<<s.slabShift - 1) * s.rowBytes
-	return s.slabs[int(ref)>>s.slabShift][off : off+s.rowBytes]
+// entry returns the row's slot reference cell, or nil when its leaf was
+// never allocated.
+func (s *rowIndex) entry(bankIdx, mediaRow int) *int32 {
+	tbl := s.banks[bankIdx]
+	if tbl == nil {
+		return nil
+	}
+	leaf := tbl[mediaRow>>rowLeafShift]
+	if leaf == nil {
+		return nil
+	}
+	return &leaf[mediaRow&(rowLeafRows-1)]
+}
+
+// has reports whether the row is materialized. It is row without the slot
+// lookup, small enough to inline into the walkers' presence scans.
+func (s *rowIndex) has(bankIdx, mediaRow int) bool {
+	e := s.entry(bankIdx, mediaRow)
+	return e != nil && *e != 0
 }
 
 // row returns the row's bytes, or nil if the row was never materialized.
-func (s *rowStore) row(bankIdx, mediaRow int) []byte {
-	tbl := s.banks[bankIdx]
-	if tbl == nil {
-		return nil
+func (s *rowIndex) row(bankIdx, mediaRow int) []byte {
+	if e := s.entry(bankIdx, mediaRow); e != nil && *e != 0 {
+		return s.arena.slot(*e - 1)
 	}
-	ref := tbl[mediaRow]
-	if ref == 0 {
-		return nil
-	}
-	return s.slot(ref - 1)
+	return nil
 }
 
 // rowAlloc returns the row's bytes, materializing a zeroed slot on first
-// touch — from the free list when churn released one, from a fresh slab
-// otherwise.
-func (s *rowStore) rowAlloc(bankIdx, mediaRow int) []byte {
+// touch (and the bank's table and the row's leaf, when they are new).
+func (s *rowIndex) rowAlloc(bankIdx, mediaRow int) []byte {
 	tbl := s.banks[bankIdx]
 	if tbl == nil {
-		tbl = make([]int32, s.rowsPer)
+		tbl = make([]*rowLeaf, s.leaves)
 		s.banks[bankIdx] = tbl
 	}
-	if ref := tbl[mediaRow]; ref != 0 {
-		return s.slot(ref - 1)
+	leaf := tbl[mediaRow>>rowLeafShift]
+	if leaf == nil {
+		leaf = new(rowLeaf)
+		tbl[mediaRow>>rowLeafShift] = leaf
 	}
-	var ref int32
-	if n := len(s.free); n > 0 {
-		ref = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		ref = s.next
-		s.next++
-		if int(ref)>>s.slabShift >= len(s.slabs) {
-			s.slabs = append(s.slabs, make([]byte, s.rowBytes<<s.slabShift))
-		}
+	e := &leaf[mediaRow&(rowLeafRows-1)]
+	if *e == 0 {
+		*e = s.arena.alloc() + 1
+		s.live++
 	}
-	tbl[mediaRow] = ref + 1
-	s.live++
-	return s.slot(ref)
+	return s.arena.slot(*e - 1)
 }
 
-// release drops a row's backing, zeroing the slot and queueing it for reuse.
-// Releasing an absent row is a no-op (the row already reads as zeros).
-func (s *rowStore) release(bankIdx, mediaRow int) {
-	tbl := s.banks[bankIdx]
-	if tbl == nil {
+// release drops a row's backing, zeroing the slot and returning it to the
+// arena. Releasing an absent row is a no-op (the row already reads as zeros).
+// Leaves stay: a released row's leaf is likely to be written again.
+func (s *rowIndex) release(bankIdx, mediaRow int) {
+	e := s.entry(bankIdx, mediaRow)
+	if e == nil || *e == 0 {
 		return
 	}
-	ref := tbl[mediaRow]
-	if ref == 0 {
-		return
-	}
-	tbl[mediaRow] = 0
-	b := s.slot(ref - 1)
-	for i := range b {
-		b[i] = 0
-	}
-	s.free = append(s.free, ref-1)
+	ref := *e - 1
+	*e = 0
+	clear(s.arena.slot(ref))
+	s.arena.put(ref)
 	s.live--
 }
 
-// Len reports how many rows are currently materialized.
-func (s *rowStore) len() int { return s.live }
+// len reports how many rows the module currently holds.
+func (s *rowIndex) len() int { return s.live }

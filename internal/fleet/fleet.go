@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -205,7 +207,7 @@ func (c *Cluster) Views() ([]HostView, error) {
 		sort.Ints(sockets)
 		for _, s := range sockets {
 			sv := bySocket[s]
-			sort.Slice(sv.Nodes, func(i, j int) bool { return sv.Nodes[i].ID < sv.Nodes[j].ID })
+			slices.SortFunc(sv.Nodes, func(a, b NodeView) int { return cmp.Compare(a.ID, b.ID) })
 			hv.Sockets = append(hv.Sockets, *sv)
 		}
 		out = append(out, hv)

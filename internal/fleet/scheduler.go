@@ -1,10 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/migrate"
@@ -193,11 +194,8 @@ func (s *Scheduler) candidates(h *Host) []evictionCandidate {
 			movable:    len(spec.Regions) == 0 && !inFlight,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].guestBytes != out[j].guestBytes {
-			return out[i].guestBytes < out[j].guestBytes
-		}
-		return out[i].name < out[j].name
+	slices.SortFunc(out, func(a, b evictionCandidate) int {
+		return cmp.Or(cmp.Compare(a.guestBytes, b.guestBytes), cmp.Compare(a.name, b.name))
 	})
 	return out
 }

@@ -15,8 +15,9 @@
 package migrate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/alloc"
@@ -133,7 +134,7 @@ func (p *Planner) EPTOccupancy() ([]EPTNodeOccupancy, error) {
 			TablePages: int(a.UsedBytes() / geometry.PageSize4K),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Socket < out[j].Socket })
+	slices.SortFunc(out, func(a, b EPTNodeOccupancy) int { return cmp.Compare(a.Socket, b.Socket) })
 	return out, nil
 }
 
@@ -250,11 +251,8 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 		shrinks = append(shrinks, shrinkCand{vm: vm, target: target, gain: gain})
 	}
 	// Biggest home-socket gain first; name-ordered for determinism.
-	sort.Slice(shrinks, func(i, j int) bool {
-		if shrinks[i].gain != shrinks[j].gain {
-			return shrinks[i].gain > shrinks[j].gain
-		}
-		return shrinks[i].vm.Name() < shrinks[j].vm.Name()
+	slices.SortFunc(shrinks, func(a, b shrinkCand) int {
+		return cmp.Or(cmp.Compare(b.gain, a.gain), cmp.Compare(a.vm.Name(), b.vm.Name()))
 	})
 	for _, c := range shrinks {
 		if freeCap >= need {
@@ -297,11 +295,8 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 		victims = append(victims, victim{vm: vm, guestBytes: specGuestBytes(vm.Spec()), homeNodes: nodes})
 	}
 	// Cheapest (smallest) victims first; name-ordered for determinism.
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].guestBytes != victims[j].guestBytes {
-			return victims[i].guestBytes < victims[j].guestBytes
-		}
-		return victims[i].vm.Name() < victims[j].vm.Name()
+	slices.SortFunc(victims, func(a, b victim) int {
+		return cmp.Or(cmp.Compare(a.guestBytes, b.guestBytes), cmp.Compare(a.vm.Name(), b.vm.Name()))
 	})
 
 	poolIdx := 0

@@ -7,8 +7,9 @@
 package numa
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/subarray"
@@ -183,7 +184,7 @@ func (c *CGroup) Nodes() []*Node {
 	for _, n := range c.nodes {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Node) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

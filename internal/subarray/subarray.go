@@ -10,7 +10,9 @@
 package subarray
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/addr"
@@ -161,7 +163,7 @@ func coalesce(rs []Range) []Range {
 	if len(rs) == 0 {
 		return nil
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })
+	slices.SortFunc(rs, func(a, b Range) int { return cmp.Compare(a.Start, b.Start) })
 	out := rs[:1]
 	for _, r := range rs[1:] {
 		last := &out[len(out)-1]
