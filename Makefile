@@ -48,7 +48,8 @@ race:
 # the grow-versus-migration race over the registry and allocators, the
 # live-writer migrations that race the bulk data path's row locks from both
 # sockets, writers and whole-stripe scrubbers sharing one row arena across
-# DIMMs and sockets, the row-to-row copy under a line-flipping writer and under two
+# DIMMs and sockets, copies, reads and scrubs reading the row census without a
+# lock while such writers change it, the row-to-row copy under a line-flipping writer and under two
 # cross-host moves in opposite directions (with the two cost-follows-data
 # tests), the cross-host move under a live writer, against direct layout
 # operations on its source and failed at every step (fleet's unwind, core's
@@ -64,7 +65,7 @@ race-quick:
 	$(GO) test -race ./cmd/siloz
 	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld|TestWindowEndRacesMediatedAccess|TestMoveOutFailsCleanlyAtEveryStep|TestSyncLeavesFaultMidRun' ./internal/core
 	$(GO) test -race -count=10 -run 'TestTLBCoherentAcrossLifecycle' ./internal/core
-	$(GO) test -race -run 'TestCopyNeverTearsALine|TestRowArenaConcurrentWritersAndScrubbers' ./internal/dram
+	$(GO) test -race -run 'TestCopyNeverTearsALine|TestRowArenaConcurrentWritersAndScrubbers|TestCensusRacesCopyScrubAndRead' ./internal/dram
 	$(GO) test -race -run 'TestWalkersSeeWholeEntriesDuringRunEdits|TestRelocateUnwindsAtEveryStep|TestRelocateSeesDestroyAtEveryStep' ./internal/ept
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate

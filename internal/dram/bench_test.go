@@ -65,13 +65,13 @@ const (
 	benchRegion = benchPages * geometry.PageSize2M
 )
 
-// What the pages of a page benchmark hold: every byte written, one 128-byte
-// stamp (what fleet-churn leaves on a guest page), or nothing — the extremes
-// migration, cross-host moves and teardown see: a guest's few stamped pages
-// and the empty address space around them.
+// What the pages of a page benchmark hold: every byte written, one cache
+// line (a single live row, as a stamp on a fleet guest's page leaves), or
+// nothing — the extremes migration, cross-host moves and teardown see: a
+// guest's few stamped pages and the empty address space around them.
 const (
 	pagesDense = iota
-	pagesStamped
+	pagesOneRow
 	pagesUntouched
 )
 
@@ -94,9 +94,9 @@ func benchPage(b *testing.B, state int, op func(mem *Memory, pa uint64, buf []by
 			b.Fatal(err)
 		}
 	}
-	if state == pagesStamped {
+	if state == pagesOneRow {
 		for p := 0; p < benchPages; p++ {
-			if err := mem.WritePhys(uint64(p)*geometry.PageSize2M+4096, buf[:128]); err != nil {
+			if err := mem.WritePhys(uint64(p)*geometry.PageSize2M+4096, buf[:geometry.CacheLineSize]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -156,19 +156,20 @@ func BenchmarkMemoryPageScrub(b *testing.B) {
 	})
 }
 
-// BenchmarkMemoryPageCopy moves each page to a frame on the other socket
-// that sits at another stripe offset (0.5 MiB against 0), as a migration's
+// BenchmarkCopyPhys moves each 2 MiB page to a frame on the other socket that
+// sits at another stripe offset (0.5 MiB against 0), as a migration's
 // destination frames generally do. After the first lap the destination holds
-// what the source holds, so dense overwrites rows in place and stamped and
-// untouched find nothing stale to clear.
-func BenchmarkMemoryPageCopy(b *testing.B) {
+// what the source holds, so dense overwrites rows in place, and one-row and
+// empty find nothing stale to clear. An empty page is the census's case: no
+// row on either side, nothing scanned.
+func BenchmarkCopyPhys(b *testing.B) {
 	g := geometry.Default()
 	dstBase := uint64(g.SocketBytes()) + geometry.PageSize2M
 	scratch := make([]byte, g.RowBytes)
 	for _, bc := range []struct {
 		name  string
 		state int
-	}{{"dense", pagesDense}, {"stamped", pagesStamped}, {"untouched", pagesUntouched}} {
+	}{{"empty-2M", pagesUntouched}, {"one-row-2M", pagesOneRow}, {"dense-2M", pagesDense}} {
 		b.Run(bc.name, func(b *testing.B) {
 			benchPage(b, bc.state, func(mem *Memory, pa uint64, buf []byte) error {
 				nonzero, err := mem.CopyPhys(dstBase+pa, mem, pa, len(buf), scratch)

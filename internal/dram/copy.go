@@ -18,6 +18,12 @@ import (
 // them must learn of later stores another way (migration has its dirty log
 // and touched ledger).
 //
+// Where the census counts no live row in the 2 MiB regions both sides have
+// reached, the copy, having decoded and checked both stripes there, passes
+// to the nearer of the two regions' ends at once: neither side holds a byte
+// to move or clear. A side whose region holds rows still has each segment's
+// banks scanned for its row.
+//
 // Both ranges must lie at the same offset within a cache line and under
 // mappings of equal stripe width, which is what a frame copied under one
 // mapper always has; they must not overlap. scratch is the caller's bounce
@@ -32,11 +38,12 @@ func (m *Memory) CopyPhys(dstPA uint64, src *Memory, srcPA uint64, n int, scratc
 		return false, fmt.Errorf("dram: copy scratch is %d bytes, a row is %d", len(scratch), src.g.RowBytes)
 	}
 	for done := 0; done < n; {
-		ss, err := src.stripeAt(srcPA + uint64(done))
+		sp, dp := srcPA+uint64(done), dstPA+uint64(done)
+		ss, err := src.stripeAt(sp)
 		if err != nil {
 			return nonzero, err
 		}
-		ds, err := m.stripeAt(dstPA + uint64(done))
+		ds, err := m.stripeAt(dp)
 		if err != nil {
 			return nonzero, err
 		}
@@ -44,11 +51,15 @@ func (m *Memory) CopyPhys(dstPA uint64, src *Memory, srcPA uint64, n int, scratc
 			return nonzero, fmt.Errorf("dram: copy between stripes of %d banks x %d bytes and %d x %d",
 				ss.Banks, ss.Len, ds.Banks, ds.Len)
 		}
+		if !src.census.holds(sp) && !m.census.holds(dp) {
+			done += int(min(uint64(n-done), src.census.regionEnd(sp)-sp, m.census.regionEnd(dp)-dp))
+			continue
+		}
 		// Stripes need not divide pages (1.5 MiB against 2 MiB on the
 		// 192-bank server), so two page-aligned frames generally sit at
 		// different stripe offsets: a segment ends where either side's does.
 		seg := int(min(int64(n-done), ss.Len-ss.Off, ds.Len-ds.Off))
-		if m.copySegment(&ds, src, &ss, seg, scratch) {
+		if m.copySegment(dp, &ds, src, sp, &ss, seg, scratch) {
 			nonzero = true
 		}
 		done += seg
@@ -66,8 +77,9 @@ func (m *Memory) stripeAt(pa uint64) (addr.Stripe, error) {
 	return st, err
 }
 
-// copySegment copies the n bytes (n > 0) at ss.Off of the source stripe to
-// ds.Off of the destination stripe; both lie inside their stripes.
+// copySegment copies the n bytes (n > 0) at ss.Off of the source stripe,
+// decoded at sp, to ds.Off of the destination stripe, decoded at dp; both lie
+// inside their stripes.
 //
 // Line j of the segment is line ls+j of the source stripe and ld+j of the
 // destination's. With the interleave width B equal on both sides, the lines
@@ -83,7 +95,7 @@ func (m *Memory) stripeAt(pa uint64) (addr.Stripe, error) {
 // it, so a concurrent reader or writer of either side never sees a torn one,
 // and two copies running in opposite directions (cross-socket migrations,
 // cross-host moves A→B and B→A) cannot wait on each other.
-func (m *Memory) copySegment(ds *addr.Stripe, src *Memory, ss *addr.Stripe, n int, scratch []byte) (nonzero bool) {
+func (m *Memory) copySegment(dp uint64, ds *addr.Stripe, src *Memory, sp uint64, ss *addr.Stripe, n int, scratch []byte) (nonzero bool) {
 	banks := ss.Banks
 	so := int(ss.Off)
 	ls, ld := so>>lineShift, int(ds.Off)>>lineShift
@@ -95,13 +107,16 @@ func (m *Memory) copySegment(ds *addr.Stripe, src *Memory, ss *addr.Stripe, n in
 	qs, rs := int(uint32(ls)/uint32(banks)), int(uint32(ls)%uint32(banks))
 	qd, rd := int(uint32(ld)/uint32(banks)), int(uint32(ld)%uint32(banks))
 
-	// Census: most segments of a guest's address space hold no row on
-	// either side, and a side that holds none needs no lock per bank.
+	// Most segments of a guest's address space hold no row on either side,
+	// and a side that holds none needs no lock per bank. A side whose region
+	// the census counts no row in holds none in this stripe either.
 	nb := min(lines, banks)
-	srcLive, dstLive := src.anyRow(ss, rs, nb), m.anyRow(ds, rd, nb)
+	srcLive := src.census.holds(sp) && src.anyRow(ss, rs, nb)
+	dstLive := m.census.holds(dp) && m.anyRow(ds, rd, nb)
 	if !srcLive && !dstLive {
 		return false
 	}
+	at := stripeRegions(dp, ds)
 	srcMods, srcRefs := src.modules[ss.Socket], src.bankRefs[ss.Bank0:ss.Bank0+banks]
 	dstMods, dstRefs := m.modules[ds.Socket], m.bankRefs[ds.Bank0:ds.Bank0+banks]
 	for k := 0; k < nb; k++ {
@@ -133,10 +148,10 @@ func (m *Memory) copySegment(ds *addr.Stripe, src *Memory, ss *addr.Stripe, n in
 			mod.rowsMu.Lock()
 			switch {
 			case moved:
-				copy(mod.rows.rowAlloc(int(ref.idx), ds.Row)[cd:], scratch[:w])
+				copy(mod.rows.rowAlloc(int(ref.idx), ds.Row, at)[cd:], scratch[:w])
 				nonzero = true
 			case w == m.g.RowBytes:
-				mod.rows.release(int(ref.idx), ds.Row)
+				mod.rows.release(int(ref.idx), ds.Row, at)
 			default:
 				if stale := mod.rows.row(int(ref.idx), ds.Row); stale != nil {
 					clear(stale[cd : cd+w])

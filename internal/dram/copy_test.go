@@ -252,6 +252,25 @@ func (w *copyWorld) settle() error {
 	return nil
 }
 
+// censusCheck compares the census of memory i, the implementation's and the
+// oracle's, with a recount: around each frame (every op lands on the frames)
+// after an op that touched it, over all of memory at the end of the run.
+func (w *copyWorld) censusCheck(i int, all bool) error {
+	for _, mem := range []*Memory{w.got[i], w.ref[i]} {
+		spans := []span{everything(mem)}
+		if !all {
+			spans = spans[:0]
+			for _, pa := range w.slots {
+				spans = append(spans, around(mem, pa, geometry.PageSize2M))
+			}
+		}
+		if err := censusCheck(mem, spans...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // copyDiffRun drives impl and the oracle through ops on a fresh world.
 func copyDiffRun(tc oracleCase, impl copyFn, ops []copyOp) error {
 	w, err := newCopyWorld(tc)
@@ -259,11 +278,15 @@ func copyDiffRun(tc oracleCase, impl copyFn, ops []copyOp) error {
 		return err
 	}
 	for i, op := range ops {
-		if err := w.apply(impl, op); err != nil {
+		err := errors.Join(w.apply(impl, op), w.censusCheck(op.mem, false))
+		if op.dmem != op.mem {
+			err = errors.Join(err, w.censusCheck(op.dmem, false))
+		}
+		if err != nil {
 			return fmt.Errorf("op %d %+v: %w", i, op, err)
 		}
 	}
-	return w.settle()
+	return errors.Join(w.settle(), w.censusCheck(0, true), w.censusCheck(1, true))
 }
 
 // scriptedCopyOps walks one source frame through every state a guest page
@@ -313,8 +336,9 @@ func randomCopyOps(rng *rand.Rand, n int) []copyOp {
 
 // TestCopyMatchesReadThenWrite holds CopyPhys to the read-then-write copy it
 // replaced, over every mapping and geometry of the bulk-path oracle: the
-// same bytes in both memories, the same nonzero answer, the same errors, and
-// no destination row brought to life that source data does not land on.
+// same bytes in both memories, the same nonzero answer, the same errors, no
+// destination row brought to life that source data does not land on, and
+// after every op each memory's census equal to a recount.
 func TestCopyMatchesReadThenWrite(t *testing.T) {
 	for _, tc := range oracleCases() {
 		t.Run(tc.name, func(t *testing.T) {

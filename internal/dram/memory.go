@@ -21,6 +21,9 @@ type Memory struct {
 	// to its DIMM and the bank's number on that DIMM, so the bulk walker
 	// divides nothing per bank.
 	bankRefs []bankRef
+	// census counts the live rows behind every 2 MiB, so the walkers and
+	// the copy pass over empty memory a region at a time.
+	census rowCensus
 }
 
 // bankRef locates one of a socket's banks: which DIMM, and which of that
@@ -44,6 +47,7 @@ func NewMemory(g geometry.Geometry, mapper addr.Mapper, profiles []Profile, repa
 	mem := &Memory{
 		g: g, mapper: mapper, modules: make([][]*Module, g.Sockets),
 		bankRefs: make([]bankRef, g.BanksPerSocket()),
+		census:   newRowCensus(g, mapper),
 	}
 	for i := range mem.bankRefs {
 		mem.bankRefs[i] = bankRef{dimm: int32(i / g.BanksPerDIMM()), idx: int32(i % g.BanksPerDIMM())}
@@ -52,7 +56,7 @@ func NewMemory(g geometry.Geometry, mapper addr.Mapper, profiles []Profile, repa
 	for s := 0; s < g.Sockets; s++ {
 		mem.modules[s] = make([]*Module, g.DIMMsPerSocket)
 		for d := 0; d < g.DIMMsPerSocket; d++ {
-			mod, err := newModule(g, profiles[d%len(profiles)], s, d, repairs, arena)
+			mod, err := newModule(g, profiles[d%len(profiles)], s, d, repairs, arena, &mem.census)
 			if err != nil {
 				return nil, err
 			}
@@ -118,9 +122,15 @@ const lineShift = 6 // log2(geometry.CacheLineSize)
 // the end of memory is processed up to the end and then fails with the
 // mapper's ErrOutOfRange, as the per-line walk did. walk takes no callback
 // and keeps everything it needs in locals, so a call allocates nothing.
+//
+// Where the census counts no live row in the 2 MiB region a read or scrub has
+// reached, the walker, having decoded and checked the stripe there, passes
+// over the rest of the region at once: a read clears its buffer, a scrub has
+// nothing to zero.
 func (m *Memory) walk(op bulkOp, pa uint64, buf []byte, n int) error {
 	for done := 0; done < n; {
-		st, err := m.mapper.Stripe(pa + uint64(done))
+		cur := pa + uint64(done)
+		st, err := m.mapper.Stripe(cur)
 		if err != nil {
 			return err
 		}
@@ -128,6 +138,14 @@ func (m *Memory) walk(op bulkOp, pa uint64, buf []byte, n int) error {
 			return m.stripeError(st)
 		}
 		seg := n - done
+		if op != opWrite && !m.census.holds(cur) {
+			seg = int(min(uint64(seg), m.census.regionEnd(cur)-cur))
+			if buf != nil {
+				clear(buf[done : done+seg])
+			}
+			done += seg
+			continue
+		}
 		if rest := st.Len - st.Off; int64(seg) > rest {
 			seg = int(rest)
 		}
@@ -135,7 +153,7 @@ func (m *Memory) walk(op bulkOp, pa uint64, buf []byte, n int) error {
 		if buf != nil {
 			data = buf[done : done+seg]
 		}
-		m.stripeOp(op, &st, int(st.Off), seg, data)
+		m.stripeOp(op, &st, stripeRegions(cur, &st), int(st.Off), seg, data)
 		done += seg
 	}
 	return nil
@@ -157,7 +175,8 @@ func (m *Memory) stripeError(st addr.Stripe) error {
 		st, len(m.bankRefs), m.g.RowsPerBank, m.g.RowBytes)
 }
 
-// stripeOp applies op to bytes [off, off+n) of one stripe (n > 0).
+// stripeOp applies op to bytes [off, off+n) of one stripe (n > 0); at is the
+// stripe's census regions, where a row it materializes or releases counts.
 //
 // Locking. The banks the segment touches sit on one socket; stripeOp takes
 // the rowsMu of every DIMM among them in ascending DIMM order, does all
@@ -173,7 +192,7 @@ func (m *Memory) stripeError(st addr.Stripe) error {
 // only from rows that exist; scrub skips absent rows; a scrub of the entire
 // stripe releases its rows instead of zeroing them in place, since each of
 // them is covered in full. Only a write materializes.
-func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, off, n int, buf []byte) {
+func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, at regions, off, n int, buf []byte) {
 	// Cache line l of the stripe is in bank Bank0 + l%Banks at column
 	// (l/Banks)*64. The segment's lines are l0..l1; they touch nb banks,
 	// the k-th of which (k = 0..nb-1, starting at bank r0 and wrapping)
@@ -198,9 +217,9 @@ func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, off, n int, buf []byte) {
 
 	whole := op == opScrub && off == 0 && int64(n) == st.Len
 	if op == opRead && nb > 1 {
-		// Census: with any row absent, one sweep of the buffer replaces
-		// thousands of 64-byte clears, and the loop below copies only
-		// from the rows that exist.
+		// With any row absent, one sweep of the buffer replaces thousands
+		// of 64-byte clears, and the loop below copies only from the rows
+		// that exist.
 		live := 0
 		for k, r := 0, r0; k < nb; k++ {
 			if mods[refs[r].dimm].rows.has(int(refs[r].idx), st.Row) {
@@ -220,13 +239,13 @@ func (m *Memory) stripeOp(op bulkOp, st *addr.Stripe, off, n int, buf []byte) {
 		var row []byte
 		switch {
 		case op == opWrite:
-			row = rows.rowAlloc(idx, st.Row)
+			row = rows.rowAlloc(idx, st.Row, at)
 		case whole:
-			rows.release(idx, st.Row)
+			rows.release(idx, st.Row, at)
 		default:
 			row = rows.row(idx, st.Row)
 			if row == nil && nb == 1 {
-				clear(buf) // a lone bank is not worth a census; buf is nil unless reading
+				clear(buf) // a lone bank is not worth a presence count; buf is nil unless reading
 			}
 		}
 		// b is where the bank's first line starts in the segment; it is
@@ -307,7 +326,7 @@ func (m *Memory) rowOp(write bool, pa uint64, buf []byte) (stride uint64, err er
 	mod := m.modules[st.Socket][ref.dimm]
 	mod.rowsMu.Lock()
 	if write {
-		copy(mod.rows.rowAlloc(int(ref.idx), st.Row)[col:], buf)
+		copy(mod.rows.rowAlloc(int(ref.idx), st.Row, stripeRegions(pa, &st))[col:], buf)
 	} else if row := mod.rows.row(int(ref.idx), st.Row); row != nil {
 		copy(buf, row[col:])
 	} else {

@@ -119,11 +119,12 @@ type Module struct {
 // NewModule builds a standalone DIMM with the given profile, whose rows live
 // in an arena of its own. repairs may be nil.
 func NewModule(g geometry.Geometry, prof Profile, socket, dimm int, repairs *addr.RepairTable) (*Module, error) {
-	return newModule(g, prof, socket, dimm, repairs, newRowArena(g))
+	return newModule(g, prof, socket, dimm, repairs, newRowArena(g), nil)
 }
 
-// newModule builds a DIMM whose rows live in arena.
-func newModule(g geometry.Geometry, prof Profile, socket, dimm int, repairs *addr.RepairTable, arena *rowArena) (*Module, error) {
+// newModule builds a DIMM whose rows live in arena and are counted in census
+// (nil: no Memory to count them for).
+func newModule(g geometry.Geometry, prof Profile, socket, dimm int, repairs *addr.RepairTable, arena *rowArena, census *rowCensus) (*Module, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -141,7 +142,7 @@ func newModule(g geometry.Geometry, prof Profile, socket, dimm int, repairs *add
 		socket:  socket,
 		dimm:    dimm,
 		banks:   make([]*bankState, g.BanksPerDIMM()),
-		rows:    newRowIndex(g, arena),
+		rows:    newRowIndex(g, arena, census),
 	}
 	m.refreshFn = m.refreshNeighbourhood
 	if prof.TRRTableSize > 0 {
@@ -493,7 +494,11 @@ func (m *Module) ResetFlips() {
 // rowLocked returns the backing storage of a media row, allocating zeroed
 // bytes on first touch. Caller holds rowsMu.
 func (m *Module) rowLocked(b geometry.BankID, mediaRow int) []byte {
-	return m.rows.rowAlloc(m.rows.bankIndex(b.Rank, b.Bank), mediaRow)
+	idx := m.rows.bankIndex(b.Rank, b.Bank)
+	if row := m.rows.row(idx, mediaRow); row != nil {
+		return row
+	}
+	return m.rows.rowAlloc(idx, mediaRow, m.rows.census.locate(b, mediaRow))
 }
 
 // WriteRow stores data into a row starting at column col. The copy itself
@@ -549,7 +554,7 @@ func (m *Module) ScrubRow(b geometry.BankID, mediaRow, col, n int) error {
 	bankIdx := m.rows.bankIndex(b.Rank, b.Bank)
 	if r := m.rows.row(bankIdx, mediaRow); r != nil {
 		if col == 0 && n == m.g.RowBytes {
-			m.rows.release(bankIdx, mediaRow)
+			m.rows.release(bankIdx, mediaRow, m.rows.census.locate(b, mediaRow))
 		} else {
 			for i := col; i < col+n; i++ {
 				r[i] = 0

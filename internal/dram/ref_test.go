@@ -130,6 +130,13 @@ func oracleCases() []oracleCase {
 		BanksPerRank: 16, RowsPerBank: 1024, RowBytes: geometry.KiB,
 		RowsPerSubarray: 512,
 	}
+	// 7.8125 MiB banks, three to a DIMM: memory (93.75 MiB) ends inside a
+	// 2 MiB region, and so do the DIMMs and sockets.
+	ragged := geometry.Geometry{
+		Sockets: 2, CoresPerSocket: 4, DIMMsPerSocket: 2, RanksPerDIMM: 1,
+		BanksPerRank: 3, RowsPerBank: 1000, RowBytes: 8 * geometry.KiB,
+		RowsPerSubarray: 500,
+	}
 	return []oracleCase{
 		{"skylake-small", small, skylake},
 		{"skylake-192bank", geometry.Default(), skylake}, // 1.5 MiB stripe: does not divide 2 MiB
@@ -138,13 +145,17 @@ func oracleCases() []oracleCase {
 		{"partitioned-4-192bank", geometry.Default(), partitioned(4)},
 		{"linear-small", small, linear},
 		{"linear-wide", wide, linear},
+		{"linear-ragged", ragged, linear},
 	}
 }
 
 // TestBulkPathMatchesPerLineReference drives the stripe walker and the
 // per-line reference with the same random operations on two memories and
 // demands the same bytes, the same errors and the same zero answers (a read
-// scanned with AllZero, and at the end the copy's nonzero result).
+// scanned with AllZero, and at the end the copy's nonzero result). After
+// every operation both memories' census must match a recount of the regions
+// it could have changed, and at the end a recount of all of memory: the
+// reference writes through Module.WriteRow, the walker through its stripes.
 func TestBulkPathMatchesPerLineReference(t *testing.T) {
 	for _, tc := range oracleCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,6 +245,16 @@ func TestBulkPathMatchesPerLineReference(t *testing.T) {
 							t.Fatalf("read(%#x, %d) is all zero: %v, reference %v", pa, n, za, zb)
 						}
 					}
+				}
+				for _, mem := range []*Memory{got, ref} {
+					if err := censusCheck(mem, around(mem, pa, n)); err != nil {
+						t.Fatalf("after op %d at %#x+%d: %v", i, pa, n, err)
+					}
+				}
+			}
+			for _, mem := range []*Memory{got, ref} {
+				if err := censusCheck(mem, everything(mem)); err != nil {
+					t.Fatal(err)
 				}
 			}
 			// Byte-identical: each memory, read by each path, over every

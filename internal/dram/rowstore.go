@@ -27,7 +27,8 @@ import (
 // rowsMu, taken only to hand out or take back a slot; nothing is called under
 // it. A lookup takes no lock: the slot table it reads is published with an
 // atomic store whenever a slab is added, and the slot a lookup finds was
-// handed out before the index entry naming it was written under rowsMu.
+// handed out before the index entry naming it was written under rowsMu. The
+// Memory's row census (census.go) counts each row born or released here.
 
 // rowLeafShift sizes index leaves at 64 rows (256 bytes of slot references).
 const (
@@ -103,15 +104,17 @@ func (a *rowArena) put(ref int32) {
 // is not safe for concurrent use; Module guards it with rowsMu.
 type rowIndex struct {
 	arena        *rowArena
+	census       *rowCensus // the Memory's live-row count per 2 MiB; nil on a standalone Module
 	banksPerRank int
 	leaves       int          // leaf pointers per bank: RowsPerBank/64, rounded up
 	banks        [][]*rowLeaf // (rank*banksPerRank+bank) -> leaf table, nil until touched
 	live         int          // rows currently materialized
 }
 
-func newRowIndex(g geometry.Geometry, arena *rowArena) *rowIndex {
+func newRowIndex(g geometry.Geometry, arena *rowArena, census *rowCensus) *rowIndex {
 	return &rowIndex{
 		arena:        arena,
+		census:       census,
 		banksPerRank: g.BanksPerRank,
 		leaves:       (g.RowsPerBank + rowLeafRows - 1) >> rowLeafShift,
 		banks:        make([][]*rowLeaf, g.BanksPerDIMM()),
@@ -153,8 +156,9 @@ func (s *rowIndex) row(bankIdx, mediaRow int) []byte {
 }
 
 // rowAlloc returns the row's bytes, materializing a zeroed slot on first
-// touch (and the bank's table and the row's leaf, when they are new).
-func (s *rowIndex) rowAlloc(bankIdx, mediaRow int) []byte {
+// touch (and the bank's table and the row's leaf, when they are new) and
+// counting the row in at, the census regions of its stripe.
+func (s *rowIndex) rowAlloc(bankIdx, mediaRow int, at regions) []byte {
 	tbl := s.banks[bankIdx]
 	if tbl == nil {
 		tbl = make([]*rowLeaf, s.leaves)
@@ -169,14 +173,16 @@ func (s *rowIndex) rowAlloc(bankIdx, mediaRow int) []byte {
 	if *e == 0 {
 		*e = s.arena.alloc() + 1
 		s.live++
+		s.census.add(at, 1)
 	}
 	return s.arena.slot(*e - 1)
 }
 
-// release drops a row's backing, zeroing the slot and returning it to the
-// arena. Releasing an absent row is a no-op (the row already reads as zeros).
-// Leaves stay: a released row's leaf is likely to be written again.
-func (s *rowIndex) release(bankIdx, mediaRow int) {
+// release drops a row's backing, zeroing the slot, returning it to the arena
+// and uncounting the row from at. Releasing an absent row is a no-op (the row
+// already reads as zeros). Leaves stay: a released row's leaf is likely to be
+// written again.
+func (s *rowIndex) release(bankIdx, mediaRow int, at regions) {
 	e := s.entry(bankIdx, mediaRow)
 	if e == nil || *e == 0 {
 		return
@@ -186,6 +192,7 @@ func (s *rowIndex) release(bankIdx, mediaRow int) {
 	clear(s.arena.slot(ref))
 	s.arena.put(ref)
 	s.live--
+	s.census.add(at, -1)
 }
 
 // len reports how many rows the module currently holds.

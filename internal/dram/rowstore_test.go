@@ -39,7 +39,7 @@ func TestRowStoreGoldenAgainstMap(t *testing.T) {
 	const modules = 3
 	var idx [modules]*rowIndex
 	for i := range idx {
-		idx[i] = newRowIndex(g, arena)
+		idx[i] = newRowIndex(g, arena, nil)
 	}
 	ref := map[[3]int][]byte{} // (module, bankIdx, mediaRow) -> row bytes
 	live := func(mod int) (n int) {
@@ -77,7 +77,7 @@ func TestRowStoreGoldenAgainstMap(t *testing.T) {
 		key := [3]int{mod, bankIdx, row}
 		switch op := rng.Intn(10); {
 		case op < 4: // write some bytes (materializes)
-			got := s.rowAlloc(bankIdx, row)
+			got := s.rowAlloc(bankIdx, row, regions{})
 			want := ref[key]
 			if want == nil {
 				if !AllZero(got) {
@@ -101,7 +101,7 @@ func TestRowStoreGoldenAgainstMap(t *testing.T) {
 				t.Fatalf("step %d: content mismatch for %v", step, key)
 			}
 		default: // release (full-row scrub)
-			s.release(bankIdx, row)
+			s.release(bankIdx, row, regions{})
 			delete(ref, key)
 		}
 		if s.len() != live(mod) {
@@ -138,18 +138,18 @@ func TestRowStoreGoldenAgainstMap(t *testing.T) {
 func TestRowStoreReuseZeroes(t *testing.T) {
 	g := rowStoreTestGeometry()
 	arena := newRowArena(g)
-	a, b := newRowIndex(g, arena), newRowIndex(g, arena)
+	a, b := newRowIndex(g, arena, nil), newRowIndex(g, arena, nil)
 
-	r := a.rowAlloc(0, 10)
+	r := a.rowAlloc(0, 10, regions{})
 	for i := range r {
 		r[i] = 0xAB
 	}
-	a.release(0, 10)
+	a.release(0, 10, regions{})
 	slabs := arena.slabCount()
 
 	// Reallocation (any row, any module) must reuse the freed slot and
 	// observe zeros.
-	r2 := b.rowAlloc(3, 99)
+	r2 := b.rowAlloc(3, 99, regions{})
 	if !AllZero(r2) {
 		t.Fatal("recycled slot is not zero")
 	}

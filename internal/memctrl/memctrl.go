@@ -85,7 +85,8 @@ type Config struct {
 	JitterSeed int64
 	// TrackActivations records per-row activation counts within 64 ms
 	// refresh windows, the quantity Rowhammer thresholds are defined
-	// over (§2.5). Costs one map update per row miss.
+	// over (§2.5). Costs one rowcount.Table add per row miss, in the table
+	// of the missed bank.
 	TrackActivations bool
 	// Mitigation, when non-nil, observes every row miss (flat bank index,
 	// media row) and may inject neighbour refreshes; each injected refresh

@@ -8,8 +8,11 @@ import (
 
 // Histogram is a fixed-bucket log-linear latency histogram, HDR-style:
 // values are bucketed by binary order of magnitude, each octave split into
-// subBuckets linear sub-buckets, so relative quantile error is bounded by
-// 1/subBuckets (~6%) at every scale from 1 ns to ~16 s. The bucket layout
+// subBuckets linear sub-buckets. Below 16 ns a bucket is one nanosecond
+// (values truncate to it); from 16 ns up to 2^38 ns (~275 s) a bucket is at
+// most 1/subBuckets of its lower edge wide, so a quantile, reported as its
+// bucket's midpoint, is within 1/(2*subBuckets) = 1/32 of the true value.
+// Values at or above 2^38 ns clamp into the last bucket. The bucket layout
 // is a pure function of the value's bit pattern — no floats — so two
 // histograms recording the same values land counts in the same buckets on
 // every platform, and Merge is plain counter addition. That makes per-rep
@@ -25,11 +28,13 @@ type Histogram struct {
 
 const (
 	// subBucketBits splits each binary octave into 2^subBucketBits linear
-	// sub-buckets; 16 per octave bounds quantile error at ~6%.
+	// sub-buckets; at 16 per octave a midpoint is within 1/32 of any value
+	// of its bucket.
 	subBucketBits = 4
 	subBuckets    = 1 << subBucketBits
-	// maxExponent caps the tracked range: values at or above 2^34 ns
-	// (~17 s) clamp into the last bucket.
+	// maxExponent caps the tracked range: values at or above
+	// 2^(maxExponent+subBucketBits) = 2^38 ns (~275 s) clamp into the last
+	// bucket.
 	maxExponent = 34
 	numBuckets  = (maxExponent + 1) * subBuckets
 )
@@ -118,7 +123,8 @@ func (h *Histogram) Max() float64 { return h.max }
 func (h *Histogram) Min() float64 { return h.min }
 
 // Quantile returns the value at quantile q in [0,1], quantized to bucket
-// midpoints (≤ ~6% relative error). Empty histograms return 0.
+// midpoints (within 1/32 of the true value from 16 ns to 2^38 ns; see
+// Histogram). Empty histograms return 0.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -151,8 +157,8 @@ func (h *Histogram) P999() float64 { return h.Quantile(0.999) }
 
 // CountAbove returns how many recorded values fall in buckets strictly
 // above the bucket containing threshold — the SLO-violation counter. The
-// bucket quantization means values within one sub-bucket (~6%) of the
-// threshold count as meeting it.
+// bucket quantization means values within one sub-bucket (at most 1/16 of
+// the threshold) above it count as meeting it.
 func (h *Histogram) CountAbove(threshold float64) int64 {
 	if threshold < 0 {
 		threshold = 0

@@ -3,7 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -24,24 +24,104 @@ func TestHistogramExactSmallValues(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileError(t *testing.T) {
-	// Against a sorted reference, every quantile must land within one
-	// sub-bucket (~1/subBuckets relative) of the true value.
-	rng := rand.New(rand.NewSource(7))
-	h := NewHistogram()
-	var vals []float64
-	for i := 0; i < 20000; i++ {
-		v := math.Exp(rng.Float64() * 18) // 1ns .. ~65ms, log-uniform
-		vals = append(vals, v)
-		h.Record(v)
-	}
-	sort.Float64s(vals)
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		want := vals[int(math.Ceil(q*float64(len(vals))))-1]
-		got := h.Quantile(q)
-		if rel := math.Abs(got-want) / want; rel > 2.0/subBuckets {
-			t.Errorf("q%v: got %.1f want %.1f (rel err %.3f)", q, got, want, rel)
+// The bounds the bucket layout guarantees (see Histogram).
+const (
+	// quantileErr: a bucket from 16 ns on is at most 1/subBuckets of its
+	// lower edge wide, and Quantile reports its midpoint.
+	quantileErr = 1.0 / (2 * subBuckets)
+	// clampEdge (2^38 ns, ~275 s): values at or above it share the last
+	// bucket, which holds [31*2^33, 2^38) ns in its own right.
+	clampEdge = 1 << (maxExponent + subBucketBits)
+)
+
+// TestHistogramMatchesExactSort holds Quantile, CountAbove and Merge to an
+// exact sort of the recorded values, over random streams that reach past the
+// clamp edge and land on octave edges (where a midpoint is furthest from the
+// value): a quantile is within quantileErr of the nearest-rank value, or the
+// last bucket's midpoint past the clamp edge; CountAbove(t) counts no value
+// at or below t and every value at least a bucket width (t/16) above it; and
+// histograms merged from a random split hold the histogram of the whole.
+func TestHistogramMatchesExactSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(3000)
+		vals := make([]float64, n)
+		whole := NewHistogram()
+		parts := []*Histogram{NewHistogram(), NewHistogram(), NewHistogram()}
+		for i := range vals {
+			v := math.Exp2(4 + rng.Float64()*34) // log-uniform over [16 ns, 2^38 ns)
+			switch rng.Intn(8) {
+			case 0:
+				v = math.Floor(v)
+			case 1:
+				v = math.Exp2(float64(4 + rng.Intn(34))) // an octave's lower edge
+			case 2:
+				v = clampEdge * (1 + 3*rng.Float64())
+			}
+			vals[i] = v
+			whole.Record(v)
+			parts[rng.Intn(len(parts))].Record(v)
 		}
+		merged := NewHistogram()
+		for _, p := range parts {
+			merged.Merge(p)
+		}
+		if merged.counts != whole.counts || merged.total != whole.total || merged.min != whole.min || merged.max != whole.max {
+			t.Fatalf("trial %d: merged parts %v differ from the whole %v", trial, merged, whole)
+		}
+
+		slices.Sort(vals)
+		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1, rng.Float64()} {
+			want := vals[max(int(math.Ceil(q*float64(n))), 1)-1]
+			for _, h := range []*Histogram{whole, merged} {
+				got := h.Quantile(q)
+				if want >= clampEdge {
+					if got != bucketMid(numBuckets-1) {
+						t.Fatalf("trial %d: q%v of a clamped value %.0f = %.0f, want the last bucket's midpoint", trial, q, want, got)
+					}
+				} else if rel := math.Abs(got-want) / want; rel > quantileErr {
+					t.Fatalf("trial %d: q%v = %.1f, exact %.1f: relative error %.4f > 1/%d", trial, q, got, want, rel, 2*subBuckets)
+				}
+			}
+		}
+		for k := 0; k < 20; k++ {
+			th := math.Exp2(4 + rng.Float64()*33) // below the last bucket
+			var above, clearly int64
+			for _, v := range vals {
+				if v > th {
+					above++
+				}
+				if v >= th*(1+1.0/subBuckets) {
+					clearly++
+				}
+			}
+			for _, h := range []*Histogram{whole, merged} {
+				if got := h.CountAbove(th); got > above || got < clearly {
+					t.Fatalf("trial %d: CountAbove(%.1f) = %d, want between %d (a bucket clear of it) and %d (above it)", trial, th, got, clearly, above)
+				}
+			}
+		}
+	}
+
+	// The bound is attained: an octave's lower edge reports its bucket's
+	// midpoint, half a width (1/32 of the value) above it.
+	h := NewHistogram()
+	h.Record(16)
+	if got := h.Quantile(0.5); got != 16.5 {
+		t.Errorf("p50 of {16} = %v, want 16.5", got)
+	}
+	// The clamp edge: nothing below 2^38 ns shares the last bucket but its
+	// own range, everything from 2^38 ns on does.
+	for v, want := range map[uint64]int{
+		31<<33 - 1: numBuckets - 2, 31 << 33: numBuckets - 1,
+		clampEdge - 1: numBuckets - 1, clampEdge: numBuckets - 1, 1 << 50: numBuckets - 1,
+	} {
+		if got := bucketOf(v); got != want {
+			t.Errorf("bucketOf(%d) = %d, want %d", v, got, want)
+		}
+	}
+	if bucketOf(1<<34) == bucketOf(1<<35) {
+		t.Error("values around 2^34 ns share a bucket: the range ends there")
 	}
 }
 
