@@ -75,9 +75,11 @@ race-quick:
 	$(GO) test -race -run 'TestRunCampaignContainment|TestRunCampaignDeterministic' ./internal/attack
 
 # The differential fuzzers — each drives a fast path against the reference
-# implementation it replaced — for FUZZTIME apiece. `go test -fuzz` takes one
-# target and one package per run, hence one line per fuzzer. New corpus
-# entries land in the package's testdata/fuzz only on a failure.
+# implementation it replaced — and the buddy allocator's sequence fuzzer
+# (conservation, disjointness, and double frees and frees of never-allocated
+# blocks refused with the state unchanged), for FUZZTIME apiece. `go test
+# -fuzz` takes one target and one package per run, hence one line per fuzzer.
+# New corpus entries land in the package's testdata/fuzz only on a failure.
 FUZZTIME ?= 10s
 fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzMapperFastPathEquivalence$$' -fuzztime $(FUZZTIME) ./internal/addr
@@ -88,6 +90,7 @@ fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzAggressorTableMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mitigation
 	$(GO) test -run '^$$' -fuzz '^FuzzRunMatchesPerLine$$' -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzTableEditsMatchPerEntry$$' -fuzztime $(FUZZTIME) ./internal/ept
+	$(GO) test -run '^$$' -fuzz '^FuzzBuddySequences$$' -fuzztime $(FUZZTIME) ./internal/alloc
 
 # Packages with substrate microbenchmarks (address decode, the memory
 # controller, the DRAM module, the attack plane, the EPT) — the hot paths the

@@ -28,6 +28,11 @@ func OrderBytes(o int) uint64 { return 1 << (BasePageShift + o) }
 // ErrNoMemory is returned when the allocator cannot satisfy a request.
 var ErrNoMemory = fmt.Errorf("alloc: out of memory")
 
+// ErrNotAllocated is wrapped by Free's error for a block that is already
+// free, at its own order or inside a larger free block. Accepting it would
+// put the block on a free list twice and hand one frame to two owners.
+var ErrNotAllocated = fmt.Errorf("alloc: block not allocated")
+
 // freeList is one order's free blocks as an address-ordered min-heap with
 // an index map for O(log n) removal. Lowest-address-first allocation gives
 // VMs ascending, physically-contiguous regions — matching the static
@@ -115,6 +120,11 @@ func (f *freeList) removeAt(i int) {
 }
 
 func (f *freeList) len() int { return len(f.blocks) }
+
+func (f *freeList) has(pa uint64) bool {
+	_, ok := f.index[pa]
+	return ok
+}
 
 // Allocator is a buddy allocator over a set of physical ranges. All methods
 // are safe for concurrent use: node allocators are shared — host nodes serve
@@ -241,7 +251,10 @@ func (a *Allocator) AllocAt(pa uint64, order int) error {
 	return fmt.Errorf("alloc: block %#x order %d not free: %w", pa, order, ErrNoMemory)
 }
 
-// Free returns a block to the allocator, coalescing with free buddies.
+// Free returns a block to the allocator, coalescing with free buddies. A
+// block that is already free is refused with an error wrapping
+// ErrNotAllocated and the allocator is left as it was: the block, or the
+// free block containing it, is on the free list of one order from order up.
 func (a *Allocator) Free(pa uint64, order int) error {
 	if order < 0 || order > MaxOrder {
 		return fmt.Errorf("alloc: invalid order %d", order)
@@ -251,6 +264,11 @@ func (a *Allocator) Free(pa uint64, order int) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	for o := order; o <= MaxOrder; o++ {
+		if a.free[o].has(pa &^ (OrderBytes(o) - 1)) {
+			return fmt.Errorf("alloc: free of block %#x order %d: %w", pa, order, ErrNotAllocated)
+		}
+	}
 	a.used -= OrderBytes(order)
 	a.version++
 	for order < MaxOrder {

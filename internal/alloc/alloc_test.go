@@ -323,6 +323,63 @@ func TestLargestFreeOrderExhausted(t *testing.T) {
 	}
 }
 
+// TestFreeRejectsDoubleFree replays a double free. Accepted, the second Free
+// left FreeBytes at 6 MiB of a 4 MiB allocator, UsedBytes underflowed, and
+// the next two 2 MiB allocations both returned 0x0. Now it is refused with
+// ErrNotAllocated, as is a free of any block inside a free one, and the
+// allocator is left exactly as it was; FreePages stops at the same block.
+func TestFreeRejectsDoubleFree(t *testing.T) {
+	a, err := New([]subarray.Range{mkRange(0, 4<<20)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := a.Alloc(Order2M)
+	if err != nil || pa != 0 {
+		t.Fatalf("Alloc(Order2M) = %#x, %v; want 0x0", pa, err)
+	}
+	if err := a.Free(pa, Order2M); err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(what string) {
+		t.Helper()
+		if a.FreeBytes() != 4<<20 || a.UsedBytes() != 0 || a.LargestFreeOrder() != Order2M+1 {
+			t.Fatalf("%s: FreeBytes %d, UsedBytes %d, LargestFreeOrder %d; want 4 MiB, 0, %d",
+				what, a.FreeBytes(), a.UsedBytes(), a.LargestFreeOrder(), Order2M+1)
+		}
+	}
+	version := a.Version()
+	for _, b := range []struct {
+		pa    uint64
+		order int
+	}{
+		{0, Order2M},       // the double free
+		{2 << 20, Order2M}, // never allocated: the other half of the free 4 MiB block
+		{0, Order2M + 1},   // the free block itself
+		{0x3ff000, 0},      // a base page inside it
+	} {
+		if err := a.Free(b.pa, b.order); !errors.Is(err, ErrNotAllocated) {
+			t.Errorf("Free(%#x, %d) on free memory = %v, want ErrNotAllocated", b.pa, b.order, err)
+		}
+		unchanged("after a refused free")
+	}
+	if a.Version() != version {
+		t.Errorf("refused frees moved Version %d → %d", version, a.Version())
+	}
+
+	first, err1 := a.Alloc(Order2M)
+	second, err2 := a.Alloc(Order2M)
+	if err1 != nil || err2 != nil || first == second {
+		t.Fatalf("two Alloc(Order2M) after the double free = %#x, %#x (%v, %v); want two frames", first, second, err1, err2)
+	}
+	err = a.FreePages(Order2M, []uint64{first, first, second})
+	if !errors.Is(err, ErrNotAllocated) {
+		t.Fatalf("FreePages with a repeated page = %v, want ErrNotAllocated", err)
+	}
+	if a.UsedBytes() != 2<<20 || a.FreeBytes() != 2<<20 {
+		t.Errorf("FreePages stopped at the repeat with UsedBytes %d, FreeBytes %d; want 2 MiB each", a.UsedBytes(), a.FreeBytes())
+	}
+}
+
 // TestFreePages: the balloon's bulk-release path returns a batch of huge
 // pages and restores the exact free capacity.
 func TestFreePages(t *testing.T) {

@@ -69,14 +69,14 @@ func (c *refCache) HitRate() float64 {
 }
 
 // runLines returns how many lines the i-th lookup of a stream covers when the
-// stream is replayed as runs: lens[i%len(lens)] of them, cut short of the top
-// of the address space, and one when lens is empty.
-func runLines(lens []byte, i int, pa uint64) int {
+// stream is replayed as runs: lens[i%len(lens)] of them, cut short of the end
+// of a tag range of tagLines lines, and one when lens is empty.
+func runLines(lens []byte, i int, pa, tagLines uint64) int {
 	if len(lens) == 0 {
 		return 1
 	}
 	n := int(lens[i%len(lens)]) % 65
-	if room := (^uint64(0)-pa)/geometry.CacheLineSize + 1; uint64(n) > room {
+	if room := tagLines - pa/geometry.CacheLineSize; uint64(n) > room {
 		n = int(room)
 	}
 	return n
@@ -87,8 +87,9 @@ func runLines(lens []byte, i int, pa uint64) int {
 // looked up in one call (through Access when lens is empty) and line by line
 // in the reference. It reports the first lookup whose hit/miss answer differs.
 func diffAgainstReference(run func(pa uint64, n int) uint64, ref *refCache, stream []uint64, lens []byte) error {
+	tagLines := tagLimit(ref.sets)
 	for i, pa := range stream {
-		n := runLines(lens, i, pa)
+		n := runLines(lens, i, pa, tagLines)
 		missed := run(pa, n)
 		for l := 0; l < n; l++ {
 			if got, want := missed>>l&1 == 0, ref.Access(pa+uint64(l)*geometry.CacheLineSize); got != want {
@@ -165,20 +166,32 @@ func refStreams(sets, ways int, seed int64) map[string][]uint64 {
 	}
 	streams["single-set-conflict"] = conflict
 
-	// Byte-granular addresses over the whole 64-bit space folded onto a
-	// few lines per set, including the topmost line.
+	// Byte-granular addresses over the whole tag range folded onto a few
+	// lines per set, including the top taggable line.
+	end := tagLimit(sets) * geometry.CacheLineSize // the first address past the tag range
 	unaligned := make([]uint64, n)
 	for i := range unaligned {
 		switch rng.Intn(4) {
 		case 0:
-			unaligned[i] = ^uint64(0) - uint64(rng.Intn(200))
+			unaligned[i] = end - 1 - uint64(rng.Intn(200))
 		case 1:
-			unaligned[i] = rng.Uint64()
+			unaligned[i] = rng.Uint64() % end
 		default:
 			unaligned[i] = uint64(rng.Int63n(int64(2*lines*geometry.CacheLineSize) + 1))
 		}
 	}
 	streams["unaligned"] = unaligned
+
+	// Lines whose tags lie 2¹⁶ and more apart, up to the top tag: each set
+	// sees ways/2+1 tags in each of five bands, so a set holds tags that
+	// agree in their low 16 bits and a narrower tag store aliases them.
+	bands := []uint64{0, 1 << 16, 2 << 16, 1 << 31, tagLimit(sets)/uint64(sets) - uint64(ways/2+1)}
+	far := make([]uint64, n)
+	for i := range far {
+		tag := bands[rng.Intn(len(bands))] + uint64(rng.Intn(ways/2+1))
+		far[i] = (tag*uint64(sets) + uint64(rng.Intn(sets))) * geometry.CacheLineSize
+	}
+	streams["far"] = far
 	return streams
 }
 
@@ -228,7 +241,9 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			default:
 				line += uint64(b)
 			}
-			stream = append(stream, line*geometry.CacheLineSize+uint64(i%geometry.CacheLineSize))
+			// A step back from line 0 wraps the counter; fold it into the
+			// tag range.
+			stream = append(stream, line%tagLimit(s)*geometry.CacheLineSize+uint64(i%geometry.CacheLineSize))
 		}
 		checkAgainstReference(t, int64(s*w*geometry.CacheLineSize), w, stream, lens)
 	})
@@ -241,10 +256,11 @@ type shortCarryCache struct{ *Cache }
 
 func (c shortCarryCache) AccessRun(pa uint64, n int) (missed uint64) {
 	for i := 0; i < n; i++ {
-		line := (pa + uint64(i)*geometry.CacheLineSize) &^ uint64(geometry.CacheLineSize-1)
-		set := int((line / geometry.CacheLineSize) % uint64(c.sets))
+		line := pa/geometry.CacheLineSize + uint64(i)
+		set := int(line % uint64(c.sets))
 		tags := c.tags[set*c.ways : (set+1)*c.ways]
-		tag, carry, hit := line+1, line+1, false
+		tag := uint32(line/uint64(c.sets)) + 1
+		carry, hit := tag, false
 		for w, t := range tags[:len(tags)-1] {
 			tags[w] = carry
 			if t == tag {
@@ -254,6 +270,22 @@ func (c shortCarryCache) AccessRun(pa uint64, n int) (missed uint64) {
 			carry = t
 		}
 		if !hit && tags[len(tags)-1] != tag {
+			missed |= 1 << i
+		}
+	}
+	return missed
+}
+
+// narrowTagCache is Cache with each tag cut to its low 16 bits: two lines of
+// one set whose tags agree there alias, and the second hits on the first's
+// entry.
+type narrowTagCache struct{ *Cache }
+
+func (c narrowTagCache) AccessRun(pa uint64, n int) (missed uint64) {
+	for i := 0; i < n; i++ {
+		line := pa/geometry.CacheLineSize + uint64(i)
+		set := int(line % uint64(c.sets))
+		if !lookup(c.tags[set*c.ways:(set+1)*c.ways], uint32(uint16(line/uint64(c.sets)+1))) {
 			missed |= 1 << i
 		}
 	}
@@ -279,6 +311,28 @@ func TestDifferentialCatchesShortCarry(t *testing.T) {
 			mutant := shortCarryCache{c}
 			if err := diffAgainstReference(mutant.AccessRun, newRefCache(capacity, ways), stream, lens); err == nil {
 				t.Errorf("%s (runs: %v): a carry stopped one slot early went unnoticed over %d lookups", name, lens != nil, len(stream))
+			}
+		}
+	}
+}
+
+// TestDifferentialCatchesNarrowTags: the far stream is what tells the 32-bit
+// tag store from a 16-bit one. A store that keeps each tag's low 16 bits is
+// reported on it at one set and at many, direct-mapped and 16-way, as single
+// lookups and as runs.
+func TestDifferentialCatchesNarrowTags(t *testing.T) {
+	for _, shape := range []struct{ sets, ways int }{{1, 1}, {5, 3}, {64, 16}} {
+		capacity := int64(shape.sets * shape.ways * geometry.CacheLineSize)
+		stream := refStreams(shape.sets, shape.ways, 1)["far"]
+		for _, lens := range [][]byte{nil, runLens} {
+			c, err := NewCache(capacity, shape.ways)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutant := narrowTagCache{c}
+			if err := diffAgainstReference(mutant.AccessRun, newRefCache(capacity, shape.ways), stream, lens); err == nil {
+				t.Errorf("sets=%d ways=%d (runs: %v): 16-bit tags went unnoticed over %d lookups",
+					shape.sets, shape.ways, lens != nil, len(stream))
 			}
 		}
 	}
