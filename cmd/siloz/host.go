@@ -85,7 +85,10 @@ func topologyCmd(inv *invocation, args []string) error {
 
 // auditCmd boots a populated system, stresses it, and runs the hypervisor's
 // fsck-style invariant audit plus a node-statistics report — the operational
-// health check an operator would run against a Siloz host.
+// health check an operator would run against a Siloz host. It opens with a
+// record of the boot, creates and pins it performed, one line per operation
+// stamped with its sequence number (never a clock reading, so two runs print
+// the same bytes).
 func auditCmd(inv *invocation, args []string) error {
 	tenants := inv.fs.Int("tenants", 4, "tenant VMs to create")
 	vmGiB := inv.fs.Int("vm-gib", 3, "memory per tenant in GiB")
@@ -95,14 +98,26 @@ func auditCmd(inv *invocation, args []string) error {
 	}
 
 	out := inv.stdout
+	seq := 0
+	event := func(format string, args ...any) {
+		seq++
+		fmt.Fprintf(out, "[%6d] siloz: %s\n", seq, fmt.Sprintf(format, args...))
+	}
 	h, err := core.Boot(core.Config{
 		Profiles:      []dram.Profile{dram.ProfileD()},
 		EPTProtection: ept.GuardRows,
-		Log:           out,
 	}, core.ModeSiloz)
 	if err != nil {
 		return err
 	}
+	var offlined uint64
+	for _, r := range h.OfflinedRanges() {
+		offlined += r.Bytes()
+	}
+	event("booting %s on %s", h.Mode(), h.Layout().Geometry())
+	event("boot complete: %d logical nodes (%d rows/group, %.2f GiB groups), %d bytes offlined",
+		len(h.Topology().Nodes()), h.Layout().RowsPerGroup(),
+		float64(h.Layout().GroupBytes())/float64(geometry.GiB), offlined)
 	proc := core.KVMProcess()
 	for i := 0; i < *tenants; i++ {
 		vm, err := h.CreateVM(proc, core.VMSpec{
@@ -113,9 +128,17 @@ func auditCmd(inv *invocation, args []string) error {
 		if err != nil {
 			return fmt.Errorf("tenant %d: %w", i, err)
 		}
-		if _, err := h.PinVCPUs(vm); err != nil {
+		nodes := make([]int, len(vm.Nodes()))
+		for j, n := range vm.Nodes() {
+			nodes[j] = n.ID
+		}
+		event("created VM %q: %d MiB RAM on nodes %v, %d EPT pages, %d mediated pages",
+			vm.Name(), vm.Spec().MemoryBytes>>20, nodes, len(vm.Tables().Pages()), len(vm.MediatedPages()))
+		cores, err := h.PinVCPUs(vm)
+		if err != nil {
 			return fmt.Errorf("pinning tenant %d: %w", i, err)
 		}
+		event("pinned VM %q vCPUs to cores %v", vm.Name(), cores)
 		if *hammer {
 			if err := vm.Hammer(0, 20_000, 0); err != nil {
 				return fmt.Errorf("hammering from tenant %d: %w", i, err)

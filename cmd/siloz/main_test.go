@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -72,19 +74,33 @@ func TestBenchUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestAuditIsDeterministic: `siloz audit` prints the hypervisor's event log,
-// which stamps a per-boot sequence number and never a clock reading, so two
-// runs emit the same bytes like every other subcommand.
+// TestAuditIsDeterministic: `siloz audit` stamps its record of the boot,
+// creates and pins with a sequence number and never a clock reading, so two
+// runs emit the same bytes like every other subcommand — and the bytes of
+// the committed goldens, under the default and a one-tenant invocation.
 func TestAuditIsDeterministic(t *testing.T) {
-	code1, out1, errs := siloz("", "audit")
-	if code1 != 0 || !strings.Contains(out1, "audit: all invariants hold") {
-		t.Fatalf("audit: exit %d, stderr %q, stdout:\n%s", code1, errs, out1)
-	}
-	if !strings.HasPrefix(out1, "[     1] siloz: booting siloz") || !strings.Contains(out1, "\n[     2] siloz: boot complete") {
-		t.Errorf("event log does not open with sequence-stamped boot events:\n%s", out1)
-	}
-	if _, out2, _ := siloz("", "audit"); out2 != out1 {
-		t.Errorf("two audit runs differ:\n--- first ---\n%s\n--- second ---\n%s", out1, out2)
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"audit.golden.txt", nil},
+		{"audit-tenants1-nohammer.golden.txt", []string{"-tenants", "1", "-hammer=false"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := append([]string{"audit"}, c.args...)
+		code, out, errs := siloz("", args...)
+		if code != 0 || !strings.Contains(out, "audit: all invariants hold") {
+			t.Fatalf("siloz %v: exit %d, stderr %q, stdout:\n%s", args, code, errs, out)
+		}
+		if out != string(want) {
+			t.Errorf("siloz %v differs from testdata/%s:\n%s", args, c.golden, out)
+		}
+		if _, again, _ := siloz("", args...); again != out {
+			t.Errorf("two runs of siloz %v differ", args)
+		}
 	}
 }
 

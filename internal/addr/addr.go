@@ -47,7 +47,7 @@ type Mapper interface {
 // Stripe is a physically contiguous span [pa-Off, pa-Off+Len) that lands in
 // one media row index of Banks consecutive banks of one socket: cache line l
 // of the span (l = byte offset / 64) lives in the bank with dense
-// within-socket index Bank0 + l%Banks (BankID.SocketFlat), at row Row,
+// within-socket index Bank0 + l%Banks (geometry.BankFromSocketFlat), at row Row,
 // column (l/Banks)*64. Len is Banks rows' worth of bytes, so stripes tile
 // the address space exactly and every row of a stripe is covered by it
 // alone. It is the §4.2 row group (Skylake), the partition-local row group
@@ -85,7 +85,7 @@ func (k Kind) String() string {
 
 // NewMapper builds a mapper of the given kind for g. It is the constructor
 // callers should use unless they need a concrete type's extra methods
-// (SkylakeMapper.ChunkBytes, PartitionedMapper.PartitionOf); the LUT and
+// (SkylakeMapper.ChunkBytes); the LUT and
 // reciprocal-divider fast paths are wired up behind it either way.
 // Partitioned mappings take a partition count and keep their dedicated
 // NewPartitionedMapper constructor.

@@ -65,6 +65,9 @@ func equivalenceMappers(t testing.TB) []refMapper {
 		BanksPerRank: 8, RowsPerBank: 8192, RowBytes: 8 * geometry.KiB,
 		RowsPerSubarray: 1024,
 	}
+	// DDR5 (§8.2): twice DDR4's banks per rank.
+	ddr5G := geometry.Default()
+	ddr5G.BanksPerRank = 32
 	// HBM2-like stacks (§8.2): eight single-rank pseudo-channels of 32 banks.
 	hbmG := geometry.Geometry{
 		Sockets: 2, CoresPerSocket: 40, DIMMsPerSocket: 8, RanksPerDIMM: 1,
@@ -77,7 +80,7 @@ func equivalenceMappers(t testing.TB) []refMapper {
 	}
 	var ms []refMapper
 	for _, g := range []geometry.Geometry{
-		geometry.Default(), geometry.DDR5Server(), hbmG,
+		geometry.Default(), ddr5G, hbmG,
 		snc, benchG, inferG,
 	} {
 		sky, err := NewSkylakeMapper(g)

@@ -19,7 +19,7 @@ const maxInterleaveEntries = 1 << 20
 //     index (high 16 bits) and the line's position within that bank's row
 //     (low 16 bits), replacing a divide and a modulo per decode;
 //   - bankIDs expands a dense within-socket bank index to its structured
-//     BankID, replacing the three divmods of socketBank.
+//     BankID, replacing the three divmods of geometry.BankFromSocketFlat.
 //
 // The tables depend only on the interleave width (how many banks a row
 // group spreads over) and the row size, so one LUT serves every socket.
@@ -105,7 +105,8 @@ func (b bounds) valid(a geometry.MediaAddr) bool {
 		uint(a.Col) < uint(b.rowBytes)
 }
 
-// socketFlat mirrors BankID.SocketFlat against the cached limits.
+// socketFlat is the inverse of geometry.BankFromSocketFlat against the
+// cached limits.
 func (b bounds) socketFlat(id geometry.BankID) int {
 	return (id.DIMM*b.ranks+id.Rank)*b.banks + id.Bank
 }

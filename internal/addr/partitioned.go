@@ -79,15 +79,6 @@ func NewPartitionedMapper(g geometry.Geometry, partitions int) (*PartitionedMapp
 // Geometry returns the geometry the mapper serves.
 func (m *PartitionedMapper) Geometry() geometry.Geometry { return m.g }
 
-// PartitionOf returns the bank-partition index owning a physical address.
-func (m *PartitionedMapper) PartitionOf(pa uint64) (socket, partition int, err error) {
-	if pa >= uint64(m.totalBytes) {
-		return 0, 0, rangeCheck(m.g, pa)
-	}
-	s, off := m.divSocket.divmod(int64(pa))
-	return int(s), int(m.divPart.div(off)), nil
-}
-
 // Decode translates a host physical address to a media address.
 func (m *PartitionedMapper) Decode(pa uint64) (geometry.MediaAddr, error) {
 	if pa >= uint64(m.totalBytes) {

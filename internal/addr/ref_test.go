@@ -30,7 +30,7 @@ func (m *SkylakeMapper) decodeRef(pa uint64) (geometry.MediaAddr, error) {
 	bankIdx := int(line % banks)
 	lineInBank := line / banks
 
-	bank := socketBank(m.g, socket, bankIdx)
+	bank := geometry.BankFromSocketFlat(m.g, socket, bankIdx)
 	return geometry.MediaAddr{
 		Bank: bank,
 		Row:  int(rowGroup),
@@ -45,7 +45,7 @@ func (m *SkylakeMapper) encodeRef(addr geometry.MediaAddr) (uint64, error) {
 		return 0, fmt.Errorf("%w: media address %v", ErrOutOfRange, addr)
 	}
 	banks := int64(m.g.BanksPerSocket())
-	bankIdx := int64(addr.Bank.SocketFlat(m.g))
+	bankIdx := int64(addr.Bank.Flat(m.g) - addr.Bank.Socket*m.g.BanksPerSocket())
 	lineInBank := int64(addr.Col / geometry.CacheLineSize)
 	inLine := int64(addr.Col % geometry.CacheLineSize)
 	line := lineInBank*banks + bankIdx

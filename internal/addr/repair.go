@@ -76,12 +76,6 @@ func (t *RepairTable) Lookup(bank geometry.BankID, internal int) (SpareRow, bool
 	return s, ok
 }
 
-// IsRepaired reports whether the internal row has been repaired.
-func (t *RepairTable) IsRepaired(bank geometry.BankID, internal int) bool {
-	_, ok := t.byBank[bank][internal]
-	return ok
-}
-
 // Repairs returns all recorded repairs in insertion order.
 func (t *RepairTable) Repairs() []Repair {
 	out := make([]Repair, len(t.repairs))

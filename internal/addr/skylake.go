@@ -117,10 +117,6 @@ func NewSkylakeMapper(g geometry.Geometry) (*SkylakeMapper, error) {
 // Geometry returns the geometry the mapper serves.
 func (m *SkylakeMapper) Geometry() geometry.Geometry { return m.g }
 
-// RegionBytes returns the span between mapping jumps (768 MiB on the
-// evaluation server).
-func (m *SkylakeMapper) RegionBytes() int64 { return m.regionBytes }
-
 // ChunkBytes returns the bytes covered by one contiguous chunk (24 MiB on
 // the evaluation server).
 func (m *SkylakeMapper) ChunkBytes() int64 { return m.chunkBytes }
@@ -238,15 +234,6 @@ func (m *SkylakeMapper) Encode(addr geometry.MediaAddr) (uint64, error) {
 		rangeOff += m.halfSocket // range B
 	}
 	return uint64(int64(addr.Bank.Socket)*m.socketBytes + rangeOff), nil
-}
-
-// socketBank converts a dense within-socket bank index to a BankID.
-func socketBank(g geometry.Geometry, socket, idx int) geometry.BankID {
-	bank := idx % g.BanksPerRank
-	idx /= g.BanksPerRank
-	rank := idx % g.RanksPerDIMM
-	dimm := idx / g.RanksPerDIMM
-	return geometry.BankID{Socket: socket, DIMM: dimm, Rank: rank, Bank: bank}
 }
 
 // LinearMapper is an ablation mapping with no bank interleaving: physical

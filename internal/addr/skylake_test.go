@@ -100,7 +100,7 @@ func TestSkylakeCacheLineBankInterleaving(t *testing.T) {
 		if i > 0 && ma.Bank == prev.Bank {
 			t.Fatalf("lines %d and %d hit the same bank %v", i-1, i, ma.Bank)
 		}
-		seen[ma.Bank.SocketFlat(g)] = true
+		seen[ma.Bank.Flat(g)] = true
 		prev = ma
 	}
 	if len(seen) != banks {
@@ -164,7 +164,7 @@ func TestSkylakeMappingJump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := uint64(m.RegionBytes() / 2)
+	half := uint64(m.regionBytes / 2)
 	before, err := m.Decode(half - geometry.CacheLineSize)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestSkylakeMappingJump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowGroupsPerRegion := int(m.RegionBytes() / g.RowGroupBytes())
+	rowGroupsPerRegion := int(m.regionBytes / g.RowGroupBytes())
 	// Last A-chunk of region 0 ends at row group rowGroupsPerRegion-n-? :
 	// A fills even chunks, so its last row group is the end of media
 	// chunk ChunksPerRegion-2.
@@ -390,12 +390,12 @@ func TestPartitionedMapperDisjointBanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		banks0[ma0.Bank.SocketFlat(g)] = true
+		banks0[ma0.Bank.Flat(g)] = true
 		ma1, err := m.Decode(half + off)
 		if err != nil {
 			t.Fatal(err)
 		}
-		banks1[ma1.Bank.SocketFlat(g)] = true
+		banks1[ma1.Bank.Flat(g)] = true
 	}
 	for b := range banks0 {
 		if banks1[b] {
@@ -404,12 +404,6 @@ func TestPartitionedMapperDisjointBanks(t *testing.T) {
 	}
 	if len(banks0) != g.BanksPerSocket()/2 || len(banks1) != g.BanksPerSocket()/2 {
 		t.Errorf("partition bank counts: %d, %d", len(banks0), len(banks1))
-	}
-	if _, _, err := m.PartitionOf(half); err != nil {
-		t.Fatal(err)
-	}
-	if _, p, _ := m.PartitionOf(half); p != 1 {
-		t.Errorf("PartitionOf(half) = %d, want 1", p)
 	}
 	if _, err := NewPartitionedMapper(g, 3); err == nil {
 		t.Error("indivisible partition count accepted")

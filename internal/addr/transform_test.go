@@ -234,9 +234,6 @@ func TestRepairTableLookup(t *testing.T) {
 	if _, ok := rt.Lookup(bank, 101); ok {
 		t.Error("Lookup found repair for unrepaired row")
 	}
-	if !rt.IsRepaired(bank, 100) || rt.IsRepaired(bank, 0) {
-		t.Error("IsRepaired mismatch")
-	}
 	if err := rt.Add(Repair{Bank: bank, From: -1, Spare: SpareRow{Anchor: 0}}); err == nil {
 		t.Error("out-of-range source accepted")
 	}

@@ -255,6 +255,9 @@ func (a *Allocator) AllocAt(pa uint64, order int) error {
 // block that is already free is refused with an error wrapping
 // ErrNotAllocated and the allocator is left as it was: the block, or the
 // free block containing it, is on the free list of one order from order up.
+// The probe for such a block stops at the first order whose buddy is free:
+// free blocks are disjoint, and every larger block containing this one also
+// contains that buddy.
 func (a *Allocator) Free(pa uint64, order int) error {
 	if order < 0 || order > MaxOrder {
 		return fmt.Errorf("alloc: invalid order %d", order)
@@ -265,8 +268,12 @@ func (a *Allocator) Free(pa uint64, order int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for o := order; o <= MaxOrder; o++ {
-		if a.free[o].has(pa &^ (OrderBytes(o) - 1)) {
+		block := pa &^ (OrderBytes(o) - 1)
+		if a.free[o].has(block) {
 			return fmt.Errorf("alloc: free of block %#x order %d: %w", pa, order, ErrNotAllocated)
+		}
+		if o < MaxOrder && a.free[o].has(block^OrderBytes(o)) {
+			break
 		}
 	}
 	a.used -= OrderBytes(order)

@@ -380,6 +380,50 @@ func TestFreeRejectsDoubleFree(t *testing.T) {
 	}
 }
 
+// TestFreeProbeStopsAtAFreeBuddy: Free's double-free probe ends at the first
+// order whose buddy is free. That neither refuses a valid free nor misses a
+// double free inside a larger free block, and a refused free changes nothing.
+func TestFreeProbeStopsAtAFreeBuddy(t *testing.T) {
+	a, err := New([]subarray.Range{mkRange(0, 4<<20)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two base pages from the bottom of the 4 MiB block: the split leaves one
+	// free buddy at every order from 1 (0x2000) to 9 (2 MiB).
+	for _, want := range []uint64{0, 0x1000} {
+		if pa, err := a.Alloc(0); err != nil || pa != want {
+			t.Fatalf("Alloc(0) = %#x, %v; want %#x", pa, err, want)
+		}
+	}
+	for _, s := range []struct {
+		pa      uint64
+		refused bool
+		used    uint64 // UsedBytes after the step
+	}{
+		{0x1000, false, 0x1000},  // valid: buddy 0x0 is live, the order-1 buddy is free
+		{0x1000, true, 0x1000},   // the double free: on the order-0 list itself
+		{0x2000, true, 0x1000},   // inside the free order-1 block at 0x2000
+		{0x3ff000, true, 0x1000}, // inside the free 2 MiB block, nine orders up
+		{0, false, 0},            // valid: buddy 0x1000 is free; coalesces to 4 MiB
+		{0x1ff000, true, 0},      // inside the whole free 4 MiB block
+	} {
+		version := a.Version()
+		err := a.Free(s.pa, 0)
+		if refused := errors.Is(err, ErrNotAllocated); refused != s.refused || (err != nil && !refused) {
+			t.Fatalf("Free(%#x, 0) = %v, want refused %v", s.pa, err, s.refused)
+		}
+		if s.refused && a.Version() != version {
+			t.Errorf("refused Free(%#x, 0) moved Version %d → %d", s.pa, version, a.Version())
+		}
+		if a.UsedBytes() != s.used || a.FreeBytes() != 4<<20-s.used {
+			t.Fatalf("after Free(%#x, 0): UsedBytes %d, FreeBytes %d; want %d used", s.pa, a.UsedBytes(), a.FreeBytes(), s.used)
+		}
+	}
+	if got := a.LargestFreeOrder(); got != Order2M+1 {
+		t.Errorf("LargestFreeOrder = %d, want %d: the two frees coalesce to one 4 MiB block", got, Order2M+1)
+	}
+}
+
 // TestFreePages: the balloon's bulk-release path returns a batch of huge
 // pages and restores the exact free capacity.
 func TestFreePages(t *testing.T) {

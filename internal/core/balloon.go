@@ -102,11 +102,6 @@ func (h *Hypervisor) balloonTo(vm *VM, targetBytes uint64) (*BalloonReport, erro
 	if err != nil {
 		return nil, err
 	}
-	if delta != 0 {
-		h.logf("balloon VM %q: %d -> %d MiB surrendered (+%d/-%d pages, %d bytes scrubbed, released nodes %v, adopted %v)",
-			name, rep.Previous>>20, rep.Target>>20, rep.InflatedPages, rep.DeflatedPages,
-			rep.ScrubbedBytes, rep.ReleasedNodes, rep.AdoptedNodes)
-	}
 	return rep, nil
 }
 

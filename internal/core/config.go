@@ -74,9 +74,6 @@ type Config struct {
 	// firmware can cache it). A stale or mismatched cache falls back to
 	// recomputation.
 	CachedLayout io.Reader
-	// Log optionally receives a dmesg-style event log of boot, VM
-	// lifecycle and security events.
-	Log io.Writer
 	// MediatedAccessLimit caps a VM's mediated accesses per refresh
 	// window — the §5.1 rate-limit closing the theoretical "confused
 	// deputy" vector, where a guest tricks host software into hammering

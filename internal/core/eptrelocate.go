@@ -76,10 +76,8 @@ func (h *Hypervisor) relocateTables(vm *VM, socket int) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: relocating EPT tables of VM %q to socket %d: %w", vm.spec.Name, socket, err)
 	}
-	from := vm.eptSocket
 	vm.eptSocket = socket
 	vm.InvalidateTLB()
-	h.logf("relocated EPT tables of VM %q: %d pages, socket %d -> %d", vm.spec.Name, moved, from, socket)
 	return moved, nil
 }
 

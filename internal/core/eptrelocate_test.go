@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/ept"
 	"repro/internal/geometry"
 )
@@ -260,12 +261,10 @@ func TestRelocatedSecureEPTDetectsHammering(t *testing.T) {
 
 // Regression for the Registry.Shrink failure path: when the source nodes
 // cannot be released after commit, the guest must resume on its destination
-// frames, the failure must be logged, and a system audit must run.
-func TestMigrateShrinkFailureLogsAndAudits(t *testing.T) {
-	var log bytes.Buffer
-	cfg := testConfig()
-	cfg.Log = &log
-	h, err := Boot(cfg, ModeSiloz)
+// frames, and the error must wrap the release failure and carry the findings
+// of a system audit run on the failure path.
+func TestMigrateShrinkFailureReturnsAudit(t *testing.T) {
+	h, err := Boot(testConfig(), ModeSiloz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,32 +274,38 @@ func TestMigrateShrinkFailureLogsAndAudits(t *testing.T) {
 	}
 	srcNode := vm.Nodes()[0].ID
 	dests := freeGuestNodes(t, h, 1, 64*geometry.MiB)
+	stray, err := h.Allocator(freeGuestNodes(t, h, 0, geometry.PageSize2M)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Force the failure: a guest step yanks the source node out of the
 	// control group mid-migration, so the engine's final Shrink of the same
-	// node fails with "not in cgroup".
+	// node fails with "not in cgroup". It also leaks a page from an unowned
+	// guest node, drift only the audit on the failure path can report.
 	opt := MigrateOptions{GuestStep: func(round int) error {
-		if round == 0 {
-			return h.Registry().Shrink("vm:mig", []int{srcNode})
+		if round != 0 {
+			return nil
 		}
-		return nil
+		if _, err := stray.AllocPages(alloc.Order2M, 1); err != nil {
+			return err
+		}
+		return h.Registry().Shrink("vm:mig", []int{srcNode})
 	}}
 	rep, err := h.MigrateVM(context.Background(), "mig", dests, opt)
 	if err == nil {
 		t.Fatal("migration succeeded despite sabotaged source-node release")
 	}
-	if !strings.Contains(err.Error(), "releasing source nodes") {
-		t.Errorf("error = %v, want source-node release failure", err)
+	if cause := errors.Unwrap(err); cause == nil || !strings.Contains(cause.Error(), "not in cgroup") ||
+		!strings.Contains(err.Error(), "releasing source nodes") {
+		t.Errorf("error = %v, want it to wrap the source-node release failure", err)
+	}
+	if !strings.Contains(err.Error(), "post-failure audit: 1 findings") ||
+		!strings.Contains(err.Error(), "allocator reports 2097152 used bytes but VMs hold 0") {
+		t.Errorf("error = %v, want the post-failure audit's one finding", err)
 	}
 	if rep == nil {
 		t.Fatal("commit-phase failure must still return the report")
-	}
-	out := log.String()
-	if !strings.Contains(out, "failed to release source nodes") {
-		t.Errorf("failure not logged:\n%s", out)
-	}
-	if !strings.Contains(out, "post-failure audit") {
-		t.Errorf("no audit on the failure path:\n%s", out)
 	}
 	// The guest survived and runs on destination frames.
 	if err := vm.WriteGuest(0, []byte("alive")); err != nil {

@@ -374,7 +374,7 @@ func TestDeflateRemapFailureReleasesAdoptedNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := vm.tables.Map2M(poisoned*geometry.PageSize2M, held); err != nil {
+		if _, err := vm.tables.MapRun(poisoned*geometry.PageSize2M, []uint64{held}, geometry.PageSize2M, true); err != nil {
 			t.Fatal(err)
 		}
 		before := snapshotHost(h)
@@ -405,7 +405,7 @@ func TestHotplugDeviceSyncFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.tables.Map2M(33*geometry.PageSize2M, held); err != nil {
+	if _, err := dev.tables.MapRun(33*geometry.PageSize2M, []uint64{held}, geometry.PageSize2M, true); err != nil {
 		t.Fatal(err)
 	}
 	before := snapshotHost(h)

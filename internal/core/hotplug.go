@@ -108,7 +108,5 @@ func (h *Hypervisor) hotplugGrow(vm *VM, addBytes uint64) (*HotplugReport, error
 	// Commit: the range is fully mapped; grow the VM's recorded size.
 	vm.spec.MemoryBytes += addBytes
 	rep.NewMemoryBytes = vm.spec.MemoryBytes
-	h.logf("hotplug VM %q: +%d MiB at gpa %#x (%d pages, adopted nodes %v, %d bytes scrubbed), now %d MiB",
-		name, addBytes>>20, rep.BaseGPA, n, rep.AdoptedNodes, rep.ScrubbedBytes, vm.spec.MemoryBytes>>20)
 	return rep, nil
 }

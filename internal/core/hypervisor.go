@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -30,9 +29,6 @@ type Hypervisor struct {
 	offlined   []subarray.Range
 	guardBytes uint64 // CATT guard-band capacity currently reserved (under mu)
 	stats      *statCache
-	log        io.Writer
-	logMu      sync.Mutex
-	logSeq     uint64         // events logged since boot (under logMu)
 	coreOwner  map[int]string // logical core -> pinned VM
 
 	// mu serializes VM lifecycle (create/destroy/pin) and guards the vms
@@ -151,9 +147,7 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 		allocators: make(map[int]*alloc.Allocator),
 		eptNodes:   make(map[int]int),
 		vms:        make(map[string]*VM),
-		log:        cfg.Log,
 	}
-	h.logf("booting %s on %s", mode, cfg.Geometry)
 	var layout *subarray.Layout
 	if cfg.CachedLayout != nil {
 		// Reuse ranges computed on a previous boot; fall back to full
@@ -177,13 +171,6 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 		return nil, err
 	}
 	h.reg = numa.NewRegistry(h.topo)
-	var offlinedBytes uint64
-	for _, r := range h.OfflinedRanges() {
-		offlinedBytes += r.Bytes()
-	}
-	h.logf("boot complete: %d logical nodes (%d rows/group, %.2f GiB groups), %d bytes offlined",
-		len(h.topo.Nodes()), h.layout.RowsPerGroup(),
-		float64(h.layout.GroupBytes())/(1<<30), offlinedBytes)
 	return h, nil
 }
 
@@ -495,7 +482,6 @@ func (h *Hypervisor) Shutdown() {
 	for _, vm := range h.VMs() {
 		_ = h.DestroyVM(vm.Name())
 	}
-	h.logf("host shutdown complete")
 }
 
 // InternalMapperFor exposes a module's internal address mapping, the

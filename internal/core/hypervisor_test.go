@@ -104,8 +104,8 @@ func TestBootSilozTopology(t *testing.T) {
 			t.Errorf("EPT node has %d bytes, want %d", epts[0].Bytes(), g.RowGroupBytes())
 		}
 		// Logical-to-physical mapping preserved.
-		if s2, err := topo.PhysicalNodeOf(guests[0].ID); err != nil || s2 != s {
-			t.Errorf("PhysicalNodeOf(%d) = %d, %v", guests[0].ID, s2, err)
+		if n, err := topo.Node(guests[0].ID); err != nil || n.Socket != s {
+			t.Errorf("Node(%d) = %v, %v; want a node on socket %d", guests[0].ID, n, err, s)
 		}
 	}
 }

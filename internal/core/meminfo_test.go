@@ -102,31 +102,3 @@ func TestBootWithCachedLayout(t *testing.T) {
 		t.Fatalf("stale cache should fall back, got %v", err)
 	}
 }
-
-func TestEventLog(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := testConfig()
-	cfg.Log = &buf
-	h, err := Boot(cfg, ModeSiloz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "logged", Socket: 0, MemoryBytes: geometry.PageSize2M}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.DestroyVM("logged"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"booting siloz", "boot complete", `created VM "logged"`, `destroyed VM "logged"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log missing %q:\n%s", want, out)
-		}
-	}
-	// Without a sink, logging is a no-op.
-	h2, err := Boot(testConfig(), ModeSiloz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2.logf("should not panic")
-}

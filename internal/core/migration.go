@@ -390,26 +390,17 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	if _, _, err := h.vacate(vm, gone, srcNodeIDs, ""); err != nil {
 		// The guest already runs entirely on destination frames, so whatever
 		// was not freed or released is over-reservation, not an isolation
-		// breach — still, log it and re-audit the whole system before
-		// resuming, so the drift is on record rather than silent.
+		// breach — still, re-audit the whole system and return the findings
+		// with the error, so the drift is on record rather than silent.
 		vm.Resume()
-		h.logf("migration of VM %q: failed to release source nodes %v; domain remains widened: %v",
-			name, srcNodeIDs, err)
 		findings := h.Audit()
-		h.logf("post-failure audit of VM %q migration: %d findings", name, len(findings))
-		for _, f := range findings {
-			h.logf("post-failure audit: %s", f)
-		}
-		return rep, fmt.Errorf("core: releasing source nodes of VM %q: %w", name, err)
+		return rep, fmt.Errorf("core: releasing source nodes %v of VM %q: %w (domain remains widened; post-failure audit: %d findings %q)",
+			srcNodeIDs, name, err, len(findings), findings)
 	}
 	vm.Resume()
 	if relocErr != nil {
-		h.logf("migrated VM %q but EPT relocation failed; tables remain on socket %d: %v",
-			name, vm.eptSocket, relocErr)
 		return rep, relocErr
 	}
-	h.logf("migrated VM %q: nodes %v -> %v, %d rounds, %d/%d pages copied, downtime %d pages, %d EPT pages relocated",
-		name, srcNodeIDs, destIDs, len(rep.Rounds), rep.PagesCopied, resident, rep.DowntimePages, rep.EPTRelocatedPages)
 	return rep, nil
 }
 
@@ -472,8 +463,6 @@ func (h *Hypervisor) MoveOut(ctx context.Context, name string, dest *VM, opt Mig
 	delete(h.vms, name)
 	h.mu.Unlock()
 	vm.Resume()
-	h.logf("moved VM %q out: %d pages copied, downtime %d pages (memory scrubbed and returned to node free pools)",
-		name, rep.PagesCopied, rep.DowntimePages)
 	return nil
 }
 

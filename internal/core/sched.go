@@ -42,7 +42,6 @@ func (h *Hypervisor) PinVCPUs(vm *VM) ([]int, error) {
 		h.coreOwner[c] = vm.spec.Name
 	}
 	vm.pinned = append([]int(nil), cores...)
-	h.logf("pinned VM %q vCPUs to cores %v", vm.spec.Name, cores)
 	return vm.pinned, nil
 }
 

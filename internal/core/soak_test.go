@@ -89,11 +89,6 @@ func TestSoakChurn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				grp, err := h.Layout().GroupOf(pa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_ = grp
 				owners := 0
 				for _, vm := range live {
 					if vm.OwnsHPA(pa) && !vm.InDomain(pa) {

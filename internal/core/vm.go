@@ -197,8 +197,6 @@ func (h *Hypervisor) CreateVM(proc Process, spec VMSpec) (*VM, error) {
 		h.reserveDomainGuards(vm)
 	}
 	h.vms[spec.Name] = vm
-	h.logf("created VM %q: %d MiB RAM on nodes %v, %d EPT pages, %d mediated pages",
-		spec.Name, spec.MemoryBytes>>20, vm.nodeIDs(), len(vm.tables.Pages()), len(vm.mediated))
 	return vm, nil
 }
 
@@ -335,8 +333,6 @@ func (h *Hypervisor) reserveDomainGuards(vm *VM) {
 			}
 		}
 	}
-	h.logf("reserved %d guard pages (%d MiB) covering rows within %d of VM %q rows",
-		len(vm.guards), uint64(len(vm.guards))*geometry.PageSize2M>>20, band, vm.spec.Name)
 }
 
 // allocatorContaining finds the node allocator whose ranges cover pa.
@@ -379,7 +375,6 @@ func (h *Hypervisor) DestroyVM(name string) error {
 	}
 	vm.teardown()
 	delete(h.vms, name)
-	h.logf("destroyed VM %q (memory scrubbed and returned to node free pools)", name)
 	return nil
 }
 

@@ -17,7 +17,7 @@ type Memory struct {
 	g       geometry.Geometry
 	mapper  addr.Mapper
 	modules [][]*Module // [socket][dimm]
-	// bankRefs resolves a dense within-socket bank index (BankID.SocketFlat)
+	// bankRefs resolves a dense within-socket bank index (geometry.BankFromSocketFlat)
 	// to its DIMM and the bank's number on that DIMM, so the bulk walker
 	// divides nothing per bank.
 	bankRefs []bankRef

@@ -32,7 +32,7 @@ func benchTables(b *testing.B, mode IntegrityMode) *Tables {
 		b.Fatal(err)
 	}
 	for i := uint64(0); i < 16; i++ {
-		if err := tables.Map2M(i*geometry.PageSize2M, i*geometry.PageSize2M); err != nil {
+		if _, err := tables.MapRun(i*geometry.PageSize2M, []uint64{i * geometry.PageSize2M}, geometry.PageSize2M, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,14 +58,14 @@ func BenchmarkTranslate2M(b *testing.B) {
 func BenchmarkRemap2M(b *testing.B) {
 	tables := benchTables(b, NoProtection)
 	for i := uint64(16); i < 416; i++ {
-		if err := tables.Map2M(i*geometry.PageSize2M, i*geometry.PageSize2M); err != nil {
+		if _, err := tables.MapRun(i*geometry.PageSize2M, []uint64{i * geometry.PageSize2M}, geometry.PageSize2M, true); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gpa := uint64(16+i%400) * geometry.PageSize2M
-		if err := tables.Remap2M(gpa, gpa); err != nil {
+		if _, err := tables.RemapRun(gpa, []uint64{gpa}, geometry.PageSize2M, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,11 +78,11 @@ func BenchmarkRelocate(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			tables := benchTables(b, mode)
 			for i := uint64(16); i < 64; i++ {
-				if err := tables.Map2M(i*geometry.PageSize2M, i*geometry.PageSize2M); err != nil {
+				if _, err := tables.MapRun(i*geometry.PageSize2M, []uint64{i * geometry.PageSize2M}, geometry.PageSize2M, true); err != nil {
 					b.Fatal(err)
 				}
 			}
-			if err := tables.Map4K(1<<31, 0x5000); err != nil {
+			if _, err := tables.MapRun(1<<31, []uint64{0x5000}, geometry.PageSize4K, true); err != nil {
 				b.Fatal(err)
 			}
 			var pools [2]PageAllocator

@@ -96,7 +96,7 @@ type PageAllocator interface {
 // Entry loads and stores are serialized by an internal lock, so guest-side
 // walks may run concurrently with hypervisor-side entry updates (the
 // write-protection flips of dirty-page tracking during live migration).
-// Structural mutation — Map*, Unmap, Destroy — is the hypervisor's and is
+// Structural mutation — MapRun, UnmapRun, Destroy — is the hypervisor's and is
 // not safe to race with itself.
 type Tables struct {
 	mem   *dram.Memory
@@ -239,46 +239,6 @@ func indexAt(gpa uint64, level int) uint64 {
 // pageBytesAt returns how much guest memory one entry of a level covers.
 func pageBytesAt(level int) uint64 {
 	return 1 << (pageShift + levelBits*(numLevels-1-level))
-}
-
-// Map2M installs a writable 2 MiB leaf mapping gpa → hpa (both 2 MiB
-// aligned). The GPA must be unmapped; replacing a live leaf is Remap2M's job.
-func (t *Tables) Map2M(gpa, hpa uint64) error {
-	_, err := t.MapRun(gpa, []uint64{hpa}, geometry.PageSize2M, true)
-	return err
-}
-
-// Remap2M rewrites the present 2 MiB leaf at gpa to a new writable frame —
-// live migration's commit step. Remapping an unmapped GPA or a GPA whose PD
-// entry points at a 4 KiB page table fails.
-func (t *Tables) Remap2M(gpa, hpa uint64) error {
-	_, err := t.RemapRun(gpa, []uint64{hpa}, geometry.PageSize2M, true)
-	return err
-}
-
-// Map4K installs a writable 4 KiB leaf mapping gpa → hpa (both page
-// aligned). The GPA must be unmapped; replacing a live leaf is Remap4K's job.
-func (t *Tables) Map4K(gpa, hpa uint64) error { return t.Map4KProt(gpa, hpa, true) }
-
-// Map4KProt installs a 4 KiB leaf with explicit write permission.
-func (t *Tables) Map4KProt(gpa, hpa uint64, writable bool) error {
-	_, err := t.MapRun(gpa, []uint64{hpa}, geometry.PageSize4K, writable)
-	return err
-}
-
-// Remap4KProt rewrites the present 4 KiB leaf at gpa with explicit write
-// permission — the region leg of live migration's commit step.
-func (t *Tables) Remap4KProt(gpa, hpa uint64, writable bool) error {
-	_, err := t.RemapRun(gpa, []uint64{hpa}, geometry.PageSize4K, writable)
-	return err
-}
-
-// Unmap clears the leaf entry mapping gpa (2 MiB or 4 KiB). Intermediate
-// tables are retained for reuse, as KVM does. Unmapping an unmapped GPA
-// returns ErrNotMapped.
-func (t *Tables) Unmap(gpa uint64) error {
-	_, err := t.UnmapRun(gpa, 1, geometry.PageSize4K)
-	return err
 }
 
 // Protect rewrites the leaf entry mapping gpa (2 MiB or 4 KiB) with the

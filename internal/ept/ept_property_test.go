@@ -30,7 +30,7 @@ func TestEPTMatchesShadowMapProperty(t *testing.T) {
 							conflict = true
 						}
 					}
-					err := tables.Map2M(gpa, hpa)
+					_, err := tables.MapRun(gpa, []uint64{hpa}, geometry.PageSize2M, true)
 					if conflict {
 						// Mapping over existing 4K entries is
 						// implementation-defined here; skip check.
@@ -46,7 +46,7 @@ func TestEPTMatchesShadowMapProperty(t *testing.T) {
 					if _, taken := shadow4K[gpa]; taken {
 						continue
 					}
-					if err := tables.Map4K(gpa, hpa); err != nil {
+					if _, err := tables.MapRun(gpa, []uint64{hpa}, geometry.PageSize4K, true); err != nil {
 						t.Fatalf("mode %v seed %d: Map4K: %v", mode, seed, err)
 					}
 					shadow4K[gpa] = hpa

@@ -68,7 +68,7 @@ func TestMapAndTranslate2M(t *testing.T) {
 	_, tables, _ := testEnv(t, NoProtection)
 	gpa := uint64(4 * geometry.PageSize2M)
 	hpa := uint64(20 << 20)
-	if err := tables.Map2M(gpa, hpa); err != nil {
+	if _, err := tables.MapRun(gpa, []uint64{hpa}, geometry.PageSize2M, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := tables.Translate(gpa + 12345)
@@ -82,7 +82,7 @@ func TestMapAndTranslate2M(t *testing.T) {
 
 func TestMapAndTranslate4K(t *testing.T) {
 	_, tables, _ := testEnv(t, NoProtection)
-	if err := tables.Map4K(0x7000, 0x123000); err != nil {
+	if _, err := tables.MapRun(0x7000, []uint64{0x123000}, geometry.PageSize4K, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := tables.Translate(0x7abc)
@@ -103,13 +103,13 @@ func TestTranslateUnmapped(t *testing.T) {
 
 func TestMapAlignmentChecks(t *testing.T) {
 	_, tables, _ := testEnv(t, NoProtection)
-	if err := tables.Map2M(4096, 0); err == nil {
+	if _, err := tables.MapRun(4096, []uint64{0}, geometry.PageSize2M, true); err == nil {
 		t.Error("misaligned 2M gpa accepted")
 	}
-	if err := tables.Map2M(0, 4096); err == nil {
+	if _, err := tables.MapRun(0, []uint64{4096}, geometry.PageSize2M, true); err == nil {
 		t.Error("misaligned 2M hpa accepted")
 	}
-	if err := tables.Map4K(1, 0); err == nil {
+	if _, err := tables.MapRun(1, []uint64{0}, geometry.PageSize4K, true); err == nil {
 		t.Error("misaligned 4K gpa accepted")
 	}
 }
@@ -119,7 +119,7 @@ func TestMapManyPagesSharesTables(t *testing.T) {
 	// PDPT + 1 PD = 3 table pages (§5.4's EPT-count arithmetic).
 	_, tables, _ := testEnv(t, NoProtection)
 	for i := uint64(0); i < 512; i++ {
-		if err := tables.Map2M(i*geometry.PageSize2M, i*geometry.PageSize2M); err != nil {
+		if _, err := tables.MapRun(i*geometry.PageSize2M, []uint64{i * geometry.PageSize2M}, geometry.PageSize2M, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +127,7 @@ func TestMapManyPagesSharesTables(t *testing.T) {
 		t.Errorf("table pages = %d, want 3", got)
 	}
 	// The 513th spills into a second PD.
-	if err := tables.Map2M(512*geometry.PageSize2M, 0); err != nil {
+	if _, err := tables.MapRun(512*geometry.PageSize2M, []uint64{0}, geometry.PageSize2M, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tables.Pages()); got != 4 {
@@ -137,10 +137,10 @@ func TestMapManyPagesSharesTables(t *testing.T) {
 
 func TestDoubleMapRejected(t *testing.T) {
 	_, tables, _ := testEnv(t, NoProtection)
-	if err := tables.Map2M(0, 0); err != nil {
+	if _, err := tables.MapRun(0, []uint64{0}, geometry.PageSize2M, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := tables.Map4K(4096, 0); err == nil {
+	if _, err := tables.MapRun(4096, []uint64{0}, geometry.PageSize4K, true); err == nil {
 		t.Error("4K map under an existing 2M leaf accepted")
 	}
 }
@@ -148,7 +148,7 @@ func TestDoubleMapRejected(t *testing.T) {
 func TestDestroyReleasesPages(t *testing.T) {
 	_, tables, a := testEnv(t, NoProtection)
 	for i := uint64(0); i < 8; i++ {
-		if err := tables.Map2M(i*geometry.PageSize2M, i*geometry.PageSize2M); err != nil {
+		if _, err := tables.MapRun(i*geometry.PageSize2M, []uint64{i * geometry.PageSize2M}, geometry.PageSize2M, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestUnprotectedEPTFollowsCorruptedEntry(t *testing.T) {
 	mem, tables, _ := testEnv(t, NoProtection)
 	gpa := uint64(0)
 	hpa := uint64(32 << 20)
-	if err := tables.Map2M(gpa, hpa); err != nil {
+	if _, err := tables.MapRun(gpa, []uint64{hpa}, geometry.PageSize2M, true); err != nil {
 		t.Fatal(err)
 	}
 	corruptEntry(t, mem, tables, gpa)
@@ -203,7 +203,7 @@ func TestUnprotectedEPTFollowsCorruptedEntry(t *testing.T) {
 func TestSecureEPTDetectsCorruption(t *testing.T) {
 	mem, tables, _ := testEnv(t, SecureEPT)
 	gpa := uint64(0)
-	if err := tables.Map2M(gpa, 32<<20); err != nil {
+	if _, err := tables.MapRun(gpa, []uint64{32 << 20}, geometry.PageSize2M, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tables.Translate(gpa); err != nil {
@@ -218,7 +218,7 @@ func TestSecureEPTDetectsCorruption(t *testing.T) {
 func TestSecureEPTAllowsLegitimateUpdates(t *testing.T) {
 	_, tables, _ := testEnv(t, SecureEPT)
 	for i := uint64(0); i < 16; i++ {
-		if err := tables.Map2M(i*geometry.PageSize2M, i*geometry.PageSize2M); err != nil {
+		if _, err := tables.MapRun(i*geometry.PageSize2M, []uint64{i * geometry.PageSize2M}, geometry.PageSize2M, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,23 +279,23 @@ func TestUnmap(t *testing.T) {
 	for _, mode := range []IntegrityMode{NoProtection, SecureEPT} {
 		_, tables, _ := testEnv(t, mode)
 		gpa := uint64(8 * geometry.PageSize2M)
-		if err := tables.Map2M(gpa, 16<<20); err != nil {
+		if _, err := tables.MapRun(gpa, []uint64{16 << 20}, geometry.PageSize2M, true); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tables.Translate(gpa); err != nil {
 			t.Fatal(err)
 		}
-		if err := tables.Unmap(gpa); err != nil {
+		if _, err := tables.UnmapRun(gpa, 1, geometry.PageSize4K); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tables.Translate(gpa); err == nil {
 			t.Errorf("mode %v: unmapped gpa still translates", mode)
 		}
-		if err := tables.Unmap(gpa); err == nil {
+		if _, err := tables.UnmapRun(gpa, 1, geometry.PageSize4K); err == nil {
 			t.Errorf("mode %v: double unmap accepted", mode)
 		}
 		// The slot is reusable.
-		if err := tables.Map2M(gpa, 24<<20); err != nil {
+		if _, err := tables.MapRun(gpa, []uint64{24 << 20}, geometry.PageSize2M, true); err != nil {
 			t.Fatal(err)
 		}
 		hpa, err := tables.Translate(gpa)
@@ -311,7 +311,7 @@ func TestProtectTogglesWritePermission(t *testing.T) {
 			_, tables, _ := testEnv(t, mode)
 			gpa := uint64(0)
 			hpa := uint64(4 << 20)
-			if err := tables.Map2M(gpa, hpa); err != nil {
+			if _, err := tables.MapRun(gpa, []uint64{hpa}, geometry.PageSize2M, true); err != nil {
 				t.Fatal(err)
 			}
 
@@ -338,7 +338,7 @@ func TestProtectTogglesWritePermission(t *testing.T) {
 
 			// 4 KiB leaves are protectable too.
 			gpa4, hpa4 := uint64(1)<<31, uint64(8<<20)
-			if err := tables.Map4K(gpa4, hpa4); err != nil {
+			if _, err := tables.MapRun(gpa4, []uint64{hpa4}, geometry.PageSize4K, true); err != nil {
 				t.Fatal(err)
 			}
 			if err := tables.Protect(gpa4, false); err != nil {

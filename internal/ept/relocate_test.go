@@ -20,11 +20,11 @@ import (
 func TestMap2MOverPageTableRejected(t *testing.T) {
 	_, tables, _ := testEnv(t, NoProtection)
 	gpa4 := uint64(0x7000) // lives in the PT under PD entry 0
-	if err := tables.Map4K(gpa4, 0x123000); err != nil {
+	if _, err := tables.MapRun(gpa4, []uint64{0x123000}, geometry.PageSize4K, true); err != nil {
 		t.Fatal(err)
 	}
 	before := len(tables.Pages())
-	if err := tables.Map2M(0, 16<<20); !errors.Is(err, ErrAlreadyMapped) {
+	if _, err := tables.MapRun(0, []uint64{16 << 20}, geometry.PageSize2M, true); !errors.Is(err, ErrAlreadyMapped) {
 		t.Fatalf("Map2M over a live page table: err = %v, want ErrAlreadyMapped", err)
 	}
 	// The 4 KiB mapping must have survived and no table page leaked.
@@ -40,17 +40,17 @@ func TestMap2MOverPageTableRejected(t *testing.T) {
 // than silently replacing the frame.
 func TestMapOverPresentLeafRejected(t *testing.T) {
 	_, tables, _ := testEnv(t, NoProtection)
-	if err := tables.Map2M(0, 4<<20); err != nil {
+	if _, err := tables.MapRun(0, []uint64{4 << 20}, geometry.PageSize2M, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := tables.Map2M(0, 8<<20); !errors.Is(err, ErrAlreadyMapped) {
+	if _, err := tables.MapRun(0, []uint64{8 << 20}, geometry.PageSize2M, true); !errors.Is(err, ErrAlreadyMapped) {
 		t.Fatalf("second Map2M: err = %v, want ErrAlreadyMapped", err)
 	}
 	gpa4 := uint64(1) << 31
-	if err := tables.Map4K(gpa4, 0x1000); err != nil {
+	if _, err := tables.MapRun(gpa4, []uint64{0x1000}, geometry.PageSize4K, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := tables.Map4K(gpa4, 0x2000); !errors.Is(err, ErrAlreadyMapped) {
+	if _, err := tables.MapRun(gpa4, []uint64{0x2000}, geometry.PageSize4K, true); !errors.Is(err, ErrAlreadyMapped) {
 		t.Fatalf("second Map4K: err = %v, want ErrAlreadyMapped", err)
 	}
 	// The originals are intact.
@@ -66,29 +66,29 @@ func TestRemapReplacesLeaf(t *testing.T) {
 	for _, mode := range []IntegrityMode{NoProtection, SecureEPT} {
 		t.Run(mode.String(), func(t *testing.T) {
 			_, tables, _ := testEnv(t, mode)
-			if err := tables.Map2M(0, 4<<20); err != nil {
+			if _, err := tables.MapRun(0, []uint64{4 << 20}, geometry.PageSize2M, true); err != nil {
 				t.Fatal(err)
 			}
-			if err := tables.Remap2M(0, 8<<20); err != nil {
+			if _, err := tables.RemapRun(0, []uint64{8 << 20}, geometry.PageSize2M, true); err != nil {
 				t.Fatal(err)
 			}
 			if got, err := tables.Translate(0); err != nil || got != 8<<20 {
 				t.Fatalf("after remap: %#x, %v", got, err)
 			}
 			// Remap of an unmapped GPA fails — it is not a Map.
-			if err := tables.Remap2M(2*geometry.PageSize2M, 0); !errors.Is(err, ErrNotMapped) {
+			if _, err := tables.RemapRun(2*geometry.PageSize2M, []uint64{0}, geometry.PageSize2M, true); !errors.Is(err, ErrNotMapped) {
 				t.Fatalf("remap of unmapped gpa: err = %v, want ErrNotMapped", err)
 			}
 			// Remap4K over a PD entry holding a page-table pointer... first
 			// build the 4K mapping, then check Remap2M over its PD entry fails.
 			gpa4 := uint64(1) << 31
-			if err := tables.Map4K(gpa4, 0x3000); err != nil {
+			if _, err := tables.MapRun(gpa4, []uint64{0x3000}, geometry.PageSize4K, true); err != nil {
 				t.Fatal(err)
 			}
-			if err := tables.Remap2M(gpa4, 4<<20); !errors.Is(err, ErrAlreadyMapped) {
+			if _, err := tables.RemapRun(gpa4, []uint64{4 << 20}, geometry.PageSize2M, true); !errors.Is(err, ErrAlreadyMapped) {
 				t.Fatalf("Remap2M over page-table pointer: err = %v, want ErrAlreadyMapped", err)
 			}
-			if err := tables.Remap4KProt(gpa4, 0x4000, false); err != nil {
+			if _, err := tables.RemapRun(gpa4, []uint64{0x4000}, geometry.PageSize4K, false); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := tables.TranslateAccess(gpa4, true); !errors.Is(err, ErrPermission) {
@@ -104,7 +104,7 @@ func TestUseAfterDestroyFailsLoudly(t *testing.T) {
 	for _, mode := range []IntegrityMode{NoProtection, SecureEPT} {
 		t.Run(mode.String(), func(t *testing.T) {
 			_, tables, a := testEnv(t, mode)
-			if err := tables.Map2M(0, 4<<20); err != nil {
+			if _, err := tables.MapRun(0, []uint64{4 << 20}, geometry.PageSize2M, true); err != nil {
 				t.Fatal(err)
 			}
 			tables.Destroy()
@@ -117,10 +117,10 @@ func TestUseAfterDestroyFailsLoudly(t *testing.T) {
 			if _, err := tables.Translate(0); !errors.Is(err, ErrDestroyed) {
 				t.Errorf("Translate after Destroy: err = %v, want ErrDestroyed", err)
 			}
-			if err := tables.Map2M(0, 4<<20); !errors.Is(err, ErrDestroyed) {
+			if _, err := tables.MapRun(0, []uint64{4 << 20}, geometry.PageSize2M, true); !errors.Is(err, ErrDestroyed) {
 				t.Errorf("Map2M after Destroy: err = %v, want ErrDestroyed", err)
 			}
-			if err := tables.Unmap(0); !errors.Is(err, ErrDestroyed) {
+			if _, err := tables.UnmapRun(0, 1, geometry.PageSize4K); !errors.Is(err, ErrDestroyed) {
 				t.Errorf("Unmap after Destroy: err = %v, want ErrDestroyed", err)
 			}
 			if _, err := tables.Relocate(allocAdapter{a}); !errors.Is(err, ErrDestroyed) {
@@ -143,14 +143,14 @@ func TestRelocateMovesHierarchy(t *testing.T) {
 			var want []mapping
 			for i := uint64(0); i < 8; i++ {
 				m := mapping{i * geometry.PageSize2M, (i + 8) * geometry.PageSize2M}
-				if err := tables.Map2M(m.gpa, m.hpa); err != nil {
+				if _, err := tables.MapRun(m.gpa, []uint64{m.hpa}, geometry.PageSize2M, true); err != nil {
 					t.Fatal(err)
 				}
 				want = append(want, m)
 			}
 			// A 4 KiB region and a read-only page, to cover every entry shape.
 			g4 := uint64(1) << 31
-			if err := tables.Map4K(g4, 0x5000); err != nil {
+			if _, err := tables.MapRun(g4, []uint64{0x5000}, geometry.PageSize4K, true); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, mapping{g4, 0x5000})
@@ -185,7 +185,7 @@ func TestRelocateMovesHierarchy(t *testing.T) {
 				t.Errorf("protection lost across relocation: %v", err)
 			}
 			// The hierarchy is still mutable in place.
-			if err := tables.Map2M(32*geometry.PageSize2M, 0); err != nil {
+			if _, err := tables.MapRun(32*geometry.PageSize2M, []uint64{0}, geometry.PageSize2M, true); err != nil {
 				t.Fatal(err)
 			}
 			if mode == SecureEPT {
@@ -221,7 +221,7 @@ func TestRelocateRollsBackOnAllocFailure(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			_, tables, src := testEnv(t, mode)
 			for i := uint64(0); i < 4; i++ {
-				if err := tables.Map2M(i*geometry.PageSize2M, i*geometry.PageSize2M); err != nil {
+				if _, err := tables.MapRun(i*geometry.PageSize2M, []uint64{i * geometry.PageSize2M}, geometry.PageSize2M, true); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -322,13 +322,13 @@ func relocationFixture(t *testing.T, tables *Tables) (gpas []uint64) {
 	t.Helper()
 	for _, slot := range []uint64{510, 511, 512, 513} {
 		gpa := slot * geometry.PageSize2M
-		if err := tables.Map2M(gpa, (slot-500)*geometry.PageSize2M); err != nil {
+		if _, err := tables.MapRun(gpa, []uint64{(slot - 500) * geometry.PageSize2M}, geometry.PageSize2M, true); err != nil {
 			t.Fatal(err)
 		}
 		gpas = append(gpas, gpa)
 	}
 	g4 := 514 * uint64(geometry.PageSize2M)
-	if err := tables.Map4KProt(g4, 0x5000, false); err != nil {
+	if _, err := tables.MapRun(g4, []uint64{0x5000}, geometry.PageSize4K, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := tables.Protect(gpas[1], false); err != nil {

@@ -13,12 +13,12 @@ import (
 	"repro/internal/numa"
 )
 
-// BalloonConfig parameterizes the "ballooning" experiment: how much of an
+// balloonParams parameterizes the "ballooning" experiment: how much of an
 // over-provisioned VM's exclusive reservation the balloon driver can return
 // to the admission pool, and at what modeled scrub cost, as a function of
 // the balloon target and of how much of the surrendered memory the guest
 // had actually dirtied.
-type BalloonConfig struct {
+type balloonParams struct {
 	// VMBytes is the ballooned VM's RAM; the default fills every guest
 	// node of its home socket so any admission requires reclaim.
 	VMBytes uint64
@@ -39,8 +39,8 @@ type BalloonConfig struct {
 
 // balloonConfig resolves the sweep: one- and two-node balloons across
 // lightly and fully dirtied guests, trimmed under -quick.
-func balloonConfig(f Flags) BalloonConfig {
-	cfg := BalloonConfig{
+func balloonConfig(f Flags) balloonParams {
+	cfg := balloonParams{
 		VMBytes:          192 * geometry.MiB,
 		MinBytes:         64 * geometry.MiB,
 		Targets:          []uint64{64 * geometry.MiB, 128 * geometry.MiB},
@@ -85,7 +85,7 @@ func (r *balloonRowResult) reclaimed() uint64 { return uint64(r.nodesReleased) *
 // over-provisioned VM, drives the guest balloon driver end to end —
 // inflate, tenant admission onto the released nodes, deflate — and verifies
 // the reservation-release invariants at each step.
-func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResult, error) {
+func runBalloon(cfg balloonParams, run balloonRun, seed int64) (*balloonRowResult, error) {
 	h, err := bootLab(migrationLabGeometry(), migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
 	if err != nil {
 		return nil, err
@@ -177,7 +177,7 @@ func runBalloon(cfg BalloonConfig, run balloonRun, seed int64) (*balloonRowResul
 // ballooningExp is the "ballooning" experiment: partial reservation release
 // via the guest balloon driver — nodes reclaimed, scrub cost, and admission
 // of a new tenant onto the released subarray groups.
-func ballooningExp(ctx context.Context, pool *Pool, bc BalloonConfig) (*Result, error) {
+func ballooningExp(ctx context.Context, pool *Pool, bc balloonParams) (*Result, error) {
 	runs := grid(bc.Targets, bc.TouchedFractions, func(target uint64, f float64) balloonRun {
 		return balloonRun{target: target, fraction: f}
 	})

@@ -11,12 +11,12 @@ import (
 	"repro/internal/numa"
 )
 
-// EPTRelocConfig parameterizes the "ept-relocation" experiment: after one or
+// eptRelocParams parameterizes the "ept-relocation" experiment: after one or
 // more cross-socket live migrations, are a VM's EPT tables rebuilt inside the
 // destination socket's protected pool, is the source pool's capacity given
 // back, and does the relocated block still resist the §7.1 in-block hammering
 // attack?
-type EPTRelocConfig struct {
+type eptRelocParams struct {
 	// Moves are the cross-socket migration counts swept. Odd counts leave
 	// the VM (and its tables) on socket 1, even counts ping-pong it home.
 	Moves []int
@@ -30,8 +30,8 @@ type EPTRelocConfig struct {
 
 // eptRelocConfig resolves the sweep: one to three migrations under both
 // protection modes, a single move under -quick.
-func eptRelocConfig(f Flags) EPTRelocConfig {
-	cfg := EPTRelocConfig{
+func eptRelocConfig(f Flags) eptRelocParams {
+	cfg := eptRelocParams{
 		Moves: []int{1, 2, 3},
 		Modes: []ept.IntegrityMode{ept.GuardRows, ept.SecureEPT},
 		Seed:  f.seed(23),
@@ -232,7 +232,7 @@ func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowR
 }
 
 // eptRelocExp is the "ept-relocation" experiment.
-func eptRelocExp(ctx context.Context, pool *Pool, rc EPTRelocConfig) (*Result, error) {
+func eptRelocExp(ctx context.Context, pool *Pool, rc eptRelocParams) (*Result, error) {
 	runs := grid(rc.Modes, rc.Moves, func(mode ept.IntegrityMode, moves int) eptRelocRun {
 		return eptRelocRun{mode: mode, moves: moves}
 	})

@@ -13,11 +13,11 @@ import (
 	"repro/internal/guest"
 )
 
-// HotplugConfig parameterizes the "hotplug" experiment: growing a running
+// hotplugParams parameterizes the "hotplug" experiment: growing a running
 // VM beyond its boot-time exclusive reservation by adopting additional
 // subarray-group nodes, swept across growth targets and socket pressure
 // (how many of the home socket's guest nodes neighbor tenants already own).
-type HotplugConfig struct {
+type hotplugParams struct {
 	// VMBytes is the grown VM's boot-time RAM; the default fills exactly
 	// one guest node, so any growth must adopt.
 	VMBytes uint64
@@ -39,8 +39,8 @@ type HotplugConfig struct {
 
 // hotplugConfig resolves the sweep: one- and two-node growths against an
 // idle and a contended home socket, trimmed under -quick.
-func hotplugConfig(f Flags) HotplugConfig {
-	cfg := HotplugConfig{
+func hotplugConfig(f Flags) hotplugParams {
+	cfg := hotplugParams{
 		VMBytes:       64 * geometry.MiB,
 		GrowTargets:   []uint64{128 * geometry.MiB, 192 * geometry.MiB},
 		PressureNodes: []int{0, 1},
@@ -86,7 +86,7 @@ type hotplugRowResult struct {
 // the adoptable nodes with a departed tenant, then drives a guest-visible
 // grow end to end — preview, ResizeVM dispatch to hotplug, kernel onlining
 // the bank — verifying isolation, scrubbing, and rollback at each step.
-func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResult, error) {
+func runHotplug(cfg hotplugParams, run hotplugRun, seed int64) (*hotplugRowResult, error) {
 	h, err := bootLab(migrationLabGeometry(), migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
 	if err != nil {
 		return nil, err
@@ -192,7 +192,7 @@ func runHotplug(cfg HotplugConfig, run hotplugRun, seed int64) (*hotplugRowResul
 // hotplugExp is the "hotplug" experiment: guest-visible memory hot-add via
 // the resize facade — nodes adopted beyond the boot reservation, scrub
 // cost, and the admission pool's capacity before and after.
-func hotplugExp(ctx context.Context, pool *Pool, hc HotplugConfig) (*Result, error) {
+func hotplugExp(ctx context.Context, pool *Pool, hc hotplugParams) (*Result, error) {
 	runs := grid(hc.GrowTargets, hc.PressureNodes, func(target uint64, p int) hotplugRun {
 		return hotplugRun{target: target, pressure: p}
 	})

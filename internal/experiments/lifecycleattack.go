@@ -7,13 +7,13 @@ import (
 	"repro/internal/attack"
 )
 
-// LifecycleAttackConfig parameterizes the "lifecycle-attack" experiment:
+// lifecycleAttackParams parameterizes the "lifecycle-attack" experiment:
 // adversarial Blacksmith-style campaigns driven concurrently with the four
 // VM-lifecycle windows where frames change owners (migration pre-copy,
 // balloon drain-back, hotplug adoption, cross-host double ownership), each
 // preceded by the attacker's own mapping inference. The experiment asserts
 // the containment invariant campaign by campaign.
-type LifecycleAttackConfig struct {
+type lifecycleAttackParams struct {
 	// Reps repeats each campaign with salt-spaced seeds.
 	Reps int
 	// Rounds is the lifecycle iterations per campaign run.
@@ -25,8 +25,8 @@ type LifecycleAttackConfig struct {
 // lifecycleAttackConfig resolves the study: all four campaign classes
 // (attack.Campaigns order), two reps of two rounds each — one of one under
 // -quick.
-func lifecycleAttackConfig(f Flags) LifecycleAttackConfig {
-	cfg := LifecycleAttackConfig{Reps: 2, Rounds: 2, Seed: f.seed(41)}
+func lifecycleAttackConfig(f Flags) lifecycleAttackParams {
+	cfg := lifecycleAttackParams{Reps: 2, Rounds: 2, Seed: f.seed(41)}
 	if f.Quick {
 		cfg.Reps, cfg.Rounds = 1, 1
 	}
@@ -34,7 +34,7 @@ func lifecycleAttackConfig(f Flags) LifecycleAttackConfig {
 	return cfg
 }
 
-func lifecycleAttackExp(ctx context.Context, pool *Pool, lc LifecycleAttackConfig) (*Result, error) {
+func lifecycleAttackExp(ctx context.Context, pool *Pool, lc lifecycleAttackParams) (*Result, error) {
 	campaigns := attack.Campaigns()
 	// Cells are campaign-major, Reps per campaign.
 	results, err := mapReps(ctx, pool, lc.Seed, campaigns, lc.Reps, func(campaign string, seed int64) (*attack.CampaignResult, error) {

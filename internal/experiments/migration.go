@@ -11,11 +11,11 @@ import (
 	"repro/internal/migrate"
 )
 
-// MigrationConfig parameterizes the "migration" experiment: live pre-copy
+// migrationParams parameterizes the "migration" experiment: live pre-copy
 // cost (rounds, pages copied, stop-and-copy downtime) as a function of VM
 // size and guest write rate, under Siloz domains and under the baseline, on
 // the lab box.
-type MigrationConfig struct {
+type migrationParams struct {
 	// VMSizes are the guest RAM sizes swept.
 	VMSizes []uint64
 	// WriteRates are guest write intensities: 2 MiB pages dirtied per
@@ -32,8 +32,8 @@ type MigrationConfig struct {
 
 // migrationConfig resolves the sweep: one- and two-node VMs across idle,
 // moderate, and write-heavy guests, trimmed under -quick.
-func migrationConfig(f Flags) MigrationConfig {
-	cfg := MigrationConfig{
+func migrationConfig(f Flags) migrationParams {
+	cfg := migrationParams{
 		VMSizes:    []uint64{64 * geometry.MiB, 128 * geometry.MiB},
 		WriteRates: []int{0, 4, 12},
 		CopyGiBps:  12,
@@ -74,7 +74,7 @@ func (r migrationRun) label() string {
 // runMigration boots a fresh system, fills a VM with a deterministic
 // pattern, migrates it cross-socket while the guest dirties `rate` pages
 // per round, and verifies byte identity afterwards.
-func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, seed int64) (*migrationRowResult, error) {
+func runMigration(ctx context.Context, cfg migrationParams, run migrationRun, seed int64) (*migrationRowResult, error) {
 	h, err := bootLab(migrationLabGeometry(), migrationLabProfile(), ept.GuardRows, run.mode)
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func runMigration(ctx context.Context, cfg MigrationConfig, run migrationRun, se
 
 // migrationExp is the "migration" experiment: live pre-copy cost vs. VM
 // size and guest write rate, Siloz vs. baseline.
-func migrationExp(ctx context.Context, pool *Pool, mc MigrationConfig) (*Result, error) {
+func migrationExp(ctx context.Context, pool *Pool, mc migrationParams) (*Result, error) {
 	sizeRates := grid(mc.VMSizes, mc.WriteRates, func(size uint64, rate int) migrationRun {
 		return migrationRun{vmBytes: size, rate: rate}
 	})

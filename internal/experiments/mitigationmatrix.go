@@ -13,14 +13,14 @@ import (
 	"repro/internal/workload"
 )
 
-// MitigationMatrixConfig parameterizes the "mitigation-matrix" experiment:
+// mitigationMatrixParams parameterizes the "mitigation-matrix" experiment:
 // every deployable Rowhammer defense — PARA, Silver Bullet, CATT guard
 // bands, Siloz — plus the undefended control faces the identical seeded
 // attack campaign (edge hammering, Blacksmith fuzzing, lifecycle churn)
 // and the identical workload suite. The result is one row per defense:
 // protection (flips contained) against overhead (refresh energy, blocked
 // capacity, workload slowdown), with Siloz as one row among equals.
-type MitigationMatrixConfig struct {
+type mitigationMatrixParams struct {
 	// Reps repeats each kind's attack trial with salt-spaced seeds.
 	Reps int
 	// FuzzPatterns and ChurnRounds shape each trial's Blacksmith and
@@ -38,8 +38,8 @@ type MitigationMatrixConfig struct {
 // mitigationMatrixConfig resolves the matrix: two attack trials per defense
 // row and the full three-phase campaign; -quick trims to one trial and a
 // shorter campaign.
-func mitigationMatrixConfig(f Flags) MitigationMatrixConfig {
-	cfg := MitigationMatrixConfig{
+func mitigationMatrixConfig(f Flags) mitigationMatrixParams {
+	cfg := mitigationMatrixParams{
 		Reps:         2,
 		FuzzPatterns: 6,
 		ChurnRounds:  2,
@@ -65,7 +65,7 @@ func matrixWorkloads() []workload.Workload {
 	return []workload.Workload{workload.Memcached{}, workload.Sysbench{}}
 }
 
-func mitigationMatrixExp(ctx context.Context, pool *Pool, mm MitigationMatrixConfig) (*Result, error) {
+func mitigationMatrixExp(ctx context.Context, pool *Pool, mm mitigationMatrixParams) (*Result, error) {
 	// One row per mitigation kind (none, para, silver-bullet, catt, siloz).
 	// Kinds() lists them in value order, so a Kind indexes its own row.
 	kinds := mitigation.Kinds()

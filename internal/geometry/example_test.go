@@ -10,7 +10,8 @@ import (
 func Example() {
 	g := geometry.Default()
 	fmt.Println(g)
-	fmt.Printf("subarray groups per socket: %d\n", g.SubarrayGroupsPerSocket())
+	// One subarray group per subarray index of the socket's banks.
+	fmt.Printf("subarray groups per socket: %d\n", g.SubarraysPerBank())
 	// Output:
 	// 2 sockets x 6 DIMMs x 2 ranks x 16 banks; 192 banks/socket; 192 GiB/socket; 1024-row subarrays; 1.50 GiB subarray groups
 	// subarray groups per socket: 128

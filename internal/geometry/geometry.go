@@ -71,15 +71,6 @@ func Default() Geometry {
 	}
 }
 
-// DDR5Server returns a server populated with DDR5 modules (§8.2): twice
-// the banks per rank (32 vs DDR4's 16), doubling bank-level parallelism —
-// and with it the subarray group size (3 GiB at 1024-row subarrays).
-func DDR5Server() Geometry {
-	g := Default()
-	g.BanksPerRank = 32
-	return g
-}
-
 // WithSubarraySize returns a copy of g using rows rows per subarray. It is
 // how the Siloz-512 and Siloz-2048 sensitivity variants (§7.4) are built.
 func (g Geometry) WithSubarraySize(rows int) Geometry {
@@ -160,10 +151,6 @@ func (g Geometry) SubarrayGroupBytes() int64 {
 	return int64(g.BanksPerSocket()) * int64(g.RowsPerSubarray) * int64(g.RowBytes)
 }
 
-// SubarrayGroupsPerSocket returns the number of subarray groups per physical
-// node.
-func (g Geometry) SubarrayGroupsPerSocket() int { return g.SubarraysPerBank() }
-
 // RowGroupBytes returns the size of one row group: one row from every bank
 // in a physical node (Fig. 2).
 func (g Geometry) RowGroupBytes() int64 {
@@ -200,13 +187,8 @@ func (b BankID) Flat(g Geometry) int {
 	return ((b.Socket*g.DIMMsPerSocket+b.DIMM)*g.RanksPerDIMM+b.Rank)*g.BanksPerRank + b.Bank
 }
 
-// SocketFlat returns the bank's dense index within its socket, in
-// [0, g.BanksPerSocket()).
-func (b BankID) SocketFlat(g Geometry) int {
-	return ((b.DIMM*g.RanksPerDIMM)+b.Rank)*g.BanksPerRank + b.Bank
-}
-
-// BankFromSocketFlat is the inverse of BankID.SocketFlat for a socket.
+// BankFromSocketFlat returns the bank at a dense within-socket index in
+// [0, g.BanksPerSocket()): Flat's order, restarted at zero on every socket.
 func BankFromSocketFlat(g Geometry, socket, idx int) BankID {
 	bank := idx % g.BanksPerRank
 	idx /= g.BanksPerRank
@@ -244,9 +226,6 @@ func (m MediaAddr) Valid(g Geometry) bool {
 	return m.Bank.Valid(g) && m.Row >= 0 && m.Row < g.RowsPerBank &&
 		m.Col >= 0 && m.Col < g.RowBytes
 }
-
-// Subarray returns the index of the subarray containing the row.
-func (m MediaAddr) Subarray(g Geometry) int { return m.Row / g.RowsPerSubarray }
 
 func (m MediaAddr) String() string {
 	return fmt.Sprintf("%s.row%d.col%d", m.Bank, m.Row, m.Col)

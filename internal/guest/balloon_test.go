@@ -42,7 +42,11 @@ func TestGuestBalloonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	gva := uint64(0x4000_0000)
-	if _, err := proc.MapAnonymous(gva); err != nil {
+	gpa, err := k.allocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Map(gva, gpa); err != nil {
 		t.Fatal(err)
 	}
 	payload := []byte("guest data below the balloon")

@@ -205,16 +205,6 @@ func (p *Process) Map(gva, gpa uint64) error {
 	return nil
 }
 
-// MapAnonymous allocates a fresh guest frame and maps it at gva, returning
-// the backing GPA (the guest's mmap).
-func (p *Process) MapAnonymous(gva uint64) (uint64, error) {
-	gpa, err := p.k.allocFrame()
-	if err != nil {
-		return 0, err
-	}
-	return gpa, p.Map(gva, gpa)
-}
-
 // Translate walks the guest page tables for a GVA, returning the GPA. The
 // walk reads page table entries from guest RAM — flipped PTE bits steer it,
 // exactly like hardware.
@@ -238,16 +228,6 @@ func (p *Process) Translate(gva uint64) (uint64, error) {
 		table = v & pteFrame
 	}
 	panic("unreachable")
-}
-
-// TranslateToHost resolves the full §2.1 chain: GVA → GPA (guest page
-// tables) → HPA (the hypervisor's EPTs).
-func (p *Process) TranslateToHost(gva uint64) (uint64, error) {
-	gpa, err := p.Translate(gva)
-	if err != nil {
-		return 0, err
-	}
-	return p.k.vm.Translate(gpa)
 }
 
 // Write stores data at a guest virtual address (single page).

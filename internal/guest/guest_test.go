@@ -49,14 +49,17 @@ func bootGuest(t *testing.T) (*core.Hypervisor, *core.VM, *Kernel) {
 
 func TestThreeLevelTranslationChain(t *testing.T) {
 	// §2.1: GVA -> GPA (guest page tables) -> HPA (EPTs).
-	h, vm, k := bootGuest(t)
+	_, vm, k := bootGuest(t)
 	proc, err := k.Spawn()
 	if err != nil {
 		t.Fatal(err)
 	}
 	gva := uint64(0x7f00_0000_0000)
-	gpa, err := proc.MapAnonymous(gva)
+	gpa, err := k.allocFrame()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Map(gva, gpa); err != nil {
 		t.Fatal(err)
 	}
 	gotGPA, err := proc.Translate(gva + 123)
@@ -66,21 +69,13 @@ func TestThreeLevelTranslationChain(t *testing.T) {
 	if gotGPA != gpa+123 {
 		t.Fatalf("Translate = %#x, want %#x", gotGPA, gpa+123)
 	}
-	hpa, err := proc.TranslateToHost(gva + 123)
+	hpa, err := vm.Translate(gotGPA)
 	if err != nil {
 		t.Fatal(err)
-	}
-	wantHPA, err := vm.Translate(gpa + 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hpa != wantHPA {
-		t.Fatalf("TranslateToHost = %#x, want %#x", hpa, wantHPA)
 	}
 	if !vm.InDomain(hpa) {
 		t.Error("guest frame resolved outside the VM's domain")
 	}
-	_ = h
 }
 
 func TestProcessReadWrite(t *testing.T) {
@@ -90,7 +85,11 @@ func TestProcessReadWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	gva := uint64(0x4000_0000)
-	if _, err := proc.MapAnonymous(gva); err != nil {
+	gpa, err := k.allocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Map(gva, gpa); err != nil {
 		t.Fatal(err)
 	}
 	data := []byte("userspace data")
@@ -120,15 +119,17 @@ func TestAddressSpacesAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	gva := uint64(0x1000_0000)
-	gpa1, err := p1.MapAnonymous(gva)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []*Process{p1, p2} {
+		gpa, err := k.allocFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Map(gva, gpa); err != nil {
+			t.Fatal(err)
+		}
 	}
-	gpa2, err := p2.MapAnonymous(gva)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gpa1 == gpa2 {
+	gpa1, _ := p1.Translate(gva)
+	if gpa2, _ := p2.Translate(gva); gpa1 == gpa2 {
 		t.Fatal("two processes share a frame for private mappings")
 	}
 	if err := p1.Write(gva, []byte("one")); err != nil {
@@ -171,7 +172,11 @@ func TestIntraVMPTHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	gva := uint64(0x2000_0000)
-	if _, err := proc.MapAnonymous(gva); err != nil {
+	gpa, err := k.allocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Map(gva, gpa); err != nil {
 		t.Fatal(err)
 	}
 	before, err := proc.Translate(gva)
@@ -231,7 +236,11 @@ func TestHammerVirtualContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	gva := uint64(0x3000_0000)
-	if _, err := proc.MapAnonymous(gva); err != nil {
+	gpa, err := k.allocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Map(gva, gpa); err != nil {
 		t.Fatal(err)
 	}
 	if err := proc.HammerVirtual(gva, 20_000, 0); err != nil {
@@ -258,9 +267,9 @@ func TestKernelFrameExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mapping needs 3 intermediate tables + 1 data frame: must fail.
-	if _, err := proc.MapAnonymous(0x5000_0000); err == nil {
-		t.Error("mapping succeeded beyond the frame limit")
+	// Mapping needs 3 intermediate tables: must fail.
+	if err := proc.Map(0x5000_0000, 0); err == nil || errors.Is(err, ErrOutOfRange) {
+		t.Errorf("mapping beyond the frame limit: err = %v, want out of guest frames", err)
 	}
 }
 
@@ -274,8 +283,11 @@ func TestMapReclaimsDisplacedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	gva := uint64(0x7f00_0000_0000)
-	oldGPA, err := proc.MapAnonymous(gva)
+	oldGPA, err := k.allocFrame()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Map(gva, oldGPA); err != nil {
 		t.Fatal(err)
 	}
 	newGPA, err := k.allocFrame()
@@ -331,7 +343,11 @@ func TestNonCanonicalGVARejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	gva := uint64(0x7f00_0000_0000)
-	if _, err := proc.MapAnonymous(gva); err != nil {
+	gpa, err := k.allocFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proc.Map(gva, gpa); err != nil {
 		t.Fatal(err)
 	}
 	alias := gva | 1<<48 // same low 48 bits, non-canonical

@@ -24,11 +24,10 @@ func NewEngine(h *core.Hypervisor) *Engine { return &Engine{h: h} }
 // Hypervisor returns the engine's hypervisor.
 func (e *Engine) Hypervisor() *core.Hypervisor { return e.h }
 
-// Execute runs a plan — in-place shrinks first, then moves in order, then
-// in-place grows (which consume the capacity the earlier steps freed) —
+// Execute runs a plan — in-place shrinks first, then moves in order —
 // stopping at the first failure. The isolation audit runs around every
-// shrink and grow and around and within every move; an audit failure aborts
-// the plan even if the step itself succeeded.
+// shrink and around and within every move; an audit failure aborts the plan
+// even if the step itself succeeded.
 func (e *Engine) Execute(ctx context.Context, plan *Plan) ([]*core.MigrateReport, error) {
 	if err := AuditIsolation(e.h); err != nil {
 		return nil, err
@@ -49,14 +48,6 @@ func (e *Engine) Execute(ctx context.Context, plan *Plan) ([]*core.MigrateReport
 		}
 		if err != nil {
 			return reps, err
-		}
-	}
-	for _, g := range plan.Grows {
-		if _, err := e.h.ResizeVM(g.VM, g.TargetBytes); err != nil {
-			return reps, err
-		}
-		if err := AuditIsolation(e.h); err != nil {
-			return reps, fmt.Errorf("migrate: isolation audit failed after growing %q: %w", g.VM, err)
 		}
 	}
 	return reps, nil
@@ -119,8 +110,7 @@ func (e *Engine) AdmitWithRebalance(ctx context.Context, proc core.Process, spec
 //
 // Each cross-socket move also relocates the victim's EPT tables (see
 // core.MigrateVM), so defragmentation drains the overloaded socket's
-// guard-protected EPT block alongside its guest nodes — EPTOccupancy shows
-// the per-socket pools.
+// guard-protected EPT block alongside its guest nodes.
 func (e *Engine) Defragment(ctx context.Context, maxMoves int) ([]*core.MigrateReport, error) {
 	if e.h.Mode() != core.ModeSiloz {
 		return nil, fmt.Errorf("migrate: defragmentation applies to Siloz exclusive reservations")

@@ -52,24 +52,12 @@ type Shrink struct {
 	Target uint64 // balloon size to set (bytes surrendered to the host)
 }
 
-// Grow resizes one VM in place to TargetBytes of usable RAM — the dual of
-// Shrink. The resize facade dispatches it to a balloon deflate (growing
-// back into ballooned holes) or a memory hotplug (growing beyond the
-// boot-time reservation, adopting fresh subarray-group nodes). Like a
-// shrink, no pages cross the machine.
-type Grow struct {
-	VM          string
-	TargetBytes uint64 // usable RAM to resize to
-}
-
 // Plan is an ordered rebalancing program: in-place shrinks first (cheap),
-// then migrations (expensive), then in-place grows (which consume the
-// capacity the earlier steps freed). An empty plan means the goal is
-// already satisfiable without any of them.
+// then migrations (expensive). An empty plan means the goal is already
+// satisfiable without either.
 type Plan struct {
 	Shrinks []Shrink
 	Moves   []Move
-	Grows   []Grow
 }
 
 // Planner derives migration plans from node occupancy.
@@ -99,42 +87,6 @@ func (p *Planner) Occupancy() ([]NodeOccupancy, error) {
 			LargestFreeOrder: a.LargestFreeOrder(),
 		})
 	}
-	return out, nil
-}
-
-// EPTNodeOccupancy is one socket's EPT-reserved node state: how much of the
-// guard-protected row-group block its resident table hierarchies consume.
-// Cross-socket migrations relocate EPT tables, so defragmentation drains
-// these pools alongside the guest-reserved ones.
-type EPTNodeOccupancy struct {
-	Socket     int
-	Node       *numa.Node
-	FreeBytes  uint64
-	TotalBytes uint64
-	UsedBytes  uint64
-	TablePages int // 4 KiB table pages resident in the block
-}
-
-// EPTOccupancy reports every EPT-reserved node's usage in socket order —
-// empty outside guard-rows protection, where table pages live in host
-// memory instead of dedicated blocks.
-func (p *Planner) EPTOccupancy() ([]EPTNodeOccupancy, error) {
-	var out []EPTNodeOccupancy
-	for _, n := range p.h.Topology().NodesOfKind(numa.EPTReserved) {
-		a, err := p.h.Allocator(n.ID)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, EPTNodeOccupancy{
-			Socket:     n.Socket,
-			Node:       n,
-			FreeBytes:  a.FreeBytes(),
-			TotalBytes: a.TotalBytes(),
-			UsedBytes:  a.UsedBytes(),
-			TablePages: int(a.UsedBytes() / geometry.PageSize4K),
-		})
-	}
-	slices.SortFunc(out, func(a, b EPTNodeOccupancy) int { return cmp.Compare(a.Socket, b.Socket) })
 	return out, nil
 }
 
@@ -326,32 +278,4 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 			need, spec.Socket, freeCap)
 	}
 	return plan, nil
-}
-
-// PlanGrow produces the plan that raises a VM's usable RAM to targetBytes —
-// grow-in-place, the dual of shrink-in-place. The resize preview decides
-// the mechanism (balloon deflate within the reservation, memory hotplug
-// with node adoption beyond it) and proves feasibility without mutating
-// anything; the returned single-step plan carries that audited decision to
-// the engine. An error (core.ErrCapacityExhausted wrapped) means even
-// adopting every node the VM may reach cannot cover the growth — the
-// caller can then fall back to Defragment or AdmitWithRebalance-style
-// vacating before retrying.
-func (p *Planner) PlanGrow(name string, targetBytes uint64) (*Plan, error) {
-	if p.h.Mode() != core.ModeSiloz {
-		return nil, fmt.Errorf("migrate: grow planning applies to Siloz exclusive reservations")
-	}
-	rp, err := p.h.PreviewResize(name, targetBytes)
-	if err != nil {
-		return nil, err
-	}
-	switch rp.Action {
-	case core.ResizeNone:
-		return &Plan{}, nil
-	case core.ResizeDeflate, core.ResizeHotplug:
-		return &Plan{Grows: []Grow{{VM: name, TargetBytes: targetBytes}}}, nil
-	default:
-		return nil, fmt.Errorf("migrate: PlanGrow target %d would shrink VM %q (current %d); use PlanAdmission's shrink path",
-			targetBytes, name, rp.Current)
-	}
 }

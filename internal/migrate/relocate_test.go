@@ -142,21 +142,14 @@ func TestEPTRelocationProperty(t *testing.T) {
 
 func TestDefragmentReclaimsEPT(t *testing.T) {
 	h := bootSiloz(t)
-	planner := NewPlanner(h)
+	empty := bootEPTFree(t, h)
 	for i := 0; i < 3; i++ {
 		mustCreate(t, h, fmt.Sprintf("vm%d", i), 0, 64*geometry.MiB)
 	}
-	occ, err := planner.EPTOccupancy()
-	if err != nil {
-		t.Fatal(err)
+	before := bootEPTFree(t, h)
+	if len(before) != 2 || before[0] == empty[0] || before[1] != empty[1] {
+		t.Fatalf("EPT pools after creates on socket 0: free %v, at boot %v", before, empty)
 	}
-	if len(occ) != 2 || occ[0].Socket != 0 || occ[1].Socket != 1 {
-		t.Fatalf("EPT occupancy = %+v, want one row per socket", occ)
-	}
-	if occ[0].TablePages == 0 || occ[1].TablePages != 0 {
-		t.Fatalf("boot EPT usage: socket0=%d socket1=%d table pages", occ[0].TablePages, occ[1].TablePages)
-	}
-	before0 := occ[0].TablePages
 
 	reps, err := NewEngine(h).Defragment(context.Background(), 0)
 	if err != nil {
@@ -174,14 +167,11 @@ func TestDefragmentReclaimsEPT(t *testing.T) {
 	if pages == 0 || bytes != uint64(pages)*geometry.PageSize4K {
 		t.Fatalf("defragmentation relocated %d EPT pages, reclaimed %d bytes", pages, bytes)
 	}
-	occ, err = planner.EPTOccupancy()
-	if err != nil {
-		t.Fatal(err)
+	after := bootEPTFree(t, h)
+	if got := after[0] - before[0]; got != bytes {
+		t.Errorf("socket 0 EPT pool reclaimed %d bytes, want %d", got, bytes)
 	}
-	if occ[0].TablePages != before0-pages {
-		t.Errorf("socket 0 EPT pages = %d, want %d reclaimed from %d", occ[0].TablePages, pages, before0)
-	}
-	if occ[1].TablePages != pages {
-		t.Errorf("socket 1 EPT pages = %d, want %d", occ[1].TablePages, pages)
+	if got := before[1] - after[1]; got != bytes {
+		t.Errorf("socket 1 EPT pool took %d bytes, want %d", got, bytes)
 	}
 }

@@ -174,7 +174,7 @@ func TestChainAggregates(t *testing.T) {
 
 func TestSpecDefaultsAndValidation(t *testing.T) {
 	for _, k := range Kinds() {
-		s := For(k)
+		s := Spec{Kind: k}.WithDefaults()
 		if err := s.Validate(); err != nil {
 			t.Fatalf("default spec %v invalid: %v", k, err)
 		}
@@ -192,14 +192,14 @@ func TestSpecDefaultsAndValidation(t *testing.T) {
 }
 
 func TestSpecRowDefensePlanes(t *testing.T) {
-	if d, err := For(KindNone).RowDefense(4, 1); d != nil || err != nil {
+	if d, err := (Spec{Kind: KindNone}).WithDefaults().RowDefense(4, 1); d != nil || err != nil {
 		t.Fatalf("none row defense = %v, %v; want nil, nil", d, err)
 	}
-	d, err := For(KindPARA).RowDefense(4, 1)
+	d, err := Spec{Kind: KindPARA}.WithDefaults().RowDefense(4, 1)
 	if err != nil || d == nil || d.Name() != "para" {
 		t.Fatalf("para row defense = %v, %v", d, err)
 	}
-	d, err = For(KindSilverBullet).RowDefense(4, 1)
+	d, err = Spec{Kind: KindSilverBullet}.WithDefaults().RowDefense(4, 1)
 	if err != nil || d == nil || d.Name() != "silver-bullet" {
 		t.Fatalf("silver-bullet row defense = %v, %v", d, err)
 	}

@@ -110,9 +110,6 @@ const (
 	DefaultCATTGuardRows   = 2
 )
 
-// For returns the default Spec of a kind.
-func For(k Kind) Spec { return Spec{Kind: k}.WithDefaults() }
-
 // WithDefaults fills zero tuning fields with their defaults.
 func (s Spec) WithDefaults() Spec {
 	if s.PARAProbability == 0 {

@@ -152,15 +152,6 @@ func (t *Topology) NodeOf(pa uint64) (*Node, bool) {
 	return nil, false
 }
 
-// PhysicalNodeOf maps a logical node to its physical node (§5.2).
-func (t *Topology) PhysicalNodeOf(id int) (int, error) {
-	n, err := t.Node(id)
-	if err != nil {
-		return 0, err
-	}
-	return n.Socket, nil
-}
-
 // CGroup models a Linux control group restricting memory allocations to a
 // node set (mems_allowed, §5.2-5.3). Guest-reserved nodes are exclusively
 // owned: the registry refuses to place one node in two cgroups.

@@ -103,12 +103,12 @@ func TestNodeOfAndPhysicalMapping(t *testing.T) {
 	if _, ok := topo.NodeOf(1 << 30); ok {
 		t.Error("NodeOf found a node for unowned pa")
 	}
-	s, err := topo.PhysicalNodeOf(5)
-	if err != nil || s != 1 {
-		t.Errorf("PhysicalNodeOf(5) = %d, %v", s, err)
+	// A logical node maps to its physical node (§5.2): the socket it lies on.
+	if n, err := topo.Node(5); err != nil || n.Socket != 1 {
+		t.Errorf("Node(5) = %v, %v; want a node on socket 1", n, err)
 	}
-	if _, err := topo.PhysicalNodeOf(-1); err == nil {
-		t.Error("PhysicalNodeOf(-1) should fail")
+	if _, err := topo.Node(-1); err == nil {
+		t.Error("Node(-1) should fail")
 	}
 }
 

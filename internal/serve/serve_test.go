@@ -239,7 +239,7 @@ func TestServeSLOViolationAccounting(t *testing.T) {
 	if base.Violations != 0 {
 		t.Fatalf("violations counted with no SLO configured: %d", base.Violations)
 	}
-	if tight := run(base.Total.Min() / 2); tight.ViolationFrac() != 1 {
+	if tight := run(base.Total.Quantile(0) / 2); tight.ViolationFrac() != 1 {
 		t.Fatalf("SLO below the fastest request: violation frac %.3f, want 1",
 			tight.ViolationFrac())
 	}

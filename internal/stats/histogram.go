@@ -23,7 +23,6 @@ type Histogram struct {
 	total  int64
 	sum    float64
 	max    float64
-	min    float64
 }
 
 const (
@@ -41,7 +40,7 @@ const (
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{min: math.Inf(1)}
+	return &Histogram{}
 }
 
 // bucketOf maps a non-negative integer value (nanoseconds) to its bucket.
@@ -82,9 +81,6 @@ func (h *Histogram) Record(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-	if v < h.min {
-		h.min = v
-	}
 }
 
 // Merge adds other's counts into h. Counts add bucket-wise, so merging
@@ -101,9 +97,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.max > h.max {
 		h.max = other.max
 	}
-	if other.min < h.min {
-		h.min = other.min
-	}
 }
 
 // Count returns the number of recorded values.
@@ -118,9 +111,8 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// Max and Min return the exact extremes (0 / +Inf when empty).
+// Max returns the exact largest recorded value (0 when empty).
 func (h *Histogram) Max() float64 { return h.max }
-func (h *Histogram) Min() float64 { return h.min }
 
 // Quantile returns the value at quantile q in [0,1], quantized to bucket
 // midpoints (within 1/32 of the true value from 16 ns to 2^38 ns; see
@@ -154,22 +146,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 func (h *Histogram) P50() float64  { return h.Quantile(0.50) }
 func (h *Histogram) P99() float64  { return h.Quantile(0.99) }
 func (h *Histogram) P999() float64 { return h.Quantile(0.999) }
-
-// CountAbove returns how many recorded values fall in buckets strictly
-// above the bucket containing threshold — the SLO-violation counter. The
-// bucket quantization means values within one sub-bucket (at most 1/16 of
-// the threshold) above it count as meeting it.
-func (h *Histogram) CountAbove(threshold float64) int64 {
-	if threshold < 0 {
-		threshold = 0
-	}
-	tb := bucketOf(uint64(threshold))
-	var n int64
-	for b := tb + 1; b < numBuckets; b++ {
-		n += h.counts[b]
-	}
-	return n
-}
 
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.0fns p50=%.0f p99=%.0f p99.9=%.0f max=%.0f",

@@ -20,10 +20,13 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	grp, err := layout.GroupOf(4 * geometry.GiB)
+	// A physical address decodes to a media row; the row's index in its bank
+	// names the group on that socket.
+	ma, err := mapper.Decode(4 * geometry.GiB)
 	if err != nil {
 		panic(err)
 	}
+	grp := layout.Group(ma.Bank.Socket, ma.Row/layout.RowsPerGroup())
 	fmt.Printf("groups/socket: %d of %.1f GiB\n", layout.GroupsPerSocket(), float64(layout.GroupBytes())/(1<<30))
 	fmt.Printf("pa 4GiB -> socket %d, group %d (rows %d-%d)\n", grp.Socket, grp.Index, grp.FirstRow, grp.LastRow)
 	// Output:

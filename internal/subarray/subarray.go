@@ -153,7 +153,7 @@ func (l *Layout) build() error {
 	return nil
 }
 
-// firstBank returns the bank with SocketFlat index 0 on socket s.
+// firstBank returns the bank with within-socket index 0 on socket s.
 func firstBank(g geometry.Geometry, s int) geometry.BankID {
 	return geometry.BankID{Socket: s, DIMM: 0, Rank: 0, Bank: 0}
 }
@@ -249,15 +249,6 @@ func (l *Layout) GroupsPerSocket() int { return len(l.groups[0]) }
 // Group returns the group at (socket, index).
 func (l *Layout) Group(socket, index int) *Group {
 	return l.groups[socket][index]
-}
-
-// GroupOf returns the subarray group owning a physical address.
-func (l *Layout) GroupOf(pa uint64) (*Group, error) {
-	ma, err := l.mapper.Decode(pa)
-	if err != nil {
-		return nil, err
-	}
-	return l.groups[ma.Bank.Socket][ma.Row/l.rowsPerGroup], nil
 }
 
 // GroupBytes returns the capacity of each group.

@@ -67,26 +67,20 @@ func TestDefaultLayoutMatchesPaper(t *testing.T) {
 func TestGroupsPartitionTheAddressSpace(t *testing.T) {
 	l := tinyLayout(t)
 	g := l.Geometry()
-	// Every 2 MiB page belongs to exactly one group, and GroupOf agrees
-	// with Contains.
+	// Every 2 MiB page belongs to exactly one group.
 	counts := make(map[[2]int]uint64)
 	for pa := uint64(0); pa < uint64(g.TotalBytes()); pa += geometry.PageSize2M {
-		grp, err := l.GroupOf(pa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !grp.Contains(pa) {
-			t.Fatalf("GroupOf(%#x) = (%d,%d) but Contains is false", pa, grp.Socket, grp.Index)
-		}
-		counts[[2]int{grp.Socket, grp.Index}] += geometry.PageSize2M
-		// No other group contains it.
+		owners := 0
 		for s := 0; s < g.Sockets; s++ {
 			for i := 0; i < l.GroupsPerSocket(); i++ {
-				other := l.Group(s, i)
-				if (other.Socket != grp.Socket || other.Index != grp.Index) && other.Contains(pa) {
-					t.Fatalf("pa %#x in two groups", pa)
+				if l.Group(s, i).Contains(pa) {
+					owners++
+					counts[[2]int{s, i}] += geometry.PageSize2M
 				}
 			}
+		}
+		if owners != 1 {
+			t.Fatalf("pa %#x in %d groups, want 1", pa, owners)
 		}
 	}
 	for key, n := range counts {
@@ -104,10 +98,11 @@ func TestEvery2MiBPageInOneGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 64; trial++ {
 		page := uint64(rng.Int63n(g.TotalBytes()/geometry.PageSize2M)) * geometry.PageSize2M
-		grp, err := l.GroupOf(page)
+		ma, err := l.mapper.Decode(page)
 		if err != nil {
 			t.Fatal(err)
 		}
+		grp := l.Group(ma.Bank.Socket, ma.Row/l.RowsPerGroup())
 		for off := uint64(0); off < geometry.PageSize2M; off += 32 * geometry.KiB {
 			if !grp.Contains(page + off) {
 				t.Fatalf("page %#x offset %#x left its group", page, off)
