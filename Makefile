@@ -51,7 +51,8 @@ race:
 # DIMMs and sockets, copies, reads and scrubs reading the row census without a
 # lock while such writers change it, the row-to-row copy under a line-flipping writer and under two
 # cross-host moves in opposite directions (with the two cost-follows-data
-# tests), the cross-host move under a live writer, against direct layout
+# tests), fleet ops run by the goroutines that wait for them (two at once on
+# a two-slot host), the cross-host move under a live writer, against direct layout
 # operations on its source and failed at every step (fleet's unwind, core's
 # MoveOut), the lock-free TLB's coherence across every layout commit
 # (-count=10: the race it pins needs a translator caught mid-walk), one
@@ -59,7 +60,8 @@ race:
 # index is read under the lock Refresh advances it under), and EPT walkers
 # beside run edits of the leaves they walk (a span is one hold of the entry
 # lock) with the relocation unwind table and the mid-run leaf-fault table,
-# and the lifecycle campaigns, whose fleet window probe runs on a host worker.
+# and the lifecycle campaigns, whose fleet window probe runs on the goroutine
+# that runs the move's source op.
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect|TestSweepHelpers' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
@@ -69,7 +71,7 @@ race-quick:
 	$(GO) test -race -run 'TestWalkersSeeWholeEntriesDuringRunEdits|TestRelocateUnwindsAtEveryStep|TestRelocateSeesDestroyAtEveryStep' ./internal/ept
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate
-	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock|TestConcurrentWriterDuringCrossHostMove|TestCrossHostMoveHoldsTheLatch|TestMoveUnwindsAtEveryStep' ./internal/fleet
+	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestOpRunsOnItsWaiter|TestMultiSlotHostRunsWaitersInParallel|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock|TestConcurrentWriterDuringCrossHostMove|TestCrossHostMoveHoldsTheLatch|TestMoveUnwindsAtEveryStep' ./internal/fleet
 	$(GO) test -race -run 'TestGenerateEarlyStopDeterminism' ./internal/workload
 	$(GO) test -race -run 'TestConcurrentServeResize|TestServeFleetMoveChurn' ./internal/serve
 	$(GO) test -race -run 'TestRunCampaignContainment|TestRunCampaignDeterministic' ./internal/attack

@@ -174,9 +174,9 @@ func fleetChurnExp(ctx context.Context, pool *Pool, fc FleetConfig) (*Result, er
 }
 
 // runFleetPolicy drives the full trace through one fresh cluster. The
-// driver is single-threaded and quiesces between phases; hosts run
-// single-worker event loops — determinism by construction, parallelism
-// only across policies (via the caller's pool).
+// driver is single-threaded and quiesces between phases; hosts run one op
+// at a time — determinism by construction, parallelism only across
+// policies (via the caller's pool).
 func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trace []fleet.Arrival) (*fleetPolicyResult, error) {
 	policy, err := fleet.PolicyByName(policyName)
 	if err != nil {

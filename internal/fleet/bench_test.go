@@ -16,7 +16,7 @@ func vmSpec(name string, bytes uint64) core.VMSpec {
 }
 
 // BenchmarkFleetAdmission measures steady-state admission throughput: one
-// placement decision plus one create op through a host event loop, with the
+// placement decision plus one create op through a host's queue, with the
 // matching departure keeping the fleet at constant occupancy. This is the
 // control-plane hot path the BENCH_*.json trajectory tracks for the fleet
 // subsystem.
@@ -37,6 +37,32 @@ func BenchmarkFleetAdmission(b *testing.B) {
 			b.Fatal(err)
 		}
 		op, err := c.SubmitDepart(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := op.Wait(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHostSubmitWait measures the queue alone: an empty op through
+// Submit and Wait on an idle host, run by the goroutine that waits. Its one
+// allocation is the Op.
+func BenchmarkHostSubmitWait(b *testing.B) {
+	ctx := context.Background()
+	c, err := New(Config{Hosts: 1, Core: labCoreConfig()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	h := c.Hosts()[0]
+	noop := func() error { return nil }
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op, err := h.Submit("k", "op", noop)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,9 +12,9 @@ import (
 
 // TestConcurrentFleetChurn hammers the control plane from many goroutines:
 // simultaneous admissions, departures, resizes, and a host drain, with the
-// fleet-wide isolation audit after every round. Hosts run multi-worker
-// event loops, so per-VM queue serialization — not driver ordering — is
-// what keeps the invariants. Wired into `make race-quick`.
+// fleet-wide isolation audit after every round. Hosts run three ops at once,
+// so per-VM queue serialization — not driver ordering — is what keeps the
+// invariants. Wired into `make race-quick`.
 func TestConcurrentFleetChurn(t *testing.T) {
 	ctx := context.Background()
 	c := testCluster(t, 3, BestFit{}, 3)

@@ -44,12 +44,13 @@ const moveRounds = 1
 // reproducible. A move cancelled or refused before the pause leaves the VM
 // where it was.
 //
-// The source hypervisor's lifecycle probe sees the commit from the source
-// host's worker: core.ProbeMoveCopied with routing still at the source, then
-// core.ProbeMoveCommitted with routing at the destination and the source copy
-// not yet destroyed — the double-ownership window. A probe there may audit,
-// hammer from other VMs and submit ops, but must neither touch the moving
-// VM's guest memory nor wait for an op on the source host's queue.
+// The source hypervisor's lifecycle probe sees the commit from the goroutine
+// running the source op: core.ProbeMoveCopied with routing still at the
+// source, then core.ProbeMoveCommitted with routing at the destination and
+// the source copy not yet destroyed — the double-ownership window. A probe
+// there may audit, hammer from other VMs and submit ops, but must neither
+// touch the moving VM's guest memory nor wait for an op on the source host's
+// queue: with one slot it waits for the slot it occupies.
 //
 // Limitations (callers skip such VMs): a VM with extra Regions is not
 // movable cross-host, and the source's resident pages must form a GPA
@@ -79,20 +80,20 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 	c.moving[name] = moveWindow{Src: srcName, Dst: destHost}
 	c.mu.Unlock()
 
-	// The one unwind, for every way out. A cancelled Wait abandons the wait,
-	// not the work, so the destination op last waited on is waited out before
-	// looking at what exists; a move that did not commit then takes its twin
-	// back, and the move window closes last — the cross-host audit tolerates
-	// the name on exactly {source, destination} only while it is open.
+	// The one unwind, for every way out. A cancelled Wait leaves its op
+	// queued, so the destination op last waited on is run out before looking
+	// at what exists; a move that did not commit then takes its twin back,
+	// and the move window closes last — the cross-host audit tolerates the
+	// name on exactly {source, destination} only while it is open.
 	var created, last *Op
 	committed := false
 	defer func() {
 		if last != nil {
-			<-last.done
+			_ = last.Wait(context.Background())
 		}
 		if !committed && created != nil && created.Err() == nil {
 			if op, err := dst.SubmitDestroy(name); err == nil {
-				<-op.done
+				_ = op.Wait(context.Background())
 			}
 		}
 		c.mu.Lock()
@@ -171,8 +172,7 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 	if err != nil {
 		return nil, err
 	}
-	<-srcOp.done
-	if err := srcOp.Err(); err != nil {
+	if err := srcOp.Wait(context.Background()); err != nil {
 		return nil, fmt.Errorf("fleet: move %q: source copy: %w", name, err)
 	}
 	return rep, nil

@@ -96,10 +96,11 @@ func TestCrossHostMoveCostFollowsDataHeld(t *testing.T) {
 }
 
 // TestOpposingCrossHostMovesDoNotDeadlock swaps two guests between two hosts,
-// again and again: host-0's worker copies rows into host-1's memory while
-// host-1's worker copies rows into host-0's. A copy that held a row lock of
-// one memory while waiting for the other's would lock up here; the copy holds
-// one at a time. Wired into `make race-quick`; a hang fails at the timeout.
+// again and again: the goroutine moving one copies rows into host-1's memory
+// while the goroutine moving the other copies rows into host-0's. A copy that
+// held a row lock of one memory while waiting for the other's would lock up
+// here; the copy holds one at a time. Wired into `make race-quick`; a hang
+// fails at the timeout.
 func TestOpposingCrossHostMovesDoNotDeadlock(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

@@ -1,10 +1,10 @@
 // Package fleet is the control plane above the single-host hypervisor: a
 // multi-host simulator where VMs arrive, resize, and depart under traced
 // churn. Each simulated host shards its own numa.Registry and hypervisor
-// state behind a Host handle whose event loop (per-VM operation queues)
-// orders and dispatches lifecycle operations — exclusion stays with core's
-// per-VM lifecycle latch, which a queued op takes like any other caller; an
-// admission/placement service bin-packs subarray-group nodes across sockets
+// state behind a Host handle whose operation queue, run by the goroutines
+// that wait on it, orders and dispatches lifecycle operations per VM —
+// exclusion stays with core's per-VM lifecycle latch, which a queued op
+// takes like any other caller; an admission/placement service bin-packs subarray-group nodes across sockets
 // and hosts behind a Policy interface; and a Scheduler drains hot hosts and
 // defragments cold ones through the existing migrate.Planner/Engine.
 package fleet

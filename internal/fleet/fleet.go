@@ -25,8 +25,9 @@ type Config struct {
 	Core core.Config
 	// Policy is the placement policy; nil means SilozAware.
 	Policy Policy
-	// Workers is each host's event-loop worker count; <= 0 means 1
-	// (serial dispatch, the deterministic configuration).
+	// Workers is how many of a host's ops may run at once, each on a
+	// goroutine that waits on the host; <= 0 means 1 (serial dispatch, the
+	// deterministic configuration).
 	Workers int
 	// CopyGiBps is the modeled cross-host page-copy bandwidth; downtime
 	// is reported as bytes/bandwidth, never wall clock. Default 10.
@@ -86,9 +87,9 @@ type moveWindow struct {
 	Dst string
 }
 
-// New boots cfg.Hosts identical hosts and starts their event loops. Only
-// Siloz mode is supported: placement reasons about guest-reserved
-// subarray-group nodes, which the baseline does not carve.
+// New boots cfg.Hosts identical hosts. Only Siloz mode is supported:
+// placement reasons about guest-reserved subarray-group nodes, which the
+// baseline does not carve.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Hosts <= 0 {
 		return nil, fmt.Errorf("fleet: need at least 1 host, got %d", cfg.Hosts)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -11,37 +12,38 @@ import (
 
 // Op is one queued lifecycle operation on a host. Ops on the same VM run
 // strictly in submission order, one at a time; ops on different VMs may
-// interleave when the host runs more than one worker. The queue orders and
+// interleave when the host runs more than one at once. The queue orders and
 // dispatches; it excludes nothing: internal/serve, experiments and tests call
 // a host's hypervisor directly, and what keeps two layout operations off one
 // VM — for them and for queued ops alike — is core's lifecycle latch.
 type Op struct {
-	seq  uint64
+	h    *Host
 	key  string // VM name (or a reserved key for host-wide work)
 	kind string // "create", "destroy", "resize", "move", "defrag"
 	fn   func() error
 
 	err  error
-	done chan struct{}
+	done bool // guarded by h.mu
 }
 
 // Kind returns the operation's kind label.
 func (o *Op) Kind() string { return o.kind }
 
-// Wait blocks until the op completes (returning its error) or the context
-// is canceled. The op still runs to completion after a canceled Wait —
-// cancellation abandons the wait, not the work.
+// Wait runs the host's queued ops on the calling goroutine until this one
+// has completed, and returns its error. On the way it may run ops submitted
+// before it on other keys (and, on a multi-slot host, later ones), or sleep
+// while another goroutine runs them. A canceled ctx ends the wait: the op
+// stays queued and runs under the next Wait, Quiesce or Close on its host;
+// an op already running finishes.
 func (o *Op) Wait(ctx context.Context) error {
-	select {
-	case <-o.done:
-		return o.err
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := o.h.drive(ctx, func() bool { return o.done }); err != nil {
+		return err
 	}
+	return o.err
 }
 
-// Err returns the op's error; valid only after done (Wait returned nil or
-// the op's own error).
+// Err returns the op's error; valid only after Wait returned nil or the op's
+// own error.
 func (o *Op) Err() error { return o.err }
 
 // defragKey serializes host-wide defragmentation against itself. The NUL
@@ -50,34 +52,34 @@ const defragKey = "\x00defrag"
 
 // Host is one simulated machine: a booted hypervisor (its own
 // numa.Registry, allocators, and DRAM — state is sharded per host, nothing
-// is global), a migrate planner/engine over it, and an event loop of per-VM
-// operation queues.
+// is global), a migrate planner/engine over it, and a queue of lifecycle
+// operations run by the goroutines that wait on them. A host starts no
+// goroutine.
 //
-// Serialization contract: the loop dispatches at most one op per key at a
-// time, in per-key FIFO order; across keys it always picks the runnable op
-// with the lowest global sequence number. With Workers=1 (the default)
-// execution is therefore totally ordered by submission — the configuration
-// every deterministic experiment uses — while Workers>1 keeps only the
-// per-VM ordering guarantee, which is what the race tests exercise.
+// Serialization contract: at most slots ops run at once, at most one per
+// key, in per-key FIFO order; across keys the next op to run is always the
+// earliest-submitted one whose key has none running. With one slot (the
+// default) execution is therefore totally ordered by submission — the
+// configuration every deterministic experiment uses — while more slots keep
+// only the per-VM ordering guarantee, which is what the race tests exercise.
 type Host struct {
 	name    string
 	hv      *core.Hypervisor
 	planner *migrate.Planner
 	engine  *migrate.Engine
+	slots   int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queues   map[string][]*Op // per-key FIFO, head is next to run
-	running  map[string]bool  // keys with an op currently executing
-	nextSeq  uint64
-	inflight int // queued + executing ops
+	pending  []*Op    // queued ops in submission order
+	running  []string // keys of the executing ops, at most slots
+	sleepers int      // goroutines asleep on cond
 	draining bool
 	closed   bool
-	wg       sync.WaitGroup
 }
 
-// NewHost boots a hypervisor and starts its event loop with the given
-// worker count; <= 0 means 1 (serial, deterministic dispatch).
+// NewHost boots a hypervisor whose queue runs up to workers ops at once;
+// <= 0 means 1 (serial, deterministic dispatch).
 func NewHost(name string, cfg core.Config, mode core.Mode, workers int) (*Host, error) {
 	hv, err := core.Boot(cfg, mode)
 	if err != nil {
@@ -88,17 +90,9 @@ func NewHost(name string, cfg core.Config, mode core.Mode, workers int) (*Host, 
 		hv:      hv,
 		planner: migrate.NewPlanner(hv),
 		engine:  migrate.NewEngine(hv),
-		queues:  make(map[string][]*Op),
-		running: make(map[string]bool),
+		slots:   max(workers, 1),
 	}
 	h.cond = sync.NewCond(&h.mu)
-	if workers <= 0 {
-		workers = 1
-	}
-	h.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go h.worker()
-	}
 	return h, nil
 }
 
@@ -130,8 +124,9 @@ func (h *Host) Draining() bool {
 	return h.draining
 }
 
-// Submit enqueues an operation on the given key's queue and returns
-// immediately. Create ops are rejected while the host drains.
+// Submit enqueues an operation under the given key and returns
+// immediately; nothing runs it until a Wait, Quiesce or Close on the host
+// drives the queue. Create ops are rejected while the host drains.
 func (h *Host) Submit(key, kind string, fn func() error) (*Op, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -141,11 +136,8 @@ func (h *Host) Submit(key, kind string, fn func() error) (*Op, error) {
 	if h.draining && kind == "create" {
 		return nil, fmt.Errorf("fleet: host %q: %w", h.name, ErrHostDraining)
 	}
-	op := &Op{seq: h.nextSeq, key: key, kind: kind, fn: fn, done: make(chan struct{})}
-	h.nextSeq++
-	h.queues[key] = append(h.queues[key], op)
-	h.inflight++
-	h.cond.Broadcast()
+	op := &Op{h: h, key: key, kind: kind, fn: fn}
+	h.pending = append(h.pending, op)
 	return op, nil
 }
 
@@ -185,83 +177,79 @@ func (h *Host) SubmitDefragment(ctx context.Context, maxMoves int, onDone func([
 	})
 }
 
-// worker is one event-loop goroutine: pick the runnable op with the lowest
-// sequence number, run it outside the lock, repeat.
-func (h *Host) worker() {
-	defer h.wg.Done()
-	for {
-		h.mu.Lock()
-		var op *Op
-		for {
-			op = h.nextLocked()
-			if op != nil {
-				break
-			}
-			if h.closed {
-				h.mu.Unlock()
-				return
-			}
-			h.cond.Wait()
+// drive runs queued ops on the calling goroutine until until — evaluated
+// under h.mu — holds or ctx is canceled. Whenever fewer than h.slots ops
+// are running it claims the earliest runnable op and runs it with the lock
+// released; when there is nothing it may run it sleeps until an op finishes
+// elsewhere or ctx is canceled.
+func (h *Host) drive(ctx context.Context, until func() bool) (err error) {
+	var stop func() bool
+	h.mu.Lock()
+	for !until() {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		// Pop the head of its queue and mark the key busy.
-		q := h.queues[op.key][1:]
-		if len(q) == 0 {
-			delete(h.queues, op.key)
-		} else {
-			h.queues[op.key] = q
-		}
-		h.running[op.key] = true
-		h.mu.Unlock()
-
-		op.err = op.fn()
-
-		h.mu.Lock()
-		delete(h.running, op.key)
-		h.inflight--
-		h.cond.Broadcast()
-		h.mu.Unlock()
-		close(op.done)
-	}
-}
-
-// nextLocked returns the lowest-sequence head op of any non-busy queue, or
-// nil. Caller holds h.mu.
-func (h *Host) nextLocked() *Op {
-	var best *Op
-	for key, q := range h.queues {
-		if h.running[key] {
+		if op := h.claimLocked(); op != nil {
+			h.mu.Unlock()
+			opErr := op.fn()
+			h.mu.Lock()
+			op.err, op.done = opErr, true
+			i := slices.Index(h.running, op.key)
+			h.running = slices.Delete(h.running, i, i+1)
+			if h.sleepers > 0 {
+				h.cond.Broadcast()
+			}
 			continue
 		}
-		if head := q[0]; best == nil || head.seq < best.seq {
-			best = head
+		if stop == nil {
+			stop = context.AfterFunc(ctx, func() {
+				h.mu.Lock()
+				h.cond.Broadcast()
+				h.mu.Unlock()
+			})
 		}
+		h.sleepers++
+		h.cond.Wait()
+		h.sleepers--
 	}
-	return best
+	h.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+	return err
 }
 
-// Quiesce blocks until every submitted op has completed (or ctx cancels).
-// The experiment driver calls it between churn phases so placement views
-// are never stale when decisions are made.
-func (h *Host) Quiesce(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() {
-		h.mu.Lock()
-		h.cond.Broadcast()
-		h.mu.Unlock()
-	})
-	defer stop()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for h.inflight > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+// claimLocked removes and returns the earliest-submitted queued op whose
+// key has none running — its key's FIFO head — and marks the key running,
+// or returns nil when every slot is taken or nothing is runnable. Caller
+// holds h.mu.
+func (h *Host) claimLocked() *Op {
+	if len(h.running) >= h.slots {
+		return nil
+	}
+	for i, op := range h.pending {
+		if !slices.Contains(h.running, op.key) {
+			h.pending = slices.Delete(h.pending, i, i+1)
+			h.running = append(h.running, op.key)
+			return op
 		}
-		h.cond.Wait()
 	}
 	return nil
 }
 
-// Close drains the queues, stops the workers, and shuts the hypervisor
-// down. Submits after Close fail with ErrClosed.
+// idle reports whether no op is queued or running. Caller holds h.mu.
+func (h *Host) idle() bool { return len(h.pending)+len(h.running) == 0 }
+
+// Quiesce runs every submitted op to completion on the calling goroutine
+// (sharing the work with any other goroutine driving the host), or returns
+// ctx's error once it is canceled. The experiment driver calls it between
+// churn phases so placement views are never stale when decisions are made.
+func (h *Host) Quiesce(ctx context.Context) error {
+	return h.drive(ctx, h.idle)
+}
+
+// Close refuses further submits (they fail with ErrClosed), runs whatever
+// is still queued, and shuts the hypervisor down.
 func (h *Host) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -269,8 +257,7 @@ func (h *Host) Close() {
 		return
 	}
 	h.closed = true
-	h.cond.Broadcast()
 	h.mu.Unlock()
-	h.wg.Wait()
+	_ = h.drive(context.Background(), h.idle)
 	h.hv.Shutdown()
 }

@@ -231,9 +231,9 @@ type Loop struct {
 	total          *stats.Histogram
 	lastCompletion float64
 
-	// probeMu guards activeWindow: lifecycle probes can fire from fleet
-	// host-worker goroutines, and the concurrency property test resizes
-	// VMs from outside the loop while it serves.
+	// probeMu guards activeWindow: lifecycle probes can fire from whichever
+	// goroutine runs a fleet host's op, and the concurrency property test
+	// resizes VMs from outside the loop while it serves.
 	probeMu      sync.Mutex
 	activeWindow *Window // set while a churn event executes, for probes
 }
