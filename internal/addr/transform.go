@@ -90,9 +90,6 @@ func NewInternalMapper(g geometry.Geometry, cfg TransformConfig) *InternalMapper
 	return &InternalMapper{g: g, cfg: cfg}
 }
 
-// Config returns the transformation configuration.
-func (im *InternalMapper) Config() TransformConfig { return im.cfg }
-
 // InternalRow returns the internal row index that a media row address
 // resolves to on the given bank and half-row side.
 func (im *InternalMapper) InternalRow(bank geometry.BankID, mediaRow int, side Side) int {

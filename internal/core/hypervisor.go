@@ -77,8 +77,9 @@ const (
 	// ProbeMoveCopied fires inside MoveOut once the copy into the twin is
 	// complete, immediately before the caller's commit. h.mu is not held;
 	// the guest is paused and latched, so the probe must not touch its guest
-	// memory. It runs on MoveOut's caller — for a fleet move the source
-	// host's worker, whose queue it must not wait on.
+	// memory. It runs on MoveOut's caller — for a fleet move the goroutine
+	// running the move's source op (an Op.Wait, Quiesce or Close on that
+	// host), which must not wait on that host's queue.
 	ProbeMoveCopied = "move.copied"
 	// ProbeMoveCommitted fires immediately after the caller's commit, before
 	// the source copy is torn down: the double-ownership window, both copies

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
-	"repro/internal/subarray"
 )
 
 // SecurityConfig parameterizes the §7.1 experiments.
@@ -35,12 +34,12 @@ func securityConfig(f Flags) SecurityConfig {
 	}
 }
 
-// table3ShardsPerDIMM is how many bank campaigns Table 3 runs per DIMM
+// table3BanksPerDIMM is how many bank campaigns Table 3 runs per DIMM
 // profile: banks on both ranks of the DIMM under test (§7.1 observes flips
 // "across ranks and banks in the DIMMs").
-const table3ShardsPerDIMM = 3
+const table3BanksPerDIMM = 3
 
-// table3BankIndex returns the socket-flat bank index shard bi attacks on
+// table3BankIndex returns the socket-flat bank index campaign bi attacks on
 // the DIMM under test.
 func table3BankIndex(g geometry.Geometry, dimmIdx, bi int) int {
 	dimm := dimmIdx % g.DIMMsPerSocket
@@ -54,6 +53,16 @@ func table3BankIndex(g geometry.Geometry, dimmIdx, bi int) int {
 	}
 }
 
+// table3Cell is one (DIMM, bank) campaign of Table 3.
+type table3Cell struct{ dimmIdx, bi int }
+
+// table3Flips classifies one campaign's flips against the hammering domain's
+// subarray group; banks holds the bank of every flip inside it.
+type table3Flips struct {
+	inside, outside, observed int
+	banks                     []geometry.BankID
+}
+
 // table3Exp is the "table3" experiment, Table 3: the §7.1
 // hammering-containment run. On each of the six DIMM profiles a Blacksmith
 // campaign is pinned to one Siloz subarray group; every resulting flip is
@@ -61,66 +70,67 @@ func table3BankIndex(g geometry.Geometry, dimmIdx, bi int) int {
 // beside the corruptions the attacker itself saw and the distinct ranks and
 // banks that flipped (§7.1 reports flips "across ranks and banks").
 //
-// The campaign is sharded per (DIMM, bank) — DIMMs × table3ShardsPerDIMM
-// independent units on one pool.Map — rather than per DIMM, so a wide pool
-// keeps every worker busy instead of serializing the three bank campaigns
-// inside each DIMM. Each shard boots its own hypervisor; because simulated
-// disturbance is per-bank and the shards attack distinct banks, the flips a
-// shard produces are identical to those the same campaign produces on a
-// shared image, and the fixed-order merge below reassembles per-DIMM rows
-// byte-identically at any pool width (seeds are cfg.Seed + dimmIdx*17 + bi,
-// unchanged from the per-DIMM formulation).
+// The campaign runs per (DIMM, bank) — DIMMs × table3BanksPerDIMM cells on
+// the pool — rather than per DIMM, so a wide pool keeps every worker busy
+// instead of serializing the three bank campaigns inside each DIMM. Each
+// cell boots its own hypervisor; because simulated disturbance is per-bank
+// and the cells attack distinct banks, the flips a cell produces are those
+// the same campaign produces on a shared image, and the fixed-order merge
+// below reassembles per-DIMM rows byte-identically at any pool width (seeds
+// are cfg.Seed + dimmIdx*17 + bi, unchanged from the per-DIMM formulation).
 func table3Exp(ctx context.Context, pool *Pool, cfg SecurityConfig) (*Result, error) {
 	profiles := dram.EvaluationProfiles()
 	g := cfg.Geometry
-
-	shards := make([]attack.BankShard, 0, len(profiles)*table3ShardsPerDIMM)
-	for dimmIdx, prof := range profiles {
-		for bi := 0; bi < table3ShardsPerDIMM; bi++ {
-			shards = append(shards, attack.BankShard{
-				Tag:              prof.Name,
-				BankIndex:        table3BankIndex(g, dimmIdx, bi),
-				Seed:             cfg.Seed + int64(dimmIdx)*17 + int64(bi),
-				MaxActsPerWindow: prof.MaxActsPerWindow * 9 / 10,
-			})
+	cells := make([]table3Cell, 0, len(profiles)*table3BanksPerDIMM)
+	for d := range profiles {
+		for bi := 0; bi < table3BanksPerDIMM; bi++ {
+			cells = append(cells, table3Cell{d, bi})
 		}
 	}
 
-	// Per-shard machine state, filled by newTarget and read back for flip
-	// classification after the campaigns finish.
-	type shardMachine struct {
-		mem *dram.Memory
-		grp *subarray.Group
-	}
-	machines := make([]shardMachine, len(shards))
-
-	newTarget := func(i int, s attack.BankShard) (attack.Target, error) {
-		dimmIdx := i / table3ShardsPerDIMM
-		h, err := bootLab(g, profiles[dimmIdx], ept.GuardRows, core.ModeSiloz)
+	flips, err := mapCells(ctx, pool, cfg.Seed, cells, func(c table3Cell, _ int64) (table3Flips, error) {
+		var out table3Flips
+		prof := profiles[c.dimmIdx]
+		h, err := bootLab(g, prof, ept.GuardRows, core.ModeSiloz)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
-		// Pin the fuzzer to one guest subarray group, targeting a bank
-		// on the DIMM under test.
-		grp := h.Layout().Group(0, 1+dimmIdx%(h.Layout().GroupsPerSocket()-1))
+		// Pin the fuzzer to one guest subarray group, targeting a bank on
+		// the DIMM under test.
+		grp := h.Layout().Group(0, 1+c.dimmIdx%(h.Layout().GroupsPerSocket()-1))
 		var ranges []attack.PhysRange
 		for _, r := range grp.Ranges {
 			ranges = append(ranges, attack.PhysRange{Start: r.Start, End: r.End})
 		}
-		machines[i] = shardMachine{mem: h.Memory(), grp: grp}
-		return &attack.PhysTarget{
+		rep, err := attack.NewFuzzer(attack.FuzzerConfig{
+			Patterns:          cfg.Patterns,
+			WindowsPerPattern: cfg.Windows,
+			MaxActsPerWindow:  prof.MaxActsPerWindow * 9 / 10,
+			FillPattern:       0xAA,
+			Seed:              cfg.Seed + int64(c.dimmIdx)*17 + int64(c.bi),
+		}).Run(&attack.PhysTarget{
 			Mem:       h.Memory(),
 			Ranges:    ranges,
-			BankIndex: s.BankIndex,
-		}, nil
-	}
-
-	campaign := attack.FuzzerConfig{
-		Patterns:          cfg.Patterns,
-		WindowsPerPattern: cfg.Windows,
-		FillPattern:       0xAA,
-	}
-	reports, err := attack.RunSharded(ctx, campaign, shards, newTarget, pool.Map)
+			BankIndex: table3BankIndex(g, c.dimmIdx, c.bi),
+		})
+		if err != nil {
+			return out, fmt.Errorf("table3: %s bank campaign %d: %w", prof.Name, c.bi, err)
+		}
+		out.observed = len(rep.Corruptions)
+		for _, f := range h.Memory().Flips() {
+			pa, err := h.Memory().FlipPhys(f)
+			if err != nil {
+				return out, err
+			}
+			if grp.Contains(pa) {
+				out.inside++
+				out.banks = append(out.banks, f.Bank)
+			} else {
+				out.outside++
+			}
+		}
+		return out, nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -130,29 +140,20 @@ func table3Exp(ctx context.Context, pool *Pool, cfg SecurityConfig) (*Result, er
 		Title:   "Table 3: observed bit flips vs. the hammering domain's subarray group (§7.1)",
 		Columns: []string{"inside group", "outside group", "attacker observed", "ranks w/ flips", "banks w/ flips"},
 	}
-	// Fixed-order merge: shard order is (dimm, bank) lexicographic, so the
-	// per-DIMM rows come out identical regardless of scheduling.
+	// Fixed-order merge: cells are (dimm, bank) row-major, so the per-DIMM
+	// rows come out identical regardless of scheduling.
 	var inside, outside int
 	for dimmIdx, prof := range profiles {
 		var flipsInside, flipsOutside, observed int
 		ranksHit := map[int]bool{}
 		banksHit := map[geometry.BankID]bool{}
-		for bi := 0; bi < table3ShardsPerDIMM; bi++ {
-			i := dimmIdx*table3ShardsPerDIMM + bi
-			observed += len(reports[i].Report.Corruptions)
-			m := machines[i]
-			for _, f := range m.mem.Flips() {
-				pa, err := m.mem.FlipPhys(f)
-				if err != nil {
-					return nil, err
-				}
-				if m.grp.Contains(pa) {
-					flipsInside++
-					ranksHit[f.Bank.Rank] = true
-					banksHit[f.Bank] = true
-				} else {
-					flipsOutside++
-				}
+		for _, f := range flips[dimmIdx*table3BanksPerDIMM : (dimmIdx+1)*table3BanksPerDIMM] {
+			flipsInside += f.inside
+			flipsOutside += f.outside
+			observed += f.observed
+			for _, b := range f.banks {
+				ranksHit[b.Rank] = true
+				banksHit[b] = true
 			}
 		}
 		r.row(prof.Name, flipsInside, flipsOutside, observed, len(ranksHit), len(banksHit))

@@ -13,21 +13,17 @@ import (
 // Op is one queued lifecycle operation on a host. Ops on the same VM run
 // strictly in submission order, one at a time; ops on different VMs may
 // interleave when the host runs more than one at once. The queue orders and
-// dispatches; it excludes nothing: internal/serve, experiments and tests call
-// a host's hypervisor directly, and what keeps two layout operations off one
-// VM — for them and for queued ops alike — is core's lifecycle latch.
+// dispatches; it excludes nothing: experiments and tests call a host's
+// hypervisor directly, and what keeps two layout operations off one VM — for
+// them and for queued ops alike — is core's lifecycle latch.
 type Op struct {
-	h    *Host
-	key  string // VM name (or a reserved key for host-wide work)
-	kind string // "create", "destroy", "resize", "move", "defrag"
-	fn   func() error
+	h   *Host
+	key string // VM name (or a reserved key for host-wide work)
+	fn  func() error
 
 	err  error
 	done bool // guarded by h.mu
 }
-
-// Kind returns the operation's kind label.
-func (o *Op) Kind() string { return o.kind }
 
 // Wait runs the host's queued ops on the calling goroutine until this one
 // has completed, and returns its error. On the way it may run ops submitted
@@ -105,9 +101,6 @@ func (h *Host) Hypervisor() *core.Hypervisor { return h.hv }
 // Planner returns the host's occupancy planner.
 func (h *Host) Planner() *migrate.Planner { return h.planner }
 
-// Engine returns the host's audited migration engine.
-func (h *Host) Engine() *migrate.Engine { return h.engine }
-
 // SetDraining marks the host as draining (or not): a draining host accepts
 // no create ops; destroys, resizes, and outbound moves still run so the
 // drain can complete.
@@ -136,7 +129,7 @@ func (h *Host) Submit(key, kind string, fn func() error) (*Op, error) {
 	if h.draining && kind == "create" {
 		return nil, fmt.Errorf("fleet: host %q: %w", h.name, ErrHostDraining)
 	}
-	op := &Op{h: h, key: key, kind: kind, fn: fn}
+	op := &Op{h: h, key: key, fn: fn}
 	h.pending = append(h.pending, op)
 	return op, nil
 }

@@ -21,9 +21,6 @@ type Engine struct {
 // NewEngine builds an engine over a booted hypervisor.
 func NewEngine(h *core.Hypervisor) *Engine { return &Engine{h: h} }
 
-// Hypervisor returns the engine's hypervisor.
-func (e *Engine) Hypervisor() *core.Hypervisor { return e.h }
-
 // Execute runs a plan — in-place shrinks first, then moves in order —
 // stopping at the first failure. The isolation audit runs around every
 // shrink and around and within every move; an audit failure aborts the plan

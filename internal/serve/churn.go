@@ -15,15 +15,13 @@ import (
 type EventKind string
 
 const (
-	// EventMigrate live-migrates a tenant cross-socket on its host.
+	// EventMigrate live-migrates a tenant cross-socket.
 	EventMigrate EventKind = "migrate"
 	// EventResize balloon/hotplug-resizes a tenant to TargetBytes.
 	EventResize EventKind = "resize"
-	// EventDefrag runs the Siloz defragmentation engine on a tenant's
-	// host (errors on baseline hosts — the error is the result).
+	// EventDefrag runs the Siloz defragmentation engine on the host
+	// (errors on baseline hosts — the error is the result).
 	EventDefrag EventKind = "defrag"
-	// EventMove moves a tenant to another fleet host (Cluster configs).
-	EventMove EventKind = "move"
 )
 
 // Event is one control-plane action replayed against a serving tenant at
@@ -33,17 +31,15 @@ type Event struct {
 	AtNs float64
 	// Kind selects the mechanism.
 	Kind EventKind
-	// Tenant names the target VM (for EventDefrag, the VM whose host is
-	// defragmented).
+	// Tenant names the target VM (for EventDefrag, any serving tenant:
+	// the defragmentation engine runs over the whole host).
 	Tenant string
 	// TargetBytes is the resize target (EventResize).
 	TargetBytes uint64
-	// DestSocket is the destination socket (EventMigrate, EventMove).
+	// DestSocket is the destination socket (EventMigrate).
 	DestSocket int
-	// DestHost is the destination host (EventMove).
-	DestHost string
 	// DirtyPages is how many 2 MiB pages the guest dirties per pre-copy
-	// round while migrating (EventMigrate, EventMove).
+	// round while migrating (EventMigrate).
 	DirtyPages int
 	// MaxMoves caps defragmentation moves (EventDefrag; default 4).
 	MaxMoves int
@@ -66,8 +62,8 @@ type Window struct {
 	BlackoutNs float64
 	// BytesCopied and DowntimeBytes echo the mechanism's report.
 	BytesCopied, DowntimeBytes uint64
-	// Probes lists the lifecycle/move probe events that fired while the
-	// event executed, e.g. "balloon.unmapped@t0".
+	// Probes lists the lifecycle probe events that fired while the event
+	// executed, e.g. "balloon.unmapped@t0".
 	Probes []string
 	// Err records a failed event (serving continues); empty on success.
 	Err string
@@ -98,8 +94,6 @@ func (l *Loop) execute(ctx context.Context, ev Event) {
 		err = l.execResize(ev, w)
 	case EventDefrag:
 		err = l.execDefrag(ctx, ev, w)
-	case EventMove:
-		err = l.execMove(ctx, ev, w)
 	default:
 		err = fmt.Errorf("serve: unknown churn event kind %q", ev.Kind)
 	}
@@ -143,7 +137,7 @@ func (l *Loop) execMigrate(ctx context.Context, ev Event, w *Window) error {
 	if t == nil {
 		return fmt.Errorf("serve: no tenant %q", ev.Tenant)
 	}
-	dests, err := t.hv.FreeNodes(ev.DestSocket, t.vm.Spec().MemoryBytes)
+	dests, err := l.cfg.Hypervisor.FreeNodes(ev.DestSocket, t.vm.Spec().MemoryBytes)
 	if err != nil {
 		return err
 	}
@@ -161,7 +155,7 @@ func (l *Loop) execMigrate(ctx context.Context, ev Event, w *Window) error {
 			return nil
 		}
 	}
-	rep, err := t.hv.MigrateVM(ctx, ev.Tenant, dests, opt)
+	rep, err := l.cfg.Hypervisor.MigrateVM(ctx, ev.Tenant, dests, opt)
 	if err != nil {
 		return err
 	}
@@ -178,11 +172,11 @@ func (l *Loop) execResize(ev Event, w *Window) error {
 	if t == nil {
 		return fmt.Errorf("serve: no tenant %q", ev.Tenant)
 	}
-	plan, err := t.hv.PreviewResize(ev.Tenant, ev.TargetBytes)
+	plan, err := l.cfg.Hypervisor.PreviewResize(ev.Tenant, ev.TargetBytes)
 	if err != nil {
 		return err
 	}
-	rep, err := t.hv.ResizeVM(ev.Tenant, ev.TargetBytes)
+	rep, err := l.cfg.Hypervisor.ResizeVM(ev.Tenant, ev.TargetBytes)
 	if err != nil {
 		return err
 	}
@@ -193,19 +187,18 @@ func (l *Loop) execResize(ev Event, w *Window) error {
 	return t.bind(l)
 }
 
-// execDefrag runs the defragmentation engine on the named tenant's host.
+// execDefrag runs the defragmentation engine on the host.
 // Every VM it moves that is also a serving tenant gets the blackout; the
 // window aggregates all moves.
 func (l *Loop) execDefrag(ctx context.Context, ev Event, w *Window) error {
-	t := l.tenantByName(ev.Tenant)
-	if t == nil {
+	if l.tenantByName(ev.Tenant) == nil {
 		return fmt.Errorf("serve: no tenant %q", ev.Tenant)
 	}
 	maxMoves := ev.MaxMoves
 	if maxMoves <= 0 {
 		maxMoves = 4
 	}
-	eng := migrate.NewEngine(t.hv)
+	eng := migrate.NewEngine(l.cfg.Hypervisor)
 	reps, err := eng.Defragment(ctx, maxMoves)
 	var bytesCopied, downtime uint64
 	var paused []*tenant
@@ -228,7 +221,7 @@ func (l *Loop) execDefrag(ctx context.Context, ev Event, w *Window) error {
 		}
 		ids := append([]int(nil), rep.DestNodes...)
 		sort.Ints(ids)
-		if n, nerr := mt.hv.Topology().Node(ids[0]); nerr == nil {
+		if n, nerr := l.cfg.Hypervisor.Topology().Node(ids[0]); nerr == nil {
 			mt.socket = n.Socket
 		}
 	}
@@ -238,26 +231,4 @@ func (l *Loop) execDefrag(ctx context.Context, ev Event, w *Window) error {
 		}
 	}
 	return err
-}
-
-// execMove moves the tenant to another fleet host.
-func (l *Loop) execMove(ctx context.Context, ev Event, w *Window) error {
-	if l.cfg.Cluster == nil {
-		return fmt.Errorf("serve: move events need a Cluster config")
-	}
-	t := l.tenantByName(ev.Tenant)
-	if t == nil {
-		return fmt.Errorf("serve: no tenant %q", ev.Tenant)
-	}
-	rep, err := l.cfg.Cluster.MoveVM(ctx, ev.Tenant, ev.DestHost, ev.DestSocket,
-		ev.DirtyPages, l.cfg.Seed+int64(len(l.windows)))
-	if err != nil {
-		return err
-	}
-	l.applyWindow(w, rep.BytesCopied, rep.DowntimeBytes, t)
-	t.socket = rep.DestSocket
-	if err := t.rebindHost(l); err != nil {
-		return err
-	}
-	return t.bind(l)
 }

@@ -2,11 +2,9 @@ package serve
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fleet"
 	"repro/internal/geometry"
 )
 
@@ -56,86 +54,5 @@ func TestConcurrentServeResize(t *testing.T) {
 	// t1 was never resized: its requests must all have succeeded.
 	if tr := out.rep.Tenants[1]; tr.Errors != 0 {
 		t.Fatalf("undisturbed tenant saw %d errors", tr.Errors)
-	}
-}
-
-// TestServeFleetMoveChurn serves tenants across a two-host fleet and moves
-// one cross-host mid-run: the window must carry the move probes and byte
-// counts, the tenant must land on the destination host, and serving must
-// continue there without errors.
-func TestServeFleetMoveChurn(t *testing.T) {
-	c, err := fleet.New(fleet.Config{
-		Hosts: 2,
-		Core:  serveCoreConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	ctx := context.Background()
-	proc := core.Process{CGroup: "kvm", KVMPrivileged: true}
-	for _, name := range []string{"t0", "t1"} {
-		if _, err := c.Admit(ctx, proc, core.VMSpec{Name: name, Socket: 0, MemoryBytes: 64 * geometry.MiB}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src, err := c.HostOf("t0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dest string
-	for _, h := range c.Hosts() {
-		if h.Name() != src {
-			dest = h.Name()
-			break
-		}
-	}
-	if dest == "" {
-		t.Fatal("no destination host")
-	}
-
-	l, err := New(Config{
-		Cluster: c,
-		Tenants: []TenantSpec{
-			{VM: "t0", Clients: 2, ThinkNs: 20000},
-			{VM: "t1", Clients: 2, ThinkNs: 20000},
-		},
-		DurationNs: 8e6,
-		Seed:       9,
-		Churn: []Event{
-			{AtNs: 3e6, Kind: EventMove, Tenant: "t0", DestHost: dest, DestSocket: 0, DirtyPages: 2},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := l.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("errors across the move: %d", rep.Errors)
-	}
-	if len(rep.Windows) != 1 {
-		t.Fatalf("want 1 window, got %d", len(rep.Windows))
-	}
-	w := rep.Windows[0]
-	if w.Err != "" {
-		t.Fatalf("move failed: %s", w.Err)
-	}
-	if w.BytesCopied == 0 || w.Hist.Count() == 0 {
-		t.Fatalf("move window empty: %+v", w)
-	}
-	found := false
-	for _, p := range w.Probes {
-		if strings.Contains(p, "move.") && strings.Contains(p, "t0") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("move window missing move probes: %v", w.Probes)
-	}
-	if got, err := c.HostOf("t0"); err != nil || got != dest {
-		t.Fatalf("t0 on %q (err %v), want %q", got, err, dest)
 	}
 }

@@ -2,12 +2,13 @@
 // memory-controller stack: a closed- or open-loop multi-tenant client
 // driving zipfian key-value requests through each tenant VM's
 // translate→cache→DRAM path on a deterministic virtual clock, recording
-// per-request service time into latency histograms. A churn driver replays
-// control-plane events — live migration, balloon/hotplug resize, Siloz
-// defragmentation, cross-host moves — against serving tenants mid-run and
-// attributes the latency they cost to explicit event windows, which is how
-// the paper's "overheads during VM lifecycle events" question becomes a
-// p99-under-churn number instead of a bandwidth delta.
+// per-request service time into latency histograms. The tenants share one
+// hypervisor, and the tenants on one socket share its memory controller and
+// LLC. A churn driver replays control-plane events — live migration,
+// balloon/hotplug resize, Siloz defragmentation — against serving tenants
+// mid-run and attributes the latency they cost to explicit event windows,
+// which is how the paper's "overheads during VM lifecycle events" question
+// becomes a p99-under-churn number instead of a bandwidth delta.
 //
 // Everything is single-threaded discrete-event simulation in virtual
 // nanoseconds: identical configs produce byte-identical reports at any
@@ -23,7 +24,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/fleet"
 	"repro/internal/geometry"
 	"repro/internal/memctrl"
 	"repro/internal/mitigation"
@@ -31,8 +31,8 @@ import (
 	"repro/internal/workload"
 )
 
-// TenantSpec describes one serving tenant: a VM (already created on the
-// hypervisor or admitted to the cluster) and its client behaviour.
+// TenantSpec describes one serving tenant: a VM already created on the
+// hypervisor, and its client behaviour.
 type TenantSpec struct {
 	// VM names the tenant's VM.
 	VM string
@@ -58,12 +58,8 @@ type TenantSpec struct {
 
 // Config configures a serving loop.
 type Config struct {
-	// Hypervisor hosts the tenants (single-host serving). Ignored when
-	// Cluster is set.
+	// Hypervisor hosts the tenants.
 	Hypervisor *core.Hypervisor
-	// Cluster, when set, resolves tenants across fleet hosts and enables
-	// EventMove churn.
-	Cluster *fleet.Cluster
 
 	// Tenants are the serving tenants; report order follows this order.
 	Tenants []TenantSpec
@@ -84,7 +80,8 @@ type Config struct {
 	// Mitigation, when set, builds the activation-plane defense instance
 	// attached to each station's controller (PARA, Silver Bullet) —
 	// injected neighbour refreshes occupy banks and surface as serving
-	// latency. Called once per station, in deterministic creation order.
+	// latency. Called once per station, in deterministic creation order,
+	// with host "" (the loop serves one host).
 	Mitigation func(host string, socket int) mitigation.Mitigation
 
 	// Churn are control-plane events to replay, in AtNs order.
@@ -98,14 +95,8 @@ const (
 	copyGiBps = 12
 )
 
-// stationKey identifies a shared serving station: one memory controller
-// and LLC per (host, socket), shared by every tenant living there.
-type stationKey struct {
-	host   string
-	socket int
-}
-
-// station is the shared memory path for one socket of one host.
+// station is the shared memory path for one socket: one memory controller
+// and LLC, shared by every tenant living there.
 type station struct {
 	ctrl  *memctrl.Controller
 	cache *memctrl.Cache
@@ -119,9 +110,7 @@ type blackout struct{ start, end float64 }
 type tenant struct {
 	spec   TenantSpec
 	idx    int
-	host   string // "" on single-host configs
 	socket int
-	hv     *core.Hypervisor
 	vm     *core.VM
 	st     *station
 	gen    *workload.KVRequests
@@ -222,7 +211,7 @@ func (h *reqHeap) pop() reqEntry {
 type Loop struct {
 	cfg      Config
 	tenants  []*tenant
-	stations map[stationKey]*station
+	stations map[int]*station // by socket
 	events   []Event
 	windows  []*Window
 	queue    reqHeap
@@ -231,9 +220,9 @@ type Loop struct {
 	total          *stats.Histogram
 	lastCompletion float64
 
-	// probeMu guards activeWindow: lifecycle probes can fire from whichever
-	// goroutine runs a fleet host's op, and the concurrency property test
-	// resizes VMs from outside the loop while it serves.
+	// probeMu guards activeWindow: a lifecycle probe fires on the goroutine
+	// running the lifecycle op — the loop's own for a churn event, or a
+	// direct caller's that resizes a VM while the loop serves.
 	probeMu      sync.Mutex
 	activeWindow *Window // set while a churn event executes, for probes
 }
@@ -257,8 +246,8 @@ func (l *Loop) recordProbe(s string) {
 // New validates the config, resolves every tenant to its VM, builds the
 // per-socket stations, and schedules the initial arrivals.
 func New(cfg Config) (*Loop, error) {
-	if cfg.Cluster == nil && cfg.Hypervisor == nil {
-		return nil, fmt.Errorf("serve: need a Hypervisor or a Cluster")
+	if cfg.Hypervisor == nil {
+		return nil, fmt.Errorf("serve: need a Hypervisor")
 	}
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("serve: no tenants")
@@ -280,7 +269,7 @@ func New(cfg Config) (*Loop, error) {
 
 	l := &Loop{
 		cfg:      cfg,
-		stations: make(map[stationKey]*station),
+		stations: make(map[int]*station),
 		events:   append([]Event(nil), cfg.Churn...),
 		total:    stats.NewHistogram(),
 	}
@@ -300,16 +289,12 @@ func New(cfg Config) (*Loop, error) {
 		t := &tenant{
 			spec: spec,
 			idx:  i,
-			hv:   cfg.Hypervisor,
 			rng:  rand.New(rand.NewSource(cfg.Seed + 104729*int64(i) + 7)),
 			hist: stats.NewHistogram(),
 		}
-		if err := t.rebindHost(l); err != nil {
-			return nil, err
-		}
-		vm, ok := t.hv.VM(spec.VM)
+		vm, ok := cfg.Hypervisor.VM(spec.VM)
 		if !ok {
-			return nil, fmt.Errorf("serve: VM %q not found on host %q", spec.VM, t.host)
+			return nil, fmt.Errorf("serve: VM %q not found", spec.VM)
 		}
 		t.socket = vm.Spec().Socket
 		t.usable = vm.Spec().MemoryBytes
@@ -336,52 +321,33 @@ func New(cfg Config) (*Loop, error) {
 	return l, nil
 }
 
-// rebindHost resolves which hypervisor currently hosts the tenant's VM
-// (after a cross-host move the answer changes).
-func (t *tenant) rebindHost(l *Loop) error {
-	if l.cfg.Cluster == nil {
-		return nil
-	}
-	hostName, err := l.cfg.Cluster.HostOf(t.spec.VM)
-	if err != nil {
-		return fmt.Errorf("serve: tenant %q: %w", t.spec.VM, err)
-	}
-	h, err := l.cfg.Cluster.Host(hostName)
-	if err != nil {
-		return err
-	}
-	t.host, t.hv = hostName, h.Hypervisor()
-	return nil
-}
-
 // bind (re)attaches the tenant to its VM, station, and runner — called at
 // setup and again after every churn event that may have moved the VM or
 // changed its size.
 func (t *tenant) bind(l *Loop) error {
-	vm, ok := t.hv.VM(t.spec.VM)
+	vm, ok := l.cfg.Hypervisor.VM(t.spec.VM)
 	if !ok {
-		return fmt.Errorf("serve: VM %q not found on host %q", t.spec.VM, t.host)
+		return fmt.Errorf("serve: VM %q not found", t.spec.VM)
 	}
 	t.vm = vm
-	t.st = l.station(t.host, t.socket, t.hv)
+	t.st = l.station(t.socket)
 	t.run = workload.NewRunner(vm, t.st.ctrl, t.st.cache)
 	return nil
 }
 
 // station returns (creating on first use) the shared memory path for one
-// socket of one host. Creation order is deterministic: tenants bind in
-// config order and churn events execute in virtual-time order.
-func (l *Loop) station(host string, socket int, hv *core.Hypervisor) *station {
-	key := stationKey{host, socket}
-	if st, ok := l.stations[key]; ok {
+// socket. Creation order is deterministic: tenants bind in config order and
+// churn events execute in virtual-time order.
+func (l *Loop) station(socket int) *station {
+	if st, ok := l.stations[socket]; ok {
 		return st
 	}
 	var mit mitigation.Mitigation
 	if l.cfg.Mitigation != nil {
-		mit = l.cfg.Mitigation(host, socket)
+		mit = l.cfg.Mitigation("", socket)
 	}
 	ctrl, err := memctrl.New(memctrl.Config{
-		Mapper:     hv.Memory().Mapper(),
+		Mapper:     l.cfg.Hypervisor.Memory().Mapper(),
 		Timing:     memctrl.DDR4_2933(),
 		MLPWindow:  mlpWindow,
 		HomeSocket: socket,
@@ -399,25 +365,16 @@ func (l *Loop) station(host string, socket int, hv *core.Hypervisor) *station {
 		}
 		st.cache = cache
 	}
-	l.stations[key] = st
+	l.stations[socket] = st
 	return st
 }
 
-// installProbes hooks every hypervisor's lifecycle probe so churn windows
+// installProbes hooks the hypervisor's lifecycle probe so churn windows
 // record which mechanism stages fired inside them.
 func (l *Loop) installProbes() {
-	hvs := []*core.Hypervisor{l.cfg.Hypervisor}
-	if l.cfg.Cluster != nil {
-		hvs = hvs[:0]
-		for _, h := range l.cfg.Cluster.Hosts() {
-			hvs = append(hvs, h.Hypervisor())
-		}
-	}
-	for _, hv := range hvs {
-		hv.SetLifecycleProbe(func(event string, vm *core.VM) {
-			l.recordProbe(fmt.Sprintf("%s@%s", event, vm.Spec().Name))
-		})
-	}
+	l.cfg.Hypervisor.SetLifecycleProbe(func(event string, vm *core.VM) {
+		l.recordProbe(fmt.Sprintf("%s@%s", event, vm.Spec().Name))
+	})
 }
 
 // push schedules an arrival if it falls inside the horizon.

@@ -116,6 +116,37 @@ func TestServeDeterminism(t *testing.T) {
 	}
 }
 
+// TestStationsArePerSocket pins the station rule: tenants on one socket
+// share its controller and LLC, tenants on different sockets share nothing.
+// t0 stays tenant 0 in every run so its random streams do not change; a busy
+// t1 on the other socket must leave t0's report exactly as it was serving
+// alone, and the same t1 on t0's socket must slow t0 down.
+func TestStationsArePerSocket(t *testing.T) {
+	t0 := TenantSpec{VM: "t0", Clients: 2, ThinkNs: 20000}
+	busy := TenantSpec{VM: "t1", Clients: 8}
+	run := func(t1Socket int, tenants ...TenantSpec) TenantReport {
+		h := bootHost(t, core.ModeSiloz)
+		createTenantVM(t, h, "t0", 0)
+		if len(tenants) > 1 {
+			createTenantVM(t, h, "t1", t1Socket)
+		}
+		rep := runServe(t, Config{Hypervisor: h, Tenants: tenants, DurationNs: 4e6, Seed: 13})
+		if rep.Errors != 0 {
+			t.Fatalf("errors: %d", rep.Errors)
+		}
+		return rep.Tenants[0]
+	}
+	alone := run(0, t0)
+	if other := run(1, t0, busy); !reflect.DeepEqual(other, alone) {
+		t.Errorf("a tenant on the other socket changed t0's report:\nalone %+v mean %.1f\nwith  %+v mean %.1f",
+			alone, alone.Hist.Mean(), other, other.Hist.Mean())
+	}
+	if same := run(0, t0, busy); same.Hist.Mean() <= alone.Hist.Mean() {
+		t.Errorf("a busy tenant on t0's socket left its mean latency at %.1fns (alone %.1fns)",
+			same.Hist.Mean(), alone.Hist.Mean())
+	}
+}
+
 // TestServeOpenLoopOverload: offered load beyond station capacity must
 // show up as achieved QPS below offered and queueing delay in the tail —
 // the open loop does not gate arrivals on completions.

@@ -14,7 +14,7 @@ import (
 // unreadSurfaceLimit is how many exported identifiers under internal/ no
 // program reads: the ratchet TestUnreadSurface holds. Lower it when an
 // identifier leaves the list; never raise it.
-const unreadSurfaceLimit = 27
+const unreadSurfaceLimit = 26
 
 // unreadSurface lists, sorted, the exported top-level identifiers declared
 // under internal/ — functions, methods, types, constants, variables and the
