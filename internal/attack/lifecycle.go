@@ -54,12 +54,12 @@ type CampaignConfig struct {
 	Seed int64
 	// Rounds is the number of lifecycle iterations driven (default 2).
 	Rounds int
-	// VMBytes sizes the attacker and victim VMs (default 64 MiB — one
-	// subarray-group node in the lab geometry).
-	VMBytes uint64
 }
 
 const (
+	// campaignVMBytes sizes the attacker and victim VMs: one
+	// subarray-group node in the lab geometry.
+	campaignVMBytes uint64 = 64 * geometry.MiB
 	// campaignHammerActs is the activation count per aggressor burst; it
 	// must exceed the profile's threshold comfortably.
 	campaignHammerActs = 20_000
@@ -74,9 +74,6 @@ const (
 func (c *CampaignConfig) normalize() {
 	if c.Rounds <= 0 {
 		c.Rounds = 2
-	}
-	if c.VMBytes == 0 {
-		c.VMBytes = 64 * geometry.MiB
 	}
 }
 
@@ -191,7 +188,7 @@ func (r *CampaignResult) onHost(cfg CampaignConfig, run func(*campaign) error) e
 		return err
 	}
 	defer h.Shutdown()
-	m, err := newMachine(h, cfg.VMBytes, &r.scorecard)
+	m, err := newMachine(h, campaignVMBytes, &r.scorecard)
 	if err != nil {
 		return err
 	}
@@ -205,7 +202,7 @@ func (r *CampaignResult) onHost(cfg CampaignConfig, run func(*campaign) error) e
 // salvo is a burst that also probes one activation beyond the attacker's
 // RAM: the EPT walk must refuse it in every lifecycle phase.
 func (c *campaign) salvo() {
-	c.res.refused(c.attacker.Hammer(c.cfg.VMBytes+geometry.PageSize2M, 1, 0))
+	c.res.refused(c.attacker.Hammer(campaignVMBytes+geometry.PageSize2M, 1, 0))
 	c.burst()
 }
 
@@ -260,7 +257,7 @@ func (c *campaign) migration() error {
 	}
 	for round := 0; round < cfg.Rounds; round++ {
 		srcPages := c.victim.RAMPages()
-		dests, err := h.FreeNodes(0, cfg.VMBytes)
+		dests, err := h.FreeNodes(0, campaignVMBytes)
 		if err != nil {
 			return fmt.Errorf("no free destination nodes for round %d: %w", round, err)
 		}
@@ -307,13 +304,14 @@ func (c *campaign) balloon() error {
 	if c.victim, err = c.admit("victim"); err != nil {
 		return err
 	}
-	// The balloon takes the top half of the victim's pages, [top, VMBytes).
-	top := cfg.VMBytes - cfg.VMBytes/geometry.PageSize2M/2*geometry.PageSize2M
+	// The balloon takes the top half of the victim's pages,
+	// [top, campaignVMBytes).
+	top := campaignVMBytes - campaignVMBytes/geometry.PageSize2M/2*geometry.PageSize2M
 	secret := campaignStamp(CampaignSeed(cfg.Seed, 30), 4*geometry.KiB)
 	for round := 0; round < cfg.Rounds; round++ {
 		// The victim's secret lives in the pages the balloon will take.
 		var topHPAs []uint64
-		for _, gpa := range pagesIn(top, cfg.VMBytes) {
+		for _, gpa := range pagesIn(top, campaignVMBytes) {
 			if err := c.victim.WriteGuest(gpa, secret); err != nil {
 				return err
 			}
@@ -330,7 +328,7 @@ func (c *campaign) balloon() error {
 				// Frames hold the secret but every translation path must
 				// already be gone (EPT and IOMMU alike).
 				c.salvo()
-				_, err := vm.TranslateUncached(cfg.VMBytes - geometry.PageSize2M)
+				_, err := vm.TranslateUncached(campaignVMBytes - geometry.PageSize2M)
 				c.res.refused(err)
 			case core.ProbeBalloonDrained:
 				// Frames are back in the pool: scrub-before-free means
@@ -339,7 +337,7 @@ func (c *campaign) balloon() error {
 				drainErr = c.checkScrubbed(h.Memory().ReadPhys, topHPAs)
 			}
 		})
-		_, err := h.BalloonVM("victim", cfg.VMBytes-top)
+		_, err := h.BalloonVM("victim", campaignVMBytes-top)
 		h.SetLifecycleProbe(nil)
 		if err != nil {
 			return err
@@ -352,7 +350,7 @@ func (c *campaign) balloon() error {
 		if _, err := h.BalloonVM("victim", 0); err != nil {
 			return err
 		}
-		if err := c.checkScrubbed(c.victim.ReadGuest, pagesIn(top, cfg.VMBytes)); err != nil {
+		if err := c.checkScrubbed(c.victim.ReadGuest, pagesIn(top, campaignVMBytes)); err != nil {
 			return err
 		}
 		if err := c.endRound(); err != nil {
@@ -401,7 +399,7 @@ func (c *campaign) hotplug() error {
 			_, err := vm.TranslateUncached(oldTop)
 			c.res.refused(err)
 		})
-		_, err = h.HotplugVM(name, cfg.VMBytes)
+		_, err = h.HotplugVM(name, campaignVMBytes)
 		h.SetLifecycleProbe(nil)
 		if err != nil {
 			return err
@@ -411,7 +409,7 @@ func (c *campaign) hotplug() error {
 		}
 		// Scrub-before-map: the hot-added range reads zero despite the
 		// residue.
-		if err := c.checkScrubbed(c.victim.ReadGuest, pagesIn(oldTop, oldTop+cfg.VMBytes)); err != nil {
+		if err := c.checkScrubbed(c.victim.ReadGuest, pagesIn(oldTop, oldTop+campaignVMBytes)); err != nil {
 			return err
 		}
 		if err := c.endRound(); err != nil {
@@ -442,7 +440,7 @@ func (r *CampaignResult) fleet(cfg CampaignConfig) error {
 	defer cl.Close()
 	ctx := context.Background()
 	spec := func(name string) core.VMSpec {
-		return core.VMSpec{Name: name, MemoryBytes: cfg.VMBytes, MinMemoryBytes: cfg.VMBytes, VCPUs: 1}
+		return core.VMSpec{Name: name, MemoryBytes: campaignVMBytes, MinMemoryBytes: campaignVMBytes, VCPUs: 1}
 	}
 	if _, err := cl.Admit(ctx, core.KVMProcess(), spec("victim")); err != nil {
 		return err
@@ -494,7 +492,7 @@ func (r *CampaignResult) fleet(cfg CampaignConfig) error {
 			// source copy still exists. Audit must hold, mutations must
 			// be refused, hammering must stay contained.
 			r.audited(cl.AuditIsolation())
-			_, err := cl.SubmitResize("victim", cfg.VMBytes/2)
+			_, err := cl.SubmitResize("victim", campaignVMBytes/2)
 			r.refused(err)
 			c.burst()
 		})

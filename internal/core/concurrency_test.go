@@ -240,8 +240,8 @@ func TestConcurrentOppositeMigrations(t *testing.T) {
 // TestTLBCoherentAcrossLifecycle spins translators over a guest's whole RAM
 // window — they are not pause-gated, like the serving loop's Runner.Issue —
 // while every operation that rewrites the RAM layout or the tables commits:
-// balloon inflate and deflate, hotplug grow, a cross-socket migration there
-// and back, and EPT relocation. A translator that walked the EPTs before a
+// balloon inflate and deflate, hotplug grow, and a cross-socket migration
+// there and back, which relocates the EPT tables each way. A translator that walked the EPTs before a
 // commit must not be able to publish that frame after it: once each
 // operation returns, the TLB agrees with a fresh walk on every mapped RAM
 // page and no ballooned page translates.
@@ -303,10 +303,6 @@ func TestTLBCoherentAcrossLifecycle(t *testing.T) {
 			freeGuestNodes(t, h, socket, vm.Spec().MemoryBytes), MigrateOptions{})
 		return err
 	}
-	relocate := func(socket int) error {
-		_, err := h.RelocateEPT(name, socket)
-		return err
-	}
 	balloon := func(target uint64) error {
 		_, err := h.BalloonVM(name, target)
 		return err
@@ -319,12 +315,9 @@ func TestTLBCoherentAcrossLifecycle(t *testing.T) {
 		{"balloon deflate", func() error { return balloon(0) }},
 		{"hotplug grow", func() error { _, err := h.HotplugVM(name, 16*geometry.MiB); return err }},
 		{"migration to socket 1", func() error { return migrate(1) }},
-		{"EPT relocation to socket 0", func() error { return relocate(0) }},
 		{"balloon inflate on socket 1", func() error { return balloon(16 * geometry.MiB) }},
 		{"migration back to socket 0", func() error { return migrate(0) }},
-		{"EPT relocation to socket 1", func() error { return relocate(1) }},
 		{"balloon deflate on socket 0", func() error { return balloon(0) }},
-		{"EPT relocation home", func() error { return relocate(0) }},
 	}
 	check("create")
 	for _, s := range steps {

@@ -56,9 +56,6 @@ type Config struct {
 	// Profiles are the DIMM disturbance profiles, assigned round-robin
 	// to slots; nil means the six Table 3 evaluation DIMMs.
 	Profiles []dram.Profile
-	// Mapper is the physical-to-media mapping; nil means the Skylake
-	// mapper for Geometry.
-	Mapper addr.Mapper
 	// SubarrayRows overrides the geometry's rows per subarray — the boot
 	// parameter of §5.3 used by the Siloz-512/-1024/-2048 variants; 0
 	// keeps the geometry's value.
@@ -106,21 +103,10 @@ func (c *Config) normalize() error {
 	if c.Profiles == nil {
 		c.Profiles = dram.EvaluationProfiles()
 	}
-	if c.Mapper == nil {
-		m, err := addr.NewMapper(c.Geometry, addr.KindSkylake)
-		if err != nil {
-			return err
-		}
-		c.Mapper = m
-	}
 	if c.MediatedAccessLimit == 0 {
 		c.MediatedAccessLimit = DefaultMediatedAccessLimit
 	}
-	c.Mitigation = c.Mitigation.WithDefaults()
-	if err := c.Mitigation.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return c.Mitigation.Validate()
 }
 
 // Process models the credentials of a requesting process: its control group

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/geometry"
-)
+import "fmt"
 
 // EPT-table relocation (§5.4 applied to live migration): migration and the
 // resize facade move guest data between sockets, but a VM's EPT tables stay
@@ -12,54 +8,9 @@ import (
 // Relocation rebuilds the hierarchy from the destination socket's GFP_EPT
 // allocator under the pause gate, so the guard-block placement argument
 // holds for the socket the guest actually lives on, and so the source
-// socket's EPT row group can drain for defragmentation.
-
-// EPTRelocationReport describes one EPT-table relocation.
-type EPTRelocationReport struct {
-	VM         string
-	FromSocket int
-	ToSocket   int
-	// TablePages is the number of table pages rebuilt on the destination
-	// socket (zero when the tables were already there).
-	TablePages int
-	// ReclaimedBytes is how much the source socket's EPT pool got back.
-	ReclaimedBytes uint64
-}
-
-// RelocateEPT moves a VM's EPT tables into the named socket's EPT pool —
-// the guard-protected EPT block under guard-rows protection, the socket's
-// host pool otherwise. The guest is paused for the copy (the root and every
-// intermediate pointer swap non-atomically); on failure the old hierarchy
-// remains live and the guest resumes unharmed. Migration calls the same
-// machinery automatically; this entry point serves standalone rebalancing.
-func (h *Hypervisor) RelocateEPT(name string, socket int) (EPTRelocationReport, error) {
-	var rep EPTRelocationReport
-	vm, err := h.latch(name, "ept relocation")
-	if err != nil {
-		return rep, err
-	}
-	defer h.unlatch(vm)
-
-	rep.VM = name
-	rep.FromSocket = vm.eptSocket
-	rep.ToSocket = socket
-	if socket < 0 || socket >= h.cfg.Geometry.Sockets {
-		return rep, fmt.Errorf("core: socket %d out of range", socket)
-	}
-	if socket == vm.eptSocket {
-		return rep, nil // already home; nothing to move
-	}
-
-	vm.Pause()
-	defer vm.Resume()
-	moved, err := h.relocateTables(vm, socket)
-	if err != nil {
-		return rep, err
-	}
-	rep.TablePages = moved
-	rep.ReclaimedBytes = uint64(moved) * geometry.PageSize4K
-	return rep, nil
-}
+// socket's EPT row group can drain for defragmentation. Two paths run it: a
+// cross-socket MigrateVM, and relocateIfStranded after a balloon, hotplug
+// or resize leaves every node on a socket the tables do not live on.
 
 // relocateTables rebuilds vm's EPT hierarchy from the destination socket's
 // EPT allocator and retargets the VM's EPT-residency bookkeeping. The

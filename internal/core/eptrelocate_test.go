@@ -37,67 +37,6 @@ func eptFreeBytes(t *testing.T, h *Hypervisor, socket int) uint64 {
 	return a.FreeBytes()
 }
 
-func TestRelocateEPTStandalone(t *testing.T) {
-	h := bootSiloz(t)
-	bootFree0 := eptFreeBytes(t, h, 0)
-	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "vm", Socket: 0, MemoryBytes: 64 * geometry.MiB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("relocation survivor")
-	if err := vm.WriteGuest(4096, payload); err != nil {
-		t.Fatal(err)
-	}
-	nPages := len(vm.Tables().Pages())
-
-	rep, err := h.RelocateEPT("vm", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FromSocket != 0 || rep.ToSocket != 1 || rep.TablePages != nPages {
-		t.Fatalf("report = %+v, want 0->1 with %d pages", rep, nPages)
-	}
-	if rep.ReclaimedBytes != uint64(nPages)*geometry.PageSize4K {
-		t.Errorf("ReclaimedBytes = %d", rep.ReclaimedBytes)
-	}
-	if vm.EPTSocket() != 1 {
-		t.Errorf("EPTSocket = %d, want 1", vm.EPTSocket())
-	}
-	// Source pool fully reclaimed, pages inside socket 1's guarded block.
-	if got := eptFreeBytes(t, h, 0); got != bootFree0 {
-		t.Errorf("socket 0 EPT free = %d, want boot value %d", got, bootFree0)
-	}
-	dstNode, err := h.EPTNode(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pa := range vm.Tables().Pages() {
-		if !dstNode.Contains(pa) {
-			t.Errorf("table page %#x outside socket 1's EPT node", pa)
-		}
-	}
-	// The guest is untouched and the system still audits clean.
-	buf := make([]byte, len(payload))
-	if err := vm.ReadGuest(4096, buf); err != nil || !bytes.Equal(buf, payload) {
-		t.Fatalf("payload after relocation: %q, %v", buf, err)
-	}
-	if findings := h.Audit(); len(findings) != 0 {
-		t.Fatalf("audit after relocation: %v", findings)
-	}
-
-	// Same-socket relocation is a no-op report.
-	rep, err = h.RelocateEPT("vm", 1)
-	if err != nil || rep.TablePages != 0 {
-		t.Fatalf("same-socket relocation: %+v, %v", rep, err)
-	}
-	if _, err := h.RelocateEPT("vm", 9); err == nil {
-		t.Error("out-of-range socket accepted")
-	}
-	if _, err := h.RelocateEPT("ghost", 1); !errors.Is(err, ErrVMNotFound) {
-		t.Errorf("missing VM: %v", err)
-	}
-}
-
 func TestMigrateVMRelocatesEPT(t *testing.T) {
 	h := bootSiloz(t)
 	bootFree0 := eptFreeBytes(t, h, 0)

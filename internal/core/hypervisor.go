@@ -124,7 +124,11 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 		return nil, fmt.Errorf("core: mitigation %q requires ModeSiloz, got %s",
 			cfg.Mitigation.Name(), mode)
 	}
-	mem, err := dram.NewMemory(cfg.Geometry, cfg.Mapper, cfg.Profiles, cfg.Repairs)
+	mapper, err := addr.NewMapper(cfg.Geometry, addr.KindSkylake)
+	if err != nil {
+		return nil, err
+	}
+	mem, err := dram.NewMemory(cfg.Geometry, mapper, cfg.Profiles, cfg.Repairs)
 	if err != nil {
 		return nil, err
 	}
@@ -153,10 +157,10 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 	if cfg.CachedLayout != nil {
 		// Reuse ranges computed on a previous boot; fall back to full
 		// recomputation if the cache does not match this boot (§5.3).
-		layout, err = subarray.Load(cfg.CachedLayout, cfg.Geometry, cfg.Mapper)
+		layout, err = subarray.Load(cfg.CachedLayout, cfg.Geometry, mapper)
 	}
 	if layout == nil || err != nil {
-		layout, err = subarray.NewLayoutForModule(cfg.Geometry, cfg.Mapper, cfg.Profiles[0].Transforms)
+		layout, err = subarray.NewLayoutForModule(cfg.Geometry, mapper, cfg.Profiles[0].Transforms)
 		if err != nil {
 			return nil, err
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/ept"
 	"repro/internal/geometry"
+	"repro/internal/mitigation"
 	"repro/internal/numa"
 )
 
@@ -269,8 +270,8 @@ func (h *Hypervisor) reserveGuestNodes(vm *VM) error {
 // intent). Caller holds h.mu.
 func (h *Hypervisor) reserveDomainGuards(vm *VM) {
 	g := h.cfg.Geometry
-	band := h.cfg.Mitigation.CATTGuardRows
-	if band <= 0 || len(vm.ram) == 0 {
+	const band = mitigation.DefaultCATTGuardRows
+	if len(vm.ram) == 0 {
 		return
 	}
 	mapper := h.mem.Mapper()

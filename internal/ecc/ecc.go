@@ -19,9 +19,7 @@ import "math/bits"
 // overall parity bit providing double-error detection.
 const (
 	// DataBits is the number of protected data bits per word.
-	DataBits = 64
-	// CheckBits is the number of redundancy bits per word.
-	CheckBits  = 8
+	DataBits   = 64
 	nPositions = 72
 )
 
@@ -161,36 +159,4 @@ func Decode(data uint64, check uint8) (uint64, uint8, Result) {
 	default: // syndrome != 0 && overallOK
 		return data, check, Uncorrectable
 	}
-}
-
-// Word is a stored 64-bit word with its check bits.
-type Word struct {
-	Data  uint64
-	Check uint8
-}
-
-// NewWord encodes data into a protected word.
-func NewWord(data uint64) Word {
-	return Word{Data: data, Check: Encode(data)}
-}
-
-// Read decodes the word, returning the (possibly corrected) data and result.
-// The stored word is repaired in place on correction, as DRAM scrubbing does.
-func (w *Word) Read() (uint64, Result) {
-	data, check, res := Decode(w.Data, w.Check)
-	if res == Corrected {
-		w.Data, w.Check = data, check
-	}
-	return data, res
-}
-
-// FlipDataBit flips one data bit (0..63) in storage, simulating a
-// disturbance error.
-func (w *Word) FlipDataBit(bit int) {
-	w.Data ^= 1 << bit
-}
-
-// FlipCheckBit flips one check bit (0..7) in storage.
-func (w *Word) FlipCheckBit(bit int) {
-	w.Check ^= 1 << bit
 }

@@ -6,11 +6,18 @@ import (
 	"testing/quick"
 )
 
+// checkBits is the number of redundancy bits Encode produces per word.
+const checkBits = 8
+
+// testWords are the data words the exhaustive single- and double-flip
+// tests run over: all zeros, all ones, and two irregular patterns.
+var testWords = []uint64{0, ^uint64(0), 0xDEADBEEFCAFEF00D, 0x0123456789ABCDEF}
+
 func TestNoErrorDecodesOK(t *testing.T) {
 	f := func(data uint64) bool {
-		w := NewWord(data)
-		got, res := w.Read()
-		return got == data && res == OK
+		check := Encode(data)
+		got, gotCheck, res := Decode(data, check)
+		return got == data && gotCheck == check && res == OK
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -18,66 +25,62 @@ func TestNoErrorDecodesOK(t *testing.T) {
 }
 
 func TestSingleDataBitErrorsCorrected(t *testing.T) {
-	f := func(data uint64, bit uint8) bool {
-		b := int(bit % DataBits)
-		w := NewWord(data)
-		w.FlipDataBit(b)
-		got, res := w.Read()
-		return got == data && res == Corrected
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+	for _, data := range testWords {
+		check := Encode(data)
+		for b := 0; b < DataBits; b++ {
+			got, gotCheck, res := Decode(data^1<<b, check)
+			if got != data || gotCheck != check || res != Corrected {
+				t.Errorf("%#x, data bit %d: got %#x/%#x, %v; want the original, Corrected", data, b, got, gotCheck, res)
+			}
+		}
 	}
 }
 
 func TestSingleCheckBitErrorsCorrected(t *testing.T) {
-	for bit := 0; bit < CheckBits; bit++ {
-		data := uint64(0xDEADBEEFCAFEF00D)
-		w := NewWord(data)
-		w.FlipCheckBit(bit)
-		got, res := w.Read()
-		if got != data || res != Corrected {
-			t.Errorf("check bit %d: got %#x, %v; want original, Corrected", bit, got, res)
+	for _, data := range testWords {
+		check := Encode(data)
+		for b := 0; b < checkBits; b++ {
+			got, gotCheck, res := Decode(data, check^1<<b)
+			if got != data || gotCheck != check || res != Corrected {
+				t.Errorf("%#x, check bit %d: got %#x/%#x, %v; want the original, Corrected", data, b, got, gotCheck, res)
+			}
 		}
 	}
 }
 
+// The pair Decode returns on a correction is the repaired storage: decoding
+// it again is clean.
 func TestCorrectionRepairsStorage(t *testing.T) {
 	data := uint64(0x0123456789ABCDEF)
-	w := NewWord(data)
-	w.FlipDataBit(17)
-	if _, res := w.Read(); res != Corrected {
-		t.Fatal("first read should correct")
+	fixed, fixedCheck, res := Decode(data^1<<17, Encode(data))
+	if res != Corrected {
+		t.Fatal("first decode should correct")
 	}
-	if _, res := w.Read(); res != OK {
-		t.Error("second read should be clean after in-place repair")
+	if _, _, res := Decode(fixed, fixedCheck); res != OK {
+		t.Error("second decode should be clean after the repair")
 	}
 }
 
 func TestDoubleBitErrorsDetected(t *testing.T) {
-	f := func(data uint64, b1, b2 uint8) bool {
-		x, y := int(b1%DataBits), int(b2%DataBits)
-		if x == y {
-			return true
+	for _, data := range testWords {
+		check := Encode(data)
+		for x := 0; x < DataBits; x++ {
+			for y := x + 1; y < DataBits; y++ {
+				stored := data ^ 1<<x ^ 1<<y
+				got, gotCheck, res := Decode(stored, check)
+				if res != Uncorrectable || got != stored || gotCheck != check {
+					t.Fatalf("%#x, data bits %d+%d: got %#x/%#x, %v; want the stored word, Uncorrectable", data, x, y, got, gotCheck, res)
+				}
+			}
 		}
-		w := NewWord(data)
-		w.FlipDataBit(x)
-		w.FlipDataBit(y)
-		got, res := w.Read()
-		return res == Uncorrectable && got == w.Data
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 
 func TestDoubleErrorDataPlusCheckDetected(t *testing.T) {
 	data := uint64(0xFFFF0000FFFF0000)
-	for cb := 0; cb < CheckBits; cb++ {
-		w := NewWord(data)
-		w.FlipDataBit(3)
-		w.FlipCheckBit(cb)
-		if _, res := w.Read(); res != Uncorrectable {
+	check := Encode(data)
+	for cb := 0; cb < checkBits; cb++ {
+		if _, _, res := Decode(data^1<<3, check^1<<cb); res != Uncorrectable {
 			t.Errorf("data+check(%d) double error: got %v, want Uncorrectable", cb, res)
 		}
 	}
@@ -93,54 +96,17 @@ func TestTripleErrorsCanMiscorrect(t *testing.T) {
 	miscorrected := false
 	for trial := 0; trial < 2000 && !miscorrected; trial++ {
 		data := rng.Uint64()
-		w := NewWord(data)
-		bits := rng.Perm(DataBits)[:3]
-		for _, b := range bits {
-			w.FlipDataBit(b)
+		stored := data
+		for _, b := range rng.Perm(DataBits)[:3] {
+			stored ^= 1 << b
 		}
-		got, res := w.Read()
+		got, _, res := Decode(stored, Encode(data))
 		if res != Uncorrectable && got != data {
 			miscorrected = true
 		}
 	}
 	if !miscorrected {
 		t.Error("no triple-bit miscorrection observed; ECC model too strong")
-	}
-}
-
-func TestScrubberCountsAndLogs(t *testing.T) {
-	words := make([]Word, 64)
-	for i := range words {
-		words[i] = NewWord(uint64(i) * 0x9E3779B97F4A7C15)
-	}
-	words[3].FlipDataBit(5)
-	words[10].FlipDataBit(0)
-	words[20].FlipDataBit(1)
-	words[20].FlipDataBit(2)
-
-	log := &Log{}
-	s := &Scrubber{Log: log}
-	corr, uncorr := s.ScrubWords(words, func(i int) uint64 { return uint64(i) * 8 })
-	if corr != 2 || uncorr != 1 {
-		t.Fatalf("scrub found corr=%d uncorr=%d, want 2, 1", corr, uncorr)
-	}
-	ce := log.Corrected()
-	if len(ce) != 2 || ce[0].Addr != 24 || ce[0].Bit != 5 || ce[1].Addr != 80 {
-		t.Errorf("corrected log = %+v", ce)
-	}
-	if ue := log.Uncorrectable(); len(ue) != 1 || ue[0] != 160 {
-		t.Errorf("uncorrectable log = %+v", ue)
-	}
-
-	// After scrubbing, single-bit errors are repaired.
-	corr2, uncorr2 := s.ScrubWords(words, func(i int) uint64 { return uint64(i) * 8 })
-	if corr2 != 0 || uncorr2 != 1 {
-		t.Errorf("second scrub corr=%d uncorr=%d, want 0, 1", corr2, uncorr2)
-	}
-
-	log.Reset()
-	if len(log.Corrected()) != 0 || len(log.Uncorrectable()) != 0 {
-		t.Error("Reset did not clear log")
 	}
 }
 

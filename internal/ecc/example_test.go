@@ -7,17 +7,14 @@ import (
 )
 
 // Example shows SEC-DED behaviour under increasing corruption: one flip is
-// corrected, two are detected, and the stored word self-repairs on read.
+// corrected, two are detected.
 func Example() {
-	w := ecc.NewWord(0xDEADBEEF)
-	w.FlipDataBit(7)
-	data, res := w.Read()
-	fmt.Printf("1 flip: %v, data restored: %v\n", res, data == 0xDEADBEEF)
+	const data = 0xDEADBEEF
+	check := ecc.Encode(data)
+	got, _, res := ecc.Decode(data^1<<7, check)
+	fmt.Printf("1 flip: %v, data restored: %v\n", res, got == data)
 
-	w2 := ecc.NewWord(0xDEADBEEF)
-	w2.FlipDataBit(7)
-	w2.FlipDataBit(40)
-	_, res = w2.Read()
+	_, _, res = ecc.Decode(data^1<<7^1<<40, check)
 	fmt.Printf("2 flips: %v\n", res)
 	// Output:
 	// 1 flip: corrected, data restored: true

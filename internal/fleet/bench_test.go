@@ -62,7 +62,7 @@ func BenchmarkHostSubmitWait(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op, err := h.Submit("k", "op", noop)
+		op, err := h.Submit("k", noop)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,14 +11,14 @@ import (
 )
 
 // TestConcurrentFleetChurn hammers the control plane from many goroutines:
-// simultaneous admissions, departures, resizes, and a host drain, with the
+// simultaneous admissions, departures, resizes, and a rebalance round, with the
 // fleet-wide isolation audit after every round. Hosts run three ops at once,
 // so per-VM queue serialization — not driver ordering — is what keeps the
 // invariants. Wired into `make race-quick`.
 func TestConcurrentFleetChurn(t *testing.T) {
 	ctx := context.Background()
 	c := testCluster(t, 3, BestFit{}, 3)
-	sched := NewScheduler(c, SchedulerConfig{Seed: 17, MaxCrossMoves: 2})
+	sched := NewScheduler(c, SchedulerConfig{Seed: 17})
 
 	const rounds = 4
 	const perRound = 9

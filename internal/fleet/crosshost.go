@@ -156,7 +156,7 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 		}
 	}
 	rep := &CrossHostReport{VM: name, Source: srcName, Dest: destHost, DestSocket: destSocket}
-	srcOp, err := src.Submit(name, "move", func() error {
+	srcOp, err := src.Submit(name, func() error {
 		return src.Hypervisor().MoveOut(ctx, name, destVM, opt, func(m *core.MigrateReport) {
 			rep.PagesCopied, rep.BytesCopied, rep.DowntimeBytes = m.PagesCopied, m.BytesCopied, m.DowntimeBytes
 			// Commit: route to the destination; MoveOut tears the source down next.

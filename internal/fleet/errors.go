@@ -18,9 +18,6 @@ var (
 	// request: no socket on any admissible host has enough unowned
 	// subarray-group capacity. The fleet's typed admission rejection.
 	ErrNoPlacement = errors.New("fleet: no isolation-respecting placement")
-	// ErrHostDraining rejects work submitted to a host being drained by
-	// the migration scheduler: it accepts no new VMs.
-	ErrHostDraining = errors.New("fleet: host is draining")
 	// ErrUnknownHost names a host the cluster does not manage.
 	ErrUnknownHost = errors.New("fleet: unknown host")
 	// ErrUnknownVM names a VM the cluster has no placement record for.

@@ -28,32 +28,11 @@ func TestAdmitRejectionIsTyped(t *testing.T) {
 	if !errors.Is(err, ErrNoPlacement) {
 		t.Fatalf("rejection not typed ErrNoPlacement: %v", err)
 	}
-	if errors.Is(err, ErrHostDraining) {
+	if errors.Is(err, ErrClosed) {
 		t.Fatalf("rejection matches the wrong sentinel: %v", err)
 	}
 	if s := c.Stats(); s.Rejected != 1 {
 		t.Fatalf("rejected counter = %d, want 1", s.Rejected)
-	}
-}
-
-func TestHostDrainingIsTyped(t *testing.T) {
-	c := testCluster(t, 1, FirstFit{}, 0)
-	h := c.Hosts()[0]
-	h.SetDraining(true)
-	_, err := h.SubmitCreate(testProc(), core.VMSpec{Name: "x", MemoryBytes: 64 * geometry.MiB})
-	if !errors.Is(err, ErrHostDraining) {
-		t.Fatalf("create on draining host: %v, want ErrHostDraining", err)
-	}
-	if errors.Is(err, ErrNoPlacement) {
-		t.Fatalf("error matches the wrong sentinel: %v", err)
-	}
-	// Non-create work still runs on a draining host.
-	op, err := h.Submit("x", "destroy", func() error { return nil })
-	if err != nil {
-		t.Fatalf("non-create op rejected on draining host: %v", err)
-	}
-	if err := op.Wait(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -86,7 +65,7 @@ func TestClosedIsTyped(t *testing.T) {
 		core.VMSpec{Name: "x", MemoryBytes: 64 * geometry.MiB}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("admit after close: %v, want ErrClosed", err)
 	}
-	if _, err := c.Hosts()[0].Submit("x", "op", func() error { return nil }); !errors.Is(err, ErrClosed) {
+	if _, err := c.Hosts()[0].Submit("x", func() error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }

@@ -187,7 +187,7 @@ func (c *Cluster) Views() ([]HostView, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: occupancy of %q: %w", h.Name(), err)
 		}
-		hv := HostView{Host: h.Name(), Draining: h.Draining()}
+		hv := HostView{Host: h.Name()}
 		bySocket := map[int]*SocketView{}
 		var sockets []int
 		for _, o := range occ {
@@ -253,16 +253,6 @@ func (c *Cluster) Admit(ctx context.Context, proc core.Process, spec core.VMSpec
 		s.Socket = p.Socket
 		op, err := h.SubmitCreate(proc, s)
 		if err != nil {
-			if errors.Is(err, ErrHostDraining) {
-				// The host started draining after the view was taken;
-				// exclude it and try elsewhere.
-				if req.ExcludeHosts == nil {
-					req.ExcludeHosts = make(map[string]bool)
-				}
-				req.ExcludeHosts[p.Host] = true
-				lastErr = err
-				continue
-			}
 			return "", err
 		}
 		if err := op.Wait(ctx); err != nil {
@@ -301,7 +291,7 @@ func (c *Cluster) SubmitDepart(name string) (*Op, error) {
 	}
 	c.mu.Unlock()
 	h := c.byName[hostName]
-	return h.Submit(name, "destroy", func() error {
+	return h.Submit(name, func() error {
 		if err := h.Hypervisor().DestroyVM(name); err != nil {
 			return err
 		}

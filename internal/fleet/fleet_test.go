@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -268,7 +267,7 @@ func TestSchedulerShedsHotHost(t *testing.T) {
 		c.mu.Unlock()
 	}
 
-	s := NewScheduler(c, SchedulerConfig{MaxCrossMoves: 3, Seed: 5})
+	s := NewScheduler(c, SchedulerConfig{Seed: 5})
 	rep, err := s.Round(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -289,43 +288,6 @@ func TestSchedulerShedsHotHost(t *testing.T) {
 	}
 	if m.Hosts[1].VMs == 0 {
 		t.Fatal("nothing landed on host-1")
-	}
-}
-
-func TestSchedulerDrainHost(t *testing.T) {
-	ctx := context.Background()
-	c := testCluster(t, 2, BestFit{}, 0)
-	admit(t, c, "d0", 64*geometry.MiB)
-	admit(t, c, "d1", 128*geometry.MiB)
-
-	s := NewScheduler(c, SchedulerConfig{Seed: 9})
-	srcName, _ := c.HostOf("d0")
-	moved, err := s.DrainHost(ctx, srcName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("drain moved nothing")
-	}
-	src, _ := c.Host(srcName)
-	if !src.Draining() {
-		t.Fatal("host not marked draining after drain")
-	}
-	if n := len(src.Hypervisor().VMs()); n != 0 {
-		t.Fatalf("%d VMs left on drained host", n)
-	}
-	if err := c.AuditIsolation(); err != nil {
-		t.Fatal(err)
-	}
-	// A draining host admits nothing directly...
-	_, err = src.SubmitCreate(testProc(), core.VMSpec{Name: "nope", MemoryBytes: 64 * geometry.MiB})
-	if !errors.Is(err, ErrHostDraining) {
-		t.Fatalf("create on draining host: %v, want ErrHostDraining", err)
-	}
-	// ...but the cluster still admits elsewhere.
-	admit(t, c, "d2", 64*geometry.MiB)
-	if got, _ := c.HostOf("d2"); got == srcName {
-		t.Fatalf("admission landed on the draining host %s", got)
 	}
 }
 
@@ -375,7 +337,7 @@ func TestHostEventLoopOrdering(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		if _, err := h.Submit("k", "op", func() error {
+		if _, err := h.Submit("k", func() error {
 			order = append(order, i)
 			return nil
 		}); err != nil {

@@ -70,7 +70,6 @@ type Host struct {
 	pending  []*Op    // queued ops in submission order
 	running  []string // keys of the executing ops, at most slots
 	sleepers int      // goroutines asleep on cond
-	draining bool
 	closed   bool
 }
 
@@ -101,33 +100,14 @@ func (h *Host) Hypervisor() *core.Hypervisor { return h.hv }
 // Planner returns the host's occupancy planner.
 func (h *Host) Planner() *migrate.Planner { return h.planner }
 
-// SetDraining marks the host as draining (or not): a draining host accepts
-// no create ops; destroys, resizes, and outbound moves still run so the
-// drain can complete.
-func (h *Host) SetDraining(v bool) {
-	h.mu.Lock()
-	h.draining = v
-	h.mu.Unlock()
-}
-
-// Draining reports whether the host is draining.
-func (h *Host) Draining() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.draining
-}
-
 // Submit enqueues an operation under the given key and returns
 // immediately; nothing runs it until a Wait, Quiesce or Close on the host
-// drives the queue. Create ops are rejected while the host drains.
-func (h *Host) Submit(key, kind string, fn func() error) (*Op, error) {
+// drives the queue. A closed host refuses it with ErrClosed.
+func (h *Host) Submit(key string, fn func() error) (*Op, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return nil, fmt.Errorf("fleet: host %q: %w", h.name, ErrClosed)
-	}
-	if h.draining && kind == "create" {
-		return nil, fmt.Errorf("fleet: host %q: %w", h.name, ErrHostDraining)
 	}
 	op := &Op{h: h, key: key, fn: fn}
 	h.pending = append(h.pending, op)
@@ -136,7 +116,7 @@ func (h *Host) Submit(key, kind string, fn func() error) (*Op, error) {
 
 // SubmitCreate enqueues a VM creation.
 func (h *Host) SubmitCreate(proc core.Process, spec core.VMSpec) (*Op, error) {
-	return h.Submit(spec.Name, "create", func() error {
+	return h.Submit(spec.Name, func() error {
 		_, err := h.hv.CreateVM(proc, spec)
 		return err
 	})
@@ -144,14 +124,14 @@ func (h *Host) SubmitCreate(proc core.Process, spec core.VMSpec) (*Op, error) {
 
 // SubmitDestroy enqueues a VM teardown (scrub + release).
 func (h *Host) SubmitDestroy(name string) (*Op, error) {
-	return h.Submit(name, "destroy", func() error {
+	return h.Submit(name, func() error {
 		return h.hv.DestroyVM(name)
 	})
 }
 
 // SubmitResize enqueues a resize to targetBytes of usable RAM.
 func (h *Host) SubmitResize(name string, targetBytes uint64) (*Op, error) {
-	return h.Submit(name, "resize", func() error {
+	return h.Submit(name, func() error {
 		_, err := h.hv.ResizeVM(name, targetBytes)
 		return err
 	})
@@ -161,7 +141,7 @@ func (h *Host) SubmitResize(name string, targetBytes uint64) (*Op, error) {
 // migrate engine (bounded at maxMoves). onDone, if non-nil, receives the
 // reports before the op completes.
 func (h *Host) SubmitDefragment(ctx context.Context, maxMoves int, onDone func([]*core.MigrateReport)) (*Op, error) {
-	return h.Submit(defragKey, "defrag", func() error {
+	return h.Submit(defragKey, func() error {
 		reps, err := h.engine.Defragment(ctx, maxMoves)
 		if onDone != nil {
 			onDone(reps)

@@ -30,7 +30,7 @@ func TestOpRunsOnItsWaiter(t *testing.T) {
 	}
 
 	var ranOn string
-	op, err := h.Submit("k", "op", func() error {
+	op, err := h.Submit("k", func() error {
 		ranOn = goid()
 		return nil
 	})
@@ -56,7 +56,7 @@ func TestWaitRunsEarlierOpsFirst(t *testing.T) {
 	h := c.Hosts()[0]
 	var order []string
 	submit := func(key, label string) *Op {
-		op, err := h.Submit(key, "op", func() error {
+		op, err := h.Submit(key, func() error {
 			order = append(order, label)
 			return nil
 		})
@@ -93,7 +93,7 @@ func TestCancelledWaitLeavesOpQueued(t *testing.T) {
 	ran := map[string]bool{}
 	var mu sync.Mutex
 	submit := func(key string, body func()) *Op {
-		op, err := h.Submit(key, "op", func() error {
+		op, err := h.Submit(key, func() error {
 			if body != nil {
 				body()
 			}
@@ -179,7 +179,7 @@ func TestMultiSlotHostRunsWaitersInParallel(t *testing.T) {
 	other := map[string]string{"k1": "k2", "k2": "k1"}
 	var wg sync.WaitGroup
 	for key := range started {
-		op, err := h.Submit(key, "op", func() error {
+		op, err := h.Submit(key, func() error {
 			close(started[key])
 			select {
 			case <-started[other[key]]:
@@ -204,7 +204,7 @@ func TestMultiSlotHostRunsWaitersInParallel(t *testing.T) {
 	// Same key: the first op gives the second a window to start beside it;
 	// the second's waiter must sleep through it instead.
 	first, second := make(chan struct{}), make(chan struct{})
-	op1, err := h.Submit("k", "op", func() error {
+	op1, err := h.Submit("k", func() error {
 		close(first)
 		select {
 		case <-second:
@@ -216,7 +216,7 @@ func TestMultiSlotHostRunsWaitersInParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op2, err := h.Submit("k", "op", func() error {
+	op2, err := h.Submit("k", func() error {
 		close(second)
 		return nil
 	})

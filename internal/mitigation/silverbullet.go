@@ -35,8 +35,8 @@ type SilverBullet struct {
 }
 
 // NewSilverBullet builds a Silver Bullet instance for a scope of banks. It
-// panics on tableSize < 1; Spec.Validate is the error-returning gate for
-// configuration that arrives from outside.
+// panics on tableSize < 1; Spec.RowDefense builds it at the Default*
+// tuning.
 func NewSilverBullet(banks, tableSize int, threshold float64, budget int) *SilverBullet {
 	return &SilverBullet{
 		threshold: threshold,

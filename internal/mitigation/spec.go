@@ -1,8 +1,6 @@
 package mitigation
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Kind names one mitigation family.
 type Kind int
@@ -71,38 +69,22 @@ const scopeSeedSalt = 7919
 // DRAM module, one controller run) from a spec's base seed.
 func ScopeSeed(base int64, scope int) int64 { return base + int64(scope)*scopeSeedSalt }
 
-// Spec is a buildable mitigation configuration: the kind plus its tuning
-// parameters. The zero value is KindNone. Specs are plain data so they can
-// sit in core.Config and experiment configs without import cycles.
+// Spec is a buildable mitigation configuration: the kind and the seed of
+// its random streams; every kind runs at its Default* tuning. The zero
+// value is KindNone. Specs are plain data so they can sit in core.Config
+// and experiment configs without import cycles.
 type Spec struct {
 	// Kind selects the mitigation family.
 	Kind Kind
 	// Seed bases every per-scope RNG stream (PARA's coin flips).
 	Seed int64
-
-	// PARAProbability is PARA's per-activation refresh probability p;
-	// 0 means DefaultPARAProbability.
-	PARAProbability float64
-
-	// SBTableSize is Silver Bullet's per-bank counter-table capacity;
-	// 0 means DefaultSBTableSize.
-	SBTableSize int
-	// SBThreshold is the counter value that triggers a proactive
-	// neighbourhood refresh; 0 means DefaultSBThreshold. It must sit
-	// well below the DIMM's Rowhammer threshold.
-	SBThreshold float64
-	// SBRefreshBudget caps proactive refreshes per bank per refresh
-	// window; 0 keeps the budget unlimited, negative is invalid. A
-	// too-small budget reproduces the counter-exhaustion edge case.
-	SBRefreshBudget int
-
-	// CATTGuardRows is the guard band width in DRAM rows on each side of
-	// a tenant extent; 0 means DefaultCATTGuardRows (the modelled blast
-	// radius).
-	CATTGuardRows int
 }
 
-// Default tuning values.
+// Default tuning values: PARA's per-activation refresh probability p,
+// Silver Bullet's per-bank counter-table capacity and refresh threshold
+// (well below the DIMM's Rowhammer threshold; RowDefense leaves its
+// refresh budget unlimited), and CATT's guard band width in DRAM rows on
+// each side of a tenant extent (the modelled blast radius).
 const (
 	DefaultPARAProbability = 1.0 / 500
 	DefaultSBTableSize     = 16
@@ -110,50 +92,16 @@ const (
 	DefaultCATTGuardRows   = 2
 )
 
-// WithDefaults fills zero tuning fields with their defaults.
-func (s Spec) WithDefaults() Spec {
-	if s.PARAProbability == 0 {
-		s.PARAProbability = DefaultPARAProbability
-	}
-	if s.SBTableSize == 0 {
-		s.SBTableSize = DefaultSBTableSize
-	}
-	if s.SBThreshold == 0 {
-		s.SBThreshold = DefaultSBThreshold
-	}
-	if s.CATTGuardRows == 0 {
-		s.CATTGuardRows = DefaultCATTGuardRows
-	}
-	return s
-}
-
 // Name returns the spec's row label.
 func (s Spec) Name() string { return s.Kind.String() }
 
-// Validate rejects out-of-range tuning values.
+// Validate rejects an unknown kind.
 func (s Spec) Validate() error {
-	s = s.WithDefaults()
 	switch s.Kind {
 	case KindNone, KindPARA, KindSilverBullet, KindCATT, KindSiloz:
-	default:
-		return fmt.Errorf("%w: %v", ErrUnsupported, s.Kind)
+		return nil
 	}
-	if s.PARAProbability <= 0 || s.PARAProbability > 1 {
-		return fmt.Errorf("mitigation: PARA probability %v out of (0,1]", s.PARAProbability)
-	}
-	if s.SBTableSize < 1 {
-		return fmt.Errorf("mitigation: Silver Bullet table size must be >= 1, got %d", s.SBTableSize)
-	}
-	if s.SBThreshold <= 0 {
-		return fmt.Errorf("mitigation: Silver Bullet threshold must be positive, got %v", s.SBThreshold)
-	}
-	if s.SBRefreshBudget < 0 {
-		return fmt.Errorf("mitigation: Silver Bullet refresh budget must be >= 0, got %d", s.SBRefreshBudget)
-	}
-	if s.CATTGuardRows < 1 {
-		return fmt.Errorf("mitigation: CATT guard rows must be >= 1, got %d", s.CATTGuardRows)
-	}
-	return nil
+	return fmt.Errorf("%w: %v", ErrUnsupported, s.Kind)
 }
 
 // HasRowDefense reports whether the kind acts on the activation plane
@@ -180,7 +128,6 @@ func (s Spec) RowDefense(banks int, seed int64) (Mitigation, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	s = s.WithDefaults()
 	if banks <= 0 {
 		return nil, fmt.Errorf("mitigation: scope must have at least one bank, got %d", banks)
 	}
@@ -188,9 +135,9 @@ func (s Spec) RowDefense(banks int, seed int64) (Mitigation, error) {
 	case KindNone:
 		return nil, nil
 	case KindPARA:
-		return NewPARA(s.PARAProbability, seed), nil
+		return NewPARA(DefaultPARAProbability, seed), nil
 	case KindSilverBullet:
-		return NewSilverBullet(banks, s.SBTableSize, s.SBThreshold, s.SBRefreshBudget), nil
+		return NewSilverBullet(banks, DefaultSBTableSize, DefaultSBThreshold, 0), nil
 	default:
 		return nil, fmt.Errorf("%w: %v has no activation-plane row defense", ErrUnsupported, s.Kind)
 	}
