@@ -72,7 +72,7 @@ race-quick:
 	$(GO) test -race -run 'TestWalkersSeeWholeEntriesDuringRunEdits|TestRelocateUnwindsAtEveryStep|TestRelocateSeesDestroyAtEveryStep' ./internal/ept
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate
-	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestOpRunsOnItsWaiter|TestMultiSlotHostRunsWaitersInParallel|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock|TestConcurrentWriterDuringCrossHostMove|TestCrossHostMoveHoldsTheLatch|TestMoveUnwindsAtEveryStep' ./internal/fleet
+	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestOpRunsOnItsWaiter|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock|TestConcurrentWriterDuringCrossHostMove|TestCrossHostMoveHoldsTheLatch|TestMoveUnwindsAtEveryStep' ./internal/fleet
 	$(GO) test -race -run 'TestGenerateEarlyStopDeterminism' ./internal/workload
 	$(GO) test -race -run 'TestConcurrentServeResize' ./internal/serve
 	$(GO) test -race -run 'TestRunCampaignContainment|TestRunCampaignDeterministic' ./internal/attack

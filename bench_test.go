@@ -71,9 +71,9 @@ func runExp(b *testing.B, name string, p any) *experiments.Result {
 // scalar reads a headline metric out of the Result.
 func scalar(b *testing.B, r *experiments.Result, name string) float64 {
 	b.Helper()
-	v, err := r.Scalar(name)
-	if err != nil {
-		b.Fatal(err)
+	v, ok := r.Scalars[name]
+	if !ok {
+		b.Fatalf("result %q has no scalar %q", r.Name, name)
 	}
 	return v
 }

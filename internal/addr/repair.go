@@ -118,7 +118,7 @@ func GenerateRepairs(g geometry.Geometry, mode RepairMode, fraction float64, rng
 	t := NewRepairTable(g)
 	perBank := int(float64(g.RowsPerBank) * fraction)
 	sub := g.RowsPerSubarray
-	nsub := g.SubarraysPerBank()
+	nsub := g.RowsPerBank / sub
 	for flat := 0; flat < g.TotalBanks(); flat++ {
 		bank := geometry.BankFromFlat(g, flat)
 		used := make(map[int]bool)

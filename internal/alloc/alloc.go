@@ -18,8 +18,6 @@ const (
 	MaxOrder = 18
 	// Order2M is the order of a 2 MiB huge page.
 	Order2M = 9
-	// Order1G is the order of a 1 GiB huge page.
-	Order1G = 18
 )
 
 // OrderBytes returns the size of an order-o block.

@@ -20,8 +20,8 @@ func TestOrderHelpers(t *testing.T) {
 	if OrderBytes(Order2M) != 2<<20 {
 		t.Errorf("OrderBytes(Order2M) = %d", OrderBytes(Order2M))
 	}
-	if OrderBytes(Order1G) != 1<<30 {
-		t.Errorf("OrderBytes(Order1G) = %d", OrderBytes(Order1G))
+	if OrderBytes(MaxOrder) != 1<<30 {
+		t.Errorf("OrderBytes(MaxOrder) = %d", OrderBytes(MaxOrder))
 	}
 }
 

@@ -174,31 +174,31 @@ func TestROMWritesTrapAndAreEmulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := vm.Exits()
+	before := vm.exits
 	payload := []byte("flash update")
 	if err := vm.WriteGuest(romGPA+16, payload); err != nil {
 		t.Fatalf("emulated ROM write failed: %v", err)
 	}
-	if vm.Exits() <= before {
+	if vm.exits <= before {
 		t.Error("ROM write did not exit into the hypervisor")
 	}
 	got := make([]byte, len(payload))
-	exitsBeforeRead := vm.Exits()
+	exitsBeforeRead := vm.exits
 	if err := vm.ReadGuest(romGPA+16, got); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(payload) {
 		t.Error("emulated ROM write not visible")
 	}
-	if vm.Exits() != exitsBeforeRead {
+	if vm.exits != exitsBeforeRead {
 		t.Error("ROM read exited; reads must be unmediated (§5.1)")
 	}
 	// RAM writes never exit.
-	exits := vm.Exits()
+	exits := vm.exits
 	if err := vm.WriteGuest(0, payload); err != nil {
 		t.Fatal(err)
 	}
-	if vm.Exits() != exits {
+	if vm.exits != exits {
 		t.Error("RAM write exited")
 	}
 	// MMIO accesses always exit.
@@ -206,11 +206,11 @@ func TestROMWritesTrapAndAreEmulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exits = vm.Exits()
+	exits = vm.exits
 	if err := vm.ReadGuest(vgaGPA, got); err != nil {
 		t.Fatal(err)
 	}
-	if vm.Exits() <= exits {
+	if vm.exits <= exits {
 		t.Error("MMIO read did not exit")
 	}
 }

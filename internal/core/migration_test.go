@@ -75,11 +75,11 @@ func TestDirtyTrackingLogsWrites(t *testing.T) {
 		t.Error("still tracking after stop")
 	}
 	// Disarmed: writes must not fault or log.
-	before := vm.Exits()
+	before := vm.exits
 	if err := vm.WriteGuest(7*geometry.PageSize2M, []byte("free")); err != nil {
 		t.Fatal(err)
 	}
-	if vm.Exits() != before {
+	if vm.exits != before {
 		t.Error("write after StopDirtyTracking still took an exit")
 	}
 }
@@ -400,11 +400,11 @@ func TestMigrateVMMovesGuestPlacedRegions(t *testing.T) {
 		t.Error("ROM content lost in migration")
 	}
 	// Still read-only: a guest write exits and is emulated, not direct.
-	before := vm.Exits()
+	before := vm.exits
 	if err := vm.WriteGuest(romGPA, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if vm.Exits() == before {
+	if vm.exits == before {
 		t.Error("post-migration ROM write took no exit — write protection lost")
 	}
 }

@@ -117,7 +117,6 @@ type VM struct {
 	// refresh window, and the window they were counted in.
 	mediatedAccesses int
 	mediatedWindow   int
-	throttled        uint64
 }
 
 // ErrThrottled is returned when a VM exceeds its per-window mediated access
@@ -629,10 +628,6 @@ func (vm *VM) translateWriteRAM(gpa uint64) (uint64, error) {
 	return hpa, err
 }
 
-// Exits returns the number of VM exits taken for mediated accesses — the
-// hook the host can rate-limit (§5.1).
-func (vm *VM) Exits() uint64 { return vm.exits }
-
 // Pause stops the guest's vCPUs: guest loads and stores block until Resume.
 // It is the stop-and-copy gate of live migration.
 func (vm *VM) Pause() { vm.pauseMu.Lock() }
@@ -870,15 +865,11 @@ func (vm *VM) mediatedAccess(hpa uint64) error {
 	}
 	limit := h.cfg.MediatedAccessLimit
 	if limit > 0 && vm.mediatedAccesses >= limit {
-		vm.throttled++
 		return fmt.Errorf("%w: VM %q exceeded %d accesses this window", ErrThrottled, vm.spec.Name, limit)
 	}
 	vm.mediatedAccesses++
 	return h.mem.ActivatePhys(hpa, 1, 0)
 }
-
-// Throttled returns how many mediated accesses the rate limiter rejected.
-func (vm *VM) Throttled() uint64 { return vm.throttled }
 
 // Hammer issues count activations against the DRAM row backing a guest
 // physical address, holding the row open openNs per activation — the

@@ -51,7 +51,7 @@ func stripeRegions(pa uint64, st *addr.Stripe) regions {
 
 // locate finds the regions of the stripe holding a row, for the writers that
 // reach a row by its media address rather than through a decoded stripe
-// (Module.WriteRow, commitFlips, ScrubRow): one Encode and one Stripe decode,
+// (Module.WriteRow, commitFlips): one Encode and one Stripe decode,
 // paid only when the row is born or dies. A standalone Module has no census.
 func (c *rowCensus) locate(b geometry.BankID, row int) regions {
 	if c == nil {

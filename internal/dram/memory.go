@@ -423,7 +423,7 @@ func (m *Memory) LiveRows() int {
 	for _, socket := range m.modules {
 		for _, mod := range socket {
 			mod.rowsMu.Lock()
-			n += mod.rows.len()
+			n += mod.rows.live
 			mod.rowsMu.Unlock()
 		}
 	}

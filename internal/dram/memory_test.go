@@ -151,7 +151,7 @@ func TestMemoryPerDIMMProfiles(t *testing.T) {
 	for s := 0; s < g.Sockets; s++ {
 		for d := 0; d < g.DIMMsPerSocket; d++ {
 			want := EvaluationProfiles()[d%6].Name
-			if got := mem.Module(s, d).Profile().Name; got != want {
+			if got := mem.Module(s, d).prof.Name; got != want {
 				t.Errorf("module (%d,%d) has profile %s, want %s", s, d, got, want)
 			}
 		}
@@ -268,7 +268,7 @@ func TestScrubPhysReleasesWholeStripes(t *testing.T) {
 	liveRows := func() (rows []int) {
 		for s := 0; s < g.Sockets; s++ {
 			for d := 0; d < g.DIMMsPerSocket; d++ {
-				rows = append(rows, mem.Module(s, d).rows.len())
+				rows = append(rows, mem.Module(s, d).rows.live)
 			}
 		}
 		return rows

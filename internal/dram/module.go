@@ -201,9 +201,6 @@ func (m *Module) TotalActivations() int64 {
 	return n
 }
 
-// Profile returns the module's disturbance profile.
-func (m *Module) Profile() Profile { return m.prof }
-
 // InternalMapper exposes the module's internal row address mapping; Siloz's
 // translation drivers use it when classifying isolation-violating rows (§6).
 func (m *Module) InternalMapper() *addr.InternalMapper { return m.im }
@@ -532,34 +529,6 @@ func (m *Module) ReadRow(b geometry.BankID, mediaRow, col int, buf []byte) error
 		copy(buf, r[col:])
 	} else {
 		clear(buf)
-	}
-	m.rowsMu.Unlock()
-	return nil
-}
-
-// ScrubRow zeroes a row segment without materializing untouched storage: a
-// row that was never written already reads as zeros. The backing is
-// released only when the one call covers the whole row (col 0, RowBytes
-// long); a shorter segment is zeroed in place. Page sanitization goes
-// through Memory.ScrubPhys, which makes the release decision per stripe —
-// under an interleaved mapping no page is a whole row of any one bank.
-func (m *Module) ScrubRow(b geometry.BankID, mediaRow, col, n int) error {
-	if !m.owns(b) || mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
-		return fmt.Errorf("dram: scrub target %v row %d invalid", b, mediaRow)
-	}
-	if col < 0 || n < 0 || col+n > m.g.RowBytes {
-		return fmt.Errorf("dram: scrub [%d,%d) outside row", col, col+n)
-	}
-	m.rowsMu.Lock()
-	bankIdx := m.rows.bankIndex(b.Rank, b.Bank)
-	if r := m.rows.row(bankIdx, mediaRow); r != nil {
-		if col == 0 && n == m.g.RowBytes {
-			m.rows.release(bankIdx, mediaRow, m.rows.census.locate(b, mediaRow))
-		} else {
-			for i := col; i < col+n; i++ {
-				r[i] = 0
-			}
-		}
 	}
 	m.rowsMu.Unlock()
 	return nil

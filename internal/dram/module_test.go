@@ -9,6 +9,14 @@ import (
 	"repro/internal/mitigation"
 )
 
+// WeakCellCount reports how many weak cells a half-row holds.
+func (m *Module) WeakCellCount(bank geometry.BankID, side addr.Side, mediaRow int) int {
+	bs := m.bank(bank)
+	virt, _ := m.internalTarget(bs, mediaRow, side)
+	bits := m.g.RowBytes / 2 * 8
+	return len(weakCells(nil, newCellBitset(bits), m.prof, m.socket, m.dimm, bank, side, virt, bits))
+}
+
 func tinyGeometry() geometry.Geometry {
 	return geometry.Geometry{
 		Sockets:         1,

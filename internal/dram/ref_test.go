@@ -51,6 +51,34 @@ func (m *Memory) readRef(pa uint64, buf []byte) error {
 	})
 }
 
+// ScrubRow is scrubRef's per-row step: it zeroes a row segment without
+// materializing untouched storage (a row never written already reads as
+// zeros), and releases the backing only when the one call covers the whole
+// row (col 0, RowBytes long); a shorter segment is zeroed in place. Memory's
+// own scrub, ScrubPhys, makes the release decision per stripe — under an
+// interleaved mapping no page is a whole row of any one bank.
+func (m *Module) ScrubRow(b geometry.BankID, mediaRow, col, n int) error {
+	if !m.owns(b) || mediaRow < 0 || mediaRow >= m.g.RowsPerBank {
+		return fmt.Errorf("dram: scrub target %v row %d invalid", b, mediaRow)
+	}
+	if col < 0 || n < 0 || col+n > m.g.RowBytes {
+		return fmt.Errorf("dram: scrub [%d,%d) outside row", col, col+n)
+	}
+	m.rowsMu.Lock()
+	bankIdx := m.rows.bankIndex(b.Rank, b.Bank)
+	if r := m.rows.row(bankIdx, mediaRow); r != nil {
+		if col == 0 && n == m.g.RowBytes {
+			m.rows.release(bankIdx, mediaRow, m.rows.census.locate(b, mediaRow))
+		} else {
+			for i := col; i < col+n; i++ {
+				r[i] = 0
+			}
+		}
+	}
+	m.rowsMu.Unlock()
+	return nil
+}
+
 func (m *Memory) scrubRef(pa uint64, n int) error {
 	return m.iterRef(pa, n, func(mod *Module, ma geometry.MediaAddr, off, n int) error {
 		return mod.ScrubRow(ma.Bank, ma.Row, ma.Col, n)
@@ -471,7 +499,7 @@ func TestWalkerRejectsStripesOutsideGeometry(t *testing.T) {
 				t.Errorf("%s: %s accepted stripe %+v", name, op, st)
 			}
 		}
-		if live := mem.Module(0, 0).rows.len(); live != 0 {
+		if live := mem.Module(0, 0).rows.live; live != 0 {
 			t.Errorf("%s: %d rows materialized by a rejected access", name, live)
 		}
 	}

@@ -194,6 +194,3 @@ func (s *rowIndex) release(bankIdx, mediaRow int, at regions) {
 	s.live--
 	s.census.add(at, -1)
 }
-
-// len reports how many rows the module currently holds.
-func (s *rowIndex) len() int { return s.live }

@@ -104,8 +104,8 @@ func TestRowStoreGoldenAgainstMap(t *testing.T) {
 			s.release(bankIdx, row, regions{})
 			delete(ref, key)
 		}
-		if s.len() != live(mod) {
-			t.Fatalf("step %d: module %d live count %d, map has %d", step, mod, s.len(), live(mod))
+		if s.live != live(mod) {
+			t.Fatalf("step %d: module %d live count %d, map has %d", step, mod, s.live, live(mod))
 		}
 		if step%500 == 0 {
 			noAliases(step)
@@ -175,14 +175,14 @@ func TestRowStoreModuleScrubReleases(t *testing.T) {
 	if err := m.WriteRow(b, 7, 128, data); err != nil {
 		t.Fatal(err)
 	}
-	if m.rows.len() != 1 {
-		t.Fatalf("after write: live=%d, want 1", m.rows.len())
+	if m.rows.live != 1 {
+		t.Fatalf("after write: live=%d, want 1", m.rows.live)
 	}
 	if err := m.ScrubRow(b, 7, 0, g.RowBytes); err != nil {
 		t.Fatal(err)
 	}
-	if m.rows.len() != 0 {
-		t.Fatalf("after full scrub: live=%d, want 0", m.rows.len())
+	if m.rows.live != 0 {
+		t.Fatalf("after full scrub: live=%d, want 0", m.rows.live)
 	}
 	buf := make([]byte, 64)
 	if err := m.ReadRow(b, 7, 128, buf); err != nil {

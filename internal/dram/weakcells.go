@@ -64,12 +64,3 @@ func weakCells(dst []weakCell, seen []uint64, prof Profile, socket, dimm int, ba
 func newCellBitset(bitsPerHalfRow int) []uint64 {
 	return make([]uint64, (bitsPerHalfRow+63)>>6)
 }
-
-// WeakCellCount reports how many weak cells a half-row holds; exported for
-// tests and analysis tooling.
-func (m *Module) WeakCellCount(bank geometry.BankID, side addr.Side, mediaRow int) int {
-	bs := m.bank(bank)
-	virt, _ := m.internalTarget(bs, mediaRow, side)
-	bits := m.g.RowBytes / 2 * 8
-	return len(weakCells(nil, newCellBitset(bits), m.prof, m.socket, m.dimm, bank, side, virt, bits))
-}

@@ -20,7 +20,7 @@ func TestBallooningExperiment(t *testing.T) {
 			t.Errorf("check %q failed: %s", c.Name, c.Detail)
 		}
 	}
-	if v, err := r.Scalar("total_nodes_released"); err != nil || v != 1 {
-		t.Errorf("total_nodes_released = %v (%v), want 1", v, err)
+	if v := scalarOf(t, r, "total_nodes_released"); v != 1 {
+		t.Errorf("total_nodes_released = %v, want 1", v)
 	}
 }

@@ -164,16 +164,6 @@ func (r *Result) Passed() bool {
 	return true
 }
 
-// Scalar returns the named scalar, or an error naming the result if it is
-// absent (guards against silent typos in trajectory tooling).
-func (r *Result) Scalar(name string) (float64, error) {
-	v, ok := r.Scalars[name]
-	if !ok {
-		return 0, fmt.Errorf("experiments: result %q has no scalar %q", r.Name, name)
-	}
-	return v, nil
-}
-
 // row appends a table row.
 func (r *Result) row(label string, cells ...any) {
 	r.Rows = append(r.Rows, Row{Label: label, Cells: cells})

@@ -79,9 +79,9 @@ func passed(t *testing.T, r *Result, name string) bool {
 // scalarOf returns the result's named scalar.
 func scalarOf(t *testing.T, r *Result, name string) float64 {
 	t.Helper()
-	v, err := r.Scalar(name)
-	if err != nil {
-		t.Fatal(err)
+	v, ok := r.Scalars[name]
+	if !ok {
+		t.Fatalf("result %q has no scalar %q", r.Name, name)
 	}
 	return v
 }

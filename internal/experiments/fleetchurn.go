@@ -188,8 +188,7 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 			Geometry: fleetLabGeometry(),
 			Profiles: []dram.Profile{migrationLabProfile()},
 		},
-		Policy:    policy,
-		CopyGiBps: fc.CopyGiBps,
+		Policy: policy,
 	})
 	if err != nil {
 		return nil, err

@@ -20,11 +20,11 @@ func TestHotplugExperimentQuick(t *testing.T) {
 			t.Errorf("check %q failed: %s", c.Name, c.Detail)
 		}
 	}
-	if v, err := r.Scalar("total_nodes_adopted"); err != nil || v != 1 {
-		t.Errorf("total_nodes_adopted = %v (%v), want 1", v, err)
+	if v := scalarOf(t, r, "total_nodes_adopted"); v != 1 {
+		t.Errorf("total_nodes_adopted = %v, want 1", v)
 	}
-	if v, err := r.Scalar("refusal_rate"); err != nil || v != 0 {
-		t.Errorf("refusal_rate = %v (%v), want 0", v, err)
+	if v := scalarOf(t, r, "refusal_rate"); v != 0 {
+		t.Errorf("refusal_rate = %v, want 0", v)
 	}
 }
 
@@ -44,7 +44,7 @@ func TestHotplugExperimentDefault(t *testing.T) {
 		}
 	}
 	// target=192MiB pressure=1 needs two nodes with only one free: refused.
-	if v, err := r.Scalar("refusal_rate"); err != nil || v != 0.25 {
-		t.Errorf("refusal_rate = %v (%v), want 0.25", v, err)
+	if v := scalarOf(t, r, "refusal_rate"); v != 0.25 {
+		t.Errorf("refusal_rate = %v, want 0.25", v)
 	}
 }

@@ -23,19 +23,11 @@ func TestMitigationMatrixRows(t *testing.T) {
 			t.Errorf("check %s failed: %s", c.Name, c.Detail)
 		}
 	}
-	base, err := r.Scalar("matrix_escapes_none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == 0 {
+	if scalarOf(t, r, "matrix_escapes_none") == 0 {
 		t.Error("undefended row shows no escapes; matrix has no baseline signal")
 	}
 	for _, k := range []string{"para", "silver-bullet", "catt", "siloz"} {
-		v, err := r.Scalar("matrix_escapes_" + k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != 0 {
+		if v := scalarOf(t, r, "matrix_escapes_"+k); v != 0 {
 			t.Errorf("%s row shows %v escapes, want 0", k, v)
 		}
 	}

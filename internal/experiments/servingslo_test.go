@@ -23,29 +23,15 @@ func TestServingSLORows(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"none", "siloz"} {
-		quiet, err := r.Scalar("sslo_p99_us_" + k + "_quiet")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if quiet <= 0 || quiet >= 100 {
+		if quiet := scalarOf(t, r, "sslo_p99_us_"+k+"_quiet"); quiet <= 0 || quiet >= 100 {
 			t.Errorf("%s quiet p99 = %vus, want inside (0, SLO)", k, quiet)
 		}
-		churn, err := r.Scalar("sslo_p999_us_" + k + "_churn")
-		if err != nil {
-			t.Fatal(err)
-		}
-		quiet999, err := r.Scalar("sslo_p999_us_" + k + "_quiet")
-		if err != nil {
-			t.Fatal(err)
-		}
+		churn := scalarOf(t, r, "sslo_p999_us_"+k+"_churn")
+		quiet999 := scalarOf(t, r, "sslo_p999_us_"+k+"_quiet")
 		if churn <= quiet999 {
 			t.Errorf("%s churn p99.9 (%vus) not above quiet (%vus)", k, churn, quiet999)
 		}
-		miss, err := r.Scalar("sslo_miss_pct_" + k + "_churn")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if miss <= 0 {
+		if miss := scalarOf(t, r, "sslo_miss_pct_"+k+"_churn"); miss <= 0 {
 			t.Errorf("%s churn run missed no SLOs; churn windows invisible", k)
 		}
 	}

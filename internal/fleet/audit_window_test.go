@@ -19,7 +19,7 @@ import (
 // before the source copy is destroyed, both copies are live and the audit
 // must still pass.
 func TestAuditPassesInsideMoveWindow(t *testing.T) {
-	c := testCluster(t, 2, FirstFit{}, 0)
+	c := testCluster(t, 2, FirstFit{})
 	admit(t, c, "w0", 64*1024*1024)
 	ctx := context.Background()
 
@@ -50,7 +50,7 @@ func TestAuditPassesInsideMoveWindow(t *testing.T) {
 // recorded pair does not include the host the VM actually lives on, so the
 // "mid-move" excuse must not cover it.
 func TestAuditRejectsCopyOutsideMoveWindow(t *testing.T) {
-	c := testCluster(t, 3, FirstFit{}, 0)
+	c := testCluster(t, 3, FirstFit{})
 	admit(t, c, "x0", 64*1024*1024) // FirstFit lands it on host-0
 	c.mu.Lock()
 	c.moving["x0"] = moveWindow{Src: "host-1", Dst: "host-2"}
@@ -68,7 +68,7 @@ func TestAuditRejectsCopyOutsideMoveWindow(t *testing.T) {
 // that is neither source nor destination is a routing-table corruption the
 // pre-fix audit silently skipped.
 func TestAuditRejectsRoutingOutsideMoveWindow(t *testing.T) {
-	c := testCluster(t, 3, FirstFit{}, 0)
+	c := testCluster(t, 3, FirstFit{})
 	admit(t, c, "y0", 64*1024*1024)
 	c.mu.Lock()
 	c.moving["y0"] = moveWindow{Src: "host-0", Dst: "host-1"}
@@ -87,7 +87,7 @@ func TestAuditRejectsRoutingOutsideMoveWindow(t *testing.T) {
 // TestAuditRejectsDuplicateWithoutMove: the same name live on two hosts
 // with no move in flight is double ownership, full stop.
 func TestAuditRejectsDuplicateWithoutMove(t *testing.T) {
-	c := testCluster(t, 2, FirstFit{}, 0)
+	c := testCluster(t, 2, FirstFit{})
 	admit(t, c, "z0", 64*1024*1024)
 	// Boot a same-named twin directly on host-1, bypassing the cluster.
 	h1 := c.Hosts()[1]

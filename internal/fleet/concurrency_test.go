@@ -12,12 +12,13 @@ import (
 
 // TestConcurrentFleetChurn hammers the control plane from many goroutines:
 // simultaneous admissions, departures, resizes, and a rebalance round, with the
-// fleet-wide isolation audit after every round. Hosts run three ops at once,
-// so per-VM queue serialization — not driver ordering — is what keeps the
-// invariants. Wired into `make race-quick`.
+// fleet-wide isolation audit after every round. Each goroutine runs ops on
+// the host queue it waits on, so what keeps the invariants is core's
+// lifecycle latch, each host's FIFO and the cross-host moves' bookkeeping —
+// not driver ordering. Wired into `make race-quick`.
 func TestConcurrentFleetChurn(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 3, BestFit{}, 3)
+	c := testCluster(t, 3, BestFit{})
 	sched := NewScheduler(c, SchedulerConfig{Seed: 17})
 
 	const rounds = 4

@@ -20,7 +20,7 @@ type CrossHostReport struct {
 	BytesCopied uint64
 	// DowntimeBytes are the bytes of the final stop-and-copy round —
 	// what the guest is paused for. Downtime in time units is
-	// DowntimeBytes over the cluster's modeled copy bandwidth.
+	// DowntimeBytes over a modeled copy bandwidth (Stats.DowntimeMs).
 	DowntimeBytes uint64
 }
 
@@ -33,8 +33,8 @@ const moveRounds = 1
 // equally sized guest created (and, for a ballooned source, shrunk) through
 // the destination's queue — the routing flip and the counters. The copy, the
 // pause and the source's teardown are core's (Hypervisor.MoveOut), queued as
-// ONE op on the source so it takes its turn behind what was submitted for the
-// VM before. The queue orders; what excludes is the VM's lifecycle latch,
+// ONE op on the source so it takes its turn behind what was submitted there
+// before. The queue orders; what excludes is the VM's lifecycle latch,
 // held from the first copy to the teardown: a resize, migration or destroy
 // issued straight on the source hypervisor is refused (core.ErrResizeBusy).
 //
@@ -50,7 +50,8 @@ const moveRounds = 1
 // the source copy not yet destroyed — the double-ownership window. A probe
 // there may audit, hammer from other VMs and submit ops, but must neither
 // touch the moving VM's guest memory nor wait for an op on the source host's
-// queue: with one slot it waits for the slot it occupies.
+// queue: the host runs one op at a time, so it would wait for the op it is
+// running in.
 //
 // Limitations (callers skip such VMs): a VM with extra Regions is not
 // movable cross-host, and the source's resident pages must form a GPA
@@ -156,7 +157,7 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 		}
 	}
 	rep := &CrossHostReport{VM: name, Source: srcName, Dest: destHost, DestSocket: destSocket}
-	srcOp, err := src.Submit(name, func() error {
+	srcOp, err := src.Submit(func() error {
 		return src.Hypervisor().MoveOut(ctx, name, destVM, opt, func(m *core.MigrateReport) {
 			rep.PagesCopied, rep.BytesCopied, rep.DowntimeBytes = m.PagesCopied, m.BytesCopied, m.DowntimeBytes
 			// Commit: route to the destination; MoveOut tears the source down next.

@@ -23,7 +23,7 @@ import (
 // copied set — so its own destroy will scrub them — and the bytes arrive.
 func TestCrossHostMoveCostFollowsDataHeld(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 2, FirstFit{}, 0)
+	c := testCluster(t, 2, FirstFit{})
 	admit(t, c, "sparse", 128*geometry.MiB)
 	vmOn := func(host int) *core.VM {
 		t.Helper()
@@ -104,7 +104,7 @@ func TestCrossHostMoveCostFollowsDataHeld(t *testing.T) {
 func TestOpposingCrossHostMovesDoNotDeadlock(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	c := testCluster(t, 2, FirstFit{}, 2)
+	c := testCluster(t, 2, FirstFit{})
 	guests := []string{"east", "west"}
 	at := map[string]int{"east": 0, "west": 0}
 	for _, name := range guests {

@@ -15,7 +15,7 @@ import (
 // errors.Is, per the core.ErrResizeBusy sentinel convention.
 func TestAdmitRejectionIsTyped(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 1, FirstFit{}, 0)
+	c := testCluster(t, 1, FirstFit{})
 
 	// 14 guest nodes of 64 MiB; a 448 MiB VM takes one full socket.
 	for i := 0; i < 2; i++ {
@@ -37,7 +37,7 @@ func TestAdmitRejectionIsTyped(t *testing.T) {
 }
 
 func TestUnknownSentinels(t *testing.T) {
-	c := testCluster(t, 1, FirstFit{}, 0)
+	c := testCluster(t, 1, FirstFit{})
 	if _, err := c.SubmitDepart("ghost"); !errors.Is(err, ErrUnknownVM) {
 		t.Fatalf("depart ghost: %v, want ErrUnknownVM", err)
 	}
@@ -65,7 +65,7 @@ func TestClosedIsTyped(t *testing.T) {
 		core.VMSpec{Name: "x", MemoryBytes: 64 * geometry.MiB}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("admit after close: %v, want ErrClosed", err)
 	}
-	if _, err := c.Hosts()[0].Submit("x", func() error { return nil }); !errors.Is(err, ErrClosed) {
+	if _, err := c.Hosts()[0].Submit(func() error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 }

@@ -25,12 +25,13 @@ type Config struct {
 	Core core.Config
 	// Policy is the placement policy; nil means SilozAware.
 	Policy Policy
-	// Workers is how many of a host's ops may run at once, each on a
-	// goroutine that waits on the host; <= 0 means 1 (serial dispatch, the
-	// deterministic configuration).
+	// Workers is how many of a host's ops may run at once. A host runs one
+	// op at a time, so only 0 and 1 are accepted; New refuses more. Kept
+	// only because benchmark/ sets it, until ROADMAP item 6 retires it.
 	Workers int
-	// CopyGiBps is the modeled cross-host page-copy bandwidth; downtime
-	// is reported as bytes/bandwidth, never wall clock. Default 10.
+	// CopyGiBps is not read: callers convert downtime bytes with
+	// Stats.DowntimeMs at their own bandwidth. Kept only because benchmark/
+	// sets it, until ROADMAP item 6 retires it.
 	CopyGiBps float64
 }
 
@@ -97,8 +98,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = SilozAware{}
 	}
-	if cfg.CopyGiBps <= 0 {
-		cfg.CopyGiBps = 10
+	if cfg.Workers > 1 {
+		return nil, fmt.Errorf("fleet: a host runs one op at a time, got Workers %d", cfg.Workers)
 	}
 	c := &Cluster{
 		cfg:    cfg,
@@ -114,7 +115,7 @@ func New(cfg Config) (*Cluster, error) {
 		if layout.Len() > 0 {
 			hcfg.CachedLayout = bytes.NewReader(layout.Bytes())
 		}
-		h, err := NewHost(fmt.Sprintf("host-%d", i), hcfg, core.ModeSiloz, cfg.Workers)
+		h, err := NewHost(fmt.Sprintf("host-%d", i), hcfg, core.ModeSiloz)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -291,7 +292,7 @@ func (c *Cluster) SubmitDepart(name string) (*Op, error) {
 	}
 	c.mu.Unlock()
 	h := c.byName[hostName]
-	return h.Submit(name, func() error {
+	return h.Submit(func() error {
 		if err := h.Hypervisor().DestroyVM(name); err != nil {
 			return err
 		}

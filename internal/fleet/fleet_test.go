@@ -42,13 +42,12 @@ func labCoreConfig() core.Config {
 
 func testProc() core.Process { return core.Process{CGroup: "kvm", KVMPrivileged: true} }
 
-func testCluster(t testing.TB, hosts int, policy Policy, workers int) *Cluster {
+func testCluster(t testing.TB, hosts int, policy Policy) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		Hosts:   hosts,
-		Core:    labCoreConfig(),
-		Policy:  policy,
-		Workers: workers,
+		Hosts:  hosts,
+		Core:   labCoreConfig(),
+		Policy: policy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +69,7 @@ func admit(t *testing.T, c *Cluster, name string, bytes uint64) string {
 
 func TestClusterAdmitDepart(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 2, FirstFit{}, 0)
+	c := testCluster(t, 2, FirstFit{})
 
 	hosts := map[string]int{}
 	for i := 0; i < 6; i++ {
@@ -123,7 +122,7 @@ func TestClusterAdmitDepart(t *testing.T) {
 
 func TestClusterResize(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 1, FirstFit{}, 0)
+	c := testCluster(t, 1, FirstFit{})
 	admit(t, c, "r0", 128*geometry.MiB)
 
 	op, err := c.SubmitResize("r0", 64*geometry.MiB)
@@ -155,7 +154,7 @@ func TestClusterResize(t *testing.T) {
 
 func TestCrossHostMove(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 2, FirstFit{}, 0)
+	c := testCluster(t, 2, FirstFit{})
 	src := admit(t, c, "mv0", 128*geometry.MiB)
 	if src != "host-0" {
 		t.Fatalf("first-fit placed on %s, want host-0", src)
@@ -205,7 +204,7 @@ func TestCrossHostMove(t *testing.T) {
 
 func TestBalloonedCrossHostMove(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 2, FirstFit{}, 0)
+	c := testCluster(t, 2, FirstFit{})
 	admit(t, c, "b0", 192*geometry.MiB)
 
 	vm, _ := c.Hosts()[0].Hypervisor().VM("b0")
@@ -245,7 +244,7 @@ func TestBalloonedCrossHostMove(t *testing.T) {
 
 func TestSchedulerShedsHotHost(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 2, SilozAware{}, 0)
+	c := testCluster(t, 2, SilozAware{})
 	// Load host-0 to 12/14 owned nodes (util 0.857 > 0.75); host-1 idle.
 	// First-fit-style loading via explicit per-host placement: admit with
 	// a FirstFit cluster policy would already stack host-0, but be
@@ -330,14 +329,13 @@ func TestTraceDeterminism(t *testing.T) {
 
 func TestHostEventLoopOrdering(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 1, FirstFit{}, 0)
+	c := testCluster(t, 1, FirstFit{})
 	h := c.Hosts()[0]
 
-	// Ops on one key run in submission order even when queued together.
+	// A host's ops run in submission order even when queued together.
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		if _, err := h.Submit("k", func() error {
+		if _, err := h.Submit(func() error {
 			order = append(order, i)
 			return nil
 		}); err != nil {
@@ -348,6 +346,16 @@ func TestHostEventLoopOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("per-key order violated: %v", order)
+		t.Fatalf("host FIFO order violated: %v", order)
+	}
+}
+
+// TestNewRejectsMultiSlotHosts: a host runs one op at a time, so a config
+// asking for more is refused before any host boots.
+func TestNewRejectsMultiSlotHosts(t *testing.T) {
+	c, err := New(Config{Hosts: 1, Core: labCoreConfig(), Workers: 2})
+	if err == nil {
+		c.Close()
+		t.Fatal("New accepted Workers: 2")
 	}
 }

@@ -10,27 +10,24 @@ import (
 	"repro/internal/migrate"
 )
 
-// Op is one queued lifecycle operation on a host. Ops on the same VM run
-// strictly in submission order, one at a time; ops on different VMs may
-// interleave when the host runs more than one at once. The queue orders and
-// dispatches; it excludes nothing: experiments and tests call a host's
-// hypervisor directly, and what keeps two layout operations off one VM — for
-// them and for queued ops alike — is core's lifecycle latch.
+// Op is one queued lifecycle operation on a host. A host's ops run one at a
+// time, in submission order. The queue orders; it excludes nothing:
+// experiments and tests call a host's hypervisor directly, and what keeps two
+// layout operations off one VM — for them and for queued ops alike — is
+// core's lifecycle latch.
 type Op struct {
-	h   *Host
-	key string // VM name (or a reserved key for host-wide work)
-	fn  func() error
+	h  *Host
+	fn func() error
 
 	err  error
 	done bool // guarded by h.mu
 }
 
 // Wait runs the host's queued ops on the calling goroutine until this one
-// has completed, and returns its error. On the way it may run ops submitted
-// before it on other keys (and, on a multi-slot host, later ones), or sleep
-// while another goroutine runs them. A canceled ctx ends the wait: the op
-// stays queued and runs under the next Wait, Quiesce or Close on its host;
-// an op already running finishes.
+// has completed, and returns its error. On the way it runs the ops submitted
+// before it, or sleeps while another goroutine runs them. A canceled ctx ends
+// the wait: the op stays queued and runs under the next Wait, Quiesce or
+// Close on its host; an op already running finishes.
 func (o *Op) Wait(ctx context.Context) error {
 	if err := o.h.drive(ctx, func() bool { return o.done }); err != nil {
 		return err
@@ -42,40 +39,30 @@ func (o *Op) Wait(ctx context.Context) error {
 // own error.
 func (o *Op) Err() error { return o.err }
 
-// defragKey serializes host-wide defragmentation against itself. The NUL
-// prefix cannot collide with a VM name.
-const defragKey = "\x00defrag"
-
 // Host is one simulated machine: a booted hypervisor (its own
 // numa.Registry, allocators, and DRAM — state is sharded per host, nothing
 // is global), a migrate planner/engine over it, and a queue of lifecycle
 // operations run by the goroutines that wait on them. A host starts no
 // goroutine.
 //
-// Serialization contract: at most slots ops run at once, at most one per
-// key, in per-key FIFO order; across keys the next op to run is always the
-// earliest-submitted one whose key has none running. With one slot (the
-// default) execution is therefore totally ordered by submission — the
-// configuration every deterministic experiment uses — while more slots keep
-// only the per-VM ordering guarantee, which is what the race tests exercise.
+// Serialization contract: one op runs at a time, and ops run in submission
+// order, so execution on a host is totally ordered.
 type Host struct {
 	name    string
 	hv      *core.Hypervisor
 	planner *migrate.Planner
 	engine  *migrate.Engine
-	slots   int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	pending  []*Op    // queued ops in submission order
-	running  []string // keys of the executing ops, at most slots
-	sleepers int      // goroutines asleep on cond
+	pending  []*Op // queued ops in submission order
+	busy     bool  // an op is running
+	sleepers int   // goroutines asleep on cond
 	closed   bool
 }
 
-// NewHost boots a hypervisor whose queue runs up to workers ops at once;
-// <= 0 means 1 (serial, deterministic dispatch).
-func NewHost(name string, cfg core.Config, mode core.Mode, workers int) (*Host, error) {
+// NewHost boots a hypervisor with an empty queue.
+func NewHost(name string, cfg core.Config, mode core.Mode) (*Host, error) {
 	hv, err := core.Boot(cfg, mode)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: boot host %q: %w", name, err)
@@ -85,7 +72,6 @@ func NewHost(name string, cfg core.Config, mode core.Mode, workers int) (*Host, 
 		hv:      hv,
 		planner: migrate.NewPlanner(hv),
 		engine:  migrate.NewEngine(hv),
-		slots:   max(workers, 1),
 	}
 	h.cond = sync.NewCond(&h.mu)
 	return h, nil
@@ -100,23 +86,23 @@ func (h *Host) Hypervisor() *core.Hypervisor { return h.hv }
 // Planner returns the host's occupancy planner.
 func (h *Host) Planner() *migrate.Planner { return h.planner }
 
-// Submit enqueues an operation under the given key and returns
-// immediately; nothing runs it until a Wait, Quiesce or Close on the host
-// drives the queue. A closed host refuses it with ErrClosed.
-func (h *Host) Submit(key string, fn func() error) (*Op, error) {
+// Submit enqueues an operation and returns immediately; nothing runs it
+// until a Wait, Quiesce or Close on the host drives the queue. A closed host
+// refuses it with ErrClosed.
+func (h *Host) Submit(fn func() error) (*Op, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return nil, fmt.Errorf("fleet: host %q: %w", h.name, ErrClosed)
 	}
-	op := &Op{h: h, key: key, fn: fn}
+	op := &Op{h: h, fn: fn}
 	h.pending = append(h.pending, op)
 	return op, nil
 }
 
 // SubmitCreate enqueues a VM creation.
 func (h *Host) SubmitCreate(proc core.Process, spec core.VMSpec) (*Op, error) {
-	return h.Submit(spec.Name, func() error {
+	return h.Submit(func() error {
 		_, err := h.hv.CreateVM(proc, spec)
 		return err
 	})
@@ -124,14 +110,14 @@ func (h *Host) SubmitCreate(proc core.Process, spec core.VMSpec) (*Op, error) {
 
 // SubmitDestroy enqueues a VM teardown (scrub + release).
 func (h *Host) SubmitDestroy(name string) (*Op, error) {
-	return h.Submit(name, func() error {
+	return h.Submit(func() error {
 		return h.hv.DestroyVM(name)
 	})
 }
 
 // SubmitResize enqueues a resize to targetBytes of usable RAM.
 func (h *Host) SubmitResize(name string, targetBytes uint64) (*Op, error) {
-	return h.Submit(name, func() error {
+	return h.Submit(func() error {
 		_, err := h.hv.ResizeVM(name, targetBytes)
 		return err
 	})
@@ -141,7 +127,7 @@ func (h *Host) SubmitResize(name string, targetBytes uint64) (*Op, error) {
 // migrate engine (bounded at maxMoves). onDone, if non-nil, receives the
 // reports before the op completes.
 func (h *Host) SubmitDefragment(ctx context.Context, maxMoves int, onDone func([]*core.MigrateReport)) (*Op, error) {
-	return h.Submit(defragKey, func() error {
+	return h.Submit(func() error {
 		reps, err := h.engine.Defragment(ctx, maxMoves)
 		if onDone != nil {
 			onDone(reps)
@@ -151,10 +137,9 @@ func (h *Host) SubmitDefragment(ctx context.Context, maxMoves int, onDone func([
 }
 
 // drive runs queued ops on the calling goroutine until until — evaluated
-// under h.mu — holds or ctx is canceled. Whenever fewer than h.slots ops
-// are running it claims the earliest runnable op and runs it with the lock
-// released; when there is nothing it may run it sleeps until an op finishes
-// elsewhere or ctx is canceled.
+// under h.mu — holds or ctx is canceled. When no op is running it claims the
+// head of the queue and runs it with the lock released; otherwise it sleeps
+// until an op finishes elsewhere or ctx is canceled.
 func (h *Host) drive(ctx context.Context, until func() bool) (err error) {
 	var stop func() bool
 	h.mu.Lock()
@@ -166,9 +151,7 @@ func (h *Host) drive(ctx context.Context, until func() bool) (err error) {
 			h.mu.Unlock()
 			opErr := op.fn()
 			h.mu.Lock()
-			op.err, op.done = opErr, true
-			i := slices.Index(h.running, op.key)
-			h.running = slices.Delete(h.running, i, i+1)
+			op.err, op.done, h.busy = opErr, true, false
 			if h.sleepers > 0 {
 				h.cond.Broadcast()
 			}
@@ -192,26 +175,21 @@ func (h *Host) drive(ctx context.Context, until func() bool) (err error) {
 	return err
 }
 
-// claimLocked removes and returns the earliest-submitted queued op whose
-// key has none running — its key's FIFO head — and marks the key running,
-// or returns nil when every slot is taken or nothing is runnable. Caller
+// claimLocked removes and returns the head of the queue and marks the host
+// busy, or returns nil when an op is running or nothing is queued. Caller
 // holds h.mu.
 func (h *Host) claimLocked() *Op {
-	if len(h.running) >= h.slots {
+	if h.busy || len(h.pending) == 0 {
 		return nil
 	}
-	for i, op := range h.pending {
-		if !slices.Contains(h.running, op.key) {
-			h.pending = slices.Delete(h.pending, i, i+1)
-			h.running = append(h.running, op.key)
-			return op
-		}
-	}
-	return nil
+	op := h.pending[0]
+	h.pending = slices.Delete(h.pending, 0, 1)
+	h.busy = true
+	return op
 }
 
 // idle reports whether no op is queued or running. Caller holds h.mu.
-func (h *Host) idle() bool { return len(h.pending)+len(h.running) == 0 }
+func (h *Host) idle() bool { return len(h.pending) == 0 && !h.busy }
 
 // Quiesce runs every submitted op to completion on the calling goroutine
 // (sharing the work with any other goroutine driving the host), or returns

@@ -22,7 +22,7 @@ func goid() string {
 // the goroutine that waits for it — not on the one that submitted it.
 // Wired into `make race-quick`.
 func TestOpRunsOnItsWaiter(t *testing.T) {
-	c := testCluster(t, 1, FirstFit{}, 0)
+	c := testCluster(t, 1, FirstFit{})
 	h := c.Hosts()[0]
 	all := make([]byte, 1<<20)
 	if stacks := string(all[:runtime.Stack(all, true)]); strings.Contains(stacks, "fleet.(*Host)") {
@@ -30,7 +30,7 @@ func TestOpRunsOnItsWaiter(t *testing.T) {
 	}
 
 	var ranOn string
-	op, err := h.Submit("k", func() error {
+	op, err := h.Submit(func() error {
 		ranOn = goid()
 		return nil
 	})
@@ -49,14 +49,14 @@ func TestOpRunsOnItsWaiter(t *testing.T) {
 	}
 }
 
-// TestWaitRunsEarlierOpsFirst: with one slot, waiting for an op runs every
-// op submitted before it, on any key, in submission order, and nothing after.
+// TestWaitRunsEarlierOpsFirst: waiting for an op runs every op submitted
+// before it, in submission order, and nothing after.
 func TestWaitRunsEarlierOpsFirst(t *testing.T) {
-	c := testCluster(t, 1, FirstFit{}, 1)
+	c := testCluster(t, 1, FirstFit{})
 	h := c.Hosts()[0]
 	var order []string
-	submit := func(key, label string) *Op {
-		op, err := h.Submit(key, func() error {
+	submit := func(label string) *Op {
+		op, err := h.Submit(func() error {
 			order = append(order, label)
 			return nil
 		})
@@ -65,10 +65,10 @@ func TestWaitRunsEarlierOpsFirst(t *testing.T) {
 		}
 		return op
 	}
-	submit("k1", "A")
-	submit("k2", "B")
-	opC := submit("k1", "C")
-	submit("k2", "D")
+	submit("A")
+	submit("B")
+	opC := submit("C")
+	submit("D")
 	if err := opC.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -88,17 +88,17 @@ func TestWaitRunsEarlierOpsFirst(t *testing.T) {
 // cancellation without running its op; the next Quiesce runs it, and Close
 // runs whatever is still queued before it shuts the host down.
 func TestCancelledWaitLeavesOpQueued(t *testing.T) {
-	c := testCluster(t, 1, FirstFit{}, 1)
+	c := testCluster(t, 1, FirstFit{})
 	h := c.Hosts()[0]
 	ran := map[string]bool{}
 	var mu sync.Mutex
-	submit := func(key string, body func()) *Op {
-		op, err := h.Submit(key, func() error {
+	submit := func(label string, body func()) *Op {
+		op, err := h.Submit(func() error {
 			if body != nil {
 				body()
 			}
 			mu.Lock()
-			ran[key] = true
+			ran[label] = true
 			mu.Unlock()
 			return nil
 		})
@@ -107,10 +107,10 @@ func TestCancelledWaitLeavesOpQueued(t *testing.T) {
 		}
 		return op
 	}
-	hasRun := func(key string) bool {
+	hasRun := func(label string) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return ran[key]
+		return ran[label]
 	}
 
 	// Canceled before the wait starts.
@@ -130,7 +130,7 @@ func TestCancelledWaitLeavesOpQueued(t *testing.T) {
 		t.Fatalf("Quiesce did not run the abandoned op (ran %v, err %v)", hasRun("early"), op.Err())
 	}
 
-	// Canceled while asleep: the only slot is held by another goroutine's op.
+	// Canceled while asleep: another goroutine's op is running.
 	started, release := make(chan struct{}), make(chan struct{})
 	blocker := submit("blocker", func() {
 		close(started)
@@ -165,74 +165,4 @@ func TestCancelledWaitLeavesOpQueued(t *testing.T) {
 	if !hasRun("late") {
 		t.Fatal("Close shut the host down with an op still queued")
 	}
-}
-
-// TestMultiSlotHostRunsWaitersInParallel: on a two-slot host, two goroutines
-// waiting for ops on different keys run them at the same time — each op
-// waits for the other to start — while two ops on one key still take turns.
-// Multi-slot hosts keep their parallelism, so TestConcurrentFleetChurn races
-// what it claims to. Wired into `make race-quick`.
-func TestMultiSlotHostRunsWaitersInParallel(t *testing.T) {
-	c := testCluster(t, 1, FirstFit{}, 2)
-	h := c.Hosts()[0]
-	started := map[string]chan struct{}{"k1": make(chan struct{}), "k2": make(chan struct{})}
-	other := map[string]string{"k1": "k2", "k2": "k1"}
-	var wg sync.WaitGroup
-	for key := range started {
-		op, err := h.Submit(key, func() error {
-			close(started[key])
-			select {
-			case <-started[other[key]]:
-				return nil
-			case <-time.After(10 * time.Second):
-				return errors.New("the other op never started alongside this one")
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := op.Wait(context.Background()); err != nil {
-				t.Errorf("%s: %v", key, err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Same key: the first op gives the second a window to start beside it;
-	// the second's waiter must sleep through it instead.
-	first, second := make(chan struct{}), make(chan struct{})
-	op1, err := h.Submit("k", func() error {
-		close(first)
-		select {
-		case <-second:
-			return errors.New("the key's next op started while this one ran")
-		case <-time.After(50 * time.Millisecond):
-			return nil
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op2, err := h.Submit("k", func() error {
-		close(second)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := op1.Wait(context.Background()); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-first
-	if err := op2.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
 }

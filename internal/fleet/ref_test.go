@@ -144,7 +144,7 @@ func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocke
 	// Source side, as one queued op.
 	rep := &CrossHostReport{VM: name, Source: srcName, Dest: destHost, DestSocket: destSocket}
 	usablePages := int(usable / geometry.PageSize2M)
-	srcOp, err := src.Submit(name, func() error {
+	srcOp, err := src.Submit(func() error {
 		if err := srcVM.StartDirtyTracking(); err != nil {
 			return err
 		}
@@ -220,7 +220,7 @@ func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocke
 	c.stats.MigratedBytes += rep.BytesCopied
 	c.stats.DowntimeBytes += rep.DowntimeBytes
 	c.mu.Unlock()
-	dropOp, err := src.Submit(name, func() error {
+	dropOp, err := src.Submit(func() error {
 		return src.Hypervisor().DestroyVM(name)
 	})
 	if err != nil {
@@ -287,7 +287,7 @@ func TestMoveMatchesRetiredLoop(t *testing.T) {
 			for _, seed := range []int64{1, 7, 42} {
 				run := func(move func(c *Cluster) (*CrossHostReport, error)) outcome {
 					t.Helper()
-					c := testCluster(t, 2, FirstFit{}, 0)
+					c := testCluster(t, 2, FirstFit{})
 					defer c.Close()
 					admit(t, c, name, h.bytes)
 					vm, _ := c.Hosts()[0].Hypervisor().VM(name)

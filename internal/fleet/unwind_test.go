@@ -142,7 +142,7 @@ func TestMoveUnwindsAtEveryStep(t *testing.T) {
 	}
 	build := func(t *testing.T, spec core.VMSpec) world {
 		t.Helper()
-		c := testCluster(t, 2, FirstFit{}, 0)
+		c := testCluster(t, 2, FirstFit{})
 		spec.Name, spec.VCPUs = name, 1
 		if at, err := c.Admit(bg, testProc(), spec); err != nil || at != src {
 			t.Fatalf("admit: on %q, err %v", at, err)
@@ -280,7 +280,7 @@ func TestMoveUnwindsAtEveryStep(t *testing.T) {
 // be lost. Wired into `make race-quick`.
 func TestConcurrentWriterDuringCrossHostMove(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 2, FirstFit{}, 0)
+	c := testCluster(t, 2, FirstFit{})
 	admit(t, c, "live", 64*geometry.MiB)
 	const gpa = 7*geometry.PageSize2M + 4096
 	var seq uint64
@@ -331,7 +331,7 @@ func TestConcurrentWriterDuringCrossHostMove(t *testing.T) {
 // fleet's queue, is refused by the VM's lifecycle latch, a destroy included.
 func TestCrossHostMoveHoldsTheLatch(t *testing.T) {
 	ctx := context.Background()
-	c := testCluster(t, 2, FirstFit{}, 0)
+	c := testCluster(t, 2, FirstFit{})
 	admit(t, c, "held", 128*geometry.MiB)
 	hv := c.Hosts()[0].Hypervisor()
 	dests, err := hv.FreeNodes(1, 128*geometry.MiB)

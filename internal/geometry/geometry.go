@@ -142,9 +142,6 @@ func (g Geometry) SocketBytes() int64 { return int64(g.BanksPerSocket()) * g.Ban
 // TotalBytes returns the DRAM capacity of the server.
 func (g Geometry) TotalBytes() int64 { return int64(g.Sockets) * g.SocketBytes() }
 
-// SubarraysPerBank returns the number of subarrays in each bank.
-func (g Geometry) SubarraysPerBank() int { return g.RowsPerBank / g.RowsPerSubarray }
-
 // SubarrayGroupBytes returns the size of one subarray group: at least one
 // subarray from every bank in a physical node (§4.1).
 func (g Geometry) SubarrayGroupBytes() int64 {

@@ -27,8 +27,8 @@ func TestDefaultMatchesPaperTable2(t *testing.T) {
 	if got := g.SubarrayGroupBytes(); got != 3*GiB/2 {
 		t.Errorf("SubarrayGroupBytes = %d, want 1.5 GiB", got)
 	}
-	if got := g.SubarraysPerBank(); got != 128 {
-		t.Errorf("SubarraysPerBank = %d, want 128", got)
+	if got := g.SocketBytes() / g.SubarrayGroupBytes(); got != 128 {
+		t.Errorf("subarray groups per socket = %d, want 128", got)
 	}
 }
 

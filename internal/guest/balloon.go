@@ -40,13 +40,6 @@ func (b *Balloon) TargetBytes() uint64 {
 	return uint64(len(b.pages)) * geometry.PageSize2M
 }
 
-// Pages returns the GPA bases of the pinned 2 MiB balloon pages, ascending.
-func (b *Balloon) Pages() []uint64 {
-	out := make([]uint64, len(b.pages))
-	copy(out, b.pages)
-	return out
-}
-
 // SetTarget inflates or deflates the balloon to the given size (a multiple
 // of 2 MiB). Inflation requires the surrendered range to be free of live
 // kernel allocations: the frame allocator's high-water mark must sit below

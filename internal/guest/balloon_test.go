@@ -64,7 +64,7 @@ func TestGuestBalloonEndToEnd(t *testing.T) {
 	if got := vm.BalloonedBytes(); got != 64*geometry.MiB {
 		t.Errorf("hypervisor sees %d ballooned bytes, want 64 MiB", got)
 	}
-	if pages := b.Pages(); len(pages) != 32 || pages[0] != 64*geometry.MiB {
+	if pages := b.pages; len(pages) != 32 || pages[0] != 64*geometry.MiB {
 		t.Errorf("balloon pages = %d starting %#x, want 32 from 64 MiB", len(pages), pages[0])
 	}
 	if len(vm.Nodes()) != 1 {

@@ -54,8 +54,6 @@ type Kernel struct {
 	procs      map[int]*Process
 	nextPID    int
 	balloon    *Balloon
-	// banks are the hot-added memory ranges, in arrival order.
-	banks []Bank
 }
 
 // NewKernel boots a guest kernel inside a VM. Frame allocation starts after
@@ -112,9 +110,6 @@ type Process struct {
 	PID  int
 	k    *Kernel
 	root uint64 // GPA of the top-level page table
-	// tablePages records every page-table frame, in allocation order —
-	// the state PTHammer-style attacks target.
-	tablePages []uint64
 }
 
 // Spawn creates a process with an empty address space.
@@ -124,16 +119,9 @@ func (k *Kernel) Spawn() (*Process, error) {
 		return nil, err
 	}
 	k.nextPID++
-	p := &Process{PID: k.nextPID, k: k, root: root, tablePages: []uint64{root}}
+	p := &Process{PID: k.nextPID, k: k, root: root}
 	k.procs[p.PID] = p
 	return p, nil
-}
-
-// TablePages returns the GPAs of the process's page-table frames.
-func (p *Process) TablePages() []uint64 {
-	out := make([]uint64, len(p.tablePages))
-	copy(out, p.tablePages)
-	return out
 }
 
 // readPTE loads a page table entry from guest RAM.
@@ -183,7 +171,6 @@ func (p *Process) Map(gva, gpa uint64) error {
 			if err != nil {
 				return err
 			}
-			p.tablePages = append(p.tablePages, next)
 			v = (next & pteFrame) | ptePresent
 			if err := p.writePTE(entryGPA, v); err != nil {
 				return err

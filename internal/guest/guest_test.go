@@ -188,7 +188,14 @@ func TestIntraVMPTHammer(t *testing.T) {
 	// table frame. The kernel's frame allocator is a bump allocator, so
 	// table frames and user frames are physically interleaved — the
 	// attacker maps frames around the leaf table page and hammers them.
-	leafTable := proc.TablePages()[len(proc.TablePages())-1]
+	leafTable := proc.root
+	for level := 0; level < levels-1; level++ {
+		v, err := proc.readPTE(leafTable + indexAt(gva, level)*8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leafTable = v & pteFrame
+	}
 	hpaTable, err := vm.Translate(leafTable)
 	if err != nil {
 		t.Fatal(err)

@@ -21,13 +21,6 @@ type Bank struct {
 	Bytes uint64
 }
 
-// Banks returns the hot-added memory ranges, in arrival order.
-func (k *Kernel) Banks() []Bank {
-	out := make([]Bank, len(k.banks))
-	copy(out, k.banks)
-	return out
-}
-
 // LimitBytes returns the kernel's usable-memory limit: allocations and
 // mappings must stay below it. Boot RAM minus the balloon, plus every
 // hot-added bank.
@@ -54,6 +47,5 @@ func (k *Kernel) HotplugBank(addBytes uint64) (Bank, error) {
 	// the hypervisor refused the hotplug otherwise).
 	bank := Bank{Start: rep.BaseGPA, Bytes: rep.AddedBytes}
 	k.limit = rep.NewMemoryBytes
-	k.banks = append(k.banks, bank)
 	return bank, nil
 }

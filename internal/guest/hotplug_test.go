@@ -34,9 +34,6 @@ func TestGuestHotplugEndToEnd(t *testing.T) {
 	if got := k.LimitBytes(); got != 128*geometry.MiB {
 		t.Errorf("limit = %d after hotplug, want 128 MiB", got)
 	}
-	if banks := k.Banks(); len(banks) != 1 || banks[0] != bank {
-		t.Errorf("Banks() = %v, want [%+v]", banks, bank)
-	}
 	if got := vm.Spec().MemoryBytes; got != 128*geometry.MiB {
 		t.Errorf("VM RAM = %d after hotplug, want 128 MiB", got)
 	}

@@ -191,13 +191,6 @@ func (c *CGroup) Allows(id int) bool {
 	return ok
 }
 
-// Dead reports whether the cgroup has been destroyed.
-func (c *CGroup) Dead() bool {
-	c.reg.mu.Lock()
-	defer c.reg.mu.Unlock()
-	return c.dead
-}
-
 // Registry tracks control groups and exclusive node ownership. All methods
 // are safe for concurrent use: VM lifecycle operations race on it, and the
 // exclusive-ownership check is the isolation invariant, so it must be
@@ -329,44 +322,10 @@ func (r *Registry) Destroy(name string) error {
 	return nil
 }
 
-// Get returns a cgroup by name.
-func (r *Registry) Get(name string) (*CGroup, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cg, ok := r.cgroups[name]
-	return cg, ok
-}
-
 // OwnerOf returns the cgroup owning a guest-reserved node, if any.
 func (r *Registry) OwnerOf(nodeID int) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	name, ok := r.owner[nodeID]
 	return name, ok
-}
-
-// NUMA distances follow ACPI SLIT conventions: 10 for a node's local
-// socket, 21 for a remote socket — the latency asymmetry Siloz preserves by
-// composing VMs from same-socket subarray groups (§5.2).
-const (
-	// DistanceLocal is the SLIT value for same-socket access.
-	DistanceLocal = 10
-	// DistanceRemote is the SLIT value for cross-socket access.
-	DistanceRemote = 21
-)
-
-// Distance returns the SLIT-style distance between two logical nodes.
-func (t *Topology) Distance(a, b int) (int, error) {
-	na, err := t.Node(a)
-	if err != nil {
-		return 0, err
-	}
-	nb, err := t.Node(b)
-	if err != nil {
-		return 0, err
-	}
-	if na.Socket == nb.Socket {
-		return DistanceLocal, nil
-	}
-	return DistanceRemote, nil
 }

@@ -175,8 +175,8 @@ func TestRegistryDuplicateName(t *testing.T) {
 	if _, err := reg.Create("x", []int{2}); err == nil {
 		t.Error("duplicate cgroup name accepted")
 	}
-	if cg, ok := reg.Get("x"); !ok || cg.Name != "x" {
-		t.Error("Get failed")
+	if cg := mustGet(t, reg, "x"); cg.Name != "x" {
+		t.Errorf("cgroup x is named %q", cg.Name)
 	}
 	if nodes := mustGet(t, reg, "x").Nodes(); len(nodes) != 1 || nodes[0].ID != 1 {
 		t.Errorf("Nodes() = %v", nodes)
@@ -185,7 +185,9 @@ func TestRegistryDuplicateName(t *testing.T) {
 
 func mustGet(t *testing.T, r *Registry, name string) *CGroup {
 	t.Helper()
-	cg, ok := r.Get(name)
+	r.mu.Lock()
+	cg, ok := r.cgroups[name]
+	r.mu.Unlock()
 	if !ok {
 		t.Fatalf("cgroup %q missing", name)
 	}
@@ -197,20 +199,6 @@ func TestNodeKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q", k, got)
 		}
-	}
-}
-
-func TestNodeDistances(t *testing.T) {
-	topo := testTopology(t)
-	// Nodes 0 and 1 share socket 0; node 4 is socket 1.
-	if d, err := topo.Distance(0, 1); err != nil || d != DistanceLocal {
-		t.Errorf("local distance = %d, %v", d, err)
-	}
-	if d, err := topo.Distance(0, 4); err != nil || d != DistanceRemote {
-		t.Errorf("remote distance = %d, %v", d, err)
-	}
-	if _, err := topo.Distance(0, 99); err == nil {
-		t.Error("unknown node accepted")
 	}
 }
 
@@ -288,13 +276,13 @@ func TestDestroyedCGroupHandleIsDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cg.Dead() {
+	if cg.dead {
 		t.Fatal("fresh cgroup reports dead")
 	}
 	if err := reg.Destroy("vm:stale"); err != nil {
 		t.Fatal(err)
 	}
-	if !cg.Dead() {
+	if !cg.dead {
 		t.Error("destroyed cgroup does not report dead")
 	}
 	if nodes := cg.Nodes(); len(nodes) != 0 {

@@ -12,8 +12,8 @@
 // garbage. Tables are not safe for concurrent use; the simulation shards by
 // bank, and each bank's table is touched by exactly one goroutine.
 //
-// The API is point operations only (Add, Get, Delete, Len, Reset): slot
-// order is never observable, so callers cannot come to depend on it.
+// The API is two operations (Add, Reset): slot order is never observable,
+// so callers cannot come to depend on it.
 package rowcount
 
 import "math/bits"
@@ -30,13 +30,13 @@ type Value interface {
 const minCapacity = 64
 
 // maxGen is the largest generation before tags wrap; on wrap the slots are
-// cleared so stale entries from 2^31 windows ago cannot resurrect.
-const maxGen = 1<<31 - 1
+// cleared so stale entries from 2^32 windows ago cannot resurrect.
+const maxGen = 1<<32 - 1
 
-// slot is one table entry. Key, state tag and accumulator sit side by side
-// (12 bytes) so a probe step costs one host cache line, not one per parallel
-// array — with 32 banks × 2 048 rows of tracker state the tables outgrow L2
-// and that miss is the cost of an Add.
+// slot is one table entry. Key, generation tag and accumulator sit side by
+// side (12 bytes) so a probe step costs one host cache line, not one per
+// parallel array — with 32 banks × 2 048 rows of tracker state the tables
+// outgrow L2 and that miss is the cost of an Add.
 type slot[V Value] struct {
 	key  int32
 	meta uint32
@@ -45,15 +45,14 @@ type slot[V Value] struct {
 
 // Table accumulates values per row with O(1) whole-table reset.
 //
-// Slot states are encoded in meta: a slot is live when meta == gen<<1|1,
-// a tombstone (deleted this generation) when meta == gen<<1, and free
-// otherwise — so Reset invalidates every slot by incrementing gen. The
-// zero Table is empty and ready to use; it allocates on first Add.
+// A slot is live when its meta equals the table's generation and free
+// otherwise — so Reset invalidates every slot by incrementing gen. Entries
+// are never removed within a generation. The zero Table is empty and ready
+// to use; it allocates on first Add.
 type Table[V Value] struct {
 	slots []slot[V]
 	mask  uint32
-	live  int // entries visible to Get
-	used  int // live + tombstones: bounds probe length, triggers growth
+	live  int // live entries: bound probe length, trigger growth
 	gen   uint32
 }
 
@@ -73,84 +72,28 @@ func (t *Table[V]) Reset() {
 	}
 	t.gen++
 	t.live = 0
-	t.used = 0
 }
-
-// Len returns the number of live rows.
-func (t *Table[V]) Len() int { return t.live }
 
 // Add accumulates delta into row's entry, creating it at delta if absent,
 // and returns the new value.
 func (t *Table[V]) Add(row int, delta V) V {
 	if t.slots == nil {
 		t.init(minCapacity)
-	} else if (t.used+1)*4 > len(t.slots)*3 {
+	} else if (t.live+1)*4 > len(t.slots)*3 {
 		t.grow()
 	}
-	liveTag := t.gen<<1 | 1
-	tombTag := t.gen << 1
+	gen := t.gen
 	i := hash(int32(row)) & t.mask
-	firstTomb := int32(-1)
 	for {
-		switch s := &t.slots[i]; {
-		case s.meta == liveTag && s.key == int32(row):
-			s.val += delta
-			return s.val
-		case s.meta == tombTag:
-			if firstTomb < 0 {
-				firstTomb = int32(i)
-			}
-		case s.meta != liveTag: // free slot: row is absent
-			if firstTomb >= 0 {
-				s = &t.slots[firstTomb] // reuse the tombstone; used unchanged
-			} else {
-				t.used++
-			}
-			*s = slot[V]{key: int32(row), meta: liveTag, val: delta}
+		s := &t.slots[i]
+		if s.meta != gen { // free slot: row is absent
+			*s = slot[V]{key: int32(row), meta: gen, val: delta}
 			t.live++
 			return delta
 		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// Get returns row's value and whether it is present.
-func (t *Table[V]) Get(row int) (V, bool) {
-	if t.live == 0 {
-		var zero V
-		return zero, false
-	}
-	liveTag := t.gen<<1 | 1
-	tombTag := t.gen << 1
-	i := hash(int32(row)) & t.mask
-	for {
-		switch s := &t.slots[i]; {
-		case s.meta == liveTag && s.key == int32(row):
-			return s.val, true
-		case s.meta != liveTag && s.meta != tombTag: // free slot ends the probe
-			var zero V
-			return zero, false
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// Delete removes row's entry if present.
-func (t *Table[V]) Delete(row int) {
-	if t.live == 0 {
-		return
-	}
-	liveTag := t.gen<<1 | 1
-	tombTag := t.gen << 1
-	i := hash(int32(row)) & t.mask
-	for {
-		switch s := &t.slots[i]; {
-		case s.meta == liveTag && s.key == int32(row):
-			s.meta = tombTag
-			t.live--
-			return
-		case s.meta != liveTag && s.meta != tombTag:
-			return
+		if s.key == int32(row) {
+			s.val += delta
+			return s.val
 		}
 		i = (i + 1) & t.mask
 	}
@@ -166,28 +109,19 @@ func (t *Table[V]) init(capacity int) {
 	}
 }
 
-// grow rehashes live entries into a table twice the size, shedding
-// tombstones.
+// grow rehashes live entries into a table twice the size.
 func (t *Table[V]) grow() {
 	old := t.slots
-	newCap := len(old) * 2
-	if t.live*4 <= len(old) {
-		newCap = len(old) // tombstone-dominated: rehash in place
-	}
-	liveTag := t.gen<<1 | 1
-	t.init(newCap)
-	t.live = 0
-	t.used = 0
+	gen := t.gen
+	t.init(len(old) * 2)
 	for i := range old {
-		if old[i].meta != liveTag {
+		if old[i].meta != gen {
 			continue
 		}
 		j := hash(old[i].key) & t.mask
-		for t.slots[j].meta == liveTag {
+		for t.slots[j].meta == gen {
 			j = (j + 1) & t.mask
 		}
 		t.slots[j] = old[i]
-		t.live++
-		t.used++
 	}
 }

@@ -27,11 +27,28 @@ func sameContents[V Value](tab *Table[V], ref map[int]V, rows int) error {
 // capacity is the tests' one window onto the table's footprint.
 func (t *Table[V]) capacity() int { return len(t.slots) }
 
+// Len returns the number of live rows.
+func (t *Table[V]) Len() int { return t.live }
+
+// Get returns row's value and whether it is present.
+func (t *Table[V]) Get(row int) (V, bool) {
+	if t.live > 0 {
+		for i := hash(int32(row)) & t.mask; t.slots[i].meta == t.gen; i = (i + 1) & t.mask {
+			if t.slots[i].key == int32(row) {
+				return t.slots[i].val, true
+			}
+		}
+	}
+	var zero V
+	return zero, false
+}
+
 // TestDifferentialAgainstMap drives a Table and a plain map through the
-// same randomized operation stream — adds, deletes, resets, lookups — and
-// demands identical contents after every step. This is the golden
-// equivalence the hot paths rely on: the flat table must be observationally
-// identical to the (bank,row)-keyed maps it replaced.
+// same randomized operation stream — adds, resets, lookups — and demands
+// identical contents after every step. Windows are long enough for the table
+// to grow several times. This is the golden equivalence the hot paths rely
+// on: the flat table must be observationally identical to the
+// (bank,row)-keyed maps it replaced.
 func TestDifferentialAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var tab Table[int32]
@@ -44,23 +61,20 @@ func TestDifferentialAgainstMap(t *testing.T) {
 	}
 	for step := 0; step < 200_000; step++ {
 		row := rng.Intn(3000)
-		switch op := rng.Intn(100); {
-		case op < 55: // accumulate
+		switch op := rng.Intn(1000); {
+		case op < 600: // accumulate
 			delta := rng.Int31n(1000)
 			got := tab.Add(row, delta)
 			ref[row] += delta
 			if got != ref[row] {
 				t.Fatalf("step %d: Add(%d) = %v, want %v", step, row, got, ref[row])
 			}
-		case op < 80: // lookup
+		case op < 999: // lookup
 			got, ok := tab.Get(row)
 			want, wok := ref[row]
 			if ok != wok || got != want {
 				t.Fatalf("step %d: Get(%d) = (%v,%v), want (%v,%v)", step, row, got, ok, want, wok)
 			}
-		case op < 97: // delete
-			tab.Delete(row)
-			delete(ref, row)
 		default: // end of refresh window
 			tab.Reset()
 			ref = map[int]int32{}
@@ -70,6 +84,9 @@ func TestDifferentialAgainstMap(t *testing.T) {
 		}
 	}
 	check(-1)
+	if tab.capacity() < 1024 {
+		t.Fatalf("the stream never grew the table past %d slots", tab.capacity())
+	}
 }
 
 // TestResetIsCheapAndComplete: a reset must hide every prior entry without
@@ -95,26 +112,6 @@ func TestResetIsCheapAndComplete(t *testing.T) {
 	}
 }
 
-// TestTombstoneReuse: delete/re-add cycles on a full-ish table must not
-// grow it unboundedly (tombstones are reused and shed on rehash).
-func TestTombstoneReuse(t *testing.T) {
-	var tab Table[int32]
-	for i := 0; i < 48; i++ {
-		tab.Add(i, 1)
-	}
-	for cycle := 0; cycle < 10_000; cycle++ {
-		row := cycle % 48
-		tab.Delete(row)
-		tab.Add(row, int32(cycle))
-	}
-	if tab.Len() != 48 {
-		t.Fatalf("Len = %d, want 48", tab.Len())
-	}
-	if tab.capacity() > 1024 {
-		t.Fatalf("table grew to %d slots under churn", tab.capacity())
-	}
-}
-
 // TestGenerationWrap forces the generation counter past its wrap point and
 // checks entries do not resurrect.
 func TestGenerationWrap(t *testing.T) {
@@ -132,30 +129,25 @@ func TestGenerationWrap(t *testing.T) {
 }
 
 // TestChurnMatchesMapAcrossGrowRehashAndWrap drives the packed layout
-// through the three events that move or invalidate slots wholesale — growth
-// into a larger array, the in-place rehash of a tombstone-dominated table,
-// and the generation wrap that clears every tag — against a map, and fails
-// unless each event was actually crossed.
+// through the two events that move or invalidate slots wholesale — growth,
+// which rehashes into a larger array, and the generation wrap that clears
+// every tag — against a map, and fails unless each event was actually
+// crossed.
 func TestChurnMatchesMapAcrossGrowRehashAndWrap(t *testing.T) {
 	const rows = 1500
 	rng := rand.New(rand.NewSource(7))
 	var tab Table[int32]
 	tab.gen = maxGen - 2 // the third window of this test wraps
 	ref := map[int]int32{}
-	var grew, rehashedInPlace, wrapped bool
+	var grew, wrapped bool
 	add := func(row int, delta int32) {
 		t.Helper()
-		capBefore, usedBefore := tab.capacity(), tab.used
+		capBefore := tab.capacity()
 		ref[row] += delta
 		if got := tab.Add(row, delta); got != ref[row] {
 			t.Fatalf("Add(%d, %d) = %d, map has %d", row, delta, got, ref[row])
 		}
-		switch {
-		case capBefore > 0 && tab.capacity() > capBefore:
-			grew = true
-		case tab.capacity() == capBefore && tab.used < usedBefore:
-			rehashedInPlace = true
-		}
+		grew = grew || capBefore > 0 && tab.capacity() > capBefore
 	}
 	check := func(when string) {
 		t.Helper()
@@ -169,24 +161,8 @@ func TestChurnMatchesMapAcrossGrowRehashAndWrap(t *testing.T) {
 			add(rng.Intn(600), 1+int32(rng.Intn(3)))
 		}
 		check("after fill")
-		// Thin to under a quarter of capacity, then keep inserting fresh
-		// rows over the tombstones until used crosses the load factor:
-		// the rehash that follows must stay in place.
-		for row := 0; row < 600; row++ {
-			if row%8 != 0 {
-				tab.Delete(row)
-				delete(ref, row)
-			}
-		}
-		check("after thinning")
 		for i := 0; i < 4000; i++ {
-			row := 600 + rng.Intn(rows-600)
-			if rng.Intn(2) == 0 {
-				add(row, 1)
-			} else {
-				tab.Delete(row)
-				delete(ref, row)
-			}
+			add(600+rng.Intn(rows-600), 1)
 		}
 		check("after churn")
 		genBefore := tab.gen
@@ -195,9 +171,8 @@ func TestChurnMatchesMapAcrossGrowRehashAndWrap(t *testing.T) {
 		clear(ref)
 		check("after reset")
 	}
-	if !grew || !rehashedInPlace || !wrapped {
-		t.Fatalf("events crossed: grow=%v in-place rehash=%v generation wrap=%v; want all three",
-			grew, rehashedInPlace, wrapped)
+	if !grew || !wrapped {
+		t.Fatalf("events crossed: grow=%v generation wrap=%v; want both", grew, wrapped)
 	}
 }
 

@@ -128,11 +128,6 @@ type OverheadReport struct {
 	RepairBytes uint64
 }
 
-// UsableFraction returns the fraction of DRAM that remains allocatable.
-func (o OverheadReport) UsableFraction() float64 {
-	return 1 - float64(o.GuardBytes+o.RepairBytes)/float64(o.TotalBytes)
-}
-
 // Overhead computes the reservation accounting for a layout, transforms,
 // and optional repair table.
 func (l *Layout) Overhead(transforms addr.TransformConfig, rt *addr.RepairTable) OverheadReport {

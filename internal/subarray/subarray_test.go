@@ -256,8 +256,8 @@ func TestOverheadAccounting(t *testing.T) {
 	// Power-of-two layout, no repairs: 100% usable (§3's "~98.5%-100%").
 	l := tinyLayout(t)
 	rep := l.Overhead(addr.AllTransforms(), nil)
-	if rep.UsableFraction() != 1.0 {
-		t.Errorf("usable fraction %.4f, want 1.0", rep.UsableFraction())
+	if lost := rep.GuardBytes + rep.RepairBytes; lost != 0 {
+		t.Errorf("%d bytes lost, want none", lost)
 	}
 
 	// With inter-subarray repairs, a small fraction is lost.
@@ -270,8 +270,8 @@ func TestOverheadAccounting(t *testing.T) {
 	if rep2.RepairBytes == 0 {
 		t.Error("repair overhead not accounted")
 	}
-	if rep2.UsableFraction() < 0.97 {
-		t.Errorf("usable fraction %.4f unexpectedly low", rep2.UsableFraction())
+	if lost := rep2.GuardBytes + rep2.RepairBytes; lost*100 > rep2.TotalBytes*3 {
+		t.Errorf("%d of %d bytes lost, unexpectedly many", lost, rep2.TotalBytes)
 	}
 }
 

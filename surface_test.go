@@ -16,10 +16,40 @@ import (
 	"testing"
 )
 
-// unreachedSurfaceLimit is how many declarations under internal/ no program
-// reaches: the ratchet TestUnreadSurface holds. Lower it when a declaration
-// leaves the list; never raise it.
-const unreachedSurfaceLimit = 39
+// Reasons a declaration under internal/ may stay although no program reaches
+// it.
+const (
+	threatModel = "threat model, ROADMAP item 12"
+	testOracle  = "cross-package test oracle"
+)
+
+// knownUnreached names every declaration under internal/ that no program
+// reaches, with the reason it stays. TestUnreadSurface fails on an
+// unreached declaration missing here (new dead code) and on an entry a
+// program now reaches or that no longer exists (a stale entry: delete it).
+var knownUnreached = map[string]string{
+	"addr.RepairMode":             threatModel,
+	"addr.RepairIntraSubarray":    threatModel,
+	"addr.RepairInterSubarray":    threatModel,
+	"addr.GenerateRepairs":        threatModel,
+	"addr.NewRepairTable":         threatModel,
+	"addr.RepairTable.Add":        threatModel,
+	"attack.DoubleSided":          threatModel,
+	"attack.HalfDouble":           threatModel,
+	"attack.RowPressPattern":      threatModel,
+	"core.Device.DMARead":         threatModel,
+	"core.Device.HammerDMA":       threatModel,
+	"core.Device.Tables":          threatModel,
+	"core.VM.Regions":             threatModel,
+	"core.VM.RegionGPA":           threatModel,
+	"core.VM.RegionPages":         threatModel,
+	"guest.Process.HammerVirtual": threatModel,
+	// The live-row differential of the dram, ept, fleet, attack and core
+	// tests.
+	"dram.Memory.LiveRows": testOracle,
+	// The reference for addr's fuzz and ref tests.
+	"geometry.MediaAddr.Valid": testOracle,
+}
 
 // modulePath is the import path of the module's root package.
 const modulePath = "repro"
@@ -403,19 +433,31 @@ func (c *census) unreached() []string {
 	return out
 }
 
-// TestUnreadSurface is the surface ratchet: library code only tests reach is
-// not library code, so the count of unreached declarations under internal/
-// may fall but not rise. A new declaration needs a path from a program, or
-// an existing unreached one deleted in the same change. The pins hold the
-// walk to its three non-obvious edges: a generic method, interface
-// dispatch, a method value.
+// TestUnreadSurface is the surface census: library code only tests reach is
+// not library code, so every declaration under internal/ that no program
+// reaches must be named in knownUnreached with its reason, and every name
+// there must still be unreached. A new declaration needs a path from a
+// program. The pins hold the walk to its three non-obvious edges: a generic
+// method, interface dispatch, a method value.
 func TestUnreadSurface(t *testing.T) {
+	if len(knownUnreached) != 18 {
+		t.Errorf("knownUnreached has %d entries, want 18", len(knownUnreached))
+	}
 	c := loadModule(t)
 	c.run(t)
 	unreached := c.unreached()
 	labels := map[string]bool{}
 	for _, u := range unreached {
-		labels[u[strings.IndexByte(u, ' ')+1:]] = true
+		label := u[strings.IndexByte(u, ' ')+1:]
+		labels[label] = true
+		if _, ok := knownUnreached[label]; !ok {
+			t.Errorf("%s is reached by no program and not in knownUnreached", u)
+		}
+	}
+	for label := range knownUnreached {
+		if !labels[label] {
+			t.Errorf("knownUnreached lists %s, which is reached or gone; delete the entry", label)
+		}
 	}
 	for _, want := range []string{"rowcount.Table.Add", "mitigation.SilverBullet.OnActivate", "memctrl.Controller.applyMitRefresh"} {
 		if labels[want] {
@@ -424,10 +466,6 @@ func TestUnreadSurface(t *testing.T) {
 	}
 	if !labels["core.Device.HammerDMA"] {
 		t.Error("core.Device.HammerDMA is reached; only tests call it")
-	}
-	if len(unreached) > unreachedSurfaceLimit {
-		t.Errorf("%d declarations under internal/ are reached by no program, limit %d:\n  %s",
-			len(unreached), unreachedSurfaceLimit, strings.Join(unreached, "\n  "))
 	}
 	if testing.Verbose() {
 		t.Logf("%d unreached:\n  %s", len(unreached), strings.Join(unreached, "\n  "))
