@@ -51,8 +51,8 @@ race:
 # DIMMs and sockets, copies, reads and scrubs reading the row census without a
 # lock while such writers change it, the row-to-row copy under a line-flipping writer and under two
 # cross-host moves in opposite directions (with the two cost-follows-data
-# tests), fleet ops run by the goroutines that wait for them (two at once on
-# a two-slot host), the cross-host move under a live writer, against direct layout
+# tests), fleet ops run by the goroutines that wait for them (one at a time
+# per host), the cross-host move under a live writer, against direct layout
 # operations on its source and failed at every step (fleet's unwind, core's
 # MoveOut), the lock-free TLB's coherence across every layout commit
 # (-count=10: the race it pins needs a translator caught mid-walk), one

@@ -337,7 +337,7 @@ func (c *campaign) balloon() error {
 				drainErr = c.checkScrubbed(h.Memory().ReadPhys, topHPAs)
 			}
 		})
-		_, err := h.BalloonVM("victim", campaignVMBytes-top)
+		_, err := h.ResizeVM("victim", top)
 		h.SetLifecycleProbe(nil)
 		if err != nil {
 			return err
@@ -347,7 +347,7 @@ func (c *campaign) balloon() error {
 		}
 		// Deflate: the re-admitted range must arrive zero, never a stale
 		// frame with the old secret (or another tenant's bytes).
-		if _, err := h.BalloonVM("victim", 0); err != nil {
+		if _, err := h.ResizeVM("victim", campaignVMBytes); err != nil {
 			return err
 		}
 		if err := c.checkScrubbed(c.victim.ReadGuest, pagesIn(top, campaignVMBytes)); err != nil {
@@ -399,7 +399,7 @@ func (c *campaign) hotplug() error {
 			_, err := vm.TranslateUncached(oldTop)
 			c.res.refused(err)
 		})
-		_, err = h.HotplugVM(name, campaignVMBytes)
+		_, err = h.ResizeVM(name, oldTop+campaignVMBytes)
 		h.SetLifecycleProbe(nil)
 		if err != nil {
 			return err

@@ -3,8 +3,8 @@ package core
 // Memory ballooning: returning part of a running VM's exclusive subarray
 // group reservation to the host (virtio-balloon semantics over Siloz's
 // isolation domains). The guest driver (internal/guest) inflates by pinning
-// guest frames into its balloon and telling the hypervisor which GPA ranges
-// it surrendered; this file implements the host side:
+// the top of guest RAM into its balloon and asking ResizeVM for the smaller
+// size; this file implements the host side, ResizeVM's balloon leg:
 //
 //   1. Commit the layout with holes at the surrendered pages (layout.go):
 //      the 2 MiB EPT leaves and IOMMU entries are unmapped. The guest can
@@ -23,86 +23,31 @@ package core
 // out, and commit the layout with the holes refilled.
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
 )
 
-// BalloonReport summarizes one BalloonVM call.
-type BalloonReport struct {
-	VM       string
-	Target   uint64 // balloon size after the call (bytes surrendered)
-	Previous uint64 // balloon size before the call
-
-	InflatedPages int    // 2 MiB pages surrendered by this call
-	DeflatedPages int    // 2 MiB pages restored by this call
-	ScrubbedBytes uint64 // data-bearing bytes zeroed before release
-	ReleasedNodes []int  // guest nodes drained and returned to the pool
-	AdoptedNodes  []int  // guest nodes adopted to satisfy a deflate
-}
-
 // balloonFloor is the smallest resident RAM a balloon may leave behind:
 // the spec's MinMemoryBytes, and never less than one 2 MiB page (a VM with
 // zero resident pages would own no guest nodes, breaking the audit's
 // VM-has-a-domain invariant).
 func balloonFloor(spec VMSpec) uint64 {
-	floor := spec.MinMemoryBytes
-	if floor < geometry.PageSize2M {
-		floor = geometry.PageSize2M
-	}
-	return floor
+	return max(spec.MinMemoryBytes, geometry.PageSize2M)
 }
 
-// BalloonVM sets a VM's balloon to targetBytes — the amount of its RAM
-// surrendered to the host. A larger target inflates (frees pages, possibly
-// whole nodes); a smaller one deflates (restores pages, adopting nodes as
-// needed). The guest must already have quiesced the covered ranges: the
-// guest-side driver (guest.Balloon) pins the frames before calling here.
-// The call takes the VM's lifecycle latch, so it is refused (ErrResizeBusy)
-// while the VM is live-migrating, resizing, or hot-plugging memory.
-func (h *Hypervisor) BalloonVM(name string, targetBytes uint64) (rep *BalloonReport, err error) {
-	err = h.resizeOp(name, "balloon", func(vm *VM) (err error) {
-		rep, err = h.balloonTo(vm, targetBytes)
-		return err
-	})
-	return rep, err
-}
-
-// balloonTo is BalloonVM's body, shared with the resize facade. Caller holds
-// h.mu and the VM's lifecycle latch.
-func (h *Hypervisor) balloonTo(vm *VM, targetBytes uint64) (*BalloonReport, error) {
-	name := vm.spec.Name
-	if vm.DirtyTracking() {
-		return nil, fmt.Errorf("core: VM %q has dirty logging armed; ballooning would lose protection state", name)
-	}
-	if targetBytes%geometry.PageSize2M != 0 {
-		return nil, fmt.Errorf("core: balloon target %d must be a multiple of 2 MiB", targetBytes)
-	}
-	if max := vm.spec.MemoryBytes - balloonFloor(vm.spec); targetBytes > max {
-		return nil, fmt.Errorf("core: balloon target %d exceeds VM %q's reclaimable %d bytes (floor %d)",
-			targetBytes, name, max, balloonFloor(vm.spec))
-	}
-
-	rep := &BalloonReport{
-		VM:       name,
-		Target:   targetBytes,
-		Previous: uint64(vm.ballooned) * geometry.PageSize2M,
-	}
-	targetPages := int(targetBytes / geometry.PageSize2M)
-	delta := targetPages - vm.ballooned
-	var err error
-	switch {
+// balloonTo is ResizeVM's balloon leg: it inflates or deflates vm's balloon
+// to target pages. planResize has validated the target. Caller holds h.mu
+// and the VM's lifecycle latch.
+func (h *Hypervisor) balloonTo(vm *VM, target int, rep *ResizeReport) error {
+	switch delta := target - vm.ballooned; {
 	case delta > 0:
-		err = h.balloonInflate(vm, delta, rep)
+		return h.balloonInflate(vm, delta, rep)
 	case delta < 0:
-		err = h.balloonDeflate(vm, -delta, rep)
+		return h.balloonDeflate(vm, -delta, rep)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return nil
 }
 
 // inflateVictims picks the RAM page indexes an inflate of n pages would
@@ -119,11 +64,8 @@ func inflateVictims(vm *VM, n int) []int {
 }
 
 // balloonInflate surrenders n resident pages. Caller holds h.mu.
-func (h *Hypervisor) balloonInflate(vm *VM, n int, rep *BalloonReport) error {
+func (h *Hypervisor) balloonInflate(vm *VM, n int, rep *ResizeReport) error {
 	victims := inflateVictims(vm, n)
-	if len(victims) < n {
-		return fmt.Errorf("core: VM %q has only %d resident pages, inflate wants %d", vm.spec.Name, len(victims), n)
-	}
 	// The guest is paused across the unmap+free so no store can race the
 	// EPT edit (the same stop-the-world window a real balloon's
 	// MADV_DONTNEED takes, just coarser). Hammer and device DMA hold the
@@ -148,7 +90,7 @@ func (h *Hypervisor) balloonInflate(vm *VM, n int, rep *BalloonReport) error {
 		delete(vm.touched, p)
 	}
 	vm.dirtyMu.Unlock()
-	rep.InflatedPages = n
+	rep.Pages += n
 	h.probe(ProbeBalloonUnmapped, vm)
 
 	var err error
@@ -159,8 +101,7 @@ func (h *Hypervisor) balloonInflate(vm *VM, n int, rep *BalloonReport) error {
 // balloonDeflate restores n ballooned pages, adopting additional guest
 // nodes when the VM's remaining reservation lacks capacity. Caller holds
 // h.mu.
-func (h *Hypervisor) balloonDeflate(vm *VM, n int, rep *BalloonReport) error {
-	n = min(n, vm.ballooned)
+func (h *Hypervisor) balloonDeflate(vm *VM, n int, rep *ResizeReport) error {
 	t := h.sourceFrames(vm)
 	if err := t.take(alloc.Order2M, n, false); err != nil {
 		return err
@@ -179,7 +120,7 @@ func (h *Hypervisor) balloonDeflate(vm *VM, n int, rep *BalloonReport) error {
 		return err
 	}
 	vm.ballooned -= n
-	rep.DeflatedPages = n
-	rep.AdoptedNodes = t.adopted
+	rep.Pages += n
+	rep.AdoptedNodes = append(rep.AdoptedNodes, t.adopted...)
 	return nil
 }

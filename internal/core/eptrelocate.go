@@ -9,8 +9,8 @@ import "fmt"
 // allocator under the pause gate, so the guard-block placement argument
 // holds for the socket the guest actually lives on, and so the source
 // socket's EPT row group can drain for defragmentation. Two paths run it: a
-// cross-socket MigrateVM, and relocateIfStranded after a balloon, hotplug
-// or resize leaves every node on a socket the tables do not live on.
+// cross-socket MigrateVM, and relocateIfStranded after a ResizeVM leaves
+// every node on a socket the tables do not live on.
 
 // relocateTables rebuilds vm's EPT hierarchy from the destination socket's
 // EPT allocator and retargets the VM's EPT-residency bookkeeping. The

@@ -139,13 +139,13 @@ func lifecycleCases() []lifecycleCase {
 		name: "balloon-deflate",
 		setup: func(t *testing.T, h *Hypervisor) []int {
 			create(t, h, VMSpec{Socket: 0, MemoryBytes: 64 * geometry.MiB})
-			if _, err := h.BalloonVM("v", 12*geometry.MiB); err != nil {
+			if _, err := h.ResizeVM("v", 52*geometry.MiB); err != nil {
 				t.Fatal(err)
 			}
 			return guest(h)
 		},
 		steps:         6,
-		run:           func(h *Hypervisor) error { _, err := h.BalloonVM("v", 0); return err },
+		run:           func(h *Hypervisor) error { _, err := h.ResizeVM("v", 64*geometry.MiB); return err },
 		spreadExpands: true,
 	}, {
 		// Takes no frames: only the commit loop below reaches it.
@@ -154,7 +154,7 @@ func lifecycleCases() []lifecycleCase {
 			create(t, h, VMSpec{Socket: 0, MemoryBytes: 64 * geometry.MiB})
 			return guest(h)
 		},
-		run: func(h *Hypervisor) error { _, err := h.BalloonVM("v", 12*geometry.MiB); return err },
+		run: func(h *Hypervisor) error { _, err := h.ResizeVM("v", 52*geometry.MiB); return err },
 	}, {
 		name: "hotplug",
 		setup: func(t *testing.T, h *Hypervisor) []int {
@@ -162,7 +162,7 @@ func lifecycleCases() []lifecycleCase {
 			return guest(h)
 		},
 		steps:         6,
-		run:           func(h *Hypervisor) error { _, err := h.HotplugVM("v", 12*geometry.MiB); return err },
+		run:           func(h *Hypervisor) error { _, err := h.ResizeVM("v", 76*geometry.MiB); return err },
 		spreadExpands: true,
 	}, {
 		// The deflate leg refills the three ballooned pages from the VM's
@@ -171,7 +171,7 @@ func lifecycleCases() []lifecycleCase {
 		name: "resize-hotplug-with-balloon-remnant",
 		setup: func(t *testing.T, h *Hypervisor) []int {
 			create(t, h, VMSpec{Socket: 0, MemoryBytes: 64 * geometry.MiB})
-			if _, err := h.BalloonVM("v", 6*geometry.MiB); err != nil {
+			if _, err := h.ResizeVM("v", 58*geometry.MiB); err != nil {
 				t.Fatal(err)
 			}
 			return guest(h)
@@ -328,17 +328,11 @@ func TestPreviewResizeMatchesResize(t *testing.T) {
 			if rerr != nil {
 				continue
 			}
-			var adopted, released []int
-			if rep.Balloon != nil {
-				adopted = append(adopted, rep.Balloon.AdoptedNodes...)
-				released = rep.Balloon.ReleasedNodes
-			}
-			if rep.Hotplug != nil {
-				adopted = append(adopted, rep.Hotplug.AdoptedNodes...)
-			}
-			if plan.Action != rep.Action || !sameIDs(plan.AdoptedNodes, adopted) || !sameIDs(plan.ReleasedNodes, released) {
-				t.Fatalf("round %d: %s -> %d MiB: plan %s adopt %v release %v, resize %s adopted %v released %v",
-					round, name, target>>20, plan.Action, plan.AdoptedNodes, plan.ReleasedNodes, rep.Action, adopted, released)
+			if plan.Action != rep.Action || plan.Pages != rep.Pages ||
+				!sameIDs(plan.AdoptedNodes, rep.AdoptedNodes) || !sameIDs(plan.ReleasedNodes, rep.ReleasedNodes) {
+				t.Fatalf("round %d: %s -> %d MiB: plan %s %d pages adopt %v release %v, resize %s %d pages adopted %v released %v",
+					round, name, target>>20, plan.Action, plan.Pages, plan.AdoptedNodes, plan.ReleasedNodes,
+					rep.Action, rep.Pages, rep.AdoptedNodes, rep.ReleasedNodes)
 			}
 		}
 		if bad := h.Audit(); len(bad) != 0 {
@@ -364,7 +358,7 @@ func TestDeflateRemapFailureReleasesAdoptedNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.BalloonVM("v", 8*geometry.MiB); err != nil {
+		if _, err := h.ResizeVM("v", 56*geometry.MiB); err != nil {
 			t.Fatal(err)
 		}
 		// The VM's node has no room left, so the deflate adopts the next.
@@ -378,7 +372,7 @@ func TestDeflateRemapFailureReleasesAdoptedNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := snapshotHost(h)
-		if _, err := h.BalloonVM("v", 0); err == nil {
+		if _, err := h.ResizeVM("v", 64*geometry.MiB); err == nil {
 			t.Fatal("deflate over an already-mapped GPA succeeded")
 		}
 		if after := snapshotHost(h); !reflect.DeepEqual(before, after) {
@@ -409,7 +403,7 @@ func TestHotplugDeviceSyncFailureRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := snapshotHost(h)
-	if _, err := h.HotplugVM(vm.Name(), 8*geometry.MiB); err == nil {
+	if _, err := h.ResizeVM(vm.Name(), 72*geometry.MiB); err == nil {
 		t.Fatal("hotplug succeeded over a poisoned IOMMU slot")
 	}
 	if after := snapshotHost(h); !reflect.DeepEqual(before, after) {

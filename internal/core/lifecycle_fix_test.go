@@ -249,13 +249,13 @@ func TestDeviceTablesFollowBalloon(t *testing.T) {
 	name := vm.Spec().Name
 	spec := vm.Spec()
 	lastGPA := spec.MemoryBytes - geometry.PageSize2M
-	if _, err := h.BalloonVM(name, spec.MemoryBytes/2); err != nil {
+	if _, err := h.ResizeVM(name, spec.MemoryBytes/2); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.DMAWrite(lastGPA, []byte{1}); err == nil {
 		t.Error("DMA into a ballooned-out page succeeded")
 	}
-	if _, err := h.BalloonVM(name, 0); err != nil {
+	if _, err := h.ResizeVM(name, spec.MemoryBytes); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.DMAWrite(lastGPA, []byte("back")); err != nil {
@@ -272,7 +272,7 @@ func TestDeviceTablesFollowHotplug(t *testing.T) {
 	if err := dev.DMAWrite(top, []byte{1}); err == nil {
 		t.Fatal("DMA beyond RAM succeeded before hotplug")
 	}
-	if _, err := h.HotplugVM(vm.Spec().Name, 64*geometry.MiB); err != nil {
+	if _, err := h.ResizeVM(vm.Spec().Name, top+64*geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
 	payload := []byte("hot-added dma")
@@ -321,13 +321,13 @@ func TestLifecycleProbesFire(t *testing.T) {
 		}
 		got = append(got, event)
 	})
-	if _, err := h.BalloonVM("pr", 32*geometry.MiB); err != nil {
+	if _, err := h.ResizeVM("pr", 32*geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.BalloonVM("pr", 0); err != nil { // deflate: no probes
+	if _, err := h.ResizeVM("pr", 64*geometry.MiB); err != nil { // deflate: no probes
 		t.Fatal(err)
 	}
-	if _, err := h.HotplugVM("pr", 64*geometry.MiB); err != nil {
+	if _, err := h.ResizeVM("pr", 128*geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("%v", []string{ProbeBalloonUnmapped, ProbeBalloonDrained, ProbeHotplugAdopted})

@@ -12,12 +12,13 @@ package core
 //   - grow beyond the   → memory hotplug (extend guest RAM with new 2 MiB
 //     boot reservation    regions on freshly adopted subarray-group nodes).
 //
-// PreviewResize answers the same dispatch question without mutating
-// anything — which action, how many pages, which nodes would drain or be
-// adopted — replacing the scattered per-mechanism previews. All paths run
-// under the per-VM lifecycle
-// latch, so a resize can never interleave with a balloon call, another
-// resize, or a live migration of the same VM.
+// planResize is the one validator: every input ResizeVM refuses, it refuses
+// before either leg starts, and the legs (balloon.go, hotplug.go) check
+// nothing. PreviewResize answers the same dispatch question without
+// mutating anything — which action, how many pages, which nodes would drain
+// or be adopted. ResizeVM runs under the per-VM lifecycle latch, so a resize
+// can never interleave with another resize or a live migration of the same
+// VM.
 
 import (
 	"fmt"
@@ -70,16 +71,18 @@ type ResizePlan struct {
 	AdoptedNodes  []int  // unowned guest nodes a grow would adopt (in adoption order)
 }
 
-// ResizeReport summarizes one ResizeVM call; the per-mechanism reports of
-// the legs that ran are attached.
+// ResizeReport summarizes one ResizeVM call: what the legs that ran did,
+// in the order they ran.
 type ResizeReport struct {
 	VM       string
 	Previous uint64 // usable guest RAM before the call
 	Target   uint64
 	Action   ResizeAction
 
-	Balloon *BalloonReport // set when a balloon leg ran
-	Hotplug *HotplugReport // set when the hotplug leg ran
+	Pages         int    // 2 MiB pages moved: surrendered, or restored plus hot-added
+	ScrubbedBytes uint64 // bytes zeroed: data-bearing pages before release, hot-added pages before mapping
+	ReleasedNodes []int  // guest nodes drained and returned to the pool
+	AdoptedNodes  []int  // guest nodes adopted to back a grow, deflate leg first
 }
 
 // usableBytes is the guest RAM the VM can touch: recorded size minus the
@@ -88,16 +91,20 @@ func (vm *VM) usableBytes() uint64 {
 	return vm.spec.MemoryBytes - uint64(vm.ballooned)*geometry.PageSize2M
 }
 
-// planResize is the dispatch ResizeVM and PreviewResize share: which
-// mechanism reaches targetBytes, how many pages it moves and — from a dry
-// run of the frame-sourcing walk — which unowned nodes a grow would adopt,
-// so an infeasible grow is refused before either of its legs starts. Caller
-// holds h.mu.
+// planResize is the dispatch and the validation ResizeVM and PreviewResize
+// share: which mechanism reaches targetBytes, how many pages it moves and —
+// from a dry run of the frame-sourcing walk — which unowned nodes a grow
+// would adopt, so an infeasible grow is refused before either of its legs
+// starts. Caller holds h.mu.
 func (h *Hypervisor) planResize(vm *VM, targetBytes uint64) (ResizePlan, error) {
+	name := vm.spec.Name
 	if targetBytes == 0 || targetBytes%geometry.PageSize2M != 0 {
 		return ResizePlan{}, fmt.Errorf("core: resize target %d must be a positive multiple of 2 MiB", targetBytes)
 	}
-	plan := ResizePlan{VM: vm.spec.Name, Current: vm.usableBytes(), Target: targetBytes}
+	if vm.DirtyTracking() {
+		return ResizePlan{}, fmt.Errorf("core: VM %q has dirty logging armed; a resize would lose protection state", name)
+	}
+	plan := ResizePlan{VM: name, Current: vm.usableBytes(), Target: targetBytes}
 	size, balloon := vm.spec.MemoryBytes, vm.ballooned
 	switch {
 	case targetBytes == plan.Current:
@@ -106,7 +113,7 @@ func (h *Hypervisor) planResize(vm *VM, targetBytes uint64) (ResizePlan, error) 
 
 	case targetBytes < plan.Current:
 		if floor := balloonFloor(vm.spec); targetBytes < floor {
-			return plan, fmt.Errorf("core: resize target %d below VM %q's floor %d", targetBytes, vm.spec.Name, floor)
+			return plan, fmt.Errorf("core: resize target %d below VM %q's floor %d", targetBytes, name, floor)
 		}
 		plan.Action = ResizeInflate
 		plan.BalloonTarget = size - targetBytes
@@ -117,6 +124,9 @@ func (h *Hypervisor) planResize(vm *VM, targetBytes uint64) (ResizePlan, error) 
 		plan.Action = ResizeDeflate
 		plan.BalloonTarget = size - targetBytes
 		plan.Pages = balloon - int(plan.BalloonTarget/geometry.PageSize2M)
+
+	case targetBytes > ROMBase:
+		return plan, fmt.Errorf("core: resize would grow VM %q past the RAM window end %#x", name, ROMBase)
 
 	default:
 		// Hotplug extends the top of RAM and the balloon's model is that it
@@ -135,44 +145,37 @@ func (h *Hypervisor) planResize(vm *VM, targetBytes uint64) (ResizePlan, error) 
 // ResizeVM resizes a running VM's usable memory to targetBytes, dispatching
 // to balloon inflate (shrink), balloon deflate (grow within the ballooned
 // holes), or memory hotplug (grow beyond the boot-time reservation; any
-// balloon remnant is deflated first). The call holds the VM's lifecycle
-// latch end to end — concurrent resize, balloon, or migration of the same
-// VM fails with ErrResizeBusy — and rolls back to the previous state on
-// partial failure.
-func (h *Hypervisor) ResizeVM(name string, targetBytes uint64) (rep *ResizeReport, err error) {
-	err = h.resizeOp(name, "resize", func(vm *VM) (err error) {
-		rep, err = h.resizeTo(vm, targetBytes)
-		return err
-	})
-	return rep, err
-}
-
-// resizeOp is the frame BalloonVM, HotplugVM and ResizeVM share: it runs
-// body on the named VM under h.mu and the VM's lifecycle latch, and then, if
-// body succeeded, pulls the EPT tables after the guest. Dropping a VM's last
-// node on a socket, or adopting only remote ones, can leave the whole
-// reservation on one socket while the tables stay on the other. A relocation
-// failure does not undo the operation: body's result stands and the error
-// is returned alongside it.
-func (h *Hypervisor) resizeOp(name, op string, body func(*VM) error) error {
+// balloon remnant is deflated first). It is the one way to change a running
+// VM's memory footprint. The call holds the VM's lifecycle latch end to end
+// — a concurrent resize or migration of the same VM fails with
+// ErrResizeBusy — and rolls back to the previous state on partial failure.
+//
+// After the legs, the EPT tables follow the guest: dropping a VM's last node
+// on a socket, or adopting only remote ones, can leave the whole reservation
+// on one socket while the tables stay on the other. A relocation failure
+// does not undo the resize: the report is returned together with the error,
+// and a caller keeping its own view of the VM's size must commit it
+// whenever the report is non-nil.
+func (h *Hypervisor) ResizeVM(name string, targetBytes uint64) (*ResizeReport, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	vm, err := h.acquire(name, op)
+	vm, err := h.acquire(name, "resize")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer vm.releaseLifecycle()
-	if err := body(vm); err != nil {
-		return err
+	rep, err := h.resizeTo(vm, targetBytes)
+	if err != nil {
+		return nil, err
 	}
 	if err := h.relocateIfStranded(vm); err != nil {
-		return fmt.Errorf("core: %s of VM %q left EPT tables behind: %w", op, name, err)
+		return rep, fmt.Errorf("core: resize of VM %q left EPT tables behind: %w", name, err)
 	}
-	return nil
+	return rep, nil
 }
 
-// resizeTo is ResizeVM's body: it executes planResize's plan. Caller holds
-// h.mu and the VM's lifecycle latch.
+// resizeTo executes planResize's plan. Caller holds h.mu and the VM's
+// lifecycle latch.
 func (h *Hypervisor) resizeTo(vm *VM, targetBytes uint64) (*ResizeReport, error) {
 	plan, err := h.planResize(vm, targetBytes)
 	if err != nil {
@@ -182,21 +185,17 @@ func (h *Hypervisor) resizeTo(vm *VM, targetBytes uint64) (*ResizeReport, error)
 	if plan.Action == ResizeNone {
 		return rep, nil
 	}
-	prevBalloon := uint64(vm.ballooned) * geometry.PageSize2M
-	if plan.BalloonTarget != prevBalloon {
-		if rep.Balloon, err = h.balloonTo(vm, plan.BalloonTarget); err != nil {
-			return nil, err
-		}
+	prevBalloon := vm.ballooned
+	if err := h.balloonTo(vm, int(plan.BalloonTarget/geometry.PageSize2M), rep); err != nil {
+		return nil, err
 	}
 	if plan.HotplugBytes > 0 {
-		if rep.Hotplug, err = h.hotplugGrow(vm, plan.HotplugBytes); err != nil {
+		if err := h.hotplugGrow(vm, plan.HotplugBytes, rep); err != nil {
 			// Roll the deflate leg back so the caller sees the pre-resize
 			// state; the re-inflate frees pages we just allocated, so it
 			// cannot fail for capacity.
-			if prevBalloon > 0 {
-				if _, rerr := h.balloonTo(vm, prevBalloon); rerr != nil {
-					return nil, fmt.Errorf("core: hotplug failed (%w) and balloon restore failed too: %v", err, rerr)
-				}
+			if rerr := h.balloonTo(vm, prevBalloon, &ResizeReport{}); rerr != nil {
+				return nil, fmt.Errorf("core: hotplug failed (%w) and balloon restore failed too: %v", err, rerr)
 			}
 			return nil, err
 		}

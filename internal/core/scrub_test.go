@@ -103,7 +103,7 @@ func TestBalloonDrainScrubsNodePages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := h.BalloonVM("bal", 64*geometry.MiB)
+	rep, err := h.ResizeVM("bal", 64*geometry.MiB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ type VMSpec struct {
 	// MinMemoryBytes, if non-zero, is the smallest RAM the VM agrees to
 	// run with: the balloon may inflate it down to this floor but no
 	// further. Zero means the VM opts out of ballooning policy (the
-	// planner will never shrink it), though explicit BalloonVM calls may
+	// planner will never shrink it), though explicit ResizeVM calls may
 	// still take it down to one resident page. Must be a multiple of
 	// 2 MiB and at most MemoryBytes.
 	MinMemoryBytes uint64

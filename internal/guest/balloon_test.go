@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
+	"repro/internal/numa"
 )
 
 // bootGuestSized boots a Siloz guest kernel inside a VM of the given RAM
@@ -58,14 +60,14 @@ func TestGuestBalloonEndToEnd(t *testing.T) {
 	if err := b.SetTarget(64 * geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.TargetBytes(); got != 64*geometry.MiB {
-		t.Errorf("TargetBytes = %d, want 64 MiB", got)
+	if got := b.bytes; got != 64*geometry.MiB {
+		t.Errorf("balloon = %d bytes, want 64 MiB", got)
 	}
 	if got := vm.BalloonedBytes(); got != 64*geometry.MiB {
 		t.Errorf("hypervisor sees %d ballooned bytes, want 64 MiB", got)
 	}
-	if pages := b.pages; len(pages) != 32 || pages[0] != 64*geometry.MiB {
-		t.Errorf("balloon pages = %d starting %#x, want 32 from 64 MiB", len(pages), pages[0])
+	if got := k.LimitBytes(); got != 64*geometry.MiB {
+		t.Errorf("LimitBytes = %d, want the balloon to start at 64 MiB", got)
 	}
 	if len(vm.Nodes()) != 1 {
 		t.Fatalf("VM still owns %d nodes after inflation, want 1", len(vm.Nodes()))
@@ -137,4 +139,85 @@ func TestGuestBalloonValidation(t *testing.T) {
 	if err := b.SetTarget(0); err != nil {
 		t.Errorf("no-op deflate failed: %v", err)
 	}
+}
+
+// TestGuestBalloonCommitsWhenEPTRelocationFails: an inflate that drains the
+// VM's last node on its EPT socket pulls the tables after the guest, and
+// when the other socket's EPT pool is exhausted that relocation fails after
+// the inflate has committed. The surrendered range is unmapped either way,
+// so the kernel must stop treating it as usable.
+func TestGuestBalloonCommitsWhenEPTRelocationFails(t *testing.T) {
+	h, vm, k := bootGuestSized(t, 128*geometry.MiB)
+	// Move the guest onto one node per socket, socket 1's first: the low
+	// half of guest RAM lands there and the top half, which the balloon
+	// takes, on socket 0, beside the tables.
+	var dests []int
+	for _, socket := range []int{1, 0} {
+		for _, n := range h.Topology().NodesOnSocket(socket, numa.GuestReserved) {
+			if _, owned := h.Registry().OwnerOf(n.ID); !owned {
+				dests = append(dests, n.ID)
+				break
+			}
+		}
+	}
+	if _, err := h.MigrateVM(context.Background(), vm.Name(), dests, core.MigrateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	top, err := vm.Translate(vm.Spec().MemoryBytes - geometry.PageSize2M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vm.Nodes()) != 2 || vm.EPTSocket() != 0 || !socketHolds(h, 0, top) {
+		t.Fatalf("VM on %d nodes, tables on socket %d, top page %#x: scenario broken",
+			len(vm.Nodes()), vm.EPTSocket(), top)
+	}
+	eptNode, err := h.EPTNode(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eptPool, err := h.Allocator(eptNode.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []uint64
+	for {
+		pa, err := eptPool.Alloc(0)
+		if err != nil {
+			break
+		}
+		held = append(held, pa)
+	}
+
+	if err := k.Balloon().SetTarget(64 * geometry.MiB); err == nil {
+		t.Fatal("inflate succeeded although socket 1's EPT pool is exhausted")
+	}
+	usable := vm.Spec().MemoryBytes - vm.BalloonedBytes()
+	if usable != 64*geometry.MiB || len(vm.Nodes()) != 1 || vm.EPTSocket() != 0 {
+		t.Fatalf("usable %d, %d nodes, tables on socket %d: want the inflate committed and the tables left behind",
+			usable, len(vm.Nodes()), vm.EPTSocket())
+	}
+	if got := k.LimitBytes(); got != usable {
+		t.Errorf("guest limit = %d, want the VM's usable %d", got, usable)
+	}
+	if got := k.Balloon().bytes; got != 64*geometry.MiB {
+		t.Errorf("balloon = %d bytes, want 64 MiB", got)
+	}
+	for _, pa := range held {
+		if err := eptPool.Free(pa, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bad := h.Audit(); len(bad) != 0 {
+		t.Errorf("audit: %v", bad)
+	}
+}
+
+// socketHolds reports whether hpa lies in one of the socket's guest nodes.
+func socketHolds(h *core.Hypervisor, socket int, hpa uint64) bool {
+	for _, n := range h.Topology().NodesOnSocket(socket, numa.GuestReserved) {
+		if n.Contains(hpa) {
+			return true
+		}
+	}
+	return false
 }

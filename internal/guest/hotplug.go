@@ -2,7 +2,8 @@ package guest
 
 // The guest side of memory hotplug: the dual of the balloon driver. Where
 // the balloon surrenders the top of guest RAM, hotplug extends it — the
-// hypervisor adopts additional subarray-group nodes, scrubs them, and maps
+// hypervisor's resize (core.ResizeVM, growing past the boot-time
+// reservation) adopts additional subarray-group nodes, scrubs them, and maps
 // a new zero-filled 2 MiB-aligned range at the old top of RAM; the kernel
 // then raises its usable-memory limit so the new frames become allocatable
 // (allocFrame) and mappable (Process.Map). Each successful call is recorded
@@ -32,20 +33,24 @@ func (k *Kernel) LimitBytes() uint64 {
 // 2 MiB): the hypervisor hot-adds a scrubbed range at the current top of
 // RAM and the kernel onlines it — the usable-memory limit rises, so the new
 // frame range is immediately usable by allocFrame and Process.Map. The
-// balloon must be fully deflated first (the hypervisor refuses otherwise);
-// on any failure the kernel's view is unchanged.
+// balloon must be fully deflated first: it is the top of RAM, which the bank
+// would move. The kernel onlines the bank whenever the hypervisor's resize
+// took effect (it returned a report), even if an error came with it;
+// otherwise the kernel's view is unchanged.
 func (k *Kernel) HotplugBank(addBytes uint64) (Bank, error) {
 	if addBytes == 0 || addBytes%geometry.PageSize2M != 0 {
 		return Bank{}, fmt.Errorf("guest: hotplug size %d must be a positive multiple of 2 MiB", addBytes)
 	}
-	rep, err := k.vm.Hypervisor().HotplugVM(k.vm.Name(), addBytes)
-	if err != nil {
+	if k.balloon != nil && k.balloon.bytes > 0 {
+		return Bank{}, fmt.Errorf("guest: balloon holds %d bytes; deflate before hot-plugging", k.balloon.bytes)
+	}
+	mem := k.vm.Spec().MemoryBytes
+	rep, err := k.vm.Hypervisor().ResizeVM(k.vm.Name(), mem+addBytes)
+	if rep == nil {
 		return Bank{}, err
 	}
 	// Online the bank: the hot-added range begins at the old top of RAM, so
-	// the new limit is simply the grown RAM size (the balloon is empty —
-	// the hypervisor refused the hotplug otherwise).
-	bank := Bank{Start: rep.BaseGPA, Bytes: rep.AddedBytes}
-	k.limit = rep.NewMemoryBytes
-	return bank, nil
+	// the new limit is simply the grown RAM size.
+	k.limit = mem + addBytes
+	return Bank{Start: mem, Bytes: addBytes}, err
 }

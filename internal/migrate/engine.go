@@ -30,7 +30,7 @@ func (e *Engine) Execute(ctx context.Context, plan *Plan) ([]*core.MigrateReport
 		return nil, err
 	}
 	for _, s := range plan.Shrinks {
-		if _, err := e.h.BalloonVM(s.VM, s.Target); err != nil {
+		if _, err := e.h.ResizeVM(s.VM, s.Target); err != nil {
 			return nil, err
 		}
 		if err := AuditIsolation(e.h); err != nil {

@@ -43,13 +43,13 @@ type Move struct {
 	DestNodes []int
 }
 
-// Shrink balloons one VM in place: its balloon is inflated to Target bytes
-// surrendered, draining (and releasing) the subarray-group nodes the
-// surrendered pages occupied. Shrink-in-place beats a pre-copy move when
-// the deficit fits: no pages cross the machine, no stop-and-copy downtime.
+// Shrink balloons one VM in place: it is resized down to Target usable
+// bytes, draining (and releasing) the subarray-group nodes the surrendered
+// pages occupied. Shrink-in-place beats a pre-copy move when the deficit
+// fits: no pages cross the machine, no stop-and-copy downtime.
 type Shrink struct {
 	VM     string
-	Target uint64 // balloon size to set (bytes surrendered to the host)
+	Target uint64 // usable bytes to resize to (the VM's MinMemoryBytes)
 }
 
 // Plan is an ordered rebalancing program: in-place shrinks first (cheap),
@@ -167,9 +167,8 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 	// migration victim is considered.
 	ballooning := map[string]bool{}
 	type shrinkCand struct {
-		vm     *core.VM
-		target uint64
-		gain   uint64 // home-socket huge-page bytes the shrink frees
+		vm   *core.VM
+		gain uint64 // home-socket huge-page bytes the shrink frees
 	}
 	var shrinks []shrinkCand
 	for owner, nodes := range homeOwned {
@@ -181,7 +180,6 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 		if spec.MinMemoryBytes == 0 || spec.MinMemoryBytes >= spec.MemoryBytes {
 			continue // VM did not opt into ballooning policy
 		}
-		target := spec.MemoryBytes - spec.MinMemoryBytes
 		rp, err := h.PreviewResize(vm.Name(), spec.MinMemoryBytes)
 		if err != nil || rp.Action != core.ResizeInflate || len(rp.ReleasedNodes) == 0 {
 			continue // shrink frees pages but drains no whole node: useless here
@@ -200,7 +198,7 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 		if gain == 0 {
 			continue // only remote nodes drain; the home socket gains nothing
 		}
-		shrinks = append(shrinks, shrinkCand{vm: vm, target: target, gain: gain})
+		shrinks = append(shrinks, shrinkCand{vm: vm, gain: gain})
 	}
 	// Biggest home-socket gain first; name-ordered for determinism.
 	slices.SortFunc(shrinks, func(a, b shrinkCand) int {
@@ -210,7 +208,7 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 		if freeCap >= need {
 			break
 		}
-		plan.Shrinks = append(plan.Shrinks, Shrink{VM: c.vm.Name(), Target: c.target})
+		plan.Shrinks = append(plan.Shrinks, Shrink{VM: c.vm.Name(), Target: c.vm.Spec().MinMemoryBytes})
 		ballooning[c.vm.Name()] = true
 		freeCap += c.gain
 	}

@@ -284,7 +284,7 @@ func TestPlanPrefersShrinkOverMigration(t *testing.T) {
 		t.Errorf("plan migrates %v although a shrink suffices", plan.Moves)
 	}
 	if len(plan.Shrinks) != 1 || plan.Shrinks[0].VM != "bal" || plan.Shrinks[0].Target != 64*geometry.MiB {
-		t.Fatalf("plan.Shrinks = %+v, want bal shrunk by 64 MiB", plan.Shrinks)
+		t.Fatalf("plan.Shrinks = %+v, want bal shrunk to 64 MiB", plan.Shrinks)
 	}
 
 	// The engine executes the shrink and the pending VM is admitted with

@@ -165,26 +165,26 @@ func (l *Loop) execMigrate(ctx context.Context, ev Event, w *Window) error {
 }
 
 // execResize balloons or hotplugs the tenant to TargetBytes. The pages the
-// plan moves are unmapped/scrubbed under the VM's pause gate, so the whole
-// modeled copy counts as blackout.
+// resize moves are unmapped/scrubbed under the VM's pause gate, so the whole
+// modeled copy counts as blackout. A resize that returns a report took
+// effect, so the tenant follows it even when an error comes with it.
 func (l *Loop) execResize(ev Event, w *Window) error {
 	t := l.tenantByName(ev.Tenant)
 	if t == nil {
 		return fmt.Errorf("serve: no tenant %q", ev.Tenant)
 	}
-	plan, err := l.cfg.Hypervisor.PreviewResize(ev.Tenant, ev.TargetBytes)
-	if err != nil {
-		return err
-	}
 	rep, err := l.cfg.Hypervisor.ResizeVM(ev.Tenant, ev.TargetBytes)
-	if err != nil {
+	if rep == nil {
 		return err
 	}
-	moved := uint64(plan.Pages) * geometry.PageSize2M
+	moved := uint64(rep.Pages) * geometry.PageSize2M
 	l.applyWindow(w, moved, moved, t)
 	t.usable = rep.Target
 	t.gen.Resize(t.usable)
-	return t.bind(l)
+	if berr := t.bind(l); berr != nil {
+		return berr
+	}
+	return err
 }
 
 // execDefrag runs the defragmentation engine on the host.

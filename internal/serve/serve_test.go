@@ -11,6 +11,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
+	"repro/internal/numa"
 )
 
 // serveGeometry is the two-socket lab box the lifecycle experiments use:
@@ -224,6 +225,64 @@ func TestServeChurnWindows(t *testing.T) {
 	}
 	if got := vm.Spec().MemoryBytes; got != 64*geometry.MiB {
 		t.Fatalf("t0 spec bytes = %d", got)
+	}
+}
+
+// TestServeResizeCommitsWhenEPTRelocationFails: a shrink that drains the
+// tenant's last node on its EPT socket, while the other socket's EPT pool is
+// exhausted, commits but fails to relocate the tables. The window records
+// the error and the tenant serves from the shrunken size: a generator left
+// at the old size would address the surrendered range and fail requests.
+func TestServeResizeCommitsWhenEPTRelocationFails(t *testing.T) {
+	h := bootHost(t, core.ModeSiloz)
+	proc := core.Process{CGroup: "kvm", KVMPrivileged: true}
+	if _, err := h.CreateVM(proc, core.VMSpec{Name: "t0", Socket: 0, MemoryBytes: 128 * geometry.MiB}); err != nil {
+		t.Fatal(err)
+	}
+	// One node per socket, socket 1's first: the top half of guest RAM,
+	// which the shrink surrenders, stays on socket 0 beside the tables.
+	var dests []int
+	for _, socket := range []int{1, 0} {
+		for _, n := range h.Topology().NodesOnSocket(socket, numa.GuestReserved) {
+			if _, owned := h.Registry().OwnerOf(n.ID); !owned {
+				dests = append(dests, n.ID)
+				break
+			}
+		}
+	}
+	if _, err := h.MigrateVM(context.Background(), "t0", dests, core.MigrateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	eptNode, err := h.EPTNode(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eptPool, err := h.Allocator(eptNode.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := eptPool.Alloc(0); err != nil {
+			break
+		}
+	}
+	cfg := Config{
+		Hypervisor: h,
+		Tenants:    []TenantSpec{{VM: "t0", Clients: 4, ThinkNs: 20000}},
+		DurationNs: 4e6,
+		SLONs:      50000,
+		Seed:       42,
+		Churn:      []Event{{AtNs: 1e6, Kind: EventResize, Tenant: "t0", TargetBytes: 64 * geometry.MiB}},
+	}
+	rep := runServe(t, cfg)
+	if len(rep.Windows) != 1 || !strings.Contains(rep.Windows[0].Err, "EPT") {
+		t.Fatalf("windows %+v: want the resize's relocation failure recorded", rep.Windows)
+	}
+	if w := rep.Windows[0]; w.BytesCopied != 64*geometry.MiB {
+		t.Errorf("resize window moved %d bytes, want the 64 MiB surrendered", w.BytesCopied)
+	}
+	if rep.Errors != 0 {
+		t.Errorf("%d requests failed after the committed shrink", rep.Errors)
 	}
 }
 
