@@ -30,7 +30,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 test-short:
 	$(GO) test -short ./...

@@ -96,7 +96,7 @@ type CampaignResult struct {
 	WindowViolations int
 	// ScrubLeaks counts freed or re-admitted frames observed non-zero.
 	ScrubLeaks int
-	// AuditsPassed / AuditFailures tally isolation audits run after (and,
+	// AuditsPassed / AuditFailures tally the audits run after (and,
 	// for the fleet campaign, inside) each window.
 	AuditsPassed  int
 	AuditFailures int
@@ -129,7 +129,7 @@ func (r *CampaignResult) refused(err error) {
 	}
 }
 
-// audited tallies one isolation audit's outcome.
+// audited tallies one audit's outcome.
 func (r *CampaignResult) audited(err error) {
 	if err != nil {
 		r.AuditFailures++
@@ -222,7 +222,7 @@ func (c *campaign) checkScrubbed(read func(addr uint64, buf []byte) error, addrs
 	return nil
 }
 
-// endRound closes one lifecycle round on the box: the isolation audit, then
+// endRound closes one lifecycle round on the box: the audit, then
 // every flip attributed.
 func (c *campaign) endRound() error {
 	c.res.Rounds++

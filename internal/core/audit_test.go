@@ -1,9 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/geometry"
+	"repro/internal/numa"
+	"repro/internal/subarray"
 )
 
 func TestAuditHealthySystem(t *testing.T) {
@@ -61,13 +68,9 @@ func TestAuditDetectsCorruptedAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := h.Audit()
-	if len(bad) == 0 {
-		t.Fatal("audit missed corrupted allocator accounting")
-	}
-	// Accounting is the full audit's job only: the isolation subset the
-	// migration engine and the fleet run per round stays cheap and silent.
-	if iso := h.AuditIsolation(); len(iso) != 0 {
-		t.Fatalf("isolation subset reported an accounting fault: %v", iso)
+	want := fmt.Sprintf("guest node %d allocator reports", nodeID)
+	if len(bad) == 0 || !strings.HasPrefix(bad[0], want) {
+		t.Fatalf("audit missed corrupted allocator accounting: %v", bad)
 	}
 	// Repair so teardown of other tests is unaffected (re-allocate it).
 	if _, err := a.Alloc(9); err != nil {
@@ -77,32 +80,134 @@ func TestAuditDetectsCorruptedAccounting(t *testing.T) {
 
 // TestAuditIsolationDetectsRegistryDrift: a VM whose domain still lists a
 // node the registry no longer records as its own is an isolation violation
-// — the check only migrate's auditor used to make — and the full audit, a
-// superset, reports it too.
+// — the check only migrate's auditor used to make.
 func TestAuditIsolationDetectsRegistryDrift(t *testing.T) {
 	h := bootSiloz(t)
 	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "v", Socket: 0, MemoryBytes: 64 * geometry.MiB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bad := h.AuditIsolation(); len(bad) != 0 {
-		t.Fatalf("healthy system fails the isolation audit: %v", bad)
+	if bad := h.Audit(); len(bad) != 0 {
+		t.Fatalf("healthy system fails the audit: %v", bad)
 	}
 	node := vm.Nodes()[0].ID
 	if err := h.Registry().Shrink("vm:v", []int{node}); err != nil {
 		t.Fatal(err)
 	}
-	iso := h.AuditIsolation()
-	if len(iso) == 0 {
-		t.Fatal("isolation audit missed a node owned by nobody in the registry")
-	}
-	if full := h.Audit(); len(full) < len(iso) {
-		t.Errorf("full audit reports %d violations, fewer than its isolation subset's %d", len(full), len(iso))
+	want := fmt.Sprintf(`node %d in VM "v"'s domain but owned by ""`, node)
+	if bad := h.Audit(); !slices.Contains(bad, want) {
+		t.Fatalf("audit missed a node owned by nobody in the registry: %v", bad)
 	}
 	if err := h.Registry().Expand("vm:v", []int{node}); err != nil {
 		t.Fatal(err)
 	}
-	if bad := h.AuditIsolation(); len(bad) != 0 {
-		t.Fatalf("repaired system fails the isolation audit: %v", bad)
+	if bad := h.Audit(); len(bad) != 0 {
+		t.Fatalf("repaired system fails the audit: %v", bad)
 	}
+}
+
+// TestAuditOfflinedRangesExactly: an offlined range is neither MiB-aligned
+// nor MiB-sized, so a node that reaches into any part of one — here its
+// last 4 KiB, which no MiB-stride sample of the range touches — owns
+// offlined memory.
+func TestAuditOfflinedRangesExactly(t *testing.T) {
+	h := bootSiloz(t)
+	var hole subarray.Range
+	for _, r := range h.OfflinedRanges() {
+		if r.Bytes()%geometry.MiB > geometry.PageSize4K {
+			hole = r
+			break
+		}
+	}
+	if hole.Bytes() == 0 {
+		t.Fatal("test config offlines no range with a partial trailing MiB")
+	}
+	// Grow the node whose memory starts where the hole ends down over its
+	// last page.
+	var grown *numa.Node
+	for _, n := range h.Topology().Nodes() {
+		for i := range n.Ranges {
+			if n.Ranges[i].Start == hole.End {
+				n.Ranges[i].Start -= geometry.PageSize4K
+				grown = n
+			}
+		}
+	}
+	if grown == nil {
+		t.Fatalf("no node range starts at %#x, where offlined %v ends", hole.End, hole)
+	}
+	want := fmt.Sprintf("offlined pa %#x owned by node %d", hole.End-geometry.PageSize4K, grown.ID)
+	if bad := h.Audit(); !slices.Contains(bad, want) {
+		t.Fatalf("audit missed node %d reaching into offlined %v: %v", grown.ID, hole, bad)
+	}
+}
+
+// TestAuditCleanAtEveryAuditPoint: the one invariant set holds wherever an
+// audit runs, not only between operations — at every pre-copy round boundary
+// of a same-socket and a cross-socket migration whose guest keeps dirtying
+// pages (the destination frames are taken but not yet committed: the VM's
+// in-flight frames), and after a migration its context cancelled mid-flight.
+func TestAuditCleanAtEveryAuditPoint(t *testing.T) {
+	migrate := func(t *testing.T, destSocket int, cancelAt int) (rounds int, err error) {
+		h := bootSiloz(t)
+		vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "m", Socket: 0, MemoryBytes: 32 * geometry.MiB, Regions: []Region{
+			{Name: "bios", Type: RegionROM, Bytes: 64 * geometry.KiB},
+			{Name: "virtio-net", Type: RegionVirtio, Bytes: 128 * geometry.KiB},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "n", Socket: 1, MemoryBytes: 32 * geometry.MiB}); err != nil {
+			t.Fatal(err)
+		}
+		dests, err := h.FreeNodes(destSocket, 32*geometry.MiB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		_, err = h.MigrateVM(ctx, "m", dests, MigrateOptions{
+			StopPages: 1, MaxRounds: 4,
+			GuestStep: func(round int) error {
+				for p := 0; p < 6-round; p++ {
+					if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, []byte{byte(round + 1)}); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			OnRound: func(r MigrateRound) {
+				rounds++
+				if bad := h.Audit(); len(bad) != 0 {
+					t.Errorf("round %d: %v", r.Round, bad)
+				}
+				if r.Round == cancelAt {
+					cancel()
+				}
+			},
+		})
+		if bad := h.Audit(); len(bad) != 0 {
+			t.Errorf("after the migration (err %v): %v", err, bad)
+		}
+		return rounds, err
+	}
+	for _, c := range []struct {
+		name       string
+		destSocket int
+	}{{"same-socket", 0}, {"cross-socket", 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			rounds, err := migrate(t, c.destSocket, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rounds < 2 {
+				t.Errorf("%d pre-copy rounds; the dirtying guest should force at least 2", rounds)
+			}
+		})
+	}
+	t.Run("cancelled", func(t *testing.T) {
+		if _, err := migrate(t, 1, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("migration cancelled after round 0: err = %v", err)
+		}
+	})
 }

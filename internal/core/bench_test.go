@@ -170,3 +170,35 @@ func BenchmarkMigrateVM(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkAudit times one Audit on a populated host: three VMs over both
+// sockets, one with guest-placed regions and a passthrough device.
+func BenchmarkAudit(b *testing.B) {
+	h, err := Boot(testConfig(), ModeSiloz)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := []VMSpec{
+		{Name: "regions", Socket: 0, MemoryBytes: 64 * geometry.MiB, Regions: []Region{
+			{Name: "bios", Type: RegionROM, Bytes: 256 * geometry.KiB},
+			{Name: "virtio-net", Type: RegionVirtio, Bytes: 128 * geometry.KiB},
+		}},
+		{Name: "b", Socket: 1, MemoryBytes: 128 * geometry.MiB},
+		{Name: "c", Socket: 0, MemoryBytes: 64 * geometry.MiB},
+	}
+	for _, spec := range specs {
+		if _, err := h.CreateVM(kvmProc(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	vm, _ := h.VM("regions")
+	if _, err := h.AttachDevice(vm, "vf0"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if bad := h.Audit(); len(bad) != 0 {
+			b.Fatal(bad)
+		}
+	}
+}

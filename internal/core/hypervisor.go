@@ -227,6 +227,7 @@ func (h *Hypervisor) bootSiloz() error {
 			return err
 		}
 	}
+	h.offlined = subarray.Coalesce(h.offlined) // merged once: every Audit scans it
 	return nil
 }
 

@@ -156,8 +156,8 @@ func checkIntact(t *testing.T, h *Hypervisor, vm *VM, before hostState) {
 	if after := snapshotHost(h); !reflect.DeepEqual(before, after) {
 		t.Errorf("state changed across the failed operation:\nbefore %+v\nafter  %+v", before, after)
 	}
-	if bad := h.AuditIsolation(); len(bad) != 0 {
-		t.Errorf("isolation audit: %v", bad)
+	if bad := h.Audit(); len(bad) != 0 {
+		t.Errorf("audit: %v", bad)
 	}
 	for p, hpa := range vm.ram {
 		var got [1]byte
@@ -275,7 +275,7 @@ func TestInflateUnmapFaultRestoresLeaves(t *testing.T) {
 // of the failure, that the view records exactly the entries the tables hold
 // in DRAM: a run ends before the faulting leaf and the view advances by what
 // was stored, no more. Syncing back to the old layout then restores it, and
-// the isolation audit is clean.
+// the audit is clean.
 func TestSyncLeavesFaultMidRun(t *testing.T) {
 	h := bootSiloz(t)
 	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "v", Socket: 0, AllowRemote: true, MemoryBytes: 128 * geometry.MiB})
@@ -379,8 +379,8 @@ func TestSyncLeavesFaultMidRun(t *testing.T) {
 			})
 		}
 	}
-	if bad := h.AuditIsolation(); len(bad) != 0 {
-		t.Errorf("isolation audit: %v", bad)
+	if bad := h.Audit(); len(bad) != 0 {
+		t.Errorf("audit: %v", bad)
 	}
 	agrees(t, vm.tables, vm.leaves, 64)
 }

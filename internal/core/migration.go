@@ -295,6 +295,8 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	}
 
 	// Steps 2 and 3, up to the commit: round 0 copies every resident page.
+	// The destination frames are the VM's in-flight frames until then.
+	vm.inflight = t.runs
 	written := make([]bool, ramPages) // dst frames the engine has written
 	scratch := make([]byte, h.mem.Geometry().RowBytes)
 	rep := &MigrateReport{
@@ -313,6 +315,7 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		return geometry.PageSize2M, nil
 	})
 	if err != nil {
+		vm.inflight = nil
 		t.rollback()
 		return nil, err
 	}
@@ -323,6 +326,7 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	abort := func(err error) (*MigrateReport, error) {
 		vm.Resume()
 		_ = vm.StopDirtyTracking()
+		vm.inflight = nil
 		t.rollback()
 		return nil, err
 	}
@@ -348,6 +352,7 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	if err := vm.commitLayout(dstRAM, t.runs[:ramRuns], moves); err != nil {
 		return abort(fmt.Errorf("core: migrating VM %q: %w", name, err))
 	}
+	vm.inflight = nil
 	for _, mv := range moves {
 		gone = append(gone, mv.run) // now the region's source pages
 	}

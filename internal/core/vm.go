@@ -74,6 +74,10 @@ type VM struct {
 	// ram holds the HPA of each 2 MiB RAM page in GPA order; slots the
 	// balloon surrendered hold hpaNone until a deflate restores them.
 	ram []uint64
+	// inflight lists the frames an open migration has taken for the VM and
+	// not yet committed into ram or its regions: they are the VM's from the
+	// take until the commit or the rollback, and Audit counts them as held.
+	inflight []frameRun
 	// leaves is the layout the EPT's 2 MiB RAM leaves currently hold: equal
 	// to ram except inside a commit (layout.go).
 	leaves    []uint64

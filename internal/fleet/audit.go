@@ -6,12 +6,11 @@ import (
 	"repro/internal/migrate"
 )
 
-// AuditIsolation verifies the fleet-wide isolation invariants:
+// AuditIsolation verifies the fleet-wide invariants:
 //
-//  1. every host passes the single-host audit (exclusive node ownership,
-//     no host frame owned by two VMs, RAM inside the owner's domain, EPT
-//     pages in the right socket pool, mediated pages host-reserved) —
-//     migrate.AuditIsolation per shard;
+//  1. every host passes the one single-host invariant set, core's Audit
+//     (isolation, table placement, offlined ranges and allocator
+//     conservation) — migrate.AuditIsolation per shard;
 //  2. no VM name is live on two hosts, except a VM mid-move — and a
 //     mid-move VM's copies are bounded to exactly its recorded {source,
 //     destination} pair. A third live copy, or a copy on a host outside

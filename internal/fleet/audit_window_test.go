@@ -17,7 +17,7 @@ import (
 // TestAuditPassesInsideMoveWindow audits from inside the double-ownership
 // window itself: after the routing table flips to the destination but
 // before the source copy is destroyed, both copies are live and the audit
-// must still pass.
+// must still pass — the fleet's, and core's on each host of the move.
 func TestAuditPassesInsideMoveWindow(t *testing.T) {
 	c := testCluster(t, 2, FirstFit{})
 	admit(t, c, "w0", 64*1024*1024)
@@ -30,6 +30,11 @@ func TestAuditPassesInsideMoveWindow(t *testing.T) {
 		// points at the destination, source not yet destroyed).
 		if err := c.AuditIsolation(); err != nil {
 			t.Errorf("audit inside %q window: %v", event, err)
+		}
+		for _, h := range c.Hosts() {
+			if bad := h.Hypervisor().Audit(); len(bad) != 0 {
+				t.Errorf("%s audit inside %q window: %v", h.Name(), event, bad)
+			}
 		}
 	})
 	if _, err := c.MoveVM(ctx, "w0", "host-1", 1, 2, 11); err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // Engine executes migration plans through the hypervisor's pre-copy
-// machinery, auditing the isolation invariants before, during (after every
+// machinery, running the hypervisor's audit before, during (after every
 // pre-copy round), and after each move.
 type Engine struct {
 	h *core.Hypervisor
@@ -22,9 +22,9 @@ type Engine struct {
 func NewEngine(h *core.Hypervisor) *Engine { return &Engine{h: h} }
 
 // Execute runs a plan — in-place shrinks first, then moves in order —
-// stopping at the first failure. The isolation audit runs around every
-// shrink and around and within every move; an audit failure aborts the plan
-// even if the step itself succeeded.
+// stopping at the first failure. The audit runs around every shrink and
+// around and within every move; an audit failure aborts the plan even if the
+// step itself succeeded.
 func (e *Engine) Execute(ctx context.Context, plan *Plan) ([]*core.MigrateReport, error) {
 	if err := AuditIsolation(e.h); err != nil {
 		return nil, err
@@ -34,7 +34,7 @@ func (e *Engine) Execute(ctx context.Context, plan *Plan) ([]*core.MigrateReport
 			return nil, err
 		}
 		if err := AuditIsolation(e.h); err != nil {
-			return nil, fmt.Errorf("migrate: isolation audit failed after shrinking %q: %w", s.VM, err)
+			return nil, fmt.Errorf("migrate: audit failed after shrinking %q: %w", s.VM, err)
 		}
 	}
 	var reps []*core.MigrateReport
@@ -59,8 +59,9 @@ func (e *Engine) move(ctx context.Context, mv Move) (*core.MigrateReport, error)
 		if userRound != nil {
 			userRound(r)
 		}
-		// Mid-flight the domain spans source and destination; exclusivity
-		// must hold for the widened domain too.
+		// Mid-flight the domain spans source and destination and the
+		// destination frames are in flight: exclusivity must hold for the
+		// widened domain, and conservation with those frames counted.
 		if auditErr == nil {
 			auditErr = AuditIsolation(e.h)
 		}
@@ -70,10 +71,10 @@ func (e *Engine) move(ctx context.Context, mv Move) (*core.MigrateReport, error)
 		return nil, err
 	}
 	if auditErr != nil {
-		return rep, fmt.Errorf("migrate: isolation audit failed during move of %q: %w", mv.VM, auditErr)
+		return rep, fmt.Errorf("migrate: audit failed during move of %q: %w", mv.VM, auditErr)
 	}
 	if err := AuditIsolation(e.h); err != nil {
-		return rep, fmt.Errorf("migrate: isolation audit failed after move of %q: %w", mv.VM, err)
+		return rep, fmt.Errorf("migrate: audit failed after move of %q: %w", mv.VM, err)
 	}
 	return rep, nil
 }
@@ -172,7 +173,7 @@ func (e *Engine) pickDefragMove(fromSocket int, destPool []NodeOccupancy) (Move,
 		if !resident {
 			continue
 		}
-		b := specGuestBytes(vm.Spec())
+		b := GuestBytes(vm.Spec())
 		if best == nil || b < bestBytes {
 			best, bestBytes = vm, b
 		}

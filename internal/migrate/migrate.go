@@ -91,13 +91,9 @@ func (p *Planner) Occupancy() ([]NodeOccupancy, error) {
 }
 
 // GuestBytes is the capacity a spec demands from guest-reserved nodes: RAM
-// plus every unmediated region (mirrors the admission check). Fleet placement
-// sizes bin-packing requests with it.
-func GuestBytes(spec core.VMSpec) uint64 { return specGuestBytes(spec) }
-
-// specGuestBytes is the capacity a spec demands from guest-reserved nodes:
-// RAM plus every unmediated region (mirrors the admission check).
-func specGuestBytes(spec core.VMSpec) uint64 {
+// plus every unmediated region (mirrors the admission check). The planner
+// sizes victims and fleet placement sizes bin-packing requests with it.
+func GuestBytes(spec core.VMSpec) uint64 {
 	b := spec.MemoryBytes
 	for _, r := range spec.Regions {
 		if r.Type.Unmediated() {
@@ -134,7 +130,7 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 	if h.Mode() != core.ModeSiloz {
 		return nil, fmt.Errorf("migrate: admission planning applies to Siloz exclusive reservations")
 	}
-	need := specGuestBytes(spec)
+	need := GuestBytes(spec)
 	occ, err := p.Occupancy()
 	if err != nil {
 		return nil, err
@@ -242,7 +238,7 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 		if !resident {
 			continue
 		}
-		victims = append(victims, victim{vm: vm, guestBytes: specGuestBytes(vm.Spec()), homeNodes: nodes})
+		victims = append(victims, victim{vm: vm, guestBytes: GuestBytes(vm.Spec()), homeNodes: nodes})
 	}
 	// Cheapest (smallest) victims first; name-ordered for determinism.
 	slices.SortFunc(victims, func(a, b victim) int {

@@ -244,15 +244,15 @@ func TestAuditCleanSystem(t *testing.T) {
 	}
 }
 
-// TestAuditReportsFirstViolation: AuditIsolation is the hypervisor's
-// isolation invariant set with the first violation surfaced as an error.
+// TestAuditReportsFirstViolation: AuditIsolation is the hypervisor's one
+// invariant set with the first finding surfaced as an error.
 func TestAuditReportsFirstViolation(t *testing.T) {
 	h := bootSiloz(t)
 	vm := mustCreate(t, h, "a", 0, 64*geometry.MiB)
 	if err := h.Registry().Shrink("vm:a", []int{vm.Nodes()[0].ID}); err != nil {
 		t.Fatal(err)
 	}
-	bad := h.AuditIsolation()
+	bad := h.Audit()
 	err := AuditIsolation(h)
 	if err == nil || len(bad) == 0 {
 		t.Fatalf("registry drift undetected: err=%v, violations=%v", err, bad)
