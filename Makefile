@@ -51,8 +51,8 @@ race:
 # DIMMs and sockets, copies, reads and scrubs reading the row census without a
 # lock while such writers change it, the row-to-row copy under a line-flipping writer and under two
 # cross-host moves in opposite directions (with the two cost-follows-data
-# tests), fleet ops run by the goroutines that wait for them (one at a time
-# per host), the cross-host move under a live writer, against direct layout
+# tests), fleet ops run by the goroutines that submit them (one at a time
+# per host, under the host's lock), the cross-host move under a live writer, against direct layout
 # operations on its source and failed at every step (fleet's unwind, core's
 # MoveOut), the lock-free TLB's coherence across every layout commit
 # (-count=10: the race it pins needs a translator caught mid-walk), one
@@ -61,7 +61,7 @@ race:
 # run edits of the leaves they walk (a span is one hold of the entry lock)
 # with the relocation unwind table and the mid-run leaf-fault table, the
 # serving loop beside resizes driven from outside it, and the lifecycle
-# campaigns, whose fleet window probe runs on the goroutine that runs the
+# campaigns, whose fleet window probe runs on the goroutine that submits the
 # move's source op.
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect|TestSweepHelpers' ./internal/experiments
@@ -72,7 +72,7 @@ race-quick:
 	$(GO) test -race -run 'TestWalkersSeeWholeEntriesDuringRunEdits|TestRelocateUnwindsAtEveryStep|TestRelocateSeesDestroyAtEveryStep' ./internal/ept
 	$(GO) test -race -run 'TestConcurrentExpandShrinkExclusive' ./internal/numa
 	$(GO) test -race -run 'TestEPTRelocationProperty' ./internal/migrate
-	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestOpRunsOnItsWaiter|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock|TestConcurrentWriterDuringCrossHostMove|TestCrossHostMoveHoldsTheLatch|TestMoveUnwindsAtEveryStep' ./internal/fleet
+	$(GO) test -race -timeout 5m -run 'TestConcurrentFleetChurn|TestSubmitRunsOneOpAtATime|TestCrossHostMoveCostFollowsDataHeld|TestOpposingCrossHostMovesDoNotDeadlock|TestConcurrentWriterDuringCrossHostMove|TestCrossHostMoveHoldsTheLatch|TestMoveUnwindsAtEveryStep' ./internal/fleet
 	$(GO) test -race -run 'TestGenerateEarlyStopDeterminism' ./internal/workload
 	$(GO) test -race -run 'TestConcurrentServeResize' ./internal/serve
 	$(GO) test -race -run 'TestRunCampaignContainment|TestRunCampaignDeterministic' ./internal/attack

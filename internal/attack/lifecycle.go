@@ -518,9 +518,6 @@ func (r *CampaignResult) fleet(cfg CampaignConfig) error {
 		if err := r.checkStamps(moved, map[uint64][]byte{poisonGPA: poison}); err != nil {
 			return err
 		}
-		if err := cl.Quiesce(ctx); err != nil {
-			return err
-		}
 		r.audited(cl.AuditIsolation())
 		// Every host's flips, against that host's tenants: on the host
 		// without the attacker, every flip is outside.

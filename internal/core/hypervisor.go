@@ -78,8 +78,8 @@ const (
 	// complete, immediately before the caller's commit. h.mu is not held;
 	// the guest is paused and latched, so the probe must not touch its guest
 	// memory. It runs on MoveOut's caller — for a fleet move the goroutine
-	// running the move's source op (an Op.Wait, Quiesce or Close on that
-	// host), which must not wait on that host's queue.
+	// that submitted the move's source op, holding that host's lock, so the
+	// probe must not submit an op to that host.
 	ProbeMoveCopied = "move.copied"
 	// ProbeMoveCommitted fires immediately after the caller's commit, before
 	// the source copy is torn down: the double-ownership window, both copies

@@ -173,10 +173,10 @@ func fleetChurnExp(ctx context.Context, pool *Pool, fc FleetConfig) (*Result, er
 	return res, nil
 }
 
-// runFleetPolicy drives the full trace through one fresh cluster. The
-// driver is single-threaded and quiesces between phases; hosts run one op
-// at a time — determinism by construction, parallelism only across
-// policies (via the caller's pool).
+// runFleetPolicy drives the full trace through one fresh cluster. It is
+// single-threaded, an op has finished when its submission returns, and
+// hosts run one op at a time — determinism by construction, parallelism
+// only across policies (via the caller's pool).
 func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trace []fleet.Arrival) (*fleetPolicyResult, error) {
 	policy, err := fleet.PolicyByName(policyName)
 	if err != nil {
@@ -252,16 +252,13 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 			}
 		}
 
-		// Phase 3: scheduled resizes, async then quiesced. A denied
-		// resize (no adoptable capacity) is a legitimate outcome under
-		// load, not an experiment failure.
+		// Phase 3: scheduled resizes. A denied resize (no adoptable
+		// capacity) is a legitimate outcome under load, not an experiment
+		// failure.
 		for _, a := range resizeAt[round] {
 			// Neither the submission's nor the op's error is consulted:
 			// denial changes what later rounds see, which is the result.
 			_, _ = cluster.SubmitResize(a.Name, a.ResizeBytes)
-		}
-		if err := cluster.Quiesce(ctx); err != nil {
-			return nil, err
 		}
 
 		// Phase 4: the migration scheduler's rebalancing round.
@@ -311,23 +308,19 @@ func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trac
 	return res, nil
 }
 
-// departAll submits a departure for every named VM asynchronously, waits
-// for the cluster to quiesce, and reports the first departure that failed.
+// departAll departs every named VM in order and reports the first
+// departure that failed.
 func departAll(ctx context.Context, cluster *fleet.Cluster, names []string) error {
-	ops := make([]*fleet.Op, len(names))
-	for i, name := range names {
-		op, err := cluster.SubmitDepart(name)
+	for _, name := range names {
+		err := ctx.Err()
+		if err == nil {
+			var op *fleet.Op
+			if op, err = cluster.SubmitDepart(name); err == nil {
+				err = op.Wait(ctx)
+			}
+		}
 		if err != nil {
 			return fmt.Errorf("depart %s: %w", name, err)
-		}
-		ops[i] = op
-	}
-	if err := cluster.Quiesce(ctx); err != nil {
-		return err
-	}
-	for i, op := range ops {
-		if err := op.Err(); err != nil {
-			return fmt.Errorf("depart %s: %w", names[i], err)
 		}
 	}
 	return nil

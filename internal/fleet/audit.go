@@ -19,8 +19,8 @@ import (
 //     recorded host; every live VM is routed; a mid-move VM routes to its
 //     source (before commit) or destination (after), never elsewhere.
 //
-// Call it between quiesced phases or from a move probe; a mid-op audit
-// outside those points can observe legitimate transients.
+// Call it while no op runs or from a move probe; a mid-op audit outside
+// those points can observe legitimate transients.
 func (c *Cluster) AuditIsolation() error {
 	c.mu.Lock()
 	vmHost := make(map[string]string, len(c.vmHost))

@@ -43,9 +43,6 @@ func TestAuditPassesInsideMoveWindow(t *testing.T) {
 	if !probed[core.ProbeMoveCopied] || !probed[core.ProbeMoveCommitted] {
 		t.Fatalf("move probes fired = %v, want copied and committed", probed)
 	}
-	if err := c.Quiesce(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.AuditIsolation(); err != nil {
 		t.Fatal(err)
 	}

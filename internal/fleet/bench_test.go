@@ -16,7 +16,7 @@ func vmSpec(name string, bytes uint64) core.VMSpec {
 }
 
 // BenchmarkFleetAdmission measures steady-state admission throughput: one
-// placement decision plus one create op through a host's queue, with the
+// placement decision plus one create op under a host's lock, with the
 // matching departure keeping the fleet at constant occupancy. This is the
 // control-plane hot path the BENCH_*.json trajectory tracks for the fleet
 // subsystem.
@@ -46,9 +46,9 @@ func BenchmarkFleetAdmission(b *testing.B) {
 	}
 }
 
-// BenchmarkHostSubmitWait measures the queue alone: an empty op through
-// Submit and Wait on an idle host, run by the goroutine that waits. Its one
-// allocation is the Op.
+// BenchmarkHostSubmitWait measures the host's lock alone: an empty op
+// through Submit and Wait on an idle host, run by the goroutine that
+// submits it. Its one allocation is the Op.
 func BenchmarkHostSubmitWait(b *testing.B) {
 	ctx := context.Background()
 	c, err := New(Config{Hosts: 1, Core: labCoreConfig()})

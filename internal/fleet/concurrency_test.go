@@ -12,10 +12,10 @@ import (
 
 // TestConcurrentFleetChurn hammers the control plane from many goroutines:
 // simultaneous admissions, departures, resizes, and a rebalance round, with the
-// fleet-wide isolation audit after every round. Each goroutine runs ops on
-// the host queue it waits on, so what keeps the invariants is core's
-// lifecycle latch, each host's FIFO and the cross-host moves' bookkeeping —
-// not driver ordering. Wired into `make race-quick`.
+// fleet-wide isolation audit after every round. Each goroutine runs its ops
+// under the host's lock, so what keeps the invariants is core's lifecycle
+// latch, each host's lock and the cross-host moves' bookkeeping — not the
+// order the test issues them in. Wired into `make race-quick`.
 func TestConcurrentFleetChurn(t *testing.T) {
 	ctx := context.Background()
 	c := testCluster(t, 3, BestFit{})
@@ -100,9 +100,6 @@ func TestConcurrentFleetChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if err := c.Quiesce(ctx); err != nil {
-			t.Fatal(err)
-		}
 		// A scheduler round in the middle of the churn.
 		if round == 1 {
 			if _, err := sched.Round(ctx); err != nil {

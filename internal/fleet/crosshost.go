@@ -30,28 +30,28 @@ type CrossHostReport struct {
 const moveRounds = 1
 
 // MoveVM migrates a VM to another host. The fleet's part is the twin — an
-// equally sized guest created (and, for a ballooned source, shrunk) through
-// the destination's queue — the routing flip and the counters. The copy, the
-// pause and the source's teardown are core's (Hypervisor.MoveOut), queued as
-// ONE op on the source so it takes its turn behind what was submitted there
-// before. The queue orders; what excludes is the VM's lifecycle latch,
-// held from the first copy to the teardown: a resize, migration or destroy
-// issued straight on the source hypervisor is refused (core.ErrResizeBusy).
+// equally sized guest created (and, for a ballooned source, shrunk) by ops
+// on the destination — the routing flip and the counters. The copy, the
+// pause and the source's teardown are core's (Hypervisor.MoveOut), run as
+// ONE op on the source, after whatever op is running there. The host's lock
+// orders; what excludes is the VM's lifecycle latch, held from the first
+// copy to the teardown: a resize, migration or destroy issued straight on
+// the source hypervisor is refused (core.ErrResizeBusy).
 //
 // dirtyPages > 0 injects that many seeded guest writes after the pre-copy
 // round, modeling a guest that keeps running during the move (and making
 // the stop-and-copy residue non-empty); dirtySeed makes the injection
 // reproducible. A move cancelled or refused before the pause leaves the VM
-// where it was.
+// where it was: ctx is checked before each destination op is submitted, and
+// MoveOut consults it up to the pause.
 //
 // The source hypervisor's lifecycle probe sees the commit from the goroutine
-// running the source op: core.ProbeMoveCopied with routing still at the
-// source, then core.ProbeMoveCommitted with routing at the destination and
-// the source copy not yet destroyed — the double-ownership window. A probe
-// there may audit, hammer from other VMs and submit ops, but must neither
-// touch the moving VM's guest memory nor wait for an op on the source host's
-// queue: the host runs one op at a time, so it would wait for the op it is
-// running in.
+// running the source op, which holds the source host's lock:
+// core.ProbeMoveCopied with routing still at the source, then
+// core.ProbeMoveCommitted with routing at the destination and the source
+// copy not yet destroyed — the double-ownership window. A probe there may
+// audit, hammer from other VMs and submit ops to any host but the source,
+// but must not touch the moving VM's guest memory: the guest is paused.
 //
 // Limitations (callers skip such VMs): a VM with extra Regions is not
 // movable cross-host, and the source's resident pages must form a GPA
@@ -81,21 +81,14 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 	c.moving[name] = moveWindow{Src: srcName, Dst: destHost}
 	c.mu.Unlock()
 
-	// The one unwind, for every way out. A cancelled Wait leaves its op
-	// queued, so the destination op last waited on is run out before looking
-	// at what exists; a move that did not commit then takes its twin back,
-	// and the move window closes last — the cross-host audit tolerates the
-	// name on exactly {source, destination} only while it is open.
-	var created, last *Op
-	committed := false
+	// The one unwind, for every way out: a move that did not commit takes its
+	// twin back, and the move window closes last — the cross-host audit
+	// tolerates the name on exactly {source, destination} only while it is
+	// open.
+	created, committed := false, false
 	defer func() {
-		if last != nil {
-			_ = last.Wait(context.Background())
-		}
-		if !committed && created != nil && created.Err() == nil {
-			if op, err := dst.SubmitDestroy(name); err == nil {
-				_ = op.Wait(context.Background())
-			}
+		if created && !committed {
+			_ = done(dst.SubmitDestroy(name))
 		}
 		c.mu.Lock()
 		delete(c.moving, name)
@@ -117,17 +110,17 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 	// (both balloons hold the same top-of-GPA suffix afterwards).
 	destSpec := spec
 	destSpec.Socket = destSocket
-	if created, err = dst.SubmitCreate(proc, destSpec); err != nil {
-		return nil, err
+	if err = ctx.Err(); err == nil {
+		err = done(dst.SubmitCreate(proc, destSpec))
 	}
-	last = created
-	if err := last.Wait(ctx); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("fleet: move %q: create on %s: %w", name, destHost, err)
 	}
+	created = true
 	usable := spec.MemoryBytes - srcVM.BalloonedBytes()
 	if usable < spec.MemoryBytes {
-		if last, err = dst.SubmitResize(name, usable); err == nil {
-			err = last.Wait(ctx)
+		if err = ctx.Err(); err == nil {
+			err = done(dst.SubmitResize(name, usable))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fleet: move %q: shrink dest to %d: %w", name, usable, err)
@@ -138,8 +131,8 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 		return nil, fmt.Errorf("move %q: dest twin vanished: %w", name, ErrUnknownVM)
 	}
 
-	// Source side, as one queued op. It takes ctx itself, so it is waited for
-	// unconditionally: once it has paused the guest it runs to the end.
+	// Source side, as one op. It takes ctx itself: once it has paused the
+	// guest it runs to the end.
 	opt := core.MigrateOptions{MaxRounds: moveRounds}
 	if usablePages := int(usable / geometry.PageSize2M); dirtyPages > 0 && usablePages > 0 {
 		// Modeled guest activity: seeded stores dirty a few pages.
@@ -157,7 +150,7 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 		}
 	}
 	rep := &CrossHostReport{VM: name, Source: srcName, Dest: destHost, DestSocket: destSocket}
-	srcOp, err := src.Submit(func() error {
+	err = done(src.Submit(func() error {
 		return src.Hypervisor().MoveOut(ctx, name, destVM, opt, func(m *core.MigrateReport) {
 			rep.PagesCopied, rep.BytesCopied, rep.DowntimeBytes = m.PagesCopied, m.BytesCopied, m.DowntimeBytes
 			// Commit: route to the destination; MoveOut tears the source down next.
@@ -169,11 +162,8 @@ func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket 
 			c.mu.Unlock()
 			committed = true
 		})
-	})
+	}))
 	if err != nil {
-		return nil, err
-	}
-	if err := srcOp.Wait(context.Background()); err != nil {
 		return nil, fmt.Errorf("fleet: move %q: source copy: %w", name, err)
 	}
 	return rep, nil

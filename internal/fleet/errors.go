@@ -1,13 +1,12 @@
 // Package fleet is the control plane above the single-host hypervisor: a
 // multi-host simulator where VMs arrive, resize, and depart under traced
 // churn. Each simulated host shards its own numa.Registry and hypervisor
-// state behind a Host handle whose operation queue, run by the goroutines
-// that wait on it, runs lifecycle operations one at a time in submission
-// order — exclusion stays with core's per-VM lifecycle latch, which a queued
-// op takes like any other caller; an admission/placement service bin-packs
-// subarray-group nodes across sockets and hosts behind a Policy interface;
-// and a Scheduler drains hot hosts and defragments cold ones through the
-// existing migrate.Planner/Engine.
+// state behind a Host handle whose lock runs lifecycle operations one at a
+// time, each on the goroutine that submits it — exclusion stays with core's
+// per-VM lifecycle latch, which an op takes like any other caller; an
+// admission/placement service bin-packs subarray-group nodes across sockets
+// and hosts behind a Policy interface; and a Scheduler drains hot hosts and
+// defragments cold ones through the existing migrate.Planner/Engine.
 package fleet
 
 import "errors"

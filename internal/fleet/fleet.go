@@ -222,7 +222,8 @@ func (c *Cluster) Views() ([]HostView, error) {
 // view went stale between Place and the create op) it excludes nothing and
 // simply re-places against a fresh view, bounded by admitRetries. A
 // placement failure returns an error wrapping ErrNoPlacement; the caller
-// distinguishes rejection (errors.Is) from infrastructure failure.
+// distinguishes rejection (errors.Is) from infrastructure failure. A ctx
+// canceled before a create op is submitted creates nothing.
 func (c *Cluster) Admit(ctx context.Context, proc core.Process, spec core.VMSpec) (string, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -249,14 +250,12 @@ func (c *Cluster) Admit(ctx context.Context, proc core.Process, spec core.VMSpec
 			c.mu.Unlock()
 			return "", fmt.Errorf("fleet: admit: %w", err)
 		}
-		h := c.byName[p.Host]
 		s := spec
 		s.Socket = p.Socket
-		op, err := h.SubmitCreate(proc, s)
-		if err != nil {
-			return "", err
+		if err = ctx.Err(); err == nil {
+			err = done(c.byName[p.Host].SubmitCreate(proc, s))
 		}
-		if err := op.Wait(ctx); err != nil {
+		if err != nil {
 			if errors.Is(err, core.ErrCapacityExhausted) {
 				lastErr = err // stale view; re-place
 				continue
@@ -277,8 +276,8 @@ func (c *Cluster) Admit(ctx context.Context, proc core.Process, spec core.VMSpec
 		spec.Name, admitRetries, lastErr, ErrNoPlacement)
 }
 
-// SubmitDepart enqueues a VM's teardown on its host and returns the op; the
-// routing table entry is removed when the op completes.
+// SubmitDepart runs a VM's teardown on its host and returns the op; the
+// routing table entry goes with the VM, inside the op.
 func (c *Cluster) SubmitDepart(name string) (*Op, error) {
 	c.mu.Lock()
 	hostName, ok := c.vmHost[name]
@@ -305,7 +304,7 @@ func (c *Cluster) SubmitDepart(name string) (*Op, error) {
 	})
 }
 
-// SubmitResize enqueues a resize on the VM's host and returns the op.
+// SubmitResize runs a resize on the VM's host and returns the op.
 func (c *Cluster) SubmitResize(name string, targetBytes uint64) (*Op, error) {
 	c.mu.Lock()
 	hostName, ok := c.vmHost[name]
@@ -329,17 +328,7 @@ func (c *Cluster) SubmitResize(name string, targetBytes uint64) (*Op, error) {
 	return op, nil
 }
 
-// Quiesce waits for every host's queues to drain.
-func (c *Cluster) Quiesce(ctx context.Context) error {
-	for _, h := range c.hosts {
-		if err := h.Quiesce(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close drains and shuts down every host.
+// Close shuts down every host, each once its running op has finished.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	c.closed = true

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -68,7 +69,6 @@ func admit(t *testing.T, c *Cluster, name string, bytes uint64) string {
 }
 
 func TestClusterAdmitDepart(t *testing.T) {
-	ctx := context.Background()
 	c := testCluster(t, 2, FirstFit{})
 
 	hosts := map[string]int{}
@@ -94,14 +94,11 @@ func TestClusterAdmitDepart(t *testing.T) {
 		t.Fatalf("HostOf(vm-0) = %q, %v", got, err)
 	}
 
-	// Depart everything asynchronously, then quiesce.
+	// Depart everything.
 	for i := 0; i < 6; i++ {
 		if _, err := c.SubmitDepart(fmt.Sprintf("vm-%d", i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.Quiesce(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if err := c.AuditIsolation(); err != nil {
 		t.Fatalf("audit after departures: %v", err)
@@ -327,12 +324,30 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestCanceledAdmitLeavesNoUnroutedVM: an Admit whose context is canceled
+// creates nothing, so the same name admits cleanly afterwards and no VM is
+// live without a route.
+func TestCanceledAdmitLeavesNoUnroutedVM(t *testing.T) {
+	c := testCluster(t, 1, FirstFit{})
+	spec := vmSpec("a", 128*geometry.MiB)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Admit(ctx, testProc(), spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Admit under a canceled context: %v, want context.Canceled", err)
+	}
+	if _, err := c.Admit(context.Background(), testProc(), spec); err != nil {
+		t.Error(err)
+	}
+	if err := c.AuditIsolation(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestHostEventLoopOrdering(t *testing.T) {
-	ctx := context.Background()
 	c := testCluster(t, 1, FirstFit{})
 	h := c.Hosts()[0]
 
-	// A host's ops run in submission order even when queued together.
+	// A host's ops run in submission order.
 	var order []int
 	for i := 0; i < 5; i++ {
 		if _, err := h.Submit(func() error {
@@ -341,9 +356,6 @@ func TestHostEventLoopOrdering(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := h.Quiesce(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("host FIFO order violated: %v", order)

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -18,9 +19,9 @@ func goid() string {
 	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
 
-// TestOpRunsOnItsWaiter: a host starts no goroutine, and a queued op runs on
-// the goroutine that waits for it — not on the one that submitted it.
-// Wired into `make race-quick`.
+// TestOpRunsOnItsWaiter: a host starts no goroutine, and an op runs on the
+// goroutine that waits for it — which is the one that submits it, since
+// Submit returns only once its op has run.
 func TestOpRunsOnItsWaiter(t *testing.T) {
 	c := testCluster(t, 1, FirstFit{})
 	h := c.Hosts()[0]
@@ -29,140 +30,127 @@ func TestOpRunsOnItsWaiter(t *testing.T) {
 		t.Fatalf("a goroutine runs host code after boot:\n%s", stacks)
 	}
 
-	var ranOn string
-	op, err := h.Submit(func() error {
-		ranOn = goid()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waiter := make(chan string)
+	type result struct{ ranOn, submitter string }
+	got := make(chan result)
 	go func() {
-		if err := op.Wait(context.Background()); err != nil {
+		var ranOn string
+		if _, err := h.Submit(func() error {
+			ranOn = goid()
+			return nil
+		}); err != nil {
 			t.Error(err)
 		}
-		waiter <- goid()
+		got <- result{ranOn, goid()}
 	}()
-	if w := <-waiter; ranOn != w || ranOn == goid() {
-		t.Fatalf("op ran on goroutine %s; waiter %s, submitter %s", ranOn, w, goid())
+	if r := <-got; r.ranOn != r.submitter || r.ranOn == goid() {
+		t.Fatalf("op ran on goroutine %q; submitter %s, test %s", r.ranOn, r.submitter, goid())
 	}
 }
 
-// TestWaitRunsEarlierOpsFirst: waiting for an op runs every op submitted
-// before it, in submission order, and nothing after.
+// TestWaitRunsEarlierOpsFirst: ops run in call order, each before its Submit
+// returns, so by the time an op's Wait returns every op submitted before it
+// has run and none after it has. Wait returns the op's own error, whatever
+// its ctx.
 func TestWaitRunsEarlierOpsFirst(t *testing.T) {
 	c := testCluster(t, 1, FirstFit{})
 	h := c.Hosts()[0]
+	me := goid()
+	errC := errors.New("op C failed")
 	var order []string
-	submit := func(label string) *Op {
-		op, err := h.Submit(func() error {
-			order = append(order, label)
-			return nil
+	submit := func(label string, err error) *Op {
+		op, subErr := h.Submit(func() error {
+			order = append(order, label+"@"+goid())
+			return err
 		})
-		if err != nil {
-			t.Fatal(err)
+		if subErr != nil {
+			t.Fatal(subErr)
+		}
+		if n := len(order); n == 0 || order[n-1] != label+"@"+me {
+			t.Fatalf("Submit(%s) on goroutine %s returned having run %v", label, me, order)
 		}
 		return op
 	}
-	submit("A")
-	submit("B")
-	opC := submit("C")
-	submit("D")
-	if err := opC.Wait(context.Background()); err != nil {
-		t.Fatal(err)
+	submit("A", nil)
+	submit("B", nil)
+	opC := submit("C", errC)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := opC.Wait(ctx); !errors.Is(err, errC) {
+		t.Fatalf("Wait(C) under a canceled ctx: %v, want C's own error", err)
 	}
-	if !reflect.DeepEqual(order, []string{"A", "B", "C"}) {
-		t.Fatalf("Wait(C) ran %v, want [A B C]", order)
+	if want := []string{"A@" + me, "B@" + me, "C@" + me}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("Wait(C) returned having run %v, want %v", order, want)
 	}
-	if err := h.Quiesce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"A", "B", "C", "D"}) {
-		t.Fatalf("Quiesce left the order at %v", order)
+	submit("D", nil)
+	if want := []string{"A@" + me, "B@" + me, "C@" + me, "D@" + me}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("ran %v, want %v", order, want)
 	}
 }
 
-// TestCancelledWaitLeavesOpQueued: a Wait whose context is canceled — before
-// it starts, or while it sleeps behind another goroutine's op — returns the
-// cancellation without running its op; the next Quiesce runs it, and Close
-// runs whatever is still queued before it shuts the host down.
-func TestCancelledWaitLeavesOpQueued(t *testing.T) {
+// TestSubmitRunsOneOpAtATime: ops submitted to one host from two goroutines
+// never overlap, and Close waits for a running op, after which Submit is
+// refused. Wired into `make race-quick`.
+func TestSubmitRunsOneOpAtATime(t *testing.T) {
 	c := testCluster(t, 1, FirstFit{})
 	h := c.Hosts()[0]
-	ran := map[string]bool{}
-	var mu sync.Mutex
-	submit := func(label string, body func()) *Op {
-		op, err := h.Submit(func() error {
-			if body != nil {
-				body()
+
+	// Two submitters, one host: never two ops at once. ran is a plain
+	// counter, so under -race an overlap is also a reported race.
+	var inFlight atomic.Int32
+	ran := 0
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, err := h.Submit(func() error {
+					if n := inFlight.Add(1); n != 1 {
+						t.Errorf("%d ops in flight on one host", n)
+					}
+					runtime.Gosched()
+					ran++
+					inFlight.Add(-1)
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-			mu.Lock()
-			ran[label] = true
-			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	if ran != 400 {
+		t.Fatalf("%d ops ran, want 400", ran)
+	}
+
+	// Close waits for the running op; a later Submit is refused.
+	started, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	go func() {
+		_, _ = h.Submit(func() error {
+			close(started)
+			<-release
+			finished.Store(true)
 			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return op
-	}
-	hasRun := func(label string) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return ran[label]
-	}
-
-	// Canceled before the wait starts.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	op := submit("early", nil)
-	if err := op.Wait(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait under a canceled context: %v, want context.Canceled", err)
-	}
-	if hasRun("early") {
-		t.Fatal("a canceled Wait ran its op")
-	}
-	if err := h.Quiesce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !hasRun("early") || op.Err() != nil {
-		t.Fatalf("Quiesce did not run the abandoned op (ran %v, err %v)", hasRun("early"), op.Err())
-	}
-
-	// Canceled while asleep: another goroutine's op is running.
-	started, release := make(chan struct{}), make(chan struct{})
-	blocker := submit("blocker", func() {
-		close(started)
-		<-release
-	})
-	blocked := make(chan error)
-	go func() { blocked <- blocker.Wait(context.Background()) }()
+	}()
 	<-started
-	ctx, cancel = context.WithCancel(context.Background())
-	op = submit("asleep", nil)
-	time.AfterFunc(10*time.Millisecond, cancel)
-	if err := op.Wait(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait canceled in its sleep: %v, want context.Canceled", err)
-	}
-	if hasRun("asleep") {
-		t.Fatal("a canceled Wait ran its op")
+	closed := make(chan bool)
+	go func() {
+		h.Close()
+		closed <- finished.Load()
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an op was running")
+	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
-	if err := <-blocked; err != nil {
-		t.Fatal(err)
+	if !<-closed {
+		t.Fatal("Close returned before the running op finished")
 	}
-	if err := h.Quiesce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !hasRun("asleep") {
-		t.Fatal("Quiesce did not run the op whose Wait was canceled")
-	}
-
-	// Close drains.
-	submit("late", nil)
-	h.Close()
-	if !hasRun("late") {
-		t.Fatal("Close shut the host down with an op still queued")
+	if _, err := h.Submit(func() error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit on a closed host: %v, want ErrClosed", err)
 	}
 }

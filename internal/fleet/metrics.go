@@ -63,8 +63,8 @@ func (m *FleetMetrics) StrandedFraction() float64 {
 	return float64(m.StrandedBytes) / float64(m.TotalGuestBytes)
 }
 
-// Metrics samples the fleet's capacity state. Call between quiesced phases
-// for a consistent snapshot.
+// Metrics samples the fleet's capacity state. Call it while no op runs for
+// a consistent snapshot.
 func (c *Cluster) Metrics() (*FleetMetrics, error) {
 	out := &FleetMetrics{}
 	for _, h := range c.hosts {

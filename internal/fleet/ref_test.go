@@ -317,9 +317,6 @@ func TestMoveMatchesRetiredLoop(t *testing.T) {
 					if out.Err != h.refused {
 						t.Fatalf("move: %v", err)
 					}
-					if err := c.Quiesce(ctx); err != nil {
-						t.Fatal(err)
-					}
 					at := 1
 					if out.Err {
 						at = 0

@@ -82,8 +82,7 @@ type evictionCandidate struct {
 // Round runs one rebalancing pass: shed VMs from hot hosts to the policy's
 // choice of non-hot destinations (smallest VMs first — cheapest copies,
 // fastest node release), then give every host a bounded defragmentation
-// pass. Call between quiesced phases; the round itself awaits every move it
-// makes, so the cluster is quiescent again when it returns.
+// pass. Every move and pass has finished when it returns.
 func (s *Scheduler) Round(ctx context.Context) (*RebalanceReport, error) {
 	rep := &RebalanceReport{}
 	m, err := s.c.Metrics()
@@ -149,17 +148,18 @@ func (s *Scheduler) Round(ctx context.Context) (*RebalanceReport, error) {
 		}
 	}
 
-	// Defragmentation: every host, bounded, in boot order. Awaited one at
-	// a time so planner decisions see settled state.
+	// Defragmentation: every host, bounded, in boot order, one op at a
+	// time so planner decisions see settled state.
 	for _, h := range s.c.hosts {
 		var reps []*core.MigrateReport
-		op, err := h.SubmitDefragment(ctx, maxDefragMoves, func(r []*core.MigrateReport) {
-			reps = r
-		})
-		if err != nil {
-			return rep, err
+		err := ctx.Err()
+		if err == nil {
+			err = done(h.Submit(func() (err error) {
+				reps, err = h.engine.Defragment(ctx, maxDefragMoves)
+				return err
+			}))
 		}
-		if err := op.Wait(ctx); err != nil {
+		if err != nil {
 			return rep, fmt.Errorf("fleet: defrag %s: %w", h.Name(), err)
 		}
 		for _, r := range reps {

@@ -93,9 +93,6 @@ func TestMoveUnwindsAtEveryStep(t *testing.T) {
 	// unmoved checks the post-failure invariants.
 	unmoved := func(t *testing.T, w world, attempt string) {
 		t.Helper()
-		if err := w.c.Quiesce(bg); err != nil {
-			t.Fatal(err)
-		}
 		if at, err := w.c.HostOf(name); err != nil || at != src {
 			t.Errorf("%s: routing names %q (err %v), want %s", attempt, at, err, src)
 		}
@@ -122,9 +119,6 @@ func TestMoveUnwindsAtEveryStep(t *testing.T) {
 	}
 	moved := func(t *testing.T, w world) {
 		t.Helper()
-		if err := w.c.Quiesce(bg); err != nil {
-			t.Fatal(err)
-		}
 		if at, _ := w.c.HostOf(name); at != dst {
 			t.Errorf("routing names %q after the move, want %s", at, dst)
 		}
