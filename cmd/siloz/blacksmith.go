@@ -17,7 +17,7 @@ import (
 // per rep.
 type blacksmithReport struct {
 	Mode              string `json:"mode"`
-	Mitigation        string `json:"mitigation,omitempty"`
+	Mitigation        string `json:"mitigation"`
 	DIMM              string `json:"dimm"`
 	Rep               int    `json:"rep"`
 	Seed              int64  `json:"seed"`
@@ -45,19 +45,17 @@ func dimmProfile(name string) (dram.Profile, error) {
 }
 
 // blacksmithCmd runs the extended Blacksmith Rowhammer fuzzer (§7) from
-// inside a tenant VM against a Siloz or baseline hypervisor, then reports
-// both the attacker's view (corruptions it can read back) and the omniscient
-// ground truth (where every bit flip physically landed).
+// inside a tenant VM against a machine that deploys the -mitigation defense
+// (Siloz by default; none is the unmodified baseline), then reports both the
+// attacker's view (corruptions it can read back), the omniscient ground
+// truth (where every bit flip physically landed) and the defense's overhead
+// ledger. Flips absorbed by guard capacity count as contained.
 //
 // With -reps N the whole campaign repeats N times on independent
 // hypervisors, each seeded from -seed and the repetition index; -ops
-// overrides the hammer budget per refresh window. With -mitigation, the
-// machine deploys the named Rowhammer defense and the hypervisor mode follows
-// it; the report gains the defense's overhead ledger, and flips absorbed by
-// guard capacity count as contained.
+// overrides the hammer budget per refresh window.
 func blacksmithCmd(inv *invocation, args []string) error {
-	modeFlag := inv.fs.String("mode", "siloz", "hypervisor under attack: siloz or baseline")
-	mitFlag := inv.fs.String("mitigation", "", "deploy a Rowhammer defense instead of -mode: none, para, silver-bullet, catt, or siloz")
+	mitFlag := inv.fs.String("mitigation", "siloz", "Rowhammer defense the machine deploys: none, para, silver-bullet, catt, or siloz")
 	dimm := inv.fs.String("dimm", "A", "DIMM profile to populate the server with (A-F)")
 	patterns := inv.fs.Int("patterns", 40, "fuzzing patterns to try")
 	windows := inv.fs.Int("windows", 2, "refresh windows hammered per pattern")
@@ -67,33 +65,27 @@ func blacksmithCmd(inv *invocation, args []string) error {
 	if err := inv.parse(args); err != nil {
 		return err
 	}
-
-	mode := core.ModeSiloz
-	switch *modeFlag {
-	case "siloz":
-	case "baseline":
-		mode = core.ModeBaseline
-	default:
-		return fmt.Errorf("unknown mode %q", *modeFlag)
+	if err := inv.atLeast("vm-gib", *vmGiB, 1); err != nil {
+		return err
 	}
+
 	prof, err := dimmProfile(*dimm)
 	if err != nil {
 		return err
 	}
-	machine := core.Config{Profiles: []dram.Profile{prof}, EPTProtection: ept.GuardRows}
-	deployed := "no mitigation"
-	if *mitFlag != "" {
-		k, err := mitigation.ParseKind(*mitFlag)
-		if err != nil {
-			return err
-		}
-		// The deployed defense decides the hypervisor mode.
-		machine.Mitigation = mitigation.Spec{Kind: k, Seed: inv.seed}
-		mode = core.ModeBaseline
-		if machine.Mitigation.IsolatesSubarrayGroups() {
-			mode = core.ModeSiloz
-		}
-		deployed = "mitigation " + machine.Mitigation.Name()
+	k, err := mitigation.ParseKind(*mitFlag)
+	if err != nil {
+		return err
+	}
+	machine := core.Config{
+		Profiles:      []dram.Profile{prof},
+		EPTProtection: ept.GuardRows,
+		Mitigation:    mitigation.Spec{Kind: k, Seed: inv.seed},
+	}
+	// The deployed defense decides the hypervisor mode.
+	mode := core.ModeBaseline
+	if machine.Mitigation.IsolatesSubarrayGroups() {
+		mode = core.ModeSiloz
 	}
 	if inv.quick {
 		*patterns, *windows = 10, 1
@@ -105,8 +97,8 @@ func blacksmithCmd(inv *invocation, args []string) error {
 	}
 	reps := inv.repCount()
 	if !inv.json {
-		fmt.Fprintf(inv.stdout, "hypervisor: %s, %s, DIMM profile %s, attacker VM %d GiB, victim VM %d GiB, %d rep(s)\n",
-			mode, deployed, prof.Name, *vmGiB, *vmGiB, reps)
+		fmt.Fprintf(inv.stdout, "hypervisor: %s, mitigation %s, DIMM profile %s, attacker VM %d GiB, victim VM %d GiB, %d rep(s)\n",
+			mode, machine.Mitigation.Name(), prof.Name, *vmGiB, *vmGiB, reps)
 	}
 
 	ctx, cancel := inv.context()
@@ -130,7 +122,7 @@ func blacksmithCmd(inv *invocation, args []string) error {
 			return err
 		}
 		reports[i] = blacksmithReport{
-			Mode: mode.String(), DIMM: prof.Name, Rep: i, Seed: seed,
+			Mode: mode.String(), Mitigation: res.Kind, DIMM: prof.Name, Rep: i, Seed: seed,
 			PatternsTried:     fuzz.PatternsTried,
 			EffectivePatterns: fuzz.EffectivePatterns,
 			Corruptions:       len(fuzz.Corruptions),
@@ -142,9 +134,6 @@ func blacksmithCmd(inv *invocation, args []string) error {
 			Contained:         res.Escapes() == 0,
 			Refreshes:         res.Refreshes,
 			BlockedMiB:        res.BlockedBytes / geometry.MiB,
-		}
-		if *mitFlag != "" {
-			reports[i].Mitigation = res.Kind
 		}
 		return nil
 	})
@@ -167,10 +156,8 @@ func blacksmithCmd(inv *invocation, args []string) error {
 			rep.Rep, rep.EffectivePatterns, rep.PatternsTried, rep.Corruptions, rep.BestPattern)
 		fmt.Fprintf(inv.stdout, "rep %d ground truth:  %d flips in attacker domain, %d in victim, %d in guard capacity, %d elsewhere (host)\n",
 			rep.Rep, rep.FlipsInAttacker, rep.FlipsInVictim, rep.FlipsInGuards, rep.FlipsElsewhere)
-		if rep.Mitigation != "" {
-			fmt.Fprintf(inv.stdout, "rep %d overhead:      %d defense refreshes, %d MiB capacity blocked\n",
-				rep.Rep, rep.Refreshes, rep.BlockedMiB)
-		}
+		fmt.Fprintf(inv.stdout, "rep %d overhead:      %d defense refreshes, %d MiB capacity blocked\n",
+			rep.Rep, rep.Refreshes, rep.BlockedMiB)
 	}
 	switch {
 	case !contained:
@@ -178,11 +165,8 @@ func blacksmithCmd(inv *invocation, args []string) error {
 			fmt.Fprintln(inv.stdout, "RESULT: inter-VM Rowhammer SUCCEEDED — isolation violated")
 		}
 		return errNegative
-	case inv.json:
-	case *mitFlag != "":
+	case !inv.json:
 		fmt.Fprintln(inv.stdout, "RESULT: all flips contained to the attacker's own memory and sacrificial guard capacity")
-	default:
-		fmt.Fprintln(inv.stdout, "RESULT: all flips contained to the attacker's own subarray groups")
 	}
 	return nil
 }

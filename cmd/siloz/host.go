@@ -96,6 +96,12 @@ func auditCmd(inv *invocation, args []string) error {
 	if err := inv.parse(args); err != nil {
 		return err
 	}
+	if err := inv.atLeast("tenants", *tenants, 0); err != nil {
+		return err
+	}
+	if err := inv.atLeast("vm-gib", *vmGiB, 1); err != nil {
+		return err
+	}
 
 	out := inv.stdout
 	seq := 0

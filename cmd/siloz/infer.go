@@ -52,6 +52,9 @@ func inferCmd(inv *invocation, args []string) error {
 	if err := inv.parse(args); err != nil {
 		return err
 	}
+	if err := inv.atLeast("pairs", *pairs, 1); err != nil {
+		return err
+	}
 
 	prof, err := dimmProfile(*dimm)
 	if err != nil {

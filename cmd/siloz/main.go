@@ -3,10 +3,7 @@
 // handling, the worker pool, experiment rendering and exit codes live here
 // once — and subcommands keep only their own flags and printing:
 //
-//	siloz bench       regenerate the paper's tables and figures (§7) from the experiment registry
-//	siloz fleet       the fleet-churn experiment, with its parameters as flags
-//	siloz serve       the serving-slo experiment, with its parameters as flags
-//	siloz sim         end-to-end cloud scenario: tenants, a workload, an attacker
+//	siloz bench       run the experiment registry: the paper's tables and figures (§7) and the discussion studies
 //	siloz blacksmith  Blacksmith fuzzing from a tenant VM, attacker view vs ground truth
 //	siloz infer       mFIT subarray-size / DRAMDig row-adjacency inference
 //	siloz topology    dump the booted DRAM isolation topology
@@ -28,7 +25,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -42,10 +38,7 @@ var commands = []struct {
 	name, summary string
 	run           func(inv *invocation, args []string) error
 }{
-	{"bench", "regenerate the paper's tables and figures from the experiment registry", registryCmd(benchJobs, true)},
-	{"fleet", "multi-host churn study (the fleet-churn experiment)", registryCmd(fleetJobs, false)},
-	{"serve", "request-level serving study (the serving-slo experiment)", registryCmd(serveJobs, false)},
-	{"sim", "end-to-end cloud scenario: tenants, a victim workload, an attacker", simCmd},
+	{"bench", "regenerate the paper's tables, figures and studies from the experiment registry", benchCmd},
 	{"blacksmith", "Blacksmith fuzzing campaign from a tenant VM", blacksmithCmd},
 	{"infer", "subarray-size (mFIT) or row-adjacency inference against a DIMM", inferCmd},
 	{"topology", "dump the booted DRAM isolation topology", topologyCmd},
@@ -115,7 +108,6 @@ type invocation struct {
 	parallel int
 	json     bool
 	timeout  time.Duration
-	csvDir   string
 }
 
 // newInvocation builds the driver state for one run of subcommand name.
@@ -178,18 +170,21 @@ func (inv *invocation) repCount() int {
 	return 1
 }
 
-// selectJobs binds the named experiments to the parameters the parsed
-// shared flags resolve to — the one path from command line to parameters.
-func (inv *invocation) selectJobs(spec string, patterns int) ([]experiments.Job, error) {
-	f := experiments.Flags{Quick: inv.quick, Seed: inv.seed, Ops: inv.ops, Reps: inv.reps, Patterns: patterns}
-	inv.fs.Visit(func(fl *flag.Flag) { f.SeedSet = f.SeedSet || fl.Name == "seed" })
-	return experiments.Select(spec, f)
+// atLeast rejects an integer flag below min as a usage error that names the
+// flag, before any work starts.
+func (inv *invocation) atLeast(name string, v, min int) error {
+	if v >= min {
+		return nil
+	}
+	fmt.Fprintf(inv.stderr, "invalid value %d for flag -%s: must be at least %d\n", v, name, min)
+	inv.fs.Usage()
+	return errUsage
 }
 
 // runJobs schedules the jobs on the pool and streams each result to stdout
-// in input order as text or JSON (plus a CSV file per result under csvDir),
-// with progress and timing on stderr. A failing check fails the run.
-func (inv *invocation) runJobs(jobs []experiments.Job, blankAfter bool) error {
+// in input order as text (a blank line after each) or JSON, with progress
+// and timing on stderr. A failing check fails the run.
+func (inv *invocation) runJobs(jobs []experiments.Job) error {
 	ctx, cancel := inv.context()
 	defer cancel()
 	pool := inv.pool()
@@ -203,7 +198,7 @@ func (inv *invocation) runJobs(jobs []experiments.Job, blankAfter bool) error {
 		if renderErr != nil {
 			return
 		}
-		if renderErr = inv.render(r, blankAfter); renderErr != nil {
+		if renderErr = inv.render(r); renderErr != nil {
 			cancel() // nothing further can be reported; stop the work
 		}
 	}
@@ -223,30 +218,16 @@ func (inv *invocation) runJobs(jobs []experiments.Job, blankAfter bool) error {
 	return nil
 }
 
-// render writes one result in the selected formats.
-func (inv *invocation) render(r *experiments.Result, blankAfter bool) error {
-	var out []byte
-	if inv.json {
-		var err error
-		if out, err = experiments.RenderJSON(r); err != nil {
-			return err
-		}
-	} else {
-		out = []byte(experiments.RenderText(r))
-		if blankAfter {
-			out = append(out, '\n')
-		}
-	}
-	if _, err := inv.stdout.Write(out); err != nil {
+// render writes one result to stdout in the selected format.
+func (inv *invocation) render(r *experiments.Result) error {
+	if !inv.json {
+		_, err := io.WriteString(inv.stdout, experiments.RenderText(r)+"\n")
 		return err
 	}
-	if inv.csvDir == "" {
-		return nil
+	js, err := experiments.RenderJSON(r)
+	if err != nil {
+		return err
 	}
-	path := filepath.Join(inv.csvDir, r.Name+".csv")
-	if err := os.WriteFile(path, []byte(experiments.RenderCSV(r)), 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	fmt.Fprintf(inv.stderr, "    wrote %s\n", path)
-	return nil
+	_, err = inv.stdout.Write(js)
+	return err
 }

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/mitigation"
 )
 
 // siloz runs one invocation in-process and returns its exit status and
@@ -37,12 +36,35 @@ func TestDispatch(t *testing.T) {
 	if code, _, errs := siloz("", "nope"); code != 2 || !strings.Contains(errs, `unknown command "nope"`) {
 		t.Errorf("unknown command not named: exit %d, stderr %q", code, errs)
 	}
-	if code, _, errs := siloz("", "help"); code != 0 || !strings.Contains(errs, "blacksmith") {
-		t.Errorf("siloz help: exit %d, stderr %q", code, errs)
+	for _, gone := range []string{"fleet", "serve", "sim"} {
+		if code, _, errs := siloz("", gone); code != 2 || !strings.Contains(errs, "unknown command") {
+			t.Errorf("siloz %s: exit %d, stderr %q; want an unknown command", gone, code, errs)
+		}
 	}
-	// A flag a subcommand does not take is a usage error, reported by name.
-	if code, out, errs := siloz("", "topology", "-seed", "3"); code != 2 || out != "" || !strings.Contains(errs, "-seed") {
-		t.Errorf("topology -seed: exit %d, stdout %q, stderr %q", code, out, errs)
+	code, _, errs := siloz("", "help")
+	var listed []string
+	for _, l := range strings.Split(errs, "\n") {
+		if strings.HasPrefix(l, "  ") {
+			listed = append(listed, strings.Fields(l)[0])
+		}
+	}
+	if want := []string{"bench", "blacksmith", "infer", "topology", "audit", "perf"}; code != 0 || !slices.Equal(listed, want) {
+		t.Errorf("siloz help: exit %d, commands %v, want %v", code, listed, want)
+	}
+	// A flag a subcommand does not take, or a count out of its range, is a
+	// usage error reported by name before any work.
+	for _, bad := range [][]string{
+		{"topology", "-seed", "3"},
+		{"blacksmith", "-mode", "baseline"},
+		{"bench", "-csv", "out"},
+		{"blacksmith", "-vm-gib", "-1"},
+		{"audit", "-vm-gib", "0"},
+		{"audit", "-tenants", "-1"},
+		{"infer", "-adjacency", "-pairs", "0"},
+	} {
+		if code, out, errs := siloz("", bad...); code != 2 || out != "" || !strings.Contains(errs, bad[1]) {
+			t.Errorf("siloz %v: exit %d, stdout %q, stderr %q", bad, code, out, errs)
+		}
 	}
 }
 
@@ -104,63 +126,30 @@ func TestAuditIsDeterministic(t *testing.T) {
 	}
 }
 
-// plan runs one of the registry-backed subcommands' flag→jobs planners.
-func plan(t *testing.T, planner func(*invocation, []string) ([]experiments.Job, error), args ...string) any {
-	t.Helper()
-	jobs, err := planner(newInvocation("test", nil, io.Discard, io.Discard), args)
-	if err != nil || len(jobs) != 1 {
-		t.Fatalf("planning %v: %d jobs, %v", args, len(jobs), err)
-	}
-	return jobs[0].Params
-}
-
-// TestFleetServeResolveLikeBench: with no overrides of their own, `siloz
-// fleet` and `siloz serve` resolve to exactly the parameters `siloz bench
-// -exp fleet-churn|serving-slo` resolves to, whatever the shared flags — so
-// the front ends cannot drift from the registry again.
-func TestFleetServeResolveLikeBench(t *testing.T) {
-	for _, shared := range [][]string{
-		nil,
-		{"-quick"},
-		{"-seed", "1"},
-		{"-quick", "-seed", "5", "-reps", "2", "-ops", "900", "-parallel", "3"},
+// TestBenchFlagsReachParams: the shared command-line flags reach the
+// experiments' parameters — bench's planner binds exactly what
+// experiments.Select binds for the same Flags, with -seed marked set only
+// when given.
+func TestBenchFlagsReachParams(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want experiments.Flags
+	}{
+		{nil, experiments.Flags{}},
+		{[]string{"-quick"}, experiments.Flags{Quick: true}},
+		{[]string{"-quick", "-seed", "5", "-reps", "2", "-ops", "900", "-patterns", "7", "-parallel", "3"},
+			experiments.Flags{Quick: true, Seed: 5, SeedSet: true, Reps: 2, Ops: 900, Patterns: 7}},
 	} {
-		for _, fe := range []struct {
-			exp     string
-			planner func(*invocation, []string) ([]experiments.Job, error)
-		}{{"fleet-churn", fleetJobs}, {"serving-slo", serveJobs}} {
-			want := plan(t, benchJobs, append([]string{"-exp", fe.exp}, shared...)...)
-			got := plan(t, fe.planner, shared...)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %v:\n front end %+v\n bench     %+v", fe.exp, shared, got, want)
-			}
+		if c.want.Seed == 0 {
+			c.want.Seed = 1 // -seed's default
 		}
-	}
-	// -reps reaches serving-slo through either door.
-	if sc := plan(t, benchJobs, "-exp", "serving-slo", "-reps", "2").(experiments.ServingSLOConfig); sc.Reps != 2 {
-		t.Errorf("bench -exp serving-slo -reps 2 resolved Reps = %d", sc.Reps)
-	}
-}
-
-// TestFleetServeOverrides pins the flag→parameter mappings themselves.
-func TestFleetServeOverrides(t *testing.T) {
-	fc := plan(t, fleetJobs, "-quick", "-hosts", "2", "-rounds", "4", "-arrivals", "6", "-policy", "best-fit, siloz-aware").(experiments.FleetConfig)
-	if fc.Hosts != 2 || fc.Rounds != 4 || fc.ArrivalsPerRound != 6 || !reflect.DeepEqual(fc.Policies, []string{"best-fit", "siloz-aware"}) {
-		t.Errorf("fleet overrides resolved to %+v", fc)
-	}
-	sc := plan(t, serveJobs, "-qps", "5e4", "-slo-us", "500", "-duration-ms", "2", "-defense", "siloz,para", "-scenario", "quiet").(experiments.ServingSLOConfig)
-	if sc.QPS != 5e4 || sc.SLOUs != 500 || sc.DurationMs != 2 ||
-		!reflect.DeepEqual(sc.Kinds, []mitigation.Kind{mitigation.KindSiloz, mitigation.KindPARA}) ||
-		!reflect.DeepEqual(sc.Scenarios, []string{"quiet"}) {
-		t.Errorf("serve overrides resolved to %+v", sc)
-	}
-	for _, bad := range [][]string{
-		{"fleet", "-policy", "round-robin"},
-		{"serve", "-defense", "prayer"},
-		{"serve", "-scenario", "loud"},
-	} {
-		if code, out, _ := siloz("", bad...); code != 1 || out != "" {
-			t.Errorf("siloz %v: exit %d, stdout %q; want rejection before any work", bad, code, out)
+		for _, name := range []string{"fleet-churn", "serving-slo", "table3"} {
+			args := append([]string{"-exp", name}, c.args...)
+			jobs, err := benchJobs(newInvocation("bench", nil, io.Discard, io.Discard), args)
+			want, werr := experiments.Select(name, c.want)
+			if err != nil || werr != nil || len(jobs) != 1 || !reflect.DeepEqual(jobs[0].Params, want[0].Params) {
+				t.Errorf("bench %v resolved differently from Select(%+v): %v, %v", args, c.want, err, werr)
+			}
 		}
 	}
 }
@@ -192,9 +181,8 @@ func TestBenchRendering(t *testing.T) {
 	}
 }
 
-// TestFailingCheckFailsTheRun: the shared job runner renders a result whose
-// check fails and then fails the invocation — for every registry-backed
-// subcommand alike.
+// TestFailingCheckFailsTheRun: the job runner renders a result whose check
+// fails and then fails the invocation.
 func TestFailingCheckFailsTheRun(t *testing.T) {
 	failing := experiments.Experiment{
 		Name: "doomed",
@@ -205,7 +193,7 @@ func TestFailingCheckFailsTheRun(t *testing.T) {
 	}
 	var out bytes.Buffer
 	inv := newInvocation("test", nil, &out, io.Discard)
-	err := inv.runJobs([]experiments.Job{{Experiment: failing}}, false)
+	err := inv.runJobs([]experiments.Job{{Experiment: failing}})
 	if err == nil || !strings.Contains(err.Error(), "failing checks") {
 		t.Errorf("err = %v, want a failing-checks error", err)
 	}

@@ -11,8 +11,8 @@ import (
 // the shared -seed/-ops/-reps/-patterns flags apply to it; Run computes the
 // result from the parameters Resolve returned (callers may override fields
 // first). Run performs no I/O and renders nothing — rendering is the job of
-// RenderText / RenderJSON / RenderCSV, so the same run can feed the
-// terminal, machine-readable trajectory files, and future tooling.
+// RenderText / RenderJSON, so the same run can feed the terminal and
+// machine-readable trajectory files.
 //
 // Run must be deterministic in its parameters (all randomness derives from
 // the seeds in them), must honor ctx cancellation promptly, and must perform

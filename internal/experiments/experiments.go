@@ -2,8 +2,8 @@
 // figure is an Experiment — a name, a parameter resolver and a body —
 // registered in the package registry. `siloz bench` and the repository's
 // benchmark suite dispatch from the registry and render the structured
-// Results with RenderText / RenderJSON / RenderCSV; experiment bodies
-// compute, they never print.
+// Results with RenderText / RenderJSON; experiment bodies compute, they
+// never print.
 //
 // RunAll schedules experiments onto a bounded worker Pool, fanning out
 // both across experiments and across each experiment's repetitions.

@@ -17,11 +17,11 @@ import (
 // rounding is deterministic, so JSON output remains byte-stable.
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
 
-// FleetConfig parameterizes the "fleet-churn" experiment: a multi-host
+// fleetParams parameterizes the "fleet-churn" experiment: a multi-host
 // fleet under a traced churn workload — thousands of VM arrivals, resizes,
 // and departures — once per placement policy, reporting capacity,
 // migration-downtime, and stranded-capacity metrics at fleet scale.
-type FleetConfig struct {
+type fleetParams struct {
 	// Hosts is the simulated machine count, each a fleet lab box.
 	Hosts int
 	// Policies are the placement policies compared.
@@ -50,8 +50,8 @@ func fleetLabGeometry() geometry.Geometry {
 // policy, with the trace sized to oversubscribe it, so every policy takes
 // real rejections and the scheduler has hot hosts to drain; -quick trims
 // hosts, trace and policies.
-func fleetConfig(f Flags) FleetConfig {
-	cfg := FleetConfig{
+func fleetConfig(f Flags) fleetParams {
+	cfg := fleetParams{
 		Hosts: 8,
 		TraceConfig: fleet.TraceConfig{
 			Seed:             f.seed(29),
@@ -99,7 +99,7 @@ type fleetPolicyResult struct {
 	leftoverNodes int // owned guest nodes after the final drain
 }
 
-func fleetChurnExp(ctx context.Context, pool *Pool, fc FleetConfig) (*Result, error) {
+func fleetChurnExp(ctx context.Context, pool *Pool, fc fleetParams) (*Result, error) {
 	trace := fleet.GenerateTrace(fc.TraceConfig)
 
 	// Every policy replays the same trace under fc.Seed: no per-cell seed.
@@ -177,7 +177,7 @@ func fleetChurnExp(ctx context.Context, pool *Pool, fc FleetConfig) (*Result, er
 // single-threaded, an op has finished when its submission returns, and
 // hosts run one op at a time — determinism by construction, parallelism
 // only across policies (via the caller's pool).
-func runFleetPolicy(ctx context.Context, fc FleetConfig, policyName string, trace []fleet.Arrival) (*fleetPolicyResult, error) {
+func runFleetPolicy(ctx context.Context, fc fleetParams, policyName string, trace []fleet.Arrival) (*fleetPolicyResult, error) {
 	policy, err := fleet.PolicyByName(policyName)
 	if err != nil {
 		return nil, err

@@ -132,7 +132,7 @@ func formatCell(v any) string {
 }
 
 // RenderJSON marshals the result as one indented JSON document — the
-// machine-readable form `siloz-bench -json` emits per experiment and the
+// machine-readable form `siloz bench -json` emits per experiment and the
 // BENCH_*.json perf trajectories consume. Map keys marshal sorted, so the
 // bytes are deterministic.
 func RenderJSON(r *Result) ([]byte, error) {
@@ -141,42 +141,4 @@ func RenderJSON(r *Result) ([]byte, error) {
 		return nil, fmt.Errorf("experiments: encoding %s: %w", r.Name, err)
 	}
 	return append(out, '\n'), nil
-}
-
-// csvField quotes a field per RFC 4180 when it contains a comma, quote or
-// newline; plain fields pass through unchanged.
-func csvField(s string) string {
-	if strings.ContainsAny(s, ",\"\n") {
-		return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-	}
-	return s
-}
-
-// RenderCSV renders the result's series as comma-separated rows for
-// external plotting, one block per series. Results without series render
-// their table rows instead.
-func RenderCSV(r *Result) string {
-	var b strings.Builder
-	if len(r.Series) > 0 {
-		b.WriteString("series,label,value,ci95\n")
-		for _, s := range r.Series {
-			for _, p := range s.Points {
-				fmt.Fprintf(&b, "%s,%s,%.4f,%.4f\n", csvField(s.Name), csvField(p.Label), p.Value, p.CI)
-			}
-		}
-		return b.String()
-	}
-	b.WriteString("label")
-	for _, c := range r.Columns {
-		b.WriteString("," + csvField(c))
-	}
-	b.WriteString("\n")
-	for _, row := range r.Rows {
-		b.WriteString(csvField(row.Label))
-		for _, c := range row.Cells {
-			b.WriteString("," + csvField(formatCell(c)))
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

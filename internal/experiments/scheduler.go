@@ -104,8 +104,8 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(i int) error) error {
 const repSeedSalt = 7919
 
 // RepSeed derives repetition i's RNG seed from a base seed. It is exported
-// for the commands that fan their own repetitions (siloz sim, siloz
-// blacksmith) and must match the scheduler's scheme.
+// for the command that fans its own repetitions (siloz blacksmith) and
+// must match the scheduler's scheme.
 func RepSeed(base int64, rep int) int64 { return base + int64(rep)*repSeedSalt }
 
 // RunAll executes the jobs on pool (allocating a GOMAXPROCS pool if it is

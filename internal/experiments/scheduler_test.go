@@ -305,19 +305,4 @@ func TestRenderers(t *testing.T) {
 			t.Errorf("JSON missing %q:\n%s", want, js1)
 		}
 	}
-
-	csv := RenderCSV(r)
-	for _, want := range []string{"series,label,value,ci95", "overhead,redis-a,0.5000,0.3000", "overhead,geomean,0.1200"} {
-		if !strings.Contains(csv, want) {
-			t.Errorf("CSV missing %q:\n%s", want, csv)
-		}
-	}
-	// Table-only results fall back to row CSV.
-	r.Series = nil
-	csv = RenderCSV(r)
-	for _, want := range []string{"label,count,ok", "alpha,42,yes"} {
-		if !strings.Contains(csv, want) {
-			t.Errorf("table CSV missing %q:\n%s", want, csv)
-		}
-	}
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/stats"
 )
 
-// ServingSLOConfig parameterizes the "serving-slo" experiment: two
+// servingSLOParams parameterizes the "serving-slo" experiment: two
 // open-loop KV-serving tenants (one per socket) run against every
 // deployable Rowhammer defense in a quiet scenario and a churn scenario —
 // the same resize/migrate/defrag schedule replayed mid-serving — and each
@@ -20,7 +20,7 @@ import (
 // requests that missed the SLO. This is the paper's overhead question
 // asked the way a service owner asks it: not "how much bandwidth", but
 // "what happens to my p99 while the control plane churns".
-type ServingSLOConfig struct {
+type servingSLOParams struct {
 	// Kinds selects defense rows, in canonical order.
 	Kinds []mitigation.Kind
 	// Scenarios selects columns from "quiet" and "churn".
@@ -42,8 +42,8 @@ type ServingSLOConfig struct {
 // servingSLOConfig resolves the serving grid: every mitigation kind, quiet
 // then churn, serving 10 ms per rep at 150k QPS per tenant under a 100 µs
 // SLO, two reps per cell; -quick trims to one rep and a 4 ms horizon.
-func servingSLOConfig(f Flags) ServingSLOConfig {
-	cfg := ServingSLOConfig{
+func servingSLOConfig(f Flags) servingSLOParams {
+	cfg := servingSLOParams{
 		Kinds:      mitigation.Kinds(),
 		Scenarios:  []string{"quiet", "churn"},
 		Reps:       2,
@@ -76,7 +76,7 @@ func servingChurnSchedule(durationNs float64) []serve.Event {
 
 // runServingRep boots a host deploying one defense, creates the two
 // tenants, and serves one rep.
-func runServingRep(ctx context.Context, cfg ServingSLOConfig, kind mitigation.Kind, churn bool, seed int64) (*serve.Report, error) {
+func runServingRep(ctx context.Context, cfg servingSLOParams, kind mitigation.Kind, churn bool, seed int64) (*serve.Report, error) {
 	lab := lifecycleLabConfig()
 	lab.Mitigation = mitigation.Spec{Kind: kind, Seed: seed}
 	h, err := core.BootMitigated(lab)
@@ -120,7 +120,7 @@ func runServingRep(ctx context.Context, cfg ServingSLOConfig, kind mitigation.Ki
 	return l.Run(ctx)
 }
 
-func servingSLOExp(ctx context.Context, pool *Pool, sc ServingSLOConfig) (*Result, error) {
+func servingSLOExp(ctx context.Context, pool *Pool, sc servingSLOParams) (*Result, error) {
 	kinds := sc.Kinds
 	// Cells are kind-major, then scenario, Reps per cell.
 	type sloCell struct {

@@ -140,15 +140,6 @@ func (c *Cache) AccessRun(pa uint64, n int) (missed uint64) {
 	return missed
 }
 
-// HitRate returns the fraction of accesses served by the cache.
-func (c *Cache) HitRate() float64 {
-	total := c.hitCount + c.missed
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hitCount) / float64(total)
-}
-
 // Hits and Misses expose the raw counters.
 func (c *Cache) Hits() int64   { return c.hitCount }
 func (c *Cache) Misses() int64 { return c.missed }

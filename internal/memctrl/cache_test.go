@@ -27,9 +27,6 @@ func TestCacheBasicHitMiss(t *testing.T) {
 	if c.Hits() != 2 || c.Misses() != 1 {
 		t.Errorf("hits=%d misses=%d", c.Hits(), c.Misses())
 	}
-	if got := c.HitRate(); got < 0.66 || got > 0.67 {
-		t.Errorf("HitRate = %v", got)
-	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -81,8 +78,8 @@ func TestCacheValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.HitRate() != 0 {
-		t.Error("empty cache hit rate nonzero")
+	if empty.Hits() != 0 || empty.Misses() != 0 {
+		t.Error("empty cache counted accesses")
 	}
 }
 
@@ -210,17 +207,24 @@ func TestTagRangeBoundary(t *testing.T) {
 
 // TestCacheTagFootprint pins the tag store at four bytes a way: the serving
 // loop's 32 MiB, 16-way LLC allocates its 2 MiB of tags and a small constant,
-// where 8-byte tags would allocate 4 MiB.
+// where 8-byte tags would allocate 4 MiB. TotalAlloc is process-wide, so an
+// allocation elsewhere in the test binary can land inside one measurement;
+// NewCache allocates the same bytes every call, so the least of several
+// deltas is its own.
 func TestCacheTagFootprint(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c, err := NewCache(32*geometry.MiB, 16)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	got := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := NewCache(32*geometry.MiB, 16)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+		runtime.KeepAlive(c)
 	}
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*geometry.MiB+4*geometry.KiB); got > limit {
+	if limit := uint64(2*geometry.MiB + 4*geometry.KiB); got > limit {
 		t.Errorf("NewCache(32 MiB, 16) allocated %d bytes, want at most %d", got, limit)
 	}
-	runtime.KeepAlive(c)
 }

@@ -60,14 +60,6 @@ func (c *refCache) Access(pa uint64) bool {
 	return false
 }
 
-func (c *refCache) HitRate() float64 {
-	total := c.hitCount + c.missed
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hitCount) / float64(total)
-}
-
 // runLines returns how many lines the i-th lookup of a stream covers when the
 // stream is replayed as runs: lens[i%len(lens)] of them, cut short of the end
 // of a tag range of tagLines lines, and one when lens is empty.
@@ -126,9 +118,9 @@ func checkAgainstReference(t *testing.T, capacity int64, ways int, stream []uint
 	if err := diffAgainstReference(run, ref, stream, lens); err != nil {
 		t.Fatal(err)
 	}
-	if c.Hits() != ref.hitCount || c.Misses() != ref.missed || c.HitRate() != ref.HitRate() {
-		t.Fatalf("hits/misses/rate = %d/%d/%v, reference %d/%d/%v",
-			c.Hits(), c.Misses(), c.HitRate(), ref.hitCount, ref.missed, ref.HitRate())
+	if c.Hits() != ref.hitCount || c.Misses() != ref.missed {
+		t.Fatalf("hits/misses = %d/%d, reference %d/%d",
+			c.Hits(), c.Misses(), ref.hitCount, ref.missed)
 	}
 }
 

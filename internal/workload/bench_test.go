@@ -81,7 +81,7 @@ func BenchmarkRunnerIssueRun(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(r.cache.HitRate(), "hit-frac")
+	b.ReportMetric(float64(r.cache.Hits())/float64(r.cache.Hits()+r.cache.Misses()), "hit-frac")
 	if allocs := testing.AllocsPerRun(100, func() { _ = run(7) }); allocs != 0 {
 		b.Fatalf("IssueRun allocates %v times per run, want 0", allocs)
 	}

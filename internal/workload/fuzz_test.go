@@ -74,7 +74,7 @@ func FuzzWorkloadGenerators(f *testing.F) {
 			ops = -ops
 		}
 		ops %= 400
-		for _, w := range All() {
+		for _, w := range allWorkloads() {
 			w.Generate(region, ops, seed, func(a Access) bool {
 				if a.Offset >= region {
 					t.Fatalf("%s: offset %#x outside region %#x", w.Name(), a.Offset, region)
@@ -99,7 +99,7 @@ func FuzzWorkloadGenerators(f *testing.F) {
 // and a fresh Generate after an early stop reproduces the full stream.
 func TestGenerateEarlyStopDeterminism(t *testing.T) {
 	const ops, seed = 300, 9
-	for _, w := range All() {
+	for _, w := range allWorkloads() {
 		full := collectSeed(t, w, ops, seed)
 		stop := len(full) / 2
 		if stop == 0 {

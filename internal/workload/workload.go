@@ -33,19 +33,6 @@ type Workload interface {
 
 const line = geometry.CacheLineSize
 
-// All returns one instance of every registered workload: YCSB A-F, the
-// batch workloads (terasort, memcached, mysql), the SPEC and PARSEC suite
-// kernels, and the MLC bandwidth modes. It is the sweep set for fuzzing
-// and determinism tests — a workload added here is automatically covered.
-func All() []Workload {
-	ws := AllYCSB()
-	ws = append(ws, Terasort{}, Memcached{}, Sysbench{})
-	ws = append(ws, SPECSuite()...)
-	ws = append(ws, PARSECSuite()...)
-	ws = append(ws, AllMLC()...)
-	return ws
-}
-
 // alignDown clamps an offset to a cache line inside the region.
 func alignDown(off, region uint64) uint64 {
 	off %= region

@@ -22,8 +22,17 @@ func collect(t *testing.T, w Workload, ops int) []Access {
 	return out
 }
 
-// allWorkloads returns one of everything (the package registry).
-func allWorkloads() []Workload { return All() }
+// allWorkloads returns one instance of every workload: YCSB A-F, the batch
+// workloads (terasort, memcached, mysql), the SPEC and PARSEC suite kernels,
+// and the MLC bandwidth modes. It is the sweep set for fuzzing and
+// determinism tests — a workload added here is automatically covered.
+func allWorkloads() []Workload {
+	ws := AllYCSB()
+	ws = append(ws, Terasort{}, Memcached{}, Sysbench{})
+	ws = append(ws, SPECSuite()...)
+	ws = append(ws, PARSECSuite()...)
+	return append(ws, AllMLC()...)
+}
 
 func TestAllWorkloadsEmitValidAccesses(t *testing.T) {
 	for _, w := range allWorkloads() {
