@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -61,47 +62,27 @@ type balloonRun struct {
 	fraction float64
 }
 
-func (r balloonRun) label() string {
-	return fmt.Sprintf("target=%dMiB touched=%.0f%%", r.target/geometry.MiB, r.fraction*100)
-}
-
-// balloonRowResult is one completed run, index-addressed for the pool.
-type balloonRowResult struct {
-	run           balloonRun
-	nodesReleased int
-	nodeBytes     uint64
-	scrubBytes    uint64  // touched pages in the surrendered range × 2 MiB
-	reclaimMs     float64 // modeled scrub latency
-	admitted      bool    // tenant sized to the reclaimed nodes admitted
-	releasedZero  bool    // every released node reads all-zero
-	dataIntact    bool    // below-balloon guest data survived the cycle
-	deflated      bool    // deflate re-adopted and restored pages are usable
-}
-
-// reclaimed is the capacity the released nodes returned to the pool.
-func (r *balloonRowResult) reclaimed() uint64 { return uint64(r.nodesReleased) * r.nodeBytes }
-
 // runBalloon boots a fresh Siloz system, fills a socket with one
 // over-provisioned VM, drives the guest balloon driver end to end —
 // inflate, tenant admission onto the released nodes, deflate — and verifies
 // the reservation-release invariants at each step.
-func runBalloon(cfg balloonParams, run balloonRun, seed int64) (*balloonRowResult, error) {
+func runBalloon(cfg balloonParams, run balloonRun, seed int64, t *tally) error {
 	h, err := bootLab(migrationLabGeometry(), migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 		Name: "bal", Socket: 0, MemoryBytes: cfg.VMBytes, MinMemoryBytes: cfg.MinBytes,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	k := guest.NewKernel(vm)
 
 	// Deterministic payload below the balloon: must survive the cycle.
 	payload := stampPayload(7)
 	if err := vm.WriteGuest(512, payload); err != nil {
-		return nil, err
+		return err
 	}
 	// Dirty the configured fraction of the pages about to be surrendered;
 	// only these enter the touched-page ledger and need scrubbing.
@@ -111,117 +92,98 @@ func runBalloon(cfg balloonParams, run balloonRun, seed int64) (*balloonRowResul
 	rng := rand.New(rand.NewSource(seed))
 	for _, p := range rng.Perm(surrPages)[:touched] {
 		if err := vm.WriteGuest(surrStart+uint64(p)*geometry.PageSize2M, payload); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	before := append([]*numa.Node(nil), vm.Nodes()...)
 	if err := k.Balloon().SetTarget(run.target); err != nil {
-		return nil, fmt.Errorf("inflate to %d: %w", run.target, err)
-	}
-	kept := map[int]bool{}
-	for _, n := range vm.Nodes() {
-		kept[n.ID] = true
+		return fmt.Errorf("inflate to %d: %w", run.target, err)
 	}
 	var released []*numa.Node
 	for _, n := range before {
-		if !kept[n.ID] {
+		if !slices.ContainsFunc(vm.Nodes(), func(m *numa.Node) bool { return m.ID == n.ID }) {
 			released = append(released, n)
 		}
 	}
-
-	res := &balloonRowResult{
-		run:           run,
-		nodesReleased: len(released),
-		scrubBytes:    uint64(touched) * geometry.PageSize2M,
-		dataIntact:    true,
-		releasedZero:  true,
+	scrubBytes := uint64(touched) * geometry.PageSize2M
+	reclaimMs := modeledMs(scrubBytes, cfg.ScrubGiBps)
+	_, nodeBytes, err := guestNodeCapacity(h, 0)
+	if err != nil {
+		return err
 	}
-	res.reclaimMs = modeledMs(res.scrubBytes, cfg.ScrubGiBps)
-	if _, res.nodeBytes, err = guestNodeCapacity(h, 0); err != nil {
-		return nil, err
-	}
+	reclaimed := uint64(len(released)) * nodeBytes
 
 	// Every released node must read all-zero before a tenant lands on it.
 	probe := make([]byte, geometry.PageSize4K)
+	zeroed := true
 	for _, n := range released {
 		for _, r := range n.Ranges {
 			for pa := r.Start; pa+geometry.PageSize4K <= r.End; pa += geometry.PageSize2M {
 				if err := h.Memory().ReadPhys(pa, probe); err != nil {
-					return nil, err
+					return err
 				}
-				res.releasedZero = res.releasedZero && dram.AllZero(probe)
+				zeroed = zeroed && dram.AllZero(probe)
 			}
 		}
 	}
 
 	// The reclaimed capacity admits a tenant the full socket refused.
-	if len(released) > 0 {
-		res.admitted = admits(h, core.VMSpec{
-			Name: "tenant", Socket: 0, MemoryBytes: uint64(len(released)) * res.nodeBytes,
-		})
-	}
+	admitted := len(released) > 0 && admits(h, core.VMSpec{Name: "tenant", Socket: 0, MemoryBytes: reclaimed})
 
 	// Deflate: re-adopt the capacity, then prove restored memory is zeroed
 	// and writable and the pre-balloon payload survived.
-	if err := k.Balloon().SetTarget(0); err == nil {
-		res.deflated = vm.ReadGuest(surrStart, probe) == nil && dram.AllZero(probe) &&
-			vm.WriteGuest(surrStart, payload) == nil
+	deflated := k.Balloon().SetTarget(0) == nil && vm.ReadGuest(surrStart, probe) == nil &&
+		dram.AllZero(probe) && vm.WriteGuest(surrStart, payload) == nil
+	intact, err := guestHolds(vm, 512, payload)
+	if err != nil {
+		return err
 	}
-	if res.dataIntact, err = guestHolds(vm, 512, payload); err != nil {
-		return nil, err
-	}
-	return res, nil
+
+	t.row(fmt.Sprintf("target=%dMiB touched=%.0f%%", run.target/geometry.MiB, run.fraction*100),
+		len(released), reclaimed/geometry.MiB, scrubBytes/geometry.MiB, reclaimMs, admitted, deflated)
+	t.sum("total_nodes_released", float64(len(released)))
+	t.max("max_reclaim_ms", reclaimMs)
+	// A whole-socket VM's surrendered range is node-aligned, so every
+	// ballooned node must drain completely.
+	t.vote("whole_nodes_released", reclaimed == run.target)
+	t.vote("released_nodes_zeroed", zeroed)
+	t.vote("tenant_admitted", admitted)
+	t.vote("guest_data_intact", intact)
+	t.vote("deflate_restores", deflated)
+	return nil
 }
 
 // ballooningExp is the "ballooning" experiment: partial reservation release
 // via the guest balloon driver — nodes reclaimed, scrub cost, and admission
 // of a new tenant onto the released subarray groups.
 func ballooningExp(ctx context.Context, pool *Pool, bc balloonParams) (*Result, error) {
-	runs := grid(bc.Targets, bc.TouchedFractions, func(target uint64, f float64) balloonRun {
-		return balloonRun{target: target, fraction: f}
-	})
-	results, err := mapCells(ctx, pool, bc.Seed, runs, func(run balloonRun, seed int64) (*balloonRowResult, error) {
-		return runBalloon(bc, run, seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	r := &Result{
-		Name:    "ballooning",
-		Title:   "Memory ballooning: partial reservation release and reclaim cost",
-		Columns: []string{"nodes released", "reclaimed", "scrubbed", "modeled reclaim", "tenant admitted", "deflated"},
-		Units:   []string{"", "MiB", "MiB", "ms", "", ""},
-		Metadata: map[string]string{
-			"reclaim_model": fmt.Sprintf("scrubbed bytes / %.0f GiB/s", bc.ScrubGiBps),
-			"vm":            fmt.Sprintf("%d MiB, floor %d MiB", bc.VMBytes/geometry.MiB, bc.MinBytes/geometry.MiB),
+	return sweep[balloonRun]{
+		result: Result{
+			Name:    "ballooning",
+			Title:   "Memory ballooning: partial reservation release and reclaim cost",
+			Columns: []string{"nodes released", "reclaimed", "scrubbed", "modeled reclaim", "tenant admitted", "deflated"},
+			Units:   []string{"", "MiB", "MiB", "ms", "", ""},
+			Metadata: map[string]string{
+				"reclaim_model": fmt.Sprintf("scrubbed bytes / %.0f GiB/s", bc.ScrubGiBps),
+				"vm":            fmt.Sprintf("%d MiB, floor %d MiB", bc.VMBytes/geometry.MiB, bc.MinBytes/geometry.MiB),
+			},
+			Notes: []string{
+				"scrub cost scales with the touched-page ledger, not the balloon size: untouched pages skip scrubbing",
+				"reclaim latency is modeled from scrubbed bytes at fixed bandwidth, so identical runs emit identical results",
+			},
 		},
-	}
-	var totalReleased int
-	var maxReclaim float64
-	for _, res := range results {
-		r.row(res.run.label(), res.nodesReleased, res.reclaimed()/geometry.MiB, res.scrubBytes/geometry.MiB,
-			res.reclaimMs, res.admitted, res.deflated)
-		totalReleased += res.nodesReleased
-		maxReclaim = max(maxReclaim, res.reclaimMs)
-	}
-	r.scalar("total_nodes_released", float64(totalReleased))
-	r.scalar("max_reclaim_ms", maxReclaim)
-	// A whole-socket VM's surrendered range is node-aligned, so every
-	// ballooned node must drain completely.
-	r.check("whole_nodes_released", allCells(results, func(c *balloonRowResult) bool { return c.reclaimed() == c.run.target }),
-		"every surrendered subarray-group node drains and leaves the VM's domain")
-	r.check("released_nodes_zeroed", allCells(results, func(c *balloonRowResult) bool { return c.releasedZero }),
-		"released nodes read all-zero before any tenant is admitted onto them")
-	r.check("tenant_admitted", allCells(results, func(c *balloonRowResult) bool { return c.admitted }),
-		"a tenant sized to the reclaimed nodes is admitted on the previously-full socket")
-	r.check("guest_data_intact", allCells(results, func(c *balloonRowResult) bool { return c.dataIntact }),
-		"guest memory below the balloon survives the inflate/deflate cycle")
-	r.check("deflate_restores", allCells(results, func(c *balloonRowResult) bool { return c.deflated }),
-		"deflation re-adopts capacity and restored pages are zeroed and writable")
-	r.Notes = append(r.Notes,
-		"scrub cost scales with the touched-page ledger, not the balloon size: untouched pages skip scrubbing",
-		"reclaim latency is modeled from scrubbed bytes at fixed bandwidth, so identical runs emit identical results")
-	return r, nil
+		seed: bc.Seed,
+		cells: grid(bc.Targets, bc.TouchedFractions, func(target uint64, f float64) balloonRun {
+			return balloonRun{target: target, fraction: f}
+		}),
+		checks: []sweepCheck{
+			{name: "whole_nodes_released", detail: "every surrendered subarray-group node drains and leaves the VM's domain"},
+			{name: "released_nodes_zeroed", detail: "released nodes read all-zero before any tenant is admitted onto them"},
+			{name: "tenant_admitted", detail: "a tenant sized to the reclaimed nodes is admitted on the previously-full socket"},
+			{name: "guest_data_intact", detail: "guest memory below the balloon survives the inflate/deflate cycle"},
+			{name: "deflate_restores", detail: "deflation re-adopts capacity and restored pages are zeroed and writable"},
+		},
+		cell: func(run balloonRun, seed int64, t *tally) error { return runBalloon(bc, run, seed, t) },
+	}.run(ctx, pool)
 }

@@ -48,47 +48,8 @@ type eptRelocRun struct {
 	moves int
 }
 
-func (r eptRelocRun) label() string {
-	return fmt.Sprintf("%s moves=%d", eptModeName(r.mode), r.moves)
-}
-
-func eptModeName(m ept.IntegrityMode) string {
-	switch m {
-	case ept.GuardRows:
-		return "guardrows"
-	case ept.SecureEPT:
-		return "secure-ept"
-	default:
-		return "none"
-	}
-}
-
-// eptRelocRowResult is one completed cell, index-addressed for the pool.
-type eptRelocRowResult struct {
-	run eptRelocRun
-	// RelocatedPages totals table pages rebuilt across all moves.
-	relocatedPages int
-	// reclaimedBytes totals source-pool bytes freed across all moves.
-	reclaimedBytes uint64
-	// relocatedEveryMove: each migration moved the full hierarchy (>= the
-	// root, one PDPT and one PD page).
-	relocatedEveryMove bool
-	// sourceReclaimed: every socket the VM left has its EPT pool back at
-	// its boot free-byte count, and reclaimed bytes match the page count.
-	sourceReclaimed bool
-	// auditOK: migrate.AuditIsolation passed after every move.
-	auditOK bool
-	// memoryIntact: the guest payload survived the whole sequence.
-	memoryIntact bool
-	// Guard-rows hammering phase (§7.1 against the NEW block).
-	newBlockFlips  int
-	controlFlips   int
-	translationsOK bool
-	// SecureEPT hammering phase: corrupted walks must fault, never
-	// silently resolve differently.
-	integrityFaults int
-	silentCorrupt   int
-}
+// eptModeNames name the protection modes in the study's row labels.
+var eptModeNames = map[ept.IntegrityMode]string{ept.NoProtection: "none", ept.GuardRows: "guardrows", ept.SecureEPT: "secure-ept"}
 
 // eptPoolFree snapshots each socket's EPT-pool free bytes (the EPT node
 // under guard rows; relocation accounting under SecureEPT is validated
@@ -114,34 +75,33 @@ func eptRelocPayload(seed int64) []byte { return stampPayload(int(seed)) }
 
 // runEPTReloc executes one cell: boot, migrate cross-socket `moves` times,
 // then re-run the §7.1 hammering attack against the relocated tables.
-func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowResult, error) {
-	res := eptRelocRowResult{run: run}
+func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64, t *tally) error {
 	h, err := bootLab(migrationLabGeometry(), eptRelocProfile(), run.mode, core.ModeSiloz)
 	if err != nil {
-		return res, err
+		return err
 	}
 	bootFree, err := eptPoolFree(h)
 	if err != nil {
-		return res, err
+		return err
 	}
 	vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{
 		Name: "reloc", Socket: 0, MemoryBytes: 64 * geometry.MiB,
 	})
 	if err != nil {
-		return res, err
+		return err
 	}
 	payload := eptRelocPayload(seed)
 	if err := vm.WriteGuest(4321, payload); err != nil {
-		return res, err
+		return err
 	}
 
-	res.relocatedEveryMove = true
-	res.auditOK = true
+	var relocatedPages int
+	var reclaimedBytes uint64
 	for m := 0; m < run.moves; m++ {
 		target := 1 - vm.EPTSocket()
 		dests, err := h.FreeNodes(target, vm.Spec().MemoryBytes)
 		if err != nil {
-			return res, err
+			return err
 		}
 		rep, err := h.MigrateVM(ctx, "reloc", dests, core.MigrateOptions{
 			MaxRounds: 8,
@@ -151,62 +111,63 @@ func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowR
 			},
 		})
 		if err != nil {
-			return res, err
+			return err
 		}
-		res.relocatedPages += rep.EPTRelocatedPages
-		res.reclaimedBytes += rep.EPTReclaimedBytes
+		relocatedPages += rep.EPTRelocatedPages
+		reclaimedBytes += rep.EPTReclaimedBytes
 		// The 64 MiB hierarchy is at least root + PDPT + PD.
-		if rep.EPTRelocatedPages < 3 {
-			res.relocatedEveryMove = false
-		}
-		if err := migrate.AuditIsolation(h); err != nil {
-			res.auditOK = false
-		}
+		t.vote("relocated_every_move", rep.EPTRelocatedPages >= 3)
+		t.vote("isolation_audited", migrate.AuditIsolation(h) == nil)
 	}
 
+	// Every socket the VM left has its EPT pool back at its boot free-byte
+	// count, and reclaimed bytes match the page count.
 	final := vm.EPTSocket()
-	res.sourceReclaimed = res.reclaimedBytes == uint64(res.relocatedPages)*geometry.PageSize4K
+	reclaimed := reclaimedBytes == uint64(relocatedPages)*geometry.PageSize4K
 	if run.mode == ept.GuardRows {
 		now, err := eptPoolFree(h)
 		if err != nil {
-			return res, err
+			return err
 		}
 		for socket, free := range bootFree {
-			if socket != final && now[socket] != free {
-				res.sourceReclaimed = false
-			}
+			reclaimed = reclaimed && (socket == final || now[socket] == free)
 		}
 	}
-	if ok, err := guestHolds(vm, 4321, payload); err == nil && ok {
-		res.memoryIntact = true
-	}
+	t.vote("source_ept_reclaimed", reclaimed)
+	ok, err := guestHolds(vm, 4321, payload)
+	intact := err == nil && ok
+	t.vote("memory_intact", intact)
 
 	// §7.1 re-run against the block the tables now live in.
 	before, err := translations(vm)
 	if err != nil {
-		return res, err
+		return err
 	}
 	mem := h.Memory()
 	acts := int(eptRelocProfile().HammerThreshold) * 4
+	var newBlockFlips, controlFlips, integrityFaults int
+	var translationsOK bool
 	switch run.mode {
 	case ept.GuardRows:
 		// The attack lands on the destination socket's block.
 		if err := hammerEPTBlock(h, final, 40, acts); err != nil {
-			return res, err
+			return err
 		}
 		for _, f := range mem.Flips() {
 			if f.Bank.Socket != final {
 				continue
 			}
 			if f.MediaRow == core.EPTRowGroupOffset {
-				res.newBlockFlips++
+				newBlockFlips++
 			}
 			if f.MediaRow >= core.EPTBlockRowGroups {
-				res.controlFlips++
+				controlFlips++
 			}
 		}
 		faults, moved := retranslate(vm, before)
-		res.translationsOK = faults+moved == 0
+		translationsOK = faults+moved == 0
+		t.vote("new_block_flip_free", newBlockFlips == 0 && translationsOK)
+		t.vote("control_rows_flipped", controlFlips > 0)
 	case ept.SecureEPT:
 		// The relocated tables live in ordinary host rows; hammer the
 		// relocated PD's neighbours and require every corrupted walk to
@@ -214,7 +175,7 @@ func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowR
 		pd := vm.Tables().Pages()[2] // root, PDPT, PD
 		ma, err := mem.Mapper().Decode(pd)
 		if err != nil {
-			return res, err
+			return err
 		}
 		var rows []int
 		for _, row := range []int{ma.Row - 1, ma.Row + 1} {
@@ -223,73 +184,58 @@ func runEPTReloc(ctx context.Context, run eptRelocRun, seed int64) (eptRelocRowR
 			}
 		}
 		if err := hammerRows(mem, ma.Bank, rows, acts); err != nil {
-			return res, err
+			return err
 		}
-		res.translationsOK = true
-		res.integrityFaults, res.silentCorrupt = retranslate(vm, before)
+		// Corrupted walks must fault, never silently resolve differently.
+		translationsOK = true
+		var silent int
+		integrityFaults, silent = retranslate(vm, before)
+		t.vote("corruption_detected_not_silent", integrityFaults > 0 && silent == 0)
 	}
-	return res, nil
+
+	t.row(fmt.Sprintf("%s moves=%d", eptModeNames[run.mode], run.moves), run.moves, relocatedPages,
+		reclaimedBytes/geometry.KiB, newBlockFlips, controlFlips, integrityFaults, intact && translationsOK)
+	t.sum("relocated_pages", float64(relocatedPages))
+	t.sum("reclaimed_bytes", float64(reclaimedBytes))
+	t.sum("new_block_flips", float64(newBlockFlips))
+	t.sum("integrity_faults", float64(integrityFaults))
+	return nil
 }
 
 // eptRelocExp is the "ept-relocation" experiment.
 func eptRelocExp(ctx context.Context, pool *Pool, rc eptRelocParams) (*Result, error) {
-	runs := grid(rc.Modes, rc.Moves, func(mode ept.IntegrityMode, moves int) eptRelocRun {
-		return eptRelocRun{mode: mode, moves: moves}
-	})
-	results, err := mapCells(ctx, pool, rc.Seed, runs, func(run eptRelocRun, seed int64) (eptRelocRowResult, error) {
-		return runEPTReloc(ctx, run, seed)
-	})
+	r, err := sweep[eptRelocRun]{
+		result: Result{
+			Name:  "ept-relocation",
+			Title: "EPT-table relocation across sockets (§5.4 pool placement, §7.1 re-run)",
+			Columns: []string{
+				"moves", "relocated pages", "reclaimed", "new-block flips",
+				"control flips", "integrity faults", "intact",
+			},
+			Units:    []string{"", "", "KiB", "", "", "", ""},
+			Metadata: map[string]string{"profile": eptRelocProfile().Name, "vm": "64 MiB"},
+		},
+		seed: rc.Seed,
+		cells: grid(rc.Modes, rc.Moves, func(mode ept.IntegrityMode, moves int) eptRelocRun {
+			return eptRelocRun{mode: mode, moves: moves}
+		}),
+		// The hammering phase's checks are per protection mode.
+		checks: []sweepCheck{
+			{name: "relocated_every_move", detail: "every cross-socket migration rebuilt the full table hierarchy"},
+			{name: "source_ept_reclaimed", detail: "vacated sockets' EPT pools returned to their boot free-byte count"},
+			{name: "isolation_audited", detail: "migrate.AuditIsolation passed after every move"},
+			{name: "memory_intact", detail: "guest payload survived every migration sequence"},
+			{name: "new_block_flip_free", detail: "%d flips reached relocated guard-protected blocks; translations intact"},
+			{name: "control_rows_flipped", detail: "unprotected control rows flipped (hammering phase non-vacuous)", any: true},
+			{name: "corruption_detected_not_silent", detail: "%d integrity faults on relocated SecureEPT tables, none silent"},
+		},
+		cell: func(run eptRelocRun, seed int64, t *tally) error { return runEPTReloc(ctx, run, seed, t) },
+	}.run(ctx, pool)
 	if err != nil {
 		return nil, err
 	}
-
-	r := &Result{
-		Name:  "ept-relocation",
-		Title: "EPT-table relocation across sockets (§5.4 pool placement, §7.1 re-run)",
-		Columns: []string{
-			"moves", "relocated pages", "reclaimed", "new-block flips",
-			"control flips", "integrity faults", "intact",
-		},
-		Units:    []string{"", "", "KiB", "", "", "", ""},
-		Metadata: map[string]string{"profile": eptRelocProfile().Name, "vm": "64 MiB"},
-	}
-	// The hammering phase's checks are per protection mode.
-	var guard, secure []eptRelocRowResult
-	var totalPages int
-	var totalBytes uint64
-	var totalNewFlips, totalFaults int
-	for _, res := range results {
-		r.row(res.run.label(), res.run.moves, res.relocatedPages, res.reclaimedBytes/geometry.KiB,
-			res.newBlockFlips, res.controlFlips, res.integrityFaults,
-			res.memoryIntact && res.translationsOK)
-		totalPages += res.relocatedPages
-		totalBytes += res.reclaimedBytes
-		totalNewFlips += res.newBlockFlips
-		totalFaults += res.integrityFaults
-		switch res.run.mode {
-		case ept.GuardRows:
-			guard = append(guard, res)
-		case ept.SecureEPT:
-			secure = append(secure, res)
-		}
-	}
-	r.scalar("relocated_pages", float64(totalPages))
-	r.scalar("reclaimed_bytes", float64(totalBytes))
-	r.scalar("new_block_flips", float64(totalNewFlips))
-	r.scalar("integrity_faults", float64(totalFaults))
-	r.check("relocated_every_move", allCells(results, func(c eptRelocRowResult) bool { return c.relocatedEveryMove }),
-		"every cross-socket migration rebuilt the full table hierarchy")
-	r.check("source_ept_reclaimed", allCells(results, func(c eptRelocRowResult) bool { return c.sourceReclaimed }),
-		"vacated sockets' EPT pools returned to their boot free-byte count")
-	r.check("isolation_audited", allCells(results, func(c eptRelocRowResult) bool { return c.auditOK }),
-		"migrate.AuditIsolation passed after every move")
-	r.check("memory_intact", allCells(results, func(c eptRelocRowResult) bool { return c.memoryIntact }),
-		"guest payload survived every migration sequence")
-	r.check("new_block_flip_free", allCells(guard, func(c eptRelocRowResult) bool { return c.newBlockFlips == 0 && c.translationsOK }),
-		fmt.Sprintf("%d flips reached relocated guard-protected blocks; translations intact", totalNewFlips))
-	r.check("control_rows_flipped", anyCell(guard, func(c eptRelocRowResult) bool { return c.controlFlips > 0 }),
-		"unprotected control rows flipped (hammering phase non-vacuous)")
-	r.check("corruption_detected_not_silent", allCells(secure, func(c eptRelocRowResult) bool { return c.integrityFaults > 0 && c.silentCorrupt == 0 }),
-		fmt.Sprintf("%d integrity faults on relocated SecureEPT tables, none silent", totalFaults))
+	// Two details carry totals, known once every cell has run.
+	r.Checks[4].Detail = fmt.Sprintf(r.Checks[4].Detail, int(r.Scalars["new_block_flips"]))
+	r.Checks[6].Detail = fmt.Sprintf(r.Checks[6].Detail, int(r.Scalars["integrity_faults"]))
 	return r, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 
 	"repro/internal/addr"
 	"repro/internal/attack"
@@ -16,9 +17,8 @@ import (
 
 // This file holds the scaffolding the experiments share: the lab machine,
 // guest payload stamping and verification, node capacity and admission
-// probes, and the sweep helpers — grid, per-cell seeds, fan-out and check
-// folds. Plain helpers — each experiment still reads top to bottom as boot,
-// act, measure, check.
+// probes, and the sweep helpers — grid, per-cell seeds, fan-out, check folds
+// and the sweep value the lifecycle studies are written as.
 
 // migrationLabGeometry is the small two-socket box the lifecycle studies
 // run on: 4 subarray groups of 64 MiB per socket, so under Siloz each
@@ -149,9 +149,85 @@ func allCells[R any](cells []R, ok func(R) bool) bool {
 	return true
 }
 
-// anyCell folds a some-cell check: ok must hold for at least one result.
-func anyCell[R any](cells []R, ok func(R) bool) bool {
-	return !allCells(cells, func(c R) bool { return !ok(c) })
+// sweep is a grid study as one value: the Result it fills, its seed and
+// cells, the checks its cells vote on, and the body that runs one cell.
+// run is the only place a sweep's rows, votes and scalars are folded.
+type sweep[C any] struct {
+	// result is the template run fills: Name, Title, Columns, Units,
+	// Metadata and Notes.
+	result Result
+	seed   int64
+	cells  []C
+	checks []sweepCheck // in Result order
+	cell   func(c C, seed int64, t *tally) error
+}
+
+// sweepCheck is one check the cells vote on. An every-cell check passes
+// unless a cell voted false on it, so one no cell votes on passes; an any
+// check passes only if some cell voted true.
+type sweepCheck struct {
+	name, detail string
+	any          bool
+}
+
+// tally is one cell's record, index-addressed for the pool: its rows, its
+// votes, and its terms of the sweep's summed and maximised scalars.
+type tally struct {
+	rows        []Row
+	votes       []Check
+	sums, maxes map[string]float64
+}
+
+func (t *tally) row(label string, cells ...any) {
+	t.rows = append(t.rows, Row{Label: label, Cells: cells})
+}
+
+func (t *tally) vote(check string, ok bool) { t.votes = append(t.votes, Check{Name: check, Pass: ok}) }
+
+func (t *tally) sum(name string, v float64) { t.sums[name] += v }
+
+func (t *tally) max(name string, v float64) { t.maxes[name] = max(t.maxes[name], v) }
+
+// run runs every cell through mapCells, then folds the tallies in cell
+// order: rows append, sums and maxima fold from 0, and votes decide checks.
+func (s sweep[C]) run(ctx context.Context, pool *Pool) (*Result, error) {
+	tallies, err := mapCells(ctx, pool, s.seed, s.cells, func(c C, seed int64) (*tally, error) {
+		t := &tally{sums: map[string]float64{}, maxes: map[string]float64{}}
+		return t, s.cell(c, seed, t)
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := s.result
+	at := make(map[string]int, len(s.checks))
+	pass := make([]bool, len(s.checks))
+	for i, c := range s.checks {
+		at[c.name], pass[i] = i, !c.any
+	}
+	for _, t := range tallies {
+		r.Rows = append(r.Rows, t.rows...)
+		for _, v := range t.votes {
+			i, ok := at[v.Name]
+			if !ok {
+				return nil, fmt.Errorf("%s: a cell voted on undeclared check %q", r.Name, v.Name)
+			}
+			// A false vote sticks on an every-cell check, a true one on an
+			// any check.
+			if v.Pass == s.checks[i].any {
+				pass[i] = v.Pass
+			}
+		}
+		for name, v := range t.sums {
+			r.scalar(name, r.Scalars[name]+v)
+		}
+		for name, v := range t.maxes {
+			r.scalar(name, max(r.Scalars[name], v))
+		}
+	}
+	for i, c := range s.checks {
+		r.check(c.name, pass[i], c.detail)
+	}
+	return &r, nil
 }
 
 // stampPayload returns the deterministic 4 KiB guest payload byte(i*mult)|1.

@@ -53,35 +53,17 @@ type migrationRun struct {
 	rate    int
 }
 
-// migrationRowResult is one completed run, index-addressed for the pool.
-type migrationRowResult struct {
-	run       migrationRun
-	rep       *core.MigrateReport
-	intact    bool
-	auditErr  error
-	ramPages  int
-	downtimeM float64 // modeled stop-and-copy milliseconds
-}
-
-func (r migrationRun) label() string {
-	mode := "baseline"
-	if r.mode == core.ModeSiloz {
-		mode = "siloz"
-	}
-	return fmt.Sprintf("%s %dMiB rate=%d", mode, r.vmBytes/geometry.MiB, r.rate)
-}
-
 // runMigration boots a fresh system, fills a VM with a deterministic
 // pattern, migrates it cross-socket while the guest dirties `rate` pages
 // per round, and verifies byte identity afterwards.
-func runMigration(ctx context.Context, cfg migrationParams, run migrationRun, seed int64) (*migrationRowResult, error) {
+func runMigration(ctx context.Context, cfg migrationParams, run migrationRun, seed int64, t *tally) error {
 	h, err := bootLab(migrationLabGeometry(), migrationLabProfile(), ept.GuardRows, run.mode)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	vm, err := h.CreateVM(core.KVMProcess(), core.VMSpec{Name: "mig", Socket: 0, MemoryBytes: run.vmBytes})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pages := int(run.vmBytes / geometry.PageSize2M)
 	rng := rand.New(rand.NewSource(seed))
@@ -104,15 +86,15 @@ func runMigration(ctx context.Context, cfg migrationParams, run migrationRun, se
 	// Pre-populate half the pages so zero-skip has work on the other half.
 	for p := 0; p < pages; p += 2 {
 		if err := writePage(p, byte(rng.Intn(200))); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	dests, err := h.FreeNodes(1, run.vmBytes)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	opt := core.MigrateOptions{
+	rep, err := h.MigrateVM(ctx, "mig", dests, core.MigrateOptions{
 		MaxRounds: 16,
 		StopPages: 8,
 		GuestStep: func(round int) error {
@@ -123,28 +105,40 @@ func runMigration(ctx context.Context, cfg migrationParams, run migrationRun, se
 			}
 			return nil
 		},
-	}
-	rep, err := h.MigrateVM(ctx, "mig", dests, opt)
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	res := &migrationRowResult{run: run, rep: rep, ramPages: pages, intact: true}
-	res.downtimeM = modeledMs(rep.DowntimeBytes, cfg.CopyGiBps)
+	intact := true
 	zero := make([]byte, chunk)
-	for p := 0; p < pages && res.intact; p++ {
+	for p := 0; p < pages && intact; p++ {
 		want := mirror[p]
 		if want == nil {
 			want = zero
 		}
-		if res.intact, err = guestHolds(vm, uint64(p)*geometry.PageSize2M, want); err != nil {
-			return nil, err
+		if intact, err = guestHolds(vm, uint64(p)*geometry.PageSize2M, want); err != nil {
+			return err
 		}
 	}
-	if run.mode == core.ModeSiloz {
-		res.auditErr = migrate.AuditIsolation(h)
+
+	downtimeMs := modeledMs(rep.DowntimeBytes, cfg.CopyGiBps)
+	amp := float64(rep.PagesCopied) / float64(pages)
+	t.row(fmt.Sprintf("%s %dMiB rate=%d", run.mode, run.vmBytes/geometry.MiB, run.rate),
+		len(rep.Rounds), rep.PagesCopied, amp, rep.DowntimePages, downtimeMs, rep.Converged)
+	t.max("max_downtime_pages", float64(rep.DowntimePages))
+	t.sum("total_pages_copied", float64(rep.PagesCopied))
+	t.vote("memory_intact", intact)
+	if run.rate == 0 {
+		t.vote("idle_zero_downtime", rep.Converged && rep.DowntimePages == 0)
 	}
-	return res, nil
+	// Pre-copy bounds residual downtime by the last round's write set, not
+	// the VM size.
+	t.vote("downtime_tracks_write_rate", rep.DowntimePages <= 2*run.rate+8)
+	if run.mode == core.ModeSiloz {
+		t.vote("isolation_held", migrate.AuditIsolation(h) == nil)
+	}
+	return nil
 }
 
 // migrationExp is the "migration" experiment: live pre-copy cost vs. VM
@@ -153,50 +147,28 @@ func migrationExp(ctx context.Context, pool *Pool, mc migrationParams) (*Result,
 	sizeRates := grid(mc.VMSizes, mc.WriteRates, func(size uint64, rate int) migrationRun {
 		return migrationRun{vmBytes: size, rate: rate}
 	})
-	runs := grid([]core.Mode{core.ModeSiloz, core.ModeBaseline}, sizeRates, func(mode core.Mode, run migrationRun) migrationRun {
-		run.mode = mode
-		return run
-	})
-	results, err := mapCells(ctx, pool, mc.Seed, runs, func(run migrationRun, seed int64) (*migrationRowResult, error) {
-		return runMigration(ctx, mc, run, seed)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	r := &Result{
-		Name:    "migration",
-		Title:   "Live pre-copy migration cost vs. guest write rate",
-		Columns: []string{"rounds", "copied", "amplification", "downtime", "modeled downtime", "converged"},
-		Units:   []string{"", "pages", "x", "pages", "ms", ""},
-		Metadata: map[string]string{
-			"downtime_model": fmt.Sprintf("stop-and-copy bytes / %.0f GiB/s", mc.CopyGiBps),
+	return sweep[migrationRun]{
+		result: Result{
+			Name:    "migration",
+			Title:   "Live pre-copy migration cost vs. guest write rate",
+			Columns: []string{"rounds", "copied", "amplification", "downtime", "modeled downtime", "converged"},
+			Units:   []string{"", "pages", "x", "pages", "ms", ""},
+			Metadata: map[string]string{
+				"downtime_model": fmt.Sprintf("stop-and-copy bytes / %.0f GiB/s", mc.CopyGiBps),
+			},
+			Notes: []string{"downtime is modeled from copied bytes at fixed bandwidth, so identical runs emit identical results"},
 		},
-	}
-	maxDowntime, totalCopied := 0, 0
-	for _, res := range results {
-		rep := res.rep
-		amp := float64(rep.PagesCopied) / float64(res.ramPages)
-		r.row(res.run.label(), len(rep.Rounds), rep.PagesCopied, amp, rep.DowntimePages, res.downtimeM, rep.Converged)
-		maxDowntime = max(maxDowntime, rep.DowntimePages)
-		totalCopied += rep.PagesCopied
-	}
-	r.scalar("max_downtime_pages", float64(maxDowntime))
-	r.scalar("total_pages_copied", float64(totalCopied))
-	r.check("memory_intact", allCells(results, func(c *migrationRowResult) bool { return c.intact }),
-		"guest bytes identical across migration, including writes made mid-flight")
-	idleClean := func(c *migrationRowResult) bool {
-		return c.run.rate != 0 || c.rep.Converged && c.rep.DowntimePages == 0
-	}
-	r.check("idle_zero_downtime", allCells(results, idleClean),
-		"an idle guest converges with an empty stop-and-copy set")
-	// Pre-copy bounds residual downtime by the last round's write set, not
-	// the VM size.
-	r.check("downtime_tracks_write_rate", allCells(results, func(c *migrationRowResult) bool { return c.rep.DowntimePages <= 2*c.run.rate+8 }),
-		"stop-and-copy set bounded by the final round's dirty pages, not VM size")
-	r.check("isolation_held", allCells(results, func(c *migrationRowResult) bool { return c.auditErr == nil }),
-		"Siloz domain exclusivity audited after every move")
-	r.Notes = append(r.Notes,
-		"downtime is modeled from copied bytes at fixed bandwidth, so identical runs emit identical results")
-	return r, nil
+		seed: mc.Seed,
+		cells: grid([]core.Mode{core.ModeSiloz, core.ModeBaseline}, sizeRates, func(mode core.Mode, run migrationRun) migrationRun {
+			run.mode = mode
+			return run
+		}),
+		checks: []sweepCheck{
+			{name: "memory_intact", detail: "guest bytes identical across migration, including writes made mid-flight"},
+			{name: "idle_zero_downtime", detail: "an idle guest converges with an empty stop-and-copy set"},
+			{name: "downtime_tracks_write_rate", detail: "stop-and-copy set bounded by the final round's dirty pages, not VM size"},
+			{name: "isolation_held", detail: "Siloz domain exclusivity audited after every move"},
+		},
+		cell: func(run migrationRun, seed int64, t *tally) error { return runMigration(ctx, mc, run, seed, t) },
+	}.run(ctx, pool)
 }

@@ -10,9 +10,9 @@ import (
 
 // Rendering lives here, apart from the experiments themselves: Run returns
 // a structured *Result and these functions turn it into text for the
-// terminal, JSON for trajectory files, or CSV for external plotting. All
-// three are deterministic functions of the Result, so identically
-// configured runs — serial or parallel — emit identical bytes.
+// terminal or JSON for trajectory files. Both are deterministic functions of
+// the Result, so identically configured runs — serial or parallel — emit
+// identical bytes.
 
 // RenderText formats a result as aligned, human-readable text.
 func RenderText(r *Result) string {

@@ -42,14 +42,17 @@ func renderRun(t *testing.T, jobs []Job, width int) (string, []byte) {
 
 // TestParallelDeterminism is the API's core guarantee: a width-1 pool and a
 // width-8 pool produce byte-identical output, for both renderers, across a
-// mix of rep-fanned (fig5), DIMM-fanned (table3) and monolithic (overhead,
-// zebram) experiments.
+// mix of rep-fanned (fig5), DIMM-fanned (table3), monolithic (overhead,
+// zebram) and sweep-folded (the four lifecycle studies) experiments.
 func TestParallelDeterminism(t *testing.T) {
-	jobs := quickJobs(t, "table3,fig5,overhead,zebram")
+	jobs := quickJobs(t, "table3,fig5,overhead,zebram,ballooning,hotplug,migration,ept-relocation")
 	sec := quickSecurity()
 	sec.Patterns = 4 // enough to fan out across DIMMs; flips are not this test's subject
 	jobs[0].Params = sec
 	jobs[1].Params = quickPerf()
+	// -quick ballooning and hotplug have one cell each: nothing to fold.
+	jobs[4].Params = balloonConfig(Flags{})
+	jobs[5].Params = hotplugConfig(Flags{})
 
 	text1, js1 := renderRun(t, jobs, 1)
 	text8, js8 := renderRun(t, jobs, 8)

@@ -27,11 +27,11 @@ type Config struct {
 	Policy Policy
 	// Workers is how many of a host's ops may run at once. A host runs one
 	// op at a time, so only 0 and 1 are accepted; New refuses more. Kept
-	// only because benchmark/ sets it, until ROADMAP item 6 retires it.
+	// only because benchmark/ sets it, until ROADMAP item 11 retires it.
 	Workers int
 	// CopyGiBps is not read: callers convert downtime bytes with
 	// Stats.DowntimeMs at their own bandwidth. Kept only because benchmark/
-	// sets it, until ROADMAP item 6 retires it.
+	// sets it, until ROADMAP item 11 retires it.
 	CopyGiBps float64
 }
 

@@ -16,7 +16,7 @@ type Op struct {
 }
 
 // Wait returns the op's error. ctx is unused: the op ran inside Submit. Op
-// and Wait stay only because benchmark/ calls them, until ROADMAP item 6.
+// and Wait stay only because benchmark/ calls them, until ROADMAP item 11.
 func (o *Op) Wait(ctx context.Context) error { return o.err }
 
 // Host is one simulated machine: a booted hypervisor (its own

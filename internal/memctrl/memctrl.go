@@ -191,24 +191,21 @@ type Controller struct {
 
 	// Cached timing sums (same addition order as Timing.hitLatency and
 	// Timing.missLatency, so results are bit-identical to per-call sums).
-	hitLat, missLat  float64
-	hitOcc, missOcc  float64
-	trefi, trfc      float64
-	trrd, tfaw       float64
-	remote           float64
-	refreshModel     bool
-	trackActivations bool
+	hitLat, missLat float64
+	hitOcc, missOcc float64
+	trefi, trfc     float64
+	trrd, tfaw      float64
+	remote          float64
+	refreshModel    bool
 
-	// Activation tracking (Config.TrackActivations): one bounded row table
-	// per flat bank, all invalidated in O(1) per table when the refresh
-	// window turns over — no per-window reallocation.
-	actWindow int64
-	actTables []rowcount.Table[int32]
-	peakActs  int
+	peak  peakTracker // observes the miss path under Config.TrackActivations
+	chain mitigation.Chain
+	links [2]mitigation.Mitigation // chain's backing array: Reset allocates nothing
 
-	// Mitigation hook (Config.Mitigation). mitSink is the pre-bound
-	// method value handed to OnActivate so the miss path never allocates a
-	// closure; mitOcc is the bank occupancy one injected refresh charges.
+	// Mitigation hook: Config.Mitigation, behind peak when tracking is on.
+	// mitSink is the pre-bound method value handed to OnActivate so the
+	// miss path never allocates a closure; mitOcc is the bank occupancy one
+	// injected refresh charges.
 	mit          mitigation.Mitigation
 	mitSink      mitigation.RefreshFn
 	mitWindow    int64
@@ -268,26 +265,26 @@ func (c *Controller) Reset() {
 	c.trrd, c.tfaw = tm.TRRD, tm.TFAW
 	c.remote = tm.RemotePenalty
 	c.refreshModel = tm.TREFI > 0 && tm.TRFC > 0
-	c.trackActivations = c.cfg.TrackActivations
 
-	c.actWindow = -1
-	switch {
-	case !c.trackActivations:
-		c.actTables = nil
-	case len(c.actTables) == n: // reuse table capacity across runs
-		for i := range c.actTables {
-			c.actTables[i].Reset()
-		}
-	default:
-		c.actTables = make([]rowcount.Table[int32], n)
+	c.peak.peak = 0
+	c.mit, c.mitSink = c.cfg.Mitigation, nil
+	if c.mit != nil {
+		c.mitSink = c.applyMitRefresh // the tracker alone never refreshes
 	}
-	c.peakActs = 0
-	c.mit = c.cfg.Mitigation
+	if c.cfg.TrackActivations {
+		if len(c.peak.tables) != n { // else reuse their capacity: OnWindowEnd below clears them
+			c.peak.tables = make([]rowcount.Table[int32], n)
+		}
+		if c.mit == nil {
+			c.mit = &c.peak
+		} else {
+			c.links = [2]mitigation.Mitigation{&c.peak, c.mit}
+			c.chain = c.links[:]
+			c.mit = &c.chain
+		}
+	}
 	if c.mit != nil {
 		c.mit.OnWindowEnd() // clear per-window state left by a prior run
-		c.mitSink = c.applyMitRefresh
-	} else {
-		c.mitSink = nil
 	}
 	c.mitWindow = 0
 	// One injected neighbour refresh costs a precharge + activate per
@@ -378,9 +375,6 @@ func (c *Controller) DoDecoded(bank, row, socket int, write bool, thinkNs float6
 		occupancy = c.missOcc
 		c.res.RowMisses++
 		c.openRow[bank] = row
-		if c.trackActivations {
-			c.trackActivation(bank, row, start)
-		}
 	}
 	if socket != c.homeSocket {
 		latency += c.remote
@@ -413,28 +407,11 @@ func (c *Controller) DoDecoded(bank, row, socket int, write bool, thinkNs float6
 	return done, done - ready
 }
 
-// trackActivation counts one row activation toward the current refresh
-// window's per-row totals. Any window change — in either direction, since
-// per-bank start times are not globally monotone — invalidates every bank's
-// table via its generation counter, exactly as the old implementation
-// discarded its whole (bank,row) map.
-func (c *Controller) trackActivation(bank, row int, at float64) {
-	w := int64(at / refreshWindowNs)
-	if w != c.actWindow {
-		c.actWindow = w
-		for i := range c.actTables {
-			c.actTables[i].Reset()
-		}
-	}
-	if n := int(c.actTables[bank].Add(row, 1)); n > c.peakActs {
-		c.peakActs = n
-	}
-}
-
 // observeMit feeds one row miss to the attached mitigation, turning the
 // refresh window over first when the activation's start time crossed a
-// 64 ms boundary (per-window defense state — counters, budgets — resets
-// exactly as the DRAM model's Refresh does).
+// 64 ms boundary in either direction — per-bank start times are not
+// globally monotone. Per-window state (defense counters and budgets, the
+// tracker's row tables) resets exactly as the DRAM model's Refresh does.
 func (c *Controller) observeMit(bank, row int, at float64) {
 	if w := int64(at / refreshWindowNs); w != c.mitWindow {
 		c.mitWindow = w
@@ -480,7 +457,34 @@ func (c *Controller) AdvanceTo(t float64) {
 func (c *Controller) Result() Result {
 	r := c.res
 	r.TotalNs = c.last
-	r.PeakRowACTs = c.peakActs
+	r.PeakRowACTs = c.peak.peak
 	r.MitigationRefreshes = c.mitRefreshes
 	return r
+}
+
+// peakTracker observes the miss path like a defense that never refreshes:
+// one bounded row table per flat bank, all invalidated in O(1) per table when
+// the refresh window turns over, and the highest count a row reached in one
+// window.
+type peakTracker struct {
+	tables []rowcount.Table[int32]
+	peak   int
+}
+
+func (p *peakTracker) Name() string                  { return "peak-acts" }
+func (p *peakTracker) Overhead() mitigation.Overhead { return mitigation.Overhead{} }
+func (p *peakTracker) Health() error                 { return nil }
+
+// OnActivate counts a burst toward its row's total in this window.
+func (p *peakTracker) OnActivate(ev mitigation.Activation, _ mitigation.RefreshFn) {
+	if n := int(p.tables[ev.Bank].Add(ev.Row, int32(ev.Count))); n > p.peak {
+		p.peak = n
+	}
+}
+
+// OnWindowEnd discards every row's count; the peak stands.
+func (p *peakTracker) OnWindowEnd() {
+	for i := range p.tables {
+		p.tables[i].Reset()
+	}
 }

@@ -356,11 +356,12 @@ func TestActivationTracking(t *testing.T) {
 	}
 }
 
-// TestActivationTrackingMatchesMapReference drives trackActivation with a
-// randomized stream — many banks, colliding rows, window advances AND
-// regressions (per-bank start times are not globally monotone) — and checks
-// the flat generation-reset tables report the same per-window counts and
-// running peak as the (bank,row)-keyed map the old implementation used.
+// TestActivationTrackingMatchesMapReference drives observeMit, the miss
+// path's one observer call, with a randomized stream — many banks, colliding
+// rows, window advances AND regressions (per-bank start times are not
+// globally monotone) — and checks the tracker's flat generation-reset tables
+// report the same per-window counts and running peak as the (bank,row)-keyed
+// map the old implementation used.
 func TestActivationTrackingMatchesMapReference(t *testing.T) {
 	g := tinyGeometry()
 	m, _ := addr.NewSkylakeMapper(g)
@@ -403,22 +404,78 @@ func TestActivationTrackingMatchesMapReference(t *testing.T) {
 		default:
 			at += rng.Float64() * 100
 		}
-		c.trackActivation(bank, row, at)
+		c.observeMit(bank, row, at)
 		refTrack(bank, row, at)
-		if c.peakActs != refPeak {
-			t.Fatalf("step %d: peak = %d, reference %d", i, c.peakActs, refPeak)
+		if c.peak.peak != refPeak {
+			t.Fatalf("step %d: peak = %d, reference %d", i, c.peak.peak, refPeak)
 		}
 	}
 	// Final per-(bank,row) counts of the live window must agree exactly,
 	// over the whole (bank,row) space: Add(row, 0) reads a count, and an
 	// absent row reads 0 — what the reference holds for a row the window
 	// never activated.
-	for bank := range c.actTables {
+	for bank := range c.peak.tables {
 		for row := 0; row < 64; row++ {
-			if got, want := int(c.actTables[bank].Add(row, 0)), refCounts[[2]int{bank, row}]; got != want {
+			if got, want := int(c.peak.tables[bank].Add(row, 0)), refCounts[[2]int{bank, row}]; got != want {
 				t.Fatalf("bank %d row %d: count %d, reference %d", bank, row, got, want)
 			}
 		}
+	}
+}
+
+// TestActivationTrackingBesideMitigation chains the tracker ahead of a
+// defense: the defense's refreshes and the run's timing are those of the
+// defense alone, and the peak is that of tracking alone.
+func TestActivationTrackingBesideMitigation(t *testing.T) {
+	g := tinyGeometry()
+	m, err := addr.NewSkylakeMapper(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(track bool, mit mitigation.Mitigation) Result {
+		c, err := New(Config{Mapper: m, Timing: DDR4_2933(), MLPWindow: 4, TrackActivations: track, Mitigation: mit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowStride := uint64(g.RowGroupBytes())
+		for i := 0; i < 2000; i++ {
+			if _, err := c.Do(Access{PA: uint64(i%3) * rowStride, ThinkNs: 20}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Result()
+	}
+	both := run(true, mitigation.NewPARA(0.5, 3))
+	defense := run(false, mitigation.NewPARA(0.5, 3))
+	tracked := run(true, nil)
+	if both.TotalNs != defense.TotalNs || both.MitigationRefreshes != defense.MitigationRefreshes {
+		t.Errorf("tracking changed the defended run: %v ns / %d refreshes, alone %v ns / %d",
+			both.TotalNs, both.MitigationRefreshes, defense.TotalNs, defense.MitigationRefreshes)
+	}
+	if both.MitigationRefreshes == 0 {
+		t.Error("PARA injected no refresh; the case cannot see the chain")
+	}
+	if both.PeakRowACTs == 0 || defense.PeakRowACTs != 0 {
+		t.Errorf("peak %d tracked beside the defense, %d untracked; want > 0 and 0", both.PeakRowACTs, defense.PeakRowACTs)
+	}
+	if tracked.PeakRowACTs != both.PeakRowACTs {
+		t.Errorf("peak %d tracked alone, %d beside the defense", tracked.PeakRowACTs, both.PeakRowACTs)
+	}
+
+	// Chaining the tracker allocates nothing beyond its own tables, and
+	// tracking alone binds no refresh sink.
+	allocs := func(track bool, mit mitigation.Mitigation) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := New(Config{Mapper: m, Timing: DDR4_2933(), MLPWindow: 4, TrackActivations: track, Mitigation: mit}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	para := mitigation.NewPARA(0.5, 3)
+	plain, tables, sink := allocs(false, nil), allocs(true, nil), allocs(false, para)
+	if got, want := allocs(true, para), tables+sink-plain; got != want {
+		t.Errorf("tracked and defended controller: %v allocs, want %v (plain %v, tracked %v, defended %v)",
+			got, want, plain, tables, sink)
 	}
 }
 

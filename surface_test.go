@@ -19,7 +19,7 @@ import (
 // Reasons a declaration under internal/ may stay although no program reaches
 // it.
 const (
-	threatModel = "threat model, ROADMAP item 12"
+	threatModel = "threat model, ROADMAP item 7"
 	testOracle  = "cross-package test oracle"
 )
 
