@@ -31,97 +31,71 @@ var ErrNoMemory = fmt.Errorf("alloc: out of memory")
 // put the block on a free list twice and hand one frame to two owners.
 var ErrNotAllocated = fmt.Errorf("alloc: block not allocated")
 
-// freeList is one order's free blocks as an address-ordered min-heap with
-// an index map for O(log n) removal. Lowest-address-first allocation gives
-// VMs ascending, physically-contiguous regions — matching the static
-// contiguous guest allocation of the paper's deployment environment (§5.4).
+// freeList is one order's free blocks, sorted by descending address so the
+// lowest block pops off the end. Lowest-address-first allocation gives VMs
+// ascending, physically-contiguous regions — matching the static contiguous
+// guest allocation of the paper's deployment environment (§5.4). push and
+// remove binary-search the list and move its tail once: O(n) in the worst
+// case, but no list on the measured workloads holds more than a few hundred
+// blocks (DESIGN.md, "Hot paths and benchmarking").
 type freeList struct {
 	blocks []uint64
-	index  map[uint64]int
 }
 
-func newFreeList() *freeList {
-	return &freeList{index: make(map[uint64]int)}
-}
-
-func (f *freeList) swap(i, j int) {
-	f.blocks[i], f.blocks[j] = f.blocks[j], f.blocks[i]
-	f.index[f.blocks[i]] = i
-	f.index[f.blocks[j]] = j
-}
-
-func (f *freeList) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if f.blocks[parent] <= f.blocks[i] {
-			break
+// find returns the index of the first block at or below pa: where pa is, or
+// where it would be inserted.
+func (f *freeList) find(pa uint64) int {
+	lo, hi := 0, len(f.blocks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if f.blocks[m] > pa {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		f.swap(i, parent)
-		i = parent
 	}
+	return lo
 }
 
-func (f *freeList) down(i int) {
-	n := len(f.blocks)
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && f.blocks[l] < f.blocks[min] {
-			min = l
-		}
-		if r < n && f.blocks[r] < f.blocks[min] {
-			min = r
-		}
-		if min == i {
-			return
-		}
-		f.swap(i, min)
-		i = min
-	}
-}
-
+// push adds pa, which must not be on the list.
 func (f *freeList) push(pa uint64) {
-	f.index[pa] = len(f.blocks)
-	f.blocks = append(f.blocks, pa)
-	f.up(len(f.blocks) - 1)
+	i := f.find(pa)
+	f.blocks = append(f.blocks, 0)
+	copy(f.blocks[i+1:], f.blocks[i:])
+	f.blocks[i] = pa
+}
+
+// lowest returns the lowest-address block without removing it.
+func (f *freeList) lowest() (uint64, bool) {
+	if len(f.blocks) == 0 {
+		return 0, false
+	}
+	return f.blocks[len(f.blocks)-1], true
 }
 
 // pop removes and returns the lowest-address block.
 func (f *freeList) pop() (uint64, bool) {
-	if len(f.blocks) == 0 {
-		return 0, false
+	pa, ok := f.lowest()
+	if ok {
+		f.blocks = f.blocks[:len(f.blocks)-1]
 	}
-	pa := f.blocks[0]
-	f.removeAt(0)
-	return pa, true
+	return pa, ok
 }
 
 func (f *freeList) remove(pa uint64) bool {
-	i, ok := f.index[pa]
-	if !ok {
+	i := f.find(pa)
+	if i == len(f.blocks) || f.blocks[i] != pa {
 		return false
 	}
-	f.removeAt(i)
+	f.blocks = append(f.blocks[:i], f.blocks[i+1:]...)
 	return true
-}
-
-func (f *freeList) removeAt(i int) {
-	last := len(f.blocks) - 1
-	pa := f.blocks[i]
-	f.swap(i, last)
-	f.blocks = f.blocks[:last]
-	delete(f.index, pa)
-	if i < last {
-		f.down(i)
-		f.up(i)
-	}
 }
 
 func (f *freeList) len() int { return len(f.blocks) }
 
 func (f *freeList) has(pa uint64) bool {
-	_, ok := f.index[pa]
-	return ok
+	i := f.find(pa)
+	return i < len(f.blocks) && f.blocks[i] == pa
 }
 
 // Allocator is a buddy allocator over a set of physical ranges. All methods
@@ -130,7 +104,7 @@ func (f *freeList) has(pa uint64) bool {
 // its socket — so parallel VM lifecycle operations contend on them.
 type Allocator struct {
 	mu      sync.Mutex
-	free    [MaxOrder + 1]*freeList
+	free    [MaxOrder + 1]freeList
 	total   uint64 // managed bytes (after offlining)
 	used    uint64
 	version uint64 // bumped on every state change
@@ -150,9 +124,6 @@ func (a *Allocator) Version() uint64 {
 // aligned.
 func New(ranges, offline []subarray.Range) (*Allocator, error) {
 	a := &Allocator{}
-	for o := range a.free {
-		a.free[o] = newFreeList()
-	}
 	usable := subarray.Subtract(ranges, offline)
 	for _, r := range usable {
 		if r.Start%OrderBytes(0) != 0 || r.End%OrderBytes(0) != 0 {
@@ -189,10 +160,7 @@ func (a *Allocator) Alloc(order int) (uint64, error) {
 	o := -1
 	var best uint64
 	for cand := order; cand <= MaxOrder; cand++ {
-		if a.free[cand].len() == 0 {
-			continue
-		}
-		if head := a.free[cand].blocks[0]; o == -1 || head < best {
+		if head, ok := a.free[cand].lowest(); ok && (o == -1 || head < best) {
 			o, best = cand, head
 		}
 	}

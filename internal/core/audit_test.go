@@ -78,6 +78,99 @@ func TestAuditDetectsCorruptedAccounting(t *testing.T) {
 	}
 }
 
+// TestAuditDetectsSharedFrame: check 2 names a RAM frame that backs two VMs,
+// each holder against the one that held it before, in both modes, at the top
+// 2 MiB frame of host memory, and for a frame one VM holds twice.
+func TestAuditDetectsSharedFrame(t *testing.T) {
+	lastFrame := uint64(testGeometry().TotalBytes()) - geometry.PageSize2M
+	type slot struct{ vm, page int } // vms[vm].ram[page] gets the frame
+	for _, tc := range []struct {
+		name  string
+		mode  Mode
+		last  bool // the frame is the top one, else VM a's second page
+		slots []slot
+		want  [][2]string // the holder pairs named, in audit order
+	}{
+		{"siloz", ModeSiloz, false, []slot{{1, 2}}, [][2]string{{"a", "b"}}},
+		{"baseline", ModeBaseline, false, []slot{{1, 2}}, [][2]string{{"a", "b"}}},
+		{"siloz/last-frame", ModeSiloz, true, []slot{{0, 1}, {1, 2}}, [][2]string{{"a", "b"}}},
+		{"baseline/last-frame", ModeBaseline, true, []slot{{0, 1}, {1, 2}}, [][2]string{{"a", "b"}}},
+		{"siloz/three-holders", ModeSiloz, false, []slot{{1, 0}, {2, 3}}, [][2]string{{"a", "b"}, {"b", "c"}}},
+		{"siloz/one-vm-twice", ModeSiloz, false, []slot{{0, 3}}, [][2]string{{"a", "a"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := Boot(testConfig(), tc.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var vms []*VM
+			for _, name := range []string{"a", "b", "c"} {
+				vm, err := h.CreateVM(kvmProc(), VMSpec{Name: name, Socket: 0, MemoryBytes: 8 * geometry.MiB})
+				if err != nil {
+					t.Fatal(err)
+				}
+				vms = append(vms, vm)
+			}
+			if bad := h.Audit(); len(bad) != 0 {
+				t.Fatalf("healthy system fails the audit: %v", bad)
+			}
+			frame := vms[0].ram[1]
+			if tc.last {
+				frame = lastFrame
+			}
+			saved := make([]uint64, len(tc.slots))
+			for i, s := range tc.slots {
+				saved[i], vms[s.vm].ram[s.page] = vms[s.vm].ram[s.page], frame
+			}
+			bad := h.Audit()
+			for _, pair := range tc.want {
+				want := fmt.Sprintf("RAM page %#x owned by both %q and %q", frame, pair[0], pair[1])
+				if !slices.Contains(bad, want) {
+					t.Errorf("audit missed %q: %v", want, bad)
+				}
+			}
+			if n := countPrefix(bad, "RAM page "); n != len(tc.want) {
+				t.Errorf("audit names %d shared frames, want %d: %v", n, len(tc.want), bad)
+			}
+			for i, s := range tc.slots {
+				vms[s.vm].ram[s.page] = saved[i]
+			}
+			if bad := h.Audit(); len(bad) != 0 {
+				t.Fatalf("repaired system fails the audit: %v", bad)
+			}
+		})
+	}
+}
+
+// TestAuditRAMBeyondHostMemory: a RAM frame past the end of host memory has
+// no bit in check 2's frame set; the audit names it instead of indexing past
+// the set.
+func TestAuditRAMBeyondHostMemory(t *testing.T) {
+	h := bootBaseline(t)
+	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "a", Socket: 0, MemoryBytes: 8 * geometry.MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := uint64(testGeometry().TotalBytes())
+	saved := vm.ram[1]
+	vm.ram[1] = end
+	want := fmt.Sprintf(`VM "a" RAM page %#x beyond host memory`, end)
+	if bad := h.Audit(); !slices.Equal(bad, []string{want}) {
+		t.Fatalf("audit = %v, want [%s]", bad, want)
+	}
+	vm.ram[1] = saved
+}
+
+func countPrefix(lines []string, prefix string) int {
+	n := 0
+	for _, l := range lines {
+		if strings.HasPrefix(l, prefix) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestAuditIsolationDetectsRegistryDrift: a VM whose domain still lists a
 // node the registry no longer records as its own is an isolation violation
 // — the check only migrate's auditor used to make.

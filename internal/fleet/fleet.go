@@ -2,11 +2,9 @@ package fleet
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -188,29 +186,32 @@ func (c *Cluster) Views() ([]HostView, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: occupancy of %q: %w", h.Name(), err)
 		}
-		hv := HostView{Host: h.Name()}
-		bySocket := map[int]*SocketView{}
-		var sockets []int
-		for _, o := range occ {
-			s := o.Node.Socket
-			sv, ok := bySocket[s]
-			if !ok {
-				sv = &SocketView{Socket: s}
-				bySocket[s] = sv
-				sockets = append(sockets, s)
+		// occ is in node-ID order, so each socket's nodes come out in ID
+		// order too; a socket with no guest node gets no view.
+		sockets := h.Hypervisor().Memory().Geometry().Sockets
+		hv := HostView{Host: h.Name(), Sockets: make([]SocketView, 0, sockets)}
+		for s := range sockets {
+			n := 0
+			for _, o := range occ {
+				if o.Node.Socket == s {
+					n++
+				}
 			}
-			sv.Nodes = append(sv.Nodes, NodeView{
-				ID:         o.Node.ID,
-				Owned:      o.Owner != "",
-				FreeBytes:  uint64(o.FreePages2M) * geometry.PageSize2M,
-				TotalBytes: o.TotalBytes,
-			})
-		}
-		sort.Ints(sockets)
-		for _, s := range sockets {
-			sv := bySocket[s]
-			slices.SortFunc(sv.Nodes, func(a, b NodeView) int { return cmp.Compare(a.ID, b.ID) })
-			hv.Sockets = append(hv.Sockets, *sv)
+			if n == 0 {
+				continue
+			}
+			sv := SocketView{Socket: s, Nodes: make([]NodeView, 0, n)}
+			for _, o := range occ {
+				if o.Node.Socket == s {
+					sv.Nodes = append(sv.Nodes, NodeView{
+						ID:         o.Node.ID,
+						Owned:      o.Owner != "",
+						FreeBytes:  uint64(o.FreePages2M) * geometry.PageSize2M,
+						TotalBytes: o.TotalBytes,
+					})
+				}
+			}
+			hv.Sockets = append(hv.Sockets, sv)
 		}
 		out = append(out, hv)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/addr"
@@ -66,6 +67,34 @@ func admit(t *testing.T, c *Cluster, name string, bytes uint64) string {
 		t.Fatalf("admit %s (%d MiB): %v", name, bytes/geometry.MiB, err)
 	}
 	return host
+}
+
+// TestViewsAllocationBound: a view costs one slice for the hosts, per host
+// its occupancy (two) and its socket slice, and per socket one node slice —
+// nothing that grows with the nodes.
+func TestViewsAllocationBound(t *testing.T) {
+	const hosts = 3
+	c := testCluster(t, hosts, FirstFit{})
+	admit(t, c, "a", 256*geometry.MiB)
+	views, err := c.Views()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sockets := labGeometry().Sockets
+	for _, hv := range views {
+		if len(hv.Sockets) != sockets {
+			t.Fatalf("host %s: %d socket views, want %d", hv.Host, len(hv.Sockets), sockets)
+		}
+		for i, sv := range hv.Sockets {
+			if sv.Socket != i || !slices.IsSortedFunc(sv.Nodes, func(a, b NodeView) int { return a.ID - b.ID }) {
+				t.Errorf("host %s: socket view %d is socket %d, nodes %v", hv.Host, i, sv.Socket, sv.Nodes)
+			}
+		}
+	}
+	want := float64(1 + hosts*(3+sockets))
+	if allocs := testing.AllocsPerRun(50, func() { _, _ = c.Views() }); allocs > want {
+		t.Errorf("Views: %v allocs per call, want at most %v", allocs, want)
+	}
 }
 
 func TestClusterAdmitDepart(t *testing.T) {

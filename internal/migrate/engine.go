@@ -116,13 +116,17 @@ func (e *Engine) Defragment(ctx context.Context, maxMoves int) ([]*core.MigrateR
 	planner := NewPlanner(e.h)
 	sockets := e.h.Memory().Geometry().Sockets
 	var reps []*core.MigrateReport
+	owned := make([]int, sockets)
+	free := make([][]NodeOccupancy, sockets)
 	for len(reps) < maxMoves || maxMoves <= 0 {
 		occ, err := planner.Occupancy()
 		if err != nil {
 			return reps, err
 		}
-		owned := make([]int, sockets)
-		free := make([][]NodeOccupancy, sockets)
+		clear(owned)
+		for s := range free {
+			free[s] = free[s][:0]
+		}
 		for _, o := range occ {
 			if o.Owner != "" {
 				owned[o.Node.Socket]++

@@ -71,8 +71,9 @@ func NewPlanner(h *core.Hypervisor) *Planner { return &Planner{h: h} }
 // Occupancy reports every guest-reserved node's owner and free-space state,
 // in node-ID order.
 func (p *Planner) Occupancy() ([]NodeOccupancy, error) {
-	var out []NodeOccupancy
-	for _, n := range p.h.Topology().NodesOfKind(numa.GuestReserved) {
+	nodes := p.h.Topology().NodesOfKind(numa.GuestReserved)
+	out := make([]NodeOccupancy, 0, len(nodes))
+	for _, n := range nodes {
 		a, err := p.h.Allocator(n.ID)
 		if err != nil {
 			return nil, err

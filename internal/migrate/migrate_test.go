@@ -88,6 +88,24 @@ func TestOccupancyReflectsReservations(t *testing.T) {
 	}
 }
 
+// TestOccupancyAllocatesOnce: Occupancy makes its result at the exact size,
+// so a call costs that one allocation plus the topology read under it.
+func TestOccupancyAllocatesOnce(t *testing.T) {
+	h := bootSiloz(t)
+	mustCreate(t, h, "a", 0, 64*geometry.MiB)
+	p := NewPlanner(h)
+	occ, err := p.Occupancy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(occ) != cap(occ) {
+		t.Errorf("occupancy len %d cap %d, want equal", len(occ), cap(occ))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Occupancy() }); allocs != 2 {
+		t.Errorf("Occupancy: %v allocs per call, want 2 (its result and NodesOfKind's)", allocs)
+	}
+}
+
 func TestPlanAdmissionEmptyWhenRoomExists(t *testing.T) {
 	h := bootSiloz(t)
 	mustCreate(t, h, "a", 0, 64*geometry.MiB)

@@ -110,32 +110,32 @@ func (t *Topology) Node(id int) (*Node, error) {
 	return t.nodes[id], nil
 }
 
-// NodesOnSocket returns the socket's nodes, optionally filtered by kind.
+// NodesOnSocket returns the socket's nodes in ID order, optionally filtered
+// by kind, in a fresh slice of exactly their number.
 func (t *Topology) NodesOnSocket(socket int, kinds ...NodeKind) []*Node {
-	var out []*Node
-	for _, n := range t.nodes {
-		if n.Socket != socket {
-			continue
-		}
-		if len(kinds) == 0 {
-			out = append(out, n)
-			continue
-		}
-		for _, k := range kinds {
-			if n.Kind == k {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	return out
+	return t.collect(func(n *Node) bool {
+		return n.Socket == socket && (len(kinds) == 0 || slices.Contains(kinds, n.Kind))
+	})
 }
 
-// NodesOfKind returns all nodes of a kind in ID order.
+// NodesOfKind returns all nodes of a kind in ID order, in a fresh slice of
+// exactly their number.
 func (t *Topology) NodesOfKind(k NodeKind) []*Node {
-	var out []*Node
+	return t.collect(func(n *Node) bool { return n.Kind == k })
+}
+
+// collect counts the nodes match accepts, then copies them out in ID order
+// with one allocation (none when no node matches).
+func (t *Topology) collect(match func(*Node) bool) []*Node {
+	count := 0
 	for _, n := range t.nodes {
-		if n.Kind == k {
+		if match(n) {
+			count++
+		}
+	}
+	out := make([]*Node, 0, count)
+	for _, n := range t.nodes {
+		if match(n) {
 			out = append(out, n)
 		}
 	}

@@ -94,6 +94,29 @@ func TestNodesOnSocketAndKind(t *testing.T) {
 	}
 }
 
+// TestTopologyReadsAllocateOnce: the filtered reads count their nodes, then
+// make one slice of exactly that size; appending into a growing slice would
+// allocate again at every doubling.
+func TestTopologyReadsAllocateOnce(t *testing.T) {
+	topo := testTopology(t)
+	for _, tc := range []struct {
+		name string
+		read func() []*Node
+		want int
+	}{
+		{"NodesOfKind", func() []*Node { return topo.NodesOfKind(GuestReserved) }, 3},
+		{"NodesOnSocket", func() []*Node { return topo.NodesOnSocket(0) }, 4},
+		{"NodesOnSocket/kinds", func() []*Node { return topo.NodesOnSocket(0, GuestReserved, EPTReserved) }, 3},
+	} {
+		if got := tc.read(); len(got) != tc.want || cap(got) != tc.want {
+			t.Errorf("%s: len %d cap %d, want %d", tc.name, len(got), cap(got), tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = tc.read() }); allocs != 1 {
+			t.Errorf("%s: %v allocs per call, want 1", tc.name, allocs)
+		}
+	}
+}
+
 func TestNodeOfAndPhysicalMapping(t *testing.T) {
 	topo := testTopology(t)
 	n, ok := topo.NodeOf(17 << 20)
