@@ -78,8 +78,9 @@ race-quick:
 	$(GO) test -race -run 'TestRunCampaignContainment|TestRunCampaignDeterministic' ./internal/attack
 
 # The differential fuzzers — each drives a fast path against the reference
-# implementation it replaced, the buddy free list against its old heap among
-# them — and the buddy allocator's sequence fuzzer
+# implementation it replaced, the buddy free list against its old heap and
+# the dense cgroup registry against its old maps among them — and the buddy
+# allocator's sequence fuzzer
 # (conservation, disjointness, and double frees and frees of never-allocated
 # blocks refused with the state unchanged), for FUZZTIME apiece. `go test
 # -fuzz` takes one target and one package per run, hence one line per fuzzer.
@@ -96,12 +97,14 @@ fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzTableEditsMatchPerEntry$$' -fuzztime $(FUZZTIME) ./internal/ept
 	$(GO) test -run '^$$' -fuzz '^FuzzBuddySequences$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeListMatchesHeap$$' -fuzztime $(FUZZTIME) ./internal/alloc
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistryMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/numa
 
 # Packages with substrate microbenchmarks (address decode, the memory
 # controller, the DRAM module, the attack plane, the EPT, the buddy
-# allocator) — the hot paths the BENCH_*.json baseline tracks. The registry
-# benches in the repo root ride along.
-BENCH_PKGS := ./internal/addr ./internal/alloc ./internal/core ./internal/ept ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve ./internal/attack
+# allocator, the planner's occupancy read, the cgroup registry) — the hot
+# paths the BENCH_*.json baseline tracks. The registry benches in the repo
+# root ride along.
+BENCH_PKGS := ./internal/addr ./internal/alloc ./internal/core ./internal/ept ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve ./internal/attack ./internal/migrate ./internal/numa
 # Every capture is a new point of the trajectory: bench and bench-micro refuse
 # to overwrite an existing BENCH_$(BENCH_DATE).json. For a second point on the
 # same day pass a suffix that sorts after the date, e.g. BENCH_DATE=2026-09-30b

@@ -294,6 +294,11 @@ func (a *Allocator) UsedBytes() uint64 {
 func (a *Allocator) FreePagesAtOrder(order int) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.freePages(order)
+}
+
+// freePages is FreePagesAtOrder. Caller holds a.mu.
+func (a *Allocator) freePages(order int) int {
 	total := 0
 	for o := order; o <= MaxOrder; o++ {
 		total += a.free[o].len() << (o - order)
@@ -320,12 +325,33 @@ func (a *Allocator) FreeBytesByOrder() [MaxOrder + 1]uint64 {
 func (a *Allocator) LargestFreeOrder() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.largestOrder()
+}
+
+// largestOrder is LargestFreeOrder. Caller holds a.mu.
+func (a *Allocator) largestOrder() int {
 	for o := MaxOrder; o >= 0; o-- {
 		if a.free[o].len() > 0 {
 			return o
 		}
 	}
 	return -1
+}
+
+// FreeSpace is one consistent reading of an allocator's free capacity.
+type FreeSpace struct {
+	Bytes        uint64 // FreeBytes
+	Pages        int    // FreePagesAtOrder of the order asked for
+	LargestOrder int    // LargestFreeOrder: -1 when exhausted
+}
+
+// FreeSpace reads FreeBytes, FreePagesAtOrder(order) and LargestFreeOrder
+// under one hold of the lock: the occupancy reading a planner takes of every
+// node.
+func (a *Allocator) FreeSpace(order int) FreeSpace {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return FreeSpace{Bytes: a.total - a.used, Pages: a.freePages(order), LargestOrder: a.largestOrder()}
 }
 
 // AllocPages allocates n contiguous-or-not pages of the given order,

@@ -53,15 +53,15 @@ func (h *Hypervisor) Audit() []string {
 	siloz := h.mode == ModeSiloz
 	vms := h.VMs()
 	nodes := h.topo.Nodes()
-	owned := 0
-	for _, vm := range vms {
-		owned += len(vm.nodes)
-	}
-	seenNodes := make(map[int]string, owned)
+	// By node ID: 1 + the index of the VM whose domain has it (check 1; 0
+	// while none), and the bytes the VMs hold there (check 6).
+	tally := make([]struct {
+		holder int
+		held   uint64
+	}, len(nodes))
 	// 2's marks: one bit per 2 MiB frame of host memory.
 	frames := uint64(h.mem.Geometry().TotalBytes()) / geometry.PageSize2M
 	seenFrames := make([]uint64, (frames+63)/64)
-	held := make([]uint64, len(nodes)) // bytes the VMs hold, by node ID
 	for vi, vm := range vms {
 		// 1: node kind, registry ownership and exclusivity.
 		cgroup := "vm:" + vm.Name()
@@ -75,10 +75,10 @@ func (h *Hypervisor) Audit() []string {
 			if owner, ok := h.reg.OwnerOf(n.ID); !ok || owner != cgroup {
 				report("node %d in VM %q's domain but owned by %q", n.ID, vm.Name(), owner)
 			}
-			if owner, dup := seenNodes[n.ID]; dup {
-				report("node %d owned by both %q and %q", n.ID, owner, vm.Name())
+			if prev := tally[n.ID].holder; prev != 0 {
+				report("node %d owned by both %q and %q", n.ID, vms[prev-1].Name(), vm.Name())
 			}
-			seenNodes[n.ID] = vm.Name()
+			tally[n.ID].holder = vi + 1
 		}
 		// 2 and 6 in one pass over the RAM: no frame backs two VMs, and under
 		// Siloz each lies in a node of the VM's domain, charged to that node.
@@ -97,7 +97,7 @@ func (h *Hypervisor) Audit() []string {
 				continue
 			}
 			if i := slices.IndexFunc(vm.nodes, func(n *numa.Node) bool { return n.Contains(hpa) }); i >= 0 {
-				held[vm.nodes[i].ID] += geometry.PageSize2M
+				tally[vm.nodes[i].ID].held += geometry.PageSize2M
 			} else {
 				report("VM %q RAM page %#x outside its domain", vm.Name(), hpa)
 			}
@@ -106,11 +106,11 @@ func (h *Hypervisor) Audit() []string {
 		// the frames an open migration has taken for it.
 		for _, ri := range vm.regions {
 			if ri.Type.Unmediated() {
-				held[ri.node] += uint64(len(ri.pages)) * geometry.PageSize4K
+				tally[ri.node].held += uint64(len(ri.pages)) * geometry.PageSize4K
 			}
 		}
 		for _, r := range vm.inflight {
-			held[r.node] += uint64(len(r.pages)) * alloc.OrderBytes(r.order)
+			tally[r.node].held += uint64(len(r.pages)) * alloc.OrderBytes(r.order)
 		}
 		// 3: table pages in the current EPT socket's pool.
 		if siloz {
@@ -161,9 +161,9 @@ func (h *Hypervisor) Audit() []string {
 				n.ID, a.FreeBytes(), a.UsedBytes(), a.TotalBytes())
 		}
 		if n.Kind == numa.GuestReserved && siloz {
-			if a.UsedBytes() != held[n.ID] {
+			if a.UsedBytes() != tally[n.ID].held {
 				report("guest node %d allocator reports %d used bytes but VMs hold %d",
-					n.ID, a.UsedBytes(), held[n.ID])
+					n.ID, a.UsedBytes(), tally[n.ID].held)
 			}
 		}
 	}

@@ -76,18 +76,18 @@ func (h *Hypervisor) balloonInflate(vm *VM, n int, rep *ResizeReport) error {
 	// Commit the layout with holes where the victims were. After this the
 	// ranges are unreachable architecturally — the frames still hold guest
 	// data but only physical access remains.
-	gone := vm.ramRuns(victims, vm.touchedPage)
+	gone := vm.ramRuns(victims, nil)
 	ram := slices.Clone(vm.ram)
 	for _, p := range victims {
 		ram[p] = hpaNone
 	}
-	if err := vm.commitLayout(ram, nil, nil); err != nil {
+	if err := vm.commitLayout(ram, nil); err != nil {
 		return err
 	}
 	vm.ballooned += n
 	vm.dirtyMu.Lock()
 	for _, p := range victims {
-		delete(vm.touched, p)
+		vm.touched.del(p)
 	}
 	vm.dirtyMu.Unlock()
 	rep.Pages += n
@@ -115,7 +115,7 @@ func (h *Hypervisor) balloonDeflate(vm *VM, n int, rep *ResizeReport) error {
 	}
 	vm.Pause()
 	defer vm.Resume()
-	if err := vm.commitLayout(ram, t.runs, nil); err != nil {
+	if err := vm.commitLayout(ram, nil); err != nil {
 		t.rollback()
 		return err
 	}

@@ -61,7 +61,7 @@ func (h *Hypervisor) AttachDevice(vm *VM, name string) (*Device, error) {
 	vm.devMu.Unlock()
 	// The new device's view is empty, so committing the layout the VM
 	// already has maps all of it into the device and touches nothing else.
-	if err := vm.commitLayout(vm.ram, nil, nil); err != nil {
+	if err := vm.commitLayout(vm.ram, nil); err != nil {
 		d.Detach()
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func (h *Hypervisor) hotplugGrow(vm *VM, addBytes uint64, rep *ResizeReport) err
 	// the edit (the same stop-the-world window the balloon takes).
 	vm.Pause()
 	defer vm.Resume()
-	if err := vm.commitLayout(append(vm.ram, t.frames...), t.runs, nil); err != nil {
+	if err := vm.commitLayout(append(vm.ram, t.frames...), nil); err != nil {
 		t.rollback()
 		return err
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/addr"
@@ -24,15 +26,18 @@ type Hypervisor struct {
 	topo   *numa.Topology
 	reg    *numa.Registry
 
-	allocators map[int]*alloc.Allocator // node ID -> allocator
-	eptNodes   map[int]int              // socket -> EPT node ID (Siloz)
+	// Node, socket and core IDs are dense from boot, so what is kept per ID
+	// is a slice indexed by it.
+	allocators []*alloc.Allocator // by node ID
+	hostNodes  []*numa.Node       // by socket: its host-reserved node
+	eptNodes   []int              // by socket: its EPT node's ID (Siloz)
 	offlined   []subarray.Range
 	guardBytes uint64 // CATT guard-band capacity currently reserved (under mu)
-	stats      *statCache
-	coreOwner  map[int]string // logical core -> pinned VM
+	stats      []cachedStat
+	coreOwner  []*VM // by logical core: the VM pinned there, nil if free
 
 	// mu serializes VM lifecycle (create/destroy/pin) and guards the vms
-	// and coreOwner maps. Per-VM data paths (WriteGuest/ReadGuest) and the
+	// map and coreOwner. Per-VM data paths (WriteGuest/ReadGuest) and the
 	// migration engine's copy rounds do not take it, so guest traffic and
 	// live migration proceed concurrently with lifecycle operations.
 	mu  sync.Mutex
@@ -145,13 +150,12 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 		})
 	}
 	h := &Hypervisor{
-		cfg:        cfg,
-		mode:       mode,
-		mem:        mem,
-		topo:       &numa.Topology{},
-		allocators: make(map[int]*alloc.Allocator),
-		eptNodes:   make(map[int]int),
-		vms:        make(map[string]*VM),
+		cfg:       cfg,
+		mode:      mode,
+		mem:       mem,
+		topo:      &numa.Topology{},
+		coreOwner: make([]*VM, cfg.Geometry.Sockets*cfg.Geometry.CoresPerSocket),
+		vms:       make(map[string]*VM),
 	}
 	var layout *subarray.Layout
 	if cfg.CachedLayout != nil {
@@ -295,6 +299,7 @@ func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error
 	if err := h.addAllocator(hostNode, nil); err != nil {
 		return err
 	}
+	h.hostNodes = append(h.hostNodes, hostNode) // sockets provision in order
 
 	// EPT node: the single EPT row group (§5.4).
 	eptNode, err := h.topo.AddNode(&numa.Node{
@@ -307,7 +312,7 @@ func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error
 	if err := h.addAllocator(eptNode, nil); err != nil {
 		return err
 	}
-	h.eptNodes[socket] = eptNode.ID
+	h.eptNodes = append(h.eptNodes, eptNode.ID) // sockets provision in order
 
 	// Guest-reserved nodes: one per remaining subarray group, memory
 	// only (§5.2), minus offlined hazards.
@@ -352,6 +357,7 @@ func (h *Hypervisor) bootBaseline() error {
 		if err := h.addAllocator(n, nil); err != nil {
 			return err
 		}
+		h.hostNodes = append(h.hostNodes, n)
 	}
 	return nil
 }
@@ -361,7 +367,7 @@ func (h *Hypervisor) addAllocator(n *numa.Node, offline []subarray.Range) error 
 	if err != nil {
 		return err
 	}
-	h.allocators[n.ID] = a
+	h.allocators = append(h.allocators, a) // nodes are added in ID order
 	return nil
 }
 
@@ -382,11 +388,10 @@ func (h *Hypervisor) Registry() *numa.Registry { return h.reg }
 
 // Allocator returns the allocator of a logical node.
 func (h *Hypervisor) Allocator(nodeID int) (*alloc.Allocator, error) {
-	a, ok := h.allocators[nodeID]
-	if !ok {
+	if nodeID < 0 || nodeID >= len(h.allocators) {
 		return nil, fmt.Errorf("core: no allocator for node %d", nodeID)
 	}
-	return a, nil
+	return h.allocators[nodeID], nil
 }
 
 // OfflinedRanges returns the physical ranges removed from allocatable
@@ -412,11 +417,10 @@ func (h *Hypervisor) MitigationBlockedBytes() uint64 {
 
 // EPTNode returns the socket's EPT-reserved node (Siloz only).
 func (h *Hypervisor) EPTNode(socket int) (*numa.Node, error) {
-	id, ok := h.eptNodes[socket]
-	if !ok {
+	if socket < 0 || socket >= len(h.eptNodes) {
 		return nil, fmt.Errorf("core: no EPT node on socket %d (mode %s)", socket, h.mode)
 	}
-	return h.topo.Node(id)
+	return h.topo.Node(h.eptNodes[socket])
 }
 
 // eptAllocatorFor returns the allocator EPT table pages come from, modelling
@@ -425,11 +429,10 @@ func (h *Hypervisor) EPTNode(socket int) (*numa.Node, error) {
 // socket's host node.
 func (h *Hypervisor) eptAllocatorFor(socket int) (*alloc.Allocator, error) {
 	if h.mode == ModeSiloz && h.cfg.EPTProtection == ept.GuardRows {
-		id, ok := h.eptNodes[socket]
-		if !ok {
+		if socket < 0 || socket >= len(h.eptNodes) {
 			return nil, fmt.Errorf("core: missing EPT node for socket %d", socket)
 		}
-		return h.Allocator(id)
+		return h.Allocator(h.eptNodes[socket])
 	}
 	_, a, err := h.hostNode(socket)
 	return a, err
@@ -439,11 +442,21 @@ func (h *Hypervisor) eptAllocatorFor(socket int) (*alloc.Allocator, error) {
 // host software, mediated guest pages and (outside guard-rows protection)
 // EPT tables live (§5.1).
 func (h *Hypervisor) hostNode(socket int) (*numa.Node, *alloc.Allocator, error) {
-	host := h.topo.NodesOnSocket(socket, numa.HostReserved)
-	if len(host) == 0 {
+	if socket < 0 || socket >= len(h.hostNodes) {
 		return nil, nil, fmt.Errorf("core: no host node on socket %d", socket)
 	}
-	return host[0], h.allocators[host[0].ID], nil
+	host := h.hostNodes[socket]
+	return host, h.allocators[host.ID], nil
+}
+
+// nodeOf returns the ID of the node owning the frame at pa — the node whose
+// allocator the frame came from — or -1: a search of the topology's sorted
+// range table, which is all a VM needs to know where its frames live.
+func (h *Hypervisor) nodeOf(pa uint64) int {
+	if n, ok := h.topo.NodeOf(pa); ok {
+		return n.ID
+	}
+	return -1
 }
 
 // AllocHostPages allocates pages for host software (kernel, processes,
@@ -468,15 +481,11 @@ func (h *Hypervisor) VM(name string) (*VM, bool) {
 func (h *Hypervisor) VMs() []*VM {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	names := make([]string, 0, len(h.vms))
-	for n := range h.vms {
-		names = append(names, n)
+	out := make([]*VM, 0, len(h.vms))
+	for _, vm := range h.vms {
+		out = append(out, vm)
 	}
-	sort.Strings(names)
-	out := make([]*VM, len(names))
-	for i, n := range names {
-		out[i] = h.vms[n]
-	}
+	slices.SortFunc(out, func(a, b *VM) int { return strings.Compare(a.spec.Name, b.spec.Name) })
 	return out
 }
 

@@ -127,13 +127,14 @@ func (vm *VM) remapRegions(moves []regionMove) error {
 
 // commitLayout makes ram the VM's RAM layout, in the one order every
 // lifecycle operation uses: EPT leaves (a migration's region leaves, then the
-// RAM leaves), then every device's IOMMU table, then vm.ram and the node
-// ledger are published, then the TLB is flushed. in lists the frames entering
-// the layout with the nodes that supplied them. On any failure every
-// hierarchy is synced back to the old layout and the caller is where it
-// began (and still owns in). Caller holds the lifecycle latch and, once the
-// guest runs, the vCPU gate exclusively — which also excludes DMA.
-func (vm *VM) commitLayout(ram []uint64, in []frameRun, moves []regionMove) error {
+// RAM leaves), then every device's IOMMU table, then vm.ram is published,
+// then the TLB is flushed. No ledger of which node supplied which frame is
+// kept: a frame's node is the topology's answer for its address (nodeOf). On
+// any failure every hierarchy is synced back to the old layout and the caller
+// is where it began (and still owns the frames entering ram). Caller holds
+// the lifecycle latch and, once the guest runs, the vCPU gate exclusively —
+// which also excludes DMA.
+func (vm *VM) commitLayout(ram []uint64, moves []regionMove) error {
 	old := vm.ram
 	if err := vm.remapRegions(moves); err != nil {
 		return err
@@ -144,40 +145,24 @@ func (vm *VM) commitLayout(ram []uint64, in []frameRun, moves []regionMove) erro
 		vm.InvalidateTLB() // an unpaused translator may have cached a leaf
 		return err
 	}
-	// The ledger is edited in place under h.mu — except when no slot keeps
-	// its frame (create, a migration): a migration commits without h.mu while
-	// readers under it (PreviewResize, Audit) may be walking the old map, so
-	// it publishes a fresh one.
-	ledger, kept := vm.ramNode, false
-	for i, hpa := range old {
-		kept = kept || (hpa != hpaNone && i < len(ram) && ram[i] == hpa)
-	}
-	if !kept {
-		ledger = make(map[uint64]int, len(ram))
-	}
-	for i, hpa := range old {
-		if hpa != hpaNone && (i >= len(ram) || ram[i] != hpa) {
-			delete(ledger, hpa)
-		}
-	}
-	for _, r := range in {
-		for _, hpa := range r.pages {
-			ledger[hpa] = r.node
-		}
-	}
-	vm.ram, vm.ramNode = ram, ledger
+	vm.ram = ram
 	vm.InvalidateTLB()
 	return nil
 }
 
 // ramRuns lists the frames behind the given resident RAM pages as one-frame
-// runs for vacate, marking clean those dataBearing says were never written.
-// The runs alias the current layout's array, which a commit never edits.
-func (vm *VM) ramRuns(pages []int, dataBearing func(p int) bool) []frameRun {
+// runs for vacate, marking clean those that are neither in the touched ledger
+// nor set in written (a migration's record of the pages it copied data off;
+// nil elsewhere). The runs alias the current layout's array, which a commit
+// never edits.
+func (vm *VM) ramRuns(pages []int, written []bool) []frameRun {
 	runs := make([]frameRun, len(pages))
+	vm.dirtyMu.Lock()
+	defer vm.dirtyMu.Unlock()
 	for i, p := range pages {
 		hpa := vm.ram[p : p+1]
-		runs[i] = frameRun{node: vm.ramNode[hpa[0]], order: alloc.Order2M, pages: hpa, clean: !dataBearing(p)}
+		dataBearing := vm.touched.has(p) || written != nil && written[p]
+		runs[i] = frameRun{node: vm.hv.nodeOf(hpa[0]), order: alloc.Order2M, pages: hpa, clean: !dataBearing}
 	}
 	return runs
 }
@@ -196,23 +181,24 @@ func (vm *VM) ramRuns(pages []int, dataBearing func(p int) bool) []frameRun {
 // shrink. Errors do not stop the walk; they are joined.
 func (h *Hypervisor) vacate(vm *VM, runs []frameRun, nodes []int, drained string) (scrubbed uint64, released []int, err error) {
 	for _, r := range runs {
-		a, bytes := h.allocators[r.node], alloc.OrderBytes(r.order)
+		a, aerr := h.Allocator(r.node)
+		err = errors.Join(err, aerr)
+		bytes := alloc.OrderBytes(r.order)
 		for _, pa := range r.pages {
 			if !r.clean {
 				err = errors.Join(err, h.mem.ScrubPhys(pa, int(bytes)))
 				scrubbed += bytes
 			}
-			err = errors.Join(err, a.Free(pa, r.order))
+			if a != nil {
+				err = errors.Join(err, a.Free(pa, r.order))
+			}
 		}
 	}
 	if drained != "" {
 		h.probe(drained, vm)
 	}
-	released = nodes[:0]
-	for _, id := range nodes {
-		if h.mode == ModeSiloz && !vm.holds(id) {
-			released = append(released, id)
-		}
+	if h.mode == ModeSiloz {
+		released = vm.drained(nodes, vm.ram)
 	}
 	if len(released) == 0 {
 		return scrubbed, nil, err
@@ -222,13 +208,25 @@ func (h *Hypervisor) vacate(vm *VM, runs []frameRun, nodes []int, drained string
 	return scrubbed, released, err
 }
 
-// holds reports whether any RAM frame or region page of the VM's published
-// state lives on the node.
-func (vm *VM) holds(node int) bool {
-	for _, n := range vm.ramNode {
-		if n == node {
-			return true
+// drained filters ids, in place and keeping their order, down to the nodes
+// on which the VM holds no frame of ram and no region page: one pass over
+// ram, each frame's node read from the topology's range table.
+func (vm *VM) drained(ids []int, ram []uint64) []int {
+	drop := func(id int) {
+		if i := slices.Index(ids, id); i >= 0 {
+			ids = slices.Delete(ids, i, i+1)
 		}
 	}
-	return slices.ContainsFunc(vm.regions, func(ri regionInfo) bool { return ri.node == node })
+	for _, ri := range vm.regions {
+		drop(ri.node)
+	}
+	for _, hpa := range ram {
+		if len(ids) == 0 {
+			break
+		}
+		if hpa != hpaNone {
+			drop(vm.hv.nodeOf(hpa))
+		}
+	}
+	return ids
 }

@@ -28,38 +28,34 @@ type MemInfo struct {
 	Polled int
 }
 
-// statCache tracks per-node allocator versions between refreshes.
-type statCache struct {
-	lastVersion map[int]uint64
-	lastStat    map[int]NodeStat
+// cachedStat is one node's statistics as of its last poll, and the
+// allocator version they were read at.
+type cachedStat struct {
+	stat    NodeStat
+	version uint64
+	valid   bool
 }
 
 // RefreshMemInfo updates the hypervisor's node statistics, skipping nodes
 // whose allocators are unchanged since the previous refresh (§5.3's
 // lock-avoidance optimization for large logical node counts).
 func (h *Hypervisor) RefreshMemInfo() (MemInfo, error) {
+	nodes := h.topo.Nodes()
 	if h.stats == nil {
-		h.stats = &statCache{
-			lastVersion: make(map[int]uint64),
-			lastStat:    make(map[int]NodeStat),
-		}
+		h.stats = make([]cachedStat, len(nodes))
 	}
 	var info MemInfo
-	for _, n := range h.topo.Nodes() {
+	for _, n := range nodes {
 		a, err := h.Allocator(n.ID)
 		if err != nil {
 			return info, err
 		}
-		v := a.Version()
-		if cached, ok := h.stats.lastStat[n.ID]; ok && h.stats.lastVersion[n.ID] == v {
-			info.Stats = append(info.Stats, cached)
-			continue
+		v, c := a.Version(), &h.stats[n.ID]
+		if !c.valid || c.version != v {
+			info.Polled++
+			*c = cachedStat{stat: NodeStat{NodeID: n.ID, Kind: n.Kind, TotalBytes: a.TotalBytes(), FreeBytes: a.FreeBytes()}, version: v, valid: true}
 		}
-		info.Polled++
-		s := NodeStat{NodeID: n.ID, Kind: n.Kind, TotalBytes: a.TotalBytes(), FreeBytes: a.FreeBytes()}
-		h.stats.lastVersion[n.ID] = v
-		h.stats.lastStat[n.ID] = s
-		info.Stats = append(info.Stats, s)
+		info.Stats = append(info.Stats, c.stat)
 	}
 	return info, nil
 }

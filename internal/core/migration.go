@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/alloc"
 	"repro/internal/geometry"
@@ -245,15 +244,13 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	}
 	resident := len(residents)
 	srcNodeIDs := vm.nodeIDs()
-	if h.mode != ModeSiloz {
-		seen := map[int]bool{}
-		for _, id := range vm.ramNode {
-			if !seen[id] {
-				seen[id] = true
+	if h.mode != ModeSiloz { // no domain: the sources are the nodes the frames came from
+		for _, p := range residents {
+			if id := h.nodeOf(srcRAM[p]); !slices.Contains(srcNodeIDs, id) {
 				srcNodeIDs = append(srcNodeIDs, id)
 			}
 		}
-		sort.Ints(srcNodeIDs)
+		slices.Sort(srcNodeIDs)
 	}
 
 	// Step 1: widen the domain over the destination nodes — the registry
@@ -270,7 +267,6 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	if err := t.take(alloc.Order2M, resident, false); err != nil {
 		return nil, fmt.Errorf("core: migrating VM %q: %w", name, err)
 	}
-	ramRuns := len(t.runs)
 	dstRAM := t.frames
 	if resident < ramPages {
 		// Ballooned holes get no destination frame; keep indexes aligned.
@@ -343,13 +339,14 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	// disarms the per-leaf write protection. The guest is paused, so the
 	// touched ledger is final for the source frames, and a source frame is
 	// data-bearing when the engine copied data off it (written) OR the ledger
-	// says the guest ever stored to it. The union matters: a page the copy
-	// saw as zero is not marked written, yet an attacker-timed store (or
-	// device DMA) landing between the final TakeDirty round and the paused
-	// residual copy can leave bytes the copy never saw — freeing
-	// such a frame unscrubbed would hand the next tenant the attacker's data.
-	gone := vm.ramRuns(residents, func(p int) bool { return written[p] || vm.touchedPage(p) })
-	if err := vm.commitLayout(dstRAM, t.runs[:ramRuns], moves); err != nil {
+	// says the guest ever stored to it; ramRuns reads both. The union
+	// matters: a page the copy saw as zero is not marked written, yet an
+	// attacker-timed store (or device DMA) landing between the final
+	// TakeDirty round and the paused residual copy can leave bytes the copy
+	// never saw — freeing such a frame unscrubbed would hand the next tenant
+	// the attacker's data.
+	gone := vm.ramRuns(residents, written)
+	if err := vm.commitLayout(dstRAM, moves); err != nil {
 		return abort(fmt.Errorf("core: migrating VM %q: %w", name, err))
 	}
 	vm.inflight = nil
@@ -358,15 +355,12 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	}
 	vm.dirtyMu.Lock()
 	vm.tracking = false
-	vm.dirty = nil
-	if vm.touched == nil {
-		vm.touched = make(map[int]struct{})
-	}
+	vm.dirty.clear()
 	for p, w := range written {
 		if w {
 			// The engine's copies are data-bearing writes to the new
 			// frames: fold them into the scrub ledger.
-			vm.touched[p] = struct{}{}
+			vm.touched.add(p)
 		}
 	}
 	vm.dirtyMu.Unlock()
@@ -491,13 +485,11 @@ func (h *Hypervisor) validateMigrationDests(vm *VM, destNodeIDs []int) ([]*numa.
 	if len(destNodeIDs) == 0 {
 		return nil, fmt.Errorf("core: migration of VM %q needs at least one destination node", vm.spec.Name)
 	}
-	seen := map[int]bool{}
 	out := make([]*numa.Node, 0, len(destNodeIDs))
 	for _, id := range destNodeIDs {
-		if seen[id] {
+		if slices.ContainsFunc(out, func(n *numa.Node) bool { return n.ID == id }) {
 			continue
 		}
-		seen[id] = true
 		n, err := h.topo.Node(id)
 		if err != nil {
 			return nil, err

@@ -227,23 +227,18 @@ func (h *Hypervisor) PreviewResize(name string, targetBytes uint64) (*ResizePlan
 
 // previewDrain reports which guest nodes an inflate of n pages would release,
 // in node-ID order: by vacate's rule, those on which the VM would hold no
-// frame once the victims are gone (the baseline has no such nodes). Caller
-// holds h.mu.
-func (vm *VM) previewDrain(n int) (released []int) {
-	left := make(map[int]int) // node ID -> pages the VM would still hold there
-	for _, node := range vm.ramNode {
-		left[node]++
-	}
-	for _, ri := range vm.regions {
-		left[ri.node]++
-	}
-	for _, p := range inflateVictims(vm, n) {
-		left[vm.ramNode[vm.ram[p]]]--
-	}
-	for _, node := range vm.nodes {
-		if left[node.ID] == 0 {
-			released = append(released, node.ID)
+// frame once the victims are gone (the baseline has no such nodes). The
+// victims are the top n resident pages (inflateVictims), so what stays is
+// the layout below the lowest of them. Caller holds h.mu.
+func (vm *VM) previewDrain(n int) []int {
+	cut := len(vm.ram)
+	for left := n; cut > 0 && left > 0; {
+		if cut--; vm.ram[cut] != hpaNone {
+			left--
 		}
 	}
-	return released
+	if released := vm.drained(vm.nodeIDs(), vm.ram[:cut]); len(released) > 0 {
+		return released
+	}
+	return nil
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // CPU affinity (§5.2, §7): host-reserved nodes carry their socket's cores,
 // and the evaluation pins each VM's vCPUs to dedicated logical cores of its
@@ -22,13 +19,10 @@ func (h *Hypervisor) PinVCPUs(vm *VM) ([]int, error) {
 	if vm.spec.VCPUs <= 0 {
 		return nil, fmt.Errorf("core: VM %q has no vCPUs to pin", vm.spec.Name)
 	}
-	if h.coreOwner == nil {
-		h.coreOwner = make(map[int]string)
-	}
 	g := h.cfg.Geometry
 	var free []int
 	for c := vm.spec.Socket * g.CoresPerSocket; c < (vm.spec.Socket+1)*g.CoresPerSocket; c++ {
-		if _, taken := h.coreOwner[c]; !taken {
+		if h.coreOwner[c] == nil {
 			free = append(free, c)
 		}
 	}
@@ -36,10 +30,9 @@ func (h *Hypervisor) PinVCPUs(vm *VM) ([]int, error) {
 		return nil, fmt.Errorf("core: socket %d has %d free cores, VM %q needs %d",
 			vm.spec.Socket, len(free), vm.spec.Name, vm.spec.VCPUs)
 	}
-	sort.Ints(free)
 	cores := free[:vm.spec.VCPUs]
 	for _, c := range cores {
-		h.coreOwner[c] = vm.spec.Name
+		h.coreOwner[c] = vm
 	}
 	vm.pinned = append([]int(nil), cores...)
 	return vm.pinned, nil
@@ -51,7 +44,7 @@ func (vm *VM) releaseCores() {
 		return
 	}
 	for _, c := range vm.pinned {
-		delete(vm.hv.coreOwner, c)
+		vm.hv.coreOwner[c] = nil
 	}
 	vm.pinned = nil
 }

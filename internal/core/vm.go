@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -91,17 +91,14 @@ type VM struct {
 	regions   []regionInfo
 	// CATT guard bands (Config.Mitigation KindCATT): 2 MiB pages reserved
 	// on both sides of each RAM extent so no other tenant can be placed
-	// within the blast radius. guardNode maps each guard HPA to the node
-	// allocator it came from.
-	guards    []uint64
-	guardNode map[uint64]int
+	// within the blast radius.
+	guards []uint64
 	// tlb is the software TLB, never nil once CreateVM returns. Reps of one
 	// benchmark VM translate concurrently and the serving loop translates
 	// while lifecycle operations commit, so it is lock-free: see tlbTable.
-	tlb     atomic.Pointer[tlbTable]
-	ramNode map[uint64]int // 2M HPA -> node ID (accounting)
-	exits   uint64         // VM exits taken for mediated accesses
-	pinned  []int          // exclusively-pinned logical cores
+	tlb    atomic.Pointer[tlbTable]
+	exits  uint64 // VM exits taken for mediated accesses
+	pinned []int  // exclusively-pinned logical cores
 
 	// devMu guards devices: the passthrough devices whose IOMMU tables
 	// must track every RAM-layout change (migration, balloon, hotplug).
@@ -112,9 +109,9 @@ type VM struct {
 	// it exclusively (the stop-and-copy window of a live migration).
 	pauseMu sync.RWMutex
 	// dirtyMu guards the dirty-page log and the touched-page ledger.
-	tracking bool             // write-protection dirty logging armed
-	dirty    map[uint64]bool  // dirty 2 MiB RAM page GPAs this round
-	touched  map[int]struct{} // RAM page indexes ever written (scrub ledger)
+	tracking bool    // write-protection dirty logging armed
+	dirty    pageSet // RAM pages dirtied this round
+	touched  pageSet // RAM pages ever written (scrub ledger)
 	dirtyMu  sync.Mutex
 
 	// Confused-deputy rate limiting (§5.1): mediated accesses this
@@ -130,6 +127,51 @@ var ErrThrottled = errors.New("core: mediated access rate limit exceeded")
 // hpaNone marks a RAM slot whose backing page the balloon surrendered: the
 // GPA range is unmapped in the EPTs and owns no host frame.
 const hpaNone = ^uint64(0)
+
+// pageSet is a set of RAM page indexes (2 MiB GPA units), one bit each: the
+// dirty log and the touched ledger. It grows to the highest page added.
+type pageSet []uint64
+
+func (s *pageSet) add(p int) {
+	if w := p / 64; w >= len(*s) {
+		*s = append(*s, make([]uint64, w+1-len(*s))...)
+	}
+	(*s)[p/64] |= 1 << (p % 64)
+}
+
+func (s pageSet) has(p int) bool { return p/64 < len(s) && s[p/64]&(1<<(p%64)) != 0 }
+
+func (s pageSet) del(p int) {
+	if p/64 < len(s) {
+		s[p/64] &^= 1 << (p % 64)
+	}
+}
+
+// clear empties the set, keeping its storage for the next round.
+func (s pageSet) clear() { clear(s) }
+
+func (s pageSet) len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// next returns the smallest page in the set at or above p, or -1: walking
+// from next(0) lists the set in ascending order.
+func (s pageSet) next(p int) int {
+	for w := p / 64; w < len(s); w++ {
+		word := s[w]
+		if w == p/64 {
+			word &= ^uint64(0) << (p % 64)
+		}
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
 
 // acquire finds the named VM and takes its lifecycle latch for op, failing
 // with ErrResizeBusy if another lifecycle operation holds it. Caller holds
@@ -224,7 +266,7 @@ func (h *Hypervisor) populate(vm *VM) error {
 		return err
 	}
 	// The transaction's frame list becomes the layout: nothing else keeps it.
-	if err := vm.commitLayout(ram.frames, ram.runs, nil); err != nil {
+	if err := vm.commitLayout(ram.frames, nil); err != nil {
 		ram.rollback()
 		return err
 	}
@@ -278,18 +320,16 @@ func (h *Hypervisor) reserveDomainGuards(vm *VM) {
 		return
 	}
 	mapper := h.mem.Mapper()
-	vm.guardNode = make(map[uint64]int)
 	claim := func(pa uint64) {
 		pa &^= uint64(geometry.PageSize2M - 1)
-		node, a := h.allocatorContaining(pa)
-		if a == nil {
+		a, err := h.Allocator(h.nodeOf(pa))
+		if err != nil {
 			return
 		}
 		if err := a.AllocAt(pa, alloc.Order2M); err != nil {
 			return
 		}
 		vm.guards = append(vm.guards, pa)
-		vm.guardNode[pa] = node
 		h.guardBytes += geometry.PageSize2M
 	}
 	// The VM's row footprint: one row group holds one row index across
@@ -337,16 +377,6 @@ func (h *Hypervisor) reserveDomainGuards(vm *VM) {
 			}
 		}
 	}
-}
-
-// allocatorContaining finds the node allocator whose ranges cover pa.
-func (h *Hypervisor) allocatorContaining(pa uint64) (int, *alloc.Allocator) {
-	for _, n := range h.topo.Nodes() {
-		if n.Contains(pa) {
-			return n.ID, h.allocators[n.ID]
-		}
-	}
-	return 0, nil
 }
 
 // allocMediated backs mediated regions with host-reserved 4 KiB pages and
@@ -401,7 +431,7 @@ func (vm *VM) teardown() {
 	for _, d := range devices {
 		d.detachTables()
 	}
-	gone := vm.ramRuns(inflateVictims(vm, len(vm.ram)), vm.touchedPage)
+	gone := vm.ramRuns(inflateVictims(vm, len(vm.ram)), nil)
 	for _, info := range vm.regions {
 		gone = append(gone, info.frameRun)
 	}
@@ -409,12 +439,12 @@ func (vm *VM) teardown() {
 		gone = append(gone, frameRun{node: host.ID, pages: vm.mediated})
 	}
 	for i, pa := range vm.guards { // never mapped, never written
-		gone = append(gone, frameRun{node: vm.guardNode[pa], order: alloc.Order2M, pages: vm.guards[i : i+1], clean: true})
+		gone = append(gone, frameRun{node: h.nodeOf(pa), order: alloc.Order2M, pages: vm.guards[i : i+1], clean: true})
 	}
 	h.guardBytes -= uint64(len(vm.guards)) * geometry.PageSize2M
 	_, _, _ = h.vacate(vm, gone, nil, "") // a destroy has no one to report a scrub or free failure to
-	vm.ram, vm.leaves, vm.ramNode, vm.ballooned = nil, nil, nil, 0
-	vm.regions, vm.mediated, vm.guards, vm.guardNode = nil, nil, nil, nil
+	vm.ram, vm.leaves, vm.ballooned = nil, nil, 0
+	vm.regions, vm.mediated, vm.guards = nil, nil, nil
 	if vm.tables != nil {
 		vm.tables.Destroy()
 		vm.tables = nil
@@ -424,15 +454,6 @@ func (vm *VM) teardown() {
 		_ = h.reg.Destroy(vm.cgroup.Name)
 		vm.cgroup, vm.nodes = nil, nil
 	}
-}
-
-// touchedPage reports whether RAM page p was ever written (by the guest, a
-// device, or the migration engine on the guest's behalf).
-func (vm *VM) touchedPage(p int) bool {
-	vm.dirtyMu.Lock()
-	defer vm.dirtyMu.Unlock()
-	_, ok := vm.touched[p]
-	return ok
 }
 
 // Spec returns the VM's creation spec.
@@ -482,13 +503,12 @@ func (vm *VM) RAMPages() []uint64 {
 func (vm *VM) TouchedPages() []int {
 	vm.dirtyMu.Lock()
 	defer vm.dirtyMu.Unlock()
-	out := make([]int, 0, len(vm.touched))
-	for p := range vm.touched {
-		if p >= 0 && p < len(vm.ram) && vm.ram[p] != hpaNone {
+	out := make([]int, 0, vm.touched.len())
+	for p := vm.touched.next(0); p >= 0; p = vm.touched.next(p + 1) {
+		if p < len(vm.ram) && vm.ram[p] != hpaNone {
 			out = append(out, p)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -610,10 +630,7 @@ func (vm *VM) translateWrite(gpa uint64) (uint64, error) {
 func (vm *VM) translateWriteRAM(gpa uint64) (uint64, error) {
 	pageBase := gpa &^ uint64(geometry.PageSize2M-1)
 	vm.dirtyMu.Lock()
-	if vm.touched == nil {
-		vm.touched = make(map[int]struct{})
-	}
-	vm.touched[int(pageBase/geometry.PageSize2M)] = struct{}{}
+	vm.touched.add(int(gpa / geometry.PageSize2M))
 	if !vm.tracking {
 		vm.dirtyMu.Unlock()
 		return vm.Translate(gpa) // RAM is always writable; TLB applies
@@ -623,7 +640,7 @@ func (vm *VM) translateWriteRAM(gpa uint64) (uint64, error) {
 	if errors.Is(err, ept.ErrPermission) {
 		// EPT write-protection violation: VM exit, log dirty, reopen.
 		vm.exits++
-		vm.dirty[pageBase] = true
+		vm.dirty.add(int(gpa / geometry.PageSize2M))
 		if perr := vm.tables.Protect(pageBase, true); perr != nil {
 			return 0, perr
 		}
@@ -682,7 +699,7 @@ func (vm *VM) StartDirtyTracking() error {
 		_, _ = vm.protectRAM(n, true)
 		return err
 	}
-	vm.dirty = make(map[uint64]bool)
+	vm.dirty.clear()
 	vm.tracking = true
 	return nil
 }
@@ -696,11 +713,10 @@ func (vm *VM) TakeDirty() ([]uint64, error) {
 	if !vm.tracking {
 		return nil, fmt.Errorf("core: VM %q is not dirty-tracking", vm.spec.Name)
 	}
-	gpas := make([]uint64, 0, len(vm.dirty))
-	for gpa := range vm.dirty {
-		gpas = append(gpas, gpa)
+	gpas := make([]uint64, 0, vm.dirty.len())
+	for p := vm.dirty.next(0); p >= 0; p = vm.dirty.next(p + 1) {
+		gpas = append(gpas, uint64(p)*geometry.PageSize2M)
 	}
-	slices.Sort(gpas)
 	for i := 0; i < len(gpas); {
 		n := 1
 		for i+n < len(gpas) && gpas[i+n] == gpas[i]+uint64(n)*geometry.PageSize2M {
@@ -711,7 +727,7 @@ func (vm *VM) TakeDirty() ([]uint64, error) {
 		}
 		i += n
 	}
-	vm.dirty = make(map[uint64]bool)
+	vm.dirty.clear()
 	return gpas, nil
 }
 
@@ -732,7 +748,7 @@ func (vm *VM) StopDirtyTracking() error {
 		}
 	}
 	vm.tracking = false
-	vm.dirty = nil
+	vm.dirty.clear()
 	return nil
 }
 
@@ -911,8 +927,7 @@ func (vm *VM) GuardPages() []uint64 {
 
 // OwnsHPA reports whether a host physical address belongs to the VM's RAM.
 func (vm *VM) OwnsHPA(pa uint64) bool {
-	_, ok := vm.ramNode[pa&^uint64(geometry.PageSize2M-1)]
-	return ok
+	return slices.Contains(vm.ram, pa&^uint64(geometry.PageSize2M-1))
 }
 
 // InDomain reports whether a host physical address lies inside the VM's
@@ -938,14 +953,11 @@ func (vm *VM) noteDMAWrite(gpa uint64) {
 	if !vm.isRAMGPA(gpa) {
 		return
 	}
-	pageBase := gpa &^ uint64(geometry.PageSize2M-1)
+	p := int(gpa / geometry.PageSize2M)
 	vm.dirtyMu.Lock()
 	defer vm.dirtyMu.Unlock()
-	if vm.touched == nil {
-		vm.touched = make(map[int]struct{})
-	}
-	vm.touched[int(pageBase/geometry.PageSize2M)] = struct{}{}
+	vm.touched.add(p)
 	if vm.tracking {
-		vm.dirty[pageBase] = true
+		vm.dirty.add(p)
 	}
 }

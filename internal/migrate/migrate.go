@@ -79,13 +79,14 @@ func (p *Planner) Occupancy() ([]NodeOccupancy, error) {
 			return nil, err
 		}
 		owner, _ := p.h.Registry().OwnerOf(n.ID)
+		free := a.FreeSpace(alloc.Order2M)
 		out = append(out, NodeOccupancy{
 			Node:             n,
 			Owner:            owner,
-			FreeBytes:        a.FreeBytes(),
+			FreeBytes:        free.Bytes,
 			TotalBytes:       a.TotalBytes(),
-			FreePages2M:      a.FreePagesAtOrder(alloc.Order2M),
-			LargestFreeOrder: a.LargestFreeOrder(),
+			FreePages2M:      free.Pages,
+			LargestFreeOrder: free.LargestOrder,
 		})
 	}
 	return out, nil
@@ -181,14 +182,9 @@ func (p *Planner) PlanAdmission(spec core.VMSpec) (*Plan, error) {
 		if err != nil || rp.Action != core.ResizeInflate || len(rp.ReleasedNodes) == 0 {
 			continue // shrink frees pages but drains no whole node: useless here
 		}
-		released := rp.ReleasedNodes
-		releasedSet := make(map[int]bool, len(released))
-		for _, id := range released {
-			releasedSet[id] = true
-		}
 		var gain uint64
 		for _, o := range nodes {
-			if releasedSet[o.Node.ID] {
+			if slices.Contains(rp.ReleasedNodes, o.Node.ID) {
 				gain += vacatedHugeCap(vm, o)
 			}
 		}

@@ -7,7 +7,6 @@
 package numa
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -80,19 +79,58 @@ func (n *Node) Contains(pa uint64) bool {
 	return false
 }
 
-// Topology is the set of logical nodes of one booted system.
+// Topology is the set of logical nodes of one booted system. Node IDs are
+// dense from 0, assigned in AddNode order, so state kept per node is a slice
+// indexed by ID.
 type Topology struct {
 	nodes []*Node
+	// spans is every node's non-empty ranges sorted by start: the one table
+	// NodeOf searches. Nodes never overlap, so it is also disjoint.
+	spans []span
 }
 
-// AddNode registers a node, assigning its ID. Ranges must be non-empty.
+// span is one range of one node in Topology.spans.
+type span struct {
+	start, end uint64
+	node       *Node
+}
+
+// AddNode registers a node, assigning its ID. Ranges must be non-empty and
+// overlap no node already added: a physical address has at most one owner.
 func (t *Topology) AddNode(n *Node) (*Node, error) {
 	if len(n.Ranges) == 0 {
 		return nil, fmt.Errorf("numa: node must own at least one range")
 	}
+	spans := slices.Clone(t.spans)
+	for _, r := range n.Ranges {
+		if r.Start >= r.End {
+			continue
+		}
+		i := spanAfter(spans, r.Start)
+		for _, j := range [2]int{i - 1, i} {
+			if j >= 0 && j < len(spans) && spans[j].start < r.End && r.Start < spans[j].end {
+				return nil, fmt.Errorf("numa: range %v overlaps an owned range [%#x,%#x)", r, spans[j].start, spans[j].end)
+			}
+		}
+		spans = slices.Insert(spans, i, span{r.Start, r.End, n})
+	}
 	n.ID = len(t.nodes)
-	t.nodes = append(t.nodes, n)
+	t.nodes, t.spans = append(t.nodes, n), spans
 	return n, nil
+}
+
+// spanAfter returns the index of the first span starting above pa.
+func spanAfter(spans []span, pa uint64) int {
+	lo, hi := 0, len(spans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if spans[m].start <= pa {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Nodes returns all nodes in ID order.
@@ -142,12 +180,11 @@ func (t *Topology) collect(match func(*Node) bool) []*Node {
 	return out
 }
 
-// NodeOf returns the node owning a physical address, if any.
+// NodeOf returns the node owning a physical address, if any: a binary
+// search of the sorted range table.
 func (t *Topology) NodeOf(pa uint64) (*Node, bool) {
-	for _, n := range t.nodes {
-		if n.Contains(pa) {
-			return n, true
-		}
+	if i := spanAfter(t.spans, pa); i > 0 && pa < t.spans[i-1].end {
+		return t.spans[i-1].node, true
 	}
 	return nil, false
 }
@@ -158,8 +195,9 @@ func (t *Topology) NodeOf(pa uint64) (*Node, bool) {
 type CGroup struct {
 	Name  string
 	reg   *Registry
-	nodes map[int]*Node
-	dead  bool // set by Registry.Destroy; the handle must not look live
+	nodes []*Node // by node ID: the member nodes, nil where not a member
+	count int     // members: the non-nil entries of nodes
+	dead  bool    // set by Registry.Destroy; the handle must not look live
 }
 
 // Nodes returns the cgroup's allowed nodes in ID order. A destroyed cgroup
@@ -171,11 +209,12 @@ func (c *CGroup) Nodes() []*Node {
 	if c.dead {
 		return nil
 	}
-	out := make([]*Node, 0, len(c.nodes))
+	out := make([]*Node, 0, c.count)
 	for _, n := range c.nodes {
-		out = append(out, n)
+		if n != nil {
+			out = append(out, n)
+		}
 	}
-	slices.SortFunc(out, func(a, b *Node) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -184,11 +223,37 @@ func (c *CGroup) Nodes() []*Node {
 func (c *CGroup) Allows(id int) bool {
 	c.reg.mu.Lock()
 	defer c.reg.mu.Unlock()
-	if c.dead {
-		return false
+	return !c.dead && c.member(id)
+}
+
+// member reports whether node id is in the cgroup. Caller holds reg.mu.
+func (c *CGroup) member(id int) bool {
+	return id >= 0 && id < len(c.nodes) && c.nodes[id] != nil
+}
+
+// add makes n a member, claiming it for the cgroup if it is guest-reserved;
+// adding a member again changes nothing. Caller holds reg.mu and has
+// validated the claim.
+func (c *CGroup) add(n *Node) {
+	if c.nodes[n.ID] == nil {
+		c.count++
 	}
-	_, ok := c.nodes[id]
-	return ok
+	c.nodes[n.ID] = n
+	if n.Kind == GuestReserved {
+		c.reg.owner[n.ID] = c
+	}
+}
+
+// remove drops node id from the cgroup, releasing its ownership; removing a
+// non-member changes nothing. Caller holds reg.mu.
+func (c *CGroup) remove(id int) {
+	if n := c.nodes[id]; n != nil {
+		if n.Kind == GuestReserved {
+			c.reg.owner[id] = nil
+		}
+		c.nodes[id] = nil
+		c.count--
+	}
 }
 
 // Registry tracks control groups and exclusive node ownership. All methods
@@ -199,59 +264,56 @@ type Registry struct {
 	mu      sync.Mutex
 	topo    *Topology
 	cgroups map[string]*CGroup
-	owner   map[int]string // guest node ID -> cgroup name
+	owner   []*CGroup // by node ID: the cgroup owning a guest-reserved node, nil if unowned
 }
 
-// NewRegistry builds a registry over a topology.
+// NewRegistry builds a registry over a complete topology: a node added to
+// it later is unknown to the registry.
 func NewRegistry(topo *Topology) *Registry {
-	return &Registry{topo: topo, cgroups: make(map[string]*CGroup), owner: make(map[int]string)}
+	return &Registry{topo: topo, cgroups: make(map[string]*CGroup), owner: make([]*CGroup, len(topo.nodes))}
 }
 
 // Create makes a control group with exclusive access to the given
 // guest-reserved nodes (§5.3). Host- and EPT-reserved nodes may be shared
-// across cgroups; guest-reserved nodes must be unowned.
+// across cgroups; guest-reserved nodes must be unowned. A repeated ID is one
+// node.
 func (r *Registry) Create(name string, nodeIDs []int) (*CGroup, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.cgroups[name]; dup {
 		return nil, fmt.Errorf("numa: cgroup %q already exists", name)
 	}
-	cg := &CGroup{Name: name, reg: r, nodes: make(map[int]*Node)}
 	for _, id := range nodeIDs {
-		n, err := r.claim(name, id)
-		if err != nil {
+		if err := r.claim(id); err != nil {
 			return nil, err
 		}
-		cg.nodes[id] = n
 	}
 	// Commit ownership only after all checks pass.
-	for id, n := range cg.nodes {
-		if n.Kind == GuestReserved {
-			r.owner[id] = name
-		}
+	cg := &CGroup{Name: name, reg: r, nodes: make([]*Node, len(r.owner))}
+	for _, id := range nodeIDs {
+		cg.add(r.topo.nodes[id])
 	}
 	r.cgroups[name] = cg
 	return cg, nil
 }
 
-// claim validates that a node may join the named cgroup. Caller holds r.mu.
-func (r *Registry) claim(name string, id int) (*Node, error) {
-	n, err := r.topo.Node(id)
-	if err != nil {
-		return nil, err
+// claim validates that a node may join a cgroup: it exists, and if it is
+// guest-reserved no cgroup owns it. Caller holds r.mu.
+func (r *Registry) claim(id int) error {
+	if id < 0 || id >= len(r.owner) {
+		return fmt.Errorf("numa: no node %d", id)
 	}
-	if n.Kind == GuestReserved {
-		if owner, taken := r.owner[id]; taken {
-			return nil, fmt.Errorf("numa: guest node %d already reserved by cgroup %q", id, owner)
-		}
+	if owner := r.owner[id]; owner != nil {
+		return fmt.Errorf("numa: guest node %d already reserved by cgroup %q", id, owner.Name)
 	}
-	return n, nil
+	return nil
 }
 
 // Expand atomically adds nodes to an existing cgroup — the migration
 // engine's node-adoption step: during a live move the VM's mems_allowed
 // covers both the source and destination subarray groups, and exclusive
 // ownership guarantees the widened domain still overlaps no other tenant.
+// A repeated ID is one node.
 func (r *Registry) Expand(name string, nodeIDs []int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -259,29 +321,23 @@ func (r *Registry) Expand(name string, nodeIDs []int) error {
 	if !ok {
 		return fmt.Errorf("numa: no cgroup %q", name)
 	}
-	adds := make(map[int]*Node, len(nodeIDs))
 	for _, id := range nodeIDs {
-		if _, dup := cg.nodes[id]; dup {
+		if cg.member(id) {
 			return fmt.Errorf("numa: node %d already in cgroup %q", id, name)
 		}
-		n, err := r.claim(name, id)
-		if err != nil {
+		if err := r.claim(id); err != nil {
 			return err
 		}
-		adds[id] = n
 	}
-	for id, n := range adds {
-		cg.nodes[id] = n
-		if n.Kind == GuestReserved {
-			r.owner[id] = name
-		}
+	for _, id := range nodeIDs {
+		cg.add(r.topo.nodes[id])
 	}
 	return nil
 }
 
 // Shrink atomically removes nodes from a cgroup, releasing their exclusive
 // ownership — the migration engine's source-release step after the VM's
-// pages have left the old subarray groups.
+// pages have left the old subarray groups. A repeated ID is one node.
 func (r *Registry) Shrink(name string, nodeIDs []int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -290,15 +346,12 @@ func (r *Registry) Shrink(name string, nodeIDs []int) error {
 		return fmt.Errorf("numa: no cgroup %q", name)
 	}
 	for _, id := range nodeIDs {
-		if _, member := cg.nodes[id]; !member {
+		if !cg.member(id) {
 			return fmt.Errorf("numa: node %d not in cgroup %q", id, name)
 		}
 	}
 	for _, id := range nodeIDs {
-		if cg.nodes[id].Kind == GuestReserved {
-			delete(r.owner, id)
-		}
-		delete(cg.nodes, id)
+		cg.remove(id)
 	}
 	return nil
 }
@@ -312,10 +365,8 @@ func (r *Registry) Destroy(name string) error {
 	if !ok {
 		return fmt.Errorf("numa: no cgroup %q", name)
 	}
-	for id, n := range cg.nodes {
-		if n.Kind == GuestReserved {
-			delete(r.owner, id)
-		}
+	for id := range cg.nodes {
+		cg.remove(id)
 	}
 	cg.dead = true
 	delete(r.cgroups, name)
@@ -326,6 +377,8 @@ func (r *Registry) Destroy(name string) error {
 func (r *Registry) OwnerOf(nodeID int) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	name, ok := r.owner[nodeID]
-	return name, ok
+	if nodeID < 0 || nodeID >= len(r.owner) || r.owner[nodeID] == nil {
+		return "", false
+	}
+	return r.owner[nodeID].Name, true
 }

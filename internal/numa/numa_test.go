@@ -56,6 +56,25 @@ func TestTopologyBasics(t *testing.T) {
 	if _, err := topo.AddNode(&Node{Kind: HostReserved}); err == nil {
 		t.Error("rangeless node accepted")
 	}
+	// NodeOf's range table needs every address to have at most one owner:
+	// a range overlapping an owned one, from either side or inside, or a
+	// node overlapping itself, is refused and leaves the topology as it was.
+	for _, rs := range [][]subarray.Range{
+		{mkRange(1<<20-4096, 8192)},
+		{mkRange(2<<20+4096, 4096)},
+		{mkRange(3<<20+60<<10, 8<<10)},
+		{mkRange(32<<20, 4096), mkRange(32<<20, 8192)},
+	} {
+		if _, err := topo.AddNode(&Node{Kind: GuestReserved, Ranges: rs}); err == nil {
+			t.Errorf("overlapping ranges %v accepted", rs)
+		}
+	}
+	if len(topo.Nodes()) != 6 {
+		t.Errorf("a refused node was added: %d nodes", len(topo.Nodes()))
+	}
+	if n, ok := topo.NodeOf(32 << 20); ok {
+		t.Errorf("a refused node's range resolves to node %d", n.ID)
+	}
 }
 
 func TestNodeContainsAndBytes(t *testing.T) {
@@ -114,6 +133,35 @@ func TestTopologyReadsAllocateOnce(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { _ = tc.read() }); allocs != 1 {
 			t.Errorf("%s: %v allocs per call, want 1", tc.name, allocs)
 		}
+	}
+}
+
+// TestRegistryAllocations: membership is a slice indexed by node ID, so
+// Expand and Shrink allocate nothing (no scratch map of the nodes being
+// added) and Nodes makes one slice of exactly the members, in ID order
+// without a sort.
+func TestRegistryAllocations(t *testing.T) {
+	reg := NewRegistry(testTopology(t))
+	cg, err := reg.Create("vm:a", []int{5, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cg.Nodes(); len(got) != 3 || cap(got) != 3 || got[0].ID != 0 || got[1].ID != 2 || got[2].ID != 5 {
+		t.Fatalf("Nodes() = %v (cap %d), want nodes 0, 2, 5 at cap 3", got, cap(got))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = cg.Nodes() }); allocs != 1 {
+		t.Errorf("Nodes: %v allocs per call, want 1", allocs)
+	}
+	grow := []int{1}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := reg.Expand("vm:a", grow); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Shrink("vm:a", grow); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Expand+Shrink: %v allocs per pair, want 0", allocs)
 	}
 }
 
