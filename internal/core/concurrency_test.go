@@ -280,16 +280,17 @@ func TestTLBCoherentAcrossLifecycle(t *testing.T) {
 		t.Helper()
 		h.mu.Lock()
 		ram := append([]uint64(nil), vm.ram...)
+		pages := int(vm.spec.MemoryBytes / geometry.PageSize2M)
 		h.mu.Unlock()
+		for p := len(ram); p < pages; p++ {
+			gpa := uint64(p)*geometry.PageSize2M + 0x1240
+			if got, err := vm.Translate(gpa); err == nil {
+				t.Errorf("after %s: ballooned gpa %#x translates to %#x", op, gpa, got)
+			}
+		}
 		for p, hpa := range ram {
 			gpa := uint64(p)*geometry.PageSize2M + 0x1240
 			got, err := vm.Translate(gpa)
-			if hpa == hpaNone {
-				if err == nil {
-					t.Errorf("after %s: ballooned gpa %#x translates to %#x", op, gpa, got)
-				}
-				continue
-			}
 			want, werr := vm.TranslateUncached(gpa)
 			if err != nil || werr != nil || got != want || want != hpa+0x1240 {
 				t.Errorf("after %s: gpa %#x: Translate = %#x, %v; walk = %#x, %v; frame %#x",

@@ -16,8 +16,8 @@ import (
 // the device DMA (and hammer) outside the guest's subarray groups.
 //
 // The IOMMU mappings are live state, not a snapshot: every RAM-layout
-// change (live migration, balloon inflate/deflate, memory hotplug) syncs
-// them inside VM.commitLayout, and VM teardown tears them down before the
+// change (live migration, a resize's shrink or grow) syncs them inside
+// VM.commitLayout, and VM teardown tears them down before the
 // frames return to the free pools. DMA writes participate in the
 // touched-page ledger and the dirty-page log (IOMMU dirty-bit harvesting),
 // so scrub-before-free and pre-copy both see device stores.
@@ -29,8 +29,8 @@ type Device struct {
 	name   string
 	vm     *VM
 	tables *ept.Tables // IOMMU page tables (IOVA -> HPA)
-	// view is the RAM layout the tables' leaves currently hold (HPA per 2 MiB
-	// page index, hpaNone for unmapped slots); syncLeaves diffs against it.
+	// view is the RAM layout the tables' leaves currently hold: the HPA of
+	// each mapped 2 MiB page, a GPA prefix. syncLeaves diffs against it.
 	view []uint64
 }
 

@@ -2,8 +2,8 @@ package core
 
 import "errors"
 
-// Typed sentinel errors for the VM lifecycle paths (create, balloon,
-// migrate, resize, hotplug). Callers branch on these with errors.Is instead
+// Typed sentinel errors for the VM lifecycle paths (create, resize,
+// migrate, move). Callers branch on these with errors.Is instead
 // of matching message strings; the wrapping fmt.Errorf sites add the VM name
 // and operation detail.
 var (
@@ -11,9 +11,9 @@ var (
 	// does not know (never created, or already destroyed).
 	ErrVMNotFound = errors.New("core: VM not found")
 
-	// ErrResizeBusy reports that a VM's lifecycle latch is held: exactly one
-	// of resize, balloon, hotplug, or live migration may be in flight per VM
-	// at a time, and a second operation is refused rather than interleaved.
+	// ErrResizeBusy reports that a VM's lifecycle latch is held: at most one
+	// resize, live migration or cross-host move may be in flight per VM at a
+	// time, and a second operation is refused rather than interleaved.
 	ErrResizeBusy = errors.New("core: VM lifecycle operation already in flight")
 
 	// ErrCapacityExhausted reports that guest-reserved capacity ran out: no

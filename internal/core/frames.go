@@ -4,8 +4,8 @@ package core
 // the one place that undoes a half-finished lifecycle operation. Siloz's
 // software mechanism is a single placement rule (§5.2-5.4) — a VM's pages
 // come only from the logical NUMA nodes its control group owns — and every
-// operation that needs frames (create, balloon deflate, hotplug, region
-// allocation, migration's destination) states it through a frameTxn.
+// operation that needs frames (create, a resize's grow, region allocation,
+// migration's destination) states it through a frameTxn.
 //
 // Policy: a VM draws first on the nodes it may already use — its control
 // group's under Siloz, its home socket's host nodes under the baseline — and

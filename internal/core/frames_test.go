@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,8 +33,8 @@ type hostState struct {
 	Audit     []string
 }
 
-// walkLayout translates every RAM page through one hierarchy; an unmapped
-// page reads as hpaNone, like a hole in vm.ram.
+// walkLayout translates the first pages RAM pages through one hierarchy; an
+// unmapped page reads as hpaNone.
 func walkLayout(pages int, translate func(gpa uint64) (uint64, error)) []uint64 {
 	out := make([]uint64, pages)
 	for p := range out {
@@ -63,7 +64,9 @@ func snapshotHost(h *Hypervisor) hostState {
 		}
 		s.VMs[vm.Name()] = fmt.Sprintf("mem=%d ballooned=%d nodes=%v ram=%x",
 			vm.Spec().MemoryBytes, vm.BalloonedBytes(), nodes, vm.ram)
-		walks := fmt.Sprintf("ept=%x", walkLayout(len(vm.ram), vm.TranslateUncached))
+		// The walks cover the balloon too: a surrendered page must stay unmapped.
+		pages := int(vm.Spec().MemoryBytes / geometry.PageSize2M)
+		walks := fmt.Sprintf("ept=%x", walkLayout(pages, vm.TranslateUncached))
 		for _, ri := range vm.regions {
 			for i := range ri.pages {
 				hpa, _ := vm.TranslateUncached(ri.gpa + uint64(i)*geometry.PageSize4K)
@@ -71,7 +74,7 @@ func snapshotHost(h *Hypervisor) hostState {
 			}
 		}
 		for _, d := range vm.devices {
-			walks += fmt.Sprintf(" %s=%x", d.name, walkLayout(len(vm.ram), d.translate))
+			walks += fmt.Sprintf(" %s=%x", d.name, walkLayout(pages, d.translate))
 		}
 		s.Walks[vm.Name()] = walks
 	}
@@ -168,9 +171,10 @@ func lifecycleCases() []lifecycleCase {
 		run:           func(h *Hypervisor) error { _, err := h.ResizeVM("v", 76*geometry.MiB); return err },
 		spreadExpands: true,
 	}, {
-		// The deflate leg refills the three ballooned pages from the VM's
-		// own node; the hotplug leg must adopt. An Expand failure there
-		// exercises ResizeVM's re-inflate of the committed deflate leg.
+		// One grow refills the three ballooned pages from the VM's own node
+		// and must adopt for the six hot-added ones, in one frame
+		// transaction and one commit: a failure anywhere rolls that one
+		// transaction back, and no balloon event fires.
 		name: "resize-hotplug-with-balloon-remnant",
 		setup: func(t *testing.T, h *Hypervisor) []int {
 			create(t, h, VMSpec{Socket: 0, MemoryBytes: 64 * geometry.MiB})
@@ -203,7 +207,8 @@ func lifecycleCases() []lifecycleCase {
 // then the EPT's RAM leaves, then an attached passthrough device's IOMMU
 // leaves). It requires the host to be exactly as it was: no frame leaked, no
 // node left adopted, vm.nodes in step with the registry, EPT and IOMMU walks
-// and vm.ram unchanged and in agreement, audit findings unchanged.
+// and vm.ram unchanged and in agreement, audit findings unchanged. A failed
+// operation fires no balloon event: it never surrendered a page.
 func TestFrameSourcingRollsBackAtEveryStep(t *testing.T) {
 	check := func(t *testing.T, h *Hypervisor, c lifecycleCase, before hostState) {
 		t.Helper()
@@ -273,6 +278,8 @@ func TestFrameSourcingRollsBackAtEveryStep(t *testing.T) {
 				}
 				return nil
 			}
+			var events []string
+			h.SetLifecycleProbe(func(event string, _ *VM) { events = append(events, event) })
 			before := snapshotHost(h)
 			if err := c.run(h); !errors.Is(err, errInjected) {
 				// Fewer than k leaf edits: the operation must have gone through.
@@ -288,6 +295,9 @@ func TestFrameSourcingRollsBackAtEveryStep(t *testing.T) {
 				h.leafHook = nil
 				if after := snapshotHost(h); !reflect.DeepEqual(before, after) {
 					t.Errorf("state changed across failed commit:\nbefore %+v\nafter  %+v", before, after)
+				}
+				if slices.Contains(events, ProbeBalloonUnmapped) || slices.Contains(events, ProbeBalloonDrained) {
+					t.Errorf("failed %s fired %v", c.name, events)
 				}
 			})
 		}

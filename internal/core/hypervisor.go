@@ -59,12 +59,12 @@ type Hypervisor struct {
 
 // Lifecycle-probe events, fired at the sensitive instants adversarial
 // campaigns target. Probes run on the lifecycle operation's own goroutine
-// — the balloon and hotplug events with h.mu held, the move events without
+// — the resize events with h.mu held, the move events without
 // it but with the guest paused — so they must restrict themselves to
 // non-blocking introspection (TranslateUncached, Memory() reads/activations)
 // or hand work to other goroutines without waiting on them.
 const (
-	// ProbeBalloonUnmapped fires during a balloon inflate after the
+	// ProbeBalloonUnmapped fires during a resize's shrink after the
 	// surrendered EPT leaves are unmapped (and device IOMMU entries
 	// dropped) but before the backing frames are scrubbed and freed. The
 	// guest is paused; the frames still hold its data but are only
@@ -74,10 +74,10 @@ const (
 	// scrubbed and returned to their node's allocator, before drained
 	// nodes leave the VM's control group. h.mu is held.
 	ProbeBalloonDrained = "balloon.drained"
-	// ProbeHotplugAdopted fires during a memory hotplug after destination
-	// frames are allocated (possibly from freshly-adopted subarray-group
-	// nodes) but before the scrub-before-map pass. The guest is running
-	// but the new range is not yet mapped. h.mu is held.
+	// ProbeHotplugAdopted fires during a resize's grow past the spec's size
+	// after the frames are allocated (possibly from freshly-adopted
+	// subarray-group nodes) but before the hot-added ones are scrubbed. The
+	// guest is running but the new range is not yet mapped. h.mu is held.
 	ProbeHotplugAdopted = "hotplug.adopted"
 	// ProbeMoveCopied fires inside MoveOut once the copy into the twin is
 	// complete, immediately before the caller's commit. h.mu is not held;

@@ -7,9 +7,11 @@ package core
 // frames come from; this file is the one place they become visible
 // (commitLayout) and the one place they leave (vacate).
 //
-// A layout is the HPA of each 2 MiB RAM page in GPA order, hpaNone for a
-// ballooned hole. Every hierarchy that maps it — the EPT, each passthrough
-// device's IOMMU table — keeps a view: the layout its leaves currently hold.
+// A layout is the HPA of each resident 2 MiB RAM page in GPA order: a prefix
+// of the GPA space whose length is the VM's usable size (the balloon is the
+// spec's size beyond it). Every hierarchy that maps it — the EPT, each
+// passthrough device's IOMMU table — keeps a view: the layout its leaves
+// currently hold.
 
 import (
 	"errors"
@@ -20,6 +22,10 @@ import (
 	"repro/internal/ept"
 	"repro/internal/geometry"
 )
+
+// hpaNone marks an unmapped slot in syncLeaves' diff: a view slot the layout
+// grew into, or a slot past the end of the layout being synced.
+const hpaNone = ^uint64(0)
 
 // syncLeaves brings one hierarchy's 2 MiB RAM leaves from the layout *view
 // records to ram, editing exactly the slots that differ: consecutive slots
@@ -150,19 +156,19 @@ func (vm *VM) commitLayout(ram []uint64, moves []regionMove) error {
 	return nil
 }
 
-// ramRuns lists the frames behind the given resident RAM pages as one-frame
-// runs for vacate, marking clean those that are neither in the touched ledger
-// nor set in written (a migration's record of the pages it copied data off;
-// nil elsewhere). The runs alias the current layout's array, which a commit
-// never edits.
-func (vm *VM) ramRuns(pages []int, written []bool) []frameRun {
-	runs := make([]frameRun, len(pages))
+// ramRuns lists the frames behind the RAM pages from lo to the top, highest
+// first, as one-frame runs for vacate, marking clean those that are neither in
+// the touched ledger nor set in written (a migration's record of the pages it
+// copied data off; nil elsewhere). The runs alias the current layout's array,
+// which a commit never edits.
+func (vm *VM) ramRuns(lo int, written []bool) []frameRun {
+	runs := make([]frameRun, 0, len(vm.ram)-lo)
 	vm.dirtyMu.Lock()
 	defer vm.dirtyMu.Unlock()
-	for i, p := range pages {
+	for p := len(vm.ram) - 1; p >= lo; p-- {
 		hpa := vm.ram[p : p+1]
 		dataBearing := vm.touched.has(p) || written != nil && written[p]
-		runs[i] = frameRun{node: vm.hv.nodeOf(hpa[0]), order: alloc.Order2M, pages: hpa, clean: !dataBearing}
+		runs = append(runs, frameRun{node: vm.hv.nodeOf(hpa[0]), order: alloc.Order2M, pages: hpa, clean: !dataBearing})
 	}
 	return runs
 }
@@ -172,7 +178,7 @@ func (vm *VM) ramRuns(pages []int, written []bool) []frameRun {
 // them: each is scrubbed unless its run is clean, then freed to its node —
 // scrub strictly first: a frame back in the pool may be handed to any tenant.
 // Then the one shrink rule applies to nodes, the nodes whose reservation the
-// operation may end (an inflate: all the VM's; a migration: its sources; a
+// operation may end (a shrink: all the VM's; a migration: its sources; a
 // rollback: the ones it adopted): a node leaves the control group iff the VM
 // holds no frame on it — on a node only its owner allocates from, iff the
 // allocator shows zero used bytes — so the domain loses only memory the guest
@@ -224,9 +230,7 @@ func (vm *VM) drained(ids []int, ram []uint64) []int {
 		if len(ids) == 0 {
 			break
 		}
-		if hpa != hpaNone {
-			drop(vm.hv.nodeOf(hpa))
-		}
+		drop(vm.hv.nodeOf(hpa))
 	}
 	return ids
 }

@@ -18,8 +18,9 @@ import (
 // TestLayoutViewsAgree drives a random sequence of layout-changing
 // operations on a VM with a passthrough device and, after every step,
 // requires the three views of the RAM layout to agree page by page: what the
-// EPT translates, what the device's IOMMU translates, and vm.ram — a
-// ballooned hole faulting in both hierarchies.
+// EPT translates, what the device's IOMMU translates, and vm.ram — every
+// ballooned page, from the end of vm.ram to the spec's size, faulting in both
+// hierarchies.
 func TestLayoutViewsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261002))
 	done := map[string]int{} // operations that went through, by kind
@@ -54,9 +55,11 @@ func TestLayoutViewsAgree(t *testing.T) {
 				}
 			case 3:
 				op = "write"
-				// Data-bearing pages make the next vacate scrub.
-				err = dev.DMAWrite(uint64(rng.Intn(len(vm.ram)))*geometry.PageSize2M, []byte{1})
-				if err != nil && vm.ram[0] != hpaNone {
+				// Data-bearing pages make the next vacate scrub. A DMA into
+				// the balloon fails; the guest then writes its first page.
+				pages := int(vm.Spec().MemoryBytes / geometry.PageSize2M)
+				err = dev.DMAWrite(uint64(rng.Intn(pages))*geometry.PageSize2M, []byte{1})
+				if err != nil {
 					err = vm.WriteGuest(0, []byte{2})
 				}
 			}
@@ -66,17 +69,22 @@ func TestLayoutViewsAgree(t *testing.T) {
 			if err == nil {
 				done[op]++
 			}
-			eptWalk := walkLayout(len(vm.ram), vm.TranslateUncached)
-			iommuWalk := walkLayout(len(vm.ram), dev.translate)
-			if !reflect.DeepEqual(eptWalk, vm.ram) || !reflect.DeepEqual(iommuWalk, vm.ram) {
-				t.Fatalf("round %d step %d after %s: views disagree:\nvm.ram %x\nEPT    %x\nIOMMU  %x",
-					round, step, op, vm.ram, eptWalk, iommuWalk)
+			pages := int(vm.Spec().MemoryBytes / geometry.PageSize2M)
+			want := slices.Clone(vm.ram)
+			for len(want) < pages {
+				want = append(want, hpaNone) // the balloon
+			}
+			eptWalk := walkLayout(pages, vm.TranslateUncached)
+			iommuWalk := walkLayout(pages, dev.translate)
+			if !reflect.DeepEqual(eptWalk, want) || !reflect.DeepEqual(iommuWalk, want) {
+				t.Fatalf("round %d step %d after %s: views disagree:\nvm.ram %x (%d pages of %d)\nEPT    %x\nIOMMU  %x",
+					round, step, op, vm.ram, len(vm.ram), pages, eptWalk, iommuWalk)
 			}
 			if !reflect.DeepEqual(vm.leaves, vm.ram) || !reflect.DeepEqual(dev.view, vm.ram) {
 				t.Fatalf("round %d step %d after %s: recorded views drifted:\nvm.ram %x\nEPT    %x\nIOMMU  %x",
 					round, step, op, vm.ram, vm.leaves, dev.view)
 			}
-			if past, err := dev.translate(uint64(len(vm.ram)) * geometry.PageSize2M); err == nil {
+			if past, err := dev.translate(uint64(pages) * geometry.PageSize2M); err == nil {
 				t.Fatalf("round %d step %d after %s: device maps %#x past the end of RAM", round, step, op, past)
 			}
 		}
@@ -140,11 +148,9 @@ func corruptLeaf(t *testing.T, h *Hypervisor, tables *ept.Tables, hpa uint64) (r
 // fillPattern writes a distinct byte to the start of every resident RAM page.
 func fillPattern(t *testing.T, vm *VM) {
 	t.Helper()
-	for p, hpa := range vm.ram {
-		if hpa != hpaNone {
-			if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, []byte{byte(0x40 + p)}); err != nil {
-				t.Fatal(err)
-			}
+	for p := range vm.ram {
+		if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, []byte{byte(0x40 + p)}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -159,11 +165,8 @@ func checkIntact(t *testing.T, h *Hypervisor, vm *VM, before hostState) {
 	if bad := h.Audit(); len(bad) != 0 {
 		t.Errorf("audit: %v", bad)
 	}
-	for p, hpa := range vm.ram {
+	for p := range vm.ram {
 		var got [1]byte
-		if hpa == hpaNone {
-			continue
-		}
 		if err := vm.ReadGuest(uint64(p)*geometry.PageSize2M, got[:]); err != nil || got[0] != byte(0x40+p) {
 			t.Errorf("page %d reads %#x (err %v), want %#x: the guest lost its data", p, got[0], err, 0x40+p)
 		}
@@ -250,9 +253,8 @@ func TestInflateUnmapFaultRestoresLeaves(t *testing.T) {
 		h := bootSecure(t)
 		vm, _ := attachTestDevice(t, h)
 		fillPattern(t, vm)
-		victims := inflateVictims(vm, 4)
 		before := snapshotHost(h)
-		repair := corruptLeaf(t, h, vm.tables, vm.ram[victims[k]])
+		repair := corruptLeaf(t, h, vm.tables, vm.ram[len(vm.ram)-1-k]) // the inflate surrenders the top 4
 		_, err := h.ResizeVM(vm.Name(), 28*geometry.PageSize2M)
 		repair()
 		if !errors.Is(err, ept.ErrIntegrity) {

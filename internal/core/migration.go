@@ -233,20 +233,14 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	}
 
 	srcRAM := vm.ram
-	// Ballooned-out slots hold no frame: they are skipped by every copy,
-	// remap, and free below, and stay unmapped holes at the destination.
-	ramPages := len(srcRAM)
-	residents := make([]int, 0, ramPages)
-	for p, hpa := range srcRAM {
-		if hpa != hpaNone {
-			residents = append(residents, p)
-		}
+	residents := make([]int, len(srcRAM))
+	for p := range residents {
+		residents[p] = p
 	}
-	resident := len(residents)
 	srcNodeIDs := vm.nodeIDs()
 	if h.mode != ModeSiloz { // no domain: the sources are the nodes the frames came from
-		for _, p := range residents {
-			if id := h.nodeOf(srcRAM[p]); !slices.Contains(srcNodeIDs, id) {
+		for _, hpa := range srcRAM {
+			if id := h.nodeOf(hpa); !slices.Contains(srcNodeIDs, id) {
 				srcNodeIDs = append(srcNodeIDs, id)
 			}
 		}
@@ -264,20 +258,10 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		return nil, err
 	}
 	destIDs := t.adopted
-	if err := t.take(alloc.Order2M, resident, false); err != nil {
+	if err := t.take(alloc.Order2M, len(srcRAM), false); err != nil {
 		return nil, fmt.Errorf("core: migrating VM %q: %w", name, err)
 	}
 	dstRAM := t.frames
-	if resident < ramPages {
-		// Ballooned holes get no destination frame; keep indexes aligned.
-		dstRAM = make([]uint64, ramPages)
-		for p := range dstRAM {
-			dstRAM[p] = hpaNone
-		}
-		for k, p := range residents {
-			dstRAM[p] = t.frames[k]
-		}
-	}
 	var moves []regionMove
 	for i := range vm.regions {
 		info := &vm.regions[i]
@@ -293,10 +277,10 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	// Steps 2 and 3, up to the commit: round 0 copies every resident page.
 	// The destination frames are the VM's in-flight frames until then.
 	vm.inflight = t.runs
-	written := make([]bool, ramPages) // dst frames the engine has written
+	written := make([]bool, len(srcRAM)) // dst frames the engine has written
 	scratch := make([]byte, h.mem.Geometry().RowBytes)
 	rep := &MigrateReport{
-		VM: name, SourceNodes: srcNodeIDs, DestNodes: destIDs, PagesTotal: resident,
+		VM: name, SourceNodes: srcNodeIDs, DestNodes: destIDs, PagesTotal: len(srcRAM),
 	}
 	// A copy transfers a whole page when the source holds data or the engine
 	// has written the frame before (the guest may have re-zeroed the page, and
@@ -345,7 +329,7 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	// TakeDirty round and the paused residual copy can leave bytes the copy
 	// never saw — freeing such a frame unscrubbed would hand the next tenant
 	// the attacker's data.
-	gone := vm.ramRuns(residents, written)
+	gone := vm.ramRuns(0, written)
 	if err := vm.commitLayout(dstRAM, moves); err != nil {
 		return abort(fmt.Errorf("core: migrating VM %q: %w", name, err))
 	}
@@ -425,10 +409,10 @@ func (h *Hypervisor) MoveOut(ctx context.Context, name string, dest *VM, opt Mig
 		return fmt.Errorf("core: VM %q moving onto itself", name)
 	}
 	dest.hv.mu.Lock()
-	usable := len(dest.ram) - dest.ballooned // balloons hold the top of the GPA space
+	usable := len(dest.ram)
 	dest.hv.mu.Unlock()
 	scratch := make([]byte, h.mem.Geometry().RowBytes)
-	rep := &MigrateReport{VM: name, PagesTotal: len(vm.ram) - vm.ballooned}
+	rep := &MigrateReport{VM: name, PagesTotal: len(vm.ram)}
 	err = vm.precopy(ctx, opt, rep, vm.TouchedPages(), func(p int) (uint64, error) {
 		gpa := uint64(p) * geometry.PageSize2M
 		if p >= usable {

@@ -118,10 +118,8 @@ func TestNodeOfMatchesLinearScan(t *testing.T) {
 func retiredLedger(vm *VM, frames []uint64) map[uint64]int {
 	ledger := make(map[uint64]int)
 	for _, hpa := range frames {
-		if hpa != hpaNone {
-			n, _ := linearNodeOf(vm.hv.topo, hpa)
-			ledger[hpa] = n.ID
-		}
+		n, _ := linearNodeOf(vm.hv.topo, hpa)
+		ledger[hpa] = n.ID
 	}
 	return ledger
 }
@@ -145,8 +143,8 @@ func retiredPreviewDrain(vm *VM, ledger map[uint64]int, n int) (released []int) 
 	for _, ri := range vm.regions {
 		left[ri.node]++
 	}
-	for _, p := range inflateVictims(vm, n) {
-		left[ledger[vm.ram[p]]]--
+	for _, hpa := range vm.ram[len(vm.ram)-n:] { // an inflate surrenders the top n pages
+		left[ledger[hpa]]--
 	}
 	for _, node := range vm.nodes {
 		if left[node.ID] == 0 {
@@ -176,13 +174,12 @@ func checkLedgerReads(t *testing.T, vm *VM, step string) {
 			t.Fatalf("%s: holds node %d = %v, ledger %v", step, n.ID, held, want)
 		}
 	}
-	resident := len(vm.ram) - vm.ballooned
-	for n := 0; n <= resident; n++ {
+	for n := 0; n <= len(vm.ram); n++ {
 		if got, want := vm.previewDrain(n), retiredPreviewDrain(vm, ledger, n); !slices.Equal(got, want) || (got == nil) != (want == nil) {
 			t.Fatalf("%s: previewDrain(%d) = %v, ledger %v", step, n, got, want)
 		}
 	}
-	for _, r := range vm.ramRuns(inflateVictims(vm, resident), nil) {
+	for _, r := range vm.ramRuns(0, nil) {
 		if want := ledger[r.pages[0]]; r.node != want {
 			t.Fatalf("%s: ramRuns puts frame %#x on node %d, ledger %d", step, r.pages[0], r.node, want)
 		}
@@ -201,14 +198,15 @@ func checkLedgerReads(t *testing.T, vm *VM, step string) {
 // resident pages stored to, ascending, whatever the store order.
 func checkWriteLedgers(t *testing.T, rng *rand.Rand, vm *VM, touched map[int]bool, step string) {
 	t.Helper()
-	for p := range touched { // the balloon dropped its pages from the ledger
-		if p < len(vm.ram) && vm.ram[p] == hpaNone {
+	pages := int(vm.Spec().MemoryBytes / geometry.PageSize2M)
+	for p := range touched { // the balloon, [len(vm.ram), pages), dropped its pages from the ledger
+		if p >= len(vm.ram) && p < pages {
 			delete(touched, p)
 		}
 	}
 	var want []int
 	for p := range touched {
-		if p < len(vm.ram) && vm.ram[p] != hpaNone {
+		if p < len(vm.ram) {
 			want = append(want, p)
 		}
 	}
@@ -221,9 +219,9 @@ func checkWriteLedgers(t *testing.T, rng *rand.Rand, vm *VM, touched map[int]boo
 	}
 	dirty := map[uint64]bool{}
 	for i := 0; i < 6; i++ {
-		p := rng.Intn(len(vm.ram))
-		if vm.ram[p] == hpaNone {
-			continue
+		p := rng.Intn(pages)
+		if p >= len(vm.ram) {
+			continue // ballooned
 		}
 		if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M+uint64(rng.Intn(4096)), []byte{byte(i + 1)}); err != nil {
 			t.Fatal(err)

@@ -1,24 +1,40 @@
 package core
 
 // The resize facade: one entry point for every change to a running VM's
-// memory footprint. Callers say what size they want — core.ResizeVM(name,
-// targetBytes) — and the facade dispatches to the cheapest mechanism that
-// reaches it:
+// memory footprint. A VM's RAM is a GPA prefix — vm.ram holds the resident
+// 2 MiB pages, and its length is the usable size — and the balloon is the
+// spec's size beyond it. Callers say what size they want —
+// core.ResizeVM(name, targetBytes) — and the facade runs exactly one leg:
 //
-//   - shrink            → balloon inflate (surrender pages, maybe whole
-//                         nodes, to the admission pool);
-//   - grow within the   → balloon deflate (restore surrendered pages,
-//     ballooned holes     re-adopting nodes if the old ones were taken);
-//   - grow beyond the   → memory hotplug (extend guest RAM with new 2 MiB
-//     boot reservation    regions on freshly adopted subarray-group nodes).
+//   - shrink (balloon inflate) commits the shorter prefix: the top pages'
+//     EPT leaves and IOMMU entries are unmapped, so the guest can no longer
+//     reach them, and the frames are vacated — scrubbed if they ever held
+//     guest data (the touched-page ledger makes never-written pages free to
+//     release) and returned to their node — after which every node the VM
+//     no longer holds a frame on leaves its control group and returns to
+//     the admission pool (virtio-balloon semantics over Siloz's isolation
+//     domains).
+//   - grow takes every page it needs in one frame transaction under the VM's
+//     placement policy (frames.go), adopting unowned subarray-group nodes
+//     when what it owns runs out. The pages up to the spec's size refill the
+//     balloon (deflate); the pages beyond it are hot-added (memory hotplug)
+//     and scrubbed before the guest can see them, so a recycled frame never
+//     leaks a previous tenant's bytes and the hot-added range reads all-zero
+//     like real hot-added DIMM memory. One commit maps them all and the
+//     spec's size grows to cover them.
+//
+// Both legs pause the guest across their commit, so no access can race the
+// EPT edit or observe a half-built range. On failure a grow's transaction
+// rolls back completely: the VM keeps exactly its previous size and node set.
 //
 // planResize is the one validator: every input ResizeVM refuses, it refuses
-// before either leg starts, and the legs (balloon.go, hotplug.go) check
-// nothing. PreviewResize answers the same dispatch question without
-// mutating anything — which action, how many pages, which nodes would drain
-// or be adopted. ResizeVM runs under the per-VM lifecycle latch, so a resize
-// can never interleave with another resize or a live migration of the same
-// VM.
+// before the leg starts, and the legs check nothing. PreviewResize answers
+// the same question without mutating anything — which action, how many
+// pages, which nodes would drain or be adopted. ResizeVM runs under the
+// per-VM lifecycle latch, so a resize can never interleave with another
+// resize or a live migration of the same VM. The guest half lives in
+// internal/guest: Kernel.Resize asks for the new size and moves the
+// kernel's usable-memory limit with it.
 
 import (
 	"fmt"
@@ -35,10 +51,10 @@ const (
 	ResizeNone ResizeAction = iota
 	// ResizeInflate shrinks by inflating the balloon.
 	ResizeInflate
-	// ResizeDeflate grows within the ballooned holes by deflating.
+	// ResizeDeflate grows within the spec's size by deflating the balloon.
 	ResizeDeflate
-	// ResizeHotplug grows beyond the boot-time reservation by hot-adding
-	// memory (deflating any balloon remnant first).
+	// ResizeHotplug grows beyond the spec's size by hot-adding memory
+	// (deflating any balloon remnant in the same leg).
 	ResizeHotplug
 )
 
@@ -64,15 +80,12 @@ type ResizePlan struct {
 	Target  uint64
 	Action  ResizeAction
 
-	Pages         int    // 2 MiB pages the action moves (surrendered or restored+added)
-	BalloonTarget uint64 // balloon size after the action (inflate/deflate legs)
-	HotplugBytes  uint64 // bytes hot-added beyond the reservation (hotplug only)
-	ReleasedNodes []int  // guest nodes a shrink would drain and release
-	AdoptedNodes  []int  // unowned guest nodes a grow would adopt (in adoption order)
+	Pages         int   // 2 MiB pages the action moves (surrendered, or restored plus hot-added)
+	ReleasedNodes []int // guest nodes a shrink would drain and release
+	AdoptedNodes  []int // unowned guest nodes a grow would adopt (in adoption order)
 }
 
-// ResizeReport summarizes one ResizeVM call: what the legs that ran did,
-// in the order they ran.
+// ResizeReport summarizes one ResizeVM call.
 type ResizeReport struct {
 	VM       string
 	Previous uint64 // usable guest RAM before the call
@@ -82,20 +95,28 @@ type ResizeReport struct {
 	Pages         int    // 2 MiB pages moved: surrendered, or restored plus hot-added
 	ScrubbedBytes uint64 // bytes zeroed: data-bearing pages before release, hot-added pages before mapping
 	ReleasedNodes []int  // guest nodes drained and returned to the pool
-	AdoptedNodes  []int  // guest nodes adopted to back a grow, deflate leg first
+	AdoptedNodes  []int  // guest nodes adopted to back a grow
 }
 
-// usableBytes is the guest RAM the VM can touch: recorded size minus the
-// ballooned-out pages. Caller holds h.mu.
+// usableBytes is the guest RAM the VM can touch: the resident prefix.
+// Caller holds h.mu.
 func (vm *VM) usableBytes() uint64 {
-	return vm.spec.MemoryBytes - uint64(vm.ballooned)*geometry.PageSize2M
+	return uint64(len(vm.ram)) * geometry.PageSize2M
+}
+
+// balloonFloor is the smallest resident RAM a balloon may leave behind:
+// the spec's MinMemoryBytes, and never less than one 2 MiB page (a VM with
+// zero resident pages would own no guest nodes, breaking the audit's
+// VM-has-a-domain invariant).
+func balloonFloor(spec VMSpec) uint64 {
+	return max(spec.MinMemoryBytes, geometry.PageSize2M)
 }
 
 // planResize is the dispatch and the validation ResizeVM and PreviewResize
 // share: which mechanism reaches targetBytes, how many pages it moves and —
 // from a dry run of the frame-sourcing walk — which unowned nodes a grow
-// would adopt, so an infeasible grow is refused before either of its legs
-// starts. Caller holds h.mu.
+// would adopt, so an infeasible grow is refused before it starts. Caller
+// holds h.mu.
 func (h *Hypervisor) planResize(vm *VM, targetBytes uint64) (ResizePlan, error) {
 	name := vm.spec.Name
 	if targetBytes == 0 || targetBytes%geometry.PageSize2M != 0 {
@@ -105,35 +126,27 @@ func (h *Hypervisor) planResize(vm *VM, targetBytes uint64) (ResizePlan, error) 
 		return ResizePlan{}, fmt.Errorf("core: VM %q has dirty logging armed; a resize would lose protection state", name)
 	}
 	plan := ResizePlan{VM: name, Current: vm.usableBytes(), Target: targetBytes}
-	size, balloon := vm.spec.MemoryBytes, vm.ballooned
+	plan.Pages = int(targetBytes/geometry.PageSize2M) - len(vm.ram)
 	switch {
-	case targetBytes == plan.Current:
+	case plan.Pages == 0:
 		plan.Action = ResizeNone
 		return plan, nil
 
-	case targetBytes < plan.Current:
+	case plan.Pages < 0:
 		if floor := balloonFloor(vm.spec); targetBytes < floor {
 			return plan, fmt.Errorf("core: resize target %d below VM %q's floor %d", targetBytes, name, floor)
 		}
-		plan.Action = ResizeInflate
-		plan.BalloonTarget = size - targetBytes
-		plan.Pages = int(plan.BalloonTarget/geometry.PageSize2M) - balloon
+		plan.Action, plan.Pages = ResizeInflate, -plan.Pages
 		return plan, nil
 
-	case targetBytes <= size:
+	case targetBytes <= vm.spec.MemoryBytes:
 		plan.Action = ResizeDeflate
-		plan.BalloonTarget = size - targetBytes
-		plan.Pages = balloon - int(plan.BalloonTarget/geometry.PageSize2M)
 
 	case targetBytes > ROMBase:
 		return plan, fmt.Errorf("core: resize would grow VM %q past the RAM window end %#x", name, ROMBase)
 
 	default:
-		// Hotplug extends the top of RAM and the balloon's model is that it
-		// *is* the top of RAM, so any balloon remnant deflates first.
 		plan.Action = ResizeHotplug
-		plan.HotplugBytes = targetBytes - size
-		plan.Pages = balloon + int(plan.HotplugBytes/geometry.PageSize2M)
 	}
 	t := h.sourceFrames(vm)
 	t.dry = true
@@ -142,15 +155,14 @@ func (h *Hypervisor) planResize(vm *VM, targetBytes uint64) (ResizePlan, error) 
 	return plan, err
 }
 
-// ResizeVM resizes a running VM's usable memory to targetBytes, dispatching
-// to balloon inflate (shrink), balloon deflate (grow within the ballooned
-// holes), or memory hotplug (grow beyond the boot-time reservation; any
-// balloon remnant is deflated first). It is the one way to change a running
-// VM's memory footprint. The call holds the VM's lifecycle latch end to end
-// — a concurrent resize or migration of the same VM fails with
-// ErrResizeBusy — and rolls back to the previous state on partial failure.
+// ResizeVM resizes a running VM's usable memory to targetBytes: a shrink
+// inflates the balloon, a grow deflates it and, past the spec's size, hot-adds
+// memory, in one leg either way. It is the one way to change a running VM's
+// memory footprint. The call holds the VM's lifecycle latch end to end — a
+// concurrent resize or migration of the same VM fails with ErrResizeBusy —
+// and a failed grow leaves the VM as it was.
 //
-// After the legs, the EPT tables follow the guest: dropping a VM's last node
+// After the leg, the EPT tables follow the guest: dropping a VM's last node
 // on a socket, or adopting only remote ones, can leave the whole reservation
 // on one socket while the tables stay on the other. A relocation failure
 // does not undo the resize: the report is returned together with the error,
@@ -164,7 +176,17 @@ func (h *Hypervisor) ResizeVM(name string, targetBytes uint64) (*ResizeReport, e
 		return nil, err
 	}
 	defer vm.releaseLifecycle()
-	rep, err := h.resizeTo(vm, targetBytes)
+	plan, err := h.planResize(vm, targetBytes)
+	if err != nil {
+		return nil, err
+	}
+	rep := &ResizeReport{VM: plan.VM, Previous: plan.Current, Target: targetBytes, Action: plan.Action, Pages: plan.Pages}
+	switch plan.Action {
+	case ResizeInflate:
+		err = h.shrink(vm, plan.Pages, rep)
+	case ResizeDeflate, ResizeHotplug:
+		err = h.grow(vm, plan.Pages, rep)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -174,33 +196,77 @@ func (h *Hypervisor) ResizeVM(name string, targetBytes uint64) (*ResizeReport, e
 	return rep, nil
 }
 
-// resizeTo executes planResize's plan. Caller holds h.mu and the VM's
+// shrink is ResizeVM's inflate leg: it surrenders the top n resident pages,
+// matching the guest driver's top-down pinning. Caller holds h.mu and the
+// VM's lifecycle latch.
+func (h *Hypervisor) shrink(vm *VM, n int, rep *ResizeReport) error {
+	keep := len(vm.ram) - n
+	// The guest is paused across the unmap+free so no store can race the
+	// EPT edit (the same stop-the-world window a real balloon's
+	// MADV_DONTNEED takes, just coarser). Hammer and device DMA hold the
+	// same gate, so no stale-translation activation can land mid-drain.
+	vm.Pause()
+	defer vm.Resume()
+
+	// Commit the shorter prefix. After this the surrendered ranges are
+	// unreachable architecturally — the frames still hold guest data but
+	// only physical access remains. The prefix is clipped so that a later
+	// grow appends to a fresh array: no commit overwrites a slot a layout
+	// has published, and the runs of ramRuns alias those slots.
+	gone := vm.ramRuns(keep, nil)
+	if err := vm.commitLayout(vm.ram[:keep:keep], nil); err != nil {
+		return err
+	}
+	vm.dirtyMu.Lock()
+	for p := keep; p < keep+n; p++ {
+		vm.touched.del(p)
+	}
+	vm.dirtyMu.Unlock()
+	h.probe(ProbeBalloonUnmapped, vm)
+
+	var err error
+	rep.ScrubbedBytes, rep.ReleasedNodes, err = h.vacate(vm, gone, vm.nodeIDs(), ProbeBalloonDrained)
+	return err
+}
+
+// grow is ResizeVM's deflate and hotplug leg: it maps n more pages at the top
+// of the resident prefix, all taken in one frame transaction, and grows the
+// spec's size over the ones past it. Caller holds h.mu and the VM's
 // lifecycle latch.
-func (h *Hypervisor) resizeTo(vm *VM, targetBytes uint64) (*ResizeReport, error) {
-	plan, err := h.planResize(vm, targetBytes)
-	if err != nil {
-		return nil, err
+func (h *Hypervisor) grow(vm *VM, n int, rep *ResizeReport) error {
+	t := h.sourceFrames(vm)
+	if err := t.take(alloc.Order2M, n, false); err != nil {
+		return err
 	}
-	rep := &ResizeReport{VM: plan.VM, Previous: plan.Current, Target: targetBytes, Action: plan.Action}
-	if plan.Action == ResizeNone {
-		return rep, nil
+	ram := append(vm.ram, t.frames...)
+	added := ram[min(len(ram), int(vm.spec.MemoryBytes/geometry.PageSize2M)):]
+	if len(added) > 0 {
+		// The adoption window is open: the frames (and any adopted nodes)
+		// now belong to this VM's domain but are not yet scrubbed or mapped.
+		// An attacker cannot reach them through any translation path — only
+		// the registry transfer has happened.
+		h.probe(ProbeHotplugAdopted, vm)
 	}
-	prevBalloon := vm.ballooned
-	if err := h.balloonTo(vm, int(plan.BalloonTarget/geometry.PageSize2M), rep); err != nil {
-		return nil, err
-	}
-	if plan.HotplugBytes > 0 {
-		if err := h.hotplugGrow(vm, plan.HotplugBytes, rep); err != nil {
-			// Roll the deflate leg back so the caller sees the pre-resize
-			// state; the re-inflate frees pages we just allocated, so it
-			// cannot fail for capacity.
-			if rerr := h.balloonTo(vm, prevBalloon, &ResizeReport{}); rerr != nil {
-				return nil, fmt.Errorf("core: hotplug failed (%w) and balloon restore failed too: %v", err, rerr)
-			}
-			return nil, err
+	// Scrub before mapping: the guest must only ever observe zeros in the
+	// hot-added range, whatever the frames held before. The pages that
+	// refill the balloon are not scrubbed here: vacate scrubbed every frame
+	// that held data when it left its last VM.
+	for _, hpa := range added {
+		if err := h.mem.ScrubPhys(hpa, geometry.PageSize2M); err != nil {
+			t.rollback()
+			return err
 		}
 	}
-	return rep, nil
+	vm.Pause()
+	defer vm.Resume()
+	if err := vm.commitLayout(ram, nil); err != nil {
+		t.rollback()
+		return err
+	}
+	vm.spec.MemoryBytes = max(vm.spec.MemoryBytes, vm.usableBytes())
+	rep.ScrubbedBytes = uint64(len(added)) * geometry.PageSize2M
+	rep.AdoptedNodes = t.adopted
+	return nil
 }
 
 // PreviewResize reports, without mutating anything, what ResizeVM(name,
@@ -227,17 +293,10 @@ func (h *Hypervisor) PreviewResize(name string, targetBytes uint64) (*ResizePlan
 
 // previewDrain reports which guest nodes an inflate of n pages would release,
 // in node-ID order: by vacate's rule, those on which the VM would hold no
-// frame once the victims are gone (the baseline has no such nodes). The
-// victims are the top n resident pages (inflateVictims), so what stays is
-// the layout below the lowest of them. Caller holds h.mu.
+// frame once the top n pages are gone (the baseline has no such nodes).
+// Caller holds h.mu.
 func (vm *VM) previewDrain(n int) []int {
-	cut := len(vm.ram)
-	for left := n; cut > 0 && left > 0; {
-		if cut--; vm.ram[cut] != hpaNone {
-			left--
-		}
-	}
-	if released := vm.drained(vm.nodeIDs(), vm.ram[:cut]); len(released) > 0 {
+	if released := vm.drained(vm.nodeIDs(), vm.ram[:len(vm.ram)-n]); len(released) > 0 {
 		return released
 	}
 	return nil

@@ -155,8 +155,8 @@ func TestHotplugValidation(t *testing.T) {
 }
 
 // TestResizeHotplugDeflatesFirst: a grow beyond the reservation on a
-// ballooned VM runs both legs — full deflate, then hotplug — under one
-// latch acquisition.
+// ballooned VM refills the balloon and hot-adds the rest in one leg, and
+// scrubs only the hot-added pages.
 func TestResizeHotplugDeflatesFirst(t *testing.T) {
 	h := bootSiloz(t)
 	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "v", Socket: 0, MemoryBytes: 128 * geometry.MiB,
@@ -171,9 +171,10 @@ func TestResizeHotplugDeflatesFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 32 pages restored by the deflate leg, 32 added by the hotplug leg.
-	if rep.Action != ResizeHotplug || rep.Pages != 64 {
-		t.Fatalf("resize = %v of %d pages, want a hotplug moving 64", rep.Action, rep.Pages)
+	// 32 pages restored into the balloon, 32 hot-added beyond it.
+	if rep.Action != ResizeHotplug || rep.Pages != 64 || rep.ScrubbedBytes != 64*geometry.MiB {
+		t.Fatalf("resize = %v of %d pages scrubbing %d MiB, want a hotplug moving 64 and scrubbing 64 MiB",
+			rep.Action, rep.Pages, rep.ScrubbedBytes/geometry.MiB)
 	}
 	if vm.BalloonedBytes() != 0 || vm.Spec().MemoryBytes != 192*geometry.MiB {
 		t.Errorf("balloon %d MiB, RAM %d MiB: want a full deflate and 64 MiB hot-added",
@@ -184,9 +185,8 @@ func TestResizeHotplugDeflatesFirst(t *testing.T) {
 	}
 }
 
-// TestResizeRollbackRestoresBalloon: when the hotplug leg fails for
-// capacity, the deflate leg is rolled back so the caller sees the exact
-// pre-resize state.
+// TestResizeRollbackRestoresBalloon: when a grow past a balloon fails for
+// capacity, the caller sees the exact pre-resize state.
 func TestResizeRollbackRestoresBalloon(t *testing.T) {
 	h := bootSiloz(t)
 	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "v", Socket: 0, MemoryBytes: 128 * geometry.MiB,
@@ -197,8 +197,8 @@ func TestResizeRollbackRestoresBalloon(t *testing.T) {
 	if _, err := h.ResizeVM("v", 64*geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
-	// One neighbor takes one of the two free nodes: the deflate leg can
-	// re-adopt the last one, but the hotplug leg then finds nothing.
+	// One neighbor takes one of the two free nodes: refilling the balloon
+	// could re-adopt the last one, but the hot-added pages then find nothing.
 	if _, err := h.CreateVM(kvmProc(), VMSpec{Name: "t", Socket: 0, MemoryBytes: 64 * geometry.MiB}); err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,8 @@ func TestPreviewResize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grow.Action != ResizeHotplug || grow.HotplugBytes != 64*geometry.MiB || len(grow.AdoptedNodes) != 1 {
-		t.Fatalf("grow plan = %+v, want hotplug of 64 MiB adopting one node", grow)
+	if grow.Action != ResizeHotplug || grow.Pages != 32 || len(grow.AdoptedNodes) != 1 {
+		t.Fatalf("grow plan = %+v, want hotplug of 32 pages adopting one node", grow)
 	}
 	if got := usable(vm); got != 128*geometry.MiB || len(vm.Nodes()) != 2 || vm.BalloonedBytes() != 0 {
 		t.Errorf("preview mutated the VM: usable %d, %d nodes, %d ballooned",

@@ -71,8 +71,9 @@ type VM struct {
 	// home socket and follows the guest across cross-socket migrations
 	// (EPT relocation); Spec().Socket records only where the VM booted.
 	eptSocket int
-	// ram holds the HPA of each 2 MiB RAM page in GPA order; slots the
-	// balloon surrendered hold hpaNone until a deflate restores them.
+	// ram holds the HPA of each resident 2 MiB RAM page in GPA order: a
+	// prefix of the GPA space whose length is the usable size. The balloon
+	// is spec.MemoryBytes beyond it.
 	ram []uint64
 	// inflight lists the frames an open migration has taken for the VM and
 	// not yet committed into ram or its regions: they are the VM's from the
@@ -80,12 +81,11 @@ type VM struct {
 	inflight []frameRun
 	// leaves is the layout the EPT's 2 MiB RAM leaves currently hold: equal
 	// to ram except inside a commit (layout.go).
-	leaves    []uint64
-	ballooned int // RAM pages currently in the balloon: the holes in ram
+	leaves []uint64
 	// lifecycle is the per-VM lifecycle latch (under h.mu): the name of the
-	// exclusive operation in flight ("live migration", "balloon", "resize",
-	// "memory hotplug"), or "" when idle. Balloon, migration, resize, and
-	// hotplug all rewrite the RAM layout, so at most one may run per VM.
+	// exclusive operation in flight ("resize", "live migration", "cross-host
+	// move"), or "" when idle. Each rewrites the RAM layout or tears the VM
+	// down, so at most one may run per VM.
 	lifecycle string
 	mediated  []uint64 // HPA of each 4 KiB mediated page, GPA order
 	regions   []regionInfo
@@ -101,7 +101,7 @@ type VM struct {
 	pinned []int  // exclusively-pinned logical cores
 
 	// devMu guards devices: the passthrough devices whose IOMMU tables
-	// must track every RAM-layout change (migration, balloon, hotplug).
+	// must track every RAM-layout change (migration, resize).
 	devMu   sync.Mutex
 	devices []*Device
 
@@ -123,10 +123,6 @@ type VM struct {
 // ErrThrottled is returned when a VM exceeds its per-window mediated access
 // budget: host software refuses to be a hammering deputy (§5.1).
 var ErrThrottled = errors.New("core: mediated access rate limit exceeded")
-
-// hpaNone marks a RAM slot whose backing page the balloon surrendered: the
-// GPA range is unmapped in the EPTs and owns no host frame.
-const hpaNone = ^uint64(0)
 
 // pageSet is a set of RAM page indexes (2 MiB GPA units), one bit each: the
 // dirty log and the touched ledger. It grows to the highest page added.
@@ -431,7 +427,7 @@ func (vm *VM) teardown() {
 	for _, d := range devices {
 		d.detachTables()
 	}
-	gone := vm.ramRuns(inflateVictims(vm, len(vm.ram)), nil)
+	gone := vm.ramRuns(0, nil)
 	for _, info := range vm.regions {
 		gone = append(gone, info.frameRun)
 	}
@@ -443,7 +439,7 @@ func (vm *VM) teardown() {
 	}
 	h.guardBytes -= uint64(len(vm.guards)) * geometry.PageSize2M
 	_, _, _ = h.vacate(vm, gone, nil, "") // a destroy has no one to report a scrub or free failure to
-	vm.ram, vm.leaves, vm.ballooned = nil, nil, 0
+	vm.ram, vm.leaves = nil, nil
 	vm.regions, vm.mediated, vm.guards = nil, nil, nil
 	if vm.tables != nil {
 		vm.tables.Destroy()
@@ -486,15 +482,9 @@ func (vm *VM) Tables() *ept.Tables { return vm.tables }
 func (vm *VM) EPTSocket() int { return vm.eptSocket }
 
 // RAMPages returns the HPAs of the VM's resident 2 MiB RAM pages in GPA
-// order; ballooned-out slots are omitted.
+// order.
 func (vm *VM) RAMPages() []uint64 {
-	out := make([]uint64, 0, len(vm.ram))
-	for _, hpa := range vm.ram {
-		if hpa != hpaNone {
-			out = append(out, hpa)
-		}
-	}
-	return out
+	return append(make([]uint64, 0, len(vm.ram)), vm.ram...)
 }
 
 // TouchedPages returns the sorted GPA page indexes (2 MiB units) that are
@@ -504,10 +494,8 @@ func (vm *VM) TouchedPages() []int {
 	vm.dirtyMu.Lock()
 	defer vm.dirtyMu.Unlock()
 	out := make([]int, 0, vm.touched.len())
-	for p := vm.touched.next(0); p >= 0; p = vm.touched.next(p + 1) {
-		if p < len(vm.ram) && vm.ram[p] != hpaNone {
-			out = append(out, p)
-		}
+	for p := vm.touched.next(0); p >= 0 && p < len(vm.ram); p = vm.touched.next(p + 1) {
+		out = append(out, p)
 	}
 	return out
 }
@@ -517,7 +505,7 @@ func (vm *VM) TouchedPages() []int {
 func (vm *VM) BalloonedBytes() uint64 {
 	vm.hv.mu.Lock()
 	defer vm.hv.mu.Unlock()
-	return uint64(vm.ballooned) * geometry.PageSize2M
+	return vm.spec.MemoryBytes - vm.usableBytes()
 }
 
 // MediatedPages returns the HPAs of the VM's mediated 4 KiB pages.
@@ -656,25 +644,11 @@ func (vm *VM) Pause() { vm.pauseMu.Lock() }
 // Resume restarts a paused guest.
 func (vm *VM) Resume() { vm.pauseMu.Unlock() }
 
-// protectRAM sets the write permission of the resident RAM leaves among the
-// first upto slots, a run of consecutive resident slots at a time. It returns
-// the slots it got through, so a second call over that prefix undoes it.
+// protectRAM sets the write permission of the first upto RAM leaves in one
+// run. It returns the leaves it got through, so a second call over that
+// prefix undoes it.
 func (vm *VM) protectRAM(upto int, writable bool) (int, error) {
-	for p := 0; p < upto; {
-		if vm.ram[p] == hpaNone {
-			p++
-			continue
-		}
-		end := p + 1
-		for end < upto && vm.ram[end] != hpaNone {
-			end++
-		}
-		n, err := vm.tables.ProtectRun(uint64(p)*geometry.PageSize2M, end-p, geometry.PageSize2M, writable)
-		if p += n; err != nil {
-			return p, err
-		}
-	}
-	return upto, nil
+	return vm.tables.ProtectRun(0, upto, geometry.PageSize2M, writable)
 }
 
 // StartDirtyTracking arms write-protection dirty logging over guest RAM
@@ -897,7 +871,7 @@ func (vm *VM) mediatedAccess(hpa uint64) error {
 // cannot be hammered: the required VM exits let the host rate-limit (§5.1).
 //
 // Like every other guest access, Hammer holds the vCPU gate shared: a
-// paused VM (stop-and-copy, balloon drain, hotplug map) blocks here until
+// paused VM (stop-and-copy, a resize's commit and drain) blocks here until
 // Resume. Without the gate a hammer loop could translate through a stale
 // TLB entry and keep activating a frame the balloon had already freed —
 // possibly re-owned by the next tenant by the time the activation lands.

@@ -135,11 +135,12 @@ func New(mem *dram.Memory, pages PageAllocator, mode IntegrityMode) (*Tables, er
 // Mode returns the integrity mode.
 func (t *Tables) Mode() IntegrityMode { return t.mode }
 
-// Pages returns every table page (root first).
+// Pages returns every table page (root first). The list is the tables' own,
+// clipped, and read-only: the tables only ever append to it or replace it
+// whole, so what a caller holds stays as it was returned, and the caller
+// must not write to it.
 func (t *Tables) Pages() []uint64 {
-	out := make([]uint64, len(t.all))
-	copy(out, t.all)
-	return out
+	return t.all[:len(t.all):len(t.all)]
 }
 
 // Destroy releases all table pages and poisons the hierarchy: the root and

@@ -97,7 +97,7 @@ func runBalloon(cfg balloonParams, run balloonRun, seed int64, t *tally) error {
 	}
 
 	before := append([]*numa.Node(nil), vm.Nodes()...)
-	if err := k.Balloon().SetTarget(run.target); err != nil {
+	if err := k.Resize(cfg.VMBytes - run.target); err != nil {
 		return fmt.Errorf("inflate to %d: %w", run.target, err)
 	}
 	var released []*numa.Node
@@ -133,7 +133,7 @@ func runBalloon(cfg balloonParams, run balloonRun, seed int64, t *tally) error {
 
 	// Deflate: re-adopt the capacity, then prove restored memory is zeroed
 	// and writable and the pre-balloon payload survived.
-	deflated := k.Balloon().SetTarget(0) == nil && vm.ReadGuest(surrStart, probe) == nil &&
+	deflated := k.Resize(cfg.VMBytes) == nil && vm.ReadGuest(surrStart, probe) == nil &&
 		dram.AllZero(probe) && vm.WriteGuest(surrStart, payload) == nil
 	intact, err := guestHolds(vm, 512, payload)
 	if err != nil {

@@ -135,20 +135,19 @@ func runHotplug(cfg hotplugParams, run hotplugRun, seed int64, t *tally) error {
 	nodesBefore := len(vm.Nodes())
 	adopted, scrubBytes := 0, uint64(0)
 	grew, refused, bankZero, restored := false, false, true, true
-	bank, err := k.HotplugBank(addBytes)
-	switch {
+	switch err := k.Resize(run.target); {
 	case err == nil:
 		grew, adopted, scrubBytes = true, len(vm.Nodes())-nodesBefore, addBytes
 
 		// The hot-added bank must read all-zero and be guest-usable.
 		buf := make([]byte, geometry.PageSize4K)
-		for off := uint64(0); off < bank.Bytes; off += geometry.PageSize2M {
-			if err := vm.ReadGuest(bank.Start+off, buf); err != nil {
+		for gpa := cfg.VMBytes; gpa < run.target; gpa += geometry.PageSize2M {
+			if err := vm.ReadGuest(gpa, buf); err != nil {
 				return err
 			}
 			bankZero = bankZero && dram.AllZero(buf)
 		}
-		guestExtends = guestExtends && proc.Map(probeGVA, bank.Start) == nil &&
+		guestExtends = guestExtends && proc.Map(probeGVA, cfg.VMBytes) == nil &&
 			proc.Write(probeGVA, payload) == nil
 	case errors.Is(err, core.ErrCapacityExhausted):
 		refused = true

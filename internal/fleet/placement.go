@@ -15,9 +15,6 @@ type Request struct {
 	// GuestBytes is the capacity demanded from guest-reserved nodes
 	// (migrate.GuestBytes of the spec).
 	GuestBytes uint64
-	// Host, when non-empty, restricts placement to that host (used when
-	// re-placing a specific eviction).
-	Host string
 	// ExcludeHosts are hosts the placement must avoid (the source of an
 	// eviction, hot hosts during a rebalance).
 	ExcludeHosts map[string]bool
@@ -74,14 +71,6 @@ type Placement struct {
 	Socket int
 }
 
-// admissible reports whether a host may receive the request at all.
-func admissible(req Request, hv HostView) bool {
-	if req.Host != "" && req.Host != hv.Host {
-		return false
-	}
-	return !req.ExcludeHosts[hv.Host]
-}
-
 // noPlacement builds the typed rejection.
 func noPlacement(req Request, policy string) error {
 	return fmt.Errorf("%s: %q (%d MiB): %w",
@@ -99,7 +88,7 @@ func (FirstFit) Name() string { return "first-fit" }
 // Place implements Policy.
 func (FirstFit) Place(req Request, views []HostView) (Placement, error) {
 	for _, hv := range views {
-		if !admissible(req, hv) {
+		if req.ExcludeHosts[hv.Host] {
 			continue
 		}
 		for _, sv := range hv.Sockets {
@@ -125,7 +114,7 @@ func (BestFit) Place(req Request, views []HostView) (Placement, error) {
 	var bestSlack uint64
 	found := false
 	for _, hv := range views {
-		if !admissible(req, hv) {
+		if req.ExcludeHosts[hv.Host] {
 			continue
 		}
 		for _, sv := range hv.Sockets {
@@ -166,7 +155,7 @@ func (SilozAware) Place(req Request, views []HostView) (Placement, error) {
 	var bestStranded, bestFree uint64
 	found := false
 	for _, hv := range views {
-		if !admissible(req, hv) {
+		if req.ExcludeHosts[hv.Host] {
 			continue
 		}
 		for _, sv := range hv.Sockets {

@@ -87,18 +87,6 @@ func TestPlacementRespectsExcludes(t *testing.T) {
 	}
 }
 
-func TestPlacementHostAffinity(t *testing.T) {
-	views := synthViews([][][]uint64{
-		{{64}},
-		{{64}},
-	})
-	req := Request{Name: "x", GuestBytes: 64 * geometry.MiB, Host: "host-1"}
-	p, err := FirstFit{}.Place(req, views)
-	if err != nil || p.Host != "host-1" {
-		t.Fatalf("affinity ignored: %+v, %v", p, err)
-	}
-}
-
 func TestPlacementOwnedNodesExcluded(t *testing.T) {
 	views := synthViews([][][]uint64{{{64, 64}}})
 	views[0].Sockets[0].Nodes[0].Owned = true

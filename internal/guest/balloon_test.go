@@ -56,12 +56,8 @@ func TestGuestBalloonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := k.Balloon()
-	if err := b.SetTarget(64 * geometry.MiB); err != nil {
+	if err := k.Resize(64 * geometry.MiB); err != nil {
 		t.Fatal(err)
-	}
-	if got := b.bytes; got != 64*geometry.MiB {
-		t.Errorf("balloon = %d bytes, want 64 MiB", got)
 	}
 	if got := vm.BalloonedBytes(); got != 64*geometry.MiB {
 		t.Errorf("hypervisor sees %d ballooned bytes, want 64 MiB", got)
@@ -87,14 +83,17 @@ func TestGuestBalloonEndToEnd(t *testing.T) {
 
 	// Deflate: every guest node is now owned by the tenant, so this must
 	// fail rather than overlap domains.
-	if derr := b.SetTarget(0); derr == nil {
+	if derr := k.Resize(128 * geometry.MiB); derr == nil {
 		t.Fatal("deflate succeeded with no adoptable node — domains must have overlapped")
 	}
 	if err := h.DestroyVM("tenant"); err != nil {
 		t.Fatal(err)
 	}
 	_ = tenant
-	if err := b.SetTarget(0); err != nil {
+	if got := k.LimitBytes(); got != 64*geometry.MiB {
+		t.Errorf("LimitBytes = %d after the refused deflate, want 64 MiB", got)
+	}
+	if err := k.Resize(128 * geometry.MiB); err != nil {
 		t.Fatalf("deflate after capacity returned: %v", err)
 	}
 	if got := vm.BalloonedBytes(); got != 0 {
@@ -119,25 +118,30 @@ func TestGuestBalloonEndToEnd(t *testing.T) {
 func TestGuestBalloonRefusesLiveFrames(t *testing.T) {
 	_, _, k := bootGuestSized(t, 128*geometry.MiB)
 	k.nextFrame = 100 * geometry.MiB // frames in use up to 100 MiB
-	if err := k.Balloon().SetTarget(64 * geometry.MiB); err == nil {
+	if err := k.Resize(64 * geometry.MiB); err == nil {
 		t.Error("inflate over live kernel frames accepted")
 	}
-	if err := k.Balloon().SetTarget(16 * geometry.MiB); err != nil {
+	if got := k.LimitBytes(); got != 128*geometry.MiB {
+		t.Errorf("LimitBytes = %d after the refused inflate, want 128 MiB", got)
+	}
+	if err := k.Resize(112 * geometry.MiB); err != nil {
 		t.Errorf("inflate below the high-water mark refused: %v", err)
 	}
 }
 
 func TestGuestBalloonValidation(t *testing.T) {
 	_, _, k := bootGuestSized(t, 128*geometry.MiB)
-	b := k.Balloon()
-	if err := b.SetTarget(geometry.MiB); err == nil {
-		t.Error("sub-2MiB balloon target accepted")
+	if err := k.Resize(127 * geometry.MiB); err == nil {
+		t.Error("limit off the 2 MiB grid accepted")
 	}
-	if err := b.SetTarget(256 * geometry.MiB); err == nil {
-		t.Error("balloon target beyond guest RAM accepted")
+	if err := k.Resize(0); err == nil {
+		t.Error("balloon over all of guest RAM accepted")
 	}
-	if err := b.SetTarget(0); err != nil {
-		t.Errorf("no-op deflate failed: %v", err)
+	if err := k.Resize(128 * geometry.MiB); err != nil {
+		t.Errorf("no-op resize failed: %v", err)
+	}
+	if got := k.LimitBytes(); got != 128*geometry.MiB {
+		t.Errorf("LimitBytes = %d after refused resizes, want 128 MiB", got)
 	}
 }
 
@@ -188,7 +192,7 @@ func TestGuestBalloonCommitsWhenEPTRelocationFails(t *testing.T) {
 		held = append(held, pa)
 	}
 
-	if err := k.Balloon().SetTarget(64 * geometry.MiB); err == nil {
+	if err := k.Resize(64 * geometry.MiB); err == nil {
 		t.Fatal("inflate succeeded although socket 1's EPT pool is exhausted")
 	}
 	usable := vm.Spec().MemoryBytes - vm.BalloonedBytes()
@@ -198,9 +202,6 @@ func TestGuestBalloonCommitsWhenEPTRelocationFails(t *testing.T) {
 	}
 	if got := k.LimitBytes(); got != usable {
 		t.Errorf("guest limit = %d, want the VM's usable %d", got, usable)
-	}
-	if got := k.Balloon().bytes; got != 64*geometry.MiB {
-		t.Errorf("balloon = %d bytes, want 64 MiB", got)
 	}
 	for _, pa := range held {
 		if err := eptPool.Free(pa, 0); err != nil {

@@ -53,7 +53,6 @@ type Kernel struct {
 	freeFrames []uint64
 	procs      map[int]*Process
 	nextPID    int
-	balloon    *Balloon
 }
 
 // NewKernel boots a guest kernel inside a VM. Frame allocation starts after
@@ -65,6 +64,42 @@ func NewKernel(vm *core.VM) *Kernel {
 		limit:     vm.Spec().MemoryBytes,
 		procs:     make(map[int]*Process),
 	}
+}
+
+// LimitBytes returns the kernel's usable-memory limit: allocations and
+// mappings must stay below it.
+func (k *Kernel) LimitBytes() uint64 {
+	return k.limit
+}
+
+// Resize moves the kernel's usable-memory limit to limit (a positive multiple
+// of 2 MiB) through the hypervisor's resize, the guest side of both memory
+// ballooning and memory hotplug. Below the current limit it inflates the
+// balloon (virtio-balloon semantics): the kernel agrees never to use the
+// frames above the new limit again, which requires its frame allocator's
+// high-water mark to sit below it, and the hypervisor unmaps, scrubs and
+// reuses the backing subarray-group pages — possibly returning whole
+// isolation-domain nodes to the admission pool. Above it, the hypervisor
+// deflates the balloon and, past the boot size, hot-adds memory (adopting
+// subarray-group nodes as needed), and the kernel onlines the range: the new
+// frames are allocatable (allocFrame) and mappable (Process.Map) at once, and
+// read as zeros — balloon contents are never preserved. The balloon is thus
+// always the top of guest RAM, matching the hypervisor's highest-GPA-first
+// page selection exactly. The kernel commits the new limit whenever the
+// hypervisor's resize took effect (it returned a report), even if an error
+// came with it; otherwise the kernel's view is unchanged.
+func (k *Kernel) Resize(limit uint64) error {
+	if limit == 0 || limit%geometry.PageSize2M != 0 {
+		return fmt.Errorf("guest: memory limit %d must be a positive multiple of 2 MiB", limit)
+	}
+	if limit < k.limit && k.nextFrame > limit {
+		return fmt.Errorf("guest: cannot shrink to %d bytes: guest frames in use up to %#x", limit, k.nextFrame)
+	}
+	rep, err := k.vm.Hypervisor().ResizeVM(k.vm.Name(), limit)
+	if rep != nil {
+		k.limit = limit
+	}
+	return err
 }
 
 // allocFrame hands out one zeroed 4 KiB guest frame, preferring frames on

@@ -8,8 +8,9 @@ import (
 )
 
 // TestGuestHotplugEndToEnd drives a hotplug from inside the guest: the
-// kernel onlines the hot-added bank, the usable-memory limit rises, and the
-// new frame range is immediately allocatable and mappable.
+// kernel onlines the hot-added range at the old top of RAM, the usable-memory
+// limit rises, and the new frame range is immediately allocatable and
+// mappable.
 func TestGuestHotplugEndToEnd(t *testing.T) {
 	_, vm, k := bootGuestSized(t, 64*geometry.MiB)
 	proc, err := k.Spawn()
@@ -24,12 +25,8 @@ func TestGuestHotplugEndToEnd(t *testing.T) {
 		t.Fatalf("boot limit = %d, want 64 MiB", got)
 	}
 
-	bank, err := k.HotplugBank(64 * geometry.MiB)
-	if err != nil {
+	if err := k.Resize(128 * geometry.MiB); err != nil {
 		t.Fatal(err)
-	}
-	if bank.Start != 64*geometry.MiB || bank.Bytes != 64*geometry.MiB {
-		t.Errorf("bank = %+v, want 64 MiB at the old top of RAM", bank)
 	}
 	if got := k.LimitBytes(); got != 128*geometry.MiB {
 		t.Errorf("limit = %d after hotplug, want 128 MiB", got)
@@ -38,10 +35,10 @@ func TestGuestHotplugEndToEnd(t *testing.T) {
 		t.Errorf("VM RAM = %d after hotplug, want 128 MiB", got)
 	}
 
-	// The bank is mappable and usable by a guest process.
+	// The hot-added range is mappable and usable by a guest process.
 	gva := uint64(0x4000_0000)
-	if err := proc.Map(gva, bank.Start); err != nil {
-		t.Fatalf("Map into the hot-added bank: %v", err)
+	if err := proc.Map(gva, 64*geometry.MiB); err != nil {
+		t.Fatalf("Map into the hot-added range: %v", err)
 	}
 	payload := []byte("lives in hot-added memory")
 	if err := proc.Write(gva, payload); err != nil {
@@ -55,34 +52,32 @@ func TestGuestHotplugEndToEnd(t *testing.T) {
 		t.Error("hot-added memory lost data")
 	}
 
-	// Validation: alignment, and the balloon interlock.
-	if _, err := k.HotplugBank(geometry.PageSize2M + 1); err == nil {
+	// Validation: a limit off the 2 MiB grid.
+	if err := k.Resize(128*geometry.MiB + geometry.PageSize2M + 1); err == nil {
 		t.Error("unaligned hotplug accepted")
 	}
-	if _, err := k.HotplugBank(0); err == nil {
-		t.Error("zero-byte hotplug accepted")
+	if got := k.LimitBytes(); got != 128*geometry.MiB {
+		t.Errorf("limit = %d after a refused hotplug, want 128 MiB", got)
 	}
 }
 
-// TestGuestHotplugBalloonInterplay: the balloon refuses to coexist with a
-// pending hotplug and sizes itself against the grown RAM afterwards.
+// TestGuestHotplugBalloonInterplay: a grow past an inflated balloon
+// deflates it and hot-adds the rest in one resize, and the balloon sizes
+// itself against the grown RAM afterwards.
 func TestGuestHotplugBalloonInterplay(t *testing.T) {
 	_, vm, k := bootGuestSized(t, 64*geometry.MiB)
-	if err := k.Balloon().SetTarget(32 * geometry.MiB); err != nil {
+	if err := k.Resize(32 * geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.HotplugBank(64 * geometry.MiB); err == nil {
-		t.Fatal("hotplug with an inflated balloon accepted")
+	if err := k.Resize(128 * geometry.MiB); err != nil {
+		t.Fatalf("hotplug with an inflated balloon: %v", err)
 	}
-	if err := k.Balloon().SetTarget(0); err != nil {
-		t.Fatal(err)
+	if got := vm.BalloonedBytes(); got != 0 || vm.Spec().MemoryBytes != 128*geometry.MiB {
+		t.Errorf("balloon %d bytes, RAM %d: want a full deflate and 64 MiB hot-added", got, vm.Spec().MemoryBytes)
 	}
-	if _, err := k.HotplugBank(64 * geometry.MiB); err != nil {
-		t.Fatal(err)
-	}
-	// The balloon's top-of-RAM model now covers the hot-added bank: an
-	// inflate surrenders the bank first.
-	if err := k.Balloon().SetTarget(64 * geometry.MiB); err != nil {
+	// The balloon's top-of-RAM model now covers the hot-added range: an
+	// inflate surrenders it first.
+	if err := k.Resize(64 * geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
 	if got := k.LimitBytes(); got != 64*geometry.MiB {
