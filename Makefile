@@ -103,7 +103,7 @@ fuzz-quick:
 # controller, the DRAM module, the attack plane, the EPT, the buddy
 # allocator, the planner's occupancy read, the cgroup registry) — the hot
 # paths the BENCH_*.json baseline tracks. The registry benches in the repo
-# root ride along.
+# root (bench_test.go) are not listed: `make bench` runs them, over ./...
 BENCH_PKGS := ./internal/addr ./internal/alloc ./internal/core ./internal/ept ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve ./internal/attack ./internal/migrate ./internal/numa
 # Every capture is a new point of the trajectory: bench and bench-micro refuse
 # to overwrite an existing BENCH_$(BENCH_DATE).json. For a second point on the

@@ -71,6 +71,11 @@ type Config struct {
 	// firmware can cache it). A stale or mismatched cache falls back to
 	// recomputation.
 	CachedLayout io.Reader
+	// RowStore optionally supplies the arena this boot's DRAM keeps its
+	// materialized rows in: another booted host's (Memory().RowStore()),
+	// so that a cluster's hosts share one. nil means an arena of its own.
+	// An arena of another row size fails the boot.
+	RowStore *dram.RowStore
 	// MediatedAccessLimit caps a VM's mediated accesses per refresh
 	// window — the §5.1 rate-limit closing the theoretical "confused
 	// deputy" vector, where a guest tricks host software into hammering

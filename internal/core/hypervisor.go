@@ -133,7 +133,7 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem, err := dram.NewMemory(cfg.Geometry, mapper, cfg.Profiles, cfg.Repairs)
+	mem, err := dram.NewMemoryOn(cfg.RowStore, cfg.Geometry, mapper, cfg.Profiles, cfg.Repairs)
 	if err != nil {
 		return nil, err
 	}

@@ -24,6 +24,9 @@ type Memory struct {
 	// census counts the live rows behind every 2 MiB, so the walkers and
 	// the copy pass over empty memory a region at a time.
 	census rowCensus
+	// rows is the arena the modules' rows live in, perhaps shared with
+	// other Memories.
+	rows *RowStore
 }
 
 // bankRef locates one of a socket's banks: which DIMM, and which of that
@@ -35,8 +38,22 @@ type bankRef struct{ dimm, idx int32 }
 // six distinct DIMMs per socket, or one profile for a uniform population).
 // repairs may be nil.
 func NewMemory(g geometry.Geometry, mapper addr.Mapper, profiles []Profile, repairs *addr.RepairTable) (*Memory, error) {
+	return NewMemoryOn(nil, g, mapper, profiles, repairs)
+}
+
+// NewMemoryOn is NewMemory with the rows stored in rows, the arena of
+// another Memory (its RowStore), so that the two share slabs and recycle
+// each other's released slots; nil means an arena of its own. Each Memory
+// still counts and indexes only its own rows. An arena cut for another row
+// size is refused.
+func NewMemoryOn(rows *RowStore, g geometry.Geometry, mapper addr.Mapper, profiles []Profile, repairs *addr.RepairTable) (*Memory, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
+	}
+	if rows == nil {
+		rows = newRowStore(g)
+	} else if rows.rowBytes != g.RowBytes {
+		return nil, fmt.Errorf("dram: a row store of %d-byte rows cannot hold %d-byte rows", rows.rowBytes, g.RowBytes)
 	}
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("dram: at least one profile required")
@@ -48,15 +65,15 @@ func NewMemory(g geometry.Geometry, mapper addr.Mapper, profiles []Profile, repa
 		g: g, mapper: mapper, modules: make([][]*Module, g.Sockets),
 		bankRefs: make([]bankRef, g.BanksPerSocket()),
 		census:   newRowCensus(g, mapper),
+		rows:     rows,
 	}
 	for i := range mem.bankRefs {
 		mem.bankRefs[i] = bankRef{dimm: int32(i / g.BanksPerDIMM()), idx: int32(i % g.BanksPerDIMM())}
 	}
-	arena := newRowArena(g)
 	for s := 0; s < g.Sockets; s++ {
 		mem.modules[s] = make([]*Module, g.DIMMsPerSocket)
 		for d := 0; d < g.DIMMsPerSocket; d++ {
-			mod, err := newModule(g, profiles[d%len(profiles)], s, d, repairs, arena, &mem.census)
+			mod, err := newModule(g, profiles[d%len(profiles)], s, d, repairs, rows, &mem.census)
 			if err != nil {
 				return nil, err
 			}
@@ -68,6 +85,10 @@ func NewMemory(g geometry.Geometry, mapper addr.Mapper, profiles []Profile, repa
 
 // Geometry returns the server geometry.
 func (m *Memory) Geometry() geometry.Geometry { return m.g }
+
+// RowStore returns the arena the memory's rows live in, for another Memory
+// to be built on (NewMemoryOn).
+func (m *Memory) RowStore() *RowStore { return m.rows }
 
 // Mapper returns the physical-to-media mapper.
 func (m *Memory) Mapper() addr.Mapper { return m.mapper }

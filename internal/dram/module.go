@@ -119,12 +119,12 @@ type Module struct {
 // NewModule builds a standalone DIMM with the given profile, whose rows live
 // in an arena of its own. repairs may be nil.
 func NewModule(g geometry.Geometry, prof Profile, socket, dimm int, repairs *addr.RepairTable) (*Module, error) {
-	return newModule(g, prof, socket, dimm, repairs, newRowArena(g), nil)
+	return newModule(g, prof, socket, dimm, repairs, newRowStore(g), nil)
 }
 
 // newModule builds a DIMM whose rows live in arena and are counted in census
 // (nil: no Memory to count them for).
-func newModule(g geometry.Geometry, prof Profile, socket, dimm int, repairs *addr.RepairTable, arena *rowArena, census *rowCensus) (*Module, error) {
+func newModule(g geometry.Geometry, prof Profile, socket, dimm int, repairs *addr.RepairTable, arena *RowStore, census *rowCensus) (*Module, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}

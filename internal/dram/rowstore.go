@@ -10,12 +10,14 @@ import (
 // Row storage comes in two parts, so that it costs what the rows held cost
 // and not what the geometry could hold.
 //
-// rowArena owns the bytes: fixed-size row slots cut from ~1 MiB slabs, one
-// arena per Memory shared by every module on it. A slot a scrub releases goes
-// on a free list and is handed to whichever module next materializes a row,
-// on any DIMM or socket, so a host's row memory follows the rows live across
-// the whole server instead of pinning a slab per DIMM that ever held one.
-// Steady-state churn (VM create → write → scrub → destroy) allocates nothing.
+// RowStore, the arena, owns the bytes: fixed-size row slots cut from ~1 MiB
+// slabs, shared by every module of a Memory and, when they are built on it
+// (NewMemoryOn), by several Memories: a cluster's hosts hold their rows in
+// one. A slot a scrub releases goes on a free list and is handed to whichever
+// module next materializes a row, on any DIMM, socket or host, so row memory
+// follows the rows live across everything on the arena instead of pinning a
+// slab per DIMM or per host that ever held one. Steady-state churn (VM
+// create → write → scrub → destroy) allocates nothing.
 //
 // rowIndex is one module's map from (bank, row) to slot: a sparse two-level
 // table per bank whose 64-row leaves are allocated on first touch. A bank
@@ -24,8 +26,8 @@ import (
 //
 // Locking. A module's index, and the bytes of the slots it holds, are
 // guarded by the module's rowsMu. The arena's mu is a leaf under every
-// rowsMu, taken only to hand out or take back a slot; nothing is called under
-// it. A lookup takes no lock: the slot table it reads is published with an
+// rowsMu of every Memory on it, taken only to hand out or take back a slot;
+// nothing is called under it. A lookup takes no lock: the slot table it reads is published with an
 // atomic store whenever a slab is added, and the slot a lookup finds was
 // handed out before the index entry naming it was written under rowsMu. The
 // Memory's row census (census.go) counts each row born or released here.
@@ -44,8 +46,9 @@ type rowLeaf [rowLeafRows]int32
 // rows larger than that gets one row per slab.
 const rowStoreSlabBytes = 1 << 20
 
-// rowArena is the slab allocator of row slots shared by a Memory's modules.
-type rowArena struct {
+// RowStore is the slab allocator of row slots shared by a Memory's modules,
+// and by every other Memory built on it. Its slots are all one row size.
+type RowStore struct {
 	rowBytes  int
 	slabShift uint                     // log2(rows per slab): slot lookup is a shift and a mask, not a divide
 	slabs     atomic.Pointer[[][]byte] // slot s lives in (*slabs)[s>>slabShift]; replaced, never edited below its length
@@ -55,18 +58,18 @@ type rowArena struct {
 	next int32      // next never-used slot
 }
 
-func newRowArena(g geometry.Geometry) *rowArena {
+func newRowStore(g geometry.Geometry) *RowStore {
 	var slabShift uint
 	for g.RowBytes<<(slabShift+1) <= rowStoreSlabBytes {
 		slabShift++
 	}
-	a := &rowArena{rowBytes: g.RowBytes, slabShift: slabShift}
+	a := &RowStore{rowBytes: g.RowBytes, slabShift: slabShift}
 	a.slabs.Store(new([][]byte))
 	return a
 }
 
 // slot returns the backing bytes of a slot handed out by alloc.
-func (a *rowArena) slot(ref int32) []byte {
+func (a *RowStore) slot(ref int32) []byte {
 	off := int(ref) & (1<<a.slabShift - 1) * a.rowBytes
 	return (*a.slabs.Load())[int(ref)>>a.slabShift][off : off+a.rowBytes]
 }
@@ -75,7 +78,7 @@ func (a *rowArena) slot(ref int32) []byte {
 // next never-used one, growing the arena by a slab when it runs out. A grown
 // table is published whole; a reader holding the old one never indexes the
 // element the append writes.
-func (a *rowArena) alloc() int32 {
+func (a *RowStore) alloc() int32 {
 	a.mu.Lock()
 	if n := len(a.free); n > 0 {
 		ref := a.free[n-1]
@@ -94,7 +97,7 @@ func (a *rowArena) alloc() int32 {
 }
 
 // put takes back a slot its holder has already zeroed.
-func (a *rowArena) put(ref int32) {
+func (a *RowStore) put(ref int32) {
 	a.mu.Lock()
 	a.free = append(a.free, ref)
 	a.mu.Unlock()
@@ -103,7 +106,7 @@ func (a *rowArena) put(ref int32) {
 // rowIndex is one module's sparse (bank, row) → slot index over an arena. It
 // is not safe for concurrent use; Module guards it with rowsMu.
 type rowIndex struct {
-	arena        *rowArena
+	arena        *RowStore
 	census       *rowCensus // the Memory's live-row count per 2 MiB; nil on a standalone Module
 	banksPerRank int
 	leaves       int          // leaf pointers per bank: RowsPerBank/64, rounded up
@@ -111,7 +114,7 @@ type rowIndex struct {
 	live         int          // rows currently materialized
 }
 
-func newRowIndex(g geometry.Geometry, arena *rowArena, census *rowCensus) *rowIndex {
+func newRowIndex(g geometry.Geometry, arena *RowStore, census *rowCensus) *rowIndex {
 	return &rowIndex{
 		arena:        arena,
 		census:       census,

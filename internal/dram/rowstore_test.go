@@ -26,7 +26,7 @@ func rowStoreTestGeometry() geometry.Geometry {
 }
 
 // slabCount is how many slabs the arena has cut.
-func (a *rowArena) slabCount() int { return len(*a.slabs.Load()) }
+func (a *RowStore) slabCount() int { return len(*a.slabs.Load()) }
 
 // TestRowStoreGoldenAgainstMap drives several modules' indexes over one
 // shared arena and a map per module through the same randomized
@@ -35,7 +35,7 @@ func (a *rowArena) slabCount() int { return len(*a.slabs.Load()) }
 // and that no two live rows, on one module or on two, ever share a slot.
 func TestRowStoreGoldenAgainstMap(t *testing.T) {
 	g := rowStoreTestGeometry()
-	arena := newRowArena(g)
+	arena := newRowStore(g)
 	const modules = 3
 	var idx [modules]*rowIndex
 	for i := range idx {
@@ -137,7 +137,7 @@ func TestRowStoreGoldenAgainstMap(t *testing.T) {
 // recycles slots instead of growing the arena.
 func TestRowStoreReuseZeroes(t *testing.T) {
 	g := rowStoreTestGeometry()
-	arena := newRowArena(g)
+	arena := newRowStore(g)
 	a, b := newRowIndex(g, arena, nil), newRowIndex(g, arena, nil)
 
 	r := a.rowAlloc(0, 10, regions{})
@@ -209,6 +209,11 @@ func TestRowStoreModuleScrubReleases(t *testing.T) {
 // not published atomically is a race. It is the two-socket case that catches
 // that: on one socket every stripe spans both DIMMs, so each access takes
 // both modules' rowsMu and the workers' lookups are ordered after any growth.
+//
+// The "two-memories" cases put two Memories on one arena, as a cluster's
+// hosts are, and split the workers between them: the two share no rowsMu at
+// all, so only the arena's lock and its atomically published slab table
+// stand between them.
 func TestRowArenaConcurrentWritersAndScrubbers(t *testing.T) {
 	g := smallServer()
 	mapper, err := addr.NewSkylakeMapper(g)
@@ -219,25 +224,34 @@ func TestRowArenaConcurrentWritersAndScrubbers(t *testing.T) {
 	const workers = 4
 	for _, tc := range []struct {
 		name                 string
-		sockets              int
+		sockets, memories    int
 		held, rounds, passes int
 	}{
-		{"reuse/one-socket", 1, 1, 200, 1},
-		{"reuse/two-sockets", 2, 1, 200, 1},
-		{"grow/one-socket", 1, 6, 3, 8},
-		{"grow/two-sockets", 2, 6, 3, 8},
+		{"reuse/one-socket", 1, 1, 1, 200, 1},
+		{"reuse/two-sockets", 2, 1, 1, 200, 1},
+		{"reuse/two-memories", 2, 2, 1, 200, 1},
+		{"grow/one-socket", 1, 1, 6, 3, 8},
+		{"grow/two-sockets", 2, 1, 6, 3, 8},
+		{"grow/two-memories", 2, 2, 6, 3, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for pass := 0; pass < tc.passes && !t.Failed(); pass++ {
-				mem, err := NewMemory(g, mapper, []Profile{testProfile()}, nil)
-				if err != nil {
-					t.Fatal(err)
+				mems := make([]*Memory, tc.memories)
+				for i := range mems {
+					var rows *RowStore
+					if i > 0 {
+						rows = mems[0].RowStore()
+					}
+					if mems[i], err = NewMemoryOn(rows, g, mapper, []Profile{testProfile()}, nil); err != nil {
+						t.Fatal(err)
+					}
 				}
 				var wg sync.WaitGroup
 				for w := 0; w < workers; w++ {
 					wg.Add(1)
 					go func(w int) {
 						defer wg.Done()
+						mem := mems[w%tc.memories]
 						base := uint64(w%tc.sockets)*uint64(g.SocketBytes()) + uint64(w*tc.held)*uint64(stripe)
 						pa := func(k int) uint64 { return base + uint64(k)*uint64(stripe) }
 						fill := func(buf []byte, r, k int) {
@@ -275,18 +289,114 @@ func TestRowArenaConcurrentWritersAndScrubbers(t *testing.T) {
 					}(w)
 				}
 				wg.Wait()
-				if n := mem.LiveRows(); n != 0 {
-					t.Errorf("%d rows live after every stripe was scrubbed", n)
+				for _, mem := range mems {
+					if n := mem.LiveRows(); n != 0 {
+						t.Errorf("%d rows live after every stripe was scrubbed", n)
+					}
 				}
 				maxLive := workers * tc.held * stripe / g.RowBytes
-				slabs := mem.modules[0][0].rows.arena.slabCount()
-				if perSlab := 1 << mem.modules[0][0].rows.arena.slabShift; tc.held == 1 && slabs != 1 {
+				arena := mems[0].RowStore()
+				slabs := arena.slabCount()
+				if perSlab := 1 << arena.slabShift; tc.held == 1 && slabs != 1 {
 					t.Errorf("arena cut %d slabs for at most %d live rows, want 1", slabs, maxLive)
 				} else if tc.held > 1 && (slabs < 2 || slabs > (maxLive+perSlab-1)/perSlab) {
 					t.Errorf("arena cut %d slabs for at most %d live rows of %d per slab, want 2..%d", slabs, maxLive, perSlab, (maxLive+perSlab-1)/perSlab)
 				}
 			}
 		})
+	}
+}
+
+// TestRowStoreSharedByTwoMemories: two Memories on one arena, as a
+// cluster's hosts are. A row one scrubs away goes back to the shared free
+// list, and the other, materializing a row, gets that slot zeroed; each
+// Memory counts, indexes and census-counts only its own rows; and an arena
+// cut for another row size is refused.
+func TestRowStoreSharedByTwoMemories(t *testing.T) {
+	g := smallServer()
+	mapper, err := addr.NewSkylakeMapper(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewMemory(g, mapper, []Profile{testProfile()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewMemoryOn(a.RowStore(), g, mapper, []Profile{testProfile()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.RowStore() != a.RowStore() {
+		t.Fatal("b is not on a's arena")
+	}
+	arena := a.RowStore()
+	stripe := int(g.RowGroupBytes())
+
+	// A fills a stripe and scrubs it whole: its rows go back to the arena.
+	if err := a.WritePhys(0, bytes.Repeat([]byte{0xA5}, stripe)); err != nil {
+		t.Fatal(err)
+	}
+	held := a.LiveRows()
+	if held == 0 || b.LiveRows() != 0 {
+		t.Fatalf("after a's write: a holds %d rows, b %d; want some and 0", held, b.LiveRows())
+	}
+	if err := a.ScrubPhys(0, stripe); err != nil {
+		t.Fatal(err)
+	}
+	if a.LiveRows() != 0 {
+		t.Fatalf("a holds %d rows after scrubbing the stripe, want 0", a.LiveRows())
+	}
+	cut := arena.next
+
+	// B writes one line into every row of another stripe: the rows take
+	// the slots a released, and everything else in them reads as zeros.
+	pa := uint64(32 * stripe) // another 2 MiB census region
+	line := bytes.Repeat([]byte{0x3C}, 1<<lineShift)
+	for off := 0; off < stripe; off += g.RowBytes {
+		if err := b.WritePhys(pa+uint64(off), line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if arena.next != cut {
+		t.Errorf("b cut %d fresh slots instead of reusing a's %d released ones", arena.next-cut, held)
+	}
+	got := make([]byte, stripe)
+	if err := b.ReadPhys(pa, got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, stripe)
+	for off := 0; off < stripe; off += g.RowBytes {
+		copy(want[off:], line)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a row b materialized on a slot a scrubbed holds more than b wrote")
+	}
+
+	// Each Memory counts only its own rows, in its row count and census.
+	if err := a.WritePhys(0, line); err != nil {
+		t.Fatal(err)
+	}
+	if a.LiveRows() != 1 || b.LiveRows() == 0 {
+		t.Errorf("live rows a %d, b %d; want 1 and b's own", a.LiveRows(), b.LiveRows())
+	}
+	for name, m := range map[string]*Memory{"a": a, "b": b} {
+		if err := censusCheck(m, everything(m)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	if a.census.holds(pa) || !b.census.holds(pa) || !a.census.holds(0) || b.census.holds(0) {
+		t.Error("a census counts the other Memory's rows")
+	}
+
+	// An arena of 8 KiB rows cannot hold 4 KiB ones.
+	g4 := g
+	g4.RowBytes = 4 * geometry.KiB
+	m4, err := addr.NewSkylakeMapper(g4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMemoryOn(arena, g4, m4, []Profile{testProfile()}, nil); err == nil {
+		t.Error("NewMemoryOn accepted an arena of another row size")
 	}
 }
 

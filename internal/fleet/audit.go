@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/migrate"
 )
@@ -47,7 +48,15 @@ func (c *Cluster) AuditIsolation() error {
 		}
 	}
 
-	for name, hosts := range liveOn {
+	// Names in sorted order, so that of several violations the same one is
+	// reported every time.
+	names := make([]string, 0, len(liveOn))
+	for name := range liveOn {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		hosts := liveOn[name]
 		w, mid := moving[name]
 		if !mid {
 			if len(hosts) > 1 {
@@ -66,7 +75,13 @@ func (c *Cluster) AuditIsolation() error {
 		}
 	}
 
-	for name, hostName := range vmHost {
+	names = names[:0]
+	for name := range vmHost {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		hostName := vmHost[name]
 		h, ok := c.byName[hostName]
 		if !ok {
 			return fmt.Errorf("fleet: VM %q routed to unknown host %q", name, hostName)

@@ -108,3 +108,46 @@ func TestAuditRejectsDuplicateWithoutMove(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAuditReportsTheSameViolation: with two violations of one check the
+// audit names the same one on every call — the first VM name in sorted
+// order — however the maps it walks are ordered. Two routed VMs live
+// nowhere exercise the routing walk; two VMs live on two hosts with no move
+// in flight, the live-copy walk.
+func TestAuditReportsTheSameViolation(t *testing.T) {
+	requireSame := func(c *Cluster, want string) {
+		t.Helper()
+		first := c.AuditIsolation()
+		if first == nil || !strings.Contains(first.Error(), want) {
+			t.Fatalf("audit: %v, want a violation naming %s", first, want)
+		}
+		for i := 0; i < 20; i++ {
+			if err := c.AuditIsolation(); err == nil || err.Error() != first.Error() {
+				t.Fatalf("audit call %d: %v, want %v", i, err, first)
+			}
+		}
+	}
+
+	c := testCluster(t, 2, FirstFit{})
+	c.mu.Lock()
+	c.vmHost["ghost-b"] = "host-1"
+	c.vmHost["ghost-a"] = "host-0"
+	c.mu.Unlock()
+	requireSame(c, `"ghost-a"`)
+	c.mu.Lock()
+	delete(c.vmHost, "ghost-a")
+	delete(c.vmHost, "ghost-b")
+	c.mu.Unlock()
+
+	for _, name := range []string{"z1", "z0"} {
+		admit(t, c, name, 64*1024*1024) // FirstFit lands both on host-0
+		vm, ok := c.Hosts()[0].Hypervisor().VM(name)
+		if !ok {
+			t.Fatalf("%s not on host-0", name)
+		}
+		if _, err := c.Hosts()[1].Hypervisor().CreateVM(testProc(), vm.Spec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireSame(c, `"z0"`)
+}

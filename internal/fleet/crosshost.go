@@ -53,10 +53,8 @@ const moveRounds = 1
 // audit, hammer from other VMs and submit ops to any host but the source,
 // but must not touch the moving VM's guest memory: the guest is paused.
 //
-// Limitations (callers skip such VMs): a VM with extra Regions is not
-// movable cross-host, and the source's resident pages must form a GPA
-// prefix (always true for balloons inflated through core's policy, which
-// surrenders highest-GPA pages first).
+// Limitation (callers skip such VMs): a VM with extra Regions is not
+// movable cross-host.
 func (c *Cluster) MoveVM(ctx context.Context, name, destHost string, destSocket int, dirtyPages int, dirtySeed int64) (*CrossHostReport, error) {
 	c.mu.Lock()
 	srcName, ok := c.vmHost[name]

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geometry"
 	"repro/internal/migrate"
+	"repro/internal/numa"
 )
 
 // Config parameterizes a cluster.
@@ -19,7 +20,9 @@ type Config struct {
 	Hosts int
 	// Core is the per-host boot configuration. Every host boots the same
 	// box; the first host's computed subarray layout is cached and reused
-	// for the rest, so an N-host cluster pays one grouping pass.
+	// for the rest, so an N-host cluster pays one grouping pass, and the
+	// rest keep their DRAM rows in the first host's row arena, so the
+	// cluster cuts slabs for the rows it holds, not per host.
 	Core core.Config
 	// Policy is the placement policy; nil means SilozAware.
 	Policy Policy
@@ -113,6 +116,9 @@ func New(cfg Config) (*Cluster, error) {
 		if layout.Len() > 0 {
 			hcfg.CachedLayout = bytes.NewReader(layout.Bytes())
 		}
+		if i > 0 {
+			hcfg.RowStore = c.hosts[0].Hypervisor().Memory().RowStore()
+		}
 		h, err := NewHost(fmt.Sprintf("host-%d", i), hcfg, core.ModeSiloz)
 		if err != nil {
 			c.Close()
@@ -179,43 +185,72 @@ func (c *Cluster) VMs() []string {
 // Views snapshots every host's guest-node occupancy for placement, hosts in
 // boot order, sockets and nodes in ID order. Concurrent lifecycle ops make
 // a view stale, never torn; admission handles staleness by retrying.
+//
+// The snapshot is three allocations whatever the host count: one slice each
+// of HostView, SocketView and NodeView, sized from the topologies (a host's
+// guest nodes are fixed at boot) and filled by each host planner's Visit.
+// Every socket's node slice is clipped to its own nodes, and the caller owns
+// all of it: Consume edits it in place.
 func (c *Cluster) Views() ([]HostView, error) {
-	out := make([]HostView, 0, len(c.hosts))
+	var sockets, nodes int
 	for _, h := range c.hosts {
-		occ, err := h.Planner().Occupancy()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: occupancy of %q: %w", h.Name(), err)
+		topo := h.Hypervisor().Topology().Nodes()
+		for s := range h.Hypervisor().Memory().Geometry().Sockets {
+			if n := guestNodesOn(topo, s); n > 0 {
+				sockets++
+				nodes += n
+			}
 		}
-		// occ is in node-ID order, so each socket's nodes come out in ID
-		// order too; a socket with no guest node gets no view.
-		sockets := h.Hypervisor().Memory().Geometry().Sockets
-		hv := HostView{Host: h.Name(), Sockets: make([]SocketView, 0, sockets)}
-		for s := range sockets {
-			n := 0
-			for _, o := range occ {
-				if o.Node.Socket == s {
-					n++
-				}
+	}
+	out := make([]HostView, 0, len(c.hosts))
+	sv := make([]SocketView, 0, sockets)
+	nv := make([]NodeView, 0, nodes)
+	for _, h := range c.hosts {
+		// Carve the host's socket views, each an empty node slice with room
+		// for exactly its socket's nodes; a socket with no guest node gets
+		// no view.
+		topo := h.Hypervisor().Topology().Nodes()
+		first := len(sv)
+		for s := range h.Hypervisor().Memory().Geometry().Sockets {
+			if n := guestNodesOn(topo, s); n > 0 {
+				at := len(nv)
+				sv = append(sv, SocketView{Socket: s, Nodes: nv[at : at : at+n]})
+				nv = nv[:at+n]
 			}
-			if n == 0 {
-				continue
-			}
-			sv := SocketView{Socket: s, Nodes: make([]NodeView, 0, n)}
-			for _, o := range occ {
-				if o.Node.Socket == s {
-					sv.Nodes = append(sv.Nodes, NodeView{
+		}
+		hv := HostView{Host: h.Name(), Sockets: sv[first:len(sv):len(sv)]}
+		// Visit goes in node-ID order, so each socket's nodes land in ID
+		// order too.
+		err := h.Planner().Visit(func(o migrate.NodeOccupancy) {
+			for i := range hv.Sockets {
+				if s := &hv.Sockets[i]; s.Socket == o.Node.Socket {
+					s.Nodes = append(s.Nodes, NodeView{
 						ID:         o.Node.ID,
 						Owned:      o.Owner != "",
 						FreeBytes:  uint64(o.FreePages2M) * geometry.PageSize2M,
 						TotalBytes: o.TotalBytes,
 					})
+					return
 				}
 			}
-			hv.Sockets = append(hv.Sockets, sv)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fleet: occupancy of %q: %w", h.Name(), err)
 		}
 		out = append(out, hv)
 	}
 	return out, nil
+}
+
+// guestNodesOn counts the guest-reserved nodes of a socket.
+func guestNodesOn(nodes []*numa.Node, socket int) int {
+	n := 0
+	for _, node := range nodes {
+		if node.Socket == socket && node.Kind == numa.GuestReserved {
+			n++
+		}
+	}
+	return n
 }
 
 // Admit places and creates a VM, synchronously: the placement decision and
@@ -305,7 +340,8 @@ func (c *Cluster) SubmitDepart(name string) (*Op, error) {
 	})
 }
 
-// SubmitResize runs a resize on the VM's host and returns the op.
+// SubmitResize runs a resize on the VM's host and returns the op; a resize
+// counts in Stats.Resized once it has succeeded, inside the op.
 func (c *Cluster) SubmitResize(name string, targetBytes uint64) (*Op, error) {
 	c.mu.Lock()
 	hostName, ok := c.vmHost[name]
@@ -319,14 +355,15 @@ func (c *Cluster) SubmitResize(name string, targetBytes uint64) (*Op, error) {
 	}
 	c.mu.Unlock()
 	h := c.byName[hostName]
-	op, err := h.SubmitResize(name, targetBytes)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.stats.Resized++
-	c.mu.Unlock()
-	return op, nil
+	return h.Submit(func() error {
+		if _, err := h.Hypervisor().ResizeVM(name, targetBytes); err != nil {
+			return err
+		}
+		c.mu.Lock()
+		c.stats.Resized++
+		c.mu.Unlock()
+		return nil
+	})
 }
 
 // Close shuts down every host, each once its running op has finished.

@@ -69,31 +69,34 @@ func admit(t *testing.T, c *Cluster, name string, bytes uint64) string {
 	return host
 }
 
-// TestViewsAllocationBound: a view costs one slice for the hosts, per host
-// its occupancy (two) and its socket slice, and per socket one node slice —
-// nothing that grows with the nodes.
+// TestViewsAllocationBound: a view is one slice each of hosts, sockets and
+// nodes, and a metrics sample the result and its host slice — whatever the
+// host count, nothing that grows with the hosts or the nodes.
 func TestViewsAllocationBound(t *testing.T) {
-	const hosts = 3
-	c := testCluster(t, hosts, FirstFit{})
-	admit(t, c, "a", 256*geometry.MiB)
-	views, err := c.Views()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sockets := labGeometry().Sockets
-	for _, hv := range views {
-		if len(hv.Sockets) != sockets {
-			t.Fatalf("host %s: %d socket views, want %d", hv.Host, len(hv.Sockets), sockets)
+	for _, hosts := range []int{1, 3} {
+		c := testCluster(t, hosts, FirstFit{})
+		admit(t, c, "a", 256*geometry.MiB)
+		views, err := c.Views()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, sv := range hv.Sockets {
-			if sv.Socket != i || !slices.IsSortedFunc(sv.Nodes, func(a, b NodeView) int { return a.ID - b.ID }) {
-				t.Errorf("host %s: socket view %d is socket %d, nodes %v", hv.Host, i, sv.Socket, sv.Nodes)
+		sockets := labGeometry().Sockets
+		for _, hv := range views {
+			if len(hv.Sockets) != sockets {
+				t.Fatalf("host %s: %d socket views, want %d", hv.Host, len(hv.Sockets), sockets)
+			}
+			for i, sv := range hv.Sockets {
+				if sv.Socket != i || !slices.IsSortedFunc(sv.Nodes, func(a, b NodeView) int { return a.ID - b.ID }) {
+					t.Errorf("host %s: socket view %d is socket %d, nodes %v", hv.Host, i, sv.Socket, sv.Nodes)
+				}
 			}
 		}
-	}
-	want := float64(1 + hosts*(3+sockets))
-	if allocs := testing.AllocsPerRun(50, func() { _, _ = c.Views() }); allocs > want {
-		t.Errorf("Views: %v allocs per call, want at most %v", allocs, want)
+		if allocs := testing.AllocsPerRun(50, func() { _, _ = c.Views() }); allocs > 3 {
+			t.Errorf("%d hosts: Views: %v allocs per call, want at most 3", hosts, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _, _ = c.Metrics() }); allocs > 2 {
+			t.Errorf("%d hosts: Metrics: %v allocs per call, want at most 2", hosts, allocs)
+		}
 	}
 }
 
@@ -398,5 +401,26 @@ func TestNewRejectsMultiSlotHosts(t *testing.T) {
 	if err == nil {
 		c.Close()
 		t.Fatal("New accepted Workers: 2")
+	}
+}
+
+// TestRefusedResizeIsNotCounted: Stats.Resized counts resizes that happened.
+// A grow past the host's capacity is refused inside the op, and leaves the
+// counter where the successful shrink before it put it.
+func TestRefusedResizeIsNotCounted(t *testing.T) {
+	c := testCluster(t, 1, FirstFit{})
+	admit(t, c, "r0", 128*geometry.MiB)
+	if err := done(c.SubmitResize("r0", 64*geometry.MiB)); err != nil {
+		t.Fatalf("shrink: %v", err)
+	}
+	if got := c.Stats().Resized; got != 1 {
+		t.Fatalf("Resized = %d after one shrink, want 1", got)
+	}
+	err := done(c.SubmitResize("r0", 2*geometry.GiB))
+	if !errors.Is(err, core.ErrCapacityExhausted) {
+		t.Fatalf("grow to 2 GiB on an 896 MiB host: %v, want ErrCapacityExhausted", err)
+	}
+	if got := c.Stats().Resized; got != 1 {
+		t.Errorf("Resized = %d after a refused grow, want 1", got)
 	}
 }

@@ -1,6 +1,9 @@
 package fleet
 
-import "repro/internal/geometry"
+import (
+	"repro/internal/geometry"
+	"repro/internal/migrate"
+)
 
 // HostMetrics is one host's capacity picture.
 type HostMetrics struct {
@@ -64,16 +67,15 @@ func (m *FleetMetrics) StrandedFraction() float64 {
 }
 
 // Metrics samples the fleet's capacity state. Call it while no op runs for
-// a consistent snapshot.
+// a consistent snapshot. It reads each host's nodes through its planner's
+// Visit and counts VMs by their cgroups (one per VM), so a sample is two
+// allocations, the result and its host slice.
 func (c *Cluster) Metrics() (*FleetMetrics, error) {
-	out := &FleetMetrics{}
-	for _, h := range c.hosts {
-		occ, err := h.Planner().Occupancy()
-		if err != nil {
-			return nil, err
-		}
-		hm := HostMetrics{Host: h.Name(), VMs: len(h.Hypervisor().VMs())}
-		for _, o := range occ {
+	out := &FleetMetrics{Hosts: make([]HostMetrics, len(c.hosts))}
+	for i, h := range c.hosts {
+		hm := &out.Hosts[i]
+		hm.Host, hm.VMs = h.Name(), h.Hypervisor().Registry().Len()
+		err := h.Planner().Visit(func(o migrate.NodeOccupancy) {
 			hm.GuestNodes++
 			hm.TotalGuestBytes += o.TotalBytes
 			if o.Owner != "" {
@@ -85,8 +87,10 @@ func (c *Cluster) Metrics() (*FleetMetrics, error) {
 			} else {
 				hm.FreeBytes += uint64(o.FreePages2M) * geometry.PageSize2M
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
-		out.Hosts = append(out.Hosts, hm)
 		out.GuestNodes += hm.GuestNodes
 		out.OwnedNodes += hm.OwnedNodes
 		out.TotalGuestBytes += hm.TotalGuestBytes

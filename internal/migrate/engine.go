@@ -113,26 +113,35 @@ func (e *Engine) Defragment(ctx context.Context, maxMoves int) ([]*core.MigrateR
 	if e.h.Mode() != core.ModeSiloz {
 		return nil, fmt.Errorf("migrate: defragmentation applies to Siloz exclusive reservations")
 	}
-	planner := NewPlanner(e.h)
+	planner := Planner{h: e.h}
 	sockets := e.h.Memory().Geometry().Sockets
 	var reps []*core.MigrateReport
 	owned := make([]int, sockets)
 	free := make([][]NodeOccupancy, sockets)
-	for len(reps) < maxMoves || maxMoves <= 0 {
-		occ, err := planner.Occupancy()
-		if err != nil {
-			return reps, err
+	// Each socket's free list has room for all its guest nodes, so the
+	// tally never grows one.
+	for _, n := range e.h.Topology().Nodes() {
+		if n.Kind == numa.GuestReserved {
+			owned[n.Socket]++
 		}
+	}
+	for s := range free {
+		free[s] = make([]NodeOccupancy, 0, owned[s])
+	}
+	tally := func(o NodeOccupancy) {
+		if o.Owner != "" {
+			owned[o.Node.Socket]++
+		} else {
+			free[o.Node.Socket] = append(free[o.Node.Socket], o)
+		}
+	}
+	for len(reps) < maxMoves || maxMoves <= 0 {
 		clear(owned)
 		for s := range free {
 			free[s] = free[s][:0]
 		}
-		for _, o := range occ {
-			if o.Owner != "" {
-				owned[o.Node.Socket]++
-			} else {
-				free[o.Node.Socket] = append(free[o.Node.Socket], o)
-			}
+		if err := planner.Visit(tally); err != nil {
+			return reps, err
 		}
 		maxS, minS := 0, 0
 		for s := 1; s < sockets; s++ {

@@ -68,19 +68,22 @@ type Planner struct {
 // NewPlanner builds a planner over a booted hypervisor.
 func NewPlanner(h *core.Hypervisor) *Planner { return &Planner{h: h} }
 
-// Occupancy reports every guest-reserved node's owner and free-space state,
-// in node-ID order.
-func (p *Planner) Occupancy() ([]NodeOccupancy, error) {
-	nodes := p.h.Topology().NodesOfKind(numa.GuestReserved)
-	out := make([]NodeOccupancy, 0, len(nodes))
-	for _, n := range nodes {
+// Visit calls fn with every guest-reserved node's owner and free-space
+// state, in node-ID order, and allocates nothing: it reads the topology's
+// node slice in place. Each reading is taken when fn is called, so an op
+// running meanwhile makes the sequence stale, never torn per node.
+func (p *Planner) Visit(fn func(NodeOccupancy)) error {
+	for _, n := range p.h.Topology().Nodes() {
+		if n.Kind != numa.GuestReserved {
+			continue
+		}
 		a, err := p.h.Allocator(n.ID)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		owner, _ := p.h.Registry().OwnerOf(n.ID)
 		free := a.FreeSpace(alloc.Order2M)
-		out = append(out, NodeOccupancy{
+		fn(NodeOccupancy{
 			Node:             n,
 			Owner:            owner,
 			FreeBytes:        free.Bytes,
@@ -88,6 +91,22 @@ func (p *Planner) Occupancy() ([]NodeOccupancy, error) {
 			FreePages2M:      free.Pages,
 			LargestFreeOrder: free.LargestOrder,
 		})
+	}
+	return nil
+}
+
+// Occupancy collects Visit's readings, in node-ID order, into one slice of
+// exactly their number.
+func (p *Planner) Occupancy() ([]NodeOccupancy, error) {
+	n := 0
+	for _, node := range p.h.Topology().Nodes() {
+		if node.Kind == numa.GuestReserved {
+			n++
+		}
+	}
+	out := make([]NodeOccupancy, 0, n)
+	if err := p.Visit(func(o NodeOccupancy) { out = append(out, o) }); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

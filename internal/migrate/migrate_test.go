@@ -89,7 +89,8 @@ func TestOccupancyReflectsReservations(t *testing.T) {
 }
 
 // TestOccupancyAllocatesOnce: Occupancy makes its result at the exact size,
-// so a call costs that one allocation plus the topology read under it.
+// and that is its one allocation: the Visit under it reads the topology in
+// place and allocates nothing.
 func TestOccupancyAllocatesOnce(t *testing.T) {
 	h := bootSiloz(t)
 	mustCreate(t, h, "a", 0, 64*geometry.MiB)
@@ -101,8 +102,15 @@ func TestOccupancyAllocatesOnce(t *testing.T) {
 	if len(occ) != cap(occ) {
 		t.Errorf("occupancy len %d cap %d, want equal", len(occ), cap(occ))
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Occupancy() }); allocs != 2 {
-		t.Errorf("Occupancy: %v allocs per call, want 2 (its result and NodesOfKind's)", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Occupancy() }); allocs != 1 {
+		t.Errorf("Occupancy: %v allocs per call, want 1 (its result)", allocs)
+	}
+	visited := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		visited = 0
+		_ = p.Visit(func(NodeOccupancy) { visited++ })
+	}); allocs != 0 || visited != len(occ) {
+		t.Errorf("Visit: %v allocs per call over %d nodes, want 0 over %d", allocs, visited, len(occ))
 	}
 }
 

@@ -133,11 +133,12 @@ func spanAfter(spans []span, pa uint64) int {
 	return lo
 }
 
-// Nodes returns all nodes in ID order.
+// Nodes returns all nodes in ID order. The slice is the topology's own,
+// clipped, and read-only: AddNode only ever appends to it, so what a caller
+// holds stays as it was returned, and the caller must not write to it. A
+// read allocates nothing.
 func (t *Topology) Nodes() []*Node {
-	out := make([]*Node, len(t.nodes))
-	copy(out, t.nodes)
-	return out
+	return t.nodes[:len(t.nodes):len(t.nodes)]
 }
 
 // Node returns the node with the given ID.
@@ -371,6 +372,13 @@ func (r *Registry) Destroy(name string) error {
 	cg.dead = true
 	delete(r.cgroups, name)
 	return nil
+}
+
+// Len counts the live cgroups.
+func (r *Registry) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.cgroups)
 }
 
 // OwnerOf returns the cgroup owning a guest-reserved node, if any.

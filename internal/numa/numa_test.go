@@ -134,6 +134,13 @@ func TestTopologyReadsAllocateOnce(t *testing.T) {
 			t.Errorf("%s: %v allocs per call, want 1", tc.name, allocs)
 		}
 	}
+	// Nodes is the topology's own slice, clipped: no copy.
+	if got := topo.Nodes(); len(got) != 6 || cap(got) != 6 {
+		t.Errorf("Nodes: len %d cap %d, want 6", len(got), cap(got))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = topo.Nodes() }); allocs != 0 {
+		t.Errorf("Nodes: %v allocs per call, want 0", allocs)
+	}
 }
 
 // TestRegistryAllocations: membership is a slice indexed by node ID, so
@@ -151,6 +158,9 @@ func TestRegistryAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = cg.Nodes() }); allocs != 1 {
 		t.Errorf("Nodes: %v allocs per call, want 1", allocs)
+	}
+	if n := reg.Len(); n != 1 {
+		t.Errorf("Len() = %d with one cgroup, want 1", n)
 	}
 	grow := []int{1}
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -228,6 +238,9 @@ func TestCGroupDestroyReleasesNodes(t *testing.T) {
 	}
 	if _, ok := reg.OwnerOf(1); ok {
 		t.Error("ownership survived destroy")
+	}
+	if n := reg.Len(); n != 0 {
+		t.Errorf("Len() = %d after destroying the only cgroup, want 0", n)
 	}
 	if _, err := reg.Create("vm1", []int{1}); err != nil {
 		t.Errorf("node not reusable after destroy: %v", err)
