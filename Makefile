@@ -66,7 +66,7 @@ race:
 race-quick:
 	$(GO) test -race -run 'TestParallelDeterminism|TestRunAll|TestPoolMap|TestCancellation|TestRepSeed|TestRegistry|TestRenderers|TestSharedFlags|TestResolveTable|TestSelect|TestSweepHelpers' ./internal/experiments
 	$(GO) test -race ./cmd/siloz
-	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld|TestWindowEndRacesMediatedAccess|TestMoveOutFailsCleanlyAtEveryStep|TestSyncLeavesFaultMidRun' ./internal/core
+	$(GO) test -race -run 'TestConcurrentBalloonLifecycle|TestConcurrentResizeGrowShrink|TestConcurrentHammerResize|TestConcurrentMitigationHammerResize|TestConcurrentWriterDuringMigration|TestConcurrentOppositeMigrations|TestConcurrentGrowVersusMigration|TestFrameSourcingRollsBackAtEveryStep|TestPreviewResizeMatchesResize|TestLayoutViewsAgree|TestMigrateRegionLegFaultKeepsSourceFrames|TestMigrateDeviceSyncFaultRollsBack|TestInflateUnmapFaultRestoresLeaves|TestMigrationCostFollowsDataHeld|TestWindowEndRacesMediatedAccess|TestMoveOutFailsCleanlyAtEveryStep|TestSyncLeavesFaultMidRun|TestProbeSwapsWhileOpsRun' ./internal/core
 	$(GO) test -race -count=10 -run 'TestTLBCoherentAcrossLifecycle' ./internal/core
 	$(GO) test -race -run 'TestCopyNeverTearsALine|TestRowArenaConcurrentWritersAndScrubbers|TestCensusRacesCopyScrubAndRead' ./internal/dram
 	$(GO) test -race -run 'TestWalkersSeeWholeEntriesDuringRunEdits|TestRelocateUnwindsAtEveryStep|TestRelocateSeesDestroyAtEveryStep' ./internal/ept
@@ -79,10 +79,12 @@ race-quick:
 
 # The differential fuzzers — each drives a fast path against the reference
 # implementation it replaced, the buddy free list against its old heap and
-# the dense cgroup registry against its old maps among them — and the buddy
+# the dense cgroup registry against its old maps among them — the buddy
 # allocator's sequence fuzzer
 # (conservation, disjointness, and double frees and frees of never-allocated
-# blocks refused with the state unchanged), for FUZZTIME apiece. `go test
+# blocks refused with the state unchanged) and the lifecycle fuzzer (op
+# sequences on a Siloz host: audit, views, containment, refusals and the
+# lifecycle events checked after every op), for FUZZTIME apiece. `go test
 # -fuzz` takes one target and one package per run, hence one line per fuzzer.
 # New corpus entries land in the package's testdata/fuzz only on a failure.
 FUZZTIME ?= 10s
@@ -98,6 +100,7 @@ fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuddySequences$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeListMatchesHeap$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistryMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/numa
+	$(GO) test -run '^$$' -fuzz '^FuzzLifecycle$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Packages with substrate microbenchmarks (address decode, the memory
 # controller, the DRAM module, the attack plane, the EPT, the buddy

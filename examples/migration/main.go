@@ -76,6 +76,12 @@ func main() {
 	// The engine migrates the planner's victim while its guest keeps
 	// writing: every pre-copy round dirties one page, and the engine's
 	// per-round audit proves no two tenants' domains ever overlap.
+	hv.SetLifecycleProbe(func(e core.Event) {
+		if r := e.Round; e.Kind == core.ProbeMigrateRound {
+			fmt.Printf("  round %d: copied %d pages (%d KiB), %d dirtied behind it\n",
+				r.Round, r.PagesCopied, r.BytesCopied/geometry.KiB, r.DirtyAfter)
+		}
+	})
 	eng := migrate.NewEngine(hv)
 	eng.Opt = core.MigrateOptions{
 		StopPages: 1,
@@ -84,10 +90,6 @@ func main() {
 				state[i] = byte(i*13+round) | 1
 			}
 			return alice.WriteGuest(0, state[:geometry.PageSize4K])
-		},
-		OnRound: func(r core.MigrateRound) {
-			fmt.Printf("  round %d: copied %d pages (%d KiB), %d dirtied behind it\n",
-				r.Round, r.PagesCopied, r.BytesCopied/geometry.KiB, r.DirtyAfter)
 		},
 	}
 	vm, reps, err := eng.AdmitWithRebalance(context.Background(), proc, pending)

@@ -8,9 +8,9 @@ package attack
 // unscrubbed frame ever observable — and each gap they found became a fix
 // in core/migrate/fleet with a pinning regression test:
 //
-//   - migration: hammer inside every pre-copy round's OnRound window,
-//     including the one between the final dirty drain and stop-and-copy
-//     (the scrub-ledger hole; see TestMigrationScrubsDMAPoisonedFrame);
+//   - migration: hammer at every pre-copy round's ProbeMigrateRound event,
+//     including the final one, between the last dirty drain and stop-and-
+//     copy (the scrub-ledger hole; see TestMigrationScrubsDMAPoisonedFrame);
 //   - balloon: hammer and probe while surrendered frames drain back to the
 //     registry, between unmap and scrub-before-free;
 //   - hotplug: probe adopted subarray-group nodes between the registry's
@@ -239,8 +239,8 @@ func pagesIn(lo, hi uint64) []uint64 {
 	return out
 }
 
-// migration hammers inside every pre-copy round of a live migration —
-// OnRound fires after each round's dirty drain, so the final burst lands
+// migration hammers inside every pre-copy round of a live migration — a
+// round event fires after each round's dirty drain, so the final burst lands
 // exactly in the window between the last TakeDirty and stop-and-copy. After
 // each move: source frames must be scrubbed, victim data intact, the audit
 // clean, and every flip inside the attacker domain.
@@ -255,6 +255,9 @@ func (c *campaign) migration() error {
 	if err != nil {
 		return err
 	}
+	// Only the victim's migrations fire events on this host: one per round.
+	h.SetLifecycleProbe(func(core.Event) { c.salvo() })
+	defer h.SetLifecycleProbe(nil)
 	for round := 0; round < cfg.Rounds; round++ {
 		srcPages := c.victim.RAMPages()
 		dests, err := h.FreeNodes(0, campaignVMBytes)
@@ -275,7 +278,6 @@ func (c *campaign) migration() error {
 				gpa := uint64(4+stepRNG.Intn(4)) * geometry.PageSize2M
 				return c.victim.WriteGuest(gpa, stamp)
 			},
-			OnRound: func(core.MigrateRound) { c.salvo() },
 		}); err != nil {
 			return err
 		}
@@ -322,13 +324,13 @@ func (c *campaign) balloon() error {
 			topHPAs = append(topHPAs, hpa)
 		}
 		var drainErr error
-		h.SetLifecycleProbe(func(event string, vm *core.VM) {
-			switch event {
+		h.SetLifecycleProbe(func(e core.Event) {
+			switch e.Kind {
 			case core.ProbeBalloonUnmapped:
 				// Frames hold the secret but every translation path must
 				// already be gone (EPT and IOMMU alike).
 				c.salvo()
-				_, err := vm.TranslateUncached(campaignVMBytes - geometry.PageSize2M)
+				_, err := e.VM.TranslateUncached(campaignVMBytes - geometry.PageSize2M)
 				c.res.refused(err)
 			case core.ProbeBalloonDrained:
 				// Frames are back in the pool: scrub-before-free means
@@ -388,15 +390,15 @@ func (c *campaign) hotplug() error {
 		}
 		oldTop := c.victim.Spec().MemoryBytes
 		adopted := false
-		h.SetLifecycleProbe(func(event string, vm *core.VM) {
-			if event != core.ProbeHotplugAdopted {
+		h.SetLifecycleProbe(func(e core.Event) {
+			if e.Kind != core.ProbeHotplugAdopted {
 				return
 			}
 			adopted = true
 			c.salvo()
 			// The adopted frames belong to the victim's control group now
 			// but must not be guest-visible until scrubbed and mapped.
-			_, err := vm.TranslateUncached(oldTop)
+			_, err := e.VM.TranslateUncached(oldTop)
 			c.res.refused(err)
 		})
 		_, err = h.ResizeVM(name, oldTop+campaignVMBytes)
@@ -484,8 +486,8 @@ func (r *CampaignResult) fleet(cfg CampaignConfig) error {
 		}
 		srcPages := victim.RAMPages()
 
-		src.Hypervisor().SetLifecycleProbe(func(event string, _ *core.VM) {
-			if event != core.ProbeMoveCommitted {
+		src.Hypervisor().SetLifecycleProbe(func(e core.Event) {
+			if e.Kind != core.ProbeMoveCommitted {
 				return
 			}
 			// Double-ownership window: routing says destination, the

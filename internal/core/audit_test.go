@@ -259,6 +259,15 @@ func TestAuditCleanAtEveryAuditPoint(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
+		h.SetLifecycleProbe(func(e Event) {
+			rounds++
+			if bad := h.Audit(); len(bad) != 0 {
+				t.Errorf("round %d: %v", e.Round.Round, bad)
+			}
+			if e.Round.Round == cancelAt {
+				cancel()
+			}
+		})
 		_, err = h.MigrateVM(ctx, "m", dests, MigrateOptions{
 			StopPages: 1, MaxRounds: 4,
 			GuestStep: func(round int) error {
@@ -268,15 +277,6 @@ func TestAuditCleanAtEveryAuditPoint(t *testing.T) {
 					}
 				}
 				return nil
-			},
-			OnRound: func(r MigrateRound) {
-				rounds++
-				if bad := h.Audit(); len(bad) != 0 {
-					t.Errorf("round %d: %v", r.Round, bad)
-				}
-				if r.Round == cancelAt {
-					cancel()
-				}
 			},
 		})
 		if bad := h.Audit(); len(bad) != 0 {

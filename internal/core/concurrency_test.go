@@ -365,3 +365,49 @@ func TestWindowEndRacesMediatedAccess(t *testing.T) {
 		t.Errorf("window %d after %d refreshes", w, windows)
 	}
 }
+
+// TestProbeSwapsWhileOpsRun installs and clears the lifecycle probe from one
+// goroutine while another resizes and migrates (run under -race via make
+// race-quick): the slot is swapped atomically, so an op sees one probe or
+// none, and every event a probe receives is whole.
+func TestProbeSwapsWhileOpsRun(t *testing.T) {
+	h := bootSiloz(t)
+	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "s", Socket: 0, MemoryBytes: 16 * geometry.MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				h.SetLifecycleProbe(nil)
+				return
+			default:
+			}
+			h.SetLifecycleProbe(func(e Event) {
+				if e.VM != vm || e.Kind == "" {
+					t.Errorf("torn event %+v", e)
+				}
+			})
+			h.SetLifecycleProbe(nil)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if _, err := h.ResizeVM("s", uint64(4+i%3*4)*geometry.MiB); err != nil {
+			t.Error(err)
+		}
+		dests, err := h.FreeNodes(i%2, 16*geometry.MiB)
+		if err == nil {
+			_, err = h.MigrateVM(context.Background(), "s", dests, MigrateOptions{})
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -278,8 +278,8 @@ func TestFrameSourcingRollsBackAtEveryStep(t *testing.T) {
 				}
 				return nil
 			}
-			var events []string
-			h.SetLifecycleProbe(func(event string, _ *VM) { events = append(events, event) })
+			var events []EventKind
+			h.SetLifecycleProbe(func(e Event) { events = append(events, e.Kind) })
 			before := snapshotHost(h)
 			if err := c.run(h); !errors.Is(err, errInjected) {
 				// Fewer than k leaf edits: the operation must have gone through.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/addr"
 	"repro/internal/alloc"
@@ -43,11 +44,8 @@ type Hypervisor struct {
 	mu  sync.Mutex
 	vms map[string]*VM
 
-	// lifecycleProbe, when set, observes the transient windows inside
-	// lifecycle operations (see the Probe* event constants). Deterministic
-	// adversarial campaigns hook it to attack an operation mid-flight
-	// without racing real goroutines against it.
-	lifecycleProbe func(event string, vm *VM)
+	// lifecycleProbe observes lifecycle instants (see Event); set atomically.
+	lifecycleProbe atomic.Pointer[func(Event)]
 	// expandHook, when set, runs before every control-group Expand of the
 	// frame-sourcing path and can fail it: the tests' fault-injection seam.
 	expandHook func(nodeIDs []int) error
@@ -57,50 +55,54 @@ type Hypervisor struct {
 	leafHook func() error
 }
 
-// Lifecycle-probe events, fired at the sensitive instants adversarial
-// campaigns target. Probes run on the lifecycle operation's own goroutine
-// — the resize events with h.mu held, the move events without
-// it but with the guest paused — so they must restrict themselves to
-// non-blocking introspection (TranslateUncached, Memory() reads/activations)
-// or hand work to other goroutines without waiting on them.
+// EventKind names a lifecycle instant.
+type EventKind string
+
+// Event is one lifecycle instant: what happened, to which VM and, for
+// ProbeMigrateRound, the round just completed.
+type Event struct {
+	Kind  EventKind
+	VM    *VM
+	Round MigrateRound
+}
+
+// The lifecycle instants. A probe runs on the operation's goroutine with its
+// locks held (DESIGN.md, "The lifecycle hook contract"): it keeps to
+// introspection and never starts a lifecycle operation on its own host.
 const (
-	// ProbeBalloonUnmapped fires during a resize's shrink after the
-	// surrendered EPT leaves are unmapped (and device IOMMU entries
-	// dropped) but before the backing frames are scrubbed and freed. The
-	// guest is paused; the frames still hold its data but are only
-	// reachable physically. h.mu is held.
-	ProbeBalloonUnmapped = "balloon.unmapped"
-	// ProbeBalloonDrained fires after the surrendered frames have been
-	// scrubbed and returned to their node's allocator, before drained
-	// nodes leave the VM's control group. h.mu is held.
-	ProbeBalloonDrained = "balloon.drained"
-	// ProbeHotplugAdopted fires during a resize's grow past the spec's size
-	// after the frames are allocated (possibly from freshly-adopted
-	// subarray-group nodes) but before the hot-added ones are scrubbed. The
-	// guest is running but the new range is not yet mapped. h.mu is held.
-	ProbeHotplugAdopted = "hotplug.adopted"
-	// ProbeMoveCopied fires inside MoveOut once the copy into the twin is
-	// complete, immediately before the caller's commit. h.mu is not held;
-	// the guest is paused and latched, so the probe must not touch its guest
-	// memory. It runs on MoveOut's caller — for a fleet move the goroutine
-	// that submitted the move's source op, holding that host's lock, so the
-	// probe must not submit an op to that host.
-	ProbeMoveCopied = "move.copied"
-	// ProbeMoveCommitted fires immediately after the caller's commit, before
-	// the source copy is torn down: the double-ownership window, both copies
-	// live. h.mu is not held; the rest is as for ProbeMoveCopied.
-	ProbeMoveCommitted = "move.committed"
+	// ProbeBalloonUnmapped: a shrink has unmapped the surrendered pages;
+	// their frames still hold guest data, not yet scrubbed or freed.
+	ProbeBalloonUnmapped EventKind = "balloon.unmapped"
+	// ProbeBalloonDrained: those frames are scrubbed and freed; drained
+	// nodes have not yet left the control group.
+	ProbeBalloonDrained EventKind = "balloon.drained"
+	// ProbeHotplugAdopted: a grow past the spec's size holds its frames,
+	// possibly on adopted nodes, not yet scrubbed or mapped.
+	ProbeHotplugAdopted EventKind = "hotplug.adopted"
+	// ProbeMigrateRound: a pre-copy round of MigrateVM or MoveOut has
+	// drained its dirty log (Event.Round), before the convergence check.
+	ProbeMigrateRound EventKind = "migrate.round"
+	// ProbeMoveCopied: MoveOut's copy is complete, before the caller's commit.
+	ProbeMoveCopied EventKind = "move.copied"
+	// ProbeMoveCommitted: after the commit, before the source is torn down —
+	// the double-ownership window, both copies live.
+	ProbeMoveCommitted EventKind = "move.committed"
 )
 
 // SetLifecycleProbe installs (or clears, with nil) the lifecycle probe.
-// Install it before the operations of interest start; the hook is read
-// without synchronization on the lifecycle paths.
-func (h *Hypervisor) SetLifecycleProbe(p func(event string, vm *VM)) { h.lifecycleProbe = p }
+func (h *Hypervisor) SetLifecycleProbe(p func(Event)) {
+	if p == nil {
+		h.lifecycleProbe.Store(nil)
+		return
+	}
+	fn := p // moved to the heap only when a probe is installed
+	h.lifecycleProbe.Store(&fn)
+}
 
 // probe fires the lifecycle probe, if installed.
-func (h *Hypervisor) probe(event string, vm *VM) {
-	if h.lifecycleProbe != nil {
-		h.lifecycleProbe(event, vm)
+func (h *Hypervisor) probe(e Event) {
+	if p := h.lifecycleProbe.Load(); p != nil {
+		(*p)(e)
 	}
 }
 

@@ -185,7 +185,7 @@ func (vm *VM) ramRuns(lo int, written []bool) []frameRun {
 // cannot touch. nodes is consumed: the released ones come back in its
 // storage. drained, if set, is the lifecycle probe to fire between free and
 // shrink. Errors do not stop the walk; they are joined.
-func (h *Hypervisor) vacate(vm *VM, runs []frameRun, nodes []int, drained string) (scrubbed uint64, released []int, err error) {
+func (h *Hypervisor) vacate(vm *VM, runs []frameRun, nodes []int, drained EventKind) (scrubbed uint64, released []int, err error) {
 	for _, r := range runs {
 		a, aerr := h.Allocator(r.node)
 		err = errors.Join(err, aerr)
@@ -201,7 +201,7 @@ func (h *Hypervisor) vacate(vm *VM, runs []frameRun, nodes []int, drained string
 		}
 	}
 	if drained != "" {
-		h.probe(drained, vm)
+		h.probe(Event{Kind: drained, VM: vm})
 	}
 	if h.mode == ModeSiloz {
 		released = vm.drained(nodes, vm.ram)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -157,25 +158,24 @@ func TestMigrationScrubsDMAPoisonedFrame(t *testing.T) {
 	}
 	dest := freeGuestNode(t, h, 0)
 	injected := false
-	_, err = h.MigrateVM(context.Background(), name, []int{dest.ID}, MigrateOptions{
-		OnRound: func(r MigrateRound) {
-			if injected {
-				return
-			}
-			injected = true
-			// The window the campaign drives: after this round's dirty
-			// drain, before stop-and-copy. The device store goes to the
-			// source frame; only the dirty log can carry it across.
-			if err := dev.DMAWrite(poisonPage*geometry.PageSize2M, poison); err != nil {
-				t.Errorf("mid-migration DMA: %v", err)
-			}
-		},
+	h.SetLifecycleProbe(func(e Event) {
+		if injected || e.Kind != ProbeMigrateRound {
+			return
+		}
+		injected = true
+		// The window the campaign drives: after this round's dirty drain,
+		// before stop-and-copy. The device store goes to the source frame;
+		// only the dirty log can carry it across.
+		if err := dev.DMAWrite(poisonPage*geometry.PageSize2M, poison); err != nil {
+			t.Errorf("mid-migration DMA: %v", err)
+		}
 	})
+	_, err = h.MigrateVM(context.Background(), name, []int{dest.ID}, MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !injected {
-		t.Fatal("OnRound never fired; test vacuous")
+		t.Fatal("no round event fired; test vacuous")
 	}
 	got := make([]byte, len(poison))
 	if err := vm.ReadGuest(poisonPage*geometry.PageSize2M, got); err != nil {
@@ -305,33 +305,116 @@ func TestTeardownDetachesDevices(t *testing.T) {
 	}
 }
 
-// TestLifecycleProbesFire pins the probe seam the campaigns hook: balloon
-// inflate fires unmapped-then-drained, hotplug fires adopted, each exactly
-// once per operation and in order.
+// TestLifecycleProbesFire pins the one lifecycle hook the campaigns, serve
+// and the tests observe: every kind fires exactly where documented, in order,
+// on the right VM — balloon inflate fires unmapped-then-drained, a deflate
+// nothing, hotplug adopted; every pre-copy round of a MigrateVM and of a
+// MoveOut fires one round event whose payload is the report's round; and a
+// move fires copied before its commit and committed after it.
 func TestLifecycleProbesFire(t *testing.T) {
 	h := bootSiloz(t)
 	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "pr", Socket: 0, MemoryBytes: 64 * geometry.MiB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	h.SetLifecycleProbe(func(event string, pv *VM) {
-		if pv != vm {
-			t.Errorf("probe %s delivered wrong VM", event)
+	var got []Event
+	h.SetLifecycleProbe(func(e Event) { got = append(got, e) })
+	expect := func(step string, want ...Event) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Errorf("%s fired %v, want %v", step, eventLog(got), eventLog(want))
 		}
-		got = append(got, event)
-	})
+		got = nil
+	}
+	rounds := func(rs []MigrateRound) []Event {
+		t.Helper()
+		if len(rs) < 2 {
+			t.Errorf("%d pre-copy rounds; the dirtying guest should force at least 2", len(rs))
+		}
+		var out []Event
+		for _, r := range rs {
+			out = append(out, Event{Kind: ProbeMigrateRound, VM: vm, Round: r})
+		}
+		return out
+	}
+	dirty := MigrateOptions{StopPages: 1, GuestStep: func(round int) error {
+		for p := 0; p < 4-round; p++ {
+			if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, []byte{byte(round + 1)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}
+
 	if _, err := h.ResizeVM("pr", 32*geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.ResizeVM("pr", 64*geometry.MiB); err != nil { // deflate: no probes
+	expect("inflate", Event{Kind: ProbeBalloonUnmapped, VM: vm}, Event{Kind: ProbeBalloonDrained, VM: vm})
+	if _, err := h.ResizeVM("pr", 64*geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
+	expect("deflate")
 	if _, err := h.ResizeVM("pr", 128*geometry.MiB); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("%v", []string{ProbeBalloonUnmapped, ProbeBalloonDrained, ProbeHotplugAdopted})
-	if fmt.Sprintf("%v", got) != want {
-		t.Errorf("probe sequence = %v, want %s", got, want)
+	expect("hotplug", Event{Kind: ProbeHotplugAdopted, VM: vm})
+
+	dests, err := h.FreeNodes(1, vm.Spec().MemoryBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
+	rep, err := h.MigrateVM(context.Background(), "pr", dests, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("MigrateVM", rounds(rep.Rounds)...)
+
+	twin, err := bootSiloz(t).CreateVM(kvmProc(), VMSpec{Name: "pr", Socket: 0, MemoryBytes: vm.Spec().MemoryBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPattern(t, vm)              // round 0 of a move copies the touched pages
+	commit := Event{Kind: "commit"} // marks where the caller's commit ran
+	var moved *MigrateReport
+	if err := h.MoveOut(context.Background(), "pr", twin, dirty, func(rep *MigrateReport) {
+		moved = rep
+		got = append(got, commit)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	expect("MoveOut", append(rounds(moved.Rounds),
+		Event{Kind: ProbeMoveCopied, VM: vm}, commit, Event{Kind: ProbeMoveCommitted, VM: vm})...)
+}
+
+// TestIdleProbeIsFree: with no probe installed an event costs a nil check
+// and nothing else, and clearing the probe allocates nothing — the serving
+// loop clears it after every run.
+func TestIdleProbeIsFree(t *testing.T) {
+	h := bootSiloz(t)
+	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "idle", Socket: 0, MemoryBytes: 4 * geometry.MiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		h.SetLifecycleProbe(nil)
+		h.probe(Event{Kind: ProbeMigrateRound, VM: vm, Round: MigrateRound{Round: 1}})
+	}); n != 0 {
+		t.Errorf("an idle event and a clear allocate %.0f objects", n)
+	}
+}
+
+// eventLog renders events as kind@vm, with the payload of a round event.
+func eventLog(events []Event) []string {
+	var out []string
+	for _, e := range events {
+		s := string(e.Kind)
+		if e.VM != nil {
+			s += "@" + e.VM.Name()
+		}
+		if e.Kind == ProbeMigrateRound {
+			s += fmt.Sprintf("%+v", e.Round)
+		}
+		out = append(out, s)
+	}
+	return out
 }

@@ -1,0 +1,340 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/geometry"
+	"repro/internal/numa"
+)
+
+// The lifecycle operations FuzzLifecycle decodes, one per three input bytes
+// [kind, who, arg]: who&3 picks the VM slot (3 is slot 0), who&4 fails an
+// Expand of a resize or migration — the 1+(who>>3&1)th — and the rest of
+// who and arg parameterise the operation.
+const (
+	opCreate = iota
+	opResize
+	opMigrateSame
+	opMigrateCross
+	opDMA // attach the slot's device on first use, then a DMA write
+	opWrite
+	opHammer
+	opDestroy
+	numOps
+)
+
+var opNames = [numOps]string{"create", "resize", "migrate-same", "migrate-cross", "dma", "write", "hammer", "destroy"}
+
+// lifecycleSeeds reach every operation, each resize leg and a refused
+// resize and migrate among them (TestLifecycleSeedsReachEveryOp).
+var lifecycleSeeds = [][]byte{
+	{
+		opCreate, 0, 60, // v0: 32 MiB on socket 0
+		opWrite, 0, 3,
+		opDMA, 4, 5,
+		opHammer, 0, 2,
+		opMigrateSame, 8, 9, // one dirtied page a round
+		opMigrateCross, 16, 2, // two
+		opResize, 0, 8, // shrink
+		opResize, 0, 16, // balloon refill
+		opResize, 0, 40, // grow past the spec, adopting a node
+		opResize, 0, 0, // refused: not a positive size
+		opMigrateCross, 4, 1, // refused: the Expand fails
+		opDestroy, 0, 0,
+		opDestroy, 0, 0, // refused: no such VM
+	},
+	{
+		opCreate, 0, 124, // v0: 64 MiB on socket 0
+		opCreate, 1, 125, // v1: 64 MiB on socket 1
+		opCreate, 2, 2, // v2: 2 MiB on socket 0, remote allowed
+		opCreate, 2, 2, // refused: the name is taken
+		opWrite, 2, 0,
+		opHammer, 1, 9,
+		opResize, 14, 100, // refused: the second adoption's Expand fails
+		opResize, 2, 63, // grow past the spec, adopting a node
+		opMigrateSame, 0, 0, // refused: socket 0 has no free node left
+		opMigrateSame, 1, 0,
+		opDMA, 2, 12,
+		opResize, 2, 3, // shrink, draining a node
+		opMigrateCross, 26, 7,
+		opWrite, 0, 31,
+		opDestroy, 1, 0,
+		opMigrateCross, 24, 4,
+	},
+}
+
+// FuzzLifecycle drives a Siloz host through a byte-decoded sequence of
+// lifecycle operations over up to three VMs and, after every one, checks
+// what must hold whatever the sequence: the audit is empty; every resident
+// page translates the same with and without the TLB, on the EPT and the
+// device alike, and nothing is mapped past the resident prefix; no flip
+// lands outside the hammering VM's domain; a refused operation left the
+// host as it was and fired no lifecycle event; and the events an operation
+// fired match its report — one round event per reported round, in order; a
+// shrink's unmapped then drained, with the surrendered frames already zero
+// at drained; a grow's adopted iff it mapped pages past the old spec size.
+func FuzzLifecycle(f *testing.F) {
+	for _, seed := range lifecycleSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) { runLifecycle(t, ops) })
+}
+
+// TestLifecycleSeedsReachEveryOp: the seed corpus, which go test runs as
+// part of FuzzLifecycle, exercises what the fuzzer is for.
+func TestLifecycleSeedsReachEveryOp(t *testing.T) {
+	reached := map[string]int{}
+	for _, seed := range lifecycleSeeds {
+		for k, n := range runLifecycle(t, seed) {
+			reached[k] += n
+		}
+	}
+	want := []string{"resize refused", "migrate-same refused", "migrate-cross refused", "create refused",
+		"destroy refused", "shrink", "refill", "grow past spec"}
+	for _, op := range opNames {
+		want = append(want, op)
+	}
+	t.Logf("reached %v", reached)
+	for _, k := range want {
+		if reached[k] == 0 {
+			t.Errorf("seeds never reach %q: %v", k, reached)
+		}
+	}
+}
+
+// runLifecycle runs one decoded sequence and reports how often each
+// operation went through (by name) or was refused ("name refused").
+func runLifecycle(t *testing.T, ops []byte) map[string]int {
+	h := bootSiloz(t)
+	var (
+		vms      [3]*VM
+		devs     [3]*Device
+		events   []Event
+		drained  func() error // the zero check a shrink arms for its drained event
+		drainErr error
+		flipped  = map[uint64]bool{} // 2 MiB frames a flip ever landed in
+		reached  = map[string]int{}
+	)
+	h.SetLifecycleProbe(func(e Event) {
+		events = append(events, e)
+		if e.Kind == ProbeBalloonDrained && drained != nil {
+			drainErr = drained()
+		}
+	})
+	for i := 0; i+3 <= len(ops); i += 3 {
+		kind, who, arg := int(ops[i])%numOps, ops[i+1], ops[i+2]
+		slot := int(who&3) % 3
+		name := fmt.Sprintf("v%d", slot)
+		vm := vms[slot]
+		if vm == nil && kind >= opDMA && kind <= opHammer {
+			continue
+		}
+		step := fmt.Sprintf("op %d (%s %s, who %#x arg %d)", i/3, opNames[kind], name, who, arg)
+		before := snapshotHost(h)
+		events, drained, drainErr = nil, nil, nil
+		if who&4 != 0 && (kind == opResize || kind == opMigrateSame || kind == opMigrateCross) {
+			failAt, calls := 1+int(who>>3&1), 0
+			h.expandHook = func([]int) error {
+				if calls++; calls == failAt {
+					return errInjected
+				}
+				return nil
+			}
+		}
+		var (
+			err    error
+			resize *ResizeReport
+			mig    *MigrateReport
+		)
+		oldSpecPages := 0
+		if vm != nil {
+			oldSpecPages = int(vm.spec.MemoryBytes / geometry.PageSize2M)
+		}
+		switch kind {
+		case opCreate:
+			var nvm *VM
+			nvm, err = h.CreateVM(kvmProc(), VMSpec{
+				Name: name, Socket: int(arg & 1), AllowRemote: arg&2 != 0,
+				MemoryBytes: uint64(1+int(arg>>2)%32) * geometry.PageSize2M,
+			})
+			if err == nil {
+				vms[slot], devs[slot] = nvm, nil
+			}
+		case opResize:
+			target := int(arg) % 128
+			if vm != nil && target < len(vm.ram) {
+				drained = surrenderZeroCheck(h, vm, target, flipped)
+			}
+			resize, err = h.ResizeVM(name, uint64(target)*geometry.PageSize2M)
+		case opMigrateSame, opMigrateCross:
+			if vm == nil {
+				_, err = h.MigrateVM(context.Background(), name, []int{0}, MigrateOptions{})
+				break
+			}
+			socket := vm.spec.Socket
+			if kind == opMigrateCross {
+				socket = 1 - socket
+			}
+			dests, ferr := h.FreeNodes(socket, vm.usableBytes())
+			if ferr != nil { // aim at a node that may not take it
+				nodes := h.Topology().NodesOnSocket(socket, numa.GuestReserved)
+				dests = []int{nodes[int(arg)%len(nodes)].ID}
+			}
+			dirty := int(who >> 3 & 3)
+			mig, err = h.MigrateVM(context.Background(), name, dests, MigrateOptions{
+				MaxRounds: 1 + int(arg)%4, StopPages: 1 + int(arg>>2)%3,
+				GuestStep: func(round int) error {
+					for p := 0; round < 3 && p < min(dirty, len(vm.ram)); p++ {
+						if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, []byte{byte(round + 1)}); err != nil {
+							return err
+						}
+					}
+					return nil
+				},
+			})
+		case opDMA:
+			if devs[slot] == nil {
+				if devs[slot], err = h.AttachDevice(vm, "dev"); err != nil {
+					break
+				}
+				before = snapshotHost(h) // a refused DMA keeps the attach
+			}
+			pages := int(vm.spec.MemoryBytes / geometry.PageSize2M)
+			err = devs[slot].DMAWrite(uint64(int(arg)%pages)*geometry.PageSize2M+uint64(who>>2)*64, []byte{arg | 1, 0xD1})
+		case opWrite:
+			pages := int(vm.spec.MemoryBytes/geometry.PageSize2M) + 1
+			err = vm.WriteGuest(uint64(int(arg)%pages)*geometry.PageSize2M+uint64(who>>2)*64, []byte{arg | 1, 0x3E})
+		case opHammer:
+			pages := int(vm.spec.MemoryBytes / geometry.PageSize2M)
+			gpa := uint64(int(arg)%pages)*geometry.PageSize2M + uint64(who>>2)*uint64(h.mem.Geometry().RowBytes)
+			err = vm.Hammer(gpa, 20000, 0)
+			h.mem.Refresh()
+		case opDestroy:
+			if err = h.DestroyVM(name); err == nil {
+				vms[slot], devs[slot] = nil, nil
+			}
+		}
+		h.expandHook = nil
+
+		what := opNames[kind]
+		switch {
+		case err != nil && resize == nil && mig == nil:
+			what += " refused"
+			if len(events) != 0 {
+				t.Fatalf("%s: refused (%v) but fired %v", step, err, eventLog(events))
+			}
+			if after := snapshotHost(h); !reflect.DeepEqual(before, after) {
+				t.Fatalf("%s: refused (%v) but changed the host:\nbefore %+v\nafter  %+v", step, err, before, after)
+			}
+		case resize != nil:
+			var want []Event
+			leg := "no-op"
+			switch resize.Action {
+			case ResizeInflate:
+				leg = "shrink"
+				want = []Event{{Kind: ProbeBalloonUnmapped, VM: vm}, {Kind: ProbeBalloonDrained, VM: vm}}
+			case ResizeDeflate, ResizeHotplug:
+				leg = "refill"
+				if len(vm.ram) > oldSpecPages {
+					leg = "grow past spec"
+					want = []Event{{Kind: ProbeHotplugAdopted, VM: vm}}
+				}
+			}
+			reached[leg]++
+			if !slices.Equal(events, want) {
+				t.Fatalf("%s: %s fired %v, want %v", step, leg, eventLog(events), eventLog(want))
+			}
+			if drainErr != nil {
+				t.Fatalf("%s: at %s: %v", step, ProbeBalloonDrained, drainErr)
+			}
+		case mig != nil:
+			var want []Event
+			for _, r := range mig.Rounds {
+				want = append(want, Event{Kind: ProbeMigrateRound, VM: vm, Round: r})
+			}
+			if !slices.Equal(events, want) {
+				t.Fatalf("%s: fired %v, want the report's rounds %v", step, eventLog(events), eventLog(want))
+			}
+		case len(events) != 0:
+			t.Fatalf("%s: fired %v", step, eventLog(events))
+		}
+		reached[what]++
+
+		if bad := h.Audit(); len(bad) != 0 {
+			t.Fatalf("%s: audit: %v", step, bad)
+		}
+		for s, v := range vms {
+			if v != nil {
+				checkViews(t, step, v, devs[s])
+			}
+		}
+		for _, fl := range h.mem.Flips() { // the log lists each module's flips in turn: reset it
+			pa, err := h.mem.FlipPhys(fl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kind != opHammer || !vm.InDomain(pa) {
+				t.Fatalf("%s: flip %v at %#x outside the hammering VM's domain", step, fl, pa)
+			}
+			flipped[pa&^(geometry.PageSize2M-1)] = true
+		}
+		h.mem.ResetFlips()
+	}
+	h.SetLifecycleProbe(nil)
+	return reached
+}
+
+// surrenderZeroCheck returns the check a shrink of vm to keep pages runs at
+// its drained event: every surrendered frame reads zero. A frame the guest
+// never wrote is not scrubbed, so one a flip landed in is skipped.
+func surrenderZeroCheck(h *Hypervisor, vm *VM, keep int, flipped map[uint64]bool) func() error {
+	frames := slices.Clone(vm.ram[keep:])
+	touched := vm.TouchedPages()
+	return func() error {
+		buf := make([]byte, geometry.PageSize2M)
+		for i, hpa := range frames {
+			if flipped[hpa] && !slices.Contains(touched, keep+i) {
+				continue
+			}
+			if err := h.mem.ReadPhys(hpa, buf); err != nil {
+				return err
+			}
+			if !allZero(buf) {
+				return fmt.Errorf("surrendered page %d (frame %#x) holds data", keep+i, hpa)
+			}
+		}
+		return nil
+	}
+}
+
+// checkViews requires every resident page of vm to translate to its frame
+// through the TLB, the EPT walk and the device alike, and every page past
+// the resident prefix, up to one past the spec's size, to fault in all three.
+func checkViews(t *testing.T, step string, vm *VM, dev *Device) {
+	t.Helper()
+	pages := int(vm.spec.MemoryBytes/geometry.PageSize2M) + 1
+	for p := 0; p < pages; p++ {
+		gpa := uint64(p) * geometry.PageSize2M
+		cached, cerr := vm.Translate(gpa)
+		walked, werr := vm.TranslateUncached(gpa)
+		iommu, derr := uint64(0), errors.New("no device")
+		if dev != nil {
+			iommu, derr = dev.translate(gpa)
+		}
+		if p < len(vm.ram) {
+			want := vm.ram[p]
+			if cerr != nil || werr != nil || cached != want || walked != want || (dev != nil && (derr != nil || iommu != want)) {
+				t.Fatalf("%s: %s page %d: TLB %#x (%v), EPT %#x (%v), IOMMU %#x (%v), want frame %#x",
+					step, vm.Name(), p, cached, cerr, walked, werr, iommu, derr, want)
+			}
+		} else if cerr == nil || werr == nil || derr == nil {
+			t.Fatalf("%s: %s page %d past the %d resident maps: TLB %#x (%v), EPT %#x (%v), IOMMU %#x (%v)",
+				step, vm.Name(), p, len(vm.ram), cached, cerr, walked, werr, iommu, derr)
+		}
+	}
+}

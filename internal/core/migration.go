@@ -47,12 +47,11 @@ type MigrateOptions struct {
 	// StopPages: when a round ends with at most this many dirty pages, the
 	// engine proceeds to stop-and-copy.
 	StopPages int
-	// GuestStep, if set, runs after each round's copy and before the dirty
-	// log is drained — deterministic tests and experiments drive guest
-	// writes here instead of racing real goroutines against the engine.
+	// GuestStep, if set, is the caller's per-round step: it runs after each
+	// round's copy and before the dirty log is drained — deterministic tests
+	// and experiments drive guest writes here instead of racing real
+	// goroutines against the engine.
 	GuestStep func(round int) error
-	// OnRound, if set, observes each completed round.
-	OnRound func(MigrateRound)
 }
 
 // minShrinkRatio: if a round leaves at least this fraction of the previous
@@ -174,9 +173,7 @@ func (vm *VM) precopy(ctx context.Context, opt MigrateOptions, rep *MigrateRepor
 		rep.Rounds = append(rep.Rounds, rr)
 		rep.PagesCopied += rr.PagesCopied
 		rep.BytesCopied += bytes
-		if opt.OnRound != nil {
-			opt.OnRound(rr)
-		}
+		vm.hv.probe(Event{Kind: ProbeMigrateRound, VM: vm, Round: rr})
 		pending = pagesOf(dirtyGPAs, nil)
 		// Stop when the dirty set is small enough, when the round budget is
 		// spent, or when it is not shrinking and more rounds are wasted work.
@@ -438,9 +435,9 @@ func (h *Hypervisor) MoveOut(ctx context.Context, name string, dest *VM, opt Mig
 	if err != nil {
 		return err
 	}
-	h.probe(ProbeMoveCopied, vm)
+	h.probe(Event{Kind: ProbeMoveCopied, VM: vm})
 	commit(rep)
-	h.probe(ProbeMoveCommitted, vm)
+	h.probe(Event{Kind: ProbeMoveCommitted, VM: vm})
 	h.mu.Lock()
 	vm.teardown()
 	delete(h.vms, name)

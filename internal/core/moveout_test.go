@@ -29,8 +29,9 @@ func TestMoveOutFailsCleanlyAtEveryStep(t *testing.T) {
 		{"guest step error", bytes, func(*VM, *Hypervisor, context.CancelFunc) MigrateOptions {
 			return MigrateOptions{GuestStep: func(int) error { return errInjected }}
 		}, func(err error) bool { return errors.Is(err, errInjected) }},
-		{"cancel in OnRound", bytes, func(_ *VM, _ *Hypervisor, cancel context.CancelFunc) MigrateOptions {
-			return MigrateOptions{OnRound: func(MigrateRound) { cancel() }}
+		{"cancel in a round event", bytes, func(vm *VM, _ *Hypervisor, cancel context.CancelFunc) MigrateOptions {
+			vm.Hypervisor().SetLifecycleProbe(func(Event) { cancel() })
+			return MigrateOptions{}
 		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
 		{"twin destroyed under the paused residue", bytes, func(vm *VM, dst *Hypervisor, _ context.CancelFunc) MigrateOptions {
 			return MigrateOptions{GuestStep: func(int) error {
@@ -70,6 +71,7 @@ func TestMoveOutFailsCleanlyAtEveryStep(t *testing.T) {
 			if !tc.want(err) {
 				t.Fatalf("MoveOut failed with %v, not the injected failure", err)
 			}
+			src.SetLifecycleProbe(nil)
 			if committed != 0 {
 				t.Error("a failed move ran its commit")
 			}

@@ -222,7 +222,7 @@ func (h *Hypervisor) shrink(vm *VM, n int, rep *ResizeReport) error {
 		vm.touched.del(p)
 	}
 	vm.dirtyMu.Unlock()
-	h.probe(ProbeBalloonUnmapped, vm)
+	h.probe(Event{Kind: ProbeBalloonUnmapped, VM: vm})
 
 	var err error
 	rep.ScrubbedBytes, rep.ReleasedNodes, err = h.vacate(vm, gone, vm.nodeIDs(), ProbeBalloonDrained)
@@ -245,7 +245,7 @@ func (h *Hypervisor) grow(vm *VM, n int, rep *ResizeReport) error {
 		// now belong to this VM's domain but are not yet scrubbed or mapped.
 		// An attacker cannot reach them through any translation path — only
 		// the registry transfer has happened.
-		h.probe(ProbeHotplugAdopted, vm)
+		h.probe(Event{Kind: ProbeHotplugAdopted, VM: vm})
 	}
 	// Scrub before mapping: the guest must only ever observe zeros in the
 	// hot-added range, whatever the frames held before. The pages that

@@ -23,8 +23,12 @@ func TestAuditPassesInsideMoveWindow(t *testing.T) {
 	admit(t, c, "w0", 64*1024*1024)
 	ctx := context.Background()
 
-	probed := map[string]bool{}
-	c.Hosts()[0].Hypervisor().SetLifecycleProbe(func(event string, _ *core.VM) {
+	probed := map[core.EventKind]bool{}
+	c.Hosts()[0].Hypervisor().SetLifecycleProbe(func(e core.Event) {
+		event := e.Kind
+		if event == core.ProbeMigrateRound {
+			return
+		}
 		probed[event] = true
 		// Both copies are live right now ("committed": routing already
 		// points at the destination, source not yet destroyed).

@@ -54,8 +54,8 @@ func TestCrossHostMoveCostFollowsDataHeld(t *testing.T) {
 	// its ledger and its rows — is what was copied.
 	var copied []int
 	before := [2]int{0, mem[1].LiveRows()}
-	c.Hosts()[0].Hypervisor().SetLifecycleProbe(func(event string, _ *core.VM) {
-		if event == core.ProbeMoveCopied {
+	c.Hosts()[0].Hypervisor().SetLifecycleProbe(func(e core.Event) {
+		if e.Kind == core.ProbeMoveCopied {
 			copied = vmOn(0).TouchedPages()
 			before[0] = mem[0].LiveRows()
 		}

@@ -247,11 +247,13 @@ func TestMoveUnwindsAtEveryStep(t *testing.T) {
 			t.Fatal(err)
 		}
 		var moveErr error
-		_, err = hv.MigrateVM(bg, name, dests, core.MigrateOptions{OnRound: func(r core.MigrateRound) {
-			if r.Round == 0 {
+		hv.SetLifecycleProbe(func(e core.Event) {
+			if e.Kind == core.ProbeMigrateRound && e.Round.Round == 0 {
 				_, moveErr = w.c.MoveVM(bg, name, dst, 1, 3, 9)
 			}
-		}})
+		})
+		_, err = hv.MigrateVM(bg, name, dests, core.MigrateOptions{})
+		hv.SetLifecycleProbe(nil)
 		if err != nil {
 			t.Fatalf("the migration the move ran into: %v", err)
 		}
@@ -333,8 +335,8 @@ func TestCrossHostMoveHoldsTheLatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	probed := false
-	hv.SetLifecycleProbe(func(event string, _ *core.VM) {
-		if event != core.ProbeMoveCopied {
+	hv.SetLifecycleProbe(func(e core.Event) {
+		if e.Kind != core.ProbeMoveCopied {
 			return
 		}
 		probed = true

@@ -9,12 +9,11 @@ import (
 )
 
 // Engine executes migration plans through the hypervisor's pre-copy
-// machinery, running the hypervisor's audit before, during (after every
-// pre-copy round), and after each move.
+// machinery, running the hypervisor's audit before, during (in every
+// pre-copy round, before Opt.GuestStep), and after each move.
 type Engine struct {
 	h *core.Hypervisor
-	// Opt tunes every move's pre-copy loop (rounds, convergence, guest
-	// stepping). The engine chains its per-round audit onto Opt.OnRound.
+	// Opt tunes every move's pre-copy rounds, convergence and guest steps.
 	Opt core.MigrateOptions
 }
 
@@ -53,18 +52,18 @@ func (e *Engine) Execute(ctx context.Context, plan *Plan) ([]*core.MigrateReport
 // move runs one audited migration.
 func (e *Engine) move(ctx context.Context, mv Move) (*core.MigrateReport, error) {
 	opt := e.Opt
-	userRound := opt.OnRound
 	var auditErr error
-	opt.OnRound = func(r core.MigrateRound) {
-		if userRound != nil {
-			userRound(r)
-		}
+	opt.GuestStep = func(round int) error {
 		// Mid-flight the domain spans source and destination and the
 		// destination frames are in flight: exclusivity must hold for the
 		// widened domain, and conservation with those frames counted.
 		if auditErr == nil {
 			auditErr = AuditIsolation(e.h)
 		}
+		if e.Opt.GuestStep == nil {
+			return nil
+		}
+		return e.Opt.GuestStep(round)
 	}
 	rep, err := e.h.MigrateVM(ctx, mv.VM, mv.DestNodes, opt)
 	if err != nil {

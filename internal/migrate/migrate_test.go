@@ -157,9 +157,13 @@ func TestAdmitWithRebalance(t *testing.T) {
 
 	eng := NewEngine(h)
 	audited := 0
+	h.SetLifecycleProbe(func(e core.Event) {
+		if e.Kind == core.ProbeMigrateRound {
+			audited++
+		}
+	})
 	eng.Opt = core.MigrateOptions{
 		StopPages: 1, MaxRounds: 10,
-		OnRound: func(core.MigrateRound) { audited++ },
 		// The victim guest keeps dirtying pages while it is moved.
 		GuestStep: func(round int) error {
 			if round > 1 {

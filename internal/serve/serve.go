@@ -234,11 +234,12 @@ func (l *Loop) setActiveWindow(w *Window) {
 	l.probeMu.Unlock()
 }
 
-// recordProbe appends a probe event to the active window, if any.
-func (l *Loop) recordProbe(s string) {
+// recordProbe, the lifecycle probe of a loop with churn, appends kind@vm to
+// the active window, if any. Pre-copy rounds are not recorded.
+func (l *Loop) recordProbe(e core.Event) {
 	l.probeMu.Lock()
-	if l.activeWindow != nil {
-		l.activeWindow.Probes = append(l.activeWindow.Probes, s)
+	if w := l.activeWindow; w != nil && e.Kind != core.ProbeMigrateRound {
+		w.Probes = append(w.Probes, fmt.Sprintf("%s@%s", e.Kind, e.VM.Name()))
 	}
 	l.probeMu.Unlock()
 }
@@ -317,7 +318,9 @@ func New(cfg Config) (*Loop, error) {
 			}
 		}
 	}
-	l.installProbes()
+	if len(cfg.Churn) > 0 {
+		cfg.Hypervisor.SetLifecycleProbe(l.recordProbe)
+	}
 	return l, nil
 }
 
@@ -369,14 +372,6 @@ func (l *Loop) station(socket int) *station {
 	return st
 }
 
-// installProbes hooks the hypervisor's lifecycle probe so churn windows
-// record which mechanism stages fired inside them.
-func (l *Loop) installProbes() {
-	l.cfg.Hypervisor.SetLifecycleProbe(func(event string, vm *core.VM) {
-		l.recordProbe(fmt.Sprintf("%s@%s", event, vm.Spec().Name))
-	})
-}
-
 // push schedules an arrival if it falls inside the horizon.
 func (l *Loop) push(ready float64, tenantIdx, client int) {
 	if ready >= l.cfg.DurationNs {
@@ -389,8 +384,12 @@ func (l *Loop) push(ready float64, tenantIdx, client int) {
 // Run drives the loop to completion and returns the report. ctx is
 // checked between requests; churn-event errors do not abort the run (they
 // are recorded on the event's window — a baseline host refusing
-// defragmentation is a result, not a failure).
+// defragmentation is a result, not a failure). A loop with churn clears the
+// hypervisor's lifecycle probe when Run returns.
 func (l *Loop) Run(ctx context.Context) (*Report, error) {
+	if len(l.cfg.Churn) > 0 {
+		defer l.cfg.Hypervisor.SetLifecycleProbe(nil)
+	}
 	processed := 0
 	for len(l.queue) > 0 {
 		if processed%256 == 0 {

@@ -286,6 +286,52 @@ func TestServeResizeCommitsWhenEPTRelocationFails(t *testing.T) {
 	}
 }
 
+// TestServeProbeLivesForTheRun: a loop with churn holds the hypervisor's
+// lifecycle probe only while it runs — after Run a resize of its host is
+// recorded nowhere, even in a window marked active — and a loop without
+// churn leaves the probe to whoever installed it.
+func TestServeProbeLivesForTheRun(t *testing.T) {
+	h := bootHost(t, core.ModeSiloz)
+	createTenantVM(t, h, "t0", 0)
+	cfg := Config{
+		Hypervisor: h,
+		Tenants:    []TenantSpec{{VM: "t0", Clients: 2, ThinkNs: 20000}},
+		DurationNs: 4e6,
+		Seed:       5,
+		Churn:      []Event{{AtNs: 1e6, Kind: EventResize, Tenant: "t0", TargetBytes: 32 * geometry.MiB}},
+	}
+	l, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := l.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Windows) != 1 || !hasProbe(rep.Windows[0].Probes, "balloon.unmapped@t0") {
+		t.Fatalf("windows %+v: the running loop recorded no probe", rep.Windows)
+	}
+	var late Window
+	l.setActiveWindow(&late)
+	if _, err := h.ResizeVM("t0", 16*geometry.MiB); err != nil {
+		t.Fatal(err)
+	}
+	if len(late.Probes) != 0 {
+		t.Errorf("the finished loop still observes its host: %v", late.Probes)
+	}
+
+	var seen []core.EventKind
+	h.SetLifecycleProbe(func(e core.Event) { seen = append(seen, e.Kind) })
+	cfg.Churn = nil
+	runServe(t, cfg)
+	if _, err := h.ResizeVM("t0", 8*geometry.MiB); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 {
+		t.Errorf("a loop without churn displaced the installed probe: it saw %v", seen)
+	}
+}
+
 // TestServeBaselineDefragIsResultNotFailure: on a baseline host the
 // defragmentation engine refuses to run; the serving loop records the
 // refusal on the window and keeps serving.
