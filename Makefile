@@ -78,8 +78,9 @@ race-quick:
 	$(GO) test -race -run 'TestRunCampaignContainment|TestRunCampaignDeterministic' ./internal/attack
 
 # The differential fuzzers — each drives a fast path against the reference
-# implementation it replaced, the buddy free list against its old heap and
-# the dense cgroup registry against its old maps among them — the buddy
+# implementation it replaced, the buddy free list against its old heap, the
+# dense cgroup registry against its old maps and the linear range algebra
+# against its old pairwise loops among them — the buddy
 # allocator's sequence fuzzer
 # (conservation, disjointness, and double frees and frees of never-allocated
 # blocks refused with the state unchanged) and the lifecycle fuzzer (op
@@ -100,14 +101,15 @@ fuzz-quick:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuddySequences$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeListMatchesHeap$$' -fuzztime $(FUZZTIME) ./internal/alloc
 	$(GO) test -run '^$$' -fuzz '^FuzzRegistryMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/numa
+	$(GO) test -run '^$$' -fuzz '^FuzzRangeAlgebraMatchesRetired$$' -fuzztime $(FUZZTIME) ./internal/subarray
 	$(GO) test -run '^$$' -fuzz '^FuzzLifecycle$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Packages with substrate microbenchmarks (address decode, the memory
 # controller, the DRAM module, the attack plane, the EPT, the buddy
-# allocator, the planner's occupancy read, the cgroup registry) — the hot
-# paths the BENCH_*.json baseline tracks. The registry benches in the repo
+# allocator, the planner's occupancy read, the cgroup registry, the
+# subarray layout build) — the hot paths the BENCH_*.json baseline tracks. The registry benches in the repo
 # root (bench_test.go) are not listed: `make bench` runs them, over ./...
-BENCH_PKGS := ./internal/addr ./internal/alloc ./internal/core ./internal/ept ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve ./internal/attack ./internal/migrate ./internal/numa
+BENCH_PKGS := ./internal/addr ./internal/alloc ./internal/core ./internal/ept ./internal/memctrl ./internal/dram ./internal/rowcount ./internal/fleet ./internal/mitigation ./internal/workload ./internal/serve ./internal/attack ./internal/migrate ./internal/numa ./internal/subarray
 # Every capture is a new point of the trajectory: bench and bench-micro refuse
 # to overwrite an existing BENCH_$(BENCH_DATE).json. For a second point on the
 # same day pass a suffix that sorts after the date, e.g. BENCH_DATE=2026-09-30b

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/addr"
+	"repro/internal/dram"
 	"repro/internal/ept"
 	"repro/internal/geometry"
 )
@@ -200,5 +202,28 @@ func BenchmarkAudit(b *testing.B) {
 		if bad := h.Audit(); len(bad) != 0 {
 			b.Fatal(bad)
 		}
+	}
+}
+
+// bootBenchConfig is the fleet benchmark's host: 2 sockets x 16 banks x 4096
+// rows of 512-row subarrays, DIMM F with its row transforms stripped.
+func bootBenchConfig() Config {
+	g := testGeometry()
+	g.RowsPerBank = 4096
+	p := dram.ProfileF()
+	p.Transforms = addr.TransformConfig{}
+	return Config{Geometry: g, Profiles: []dram.Profile{p}}
+}
+
+// BenchmarkBoot times one Siloz boot of the fleet benchmark's host: the
+// subarray layout, the offlining and every node's allocator.
+func BenchmarkBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h, err := Boot(bootBenchConfig(), ModeSiloz)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Shutdown()
 	}
 }

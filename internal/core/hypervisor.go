@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -204,25 +203,13 @@ func (h *Hypervisor) bootSiloz() error {
 	transforms := h.cfg.Profiles[0].Transforms
 
 	// Offline rows that violate isolation: artificial-boundary guards
-	// (§6) and inter-subarray repaired rows (§6).
-	var hazardRows []int
-	hazardRows = append(hazardRows, h.layout.BoundaryGuardRows(transforms)...)
-	repairRows := subarray.RepairOfflineRows(g, h.cfg.Repairs, transforms)
-	rowSet := make(map[int]bool)
-	for _, r := range hazardRows {
-		rowSet[r] = true
+	// (§6) and inter-subarray repaired rows (§6), in any order and
+	// repeated as they come.
+	hazardRows := h.layout.BoundaryGuardRows(transforms)
+	for _, rows := range subarray.RepairOfflineRows(g, h.cfg.Repairs, transforms) {
+		hazardRows = append(hazardRows, rows...)
 	}
-	for _, rows := range repairRows {
-		for _, r := range rows {
-			rowSet[r] = true
-		}
-	}
-	allRows := make([]int, 0, len(rowSet))
-	for r := range rowSet {
-		allRows = append(allRows, r)
-	}
-	sort.Ints(allRows)
-	offline, err := h.layout.OfflineRangesForRows(allRows)
+	offline, err := h.layout.OfflineRangesForRows(hazardRows)
 	if err != nil {
 		return err
 	}
@@ -251,28 +238,10 @@ func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error
 			hostGroups, h.layout.GroupsPerSocket())
 	}
 
-	// EPT row-group block (§5.4): row groups [0, b) of the socket's
-	// first (host) subarray group; the row group at offset o stores
-	// EPTs, the rest are guards.
-	hostGroup := h.layout.Group(socket, 0)
-	blockFirst := hostGroup.FirstRow
-	var blockRanges, eptRanges, guardRanges []subarray.Range
-	for i := 0; i < EPTBlockRowGroups; i++ {
-		rows := []int{blockFirst + i}
-		rs, err := h.layout.OfflineRangesForRows(rows)
-		if err != nil {
-			return err
-		}
-		// OfflineRangesForRows covers every socket; keep this one's.
-		rs = subarray.Intersect(rs, hostGroup.Ranges)
-		blockRanges = append(blockRanges, rs...)
-		if i == EPTRowGroupOffset {
-			eptRanges = append(eptRanges, rs...)
-		} else {
-			guardRanges = append(guardRanges, rs...)
-		}
+	blockRanges, eptRanges, guardRanges, err := eptBlock(h.layout, socket)
+	if err != nil {
+		return err
 	}
-	blockRanges = subarray.Coalesce(blockRanges)
 	h.offlined = append(h.offlined, guardRanges...)
 
 	cores := make([]int, g.CoresPerSocket)
@@ -306,7 +275,7 @@ func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error
 	// EPT node: the single EPT row group (§5.4).
 	eptNode, err := h.topo.AddNode(&numa.Node{
 		Kind: numa.EPTReserved, Socket: socket,
-		Ranges: subarray.Coalesce(eptRanges),
+		Ranges: eptRanges,
 	})
 	if err != nil {
 		return err
@@ -332,6 +301,26 @@ func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error
 		}
 	}
 	return nil
+}
+
+// eptBlock returns the socket's EPT row-group block (§5.4): row groups
+// [0, b) of its first (host) subarray group, clipped to that group. The row
+// group at offset o stores EPTs and the rest are guards; block is the
+// merged union of both.
+func eptBlock(l *subarray.Layout, socket int) (block, ept, guards []subarray.Range, err error) {
+	hostGroup := l.Group(socket, 0)
+	rows := make([]subarray.Range, min(EPTBlockRowGroups, hostGroup.LastRow-hostGroup.FirstRow+1))
+	for i := range rows {
+		if rows[i], err = l.RowGroupRange(socket, hostGroup.FirstRow+i); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	block = subarray.Coalesce(rows)
+	if EPTRowGroupOffset < len(rows) {
+		ept = []subarray.Range{rows[EPTRowGroupOffset]}
+		rows = slices.Delete(rows, EPTRowGroupOffset, EPTRowGroupOffset+1)
+	}
+	return block, ept, rows, nil
 }
 
 // bootBaseline builds the unmodified-Linux topology: one host node per

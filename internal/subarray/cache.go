@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/geometry"
@@ -74,6 +75,15 @@ func Load(r io.Reader, g geometry.Geometry, mapper addr.Mapper) (*Layout, error)
 		return nil, fmt.Errorf("subarray: cached layout has invalid group size %d", snap.RowsPerGroup)
 	}
 	want := g.RowsPerBank / snap.RowsPerGroup
+	total := 0
+	for _, groups := range snap.Groups {
+		for _, gs := range groups {
+			total += len(gs.Ranges)
+		}
+	}
+	// Every group's ranges are carved, exact-size, out of one array; a
+	// sorted copy of it checks that no two groups overlap.
+	backing := make([]Range, 0, total)
 	for s, groups := range snap.Groups {
 		if len(groups) != want {
 			return nil, fmt.Errorf("subarray: cached socket %d has %d groups, want %d", s, len(groups), want)
@@ -84,16 +94,31 @@ func Load(r io.Reader, g geometry.Geometry, mapper addr.Mapper) (*Layout, error)
 				return nil, fmt.Errorf("subarray: cached group (%d,%d) mislabeled as (%d,%d)",
 					s, i, gs.Socket, gs.Index)
 			}
+			for j, r := range gs.Ranges {
+				if r.Start >= r.End || (j > 0 && r.Start <= gs.Ranges[j-1].End) {
+					return nil, fmt.Errorf("subarray: cached group (%d,%d) range %d %v is empty or not sorted and merged",
+						s, i, j, r)
+				}
+			}
+			off := len(backing)
+			backing = append(backing, gs.Ranges...)
 			grp := &Group{
 				Socket: gs.Socket, Index: gs.Index,
 				FirstRow: gs.FirstRow, LastRow: gs.LastRow,
-				Ranges: gs.Ranges,
+				Ranges: backing[off:len(backing):len(backing)],
 			}
 			if grp.Bytes() != l.GroupBytes() {
 				return nil, fmt.Errorf("subarray: cached group (%d,%d) covers %d bytes, want %d",
 					s, i, grp.Bytes(), l.GroupBytes())
 			}
 			l.groups[s][i] = grp
+		}
+	}
+	all := slices.Clone(backing)
+	slices.SortFunc(all, byStart)
+	for j := 1; j < len(all); j++ {
+		if all[j].Start < all[j-1].End {
+			return nil, fmt.Errorf("subarray: cached ranges %v and %v overlap", all[j-1], all[j])
 		}
 	}
 	return l, nil

@@ -61,32 +61,33 @@ func (l *Layout) BoundaryGuardRows(transforms addr.TransformConfig) []int {
 	return rows
 }
 
-// rowGroupRanges returns the physical ranges of one media row's row group
-// on one socket.
-func (l *Layout) rowGroupRanges(socket, row int) ([]Range, error) {
+// RowGroupRange returns the physical range of one media row's row group on
+// one socket.
+func (l *Layout) RowGroupRange(socket, row int) (Range, error) {
 	pa, err := l.mapper.Encode(geometry.MediaAddr{Bank: firstBank(l.g, socket), Row: row, Col: 0})
 	if err != nil {
-		return nil, err
+		return Range{}, err
 	}
-	return []Range{{Start: pa, End: pa + uint64(l.g.RowGroupBytes())}}, nil
+	return Range{Start: pa, End: pa + uint64(l.g.RowGroupBytes())}, nil
 }
 
 // OfflineRangesForRows returns the coalesced physical ranges backing the
-// given media rows on every socket; offlining them removes the rows from
-// allocatable memory (the mitigation of §6, built on the kernel's
-// faulty-page offlining [15]).
+// given media rows on every socket, sized exactly; the rows may come in any
+// order and repeat. Offlining the ranges removes the rows from allocatable
+// memory (the mitigation of §6, built on the kernel's faulty-page
+// offlining [15]).
 func (l *Layout) OfflineRangesForRows(rows []int) ([]Range, error) {
-	var out []Range
+	starts := make([]uint64, 0, l.g.Sockets*len(rows))
 	for s := 0; s < l.g.Sockets; s++ {
 		for _, row := range rows {
-			rs, err := l.rowGroupRanges(s, row)
+			r, err := l.RowGroupRange(s, row)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, rs...)
+			starts = append(starts, r.Start)
 		}
 	}
-	return coalesce(out), nil
+	return rowGroupRuns(starts, uint64(l.g.RowGroupBytes())), nil
 }
 
 // RepairOfflineRows returns, per socket, the media rows whose pages must be

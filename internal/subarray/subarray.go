@@ -121,12 +121,13 @@ func NewLayoutForModule(g geometry.Geometry, mapper addr.Mapper, transforms addr
 	return l, nil
 }
 
-// build computes every group's physical ranges by encoding each row group's
-// first cache line and coalescing adjacent images.
+// build computes every group's physical ranges in one sorted pass per group:
+// encode each row group's first cache line into one reused buffer, sort the
+// starts, and coalesce them into a range set sized exactly.
 func (l *Layout) build() error {
 	g := l.g
-	rowGroupBytes := uint64(g.RowGroupBytes())
 	perSocket := g.RowsPerBank / l.rowsPerGroup
+	starts := make([]uint64, l.rowsPerGroup)
 	l.groups = make([][]*Group, g.Sockets)
 	for s := 0; s < g.Sockets; s++ {
 		l.groups[s] = make([]*Group, perSocket)
@@ -138,15 +139,14 @@ func (l *Layout) build() error {
 				FirstRow: idx * l.rowsPerGroup,
 				LastRow:  (idx+1)*l.rowsPerGroup - 1,
 			}
-			var ranges []Range
-			for row := grp.FirstRow; row <= grp.LastRow; row++ {
-				pa, err := l.mapper.Encode(geometry.MediaAddr{Bank: bank0, Row: row, Col: 0})
+			for i := range starts {
+				pa, err := l.mapper.Encode(geometry.MediaAddr{Bank: bank0, Row: grp.FirstRow + i, Col: 0})
 				if err != nil {
-					return fmt.Errorf("subarray: encoding row %d of socket %d: %w", row, s, err)
+					return fmt.Errorf("subarray: encoding row %d of socket %d: %w", grp.FirstRow+i, s, err)
 				}
-				ranges = append(ranges, Range{Start: pa, End: pa + rowGroupBytes})
+				starts[i] = pa
 			}
-			grp.Ranges = coalesce(ranges)
+			grp.Ranges = rowGroupRuns(starts, uint64(g.RowGroupBytes()))
 			l.groups[s][idx] = grp
 		}
 	}
@@ -158,19 +158,58 @@ func firstBank(g geometry.Geometry, s int) geometry.BankID {
 	return geometry.BankID{Socket: s, DIMM: 0, Rank: 0, Bank: 0}
 }
 
-// coalesce sorts ranges in place and merges adjacent/overlapping ones.
-func coalesce(rs []Range) []Range {
-	if len(rs) == 0 {
+// rowGroupRuns sorts starts in place and returns the coalesced ranges of the
+// size-byte row groups beginning there, in one exact-size allocation.
+func rowGroupRuns(starts []uint64, size uint64) []Range {
+	if len(starts) == 0 {
 		return nil
 	}
-	slices.SortFunc(rs, func(a, b Range) int { return cmp.Compare(a.Start, b.Start) })
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		last := &out[len(out)-1]
-		if r.Start <= last.End {
-			if r.End > last.End {
-				last.End = r.End
-			}
+	slices.Sort(starts)
+	n, end := 1, starts[0]+size
+	for _, pa := range starts[1:] {
+		if pa > end {
+			n++
+		}
+		end = max(end, pa+size)
+	}
+	out := make([]Range, 0, n)
+	cur := Range{Start: starts[0], End: starts[0] + size}
+	for _, pa := range starts[1:] {
+		if pa > cur.End {
+			out = append(out, cur)
+			cur.Start = pa
+		}
+		cur.End = max(cur.End, pa+size)
+	}
+	return append(out, cur)
+}
+
+// byStart orders ranges by their first address.
+func byStart(a, b Range) int { return cmp.Compare(a.Start, b.Start) }
+
+// isCoalesced reports whether rs is sorted and merged: every range starts
+// past the end of the one before it.
+func isCoalesced(rs []Range) bool {
+	for i := 1; i < len(rs); i++ {
+		if rs[i].Start <= rs[i-1].End {
+			return false
+		}
+	}
+	return true
+}
+
+// coalesced returns rs itself when it is already sorted and merged, and
+// otherwise a sorted, merged copy; the caller must not write the result.
+func coalesced(rs []Range) []Range {
+	if isCoalesced(rs) {
+		return rs
+	}
+	cp := slices.Clone(rs)
+	slices.SortFunc(cp, byStart)
+	out := cp[:1]
+	for _, r := range cp[1:] {
+		if last := &out[len(out)-1]; r.Start <= last.End {
+			last.End = max(last.End, r.End)
 			continue
 		}
 		out = append(out, r)
@@ -178,27 +217,55 @@ func coalesce(rs []Range) []Range {
 	return out
 }
 
-// Coalesce returns a sorted, merged copy of the given ranges.
+// Coalesce returns a sorted, merged copy of the given ranges, sized exactly
+// (nil when rs is empty).
 func Coalesce(rs []Range) []Range {
-	cp := make([]Range, len(rs))
-	copy(cp, rs)
-	return coalesce(cp)
+	c := coalesced(rs)
+	if len(c) == 0 {
+		return nil
+	}
+	out := make([]Range, len(c))
+	copy(out, c)
+	return out
 }
 
 // Subtract removes every range in remove from usable, returning the
-// coalesced remainder. It is how boot-time offlining (guard rows, repaired
-// rows, the EPT block) carves holes out of node memory.
+// coalesced remainder, sized exactly (nil when nothing remains). It is how
+// boot-time offlining (guard rows, repaired rows, the EPT block) carves
+// holes out of node memory. Both inputs are merged once and walked together.
 func Subtract(usable, remove []Range) []Range {
-	u := Coalesce(usable)
-	rm := Coalesce(remove)
-	var out []Range
+	u, rm := coalesced(usable), coalesced(remove)
+	n := subtract(nil, u, rm)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Range, n)
+	subtract(out, u, rm)
+	return out
+}
+
+// subtract writes the coalesced difference u - rm into dst and returns its
+// length; a nil dst only counts. Both sets are sorted and merged, so their
+// ends ascend: the removals ending before a usable range starts are a
+// prefix, skipped once for all later usable ranges too.
+func subtract(dst, u, rm []Range) int {
+	n, j := 0, 0
+	emit := func(r Range) {
+		if dst != nil {
+			dst[n] = r
+		}
+		n++
+	}
 	for _, cur := range u {
-		for _, off := range rm {
-			if off.End <= cur.Start || off.Start >= cur.End {
-				continue
+		for j < len(rm) && rm[j].End <= cur.Start {
+			j++
+		}
+		for _, off := range rm[j:] {
+			if off.Start >= cur.End {
+				break
 			}
 			if off.Start > cur.Start {
-				out = append(out, Range{Start: cur.Start, End: off.Start})
+				emit(Range{Start: cur.Start, End: off.Start})
 			}
 			if off.End >= cur.End {
 				cur.Start = cur.End
@@ -207,30 +274,10 @@ func Subtract(usable, remove []Range) []Range {
 			cur.Start = off.End
 		}
 		if cur.Start < cur.End {
-			out = append(out, cur)
+			emit(cur)
 		}
 	}
-	return out
-}
-
-// Intersect returns the coalesced intersection of two range sets.
-func Intersect(a, b []Range) []Range {
-	var out []Range
-	for _, x := range Coalesce(a) {
-		for _, y := range Coalesce(b) {
-			lo, hi := x.Start, x.End
-			if y.Start > lo {
-				lo = y.Start
-			}
-			if y.End < hi {
-				hi = y.End
-			}
-			if lo < hi {
-				out = append(out, Range{Start: lo, End: hi})
-			}
-		}
-	}
-	return coalesce(out)
+	return n
 }
 
 // Geometry returns the layout's geometry.

