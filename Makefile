@@ -86,23 +86,33 @@ race-quick:
 # blocks refused with the state unchanged) and the lifecycle fuzzer (op
 # sequences on a Siloz host: audit, views, containment, refusals and the
 # lifecycle events checked after every op), for FUZZTIME apiece. `go test
-# -fuzz` takes one target and one package per run, hence one line per fuzzer.
+# -fuzz` takes one target and one package per run, hence one run per
+# FUZZ_TARGETS entry (target:package). Each prints one line, the target's
+# last progress line with its exec count; a failing target prints its whole
+# output and stops the run with its exit status.
 # New corpus entries land in the package's testdata/fuzz only on a failure.
 FUZZTIME ?= 10s
+FUZZ_TARGETS := \
+	FuzzMapperFastPathEquivalence:./internal/addr \
+	FuzzStripeMatchesDecode:./internal/addr \
+	FuzzCopyMatchesReadThenWrite:./internal/dram \
+	FuzzDisturbanceMatchesReference:./internal/dram \
+	FuzzCacheMatchesReference:./internal/memctrl \
+	FuzzAggressorTableMatchesReference:./internal/mitigation \
+	FuzzRunMatchesPerLine:./internal/workload \
+	FuzzTableEditsMatchPerEntry:./internal/ept \
+	FuzzBuddySequences:./internal/alloc \
+	FuzzFreeListMatchesHeap:./internal/alloc \
+	FuzzRegistryMatchesMap:./internal/numa \
+	FuzzRangeAlgebraMatchesRetired:./internal/subarray \
+	FuzzLifecycle:./internal/core
 fuzz-quick:
-	$(GO) test -run '^$$' -fuzz '^FuzzMapperFastPathEquivalence$$' -fuzztime $(FUZZTIME) ./internal/addr
-	$(GO) test -run '^$$' -fuzz '^FuzzStripeMatchesDecode$$' -fuzztime $(FUZZTIME) ./internal/addr
-	$(GO) test -run '^$$' -fuzz '^FuzzCopyMatchesReadThenWrite$$' -fuzztime $(FUZZTIME) ./internal/dram
-	$(GO) test -run '^$$' -fuzz '^FuzzDisturbanceMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/dram
-	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/memctrl
-	$(GO) test -run '^$$' -fuzz '^FuzzAggressorTableMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/mitigation
-	$(GO) test -run '^$$' -fuzz '^FuzzRunMatchesPerLine$$' -fuzztime $(FUZZTIME) ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzTableEditsMatchPerEntry$$' -fuzztime $(FUZZTIME) ./internal/ept
-	$(GO) test -run '^$$' -fuzz '^FuzzBuddySequences$$' -fuzztime $(FUZZTIME) ./internal/alloc
-	$(GO) test -run '^$$' -fuzz '^FuzzFreeListMatchesHeap$$' -fuzztime $(FUZZTIME) ./internal/alloc
-	$(GO) test -run '^$$' -fuzz '^FuzzRegistryMatchesMap$$' -fuzztime $(FUZZTIME) ./internal/numa
-	$(GO) test -run '^$$' -fuzz '^FuzzRangeAlgebraMatchesRetired$$' -fuzztime $(FUZZTIME) ./internal/subarray
-	$(GO) test -run '^$$' -fuzz '^FuzzLifecycle$$' -fuzztime $(FUZZTIME) ./internal/core
+	@for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		out=$$($(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg 2>&1); status=$$?; \
+		if [ $$status -ne 0 ]; then printf '%s\n' "$$out"; echo "fuzz-quick: $$name ($$pkg) failed"; exit $$status; fi; \
+		printf '%-36s %s\n' "$$name" "$$(printf '%s\n' "$$out" | grep 'execs:' | tail -n 1)"; \
+	done
 
 # Packages with substrate microbenchmarks (address decode, the memory
 # controller, the DRAM module, the attack plane, the EPT, the buddy

@@ -119,16 +119,23 @@ func (a *Allocator) Version() uint64 {
 	return a.version
 }
 
-// New builds an allocator over ranges, excluding any overlap with offline
-// (offlined pages are never allocatable, §5.4). Ranges must be base-page
-// aligned.
-func New(ranges, offline []subarray.Range) (*Allocator, error) {
-	a := &Allocator{}
-	usable := subarray.Subtract(ranges, offline)
-	for _, r := range usable {
-		if r.Start%OrderBytes(0) != 0 || r.End%OrderBytes(0) != 0 {
+// New builds an allocator over ranges: base-page aligned, non-empty, sorted
+// and with a gap between neighbours, as a node's range set is (a touching
+// pair would seed smaller blocks than the one range it makes). Offlined
+// pages (§5.4) are never allocatable: a caller leaves them out of ranges.
+func New(ranges []subarray.Range) (*Allocator, error) {
+	for i, r := range ranges {
+		switch {
+		case r.Start%OrderBytes(0) != 0 || r.End%OrderBytes(0) != 0:
 			return nil, fmt.Errorf("alloc: range %v not page aligned", r)
+		case r.Start >= r.End:
+			return nil, fmt.Errorf("alloc: range %v is empty", r)
+		case i > 0 && r.Start <= ranges[i-1].End:
+			return nil, fmt.Errorf("alloc: range %v does not start past %v: ranges must be sorted, disjoint and not touching", r, ranges[i-1])
 		}
+	}
+	a := &Allocator{}
+	for _, r := range ranges {
 		a.seed(r)
 	}
 	return a, nil

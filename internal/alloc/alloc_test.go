@@ -26,7 +26,7 @@ func TestOrderHelpers(t *testing.T) {
 }
 
 func TestAllocFreeRoundTrip(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 16<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 16<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 }
 
 func TestCoalescingRestoresMaximalBlocks(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 4<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 4<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestCoalescingRestoresMaximalBlocks(t *testing.T) {
 }
 
 func TestOfflineExcludesRanges(t *testing.T) {
-	// 8 MiB with the middle 2 MiB offlined.
-	a, err := New(
+	// 8 MiB with the middle 2 MiB offlined: the caller subtracts it.
+	a, err := New(subarray.Subtract(
 		[]subarray.Range{mkRange(0, 8<<20)},
 		[]subarray.Range{mkRange(3<<20, 2<<20)},
-	)
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestOfflineExcludesRanges(t *testing.T) {
 }
 
 func TestAllocExhaustionAndErrors(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 2<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 2<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestAllocExhaustionAndErrors(t *testing.T) {
 }
 
 func TestAllocPagesRollsBackOnFailure(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 4<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 4<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAllocPagesRollsBackOnFailure(t *testing.T) {
 }
 
 func TestNonContiguousRanges(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 1<<20), mkRange(8<<20, 1<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 1<<20), mkRange(8<<20, 1<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,27 @@ func TestNonContiguousRanges(t *testing.T) {
 }
 
 func TestUnalignedRangeRejected(t *testing.T) {
-	if _, err := New([]subarray.Range{mkRange(100, 1<<20)}, nil); err == nil {
+	if _, err := New([]subarray.Range{mkRange(100, 1<<20)}); err == nil {
 		t.Error("unaligned range accepted")
+	}
+}
+
+// TestNewRejectsMalformedRanges: New seeds its ranges as given, so it refuses
+// what would seed a different allocator than the merged, sorted set.
+func TestNewRejectsMalformedRanges(t *testing.T) {
+	for name, ranges := range map[string][]subarray.Range{
+		"unsorted":    {mkRange(8<<20, 2<<20), mkRange(0, 2<<20)},
+		"overlapping": {mkRange(0, 4<<20), mkRange(2<<20, 4<<20)},
+		"touching":    {mkRange(0, 2<<20), mkRange(2<<20, 2<<20)},
+		"empty":       {mkRange(0, 2<<20), mkRange(4<<20, 0)},
+		"inverted":    {{Start: 4 << 20, End: 2 << 20}},
+	} {
+		if _, err := New(ranges); err == nil {
+			t.Errorf("%s ranges %v accepted", name, ranges)
+		}
+	}
+	if _, err := New([]subarray.Range{mkRange(0, 2<<20), mkRange(2<<20+4096, 2<<20)}); err != nil {
+		t.Errorf("sorted ranges a page apart refused: %v", err)
 	}
 }
 
@@ -191,7 +210,7 @@ func TestUnalignedRangeRejected(t *testing.T) {
 func TestBuddyInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a, err := New([]subarray.Range{mkRange(0, 8<<20), mkRange(32<<20, 4<<20)}, nil)
+		a, err := New([]subarray.Range{mkRange(0, 8<<20), mkRange(32<<20, 4<<20)})
 		if err != nil {
 			return false
 		}
@@ -251,7 +270,7 @@ func TestBuddyInvariantsProperty(t *testing.T) {
 func TestAllocationsAscend(t *testing.T) {
 	// §5.4 deployment environment: guests get ascending contiguous
 	// physical regions; the allocator hands out lowest addresses first.
-	a, err := New([]subarray.Range{mkRange(0, 32<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 32<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +289,7 @@ func TestAllocationsAscend(t *testing.T) {
 
 func TestFragmentationIntrospection(t *testing.T) {
 	// 16 MiB arena: largest free block is one order-12 (16 MiB) block.
-	a, err := New([]subarray.Range{mkRange(0, 16<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 16<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +330,7 @@ func TestFragmentationIntrospection(t *testing.T) {
 }
 
 func TestLargestFreeOrderExhausted(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 4096)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 4096)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +348,7 @@ func TestLargestFreeOrderExhausted(t *testing.T) {
 // ErrNotAllocated, as is a free of any block inside a free one, and the
 // allocator is left exactly as it was; FreePages stops at the same block.
 func TestFreeRejectsDoubleFree(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 4<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 4<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +403,7 @@ func TestFreeRejectsDoubleFree(t *testing.T) {
 // order whose buddy is free. That neither refuses a valid free nor misses a
 // double free inside a larger free block, and a refused free changes nothing.
 func TestFreeProbeStopsAtAFreeBuddy(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 4<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 4<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +446,7 @@ func TestFreeProbeStopsAtAFreeBuddy(t *testing.T) {
 // TestFreePages: the balloon's bulk-release path returns a batch of huge
 // pages and restores the exact free capacity.
 func TestFreePages(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 64<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 64<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +470,7 @@ func TestFreePages(t *testing.T) {
 }
 
 func TestAllocAtClaimsSpecificBlock(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 16<<20)}, nil)
+	a, err := New([]subarray.Range{mkRange(0, 16<<20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +519,7 @@ func TestAllocAtClaimsSpecificBlock(t *testing.T) {
 }
 
 func TestAllocAtRejectsInvalid(t *testing.T) {
-	a, err := New([]subarray.Range{mkRange(0, 4<<20)}, []subarray.Range{mkRange(1<<20, 1<<20)})
+	a, err := New(subarray.Subtract([]subarray.Range{mkRange(0, 4<<20)}, []subarray.Range{mkRange(1<<20, 1<<20)}))
 	if err != nil {
 		t.Fatal(err)
 	}

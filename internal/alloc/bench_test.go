@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkAllocFree2M(b *testing.B) {
-	a, err := New([]subarray.Range{{Start: 0, End: 1 << 30}}, nil)
+	a, err := New([]subarray.Range{{Start: 0, End: 1 << 30}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func BenchmarkAllocFree2M(b *testing.B) {
 }
 
 func BenchmarkAllocChurn4K(b *testing.B) {
-	a, err := New([]subarray.Range{{Start: 0, End: 256 << 20}}, nil)
+	a, err := New([]subarray.Range{{Start: 0, End: 256 << 20}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func BenchmarkAllocChurn4K(b *testing.B) {
 // way.
 func BenchmarkAllocFragmented4K(b *testing.B) {
 	const pages = 8192
-	a, err := New([]subarray.Range{{Start: 0, End: pages * 4096}}, nil)
+	a, err := New([]subarray.Range{{Start: 0, End: pages * 4096}})
 	if err != nil {
 		b.Fatal(err)
 	}

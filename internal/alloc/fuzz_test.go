@@ -21,7 +21,7 @@ func FuzzBuddySequences(f *testing.F) {
 		const managed = 16 << 20
 		order := int(maxOrder) % (Order2M + 1)
 		rng := rand.New(rand.NewSource(seed))
-		a, err := New([]subarray.Range{{Start: 0, End: managed}}, nil)
+		a, err := New([]subarray.Range{{Start: 0, End: managed}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -127,7 +127,8 @@ func RunMitigationTrial(cfg MitigationTrialConfig) (*MitigationTrialResult, erro
 
 		// Victim working set: stamped pages that must survive the campaign.
 		// They sit in the low half — the churn phase balloons the top half
-		// away and back, and re-admitted frames arrive scrubbed by design.
+		// away and back, and re-admitted frames arrive scrubbed: every frame
+		// that leaves a VM is, flips included.
 		stamps, err := m.stampVictim(cfg.Seed)
 		if err != nil {
 			return err

@@ -235,10 +235,12 @@ func TestEPTBlockMatchesRetired(t *testing.T) {
 }
 
 // TestBootAllocationBound pins a Siloz boot of the fleet benchmark's host at
-// 270 allocations plus a margin; the per-row layout build and EPT block it
-// replaced made 1 018.
+// the allocations it makes under the race detector, 260; a plain build makes
+// 252, or 253 on the first boot in a process. The per-row layout build and
+// EPT block it replaced made 1 018, and allocators that copied each node's
+// ranges 270.
 func TestBootAllocationBound(t *testing.T) {
-	const bound = 285
+	const bound = 260
 	allocs := testing.AllocsPerRun(5, func() {
 		h, err := Boot(bootBenchConfig(), ModeSiloz)
 		if err != nil {

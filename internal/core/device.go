@@ -18,9 +18,11 @@ import (
 // The IOMMU mappings are live state, not a snapshot: every RAM-layout
 // change (live migration, a resize's shrink or grow) syncs them inside
 // VM.commitLayout, and VM teardown tears them down before the
-// frames return to the free pools. DMA writes participate in the
-// touched-page ledger and the dirty-page log (IOMMU dirty-bit harvesting),
-// so scrub-before-free and pre-copy both see device stores.
+// frames return to the free pools (scrubbed, as every frame that leaves a
+// VM is, so a device's stores and its HammerDMA flips leak to no one). DMA
+// writes participate in the touched-page ledger and the dirty-page log
+// (IOMMU dirty-bit harvesting), so pre-copy and a cross-host move both see
+// device stores.
 //
 // The default virtio path needs none of this: the hypervisor performs DMAs
 // on the guest's behalf and can rate-limit them (§5.1), which the VM model

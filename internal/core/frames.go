@@ -31,7 +31,6 @@ type frameRun struct {
 	node  int
 	order int
 	pages []uint64
-	clean bool // never written: vacate need not scrub. Unset is the safe default.
 }
 
 // frameTxn is one frame-sourcing transaction. It lives on its caller's

@@ -267,7 +267,7 @@ func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error
 	if err != nil {
 		return err
 	}
-	if err := h.addAllocator(hostNode, nil); err != nil {
+	if err := h.addAllocator(hostNode); err != nil {
 		return err
 	}
 	h.hostNodes = append(h.hostNodes, hostNode) // sockets provision in order
@@ -280,7 +280,7 @@ func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error
 	if err != nil {
 		return err
 	}
-	if err := h.addAllocator(eptNode, nil); err != nil {
+	if err := h.addAllocator(eptNode); err != nil {
 		return err
 	}
 	h.eptNodes = append(h.eptNodes, eptNode.ID) // sockets provision in order
@@ -296,7 +296,7 @@ func (h *Hypervisor) provisionSocket(socket int, offline []subarray.Range) error
 		if err != nil {
 			return err
 		}
-		if err := h.addAllocator(n, nil); err != nil {
+		if err := h.addAllocator(n); err != nil {
 			return err
 		}
 	}
@@ -345,7 +345,7 @@ func (h *Hypervisor) bootBaseline() error {
 		if err != nil {
 			return err
 		}
-		if err := h.addAllocator(n, nil); err != nil {
+		if err := h.addAllocator(n); err != nil {
 			return err
 		}
 		h.hostNodes = append(h.hostNodes, n)
@@ -353,8 +353,8 @@ func (h *Hypervisor) bootBaseline() error {
 	return nil
 }
 
-func (h *Hypervisor) addAllocator(n *numa.Node, offline []subarray.Range) error {
-	a, err := alloc.New(n.Ranges, offline)
+func (h *Hypervisor) addAllocator(n *numa.Node) error {
+	a, err := alloc.New(n.Ranges)
 	if err != nil {
 		return err
 	}

@@ -157,44 +157,40 @@ func (vm *VM) commitLayout(ram []uint64, moves []regionMove) error {
 }
 
 // ramRuns lists the frames behind the RAM pages from lo to the top, highest
-// first, as one-frame runs for vacate, marking clean those that are neither in
-// the touched ledger nor set in written (a migration's record of the pages it
-// copied data off; nil elsewhere). The runs alias the current layout's array,
-// which a commit never edits.
-func (vm *VM) ramRuns(lo int, written []bool) []frameRun {
+// first, as one-frame runs for vacate. The runs alias the current layout's
+// array, which a commit never edits.
+func (vm *VM) ramRuns(lo int) []frameRun {
 	runs := make([]frameRun, 0, len(vm.ram)-lo)
-	vm.dirtyMu.Lock()
-	defer vm.dirtyMu.Unlock()
 	for p := len(vm.ram) - 1; p >= lo; p-- {
 		hpa := vm.ram[p : p+1]
-		dataBearing := vm.touched.has(p) || written != nil && written[p]
-		runs = append(runs, frameRun{node: vm.hv.nodeOf(hpa[0]), order: alloc.Order2M, pages: hpa, clean: !dataBearing})
+		runs = append(runs, frameRun{node: vm.hv.nodeOf(hpa[0]), order: alloc.Order2M, pages: hpa})
 	}
 	return runs
 }
 
 // vacate is the one way frames leave a VM. They have already left the layout
 // (commitLayout) or never entered it (a rollback), so nothing translates to
-// them: each is scrubbed unless its run is clean, then freed to its node —
-// scrub strictly first: a frame back in the pool may be handed to any tenant.
-// Then the one shrink rule applies to nodes, the nodes whose reservation the
-// operation may end (a shrink: all the VM's; a migration: its sources; a
-// rollback: the ones it adopted): a node leaves the control group iff the VM
-// holds no frame on it — on a node only its owner allocates from, iff the
-// allocator shows zero used bytes — so the domain loses only memory the guest
-// cannot touch. nodes is consumed: the released ones come back in its
-// storage. drained, if set, is the lifecycle probe to fire between free and
-// shrink. Errors do not stop the walk; they are joined.
+// them: every one is scrubbed, then freed to its node — scrub strictly first:
+// a frame back in the pool may be handed to any tenant. Whether the guest
+// ever stored to a frame does not matter: DRAM writes by itself too (a flip
+// from the guest's Hammer or its device's HammerDMA), and a frame with no
+// live row costs one census check. Then the one shrink rule applies to nodes,
+// the nodes whose reservation the operation may end (a shrink: all the VM's;
+// a migration: its sources; a rollback: the ones it adopted): a node leaves
+// the control group iff the VM holds no frame on it — on a node only its
+// owner allocates from, iff the allocator shows zero used bytes — so the
+// domain loses only memory the guest cannot touch; it is scrubbed whole
+// (scrubNode) before it leaves. nodes is consumed: the released ones come
+// back in its storage. drained, if set, is the lifecycle probe to fire
+// between free and shrink. Errors do not stop the walk; they are joined.
 func (h *Hypervisor) vacate(vm *VM, runs []frameRun, nodes []int, drained EventKind) (scrubbed uint64, released []int, err error) {
 	for _, r := range runs {
 		a, aerr := h.Allocator(r.node)
 		err = errors.Join(err, aerr)
 		bytes := alloc.OrderBytes(r.order)
 		for _, pa := range r.pages {
-			if !r.clean {
-				err = errors.Join(err, h.mem.ScrubPhys(pa, int(bytes)))
-				scrubbed += bytes
-			}
+			err = errors.Join(err, h.mem.ScrubPhys(pa, int(bytes)))
+			scrubbed += bytes
 			if a != nil {
 				err = errors.Join(err, a.Free(pa, r.order))
 			}
@@ -209,9 +205,28 @@ func (h *Hypervisor) vacate(vm *VM, runs []frameRun, nodes []int, drained EventK
 	if len(released) == 0 {
 		return scrubbed, nil, err
 	}
+	for _, id := range released {
+		err = errors.Join(err, h.scrubNode(id))
+	}
 	err = errors.Join(err, h.reg.Shrink(vm.cgroup.Name, released))
 	vm.nodes = vm.cgroup.Nodes()
 	return scrubbed, released, err
+}
+
+// scrubNode zeroes every byte of a guest-reserved node that is leaving a
+// domain for the pool. Its frames are all free, yet the ones the VM never
+// held may hold its flips: a hammered row's flips stay inside its subarray
+// group, and a node is made of whole groups, free frames included. A region
+// with no live row costs one census check, so a clean node is cheap.
+func (h *Hypervisor) scrubNode(id int) error {
+	n, err := h.topo.Node(id)
+	if err != nil {
+		return err
+	}
+	for _, r := range n.Ranges {
+		err = errors.Join(err, h.mem.ScrubPhys(r.Start, int(r.End-r.Start)))
+	}
+	return err
 }
 
 // drained filters ids, in place and keeping their order, down to the nodes

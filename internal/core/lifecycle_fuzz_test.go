@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/geometry"
 	"repro/internal/numa"
 )
@@ -38,6 +39,7 @@ var lifecycleSeeds = [][]byte{
 		opWrite, 0, 3,
 		opDMA, 4, 5,
 		opHammer, 0, 2,
+		opHammer, 0, 12, // flips in a frame the shrink below surrenders
 		opMigrateSame, 8, 9, // one dirtied page a round
 		opMigrateCross, 16, 2, // two
 		opResize, 0, 8, // shrink
@@ -47,6 +49,7 @@ var lifecycleSeeds = [][]byte{
 		opMigrateCross, 4, 1, // refused: the Expand fails
 		opDestroy, 0, 0,
 		opDestroy, 0, 0, // refused: no such VM
+		opCreate, 0, 124, // 64 MiB on socket 0: nodes v0 left, flips and all
 	},
 	{
 		opCreate, 0, 124, // v0: 64 MiB on socket 0
@@ -66,6 +69,20 @@ var lifecycleSeeds = [][]byte{
 		opDestroy, 1, 0,
 		opMigrateCross, 24, 4,
 	},
+	{ // flips in frames the guest never wrote, then those frames change owner
+		opCreate, 0, 60, // v0: 32 MiB on socket 0
+		opHammer, 0, 12,
+		opResize, 0, 8, // shrink: surrenders the flipped page-12 frame
+		opHammer, 0, 6,
+		opHammer, 0, 7, // flips past the resident top, in the node's free frames
+		opDestroy, 0, 0,
+		opCreate, 0, 124, // v0: 64 MiB on socket 0, on the node v0 left
+		opResize, 0, 48, // grow past the spec, adopting a second node
+		opHammer, 0, 40,
+		opHammer, 0, 47,
+		opResize, 0, 32, // shrink, draining the adopted node
+		opCreate, 1, 124, // v1: 64 MiB on socket 0, on the drained node
+	},
 }
 
 // FuzzLifecycle drives a Siloz host through a byte-decoded sequence of
@@ -74,10 +91,12 @@ var lifecycleSeeds = [][]byte{
 // page translates the same with and without the TLB, on the EPT and the
 // device alike, and nothing is mapped past the resident prefix; no flip
 // lands outside the hammering VM's domain; a refused operation left the
-// host as it was and fired no lifecycle event; and the events an operation
-// fired match its report — one round event per reported round, in order; a
-// shrink's unmapped then drained, with the surrendered frames already zero
-// at drained; a grow's adopted iff it mapped pages past the old spec size.
+// host as it was and fired no lifecycle event; every page a create maps, and
+// every page a grow maps from a node the VM did not hold before, reads zero;
+// and the events an operation fired match its report — one round event per
+// reported round, in order; a shrink's unmapped then drained, with the
+// surrendered frames already zero at drained; a grow's adopted iff it mapped
+// pages past the old spec size.
 func FuzzLifecycle(f *testing.F) {
 	for _, seed := range lifecycleSeeds {
 		f.Add(seed)
@@ -111,13 +130,16 @@ func TestLifecycleSeedsReachEveryOp(t *testing.T) {
 // operation went through (by name) or was refused ("name refused").
 func runLifecycle(t *testing.T, ops []byte) map[string]int {
 	h := bootSiloz(t)
+	blank, err := dram.NewMemoryOn(h.mem.RowStore(), h.mem.Geometry(), h.mem.Mapper(), h.cfg.Profiles, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var (
 		vms      [3]*VM
 		devs     [3]*Device
 		events   []Event
 		drained  func() error // the zero check a shrink arms for its drained event
 		drainErr error
-		flipped  = map[uint64]bool{} // 2 MiB frames a flip ever landed in
 		reached  = map[string]int{}
 	)
 	h.SetLifecycleProbe(func(e Event) {
@@ -151,9 +173,9 @@ func runLifecycle(t *testing.T, ops []byte) map[string]int {
 			resize *ResizeReport
 			mig    *MigrateReport
 		)
-		oldSpecPages := 0
+		oldSpecPages, oldPages, oldNodes := 0, 0, []int(nil)
 		if vm != nil {
-			oldSpecPages = int(vm.spec.MemoryBytes / geometry.PageSize2M)
+			oldSpecPages, oldPages, oldNodes = int(vm.spec.MemoryBytes/geometry.PageSize2M), len(vm.ram), vm.nodeIDs()
 		}
 		switch kind {
 		case opCreate:
@@ -164,11 +186,14 @@ func runLifecycle(t *testing.T, ops []byte) map[string]int {
 			})
 			if err == nil {
 				vms[slot], devs[slot] = nvm, nil
+				if ferr := freshCheck(h, blank, nvm, 0, nil); ferr != nil {
+					t.Fatalf("%s: %v", step, ferr)
+				}
 			}
 		case opResize:
 			target := int(arg) % 128
 			if vm != nil && target < len(vm.ram) {
-				drained = surrenderZeroCheck(h, vm, target, flipped)
+				drained = surrenderZeroCheck(h, blank, vm, target)
 			}
 			resize, err = h.ResizeVM(name, uint64(target)*geometry.PageSize2M)
 		case opMigrateSame, opMigrateCross:
@@ -244,6 +269,9 @@ func runLifecycle(t *testing.T, ops []byte) map[string]int {
 					leg = "grow past spec"
 					want = []Event{{Kind: ProbeHotplugAdopted, VM: vm}}
 				}
+				if ferr := freshCheck(h, blank, vm, oldPages, oldNodes); ferr != nil {
+					t.Fatalf("%s: %s: %v", step, leg, ferr)
+				}
 			}
 			reached[leg]++
 			if !slices.Equal(events, want) {
@@ -281,7 +309,6 @@ func runLifecycle(t *testing.T, ops []byte) map[string]int {
 			if kind != opHammer || !vm.InDomain(pa) {
 				t.Fatalf("%s: flip %v at %#x outside the hammering VM's domain", step, fl, pa)
 			}
-			flipped[pa&^(geometry.PageSize2M-1)] = true
 		}
 		h.mem.ResetFlips()
 	}
@@ -290,26 +317,49 @@ func runLifecycle(t *testing.T, ops []byte) map[string]int {
 }
 
 // surrenderZeroCheck returns the check a shrink of vm to keep pages runs at
-// its drained event: every surrendered frame reads zero. A frame the guest
-// never wrote is not scrubbed, so one a flip landed in is skipped.
-func surrenderZeroCheck(h *Hypervisor, vm *VM, keep int, flipped map[uint64]bool) func() error {
+// its drained event: every surrendered frame reads zero, whatever the guest
+// or a flip left in it.
+func surrenderZeroCheck(h *Hypervisor, blank *dram.Memory, vm *VM, keep int) func() error {
 	frames := slices.Clone(vm.ram[keep:])
-	touched := vm.TouchedPages()
 	return func() error {
-		buf := make([]byte, geometry.PageSize2M)
 		for i, hpa := range frames {
-			if flipped[hpa] && !slices.Contains(touched, keep+i) {
-				continue
-			}
-			if err := h.mem.ReadPhys(hpa, buf); err != nil {
+			if zero, err := zeroFrame(h, blank, hpa); err != nil {
 				return err
-			}
-			if !allZero(buf) {
+			} else if !zero {
 				return fmt.Errorf("surrendered page %d (frame %#x) holds data", keep+i, hpa)
 			}
 		}
 		return nil
 	}
+}
+
+// freshCheck requires every page of vm from page from up, on a node not in
+// held, to read zero: memory a VM gains from outside its domain is fresh,
+// however the last tenant of its frames and nodes left them.
+func freshCheck(h *Hypervisor, blank *dram.Memory, vm *VM, from int, held []int) error {
+	for p := from; p < len(vm.ram); p++ {
+		hpa := vm.ram[p]
+		if slices.Contains(held, h.nodeOf(hpa)) {
+			continue
+		}
+		if zero, err := zeroFrame(h, blank, hpa); err != nil {
+			return err
+		} else if !zero {
+			return fmt.Errorf("%s page %d (frame %#x, node %d) maps holding data", vm.Name(), p, hpa, h.nodeOf(hpa))
+		}
+	}
+	return nil
+}
+
+// zeroFrame reports whether the 2 MiB frame at hpa of h reads zero by
+// copying it to the same address of blank, a memory of h's geometry that
+// holds nothing: the copy reports whether the frame held a nonzero byte and,
+// as a read does, passes over a region with no live row at once. Reading
+// each frame into a buffer and comparing it cost ~100 µs a frame, most of a
+// fuzz input's time. blank stays blank while the frames checked are zero.
+func zeroFrame(h *Hypervisor, blank *dram.Memory, hpa uint64) (bool, error) {
+	nonzero, err := blank.CopyPhys(hpa, h.mem, hpa, geometry.PageSize2M, make([]byte, h.mem.Geometry().RowBytes))
+	return !nonzero, err
 }
 
 // checkViews requires every resident page of vm to translate to its frame

@@ -317,16 +317,9 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	}
 
 	// Commit the destination layout; remapping RAM leaves writable also
-	// disarms the per-leaf write protection. The guest is paused, so the
-	// touched ledger is final for the source frames, and a source frame is
-	// data-bearing when the engine copied data off it (written) OR the ledger
-	// says the guest ever stored to it; ramRuns reads both. The union
-	// matters: a page the copy saw as zero is not marked written, yet an
-	// attacker-timed store (or device DMA) landing between the final
-	// TakeDirty round and the paused residual copy can leave bytes the copy
-	// never saw — freeing such a frame unscrubbed would hand the next tenant
-	// the attacker's data.
-	gone := vm.ramRuns(0, written)
+	// disarms the per-leaf write protection. vacate scrubs every source frame
+	// below, whatever the copy saw in it.
+	gone := vm.ramRuns(0)
 	if err := vm.commitLayout(dstRAM, moves); err != nil {
 		return abort(fmt.Errorf("core: migrating VM %q: %w", name, err))
 	}
@@ -340,7 +333,8 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	for p, w := range written {
 		if w {
 			// The engine's copies are data-bearing writes to the new
-			// frames: fold them into the scrub ledger.
+			// frames: fold them into the touched ledger, which a
+			// cross-host move copies first.
 			vm.touched.add(p)
 		}
 	}
@@ -498,10 +492,9 @@ func (h *Hypervisor) validateMigrationDests(vm *VM, destNodeIDs []int) ([]*numa.
 // not to its address space.
 //
 // What it saw is only ever a snapshot. That is safe because every guest or
-// DMA store that lands after it is in the dirty log (so a later round or the
-// paused residual copy looks at the page again) or, once logging has stopped,
-// in the touched ledger (so the source frame is at least scrubbed before it
-// is freed).
+// DMA store that lands after it is in the dirty log, so a later round or the
+// paused residual copy looks at the page again; and vacate scrubs every
+// source frame before it is freed, whatever the copy saw in it.
 func (h *Hypervisor) copyFrame(src, dst uint64, n int, scratch []byte) (nonzero bool, err error) {
 	return h.mem.CopyPhys(dst, h.mem, src, n, scratch)
 }

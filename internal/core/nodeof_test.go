@@ -179,7 +179,7 @@ func checkLedgerReads(t *testing.T, vm *VM, step string) {
 			t.Fatalf("%s: previewDrain(%d) = %v, ledger %v", step, n, got, want)
 		}
 	}
-	for _, r := range vm.ramRuns(0, nil) {
+	for _, r := range vm.ramRuns(0) {
 		if want := ledger[r.pages[0]]; r.node != want {
 			t.Fatalf("%s: ramRuns puts frame %#x on node %d, ledger %d", step, r.pages[0], r.node, want)
 		}

@@ -8,12 +8,11 @@ package core
 //
 //   - shrink (balloon inflate) commits the shorter prefix: the top pages'
 //     EPT leaves and IOMMU entries are unmapped, so the guest can no longer
-//     reach them, and the frames are vacated — scrubbed if they ever held
-//     guest data (the touched-page ledger makes never-written pages free to
-//     release) and returned to their node — after which every node the VM
-//     no longer holds a frame on leaves its control group and returns to
-//     the admission pool (virtio-balloon semantics over Siloz's isolation
-//     domains).
+//     reach them, and the frames are vacated — scrubbed, every one, and
+//     returned to their node — after which every node the VM no longer
+//     holds a frame on is scrubbed whole, leaves its control group and
+//     returns to the admission pool (virtio-balloon semantics over Siloz's
+//     isolation domains).
 //   - grow takes every page it needs in one frame transaction under the VM's
 //     placement policy (frames.go), adopting unowned subarray-group nodes
 //     when what it owns runs out. The pages up to the spec's size refill the
@@ -93,7 +92,7 @@ type ResizeReport struct {
 	Action   ResizeAction
 
 	Pages         int    // 2 MiB pages moved: surrendered, or restored plus hot-added
-	ScrubbedBytes uint64 // bytes zeroed: data-bearing pages before release, hot-added pages before mapping
+	ScrubbedBytes uint64 // frame bytes zeroed: surrendered pages before release, hot-added pages before mapping
 	ReleasedNodes []int  // guest nodes drained and returned to the pool
 	AdoptedNodes  []int  // guest nodes adopted to back a grow
 }
@@ -213,7 +212,7 @@ func (h *Hypervisor) shrink(vm *VM, n int, rep *ResizeReport) error {
 	// only physical access remains. The prefix is clipped so that a later
 	// grow appends to a fresh array: no commit overwrites a slot a layout
 	// has published, and the runs of ramRuns alias those slots.
-	gone := vm.ramRuns(keep, nil)
+	gone := vm.ramRuns(keep)
 	if err := vm.commitLayout(vm.ram[:keep:keep], nil); err != nil {
 		return err
 	}
@@ -250,7 +249,7 @@ func (h *Hypervisor) grow(vm *VM, n int, rep *ResizeReport) error {
 	// Scrub before mapping: the guest must only ever observe zeros in the
 	// hot-added range, whatever the frames held before. The pages that
 	// refill the balloon are not scrubbed here: vacate scrubbed every frame
-	// that held data when it left its last VM.
+	// when it left its last VM.
 	for _, hpa := range added {
 		if err := h.mem.ScrubPhys(hpa, geometry.PageSize2M); err != nil {
 			t.rollback()

@@ -88,8 +88,7 @@ func TestDestroyVMScrubsGuestMemory(t *testing.T) {
 
 // TestBalloonDrainScrubsNodePages: the partial-release invariant's scrub
 // half — when inflation drains a whole subarray-group node, every byte of
-// that node is zero before it re-enters the admission pool, even though
-// only the touched-page ledger's entries were explicitly scrubbed.
+// that node is zero before it re-enters the admission pool.
 func TestBalloonDrainScrubsNodePages(t *testing.T) {
 	h := bootSiloz(t)
 	vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "bal", Socket: 0, MemoryBytes: 128 * geometry.MiB})
@@ -125,4 +124,111 @@ func TestBalloonDrainScrubsNodePages(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFreshMemoryAfterHammer: memory that leaves an owner reads zero, also
+// where DRAM rather than a store changed it. A guest's own Hammer flips
+// cells in frames it never wrote — its own and its domain's free frames —
+// which no ledger of stores records. Two paths hand such a cell to the next
+// tenant unless it is scrubbed: a surrendered frame, and a free frame of a
+// node that leaves the domain — drained by a shrink, or at teardown.
+func TestFreshMemoryAfterHammer(t *testing.T) {
+	buf := make([]byte, geometry.PageSize2M)
+	nonzero := func(t *testing.T, read func(off uint64, b []byte) error, pages int) int {
+		t.Helper()
+		n := 0
+		for p := 0; p < pages; p++ {
+			if err := read(uint64(p)*geometry.PageSize2M, buf); err != nil {
+				t.Fatal(err)
+			}
+			n += len(buf) - bytes.Count(buf, []byte{0})
+		}
+		return n
+	}
+	hammer := func(t *testing.T, h *Hypervisor, vm *VM, pages ...int) {
+		t.Helper()
+		for _, p := range pages {
+			if err := vm.Hammer(uint64(p)*geometry.PageSize2M, 20000, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.mem.Refresh()
+		if len(h.mem.Flips()) == 0 {
+			t.Fatal("the hammer flipped nothing: scenario broken")
+		}
+	}
+	successor := func(t *testing.T, h *Hypervisor, bytes uint64) int {
+		t.Helper()
+		vm, err := h.CreateVM(kvmProc(), VMSpec{Name: "b", Socket: 0, MemoryBytes: bytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nonzero(t, vm.ReadGuest, len(vm.ram))
+	}
+
+	// A 32 MiB VM that never stores hammers its page 5, surrenders pages
+	// 5 and up, and is destroyed; the next VM gets the frames.
+	t.Run("surrendered-frame", func(t *testing.T) {
+		h := bootSiloz(t)
+		a, err := h.CreateVM(kvmProc(), VMSpec{Name: "a", Socket: 0, MemoryBytes: 32 * geometry.MiB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammer(t, h, a, 5)
+		gone := a.RAMPages()[5:]
+		if _, err := h.ResizeVM("a", 5*geometry.PageSize2M); err != nil {
+			t.Fatal(err)
+		}
+		phys := func(off uint64, b []byte) error {
+			return h.mem.ReadPhys(gone[off/geometry.PageSize2M], b)
+		}
+		if n := nonzero(t, phys, len(gone)); n != 0 {
+			t.Errorf("the surrendered frames hold %d nonzero bytes", n)
+		}
+		if err := h.DestroyVM("a"); err != nil {
+			t.Fatal(err)
+		}
+		if n := successor(t, h, 32*geometry.MiB); n != 0 {
+			t.Errorf("a new VM reads %d nonzero bytes", n)
+		}
+	})
+
+	// A 96 MiB VM hammers every page of its half of its second node and
+	// balloons down to its first; a 64 MiB VM gets the drained node.
+	t.Run("drained-node", func(t *testing.T) {
+		h := bootSiloz(t)
+		a, err := h.CreateVM(kvmProc(), VMSpec{Name: "a", Socket: 0, MemoryBytes: 96 * geometry.MiB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammer(t, h, a, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47)
+		rep, err := h.ResizeVM("a", 64*geometry.MiB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.ReleasedNodes) != 1 {
+			t.Fatalf("released nodes %v, want one: scenario broken", rep.ReleasedNodes)
+		}
+		if n := successor(t, h, 64*geometry.MiB); n != 0 {
+			t.Errorf("a new VM on drained node %d reads %d nonzero bytes", rep.ReleasedNodes[0], n)
+		}
+	})
+
+	// A 32 MiB VM hammers every page of its half of a node and is
+	// destroyed; a 64 MiB VM gets the whole node, free frames included.
+	t.Run("released-node", func(t *testing.T) {
+		h := bootSiloz(t)
+		a, err := h.CreateVM(kvmProc(), VMSpec{Name: "a", Socket: 0, MemoryBytes: 32 * geometry.MiB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammer(t, h, a, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+		node := a.Nodes()[0].ID
+		if err := h.DestroyVM("a"); err != nil {
+			t.Fatal(err)
+		}
+		if n := successor(t, h, 64*geometry.MiB); n != 0 {
+			t.Errorf("a new VM on node %d reads %d nonzero bytes", node, n)
+		}
+	})
 }

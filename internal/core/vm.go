@@ -111,7 +111,7 @@ type VM struct {
 	// dirtyMu guards the dirty-page log and the touched-page ledger.
 	tracking bool    // write-protection dirty logging armed
 	dirty    pageSet // RAM pages dirtied this round
-	touched  pageSet // RAM pages ever written (scrub ledger)
+	touched  pageSet // RAM pages ever written (what a cross-host move copies first)
 	dirtyMu  sync.Mutex
 
 	// Confused-deputy rate limiting (§5.1): mediated accesses this
@@ -134,8 +134,6 @@ func (s *pageSet) add(p int) {
 	}
 	(*s)[p/64] |= 1 << (p % 64)
 }
-
-func (s pageSet) has(p int) bool { return p/64 < len(s) && s[p/64]&(1<<(p%64)) != 0 }
 
 func (s pageSet) del(p int) {
 	if p/64 < len(s) {
@@ -409,11 +407,11 @@ func (h *Hypervisor) DestroyVM(name string) error {
 }
 
 // teardown releases everything the VM holds. Guest RAM, region, mediated and
-// guard-band pages leave through vacate: scrubbed (zeroed) before they return
-// to the free pools, so a page recycled to the next tenant can never leak the
-// previous tenant's bytes. RAM scrubbing consults the touched-page ledger:
-// never-written pages hold no data and are skipped, keeping teardown of
-// large sparse guests cheap. Caller holds h.mu.
+// guard-band pages leave through vacate, which scrubs (zeroes) every one
+// before it returns to the free pools, and every node of the domain is
+// scrubbed whole before the control group goes, so memory recycled to the
+// next tenant can never leak the previous tenant's bytes — its stores, or
+// the flips its hammering left in frames it never held. Caller holds h.mu.
 func (vm *VM) teardown() {
 	h := vm.hv
 	// Detach passthrough devices first: once the RAM frames return to the
@@ -427,15 +425,15 @@ func (vm *VM) teardown() {
 	for _, d := range devices {
 		d.detachTables()
 	}
-	gone := vm.ramRuns(0, nil)
+	gone := vm.ramRuns(0)
 	for _, info := range vm.regions {
 		gone = append(gone, info.frameRun)
 	}
 	if host, _, err := h.hostNode(vm.spec.Socket); err == nil && len(vm.mediated) > 0 {
 		gone = append(gone, frameRun{node: host.ID, pages: vm.mediated})
 	}
-	for i, pa := range vm.guards { // never mapped, never written
-		gone = append(gone, frameRun{node: h.nodeOf(pa), order: alloc.Order2M, pages: vm.guards[i : i+1], clean: true})
+	for i, pa := range vm.guards { // never mapped, but where the VM's flips land
+		gone = append(gone, frameRun{node: h.nodeOf(pa), order: alloc.Order2M, pages: vm.guards[i : i+1]})
 	}
 	h.guardBytes -= uint64(len(vm.guards)) * geometry.PageSize2M
 	_, _, _ = h.vacate(vm, gone, nil, "") // a destroy has no one to report a scrub or free failure to
@@ -447,6 +445,9 @@ func (vm *VM) teardown() {
 	}
 	vm.releaseCores()
 	if vm.cgroup != nil {
+		for _, n := range vm.nodes {
+			_ = h.scrubNode(n.ID) // as for vacate's errors: no one to report to
+		}
 		_ = h.reg.Destroy(vm.cgroup.Name)
 		vm.cgroup, vm.nodes = nil, nil
 	}
@@ -918,11 +919,10 @@ func (vm *VM) InDomain(pa uint64) bool {
 
 // noteDMAWrite folds one device store into the VM's write-tracking state,
 // the software model of IOMMU dirty-bit harvesting: the touched-page
-// ledger (so teardown/balloon/migration scrub the frame) and — while
-// dirty logging is armed — the dirty-page log (so live migration re-copies
-// the page). Without this, a DMA between the final TakeDirty round and
-// stop-and-copy would leave a poisoned source frame that step 4 frees
-// unscrubbed and a destination copy missing the DMA'd bytes.
+// ledger (so a cross-host move copies the page) and — while dirty logging
+// is armed — the dirty-page log (so live migration re-copies the page).
+// Without this, a DMA between the final TakeDirty round and stop-and-copy
+// would leave a destination copy missing the DMA'd bytes.
 func (vm *VM) noteDMAWrite(gpa uint64) {
 	if !vm.isRAMGPA(gpa) {
 		return

@@ -23,7 +23,7 @@ func benchTables(b *testing.B, mode IntegrityMode) *Tables {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := allocpkg.New([]subarray.Range{{Start: 0, End: 16 << 20}}, nil)
+	a, err := allocpkg.New([]subarray.Range{{Start: 0, End: 16 << 20}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func BenchmarkRelocate(b *testing.B) {
 			}
 			var pools [2]PageAllocator
 			for i := range pools {
-				a, err := allocpkg.New([]subarray.Range{{Start: uint64(32+16*i) << 20, End: uint64(48+16*i) << 20}}, nil)
+				a, err := allocpkg.New([]subarray.Range{{Start: uint64(32+16*i) << 20, End: uint64(48+16*i) << 20}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -53,7 +53,7 @@ func testEnv(t *testing.T, mode IntegrityMode) (*dram.Memory, *Tables, *allocpkg
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := allocpkg.New([]subarray.Range{{Start: 0, End: 16 << 20}}, nil)
+	a, err := allocpkg.New([]subarray.Range{{Start: 0, End: 16 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestRelocateMovesHierarchy(t *testing.T) {
 	for _, mode := range []IntegrityMode{NoProtection, SecureEPT} {
 		t.Run(mode.String(), func(t *testing.T) {
 			mem, tables, src := testEnv(t, mode)
-			dst, err := allocpkg.New([]subarray.Range{{Start: 32 << 20, End: 48 << 20}}, nil)
+			dst, err := allocpkg.New([]subarray.Range{{Start: 32 << 20, End: 48 << 20}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func TestRelocateRollsBackOnAllocFailure(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			dstInner, err := allocpkg.New([]subarray.Range{{Start: 32 << 20, End: 48 << 20}}, nil)
+			dstInner, err := allocpkg.New([]subarray.Range{{Start: 32 << 20, End: 48 << 20}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,7 +340,7 @@ func relocationFixture(t *testing.T, tables *Tables) (gpas []uint64) {
 // destinationPool is a second table-page pool, clear of testEnv's.
 func destinationPool(t *testing.T) *allocpkg.Allocator {
 	t.Helper()
-	a, err := allocpkg.New([]subarray.Range{{Start: 32 << 20, End: 48 << 20}}, nil)
+	a, err := allocpkg.New([]subarray.Range{{Start: 32 << 20, End: 48 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}

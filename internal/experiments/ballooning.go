@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"repro/internal/core"
@@ -17,56 +16,42 @@ import (
 // balloonParams parameterizes the "ballooning" experiment: how much of an
 // over-provisioned VM's exclusive reservation the balloon driver can return
 // to the admission pool, and at what modeled scrub cost, as a function of
-// the balloon target and of how much of the surrendered memory the guest
-// had actually dirtied.
+// the balloon target. Every surrendered page is scrubbed, so the cost is the
+// target's.
 type balloonParams struct {
 	// VMBytes is the ballooned VM's RAM; the default fills every guest
 	// node of its home socket so any admission requires reclaim.
 	VMBytes uint64
 	// MinBytes is the VM's declared balloon floor (VMSpec.MinMemoryBytes).
 	MinBytes uint64
-	// Targets are the balloon sizes swept (bytes surrendered).
+	// Targets are the balloon sizes swept (bytes surrendered), one cell each.
 	Targets []uint64
-	// TouchedFractions sweep how much of the surrendered range the guest
-	// wrote before inflating — only touched pages need scrubbing.
-	TouchedFractions []float64
 	// ScrubGiBps is the modeled scrub bandwidth. Reclaim latency is
 	// reported as scrubbed bytes divided by this figure — a pure function
 	// of the byte count, never a wall-clock measurement.
 	ScrubGiBps float64
-	// Seed drives which surrendered pages the guest dirties.
-	Seed int64
 }
 
-// balloonConfig resolves the sweep: one- and two-node balloons across
-// lightly and fully dirtied guests, trimmed under -quick.
+// balloonConfig resolves the sweep: one- and two-node balloons, trimmed to
+// the one-node balloon under -quick.
 func balloonConfig(f Flags) balloonParams {
 	cfg := balloonParams{
-		VMBytes:          192 * geometry.MiB,
-		MinBytes:         64 * geometry.MiB,
-		Targets:          []uint64{64 * geometry.MiB, 128 * geometry.MiB},
-		TouchedFractions: []float64{0.25, 1},
-		ScrubGiBps:       12,
-		Seed:             f.seed(13),
+		VMBytes:    192 * geometry.MiB,
+		MinBytes:   64 * geometry.MiB,
+		Targets:    []uint64{64 * geometry.MiB, 128 * geometry.MiB},
+		ScrubGiBps: 12,
 	}
 	if f.Quick {
-		cfg.Targets = []uint64{64 * geometry.MiB}
-		cfg.TouchedFractions = []float64{1}
+		cfg.Targets = cfg.Targets[:1]
 	}
 	return cfg
-}
-
-// balloonRun is one cell of the sweep.
-type balloonRun struct {
-	target   uint64
-	fraction float64
 }
 
 // runBalloon boots a fresh Siloz system, fills a socket with one
 // over-provisioned VM, drives the guest balloon driver end to end —
 // inflate, tenant admission onto the released nodes, deflate — and verifies
 // the reservation-release invariants at each step.
-func runBalloon(cfg balloonParams, run balloonRun, seed int64, t *tally) error {
+func runBalloon(cfg balloonParams, target uint64, t *tally) error {
 	h, err := bootLab(migrationLabGeometry(), migrationLabProfile(), ept.GuardRows, core.ModeSiloz)
 	if err != nil {
 		return err
@@ -84,21 +69,18 @@ func runBalloon(cfg balloonParams, run balloonRun, seed int64, t *tally) error {
 	if err := vm.WriteGuest(512, payload); err != nil {
 		return err
 	}
-	// Dirty the configured fraction of the pages about to be surrendered;
-	// only these enter the touched-page ledger and need scrubbing.
-	surrStart := cfg.VMBytes - run.target
-	surrPages := int(run.target / geometry.PageSize2M)
-	touched := int(float64(surrPages)*run.fraction + 0.5)
-	rng := rand.New(rand.NewSource(seed))
-	for _, p := range rng.Perm(surrPages)[:touched] {
-		if err := vm.WriteGuest(surrStart+uint64(p)*geometry.PageSize2M, payload); err != nil {
+	// Dirty every page about to be surrendered: the released nodes must
+	// read zero whatever the guest left in them.
+	surrStart := cfg.VMBytes - target
+	for gpa := surrStart; gpa < cfg.VMBytes; gpa += geometry.PageSize2M {
+		if err := vm.WriteGuest(gpa, payload); err != nil {
 			return err
 		}
 	}
 
 	before := append([]*numa.Node(nil), vm.Nodes()...)
-	if err := k.Resize(cfg.VMBytes - run.target); err != nil {
-		return fmt.Errorf("inflate to %d: %w", run.target, err)
+	if err := k.Resize(cfg.VMBytes - target); err != nil {
+		return fmt.Errorf("inflate to %d: %w", target, err)
 	}
 	var released []*numa.Node
 	for _, n := range before {
@@ -106,8 +88,7 @@ func runBalloon(cfg balloonParams, run balloonRun, seed int64, t *tally) error {
 			released = append(released, n)
 		}
 	}
-	scrubBytes := uint64(touched) * geometry.PageSize2M
-	reclaimMs := modeledMs(scrubBytes, cfg.ScrubGiBps)
+	reclaimMs := modeledMs(target, cfg.ScrubGiBps)
 	_, nodeBytes, err := guestNodeCapacity(h, 0)
 	if err != nil {
 		return err
@@ -140,13 +121,13 @@ func runBalloon(cfg balloonParams, run balloonRun, seed int64, t *tally) error {
 		return err
 	}
 
-	t.row(fmt.Sprintf("target=%dMiB touched=%.0f%%", run.target/geometry.MiB, run.fraction*100),
-		len(released), reclaimed/geometry.MiB, scrubBytes/geometry.MiB, reclaimMs, admitted, deflated)
+	t.row(fmt.Sprintf("target=%dMiB", target/geometry.MiB),
+		len(released), reclaimed/geometry.MiB, target/geometry.MiB, reclaimMs, admitted, deflated)
 	t.sum("total_nodes_released", float64(len(released)))
 	t.max("max_reclaim_ms", reclaimMs)
 	// A whole-socket VM's surrendered range is node-aligned, so every
 	// ballooned node must drain completely.
-	t.vote("whole_nodes_released", reclaimed == run.target)
+	t.vote("whole_nodes_released", reclaimed == target)
 	t.vote("released_nodes_zeroed", zeroed)
 	t.vote("tenant_admitted", admitted)
 	t.vote("guest_data_intact", intact)
@@ -158,7 +139,7 @@ func runBalloon(cfg balloonParams, run balloonRun, seed int64, t *tally) error {
 // via the guest balloon driver — nodes reclaimed, scrub cost, and admission
 // of a new tenant onto the released subarray groups.
 func ballooningExp(ctx context.Context, pool *Pool, bc balloonParams) (*Result, error) {
-	return sweep[balloonRun]{
+	return sweep[uint64]{
 		result: Result{
 			Name:    "ballooning",
 			Title:   "Memory ballooning: partial reservation release and reclaim cost",
@@ -169,14 +150,11 @@ func ballooningExp(ctx context.Context, pool *Pool, bc balloonParams) (*Result, 
 				"vm":            fmt.Sprintf("%d MiB, floor %d MiB", bc.VMBytes/geometry.MiB, bc.MinBytes/geometry.MiB),
 			},
 			Notes: []string{
-				"scrub cost scales with the touched-page ledger, not the balloon size: untouched pages skip scrubbing",
+				"every surrendered page is scrubbed, written or not (a flip needs no store), so scrub cost is the balloon size",
 				"reclaim latency is modeled from scrubbed bytes at fixed bandwidth, so identical runs emit identical results",
 			},
 		},
-		seed: bc.Seed,
-		cells: grid(bc.Targets, bc.TouchedFractions, func(target uint64, f float64) balloonRun {
-			return balloonRun{target: target, fraction: f}
-		}),
+		cells: bc.Targets,
 		checks: []sweepCheck{
 			{name: "whole_nodes_released", detail: "every surrendered subarray-group node drains and leaves the VM's domain"},
 			{name: "released_nodes_zeroed", detail: "released nodes read all-zero before any tenant is admitted onto them"},
@@ -184,6 +162,6 @@ func ballooningExp(ctx context.Context, pool *Pool, bc balloonParams) (*Result, 
 			{name: "guest_data_intact", detail: "guest memory below the balloon survives the inflate/deflate cycle"},
 			{name: "deflate_restores", detail: "deflation re-adopts capacity and restored pages are zeroed and writable"},
 		},
-		cell: func(run balloonRun, seed int64, t *tally) error { return runBalloon(bc, run, seed, t) },
+		cell: func(target uint64, _ int64, t *tally) error { return runBalloon(bc, target, t) },
 	}.run(ctx, pool)
 }
