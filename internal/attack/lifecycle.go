@@ -474,9 +474,10 @@ func (r *CampaignResult) fleet(cfg CampaignConfig) error {
 		if !ok {
 			return fmt.Errorf("victim VM not on %s", src.Name())
 		}
-		// Pre-move device DMA: the only record of these bytes is the
-		// dirty/touched ledgers — if either misses device stores, the
-		// destination loses them and the source leaks them.
+		// Pre-move device DMA: no guest store put these bytes there, so
+		// only the frames hold them — if the move or the teardown scrub
+		// misses device stores, the destination loses them and the
+		// source leaks them.
 		dev, err := src.Hypervisor().AttachDevice(victim, "vf0")
 		if err != nil {
 			return err

@@ -98,7 +98,7 @@ func sampleRows(g geometry.Geometry, rows []RowRef) []RowRef {
 }
 
 // sameGuestState compares what the two paths left behind: the bytes of the
-// row group around r, the row store's footprint and the touched ledger.
+// row group around r and the row store's footprint.
 func sameGuestState(got, ref *core.VM, r RowRef, bankIndex int) error {
 	g := got.Hypervisor().Memory().Geometry()
 	base := r.Addr - uint64(bankIndex)*geometry.CacheLineSize
@@ -115,15 +115,12 @@ func sameGuestState(got, ref *core.VM, r RowRef, bankIndex int) error {
 	if l, rl := got.Hypervisor().Memory().LiveRows(), ref.Hypervisor().Memory().LiveRows(); l != rl {
 		return fmt.Errorf("%d live rows, the per-line path leaves %d", l, rl)
 	}
-	if tp, rtp := got.TouchedPages(), ref.TouchedPages(); !slices.Equal(tp, rtp) {
-		return fmt.Errorf("touched pages %v, the per-line path touches %v", tp, rtp)
-	}
 	return nil
 }
 
 // TestRowPathMatchesPerLine: for a VM target, filling and checking a row at
 // row granularity leaves the same bytes in DRAM, the same live rows, the same
-// touched pages and dirty log (armed or not), and reports the same
+// dirty log (armed or not), and reports the same
 // corruptions in the same order as the per-line bodies did.
 func TestRowPathMatchesPerLine(t *testing.T) {
 	for _, tc := range rowCases() {

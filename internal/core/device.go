@@ -20,9 +20,8 @@ import (
 // VM.commitLayout, and VM teardown tears them down before the
 // frames return to the free pools (scrubbed, as every frame that leaves a
 // VM is, so a device's stores and its HammerDMA flips leak to no one). DMA
-// writes participate in the touched-page ledger and the dirty-page log
-// (IOMMU dirty-bit harvesting), so pre-copy and a cross-host move both see
-// device stores.
+// writes participate in the dirty-page log (IOMMU dirty-bit harvesting), so
+// pre-copy and a cross-host move both see device stores.
 //
 // The default virtio path needs none of this: the hypervisor performs DMAs
 // on the guest's behalf and can rate-limit them (§5.1), which the VM model
@@ -106,7 +105,7 @@ func (d *Device) translate(iova uint64) (uint64, error) {
 // DMAWrite stores data at an IOVA, as the device's unmediated DMA engine
 // would. It holds the vCPU gate shared — the hypervisor quiesces DMA across
 // stop-the-world windows exactly as it quiesces vCPUs — and every written
-// page lands in the VM's touched ledger and (while armed) dirty log.
+// page lands in the VM's dirty log while it is armed.
 func (d *Device) DMAWrite(iova uint64, data []byte) error {
 	d.vm.pauseMu.RLock()
 	defer d.vm.pauseMu.RUnlock()

@@ -373,7 +373,7 @@ func TestLifecycleProbesFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillPattern(t, vm)              // round 0 of a move copies the touched pages
+	fillPattern(t, vm)              // round 0 of a move copies the pages holding data
 	commit := Event{Kind: "commit"} // marks where the caller's commit ran
 	var moved *MigrateReport
 	if err := h.MoveOut(context.Background(), "pr", twin, dirty, func(rep *MigrateReport) {

@@ -50,6 +50,8 @@ var lifecycleSeeds = [][]byte{
 		opDestroy, 0, 0,
 		opDestroy, 0, 0, // refused: no such VM
 		opCreate, 0, 124, // 64 MiB on socket 0: nodes v0 left, flips and all
+		opWrite, 0, 0,
+		opMigrateCross, 0, 0, // page 0 holds data the guest step never dirties
 	},
 	{
 		opCreate, 0, 124, // v0: 64 MiB on socket 0
@@ -93,7 +95,8 @@ var lifecycleSeeds = [][]byte{
 // lands outside the hammering VM's domain; a refused operation left the
 // host as it was and fired no lifecycle event; every page a create maps, and
 // every page a grow maps from a node the VM did not hold before, reads zero;
-// and the events an operation fired match its report — one round event per
+// every resident page reads after a migration what it read before, with the
+// guest step's stores applied; and the events an operation fired match its report — one round event per
 // reported round, in order; a shrink's unmapped then drained, with the
 // surrendered frames already zero at drained; a grow's adopted iff it mapped
 // pages past the old spec size.
@@ -130,10 +133,12 @@ func TestLifecycleSeedsReachEveryOp(t *testing.T) {
 // operation went through (by name) or was refused ("name refused").
 func runLifecycle(t *testing.T, ops []byte) map[string]int {
 	h := bootSiloz(t)
-	blank, err := dram.NewMemoryOn(h.mem.RowStore(), h.mem.Geometry(), h.mem.Mapper(), h.cfg.Profiles, nil)
+	mem, err := dram.NewMemoryOn(h.mem.RowStore(), h.mem.Geometry(), h.mem.Mapper(), h.cfg.Profiles, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blank := &blankMem{Memory: mem, h: h, scratch: make([]byte, h.mem.Geometry().RowBytes)}
+	img := &pageImage{blank: blank, block: make([]byte, len(zeroBlock)), lines: map[int][]imageLine{}}
 	var (
 		vms      [3]*VM
 		devs     [3]*Device
@@ -186,14 +191,14 @@ func runLifecycle(t *testing.T, ops []byte) map[string]int {
 			})
 			if err == nil {
 				vms[slot], devs[slot] = nvm, nil
-				if ferr := freshCheck(h, blank, nvm, 0, nil); ferr != nil {
+				if ferr := freshCheck(blank, nvm, 0, nil); ferr != nil {
 					t.Fatalf("%s: %v", step, ferr)
 				}
 			}
 		case opResize:
 			target := int(arg) % 128
 			if vm != nil && target < len(vm.ram) {
-				drained = surrenderZeroCheck(h, blank, vm, target)
+				drained = surrenderZeroCheck(blank, vm, target)
 			}
 			resize, err = h.ResizeVM(name, uint64(target)*geometry.PageSize2M)
 		case opMigrateSame, opMigrateCross:
@@ -211,17 +216,25 @@ func runLifecycle(t *testing.T, ops []byte) map[string]int {
 				dests = []int{nodes[int(arg)%len(nodes)].ID}
 			}
 			dirty := int(who >> 3 & 3)
+			if ierr := img.take(vm); ierr != nil {
+				t.Fatal(ierr)
+			}
 			mig, err = h.MigrateVM(context.Background(), name, dests, MigrateOptions{
 				MaxRounds: 1 + int(arg)%4, StopPages: 1 + int(arg>>2)%3,
 				GuestStep: func(round int) error {
 					for p := 0; round < 3 && p < min(dirty, len(vm.ram)); p++ {
-						if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, []byte{byte(round + 1)}); err != nil {
+						store := []byte{byte(round + 1)}
+						if err := vm.WriteGuest(uint64(p)*geometry.PageSize2M, store); err != nil {
 							return err
 						}
+						img.store(p, store)
 					}
 					return nil
 				},
 			})
+			if ierr := img.check(vm); ierr != nil {
+				t.Fatalf("%s: migrated (err %v), but %v", step, err, ierr)
+			}
 		case opDMA:
 			if devs[slot] == nil {
 				if devs[slot], err = h.AttachDevice(vm, "dev"); err != nil {
@@ -269,7 +282,7 @@ func runLifecycle(t *testing.T, ops []byte) map[string]int {
 					leg = "grow past spec"
 					want = []Event{{Kind: ProbeHotplugAdopted, VM: vm}}
 				}
-				if ferr := freshCheck(h, blank, vm, oldPages, oldNodes); ferr != nil {
+				if ferr := freshCheck(blank, vm, oldPages, oldNodes); ferr != nil {
 					t.Fatalf("%s: %s: %v", step, leg, ferr)
 				}
 			}
@@ -316,14 +329,137 @@ func runLifecycle(t *testing.T, ops []byte) map[string]int {
 	return reached
 }
 
+// pageImage is what a VM's resident pages read: the nonzero cache lines of
+// each page holding data, by page index; every other byte reads zero. Keeping
+// lines, not pages, keeps an image small and lets its check test the rest of
+// a page by copying instead of reading it.
+type pageImage struct {
+	blank *blankMem
+	block []byte // one 64 KiB block read back
+	lines map[int][]imageLine
+}
+
+// imageLine is one nonzero cache line of a page, at byte offset off.
+type imageLine struct {
+	off  int
+	data [geometry.CacheLineSize]byte
+}
+
+// take makes img what vm's resident pages read now. A page, and then each
+// 64 KiB block of a page holding data, is tested through blank, so only a
+// block holding data is read; blank is scrubbed back after each such copy.
+func (img *pageImage) take(vm *VM) error {
+	clear(img.lines)
+	for p, hpa := range vm.ram {
+		if zero, err := img.blank.zero(hpa, geometry.PageSize2M); err != nil || zero {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		if err := img.blank.ScrubPhys(hpa, geometry.PageSize2M); err != nil {
+			return err
+		}
+		var lines []imageLine
+		for off := 0; off < geometry.PageSize2M; off += len(img.block) {
+			pa := hpa + uint64(off)
+			if zero, err := img.blank.zero(pa, len(img.block)); err != nil || zero {
+				if err != nil {
+					return err
+				}
+				continue
+			}
+			if err := img.blank.ScrubPhys(pa, len(img.block)); err != nil {
+				return err
+			}
+			if err := img.blank.h.mem.ReadPhys(pa, img.block); err != nil {
+				return err
+			}
+			for i := 0; i < len(img.block); i += geometry.CacheLineSize {
+				if l := img.block[i : i+geometry.CacheLineSize]; !allZero(l) {
+					lines = append(lines, imageLine{off: off + i, data: [geometry.CacheLineSize]byte(l)})
+				}
+			}
+		}
+		img.lines[p] = lines
+	}
+	return nil
+}
+
+// store applies a guest store of data (within one line) at the start of
+// page p.
+func (img *pageImage) store(p int, data []byte) {
+	lines := img.lines[p]
+	if len(lines) == 0 || lines[0].off != 0 {
+		lines = append([]imageLine{{}}, lines...)
+	}
+	copy(lines[0].data[:], data)
+	img.lines[p] = lines
+}
+
+// check requires every resident page of vm to read what img holds for it.
+// A page is not read whole: its image lines are read and compared, and the
+// rest of it must be zero, which holdsBeyond tests by copying.
+func (img *pageImage) check(vm *VM) error {
+	var got [geometry.CacheLineSize]byte
+	for p, hpa := range vm.ram {
+		for _, l := range img.lines[p] {
+			if err := img.blank.h.mem.ReadPhys(hpa+uint64(l.off), got[:]); err != nil {
+				return err
+			}
+			if got != l.data {
+				return fmt.Errorf("%s page %d (frame %#x) line at offset %d reads %x, want %x", vm.Name(), p, hpa, l.off, got, l.data)
+			}
+		}
+		if beyond, err := img.holdsBeyond(hpa, img.lines[p]); err != nil {
+			return err
+		} else if beyond {
+			return fmt.Errorf("%s page %d (frame %#x) holds data it did not hold", vm.Name(), p, hpa)
+		}
+	}
+	return nil
+}
+
+// holdsBeyond reports whether the frame at hpa holds a nonzero byte outside
+// lines. Without lines that is a zero test through blank. Otherwise the frame
+// is copied into blank, the lines are scrubbed there, and the copy of what is
+// left to a second frame of blank reports whether any of it is nonzero;
+// blank is scrubbed back.
+func (img *pageImage) holdsBeyond(hpa uint64, lines []imageLine) (bool, error) {
+	b := img.blank
+	if len(lines) == 0 {
+		zero, err := b.zero(hpa, geometry.PageSize2M)
+		return !zero, err
+	}
+	if _, err := b.CopyPhys(hpa, b.h.mem, hpa, geometry.PageSize2M, b.scratch); err != nil {
+		return false, err
+	}
+	for _, l := range lines {
+		if err := b.ScrubPhys(hpa+uint64(l.off), geometry.CacheLineSize); err != nil {
+			return false, err
+		}
+	}
+	other := uint64(0)
+	if hpa == 0 {
+		other = geometry.PageSize2M
+	}
+	beyond, err := b.CopyPhys(other, b.Memory, hpa, geometry.PageSize2M, b.scratch)
+	for _, pa := range []uint64{hpa, other} {
+		if serr := b.ScrubPhys(pa, geometry.PageSize2M); err == nil {
+			err = serr
+		}
+	}
+	return beyond, err
+}
+
 // surrenderZeroCheck returns the check a shrink of vm to keep pages runs at
 // its drained event: every surrendered frame reads zero, whatever the guest
 // or a flip left in it.
-func surrenderZeroCheck(h *Hypervisor, blank *dram.Memory, vm *VM, keep int) func() error {
+func surrenderZeroCheck(blank *blankMem, vm *VM, keep int) func() error {
 	frames := slices.Clone(vm.ram[keep:])
 	return func() error {
 		for i, hpa := range frames {
-			if zero, err := zeroFrame(h, blank, hpa); err != nil {
+			if zero, err := blank.zero(hpa, geometry.PageSize2M); err != nil {
 				return err
 			} else if !zero {
 				return fmt.Errorf("surrendered page %d (frame %#x) holds data", keep+i, hpa)
@@ -336,13 +472,14 @@ func surrenderZeroCheck(h *Hypervisor, blank *dram.Memory, vm *VM, keep int) fun
 // freshCheck requires every page of vm from page from up, on a node not in
 // held, to read zero: memory a VM gains from outside its domain is fresh,
 // however the last tenant of its frames and nodes left them.
-func freshCheck(h *Hypervisor, blank *dram.Memory, vm *VM, from int, held []int) error {
+func freshCheck(blank *blankMem, vm *VM, from int, held []int) error {
+	h := blank.h
 	for p := from; p < len(vm.ram); p++ {
 		hpa := vm.ram[p]
 		if slices.Contains(held, h.nodeOf(hpa)) {
 			continue
 		}
-		if zero, err := zeroFrame(h, blank, hpa); err != nil {
+		if zero, err := blank.zero(hpa, geometry.PageSize2M); err != nil {
 			return err
 		} else if !zero {
 			return fmt.Errorf("%s page %d (frame %#x, node %d) maps holding data", vm.Name(), p, hpa, h.nodeOf(hpa))
@@ -351,14 +488,22 @@ func freshCheck(h *Hypervisor, blank *dram.Memory, vm *VM, from int, held []int)
 	return nil
 }
 
-// zeroFrame reports whether the 2 MiB frame at hpa of h reads zero by
-// copying it to the same address of blank, a memory of h's geometry that
-// holds nothing: the copy reports whether the frame held a nonzero byte and,
-// as a read does, passes over a region with no live row at once. Reading
-// each frame into a buffer and comparing it cost ~100 µs a frame, most of a
-// fuzz input's time. blank stays blank while the frames checked are zero.
-func zeroFrame(h *Hypervisor, blank *dram.Memory, hpa uint64) (bool, error) {
-	nonzero, err := blank.CopyPhys(hpa, h.mem, hpa, geometry.PageSize2M, make([]byte, h.mem.Geometry().RowBytes))
+// blankMem is a memory of h's geometry that holds nothing, and the bounce row
+// of the copies the zero checks make into it.
+type blankMem struct {
+	*dram.Memory
+	h       *Hypervisor
+	scratch []byte
+}
+
+// zero reports whether the n bytes at pa of h read zero by copying them to
+// the same address of blank: the copy reports whether they held a nonzero
+// byte and, as a read does, passes over a region with no live row at once.
+// Reading each frame into a buffer and comparing it cost ~100 µs a frame,
+// most of a fuzz input's time. blank stays blank while what it checks is
+// zero.
+func (b *blankMem) zero(pa uint64, n int) (bool, error) {
+	nonzero, err := b.CopyPhys(pa, b.h.mem, pa, n, b.scratch)
 	return !nonzero, err
 }
 

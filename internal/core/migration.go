@@ -72,7 +72,7 @@ func (o *MigrateOptions) normalize() {
 type MigrateRound struct {
 	Round       int
 	PagesCopied int    // pages processed this round
-	BytesCopied uint64 // modelled transfer: 2 MiB per page holding data (zero pages transfer nothing)
+	BytesCopied uint64 // modelled transfer: 2 MiB per page copied whole (see precopy)
 	DirtyAfter  int    // pages the guest dirtied while the round ran
 }
 
@@ -84,7 +84,7 @@ type MigrateReport struct {
 	PagesTotal  int // guest RAM pages (2 MiB)
 
 	Rounds      []MigrateRound
-	PagesCopied int    // total page copies across all rounds + stop-and-copy
+	PagesCopied int    // page copies across all rounds + stop-and-copy; round 0 visits every resident page
 	BytesCopied uint64 // total bytes moved
 
 	DowntimePages int    // pages copied with the guest paused
@@ -115,12 +115,27 @@ func (h *Hypervisor) unlatch(vm *VM) {
 
 // precopy is the one pre-copy engine: steps 2 and 3 of the header up to the
 // commit. Same-host migration and the source side of a cross-host move differ
-// only in which pages the first round covers (first, ascending) and in where
-// copyPage puts page p (it returns the modelled bytes transferred). On success
-// the guest is PAUSED with logging still armed and rep holds the rounds and
-// totals; on failure it runs on its source frames with logging disarmed.
-// Caller holds the lifecycle latch.
-func (vm *VM) precopy(ctx context.Context, opt MigrateOptions, rep *MigrateReport, first []int, copyPage func(p int) (uint64, error)) (err error) {
+// only in where copyPage puts resident page p; it makes the destination page
+// equal the source page, row to row (dram.Memory.CopyPhys), and reports
+// whether the source held a nonzero byte. Round 0 visits every resident page,
+// later rounds the pages the guest dirtied. A copy is charged as a whole page
+// (2 MiB) when the source holds data or when the engine has written that
+// destination page before in this migration (the guest may have re-zeroed it,
+// and the destination must follow), and as nothing otherwise: rows the source
+// never materialized (or that were scrubbed) are not moved and materialize
+// nothing at the destination, which keeps a migration's cost proportional to
+// the data a guest holds — its own stores, DMA and the bits DRAM flipped — not
+// to its address space.
+//
+// What a copy saw is only ever a snapshot. That is safe because every guest or
+// DMA store that lands after it is in the dirty log, so a later round or the
+// paused residual copy looks at the page again; and vacate scrubs every
+// source frame before it is freed, whatever the copy saw in it.
+//
+// On success the guest is PAUSED with logging still armed and rep holds the
+// rounds and totals; on failure it runs on its source frames with logging
+// disarmed. Caller holds the lifecycle latch.
+func (vm *VM) precopy(ctx context.Context, opt MigrateOptions, rep *MigrateReport, copyPage func(p int) (nonzero bool, err error)) (err error) {
 	opt.normalize()
 	if err := vm.StartDirtyTracking(); err != nil {
 		return err
@@ -134,18 +149,25 @@ func (vm *VM) precopy(ctx context.Context, opt MigrateOptions, rep *MigrateRepor
 			_ = vm.StopDirtyTracking()
 		}
 	}()
+	written := make([]bool, len(vm.ram)) // destination pages the engine has written
 	copyAll := func(pages []int) (bytes uint64, err error) {
 		for _, p := range pages {
-			n, err := copyPage(p)
+			nonzero, err := copyPage(p)
 			if err != nil {
 				return bytes, err
 			}
-			bytes += n
+			if nonzero || written[p] {
+				written[p] = true
+				bytes += geometry.PageSize2M
+			}
 		}
 		return bytes, nil
 	}
 
-	pending, last := first, false
+	pending, last := make([]int, len(vm.ram)), false
+	for p := range pending {
+		pending[p] = p
+	}
 	for round := 0; ; round++ {
 		// Checked before every round and once more before the pause, which is
 		// the commitment point: a cancellation arriving later is ignored,
@@ -230,10 +252,6 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	}
 
 	srcRAM := vm.ram
-	residents := make([]int, len(srcRAM))
-	for p := range residents {
-		residents[p] = p
-	}
 	srcNodeIDs := vm.nodeIDs()
 	if h.mode != ModeSiloz { // no domain: the sources are the nodes the frames came from
 		for _, hpa := range srcRAM {
@@ -271,25 +289,15 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 		moves = append(moves, regionMove{info: info, run: t.runs[len(t.runs)-1]})
 	}
 
-	// Steps 2 and 3, up to the commit: round 0 copies every resident page.
-	// The destination frames are the VM's in-flight frames until then.
+	// Steps 2 and 3, up to the commit: page p goes frame to frame. The
+	// destination frames are the VM's in-flight frames until then.
 	vm.inflight = t.runs
-	written := make([]bool, len(srcRAM)) // dst frames the engine has written
 	scratch := make([]byte, h.mem.Geometry().RowBytes)
 	rep := &MigrateReport{
 		VM: name, SourceNodes: srcNodeIDs, DestNodes: destIDs, PagesTotal: len(srcRAM),
 	}
-	// A copy transfers a whole page when the source holds data or the engine
-	// has written the frame before (the guest may have re-zeroed the page, and
-	// the destination must follow), nothing for a page that is and always was
-	// zero.
-	err = vm.precopy(ctx, opt, rep, residents, func(p int) (uint64, error) {
-		nonzero, err := h.copyFrame(srcRAM[p], dstRAM[p], geometry.PageSize2M, scratch)
-		if err != nil || !(nonzero || written[p]) {
-			return 0, err
-		}
-		written[p] = true
-		return geometry.PageSize2M, nil
+	err = vm.precopy(ctx, opt, rep, func(p int) (bool, error) {
+		return h.mem.CopyPhys(dstRAM[p], h.mem, srcRAM[p], geometry.PageSize2M, scratch)
 	})
 	if err != nil {
 		vm.inflight = nil
@@ -310,7 +318,7 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	// Guest-placed region pages (4 KiB): one shot.
 	for _, mv := range moves {
 		for i, src := range mv.info.pages {
-			if _, err := h.copyFrame(src, mv.run.pages[i], geometry.PageSize4K, scratch); err != nil {
+			if _, err := h.mem.CopyPhys(mv.run.pages[i], h.mem, src, geometry.PageSize4K, scratch); err != nil {
 				return abort(err)
 			}
 		}
@@ -330,14 +338,6 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	vm.dirtyMu.Lock()
 	vm.tracking = false
 	vm.dirty.clear()
-	for p, w := range written {
-		if w {
-			// The engine's copies are data-bearing writes to the new
-			// frames: fold them into the touched ledger, which a
-			// cross-host move copies first.
-			vm.touched.add(p)
-		}
-	}
 	vm.dirtyMu.Unlock()
 
 	// Still paused: pull the EPT tables onto the destination socket when the
@@ -380,9 +380,8 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 
 // MoveOut is the source side of a cross-host move: it copies the named VM
 // into dest — its twin, on any host, with at least the same resident GPA
-// prefix — through the pre-copy engine, then destroys it here. Round 0 covers
-// the pages the guest ever wrote (the rest read as zero on any host); a copy
-// goes frame to frame and is charged as a whole page whatever it holds.
+// prefix — through the pre-copy engine, then destroys it here: page p goes
+// into the twin's page p, charged as precopy charges every copy.
 // commit runs once the copy is complete, between the ProbeMoveCopied and
 // ProbeMoveCommitted probes, without h.mu but with the guest still paused
 // and latched — the caller points the world at the twin there,
@@ -402,29 +401,24 @@ func (h *Hypervisor) MoveOut(ctx context.Context, name string, dest *VM, opt Mig
 	dest.hv.mu.Lock()
 	usable := len(dest.ram)
 	dest.hv.mu.Unlock()
+	if len(vm.ram) > usable {
+		return fmt.Errorf("core: moving VM %q: %d resident pages, beyond the twin's usable prefix (%d pages)",
+			name, len(vm.ram), usable)
+	}
 	scratch := make([]byte, h.mem.Geometry().RowBytes)
 	rep := &MigrateReport{VM: name, PagesTotal: len(vm.ram)}
-	err = vm.precopy(ctx, opt, rep, vm.TouchedPages(), func(p int) (uint64, error) {
-		gpa := uint64(p) * geometry.PageSize2M
-		if p >= usable {
-			return 0, fmt.Errorf("core: moving VM %q: resident page at gpa %#x beyond the twin's usable prefix (%d pages)",
-				name, gpa, usable)
-		}
-		// The latch keeps this VM's layout still and, in the residue, its gate
-		// is already held exclusively: only the twin's is taken, shared — for
-		// the twin this is a guest store, ledger entry included.
-		from, err := vm.Translate(gpa)
-		if err != nil {
-			return 0, err
-		}
+	srcRAM := vm.ram
+	err = vm.precopy(ctx, opt, rep, func(p int) (bool, error) {
+		// The latch keeps this VM's layout (srcRAM) still and, in the residue,
+		// its gate is already held exclusively: only the twin's is taken,
+		// shared — for the twin this is a guest store.
 		dest.pauseMu.RLock()
 		defer dest.pauseMu.RUnlock()
-		to, err := dest.translateWrite(gpa)
+		to, err := dest.translateWrite(uint64(p) * geometry.PageSize2M)
 		if err != nil {
-			return 0, err
+			return false, err
 		}
-		_, err = dest.hv.mem.CopyPhys(to, h.mem, from, geometry.PageSize2M, scratch)
-		return geometry.PageSize2M, err
+		return dest.hv.mem.CopyPhys(to, h.mem, srcRAM[p], geometry.PageSize2M, scratch)
 	})
 	if err != nil {
 		return err
@@ -482,19 +476,4 @@ func (h *Hypervisor) validateMigrationDests(vm *VM, destNodeIDs []int) ([]*numa.
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// copyFrame makes the n bytes of frame dst equal those of frame src, row to
-// row through scratch (dram.Memory.CopyPhys), and reports whether the source
-// held a nonzero byte. Rows the source never materialized (or that were
-// scrubbed) are not moved and materialize nothing at the destination — which
-// is what keeps a migration's cost proportional to the data a guest holds,
-// not to its address space.
-//
-// What it saw is only ever a snapshot. That is safe because every guest or
-// DMA store that lands after it is in the dirty log, so a later round or the
-// paused residual copy looks at the page again; and vacate scrubs every
-// source frame before it is freed, whatever the copy saw in it.
-func (h *Hypervisor) copyFrame(src, dst uint64, n int, scratch []byte) (nonzero bool, err error) {
-	return h.mem.CopyPhys(dst, h.mem, src, n, scratch)
 }

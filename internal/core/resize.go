@@ -216,11 +216,6 @@ func (h *Hypervisor) shrink(vm *VM, n int, rep *ResizeReport) error {
 	if err := vm.commitLayout(vm.ram[:keep:keep], nil); err != nil {
 		return err
 	}
-	vm.dirtyMu.Lock()
-	for p := keep; p < keep+n; p++ {
-		vm.touched.del(p)
-	}
-	vm.dirtyMu.Unlock()
 	h.probe(Event{Kind: ProbeBalloonUnmapped, VM: vm})
 
 	var err error

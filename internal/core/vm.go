@@ -108,10 +108,9 @@ type VM struct {
 	// pauseMu is the vCPU gate: guest accesses hold it shared, Pause takes
 	// it exclusively (the stop-and-copy window of a live migration).
 	pauseMu sync.RWMutex
-	// dirtyMu guards the dirty-page log and the touched-page ledger.
+	// dirtyMu guards the dirty-page log and tracking.
 	tracking bool    // write-protection dirty logging armed
 	dirty    pageSet // RAM pages dirtied this round
-	touched  pageSet // RAM pages ever written (what a cross-host move copies first)
 	dirtyMu  sync.Mutex
 
 	// Confused-deputy rate limiting (§5.1): mediated accesses this
@@ -125,7 +124,7 @@ type VM struct {
 var ErrThrottled = errors.New("core: mediated access rate limit exceeded")
 
 // pageSet is a set of RAM page indexes (2 MiB GPA units), one bit each: the
-// dirty log and the touched ledger. It grows to the highest page added.
+// dirty log. It grows to the highest page added.
 type pageSet []uint64
 
 func (s *pageSet) add(p int) {
@@ -133,12 +132,6 @@ func (s *pageSet) add(p int) {
 		*s = append(*s, make([]uint64, w+1-len(*s))...)
 	}
 	(*s)[p/64] |= 1 << (p % 64)
-}
-
-func (s pageSet) del(p int) {
-	if p/64 < len(s) {
-		s[p/64] &^= 1 << (p % 64)
-	}
 }
 
 // clear empties the set, keeping its storage for the next round.
@@ -488,19 +481,6 @@ func (vm *VM) RAMPages() []uint64 {
 	return append(make([]uint64, 0, len(vm.ram)), vm.ram...)
 }
 
-// TouchedPages returns the sorted GPA page indexes (2 MiB units) that are
-// both resident and have ever been written. Cross-host migration copies only
-// these: never-written pages hold no data and read as zeros on any host.
-func (vm *VM) TouchedPages() []int {
-	vm.dirtyMu.Lock()
-	defer vm.dirtyMu.Unlock()
-	out := make([]int, 0, vm.touched.len())
-	for p := vm.touched.next(0); p >= 0 && p < len(vm.ram); p = vm.touched.next(p + 1) {
-		out = append(out, p)
-	}
-	return out
-}
-
 // BalloonedBytes returns how much of the VM's RAM the balloon currently
 // holds (surrendered to the host).
 func (vm *VM) BalloonedBytes() uint64 {
@@ -611,15 +591,13 @@ func (vm *VM) translateWrite(gpa uint64) (uint64, error) {
 	return hpa, err
 }
 
-// translateWriteRAM resolves a RAM store, maintaining the touched-page
-// ledger and — while dirty logging is armed — the write-protection fault
-// path: the store faults, the fault handler logs the page dirty, reopens
-// the leaf and retries, exactly KVM's dirty-logging flow during live
-// migration pre-copy.
+// translateWriteRAM resolves a RAM store and, while dirty logging is armed,
+// takes the write-protection fault path: the store faults, the fault handler
+// logs the page dirty, reopens the leaf and retries, exactly KVM's
+// dirty-logging flow during live migration pre-copy.
 func (vm *VM) translateWriteRAM(gpa uint64) (uint64, error) {
 	pageBase := gpa &^ uint64(geometry.PageSize2M-1)
 	vm.dirtyMu.Lock()
-	vm.touched.add(int(gpa / geometry.PageSize2M))
 	if !vm.tracking {
 		vm.dirtyMu.Unlock()
 		return vm.Translate(gpa) // RAM is always writable; TLB applies
@@ -758,10 +736,10 @@ func (vm *VM) ReadGuest(gpa uint64, buf []byte) error {
 // row's lines sit a fixed stride apart in the address space
 // (dram.Memory.RowStride) and line j of data is the guest's line at
 // gpa + j*stride. It is WriteGuest for that strided set of lines — the same
-// bytes land in DRAM and the same pages enter the touched ledger and the
-// dirty log — at one translation per 2 MiB page and one row-store access per
-// page the row's lines fall in (one, unless a row group straddles two
-// pages). gpa must be line-aligned RAM and data must end inside the row.
+// bytes land in DRAM and the same pages enter the dirty log — at one
+// translation per 2 MiB page and one row-store access per page the row's
+// lines fall in (one, unless a row group straddles two pages). gpa must be
+// line-aligned RAM and data must end inside the row.
 func (vm *VM) WriteGuestRow(gpa uint64, data []byte) error {
 	_, err := vm.guestRow(gpa, data, true)
 	return err
@@ -917,21 +895,18 @@ func (vm *VM) InDomain(pa uint64) bool {
 	return false
 }
 
-// noteDMAWrite folds one device store into the VM's write-tracking state,
-// the software model of IOMMU dirty-bit harvesting: the touched-page
-// ledger (so a cross-host move copies the page) and — while dirty logging
-// is armed — the dirty-page log (so live migration re-copies the page).
+// noteDMAWrite folds one device store into the dirty-page log while dirty
+// logging is armed — the software model of IOMMU dirty-bit harvesting — so
+// live migration and a cross-host move re-copy the page.
 // Without this, a DMA between the final TakeDirty round and stop-and-copy
 // would leave a destination copy missing the DMA'd bytes.
 func (vm *VM) noteDMAWrite(gpa uint64) {
 	if !vm.isRAMGPA(gpa) {
 		return
 	}
-	p := int(gpa / geometry.PageSize2M)
 	vm.dirtyMu.Lock()
 	defer vm.dirtyMu.Unlock()
-	vm.touched.add(p)
 	if vm.tracking {
-		vm.dirty.add(p)
+		vm.dirty.add(int(gpa / geometry.PageSize2M))
 	}
 }

@@ -15,8 +15,7 @@ import (
 // zero over the range is not moved, and the destination row under it is
 // cleared (released, when the range covers all of it), never materialized.
 // The answer and the bytes are a snapshot, row by row; a caller that acts on
-// them must learn of later stores another way (migration has its dirty log
-// and touched ledger).
+// them must learn of later stores another way (migration has its dirty log).
 //
 // Where the census counts no live row in the 2 MiB regions both sides have
 // reached, the copy, having decoded and checked both stripes there, passes

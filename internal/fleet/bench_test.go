@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -67,6 +68,35 @@ func BenchmarkHostSubmitWait(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := op.Wait(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCrossHostMove moves a 128 MiB guest holding two stamped pages back
+// and forth between two hosts: one op is one MoveVM — the twin's create, the
+// pre-copy over every resident page, the source's teardown. Its allocs/op is
+// the move's control-plane cost; the copy itself moves two pages of rows.
+func BenchmarkCrossHostMove(b *testing.B) {
+	ctx := context.Background()
+	c := testCluster(b, 2, FirstFit{})
+	host, err := c.Admit(ctx, testProc(), vmSpec("sparse", 128*geometry.MiB))
+	if err != nil {
+		b.Fatal(err)
+	}
+	vm, _ := c.Hosts()[0].Hypervisor().VM("sparse")
+	for _, gpa := range []uint64{3*geometry.PageSize2M + 4096, 40*geometry.PageSize2M + 512} {
+		if err := vm.WriteGuest(gpa, bytes.Repeat([]byte{0xc3}, 128)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	other := map[string]string{"host-0": "host-1", "host-1": "host-0"}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		host = other[host]
+		if _, err := c.MoveVM(ctx, "sparse", host, 0, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,7 +15,9 @@ type CrossHostReport struct {
 	Source     string
 	Dest       string
 	DestSocket int
-	// PagesCopied / BytesCopied cover every pre-copy round.
+	// PagesCopied / BytesCopied cover every pre-copy round: round 0 visits
+	// every resident page, and a copy is charged 2 MiB when the source page
+	// holds data or the move already wrote that twin page (core's precopy).
 	PagesCopied int
 	BytesCopied uint64
 	// DowntimeBytes are the bytes of the final stop-and-copy round —
@@ -24,7 +26,7 @@ type CrossHostReport struct {
 	DowntimeBytes uint64
 }
 
-// moveRounds is the move's pre-copy budget: one round over the touched pages,
+// moveRounds is the move's pre-copy budget: one round over the resident pages,
 // and what the guest dirtied meanwhile is the paused residue. A constant, not
 // an option: raising it changes every modelled move.
 const moveRounds = 1

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,8 +18,8 @@ import (
 // stamped pages to another host costs what those pages cost. After one round
 // trip (so both hosts' row arenas and table rows exist) the move allocates
 // no page buffer and no slab, the destination host materializes exactly the
-// rows the source's destroy gives back, the twin's touched ledger is the
-// copied set — so its own destroy will scrub them — and the bytes arrive.
+// rows the source's destroy gives back, the modelled transfer is a whole page
+// for each page copied with data in it, and the bytes arrive.
 func TestCrossHostMoveCostFollowsDataHeld(t *testing.T) {
 	ctx := context.Background()
 	c := testCluster(t, 2, FirstFit{})
@@ -50,13 +49,11 @@ func TestCrossHostMoveCostFollowsDataHeld(t *testing.T) {
 
 	mem := [2]*dram.Memory{c.Hosts()[0].Hypervisor().Memory(), c.Hosts()[1].Hypervisor().Memory()}
 	// Three seeded guest stores between the rounds, so the stop-and-copy
-	// round copies pages too: what the source holds once the copy is done —
-	// its ledger and its rows — is what was copied.
-	var copied []int
+	// round copies pages too: the rows the source holds once the copy is
+	// done are what was copied.
 	before := [2]int{0, mem[1].LiveRows()}
 	c.Hosts()[0].Hypervisor().SetLifecycleProbe(func(e core.Event) {
 		if e.Kind == core.ProbeMoveCopied {
-			copied = vmOn(0).TouchedPages()
 			before[0] = mem[0].LiveRows()
 		}
 	})
@@ -74,12 +71,12 @@ func TestCrossHostMoveCostFollowsDataHeld(t *testing.T) {
 	if took != gave || took < 2 || took > 4+3 {
 		t.Errorf("the source's destroy released %d rows and the destination materialized %d; want the same few", gave, took)
 	}
-	if len(copied) < 2 || len(copied) > 5 || rep.BytesCopied < uint64(len(copied))*geometry.PageSize2M {
-		t.Errorf("copied set %v, report %+v: the modelled transfer counts every copied page whole", copied, rep)
-	}
+	// Round 0 finds data in the two stamped pages, the residue in the pages
+	// the seeded stores dirtied; seed 7 dirties none of the stamped ones.
 	twin := vmOn(1)
-	if got := twin.TouchedPages(); !reflect.DeepEqual(got, copied) {
-		t.Errorf("destination touched ledger %v, want the copied set %v", got, copied)
+	held := pagesHoldingData(t, twin)
+	if len(held) < 3 || len(held) > 5 || rep.BytesCopied != uint64(len(held))*geometry.PageSize2M {
+		t.Errorf("the twin holds data in pages %v, report %+v: the modelled transfer counts each page copied with data whole", held, rep)
 	}
 	for gpa, want := range stamps {
 		got := make([]byte, len(want))
@@ -92,6 +89,79 @@ func TestCrossHostMoveCostFollowsDataHeld(t *testing.T) {
 	}
 	if err := c.AuditIsolation(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pagesHoldingData lists the resident pages of vm that hold a nonzero byte.
+func pagesHoldingData(t *testing.T, vm *core.VM) []int {
+	t.Helper()
+	var held []int
+	page := make([]byte, geometry.PageSize2M)
+	for p := range vm.RAMPages() {
+		if err := vm.ReadGuest(uint64(p)*geometry.PageSize2M, page); err != nil {
+			t.Fatal(err)
+		}
+		if !dram.AllZero(page) {
+			held = append(held, p)
+		}
+	}
+	return held
+}
+
+// TestMoveCarriesWhatTheFramesHold: a guest that never stores hammers two of
+// its own pages until DRAM flips bits in its RAM. A cross-host move must carry
+// those bytes — the guest's memory is what it and DRAM put there, wherever it
+// runs — and charge a whole page for each page that holds one.
+func TestMoveCarriesWhatTheFramesHold(t *testing.T) {
+	c := testCluster(t, 2, FirstFit{})
+	admit(t, c, "h", 64*geometry.MiB)
+	src := c.Hosts()[0].Hypervisor()
+	vm, _ := src.VM("h")
+	for _, p := range []int{5, 9} {
+		if err := vm.Hammer(uint64(p)*geometry.PageSize2M, 20000, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.Memory().Refresh()
+	pages := len(vm.RAMPages())
+	want := map[int][]byte{} // the pages holding data; the rest read as zero
+	for p := 0; p < pages; p++ {
+		page := make([]byte, geometry.PageSize2M)
+		if err := vm.ReadGuest(uint64(p)*geometry.PageSize2M, page); err != nil {
+			t.Fatal(err)
+		}
+		if !dram.AllZero(page) {
+			want[p] = page
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the hammer flipped nothing in the guest's RAM: scenario broken")
+	}
+
+	rep, err := c.MoveVM(context.Background(), "h", "host-1", 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, ok := c.Hosts()[1].Hypervisor().VM("h")
+	if !ok {
+		t.Fatal("no twin on host-1")
+	}
+	got := make([]byte, geometry.PageSize2M)
+	differ := 0
+	for p := 0; p < pages; p++ {
+		if err := twin.ReadGuest(uint64(p)*geometry.PageSize2M, got); err != nil {
+			t.Fatal(err)
+		}
+		if w, ok := want[p]; ok && !bytes.Equal(got, w) || !ok && !dram.AllZero(got) {
+			differ++
+		}
+	}
+	if differ != 0 {
+		t.Errorf("%d of %d twin pages differ from the source's", differ, pages)
+	}
+	if wantBytes := uint64(len(want)) * geometry.PageSize2M; rep.BytesCopied != wantBytes {
+		t.Errorf("BytesCopied %d, want %d: a whole page for each of the %d pages holding data",
+			rep.BytesCopied, wantBytes, len(want))
 	}
 }
 

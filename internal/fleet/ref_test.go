@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -16,20 +17,22 @@ import (
 
 // The copy loop MoveVM ran inline before core.Hypervisor.MoveOut replaced it,
 // kept verbatim as the oracle for the shared pre-copy engine: arm logging,
-// copy the touched pages, run the seeded stores, drain the log once with the
+// copy the pages that hold data, run the seeded stores, drain the log once with the
 // guest running and copy that as the downtime, destroy the source in a second
 // queued op. It has the defects the replacement closed (no pause, no latch,
 // no cancellation inside the copy), none of which a single-goroutine move
 // that is not cancelled can see — on those the two must agree to the byte.
 //
-// The one substitution: core.VM.CopyGuest left core's surface with the loop,
-// so refCopyGuest rebuilds it from what is exported.
+// The two substitutions: core.VM.CopyGuest left core's surface with the loop,
+// so refCopyGuest rebuilds it from what is exported; and the touched-page
+// ledger, which named the first round's pages, is gone, so the caller names
+// them (first): the pages it stored data to.
 
 // refCopyGuest makes dst's RAM page at gpa equal src's, frame to frame, and
-// enters it in dst's touched ledger as a guest store would: by storing back
-// a line the page already holds — or, for a page that copied as all zero,
-// storing a zero line and scrubbing the whole page, which leaves no row
-// materialized, as the copy left none.
+// stores to it as a guest would: by storing back a line the page already
+// holds — or, for a page that copied as all zero, storing a zero line and
+// scrubbing the whole page, which leaves no row materialized, as the copy
+// left none.
 func refCopyGuest(dst, src *core.VM, gpa uint64, scratch []byte) error {
 	from, err := src.Translate(gpa)
 	if err != nil {
@@ -62,7 +65,7 @@ func refCopyGuest(dst, src *core.VM, gpa uint64, scratch []byte) error {
 	}
 }
 
-func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocket int, dirtyPages int, dirtySeed int64) (*CrossHostReport, error) {
+func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocket int, dirtyPages int, dirtySeed int64, first []int) (*CrossHostReport, error) {
 	c.mu.Lock()
 	srcName, ok := c.vmHost[name]
 	if !ok {
@@ -151,7 +154,7 @@ func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocke
 		defer srcVM.StopDirtyTracking()
 		scratch := make([]byte, src.Hypervisor().Memory().Geometry().RowBytes)
 		// The modelled transfer is page-granular whatever the page holds:
-		// every touched or dirtied page counts 2 MiB.
+		// every first-round or dirtied page counts 2 MiB.
 		copyPage := func(gpa uint64) error {
 			if int(gpa/geometry.PageSize2M) >= usablePages {
 				return fmt.Errorf("fleet: move %q: resident page at gpa %#x beyond usable prefix (%d pages)",
@@ -164,9 +167,9 @@ func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocke
 			rep.BytesCopied += geometry.PageSize2M
 			return nil
 		}
-		// Round 1: every page the guest ever wrote. Untouched pages read
-		// as zeros on any host and need no copy.
-		for _, p := range srcVM.TouchedPages() {
+		// Round 1: every page holding data. The rest read as zeros on any
+		// host and need no copy.
+		for _, p := range first {
 			if err := copyPage(uint64(p) * geometry.PageSize2M); err != nil {
 				return err
 			}
@@ -241,11 +244,13 @@ func refMoveVM(c *Cluster, ctx context.Context, name, destHost string, destSocke
 // neither converge nor look like a stall, where a second pre-copy round
 // would appear if the move allowed one; a page stored to but all zero; a
 // ballooned guest), how many pages the seeded stores dirty (none, few, more
-// than the engine's convergence threshold) and the seed. Report, the twin's
-// ledger and bytes, both hosts' materialized rows and the cluster's counters
-// must be identical. Mutants this catches, each checked by hand: moveRounds =
-// 2, a first round over the resident pages instead of the touched ones,
-// charging only pages that hold data, counting Stats before the commit.
+// than the engine's convergence threshold) and the seed. The retired loop's
+// first round covers the pages the grid stored data to. Report, the twin's
+// bytes, both hosts' materialized rows and the cluster's counters must be
+// identical — all but PagesCopied, which counts every resident page MoveVM's
+// round 0 visits. Mutants this catches, each checked by hand: moveRounds = 2,
+// a round 0 starting at page 1, charging every copy whole, counting Stats
+// before the commit.
 func TestMoveMatchesRetiredLoop(t *testing.T) {
 	ctx := context.Background()
 	const name = "o"
@@ -277,7 +282,6 @@ func TestMoveMatchesRetiredLoop(t *testing.T) {
 	type outcome struct {
 		Report   *CrossHostReport
 		Err      bool
-		Touched  []int
 		LiveRows [2]int
 		Stats    Stats
 		data     []byte
@@ -328,9 +332,11 @@ func TestMoveMatchesRetiredLoop(t *testing.T) {
 					if !ok {
 						t.Fatalf("guest not on host-%d after the move", at)
 					}
-					out.Touched = twin.TouchedPages()
+					if out.Report != nil {
+						out.Report.PagesCopied = 0
+					}
 					page := make([]byte, geometry.PageSize2M)
-					for _, p := range out.Touched {
+					for p := range twin.RAMPages() {
 						if err := twin.ReadGuest(uint64(p)*geometry.PageSize2M, page); err != nil {
 							t.Fatal(err)
 						}
@@ -347,8 +353,15 @@ func TestMoveMatchesRetiredLoop(t *testing.T) {
 					return out
 				}
 				got := run(func(c *Cluster) (*CrossHostReport, error) { return c.MoveVM(ctx, name, "host-1", 1, dirty, seed) })
+				var first []int
+				for p, fill := range h.stamps {
+					if fill != 0 {
+						first = append(first, p)
+					}
+				}
+				slices.Sort(first)
 				want := run(func(c *Cluster) (*CrossHostReport, error) {
-					return refMoveVM(c, ctx, name, "host-1", 1, dirty, seed)
+					return refMoveVM(c, ctx, name, "host-1", 1, dirty, seed, first)
 				})
 				label := fmt.Sprintf("%s, %d dirtied, seed %d", h.name, dirty, seed)
 				if !bytes.Equal(got.data, want.data) {
