@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build loc vet fmt-check test test-short race race-quick fuzz-quick bench bench-micro bench-out-is-new bench-check bench-quick evaluation evaluation-check golden golden-check examples tools check verify clean
+.PHONY: all build loc vet fmt-check test test-short race race-quick fuzz-quick bench bench-micro bench-out-is-new bench-check bench-quick text-phase evaluation evaluation-check golden golden-check examples tools check verify clean
 
 all: check
 
@@ -152,6 +152,23 @@ bench-check:
 
 bench-quick:
 	$(GO) run ./cmd/siloz bench -quick
+
+# Cache-line phase of the attack plane's hot DRAM functions in the benchmark
+# binary: each one's address mod 64 (the linker aligns functions to 32 bytes,
+# so it reads 0 or 32). A shift of it alone has moved hammer-contain's
+# host_ns_per_op by 3-9 %, so compare it with the parent's before reading a
+# hammer-contain timing change. Only code linked ahead of internal/dram can
+# shift it: the standard library and geometry, addr, subarray, alloc and
+# mitigation.
+TEXT_PHASE_SYMS := repro/internal/dram\.(\(\*Module\)\.ActivateRow|\(\*Module\)\.disturbNeighbours|\(\*Memory\)\.ActivatePhys)$$
+text-phase:
+	@set -e; bin=$$(mktemp); trap 'rm -f "$$bin"' EXIT; \
+	$(GO) build -o "$$bin" ./benchmark; \
+	syms=$$($(GO) tool nm -n "$$bin" | grep -E ' $(TEXT_PHASE_SYMS)' || true); \
+	if [ $$(printf '%s\n' "$$syms" | grep -c .) -ne 3 ]; then \
+		echo "text-phase: the three hot dram functions are not all in the binary" >&2; exit 1; fi; \
+	printf '%s\n' "$$syms" | while read addr kind name; do \
+		printf '%-48s %s  mod 64 = %d\n' "$$name" "$$addr" $$((0x$$addr % 64)); done
 
 # Regenerate the paper's evaluation at full scale (minutes). stdout is the
 # diffable record; progress and timing go to stderr.

@@ -11,9 +11,10 @@
 package attack
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -103,15 +104,26 @@ func mismatches(row []byte, pat byte, addr, stride uint64) []Corruption {
 // the same bank; patterns are built within a run. Each run is a capped
 // subslice of rows, so it shares rows' backing and an append to it copies.
 func runs(rows []RowRef) [][]RowRef {
-	var out [][]RowRef
-	start := 0
-	for i := 1; i <= len(rows); i++ {
-		if i == len(rows) || rows[i].Bank != rows[i-1].Bank || rows[i].Row != rows[i-1].Row+1 {
+	n := 0
+	for i := range rows {
+		if runStarts(rows, i) {
+			n++
+		}
+	}
+	out := make([][]RowRef, 0, n)
+	for start, i := 0, 1; i <= len(rows); i++ {
+		if i == len(rows) || runStarts(rows, i) {
 			out = append(out, rows[start:i:i])
 			start = i
 		}
 	}
 	return out
+}
+
+// runStarts reports whether rows[i] begins a run: it is the first row, or
+// not the row after rows[i-1] in the same bank.
+func runStarts(rows []RowRef, i int) bool {
+	return i == 0 || rows[i].Bank != rows[i-1].Bank || rows[i].Row != rows[i-1].Row+1
 }
 
 // VMTarget confines the attacker to one VM's guest RAM (§7.1's inter-VM
@@ -138,42 +150,48 @@ func (t *VMTarget) Rows() []RowRef {
 	g := mem.Geometry()
 	rowGroup := uint64(g.RowGroupBytes())
 	pages := t.VM.RAMPages()
-	var rows []RowRef
-	for pi, hpa := range pages {
-		gpaBase := uint64(pi) * geometry.PageSize2M
-		first := (hpa + rowGroup - 1) / rowGroup * rowGroup
-		for rb := first; rb < hpa+geometry.PageSize2M; rb += rowGroup {
-			if rb+rowGroup > hpa+geometry.PageSize2M {
-				// Straddles into the next page: usable only with
-				// physical contiguity.
-				if pi+1 >= len(pages) || pages[pi+1] != hpa+geometry.PageSize2M {
-					continue
-				}
-			}
-			ma, err := mem.Mapper().Decode(rb)
-			if err != nil {
-				continue
-			}
-			bank := geometry.BankFromSocketFlat(g, ma.Bank.Socket, t.BankIndex)
-			rows = append(rows, RowRef{
-				Addr: gpaBase + (rb - hpa) + uint64(t.BankIndex)*geometry.CacheLineSize,
-				Bank: bank,
-				Row:  ma.Row,
-			})
+	n := 0
+	ownedRowBases(pages, rowGroup, func(int, uint64) { n++ })
+	rows := make([]RowRef, 0, n)
+	ownedRowBases(pages, rowGroup, func(pi int, rb uint64) {
+		ma, err := mem.Mapper().Decode(rb)
+		if err != nil {
+			return
 		}
-	}
+		rows = append(rows, RowRef{
+			Addr: uint64(pi)*geometry.PageSize2M + (rb - pages[pi]) + uint64(t.BankIndex)*geometry.CacheLineSize,
+			Bank: geometry.BankFromSocketFlat(g, ma.Bank.Socket, t.BankIndex),
+			Row:  ma.Row,
+		})
+	})
 	sortRows(g, rows)
 	t.rows = rows
 	return rows
 }
 
+// ownedRowBases calls visit with the page index and physical base of every
+// rowGroup-aligned row group inside the 2 MiB pages, in page order. A group
+// straddling into the next page counts only when that page is physically
+// contiguous with this one.
+func ownedRowBases(pages []uint64, rowGroup uint64, visit func(pi int, rb uint64)) {
+	for pi, hpa := range pages {
+		end := hpa + geometry.PageSize2M
+		for rb := (hpa + rowGroup - 1) / rowGroup * rowGroup; rb < end; rb += rowGroup {
+			if rb+rowGroup > end && (pi+1 >= len(pages) || pages[pi+1] != end) {
+				continue
+			}
+			visit(pi, rb)
+		}
+	}
+}
+
 // sortRows orders refs by bank then row.
 func sortRows(g geometry.Geometry, rows []RowRef) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Bank != rows[j].Bank {
-			return rows[i].Bank.Flat(g) < rows[j].Bank.Flat(g)
+	slices.SortFunc(rows, func(a, b RowRef) int {
+		if a.Bank != b.Bank {
+			return cmp.Compare(a.Bank.Flat(g), b.Bank.Flat(g))
 		}
-		return rows[i].Row < rows[j].Row
+		return cmp.Compare(a.Row, b.Row)
 	})
 }
 

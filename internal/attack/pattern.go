@@ -3,6 +3,7 @@ package attack
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Batch is one scheduled burst of activations of a run-relative row.
@@ -62,8 +63,9 @@ func DoubleSided(actsPerRound, rounds int) Pattern {
 // decoys sit back to back with a 2-row gap before the first pair.
 func ManySided(pairs, decoys, decoyAmp, aggAmp, rounds int) Pattern {
 	p := Pattern{
-		Name:   fmt.Sprintf("many-sided-%dp%dd", pairs, decoys),
-		Rounds: rounds,
+		Name:     fmt.Sprintf("many-sided-%dp%dd", pairs, decoys),
+		Schedule: make([]Batch, 0, decoys+2*pairs),
+		Rounds:   rounds,
 	}
 	// Decoys first each round (phase matters: they refill the sampler
 	// right after each TRR event).
@@ -133,10 +135,8 @@ func (p Pattern) Synchronized(roundActs int) Pattern {
 	if per >= roundActs || len(p.Schedule) == 0 {
 		return p
 	}
-	sched := make([]Batch, len(p.Schedule))
-	copy(sched, p.Schedule)
-	sched[0].Count += roundActs - per
-	p.Schedule = sched
+	p.Schedule = slices.Clone(p.Schedule)
+	p.Schedule[0].Count += roundActs - per
 	p.Name += fmt.Sprintf("-sync%d", roundActs)
 	return p
 }

@@ -292,7 +292,8 @@ func (h *Hypervisor) MigrateVM(ctx context.Context, name string, destNodeIDs []i
 	// Steps 2 and 3, up to the commit: page p goes frame to frame. The
 	// destination frames are the VM's in-flight frames until then.
 	vm.inflight = t.runs
-	scratch := make([]byte, h.mem.Geometry().RowBytes)
+	var rowBuf [bounceRowBytes]byte
+	scratch := bounceRow(&rowBuf, h.mem.Geometry().RowBytes)
 	rep := &MigrateReport{
 		VM: name, SourceNodes: srcNodeIDs, DestNodes: destIDs, PagesTotal: len(srcRAM),
 	}
@@ -405,20 +406,29 @@ func (h *Hypervisor) MoveOut(ctx context.Context, name string, dest *VM, opt Mig
 		return fmt.Errorf("core: moving VM %q: %d resident pages, beyond the twin's usable prefix (%d pages)",
 			name, len(vm.ram), usable)
 	}
-	scratch := make([]byte, h.mem.Geometry().RowBytes)
+	var rowBuf [bounceRowBytes]byte
+	scratch := bounceRow(&rowBuf, h.mem.Geometry().RowBytes)
 	rep := &MigrateReport{VM: name, PagesTotal: len(vm.ram)}
 	srcRAM := vm.ram
 	err = vm.precopy(ctx, opt, rep, func(p int) (bool, error) {
 		// The latch keeps this VM's layout (srcRAM) still and, in the residue,
 		// its gate is already held exclusively: only the twin's is taken,
-		// shared — for the twin this is a guest store.
+		// shared — for the twin this is a guest store. The twin is the
+		// caller's until the move ends (fleet.MoveVM creates it and alone
+		// destroys it, in its unwind), so nothing destroys or resizes it while
+		// a page is copied, and dest.ram[p] is the frame behind the twin's
+		// page p: no EPT walk is needed. A twin destroyed or shrunk between
+		// copies, by a guest step, is refused here rather than written.
 		dest.pauseMu.RLock()
 		defer dest.pauseMu.RUnlock()
-		to, err := dest.translateWrite(uint64(p) * geometry.PageSize2M)
-		if err != nil {
-			return false, err
+		if dest.tables == nil {
+			return false, fmt.Errorf("core: VM %q has been destroyed", dest.spec.Name)
 		}
-		return dest.hv.mem.CopyPhys(to, h.mem, srcRAM[p], geometry.PageSize2M, scratch)
+		if p >= len(dest.ram) {
+			return false, fmt.Errorf("core: moving VM %q: page %d is beyond the twin's usable prefix (%d pages)",
+				name, p, len(dest.ram))
+		}
+		return dest.hv.mem.CopyPhys(dest.ram[p], h.mem, srcRAM[p], geometry.PageSize2M, scratch)
 	})
 	if err != nil {
 		return err
@@ -432,6 +442,19 @@ func (h *Hypervisor) MoveOut(ctx context.Context, name string, dest *VM, opt Mig
 	h.mu.Unlock()
 	vm.Resume()
 	return nil
+}
+
+// bounceRowBytes is the length of the stack row a copy moves data through:
+// every geometry in use has rows of at most 8 KiB.
+const bounceRowBytes = 8 << 10
+
+// bounceRow returns CopyPhys's bounce row: buf, on the caller's stack, or
+// for rows longer than it a heap row of their own.
+func bounceRow(buf *[bounceRowBytes]byte, rowBytes int) []byte {
+	if rowBytes <= len(buf) {
+		return buf[:]
+	}
+	return make([]byte, rowBytes)
 }
 
 // socketOfNodes resolves the single socket hosting every listed node; ok is

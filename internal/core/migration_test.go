@@ -481,3 +481,92 @@ func TestMigrationCostFollowsDataHeld(t *testing.T) {
 		t.Errorf("an untouched page does not read as zero after migration (err %v)", err)
 	}
 }
+
+// heapCost returns the heap objects and bytes one call of f allocates, read
+// from the runtime's counters around it on one P.
+func heapCost(f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestPreCopyAllocationBound pins what the pre-copy engine allocates on the
+// host, in objects and bytes, for the sparse 128 MiB guest of
+// TestMigrationCostFollowsDataHeld: a MigrateVM across sockets, and a MoveOut
+// between two hypervisors into a twin created beforehand. Each goes back and
+// forth (the two directions allocate the same) after one round trip, so both
+// sides' row arenas and table rows exist, and the least of three calls is
+// compared, since whatever else the process allocates meanwhile only adds.
+// The bounds are the measured values (the race detector's MigrateVM reads 16
+// bytes more): the bounce row lives on the stack, and a heap one (an object
+// and 8 KiB) breaks them.
+func TestPreCopyAllocationBound(t *testing.T) {
+	const size = 128 * geometry.MiB
+	spec := VMSpec{Name: "sparse", Socket: 0, MemoryBytes: size}
+	create := func(t *testing.T, h *Hypervisor) *VM {
+		t.Helper()
+		vm, err := h.CreateVM(kvmProc(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm
+	}
+	createStamped := func(t *testing.T, h *Hypervisor) *VM {
+		t.Helper()
+		vm := create(t, h)
+		for _, gpa := range []uint64{3*geometry.PageSize2M + 4096, 40*geometry.PageSize2M + 512} {
+			if err := vm.WriteGuest(gpa, bytes.Repeat([]byte{0xc3}, 128)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return vm
+	}
+	check := func(t *testing.T, objectBound, byteBound uint64, step func() (objects, bytes uint64)) {
+		t.Helper()
+		step()
+		step()
+		objects, bytes := step()
+		for i := 0; i < 2; i++ {
+			o, b := step()
+			objects, bytes = min(objects, o), min(bytes, b)
+		}
+		if objects > objectBound || bytes > byteBound {
+			t.Errorf("%s allocated %d objects and %d bytes, bound %d and %d", t.Name(), objects, bytes, objectBound, byteBound)
+		}
+	}
+
+	t.Run("MigrateVM", func(t *testing.T) {
+		h := bootSiloz(t)
+		vm := createStamped(t, h)
+		check(t, 19, 5424, func() (objects, bytes uint64) {
+			nodes := freeGuestNodes(t, h, 1-vm.Nodes()[0].Socket, size)
+			var err error
+			objects, bytes = heapCost(func() { _, err = h.MigrateVM(context.Background(), spec.Name, nodes, MigrateOptions{}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return objects, bytes
+		})
+	})
+
+	t.Run("MoveOut", func(t *testing.T) {
+		hosts := [2]*Hypervisor{bootSiloz(t), bootSiloz(t)}
+		createStamped(t, hosts[0])
+		from := 0
+		check(t, 5, 3456, func() (objects, bytes uint64) {
+			twin := create(t, hosts[1-from])
+			var err error
+			objects, bytes = heapCost(func() {
+				err = hosts[from].MoveOut(context.Background(), spec.Name, twin, MigrateOptions{}, func(*MigrateReport) {})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			from = 1 - from
+			return objects, bytes
+		})
+	})
+}

@@ -13,8 +13,8 @@ import (
 // TestMoveOutFailsCleanlyAtEveryStep drives the source side of a cross-host
 // move alone, between two hypervisors, and fails it at each place the engine
 // can fail before its commit: a guest step that errors, a cancellation seen
-// after a round, a twin destroyed under the paused residual copy, and a twin
-// too small for a resident page. Every failure must leave the source exactly
+// after a round, a twin destroyed or shrunk under the paused residual copy,
+// and a twin too small for a resident page. Every failure must leave the source exactly
 // as it was — layout, allocators, data, logging disarmed, gate open, latch
 // free — and a clean MoveOut must then succeed, with commit run while the
 // source is paused and latched and the source's capacity back afterwards.
@@ -41,6 +41,17 @@ func TestMoveOutFailsCleanlyAtEveryStep(t *testing.T) {
 				return dst.DestroyVM(name)
 			}}
 		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "destroyed") }},
+		{"twin shrunk under the paused residue", bytes, func(vm *VM, dst *Hypervisor, _ context.CancelFunc) MigrateOptions {
+			shrunk := false
+			return MigrateOptions{GuestStep: func(int) error {
+				if err := vm.WriteGuest(20*geometry.PageSize2M, []byte{0x54}); err != nil || shrunk {
+					return err
+				}
+				shrunk = true
+				_, err := dst.ResizeVM(name, bytes/2)
+				return err
+			}}
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "page 20 is beyond") }},
 		{"resident page beyond the twin's usable prefix", bytes / 2, func(*VM, *Hypervisor, context.CancelFunc) MigrateOptions {
 			return MigrateOptions{}
 		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "usable prefix") }},
