@@ -227,3 +227,24 @@ func BenchmarkBoot(b *testing.B) {
 		h.Shutdown()
 	}
 }
+
+// BenchmarkBootSibling times the same boot beside a booted host of the box:
+// the layout, mapper and row arena are the sibling's, so it is the
+// offlining and every node's allocator.
+func BenchmarkBootSibling(b *testing.B) {
+	sib, err := Boot(bootBenchConfig(), ModeSiloz)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := bootBenchConfig()
+	cfg.Sibling = sib
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := Boot(cfg, ModeSiloz)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Shutdown()
+	}
+}

@@ -12,8 +12,6 @@
 package core
 
 import (
-	"io"
-
 	"repro/internal/addr"
 	"repro/internal/dram"
 	"repro/internal/ept"
@@ -66,16 +64,13 @@ type Config struct {
 	// Repairs optionally models repaired rows (§6); Siloz offlines pages
 	// of inter-subarray repairs.
 	Repairs *addr.RepairTable
-	// CachedLayout optionally supplies subarray group address ranges
-	// computed on a previous boot (§5.3: the mapping is BIOS-fixed, so
-	// firmware can cache it). A stale or mismatched cache falls back to
-	// recomputation.
-	CachedLayout io.Reader
-	// RowStore optionally supplies the arena this boot's DRAM keeps its
-	// materialized rows in: another booted host's (Memory().RowStore()),
-	// so that a cluster's hosts share one. nil means an arena of its own.
-	// An arena of another row size fails the boot.
-	RowStore *dram.RowStore
+	// Sibling optionally names a booted hypervisor of the same box. Its
+	// physical-to-media mapping is fixed by the BIOS (§2.4), so the boot
+	// takes the sibling's mapper, subarray layout and DRAM row arena by
+	// reference instead of computing its own; only the nodes, allocators,
+	// registry and DRAM modules are this host's. A sibling of another
+	// geometry or other row address transforms fails the boot.
+	Sibling *Hypervisor
 	// MediatedAccessLimit caps a VM's mediated accesses per refresh
 	// window — the §5.1 rate-limit closing the theoretical "confused
 	// deputy" vector, where a guest tricks host software into hammering

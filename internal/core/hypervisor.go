@@ -119,9 +119,9 @@ func (h *Hypervisor) injectedLeafFault(n int) (int, error) {
 
 // Boot initializes a hypervisor in the given mode. It performs Siloz's
 // early-boot sequence (§5.3): compute subarray group address ranges from the
-// platform's physical-to-media mapping, provision a logical NUMA node per
-// group, offline guard and isolation-hazard pages, and carve the
-// guard-protected EPT row-group block.
+// platform's physical-to-media mapping (or take cfg.Sibling's), provision a
+// logical NUMA node per group, offline guard and isolation-hazard pages, and
+// carve the guard-protected EPT row-group block.
 func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -130,11 +130,23 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 		return nil, fmt.Errorf("core: mitigation %q requires ModeSiloz, got %s",
 			cfg.Mitigation.Name(), mode)
 	}
-	mapper, err := addr.NewMapper(cfg.Geometry, addr.KindSkylake)
-	if err != nil {
+	// The mapping and the ranges computed from it are the box's (§5.3): a
+	// sibling has them already, and its row arena with them.
+	var (
+		mapper addr.Mapper
+		rows   *dram.RowStore
+		layout *subarray.Layout
+		err    error
+	)
+	if sib := cfg.Sibling; sib != nil {
+		if sib.cfg.Geometry != cfg.Geometry || sib.cfg.Profiles[0].Transforms != cfg.Profiles[0].Transforms {
+			return nil, fmt.Errorf("core: a sibling of another geometry or other row address transforms is not of this box")
+		}
+		mapper, rows, layout = sib.mem.Mapper(), sib.mem.RowStore(), sib.layout
+	} else if mapper, err = addr.NewMapper(cfg.Geometry, addr.KindSkylake); err != nil {
 		return nil, err
 	}
-	mem, err := dram.NewMemoryOn(cfg.RowStore, cfg.Geometry, mapper, cfg.Profiles, cfg.Repairs)
+	mem, err := dram.NewMemoryOn(rows, cfg.Geometry, mapper, cfg.Profiles, cfg.Repairs)
 	if err != nil {
 		return nil, err
 	}
@@ -158,15 +170,8 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 		coreOwner: make([]*VM, cfg.Geometry.Sockets*cfg.Geometry.CoresPerSocket),
 		vms:       make(map[string]*VM),
 	}
-	var layout *subarray.Layout
-	if cfg.CachedLayout != nil {
-		// Reuse ranges computed on a previous boot; fall back to full
-		// recomputation if the cache does not match this boot (§5.3).
-		layout, err = subarray.Load(cfg.CachedLayout, cfg.Geometry, mapper)
-	}
-	if layout == nil || err != nil {
-		layout, err = subarray.NewLayoutForModule(cfg.Geometry, mapper, cfg.Profiles[0].Transforms)
-		if err != nil {
+	if layout == nil {
+		if layout, err = subarray.NewLayoutForModule(cfg.Geometry, mapper, cfg.Profiles[0].Transforms); err != nil {
 			return nil, err
 		}
 	}

@@ -1,10 +1,11 @@
 package core
 
 import (
-	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/addr"
 	"repro/internal/geometry"
 	"repro/internal/numa"
 )
@@ -61,22 +62,32 @@ func TestMemInfoSkipsStaticGuestNodes(t *testing.T) {
 	}
 }
 
-func TestBootWithCachedLayout(t *testing.T) {
-	// §5.3: subarray group ranges computed at one boot can be cached and
-	// reloaded; a booted system behaves identically either way.
+func TestBootBesideSibling(t *testing.T) {
+	// §5.3: the group ranges follow from the BIOS-fixed mapping, so a host
+	// of the same box boots on its sibling's mapper, layout and row arena,
+	// and behaves as a host that computed its own.
 	h1 := bootSiloz(t)
-	var buf bytes.Buffer
-	if err := h1.Layout().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	cfg := testConfig()
-	cfg.CachedLayout = &buf
+	cfg.Sibling = h1
 	h2, err := Boot(cfg, ModeSiloz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h2.Topology().Nodes()) != len(h1.Topology().Nodes()) {
-		t.Fatal("cached-layout boot produced a different topology")
+	if h2.Layout() != h1.Layout() || h2.Memory().Mapper() != h1.Memory().Mapper() ||
+		h2.Memory().RowStore() != h1.Memory().RowStore() {
+		t.Fatal("sibling boot did not share the box's layout, mapper and row arena")
+	}
+	if h2.Memory() == h1.Memory() || h2.Topology() == h1.Topology() {
+		t.Fatal("sibling boot shared its sibling's memory or topology")
+	}
+	n1, n2 := h1.Topology().Nodes(), h2.Topology().Nodes()
+	if len(n2) != len(n1) {
+		t.Fatal("sibling boot produced a different topology")
+	}
+	for i := range n1 {
+		if n1[i].ID != n2[i].ID || n1[i].Kind != n2[i].Kind || !slices.Equal(n1[i].Ranges, n2[i].Ranges) {
+			t.Fatalf("node %d differs beside the sibling: %+v vs %+v", i, n2[i], n1[i])
+		}
 	}
 	vm, err := h2.CreateVM(kvmProc(), VMSpec{Name: "c", Socket: 0, MemoryBytes: 64 * geometry.MiB})
 	if err != nil {
@@ -85,20 +96,33 @@ func TestBootWithCachedLayout(t *testing.T) {
 	if err := vm.Hammer(0, 20_000, 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range h2.Memory().Flips() {
+	flips := h2.Memory().Flips()
+	if len(flips) == 0 {
+		t.Fatal("hammering beside a sibling flipped nothing")
+	}
+	for _, f := range flips {
 		pa, err := h2.Memory().FlipPhys(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !vm.InDomain(pa) {
-			t.Errorf("flip escaped with cached layout: %v", f)
+			t.Errorf("flip escaped beside a sibling: %v", f)
 		}
 	}
-	// A stale cache (wrong geometry) silently falls back to computation.
-	stale := bytes.NewBufferString(`{"geometry":{}}`)
-	cfg2 := testConfig()
-	cfg2.CachedLayout = stale
-	if _, err := Boot(cfg2, ModeSiloz); err != nil {
-		t.Fatalf("stale cache should fall back, got %v", err)
+	if len(h1.Memory().Flips()) != 0 {
+		t.Error("hammering one host flipped its sibling's cells")
+	}
+	// A sibling of another box is refused, not silently shared.
+	other := testConfig()
+	other.SubarrayRows = 1024
+	other.Sibling = h1
+	if _, err := Boot(other, ModeSiloz); err == nil {
+		t.Error("sibling of another geometry accepted")
+	}
+	other = testConfig()
+	other.Profiles[0].Transforms = addr.AllTransforms()
+	other.Sibling = h1
+	if _, err := Boot(other, ModeSiloz); err == nil {
+		t.Error("sibling with other row address transforms accepted")
 	}
 }

@@ -4,22 +4,59 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/geometry"
+	"repro/internal/subarray"
 )
+
+// layoutGroups deep-copies every group of a layout: socket, index, rows and
+// ranges.
+func layoutGroups(l *subarray.Layout) []subarray.Group {
+	var out []subarray.Group
+	for s := 0; s < l.Geometry().Sockets; s++ {
+		for i := 0; i < l.GroupsPerSocket(); i++ {
+			g := *l.Group(s, i)
+			g.Ranges = slices.Clone(g.Ranges)
+			out = append(out, g)
+		}
+	}
+	return out
+}
 
 // TestConcurrentFleetChurn hammers the control plane from many goroutines:
 // simultaneous admissions, departures, resizes, and a rebalance round, with the
 // fleet-wide isolation audit after every round. Each goroutine runs its ops
 // under the host's lock, so what keeps the invariants is core's lifecycle
 // latch, each host's lock and the cross-host moves' bookkeeping — not the
-// order the test issues them in. Wired into `make race-quick`.
+// order the test issues them in. Every host shares host 0's box — its
+// layout, mapper and row arena — and neither the boots nor the churn may
+// write that layout. Wired into `make race-quick`.
 func TestConcurrentFleetChurn(t *testing.T) {
 	ctx := context.Background()
 	c := testCluster(t, 3, BestFit{})
 	sched := NewScheduler(c, SchedulerConfig{Seed: 17})
+	box := c.Hosts()[0].Hypervisor()
+	for _, h := range c.Hosts()[1:] {
+		hv := h.Hypervisor()
+		if hv.Layout() != box.Layout() || hv.Memory().Mapper() != box.Memory().Mapper() ||
+			hv.Memory().RowStore() != box.Memory().RowStore() {
+			t.Fatalf("%s does not share host 0's layout, mapper and row arena", h.Name())
+		}
+	}
+	// The layout as computed: the hosts' boots must not have written it,
+	// and neither may the churn.
+	fresh, err := subarray.NewLayoutForModule(labGeometry(), box.Memory().Mapper(), labProfile().Transforms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	booted := layoutGroups(fresh)
+	if !reflect.DeepEqual(layoutGroups(box.Layout()), booted) {
+		t.Fatal("booting the fleet wrote the box's shared subarray layout")
+	}
 
 	const rounds = 4
 	const perRound = 9
@@ -131,5 +168,8 @@ func TestConcurrentFleetChurn(t *testing.T) {
 	}
 	if m.OwnedNodes != 0 || m.VMs != 0 {
 		t.Fatalf("fleet not empty after churn: %d owned nodes, %d VMs", m.OwnedNodes, m.VMs)
+	}
+	if !reflect.DeepEqual(layoutGroups(box.Layout()), booted) {
+		t.Fatal("the churn wrote the box's shared subarray layout")
 	}
 }

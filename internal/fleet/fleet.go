@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -19,10 +18,9 @@ type Config struct {
 	// Hosts is the number of simulated machines.
 	Hosts int
 	// Core is the per-host boot configuration. Every host boots the same
-	// box; the first host's computed subarray layout is cached and reused
-	// for the rest, so an N-host cluster pays one grouping pass, and the
-	// rest keep their DRAM rows in the first host's row arena, so the
-	// cluster cuts slabs for the rows it holds, not per host.
+	// box: the rest boot beside the first, sharing its subarray layout and
+	// row arena, so an N-host cluster pays one grouping pass and cuts slabs
+	// for the rows it holds, not per host.
 	Core core.Config
 	// Policy is the placement policy; nil means SilozAware.
 	Policy Policy
@@ -89,9 +87,10 @@ type moveWindow struct {
 	Dst string
 }
 
-// New boots cfg.Hosts identical hosts. Only Siloz mode is supported:
-// placement reasons about guest-reserved subarray-group nodes, which the
-// baseline does not carve.
+// New boots cfg.Hosts identical hosts, each after the first beside host 0
+// (core.Config.Sibling). Only Siloz mode is supported: placement reasons
+// about guest-reserved subarray-group nodes, which the baseline does not
+// carve.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Hosts <= 0 {
 		return nil, fmt.Errorf("fleet: need at least 1 host, got %d", cfg.Hosts)
@@ -110,26 +109,15 @@ func New(cfg Config) (*Cluster, error) {
 		procs:  make(map[string]core.Process),
 		moving: make(map[string]moveWindow),
 	}
-	var layout bytes.Buffer
 	for i := 0; i < cfg.Hosts; i++ {
 		hcfg := cfg.Core
-		if layout.Len() > 0 {
-			hcfg.CachedLayout = bytes.NewReader(layout.Bytes())
-		}
 		if i > 0 {
-			hcfg.RowStore = c.hosts[0].Hypervisor().Memory().RowStore()
+			hcfg.Sibling = c.hosts[0].Hypervisor()
 		}
 		h, err := NewHost(fmt.Sprintf("host-%d", i), hcfg, core.ModeSiloz)
 		if err != nil {
 			c.Close()
 			return nil, err
-		}
-		if i == 0 {
-			if l := h.Hypervisor().Layout(); l != nil {
-				if err := l.Save(&layout); err != nil {
-					layout.Reset()
-				}
-			}
 		}
 		c.hosts = append(c.hosts, h)
 		c.byName[h.Name()] = h

@@ -116,29 +116,13 @@ func (e *Engine) Defragment(ctx context.Context, maxMoves int) ([]*core.MigrateR
 	sockets := e.h.Memory().Geometry().Sockets
 	var reps []*core.MigrateReport
 	owned := make([]int, sockets)
-	free := make([][]NodeOccupancy, sockets)
-	// Each socket's free list has room for all its guest nodes, so the
-	// tally never grows one.
-	for _, n := range e.h.Topology().Nodes() {
-		if n.Kind == numa.GuestReserved {
-			owned[n.Socket]++
-		}
-	}
-	for s := range free {
-		free[s] = make([]NodeOccupancy, 0, owned[s])
-	}
 	tally := func(o NodeOccupancy) {
 		if o.Owner != "" {
 			owned[o.Node.Socket]++
-		} else {
-			free[o.Node.Socket] = append(free[o.Node.Socket], o)
 		}
 	}
 	for len(reps) < maxMoves || maxMoves <= 0 {
 		clear(owned)
-		for s := range free {
-			free[s] = free[s][:0]
-		}
 		if err := planner.Visit(tally); err != nil {
 			return reps, err
 		}
@@ -154,7 +138,7 @@ func (e *Engine) Defragment(ctx context.Context, maxMoves int) ([]*core.MigrateR
 		if owned[maxS]-owned[minS] < 2 {
 			break // balanced enough: one more move cannot improve the spread
 		}
-		mv, ok := e.pickDefragMove(maxS, free[minS])
+		mv, ok := e.pickDefragMove(maxS, minS)
 		if !ok {
 			break // nothing movable fits
 		}
@@ -170,8 +154,9 @@ func (e *Engine) Defragment(ctx context.Context, maxMoves int) ([]*core.MigrateR
 }
 
 // pickDefragMove selects the smallest VM wholly resident on the overloaded
-// socket that fits in the underloaded socket's free nodes.
-func (e *Engine) pickDefragMove(fromSocket int, destPool []NodeOccupancy) (Move, bool) {
+// socket, and the free nodes of the underloaded socket it would move onto
+// (core.Hypervisor.FreeNodes), if they can hold it.
+func (e *Engine) pickDefragMove(fromSocket, toSocket int) (Move, bool) {
 	var best *core.VM
 	var bestBytes uint64
 	for _, vm := range e.h.VMs() {
@@ -193,16 +178,8 @@ func (e *Engine) pickDefragMove(fromSocket int, destPool []NodeOccupancy) (Move,
 	if best == nil {
 		return Move{}, false
 	}
-	var dests []int
-	var destCap uint64
-	for _, o := range destPool {
-		if destCap >= bestBytes {
-			break
-		}
-		dests = append(dests, o.Node.ID)
-		destCap += hugePageCap(o)
-	}
-	if destCap < bestBytes {
+	dests, err := e.h.FreeNodes(toSocket, bestBytes)
+	if err != nil {
 		return Move{}, false
 	}
 	return Move{VM: best.Name(), DestNodes: dests}, true
