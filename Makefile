@@ -206,6 +206,8 @@ examples:
 # The CLI tools outside the registry, end to end; each exits 0.
 tools:
 	$(GO) run ./cmd/siloz topology
+	$(GO) run ./cmd/siloz topology -subarray-rows 640
+	$(GO) run ./cmd/siloz topology -subarray-rows 256
 	$(GO) run ./cmd/siloz blacksmith -patterns 20
 	$(GO) run ./cmd/siloz infer -true-size 1024
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/dram"
@@ -25,10 +26,24 @@ func topologyCmd(inv *invocation, args []string) error {
 	if *baseline {
 		mode = core.ModeBaseline
 	}
-	h, err := core.Boot(core.Config{
-		SubarrayRows:  *subarrayRows,
-		EPTProtection: ept.GuardRows,
-	}, mode)
+	cfg := core.Config{EPTProtection: ept.GuardRows}
+	if n := *subarrayRows; n != 0 {
+		cfg.Geometry = geometry.Default().WithSubarraySize(n)
+		if n > 0 && n <= cfg.Geometry.RowsPerBank {
+			// A bank holds whole subarrays and whole managed groups, which
+			// round up to at most the next power of two of at least 512
+			// rows: the platform's bank keeps the largest multiple of both
+			// (128 000 rows for 640-row subarrays, all of it for a power
+			// of two).
+			group := max(1<<bits.Len(uint(n-1)), 512)
+			unit := group
+			for unit%n != 0 {
+				unit += group
+			}
+			cfg.Geometry.RowsPerBank -= cfg.Geometry.RowsPerBank % unit
+		}
+	}
+	h, err := core.Boot(cfg, mode)
 	if err != nil {
 		return err
 	}
@@ -40,8 +55,14 @@ func topologyCmd(inv *invocation, args []string) error {
 	fmt.Fprintf(out, "managed group:   %d rows/subarray -> %.2f GiB subarray groups\n",
 		h.Layout().RowsPerGroup(), float64(h.Layout().GroupBytes())/float64(geometry.GiB))
 	fmt.Fprintf(out, "groups/socket:   %d\n", h.Layout().GroupsPerSocket())
-	if h.Layout().Artificial() {
-		fmt.Fprintln(out, "artificial:      yes (non-power-of-two subarray size, §6)")
+	if l := h.Layout(); l.Artificial() {
+		// A power-of-two size is artificial only below the block its
+		// transforms reorder rows within, which is then the managed size.
+		reason := "non-power-of-two subarray size"
+		if rows := g.RowsPerSubarray; rows&(rows-1) == 0 {
+			reason = fmt.Sprintf("%d-row subarrays below the transforms' %d-row block", rows, l.RowsPerGroup())
+		}
+		fmt.Fprintf(out, "artificial:      yes (%s, §6)\n", reason)
 	}
 
 	topo := h.Topology()

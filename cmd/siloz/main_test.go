@@ -325,3 +325,28 @@ func TestPerfCheckMissingIsSorted(t *testing.T) {
 		t.Errorf("MISSING lines = %v, want %v", got, want)
 	}
 }
+
+// TestTopologyNamesWhyALayoutIsArtificial boots `siloz topology` at the
+// subarray sizes `make tools` runs: 640 rows (a non-power-of-two, on a bank
+// trimmed to whole 1024-row groups) and 256 rows (below the evaluation
+// DIMMs' 512-row transform block) form artificial groups of at least 512
+// rows and say why; the platform default forms none.
+func TestTopologyNamesWhyALayoutIsArtificial(t *testing.T) {
+	for _, c := range []struct {
+		rows, managed string
+		reason        string
+	}{
+		{"640", "1024", "artificial:      yes (non-power-of-two subarray size, §6)\n"},
+		{"256", "512", "artificial:      yes (256-row subarrays below the transforms' 512-row block, §6)\n"},
+		{"1024", "1024", ""},
+	} {
+		code, out, errs := siloz("", "topology", "-subarray-rows", c.rows)
+		if code != 0 {
+			t.Fatalf("-subarray-rows %s: exit %d, stderr %q", c.rows, code, errs)
+		}
+		if !strings.Contains(out, "managed group:   "+c.managed+" rows/subarray") ||
+			strings.Contains(out, "artificial:") != (c.reason != "") || !strings.Contains(out, c.reason) {
+			t.Errorf("-subarray-rows %s: want %s-row groups and artificial line %q, got:\n%s", c.rows, c.managed, c.reason, out)
+		}
+	}
+}

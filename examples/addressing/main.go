@@ -45,8 +45,9 @@ func main() {
 		fmt.Printf("  pa %#12x -> row group %5d (subarray group %d)\n", pa, ma.Row, ma.Row/g.RowsPerSubarray)
 	}
 
-	// 3. Subarray groups as computed at boot (§5.3).
-	layout, err := subarray.NewLayout(g, mapper)
+	// 3. Subarray groups as computed at boot (§5.3), for DIMMs applying
+	// every DDR4 transform.
+	layout, err := subarray.NewLayout(g, mapper, addr.AllTransforms())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nl, err := subarray.NewLayout(ng, nm)
+	nl, err := subarray.NewLayout(ng, nm, addr.AllTransforms())
 	if err != nil {
 		log.Fatal(err)
 	}
-	guards := nl.BoundaryGuardRows(addr.AllTransforms())
+	guards := nl.BoundaryGuardRows()
 	fmt.Printf("\n640-row subarrays: artificial=%v, managed size %d rows, %d boundary guard rows (%.2f%% of DRAM)\n",
 		nl.Artificial(), nl.RowsPerGroup(), len(guards), 100*float64(len(guards))/float64(ng.RowsPerBank))
 	fmt.Printf("  first guard rows: %v ...\n", guards[:8])

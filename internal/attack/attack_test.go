@@ -36,7 +36,7 @@ func physEnv(t *testing.T, prof dram.Profile) (*dram.Memory, *PhysTarget) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout, err := subarray.NewLayout(g, mapper)
+	layout, err := subarray.NewLayout(g, mapper, prof.Transforms)
 	if err != nil {
 		t.Fatal(err)
 	}

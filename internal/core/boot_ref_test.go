@@ -70,19 +70,33 @@ func retiredEPTBlock(t *testing.T, l *subarray.Layout, socket int) (block, ept, 
 
 // retiredSilozBoot is the retired bootSiloz and provisionSocket arithmetic
 // over a booted layout: the nodes in ID order and the offlined ranges. It
-// calls today's range algebra, which FuzzRangeAlgebraMatchesRetired holds to
-// the retired one.
+// requires the layout to be built for the union of the installed DIMMs'
+// transforms, and resolves each inter-subarray repair through an internal
+// mapper of its own DIMM's profile: the retired subarray.RepairOfflineRows,
+// inlined and taken per DIMM. It calls today's range algebra, which
+// FuzzRangeAlgebraMatchesRetired holds to the retired one.
 func retiredSilozBoot(t *testing.T, cfg Config, l *subarray.Layout) ([]retiredNode, []subarray.Range) {
 	t.Helper()
 	g := l.Geometry()
-	transforms := cfg.Profiles[0].Transforms
+	var union addr.TransformConfig
+	for d := 0; d < g.DIMMsPerSocket; d++ {
+		tr := cfg.Profiles[d%len(cfg.Profiles)].Transforms
+		union = addr.TransformConfig{Mirroring: union.Mirroring || tr.Mirroring,
+			Inversion: union.Inversion || tr.Inversion, Scrambling: union.Scrambling || tr.Scrambling}
+	}
+	if l.Transforms() != union {
+		t.Fatalf("layout built for %+v, the installed DIMMs apply %+v", l.Transforms(), union)
+	}
 	rowSet := make(map[int]bool)
-	for _, r := range l.BoundaryGuardRows(transforms) {
+	for _, r := range l.BoundaryGuardRows() {
 		rowSet[r] = true
 	}
-	for _, rows := range subarray.RepairOfflineRows(g, cfg.Repairs, transforms) {
-		for _, r := range rows {
-			rowSet[r] = true
+	if cfg.Repairs != nil {
+		for _, r := range cfg.Repairs.InterSubarrayRepairs() {
+			im := addr.NewInternalMapper(g, cfg.Profiles[r.Bank.DIMM%len(cfg.Profiles)].Transforms)
+			for _, side := range []addr.Side{addr.SideA, addr.SideB} {
+				rowSet[im.MediaRow(r.Bank, r.From, side)] = true
+			}
 		}
 	}
 	allRows := make([]int, 0, len(rowSet))
@@ -118,7 +132,9 @@ func retiredSilozBoot(t *testing.T, cfg Config, l *subarray.Layout) ([]retiredNo
 // TestBootMatchesRetiredProvisioning boots Siloz and compares every node's
 // ranges, the offlined ranges and the EPT nodes with the retired arithmetic:
 // on the default server, on an artificial layout with guard rows, and with
-// inter-subarray repairs, the last three offlining more than the EPT guards.
+// inter-subarray repairs, on boxes whose DIMMs differ too. All but the
+// default and the 256-row box, whose 512-row groups end on real subarray
+// edges, offline more than the EPT guards.
 func TestBootMatchesRetiredProvisioning(t *testing.T) {
 	artificial := testGeometry()
 	artificial.RowsPerBank = 5120
@@ -143,6 +159,9 @@ func TestBootMatchesRetiredProvisioning(t *testing.T) {
 		{"artificial-640", guarded, true},
 		{"repairs", repaired, true},
 		{"repairs/all-transforms", repairedAll, true},
+		{"repairs/mixed-dimms", mixedRepairBox(t).cfg, true},
+		{"artificial-640/mixed-dimms", hazardBox("640/mirror-invert+all").cfg, true},
+		{"artificial-256", hazardBox("256/all").cfg, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			h, err := Boot(c.cfg, ModeSiloz)
@@ -203,7 +222,7 @@ func TestEPTBlockMatchesRetired(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := subarray.NewLayoutForModule(g, m, addr.TransformConfig{})
+		l, err := subarray.NewLayout(g, m, addr.TransformConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,10 +255,10 @@ func TestEPTBlockMatchesRetired(t *testing.T) {
 
 // TestBootAllocationBound pins a Siloz boot of the fleet benchmark's host at
 // the allocations it makes under the race detector, 260; a plain build makes
-// 252, or 253 on the first boot in a process. The per-row layout build and
+// 251, or 252 on the first boot in a process. The per-row layout build and
 // EPT block it replaced made 1 018, and allocators that copied each node's
 // ranges 270. A boot beside a sibling, which takes the box's layout, mapper
-// and row arena, is pinned at 215 the same way; a plain build makes 207.
+// and row arena, is pinned at 215 the same way; a plain build makes 206.
 func TestBootAllocationBound(t *testing.T) {
 	const bound, siblingBound = 260, 215
 	boot := func(cfg Config) float64 {

@@ -54,10 +54,6 @@ type Config struct {
 	// Profiles are the DIMM disturbance profiles, assigned round-robin
 	// to slots; nil means the six Table 3 evaluation DIMMs.
 	Profiles []dram.Profile
-	// SubarrayRows overrides the geometry's rows per subarray — the boot
-	// parameter of §5.3 used by the Siloz-512/-1024/-2048 variants; 0
-	// keeps the geometry's value.
-	SubarrayRows int
 	// EPTProtection selects EPT integrity for Siloz (§5.4). The
 	// baseline always runs unprotected.
 	EPTProtection ept.IntegrityMode
@@ -94,9 +90,6 @@ func (c *Config) normalize() error {
 	if c.Geometry == (geometry.Geometry{}) {
 		c.Geometry = geometry.Default()
 	}
-	if c.SubarrayRows != 0 {
-		c.Geometry = c.Geometry.WithSubarraySize(c.SubarrayRows)
-	}
 	if err := c.Geometry.Validate(); err != nil {
 		return err
 	}
@@ -107,6 +100,20 @@ func (c *Config) normalize() error {
 		c.MediatedAccessLimit = DefaultMediatedAccessLimit
 	}
 	return c.Mitigation.Validate()
+}
+
+// transforms returns the union of the row address transforms of the DIMMs a
+// boot installs (slot d of each socket takes Profiles[d%len(Profiles)]): the
+// box's worst case, which its subarray layout and guard rows cover.
+func (c *Config) transforms() addr.TransformConfig {
+	var t addr.TransformConfig
+	for d := 0; d < c.Geometry.DIMMsPerSocket; d++ {
+		p := c.Profiles[d%len(c.Profiles)].Transforms
+		t.Mirroring = t.Mirroring || p.Mirroring
+		t.Inversion = t.Inversion || p.Inversion
+		t.Scrambling = t.Scrambling || p.Scrambling
+	}
+	return t
 }
 
 // Process models the credentials of a requesting process: its control group

@@ -133,13 +133,14 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 	// The mapping and the ranges computed from it are the box's (§5.3): a
 	// sibling has them already, and its row arena with them.
 	var (
-		mapper addr.Mapper
-		rows   *dram.RowStore
-		layout *subarray.Layout
-		err    error
+		mapper     addr.Mapper
+		rows       *dram.RowStore
+		layout     *subarray.Layout
+		transforms = cfg.transforms()
+		err        error
 	)
 	if sib := cfg.Sibling; sib != nil {
-		if sib.cfg.Geometry != cfg.Geometry || sib.cfg.Profiles[0].Transforms != cfg.Profiles[0].Transforms {
+		if sib.cfg.Geometry != cfg.Geometry || sib.layout.Transforms() != transforms {
 			return nil, fmt.Errorf("core: a sibling of another geometry or other row address transforms is not of this box")
 		}
 		mapper, rows, layout = sib.mem.Mapper(), sib.mem.RowStore(), sib.layout
@@ -171,7 +172,7 @@ func Boot(cfg Config, mode Mode) (*Hypervisor, error) {
 		vms:       make(map[string]*VM),
 	}
 	if layout == nil {
-		if layout, err = subarray.NewLayoutForModule(cfg.Geometry, mapper, cfg.Profiles[0].Transforms); err != nil {
+		if layout, err = subarray.NewLayout(cfg.Geometry, mapper, transforms); err != nil {
 			return nil, err
 		}
 	}
@@ -205,14 +206,18 @@ func BootMitigated(cfg Config) (*Hypervisor, error) {
 // bootSiloz builds the logical node topology with isolation enabled.
 func (h *Hypervisor) bootSiloz() error {
 	g := h.cfg.Geometry
-	transforms := h.cfg.Profiles[0].Transforms
 
 	// Offline rows that violate isolation: artificial-boundary guards
-	// (§6) and inter-subarray repaired rows (§6), in any order and
+	// (§6) and inter-subarray repaired rows (§6), each repair resolved
+	// through its own module's translation driver, in any order and
 	// repeated as they come.
-	hazardRows := h.layout.BoundaryGuardRows(transforms)
-	for _, rows := range subarray.RepairOfflineRows(g, h.cfg.Repairs, transforms) {
-		hazardRows = append(hazardRows, rows...)
+	hazardRows := h.layout.BoundaryGuardRows()
+	if rt := h.cfg.Repairs; rt != nil {
+		for _, r := range rt.InterSubarrayRepairs() {
+			im := h.mem.Module(r.Bank.Socket, r.Bank.DIMM).InternalMapper()
+			hazardRows = append(hazardRows,
+				im.MediaRow(r.Bank, r.From, addr.SideA), im.MediaRow(r.Bank, r.From, addr.SideB))
+		}
 	}
 	offline, err := h.layout.OfflineRangesForRows(hazardRows)
 	if err != nil {

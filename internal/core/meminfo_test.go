@@ -114,7 +114,7 @@ func TestBootBesideSibling(t *testing.T) {
 	}
 	// A sibling of another box is refused, not silently shared.
 	other := testConfig()
-	other.SubarrayRows = 1024
+	other.Geometry = other.Geometry.WithSubarraySize(1024)
 	other.Sibling = h1
 	if _, err := Boot(other, ModeSiloz); err == nil {
 		t.Error("sibling of another geometry accepted")

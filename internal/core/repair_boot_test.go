@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/dram"
 	"repro/internal/geometry"
 )
 
@@ -109,4 +111,72 @@ func offlineRowsFor(t *testing.T, h *Hypervisor, rt *addr.RepairTable) map[int][
 		}
 	}
 	return out
+}
+
+// TestRepairOfflineRows checks what the boot offlines for repairs: for every
+// inter-subarray repair, the media rows that resolve to the repaired
+// internal row on either half-row side through the internal mapper of the
+// DIMM the repair is on, on every socket, and nothing for an intra-subarray
+// repair or a box without repairs. The mixed box's two DIMMs repair the same
+// internal row under different transforms, so each must be resolved through
+// its own.
+func TestRepairOfflineRows(t *testing.T) {
+	mixed := testGeometry()
+	mixed.DIMMsPerSocket = 2
+	all, none := testProfile(), testProfile()
+	all.Transforms = addr.AllTransforms()
+	for _, c := range []struct {
+		name     string
+		g        geometry.Geometry
+		profiles []dram.Profile
+	}{
+		{"all-transforms", testGeometry(), []dram.Profile{all}},
+		{"mixed-dimms", mixed, []dram.Profile{none, all}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt := addr.NewRepairTable(c.g)
+			want := map[int]bool{}
+			for d := 0; d < c.g.DIMMsPerSocket; d++ {
+				bank := geometry.BankID{Socket: 0, DIMM: d, Rank: 1, Bank: 0}
+				// Inter-subarray: internal row 100 (subarray 0) -> anchor 600
+				// (subarray 1). Intra-subarray: 200 -> 300, never offlined.
+				for _, r := range []addr.Repair{
+					{Bank: bank, From: 100, Spare: addr.SpareRow{Anchor: 600}},
+					{Bank: bank, From: 200, Spare: addr.SpareRow{Anchor: 300}},
+				} {
+					if err := rt.Add(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				im := addr.NewInternalMapper(c.g, c.profiles[d].Transforms)
+				want[im.MediaRow(bank, 100, addr.SideA)] = true
+				want[im.MediaRow(bank, 100, addr.SideB)] = true
+			}
+			offlinedRows := func(rt *addr.RepairTable) map[int]bool {
+				t.Helper()
+				h, err := Boot(Config{Geometry: c.g, Profiles: c.profiles, Repairs: rt}, ModeSiloz)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer h.Shutdown()
+				rows := map[int]bool{}
+				for s, own := range socketRowOwners(t, h) {
+					for r, o := range own {
+						if o == ownerOfflined && r >= EPTBlockRowGroups {
+							rows[r] = true
+						} else if rows[r] {
+							t.Fatalf("row %d offlined on one socket but not on socket %d", r, s)
+						}
+					}
+				}
+				return rows
+			}
+			if got := offlinedRows(nil); len(got) != 0 {
+				t.Fatalf("a box without repairs offlined rows %v beside the EPT block", got)
+			}
+			if got := offlinedRows(rt); !reflect.DeepEqual(got, want) {
+				t.Fatalf("offlined rows %v, want %v", got, want)
+			}
+		})
+	}
 }

@@ -132,11 +132,11 @@ func remapsExp(ctx context.Context, pool *Pool) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			layout, err := subarray.NewLayout(g, mapper)
+			layout, err := subarray.NewLayout(g, mapper, addr.AllTransforms())
 			if err != nil {
 				return nil, fmt.Errorf("size %d: %w", rows, err)
 			}
-			guards := layout.BoundaryGuardRows(addr.AllTransforms())
+			guards := layout.BoundaryGuardRows()
 			reservedPct := 100 * float64(len(guards)) / float64(g.RowsPerBank)
 			r.row(fmt.Sprintf("%d-row subarrays", rows), layout.Artificial(), layout.RowsPerGroup(), reservedPct)
 			maxReserved = max(maxReserved, reservedPct)

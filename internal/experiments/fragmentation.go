@@ -164,16 +164,16 @@ func ddr5Exp(ctx context.Context, pool *Pool) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			l4, err := subarray.NewLayoutForModule(g, mapper, ddr4)
+			l4, err := subarray.NewLayout(g, mapper, ddr4)
 			if err != nil {
 				return nil, err
 			}
-			l5, err := subarray.NewLayoutForModule(g, mapper, ddr5)
+			l5, err := subarray.NewLayout(g, mapper, ddr5)
 			if err != nil {
 				return nil, err
 			}
-			ddr4Reserved := 100 * float64(len(l4.BoundaryGuardRows(ddr4))) / float64(g.RowsPerBank)
-			ddr5Reserved := 100 * float64(len(l5.BoundaryGuardRows(ddr5))) / float64(g.RowsPerBank)
+			ddr4Reserved := 100 * float64(len(l4.BoundaryGuardRows())) / float64(g.RowsPerBank)
+			ddr5Reserved := 100 * float64(len(l5.BoundaryGuardRows())) / float64(g.RowsPerBank)
 			r.row(fmt.Sprintf("%d-row subarrays", rows), ddr4Reserved, l4.Artificial(), ddr5Reserved, l5.Artificial())
 			if ddr5Reserved != 0 || l5.Artificial() {
 				ddr5Clean = false

@@ -49,7 +49,7 @@ func TestConcurrentFleetChurn(t *testing.T) {
 	}
 	// The layout as computed: the hosts' boots must not have written it,
 	// and neither may the churn.
-	fresh, err := subarray.NewLayoutForModule(labGeometry(), box.Memory().Mapper(), labProfile().Transforms)
+	fresh, err := subarray.NewLayout(labGeometry(), box.Memory().Mapper(), labProfile().Transforms)
 	if err != nil {
 		t.Fatal(err)
 	}

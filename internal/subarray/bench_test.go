@@ -22,7 +22,7 @@ func BenchmarkNewLayout(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewLayoutForModule(g, m, addr.TransformConfig{}); err != nil {
+		if _, err := NewLayout(g, m, addr.TransformConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

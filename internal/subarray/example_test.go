@@ -16,7 +16,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	layout, err := subarray.NewLayout(g, mapper)
+	layout, err := subarray.NewLayout(g, mapper, addr.AllTransforms())
 	if err != nil {
 		panic(err)
 	}

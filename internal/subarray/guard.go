@@ -14,15 +14,19 @@ const GuardRowsPerBoundary = 4
 // BoundaryGuardRows returns, for an artificial layout, the media rows at
 // the start of each artificial subarray that must be offlined to enforce
 // isolation across artificial boundaries (§6). The returned set is the
-// union of the guard positions' preimages under every enabled internal
-// transformation (rank mirroring fixes rows 0-3; B-side inversion maps them
-// to rows 504-507 of their 512-row block), so offlining these media rows
-// guarantees that no allocatable row is internally adjacent to a boundary.
+// union of the guard positions' preimages under every transformation the
+// layout was built for, alone or combined (rank mirroring fixes rows 0-3;
+// B-side inversion maps them to rows 504-507 of their 512-row block), so
+// offlining these media rows guarantees that, on every module applying any
+// subset of those transforms, no allocatable row is internally adjacent to a
+// boundary.
 //
-// For a true power-of-two layout the result is empty: real subarray
-// boundaries provide natural isolation.
-func (l *Layout) BoundaryGuardRows(transforms addr.TransformConfig) []int {
-	if !l.artificial {
+// For an exact layout the result is empty: real subarray boundaries provide
+// natural isolation. So it is when the managed size is a multiple of the
+// true one (256-row subarrays in 512-row groups): every group edge is then a
+// real boundary too.
+func (l *Layout) BoundaryGuardRows() []int {
+	if !l.artificial || l.rowsPerGroup%l.g.RowsPerSubarray == 0 {
 		return nil
 	}
 	set := make(map[int]bool)
@@ -32,16 +36,16 @@ func (l *Layout) BoundaryGuardRows(transforms addr.TransformConfig) []int {
 			// Preimages of internal guard position p under each
 			// rank/side transform combination.
 			candidates := []int{p}
-			if transforms.Inversion {
+			if l.transforms.Inversion {
 				candidates = append(candidates, addr.InvertRow(p))
 			}
-			if transforms.Mirroring {
+			if l.transforms.Mirroring {
 				candidates = append(candidates, addr.MirrorRow(p))
-				if transforms.Inversion {
+				if l.transforms.Inversion {
 					candidates = append(candidates, addr.MirrorRow(addr.InvertRow(p)))
 				}
 			}
-			if transforms.Scrambling {
+			if l.transforms.Scrambling {
 				for _, c := range append([]int(nil), candidates...) {
 					candidates = append(candidates, addr.ScrambleRow(c))
 				}
@@ -88,55 +92,4 @@ func (l *Layout) OfflineRangesForRows(rows []int) ([]Range, error) {
 		}
 	}
 	return rowGroupRuns(starts, uint64(l.g.RowGroupBytes())), nil
-}
-
-// RepairOfflineRows returns, per socket, the media rows whose pages must be
-// offlined because a row repair crosses a subarray boundary (§6): for every
-// inter-subarray repair, every media row that resolves to the repaired
-// internal row on either half-row side of the affected bank.
-func RepairOfflineRows(g geometry.Geometry, rt *addr.RepairTable, transforms addr.TransformConfig) map[int][]int {
-	out := make(map[int][]int)
-	if rt == nil {
-		return out
-	}
-	im := addr.NewInternalMapper(g, transforms)
-	seen := make(map[[2]int]bool) // (socket, row)
-	for _, r := range rt.InterSubarrayRepairs() {
-		for _, side := range []addr.Side{addr.SideA, addr.SideB} {
-			media := im.MediaRow(r.Bank, r.From, side)
-			key := [2]int{r.Bank.Socket, media}
-			if !seen[key] {
-				seen[key] = true
-				out[r.Bank.Socket] = append(out[r.Bank.Socket], media)
-			}
-		}
-	}
-	for s := range out {
-		sort.Ints(out[s])
-	}
-	return out
-}
-
-// OverheadReport quantifies the DRAM reserved (unusable) under a layout,
-// the §6 / §3 accounting that compares Siloz (~0-1.6%) against guard-row
-// schemes like ZebRAM (50-80%).
-type OverheadReport struct {
-	// TotalBytes is the server's DRAM capacity.
-	TotalBytes uint64
-	// GuardBytes is DRAM lost to artificial-boundary guard rows.
-	GuardBytes uint64
-	// RepairBytes is DRAM lost to offlined inter-subarray repaired rows.
-	RepairBytes uint64
-}
-
-// Overhead computes the reservation accounting for a layout, transforms,
-// and optional repair table.
-func (l *Layout) Overhead(transforms addr.TransformConfig, rt *addr.RepairTable) OverheadReport {
-	rep := OverheadReport{TotalBytes: uint64(l.g.TotalBytes())}
-	guardRows := l.BoundaryGuardRows(transforms)
-	rep.GuardBytes = uint64(len(guardRows)) * uint64(l.g.RowGroupBytes()) * uint64(l.g.Sockets)
-	for _, rows := range RepairOfflineRows(l.g, rt, transforms) {
-		rep.RepairBytes += uint64(len(rows)) * uint64(l.g.RowGroupBytes())
-	}
-	return rep
 }

@@ -182,7 +182,7 @@ func TestLayoutMatchesRetiredBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, err := NewLayoutForModule(c.g, m, c.transforms)
+			l, err := NewLayout(c.g, m, c.transforms)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +200,7 @@ func TestLayoutMatchesRetiredBuild(t *testing.T) {
 					}
 				}
 			}
-			rows := l.BoundaryGuardRows(c.transforms)
+			rows := l.BoundaryGuardRows()
 			for r := 0; r+1 < c.g.RowsPerBank; r += 37 {
 				rows = append(rows, r, r+1)
 			}

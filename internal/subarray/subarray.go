@@ -5,13 +5,14 @@
 // A Layout computes, from a geometry and the platform's physical-to-media
 // address mapping, the physical address ranges composing every subarray
 // group, the group that owns any physical address, and the page-offlining
-// requirements of §6 (artificial groups with boundary guard rows for
-// non-power-of-two subarray sizes, and inter-subarray row repairs).
+// requirements of §6 (artificial groups with boundary guard rows where the
+// row address transforms reorder rows across a subarray boundary).
 package subarray
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -66,55 +67,48 @@ func (g *Group) Contains(pa uint64) bool {
 }
 
 // Layout is the boot-time computed map from physical addresses to subarray
-// groups (§5.3). RowsPerGroup is the managed subarray size: the true size
-// for power-of-two modules, or the next power of two ("artificial groups")
-// otherwise (§6).
+// groups (§5.3). RowsPerGroup is the managed subarray size: the true size,
+// or, where the row address transforms reorder rows across its boundaries,
+// the next power of two that contains their reordering block ("artificial
+// groups", §6).
 type Layout struct {
 	g            geometry.Geometry
 	mapper       addr.Mapper
+	transforms   addr.TransformConfig
 	rowsPerGroup int
 	artificial   bool
 	groups       [][]*Group // [socket][index]
 }
 
-// NewLayout computes subarray groups for g under the platform mapping. For
-// non-power-of-two subarray sizes the layout automatically forms artificial
-// groups by rounding the size up to the next power of two; callers must then
-// offline the BoundaryGuardRows. It assumes a DDR4 module applying the full
-// set of internal transformations; use NewLayoutForModule when the module's
-// transformations are known.
-func NewLayout(g geometry.Geometry, mapper addr.Mapper) (*Layout, error) {
-	return NewLayoutForModule(g, mapper, addr.AllTransforms())
-}
-
-// NewLayoutForModule computes subarray groups taking the module's internal
-// address transformations into account. Artificial (rounded-up) groups are
-// only needed when a non-power-of-two subarray size combines with
-// transformations that reorder rows across its boundaries (§6); DDR5
-// modules undo mirroring and inversion at each device (§8.2), so they get
-// exact groups for any size.
-func NewLayoutForModule(g geometry.Geometry, mapper addr.Mapper, transforms addr.TransformConfig) (*Layout, error) {
+// NewLayout computes subarray groups for g under the platform mapping and
+// the row address transforms of the modules it covers: for a box of mixed
+// DIMMs, the union of theirs. A size is hazardous when a transform reorders
+// rows across its boundaries: mirroring and inversion reorder within
+// 512-row blocks, scrambling within 8-row blocks. A hazardous size rounds up
+// to the next power of two that is at least the block, forming artificial
+// groups whose BoundaryGuardRows callers must offline (§6). DDR5 modules
+// undo mirroring and inversion at each device (§8.2), so they get exact
+// groups for any multiple of 8 rows.
+func NewLayout(g geometry.Geometry, mapper addr.Mapper, transforms addr.TransformConfig) (*Layout, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	block := 1
+	if transforms.Mirroring || transforms.Inversion {
+		block = 512
+	} else if transforms.Scrambling {
+		block = 8
+	}
 	rows := g.RowsPerSubarray
-	nonPow2 := rows&(rows-1) != 0
-	// Scrambling only reorders within 8-row blocks; mirroring/inversion
-	// within 512-row blocks.
-	hazardous := transforms.Mirroring || transforms.Inversion ||
-		(transforms.Scrambling && rows%8 != 0)
-	artificial := nonPow2 && hazardous
+	artificial := rows%block != 0
 	if artificial {
-		for rows&(rows-1) != 0 {
-			rows &= rows - 1
-		}
-		rows <<= 1 // next power of two
+		rows = max(1<<bits.Len(uint(rows-1)), block)
 	}
 	if g.RowsPerBank%rows != 0 {
 		return nil, fmt.Errorf("subarray: bank rows %d not divisible by managed group size %d",
 			g.RowsPerBank, rows)
 	}
-	l := &Layout{g: g, mapper: mapper, rowsPerGroup: rows, artificial: artificial}
+	l := &Layout{g: g, mapper: mapper, transforms: transforms, rowsPerGroup: rows, artificial: artificial}
 	if err := l.build(); err != nil {
 		return nil, err
 	}
@@ -285,6 +279,9 @@ func (l *Layout) Geometry() geometry.Geometry { return l.g }
 
 // RowsPerGroup returns the managed (possibly artificial) group size in rows.
 func (l *Layout) RowsPerGroup() int { return l.rowsPerGroup }
+
+// Transforms returns the row address transforms the layout was built for.
+func (l *Layout) Transforms() addr.TransformConfig { return l.transforms }
 
 // Artificial reports whether the layout had to round the subarray size up
 // to a power of two (§6).

@@ -28,7 +28,7 @@ func tinyLayout(t *testing.T) *Layout {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLayout(g, m)
+	l, err := NewLayout(g, m, addr.AllTransforms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDefaultLayoutMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLayout(g, m)
+	l, err := NewLayout(g, m, addr.AllTransforms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestArtificialLayoutRoundsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLayout(g, m)
+	l, err := NewLayout(g, m, addr.AllTransforms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestArtificialLayoutRoundsUp(t *testing.T) {
 		t.Errorf("GroupsPerSocket = %d, want 5", l.GroupsPerSocket())
 	}
 
-	guards := l.BoundaryGuardRows(addr.AllTransforms())
+	guards := l.BoundaryGuardRows()
 	if len(guards) == 0 {
 		t.Fatal("artificial layout needs boundary guard rows")
 	}
@@ -188,8 +188,114 @@ func TestArtificialLayoutRoundsUp(t *testing.T) {
 
 func TestPowerOfTwoLayoutNeedsNoGuards(t *testing.T) {
 	l := tinyLayout(t)
-	if rows := l.BoundaryGuardRows(addr.AllTransforms()); len(rows) != 0 {
+	if rows := l.BoundaryGuardRows(); len(rows) != 0 {
 		t.Errorf("power-of-two layout returned %d guard rows, want 0", len(rows))
+	}
+}
+
+// transformSubsets returns all eight combinations of the three transforms.
+func transformSubsets() []addr.TransformConfig {
+	var out []addr.TransformConfig
+	for m := 0; m < 8; m++ {
+		out = append(out, addr.TransformConfig{Mirroring: m&1 != 0, Inversion: m&2 != 0, Scrambling: m&4 != 0})
+	}
+	return out
+}
+
+// hazardBox is a one-socket geometry whose 10 240-row banks hold every
+// managed size the hazard rule produces for the subarray sizes below.
+func hazardBox(t *testing.T, rows int) (geometry.Geometry, addr.Mapper) {
+	t.Helper()
+	g := geometry.Geometry{
+		Sockets: 1, CoresPerSocket: 4, DIMMsPerSocket: 1, RanksPerDIMM: 2,
+		BanksPerRank: 2, RowsPerBank: 10240, RowBytes: 8 * geometry.KiB,
+		RowsPerSubarray: rows,
+	}
+	m, err := addr.NewSkylakeMapper(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, m
+}
+
+// TestHazardRule pins the one size rule: a size is artificial exactly when
+// an enabled transform reorders rows across its boundary (mirroring and
+// inversion within 512-row blocks, scrambling within 8), and then rounds up
+// to the next power of two that is at least the block.
+func TestHazardRule(t *testing.T) {
+	for _, tc := range []struct {
+		rows          int
+		block         int // the reordering block under mirroring or inversion
+		scrambleBlock int // under scrambling alone
+	}{
+		{4, 512, 8}, {20, 512, 32}, {256, 512, 256}, {512, 512, 512}, {640, 1024, 640},
+		{1024, 1024, 1024}, {1280, 2048, 1280}, {2560, 2560, 2560},
+	} {
+		g, m := hazardBox(t, tc.rows)
+		for _, tr := range transformSubsets() {
+			want := tc.rows
+			switch {
+			case tr.Mirroring || tr.Inversion:
+				want = tc.block
+			case tr.Scrambling:
+				want = tc.scrambleBlock
+			}
+			l, err := NewLayout(g, m, tr)
+			if err != nil {
+				t.Fatalf("%d rows under %+v: %v", tc.rows, tr, err)
+			}
+			if l.RowsPerGroup() != want || l.Artificial() != (want != tc.rows) || l.Transforms() != tr {
+				t.Errorf("%d rows under %+v: managed %d, artificial %v, transforms %+v; want managed %d",
+					tc.rows, tr, l.RowsPerGroup(), l.Artificial(), l.Transforms(), want)
+			}
+			// Guards only where a group edge is not a real subarray edge.
+			if guarded := len(l.BoundaryGuardRows()) != 0; guarded != (want%tc.rows != 0) {
+				t.Errorf("%d rows under %+v in %d-row groups: guard rows %v", tc.rows, tr, want, guarded)
+			}
+		}
+	}
+}
+
+// TestGuardRowsCoverEveryTransformSubset checks the guard rule against the
+// modules it protects: for a layout built for a union of transforms, every
+// module applying any subset of that union resolves each internal guard
+// position, on either rank parity and half-row side, to a media row in
+// BoundaryGuardRows.
+func TestGuardRowsCoverEveryTransformSubset(t *testing.T) {
+	for _, rows := range []int{20, 640, 1280} {
+		g, m := hazardBox(t, rows)
+		for _, union := range transformSubsets() {
+			l, err := NewLayout(g, m, union)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.RowsPerGroup()%rows == 0 {
+				continue // every group edge is a real subarray edge
+			}
+			guards := make(map[int]bool)
+			for _, r := range l.BoundaryGuardRows() {
+				guards[r] = true
+			}
+			for _, sub := range transformSubsets() {
+				if (sub.Mirroring && !union.Mirroring) || (sub.Inversion && !union.Inversion) || (sub.Scrambling && !union.Scrambling) {
+					continue
+				}
+				im := addr.NewInternalMapper(g, sub)
+				for start := 0; start < g.RowsPerBank; start += l.RowsPerGroup() {
+					for k := 0; k < GuardRowsPerBoundary; k++ {
+						for rank := 0; rank < g.RanksPerDIMM; rank++ {
+							for _, side := range []addr.Side{addr.SideA, addr.SideB} {
+								bank := geometry.BankID{Rank: rank}
+								if media := im.MediaRow(bank, start+k, side); !guards[media] {
+									t.Fatalf("%d rows, layout for %+v, module with %+v: guard position %d (rank %d side %v) is media row %d, not guarded",
+										rows, union, sub, start+k, rank, side, media)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -215,66 +321,6 @@ func TestOfflineRangesForRows(t *testing.T) {
 	}
 }
 
-func TestRepairOfflineRows(t *testing.T) {
-	g := tinyGeometry()
-	rt := addr.NewRepairTable(g)
-	bank := geometry.BankID{Socket: 0, DIMM: 0, Rank: 1, Bank: 0}
-	// Inter-subarray repair: internal row 100 (subarray 0) -> anchor 600
-	// (subarray 1).
-	if err := rt.Add(addr.Repair{Bank: bank, From: 100, Spare: addr.SpareRow{Anchor: 600}}); err != nil {
-		t.Fatal(err)
-	}
-	// Intra-subarray repair: should not appear.
-	if err := rt.Add(addr.Repair{Bank: bank, From: 200, Spare: addr.SpareRow{Anchor: 300}}); err != nil {
-		t.Fatal(err)
-	}
-	tc := addr.AllTransforms()
-	rows := RepairOfflineRows(g, rt, tc)
-	if len(rows[0]) == 0 {
-		t.Fatal("no offline rows for an inter-subarray repair")
-	}
-	im := addr.NewInternalMapper(g, tc)
-	want := map[int]bool{
-		im.MediaRow(bank, 100, addr.SideA): true,
-		im.MediaRow(bank, 100, addr.SideB): true,
-	}
-	for _, r := range rows[0] {
-		if !want[r] {
-			t.Errorf("unexpected offline row %d", r)
-		}
-		delete(want, r)
-	}
-	for r := range want {
-		t.Errorf("missing offline row %d", r)
-	}
-	if RepairOfflineRows(g, nil, tc)[0] != nil {
-		t.Error("nil repair table should yield no rows")
-	}
-}
-
-func TestOverheadAccounting(t *testing.T) {
-	// Power-of-two layout, no repairs: 100% usable (§3's "~98.5%-100%").
-	l := tinyLayout(t)
-	rep := l.Overhead(addr.AllTransforms(), nil)
-	if lost := rep.GuardBytes + rep.RepairBytes; lost != 0 {
-		t.Errorf("%d bytes lost, want none", lost)
-	}
-
-	// With inter-subarray repairs, a small fraction is lost.
-	g := tinyGeometry()
-	rt, err := addr.GenerateRepairs(g, addr.RepairInterSubarray, 0.0015, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2 := l.Overhead(addr.AllTransforms(), rt)
-	if rep2.RepairBytes == 0 {
-		t.Error("repair overhead not accounted")
-	}
-	if lost := rep2.GuardBytes + rep2.RepairBytes; lost*100 > rep2.TotalBytes*3 {
-		t.Errorf("%d of %d bytes lost, unexpectedly many", lost, rep2.TotalBytes)
-	}
-}
-
 func TestLayoutRejectsIndivisibleGeometry(t *testing.T) {
 	g := tinyGeometry()
 	g.RowsPerBank = 2048 + 512 // 2560: divisible by 512 but not by itself after round-up? (2560/512=5, power-of-two size ok)
@@ -284,7 +330,7 @@ func TestLayoutRejectsIndivisibleGeometry(t *testing.T) {
 		// Geometry may be rejected by the mapper instead; both are fine.
 		return
 	}
-	if _, err := NewLayout(g, m); err != nil {
+	if _, err := NewLayout(g, m, addr.AllTransforms()); err != nil {
 		t.Logf("NewLayout rejected: %v", err)
 	}
 }
