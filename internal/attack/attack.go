@@ -79,14 +79,28 @@ func patternRow(chunk *[rowChunk]byte, n int, pat byte) []byte {
 }
 
 // mismatches returns every byte of a row read back that is not pat, in
-// address order. The row's first line is at addr and its lines are stride
-// apart (the mapping interleaves consecutive lines over banks). It compares a
-// word at a time — a row is a multiple of the 64-byte line — and looks at
-// bytes only inside a word that differs.
+// address order, or nil for a clean row. The row's first line is at addr and
+// its lines are stride apart (the mapping interleaves consecutive lines over
+// banks). It compares a word at a time — a row is a multiple of the 64-byte
+// line — and looks at bytes only inside a word that differs: a first pass
+// counts them, so a dirty row's list is made once at its length.
 func mismatches(row []byte, pat byte, addr, stride uint64) []Corruption {
-	var out []Corruption
 	want := uint64(pat) * 0x0101010101010101
+	n := 0
 	for w := 0; w < len(row); w += 8 {
+		if binary.LittleEndian.Uint64(row[w:]) != want {
+			for _, b := range row[w : w+8] {
+				if b != pat {
+					n++
+				}
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Corruption, 0, n)
+	for w := 0; len(out) < n; w += 8 {
 		if binary.LittleEndian.Uint64(row[w:]) == want {
 			continue
 		}
@@ -242,25 +256,33 @@ func (t *PhysTarget) Rows() []RowRef {
 	}
 	g := t.Mem.Geometry()
 	rowGroup := uint64(g.RowGroupBytes())
-	var rows []RowRef
-	for _, r := range t.Ranges {
-		first := (r.Start + rowGroup - 1) / rowGroup * rowGroup
-		for rb := first; rb+rowGroup <= r.End; rb += rowGroup {
-			ma, err := t.Mem.Mapper().Decode(rb)
-			if err != nil {
-				continue
-			}
-			bank := geometry.BankFromSocketFlat(g, ma.Bank.Socket, t.BankIndex)
-			rows = append(rows, RowRef{
-				Addr: rb + uint64(t.BankIndex)*geometry.CacheLineSize,
-				Bank: bank,
-				Row:  ma.Row,
-			})
+	n := 0
+	rangeRowBases(t.Ranges, rowGroup, func(uint64) { n++ })
+	rows := make([]RowRef, 0, n)
+	rangeRowBases(t.Ranges, rowGroup, func(rb uint64) {
+		ma, err := t.Mem.Mapper().Decode(rb)
+		if err != nil {
+			return
 		}
-	}
+		rows = append(rows, RowRef{
+			Addr: rb + uint64(t.BankIndex)*geometry.CacheLineSize,
+			Bank: geometry.BankFromSocketFlat(g, ma.Bank.Socket, t.BankIndex),
+			Row:  ma.Row,
+		})
+	})
 	sortRows(g, rows)
 	t.rows = rows
 	return rows
+}
+
+// rangeRowBases calls visit with the physical base of every rowGroup-aligned
+// row group that lies wholly inside one of the ranges, in range order.
+func rangeRowBases(ranges []PhysRange, rowGroup uint64, visit func(rb uint64)) {
+	for _, r := range ranges {
+		for rb := (r.Start + rowGroup - 1) / rowGroup * rowGroup; rb+rowGroup <= r.End; rb += rowGroup {
+			visit(rb)
+		}
+	}
 }
 
 // Hammer implements Target.

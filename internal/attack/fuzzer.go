@@ -75,17 +75,19 @@ func (f *Fuzzer) Run(t Target) (Report, error) {
 		if len(run) > p.MinRun {
 			base = rng.Intn(len(run) - p.MinRun)
 		}
-		cs, err := f.HammerPattern(t, run, base, p)
+		// The pattern's corruptions are appended to the report's in place;
+		// on an error the report keeps what it held before the pattern.
+		cs, err := f.hammerPattern(t, run, base, p, rep.Corruptions)
 		if err != nil {
 			return rep, err
 		}
-		if len(cs) > 0 {
+		if len(cs) > len(rep.Corruptions) {
 			rep.EffectivePatterns++
-			rep.Corruptions = append(rep.Corruptions, cs...)
 			if rep.BestPattern == "" {
 				rep.BestPattern = p.Name
 			}
 		}
+		rep.Corruptions = cs
 	}
 	return rep, nil
 }
@@ -93,6 +95,12 @@ func (f *Fuzzer) Run(t Target) (Report, error) {
 // HammerPattern runs one pattern at a base offset within a row run and
 // returns the corruptions the attacker can observe in the pattern's rows.
 func (f *Fuzzer) HammerPattern(t Target, run []RowRef, base int, p Pattern) ([]Corruption, error) {
+	return f.hammerPattern(t, run, base, p, nil)
+}
+
+// hammerPattern is HammerPattern appending the corruptions to out; on an
+// error it returns nil.
+func (f *Fuzzer) hammerPattern(t Target, run []RowRef, base int, p Pattern, out []Corruption) ([]Corruption, error) {
 	if base+p.MinRun > len(run) {
 		return nil, fmt.Errorf("attack: pattern %s needs %d rows, run has %d after base %d",
 			p.Name, p.MinRun, len(run), base)
@@ -101,7 +109,6 @@ func (f *Fuzzer) HammerPattern(t Target, run []RowRef, base int, p Pattern) ([]C
 	// Sweep complementary data patterns: a weak cell's discharge is only
 	// observable when the stored bit differs from its fail value, so real
 	// templating runs both a pattern and its complement.
-	var out []Corruption
 	for _, pat := range []byte{f.cfg.FillPattern, ^f.cfg.FillPattern} {
 		for _, r := range span {
 			if err := t.FillRow(r, pat); err != nil {

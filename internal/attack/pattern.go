@@ -1,9 +1,9 @@
 package attack
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 )
 
 // Batch is one scheduled burst of activations of a run-relative row.
@@ -33,11 +33,16 @@ type Pattern struct {
 
 // ActsPerWindow returns the bank activation budget the pattern consumes.
 func (p Pattern) ActsPerWindow() int {
+	return actsPerRound(p.Schedule) * p.Rounds
+}
+
+// actsPerRound returns the activations one round of sched consumes.
+func actsPerRound(sched []Batch) int {
 	per := 0
-	for _, b := range p.Schedule {
+	for _, b := range sched {
 		per += b.Count
 	}
-	return per * p.Rounds
+	return per
 }
 
 // DoubleSided builds the classic double-sided pattern: two aggressors
@@ -62,29 +67,48 @@ func DoubleSided(actsPerRound, rounds int) Pattern {
 // yields short runs of consecutive rows (the mapping's chunk structure), so
 // decoys sit back to back with a 2-row gap before the first pair.
 func ManySided(pairs, decoys, decoyAmp, aggAmp, rounds int) Pattern {
-	p := Pattern{
-		Name:     fmt.Sprintf("many-sided-%dp%dd", pairs, decoys),
-		Schedule: make([]Batch, 0, decoys+2*pairs),
+	sched, minRun := manySided(pairs, decoys, decoyAmp, aggAmp)
+	var name [nameBytes]byte
+	return Pattern{
+		Name:     string(appendManySidedName(name[:0], pairs, decoys)),
+		Schedule: sched,
 		Rounds:   rounds,
+		MinRun:   minRun,
 	}
+}
+
+// manySided builds ManySided's schedule in one slice made at its length and
+// returns it with the run length it needs.
+func manySided(pairs, decoys, decoyAmp, aggAmp int) ([]Batch, int) {
+	sched := make([]Batch, 0, decoys+2*pairs)
 	// Decoys first each round (phase matters: they refill the sampler
 	// right after each TRR event).
 	for d := 0; d < decoys; d++ {
-		p.Schedule = append(p.Schedule, Batch{RunIndex: d, Count: decoyAmp})
+		sched = append(sched, Batch{RunIndex: d, Count: decoyAmp})
 	}
 	idx := decoys
 	if decoys > 0 {
 		idx += 2 // keep pair victims outside the decoys' blast radius
 	}
 	for a := 0; a < pairs; a++ {
-		p.Schedule = append(p.Schedule,
+		sched = append(sched,
 			Batch{RunIndex: idx, Count: aggAmp},
 			Batch{RunIndex: idx + 2, Count: aggAmp},
 		)
 		idx += 3
 	}
-	p.MinRun = idx
-	return p
+	return sched, idx
+}
+
+// nameBytes is the stack buffer a pattern's name is formatted in; every name
+// the fuzzer draws fits it, and a longer one spills to the heap.
+const nameBytes = 64
+
+// appendManySidedName appends ManySided's name, many-sided-<pairs>p<decoys>d.
+func appendManySidedName(b []byte, pairs, decoys int) []byte {
+	b = strconv.AppendInt(append(b, "many-sided-"...), int64(pairs), 10)
+	b = strconv.AppendInt(append(b, 'p'), int64(decoys), 10)
+	return append(b, 'd')
 }
 
 // HalfDouble builds a Half-Double pattern [83]: heavily-hammered "far"
@@ -128,17 +152,31 @@ func RowPressPattern(actsPerRound, rounds int, openNs int64) Pattern {
 // synchronization trick. Returns the pattern unchanged if it already
 // exceeds roundActs per round or has no decoy to pad.
 func (p Pattern) Synchronized(roundActs int) Pattern {
-	per := 0
-	for _, b := range p.Schedule {
-		per += b.Count
-	}
-	if per >= roundActs || len(p.Schedule) == 0 {
+	sched := slices.Clone(p.Schedule)
+	if !synchronize(sched, roundActs) {
 		return p
 	}
-	p.Schedule = slices.Clone(p.Schedule)
-	p.Schedule[0].Count += roundActs - per
-	p.Name += fmt.Sprintf("-sync%d", roundActs)
+	p.Schedule = sched
+	var name [nameBytes]byte
+	p.Name += string(appendSyncName(name[:0], roundActs))
 	return p
+}
+
+// synchronize pads sched's first batch in place so that one round consumes
+// exactly roundActs activations, and reports whether it did: it leaves a
+// schedule that is empty or already reaches roundActs alone.
+func synchronize(sched []Batch, roundActs int) bool {
+	per := actsPerRound(sched)
+	if per >= roundActs || len(sched) == 0 {
+		return false
+	}
+	sched[0].Count += roundActs - per
+	return true
+}
+
+// appendSyncName appends Synchronized's name suffix, -sync<roundActs>.
+func appendSyncName(b []byte, roundActs int) []byte {
+	return strconv.AppendInt(append(b, "-sync"...), int64(roundActs), 10)
 }
 
 // candidateIntervals are TRR periods the fuzzer tries to synchronize with;
@@ -147,28 +185,29 @@ var candidateIntervals = []int{2500, 4000, 5000, 6000, 8000, 10000}
 
 // RandomPattern synthesizes a fuzzing candidate: random pair count, decoy
 // count, amplitudes, dwell and synchronization, bounded by the activation
-// budget.
+// budget. It is ManySided, then Synchronized, then "-press" and "-r<rounds>"
+// appended to the name, built in place: the schedule and the name are its
+// only allocations.
 func RandomPattern(rng *rand.Rand, maxActs int) Pattern {
 	pairs := 1 + rng.Intn(3)
 	decoys := rng.Intn(9)
 	decoyAmp := 200 + rng.Intn(600)
 	aggAmp := 40 + rng.Intn(160)
-	p := ManySided(pairs, decoys, decoyAmp, aggAmp, 1)
+	sched, minRun := manySided(pairs, decoys, decoyAmp, aggAmp)
+	var buf [nameBytes]byte
+	name := appendManySidedName(buf[:0], pairs, decoys)
 	if decoys > 0 && rng.Intn(3) > 0 {
-		p = p.Synchronized(candidateIntervals[rng.Intn(len(candidateIntervals))])
-	}
-	perRound := p.ActsPerWindow()
-	rounds := maxActs / perRound
-	if rounds < 1 {
-		rounds = 1
-	}
-	p.Rounds = rounds
-	if rng.Intn(4) == 0 { // occasionally explore RowPress dwell
-		for i := range p.Schedule {
-			p.Schedule[i].OpenNs = int64(rng.Intn(5000))
+		if interval := candidateIntervals[rng.Intn(len(candidateIntervals))]; synchronize(sched, interval) {
+			name = appendSyncName(name, interval)
 		}
-		p.Name += "-press"
 	}
-	p.Name += fmt.Sprintf("-r%d", rounds)
-	return p
+	rounds := max(maxActs/actsPerRound(sched), 1)
+	if rng.Intn(4) == 0 { // occasionally explore RowPress dwell
+		for i := range sched {
+			sched[i].OpenNs = int64(rng.Intn(5000))
+		}
+		name = append(name, "-press"...)
+	}
+	name = strconv.AppendInt(append(name, "-r"...), int64(rounds), 10)
+	return Pattern{Name: string(name), Schedule: sched, Rounds: rounds, MinRun: minRun}
 }
